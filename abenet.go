@@ -42,11 +42,11 @@
 // any topology embedding a directed Hamiltonian cycle (Ring, BiRing,
 // Complete, Hypercube, ...).
 //
-// The historical per-protocol entry points (RunElection, RunItaiRodehSync,
-// ...) remain as deprecated shims over Run with byte-identical outputs.
-// One deliberate break: configs that set both Delay and Links (previously
-// "Links wins, Delay ignored") now require Delta to declare the governing
-// δ — Env.Validate rejects the ambiguous declaration.
+// Run is the only way to execute a protocol: an environment that sets both
+// Delay and Links must declare Delta to state the governing δ
+// (Env.Validate rejects the ambiguous declaration), and an environment that
+// asks for an axis the protocol does not honour (faults, adversaries, the
+// broadcast medium, observation, tracing) is refused with a typed error.
 //
 // The package also exposes the ABE model itself as machine-checkable
 // parameters (Params), an exhaustive bounded model checker for the
@@ -58,9 +58,6 @@
 package abenet
 
 import (
-	"fmt"
-	"math"
-
 	"abenet/internal/byzantine"
 	"abenet/internal/channel"
 	"abenet/internal/check"
@@ -70,7 +67,6 @@ import (
 	"abenet/internal/election"
 	"abenet/internal/faults"
 	"abenet/internal/harness"
-	"abenet/internal/live"
 	"abenet/internal/runner"
 	"abenet/internal/sim"
 	"abenet/internal/stats"
@@ -141,8 +137,7 @@ type (
 	BenOr = runner.BenOr
 )
 
-// Run executes protocol p on environment env — the single entry point
-// every other Run* function is a shim over.
+// Run executes protocol p on environment env — the single entry point.
 func Run(env Env, p Protocol) (Report, error) { return runner.Run(env, p) }
 
 // Protocols returns the sorted names of every registered protocol.
@@ -187,65 +182,6 @@ type Params = core.Params
 func DefaultParams() Params { return core.DefaultParams() }
 
 // ---- The election algorithm (Section 3) ----
-
-// ElectionConfig configures one election run on an anonymous
-// unidirectional ABE ring.
-//
-// Deprecated: state the environment in Env and the algorithm options in
-// Election; run with Run.
-type ElectionConfig = core.ElectionConfig
-
-// ElectionResult summarises one election run.
-type ElectionResult = core.ElectionResult
-
-// RunElection runs the paper's election algorithm.
-//
-// Deprecated: use Run(Env{...}, Election{...}). This shim routes through
-// Run with byte-identical results, except that A0 = 0 now selects the
-// balanced default instead of erroring.
-func RunElection(cfg ElectionConfig) (ElectionResult, error) {
-	rep, err := Run(Env{
-		Graph:      cfg.Graph,
-		N:          cfg.N,
-		Delay:      cfg.Delay,
-		Links:      cfg.Links,
-		Clocks:     cfg.Clocks,
-		Processing: cfg.Processing,
-		Seed:       cfg.Seed,
-		Scheduler:  cfg.Scheduler,
-		Horizon:    cfg.Horizon,
-		MaxEvents:  cfg.MaxEvents,
-		Tracer:     cfg.Tracer,
-		Faults:     cfg.Faults,
-	}, Election{
-		A0:                 cfg.A0,
-		TickInterval:       cfg.TickInterval,
-		ConstantActivation: cfg.ConstantActivation,
-		KeepRunning:        cfg.KeepRunning,
-		RecandidacyTimeout: cfg.RecandidacyTimeout,
-	})
-	if err != nil {
-		return ElectionResult{}, err
-	}
-	extra := rep.Extra.(ElectionExtra)
-	return ElectionResult{
-		Elected:        rep.Elected,
-		LeaderIndex:    rep.LeaderIndex,
-		Leaders:        rep.Leaders,
-		Messages:       rep.Messages,
-		Transmissions:  rep.Transmissions,
-		Time:           rep.Time,
-		Events:         rep.Events,
-		Activations:    extra.Activations,
-		Knockouts:      extra.Knockouts,
-		ResidualPurges: extra.ResidualPurges,
-		Recandidacies:  extra.Recandidacies,
-		StalePurges:    extra.StalePurges,
-		Violations:     rep.Violations,
-		Params:         rep.Params,
-		Faults:         rep.Faults,
-	}, nil
-}
 
 // A0ForRing returns the base activation parameter that realises the
 // paper's linear average complexity on a ring of size n with expected
@@ -297,11 +233,11 @@ func Bimodal(fast, slow DelayDist, pSlow float64) DelayDist {
 // per-message loss/duplication/reorder, stochastic crash(-recovery) churn,
 // and scripted events (crashes, link outages, partitions). Set it on
 // Env.Faults; a nil plan keeps every run byte-identical to a fault-free
-// build. Honoured by the event-driven network protocols Election,
-// ChangRoberts and ItaiRodehAsync; the others — including Peterson, whose
-// step protocol requires reliable FIFO channels — reject a non-nil plan.
-// Pair lossy plans with a finite Env.Horizon — a protocol may (correctly)
-// never terminate once its messages are destroyed.
+// build. Honoured by Election, ChangRoberts, ItaiRodehAsync and BenOr; the
+// others — including Peterson, whose step protocol requires reliable FIFO
+// channels — reject a non-nil plan with a typed error. Pair lossy plans
+// with a finite Env.Horizon — a protocol may (correctly) never terminate
+// once its messages are destroyed.
 type FaultPlan = faults.Plan
 
 // FaultEvent is one scripted fault; build them with CrashAt, RecoverAt,
@@ -409,78 +345,7 @@ func FIFOLinks(delay DelayDist) LinkFactory { return channel.FIFOFactory(delay) 
 // Retransmission.
 func ARQLinks(p, slot float64) LinkFactory { return channel.ARQFactory(p, slot) }
 
-// ---- Baseline elections (deprecated entry points) ----
-
-// ItaiRodehSyncResult reports the synchronous baseline run.
-type ItaiRodehSyncResult = election.ItaiRodehSyncResult
-
-// RunItaiRodehSync runs the phase-based Itai–Rodeh style election on an
-// anonymous synchronous ring (q = 0 means 1/n).
-//
-// Deprecated: use Run(Env{N: n, Seed: seed, MaxRounds: maxRounds},
-// ItaiRodehSync{Q: q}).
-func RunItaiRodehSync(n int, q float64, seed uint64, maxRounds int) (ItaiRodehSyncResult, error) {
-	rep, err := Run(Env{N: n, Seed: seed, MaxRounds: maxRounds}, ItaiRodehSync{Q: q})
-	if err != nil {
-		return ItaiRodehSyncResult{}, err
-	}
-	return ItaiRodehSyncResult{
-		Elected:     rep.Elected,
-		LeaderIndex: rep.LeaderIndex,
-		Leaders:     rep.Leaders,
-		Messages:    rep.Messages,
-		Rounds:      rep.Rounds,
-	}, nil
-}
-
-// AsyncRingConfig configures an asynchronous baseline run.
-//
-// Deprecated: state the environment in Env; run with Run.
-type AsyncRingConfig = election.AsyncRingConfig
-
-// AsyncRingResult reports an asynchronous baseline run.
-type AsyncRingResult = election.AsyncRingResult
-
-// asyncRingResult converts a Report into the historical result shape.
-func asyncRingResult(rep Report) AsyncRingResult {
-	return AsyncRingResult{
-		Elected:     rep.Elected,
-		LeaderIndex: rep.LeaderIndex,
-		Leaders:     rep.Leaders,
-		Messages:    rep.Messages,
-		Time:        rep.Time,
-		Faults:      rep.Faults,
-	}
-}
-
-// RunItaiRodehAsync runs the classic Itai–Rodeh election (anonymous,
-// FIFO, Θ(n log n) expected messages).
-//
-// Deprecated: use Run(Env{...}, ItaiRodehAsync{}).
-func RunItaiRodehAsync(cfg AsyncRingConfig) (AsyncRingResult, error) {
-	rep, err := Run(Env{
-		Graph:      cfg.Graph,
-		N:          cfg.N,
-		Delay:      cfg.Delay,
-		Links:      cfg.Links,
-		Clocks:     cfg.Clocks,
-		Processing: cfg.Processing,
-		Seed:       cfg.Seed,
-		Horizon:    cfg.Horizon,
-		MaxEvents:  cfg.MaxEvents,
-		Faults:     cfg.Faults,
-	}, ItaiRodehAsync{})
-	if err != nil {
-		return AsyncRingResult{}, err
-	}
-	return asyncRingResult(rep), nil
-}
-
-// ChangRobertsConfig configures a Chang–Roberts (or Peterson) run.
-//
-// Deprecated: state the environment in Env and the identity layout in
-// ChangRoberts/Peterson; run with Run.
-type ChangRobertsConfig = election.ChangRobertsConfig
+// ---- Baseline elections ----
 
 // ChangRobertsArrangement selects the identity layout.
 type ChangRobertsArrangement = election.ChangRobertsArrangement
@@ -491,46 +356,6 @@ const (
 	ArrangementAscending  = election.ArrangementAscending
 	ArrangementDescending = election.ArrangementDescending
 )
-
-// changRobertsEnv maps the historical config onto Env.
-func changRobertsEnv(cfg ChangRobertsConfig) Env {
-	return Env{
-		Graph:      cfg.Graph,
-		N:          cfg.N,
-		Delay:      cfg.Delay,
-		Links:      cfg.Links,
-		Clocks:     cfg.Clocks,
-		Processing: cfg.Processing,
-		Seed:       cfg.Seed,
-		Horizon:    cfg.Horizon,
-		MaxEvents:  cfg.MaxEvents,
-		Faults:     cfg.Faults,
-	}
-}
-
-// RunChangRoberts runs the identity-based election baseline.
-//
-// Deprecated: use Run(Env{...}, ChangRoberts{...}).
-func RunChangRoberts(cfg ChangRobertsConfig) (AsyncRingResult, error) {
-	rep, err := Run(changRobertsEnv(cfg), ChangRoberts{Arrangement: cfg.Arrangement})
-	if err != nil {
-		return AsyncRingResult{}, err
-	}
-	return asyncRingResult(rep), nil
-}
-
-// RunPeterson runs Peterson's deterministic election baseline (unique
-// identities, FIFO links).
-//
-// Deprecated: use Run(Env{...}, Peterson{...}). This entry point exists
-// for symmetry with the other baselines; new code should call Run.
-func RunPeterson(cfg ChangRobertsConfig) (AsyncRingResult, error) {
-	rep, err := Run(changRobertsEnv(cfg), Peterson{Arrangement: cfg.Arrangement})
-	if err != nil {
-		return AsyncRingResult{}, err
-	}
-	return asyncRingResult(rep), nil
-}
 
 // ---- Synchronizers (Section 2, Theorem 1) ----
 
@@ -545,16 +370,6 @@ const (
 	SyncGamma = synchronizer.KindGamma
 )
 
-// SyncConfig configures a synchronized execution.
-//
-// Deprecated: state the environment in Env and the synchronizer choice in
-// Synchronized; run with Run.
-type SyncConfig = synchronizer.Config
-
-// SyncResult reports a synchronized execution, including the
-// messages-per-round cost Theorem 1 lower bounds by n.
-type SyncResult = synchronizer.Result
-
 // SyncProtocol is a synchronous protocol runnable natively or over a
 // synchronizer.
 type SyncProtocol = syncnet.Node
@@ -564,82 +379,6 @@ type SyncProtocolContext = syncnet.NodeContext
 
 // SyncMessage is one message delivered to a SyncProtocol at a round start.
 type SyncMessage = syncnet.Message
-
-// RunSynchronized executes a synchronous protocol over an asynchronous
-// network via the configured synchronizer.
-//
-// Deprecated: use Run(Env{...}, Synchronized{Kind: ..., MakeNode: ...}).
-// Note Synchronized treats kind 0 as the round synchronizer.
-func RunSynchronized(cfg SyncConfig, makeNode func(i int) SyncProtocol) (SyncResult, error) {
-	rep, err := Run(Env{
-		Graph:     cfg.Graph,
-		Links:     cfg.Links,
-		Clocks:    cfg.Clocks,
-		Seed:      cfg.Seed,
-		MaxRounds: cfg.MaxRounds,
-		MaxEvents: cfg.MaxEvents,
-	}, Synchronized{
-		Kind:          cfg.Kind,
-		ClusterRadius: cfg.ClusterRadius,
-		Anonymous:     cfg.Anonymous,
-		MakeNode:      makeNode,
-	})
-	if err != nil {
-		return SyncResult{}, err
-	}
-	extra := rep.Extra.(SyncExtra)
-	return SyncResult{
-		Rounds:           rep.Rounds,
-		MinRounds:        extra.MinRounds,
-		Messages:         rep.Messages,
-		PayloadMessages:  extra.PayloadMessages,
-		MessagesPerRound: extra.MessagesPerRound,
-		Time:             rep.Time,
-		Stopped:          extra.Stopped,
-		StopCause:        extra.StopCause,
-	}, nil
-}
-
-// ClockSyncConfig configures the clock-driven ABD synchronizer workload.
-//
-// Deprecated: state the environment in Env and the period/rounds in
-// ClockSync; run with Run.
-type ClockSyncConfig = synchronizer.ClockSyncConfig
-
-// ClockSyncResult reports round violations of the ABD synchronizer.
-type ClockSyncResult = synchronizer.ClockSyncResult
-
-// RunClockSync measures how the zero-message ABD synchronizer behaves on
-// bounded (ABD) versus expected-bounded (ABE) delays.
-//
-// Deprecated: use Run(Env{...}, ClockSync{Period: ..., Rounds: ...}).
-// Unlike ClockSync (whose zero values select defaults), this shim keeps
-// the historical contract that Period and Rounds must be set explicitly.
-func RunClockSync(cfg ClockSyncConfig) (ClockSyncResult, error) {
-	if !(cfg.Period > 0) || math.IsInf(cfg.Period, 0) || math.IsNaN(cfg.Period) {
-		return ClockSyncResult{}, fmt.Errorf("synchronizer: period %g must be positive and finite", cfg.Period)
-	}
-	if cfg.Rounds < 1 {
-		return ClockSyncResult{}, fmt.Errorf("synchronizer: rounds %d must be positive", cfg.Rounds)
-	}
-	rep, err := Run(Env{
-		Graph:  cfg.Graph,
-		Delay:  cfg.Delay,
-		Links:  cfg.Links,
-		Clocks: cfg.Clocks,
-		Seed:   cfg.Seed,
-	}, ClockSync{Period: cfg.Period, Rounds: cfg.Rounds})
-	if err != nil {
-		return ClockSyncResult{}, err
-	}
-	extra := rep.Extra.(ClockSyncExtra)
-	return ClockSyncResult{
-		Messages:    rep.Messages,
-		Violations:  extra.RoundViolations,
-		MaxLateness: extra.MaxLateness,
-		Time:        rep.Time,
-	}, nil
-}
 
 // ---- Model checking ----
 
@@ -653,39 +392,6 @@ type CheckReport = check.Report
 // invariants on a small ring.
 func CheckElection(opts CheckOptions) (CheckReport, error) {
 	return check.CheckElection(opts)
-}
-
-// ---- Live (goroutine) runtime ----
-
-// LiveElectionConfig configures a real-concurrency election run.
-//
-// Deprecated: state N and Seed in Env and the timing in LiveElection; run
-// with Run.
-type LiveElectionConfig = live.ElectionConfig
-
-// LiveElectionResult reports a real-concurrency election run.
-type LiveElectionResult = live.ElectionResult
-
-// RunLiveElection runs the election on goroutines and channels with real
-// (wall-clock) delays.
-//
-// Deprecated: use Run(Env{N: ..., Seed: ...}, LiveElection{...}).
-func RunLiveElection(cfg LiveElectionConfig) (LiveElectionResult, error) {
-	rep, err := Run(Env{N: cfg.N, Seed: cfg.Seed}, LiveElection{
-		A0:        cfg.A0,
-		MeanDelay: cfg.MeanDelay,
-		TickEvery: cfg.TickEvery,
-		Timeout:   cfg.Timeout,
-	})
-	if err != nil {
-		return LiveElectionResult{}, err
-	}
-	return LiveElectionResult{
-		LeaderIndex: rep.LeaderIndex,
-		Leaders:     rep.Leaders,
-		Messages:    rep.Messages,
-		Elapsed:     rep.Extra.(LiveExtra).Elapsed,
-	}, nil
 }
 
 // ---- Topologies ----

@@ -114,11 +114,7 @@ func BenchmarkE16ScalingLadder(b *testing.B) {
 
 func BenchmarkSingleElection64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := abenet.RunElection(abenet.ElectionConfig{
-			N:    64,
-			A0:   abenet.DefaultA0(64),
-			Seed: uint64(i),
-		})
+		res, err := abenet.Run(abenet.Env{N: 64, Seed: uint64(i)}, abenet.Election{A0: abenet.DefaultA0(64)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,11 +126,7 @@ func BenchmarkSingleElection64(b *testing.B) {
 
 func BenchmarkSingleElection512(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := abenet.RunElection(abenet.ElectionConfig{
-			N:    512,
-			A0:   abenet.DefaultA0(512),
-			Seed: uint64(i),
-		})
+		res, err := abenet.Run(abenet.Env{N: 512, Seed: uint64(i)}, abenet.Election{A0: abenet.DefaultA0(512)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,7 +138,7 @@ func BenchmarkSingleElection512(b *testing.B) {
 
 func BenchmarkItaiRodehSync64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := abenet.RunItaiRodehSync(64, 0, uint64(i), 0)
+		res, err := abenet.Run(abenet.Env{N: 64, Seed: uint64(i)}, abenet.ItaiRodehSync{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -158,7 +150,7 @@ func BenchmarkItaiRodehSync64(b *testing.B) {
 
 func BenchmarkChangRoberts64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := abenet.RunChangRoberts(abenet.ChangRobertsConfig{N: 64, Seed: uint64(i)})
+		res, err := abenet.Run(abenet.Env{N: 64, Seed: uint64(i)}, abenet.ChangRoberts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -182,11 +174,9 @@ func BenchmarkModelCheckRing4(b *testing.B) {
 
 func BenchmarkLiveElection8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := abenet.RunLiveElection(abenet.LiveElectionConfig{
-			N:         8,
+		res, err := abenet.Run(abenet.Env{N: 8, Seed: uint64(i)}, abenet.LiveElection{
 			A0:        0.05,
 			MeanDelay: 50 * time.Microsecond,
-			Seed:      uint64(i),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -248,14 +238,10 @@ func BenchmarkScaleElection(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/n=%d", sched, n), func(b *testing.B) {
 				var events uint64
 				for i := 0; i < b.N; i++ {
-					res, err := abenet.RunElection(abenet.ElectionConfig{
-						N:            n,
-						A0:           1 / float64(n),
-						TickInterval: float64(n),
-						Seed:         1,
-						Scheduler:    sched,
-						MaxEvents:    2_000_000_000,
-					})
+					res, err := abenet.Run(
+						abenet.Env{N: n, Seed: 1, Scheduler: sched, MaxEvents: 2_000_000_000},
+						abenet.Election{A0: 1 / float64(n), TickInterval: float64(n)},
+					)
 					if err != nil {
 						b.Fatal(err)
 					}

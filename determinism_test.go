@@ -10,8 +10,8 @@ import (
 
 // TestCrossPackageDeterminism verifies the simulator's foundational
 // reproducibility contract through the public facade: the same
-// (ElectionConfig, seed) must produce a byte-identical ElectionResult on
-// repeated runs, for every delay-distribution family. The property spans
+// (Env, Election, seed) must produce a byte-identical Report on repeated
+// runs, for every delay-distribution family. The property spans
 // the whole stack — rng stream derivation, dist sampling, the event
 // kernel, links, clocks and the protocol itself — so any package that
 // sneaks in map-iteration order, shared mutable state or time.Now breaks
@@ -29,17 +29,13 @@ func TestCrossPackageDeterminism(t *testing.T) {
 	for name, d := range families {
 		name, d := name, d
 		t.Run(name, func(t *testing.T) {
-			cfg := abenet.ElectionConfig{
-				N:     12,
-				A0:    abenet.DefaultA0(12),
-				Delay: d,
-				Seed:  99,
-			}
-			first, err := abenet.RunElection(cfg)
+			env := abenet.Env{N: 12, Delay: d, Seed: 99}
+			proto := abenet.Election{A0: abenet.DefaultA0(12)}
+			first, err := abenet.Run(env, proto)
 			if err != nil {
 				t.Fatal(err)
 			}
-			second, err := abenet.RunElection(cfg)
+			second, err := abenet.Run(env, proto)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,8 +11,8 @@
 // (n+f)/2 identical non-⊥ proposals it *decides* that value, seeing at
 // least f+1 it *adopts* it as the next estimate, and otherwise it flips
 // its coin. Deciders keep participating (their estimate is pinned to the
-// decision) so laggards can catch up; the engine stops the network once
-// every honest node has decided.
+// decision) so laggards can catch up; the run stops once every honest node
+// has decided.
 //
 // Why it is here: the paper's bounded-*expected*-delay assumption (ABE
 // Definition 1) is exactly the regime Ben-Or needs — rounds complete in
@@ -29,15 +29,9 @@ import (
 	"fmt"
 
 	"abenet/internal/byzantine"
-	"abenet/internal/channel"
-	"abenet/internal/clock"
-	"abenet/internal/core"
-	"abenet/internal/dist"
-	"abenet/internal/faults"
 	"abenet/internal/network"
 	"abenet/internal/probe"
 	"abenet/internal/rng"
-	"abenet/internal/simtime"
 	"abenet/internal/topology"
 )
 
@@ -96,11 +90,11 @@ const (
 	InitHalf
 )
 
-// Config describes one consensus run.
+// Config states the protocol half of a consensus run. The environment —
+// delays, clocks, faults, adversaries, medium, bounds — is the run
+// substrate's (internal/runner); this package only contributes the nodes,
+// the engine-level decision record and the verdict.
 type Config struct {
-	// Graph must be a complete topology: Ben-Or's counting rules assume
-	// every node hears every node. Required.
-	Graph *topology.Graph
 	// F is the number of adversarial nodes the protocol is provisioned to
 	// tolerate: nodes wait for n−F values per phase. Must satisfy 3F < n
 	// (larger F makes the phase-1 super-majority unreachable). The actual
@@ -114,43 +108,9 @@ type Config struct {
 	// MaxRounds caps the asynchronous round number; a node reaching it
 	// halts (undecided unless it decided earlier). 0 means 200.
 	MaxRounds int
-	// Delay is the per-link (or per-transmission, under LocalBroadcast)
-	// delay distribution. Nil means Exponential(1).
-	Delay dist.Dist
-	// Links optionally overrides Delay with a full link factory in
-	// point-to-point mode. Must be nil under LocalBroadcast.
-	Links channel.Factory
-	// LocalBroadcast switches the medium to atomic local broadcast.
-	LocalBroadcast bool
-	// Clocks is the local clock model; nil means perfect clocks. The
-	// protocol is purely message-driven, so clocks only affect processing
-	// timing when Processing is set.
-	Clocks clock.Model
-	// Processing is the per-event processing-time model; nil means
-	// instantaneous.
-	Processing dist.Dist
-	// Seed determines the whole run.
-	Seed uint64
-	// Scheduler selects the kernel's event-queue implementation ("heap",
-	// "calendar"); empty means the default heap. Byte-identical either way.
-	Scheduler string
-	// Horizon bounds virtual time; 0 means unbounded.
-	Horizon simtime.Time
-	// MaxEvents bounds the event count; 0 means 50e6.
-	MaxEvents uint64
-	// Tracer optionally observes the run.
-	Tracer network.Tracer
-	// Faults optionally injects crash/loss/partition faults.
-	Faults *faults.Plan
-	// Byzantine optionally assigns adversarial roles.
-	Byzantine *byzantine.Plan
-	// Observe optionally samples a time series during the run (see
-	// internal/probe); sampling never perturbs the schedule. Nil disables
-	// collection.
-	Observe *probe.Config
 }
 
-// Result is the outcome of one consensus run. Agreement and Validity are
+// Result is the verdict of one consensus run. Agreement and Validity are
 // judged over honest nodes only (nodes holding no Byzantine role): the
 // classic properties say nothing about what liars output.
 type Result struct {
@@ -180,32 +140,121 @@ type Result struct {
 	Ignored int
 	// InitialValues is the assignment the run started from.
 	InitialValues []int8
-	Metrics       network.Metrics
-	Time          float64
-	// Events is the number of kernel events the run executed (a batch of
-	// same-instant deliveries counts as one event).
-	Events    uint64
-	StopCause string
-	Params    core.Params
-	Faults    *faults.Telemetry
-	// Series is the sampled time series, nil without an observe config.
-	Series *probe.Series
 }
 
-// benorProbe exposes the protocol-level gauges of a Ben-Or run: round and
-// phase progress across the live node instances and the count of honest
-// deciders (tracked at the engine so it survives churn restarts).
-type benorProbe struct {
-	nodes   []*node
-	decided *int
+// Engine is the engine-level state of one consensus instance: the initial
+// assignment, the honest set and the decision record. Decisions are
+// recorded here rather than on the nodes so they survive churn restarts
+// and network teardown. The run substrate builds the network from
+// MakeNode, samples ProbeGauges, and reads Result once the run ends.
+type Engine struct {
+	cfg       Config
+	n         int
+	maxRounds int32
+	initial   []int8
+	coinSeed  uint64
+
+	honest      []bool
+	honestCount int
+
+	decisions      []int8
+	decisionRounds []int32
+	decidedHonest  int
+	// allDecided fires once, when the last honest node decides.
+	allDecided func(cause string)
+
+	nodes []*node
 }
 
-// ProbeGauges implements probe.Observable.
-func (p benorProbe) ProbeGauges() []probe.Gauge {
+// New validates cfg against the (complete) topology and prepares one
+// consensus instance for seed, with the nodes adversaries names judged as
+// Byzantine. Initial values and the common coin come from dedicated
+// streams of the run root, so neither perturbs the network's
+// node/edge/clock streams (nor each other).
+func New(cfg Config, graph *topology.Graph, seed uint64, adversaries *byzantine.Plan) (*Engine, error) {
+	if graph == nil {
+		return nil, errors.New("consensus: config needs a graph")
+	}
+	n := graph.N()
+	for u := 0; u < n; u++ {
+		if graph.OutDegree(u) != n-1 || len(graph.In(u)) != n-1 {
+			return nil, fmt.Errorf("consensus: ben-or requires a complete topology; node %d has degree %d/%d, want %d/%d",
+				u, graph.OutDegree(u), len(graph.In(u)), n-1, n-1)
+		}
+	}
+	if cfg.F < 0 || 3*cfg.F >= n {
+		return nil, fmt.Errorf("consensus: f = %d must satisfy 0 <= 3f < n (n = %d): beyond it the phase-1 super-majority is unreachable", cfg.F, n)
+	}
+	maxRounds := cfg.MaxRounds
+	if maxRounds == 0 {
+		maxRounds = 200
+	}
+	if maxRounds < 1 {
+		return nil, fmt.Errorf("consensus: MaxRounds = %d must be positive", cfg.MaxRounds)
+	}
+	setup := rng.New(seed)
+	e := &Engine{
+		cfg:            cfg,
+		n:              n,
+		maxRounds:      int32(maxRounds),
+		initial:        initialValues(cfg.Init, n, setup.Derive("consensus/init")),
+		coinSeed:       setup.Derive("consensus/coin").Uint64(),
+		honest:         make([]bool, n),
+		decisions:      make([]int8, n),
+		decisionRounds: make([]int32, n),
+		nodes:          make([]*node, n),
+	}
+	for i := 0; i < n; i++ {
+		e.honest[i] = !adversaries.IsAdversary(i)
+		if e.honest[i] {
+			e.honestCount++
+		}
+		e.decisions[i] = notReceived
+	}
+	return e, nil
+}
+
+// OnAllDecided registers the hook fired when the last honest node decides —
+// the substrate stops the kernel there, since nothing the remaining
+// traffic does can change the verdict.
+func (e *Engine) OnAllDecided(stop func(cause string)) { e.allDecided = stop }
+
+// MakeNode builds node i's protocol instance. Churn restarts call it again
+// for the same i; the engine-level decision record outlives the instance.
+func (e *Engine) MakeNode(i int) network.Node {
+	e.nodes[i] = &node{
+		id: i, n: e.n, f: e.cfg.F,
+		est:       e.initial[i],
+		coin:      e.cfg.Coin,
+		coinSeed:  e.coinSeed,
+		maxRounds: e.maxRounds,
+		onDecide:  e.onDecide,
+	}
+	return e.nodes[i]
+}
+
+func (e *Engine) onDecide(id int, v int8, round int32) {
+	if e.decisions[id] != notReceived {
+		return // a churn-restarted incarnation re-deciding
+	}
+	e.decisions[id] = v
+	e.decisionRounds[id] = round
+	if e.honest[id] {
+		e.decidedHonest++
+		if e.decidedHonest == e.honestCount && e.allDecided != nil {
+			e.allDecided("consensus: every honest node decided")
+		}
+	}
+}
+
+// ProbeGauges implements probe.Observable: round and phase progress across
+// the live node instances and the count of honest deciders (tracked at the
+// engine so it survives churn restarts).
+func (e *Engine) ProbeGauges() []probe.Gauge {
 	return []probe.Gauge{
 		{Name: "round_max", Read: func() float64 {
 			max := int32(0)
-			for _, nd := range p.nodes {
+			for _, nd := range e.nodes {
 				if nd != nil && nd.round > max {
 					max = nd.round
 				}
@@ -215,7 +264,7 @@ func (p benorProbe) ProbeGauges() []probe.Gauge {
 		{Name: "round_min", Read: func() float64 {
 			min := int32(0)
 			first := true
-			for _, nd := range p.nodes {
+			for _, nd := range e.nodes {
 				if nd == nil {
 					continue
 				}
@@ -233,7 +282,7 @@ func (p benorProbe) ProbeGauges() []probe.Gauge {
 		{Name: "lead_phase", Read: func() float64 {
 			var round int32
 			var phase int8
-			for _, nd := range p.nodes {
+			for _, nd := range e.nodes {
 				if nd == nil {
 					continue
 				}
@@ -243,166 +292,8 @@ func (p benorProbe) ProbeGauges() []probe.Gauge {
 			}
 			return float64(phase)
 		}},
-		{Name: "decided", Read: func() float64 { return float64(*p.decided) }},
+		{Name: "decided", Read: func() float64 { return float64(e.decidedHonest) }},
 	}
-}
-
-// Run executes one consensus instance.
-func Run(cfg Config) (Result, error) {
-	if cfg.Graph == nil {
-		return Result{}, errors.New("consensus: config needs a graph")
-	}
-	n := cfg.Graph.N()
-	for u := 0; u < n; u++ {
-		if cfg.Graph.OutDegree(u) != n-1 || len(cfg.Graph.In(u)) != n-1 {
-			return Result{}, fmt.Errorf("consensus: ben-or requires a complete topology; node %d has degree %d/%d, want %d/%d",
-				u, cfg.Graph.OutDegree(u), len(cfg.Graph.In(u)), n-1, n-1)
-		}
-	}
-	if cfg.F < 0 || 3*cfg.F >= n {
-		return Result{}, fmt.Errorf("consensus: f = %d must satisfy 0 <= 3f < n (n = %d): beyond it the phase-1 super-majority is unreachable", cfg.F, n)
-	}
-	if cfg.LocalBroadcast && cfg.Links != nil {
-		return Result{}, errors.New("consensus: Links and LocalBroadcast are mutually exclusive")
-	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 200
-	}
-	if maxRounds < 1 {
-		return Result{}, fmt.Errorf("consensus: MaxRounds = %d must be positive", cfg.MaxRounds)
-	}
-	delay := cfg.Delay
-	if delay == nil {
-		delay = dist.NewExponential(1)
-	}
-	horizon := cfg.Horizon
-	if horizon == 0 {
-		horizon = simtime.Forever
-	}
-	maxEvents := cfg.MaxEvents
-	if maxEvents == 0 {
-		maxEvents = 50_000_000
-	}
-
-	// Initial values and the common coin come from dedicated streams of
-	// the run root, so neither perturbs the network's node/edge/clock
-	// streams (nor each other).
-	setup := rng.New(cfg.Seed)
-	initial := initialValues(cfg.Init, n, setup.Derive("consensus/init"))
-	coinSeed := setup.Derive("consensus/coin").Uint64()
-
-	honest := make([]bool, n)
-	honestCount := 0
-	for i := 0; i < n; i++ {
-		honest[i] = !cfg.Byzantine.IsAdversary(i)
-		if honest[i] {
-			honestCount++
-		}
-	}
-
-	// Decisions are recorded at the engine so they survive churn restarts
-	// and network teardown; the run stops as soon as the last honest node
-	// decides.
-	decisions := make([]int8, n)
-	decisionRounds := make([]int32, n)
-	for i := range decisions {
-		decisions[i] = notReceived
-	}
-	decidedHonest := 0
-	var netw *network.Network
-	onDecide := func(id int, v int8, round int32) {
-		if decisions[id] != notReceived {
-			return // a churn-restarted incarnation re-deciding
-		}
-		decisions[id] = v
-		decisionRounds[id] = round
-		if honest[id] {
-			decidedHonest++
-			if decidedHonest == honestCount {
-				netw.Kernel().Stop("consensus: every honest node decided")
-			}
-		}
-	}
-
-	nodes := make([]*node, n)
-	makeNode := func(i int) network.Node {
-		nodes[i] = &node{
-			id: i, n: n, f: cfg.F,
-			est:       initial[i],
-			coin:      cfg.Coin,
-			coinSeed:  coinSeed,
-			maxRounds: int32(maxRounds),
-			onDecide:  onDecide,
-		}
-		return nodes[i]
-	}
-	net, err := network.New(network.Config{
-		Graph:          cfg.Graph,
-		Links:          p2pLinks(cfg, delay),
-		LocalBroadcast: cfg.LocalBroadcast,
-		BroadcastDelay: broadcastDelay(cfg, delay),
-		Clocks:         cfg.Clocks,
-		Processing:     cfg.Processing,
-		Seed:           cfg.Seed,
-		Scheduler:      cfg.Scheduler,
-		Tracer:         cfg.Tracer,
-		Faults:         cfg.Faults,
-		Byzantine:      cfg.Byzantine,
-	}, makeNode)
-	if err != nil {
-		return Result{}, fmt.Errorf("consensus: %w", err)
-	}
-	netw = net
-	var collector *probe.Collector
-	if cfg.Observe != nil {
-		collector, err = probe.NewCollector(*cfg.Observe, net, benorProbe{nodes: nodes, decided: &decidedHonest})
-		if err != nil {
-			return Result{}, fmt.Errorf("consensus: %w", err)
-		}
-		net.InstallProbe(collector)
-	}
-	if err := net.Run(horizon, maxEvents); err != nil {
-		return Result{}, fmt.Errorf("consensus: %w", err)
-	}
-
-	res := Result{
-		N: n, F: cfg.F,
-		Honest:        honestCount,
-		Decision:      -1,
-		InitialValues: initial,
-		Metrics:       net.Metrics(),
-		Time:          float64(net.Now()),
-		Events:        net.Kernel().Executed(),
-		StopCause:     net.StopCause(),
-		Params:        core.ParamsOf(net),
-		Faults:        net.FaultTelemetry(),
-	}
-	if collector != nil {
-		collector.Final(net.Now(), net.Kernel().Executed())
-		res.Series = collector.Series()
-	}
-	return judge(res, net, honest, decisions, decisionRounds), nil
-}
-
-// p2pLinks resolves the link factory for point-to-point mode (nil under
-// local broadcast — the network wires radio links instead).
-func p2pLinks(cfg Config, delay dist.Dist) channel.Factory {
-	if cfg.LocalBroadcast {
-		return nil
-	}
-	if cfg.Links != nil {
-		return cfg.Links
-	}
-	return channel.RandomDelayFactory(delay)
-}
-
-// broadcastDelay resolves the radio delay for local-broadcast mode.
-func broadcastDelay(cfg Config, delay dist.Dist) dist.Dist {
-	if !cfg.LocalBroadcast {
-		return nil
-	}
-	return delay
 }
 
 // initialValues builds the deterministic initial assignment.
@@ -425,54 +316,59 @@ func initialValues(kind InitKind, n int, r *rng.Source) []int8 {
 	return initial
 }
 
-// judge fills the outcome fields from the engine-level decision record and
-// the surviving node instances.
-func judge(res Result, net *network.Network, honest []bool, decisions []int8, decisionRounds []int32) Result {
-	n := len(honest)
+// Result judges the run from the engine-level decision record and the
+// surviving node instances.
+func (e *Engine) Result() Result {
+	res := Result{
+		N: e.n, F: e.cfg.F,
+		Honest:        e.honestCount,
+		Decision:      -1,
+		InitialValues: e.initial,
+		Agreement:     true,
+		Validity:      true,
+	}
 	unanimous := true
 	var initRef int8
 	first := true
-	for i := 0; i < n; i++ {
-		if !honest[i] {
+	for i := 0; i < e.n; i++ {
+		if !e.honest[i] {
 			continue
 		}
 		if first {
-			initRef = res.InitialValues[i]
+			initRef = e.initial[i]
 			first = false
-		} else if res.InitialValues[i] != initRef {
+		} else if e.initial[i] != initRef {
 			unanimous = false
 		}
 	}
 
-	res.Agreement = true
-	res.Validity = true
 	decision := int8(notReceived)
-	for i := 0; i < n; i++ {
-		if nd, ok := net.NodeAt(i).(*node); ok && honest[i] {
+	for i := 0; i < e.n; i++ {
+		if nd := e.nodes[i]; nd != nil && e.honest[i] {
 			if int(nd.round) > res.Rounds {
 				res.Rounds = int(nd.round)
 			}
 			res.CoinFlips += nd.coinFlips
 			res.Ignored += nd.ignored
 		}
-		if !honest[i] || decisions[i] == notReceived {
+		if !e.honest[i] || e.decisions[i] == notReceived {
 			continue
 		}
 		res.Decided++
-		if int(decisionRounds[i]) > res.DecisionRound {
-			res.DecisionRound = int(decisionRounds[i])
+		if int(e.decisionRounds[i]) > res.DecisionRound {
+			res.DecisionRound = int(e.decisionRounds[i])
 		}
 		if decision == notReceived {
-			decision = decisions[i]
-		} else if decisions[i] != decision && res.Agreement {
+			decision = e.decisions[i]
+		} else if e.decisions[i] != decision && res.Agreement {
 			res.Agreement = false
 			res.Violations = append(res.Violations,
-				fmt.Sprintf("agreement violated: honest nodes decided both %d and %d", decision, decisions[i]))
+				fmt.Sprintf("agreement violated: honest nodes decided both %d and %d", decision, e.decisions[i]))
 		}
-		if unanimous && decisions[i] != initRef {
+		if unanimous && e.decisions[i] != initRef {
 			res.Validity = false
 			res.Violations = append(res.Violations,
-				fmt.Sprintf("validity violated: every honest node started with %d but node %d decided %d", initRef, i, decisions[i]))
+				fmt.Sprintf("validity violated: every honest node started with %d but node %d decided %d", initRef, i, e.decisions[i]))
 		}
 	}
 	res.Termination = res.Decided == res.Honest

@@ -1,10 +1,11 @@
-package core
+package core_test
 
 import (
 	"testing"
 
+	"abenet/internal/core"
 	"abenet/internal/faults"
-	"abenet/internal/simtime"
+	"abenet/internal/runner"
 )
 
 // TestChurnPreservesRetiredIncarnationCounters pins that measurements
@@ -14,16 +15,9 @@ import (
 // accumulated (the prefix is seed-identical to a run that simply stops at
 // t=100, where the pre-crash incarnations are still in place).
 func TestChurnPreservesRetiredIncarnationCounters(t *testing.T) {
-	base := ElectionConfig{
-		N:           4,
-		A0:          DefaultA0(4),
-		KeepRunning: true,
-		Seed:        6,
-	}
+	proto := runner.Election{A0: core.DefaultA0(4), KeepRunning: true}
 
-	prefix := base
-	prefix.Horizon = simtime.Time(100)
-	before, err := RunElection(prefix)
+	before, err := runElection(runner.Env{N: 4, Seed: 6, Horizon: 100}, proto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,15 +25,13 @@ func TestChurnPreservesRetiredIncarnationCounters(t *testing.T) {
 		t.Fatalf("prefix run should have elected by t=100: %+v", before)
 	}
 
-	churned := base
-	churned.Horizon = simtime.Time(250)
-	churned.Faults = &faults.Plan{Events: []faults.Event{
+	churn := &faults.Plan{Events: []faults.Event{
 		faults.CrashAt(100, 0), faults.CrashAt(100, 1),
 		faults.CrashAt(100, 2), faults.CrashAt(100, 3),
 		faults.RecoverAt(101, 0), faults.RecoverAt(101, 1),
 		faults.RecoverAt(101, 2), faults.RecoverAt(101, 3),
 	}}
-	after, err := RunElection(churned)
+	after, err := runElection(runner.Env{N: 4, Seed: 6, Horizon: 250, Faults: churn}, proto)
 	if err != nil {
 		t.Fatal(err)
 	}

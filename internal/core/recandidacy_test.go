@@ -1,11 +1,12 @@
-package core
+package core_test
 
 import (
 	"fmt"
 	"testing"
 
+	"abenet/internal/core"
 	"abenet/internal/faults"
-	"abenet/internal/simtime"
+	"abenet/internal/runner"
 )
 
 // healedPartition is the liveness trap documented in examples/lossy since
@@ -20,11 +21,10 @@ func healedPartition() *faults.Plan {
 // observable: with the timeout disabled (the default), the healed ring
 // remains leaderless to the horizon.
 func TestHealedPartitionStaysWedgedWithoutRecandidacy(t *testing.T) {
-	res, err := RunElection(ElectionConfig{
-		N: 16, A0: DefaultA0(16), Seed: 11,
-		Horizon: simtime.Time(2000),
-		Faults:  healedPartition(),
-	})
+	res, err := runElection(
+		runner.Env{N: 16, Seed: 11, Horizon: 2000, Faults: healedPartition()},
+		runner.Election{A0: core.DefaultA0(16)},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,13 +46,11 @@ func TestHealedPartitionStaysWedgedWithoutRecandidacy(t *testing.T) {
 // deliberately brittle — any change to the kernel's ordering, the RNG
 // layout or the re-candidacy rule shifts them and must be justified.
 func TestRecandidacyRestoresLivenessAfterHeal(t *testing.T) {
-	run := func() ElectionResult {
-		res, err := RunElection(ElectionConfig{
-			N: 16, A0: DefaultA0(16), Seed: 11,
-			Horizon:            simtime.Time(2000),
-			Faults:             healedPartition(),
-			RecandidacyTimeout: 150,
-		})
+	run := func() electionRun {
+		res, err := runElection(
+			runner.Env{N: 16, Seed: 11, Horizon: 2000, Faults: healedPartition()},
+			runner.Election{A0: core.DefaultA0(16), RecandidacyTimeout: 150},
+		)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,13 +104,10 @@ func TestRecandidacyRestoresLivenessAfterHeal(t *testing.T) {
 // leader purges every later token) and never trip an invariant.
 func TestRecandidacySafetyUnderKeepRunning(t *testing.T) {
 	for seed := uint64(0); seed < 25; seed++ {
-		res, err := RunElection(ElectionConfig{
-			N: 16, A0: DefaultA0(16), Seed: seed,
-			Horizon:            simtime.Time(5000),
-			KeepRunning:        true,
-			Faults:             healedPartition(),
-			RecandidacyTimeout: 150,
-		})
+		res, err := runElection(
+			runner.Env{N: 16, Seed: seed, Horizon: 5000, Faults: healedPartition()},
+			runner.Election{A0: core.DefaultA0(16), KeepRunning: true, RecandidacyTimeout: 150},
+		)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,10 +125,10 @@ func TestRecandidacySafetyUnderKeepRunning(t *testing.T) {
 // seed-42 n=16 trajectory from TestGoldenSeeds, reproduced through a config
 // that spells the zero explicitly.
 func TestRecandidacyDisabledIsByteIdentical(t *testing.T) {
-	res, err := RunElection(ElectionConfig{
-		N: 16, A0: DefaultA0(16), Seed: 42,
-		RecandidacyTimeout: 0,
-	})
+	res, err := runElection(
+		runner.Env{N: 16, Seed: 42},
+		runner.Election{A0: core.DefaultA0(16), RecandidacyTimeout: 0},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +142,7 @@ func TestRecandidacyDisabledIsByteIdentical(t *testing.T) {
 
 // TestRecandidacyConfigValidation rejects non-finite and negative timeouts.
 func TestRecandidacyConfigValidation(t *testing.T) {
-	if _, err := NewElectionNode(ElectionNodeConfig{
+	if _, err := core.NewElectionNode(core.ElectionNodeConfig{
 		RingSize: 4, A0: 0.1, RecandidacyTimeout: -1,
 	}); err == nil {
 		t.Fatal("negative re-candidacy timeout accepted")

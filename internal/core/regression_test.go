@@ -1,11 +1,13 @@
-package core
+package core_test
 
 import (
 	"testing"
 	"testing/quick"
 
 	"abenet/internal/clock"
+	"abenet/internal/core"
 	"abenet/internal/dist"
+	"abenet/internal/runner"
 )
 
 // TestGoldenRun pins the exact outcome of one fully-specified run. Any
@@ -13,7 +15,7 @@ import (
 // protocol rules shows up here first — intentional changes must update
 // the constants below *and* say why in the commit.
 func TestGoldenRun(t *testing.T) {
-	res, err := RunElection(ElectionConfig{N: 8, A0: 0.05, Seed: 12345})
+	res, err := runElection(runner.Env{N: 8, Seed: 12345}, runner.Election{A0: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +31,7 @@ func TestGoldenRun(t *testing.T) {
 		t.Fatal("time not positive")
 	}
 	// Re-run to establish the pin is at least internally stable.
-	res2, err := RunElection(ElectionConfig{N: 8, A0: 0.05, Seed: 12345})
+	res2, err := runElection(runner.Env{N: 8, Seed: 12345}, runner.Election{A0: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func TestGoldenRun(t *testing.T) {
 	}
 }
 
-// TestConfigFuzz drives RunElection across a randomised corner of the
+// TestConfigFuzz drives the election across a randomised corner of the
 // configuration space — extreme A0, heavy tails, strong drift, slow
 // processing — and requires the safety invariants to hold everywhere.
 func TestConfigFuzz(t *testing.T) {
@@ -68,21 +70,19 @@ func TestConfigFuzz(t *testing.T) {
 		// traversal is interfered with almost surely) — still safe and
 		// terminating w.p. 1, but no finite event budget covers it.
 		c := 0.1 + 7.9*float64(a0Raw)/255
-		a0 := A0ForRing(n, mean, 1, c)
+		a0 := core.A0ForRing(n, mean, 1, c)
 		var proc dist.Dist
 		if gRaw%3 == 0 {
 			proc = dist.NewExponential(0.2)
 		}
-		cfg := ElectionConfig{
+		res, err := runElection(runner.Env{
 			N:          n,
-			A0:         a0,
 			Delay:      delays[int(dRaw)%len(delays)](mean),
 			Clocks:     clocks[int(cRaw)%len(clocks)],
 			Processing: proc,
 			Seed:       seed,
 			MaxEvents:  5_000_000,
-		}
-		res, err := RunElection(cfg)
+		}, runner.Election{A0: a0})
 		if err != nil {
 			t.Logf("n=%d a0=%v: %v", n, a0, err)
 			return false
@@ -100,24 +100,20 @@ func TestConfigFuzz(t *testing.T) {
 // the model.
 func TestTickIntervalScaling(t *testing.T) {
 	const n = 32
-	coarse := Sampled(t, ElectionConfig{
-		N: n, A0: A0ForRing(n, 1, 1, 1), TickInterval: 1,
-	}, 40)
-	fine := Sampled(t, ElectionConfig{
-		N: n, A0: A0ForRing(n, 1, 0.5, 1), TickInterval: 0.5,
-	}, 40)
+	coarse := sampled(t, n, runner.Election{A0: core.A0ForRing(n, 1, 1, 1), TickInterval: 1}, 40)
+	fine := sampled(t, n, runner.Election{A0: core.A0ForRing(n, 1, 0.5, 1), TickInterval: 0.5}, 40)
 	if fine < coarse/2 || fine > coarse*2 {
 		t.Fatalf("tick rescaling moved mean time from %v to %v", coarse, fine)
 	}
 }
 
-// Sampled runs cfg over `runs` seeds and returns the mean election time.
-func Sampled(t *testing.T, cfg ElectionConfig, runs int) float64 {
+// sampled runs p on a ring of size n over `runs` seeds and returns the mean
+// election time.
+func sampled(t *testing.T, n int, p runner.Election, runs int) float64 {
 	t.Helper()
 	total := 0.0
 	for seed := 0; seed < runs; seed++ {
-		cfg.Seed = uint64(seed)*104729 + 7
-		res, err := RunElection(cfg)
+		res, err := runElection(runner.Env{N: n, Seed: uint64(seed)*104729 + 7}, p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,15 +3,8 @@ package election
 import (
 	"fmt"
 
-	"abenet/internal/channel"
-	"abenet/internal/clock"
-	"abenet/internal/dist"
-	"abenet/internal/faults"
 	"abenet/internal/network"
-	"abenet/internal/probe"
 	"abenet/internal/rng"
-	"abenet/internal/simtime"
-	"abenet/internal/topology"
 )
 
 // crMessage carries a candidate identity around the ring.
@@ -39,10 +32,14 @@ type ChangRobertsNode struct {
 var _ network.Node = (*ChangRobertsNode)(nil)
 
 // NewChangRobertsNode returns a candidate node with the given unique
-// identity.
-func NewChangRobertsNode(id int) *ChangRobertsNode {
-	return &ChangRobertsNode{id: id, active: true}
+// identity, sending on sendPort — the out-port of its ring successor (0 on
+// the natural ring).
+func NewChangRobertsNode(id, sendPort int) *ChangRobertsNode {
+	return &ChangRobertsNode{id: id, sendPort: sendPort, active: true}
 }
+
+// IsActive reports whether this node is still a candidate.
+func (p *ChangRobertsNode) IsActive() bool { return p.active }
 
 // IsLeader reports whether this node won.
 func (p *ChangRobertsNode) IsLeader() bool { return p.leader }
@@ -89,103 +86,11 @@ const (
 	ArrangementDescending
 )
 
-// ChangRobertsConfig configures a Chang–Roberts (or Peterson) run.
-type ChangRobertsConfig struct {
-	N           int                     // ring size; with Graph set it must be 0 or the graph's size
-	Graph       *topology.Graph         // optional non-ring topology (Hamiltonian embedding); nil = Ring(N)
-	Arrangement ChangRobertsArrangement // 0 means ArrangementRandom
-	Delay       dist.Dist               // nil means Exponential(1)
-	Links       channel.Factory         // optional override of Delay (FIFO discipline is the caller's concern)
-	Clocks      clock.Model             // nil means perfect clocks
-	Processing  dist.Dist               // nil means instantaneous
-	Seed        uint64
-	Scheduler   string         // kernel event-queue implementation ("heap", "calendar"); "" = heap, byte-identical either way
-	Horizon     simtime.Time   // virtual-time bound; 0 means unbounded (fault plans should set it)
-	MaxEvents   uint64         // 0 means 50e6
-	Tracer      network.Tracer // optional run observer
-	Faults      *faults.Plan   // optional fault injection; nil changes nothing
-	Observe     *probe.Config  // optional time-series sampling; never perturbs the schedule
-}
-
-// asyncRing converts to the shared resolution config.
-func (cfg ChangRobertsConfig) asyncRing() AsyncRingConfig {
-	return AsyncRingConfig{N: cfg.N, Graph: cfg.Graph}
-}
-
-// RunChangRoberts runs the Chang–Roberts election on a unidirectional ring
-// with unique identities.
-func RunChangRoberts(cfg ChangRobertsConfig) (AsyncRingResult, error) {
-	graph, n, ports, err := cfg.asyncRing().resolve()
-	if err != nil {
-		return AsyncRingResult{}, err
-	}
-	links := cfg.Links
-	if links == nil {
-		delay := cfg.Delay
-		if delay == nil {
-			delay = dist.NewExponential(1)
-		}
-		links = channel.RandomDelayFactory(delay)
-	}
-	maxEvents := cfg.MaxEvents
-	if maxEvents == 0 {
-		maxEvents = 50_000_000
-	}
-	horizon := cfg.Horizon
-	if horizon == 0 {
-		horizon = simtime.Forever
-	}
-	ids, err := identityArrangement(n, cfg.Arrangement, cfg.Seed)
-	if err != nil {
-		return AsyncRingResult{}, err
-	}
-
-	nodes := make([]*ChangRobertsNode, n)
-	net, err := network.New(network.Config{
-		Graph:      graph,
-		Links:      links,
-		Clocks:     cfg.Clocks,
-		Processing: cfg.Processing,
-		Seed:       cfg.Seed,
-		Scheduler:  cfg.Scheduler,
-		Tracer:     cfg.Tracer,
-		Faults:     cfg.Faults,
-	}, func(i int) network.Node {
-		nodes[i] = NewChangRobertsNode(ids[i])
-		nodes[i].sendPort = sendPortAt(ports, i)
-		return nodes[i]
-	})
-	if err != nil {
-		return AsyncRingResult{}, err
-	}
-	collector, err := installProbe(net, cfg.Observe, ringProbe{
-		n:        n,
-		isActive: func(i int) bool { return nodes[i].active },
-		isLeader: func(i int) bool { return nodes[i].leader },
-	})
-	if err != nil {
-		return AsyncRingResult{}, err
-	}
-	if err := net.Run(horizon, maxEvents); err != nil {
-		return AsyncRingResult{}, err
-	}
-	res := AsyncRingResult{LeaderIndex: -1}
-	for i, node := range nodes {
-		if node.IsLeader() {
-			res.Leaders++
-			res.LeaderIndex = i
-		}
-	}
-	res.Elected = res.Leaders > 0
-	res.Messages = net.Metrics().MessagesSent
-	res.Time = float64(net.Now())
-	res.Events = net.Kernel().Executed()
-	res.Faults = net.FaultTelemetry()
-	res.Series = finishProbe(net, collector)
-	return res, nil
-}
-
-func identityArrangement(n int, a ChangRobertsArrangement, seed uint64) ([]int, error) {
+// IdentityArrangement lays out the unique identities 1..n around a ring of
+// size n: entry i is node i's identity. The random layout is a pure
+// function of seed, drawn from a dedicated stream so it never perturbs the
+// run's own randomness.
+func IdentityArrangement(n int, a ChangRobertsArrangement, seed uint64) ([]int, error) {
 	ids := make([]int, n)
 	switch a {
 	case ArrangementRandom, 0:

@@ -3,14 +3,7 @@ package election
 import (
 	"fmt"
 
-	"abenet/internal/channel"
-	"abenet/internal/clock"
-	"abenet/internal/dist"
-	"abenet/internal/faults"
 	"abenet/internal/network"
-	"abenet/internal/probe"
-	"abenet/internal/simtime"
-	"abenet/internal/topology"
 )
 
 // iraMessage is the Itai–Rodeh token: a random identity, a hop counter, the
@@ -51,13 +44,17 @@ type ItaiRodehAsyncNode struct {
 
 var _ network.Node = (*ItaiRodehAsyncNode)(nil)
 
-// NewItaiRodehAsyncNode returns a node for rings of known size n.
-func NewItaiRodehAsyncNode(n int) (*ItaiRodehAsyncNode, error) {
+// NewItaiRodehAsyncNode returns a node for rings of known size n, sending
+// on sendPort — the out-port of its ring successor (0 on the natural ring).
+func NewItaiRodehAsyncNode(n, sendPort int) (*ItaiRodehAsyncNode, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("election: ring size %d must be at least 2", n)
 	}
-	return &ItaiRodehAsyncNode{ringSize: n, active: true}, nil
+	return &ItaiRodehAsyncNode{ringSize: n, sendPort: sendPort, active: true}, nil
 }
+
+// IsActive reports whether this node is still a candidate.
+func (p *ItaiRodehAsyncNode) IsActive() bool { return p.active }
 
 // IsLeader reports whether this node won.
 func (p *ItaiRodehAsyncNode) IsLeader() bool { return p.leader }
@@ -108,178 +105,3 @@ func (p *ItaiRodehAsyncNode) OnMessage(ctx *network.Context, _ int, payload any)
 		ctx.Send(p.sendPort, iraMessage{ID: m.ID, Hop: m.Hop + 1, Round: m.Round, Dirty: true})
 	}
 }
-
-// AsyncRingConfig configures an asynchronous ring election baseline run.
-type AsyncRingConfig struct {
-	// N is the ring size. When Graph is set, N must be 0 or equal to the
-	// graph's size.
-	N int
-	// Graph optionally replaces the unidirectional ring with any topology
-	// embedding a directed Hamiltonian cycle; the election runs along the
-	// cycle. Nil means topology.Ring(N).
-	Graph *topology.Graph
-	// Delay is the link delay distribution; nil means Exponential(1),
-	// matching the ABE experiments.
-	Delay dist.Dist
-	// Links optionally overrides Delay with a full link factory. The
-	// algorithm's channel discipline (FIFO for Itai–Rodeh async and
-	// Peterson) is then the caller's responsibility.
-	Links channel.Factory
-	// Clocks is the local clock model; nil means perfect clocks.
-	Clocks clock.Model
-	// Processing is the event-processing time model (γ); nil means
-	// instantaneous.
-	Processing dist.Dist
-	// Seed drives the run.
-	Seed uint64
-	// Scheduler selects the kernel's event-queue implementation ("heap",
-	// "calendar"); empty means the default heap. Byte-identical either way.
-	Scheduler string
-	// Horizon bounds virtual time; 0 means unbounded. Fault-injected runs
-	// can deadlock (every token lost), so they should set it.
-	Horizon simtime.Time
-	// MaxEvents guards against livelock; 0 means 50e6.
-	MaxEvents uint64
-	// Tracer optionally observes the run; nil disables tracing.
-	Tracer network.Tracer
-	// Faults optionally injects message faults, node churn and link
-	// outages; nil keeps the run byte-identical to a fault-free build.
-	Faults *faults.Plan
-	// Observe optionally samples a time series during the run (see
-	// internal/probe); sampling never perturbs the schedule. Nil disables
-	// collection.
-	Observe *probe.Config
-}
-
-// resolve normalises the config into a concrete graph, ring size and
-// per-node successor ports (nil on the natural ring).
-func (cfg AsyncRingConfig) resolve() (*topology.Graph, int, []int, error) {
-	if cfg.Graph == nil {
-		if cfg.N < 2 {
-			return nil, 0, nil, fmt.Errorf("election: ring size %d must be at least 2", cfg.N)
-		}
-		return topology.Ring(cfg.N), cfg.N, nil, nil
-	}
-	n := cfg.Graph.N()
-	if cfg.N != 0 && cfg.N != n {
-		return nil, 0, nil, fmt.Errorf("election: N = %d disagrees with graph size %d", cfg.N, n)
-	}
-	if n < 2 {
-		return nil, 0, nil, fmt.Errorf("election: ring size %d must be at least 2", n)
-	}
-	ports, err := cfg.Graph.RingEmbedding()
-	if err != nil {
-		return nil, 0, nil, fmt.Errorf("election: %w", err)
-	}
-	return cfg.Graph, n, ports, nil
-}
-
-// sendPortAt returns the successor port for node i (0 on natural rings).
-func sendPortAt(ports []int, i int) int {
-	if ports == nil {
-		return 0
-	}
-	return ports[i]
-}
-
-// AsyncRingResult summarises an asynchronous baseline run.
-type AsyncRingResult struct {
-	Elected     bool
-	LeaderIndex int
-	Leaders     int
-	Messages    uint64
-	Time        float64
-	// Events is the number of kernel events the run executed (a batch of
-	// same-instant deliveries counts as one event).
-	Events uint64
-	// Faults is the fault-injection telemetry, nil without a fault plan.
-	Faults *faults.Telemetry
-	// Series is the sampled time series, nil without an observe config.
-	Series *probe.Series
-}
-
-// RunItaiRodehAsync runs the asynchronous Itai–Rodeh election on an
-// anonymous unidirectional ring with FIFO links (the algorithm's channel
-// assumption).
-func RunItaiRodehAsync(cfg AsyncRingConfig) (AsyncRingResult, error) {
-	graph, n, ports, err := cfg.resolve()
-	if err != nil {
-		return AsyncRingResult{}, err
-	}
-	links := cfg.Links
-	if links == nil {
-		delay := cfg.Delay
-		if delay == nil {
-			delay = dist.NewExponential(1)
-		}
-		links = channel.FIFOFactory(delay)
-	}
-	maxEvents := cfg.MaxEvents
-	if maxEvents == 0 {
-		maxEvents = 50_000_000
-	}
-	horizon := cfg.Horizon
-	if horizon == 0 {
-		horizon = simtime.Forever
-	}
-	nodes := make([]*ItaiRodehAsyncNode, n)
-	var buildErr error
-	net, err := network.New(network.Config{
-		Graph:      graph,
-		Links:      links,
-		Clocks:     cfg.Clocks,
-		Processing: cfg.Processing,
-		Seed:       cfg.Seed,
-		Scheduler:  cfg.Scheduler,
-		Anonymous:  true,
-		Tracer:     cfg.Tracer,
-		Faults:     cfg.Faults,
-	}, func(i int) network.Node {
-		node, err := NewItaiRodehAsyncNode(n)
-		if err != nil {
-			buildErr = err
-			return brokenAsyncNode{}
-		}
-		node.sendPort = sendPortAt(ports, i)
-		nodes[i] = node
-		return node
-	})
-	if buildErr != nil {
-		return AsyncRingResult{}, buildErr
-	}
-	if err != nil {
-		return AsyncRingResult{}, err
-	}
-	collector, err := installProbe(net, cfg.Observe, ringProbe{
-		n:        n,
-		isActive: func(i int) bool { return nodes[i].active },
-		isLeader: func(i int) bool { return nodes[i].leader },
-	})
-	if err != nil {
-		return AsyncRingResult{}, err
-	}
-	if err := net.Run(horizon, maxEvents); err != nil {
-		return AsyncRingResult{}, err
-	}
-	res := AsyncRingResult{LeaderIndex: -1}
-	for i, node := range nodes {
-		if node.IsLeader() {
-			res.Leaders++
-			res.LeaderIndex = i
-		}
-	}
-	res.Elected = res.Leaders > 0
-	res.Messages = net.Metrics().MessagesSent
-	res.Time = float64(net.Now())
-	res.Events = net.Kernel().Executed()
-	res.Faults = net.FaultTelemetry()
-	res.Series = finishProbe(net, collector)
-	return res, nil
-}
-
-// brokenAsyncNode is a placeholder while aborting construction.
-type brokenAsyncNode struct{}
-
-func (brokenAsyncNode) Init(*network.Context)                {}
-func (brokenAsyncNode) OnMessage(*network.Context, int, any) {}
-func (brokenAsyncNode) OnTimer(*network.Context, int)        {}

@@ -1,5 +1,8 @@
-// Package election implements the comparator election algorithms the
-// paper's evaluation needs:
+// Package election implements the node behaviours of the comparator
+// election algorithms the paper's evaluation needs. It builds no network
+// and runs nothing: internal/runner wires these nodes onto the native round
+// engine, the synchronizers or the event-driven network (ItaiRodehSync,
+// ItaiRodehAsync, ChangRoberts, Peterson there).
 //
 //   - ItaiRodehSync: a phase-based probabilistic election for anonymous
 //     *synchronous* unidirectional rings of known size, in the style of
@@ -12,13 +15,14 @@
 //   - ChangRoberts: election with unique identities on asynchronous
 //     unidirectional rings — average Θ(n log n), worst case Θ(n²);
 //     quantifies what identities buy relative to the anonymous setting.
+//   - Peterson: the deterministic O(n log n) worst-case election with
+//     unique identities and FIFO channels — Chang–Roberts' counterpart.
 package election
 
 import (
 	"fmt"
 
 	"abenet/internal/syncnet"
-	"abenet/internal/topology"
 )
 
 // irsRole is the state of a node in the synchronous phase election.
@@ -63,27 +67,22 @@ type ItaiRodehSyncNode struct {
 var _ syncnet.Node = (*ItaiRodehSyncNode)(nil)
 
 // NewItaiRodehSyncNode returns a node for rings of size n with per-phase
-// candidacy probability q.
-func NewItaiRodehSyncNode(n int, q float64) (*ItaiRodehSyncNode, error) {
+// candidacy probability q, sending on sendPort — the out-port of its ring
+// successor (0 on the natural ring).
+func NewItaiRodehSyncNode(n int, q float64, sendPort int) (*ItaiRodehSyncNode, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("election: ring size %d must be at least 2", n)
 	}
 	if !(q > 0 && q <= 1) {
 		return nil, fmt.Errorf("election: candidacy probability %g outside (0, 1]", q)
 	}
-	return &ItaiRodehSyncNode{ringSize: n, q: q, role: irsIdle}, nil
+	return &ItaiRodehSyncNode{ringSize: n, q: q, sendPort: sendPort, role: irsIdle}, nil
 }
 
 // Role-reporting helpers for tests and experiment harnesses.
 
 // IsLeader reports whether this node won the election.
 func (p *ItaiRodehSyncNode) IsLeader() bool { return p.role == irsLeader }
-
-// SetSendPort sets the out-port leading to the node's ring successor (0 on
-// the natural ring). Callers embedding the node in a non-ring topology —
-// e.g. over a synchronizer — must set the port from the graph's
-// RingEmbedding before the run starts.
-func (p *ItaiRodehSyncNode) SetSendPort(port int) { p.sendPort = port }
 
 // Round implements syncnet.Node.
 func (p *ItaiRodehSyncNode) Round(ctx syncnet.NodeContext, round int, inbox []syncnet.Message) {
@@ -124,103 +123,3 @@ func (p *ItaiRodehSyncNode) Round(ctx syncnet.NodeContext, round int, inbox []sy
 		}
 	}
 }
-
-// ItaiRodehSyncResult summarises a synchronous election run.
-type ItaiRodehSyncResult struct {
-	Elected     bool
-	LeaderIndex int
-	Leaders     int
-	Messages    uint64
-	Rounds      int
-}
-
-// ItaiRodehSyncConfig configures a synchronous Itai–Rodeh style election
-// in the option-struct style shared by every other entry point.
-type ItaiRodehSyncConfig struct {
-	// N is the ring size (>= 2). When Graph is set, N must be 0 or equal
-	// to the graph's size.
-	N int
-	// Graph optionally replaces the unidirectional ring with any topology
-	// embedding a directed Hamiltonian cycle. Nil means topology.Ring(N).
-	Graph *topology.Graph
-	// Q is the per-phase candidacy probability; 0 means the balanced
-	// default 1/n.
-	Q float64
-	// Seed drives all node randomness.
-	Seed uint64
-	// MaxRounds bounds the run; 0 means 1000·n.
-	MaxRounds int
-}
-
-// RunItaiRodehSync elects a leader on an anonymous synchronous ring of
-// size n with candidacy probability q (0 means the balanced default 1/n),
-// bounding the run to maxRounds (0 means 1000·n).
-//
-// Deprecated: use RunItaiRodehSyncConfig, which takes the same parameters
-// as an option struct and additionally supports non-ring topologies.
-func RunItaiRodehSync(n int, q float64, seed uint64, maxRounds int) (ItaiRodehSyncResult, error) {
-	return RunItaiRodehSyncConfig(ItaiRodehSyncConfig{N: n, Q: q, Seed: seed, MaxRounds: maxRounds})
-}
-
-// RunItaiRodehSyncConfig elects a leader on an anonymous synchronous ring
-// (or ring-embeddable topology) per cfg.
-func RunItaiRodehSyncConfig(cfg ItaiRodehSyncConfig) (ItaiRodehSyncResult, error) {
-	graph, n, ports, err := AsyncRingConfig{N: cfg.N, Graph: cfg.Graph}.resolve()
-	if err != nil {
-		return ItaiRodehSyncResult{}, err
-	}
-	q := cfg.Q
-	if q == 0 {
-		q = 1 / float64(n)
-	}
-	var buildErr error
-	runner, err := syncnet.New(syncnet.Config{
-		Graph:     graph,
-		Seed:      cfg.Seed,
-		Anonymous: true,
-	}, func(i int) syncnet.Node {
-		node, err := NewItaiRodehSyncNode(n, q)
-		if err != nil {
-			buildErr = err
-			return brokenSyncNode{}
-		}
-		node.sendPort = sendPortAt(ports, i)
-		return node
-	})
-	if buildErr != nil {
-		return ItaiRodehSyncResult{}, buildErr
-	}
-	if err != nil {
-		return ItaiRodehSyncResult{}, err
-	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 1000 * n
-	}
-	rounds, err := runner.Run(maxRounds)
-	if err != nil {
-		return ItaiRodehSyncResult{}, err
-	}
-	res := ItaiRodehSyncResult{
-		LeaderIndex: -1,
-		Messages:    runner.Messages(),
-		Rounds:      rounds,
-	}
-	for i := 0; i < runner.N(); i++ {
-		node, ok := runner.NodeAt(i).(*ItaiRodehSyncNode)
-		if !ok {
-			return ItaiRodehSyncResult{}, fmt.Errorf("election: unexpected node type %T", runner.NodeAt(i))
-		}
-		if node.IsLeader() {
-			res.Leaders++
-			res.LeaderIndex = i
-		}
-	}
-	res.Elected = res.Leaders > 0
-	return res, nil
-}
-
-// brokenSyncNode is a placeholder while aborting construction.
-type brokenSyncNode struct{}
-
-func (brokenSyncNode) Round(syncnet.NodeContext, int, []syncnet.Message) {}

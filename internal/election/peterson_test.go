@@ -1,4 +1,4 @@
-package election
+package election_test
 
 import (
 	"math"
@@ -6,12 +6,13 @@ import (
 	"testing/quick"
 
 	"abenet/internal/dist"
+	"abenet/internal/runner"
 )
 
 func TestPetersonElectsOneLeader(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 8, 16, 64} {
 		for seed := uint64(0); seed < 10; seed++ {
-			res, err := RunPeterson(ChangRobertsConfig{N: n, Seed: seed})
+			res, err := runner.Run(runner.Env{N: n, Seed: seed}, runner.Peterson{})
 			if err != nil {
 				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
 			}
@@ -25,7 +26,7 @@ func TestPetersonElectsOneLeader(t *testing.T) {
 func TestPetersonProperty(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := 2 + int(nRaw)%30
-		res, err := RunPeterson(ChangRobertsConfig{N: n, Seed: seed})
+		res, err := runner.Run(runner.Env{N: n, Seed: seed}, runner.Peterson{})
 		return err == nil && res.Leaders == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -38,9 +39,10 @@ func TestPetersonWorstCaseNLogN(t *testing.T) {
 	// the descending arrangement the cost must stay near 2n·log2(n), far
 	// below CR's quadratic n(n+1)/2.
 	for _, n := range []int{32, 128} {
-		res, err := RunPeterson(ChangRobertsConfig{
-			N: n, Arrangement: ArrangementDescending, Delay: dist.NewDeterministic(1), Seed: 1,
-		})
+		res, err := runner.Run(
+			runner.Env{N: n, Delay: dist.NewDeterministic(1), Seed: 1},
+			runner.Peterson{Arrangement: descending},
+		)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,15 +59,12 @@ func TestPetersonWorstCaseNLogN(t *testing.T) {
 
 func TestPetersonBeatsChangRobertsWorstCase(t *testing.T) {
 	const n = 64
-	peterson, err := RunPeterson(ChangRobertsConfig{
-		N: n, Arrangement: ArrangementDescending, Delay: dist.NewDeterministic(1), Seed: 1,
-	})
+	env := runner.Env{N: n, Delay: dist.NewDeterministic(1), Seed: 1}
+	peterson, err := runner.Run(env, runner.Peterson{Arrangement: descending})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, err := RunChangRoberts(ChangRobertsConfig{
-		N: n, Arrangement: ArrangementDescending, Delay: dist.NewDeterministic(1), Seed: 1,
-	})
+	cr, err := runner.Run(env, runner.ChangRoberts{Arrangement: descending})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +76,11 @@ func TestPetersonBeatsChangRobertsWorstCase(t *testing.T) {
 func TestPetersonLeaderHoldsMaxTID(t *testing.T) {
 	// Determinstic delays, ascending ids: the winner must be unique and
 	// stable across repeated runs (the algorithm is deterministic).
-	a, err := RunPeterson(ChangRobertsConfig{N: 16, Arrangement: ArrangementAscending, Delay: dist.NewDeterministic(1), Seed: 1})
+	a, err := runner.Run(runner.Env{N: 16, Delay: dist.NewDeterministic(1), Seed: 1}, runner.Peterson{Arrangement: ascending})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunPeterson(ChangRobertsConfig{N: 16, Arrangement: ArrangementAscending, Delay: dist.NewDeterministic(1), Seed: 2})
+	b, err := runner.Run(runner.Env{N: 16, Delay: dist.NewDeterministic(1), Seed: 2}, runner.Peterson{Arrangement: ascending})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +90,10 @@ func TestPetersonLeaderHoldsMaxTID(t *testing.T) {
 }
 
 func TestPetersonValidation(t *testing.T) {
-	if _, err := RunPeterson(ChangRobertsConfig{N: 1}); err == nil {
+	if _, err := runner.Run(runner.Env{N: 1}, runner.Peterson{}); err == nil {
 		t.Fatal("n=1 accepted")
 	}
-	if _, err := RunPeterson(ChangRobertsConfig{N: 4, Arrangement: 99}); err == nil {
+	if _, err := runner.Run(runner.Env{N: 4}, runner.Peterson{Arrangement: 99}); err == nil {
 		t.Fatal("bad arrangement accepted")
 	}
 }
@@ -104,7 +103,7 @@ func TestPetersonRandomDelaysStillSafe(t *testing.T) {
 	// still possible in global time, but per-link FIFO is what the
 	// algorithm needs.
 	for seed := uint64(0); seed < 10; seed++ {
-		res, err := RunPeterson(ChangRobertsConfig{N: 24, Delay: dist.NewExponential(1), Seed: seed})
+		res, err := runner.Run(runner.Env{N: 24, Delay: dist.NewExponential(1), Seed: seed}, runner.Peterson{})
 		if err != nil {
 			t.Fatal(err)
 		}

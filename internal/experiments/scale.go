@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"abenet/internal/core"
 	"abenet/internal/harness"
+	"abenet/internal/runner"
 	"abenet/internal/sim"
 )
 
@@ -14,7 +14,7 @@ import (
 // path exist for; Quick stops at 10⁴ so the suite stays benchmark-friendly.
 var scaleSizes = []int{1_000, 10_000, 100_000, 1_000_000}
 
-// scaleConfig parameterises one ladder rung. The per-node activation
+// scaleRung parameterises one ladder rung. The per-node activation
 // probability A0 = 1/n with tick interval n keeps the total event count
 // O(n): in each tick round (n virtual time units, n tick events) about one
 // node self-activates, so only O(1) candidate tokens circulate while the
@@ -22,15 +22,9 @@ var scaleSizes = []int{1_000, 10_000, 100_000, 1_000_000}
 // same message complexity but takes Θ(n²) tick events to get there —
 // quadratic kernel work that would make the 10⁶ rung unreachable whatever
 // the scheduler.
-func scaleConfig(n int, scheduler string, seed uint64) core.ElectionConfig {
-	return core.ElectionConfig{
-		N:            n,
-		A0:           1 / float64(n),
-		TickInterval: float64(n),
-		Seed:         seed,
-		Scheduler:    scheduler,
-		MaxEvents:    2_000_000_000,
-	}
+func scaleRung(n int, scheduler string, seed uint64) (runner.Env, runner.Election) {
+	return runner.Env{N: n, Seed: seed, Scheduler: scheduler, MaxEvents: 2_000_000_000},
+		runner.Election{A0: 1 / float64(n), TickInterval: float64(n)}
 }
 
 // E16Scale measures event throughput of the ring election ladder
@@ -54,15 +48,15 @@ func E16Scale(opt Options) (Result, error) {
 		sizes = sizes[:2]
 	}
 	// scaleDigest is the comparable cross-scheduler fingerprint of a run
-	// (ElectionResult itself holds slices, so it cannot be compared with ==).
+	// (Report itself holds slices, so it cannot be compared with ==).
 	type scaleDigest struct {
 		events, messages uint64
 		leaders, leader  int
 		time             float64
 		activations      int
 	}
-	digest := func(r core.ElectionResult) scaleDigest {
-		return scaleDigest{r.Events, r.Messages, r.Leaders, r.LeaderIndex, r.Time, r.Activations}
+	digest := func(r runner.Report) scaleDigest {
+		return scaleDigest{r.Events, r.Messages, r.Leaders, r.LeaderIndex, r.Time, r.Extra.(runner.ElectionExtra).Activations}
 	}
 
 	res.Pass = true
@@ -71,7 +65,8 @@ func E16Scale(opt Options) (Result, error) {
 		var ref scaleDigest
 		for i, sched := range sim.SchedulerNames() {
 			start := time.Now()
-			r, err := core.RunElection(scaleConfig(n, sched, opt.Seed))
+			env, proto := scaleRung(n, sched, opt.Seed)
+			r, err := runner.Run(env, proto)
 			if err != nil {
 				return res, fmt.Errorf("E16: n=%d scheduler=%s: %w", n, sched, err)
 			}

@@ -3,7 +3,9 @@ package runner
 import (
 	"fmt"
 
+	"abenet/internal/channel"
 	"abenet/internal/consensus"
+	"abenet/internal/network"
 	"abenet/internal/topology"
 )
 
@@ -32,6 +34,10 @@ type BenOr struct {
 // Name implements Protocol.
 func (BenOr) Name() string { return "ben-or" }
 
+func (BenOr) capabilities() Capabilities {
+	return Capabilities{Faults: true, Byzantine: true, Broadcast: true, Observe: true, Trace: true}
+}
+
 // Run implements Protocol.
 func (p BenOr) Run(env Env) (Report, error) {
 	n, err := env.size()
@@ -56,52 +62,41 @@ func (p BenOr) Run(env Env) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	res, err := consensus.Run(consensus.Config{
-		Graph:          graph,
-		F:              f,
-		Init:           init,
-		Coin:           coin,
-		MaxRounds:      env.MaxRounds,
-		Delay:          env.Delay,
-		Links:          env.Links,
-		LocalBroadcast: env.LocalBroadcast,
-		Clocks:         env.Clocks,
-		Processing:     env.Processing,
-		Seed:           env.Seed,
-		Scheduler:      env.Scheduler,
-		Horizon:        env.Horizon,
-		MaxEvents:      env.MaxEvents,
-		Tracer:         env.Tracer,
-		Faults:         env.Faults,
-		Byzantine:      env.Byzantine,
-		Observe:        env.Observe,
-	})
+	engine, err := consensus.New(consensus.Config{
+		F:         f,
+		Init:      init,
+		Coin:      coin,
+		MaxRounds: env.MaxRounds,
+	}, graph, env.Seed, env.Byzantine)
 	if err != nil {
 		return Report{}, err
 	}
-	return Report{
-		Messages:      res.Metrics.MessagesSent,
-		Transmissions: res.Metrics.Transmissions,
-		Rounds:        res.Rounds,
-		Time:          res.Time,
-		Events:        res.Events,
-		Violations:    res.Violations,
-		Params:        res.Params,
-		Faults:        res.Faults,
-		Series:        res.Series,
-		Extra: ConsensusExtra{
-			F:             res.F,
-			Honest:        res.Honest,
-			Decided:       res.Decided,
-			Decision:      res.Decision,
-			Agreement:     res.Agreement,
-			Validity:      res.Validity,
-			Termination:   res.Termination,
-			DecisionRound: res.DecisionRound,
-			CoinFlips:     res.CoinFlips,
-			Ignored:       res.Ignored,
+	return runNetwork(env, netProtocol{
+		graph:    graph,
+		links:    channel.RandomDelayFactory,
+		makeNode: func(i, _ int) (network.Node, error) { return engine.MakeNode(i), nil },
+		gauges:   engine,
+		// Nothing the remaining traffic does can change the verdict once
+		// every honest node has decided, so the run stops there.
+		started: func(net *network.Network) { engine.OnAllDecided(net.Kernel().Stop) },
+		collect: func(rep *Report) {
+			res := engine.Result()
+			rep.Rounds = res.Rounds
+			rep.Violations = res.Violations
+			rep.Extra = ConsensusExtra{
+				F:             res.F,
+				Honest:        res.Honest,
+				Decided:       res.Decided,
+				Decision:      res.Decision,
+				Agreement:     res.Agreement,
+				Validity:      res.Validity,
+				Termination:   res.Termination,
+				DecisionRound: res.DecisionRound,
+				CoinFlips:     res.CoinFlips,
+				Ignored:       res.Ignored,
+			}
 		},
-	}, nil
+	})
 }
 
 // parseInit maps the BenOr.Init vocabulary onto consensus.InitKind.

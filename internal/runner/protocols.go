@@ -6,8 +6,11 @@ import (
 
 	"abenet/internal/channel"
 	"abenet/internal/core"
+	"abenet/internal/dist"
 	"abenet/internal/election"
 	"abenet/internal/live"
+	"abenet/internal/network"
+	"abenet/internal/probe"
 	"abenet/internal/synchronizer"
 	"abenet/internal/syncnet"
 	"abenet/internal/topology"
@@ -40,13 +43,14 @@ type Election struct {
 // Name implements Protocol.
 func (Election) Name() string { return "election" }
 
+func (Election) capabilities() Capabilities {
+	return Capabilities{Faults: true, Observe: true, Trace: true}
+}
+
 // Run implements Protocol.
 func (p Election) Run(env Env) (Report, error) {
 	n, err := env.size()
 	if err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectAdversary(p.Name()); err != nil {
 		return Report{}, err
 	}
 	a0 := p.A0
@@ -61,58 +65,89 @@ func (p Election) Run(env Env) (Report, error) {
 		}
 		a0 = core.A0ForRing(n, delta, tick, 1)
 	}
-	res, err := core.RunElection(core.ElectionConfig{
-		N:                  env.graphlessN(),
-		Graph:              env.Graph,
-		A0:                 a0,
-		Delay:              env.Delay,
-		Links:              env.Links,
-		Clocks:             env.Clocks,
-		Processing:         env.Processing,
-		TickInterval:       p.TickInterval,
-		ConstantActivation: p.ConstantActivation,
-		KeepRunning:        p.KeepRunning,
-		RecandidacyTimeout: p.RecandidacyTimeout,
-		Horizon:            env.Horizon,
-		MaxEvents:          env.MaxEvents,
-		Seed:               env.Seed,
-		Scheduler:          env.Scheduler,
-		Tracer:             env.Tracer,
-		Faults:             env.Faults,
-		Observe:            env.Observe,
-	})
-	if err != nil {
-		return Report{}, err
+	if p.KeepRunning && env.Horizon == 0 {
+		return Report{}, fmt.Errorf("runner: Election.KeepRunning requires a finite Env.Horizon (tick timers never quiesce)")
 	}
-	return Report{
-		Elected:       res.Elected,
-		LeaderIndex:   res.LeaderIndex,
-		Leaders:       res.Leaders,
-		Messages:      res.Messages,
-		Transmissions: res.Transmissions,
-		Time:          res.Time,
-		Events:        res.Events,
-		Violations:    res.Violations,
-		Params:        res.Params,
-		Faults:        res.Faults,
-		Series:        res.Series,
-		Extra: ElectionExtra{
-			Activations:    res.Activations,
-			Knockouts:      res.Knockouts,
-			ResidualPurges: res.ResidualPurges,
-			Recandidacies:  res.Recandidacies,
-			StalePurges:    res.StalePurges,
+
+	nodes := make([]*core.ElectionNode, n)
+	// Fault recovery restarts a node as a fresh instance (churn), but the
+	// dead incarnation's measurements — especially any recorded safety
+	// violations — must survive into the report, so fold them in before
+	// the slot is overwritten.
+	var extra ElectionExtra
+	var violations []string
+	fold := func(node *core.ElectionNode) {
+		extra.Activations += node.Activations
+		extra.Knockouts += node.Knockouts
+		extra.ResidualPurges += node.ResidualPurges
+		extra.Recandidacies += node.Recandidacies
+		extra.StalePurges += node.StalePurges
+		violations = append(violations, node.Violations...)
+	}
+	return runNetwork(env, netProtocol{
+		ring:      true,
+		links:     channel.RandomDelayFactory,
+		anonymous: true,
+		makeNode: func(i, sendPort int) (network.Node, error) {
+			if old := nodes[i]; old != nil {
+				fold(old)
+			}
+			node, err := core.NewElectionNode(core.ElectionNodeConfig{
+				RingSize:           n,
+				A0:                 a0,
+				TickInterval:       p.TickInterval,
+				StopOnLeader:       !p.KeepRunning,
+				ConstantActivation: p.ConstantActivation,
+				SendPort:           sendPort,
+				RecandidacyTimeout: p.RecandidacyTimeout,
+			})
+			if err != nil {
+				return nil, err
+			}
+			nodes[i] = node
+			return node, nil
 		},
-	}, nil
+		gauges: electionGauges{nodes},
+		collect: func(rep *Report) {
+			countLeaders(rep, n, func(i int) bool { return nodes[i].State() == core.Leader })
+			for _, node := range nodes {
+				fold(node)
+			}
+			rep.Violations = violations
+			rep.Extra = extra
+		},
+	})
 }
 
-// graphlessN returns N for engine configs that treat Graph and N as
-// alternatives: 0 when a graph is set (the engine reads the graph's size).
-func (e Env) graphlessN() int {
-	if e.Graph != nil {
-		return 0
+// electionGauges exposes the election's protocol-level gauges over the live
+// node slice. Churn restarts overwrite slots in place, so the gauges always
+// read the current incarnation of each node.
+type electionGauges struct{ nodes []*core.ElectionNode }
+
+// ProbeGauges implements probe.Observable.
+func (g electionGauges) ProbeGauges() []probe.Gauge {
+	count := func(s core.State) func() float64 {
+		return func() float64 {
+			n := 0
+			for _, node := range g.nodes {
+				if node != nil && node.State() == s {
+					n++
+				}
+			}
+			return float64(n)
+		}
 	}
-	return e.N
+	leaders := count(core.Leader)
+	return []probe.Gauge{
+		{Name: "candidates", Read: count(core.Active)},
+		{Name: "passive", Read: count(core.Passive)},
+		{Name: "elected", Read: func() float64 {
+			if leaders() > 0 {
+				return 1
+			}
+			return 0
+		}},
+	}
 }
 
 // ItaiRodehSync is the phase-based Itai–Rodeh style election for anonymous
@@ -130,35 +165,127 @@ func (ItaiRodehSync) Name() string { return "itai-rodeh-sync" }
 
 // Run implements Protocol.
 func (p ItaiRodehSync) Run(env Env) (Report, error) {
-	if _, err := env.size(); err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectFaults(p.Name()); err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectAdversary(p.Name()); err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectObserve(p.Name()); err != nil {
-		return Report{}, err
-	}
-	res, err := election.RunItaiRodehSyncConfig(election.ItaiRodehSyncConfig{
-		N:         env.graphlessN(),
-		Graph:     env.Graph,
-		Q:         p.Q,
-		Seed:      env.Seed,
-		MaxRounds: env.MaxRounds,
-	})
+	graph, nodes, err := itaiRodehSyncNodes(env, p.Q)
 	if err != nil {
 		return Report{}, err
 	}
-	return Report{
-		Elected:     res.Elected,
-		LeaderIndex: res.LeaderIndex,
-		Leaders:     res.Leaders,
-		Messages:    res.Messages,
-		Rounds:      res.Rounds,
-	}, nil
+	engine, err := syncnet.New(syncnet.Config{Graph: graph, Seed: env.Seed, Anonymous: true},
+		func(i int) syncnet.Node { return nodes[i] })
+	if err != nil {
+		return Report{}, err
+	}
+	maxRounds := env.MaxRounds
+	if maxRounds == 0 {
+		maxRounds = 1000 * len(nodes)
+	}
+	rounds, err := engine.Run(maxRounds)
+	if err != nil {
+		return Report{}, err
+	}
+	rep := Report{Messages: engine.Messages(), Rounds: rounds}
+	countLeaders(&rep, len(nodes), func(i int) bool { return nodes[i].IsLeader() })
+	return rep, nil
+}
+
+// itaiRodehSyncNodes resolves the ring topology and builds one synchronous
+// Itai–Rodeh node per position with candidacy probability q (0 means the
+// balanced 1/n), each sending towards its successor on the embedded cycle.
+// Both engines that run the algorithm — the native round engine and the
+// synchronizers — start from here.
+func itaiRodehSyncNodes(env Env, q float64) (*topology.Graph, []*election.ItaiRodehSyncNode, error) {
+	graph, ports, err := env.ring()
+	if err != nil {
+		return nil, nil, err
+	}
+	n := graph.N()
+	if q == 0 {
+		q = 1 / float64(n)
+	}
+	nodes := make([]*election.ItaiRodehSyncNode, n)
+	for i := range nodes {
+		if nodes[i], err = election.NewItaiRodehSyncNode(n, q, sendPortAt(ports, i)); err != nil {
+			return nil, nil, err
+		}
+	}
+	return graph, nodes, nil
+}
+
+// countLeaders fills the election outcome fields from a per-node leader
+// predicate.
+func countLeaders(rep *Report, n int, isLeader func(i int) bool) {
+	rep.LeaderIndex = -1
+	for i := 0; i < n; i++ {
+		if isLeader(i) {
+			rep.Leaders++
+			rep.LeaderIndex = i
+		}
+	}
+	rep.Elected = rep.Leaders > 0
+}
+
+// ringCandidate is the view the substrate needs of a ring-baseline node:
+// its network behaviour plus the two predicates behind the shared gauges
+// and the election outcome.
+type ringCandidate interface {
+	network.Node
+	IsActive() bool
+	IsLeader() bool
+}
+
+// ringGauges exposes the protocol-level gauges shared by the ring election
+// baselines: the number of active candidates and the elected flag. They
+// read the live node slice, so churn restarts are reflected.
+type ringGauges struct{ nodes []ringCandidate }
+
+// ProbeGauges implements probe.Observable.
+func (g ringGauges) ProbeGauges() []probe.Gauge {
+	return []probe.Gauge{
+		{Name: "candidates", Read: func() float64 {
+			c := 0
+			for _, node := range g.nodes {
+				if node.IsActive() {
+					c++
+				}
+			}
+			return float64(c)
+		}},
+		{Name: "elected", Read: func() float64 {
+			for _, node := range g.nodes {
+				if node.IsLeader() {
+					return 1
+				}
+			}
+			return 0
+		}},
+	}
+}
+
+// runRingBaseline runs one of the asynchronous ring-election baselines on
+// the substrate: they differ only in link discipline, anonymity and node
+// constructor.
+func runRingBaseline(env Env, links func(dist.Dist) channel.Factory, anonymous bool, newNode func(i, sendPort int) (ringCandidate, error)) (Report, error) {
+	n, err := env.size()
+	if err != nil {
+		return Report{}, err
+	}
+	nodes := make([]ringCandidate, n)
+	return runNetwork(env, netProtocol{
+		ring:      true,
+		links:     links,
+		anonymous: anonymous,
+		makeNode: func(i, sendPort int) (network.Node, error) {
+			node, err := newNode(i, sendPort)
+			if err != nil {
+				return nil, err
+			}
+			nodes[i] = node
+			return node, nil
+		},
+		gauges: ringGauges{nodes},
+		collect: func(rep *Report) {
+			countLeaders(rep, n, func(i int) bool { return nodes[i].IsLeader() })
+		},
+	})
 }
 
 // ItaiRodehAsync is the classic Itai–Rodeh election for anonymous
@@ -170,44 +297,19 @@ type ItaiRodehAsync struct{}
 // Name implements Protocol.
 func (ItaiRodehAsync) Name() string { return "itai-rodeh-async" }
 
+func (ItaiRodehAsync) capabilities() Capabilities {
+	return Capabilities{Faults: true, Observe: true, Trace: true}
+}
+
 // Run implements Protocol.
 func (ItaiRodehAsync) Run(env Env) (Report, error) {
-	if err := env.rejectAdversary(ItaiRodehAsync{}.Name()); err != nil {
-		return Report{}, err
-	}
-	res, err := election.RunItaiRodehAsync(election.AsyncRingConfig{
-		N:          env.graphlessN(),
-		Graph:      env.Graph,
-		Delay:      env.Delay,
-		Links:      env.Links,
-		Clocks:     env.Clocks,
-		Processing: env.Processing,
-		Seed:       env.Seed,
-		Scheduler:  env.Scheduler,
-		Horizon:    env.Horizon,
-		MaxEvents:  env.MaxEvents,
-		Tracer:     env.Tracer,
-		Faults:     env.Faults,
-		Observe:    env.Observe,
-	})
+	n, err := env.size()
 	if err != nil {
 		return Report{}, err
 	}
-	return asyncRingReport(res), nil
-}
-
-// asyncRingReport converts the shared asynchronous-baseline result.
-func asyncRingReport(res election.AsyncRingResult) Report {
-	return Report{
-		Elected:     res.Elected,
-		LeaderIndex: res.LeaderIndex,
-		Leaders:     res.Leaders,
-		Messages:    res.Messages,
-		Time:        res.Time,
-		Events:      res.Events,
-		Faults:      res.Faults,
-		Series:      res.Series,
-	}
+	return runRingBaseline(env, channel.FIFOFactory, true, func(_, sendPort int) (ringCandidate, error) {
+		return election.NewItaiRodehAsyncNode(n, sendPort)
+	})
 }
 
 // ChangRoberts is the identity-based Chang–Roberts election on
@@ -220,16 +322,19 @@ type ChangRoberts struct {
 // Name implements Protocol.
 func (ChangRoberts) Name() string { return "chang-roberts" }
 
+func (ChangRoberts) capabilities() Capabilities {
+	return Capabilities{Faults: true, Observe: true, Trace: true}
+}
+
 // Run implements Protocol.
 func (p ChangRoberts) Run(env Env) (Report, error) {
-	if err := env.rejectAdversary(p.Name()); err != nil {
-		return Report{}, err
-	}
-	res, err := election.RunChangRoberts(changRobertsConfig(env, p.Arrangement))
+	ids, err := identities(env, p.Arrangement)
 	if err != nil {
 		return Report{}, err
 	}
-	return asyncRingReport(res), nil
+	return runRingBaseline(env, channel.RandomDelayFactory, false, func(i, sendPort int) (ringCandidate, error) {
+		return election.NewChangRobertsNode(ids[i], sendPort), nil
+	})
 }
 
 // Peterson is Peterson's deterministic O(n log n) election for
@@ -243,41 +348,32 @@ type Peterson struct {
 // Name implements Protocol.
 func (Peterson) Name() string { return "peterson" }
 
+// Peterson declares no fault support: its step protocol requires reliable
+// FIFO channels and panics on the gaps and overtakes every fault axis
+// produces, so a plan would report a crash as a measurement.
+func (Peterson) capabilities() Capabilities {
+	return Capabilities{Observe: true, Trace: true}
+}
+
 // Run implements Protocol.
 func (p Peterson) Run(env Env) (Report, error) {
-	// Peterson's step protocol requires reliable FIFO channels and panics
-	// on gaps; every fault axis violates that contract, so reject plans
-	// instead of reporting a crash as a measurement.
-	if err := env.rejectFaults(p.Name()); err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectAdversary(p.Name()); err != nil {
-		return Report{}, err
-	}
-	res, err := election.RunPeterson(changRobertsConfig(env, p.Arrangement))
+	ids, err := identities(env, p.Arrangement)
 	if err != nil {
 		return Report{}, err
 	}
-	return asyncRingReport(res), nil
+	return runRingBaseline(env, channel.FIFOFactory, false, func(i, sendPort int) (ringCandidate, error) {
+		return election.NewPetersonNode(ids[i], sendPort), nil
+	})
 }
 
-func changRobertsConfig(env Env, a election.ChangRobertsArrangement) election.ChangRobertsConfig {
-	return election.ChangRobertsConfig{
-		N:           env.graphlessN(),
-		Graph:       env.Graph,
-		Arrangement: a,
-		Delay:       env.Delay,
-		Links:       env.Links,
-		Clocks:      env.Clocks,
-		Processing:  env.Processing,
-		Seed:        env.Seed,
-		Scheduler:   env.Scheduler,
-		Horizon:     env.Horizon,
-		MaxEvents:   env.MaxEvents,
-		Tracer:      env.Tracer,
-		Faults:      env.Faults,
-		Observe:     env.Observe,
+// identities lays out the unique identities of the identity-based
+// baselines over the env's ring.
+func identities(env Env, a election.ChangRobertsArrangement) ([]int, error) {
+	n, err := env.size()
+	if err != nil {
+		return nil, err
 	}
+	return election.IdentityArrangement(n, a, env.Seed)
 }
 
 // Synchronized executes an arbitrary synchronous protocol over the
@@ -303,15 +399,6 @@ func (p Synchronized) Run(env Env) (Report, error) {
 	if p.MakeNode == nil {
 		return Report{}, fmt.Errorf("runner: synchronized protocol needs a MakeNode constructor")
 	}
-	if err := env.rejectFaults(p.Name()); err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectAdversary(p.Name()); err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectObserve(p.Name()); err != nil {
-		return Report{}, err
-	}
 	kind := p.Kind
 	if kind == 0 {
 		kind = synchronizer.KindRound
@@ -320,42 +407,22 @@ func (p Synchronized) Run(env Env) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	var nodes []syncnet.Node
-	res, err := synchronizer.Run(synchronizer.Config{
+	cfg := env.networkConfig(graph, channel.RandomDelayFactory)
+	cfg.Anonymous = p.Anonymous
+	horizon, maxEvents := env.bounds()
+	nodes := make([]syncnet.Node, graph.N())
+	res, err := synchronizer.Run(cfg, synchronizer.Options{
 		Kind:          kind,
-		Graph:         graph,
-		Links:         env.linkFactory(channel.RandomDelayFactory),
-		Clocks:        env.Clocks,
 		ClusterRadius: p.ClusterRadius,
 		MaxRounds:     env.MaxRounds,
-		MaxEvents:     env.MaxEvents,
-		Seed:          env.Seed,
-		Scheduler:     env.Scheduler,
-		Anonymous:     p.Anonymous,
-	}, func(i int) syncnet.Node {
-		node := p.MakeNode(i)
-		nodes = append(nodes, node)
-		return node
+	}, horizon, maxEvents, func(i int) syncnet.Node {
+		nodes[i] = p.MakeNode(i)
+		return nodes[i]
 	})
 	if err != nil {
 		return Report{}, err
 	}
-	rep := syncReport(res)
-	// Count leaders when the synchronous protocol reports them.
-	rep.LeaderIndex = -1
-	for i, node := range nodes {
-		if lr, ok := node.(interface{ IsLeader() bool }); ok && lr.IsLeader() {
-			rep.Leaders++
-			rep.LeaderIndex = i
-		}
-	}
-	rep.Elected = rep.Leaders > 0
-	return rep, nil
-}
-
-// syncReport converts a synchronizer result into the common shape.
-func syncReport(res synchronizer.Result) Report {
-	return Report{
+	rep := Report{
 		Messages: res.Messages,
 		Rounds:   res.Rounds,
 		Time:     res.Time,
@@ -367,6 +434,12 @@ func syncReport(res synchronizer.Result) Report {
 			StopCause:        res.StopCause,
 		},
 	}
+	// Count leaders when the synchronous protocol reports them.
+	countLeaders(&rep, len(nodes), func(i int) bool {
+		lr, ok := nodes[i].(interface{ IsLeader() bool })
+		return ok && lr.IsLeader()
+	})
+	return rep, nil
 }
 
 // SynchronizedElection runs the synchronous Itai–Rodeh election over a
@@ -385,58 +458,21 @@ func (SynchronizedElection) Name() string { return "synchronized-election" }
 
 // Run implements Protocol.
 func (p SynchronizedElection) Run(env Env) (Report, error) {
-	n, err := env.size()
-	if err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectAdversary(p.Name()); err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectObserve(p.Name()); err != nil {
-		return Report{}, err
-	}
 	// On non-ring topologies the election's tokens must follow the
 	// embedded Hamiltonian cycle, exactly as the native ring protocols do.
-	var ports []int
-	if env.Graph != nil {
-		ports, err = env.Graph.RingEmbedding()
-		if err != nil {
-			return Report{}, fmt.Errorf("runner: %w", err)
-		}
-	}
-	q := p.Q
-	if q == 0 {
-		q = 1 / float64(n)
+	_, nodes, err := itaiRodehSyncNodes(env, p.Q)
+	if err != nil {
+		return Report{}, err
 	}
 	if env.MaxRounds == 0 {
 		env.MaxRounds = 100_000
 	}
-	var buildErr error
-	rep, err := Synchronized{
+	return Synchronized{
 		Kind:      p.Kind,
 		Anonymous: true,
-		MakeNode: func(i int) syncnet.Node {
-			node, err := election.NewItaiRodehSyncNode(n, q)
-			if err != nil {
-				buildErr = err
-				return brokenSyncNode{}
-			}
-			if ports != nil {
-				node.SetSendPort(ports[i])
-			}
-			return node
-		},
+		MakeNode:  func(i int) syncnet.Node { return nodes[i] },
 	}.Run(env)
-	if buildErr != nil {
-		return Report{}, buildErr
-	}
-	return rep, err
 }
-
-// brokenSyncNode is a placeholder while aborting construction.
-type brokenSyncNode struct{}
-
-func (brokenSyncNode) Round(syncnet.NodeContext, int, []syncnet.Message) {}
 
 // ClockSync is the clock-driven (Tel–Korach–Zaks style) ABD synchronizer
 // workload: zero control messages, trusting a hard delay bound that ABE
@@ -455,15 +491,6 @@ func (ClockSync) Name() string { return "clock-sync" }
 
 // Run implements Protocol.
 func (p ClockSync) Run(env Env) (Report, error) {
-	if err := env.rejectFaults(p.Name()); err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectAdversary(p.Name()); err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectObserve(p.Name()); err != nil {
-		return Report{}, err
-	}
 	graph, err := env.graph()
 	if err != nil {
 		return Report{}, err
@@ -479,16 +506,8 @@ func (p ClockSync) Run(env Env) (Report, error) {
 	if env.MaxRounds > 0 && rounds > env.MaxRounds {
 		rounds = env.MaxRounds
 	}
-	res, err := synchronizer.RunClockSync(synchronizer.ClockSyncConfig{
-		Graph:     graph,
-		Delay:     env.Delay,
-		Links:     env.Links,
-		Period:    period,
-		Rounds:    rounds,
-		Clocks:    env.Clocks,
-		Seed:      env.Seed,
-		Scheduler: env.Scheduler,
-	})
+	horizon, maxEvents := env.bounds()
+	res, err := synchronizer.RunClockSync(env.networkConfig(graph, channel.RandomDelayFactory), period, rounds, horizon, maxEvents)
 	if err != nil {
 		return Report{}, err
 	}
@@ -532,15 +551,6 @@ func (LiveElection) NondeterministicRuntime() bool { return true }
 func (p LiveElection) Run(env Env) (Report, error) {
 	n, err := env.size()
 	if err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectFaults(p.Name()); err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectAdversary(p.Name()); err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectObserve(p.Name()); err != nil {
 		return Report{}, err
 	}
 	if env.Graph != nil && !isUnidirectionalRing(env.Graph) {

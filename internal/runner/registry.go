@@ -52,57 +52,6 @@ func ProtocolByName(name string) (Protocol, bool) {
 	return p, ok
 }
 
-// faultCapable names the registered protocols whose engines honour
-// Env.Faults; every other protocol rejects a non-nil plan (see
-// Env.rejectFaults). Kept here, next to the registry, so tools can learn
-// fault capability without running anything.
-var faultCapable = map[string]bool{
-	"election":         true,
-	"chang-roberts":    true,
-	"itai-rodeh-async": true,
-	"ben-or":           true,
-}
-
-// byzantineCapable names the protocols whose engines honour Env.Byzantine;
-// every other protocol rejects a non-nil plan with ErrByzantineUnsupported
-// (see Env.rejectAdversary).
-var byzantineCapable = map[string]bool{
-	"ben-or": true,
-}
-
-// broadcastCapable names the protocols that run on the local-broadcast
-// medium; every other protocol rejects Env.LocalBroadcast with
-// ErrBroadcastUnsupported.
-var broadcastCapable = map[string]bool{
-	"ben-or": true,
-}
-
-// observeCapable names the protocols whose engines honour Env.Observe
-// (time-series sampling off the kernel's post-event hook); every other
-// protocol rejects a non-nil config with ErrObserveUnsupported (see
-// Env.rejectObserve) — the round-engine and synchronizer protocols have no
-// kernel event stream to sample.
-var observeCapable = map[string]bool{
-	"election":         true,
-	"chang-roberts":    true,
-	"itai-rodeh-async": true,
-	"peterson":         true,
-	"ben-or":           true,
-}
-
-// traceCapable names the protocols whose engines honour Env.Trace (causal
-// event tracing through network.Tracer). The set coincides with
-// observeCapable today — both require the event-driven network engine —
-// but stays a separate table so a future engine can support one without
-// the other.
-var traceCapable = map[string]bool{
-	"election":         true,
-	"chang-roberts":    true,
-	"itai-rodeh-async": true,
-	"peterson":         true,
-	"ben-or":           true,
-}
-
 // NondeterministicRuntime is implemented by protocols whose runs are NOT
 // pure functions of (Env, seed) — the live goroutine runtime, which races
 // real scheduling and wall clocks by design. The capability lives on the
@@ -177,14 +126,15 @@ func ProtocolInfo(name string) (Info, bool) {
 	if !ok {
 		return Info{}, false
 	}
+	caps := capabilitiesOf(p)
 	return Info{
 		Name:              name,
 		Options:           optionFields(p),
-		SupportsFaults:    faultCapable[name],
-		SupportsByzantine: byzantineCapable[name],
-		SupportsBroadcast: broadcastCapable[name],
-		SupportsObserve:   observeCapable[name],
-		SupportsTrace:     traceCapable[name],
+		SupportsFaults:    caps.Faults,
+		SupportsByzantine: caps.Byzantine,
+		SupportsBroadcast: caps.Broadcast,
+		SupportsObserve:   caps.Observe,
+		SupportsTrace:     caps.Trace,
 		Deterministic:     isDeterministic(p),
 	}, true
 }

@@ -12,8 +12,10 @@
 //
 //	rep, err := runner.Run(env, proto)
 //
-// is the single door, and the facade's historical Run* functions are thin
-// deprecated shims over it.
+// is the single door. Behind it, substrate.go holds the one Env →
+// network.Config mapping and the one build/observe/run/harvest routine the
+// kernel-backed protocols share, and capability.go the one check of which
+// optional Env axes a protocol honours.
 package runner
 
 import (
@@ -78,34 +80,37 @@ type Env struct {
 	// is therefore excluded from spec hashes. Protocols without a kernel
 	// (the round engines and the live runtime) ignore it.
 	Scheduler string
-	// Horizon bounds virtual time for event-driven protocols; 0 means
-	// unbounded.
+	// Horizon bounds virtual time for every kernel-backed protocol; 0
+	// means unbounded. Protocols without a kernel (the native round engine
+	// and the live runtime) ignore it.
 	Horizon simtime.Time
-	// MaxEvents bounds the number of simulation events for event-driven
-	// protocols; 0 means each protocol's livelock-guard default (50e6).
+	// MaxEvents bounds the number of simulation events for every
+	// kernel-backed protocol; 0 means the shared livelock guard (50e6).
+	// An exhausted budget surfaces as an error matching sim.ErrMaxEvents.
 	MaxEvents uint64
 	// MaxRounds bounds round-based protocols (synchronous engines and
 	// synchronizers); 0 means each protocol's default.
 	MaxRounds int
-	// Tracer optionally observes event-driven runs; nil disables tracing.
-	// Honoured by Election, ItaiRodehAsync, ChangRoberts and Peterson;
-	// the round-engine and synchronizer protocols have no event stream to
-	// trace and ignore it.
+	// Tracer optionally observes the run's network events; nil disables
+	// tracing. Every kernel-backed protocol receives it through the shared
+	// Env → network.Config mapping; protocols without a kernel (the native
+	// round engine and the live runtime) have no event stream and ignore
+	// it.
 	Tracer network.Tracer
 	// Faults optionally injects deterministic message faults, node churn
-	// and link outages (see internal/faults). Honoured by the event-driven
-	// network protocols Election, ChangRoberts and ItaiRodehAsync (whose
-	// FIFO assumption tolerates loss and duplication but not Reorder —
-	// reordering an Itai–Rodeh ring measures an assumption violation, not
-	// a robustness property). The remaining protocols, including Peterson
-	// (whose step protocol hard-fails on any gap), reject a non-nil plan
-	// rather than silently running fault-free. Nil keeps every run
-	// byte-identical to a fault-free build. Plans with message loss can
-	// deadlock a protocol, so pair them with a finite Horizon.
+	// and link outages (see internal/faults). Honoured by the protocols
+	// whose Info reports supports_faults; every other protocol rejects a
+	// non-nil plan with ErrFaultsUnsupported rather than silently running
+	// fault-free. (FIFO protocols that do honour plans tolerate loss and
+	// duplication but not Reorder — reordering an Itai–Rodeh ring measures
+	// an assumption violation, not a robustness property.) Nil keeps every
+	// run byte-identical to a fault-free build. Plans with message loss
+	// can deadlock a protocol, so pair them with a finite Horizon.
 	Faults *faults.Plan
 	// Byzantine optionally assigns adversarial per-node roles —
 	// equivocation, omission, corruption, stalling (see internal/byzantine).
-	// Honoured by ben-or; every other protocol rejects a non-nil plan with
+	// Honoured by the protocols whose Info reports supports_byzantine;
+	// every other protocol rejects a non-nil plan with
 	// ErrByzantineUnsupported rather than reporting honest numbers as
 	// adversarial measurements. Nil keeps every run byte-identical to an
 	// adversary-free build.
@@ -114,27 +119,25 @@ type Env struct {
 	// links to atomic local broadcast: one send per transmission,
 	// delivered identically to every neighbour at one instant (Khan &
 	// Vaidya's radio model, under which equivocation is physically
-	// impossible). Honoured by ben-or; every other protocol rejects it
-	// with ErrBroadcastUnsupported. Incompatible with Links and with
+	// impossible). Honoured by the protocols whose Info reports
+	// supports_broadcast; every other protocol rejects it with
+	// ErrBroadcastUnsupported. Incompatible with Links and with
 	// per-message link faults (Loss/Duplicate/Reorder).
 	LocalBroadcast bool
 	// Observe optionally samples a named time series during the run (see
 	// internal/probe): network gauges plus per-protocol gauges, collected
 	// off the kernel's post-event hook so the run stays byte-identical to
-	// an unobserved one. Honoured by the event-driven network protocols
-	// (election, chang-roberts, itai-rodeh-async, peterson, ben-or); the
-	// round-engine and synchronizer protocols have no event stream to
-	// sample and reject a non-nil config with ErrObserveUnsupported. The
-	// collected series lands in Report.Series and never changes any other
-	// Report field.
+	// an unobserved one. Honoured by the protocols whose Info reports
+	// supports_observe; every other protocol rejects a non-nil config with
+	// ErrObserveUnsupported. The collected series lands in Report.Series
+	// and never changes any other Report field.
 	Observe *probe.Config
 	// Trace optionally records a causal event trace of the run (see
 	// internal/trace): every send, delivery, timer and the terminal
 	// decision gets a stable ID, a Lamport clock and an exact
 	// happens-before parent, capped at Trace.MaxEvents with counted
-	// truncation. Honoured by the same event-driven network protocols as
-	// Observe (election, chang-roberts, itai-rodeh-async, peterson,
-	// ben-or); other protocols reject a non-nil config with
+	// truncation. Honoured by the protocols whose Info reports
+	// supports_trace; every other protocol rejects a non-nil config with
 	// ErrTraceUnsupported. The exported trace lands in Report.Trace and —
 	// like Series — never changes any other Report field: a traced run is
 	// byte-identical to an untraced one. Mutually exclusive with a
@@ -168,23 +171,6 @@ var (
 	ErrEnvTrace = errors.New("runner: invalid trace config")
 	// ErrEnvScheduler: Env.Scheduler names no registered kernel scheduler.
 	ErrEnvScheduler = errors.New("runner: unknown scheduler")
-)
-
-// The structured capability-rejection errors: a protocol that cannot
-// honour an adversarial environment refuses to run rather than silently
-// reporting honest numbers. Classify with errors.Is.
-var (
-	// ErrByzantineUnsupported: the protocol ignores Env.Byzantine.
-	ErrByzantineUnsupported = errors.New("runner: protocol does not support byzantine adversaries")
-	// ErrBroadcastUnsupported: the protocol runs on point-to-point links
-	// only and ignores Env.LocalBroadcast.
-	ErrBroadcastUnsupported = errors.New("runner: protocol does not support the local-broadcast medium")
-	// ErrObserveUnsupported: the protocol has no event stream to sample
-	// and ignores Env.Observe.
-	ErrObserveUnsupported = errors.New("runner: protocol does not support time-series observation")
-	// ErrTraceUnsupported: the protocol has no event stream to trace and
-	// ignores Env.Trace.
-	ErrTraceUnsupported = errors.New("runner: protocol does not support causal tracing")
 )
 
 // Validate checks the environment's internal consistency and returns a
@@ -268,44 +254,6 @@ func (e Env) size() (int, error) {
 	return e.N, nil
 }
 
-// rejectFaults is the guard protocols without a fault-capable engine call
-// first: silently ignoring a fault plan would report fault-free numbers as
-// if they had been measured under faults. Peterson also rejects plans —
-// its step protocol hard-fails (by design) on the message gaps and
-// overtakes every fault axis produces.
-func (e Env) rejectFaults(name string) error {
-	if e.Faults != nil {
-		return fmt.Errorf("runner: protocol %q does not support fault injection (Env.Faults is honoured by election, chang-roberts, itai-rodeh-async and ben-or)", name)
-	}
-	return nil
-}
-
-// rejectAdversary is the guard every protocol without a Byzantine-capable
-// engine calls: silently ignoring an adversary plan (or the broadcast
-// medium it is paired with) would report honest point-to-point numbers as
-// adversarial measurements. Only ben-or honours both axes.
-func (e Env) rejectAdversary(name string) error {
-	if e.Byzantine != nil {
-		return fmt.Errorf("%w: %q ignores Env.Byzantine (ben-or honours adversary plans)", ErrByzantineUnsupported, name)
-	}
-	if e.LocalBroadcast {
-		return fmt.Errorf("%w: %q runs on point-to-point links (ben-or honours Env.LocalBroadcast)", ErrBroadcastUnsupported, name)
-	}
-	return nil
-}
-
-// rejectObserve is the guard protocols without an observable event stream
-// call: silently ignoring an observe config would hand back a report with
-// no series where the caller asked for one. The event-driven network
-// protocols honour Env.Observe; the round-engine and synchronizer
-// protocols (and the live runtime) have no kernel event stream to sample.
-func (e Env) rejectObserve(name string) error {
-	if e.Observe != nil {
-		return fmt.Errorf("%w: %q has no kernel event stream to sample (election, chang-roberts, itai-rodeh-async, peterson and ben-or honour Env.Observe)", ErrObserveUnsupported, name)
-	}
-	return nil
-}
-
 // graph returns the concrete topology (building the default ring).
 func (e Env) graph() (*topology.Graph, error) {
 	if e.Graph != nil {
@@ -316,15 +264,6 @@ func (e Env) graph() (*topology.Graph, error) {
 		return nil, err
 	}
 	return topology.Ring(n), nil
-}
-
-// linkFactory resolves Links/Delay into a link factory with the given
-// default discipline applied to the delay distribution.
-func (e Env) linkFactory(wrap func(dist.Dist) channel.Factory) channel.Factory {
-	if e.Links != nil {
-		return e.Links
-	}
-	return wrap(e.delay())
 }
 
 // delay returns the delay distribution (defaulting to Exponential(1)).
@@ -356,15 +295,18 @@ func (e Env) meanDelay() float64 {
 type Protocol interface {
 	// Name is the registry key (stable, kebab-case).
 	Name() string
-	// Run executes the protocol on env. Implementations fill every Report
-	// field they can and put protocol-specific measurements in Extra.
+	// Run executes the protocol on an env the package-level Run has
+	// already validated and capability-checked — callers go through that
+	// function, not this method. Implementations fill every Report field
+	// they can and put protocol-specific measurements in Extra.
 	Run(env Env) (Report, error)
 }
 
 // Run executes protocol p on environment env: the single entry point every
-// facade function, tool and sweep goes through. The environment is checked
-// by Env.Validate here, so every protocol rejects an invalid Env
-// identically.
+// tool and sweep goes through. The environment is checked by Env.Validate
+// and the protocol's capabilities by CheckCapabilities here, so every
+// protocol rejects an invalid or unsupported Env identically — and none can
+// silently ignore an axis it does not honour.
 func Run(env Env, p Protocol) (Report, error) {
 	if p == nil {
 		return Report{}, errors.New("runner: nil protocol")
@@ -372,14 +314,11 @@ func Run(env Env, p Protocol) (Report, error) {
 	if err := env.Validate(); err != nil {
 		return Report{}, err
 	}
+	if err := CheckCapabilities(env, p); err != nil {
+		return Report{}, err
+	}
 	var rec *trace.Recorder
 	if env.Trace != nil {
-		// Capability is checked centrally off the registry metadata: an
-		// engine that ignores Env.Tracer would otherwise hand back an
-		// empty trace where the caller asked for one.
-		if info, ok := ProtocolInfo(p.Name()); ok && !info.SupportsTrace {
-			return Report{}, fmt.Errorf("%w: %q has no kernel event stream to trace (election, chang-roberts, itai-rodeh-async, peterson and ben-or honour Env.Trace)", ErrTraceUnsupported, p.Name())
-		}
 		rec = trace.NewRecorder(env.Trace.MaxEvents)
 		env.Tracer = rec
 	}

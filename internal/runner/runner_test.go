@@ -8,15 +8,14 @@ import (
 	"abenet/internal/channel"
 	"abenet/internal/core"
 	"abenet/internal/dist"
-	"abenet/internal/election"
 	"abenet/internal/topology"
 )
 
-// TestGoldenEquivalence pins the new Env/Protocol path byte-identical to
-// the golden seeds of core.TestGoldenSeeds: running through runner.Run
-// must reproduce the exact trajectories of the historical entry points.
-// If this table ever needs to change, core/golden_test.go must change in
-// the same commit and for the same stated reason.
+// TestGoldenEquivalence pins runner.Run to the golden seeds of
+// core.TestGoldenSeeds: the table is deliberately duplicated, so that a
+// change to either copy has to be made — and justified — in both. If this
+// table ever needs to change, core/golden_test.go must change in the same
+// commit and for the same stated reason.
 func TestGoldenEquivalence(t *testing.T) {
 	delays := map[string]dist.Dist{
 		"exp":     nil, // default: Exponential(1)
@@ -69,67 +68,6 @@ func TestGoldenEquivalence(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestRunMatchesDirectEngineCalls checks field-for-field that Run produces
-// the same numbers as calling the engines directly — the contract the
-// deprecated facade shims rely on.
-func TestRunMatchesDirectEngineCalls(t *testing.T) {
-	t.Run("election", func(t *testing.T) {
-		direct, err := core.RunElection(core.ElectionConfig{N: 12, A0: core.DefaultA0(12), Seed: 99})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := Run(Env{N: 12, Seed: 99}, Election{A0: core.DefaultA0(12)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex := rep.Extra.(ElectionExtra)
-		roundTrip := core.ElectionResult{
-			Elected:        rep.Elected,
-			LeaderIndex:    rep.LeaderIndex,
-			Leaders:        rep.Leaders,
-			Messages:       rep.Messages,
-			Transmissions:  rep.Transmissions,
-			Time:           rep.Time,
-			Events:         rep.Events,
-			Activations:    ex.Activations,
-			Knockouts:      ex.Knockouts,
-			ResidualPurges: ex.ResidualPurges,
-			Violations:     rep.Violations,
-			Params:         rep.Params,
-		}
-		if !reflect.DeepEqual(direct, roundTrip) {
-			t.Fatalf("diverged:\n direct: %+v\n run:    %+v", direct, roundTrip)
-		}
-	})
-	t.Run("itai-rodeh-sync", func(t *testing.T) {
-		direct, err := election.RunItaiRodehSync(9, 0, 5, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := Run(Env{N: 9, Seed: 5}, ItaiRodehSync{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if direct.LeaderIndex != rep.LeaderIndex || direct.Messages != rep.Messages ||
-			direct.Rounds != rep.Rounds || direct.Leaders != rep.Leaders {
-			t.Fatalf("diverged:\n direct: %+v\n run:    %+v", direct, rep)
-		}
-	})
-	t.Run("chang-roberts", func(t *testing.T) {
-		direct, err := election.RunChangRoberts(election.ChangRobertsConfig{N: 10, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := Run(Env{N: 10, Seed: 3}, ChangRoberts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if direct.LeaderIndex != rep.LeaderIndex || direct.Messages != rep.Messages || direct.Time != rep.Time {
-			t.Fatalf("diverged:\n direct: %+v\n run:    %+v", direct, rep)
-		}
-	})
 }
 
 // TestElectionsOnNonRingTopologies smoke-tests the ring protocols on every

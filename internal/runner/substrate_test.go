@@ -1,0 +1,178 @@
+package runner
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+
+	"abenet/internal/byzantine"
+	"abenet/internal/channel"
+	"abenet/internal/clock"
+	"abenet/internal/dist"
+	"abenet/internal/faults"
+	"abenet/internal/network"
+	"abenet/internal/probe"
+	"abenet/internal/sim"
+	"abenet/internal/simtime"
+	"abenet/internal/syncnet"
+	"abenet/internal/topology"
+	"abenet/internal/trace"
+)
+
+// nopTracer is a network.Tracer that records nothing.
+type nopTracer struct{}
+
+func (nopTracer) MessageSent(simtime.Time, int, int, any, network.TraceRef) network.TraceRef {
+	return network.TraceRef{}
+}
+func (nopTracer) MessageDelivered(simtime.Time, int, int, any, network.TraceRef) network.TraceRef {
+	return network.TraceRef{}
+}
+func (nopTracer) TimerFired(simtime.Time, int, int, network.TraceRef) network.TraceRef {
+	return network.TraceRef{}
+}
+func (nopTracer) Decision(simtime.Time, int, string, network.TraceRef) network.TraceRef {
+	return network.TraceRef{}
+}
+
+// TestNetworkConfigMapsEveryEnvField is the guard against a half-plumbed
+// capability: with every Env field set, the one Env → network.Config
+// mapping must leave no network.Config field at its zero value, except the
+// documented ones — Anonymous (the protocol's, not the environment's) and
+// whichever of the two mutually exclusive media the env did not select
+// (Links under LocalBroadcast, BroadcastDelay and LocalBroadcast itself
+// without it). A field added to network.Config without a line in the
+// mapping fails here; so does an Env field this test forgot to fill.
+func TestNetworkConfigMapsEveryEnvField(t *testing.T) {
+	full := Env{
+		Graph:          topology.Complete(4),
+		N:              4,
+		Delay:          dist.NewUniform(0, 2),
+		Links:          channel.FIFOFactory(dist.NewExponential(1)),
+		Delta:          1,
+		Clocks:         clock.NewUniformFixedModel(0.5, 2),
+		Processing:     dist.NewDeterministic(0.1),
+		Seed:           7,
+		Scheduler:      sim.SchedulerCalendar,
+		Horizon:        10,
+		MaxEvents:      1000,
+		MaxRounds:      5,
+		Tracer:         nopTracer{},
+		Faults:         &faults.Plan{CrashRate: 0.1},
+		Byzantine:      byzantine.Equivocators(1),
+		LocalBroadcast: true,
+		Observe:        &probe.Config{EveryEvents: 1},
+		Trace:          &trace.Config{},
+	}
+	envValue := reflect.ValueOf(full)
+	for i := 0; i < envValue.NumField(); i++ {
+		if envValue.Field(i).IsZero() {
+			t.Fatalf("Env.%s is not filled: extend this test with the new field", envValue.Type().Field(i).Name)
+		}
+	}
+
+	for _, tc := range []struct {
+		name      string
+		broadcast bool
+		mayBeZero map[string]bool
+	}{
+		{"local-broadcast", true, map[string]bool{"Anonymous": true, "Links": true}},
+		{"point-to-point", false, map[string]bool{"Anonymous": true, "LocalBroadcast": true, "BroadcastDelay": true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := full
+			env.LocalBroadcast = tc.broadcast
+			cfg := reflect.ValueOf(env.networkConfig(env.Graph, channel.RandomDelayFactory))
+			for i := 0; i < cfg.NumField(); i++ {
+				name := cfg.Type().Field(i).Name
+				if zero := cfg.Field(i).IsZero(); zero != tc.mayBeZero[name] {
+					t.Errorf("network.Config.%s zero = %v, want %v", name, zero, tc.mayBeZero[name])
+				}
+			}
+		})
+	}
+
+	horizon, maxEvents := full.bounds()
+	if horizon != full.Horizon || maxEvents != full.MaxEvents {
+		t.Fatalf("bounds() = (%v, %d), want the env's (%v, %d)", horizon, maxEvents, full.Horizon, full.MaxEvents)
+	}
+	if horizon, maxEvents := (Env{}).bounds(); horizon != simtime.Forever || maxEvents != defaultMaxEvents {
+		t.Fatalf("zero bounds() = (%v, %d), want (Forever, %d)", horizon, maxEvents, defaultMaxEvents)
+	}
+}
+
+// floodNode broadcasts once per round, forever: a synchronous protocol that
+// only a bound can stop.
+type floodNode struct{}
+
+func (floodNode) Round(ctx syncnet.NodeContext, round int, _ []syncnet.Message) {
+	for port := 0; port < ctx.OutDegree(); port++ {
+		ctx.Send(port, round)
+	}
+}
+
+// TestSynchronizedRejectsTrace is the regression test for the silent empty
+// trace: Synchronized is unregistered, so the name-keyed capability table
+// had no row for it and Run handed back err == nil with a zero-event trace
+// for a 44-message run.
+func TestSynchronizedRejectsTrace(t *testing.T) {
+	proto := Synchronized{MakeNode: func(int) syncnet.Node { return floodNode{} }}
+	_, err := Run(Env{N: 4, Seed: 1, MaxRounds: 10, Trace: &trace.Config{}}, proto)
+	if !errors.Is(err, ErrTraceUnsupported) {
+		t.Fatalf("Run(Env{Trace}, Synchronized) = %v, want ErrTraceUnsupported", err)
+	}
+}
+
+// TestSynchronizerProtocolsHonourEnvBounds pins that the three protocols
+// running a synchronizer over the ABE kernel take Processing, Horizon and
+// MaxEvents from the environment like every other kernel-backed protocol:
+// before they ran on the substrate's network.Config they dropped all three.
+func TestSynchronizerProtocolsHonourEnvBounds(t *testing.T) {
+	t.Run("processing", func(t *testing.T) {
+		env := Env{N: 6, Seed: 1}
+		instant, err := Run(env, SynchronizedElection{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.Processing = dist.NewDeterministic(5)
+		slow, err := Run(env, SynchronizedElection{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !(slow.Time > instant.Time) {
+			t.Fatalf("5 time units of processing per event left Time at %g (instantaneous: %g)", slow.Time, instant.Time)
+		}
+		// The synchronizer hides timing from the protocol: the synchronous
+		// execution, and so the winner, is the same.
+		if slow.LeaderIndex != instant.LeaderIndex {
+			t.Fatalf("processing delay changed the synchronous execution: leader %d vs %d", slow.LeaderIndex, instant.LeaderIndex)
+		}
+	})
+
+	flood := Synchronized{MakeNode: func(int) syncnet.Node { return floodNode{} }}
+	protocols := []Protocol{flood, SynchronizedElection{Q: 1}, ClockSync{}}
+
+	t.Run("horizon", func(t *testing.T) {
+		for _, p := range protocols {
+			rep, err := Run(Env{N: 4, Seed: 2, Horizon: 3}, p)
+			if err != nil {
+				t.Fatalf("%s: %v", p.Name(), err)
+			}
+			if rep.Time > 3 {
+				t.Errorf("%s ran to t = %g past Horizon 3", p.Name(), rep.Time)
+			}
+			if rep.Messages == 0 {
+				t.Errorf("%s sent nothing before the horizon", p.Name())
+			}
+		}
+	})
+
+	t.Run("max-events", func(t *testing.T) {
+		for _, p := range protocols {
+			_, err := Run(Env{N: 4, Seed: 2, MaxEvents: 10}, p)
+			if !errors.Is(err, sim.ErrMaxEvents) {
+				t.Errorf("%s with MaxEvents 10: Run = %v, want sim.ErrMaxEvents", p.Name(), err)
+			}
+		}
+	})
+}

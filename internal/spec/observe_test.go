@@ -1,7 +1,7 @@
 package spec
 
 import (
-	"strings"
+	"errors"
 	"testing"
 
 	"abenet/internal/runner"
@@ -50,7 +50,7 @@ func TestRoundTripObserve(t *testing.T) {
 
 // TestObserveValidation pins the decode-time rejections: a cadence-less
 // block, an observe block on a protocol without a kernel event stream
-// (with the capable set named), and observe+sweep.
+// (the runner's typed rejection), and observe+sweep.
 func TestObserveValidation(t *testing.T) {
 	noCadence := &Spec{
 		Version:  Version,
@@ -66,12 +66,8 @@ func TestObserveValidation(t *testing.T) {
 		Env:      EnvSpec{N: 8, Observe: &ObserveSpec{EveryEvents: 1}},
 		Protocol: protoSpec(t, runner.ItaiRodehSync{}),
 	}
-	err := wrongProto.Validate()
-	if err == nil {
-		t.Fatal("observe accepted on a round-engine protocol")
-	}
-	if !strings.Contains(err.Error(), "election") {
-		t.Fatalf("rejection does not name the observe-capable protocols: %v", err)
+	if err := wrongProto.Validate(); !errors.Is(err, runner.ErrObserveUnsupported) {
+		t.Fatalf("observe on a round-engine protocol: Validate = %v, want ErrObserveUnsupported", err)
 	}
 
 	withSweep := &Spec{

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"abenet/internal/runner"
@@ -236,14 +237,17 @@ func TestRoundTripByzantineAndBroadcast(t *testing.T) {
 	}
 
 	// An adversary plan on a protocol that rejects plans must fail at
-	// decode time, with the capable set named — same for the medium.
-	for _, env := range []EnvSpec{
-		{N: 8, Byzantine: &ByzantineSpec{Roles: []ByzantineRoleSpec{{Node: 0, Behavior: "mute"}}}},
-		{N: 8, LocalBroadcast: true},
+	// decode time with the runner's typed error — same for the medium.
+	for _, tc := range []struct {
+		env  EnvSpec
+		want error
+	}{
+		{EnvSpec{N: 8, Byzantine: &ByzantineSpec{Roles: []ByzantineRoleSpec{{Node: 0, Behavior: "mute"}}}}, runner.ErrByzantineUnsupported},
+		{EnvSpec{N: 8, LocalBroadcast: true}, runner.ErrBroadcastUnsupported},
 	} {
-		bad := &Spec{Version: Version, Env: env, Protocol: protoSpec(t, runner.Election{})}
-		if err := bad.Validate(); err == nil {
-			t.Fatalf("election accepted adversarial env %+v", env)
+		bad := &Spec{Version: Version, Env: tc.env, Protocol: protoSpec(t, runner.Election{})}
+		if err := bad.Validate(); !errors.Is(err, tc.want) {
+			t.Fatalf("election on adversarial env %+v: Validate = %v, want %v", tc.env, err, tc.want)
 		}
 	}
 

@@ -3,6 +3,7 @@ package spec
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -169,15 +170,11 @@ func TestSemanticValidation(t *testing.T) {
 	}
 
 	// A fault plan on a fault-rejecting protocol is a scenario that can
-	// never run, so it is rejected at decode time (the registry metadata
-	// knows which engines honour plans).
+	// never run, so it is rejected at decode time with the runner's own
+	// typed error (the protocol's capability declaration knows).
 	doc := `{"version":1,"env":{"n":4,"horizon":10,"faults":{"loss":0.1}},"protocol":{"name":"peterson"}}`
-	_, err := DecodeBytes([]byte(doc))
-	if err == nil {
-		t.Fatal("fault plan on peterson passed validation")
-	}
-	if !strings.Contains(err.Error(), "fault injection") {
-		t.Fatalf("error %q does not explain the fault incompatibility", err)
+	if _, err := DecodeBytes([]byte(doc)); !errors.Is(err, runner.ErrFaultsUnsupported) {
+		t.Fatalf("fault plan on peterson: decode = %v, want ErrFaultsUnsupported", err)
 	}
 }
 

@@ -1,7 +1,7 @@
 package spec
 
 import (
-	"strings"
+	"errors"
 	"testing"
 
 	"abenet/internal/runner"
@@ -49,8 +49,8 @@ func TestRoundTripTrace(t *testing.T) {
 }
 
 // TestTraceValidation pins the decode-time rejections: a negative cap, a
-// trace block on a protocol without a kernel event stream (with the
-// capable set named), and trace+sweep.
+// trace block on a protocol without a kernel event stream (the runner's
+// typed rejection), and trace+sweep.
 func TestTraceValidation(t *testing.T) {
 	negative := &Spec{
 		Version:  Version,
@@ -66,12 +66,8 @@ func TestTraceValidation(t *testing.T) {
 		Env:      EnvSpec{N: 8, Trace: &TraceSpec{}},
 		Protocol: protoSpec(t, runner.ItaiRodehSync{}),
 	}
-	err := wrongProto.Validate()
-	if err == nil {
-		t.Fatal("trace accepted on a round-engine protocol")
-	}
-	if !strings.Contains(err.Error(), "election") {
-		t.Fatalf("rejection does not name the trace-capable protocols: %v", err)
+	if err := wrongProto.Validate(); !errors.Is(err, runner.ErrTraceUnsupported) {
+		t.Fatalf("trace on a round-engine protocol: Validate = %v, want ErrTraceUnsupported", err)
 	}
 
 	withSweep := &Spec{

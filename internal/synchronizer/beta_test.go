@@ -3,8 +3,8 @@ package synchronizer
 import (
 	"testing"
 
-	"abenet/internal/channel"
 	"abenet/internal/dist"
+	"abenet/internal/simtime"
 	"abenet/internal/syncnet"
 	"abenet/internal/topology"
 )
@@ -77,7 +77,7 @@ func TestBetaCostFormula(t *testing.T) {
 }
 
 func TestBetaRejectsUnidirectionalGraphs(t *testing.T) {
-	_, err := Run(Config{Kind: KindBeta, Graph: topology.Ring(4)},
+	_, err := Run(onNetwork(topology.Ring(4), 0), Options{Kind: KindBeta}, simtime.Forever, 0,
 		func(int) syncnet.Node { return &counterProto{limit: 2} })
 	if err == nil {
 		t.Fatal("beta on a unidirectional ring accepted")
@@ -86,12 +86,7 @@ func TestBetaRejectsUnidirectionalGraphs(t *testing.T) {
 
 func TestBetaWithHeavyTailedDelays(t *testing.T) {
 	protos := make([]*counterProto, 6)
-	res, err := Run(Config{
-		Kind:  KindBeta,
-		Graph: topology.BiRing(6),
-		Links: channel.RandomDelayFactory(dist.ParetoWithMean(1, 1.5)),
-		Seed:  5,
-	}, func(i int) syncnet.Node {
+	res, err := Run(onLinks(topology.BiRing(6), 5, dist.ParetoWithMean(1, 1.5)), Options{Kind: KindBeta}, simtime.Forever, 0, func(i int) syncnet.Node {
 		protos[i] = &counterProto{limit: 10}
 		return protos[i]
 	})
@@ -109,7 +104,7 @@ func TestBetaSparseProtocolSendsNoEmptyEnvelopes(t *testing.T) {
 	// per edge regardless.
 	g := topology.Complete(8)
 	protos := make([]*silentProto, 8)
-	res, err := Run(Config{Kind: KindBeta, Graph: g, Seed: 6}, func(i int) syncnet.Node {
+	res, err := Run(onNetwork(g, 6), Options{Kind: KindBeta}, simtime.Forever, 0, func(i int) syncnet.Node {
 		protos[i] = &silentProto{limit: 20}
 		return protos[i]
 	})

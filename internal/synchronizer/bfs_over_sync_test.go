@@ -3,8 +3,7 @@ package synchronizer
 import (
 	"testing"
 
-	"abenet/internal/channel"
-	"abenet/internal/dist"
+	"abenet/internal/simtime"
 	"abenet/internal/syncnet"
 	"abenet/internal/topology"
 )
@@ -18,13 +17,7 @@ func TestBFSOverSynchronizers(t *testing.T) {
 	_, want := g.BFSTree(0)
 	for _, kind := range []Kind{KindRound, KindAlpha, KindBeta, KindGamma} {
 		nodes := make([]*syncnet.BFSNode, g.N())
-		_, err := Run(Config{
-			Kind:      kind,
-			Graph:     g,
-			Links:     channel.RandomDelayFactory(dist.NewExponential(1)),
-			Seed:      3,
-			MaxRounds: 64,
-		}, func(i int) syncnet.Node {
+		_, err := Run(onNetwork(g, 3), Options{Kind: kind, MaxRounds: 64}, simtime.Forever, 0, func(i int) syncnet.Node {
 			nodes[i] = syncnet.NewBFSNode(i == 0)
 			return nodes[i]
 		})
@@ -49,12 +42,7 @@ func TestBFSDecisionLatencyByKind(t *testing.T) {
 	costs := map[Kind]float64{}
 	for _, kind := range []Kind{KindRound, KindAlpha, KindBeta} {
 		nodes := make([]*syncnet.BFSNode, g.N())
-		res, err := Run(Config{
-			Kind:      kind,
-			Graph:     g,
-			Seed:      4,
-			MaxRounds: 20,
-		}, func(i int) syncnet.Node {
+		res, err := Run(onNetwork(g, 4), Options{Kind: kind, MaxRounds: 20}, simtime.Forever, 0, func(i int) syncnet.Node {
 			nodes[i] = syncnet.NewBFSNode(i == 0)
 			return nodes[i]
 		})

@@ -5,42 +5,9 @@ import (
 	"fmt"
 	"math"
 
-	"abenet/internal/channel"
-	"abenet/internal/clock"
-	"abenet/internal/dist"
 	"abenet/internal/network"
 	"abenet/internal/simtime"
-	"abenet/internal/topology"
 )
-
-// ClockSyncConfig configures a run of the clock-driven ABD synchronizer
-// (Tel–Korach–Zaks style): every node starts round r at local time r·Period
-// and sends one round-stamped message per out-edge, trusting that Period
-// exceeds the worst-case message delay. On a genuine ABD network the trust
-// is justified and the synchronizer needs no control messages at all; on
-// an ABE network no finite Period is safe — Theorem 1's context — and the
-// violation rate below quantifies exactly how unsafe a given Period is.
-type ClockSyncConfig struct {
-	// Graph is the topology.
-	Graph *topology.Graph
-	// Delay is the link delay distribution; nil means Exponential(1).
-	// Use a bounded distribution (e.g. Uniform) to model an ABD network.
-	Delay dist.Dist
-	// Links optionally overrides Delay with a full link factory.
-	Links channel.Factory
-	// Period is the local time between round starts; must be positive.
-	Period float64
-	// Rounds is how many rounds each node runs; must be positive.
-	Rounds int
-	// Clocks is the clock model; nil means perfect clocks (the classic
-	// ABD synchronizer setting).
-	Clocks clock.Model
-	// Seed drives the run.
-	Seed uint64
-	// Scheduler selects the kernel's event-queue implementation ("heap",
-	// "calendar"); empty means the default heap. Byte-identical either way.
-	Scheduler string
-}
 
 // ClockSyncResult reports the outcome of a clock-synchronized execution.
 type ClockSyncResult struct {
@@ -122,39 +89,32 @@ func (n *clockSyncNode) OnMessage(ctx *network.Context, _ int, payload any) {
 	}
 }
 
-// RunClockSync executes the clock-driven synchronizer workload and reports
-// its violation statistics.
-func RunClockSync(cfg ClockSyncConfig) (ClockSyncResult, error) {
+// RunClockSync executes the clock-driven ABD synchronizer (Tel–Korach–Zaks
+// style) on the network cfg describes, under the given kernel bounds: every
+// node starts round r at local time r·period and sends one round-stamped
+// message per out-edge, trusting that period exceeds the worst-case message
+// delay. On a genuine ABD network (bounded delay distribution) the trust is
+// justified and the synchronizer needs no control messages at all; on an
+// ABE network no finite period is safe — Theorem 1's context — and the
+// violation rate of the result quantifies exactly how unsafe a given
+// period is.
+func RunClockSync(cfg network.Config, period float64, rounds int, horizon simtime.Time, maxEvents uint64) (ClockSyncResult, error) {
 	if cfg.Graph == nil {
 		return ClockSyncResult{}, errors.New("synchronizer: config needs a graph")
 	}
-	if !(cfg.Period > 0) || math.IsInf(cfg.Period, 0) || math.IsNaN(cfg.Period) {
-		return ClockSyncResult{}, fmt.Errorf("synchronizer: period %g must be positive and finite", cfg.Period)
+	if !(period > 0) || math.IsInf(period, 0) || math.IsNaN(period) {
+		return ClockSyncResult{}, fmt.Errorf("synchronizer: period %g must be positive and finite", period)
 	}
-	if cfg.Rounds < 1 {
-		return ClockSyncResult{}, fmt.Errorf("synchronizer: rounds %d must be positive", cfg.Rounds)
-	}
-	links := cfg.Links
-	if links == nil {
-		delay := cfg.Delay
-		if delay == nil {
-			delay = dist.NewExponential(1)
-		}
-		links = channel.RandomDelayFactory(delay)
+	if rounds < 1 {
+		return ClockSyncResult{}, fmt.Errorf("synchronizer: rounds %d must be positive", rounds)
 	}
 
 	var violations uint64
 	var maxLateness int
-	net, err := network.New(network.Config{
-		Graph:     cfg.Graph,
-		Links:     links,
-		Clocks:    cfg.Clocks,
-		Seed:      cfg.Seed,
-		Scheduler: cfg.Scheduler,
-	}, func(int) network.Node {
+	net, err := network.New(cfg, func(int) network.Node {
 		return &clockSyncNode{
-			period:      cfg.Period,
-			rounds:      cfg.Rounds,
+			period:      period,
+			rounds:      rounds,
 			violations:  &violations,
 			maxLateness: &maxLateness,
 		}
@@ -162,7 +122,7 @@ func RunClockSync(cfg ClockSyncConfig) (ClockSyncResult, error) {
 	if err != nil {
 		return ClockSyncResult{}, err
 	}
-	if err := net.Run(simtime.Forever, 0); err != nil {
+	if err := net.Run(horizon, maxEvents); err != nil {
 		return ClockSyncResult{}, err
 	}
 	return ClockSyncResult{

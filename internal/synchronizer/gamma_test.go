@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"abenet/internal/rng"
+	"abenet/internal/simtime"
 	"abenet/internal/syncnet"
 	"abenet/internal/topology"
 )
@@ -11,9 +12,7 @@ import (
 func runGamma(t *testing.T, g *topology.Graph, radius, limit int, seed uint64) (Result, []*counterProto) {
 	t.Helper()
 	protos := make([]*counterProto, g.N())
-	res, err := Run(Config{
-		Kind: KindGamma, Graph: g, ClusterRadius: radius, Seed: seed,
-	}, func(i int) syncnet.Node {
+	res, err := Run(onNetwork(g, seed), Options{Kind: KindGamma, ClusterRadius: radius}, simtime.Forever, 0, func(i int) syncnet.Node {
 		protos[i] = &counterProto{limit: limit}
 		return protos[i]
 	})
@@ -121,7 +120,7 @@ func TestGammaInterpolatesBetweenAlphaAndBeta(t *testing.T) {
 }
 
 func TestGammaRejectsUnidirectionalGraphs(t *testing.T) {
-	_, err := Run(Config{Kind: KindGamma, Graph: topology.Ring(4)},
+	_, err := Run(onNetwork(topology.Ring(4), 0), Options{Kind: KindGamma}, simtime.Forever, 0,
 		func(int) syncnet.Node { return &counterProto{limit: 2} })
 	if err == nil {
 		t.Fatal("gamma on a unidirectional ring accepted")
@@ -132,12 +131,7 @@ func TestGammaBFSOverIt(t *testing.T) {
 	g := topology.Hypercube(3)
 	_, want := g.BFSTree(0)
 	nodes := make([]*syncnet.BFSNode, g.N())
-	_, err := Run(Config{
-		Kind:      KindGamma,
-		Graph:     g,
-		Seed:      5,
-		MaxRounds: 32,
-	}, func(i int) syncnet.Node {
+	_, err := Run(onNetwork(g, 5), Options{Kind: KindGamma, MaxRounds: 32}, simtime.Forever, 0, func(i int) syncnet.Node {
 		nodes[i] = syncnet.NewBFSNode(i == 0)
 		return nodes[i]
 	})

@@ -26,9 +26,6 @@ import (
 	"errors"
 	"fmt"
 
-	"abenet/internal/channel"
-	"abenet/internal/clock"
-	"abenet/internal/dist"
 	"abenet/internal/network"
 	"abenet/internal/rng"
 	"abenet/internal/simtime"
@@ -51,7 +48,7 @@ const (
 	// dense graphs, at the price of Ω(tree depth) round latency.
 	KindBeta
 	// KindGamma is Awerbuch's γ-synchronizer: β within BFS clusters of
-	// bounded radius (Config.ClusterRadius), α-style safety exchange
+	// bounded radius (Options.ClusterRadius), α-style safety exchange
 	// between adjacent clusters over one preferred edge per pair. It
 	// interpolates between α (radius 0-ish) and β (radius ≥ diameter),
 	// trading messages against round latency. Bidirectional only.
@@ -74,34 +71,20 @@ func (k Kind) String() string {
 	}
 }
 
-// Config describes a synchronous protocol execution over an asynchronous
-// network via a synchronizer.
-type Config struct {
+// Options selects the synchronizer construction and its round budget. The
+// network the protocol is synchronised over — topology, links, clocks,
+// seed, scheduler, anonymity — is not restated here: Run takes the
+// network.Config the run substrate (internal/runner) built from the
+// environment.
+type Options struct {
 	// Kind selects the synchronizer; required.
 	Kind Kind
-	// Graph is the topology. Alpha requires a bidirectional graph.
-	Graph *topology.Graph
-	// Links is the asynchronous delay model; nil means Exponential(1).
-	Links channel.Factory
-	// Clocks is the local clock model; nil means perfect clocks. The
-	// message-driven synchronizers never read clocks; the parameter
-	// exists so experiments can show their indifference to drift.
-	Clocks clock.Model
 	// ClusterRadius is the γ-synchronizer's BFS cluster radius; 0 means 2.
 	// Ignored by the other kinds.
 	ClusterRadius int
 	// MaxRounds aborts the run if the protocol has not stopped by then;
 	// 0 means 10000.
 	MaxRounds int
-	// MaxEvents guards the kernel; 0 means 50e6.
-	MaxEvents uint64
-	// Seed drives all randomness.
-	Seed uint64
-	// Scheduler selects the kernel's event-queue implementation ("heap",
-	// "calendar"); empty means the default heap. Byte-identical either way.
-	Scheduler string
-	// Anonymous forbids protocol identity reads.
-	Anonymous bool
 }
 
 // Result summarises a synchronized execution.
@@ -131,8 +114,10 @@ type Result struct {
 }
 
 // Run executes makeNode-constructed synchronous protocol instances over the
-// configured asynchronous network.
-func Run(cfg Config, makeNode func(i int) syncnet.Node) (Result, error) {
+// asynchronous network cfg describes, under the given kernel bounds (see
+// network.Network.Run). Alpha, Beta and Gamma require a bidirectional
+// cfg.Graph.
+func Run(cfg network.Config, opts Options, horizon simtime.Time, maxEvents uint64, makeNode func(i int) syncnet.Node) (Result, error) {
 	if cfg.Graph == nil {
 		return Result{}, errors.New("synchronizer: config needs a graph")
 	}
@@ -142,21 +127,13 @@ func Run(cfg Config, makeNode func(i int) syncnet.Node) (Result, error) {
 	if !cfg.Graph.IsStronglyConnected() {
 		return Result{}, errors.New("synchronizer: graph must be strongly connected")
 	}
-	links := cfg.Links
-	if links == nil {
-		links = channel.RandomDelayFactory(dist.NewExponential(1))
-	}
-	maxRounds := cfg.MaxRounds
+	maxRounds := opts.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = 10000
 	}
-	maxEvents := cfg.MaxEvents
-	if maxEvents == 0 {
-		maxEvents = 50_000_000
-	}
 
 	var wrap func(i int, proto syncnet.Node, g *topology.Graph) (network.Node, roundReporter)
-	switch cfg.Kind {
+	switch opts.Kind {
 	case KindRound:
 		wrap = newRoundNode
 	case KindAlpha:
@@ -173,20 +150,13 @@ func Run(cfg Config, makeNode func(i int) syncnet.Node) (Result, error) {
 		if err := requireBidirectional(cfg.Graph); err != nil {
 			return Result{}, err
 		}
-		wrap = makeGammaWrap(cfg.Graph, cfg.ClusterRadius)
+		wrap = makeGammaWrap(cfg.Graph, opts.ClusterRadius)
 	default:
-		return Result{}, fmt.Errorf("synchronizer: unknown kind %v", cfg.Kind)
+		return Result{}, fmt.Errorf("synchronizer: unknown kind %v", opts.Kind)
 	}
 
 	reporters := make([]roundReporter, cfg.Graph.N())
-	net, err := network.New(network.Config{
-		Graph:     cfg.Graph,
-		Links:     links,
-		Clocks:    cfg.Clocks,
-		Seed:      cfg.Seed,
-		Scheduler: cfg.Scheduler,
-		Anonymous: cfg.Anonymous,
-	}, func(i int) network.Node {
+	net, err := network.New(cfg, func(i int) network.Node {
 		node, reporter := wrap(i, makeNode(i), cfg.Graph)
 		reporters[i] = reporter
 		return node
@@ -201,7 +171,7 @@ func Run(cfg Config, makeNode func(i int) syncnet.Node) (Result, error) {
 		r.setMaxRounds(maxRounds)
 	}
 
-	if err := net.Run(simtime.Forever, maxEvents); err != nil {
+	if err := net.Run(horizon, maxEvents); err != nil {
 		return Result{}, err
 	}
 

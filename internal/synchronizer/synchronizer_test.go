@@ -7,6 +7,8 @@ import (
 	"abenet/internal/channel"
 	"abenet/internal/clock"
 	"abenet/internal/dist"
+	"abenet/internal/network"
+	"abenet/internal/simtime"
 	"abenet/internal/syncnet"
 	"abenet/internal/topology"
 )
@@ -32,10 +34,21 @@ func (p *counterProto) Round(ctx syncnet.NodeContext, round int, inbox []syncnet
 	}
 }
 
+// onNetwork states a test network the way the run substrate would:
+// exponential(1) random-delay links and perfect clocks over g.
+func onNetwork(g *topology.Graph, seed uint64) network.Config {
+	return onLinks(g, seed, dist.NewExponential(1))
+}
+
+// onLinks is onNetwork with the link delay shaped by the test.
+func onLinks(g *topology.Graph, seed uint64, delay dist.Dist) network.Config {
+	return network.Config{Graph: g, Links: channel.RandomDelayFactory(delay), Seed: seed}
+}
+
 func runCounter(t *testing.T, kind Kind, g *topology.Graph, limit int, seed uint64) (Result, []*counterProto) {
 	t.Helper()
 	protos := make([]*counterProto, g.N())
-	res, err := Run(Config{Kind: kind, Graph: g, Seed: seed}, func(i int) syncnet.Node {
+	res, err := Run(onNetwork(g, seed), Options{Kind: kind}, simtime.Forever, 0, func(i int) syncnet.Node {
 		protos[i] = &counterProto{limit: limit}
 		return protos[i]
 	})
@@ -150,12 +163,7 @@ func TestAlphaCostsThreePerEdgePerRound(t *testing.T) {
 func TestSynchronizersIndifferentToDelayShape(t *testing.T) {
 	for _, d := range []dist.Dist{dist.NewDeterministic(1), dist.NewExponential(1), dist.ParetoWithMean(1, 2)} {
 		protos := make([]*counterProto, 4)
-		res, err := Run(Config{
-			Kind:  KindRound,
-			Graph: topology.Ring(4),
-			Links: channel.RandomDelayFactory(d),
-			Seed:  7,
-		}, func(i int) syncnet.Node {
+		res, err := Run(onLinks(topology.Ring(4), 7, d), Options{Kind: KindRound}, simtime.Forever, 0, func(i int) syncnet.Node {
 			protos[i] = &counterProto{limit: 12}
 			return protos[i]
 		})
@@ -170,12 +178,9 @@ func TestSynchronizersIndifferentToDelayShape(t *testing.T) {
 
 func TestSynchronizerIndifferentToClockDrift(t *testing.T) {
 	protos := make([]*counterProto, 4)
-	res, err := Run(Config{
-		Kind:   KindRound,
-		Graph:  topology.Ring(4),
-		Clocks: clock.NewWanderingModel(0.25, 4, 1),
-		Seed:   8,
-	}, func(i int) syncnet.Node {
+	drifting := onNetwork(topology.Ring(4), 8)
+	drifting.Clocks = clock.NewWanderingModel(0.25, 4, 1)
+	res, err := Run(drifting, Options{Kind: KindRound}, simtime.Forever, 0, func(i int) syncnet.Node {
 		protos[i] = &counterProto{limit: 12}
 		return protos[i]
 	})
@@ -189,12 +194,7 @@ func TestSynchronizerIndifferentToClockDrift(t *testing.T) {
 
 func TestRoundBudgetAborts(t *testing.T) {
 	// A protocol that never stops must trip the budget error.
-	_, err := Run(Config{
-		Kind:      KindRound,
-		Graph:     topology.Ring(3),
-		MaxRounds: 25,
-		Seed:      9,
-	}, func(int) syncnet.Node {
+	_, err := Run(onNetwork(topology.Ring(3), 9), Options{Kind: KindRound, MaxRounds: 25}, simtime.Forever, 0, func(int) syncnet.Node {
 		return &counterProto{limit: 1 << 30}
 	})
 	if err == nil {
@@ -204,22 +204,22 @@ func TestRoundBudgetAborts(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	mk := func(int) syncnet.Node { return &counterProto{limit: 1} }
-	if _, err := Run(Config{Kind: KindRound}, mk); err == nil {
+	if _, err := Run(network.Config{}, Options{Kind: KindRound}, simtime.Forever, 0, mk); err == nil {
 		t.Fatal("missing graph accepted")
 	}
-	if _, err := Run(Config{Kind: KindRound, Graph: topology.Ring(3)}, nil); err == nil {
+	if _, err := Run(onNetwork(topology.Ring(3), 0), Options{Kind: KindRound}, simtime.Forever, 0, nil); err == nil {
 		t.Fatal("nil constructor accepted")
 	}
-	if _, err := Run(Config{Kind: 99, Graph: topology.Ring(3)}, mk); err == nil {
+	if _, err := Run(onNetwork(topology.Ring(3), 0), Options{Kind: 99}, simtime.Forever, 0, mk); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
-	if _, err := Run(Config{Kind: KindAlpha, Graph: topology.Ring(3)}, mk); err == nil {
+	if _, err := Run(onNetwork(topology.Ring(3), 0), Options{Kind: KindAlpha}, simtime.Forever, 0, mk); err == nil {
 		t.Fatal("alpha on unidirectional ring accepted")
 	}
 	disconnected := topology.New(3)
 	disconnected.AddEdge(0, 1)
 	disconnected.AddEdge(1, 0)
-	if _, err := Run(Config{Kind: KindRound, Graph: disconnected}, mk); err == nil {
+	if _, err := Run(onNetwork(disconnected, 0), Options{Kind: KindRound}, simtime.Forever, 0, mk); err == nil {
 		t.Fatal("non-strongly-connected graph accepted")
 	}
 }
@@ -227,13 +227,7 @@ func TestRunValidation(t *testing.T) {
 func TestClockSyncPerfectOnABDNetwork(t *testing.T) {
 	// Bounded delays (uniform in [0, 1]) and Period > 1: the ABD
 	// assumption holds, so there must be zero violations.
-	res, err := RunClockSync(ClockSyncConfig{
-		Graph:  topology.Ring(8),
-		Delay:  dist.NewUniform(0, 1),
-		Period: 1.05,
-		Rounds: 200,
-		Seed:   1,
-	})
+	res, err := RunClockSync(onLinks(topology.Ring(8), 1, dist.NewUniform(0, 1)), 1.05, 200, simtime.Forever, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,13 +242,7 @@ func TestClockSyncPerfectOnABDNetwork(t *testing.T) {
 func TestClockSyncFailsOnABENetwork(t *testing.T) {
 	// Same expected delay (0.5) but exponential: P(delay > 1.05) ≈ 12%,
 	// so violations must appear — the E9/Theorem 1 demonstration.
-	res, err := RunClockSync(ClockSyncConfig{
-		Graph:  topology.Ring(8),
-		Delay:  dist.NewExponential(0.5),
-		Period: 1.05,
-		Rounds: 200,
-		Seed:   1,
-	})
+	res, err := RunClockSync(onLinks(topology.Ring(8), 1, dist.NewExponential(0.5)), 1.05, 200, simtime.Forever, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,13 +257,7 @@ func TestClockSyncFailsOnABENetwork(t *testing.T) {
 
 func TestClockSyncViolationRateDropsWithPeriod(t *testing.T) {
 	rate := func(period float64) float64 {
-		res, err := RunClockSync(ClockSyncConfig{
-			Graph:  topology.Ring(8),
-			Delay:  dist.NewExponential(1),
-			Period: period,
-			Rounds: 300,
-			Seed:   2,
-		})
+		res, err := RunClockSync(onLinks(topology.Ring(8), 2, dist.NewExponential(1)), period, 300, simtime.Forever, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,13 +279,7 @@ func TestClockSyncExponentialTailMatchesTheory(t *testing.T) {
 	// is roughly e^{-P} (arrival after the receiver's next tick). Check
 	// the measured rate is the right order of magnitude.
 	const period = 3.0
-	res, err := RunClockSync(ClockSyncConfig{
-		Graph:  topology.Ring(16),
-		Delay:  dist.NewExponential(1),
-		Period: period,
-		Rounds: 400,
-		Seed:   3,
-	})
+	res, err := RunClockSync(onLinks(topology.Ring(16), 3, dist.NewExponential(1)), period, 400, simtime.Forever, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,13 +291,13 @@ func TestClockSyncExponentialTailMatchesTheory(t *testing.T) {
 }
 
 func TestClockSyncValidation(t *testing.T) {
-	if _, err := RunClockSync(ClockSyncConfig{Period: 1, Rounds: 1}); err == nil {
+	if _, err := RunClockSync(network.Config{}, 1, 1, simtime.Forever, 0); err == nil {
 		t.Fatal("missing graph accepted")
 	}
-	if _, err := RunClockSync(ClockSyncConfig{Graph: topology.Ring(3), Period: 0, Rounds: 1}); err == nil {
+	if _, err := RunClockSync(onNetwork(topology.Ring(3), 0), 0, 1, simtime.Forever, 0); err == nil {
 		t.Fatal("zero period accepted")
 	}
-	if _, err := RunClockSync(ClockSyncConfig{Graph: topology.Ring(3), Period: 1, Rounds: 0}); err == nil {
+	if _, err := RunClockSync(onNetwork(topology.Ring(3), 0), 1, 0, simtime.Forever, 0); err == nil {
 		t.Fatal("zero rounds accepted")
 	}
 }

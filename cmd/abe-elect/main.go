@@ -159,6 +159,9 @@ func run() error {
 	if *dryRun {
 		return fmt.Errorf("-dry-run requires -spec")
 	}
+	if set["a0"] && !*liveMode && *proto != "election" {
+		return fmt.Errorf("-a0 cannot be combined with -proto %s: only the election protocol (and -live) has an activation parameter", *proto)
+	}
 
 	env := abenet.Env{Seed: *seed, Scheduler: *scheduler}
 	switch *topo {

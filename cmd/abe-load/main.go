@@ -16,11 +16,8 @@
 //	         [-sweeps] [-url http://host:8080] [-store DIR] [-label AbeLoad]
 //	         [-workers 0] [-queue 256] [-timeout 2m]
 //
-// Stdout carries one benchmark-formatted line, so CI can pipe it through
-// internal/tools/benchjson into a committed BENCH_*.json; the human
-// summary goes to stderr:
-//
-//	go run ./cmd/abe-load -n 200 | go run ./internal/tools/benchjson > BENCH_pr6.json
+// Stdout carries one benchmark-formatted line (the format `go test -bench`
+// prints); the human summary goes to stderr.
 package main
 
 import (
@@ -437,7 +434,7 @@ func report(label string, outcomes []outcome, elapsed time.Duration, before, aft
 		}
 	}
 
-	// One benchmark-shaped line for internal/tools/benchjson.
+	// One benchmark-shaped line, the only thing on stdout.
 	fmt.Printf("Benchmark%s %d %d ns/op %d p50-ns %d p99-ns %.1f req/s %.3f hit-rate %.3f mem-hit-rate %.3f store-hit-rate\n",
 		label, served, mean.Nanoseconds(), p50.Nanoseconds(), p99.Nanoseconds(), rps, hitRate, memRate, storeRate)
 

@@ -95,7 +95,7 @@ func TestFIFODelayNeverShrinksDeliveryTime(t *testing.T) {
 	// Send at staggered times so head-of-line blocking actually engages.
 	for i := 0; i < 20; i++ {
 		i := i
-		k.At(simtime.Time(i), func() { l.Send(i) })
+		k.AtFunc(simtime.Time(i), func() { l.Send(i) })
 	}
 	if err := k.Run(simtime.Forever, 0); err != nil {
 		t.Fatal(err)
@@ -249,7 +249,7 @@ func mustPanic(t *testing.T, f func()) {
 
 // TestSendAllocations pins the hot delivery path's allocation budget: one
 // Send on a plain random-delay link must allocate only its delivery
-// closure — no kernel event, no ticket. The pin is an upper bound of 2
+// closure — no kernel event. The pin is an upper bound of 2
 // (closure + its capture block, which Go may or may not merge), so a
 // regression back to per-event kernel allocations (formerly +2) fails.
 func TestSendAllocations(t *testing.T) {

@@ -21,13 +21,13 @@ type beacon struct {
 
 func (b *beacon) Init(ctx *Context) {
 	b.inits++
-	ctx.SetLocalTimer(1, 1)
+	ctx.SetLocalTimerFunc(1, 1)
 }
 
 func (b *beacon) OnMessage(*Context, int, any) { b.recvd++ }
 
 func (b *beacon) OnTimer(ctx *Context, kind int) {
-	ctx.SetLocalTimer(1, 1)
+	ctx.SetLocalTimerFunc(1, 1)
 	b.sent++
 	ctx.Send(0, b.sent)
 }

@@ -39,7 +39,7 @@ type Node interface {
 	Init(ctx *Context)
 	// OnMessage handles a message delivered on the given local in-port.
 	OnMessage(ctx *Context, inPort int, payload any)
-	// OnTimer handles a timer set via Context.SetLocalTimer.
+	// OnTimer handles a timer set via Context.SetLocalTimerFunc.
 	OnTimer(ctx *Context, kind int)
 }
 
@@ -64,9 +64,9 @@ type TraceRef struct {
 }
 
 // Tracer observes network events and assigns each a causal identity.
-// Implementations must not mutate protocol state, and must not schedule or
-// cancel kernel events — a traced run must stay byte-identical to an
-// untraced one. A nil Tracer disables tracing. Each method returns the ref
+// Implementations must not mutate protocol state, and must not schedule
+// kernel events — a traced run must stay byte-identical to an untraced
+// one. A nil Tracer disables tracing. Each method returns the ref
 // of the event it recorded so the network can hand it to causally
 // downstream events; cause (resp. send, parent) is the ref of the event
 // that led to this one, zero for causal roots.
@@ -636,18 +636,12 @@ func (c *Context) Broadcast(payload any) {
 // LocalTime returns the node's local clock reading.
 func (c *Context) LocalTime() float64 { return c.net.clocks[c.id].LocalAt(c.net.kernel.Now()) }
 
-// SetLocalTimer schedules OnTimer(kind) to fire when the node's local clock
-// has advanced by localDelta (> 0). The returned ticket can cancel it.
-// Timers belong to the incarnation that set them: if the node crashes (or
-// crashes and restarts) before the fire instant, the fire is suppressed.
-// Protocols that never cancel their timers should use SetLocalTimerFunc,
-// which skips the ticket allocation.
-func (c *Context) SetLocalTimer(localDelta float64, kind int) *sim.Ticket {
-	return c.net.kernel.At(c.timerInstant(localDelta), c.timerFire(kind))
-}
-
-// SetLocalTimerFunc is SetLocalTimer without a cancellation ticket — the
-// allocation-free path for fire-and-forget timers such as tick loops.
+// SetLocalTimerFunc schedules OnTimer(kind) to fire when the node's local
+// clock has advanced by localDelta (> 0). Timers belong to the incarnation
+// that set them: if the node crashes (or crashes and restarts) before the
+// fire instant, the fire is suppressed. Otherwise a set timer always fires;
+// a node that loses interest in one guards OnTimer with a generation counter
+// of its own (see package sim).
 func (c *Context) SetLocalTimerFunc(localDelta float64, kind int) {
 	c.net.kernel.AtFunc(c.timerInstant(localDelta), c.timerFire(kind))
 }
@@ -664,7 +658,7 @@ func (c *Context) timerInstant(localDelta float64) simtime.Time {
 // timerFire builds the kernel handler for a local timer, including the
 // crash-epoch guard under fault injection. The causal parent of the firing
 // is the event the node was processing when it *set* the timer, captured
-// here (SetLocalTimer runs inside that event's handler).
+// here (SetLocalTimerFunc runs inside that event's handler).
 func (c *Context) timerFire(kind int) sim.Handler {
 	if c.net.life == nil && c.net.cfg.Tracer == nil {
 		if kind >= 0 && kind < len(c.timerCache) {

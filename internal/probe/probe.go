@@ -31,8 +31,7 @@ import (
 const DefaultMaxSamples = 100_000
 
 // Gauge is one named instantaneous reading. Read must be cheap, must not
-// mutate any simulation state, and must not schedule or cancel events —
-// it runs inside the kernel's observer hook.
+// mutate any simulation state, and must not schedule events — it runs inside the kernel's observer hook.
 type Gauge struct {
 	Name string
 	Read func() float64
@@ -174,7 +173,7 @@ func (c *Collector) Names() []string { return c.names }
 // Observe is the kernel post-event hook: called after every executed
 // event with the kernel's current virtual time and executed-event count.
 // It records a sample when either cadence is due. Observe only reads
-// simulation state — it never schedules, cancels, or mutates — so the
+// simulation state — it never schedules or mutates — so the
 // event schedule of an observed run is identical to an unobserved one.
 func (c *Collector) Observe(now simtime.Time, executed uint64) {
 	due := false

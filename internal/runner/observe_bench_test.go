@@ -10,8 +10,7 @@ import (
 // and without a per-event probe at the most aggressive cadence. Unlike the
 // kernel pair in internal/sim (which isolates the hook itself), this
 // measures the whole collection path — cadence check, gauge sweep,
-// sample append — amortised over real protocol work. BENCH_pr8.json
-// publishes both numbers side by side.
+// sample append — amortised over real protocol work.
 
 func benchElection(b *testing.B, obs bool) {
 	var samples int

@@ -513,7 +513,7 @@ func (p ClockSync) Run(env Env) (Report, error) {
 	}
 	return Report{
 		Messages: res.Messages,
-		Rounds:   rounds,
+		Rounds:   res.Rounds,
 		Time:     res.Time,
 		Extra: ClockSyncExtra{
 			RoundViolations: res.Violations,

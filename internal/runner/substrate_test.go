@@ -165,6 +165,22 @@ func TestSynchronizerProtocolsHonourEnvBounds(t *testing.T) {
 				t.Errorf("%s sent nothing before the horizon", p.Name())
 			}
 		}
+		// A cut clock-sync run reports the rounds every node started, not
+		// the configured count; an un-cut one still reports the latter.
+		cut, err := Run(Env{N: 4, Seed: 2, Horizon: 5}, ClockSync{Rounds: 50})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cut.Rounds != 2 {
+			t.Errorf("clock-sync cut at Horizon 5 (period 2) reports Rounds = %d, want the 2 rounds every node started", cut.Rounds)
+		}
+		full, err := Run(Env{N: 4, Seed: 2}, ClockSync{Rounds: 50})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Rounds != 50 {
+			t.Errorf("un-cut clock-sync reports Rounds = %d, want 50", full.Rounds)
+		}
 	})
 
 	t.Run("max-events", func(t *testing.T) {

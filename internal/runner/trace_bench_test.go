@@ -26,9 +26,9 @@ import (
 //   - ElectionUntraced / ElectionTraced is the published pair. The traced
 //     leg runs the real Recorder and Export — full event storage, Lamport
 //     bookkeeping, and the final serialisable trace. That is inherently
-//     allocation-bound (a 32-node run stores ~2k events), so the pair is
-//     recorded side by side in BENCH_pr9.json as the honest price of
-//     collecting a trace, not gated at the hook threshold.
+//     allocation-bound (a 32-node run stores ~2k events), so the pair
+//     shows the honest price of collecting a trace and is not gated at the
+//     hook threshold.
 //
 // The environment is a full ABE instance (ARQ links, drifting clocks, a
 // processing-time model), not the all-defaults ring: the numbers price the

@@ -7,15 +7,14 @@ import (
 	"abenet/internal/simtime"
 )
 
-// The kernel's microbenchmark suite: schedule/run/cancel mixes over the
-// two API tiers. Run with -benchmem — the allocation columns are the
-// numbers the ticketless redesign exists for (see the alloc pins in
+// The kernel's microbenchmark suite: schedule/run mixes. Run with
+// -benchmem — scheduling allocates nothing per event (see the alloc pins in
 // TestSchedulingAllocations for the hard contract).
 
-// BenchmarkScheduleRunTicketless is BenchmarkScheduleAndRun on the
-// fast path: a self-rescheduling tick chain via AfterFunc, the shape of
-// every tick loop and message delivery in the repository.
-func BenchmarkScheduleRunTicketless(b *testing.B) {
+// BenchmarkScheduleRun is a self-rescheduling tick chain via
+// AfterFunc, the shape of every tick loop and message delivery in the
+// repository.
+func BenchmarkScheduleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := New()
 		r := rng.New(uint64(i))
@@ -50,36 +49,13 @@ func BenchmarkScheduleBurstDrain(b *testing.B) {
 	}
 }
 
-// BenchmarkCancelHeavy is the ARQ-retransmit pattern: almost every timer
-// is ticketed and cancelled before it fires. It exercises Cancel and the
-// compaction sweep.
-func BenchmarkCancelHeavy(b *testing.B) {
-	fn := func() {}
-	for i := 0; i < b.N; i++ {
-		k := New()
-		r := rng.New(uint64(i))
-		for j := 0; j < 1000; j++ {
-			t := k.At(simtime.Time(1+r.Float64()*1000), fn)
-			if j%10 != 0 {
-				t.Cancel()
-			}
-		}
-		if err := k.Run(simtime.Forever, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPending measures the O(1) pending counter against a large
-// part-cancelled schedule.
+// schedule.
 func BenchmarkPending(b *testing.B) {
 	k := New()
 	fn := func() {}
 	for j := 0; j < 10000; j++ {
-		t := k.At(simtime.Time(1+j), fn)
-		if j%2 == 0 {
-			t.Cancel()
-		}
+		k.AtFunc(simtime.Time(1+j), fn)
 	}
 	b.ResetTimer()
 	n := 0

@@ -19,7 +19,7 @@ import (
 // in time, each bucket keeps its entries sorted by (at, seq), and events
 // with equal instants always land in the same bucket (the bucket index is a
 // function of the instant alone). Overflow entries all lie at or beyond
-// wheelEnd, i.e. after every wheel entry. The earliest live event is
+// wheelEnd, i.e. after every wheel entry. The earliest event is
 // therefore the front of the first non-empty bucket at or after the cursor
 // — the pop sequence is exactly the (at, seq) total order, byte-identical
 // to the heap's. The differential tests in this package pin that.
@@ -33,28 +33,24 @@ import (
 // # Invariants
 //
 //   - overflow entries have at >= wheelEnd;
-//   - no live wheel entry sits in a bucket before cursor (pops advance the
+//   - no wheel entry sits in a bucket before cursor (pops advance the
 //     cursor to the popped bucket, and nothing can be scheduled before the
 //     kernel's current instant, which lies in the cursor's window);
 //   - bucket entries evs[head:] are sorted by (at, seq); evs[:head] are
-//     consumed slots awaiting reuse;
-//   - slots (Len) stays ≤ 2·live+compactMinLen via the same
-//     dead-outnumbers-live sweep trigger the heap uses.
+//     consumed slots awaiting reuse.
 //
 // Resizes (grow when the wheel overfills, shrink when it drains, promote
 // the overflow when the wheel empties) rebuild the wheel from the sorted
-// live set; the triggers depend only on counters, so the rebuild schedule —
-// like everything else here — is a deterministic function of the workload.
+// pending set; the triggers depend only on counters, so the rebuild
+// schedule — like everything else here — is a deterministic function of the
+// workload.
 type calendarScheduler struct {
 	buckets    []calBucket
 	width      float64 // time width of one bucket window
 	wheelStart float64 // inclusive lower edge of bucket 0's window
 	wheelEnd   float64 // exclusive upper edge of the last bucket's window
-	cursor     int     // no live wheel entries in buckets before this one
-	wheelLive  int     // live entries in the wheel
-	overLive   int     // live entries in the overflow area
-	dead       int     // cancelled entries still occupying slots
-	slots      int     // occupied storage slots incl. dead (Len)
+	cursor     int     // no wheel entries in buckets before this one
+	wheelLen   int     // entries in the wheel (the overflow counts itself)
 
 	overflow []event // unsorted; every entry has at >= wheelEnd
 	scratch  []event // rebuild staging buffer, retained across rebuilds
@@ -64,20 +60,14 @@ type calendarScheduler struct {
 }
 
 // calBucket is one time window of the wheel. evs[head:] are the entries
-// still queued (dead ones included until reclaimed), sorted by (at, seq);
-// evs[:head] are already-consumed slots, zeroed and reused once the bucket
-// drains.
+// still queued, sorted by (at, seq); evs[:head] are already-consumed slots,
+// zeroed and reused once the bucket drains.
 type calBucket struct {
 	evs  []event
 	head int
 }
 
 const (
-	// overflowIdx is the Ticket.idx sentinel for entries parked in the
-	// overflow area (Ticket.slot is the position there). Distinct from
-	// doneIdx so Cancel can tell the areas apart.
-	overflowIdx = -2
-
 	// calMinBuckets/calMaxBuckets bound the wheel size: grown and shrunk in
 	// powers of two so resize costs amortize against the schedules/pops
 	// that triggered them.
@@ -96,9 +86,7 @@ func newCalendarScheduler() *calendarScheduler {
 
 func (c *calendarScheduler) Name() string { return SchedulerCalendar }
 
-func (c *calendarScheduler) Pending() int { return c.wheelLive + c.overLive }
-
-func (c *calendarScheduler) Len() int { return c.slots }
+func (c *calendarScheduler) Pending() int { return c.wheelLen + len(c.overflow) }
 
 // bucketIndex maps an instant within [wheelStart, wheelEnd) to its bucket.
 // Clamping keeps the result in range under floating-point rounding (and
@@ -121,26 +109,19 @@ func (c *calendarScheduler) Schedule(ev event) {
 	c.cacheValid = false
 	at := float64(ev.at)
 	c.place(ev, at)
-	c.slots++
-	if c.wheelLive > 2*len(c.buckets) && len(c.buckets) < calMaxBuckets {
+	if c.wheelLen > 2*len(c.buckets) && len(c.buckets) < calMaxBuckets {
 		c.rebuild()
 	}
 }
 
 // place files ev under the current wheel geometry: into its time-window
 // bucket, or into the overflow area when it lies beyond the wheel horizon.
-// Counter updates are limited to the live counts — the caller owns slots.
 func (c *calendarScheduler) place(ev event, at float64) {
 	if at >= c.wheelEnd {
-		if ev.ticket != nil {
-			ev.ticket.idx = overflowIdx
-			ev.ticket.slot = len(c.overflow)
-		}
 		c.overflow = append(c.overflow, ev)
-		c.overLive++
 	} else {
 		c.insert(c.bucketIndex(at), ev)
-		c.wheelLive++
+		c.wheelLen++
 	}
 }
 
@@ -150,15 +131,10 @@ func (c *calendarScheduler) place(ev event, at float64) {
 func (c *calendarScheduler) insert(b int, ev event) {
 	bk := &c.buckets[b]
 	if n := len(bk.evs); n == bk.head || !less(&ev, &bk.evs[n-1]) {
-		if ev.ticket != nil {
-			ev.ticket.idx = b
-			ev.ticket.slot = n
-		}
 		bk.evs = append(bk.evs, ev)
 		return
 	}
-	// Slow path: binary-search the insertion point and shift the tail,
-	// re-pointing tickets of the shifted entries.
+	// Slow path: binary-search the insertion point and shift the tail.
 	lo, hi := bk.head, len(bk.evs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -171,43 +147,25 @@ func (c *calendarScheduler) insert(b int, ev event) {
 	bk.evs = append(bk.evs, event{})
 	copy(bk.evs[lo+1:], bk.evs[lo:])
 	bk.evs[lo] = ev
-	for i := lo; i < len(bk.evs); i++ {
-		if t := bk.evs[i].ticket; t != nil {
-			t.idx = b
-			t.slot = i
-		}
-	}
 }
 
-// findMin locates the bucket holding the earliest live event, reclaiming
-// dead entries it walks over. It must only be called when live events
-// exist somewhere; it promotes the overflow into a fresh wheel if the
-// wheel itself is empty.
+// findMin locates the bucket holding the earliest event. It must only be
+// called when the set is non-empty; it promotes the overflow into a fresh
+// wheel if the wheel itself is empty.
 func (c *calendarScheduler) findMin() int {
-	if c.wheelLive == 0 {
+	if c.wheelLen == 0 {
 		c.rebuild() // promote the overflow into a fresh wheel
 	}
 	for b := c.cursor; b < len(c.buckets); b++ {
-		bk := &c.buckets[b]
-		for bk.head < len(bk.evs) && bk.evs[bk.head].dead {
-			bk.evs[bk.head] = event{}
-			bk.head++
-			c.dead--
-			c.slots--
-		}
-		if bk.head < len(bk.evs) {
+		if bk := &c.buckets[b]; bk.head < len(bk.evs) {
 			return b
 		}
-		if bk.head > 0 {
-			bk.evs = bk.evs[:0]
-			bk.head = 0
-		}
 	}
-	panic("sim: calendar queue lost a live event")
+	panic("sim: calendar queue lost an event")
 }
 
 func (c *calendarScheduler) PeekTime() (simtime.Time, bool) {
-	if c.wheelLive+c.overLive == 0 {
+	if c.Pending() == 0 {
 		return 0, false
 	}
 	if !c.cacheValid {
@@ -219,7 +177,7 @@ func (c *calendarScheduler) PeekTime() (simtime.Time, bool) {
 }
 
 func (c *calendarScheduler) Pop() (event, bool) {
-	if c.wheelLive+c.overLive == 0 {
+	if c.Pending() == 0 {
 		return event{}, false
 	}
 	b := c.cacheBucket
@@ -236,87 +194,11 @@ func (c *calendarScheduler) Pop() (event, bool) {
 		bk.head = 0
 	}
 	c.cursor = b
-	c.wheelLive--
-	c.slots--
-	c.maybeCompact()
-	if len(c.buckets) > calMinBuckets && c.wheelLive+c.overLive < len(c.buckets)/8 {
+	c.wheelLen--
+	if len(c.buckets) > calMinBuckets && c.Pending() < len(c.buckets)/8 {
 		c.rebuild()
 	}
 	return ev, true
-}
-
-func (c *calendarScheduler) Cancel(t *Ticket) {
-	c.cacheValid = false
-	var ev *event
-	if t.idx == overflowIdx {
-		ev = &c.overflow[t.slot]
-		c.overLive--
-	} else {
-		ev = &c.buckets[t.idx].evs[t.slot]
-		c.wheelLive--
-	}
-	ev.dead = true
-	ev.fn = nil // release captured state promptly
-	ev.afn = nil
-	ev.ticket = nil
-	c.dead++
-	c.maybeCompact()
-}
-
-// maybeCompact applies the same trigger rule as the heap: sweep once dead
-// entries outnumber live ones and the queue is big enough for the sweep to
-// pay off. This is what keeps Len ≤ 2·Pending+compactMinLen.
-func (c *calendarScheduler) maybeCompact() {
-	if c.slots >= compactMinLen && c.dead > c.slots/2 {
-		c.compact()
-	}
-}
-
-// compact removes every dead entry in one pass, preserving each bucket's
-// sorted order and re-pointing tickets. Pop order is unaffected.
-func (c *calendarScheduler) compact() {
-	for b := range c.buckets {
-		bk := &c.buckets[b]
-		kept := bk.evs[:0]
-		for i := bk.head; i < len(bk.evs); i++ {
-			if !bk.evs[i].dead {
-				kept = append(kept, bk.evs[i])
-			}
-		}
-		for i := len(kept); i < len(bk.evs); i++ {
-			bk.evs[i] = event{}
-		}
-		bk.evs = kept
-		bk.head = 0
-		for i := range bk.evs {
-			if t := bk.evs[i].ticket; t != nil {
-				t.idx = b
-				t.slot = i
-			}
-		}
-	}
-	kept := c.overflow[:0]
-	for i := range c.overflow {
-		if !c.overflow[i].dead {
-			kept = append(kept, c.overflow[i])
-		}
-	}
-	for i := len(kept); i < len(c.overflow); i++ {
-		c.overflow[i] = event{}
-	}
-	c.overflow = kept
-	for i := range c.overflow {
-		if t := c.overflow[i].ticket; t != nil {
-			t.idx = overflowIdx
-			t.slot = i
-		}
-	}
-	c.dead = 0
-	c.slots = len(c.overflow)
-	for b := range c.buckets {
-		c.slots += len(c.buckets[b].evs) - c.buckets[b].head
-	}
-	c.cacheValid = false
 }
 
 // setHorizon derives wheelEnd from the current geometry. At extreme
@@ -333,41 +215,30 @@ func (c *calendarScheduler) setHorizon() {
 	}
 }
 
-// rebuild re-seeds the wheel from the live set, dropping dead entries for
-// free along the way. Large populations get a full resize — bucket count
-// sized to the population, width chosen from the interquartile spread of
-// event instants (robust against far-future outliers, which go back to the
-// overflow), wheelStart at the earliest event. Small populations (at most
-// one event per bucket of a minimum wheel) keep the current geometry and
-// just re-anchor wheelStart — that path allocates nothing, which matters
-// because a lone self-rescheduling timer marching past the wheel horizon
-// triggers a rebuild per event.
+// rebuild re-seeds the wheel from the pending set. Large populations get a
+// full resize — bucket count sized to the population, width chosen from the
+// interquartile spread of event instants (robust against far-future
+// outliers, which go back to the overflow), wheelStart at the earliest
+// event. Small populations (at most one event per bucket of a minimum
+// wheel) keep the current geometry and just re-anchor wheelStart — that path
+// allocates nothing, which matters because a lone self-rescheduling timer
+// marching past the wheel horizon triggers a rebuild per event.
 func (c *calendarScheduler) rebuild() {
 	c.cacheValid = false
 	all := c.scratch[:0]
 	for b := range c.buckets {
 		bk := &c.buckets[b]
-		for i := bk.head; i < len(bk.evs); i++ {
-			if !bk.evs[i].dead {
-				all = append(all, bk.evs[i])
-			}
-			bk.evs[i] = event{} // release refs in the vacated slot
-		}
+		all = append(all, bk.evs[bk.head:]...)
+		clear(bk.evs) // release refs in the vacated slots
 		bk.evs = bk.evs[:0]
 		bk.head = 0
 	}
-	for i := range c.overflow {
-		if !c.overflow[i].dead {
-			all = append(all, c.overflow[i])
-		}
-		c.overflow[i] = event{}
-	}
+	all = append(all, c.overflow...)
+	clear(c.overflow)
 	c.overflow = c.overflow[:0]
 	c.scratch = all[:0] // retain staging capacity for the next rebuild
-	c.dead = 0
-	c.slots = len(all)
 	c.cursor = 0
-	c.wheelLive, c.overLive = 0, 0
+	c.wheelLen = 0
 	if len(all) == 0 {
 		return // keep the current geometry; an empty wheel is fine
 	}

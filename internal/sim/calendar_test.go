@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"math"
-	"sort"
 	"testing"
 
 	"abenet/internal/rng"
@@ -31,17 +30,17 @@ func TestSchedulerRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewNamed(%q): %v", name, err)
 		}
-		if k.SchedulerName() != name {
-			t.Errorf("NewNamed(%q).SchedulerName() = %q", name, k.SchedulerName())
+		if got := k.sched.Name(); got != name {
+			t.Errorf("NewNamed(%q) is backed by %q", name, got)
 		}
 	}
 	if !ValidScheduler("") {
 		t.Error("ValidScheduler(\"\") = false, want true (default)")
 	}
-	if New().SchedulerName() != SchedulerHeap {
-		t.Errorf("New() scheduler = %q, want the heap default", New().SchedulerName())
+	if got := New().sched.Name(); got != SchedulerHeap {
+		t.Errorf("New() scheduler = %q, want the heap default", got)
 	}
-	if k, err := NewNamed(""); err != nil || k.SchedulerName() != SchedulerHeap {
+	if k, err := NewNamed(""); err != nil || k.sched.Name() != SchedulerHeap {
 		t.Errorf("NewNamed(\"\") = (%v, %v), want the heap default", k, err)
 	}
 	if ValidScheduler("ladder") {
@@ -50,15 +49,12 @@ func TestSchedulerRegistry(t *testing.T) {
 	if _, err := NewNamed("ladder"); err == nil {
 		t.Error("NewNamed(\"ladder\") succeeded, want an error")
 	}
-	if NewWith(nil).SchedulerName() != SchedulerHeap {
-		t.Error("NewWith(nil) did not fall back to the heap default")
-	}
 }
 
 // TestCalendarMatchesHeapPopOrder is the scheduler determinism contract at
-// kernel level: a pseudo-random workload of ticketed and ticketless
-// schedules, same-instant bursts, cancellations and interleaved partial
-// runs must execute in the identical sequence on both schedulers.
+// kernel level: a pseudo-random workload of schedules, same-instant bursts
+// and interleaved partial runs must execute in the identical sequence on
+// both schedulers.
 func TestCalendarMatchesHeapPopOrder(t *testing.T) {
 	type step struct {
 		at  simtime.Time
@@ -73,7 +69,6 @@ func TestCalendarMatchesHeapPopOrder(t *testing.T) {
 		r := rng.New(4242)
 		var got []step
 		id := 0
-		var tickets []*Ticket
 		scheduleBurst := func(n int) {
 			for i := 0; i < n; i++ {
 				// A mix of clustered instants (forcing same-bucket,
@@ -92,30 +87,14 @@ func TestCalendarMatchesHeapPopOrder(t *testing.T) {
 				}
 				myID := id
 				id++
-				record := func() { got = append(got, step{at, myID, k.Now()}) }
-				if r.Bool(0.3) {
-					tk := k.At(at, record)
-					if r.Bool(0.5) {
-						tk.Cancel()
-					} else {
-						tickets = append(tickets, tk)
-					}
-				} else {
-					k.AtFunc(at, record)
-				}
+				k.AtFunc(at, func() { got = append(got, step{at, myID, k.Now()}) })
 			}
 		}
 		scheduleBurst(500)
 		for phase := 0; phase < 20; phase++ {
-			// Run a bounded slice of the schedule, then mutate it again —
-			// cancellations included — so compaction and rebuilds trigger at
-			// varied points.
+			// Run a bounded slice of the schedule, then add to it again, so
+			// rebuilds trigger at varied points.
 			for i := 0; i < 100 && k.Step(); i++ {
-			}
-			for len(tickets) > 3 {
-				tk := tickets[r.Intn(len(tickets))]
-				tk.Cancel()
-				tickets = tickets[:len(tickets)-1]
 			}
 			scheduleBurst(200)
 		}
@@ -133,85 +112,6 @@ func TestCalendarMatchesHeapPopOrder(t *testing.T) {
 	for i := range heapSeq {
 		if heapSeq[i] != calSeq[i] {
 			t.Fatalf("execution diverged at event %d: heap %+v, calendar %+v", i, heapSeq[i], calSeq[i])
-		}
-	}
-}
-
-// TestCalendarCancelHeavyStaysBounded mirrors the heap's 100k-cancel test:
-// the calendar queue must honour the same compaction bound,
-// QueueLen ≤ 2·Pending+compactMinLen.
-func TestCalendarCancelHeavyStaysBounded(t *testing.T) {
-	k := newCalendarKernel(t)
-	const total = 100_000
-	live := 0
-	tickets := make([]*Ticket, 0, total)
-	for i := 0; i < total; i++ {
-		at := simtime.Time(1 + i%997)
-		tickets = append(tickets, k.At(at, func() {}))
-		if i%1000 != 0 {
-			tickets[len(tickets)-1].Cancel()
-		} else {
-			live++
-		}
-	}
-	if got := k.Pending(); got != live {
-		t.Fatalf("Pending = %d, want %d", got, live)
-	}
-	if max := 2*live + compactMinLen; k.QueueLen() > max {
-		t.Fatalf("calendar holds %d slots for %d live events (bound %d): cancellations are not compacted", k.QueueLen(), live, max)
-	}
-	pending := 0
-	for _, tk := range tickets {
-		if tk.Pending() {
-			pending++
-		}
-	}
-	if pending != live {
-		t.Fatalf("%d tickets still pending, want %d", pending, live)
-	}
-	if err := k.Run(simtime.Forever, 0); err != nil {
-		t.Fatal(err)
-	}
-	if int(k.Executed()) != live {
-		t.Fatalf("executed %d events, want the %d live ones", k.Executed(), live)
-	}
-	if k.QueueLen() != 0 || k.Pending() != 0 {
-		t.Fatalf("queue not drained: len=%d pending=%d", k.QueueLen(), k.Pending())
-	}
-}
-
-// TestCalendarCompactionPreservesOrder is the calendar twin of the heap's
-// compaction-order test: cancel a pseudo-random half of a large schedule
-// and check the survivors still run in exact (time, insertion) order.
-func TestCalendarCompactionPreservesOrder(t *testing.T) {
-	k := newCalendarKernel(t)
-	r := rng.New(99)
-	type key struct {
-		at  simtime.Time
-		seq int
-	}
-	var want []key
-	var got []key
-	for i := 0; i < 5000; i++ {
-		i := i
-		at := simtime.Time(r.Float64() * 100)
-		tk := k.At(at, func() { got = append(got, key{at, i}) })
-		if r.Bool(0.5) {
-			tk.Cancel()
-		} else {
-			want = append(want, key{at, i})
-		}
-	}
-	sort.SliceStable(want, func(a, b int) bool { return want[a].at < want[b].at })
-	if err := k.Run(simtime.Forever, 0); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("ran %d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order diverged at %d: got %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }
@@ -287,11 +187,6 @@ func TestCalendarMarchingTimerAllocations(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("same-instant AtFunc+Run allocates %g objects per event, want 0", avg)
 	}
-	if avg := testing.AllocsPerRun(1000, func() {
-		k.At(k.Now().Add(1), fn).Cancel()
-	}); avg != 1 {
-		t.Errorf("At+Cancel allocates %g objects per event, want exactly the 1 ticket", avg)
-	}
 }
 
 // TestCalendarSameInstantFIFO pins the sorted-bucket fast path: a large
@@ -335,64 +230,32 @@ func TestCalendarSameInstantFIFO(t *testing.T) {
 	}
 }
 
-// TestCalendarPendingQueueLenInvariants walks a mixed workload and checks
-// the counting surface after every operation: Pending counts live events
-// exactly, QueueLen ≥ Pending, and the compaction bound holds throughout.
+// TestCalendarPendingQueueLenInvariants walks a mixed workload — wheel and
+// overflow placements, rebuilds — and checks after every operation that
+// Pending counts the scheduled events exactly.
 func TestCalendarPendingQueueLenInvariants(t *testing.T) {
 	k := newCalendarKernel(t)
 	r := rng.New(7)
-	live := make(map[*Ticket]bool)
-	liveFns := 0
+	want := 0
 	check := func(ctx string) {
 		t.Helper()
-		want := len(live) + liveFns
 		if got := k.Pending(); got != want {
 			t.Fatalf("%s: Pending = %d, want %d", ctx, got, want)
 		}
-		if k.QueueLen() < k.Pending() {
-			t.Fatalf("%s: QueueLen %d < Pending %d", ctx, k.QueueLen(), k.Pending())
-		}
-		if max := 2*k.Pending() + compactMinLen; k.QueueLen() > max {
-			t.Fatalf("%s: QueueLen %d exceeds compaction bound %d", ctx, k.QueueLen(), max)
-		}
 	}
 	for i := 0; i < 3000; i++ {
-		switch {
-		case r.Bool(0.45):
-			at := k.Now().Add(simtime.Duration(r.Float64() * 300))
-			if r.Bool(0.6) {
-				tk := k.At(at, func() {})
-				live[tk] = true
-			} else {
-				liveFns++
-				k.AtFunc(at, func() { liveFns-- })
-			}
-		case r.Bool(0.5) && len(live) > 0:
-			for tk := range live {
-				tk.Cancel()
-				delete(live, tk)
-				break
-			}
-		default:
-			before := k.Pending()
-			if k.Step() && before > 0 {
-				for tk := range live {
-					if !tk.Pending() {
-						delete(live, tk)
-					}
-				}
-			}
+		if r.Bool(0.6) { // net growth, so the wheel resizes along the way
+			want++
+			k.AtFunc(k.Now().Add(simtime.Duration(r.Float64()*300)), func() { want-- })
+		} else {
+			k.Step()
 		}
 		check("op")
 	}
 	if err := k.Run(simtime.Forever, 0); err != nil {
 		t.Fatal(err)
 	}
-	live = map[*Ticket]bool{}
 	check("drained")
-	if k.QueueLen() != 0 {
-		t.Fatalf("drained QueueLen = %d, want 0", k.QueueLen())
-	}
 }
 
 // TestErrMaxEventsTyped pins the livelock guard's error identity on both

@@ -6,77 +6,34 @@ import "abenet/internal/simtime"
 // ordered by (at, seq) and stored in a single value slice — the slice
 // doubles as the event pool, so steady-state scheduling allocates nothing.
 // There is no container/heap and no interface boxing on the hot path.
-//
-// Cancellation marks the heap entry dead in place; dead entries are skipped
-// on pop and compacted away wholesale once they outnumber the live ones, so
-// cancel-heavy workloads (ARQ retransmit timers) cannot bloat the heap.
 type heapScheduler struct {
 	heap []event // 4-ary min-heap by (at, seq); the slice is the event pool
-	live int     // scheduled, not cancelled — Pending() in O(1)
-	dead int     // cancelled entries still occupying heap slots
 }
 
 func newHeapScheduler() *heapScheduler { return &heapScheduler{} }
 
 func (h *heapScheduler) Name() string { return SchedulerHeap }
 
-func (h *heapScheduler) Pending() int { return h.live }
-
-func (h *heapScheduler) Len() int { return len(h.heap) }
+func (h *heapScheduler) Pending() int { return len(h.heap) }
 
 func (h *heapScheduler) Schedule(ev event) {
-	h.live++
 	h.heap = append(h.heap, ev)
 	h.siftUp(len(h.heap) - 1)
 }
 
 func (h *heapScheduler) PeekTime() (simtime.Time, bool) {
-	h.dropDead()
 	if len(h.heap) == 0 {
 		return 0, false
 	}
 	return h.heap[0].at, true
 }
 
+// Pop removes and returns the root event, maintaining the heap property.
+// The vacated slot is zeroed so the handler's captures are released.
 func (h *heapScheduler) Pop() (event, bool) {
-	h.dropDead()
 	if len(h.heap) == 0 {
 		return event{}, false
 	}
-	ev := h.popRoot()
-	h.live--
-	// Popping live events shrinks the live population too, so the dead
-	// fraction can cross the compaction threshold here just as it can on
-	// Cancel — without this, a cancel-then-run workload would carry its
-	// dead entries until virtual time reached them.
-	h.maybeCompact()
-	return ev, true
-}
-
-func (h *heapScheduler) Cancel(t *Ticket) {
-	ev := &h.heap[t.idx]
-	ev.dead = true
-	ev.fn = nil // release captured state promptly
-	ev.afn = nil
-	ev.ticket = nil
-	h.live--
-	h.dead++
-	h.maybeCompact()
-}
-
-// dropDead discards cancelled events sitting at the heap root so the root
-// is either live or the heap is empty.
-func (h *heapScheduler) dropDead() {
-	for len(h.heap) > 0 && h.heap[0].dead {
-		h.popRoot()
-		h.dead--
-	}
-}
-
-// popRoot removes and returns the root event, maintaining the heap
-// property and ticket back-pointers. The vacated slot is zeroed so the
-// handler's captures are released.
-func (h *heapScheduler) popRoot() event {
 	ev := h.heap[0]
 	n := len(h.heap) - 1
 	if n > 0 {
@@ -85,15 +42,14 @@ func (h *heapScheduler) popRoot() event {
 	h.heap[n] = event{}
 	h.heap = h.heap[:n]
 	if n > 0 {
-		h.siftDown(0) // also refreshes the moved entry's ticket index
+		h.siftDown(0)
 	}
-	return ev
+	return ev, true
 }
 
 // siftUp restores the heap property for the entry at index i by moving it
-// towards the root, updating ticket back-pointers of displaced entries. It
-// returns the entry's final index.
-func (h *heapScheduler) siftUp(i int) int {
+// towards the root.
+func (h *heapScheduler) siftUp(i int) {
 	ev := h.heap[i]
 	for i > 0 {
 		p := (i - 1) / 4
@@ -101,20 +57,13 @@ func (h *heapScheduler) siftUp(i int) int {
 			break
 		}
 		h.heap[i] = h.heap[p]
-		if t := h.heap[i].ticket; t != nil {
-			t.idx = i
-		}
 		i = p
 	}
 	h.heap[i] = ev
-	if ev.ticket != nil {
-		ev.ticket.idx = i
-	}
-	return i
 }
 
 // siftDown restores the heap property for the entry at index i by moving it
-// towards the leaves, updating ticket back-pointers of displaced entries.
+// towards the leaves.
 func (h *heapScheduler) siftDown(i int) {
 	n := len(h.heap)
 	ev := h.heap[i]
@@ -137,50 +86,7 @@ func (h *heapScheduler) siftDown(i int) {
 			break
 		}
 		h.heap[i] = h.heap[m]
-		if t := h.heap[i].ticket; t != nil {
-			t.idx = i
-		}
 		i = m
 	}
 	h.heap[i] = ev
-	if ev.ticket != nil {
-		ev.ticket.idx = i
-	}
-}
-
-// maybeCompact sweeps cancelled entries out of the heap once they outnumber
-// the live ones (and the heap is big enough for the sweep to pay off). The
-// trigger depends only on counters, so compaction — like everything else
-// here — is a deterministic function of the schedule.
-func (h *heapScheduler) maybeCompact() {
-	if len(h.heap) >= compactMinLen && h.dead > len(h.heap)/2 {
-		h.compact()
-	}
-}
-
-// compact removes every dead entry in one pass and re-establishes the heap
-// property and ticket back-pointers. Pop order is unaffected: (at, seq)
-// is a total order, so any heap over the same live set pops identically.
-func (h *heapScheduler) compact() {
-	liveEvents := h.heap[:0]
-	for i := range h.heap {
-		if !h.heap[i].dead {
-			liveEvents = append(liveEvents, h.heap[i])
-		}
-	}
-	for i := len(liveEvents); i < len(h.heap); i++ {
-		h.heap[i] = event{} // release the vacated tail
-	}
-	h.heap = liveEvents
-	h.dead = 0
-	if n := len(h.heap); n > 1 {
-		for i := (n - 2) / 4; i >= 0; i-- {
-			h.siftDown(i)
-		}
-	}
-	for i := range h.heap {
-		if t := h.heap[i].ticket; t != nil {
-			t.idx = i
-		}
-	}
 }

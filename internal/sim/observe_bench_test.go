@@ -8,8 +8,7 @@ import (
 )
 
 // The observer-overhead pair: the same self-rescheduling tick chain as
-// BenchmarkScheduleRunTicketless, run with the post-event hook detached
-// and attached. CI compares the two ns/op numbers and fails the build if
+// BenchmarkScheduleRun, run with the post-event hook detached and attached. CI compares the two ns/op numbers and fails the build if
 // the attached run costs more than a few percent — the hook is one nil
 // check per event when detached and one indirect call plus a handful of
 // counter reads when attached, so any real gap is a regression in the

@@ -24,7 +24,7 @@ func TestObserverFiresAfterEveryEvent(t *testing.T) {
 	})
 	for i := 1; i <= 3; i++ {
 		at := simtime.Time(float64(i))
-		k.At(at, func() { handlerRan = true })
+		k.AtFunc(at, func() { handlerRan = true })
 	}
 	if err := k.Run(simtime.Forever, 0); err != nil {
 		t.Fatal(err)
@@ -40,27 +40,11 @@ func TestObserverFiresAfterEveryEvent(t *testing.T) {
 	fired := 0
 	k2.SetObserver(func() { fired++ })
 	k2.SetObserver(nil)
-	k2.At(1, func() {})
+	k2.AtFunc(1, func() {})
 	if err := k2.Run(simtime.Forever, 0); err != nil {
 		t.Fatal(err)
 	}
 	if fired != 0 {
 		t.Fatalf("detached observer fired %d times", fired)
-	}
-}
-
-// TestObserverSeesCancellations: cancelled events never execute, so the
-// observer never fires for them.
-func TestObserverSeesCancellations(t *testing.T) {
-	k := New()
-	fired := 0
-	k.SetObserver(func() { fired++ })
-	ev := k.At(2, func() { t.Error("cancelled event ran") })
-	k.At(1, func() { ev.Cancel() })
-	if err := k.Run(simtime.Forever, 0); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Fatalf("observer fired %d times, want 1 (only the cancelling event ran)", fired)
 	}
 }

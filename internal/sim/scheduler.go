@@ -7,10 +7,11 @@ import (
 )
 
 // Scheduler is the pending-event set behind a Kernel: everything between
-// "schedule this closure at that instant" and "hand me the earliest live
-// event". Two implementations ship with the package — the intrusive 4-ary
-// heap (SchedulerHeap, the default) and a calendar queue (SchedulerCalendar)
-// — selectable per run via NewNamed or the runner's Env.Scheduler field.
+// "schedule this closure at that instant" and "hand me the earliest event".
+// Two implementations ship with the package — the intrusive 4-ary heap
+// (SchedulerHeap, the default) and a calendar queue (SchedulerCalendar) —
+// selectable per run via NewNamed or the runner's Env.Scheduler field.
+// Nothing is ever withdrawn: an entry leaves the set only through Pop.
 //
 // Every implementation MUST pop events in exactly (at, seq) order: at is the
 // virtual instant, seq the kernel-assigned insertion sequence, and the pair
@@ -27,27 +28,16 @@ import (
 type Scheduler interface {
 	// Name returns the registry name ("heap", "calendar").
 	Name() string
-	// Schedule inserts ev. If ev.ticket is non-nil the implementation must
-	// keep the ticket's location fields current whenever it moves the entry.
+	// Schedule inserts ev.
 	Schedule(ev event)
-	// PeekTime returns the instant of the earliest live event, or ok=false
-	// when no live events remain.
+	// PeekTime returns the instant of the earliest event, or ok=false when
+	// the set is empty.
 	PeekTime() (simtime.Time, bool)
-	// Pop removes and returns the earliest live event, or ok=false when no
-	// live events remain. Dead (cancelled) entries are skipped and reclaimed
-	// at the implementation's leisure.
+	// Pop removes and returns the earliest event, or ok=false when the set
+	// is empty.
 	Pop() (event, bool)
-	// Cancel marks the entry referenced by t dead and releases its captured
-	// state. The caller (Ticket.Cancel) guarantees t currently references a
-	// live entry owned by this scheduler.
-	Cancel(t *Ticket)
-	// Pending returns the number of live (scheduled, not cancelled) events.
+	// Pending returns the number of scheduled events in O(1).
 	Pending() int
-	// Len returns the number of storage slots in use, including dead
-	// entries not yet compacted away. Implementations must keep
-	// Len ≤ 2·Pending+compactMinLen by sweeping dead entries once they
-	// outnumber live ones — the same bound the heap has always enforced.
-	Len() int
 }
 
 // Registry names for the shipped schedulers. The empty string selects the

@@ -25,18 +25,15 @@
 // Both pop events in exactly (instant, sequence) order, so executions are
 // byte-identical across schedulers — the differential suite pins that.
 //
-// Two API tiers sit on top of the scheduler:
+// # Scheduling API
 //
-//   - AtFunc / AfterFunc / AtArg — the ticketless fast path. No per-event
-//     allocation at all; use these whenever the caller never cancels
-//     (message deliveries, self-rescheduling tick loops, fault timelines).
-//   - At / After — allocate one *Ticket so the event can be cancelled
-//     later. Cancellation marks the entry dead in place; dead entries are
-//     skipped on pop and compacted away wholesale once they outnumber the
-//     live ones, so cancel-heavy workloads (ARQ retransmit timers) cannot
-//     bloat the schedule.
-//
-// Pending() is O(1): the scheduler tracks the live-event count directly.
+// AtFunc, AfterFunc and AtArg are the whole scheduling surface; none of them
+// allocates per event. The kernel schedules, it does not cancel: every
+// scheduled event runs (unless the run ends first). A protocol that loses
+// interest in a timer bumps a generation counter it owns and has the handler
+// compare the value it captured at scheduling time, returning early on a
+// mismatch — exactly how the network layer's crash epochs retire the timers
+// of a crashed node.
 package sim
 
 import (
@@ -70,13 +67,11 @@ type ArgHandler func(arg uint32)
 // inside the scheduler's slices; they are never heap-allocated
 // individually.
 type event struct {
-	at     simtime.Time
-	seq    uint64 // tie-break: events at equal instants run in schedule order
-	fn     Handler
-	afn    ArgHandler // alternative to fn: runs as afn(arg); see AtArg
-	arg    uint32
-	ticket *Ticket // non-nil only for ticketed (cancellable) events
-	dead   bool    // cancelled; skipped on pop, removed by compaction
+	at  simtime.Time
+	seq uint64 // tie-break: events at equal instants run in schedule order
+	fn  Handler
+	afn ArgHandler // alternative to fn: runs as afn(arg); see AtArg
+	arg uint32
 }
 
 // less orders events by (at, seq). seq is unique per kernel, so the order
@@ -89,46 +84,8 @@ func less(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// doneIdx marks a ticket whose event already ran or was cancelled. It is
-// deliberately distinct from the schedulers' internal location encodings
-// (the calendar queue uses another negative sentinel for its overflow
-// area), so only -1 ever means "gone".
-const doneIdx = -1
-
-// Ticket identifies a scheduled event so it can be cancelled. The zero value
-// is not a valid ticket; tickets come from Kernel.At and Kernel.After.
-// The idx/slot pair is the scheduler-maintained location of the entry:
-// the heap uses idx alone (heap index), the calendar queue uses
-// (bucket, position-in-bucket).
-type Ticket struct {
-	k    *Kernel
-	idx  int // scheduler location; doneIdx once it ran or was cancelled
-	slot int // secondary location coordinate (calendar queue only)
-}
-
-// Cancel removes the event from the schedule if it has not run yet. Cancel
-// is idempotent and reports whether the event was actually cancelled (false
-// if it already ran or was already cancelled). The captured handler is
-// released immediately; the storage slot itself is reclaimed lazily (on pop
-// or at the next compaction).
-func (t *Ticket) Cancel() bool {
-	if t == nil || t.k == nil || t.idx == doneIdx {
-		return false
-	}
-	t.k.sched.Cancel(t)
-	t.idx = doneIdx
-	return true
-}
-
-// Pending reports whether the event is still scheduled.
-func (t *Ticket) Pending() bool { return t != nil && t.k != nil && t.idx != doneIdx }
-
-// compactMinLen is the queue length below which compaction is never
-// worthwhile: popping the few dead entries lazily is cheaper than a sweep.
-const compactMinLen = 64
-
 // Kernel is a discrete-event scheduler. The zero value is not usable; create
-// one with New, NewWith or NewNamed. Kernel is not safe for concurrent use:
+// one with New or NewNamed. Kernel is not safe for concurrent use:
 // simulations are single-threaded by design, and cross-run parallelism is
 // achieved by running independent Kernels on separate goroutines.
 type Kernel struct {
@@ -148,15 +105,6 @@ func New() *Kernel {
 	return &Kernel{sched: newHeapScheduler()}
 }
 
-// NewWith returns an empty kernel backed by the given scheduler. A nil
-// scheduler selects the default heap.
-func NewWith(s Scheduler) *Kernel {
-	if s == nil {
-		s = newHeapScheduler()
-	}
-	return &Kernel{sched: s}
-}
-
 // NewNamed returns an empty kernel backed by the named scheduler (see
 // NewScheduler). The empty name selects the default heap.
 func NewNamed(name string) (*Kernel, error) {
@@ -166,10 +114,6 @@ func NewNamed(name string) (*Kernel, error) {
 	}
 	return &Kernel{sched: s}, nil
 }
-
-// SchedulerName returns the registry name of the scheduler backing this
-// kernel.
-func (k *Kernel) SchedulerName() string { return k.sched.Name() }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() simtime.Time { return k.now }
@@ -185,20 +129,11 @@ func (k *Kernel) Executed() uint64 { return k.executed }
 // (at, seq) execution order.
 func (k *Kernel) ScheduleSeq() uint64 { return k.seq }
 
-// Pending returns the number of scheduled (not yet executed, not cancelled)
-// events in O(1). Cancelled events still occupying storage slots are not
-// counted.
+// Pending returns the number of scheduled, not yet executed events in O(1).
 func (k *Kernel) Pending() int { return k.sched.Pending() }
 
-// QueueLen returns the number of storage slots currently in use, including
-// cancelled entries that have not been compacted away yet. It exists for
-// capacity accounting and tests: QueueLen−Pending is the dead backlog,
-// and compaction (triggered when dead entries outnumber live ones) keeps
-// QueueLen at most 2·Pending+compactMinLen.
-func (k *Kernel) QueueLen() int { return k.sched.Len() }
-
 // schedule validates and enqueues one event.
-func (k *Kernel) schedule(at simtime.Time, fn Handler, afn ArgHandler, arg uint32, ticket *Ticket) {
+func (k *Kernel) schedule(at simtime.Time, fn Handler, afn ArgHandler, arg uint32) {
 	if fn == nil && afn == nil {
 		panic("sim: scheduling a nil handler")
 	}
@@ -208,50 +143,30 @@ func (k *Kernel) schedule(at simtime.Time, fn Handler, afn ArgHandler, arg uint3
 	if at.Before(k.now) {
 		panic(fmt.Sprintf("sim: scheduling into the past: now %v, requested %v", k.now, at))
 	}
-	k.sched.Schedule(event{at: at, seq: k.seq, fn: fn, afn: afn, arg: arg, ticket: ticket})
+	k.sched.Schedule(event{at: at, seq: k.seq, fn: fn, afn: afn, arg: arg})
 	k.seq++
 }
 
-// At schedules fn to run at instant at and returns a cancellation ticket.
-// Scheduling strictly in the past is a programming error and panics;
-// scheduling at the current instant is allowed and runs after all
-// previously scheduled events for that instant. Callers that never cancel
-// should prefer AtFunc, which skips the ticket allocation.
-func (k *Kernel) At(at simtime.Time, fn Handler) *Ticket {
-	t := &Ticket{k: k}
-	k.schedule(at, fn, nil, 0, t)
-	return t
-}
-
-// AtFunc schedules fn to run at instant at, with the same validation as At
-// but no cancellation handle — and therefore no per-event allocation. This
-// is the hot path for the overwhelming share of events (message
-// deliveries, tick loops, fault timelines), which are never cancelled.
+// AtFunc schedules fn to run at instant at. Scheduling strictly in the past
+// is a programming error and panics; scheduling at the current instant is
+// allowed and runs after all previously scheduled events for that instant.
+// There is no per-event allocation.
 func (k *Kernel) AtFunc(at simtime.Time, fn Handler) {
-	k.schedule(at, fn, nil, 0, nil)
+	k.schedule(at, fn, nil, 0)
 }
 
-// AtArg schedules fn(arg) to run at instant at, ticketless. Unlike AtFunc,
-// the handler is parameterised, so one long-lived func value (typically a
-// method value) serves arbitrarily many events — no closure allocation per
-// event even when each event needs distinct state. The channel layer's
-// pooled delivery path is the intended caller: arg indexes into its
-// struct-of-arrays payload pool.
+// AtArg schedules fn(arg) to run at instant at. Unlike AtFunc, the handler
+// is parameterised, so one long-lived func value (typically a method value)
+// serves arbitrarily many events — no closure allocation per event even
+// when each event needs distinct state. The channel layer's pooled delivery
+// path is the intended caller: arg indexes into its struct-of-arrays payload
+// pool.
 func (k *Kernel) AtArg(at simtime.Time, fn ArgHandler, arg uint32) {
-	k.schedule(at, nil, fn, arg, nil)
+	k.schedule(at, nil, fn, arg)
 }
 
-// After schedules fn to run d time units from now and returns a
-// cancellation ticket. It panics if d is negative or non-finite.
-func (k *Kernel) After(d simtime.Duration, fn Handler) *Ticket {
-	if !d.Valid() {
-		panic(fmt.Sprintf("sim: After called with invalid duration %v", d))
-	}
-	return k.At(k.now.Add(d), fn)
-}
-
-// AfterFunc schedules fn to run d time units from now without a ticket —
-// the allocation-free counterpart of After.
+// AfterFunc schedules fn to run d time units from now. It panics if d is
+// negative or non-finite.
 func (k *Kernel) AfterFunc(d simtime.Duration, fn Handler) {
 	if !d.Valid() {
 		panic(fmt.Sprintf("sim: AfterFunc called with invalid duration %v", d))
@@ -270,9 +185,9 @@ func (k *Kernel) Stop(cause string) {
 // SetObserver installs fn to run immediately after every executed event's
 // handler returns, with the kernel's time and counters already advanced.
 // Observers exist for measurement (time-series probes): they must only
-// read state — scheduling, cancelling, or stopping from an observer would
-// make an observed run diverge from an unobserved one, defeating the
-// byte-identity guarantee the probes depend on. A nil fn removes the hook.
+// read state — scheduling or stopping from an observer would make an
+// observed run diverge from an unobserved one, defeating the byte-identity
+// guarantee the probes depend on. A nil fn removes the hook.
 func (k *Kernel) SetObserver(fn func()) { k.observer = fn }
 
 // StopCause returns the cause passed to the most recent Stop, or "".
@@ -353,14 +268,11 @@ func (k *Kernel) StepWithin(horizon simtime.Time) bool {
 	return true
 }
 
-// execute pops the earliest live event (which must exist) and runs it.
+// execute pops the earliest event (which must exist) and runs it.
 func (k *Kernel) execute() {
 	ev, ok := k.sched.Pop()
 	if !ok {
 		panic("sim: execute with an empty schedule")
-	}
-	if ev.ticket != nil {
-		ev.ticket.idx = doneIdx
 	}
 	k.now = ev.at
 	k.executed++

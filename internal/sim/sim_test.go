@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"abenet/internal/rng"
 	"abenet/internal/simtime"
@@ -16,7 +17,7 @@ func TestRunsInTimeOrder(t *testing.T) {
 	times := []simtime.Time{5, 1, 3, 2, 4}
 	for _, at := range times {
 		at := at
-		k.At(at, func() { order = append(order, at) })
+		k.AtFunc(at, func() { order = append(order, at) })
 	}
 	if err := k.Run(simtime.Forever, 0); err != nil {
 		t.Fatal(err)
@@ -37,7 +38,7 @@ func TestTieBreakIsScheduleOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.At(1, func() { order = append(order, i) })
+		k.AtFunc(1, func() { order = append(order, i) })
 	}
 	if err := k.Run(simtime.Forever, 0); err != nil {
 		t.Fatal(err)
@@ -52,9 +53,9 @@ func TestTieBreakIsScheduleOrder(t *testing.T) {
 func TestEventsScheduledDuringRun(t *testing.T) {
 	k := New()
 	var hits []simtime.Time
-	k.At(1, func() {
+	k.AtFunc(1, func() {
 		hits = append(hits, k.Now())
-		k.After(2, func() { hits = append(hits, k.Now()) })
+		k.AfterFunc(2, func() { hits = append(hits, k.Now()) })
 	})
 	if err := k.Run(simtime.Forever, 0); err != nil {
 		t.Fatal(err)
@@ -67,11 +68,11 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 func TestSameInstantSchedulingRunsAfterCurrent(t *testing.T) {
 	k := New()
 	var order []string
-	k.At(1, func() {
+	k.AtFunc(1, func() {
 		order = append(order, "a")
-		k.After(0, func() { order = append(order, "c") })
+		k.AfterFunc(0, func() { order = append(order, "c") })
 	})
-	k.At(1, func() { order = append(order, "b") })
+	k.AtFunc(1, func() { order = append(order, "b") })
 	if err := k.Run(simtime.Forever, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestSameInstantSchedulingRunsAfterCurrent(t *testing.T) {
 func TestHorizonStopsTime(t *testing.T) {
 	k := New()
 	ran := false
-	k.At(10, func() { ran = true })
+	k.AtFunc(10, func() { ran = true })
 	if err := k.Run(5, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +112,8 @@ func TestHorizonStopsTime(t *testing.T) {
 func TestStopInsideEvent(t *testing.T) {
 	k := New()
 	ran2 := false
-	k.At(1, func() { k.Stop("test cause") })
-	k.At(2, func() { ran2 = true })
+	k.AtFunc(1, func() { k.Stop("test cause") })
+	k.AtFunc(2, func() { ran2 = true })
 	err := k.Run(simtime.Forever, 0)
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("err = %v, want ErrStopped", err)
@@ -131,8 +132,8 @@ func TestStopInsideEvent(t *testing.T) {
 func TestMaxEventsGuard(t *testing.T) {
 	k := New()
 	var tick func()
-	tick = func() { k.After(1, tick) } // immortal self-rescheduling event
-	k.At(0, tick)
+	tick = func() { k.AfterFunc(1, tick) } // immortal self-rescheduling event
+	k.AtFunc(0, tick)
 	err := k.Run(simtime.Forever, 100)
 	if err == nil || errors.Is(err, ErrStopped) {
 		t.Fatalf("err = %v, want livelock guard error", err)
@@ -142,70 +143,15 @@ func TestMaxEventsGuard(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	k := New()
-	ran := false
-	ticket := k.At(1, func() { ran = true })
-	if !ticket.Pending() {
-		t.Fatal("ticket should be pending")
-	}
-	if !ticket.Cancel() {
-		t.Fatal("first Cancel should succeed")
-	}
-	if ticket.Cancel() {
-		t.Fatal("second Cancel should be a no-op")
-	}
-	if ticket.Pending() {
-		t.Fatal("cancelled ticket still pending")
-	}
-	if err := k.Run(simtime.Forever, 0); err != nil {
-		t.Fatal(err)
-	}
-	if ran {
-		t.Fatal("cancelled event ran")
-	}
-}
-
-func TestCancelAfterRunIsNoop(t *testing.T) {
-	k := New()
-	ticket := k.At(1, func() {})
-	if err := k.Run(simtime.Forever, 0); err != nil {
-		t.Fatal(err)
-	}
-	if ticket.Cancel() {
-		t.Fatal("Cancel after execution should return false")
-	}
-}
-
-func TestNilTicketCancelSafe(t *testing.T) {
-	var ticket *Ticket
-	if ticket.Cancel() {
-		t.Fatal("nil ticket Cancel should be false")
-	}
-	if ticket.Pending() {
-		t.Fatal("nil ticket should not be pending")
-	}
-}
-
-func TestPendingCountSkipsCancelled(t *testing.T) {
-	k := New()
-	t1 := k.At(1, func() {})
-	k.At(2, func() {})
-	t1.Cancel()
-	if got := k.Pending(); got != 1 {
-		t.Fatalf("Pending = %d, want 1", got)
-	}
-}
-
 func TestPanicsOnPastScheduling(t *testing.T) {
 	k := New()
-	k.At(5, func() {
+	k.AtFunc(5, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling into the past did not panic")
 			}
 		}()
-		k.At(1, func() {})
+		k.AtFunc(1, func() {})
 	})
 	if err := k.Run(simtime.Forever, 0); err != nil {
 		t.Fatal(err)
@@ -218,23 +164,23 @@ func TestPanicsOnNilHandler(t *testing.T) {
 			t.Fatal("nil handler did not panic")
 		}
 	}()
-	New().At(1, nil)
+	New().AtFunc(1, nil)
 }
 
 func TestPanicsOnInvalidDuration(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("negative After did not panic")
+			t.Fatal("negative AfterFunc did not panic")
 		}
 	}()
-	New().After(-1, func() {})
+	New().AfterFunc(-1, func() {})
 }
 
 func TestStep(t *testing.T) {
 	k := New()
 	count := 0
-	k.At(1, func() { count++ })
-	k.At(2, func() { count++ })
+	k.AtFunc(1, func() { count++ })
+	k.AtFunc(2, func() { count++ })
 	if !k.Step() {
 		t.Fatal("Step should run the first event")
 	}
@@ -255,7 +201,7 @@ func TestStep(t *testing.T) {
 func TestReentrantRunRejected(t *testing.T) {
 	k := New()
 	var innerErr error
-	k.At(1, func() {
+	k.AtFunc(1, func() {
 		innerErr = k.Run(simtime.Forever, 0)
 	})
 	if err := k.Run(simtime.Forever, 0); err != nil {
@@ -286,12 +232,12 @@ func TestManyRandomEventsStayOrdered(t *testing.T) {
 			n := r.Intn(3)
 			for i := 0; i < n; i++ {
 				d := simtime.Duration(r.Float64() * 10)
-				k.After(d, func() { spawn(depth - 1) })
+				k.AfterFunc(d, func() { spawn(depth - 1) })
 			}
 		}
 		for i := 0; i < 10; i++ {
 			at := simtime.Time(r.Float64() * 10)
-			k.At(at, func() { spawn(3) })
+			k.AtFunc(at, func() { spawn(3) })
 		}
 		if err := k.Run(simtime.Forever, 100000); err != nil {
 			return false
@@ -314,10 +260,10 @@ func TestDeterministicReplay(t *testing.T) {
 			log = append(log, k.Now())
 			remaining--
 			if remaining > 0 {
-				k.After(simtime.Duration(r.ExpFloat64()), tick)
+				k.AfterFunc(simtime.Duration(r.ExpFloat64()), tick)
 			}
 		}
-		k.At(0, tick)
+		k.AtFunc(0, tick)
 		if err := k.Run(simtime.Forever, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -334,30 +280,11 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-func BenchmarkScheduleAndRun(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		k := New()
-		r := rng.New(uint64(i))
-		var tick func()
-		remaining := 1000
-		tick = func() {
-			remaining--
-			if remaining > 0 {
-				k.After(simtime.Duration(r.ExpFloat64()), tick)
-			}
-		}
-		k.At(0, tick)
-		if err := k.Run(simtime.Forever, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestStepRespectsStop(t *testing.T) {
 	// Regression: Step used to execute events even after Stop, unlike Run.
 	k := New()
 	ran := false
-	k.At(1, func() { ran = true })
+	k.AtFunc(1, func() { ran = true })
 	k.Stop("halt")
 	if k.Step() {
 		t.Fatal("Step made progress on a stopped kernel")
@@ -373,8 +300,8 @@ func TestStepRespectsStop(t *testing.T) {
 func TestStepWithinHorizon(t *testing.T) {
 	k := New()
 	count := 0
-	k.At(1, func() { count++ })
-	k.At(10, func() { count++ })
+	k.AtFunc(1, func() { count++ })
+	k.AtFunc(10, func() { count++ })
 	if !k.StepWithin(5) {
 		t.Fatal("StepWithin should run the event at t=1")
 	}
@@ -399,122 +326,8 @@ func TestStepWithinHorizon(t *testing.T) {
 	}
 }
 
-func TestTicketlessSchedulingRunsIdentically(t *testing.T) {
-	// AtFunc/AfterFunc must consume the same sequence numbers and produce
-	// the same execution order as their ticketed counterparts.
-	trace := func(ticketless bool) []int {
-		k := New()
-		var order []int
-		add := func(at simtime.Time, i int) {
-			if ticketless {
-				k.AtFunc(at, func() { order = append(order, i) })
-			} else {
-				k.At(at, func() { order = append(order, i) })
-			}
-		}
-		for i, at := range []simtime.Time{5, 1, 5, 3, 1} {
-			add(at, i)
-		}
-		if err := k.Run(simtime.Forever, 0); err != nil {
-			t.Fatal(err)
-		}
-		return order
-	}
-	a, b := trace(true), trace(false)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("ticketless order %v diverges from ticketed %v", a, b)
-		}
-	}
-}
-
-// TestCancelHeavyHeapStaysBounded is the regression for cancelled events
-// being invisible to capacity accounting: schedule and cancel 100k timers
-// and require (a) O(1) Pending via the live counter, and (b) a heap that
-// sheds dead entries instead of retaining all 100k until pop.
-func TestCancelHeavyHeapStaysBounded(t *testing.T) {
-	k := New()
-	const total = 100_000
-	live := 0
-	tickets := make([]*Ticket, 0, total)
-	for i := 0; i < total; i++ {
-		at := simtime.Time(1 + i%997)
-		tickets = append(tickets, k.At(at, func() {}))
-		// Cancel all but every 1000th timer, the ARQ-retransmit pattern:
-		// nearly every timer is cancelled long before it would fire.
-		if i%1000 != 0 {
-			tickets[len(tickets)-1].Cancel()
-		} else {
-			live++
-		}
-	}
-	if got := k.Pending(); got != live {
-		t.Fatalf("Pending = %d, want %d", got, live)
-	}
-	// Compaction keeps dead entries a minority: the heap may hold at most
-	// 2·live+compactMinLen slots, not the ~100k cancelled ones.
-	if max := 2*live + compactMinLen; k.QueueLen() > max {
-		t.Fatalf("heap holds %d slots for %d live events (bound %d): cancellations are not compacted", k.QueueLen(), live, max)
-	}
-	pending := 0
-	for _, tk := range tickets {
-		if tk.Pending() {
-			pending++
-		}
-	}
-	if pending != live {
-		t.Fatalf("%d tickets still pending, want %d", pending, live)
-	}
-	if err := k.Run(simtime.Forever, 0); err != nil {
-		t.Fatal(err)
-	}
-	if int(k.Executed()) != live {
-		t.Fatalf("executed %d events, want the %d live ones", k.Executed(), live)
-	}
-	if k.QueueLen() != 0 || k.Pending() != 0 {
-		t.Fatalf("queue not drained: len=%d pending=%d", k.QueueLen(), k.Pending())
-	}
-}
-
-// TestCompactionPreservesOrder cancels a pseudo-random half of a large
-// schedule (forcing compactions) and checks the survivors still run in
-// exact (time, insertion) order.
-func TestCompactionPreservesOrder(t *testing.T) {
-	k := New()
-	r := rng.New(99)
-	type key struct {
-		at  simtime.Time
-		seq int
-	}
-	var want []key
-	var got []key
-	for i := 0; i < 5000; i++ {
-		i := i
-		at := simtime.Time(r.Float64() * 100)
-		tk := k.At(at, func() { got = append(got, key{at, i}) })
-		if r.Bool(0.5) {
-			tk.Cancel()
-		} else {
-			want = append(want, key{at, i})
-		}
-	}
-	sort.SliceStable(want, func(a, b int) bool { return want[a].at < want[b].at })
-	if err := k.Run(simtime.Forever, 0); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("ran %d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order diverged at %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestSchedulingAllocations pins the allocation contract of the two API
-// tiers: the ticketless fast path allocates nothing once the heap slice is
-// warm; the ticketed path allocates exactly its one *Ticket.
+// TestSchedulingAllocations pins the allocation contract of the scheduling
+// API: nothing is allocated per event once the heap slice is warm.
 func TestSchedulingAllocations(t *testing.T) {
 	k := New()
 	fn := func() {}
@@ -542,18 +355,22 @@ func TestSchedulingAllocations(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("AfterFunc+Run allocates %g objects per event, want 0", avg)
 	}
+	afn := func(uint32) {}
 	if avg := testing.AllocsPerRun(1000, func() {
-		k.At(k.Now(), fn)
+		k.AtArg(k.Now(), afn, 7)
 		if err := k.Run(simtime.Forever, 0); err != nil {
 			t.Fatal(err)
 		}
-	}); avg != 1 {
-		t.Errorf("At+Run allocates %g objects per event, want exactly the 1 ticket", avg)
+	}); avg != 0 {
+		t.Errorf("AtArg+Run allocates %g objects per event, want 0", avg)
 	}
-	if avg := testing.AllocsPerRun(1000, func() {
-		k.At(k.Now().Add(1), fn).Cancel()
-	}); avg != 1 {
-		t.Errorf("At+Cancel allocates %g objects per event, want exactly the 1 ticket", avg)
+}
+
+// TestEventSize pins the hot struct: both schedulers copy events by value on
+// every sift and bucket shift, so a field added here is paid per move.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 40 {
+		t.Errorf("unsafe.Sizeof(event{}) = %d, want 40", got)
 	}
 }
 
@@ -561,8 +378,8 @@ func TestStepWithinPastHorizonDoesNotRewind(t *testing.T) {
 	// Regression (review finding): a horizon earlier than the current
 	// virtual time must not move the clock backwards.
 	k := New()
-	k.At(10, func() {})
-	k.At(12, func() {})
+	k.AtFunc(10, func() {})
+	k.AtFunc(12, func() {})
 	if !k.StepWithin(simtime.Forever) {
 		t.Fatal("first step should run the t=10 event")
 	}
@@ -578,37 +395,5 @@ func TestStepWithinPastHorizonDoesNotRewind(t *testing.T) {
 	}
 	if k.Now() != 10 {
 		t.Fatalf("Run rewound the clock to %v, want 10", k.Now())
-	}
-}
-
-// TestCompactionTriggersDuringRun is the regression for compaction being
-// reachable only from Cancel: cancel a dead minority (no sweep fires),
-// then execute live events until the dead entries dominate — the kernel
-// must shed them mid-run instead of carrying them to their instants.
-func TestCompactionTriggersDuringRun(t *testing.T) {
-	k := New()
-	fn := func() {}
-	tickets := make([]*Ticket, 0, 10000)
-	for i := 1; i <= 10000; i++ {
-		tickets = append(tickets, k.At(simtime.Time(i), fn))
-	}
-	for i := 5001; i <= 9000; i++ {
-		tickets[i-1].Cancel() // dead = 4000 < len/2: no sweep yet
-	}
-	if err := k.Run(5000, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := k.Pending(); got != 1000 {
-		t.Fatalf("Pending = %d, want 1000", got)
-	}
-	if max := 2*k.Pending() + compactMinLen; k.QueueLen() > max {
-		t.Fatalf("heap holds %d slots for %d live events (bound %d): execution never re-checks the compaction threshold",
-			k.QueueLen(), k.Pending(), max)
-	}
-	if err := k.Run(simtime.Forever, 0); err != nil {
-		t.Fatal(err)
-	}
-	if k.Executed() != 6000 {
-		t.Fatalf("executed %d events, want 6000", k.Executed())
 	}
 }

@@ -23,6 +23,9 @@ type ClockSyncResult struct {
 	// MaxLateness is the worst observed (receiver round − message round)
 	// among violations.
 	MaxLateness int
+	// Rounds is the number of rounds every node started (the minimum over
+	// nodes): the configured count, or fewer when the horizon cut the run.
+	Rounds int
 	// Time is the virtual completion time.
 	Time float64
 }
@@ -125,10 +128,15 @@ func RunClockSync(cfg network.Config, period float64, rounds int, horizon simtim
 	if err := net.Run(horizon, maxEvents); err != nil {
 		return ClockSyncResult{}, err
 	}
+	started := rounds
+	for i := 0; i < cfg.Graph.N(); i++ {
+		started = min(started, net.NodeAt(i).(*clockSyncNode).round)
+	}
 	return ClockSyncResult{
 		Messages:    net.Metrics().MessagesSent,
 		Violations:  violations,
 		MaxLateness: maxLateness,
+		Rounds:      started,
 		Time:        float64(net.Now()),
 	}, nil
 }

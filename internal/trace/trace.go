@@ -16,9 +16,9 @@
 // with the event the analysis walks back from, mirroring the probe
 // package's cap-exempt closing sample.
 //
-// The Recorder only appends to its own storage — it never schedules,
-// cancels, or mutates simulation state — so a traced run is byte-identical
-// to an untraced one at the same (Env, seed). The golden pins in the
+// The Recorder only appends to its own storage — it never schedules or
+// mutates simulation state — so a traced run is byte-identical to an
+// untraced one at the same (Env, seed). The golden pins in the
 // runner tests enforce that.
 package trace
 

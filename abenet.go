@@ -47,6 +47,10 @@
 // (Env.Validate rejects the ambiguous declaration), and an environment that
 // asks for an axis the protocol does not honour (faults, adversaries, the
 // broadcast medium, observation, tracing) is refused with a typed error.
+// Every protocol but ItaiRodehSync (the native round engine) and
+// LiveElection runs on the one event kernel — the synchronizer-backed ones
+// and ClockSync included — so they all fill Report.Events, Transmissions
+// and Params, and honour Env.Observe and Env.Trace.
 //
 // The package also exposes the ABE model itself as machine-checkable
 // parameters (Params), an exhaustive bounded model checker for the

@@ -1,5 +1,5 @@
 // Command abe-bench regenerates the paper's full experiment suite
-// (E1..E14, DESIGN.md §5), printing each experiment's table and writing
+// (E1..E16, DESIGN.md §5), printing each experiment's table and writing
 // CSVs for plotting. EXPERIMENTS.md records a full run's output.
 //
 // With -proto it instead sweeps any registry protocol over network sizes

@@ -1,4 +1,4 @@
-// Package experiments defines the full reproduction suite E1..E15 derived
+// Package experiments defines the full reproduction suite E1..E16 derived
 // from every quantitative claim in the paper (see DESIGN.md §5 for the
 // claim-to-experiment mapping). Each experiment returns a rendered table —
 // the "rows the paper reports" — plus headline findings used by the
@@ -37,7 +37,7 @@ type Findings map[string]float64
 
 // Result bundles one experiment's outputs.
 type Result struct {
-	// ID is the experiment identifier (E1..E15).
+	// ID is the experiment identifier (E1..E16).
 	ID string
 	// Claim is the paper statement under test.
 	Claim string

@@ -73,7 +73,8 @@ func TestCapabilityDoorsAgree(t *testing.T) {
 		}
 
 		// Synchronized has no registry row and no spec; its declaration
-		// (none of the axes) must be enforced all the same.
+		// (the one SynchronizedElection forwards) must be enforced all the
+		// same.
 		t.Run(axis.name+"/synchronized", func(t *testing.T) {
 			s := &spec.Spec{Version: spec.Version, Env: envSpec}
 			env, err := s.BuildEnv()
@@ -81,8 +82,12 @@ func TestCapabilityDoorsAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			proto := runner.Synchronized{MakeNode: func(int) syncnet.Node { return idleSyncNode{} }}
-			if _, err := runner.Run(env, proto); !errors.Is(err, axis.rejected) {
-				t.Fatalf("Run = %v, want %v", err, axis.rejected)
+			want := axis.rejected
+			if info, _ := runner.ProtocolInfo("synchronized-election"); axis.supports(info) {
+				want = nil
+			}
+			if _, err := runner.Run(env, proto); !errors.Is(err, want) {
+				t.Fatalf("Run = %v, want %v", err, want)
 			}
 		})
 	}

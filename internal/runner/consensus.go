@@ -79,7 +79,7 @@ func (p BenOr) Run(env Env) (Report, error) {
 		// Nothing the remaining traffic does can change the verdict once
 		// every honest node has decided, so the run stops there.
 		started: func(net *network.Network) { engine.OnAllDecided(net.Kernel().Stop) },
-		collect: func(rep *Report) {
+		collect: func(rep *Report) error {
 			res := engine.Result()
 			rep.Rounds = res.Rounds
 			rep.Violations = res.Violations
@@ -95,6 +95,7 @@ func (p BenOr) Run(env Env) (Report, error) {
 				CoinFlips:     res.CoinFlips,
 				Ignored:       res.Ignored,
 			}
+			return nil
 		},
 	})
 }

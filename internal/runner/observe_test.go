@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"abenet/internal/probe"
+	"abenet/internal/synchronizer"
+	"abenet/internal/topology"
 	"abenet/internal/trace"
 )
 
@@ -30,6 +32,36 @@ func TestObserveMetadataMatchesEngines(t *testing.T) {
 	}
 }
 
+// identityRow is one run of the observed-vs-plain and traced-vs-plain
+// identity tables.
+type identityRow struct {
+	name  string
+	env   Env
+	proto Protocol
+}
+
+// identityRows lists the runs both identity tables cover: every registered
+// protocol declaring the capability, with default options on the default
+// ring, plus synchronized-election under each synchronizer kind on a
+// bidirectional ring (α, β and γ reject the unidirectional default).
+func identityRows(supports func(Info) bool) []identityRow {
+	var rows []identityRow
+	for _, info := range Infos() {
+		if supports(info) {
+			p, _ := NewInstance(info.Name)
+			rows = append(rows, identityRow{info.Name, Env{N: 5, Seed: 7, Horizon: 5000}, p})
+		}
+	}
+	for _, kind := range []synchronizer.Kind{synchronizer.KindRound, synchronizer.KindAlpha, synchronizer.KindBeta, synchronizer.KindGamma} {
+		rows = append(rows, identityRow{
+			"synchronized-election/" + kind.String(),
+			Env{Graph: topology.BiRing(5), Seed: 7, Horizon: 5000},
+			SynchronizedElection{Kind: kind},
+		})
+	}
+	return rows
+}
+
 // TestObservedRunByteIdentical is the golden pin behind the probe design:
 // the collector reads off the kernel's post-event hook and never schedules,
 // so an observed run must be byte-identical to an unobserved one at the
@@ -37,18 +69,13 @@ func TestObserveMetadataMatchesEngines(t *testing.T) {
 // for every observe-capable protocol, at an aggressive cadence (a sample
 // after every single event).
 func TestObservedRunByteIdentical(t *testing.T) {
-	for _, info := range Infos() {
-		if !info.SupportsObserve {
-			continue
-		}
-		name := info.Name
+	for _, row := range identityRows(func(i Info) bool { return i.SupportsObserve }) {
+		name := row.name
 		execute := func(obs *probe.Config) (Report, []trace.Event) {
-			p, ok := NewInstance(name)
-			if !ok {
-				t.Fatalf("%s: no registry instance", name)
-			}
 			rec := trace.NewRecorder(0)
-			rep, err := Run(Env{N: 5, Seed: 7, Horizon: 5000, Tracer: rec, Observe: obs}, p)
+			env := row.env
+			env.Tracer, env.Observe = rec, obs
+			rep, err := Run(env, row.proto)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -108,13 +108,14 @@ func (p Election) Run(env Env) (Report, error) {
 			return node, nil
 		},
 		gauges: electionGauges{nodes},
-		collect: func(rep *Report) {
+		collect: func(rep *Report) error {
 			countLeaders(rep, n, func(i int) bool { return nodes[i].State() == core.Leader })
 			for _, node := range nodes {
 				fold(node)
 			}
 			rep.Violations = violations
 			rep.Extra = extra
+			return nil
 		},
 	})
 }
@@ -282,8 +283,9 @@ func runRingBaseline(env Env, links func(dist.Dist) channel.Factory, anonymous b
 			return node, nil
 		},
 		gauges: ringGauges{nodes},
-		collect: func(rep *Report) {
+		collect: func(rep *Report) error {
 			countLeaders(rep, n, func(i int) bool { return nodes[i].IsLeader() })
+			return nil
 		},
 	})
 }
@@ -394,6 +396,12 @@ type Synchronized struct {
 // Name implements Protocol.
 func (Synchronized) Name() string { return "synchronized" }
 
+// The synchronizers declare no fault axis: they assume reliable delivery,
+// and a lost envelope stalls every round after it.
+func (Synchronized) capabilities() Capabilities {
+	return Capabilities{Observe: true, Trace: true}
+}
+
 // Run implements Protocol.
 func (p Synchronized) Run(env Env) (Report, error) {
 	if p.MakeNode == nil {
@@ -407,39 +415,47 @@ func (p Synchronized) Run(env Env) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	cfg := env.networkConfig(graph, channel.RandomDelayFactory)
-	cfg.Anonymous = p.Anonymous
-	horizon, maxEvents := env.bounds()
-	nodes := make([]syncnet.Node, graph.N())
-	res, err := synchronizer.Run(cfg, synchronizer.Options{
+	sync, err := synchronizer.New(graph, synchronizer.Options{
 		Kind:          kind,
 		ClusterRadius: p.ClusterRadius,
 		MaxRounds:     env.MaxRounds,
-	}, horizon, maxEvents, func(i int) syncnet.Node {
-		nodes[i] = p.MakeNode(i)
-		return nodes[i]
 	})
 	if err != nil {
 		return Report{}, err
 	}
-	rep := Report{
-		Messages: res.Messages,
-		Rounds:   res.Rounds,
-		Time:     res.Time,
-		Extra: SyncExtra{
-			MinRounds:        res.MinRounds,
-			PayloadMessages:  res.PayloadMessages,
-			MessagesPerRound: res.MessagesPerRound,
-			Stopped:          res.Stopped,
-			StopCause:        res.StopCause,
+	nodes := make([]syncnet.Node, graph.N())
+	var net *network.Network
+	return runNetwork(env, netProtocol{
+		graph:     graph,
+		links:     channel.RandomDelayFactory,
+		anonymous: p.Anonymous,
+		makeNode: func(i, _ int) (network.Node, error) {
+			nodes[i] = p.MakeNode(i)
+			return sync.Node(i, nodes[i]), nil
 		},
-	}
-	// Count leaders when the synchronous protocol reports them.
-	countLeaders(&rep, len(nodes), func(i int) bool {
-		lr, ok := nodes[i].(interface{ IsLeader() bool })
-		return ok && lr.IsLeader()
+		gauges:  sync,
+		started: func(built *network.Network) { net = built },
+		collect: func(rep *Report) error {
+			res, err := sync.Result(net)
+			if err != nil {
+				return err
+			}
+			rep.Rounds = res.Rounds
+			rep.Extra = SyncExtra{
+				MinRounds:        res.MinRounds,
+				PayloadMessages:  res.PayloadMessages,
+				MessagesPerRound: res.MessagesPerRound,
+				Stopped:          res.Stopped,
+				StopCause:        res.StopCause,
+			}
+			// Count leaders when the synchronous protocol reports them.
+			countLeaders(rep, len(nodes), func(i int) bool {
+				lr, ok := nodes[i].(interface{ IsLeader() bool })
+				return ok && lr.IsLeader()
+			})
+			return nil
+		},
 	})
-	return rep, nil
 }
 
 // SynchronizedElection runs the synchronous Itai–Rodeh election over a
@@ -455,6 +471,8 @@ type SynchronizedElection struct {
 
 // Name implements Protocol.
 func (SynchronizedElection) Name() string { return "synchronized-election" }
+
+func (SynchronizedElection) capabilities() Capabilities { return Synchronized{}.capabilities() }
 
 // Run implements Protocol.
 func (p SynchronizedElection) Run(env Env) (Report, error) {
@@ -489,12 +507,12 @@ type ClockSync struct {
 // Name implements Protocol.
 func (ClockSync) Name() string { return "clock-sync" }
 
+func (ClockSync) capabilities() Capabilities {
+	return Capabilities{Observe: true, Trace: true}
+}
+
 // Run implements Protocol.
 func (p ClockSync) Run(env Env) (Report, error) {
-	graph, err := env.graph()
-	if err != nil {
-		return Report{}, err
-	}
 	period := p.Period
 	if period == 0 {
 		period = 2 * env.meanDelay()
@@ -506,21 +524,26 @@ func (p ClockSync) Run(env Env) (Report, error) {
 	if env.MaxRounds > 0 && rounds > env.MaxRounds {
 		rounds = env.MaxRounds
 	}
-	horizon, maxEvents := env.bounds()
-	res, err := synchronizer.RunClockSync(env.networkConfig(graph, channel.RandomDelayFactory), period, rounds, horizon, maxEvents)
+	sync, err := synchronizer.NewClockSync(period, rounds)
 	if err != nil {
 		return Report{}, err
 	}
-	return Report{
-		Messages: res.Messages,
-		Rounds:   res.Rounds,
-		Time:     res.Time,
-		Extra: ClockSyncExtra{
-			RoundViolations: res.Violations,
-			MaxLateness:     res.MaxLateness,
-			ViolationRate:   res.ViolationRate(),
+	var net *network.Network
+	return runNetwork(env, netProtocol{
+		links:    channel.RandomDelayFactory,
+		makeNode: func(int, int) (network.Node, error) { return sync.Node(), nil },
+		started:  func(built *network.Network) { net = built },
+		collect: func(rep *Report) error {
+			res := sync.Result(net)
+			rep.Rounds = res.Rounds
+			rep.Extra = ClockSyncExtra{
+				RoundViolations: res.Violations,
+				MaxLateness:     res.MaxLateness,
+				ViolationRate:   res.ViolationRate(),
+			}
+			return nil
 		},
-	}, nil
+	})
 }
 
 // LiveElection runs the paper's election on real goroutines and channels

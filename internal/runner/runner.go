@@ -78,7 +78,7 @@ type Env struct {
 	// the same (time, seq) total order, so a run is byte-identical across
 	// choices — this is a performance knob, never a semantics knob, and it
 	// is therefore excluded from spec hashes. Protocols without a kernel
-	// (the round engines and the live runtime) ignore it.
+	// (the native round engine and the live runtime) ignore it.
 	Scheduler string
 	// Horizon bounds virtual time for every kernel-backed protocol; 0
 	// means unbounded. Protocols without a kernel (the native round engine

@@ -14,9 +14,11 @@ import (
 
 // The run substrate: the one place an Env becomes a network.Config, and the
 // one routine that builds, observes, runs and harvests a kernel-backed
-// network. Adding an Env capability that reaches the network means adding
-// the Env field, one line in networkConfig, and the network.Config field it
-// feeds — no protocol changes.
+// network — every such protocol, the synchronizer-backed ones included,
+// supplies nodes to runNetwork, and CI fails on a second network.New caller.
+// Adding an Env capability that reaches the network means adding the Env
+// field, one line in networkConfig, and the network.Config field it feeds —
+// no protocol changes.
 
 // defaultMaxEvents is the livelock guard every kernel-backed protocol
 // shares when Env.MaxEvents is 0.
@@ -111,8 +113,9 @@ type netProtocol struct {
 	// started, when set, runs once the network is built and before it
 	// runs — for protocols that stop the kernel themselves.
 	started func(net *network.Network)
-	// collect fills the protocol-specific Report fields after the run.
-	collect func(rep *Report)
+	// collect fills the protocol-specific Report fields after the run; an
+	// error (a synchronizer's exhausted round budget) fails the run.
+	collect func(rep *Report) error
 }
 
 // runNetwork executes p on env: it resolves the topology, maps the
@@ -177,6 +180,8 @@ func runNetwork(env Env, p netProtocol) (Report, error) {
 		collector.Final(net.Now(), rep.Events)
 		rep.Series = collector.Series()
 	}
-	p.collect(&rep)
+	if err := p.collect(&rep); err != nil {
+		return Report{}, err
+	}
 	return rep, nil
 }

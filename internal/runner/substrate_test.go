@@ -111,15 +111,33 @@ func (floodNode) Round(ctx syncnet.NodeContext, round int, _ []syncnet.Message) 
 	}
 }
 
-// TestSynchronizedRejectsTrace is the regression test for the silent empty
-// trace: Synchronized is unregistered, so the name-keyed capability table
-// had no row for it and Run handed back err == nil with a zero-event trace
-// for a 44-message run.
-func TestSynchronizedRejectsTrace(t *testing.T) {
+// TestSynchronizedRecordsTraceAndSeries is the positive case of what was
+// TestSynchronizedRejectsTrace. Synchronized is unregistered: a name-keyed
+// capability table once had no row for it and Run handed back err == nil
+// with a zero-event trace for a 44-message run, so until the synchronizers
+// ran on the substrate the request was refused. Now the trace holds every
+// send and the series the round front after the network gauges.
+func TestSynchronizedRecordsTraceAndSeries(t *testing.T) {
 	proto := Synchronized{MakeNode: func(int) syncnet.Node { return floodNode{} }}
-	_, err := Run(Env{N: 4, Seed: 1, MaxRounds: 10, Trace: &trace.Config{}}, proto)
-	if !errors.Is(err, ErrTraceUnsupported) {
-		t.Fatalf("Run(Env{Trace}, Synchronized) = %v, want ErrTraceUnsupported", err)
+	rep, err := Run(Env{N: 4, Seed: 1, Horizon: 10, Trace: &trace.Config{}, Observe: &probe.Config{EveryEvents: 1}}, proto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sends := uint64(0)
+	for _, e := range rep.Trace.Events {
+		if trace.ParseKind(e.Kind) == trace.KindSend {
+			sends++
+		}
+	}
+	if sends == 0 || sends != rep.Messages {
+		t.Fatalf("trace holds %d sends for a %d-message run", sends, rep.Messages)
+	}
+	names, last := rep.Series.Names, rep.Series.Samples[len(rep.Series.Samples)-1].Values
+	if k := len(names) - 2; names[k] != "rounds_min" || names[k+1] != "rounds_max" {
+		t.Fatalf("series names %v do not end in the round front", names)
+	}
+	if lo, hi := int(last[len(last)-2]), int(last[len(last)-1]); lo != rep.Extra.(SyncExtra).MinRounds || hi != rep.Rounds {
+		t.Fatalf("final round front [%d, %d], report says [%d, %d]", lo, hi, rep.Extra.(SyncExtra).MinRounds, rep.Rounds)
 	}
 }
 
@@ -180,6 +198,31 @@ func TestSynchronizerProtocolsHonourEnvBounds(t *testing.T) {
 		}
 		if full.Rounds != 50 {
 			t.Errorf("un-cut clock-sync reports Rounds = %d, want 50", full.Rounds)
+		}
+	})
+
+	// The common harvest: until these protocols ran on runNetwork their
+	// reports left Events, Transmissions and Params at zero although every
+	// one of them runs on the event kernel.
+	t.Run("harvest", func(t *testing.T) {
+		for _, p := range protocols {
+			rep, err := Run(Env{N: 4, Seed: 2, Horizon: 3, Delay: dist.NewExponential(0.5)}, p) // mean 0.5
+			if err != nil {
+				t.Fatalf("%s: %v", p.Name(), err)
+			}
+			if rep.Events == 0 {
+				t.Errorf("%s reports no kernel events for a %d-message run", p.Name(), rep.Messages)
+			}
+			if rep.Params.Delta != 0.5 {
+				t.Errorf("%s reports δ = %g on exponential links of mean 0.5", p.Name(), rep.Params.Delta)
+			}
+			rep, err = Run(Env{N: 4, Seed: 2, Horizon: 3, Links: channel.ARQFactory(0.5, 0.5)}, p)
+			if err != nil {
+				t.Fatalf("%s: %v", p.Name(), err)
+			}
+			if rep.Transmissions <= rep.Messages {
+				t.Errorf("%s on ARQ(0.5) links reports %d transmissions of %d messages", p.Name(), rep.Transmissions, rep.Messages)
+			}
 		}
 	})
 

@@ -37,17 +37,12 @@ func TestTraceMetadataMatchesEngines(t *testing.T) {
 // untraced one at the same (Env, seed) — same report, same metrics — for
 // every trace-capable protocol.
 func TestTracedRunByteIdentical(t *testing.T) {
-	for _, info := range Infos() {
-		if !info.SupportsTrace {
-			continue
-		}
-		name := info.Name
+	for _, row := range identityRows(func(i Info) bool { return i.SupportsTrace }) {
+		name := row.name
 		execute := func(tc *trace.Config) Report {
-			p, ok := NewInstance(name)
-			if !ok {
-				t.Fatalf("%s: no registry instance", name)
-			}
-			rep, err := Run(Env{N: 5, Seed: 7, Horizon: 5000, Trace: tc}, p)
+			env := row.env
+			env.Trace = tc
+			rep, err := Run(env, row.proto)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"abenet/internal/network"
-	"abenet/internal/syncnet"
-	"abenet/internal/topology"
 )
 
 // alphaAck acknowledges one round-r envelope back to its sender.
@@ -30,89 +28,37 @@ type alphaSafe struct {
 // Θ(|E|) per round, the classic synchronizer trade-off the paper contrasts
 // with native ABE algorithms.
 type alphaNode struct {
-	proto syncnet.Node
-
-	round     int
-	completed int
-	inDegree  int
-	outDegree int
+	*roundCore
+	inDegree int
 
 	// reversePort[p] is the out-port that reaches the neighbour whose
 	// envelopes arrive on in-port p.
 	reversePort []int
 
-	inbox     map[int][]syncnet.Message
 	ackCount  map[int]int
 	safeCount map[int]int
 	safeSent  map[int]bool
-
-	outbox    [][]any
-	payloads  uint64
-	maxRounds int
 }
 
 var _ network.Node = (*alphaNode)(nil)
-var _ roundReporter = (*alphaNode)(nil)
-
-// newAlphaNode wraps proto for node i of the bidirectional graph g.
-func newAlphaNode(i int, proto syncnet.Node, g *topology.Graph) (network.Node, roundReporter) {
-	if proto == nil {
-		panic(fmt.Sprintf("synchronizer: nil protocol for node %d", i))
-	}
-	in := g.In(i)
-	out := g.Out(i)
-	outPortOf := make(map[int]int, len(out))
-	for port, v := range out {
-		outPortOf[v] = port
-	}
-	reverse := make([]int, len(in))
-	for p, u := range in {
-		port, ok := outPortOf[u]
-		if !ok {
-			panic(fmt.Sprintf("synchronizer: alpha graph not bidirectional at %d<-%d", i, u))
-		}
-		reverse[p] = port
-	}
-	n := &alphaNode{
-		proto:       proto,
-		inDegree:    len(in),
-		outDegree:   len(out),
-		reversePort: reverse,
-		inbox:       make(map[int][]syncnet.Message),
-		ackCount:    make(map[int]int),
-		safeCount:   make(map[int]int),
-		safeSent:    make(map[int]bool),
-		outbox:      make([][]any, len(out)),
-	}
-	return n, n
-}
-
-func (n *alphaNode) completedRounds() int { return n.completed }
-func (n *alphaNode) payloadCount() uint64 { return n.payloads }
-func (n *alphaNode) setMaxRounds(r int)   { n.maxRounds = r }
 
 // Init implements network.Node.
 func (n *alphaNode) Init(ctx *network.Context) {
-	n.executeRound(ctx)
+	n.execute(ctx, false)
 }
-
-// OnTimer implements network.Node; α is message-driven.
-func (n *alphaNode) OnTimer(*network.Context, int) {}
 
 // OnMessage implements network.Node.
 func (n *alphaNode) OnMessage(ctx *network.Context, inPort int, payload any) {
 	switch m := payload.(type) {
 	case envelope:
-		for _, p := range m.Payloads {
-			n.inbox[m.Round+1] = append(n.inbox[m.Round+1], syncnet.Message{InPort: inPort, Payload: p})
-		}
+		n.buffer(inPort, m)
 		ctx.Send(n.reversePort[inPort], alphaAck{Round: m.Round})
 	case alphaAck:
 		n.ackCount[m.Round]++
-		if n.ackCount[m.Round] == n.outDegree && !n.safeSent[m.Round] {
+		if n.ackCount[m.Round] == len(n.outbox) && !n.safeSent[m.Round] {
 			n.safeSent[m.Round] = true
 			delete(n.ackCount, m.Round)
-			for port := 0; port < n.outDegree; port++ {
+			for port := range n.outbox {
 				ctx.Send(port, alphaSafe{Round: m.Round})
 			}
 		}
@@ -121,40 +67,11 @@ func (n *alphaNode) OnMessage(ctx *network.Context, inPort int, payload any) {
 		for n.safeCount[n.round-1] == n.inDegree {
 			delete(n.safeCount, n.round-1)
 			delete(n.safeSent, n.round-1)
-			if !n.executeRound(ctx) {
+			if _, ran := n.execute(ctx, false); !ran {
 				return
 			}
 		}
 	default:
 		panic(fmt.Sprintf("synchronizer: foreign payload %T", payload))
 	}
-}
-
-// executeRound runs the protocol round and sends the round's envelopes. It
-// reports whether the round actually ran.
-func (n *alphaNode) executeRound(ctx *network.Context) bool {
-	if n.maxRounds > 0 && n.round >= n.maxRounds {
-		ctx.StopNetwork(budgetStopCause)
-		return false
-	}
-	inbox := n.inbox[n.round]
-	delete(n.inbox, n.round)
-	sortInbox(inbox)
-
-	pctx := &protoContext{net: ctx, sendFunc: func(outPort int, payload any) {
-		if outPort < 0 || outPort >= len(n.outbox) {
-			panic(fmt.Sprintf("synchronizer: send on out-port %d of %d", outPort, len(n.outbox)))
-		}
-		n.outbox[outPort] = append(n.outbox[outPort], payload)
-		n.payloads++
-	}}
-	n.proto.Round(pctx, n.round, inbox)
-
-	for port := range n.outbox {
-		ctx.Send(port, envelope{Round: n.round, Payloads: n.outbox[port]})
-		n.outbox[port] = nil
-	}
-	n.round++
-	n.completed++
-	return true
 }

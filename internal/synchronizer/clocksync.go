@@ -1,12 +1,10 @@
 package synchronizer
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"abenet/internal/network"
-	"abenet/internal/simtime"
 )
 
 // ClockSyncResult reports the outcome of a clock-synchronized execution.
@@ -38,15 +36,57 @@ func (r ClockSyncResult) ViolationRate() float64 {
 	return float64(r.Violations) / float64(r.Messages)
 }
 
+// ClockSync supplies the nodes of the clock-driven ABD synchronizer
+// (Tel–Korach–Zaks style) and reads the outcome back: every node starts
+// round r at local time r·period and sends one round-stamped message per
+// out-edge, trusting that period exceeds the worst-case message delay. On a
+// genuine ABD network (bounded delay distribution) the trust is justified
+// and the synchronizer needs no control messages at all; on an ABE network
+// no finite period is safe — Theorem 1's context — and the violation rate
+// of the result quantifies exactly how unsafe a given period is.
+type ClockSync struct {
+	period float64
+	rounds int
+
+	violations  uint64
+	maxLateness int
+}
+
+// NewClockSync prepares a clock-synchronized execution of the given number
+// of rounds, one every period local time units.
+func NewClockSync(period float64, rounds int) (*ClockSync, error) {
+	if !(period > 0) || math.IsInf(period, 0) || math.IsNaN(period) {
+		return nil, fmt.Errorf("synchronizer: period %g must be positive and finite", period)
+	}
+	if rounds < 1 {
+		return nil, fmt.Errorf("synchronizer: rounds %d must be positive", rounds)
+	}
+	return &ClockSync{period: period, rounds: rounds}, nil
+}
+
+// Node returns the network node of one participant.
+func (s *ClockSync) Node() network.Node { return &clockSyncNode{sync: s} }
+
+// Result summarises the execution net ran over this synchronizer's nodes.
+func (s *ClockSync) Result(net *network.Network) ClockSyncResult {
+	started := s.rounds
+	for i := 0; i < net.N(); i++ {
+		started = min(started, net.NodeAt(i).(*clockSyncNode).round)
+	}
+	return ClockSyncResult{
+		Messages:    net.Metrics().MessagesSent,
+		Violations:  s.violations,
+		MaxLateness: s.maxLateness,
+		Rounds:      started,
+		Time:        float64(net.Now()),
+	}
+}
+
 // clockSyncNode emits one stamped heartbeat per out-edge per round and
 // verifies the round discipline of everything it receives.
 type clockSyncNode struct {
-	period float64
-	rounds int
-	round  int
-
-	violations  *uint64
-	maxLateness *int
+	sync  *ClockSync
+	round int // rounds started
 }
 
 // heartbeat is the stamped per-round message.
@@ -58,20 +98,20 @@ var _ network.Node = (*clockSyncNode)(nil)
 
 // Init implements network.Node: schedule the first round start.
 func (n *clockSyncNode) Init(ctx *network.Context) {
-	ctx.SetLocalTimerFunc(n.period, 0)
+	ctx.SetLocalTimerFunc(n.sync.period, 0)
 }
 
 // OnTimer implements network.Node: a round boundary on the local clock.
 func (n *clockSyncNode) OnTimer(ctx *network.Context, _ int) {
-	if n.round >= n.rounds {
+	if n.round >= n.sync.rounds {
 		return // done; let in-flight traffic drain
 	}
 	for port := 0; port < ctx.OutDegree(); port++ {
 		ctx.Send(port, heartbeat{Round: n.round})
 	}
 	n.round++
-	if n.round < n.rounds {
-		ctx.SetLocalTimerFunc(n.period, 0)
+	if n.round < n.sync.rounds {
+		ctx.SetLocalTimerFunc(n.sync.period, 0)
 	}
 }
 
@@ -85,58 +125,7 @@ func (n *clockSyncNode) OnMessage(ctx *network.Context, _ int, payload any) {
 	// node starts round m.Round+1 — i.e. while n.round <= m.Round+1
 	// (n.round is the count of started rounds).
 	if lateness := n.round - (m.Round + 1); lateness > 0 {
-		*n.violations++
-		if lateness > *n.maxLateness {
-			*n.maxLateness = lateness
-		}
+		n.sync.violations++
+		n.sync.maxLateness = max(n.sync.maxLateness, lateness)
 	}
-}
-
-// RunClockSync executes the clock-driven ABD synchronizer (Tel–Korach–Zaks
-// style) on the network cfg describes, under the given kernel bounds: every
-// node starts round r at local time r·period and sends one round-stamped
-// message per out-edge, trusting that period exceeds the worst-case message
-// delay. On a genuine ABD network (bounded delay distribution) the trust is
-// justified and the synchronizer needs no control messages at all; on an
-// ABE network no finite period is safe — Theorem 1's context — and the
-// violation rate of the result quantifies exactly how unsafe a given
-// period is.
-func RunClockSync(cfg network.Config, period float64, rounds int, horizon simtime.Time, maxEvents uint64) (ClockSyncResult, error) {
-	if cfg.Graph == nil {
-		return ClockSyncResult{}, errors.New("synchronizer: config needs a graph")
-	}
-	if !(period > 0) || math.IsInf(period, 0) || math.IsNaN(period) {
-		return ClockSyncResult{}, fmt.Errorf("synchronizer: period %g must be positive and finite", period)
-	}
-	if rounds < 1 {
-		return ClockSyncResult{}, fmt.Errorf("synchronizer: rounds %d must be positive", rounds)
-	}
-
-	var violations uint64
-	var maxLateness int
-	net, err := network.New(cfg, func(int) network.Node {
-		return &clockSyncNode{
-			period:      period,
-			rounds:      rounds,
-			violations:  &violations,
-			maxLateness: &maxLateness,
-		}
-	})
-	if err != nil {
-		return ClockSyncResult{}, err
-	}
-	if err := net.Run(horizon, maxEvents); err != nil {
-		return ClockSyncResult{}, err
-	}
-	started := rounds
-	for i := 0; i < cfg.Graph.N(); i++ {
-		started = min(started, net.NodeAt(i).(*clockSyncNode).round)
-	}
-	return ClockSyncResult{
-		Messages:    net.Metrics().MessagesSent,
-		Violations:  violations,
-		MaxLateness: maxLateness,
-		Rounds:      started,
-		Time:        float64(net.Now()),
-	}, nil
 }

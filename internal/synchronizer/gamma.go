@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"abenet/internal/network"
-	"abenet/internal/syncnet"
 	"abenet/internal/topology"
 )
 
@@ -38,14 +37,30 @@ type (
 // message each way per adjacent cluster pair (plus the tree relays of
 // those announcements) — between β's 2(n−1) (one cluster) and α's 3|E|
 // (every node its own cluster), tunable by the cluster radius.
+//
+// With one cluster spanning the graph (KindBeta) this is Awerbuch's
+// β-synchronizer: safety is convergecast up a global BFS spanning tree to
+// node 0, which broadcasts the round release down the tree — one ack per
+// payload plus exactly 2(n−1) tree messages per round, cheaper than α on
+// dense graphs and still ≥ n, as Theorem 1 demands. The price is latency:
+// each round takes Ω(tree depth) time.
 type gammaNode struct {
-	proto syncnet.Node
-
-	round     int
-	completed int
-
+	*roundCore
+	clusterPorts
 	reversePort []int
 
+	sent         map[int]int
+	acked        map[int]int
+	childSafe    map[int]int
+	treeSafeSent map[int]bool
+	extSafe      map[int]int
+	pendingGo    map[int]bool
+}
+
+var _ network.Node = (*gammaNode)(nil)
+
+// clusterPorts is one node's precomputed view of the clustering.
+type clusterPorts struct {
 	// Cluster tree geometry.
 	parentPort int // -1 at the cluster root
 	childPorts []int
@@ -57,37 +72,15 @@ type gammaNode struct {
 	adjacentClusters int
 	// clusterHasPreferred reports whether any node of this cluster is an
 	// endpoint of a preferred edge; if not, the cluster-safe broadcast is
-	// pointless and skipped (making single-cluster γ cost exactly β).
+	// pointless and skipped — a single cluster is exactly the
+	// β-synchronizer.
 	clusterHasPreferred bool
-
-	inbox        map[int][]syncnet.Message
-	sent         map[int]int
-	acked        map[int]int
-	childSafe    map[int]int
-	treeSafeSent map[int]bool
-	extSafe      map[int]int
-	pendingGo    map[int]bool
-
-	outbox    [][]any
-	payloads  uint64
-	maxRounds int
 }
 
-var _ network.Node = (*gammaNode)(nil)
-var _ roundReporter = (*gammaNode)(nil)
-
-// gammaGeometry is the per-node precomputed clustering data.
-type gammaGeometry struct {
-	parentPort          []int
-	childPorts          [][]int
-	preferredPorts      [][]int
-	adjacentClusters    []int
-	clusterHasPreferred []bool
-}
-
-// buildGammaGeometry partitions g into BFS clusters of the given radius
-// and derives per-node tree and preferred-edge ports.
-func buildGammaGeometry(g *topology.Graph, radius int) gammaGeometry {
+// clusterGeometry partitions g into BFS clusters of the given radius and
+// derives every node's tree and preferred-edge ports. A radius no BFS can
+// exhaust (g.N()) yields one cluster spanning the graph: the β-synchronizer.
+func clusterGeometry(g *topology.Graph, radius int) []clusterPorts {
 	n := g.N()
 	cluster := make([]int, n)
 	parent := make([]int, n)
@@ -131,27 +124,20 @@ func buildGammaGeometry(g *topology.Graph, radius int) gammaGeometry {
 		}
 	}
 
-	geo := gammaGeometry{
-		parentPort:          make([]int, n),
-		childPorts:          make([][]int, n),
-		preferredPorts:      make([][]int, n),
-		adjacentClusters:    make([]int, n),
-		clusterHasPreferred: make([]bool, n),
-	}
+	geo := make([]clusterPorts, n)
 	for u := 0; u < n; u++ {
-		geo.parentPort[u] = -1
+		geo[u].parentPort = -1
 		if parent[u] != -1 {
 			port, ok := outPortOf[u][parent[u]]
 			if !ok {
-				panic(fmt.Sprintf("synchronizer: gamma graph not bidirectional at %d->%d", u, parent[u]))
+				panic(fmt.Sprintf("synchronizer: graph not bidirectional at %d->%d", u, parent[u]))
 			}
-			geo.parentPort[u] = port
+			geo[u].parentPort = port
 		}
 	}
 	for v := 0; v < n; v++ {
-		if parent[v] != -1 {
-			u := parent[v]
-			geo.childPorts[u] = append(geo.childPorts[u], outPortOf[u][v])
+		if u := parent[v]; u != -1 {
+			geo[u].childPorts = append(geo[u].childPorts, outPortOf[u][v])
 		}
 	}
 
@@ -188,86 +174,29 @@ func buildGammaGeometry(g *topology.Graph, radius int) gammaGeometry {
 	clusterPreferred := make([]bool, clusters)
 	for p, edge := range preferred {
 		u, v := edge[0], edge[1]
-		geo.preferredPorts[u] = append(geo.preferredPorts[u], outPortOf[u][v])
-		geo.preferredPorts[v] = append(geo.preferredPorts[v], outPortOf[v][u])
-		geo.adjacentClusters[rootOf[p.a]]++
-		geo.adjacentClusters[rootOf[p.b]]++
+		geo[u].preferredPorts = append(geo[u].preferredPorts, outPortOf[u][v])
+		geo[v].preferredPorts = append(geo[v].preferredPorts, outPortOf[v][u])
+		geo[rootOf[p.a]].adjacentClusters++
+		geo[rootOf[p.b]].adjacentClusters++
 		clusterPreferred[p.a] = true
 		clusterPreferred[p.b] = true
 	}
 	for u := 0; u < n; u++ {
-		geo.clusterHasPreferred[u] = clusterPreferred[cluster[u]]
+		geo[u].clusterHasPreferred = clusterPreferred[cluster[u]]
 	}
 	return geo
 }
 
-// makeGammaWrap precomputes the clustering and returns the per-node
-// wrapper factory.
-func makeGammaWrap(g *topology.Graph, radius int) func(i int, proto syncnet.Node, _ *topology.Graph) (network.Node, roundReporter) {
-	if radius < 1 {
-		radius = 2
-	}
-	geo := buildGammaGeometry(g, radius)
-	return func(i int, proto syncnet.Node, _ *topology.Graph) (network.Node, roundReporter) {
-		if proto == nil {
-			panic(fmt.Sprintf("synchronizer: nil protocol for node %d", i))
-		}
-		out := g.Out(i)
-		outPortOf := make(map[int]int, len(out))
-		for port, v := range out {
-			outPortOf[v] = port
-		}
-		in := g.In(i)
-		reverse := make([]int, len(in))
-		for p, u := range in {
-			port, ok := outPortOf[u]
-			if !ok {
-				panic(fmt.Sprintf("synchronizer: gamma graph not bidirectional at %d<-%d", i, u))
-			}
-			reverse[p] = port
-		}
-		n := &gammaNode{
-			proto:               proto,
-			reversePort:         reverse,
-			parentPort:          geo.parentPort[i],
-			childPorts:          geo.childPorts[i],
-			preferredPorts:      geo.preferredPorts[i],
-			adjacentClusters:    geo.adjacentClusters[i],
-			clusterHasPreferred: geo.clusterHasPreferred[i],
-			inbox:               make(map[int][]syncnet.Message),
-			sent:                make(map[int]int),
-			acked:               make(map[int]int),
-			childSafe:           make(map[int]int),
-			treeSafeSent:        make(map[int]bool),
-			extSafe:             make(map[int]int),
-			pendingGo:           make(map[int]bool),
-			outbox:              make([][]any, len(out)),
-		}
-		return n, n
-	}
-}
-
-func (n *gammaNode) completedRounds() int { return n.completed }
-func (n *gammaNode) payloadCount() uint64 { return n.payloads }
-func (n *gammaNode) setMaxRounds(r int)   { n.maxRounds = r }
-
 // Init implements network.Node.
 func (n *gammaNode) Init(ctx *network.Context) {
-	if n.executeRound(ctx) {
-		n.tryTreeSafe(ctx, 0)
-	}
+	n.advance(ctx)
 }
-
-// OnTimer implements network.Node; γ is message-driven.
-func (n *gammaNode) OnTimer(*network.Context, int) {}
 
 // OnMessage implements network.Node.
 func (n *gammaNode) OnMessage(ctx *network.Context, inPort int, payload any) {
 	switch m := payload.(type) {
 	case envelope:
-		for _, p := range m.Payloads {
-			n.inbox[m.Round+1] = append(n.inbox[m.Round+1], syncnet.Message{InPort: inPort, Payload: p})
-		}
+		n.buffer(inPort, m)
 		ctx.Send(n.reversePort[inPort], alphaAck{Round: m.Round})
 	case alphaAck:
 		n.acked[m.Round]++
@@ -278,21 +207,13 @@ func (n *gammaNode) OnMessage(ctx *network.Context, inPort int, payload any) {
 	case gammaClusterDown:
 		n.onClusterSafe(ctx, m.Round)
 	case gammaNeighborSafe:
-		// A neighbouring cluster is safe; deliver the fact to our root.
-		if n.parentPort < 0 {
-			n.extSafe[m.Round]++
-			n.tryGo(ctx, m.Round)
-		} else {
-			ctx.Send(n.parentPort, gammaExtSafe{Round: m.Round})
-		}
+		n.onNeighborSafe(ctx, m.Round)
 	case gammaExtSafe:
-		if n.parentPort < 0 {
-			n.extSafe[m.Round]++
-			n.tryGo(ctx, m.Round)
-		} else {
-			ctx.Send(n.parentPort, gammaExtSafe{Round: m.Round})
-		}
+		n.onNeighborSafe(ctx, m.Round)
 	case gammaGo:
+		// Everyone that matters is safe for m.Round: release the next
+		// round. Non-FIFO links can deliver go(r) before go(r-1), so
+		// buffer and drain in order.
 		n.pendingGo[m.Round] = true
 		for n.pendingGo[n.round-1] {
 			r := n.round - 1
@@ -300,21 +221,35 @@ func (n *gammaNode) OnMessage(ctx *network.Context, inPort int, payload any) {
 			for _, port := range n.childPorts {
 				ctx.Send(port, gammaGo{Round: r})
 			}
-			if !n.executeRound(ctx) {
+			if !n.advance(ctx) {
 				return
 			}
-			n.tryTreeSafe(ctx, n.round-1)
 		}
 	default:
 		panic(fmt.Sprintf("synchronizer: foreign payload %T", payload))
 	}
 }
 
+// advance runs the next round, sending only the envelopes that carry
+// payloads (acks make empty ones unnecessary), and checks whether the node
+// is already safe for it. It reports whether the round ran.
+func (n *gammaNode) advance(ctx *network.Context) bool {
+	sent, ran := n.execute(ctx, true)
+	if !ran {
+		return false
+	}
+	n.sent[n.round-1] = sent
+	n.tryTreeSafe(ctx, n.round-1)
+	return true
+}
+
 // tryTreeSafe reports subtree safety up the cluster tree once complete;
-// at the root it marks the whole cluster safe.
+// at the root it marks the whole cluster safe. Safety requires: the node
+// has executed round r, all its round-r envelopes are acked, and every
+// child subtree reported safe.
 func (n *gammaNode) tryTreeSafe(ctx *network.Context, r int) {
 	if n.treeSafeSent[r] || r != n.round-1 {
-		return
+		return // not yet executed, or already reported
 	}
 	if n.acked[r] != n.sent[r] || n.childSafe[r] != len(n.childPorts) {
 		return
@@ -334,8 +269,8 @@ func (n *gammaNode) tryTreeSafe(ctx *network.Context, r int) {
 
 // onClusterSafe propagates cluster safety down the tree and announces it
 // over this node's preferred edges. Clusters without preferred edges
-// (single-cluster partitions) skip the broadcast entirely — γ then costs
-// exactly β.
+// (single-cluster partitions) skip the broadcast entirely: that is β, at
+// one ack per payload plus 2(n−1) tree messages per round.
 func (n *gammaNode) onClusterSafe(ctx *network.Context, r int) {
 	if !n.clusterHasPreferred {
 		return
@@ -346,6 +281,17 @@ func (n *gammaNode) onClusterSafe(ctx *network.Context, r int) {
 	for _, port := range n.preferredPorts {
 		ctx.Send(port, gammaNeighborSafe{Round: r})
 	}
+}
+
+// onNeighborSafe delivers the fact that a neighbouring cluster is safe for
+// round r to the cluster root.
+func (n *gammaNode) onNeighborSafe(ctx *network.Context, r int) {
+	if n.parentPort >= 0 {
+		ctx.Send(n.parentPort, gammaExtSafe{Round: r})
+		return
+	}
+	n.extSafe[r]++
+	n.tryGo(ctx, r)
 }
 
 // tryGo releases round r+1 cluster-wide once the cluster and all adjacent
@@ -362,42 +308,5 @@ func (n *gammaNode) tryGo(ctx *network.Context, r int) {
 	for _, port := range n.childPorts {
 		ctx.Send(port, gammaGo{Round: r})
 	}
-	if n.executeRound(ctx) {
-		n.tryTreeSafe(ctx, n.round-1)
-	}
-}
-
-// executeRound runs the protocol round; like β, only envelopes that carry
-// payloads are sent.
-func (n *gammaNode) executeRound(ctx *network.Context) bool {
-	if n.maxRounds > 0 && n.round >= n.maxRounds {
-		ctx.StopNetwork(budgetStopCause)
-		return false
-	}
-	inbox := n.inbox[n.round]
-	delete(n.inbox, n.round)
-	sortInbox(inbox)
-
-	pctx := &protoContext{net: ctx, sendFunc: func(outPort int, payload any) {
-		if outPort < 0 || outPort >= len(n.outbox) {
-			panic(fmt.Sprintf("synchronizer: send on out-port %d of %d", outPort, len(n.outbox)))
-		}
-		n.outbox[outPort] = append(n.outbox[outPort], payload)
-		n.payloads++
-	}}
-	n.proto.Round(pctx, n.round, inbox)
-
-	count := 0
-	for port := range n.outbox {
-		if len(n.outbox[port]) == 0 {
-			continue
-		}
-		ctx.Send(port, envelope{Round: n.round, Payloads: n.outbox[port]})
-		n.outbox[port] = nil
-		count++
-	}
-	n.sent[n.round] = count
-	n.round++
-	n.completed++
-	return true
+	n.advance(ctx)
 }

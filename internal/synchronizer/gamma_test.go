@@ -1,6 +1,7 @@
 package synchronizer
 
 import (
+	"strings"
 	"testing"
 
 	"abenet/internal/rng"
@@ -124,6 +125,10 @@ func TestGammaRejectsUnidirectionalGraphs(t *testing.T) {
 		func(int) syncnet.Node { return &counterProto{limit: 2} })
 	if err == nil {
 		t.Fatal("gamma on a unidirectional ring accepted")
+	}
+	// The rejection names the kind that was asked for, not α.
+	if !strings.Contains(err.Error(), "gamma needs a bidirectional graph") {
+		t.Fatalf("rejection %q does not name gamma", err)
 	}
 }
 

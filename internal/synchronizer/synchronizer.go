@@ -16,10 +16,21 @@
 //   - Alpha: Awerbuch's α-synchronizer (payload + ack + safe per edge per
 //     round) for bidirectional graphs — 3|E| messages per round, the
 //     classic general-purpose synchronizer.
+//   - Gamma (gamma.go): Awerbuch's γ-synchronizer — β-style tree
+//     convergecast inside BFS clusters of bounded radius, α-style safety
+//     exchange between adjacent clusters — interpolating between the two.
+//   - Beta: Awerbuch's β-synchronizer (payload acks + 2(n−1) messages on
+//     one global spanning tree per round). It is γ with a single cluster,
+//     and is run as exactly that: Gamma at a radius no BFS can exhaust.
 //   - Clock (clocksync.go): the Tel–Korach–Zaks style ABD synchronizer
 //     that uses *zero* extra messages by trusting a hard delay bound —
 //     and therefore cannot be correct on ABE networks, where no hard
 //     bound exists (experiment E9 measures its round violations).
+//
+// The package supplies nodes; it builds no network and runs nothing. New
+// (or NewClockSync) validates and precomputes, Node wraps a protocol
+// instance into a network.Node, and Result reads the outcome back from the
+// network the run substrate (internal/runner) built and ran.
 package synchronizer
 
 import (
@@ -27,8 +38,7 @@ import (
 	"fmt"
 
 	"abenet/internal/network"
-	"abenet/internal/rng"
-	"abenet/internal/simtime"
+	"abenet/internal/probe"
 	"abenet/internal/syncnet"
 	"abenet/internal/topology"
 )
@@ -71,11 +81,10 @@ func (k Kind) String() string {
 	}
 }
 
-// Options selects the synchronizer construction and its round budget. The
-// network the protocol is synchronised over — topology, links, clocks,
-// seed, scheduler, anonymity — is not restated here: Run takes the
-// network.Config the run substrate (internal/runner) built from the
-// environment.
+// Options selects the synchronizer construction and its round budget. Of
+// the network the protocol is synchronised over, New takes only the graph:
+// links, clocks, seed, scheduler and anonymity belong to the run substrate
+// (internal/runner), which builds the network around the nodes.
 type Options struct {
 	// Kind selects the synchronizer; required.
 	Kind Kind
@@ -113,125 +122,137 @@ type Result struct {
 	StopCause string
 }
 
-// Run executes makeNode-constructed synchronous protocol instances over the
-// asynchronous network cfg describes, under the given kernel bounds (see
-// network.Network.Run). Alpha, Beta and Gamma require a bidirectional
-// cfg.Graph.
-func Run(cfg network.Config, opts Options, horizon simtime.Time, maxEvents uint64, makeNode func(i int) syncnet.Node) (Result, error) {
-	if cfg.Graph == nil {
-		return Result{}, errors.New("synchronizer: config needs a graph")
-	}
-	if makeNode == nil {
-		return Result{}, errors.New("synchronizer: nil node constructor")
-	}
-	if !cfg.Graph.IsStronglyConnected() {
-		return Result{}, errors.New("synchronizer: graph must be strongly connected")
-	}
-	maxRounds := opts.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 10000
-	}
+// Synchronizer supplies the nodes of one synchronized execution and reads
+// its outcome back: New validates the topology and precomputes the
+// geometry, Node wraps each synchronous protocol instance for the
+// asynchronous network, and Result harvests the finished run.
+type Synchronizer struct {
+	graph     *topology.Graph
+	kind      Kind
+	maxRounds int
+	// clusters is the per-node cluster geometry of β and γ.
+	clusters []clusterPorts
+	// cores are the round cores of the nodes supplied so far, by index.
+	cores []*roundCore
+}
 
-	var wrap func(i int, proto syncnet.Node, g *topology.Graph) (network.Node, roundReporter)
+var _ probe.Observable = (*Synchronizer)(nil)
+
+// New prepares a synchronizer of the given kind over g, which must be
+// strongly connected and — for every kind but Round — bidirectional.
+func New(g *topology.Graph, opts Options) (*Synchronizer, error) {
+	if g == nil {
+		return nil, errors.New("synchronizer: needs a graph")
+	}
+	if !g.IsStronglyConnected() {
+		return nil, errors.New("synchronizer: graph must be strongly connected")
+	}
+	s := &Synchronizer{graph: g, kind: opts.Kind, maxRounds: opts.MaxRounds, cores: make([]*roundCore, g.N())}
+	if s.maxRounds == 0 {
+		s.maxRounds = 10000
+	}
+	radius := 0 // of the BFS clusters; 0 for the kinds without any
 	switch opts.Kind {
 	case KindRound:
-		wrap = newRoundNode
+		return s, nil
 	case KindAlpha:
-		if err := requireBidirectional(cfg.Graph); err != nil {
-			return Result{}, err
-		}
-		wrap = newAlphaNode
 	case KindBeta:
-		if err := requireBidirectional(cfg.Graph); err != nil {
-			return Result{}, err
-		}
-		wrap = makeBetaWrap(cfg.Graph)
+		// β is γ with a single cluster: a radius no BFS can exhaust.
+		radius = g.N()
 	case KindGamma:
-		if err := requireBidirectional(cfg.Graph); err != nil {
-			return Result{}, err
+		if radius = opts.ClusterRadius; radius < 1 {
+			radius = 2
 		}
-		wrap = makeGammaWrap(cfg.Graph, opts.ClusterRadius)
 	default:
-		return Result{}, fmt.Errorf("synchronizer: unknown kind %v", opts.Kind)
+		return nil, fmt.Errorf("synchronizer: unknown kind %v", opts.Kind)
 	}
-
-	reporters := make([]roundReporter, cfg.Graph.N())
-	net, err := network.New(cfg, func(i int) network.Node {
-		node, reporter := wrap(i, makeNode(i), cfg.Graph)
-		reporters[i] = reporter
-		return node
-	})
-	if err != nil {
-		return Result{}, err
+	for _, e := range g.Edges() {
+		if !g.HasEdge(e.To, e.From) {
+			return nil, fmt.Errorf("synchronizer: %v needs a bidirectional graph, missing %d->%d", opts.Kind, e.To, e.From)
+		}
 	}
-
-	// Install the round budget: a watchdog node cannot exist, so each
-	// wrapped node checks the budget as it advances.
-	for _, r := range reporters {
-		r.setMaxRounds(maxRounds)
+	if radius > 0 {
+		s.clusters = clusterGeometry(g, radius)
 	}
+	return s, nil
+}
 
-	if err := net.Run(horizon, maxEvents); err != nil {
-		return Result{}, err
+// Node wraps proto, node i's synchronous protocol instance, into the
+// network node that runs it under the synchronizer.
+func (s *Synchronizer) Node(i int, proto syncnet.Node) network.Node {
+	if proto == nil {
+		panic(fmt.Sprintf("synchronizer: nil protocol for node %d", i))
 	}
+	core := newRoundCore(proto, s.graph.OutDegree(i), s.maxRounds)
+	s.cores[i] = core
+	inDegree := len(s.graph.In(i))
+	switch s.kind {
+	case KindRound:
+		return &roundNode{roundCore: core, inDegree: inDegree, received: make(map[int]int)}
+	case KindAlpha:
+		return &alphaNode{
+			roundCore:   core,
+			inDegree:    inDegree,
+			reversePort: reversePorts(s.graph, i),
+			ackCount:    make(map[int]int),
+			safeCount:   make(map[int]int),
+			safeSent:    make(map[int]bool),
+		}
+	default:
+		return &gammaNode{
+			roundCore:    core,
+			clusterPorts: s.clusters[i],
+			reversePort:  reversePorts(s.graph, i),
+			sent:         make(map[int]int),
+			acked:        make(map[int]int),
+			childSafe:    make(map[int]int),
+			treeSafeSent: make(map[int]bool),
+			extSafe:      make(map[int]int),
+			pendingGo:    make(map[int]bool),
+		}
+	}
+}
 
+// rounds returns the fewest and the most rounds any node has executed.
+func (s *Synchronizer) rounds() (lo, hi int) {
+	for i, c := range s.cores {
+		if i == 0 || c.round < lo {
+			lo = c.round
+		}
+		hi = max(hi, c.round)
+	}
+	return lo, hi
+}
+
+// ProbeGauges implements probe.Observable: the round front of the
+// synchronized execution.
+func (s *Synchronizer) ProbeGauges() []probe.Gauge {
+	return []probe.Gauge{
+		{Name: "rounds_min", Read: func() float64 { lo, _ := s.rounds(); return float64(lo) }},
+		{Name: "rounds_max", Read: func() float64 { _, hi := s.rounds(); return float64(hi) }},
+	}
+}
+
+// Result summarises the execution net ran over this synchronizer's nodes.
+// A protocol that had not stopped when the round budget ran out is an
+// error.
+func (s *Synchronizer) Result(net *network.Network) (Result, error) {
+	cause := net.StopCause()
 	res := Result{
+		Messages:  net.Metrics().MessagesSent,
 		Time:      float64(net.Now()),
-		StopCause: net.StopCause(),
-		Stopped:   net.StopCause() != "" && net.StopCause() != budgetStopCause,
+		Stopped:   cause != "" && cause != budgetStopCause,
+		StopCause: cause,
 	}
-	for i, r := range reporters {
-		c := r.completedRounds()
-		if c > res.Rounds {
-			res.Rounds = c
-		}
-		if i == 0 || c < res.MinRounds {
-			res.MinRounds = c
-		}
-		res.PayloadMessages += r.payloadCount()
+	res.MinRounds, res.Rounds = s.rounds()
+	for _, c := range s.cores {
+		res.PayloadMessages += c.payloads
 	}
-	res.Messages = net.Metrics().MessagesSent
 	if res.MinRounds > 0 {
 		res.MessagesPerRound = float64(res.Messages) / float64(res.MinRounds)
 	}
-	if !res.Stopped && res.Rounds >= maxRounds {
-		return res, fmt.Errorf("synchronizer: protocol did not stop within %d rounds", maxRounds)
+	if !res.Stopped && res.Rounds >= s.maxRounds {
+		return res, fmt.Errorf("synchronizer: protocol did not stop within %d rounds", s.maxRounds)
 	}
 	return res, nil
 }
-
-// budgetStopCause marks a round-budget abort rather than a protocol stop.
-const budgetStopCause = "synchronizer: round budget exhausted"
-
-// roundReporter lets Run read progress out of wrapped nodes.
-type roundReporter interface {
-	completedRounds() int
-	payloadCount() uint64
-	setMaxRounds(r int)
-}
-
-func requireBidirectional(g *topology.Graph) error {
-	for _, e := range g.Edges() {
-		if !g.HasEdge(e.To, e.From) {
-			return fmt.Errorf("synchronizer: alpha needs a bidirectional graph, missing %d->%d", e.To, e.From)
-		}
-	}
-	return nil
-}
-
-// protoContext adapts the asynchronous network context plus synchronizer
-// state into the syncnet.NodeContext the protocol sees.
-type protoContext struct {
-	net      *network.Context
-	sendFunc func(outPort int, payload any)
-}
-
-var _ syncnet.NodeContext = (*protoContext)(nil)
-
-func (c *protoContext) N() int                   { return c.net.N() }
-func (c *protoContext) ID() int                  { return c.net.ID() }
-func (c *protoContext) OutDegree() int           { return c.net.OutDegree() }
-func (c *protoContext) Rand() *rng.Source        { return c.net.Rand() }
-func (c *protoContext) StopNetwork(cause string) { c.net.StopNetwork(cause) }
-
-func (c *protoContext) Send(outPort int, payload any) { c.sendFunc(outPort, payload) }

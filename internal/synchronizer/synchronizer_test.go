@@ -45,6 +45,42 @@ func onLinks(g *topology.Graph, seed uint64, delay dist.Dist) network.Config {
 	return network.Config{Graph: g, Links: channel.RandomDelayFactory(delay), Seed: seed}
 }
 
+// drive builds the network over the given nodes and runs it to the bounds,
+// as the run substrate does.
+func drive(cfg network.Config, horizon simtime.Time, maxEvents uint64, node func(i int) network.Node) (*network.Network, error) {
+	net, err := network.New(cfg, node)
+	if err != nil {
+		return nil, err
+	}
+	return net, net.Run(horizon, maxEvents)
+}
+
+// Run is New → drive → Result, for the tests of this package.
+func Run(cfg network.Config, opts Options, horizon simtime.Time, maxEvents uint64, makeNode func(i int) syncnet.Node) (Result, error) {
+	s, err := New(cfg.Graph, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	net, err := drive(cfg, horizon, maxEvents, func(i int) network.Node { return s.Node(i, makeNode(i)) })
+	if err != nil {
+		return Result{}, err
+	}
+	return s.Result(net)
+}
+
+// RunClockSync is Run for the clock-driven synchronizer.
+func RunClockSync(cfg network.Config, period float64, rounds int, horizon simtime.Time, maxEvents uint64) (ClockSyncResult, error) {
+	s, err := NewClockSync(period, rounds)
+	if err != nil {
+		return ClockSyncResult{}, err
+	}
+	net, err := drive(cfg, horizon, maxEvents, func(int) network.Node { return s.Node() })
+	if err != nil {
+		return ClockSyncResult{}, err
+	}
+	return s.Result(net), nil
+}
+
 func runCounter(t *testing.T, kind Kind, g *topology.Graph, limit int, seed uint64) (Result, []*counterProto) {
 	t.Helper()
 	protos := make([]*counterProto, g.N())
@@ -207,9 +243,18 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(network.Config{}, Options{Kind: KindRound}, simtime.Forever, 0, mk); err == nil {
 		t.Fatal("missing graph accepted")
 	}
-	if _, err := Run(onNetwork(topology.Ring(3), 0), Options{Kind: KindRound}, simtime.Forever, 0, nil); err == nil {
-		t.Fatal("nil constructor accepted")
-	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("nil protocol accepted")
+			}
+		}()
+		s, err := New(topology.Ring(3), Options{Kind: KindRound})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Node(0, nil)
+	}()
 	if _, err := Run(onNetwork(topology.Ring(3), 0), Options{Kind: 99}, simtime.Forever, 0, mk); err == nil {
 		t.Fatal("unknown kind accepted")
 	}

@@ -334,7 +334,10 @@ func WanderingClocks(low, high, segmentMean float64) ClockModel {
 
 // ---- Link factories ----
 
-// LinkFactory builds one link per directed edge.
+// LinkFactory builds the link of one directed edge on the network's shared
+// in-flight store, given the edge's index and random stream. A factory value
+// holds no per-run state, so one Env can be run repeatedly and from
+// concurrent sweep workers.
 type LinkFactory = channel.Factory
 
 // RandomDelayLinks returns non-FIFO links with independent per-message

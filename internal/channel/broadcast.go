@@ -20,25 +20,33 @@ import (
 // time, so Stats can account per-receiver receptions while Transmissions
 // counts radio slots.
 type LocalBroadcast struct {
-	kernel  *sim.Kernel
-	delay   dist.Dist
-	r       *rng.Source
-	deliver DeliverFunc // the network's fan-out: one call per transmission
-	fanout  int
-	stats   Stats
+	kernel *sim.Kernel
+	delay  dist.Dist
+	r      *rng.Source
+	sink   Sink // the network's fan-out: one Deliver(sender, ·) per transmission
+	sender int
+	fanout int
+	stats  Stats
 }
 
 var _ Link = (*LocalBroadcast)(nil)
 
-// NewLocalBroadcast returns a radio link for one sender with the given
-// number of in-range receivers. All arguments must be non-nil and fanout
-// non-negative.
-func NewLocalBroadcast(k *sim.Kernel, delay dist.Dist, r *rng.Source, deliver DeliverFunc, fanout int) *LocalBroadcast {
-	mustLinkArgs(k, delay, r, deliver)
+// NewLocalBroadcast returns the radio link of node sender, with the given
+// number of in-range receivers. Each transmission reaches sink once, as
+// Deliver(sender, payload); the sink fans it out. All arguments must be
+// non-nil and fanout non-negative.
+func NewLocalBroadcast(k *sim.Kernel, delay dist.Dist, r *rng.Source, sink Sink, sender, fanout int) *LocalBroadcast {
+	if k == nil {
+		panic("channel: nil kernel")
+	}
+	mustLinkArgs(delay, r)
+	if sink == nil {
+		panic("channel: nil delivery sink")
+	}
 	if fanout < 0 {
 		panic("channel: negative broadcast fanout")
 	}
-	return &LocalBroadcast{kernel: k, delay: delay, r: r, deliver: deliver, fanout: fanout}
+	return &LocalBroadcast{kernel: k, delay: delay, r: r, sink: sink, sender: sender, fanout: fanout}
 }
 
 // Send implements Link: one transmission, one delay sample, one atomic
@@ -51,7 +59,7 @@ func (l *LocalBroadcast) Send(payload any) simtime.Duration {
 		// Per-receiver accounting: fanout receptions, each after delay d.
 		l.stats.Delivered += uint64(l.fanout)
 		l.stats.TotalDelay += d.Seconds() * float64(l.fanout)
-		l.deliver(payload)
+		l.sink.Deliver(l.sender, payload)
 	})
 	return d
 }

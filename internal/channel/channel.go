@@ -19,6 +19,13 @@
 //     lossy physical channel with per-transmission success probability p
 //     and stop-and-wait retransmission. The delay is (number of attempts) ×
 //     slot time: unbounded support, expectation slot/p.
+//
+// A link owns its delay model, its random stream and its counters, and
+// nothing else. The messages in flight on all links of a network live in one
+// Store (pool.go), and a delivery reaches the network through the store's
+// Sink as Deliver(edge, payload) — the link was told its edge index by the
+// Factory call that built it. A link built on its own (NewRandomDelay,
+// NewFIFO, NewARQ) gets a private store around a DeliverFunc.
 package channel
 
 import (
@@ -27,9 +34,6 @@ import (
 	"abenet/internal/sim"
 	"abenet/internal/simtime"
 )
-
-// DeliverFunc receives a payload at its delivery instant.
-type DeliverFunc func(payload any)
 
 // Stats aggregates what happened on one link.
 type Stats struct {
@@ -63,23 +67,22 @@ type Link interface {
 // a delay distribution. Because samples are independent, messages can
 // overtake: the link is not FIFO.
 type RandomDelay struct {
-	kernel  *sim.Kernel
-	delay   dist.Dist
-	r       *rng.Source
-	deliver DeliverFunc
-	stats   Stats
-	pool    deliveryPool
+	delay dist.Dist
+	r     *rng.Source
+	port
 }
 
 var _ Link = (*RandomDelay)(nil)
 
-// NewRandomDelay returns a non-FIFO random-delay link. All arguments must
-// be non-nil.
+// NewRandomDelay returns a non-FIFO random-delay link on a store of its
+// own, delivering into deliver. All arguments must be non-nil.
 func NewRandomDelay(k *sim.Kernel, delay dist.Dist, r *rng.Source, deliver DeliverFunc) *RandomDelay {
-	mustLinkArgs(k, delay, r, deliver)
-	l := &RandomDelay{kernel: k, delay: delay, r: r, deliver: deliver}
-	l.pool.init(k, l.deliverOne)
-	return l
+	return newRandomDelay(newLoneStore(k, deliver), 0, delay, r)
+}
+
+func newRandomDelay(s *Store, edge int, delay dist.Dist, r *rng.Source) *RandomDelay {
+	mustLinkArgs(delay, r)
+	return &RandomDelay{delay: delay, r: r, port: newPort(s, edge)}
 }
 
 // Send implements Link.
@@ -87,18 +90,9 @@ func (l *RandomDelay) Send(payload any) simtime.Duration {
 	d := simtime.Duration(l.delay.Sample(l.r))
 	l.stats.Sent++
 	l.stats.Transmissions++
-	l.pool.send(l.kernel.Now().Add(d), payload, d)
+	l.send(l.store.kernel.Now().Add(d), payload, d)
 	return d
 }
-
-func (l *RandomDelay) deliverOne(payload any, d simtime.Duration) {
-	l.stats.Delivered++
-	l.stats.TotalDelay += d.Seconds()
-	l.deliver(payload)
-}
-
-// Stats implements Link.
-func (l *RandomDelay) Stats() Stats { return l.stats }
 
 // MeanDelay implements Link.
 func (l *RandomDelay) MeanDelay() float64 { return l.delay.Mean() }
@@ -107,28 +101,28 @@ func (l *RandomDelay) MeanDelay() float64 { return l.delay.Mean() }
 // nevertheless forced into send order: a message's delivery time is the
 // maximum of its own sampled arrival and the previous delivery time.
 type FIFO struct {
-	kernel       *sim.Kernel
 	delay        dist.Dist
 	r            *rng.Source
-	deliver      DeliverFunc
-	stats        Stats
 	lastDelivery simtime.Time
-	pool         deliveryPool
+	port
 }
 
 var _ Link = (*FIFO)(nil)
 
-// NewFIFO returns an order-preserving random-delay link.
+// NewFIFO returns an order-preserving random-delay link on a store of its
+// own, delivering into deliver.
 func NewFIFO(k *sim.Kernel, delay dist.Dist, r *rng.Source, deliver DeliverFunc) *FIFO {
-	mustLinkArgs(k, delay, r, deliver)
-	l := &FIFO{kernel: k, delay: delay, r: r, deliver: deliver}
-	l.pool.init(k, l.deliverOne)
-	return l
+	return newFIFO(newLoneStore(k, deliver), 0, delay, r)
+}
+
+func newFIFO(s *Store, edge int, delay dist.Dist, r *rng.Source) *FIFO {
+	mustLinkArgs(delay, r)
+	return &FIFO{delay: delay, r: r, port: newPort(s, edge)}
 }
 
 // Send implements Link.
 func (l *FIFO) Send(payload any) simtime.Duration {
-	sent := l.kernel.Now()
+	sent := l.store.kernel.Now()
 	arrival := sent.Add(simtime.Duration(l.delay.Sample(l.r)))
 	if arrival.Before(l.lastDelivery) {
 		arrival = l.lastDelivery
@@ -137,18 +131,9 @@ func (l *FIFO) Send(payload any) simtime.Duration {
 	effective := arrival.Sub(sent)
 	l.stats.Sent++
 	l.stats.Transmissions++
-	l.pool.send(arrival, payload, effective)
+	l.send(arrival, payload, effective)
 	return effective
 }
-
-func (l *FIFO) deliverOne(payload any, effective simtime.Duration) {
-	l.stats.Delivered++
-	l.stats.TotalDelay += effective.Seconds()
-	l.deliver(payload)
-}
-
-// Stats implements Link.
-func (l *FIFO) Stats() Stats { return l.stats }
 
 // MeanDelay returns the mean of the underlying distribution. Note the
 // effective FIFO delay stochastically dominates it (head-of-line blocking),
@@ -162,26 +147,26 @@ func (l *FIFO) MeanDelay() float64 { return l.delay.Mean() }
 // sender retransmits until success. Delay = attempts × slot, so the delay
 // is unbounded but E[delay] = slot/p exactly (k_avg = 1/p in the paper).
 type ARQ struct {
-	kernel  *sim.Kernel
-	model   dist.Retransmission
-	r       *rng.Source
-	deliver DeliverFunc
-	stats   Stats
-	pool    deliveryPool
+	model dist.Retransmission
+	r     *rng.Source
+	port
 }
 
 var _ Link = (*ARQ)(nil)
 
 // NewARQ returns a lossy stop-and-wait ARQ link with per-attempt success
-// probability p and per-attempt duration slot.
+// probability p and per-attempt duration slot, on a store of its own and
+// delivering into deliver.
 func NewARQ(k *sim.Kernel, p, slot float64, r *rng.Source, deliver DeliverFunc) *ARQ {
 	model := dist.NewRetransmission(p, slot) // validates p and slot
-	if k == nil || r == nil || deliver == nil {
-		panic("channel: ARQ link requires kernel, rng and deliver")
+	return newARQ(newLoneStore(k, deliver), 0, model, r)
+}
+
+func newARQ(s *Store, edge int, model dist.Retransmission, r *rng.Source) *ARQ {
+	if r == nil {
+		panic("channel: nil random source")
 	}
-	l := &ARQ{kernel: k, model: model, r: r, deliver: deliver}
-	l.pool.init(k, l.deliverOne)
-	return l
+	return &ARQ{model: model, r: r, port: newPort(s, edge)}
 }
 
 // Send implements Link. It simulates the individual transmission attempts
@@ -191,26 +176,21 @@ func (l *ARQ) Send(payload any) simtime.Duration {
 	d := simtime.Duration(float64(attempts) * l.model.SlotTime)
 	l.stats.Sent++
 	l.stats.Transmissions += uint64(attempts)
-	l.pool.send(l.kernel.Now().Add(d), payload, d)
+	l.send(l.store.kernel.Now().Add(d), payload, d)
 	return d
 }
-
-func (l *ARQ) deliverOne(payload any, d simtime.Duration) {
-	l.stats.Delivered++
-	l.stats.TotalDelay += d.Seconds()
-	l.deliver(payload)
-}
-
-// Stats implements Link.
-func (l *ARQ) Stats() Stats { return l.stats }
 
 // MeanDelay implements Link: exactly slot/p.
 func (l *ARQ) MeanDelay() float64 { return l.model.Mean() }
 
-// Factory builds one link per directed edge; the network layer calls it
-// while wiring a topology. Implementations must use only the provided
-// per-edge random stream for randomness.
-type Factory func(k *sim.Kernel, edgeRNG *rng.Source, deliver DeliverFunc) Link
+// Factory builds the link of one directed edge on the network's shared
+// store; the network layer calls it once per edge, in edge-index order,
+// while wiring a topology. edge identifies the link to the store's Sink at
+// delivery time and is the only per-edge input besides the stream, so a
+// Factory value holds no state and may be shared by concurrent runs.
+// Implementations must use only the provided per-edge random stream for
+// randomness.
+type Factory func(s *Store, edge int, edgeRNG *rng.Source) Link
 
 // RandomDelayFactory returns a Factory producing non-FIFO links with the
 // given delay distribution (shared shape, independent samples per link).
@@ -218,8 +198,8 @@ func RandomDelayFactory(delay dist.Dist) Factory {
 	if delay == nil {
 		panic("channel: nil delay distribution")
 	}
-	return func(k *sim.Kernel, edgeRNG *rng.Source, deliver DeliverFunc) Link {
-		return NewRandomDelay(k, delay, edgeRNG, deliver)
+	return func(s *Store, edge int, edgeRNG *rng.Source) Link {
+		return newRandomDelay(s, edge, delay, edgeRNG)
 	}
 }
 
@@ -228,47 +208,46 @@ func FIFOFactory(delay dist.Dist) Factory {
 	if delay == nil {
 		panic("channel: nil delay distribution")
 	}
-	return func(k *sim.Kernel, edgeRNG *rng.Source, deliver DeliverFunc) Link {
-		return NewFIFO(k, delay, edgeRNG, deliver)
+	return func(s *Store, edge int, edgeRNG *rng.Source) Link {
+		return newFIFO(s, edge, delay, edgeRNG)
 	}
 }
 
 // ARQFactory returns a Factory producing lossy ARQ links with success
 // probability p and slot duration slot.
 func ARQFactory(p, slot float64) Factory {
-	dist.NewRetransmission(p, slot) // validate eagerly
-	return func(k *sim.Kernel, edgeRNG *rng.Source, deliver DeliverFunc) Link {
-		return NewARQ(k, p, slot, edgeRNG, deliver)
+	model := dist.NewRetransmission(p, slot) // validate eagerly
+	return func(s *Store, edge int, edgeRNG *rng.Source) Link {
+		return newARQ(s, edge, model, edgeRNG)
 	}
 }
 
-// HeterogeneousFactory builds each link with pick(from, to), allowing
-// per-edge delay models (non-homogeneous links, as the paper's motivation
-// for using a *bound* on expected delay discusses). The network-wide δ is
-// then the maximum per-link mean.
+// HeterogeneousFactory builds the link of edge e with delay distribution
+// pick(e), allowing per-edge delay models (non-homogeneous links, as the
+// paper's motivation for using a *bound* on expected delay discusses). The
+// network-wide δ is then the maximum per-link mean.
 func HeterogeneousFactory(pick func(edgeIndex int) dist.Dist) Factory {
 	if pick == nil {
 		panic("channel: nil pick function")
 	}
-	next := 0
-	return func(k *sim.Kernel, edgeRNG *rng.Source, deliver DeliverFunc) Link {
-		d := pick(next)
-		next++
-		return NewRandomDelay(k, d, edgeRNG, deliver)
+	return func(s *Store, edge int, edgeRNG *rng.Source) Link {
+		return newRandomDelay(s, edge, pick(edge), edgeRNG)
 	}
 }
 
-func mustLinkArgs(k *sim.Kernel, delay dist.Dist, r *rng.Source, deliver DeliverFunc) {
-	if k == nil {
-		panic("channel: nil kernel")
+// newLoneStore backs a link built outside a network.
+func newLoneStore(k *sim.Kernel, deliver DeliverFunc) *Store {
+	if deliver == nil {
+		panic("channel: nil deliver callback")
 	}
+	return NewStore(k, deliver)
+}
+
+func mustLinkArgs(delay dist.Dist, r *rng.Source) {
 	if delay == nil {
 		panic("channel: nil delay distribution")
 	}
 	if r == nil {
 		panic("channel: nil random source")
-	}
-	if deliver == nil {
-		panic("channel: nil deliver callback")
 	}
 }

@@ -180,12 +180,12 @@ func TestFactories(t *testing.T) {
 	k := sim.New()
 	root := rng.New(8)
 	delivered := 0
-	deliver := func(any) { delivered++ }
+	store := NewStore(k, DeliverFunc(func(any) { delivered++ }))
 
 	links := []Link{
-		RandomDelayFactory(dist.NewExponential(1))(k, root.Derive("a"), deliver),
-		FIFOFactory(dist.NewExponential(1))(k, root.Derive("b"), deliver),
-		ARQFactory(0.5, 1)(k, root.Derive("c"), deliver),
+		RandomDelayFactory(dist.NewExponential(1))(store, 0, root.Derive("a")),
+		FIFOFactory(dist.NewExponential(1))(store, 1, root.Derive("b")),
+		ARQFactory(0.5, 1)(store, 2, root.Derive("c")),
 	}
 	for _, l := range links {
 		l.Send("x")
@@ -205,9 +205,12 @@ func TestHeterogeneousFactoryPicksPerEdge(t *testing.T) {
 	f := HeterogeneousFactory(func(i int) dist.Dist {
 		return dist.NewDeterministic(means[i%len(means)])
 	})
-	for i, want := range means {
-		l := f(k, root.DeriveIndexed("e", i), func(any) {})
-		if got := l.MeanDelay(); got != want {
+	store := NewStore(k, DeliverFunc(func(any) {}))
+	// The factory holds no counter: the edge index alone picks the
+	// distribution, in whatever order (and however often) edges are built.
+	for _, i := range []int{2, 0, 1, 0, 2} {
+		l := f(store, i, root.DeriveIndexed("e", i))
+		if got, want := l.MeanDelay(), means[i]; got != want {
 			t.Fatalf("edge %d mean = %v, want %v", i, got, want)
 		}
 	}
@@ -224,6 +227,10 @@ func TestNilArgumentPanics(t *testing.T) {
 	mustPanic(t, func() { NewRandomDelay(k, d, r, nil) })
 	mustPanic(t, func() { NewARQ(nil, 0.5, 1, r, deliver) })
 	mustPanic(t, func() { NewARQ(k, 0, 1, r, deliver) })
+	mustPanic(t, func() { NewStore(nil, DeliverFunc(deliver)) })
+	mustPanic(t, func() { NewStore(k, nil) })
+	mustPanic(t, func() { RandomDelayFactory(d)(nil, 0, r) })
+	mustPanic(t, func() { RandomDelayFactory(d)(NewStore(k, DeliverFunc(deliver)), 0, nil) })
 	mustPanic(t, func() { RandomDelayFactory(nil) })
 	mustPanic(t, func() { FIFOFactory(nil) })
 	mustPanic(t, func() { ARQFactory(2, 1) })
@@ -247,11 +254,9 @@ func mustPanic(t *testing.T, f func()) {
 	f()
 }
 
-// TestSendAllocations pins the hot delivery path's allocation budget: one
-// Send on a plain random-delay link must allocate only its delivery
-// closure — no kernel event. The pin is an upper bound of 2
-// (closure + its capture block, which Go may or may not merge), so a
-// regression back to per-event kernel allocations (formerly +2) fails.
+// TestSendAllocations pins the hot delivery path's allocation budget: once
+// the store's slots and the kernel's queue are warm, a Send and its delivery
+// allocate nothing — no closure, no kernel event object, no slot.
 func TestSendAllocations(t *testing.T) {
 	k := sim.New()
 	r := rng.New(1)
@@ -271,10 +276,141 @@ func TestSendAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if avg > 2 {
-		t.Errorf("Send+deliver allocates %g objects per message, want at most the 2 for the delivery closure", avg)
+	if avg != 0 {
+		t.Errorf("Send+deliver allocates %g objects per message, want 0", avg)
 	}
 	if delivered == 0 {
 		t.Fatal("nothing was delivered")
+	}
+}
+
+// delivery is one Sink call as the shared-store tests record it.
+type delivery struct {
+	edge    int
+	payload any
+}
+
+// recordingSink records deliveries and optionally reacts to each.
+type recordingSink struct {
+	got  []delivery
+	then func(edge int, payload any)
+}
+
+func (s *recordingSink) Deliver(edge int, payload any) {
+	s.got = append(s.got, delivery{edge, payload})
+	if s.then != nil {
+		s.then(edge, payload)
+	}
+}
+
+// idle reports whether every slot of the store is back on the free list.
+func (s *Store) idle() bool { return len(s.free) == len(s.slots) }
+
+// TestSharedStoreInterleavesLinksInSendOrder pins the batching rule across
+// links of one store: same-instant deliveries on two links arrive in the
+// order they were sent — a link's batch closes as soon as the other link
+// schedules — exactly as with one kernel event per message.
+func TestSharedStoreInterleavesLinksInSendOrder(t *testing.T) {
+	k := sim.New()
+	sink := &recordingSink{}
+	store := NewStore(k, sink)
+	unit := dist.NewDeterministic(1)
+	a := RandomDelayFactory(unit)(store, 0, rng.New(1))
+	b := RandomDelayFactory(unit)(store, 1, rng.New(2))
+
+	a.Send("a1")
+	a.Send("a2") // joins a1: one event
+	b.Send("b1") // closes a's batch
+	a.Send("a3") // fresh event behind b1
+	b.Send("b2") // b's batch was closed by a3's event
+	b.Send("b3") // joins b2
+	if got := k.Pending(); got != 4 {
+		t.Fatalf("%d kernel events pending, want 4 ({a1 a2} {b1} {a3} {b2 b3})", got)
+	}
+	if err := k.Run(simtime.Forever, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := []delivery{{0, "a1"}, {0, "a2"}, {1, "b1"}, {0, "a3"}, {1, "b2"}, {1, "b3"}}
+	if len(sink.got) != len(want) {
+		t.Fatalf("delivered %v, want %v", sink.got, want)
+	}
+	for i := range want {
+		if sink.got[i] != want[i] {
+			t.Fatalf("delivery %d = %v, want %v (all: %v)", i, sink.got[i], want[i], sink.got)
+		}
+	}
+	if sa, sb := a.Stats(), b.Stats(); sa.Delivered != 3 || sb.Delivered != 3 || sa.TotalDelay != 3 || sb.TotalDelay != 3 {
+		t.Fatalf("per-link stats mixed up: a %+v, b %+v", sa, sb)
+	}
+	if !store.idle() {
+		t.Fatal("slots still occupied after the run")
+	}
+}
+
+// TestStopMidBatchAbandonsAndFreesTheRest: a Stop raised by one delivery of
+// a batch cuts off the batch's remaining deliveries — as it would have cut
+// off their separate events — and their slots go back to the pool.
+func TestStopMidBatchAbandonsAndFreesTheRest(t *testing.T) {
+	k := sim.New()
+	sink := &recordingSink{}
+	sink.then = func(_ int, payload any) {
+		if payload == "second" {
+			k.Stop("enough")
+		}
+	}
+	store := NewStore(k, sink)
+	l := FIFOFactory(dist.NewDeterministic(1))(store, 0, rng.New(1))
+	for _, p := range []string{"first", "second", "third", "fourth"} {
+		l.Send(p)
+	}
+	if got := k.Pending(); got != 1 {
+		t.Fatalf("%d kernel events pending, want the one batch", got)
+	}
+	if err := k.Run(simtime.Forever, 0); err != sim.ErrStopped {
+		t.Fatalf("Run = %v, want ErrStopped", err)
+	}
+	if len(sink.got) != 2 || sink.got[1].payload != "second" {
+		t.Fatalf("delivered %v, want first and second only", sink.got)
+	}
+	if st := l.Stats(); st.Sent != 4 || st.Delivered != 2 {
+		t.Fatalf("stats = %+v, want 4 sent, 2 delivered", st)
+	}
+	if !store.idle() {
+		t.Fatal("abandoned deliveries still hold their slots")
+	}
+}
+
+// TestReentrantSameInstantSendOpensFreshEvent: a delivery handler that sends
+// again with zero delay must not extend the batch being walked; its message
+// gets a kernel event of its own, behind everything already scheduled.
+func TestReentrantSameInstantSendOpensFreshEvent(t *testing.T) {
+	k := sim.New()
+	sink := &recordingSink{}
+	store := NewStore(k, sink)
+	zero := dist.NewDeterministic(0)
+	l := RandomDelayFactory(zero)(store, 0, rng.New(1))
+	other := RandomDelayFactory(zero)(store, 1, rng.New(2))
+	sink.then = func(_ int, payload any) {
+		if payload == "x1" {
+			l.Send("echo")
+		}
+	}
+	l.Send("x1")
+	l.Send("x2")
+	other.Send("y")
+	if err := k.Run(simtime.Forever, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := []delivery{{0, "x1"}, {0, "x2"}, {1, "y"}, {0, "echo"}}
+	for i := range want {
+		if i >= len(sink.got) || sink.got[i] != want[i] {
+			t.Fatalf("delivered %v, want %v", sink.got, want)
+		}
+	}
+	if got := k.Executed(); got != 3 {
+		t.Fatalf("%d kernel events ran, want 3 ({x1 x2} {y} {echo})", got)
+	}
+	if !store.idle() {
+		t.Fatal("slots still occupied after the run")
 	}
 }

@@ -143,8 +143,8 @@ func ImpairedFactory(inner Factory, imp Impairment) Factory {
 		panic("channel: ImpairedFactory needs an inner factory")
 	}
 	imp.validate()
-	return func(k *sim.Kernel, edgeRNG *rng.Source, deliver DeliverFunc) Link {
+	return func(s *Store, edge int, edgeRNG *rng.Source) Link {
 		faultRNG := edgeRNG.Derive("impair")
-		return NewImpaired(k, inner(k, edgeRNG, deliver), imp, faultRNG)
+		return NewImpaired(s.Kernel(), inner(s, edge, edgeRNG), imp, faultRNG)
 	}
 }

@@ -73,7 +73,7 @@ func TestImpairedComposesWithARQ(t *testing.T) {
 	k := sim.New()
 	delivered := 0
 	factory := ImpairedFactory(ARQFactory(0.5, 1), Impairment{Drop: 0.2})
-	l := factory(k, rng.New(7), func(any) { delivered++ })
+	l := factory(NewStore(k, DeliverFunc(func(any) { delivered++ })), 0, rng.New(7))
 	imp, ok := l.(*Impaired)
 	if !ok {
 		t.Fatalf("factory built %T, want *Impaired", l)
@@ -109,7 +109,7 @@ func TestZeroImpairmentIsTransparent(t *testing.T) {
 		if wrap {
 			factory = ImpairedFactory(factory, Impairment{})
 		}
-		l := factory(k, rng.New(11), func(any) { times = append(times, float64(k.Now())) })
+		l := factory(NewStore(k, DeliverFunc(func(any) { times = append(times, float64(k.Now())) })), 0, rng.New(11))
 		for i := 0; i < 200; i++ {
 			l.Send(i)
 		}

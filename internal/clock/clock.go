@@ -184,8 +184,13 @@ type PerfectModel struct{}
 
 var _ Model = PerfectModel{}
 
+// unitClock is the one rate-1 clock every PerfectModel node shares: Fixed is
+// immutable, and boxing a fresh one per node is an allocation per node of a
+// million-node network.
+var unitClock Clock = NewFixed(1)
+
 // NewClock implements Model.
-func (PerfectModel) NewClock(*rng.Source) Clock { return NewFixed(1) }
+func (PerfectModel) NewClock(*rng.Source) Clock { return unitClock }
 
 // Bounds implements Model.
 func (PerfectModel) Bounds() (low, high float64) { return 1, 1 }

@@ -177,9 +177,9 @@ func New(cfg Config, graph *topology.Graph, seed uint64, adversaries *byzantine.
 	}
 	n := graph.N()
 	for u := 0; u < n; u++ {
-		if graph.OutDegree(u) != n-1 || len(graph.In(u)) != n-1 {
+		if graph.OutDegree(u) != n-1 || graph.InDegree(u) != n-1 {
 			return nil, fmt.Errorf("consensus: ben-or requires a complete topology; node %d has degree %d/%d, want %d/%d",
-				u, graph.OutDegree(u), len(graph.In(u)), n-1, n-1)
+				u, graph.OutDegree(u), graph.InDegree(u), n-1, n-1)
 		}
 	}
 	if cfg.F < 0 || 3*cfg.F >= n {

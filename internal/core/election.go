@@ -175,25 +175,35 @@ type ElectionNodeConfig struct {
 // NewElectionNode validates the configuration and returns a node in the
 // initial state (idle, d = 1).
 func NewElectionNode(cfg ElectionNodeConfig) (*ElectionNode, error) {
+	node, err := MakeElectionNode(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &node, nil
+}
+
+// MakeElectionNode is NewElectionNode by value, for callers that keep a
+// whole ring's nodes in one slice instead of one heap object per node.
+func MakeElectionNode(cfg ElectionNodeConfig) (ElectionNode, error) {
 	if cfg.RingSize < 2 {
-		return nil, fmt.Errorf("core: ring size %d must be at least 2", cfg.RingSize)
+		return ElectionNode{}, fmt.Errorf("core: ring size %d must be at least 2", cfg.RingSize)
 	}
 	if !(cfg.A0 > 0 && cfg.A0 < 1) {
-		return nil, fmt.Errorf("core: A0 = %g must be in (0, 1)", cfg.A0)
+		return ElectionNode{}, fmt.Errorf("core: A0 = %g must be in (0, 1)", cfg.A0)
 	}
 	if cfg.TickInterval < 0 || math.IsNaN(cfg.TickInterval) || math.IsInf(cfg.TickInterval, 0) {
-		return nil, fmt.Errorf("core: tick interval %g must be non-negative and finite", cfg.TickInterval)
+		return ElectionNode{}, fmt.Errorf("core: tick interval %g must be non-negative and finite", cfg.TickInterval)
 	}
 	if cfg.TickInterval == 0 {
 		cfg.TickInterval = 1
 	}
 	if cfg.SendPort < 0 {
-		return nil, fmt.Errorf("core: send port %d must be non-negative", cfg.SendPort)
+		return ElectionNode{}, fmt.Errorf("core: send port %d must be non-negative", cfg.SendPort)
 	}
 	if cfg.RecandidacyTimeout < 0 || math.IsNaN(cfg.RecandidacyTimeout) || math.IsInf(cfg.RecandidacyTimeout, 0) {
-		return nil, fmt.Errorf("core: re-candidacy timeout %g must be non-negative and finite", cfg.RecandidacyTimeout)
+		return ElectionNode{}, fmt.Errorf("core: re-candidacy timeout %g must be non-negative and finite", cfg.RecandidacyTimeout)
 	}
-	return &ElectionNode{
+	return ElectionNode{
 		ringSize:     cfg.RingSize,
 		a0:           cfg.A0,
 		tickInterval: cfg.TickInterval,

@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 
+	"abenet/internal/channel"
 	"abenet/internal/core"
+	"abenet/internal/dist"
 	"abenet/internal/runner"
 )
 
@@ -68,5 +71,51 @@ func TestRunProtocolByName(t *testing.T) {
 	}
 	if _, err := sweep.RunProtocol("election", runner.Env{N: 9}, []float64{6}, nil); err == nil {
 		t.Fatal("base env with N set must error")
+	}
+}
+
+// TestHeterogeneousLinksAreReusableAcrossRuns: one Env holding one
+// HeterogeneousFactory value is run repeatedly and from several workers at
+// once (examples/adhoc does exactly that). The factory picks by edge index
+// and keeps no counter, so every run wires the same distribution to the same
+// edge — n = 20 is not a multiple of the three link classes, which is what
+// made a run-to-run counter drift — and nothing is shared between workers.
+func TestHeterogeneousLinksAreReusableAcrossRuns(t *testing.T) {
+	const n = 20
+	means := []float64{0.3, 0.76, 1.2}
+	env := runner.Env{
+		N:     n,
+		Delta: 1.2,
+		Seed:  7,
+		Links: channel.HeterogeneousFactory(func(edge int) dist.Dist {
+			return dist.NewExponential(1 / means[edge%len(means)])
+		}),
+	}
+	proto := runner.Election{A0: core.A0ForRing(n, 1.2, 1, 1)}
+
+	first, err := runner.Run(env, proto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := runner.Run(env, proto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("the same Env gave two reports:\n%+v\n%+v", first, second)
+	}
+
+	sweep := func(workers int) []Point {
+		points, err := Sweep{Name: "hetero", Repetitions: 24, Seed: 99, Workers: workers}.RunEnv(
+			[]float64{n},
+			func(float64) (runner.Env, runner.Protocol, error) { return env, proto, nil },
+			runner.RequireElected)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return points
+	}
+	if one, four := sweep(1), sweep(4); !reflect.DeepEqual(one, four) {
+		t.Fatalf("sweep differs across worker counts:\n%+v\n%+v", one, four)
 	}
 }

@@ -27,10 +27,8 @@ type lifecycle struct {
 	// the partition layer counts overlapping cuts so healing one
 	// partition never raises an edge another still holds down. An edge is
 	// down while either layer holds it.
-	linkOut [][]bool // linkOut[u][p]: down via KindLinkDown
-	cutOut  [][]int  // cutOut[u][p]: number of active partitions cutting the edge
-	// outPort[{u,v}]: out-port index of the directed edge u→v.
-	outPort map[[2]int]int
+	linkOut []bool // linkOut[e]: edge e is down via KindLinkDown
+	cutOut  []int  // cutOut[e]: number of active partitions cutting edge e
 
 	// openInterval[i] indexes tel.CrashIntervals while node i is down,
 	// -1 otherwise.
@@ -46,7 +44,7 @@ type lifecycle struct {
 
 // newLifecycle validates the plan against the graph and prepares the
 // per-node state. Called from New after the topology is known but before
-// links are wired (the caller sizes portDown afterwards).
+// links are wired (the caller sizes the per-edge state afterwards).
 func newLifecycle(net *Network, plan *faults.Plan, root *rng.Source) (*lifecycle, error) {
 	n := net.cfg.Graph.N()
 	if err := plan.Validate(n); err != nil {
@@ -90,28 +88,16 @@ func impairment(plan *faults.Plan) channel.Impairment {
 	}
 }
 
-// indexPorts records the out-port of every directed edge so scripted link
-// and partition events can resolve edges in O(1). Called once from New
-// after the link slices exist.
-func (life *lifecycle) indexPorts() {
-	g := life.net.cfg.Graph
-	n := g.N()
-	life.outPort = make(map[[2]int]int, g.EdgeCount())
-	life.linkOut = make([][]bool, n)
-	life.cutOut = make([][]int, n)
-	for u := 0; u < n; u++ {
-		out := g.Out(u)
-		life.linkOut[u] = make([]bool, len(out))
-		life.cutOut[u] = make([]int, len(out))
-		for p, v := range out {
-			life.outPort[[2]int{u, v}] = p
-		}
-	}
+// sizeLinkState allocates the per-edge outage layers. Called once from New
+// after the edges are numbered.
+func (life *lifecycle) sizeLinkState() {
+	life.linkOut = make([]bool, len(life.net.edges))
+	life.cutOut = make([]int, len(life.net.edges))
 }
 
-// portDown reports whether the p-th out-link of u is down for any cause.
-func (life *lifecycle) portDown(u, p int) bool {
-	return life.linkOut[u][p] || life.cutOut[u][p] > 0
+// edgeDown reports whether edge e is down for any cause.
+func (life *lifecycle) edgeDown(e int) bool {
+	return life.linkOut[e] || life.cutOut[e] > 0
 }
 
 // applyAtTimeZero applies the scripted events at t = 0 before any node
@@ -243,21 +229,27 @@ func (life *lifecycle) recover(i int) {
 	// The dead incarnation's processing backlog died with it: its queued
 	// completions are epoch-suppressed, so the busy-server clock must not
 	// make the fresh instance wait behind phantom work.
-	life.net.nextFree[i] = life.net.kernel.Now()
+	if life.net.nextFree != nil {
+		life.net.nextFree[i] = life.net.kernel.Now()
+	}
 	node := life.net.makeNode(i)
 	if node == nil {
 		panic(fmt.Sprintf("network: makeNode(%d) returned nil on fault recovery", i))
 	}
 	life.net.nodes[i] = node
-	node.Init(life.net.ctxs[i])
+	node.Init(&life.net.ctxs[i])
 }
 
-// setLink flips the scripted state of the directed edge from→to. Edges
-// absent from the topology are ignored: plans are written against node
-// sets, and partitions routinely name non-adjacent pairs.
+// setLink flips the scripted state of the directed edge from→to. An edge
+// absent from the topology is ignored; newLifecycle has already rejected
+// plans that script one.
 func (life *lifecycle) setLink(from, to int, up bool) {
-	if p, ok := life.outPort[[2]int{from, to}]; ok {
-		life.linkOut[from][p] = !up
+	net := life.net
+	for e := net.firstEdge[from]; e < net.firstEdge[from+1]; e++ {
+		if int(net.edges[e].to) == to {
+			life.linkOut[e] = !up
+			return
+		}
 	}
 }
 
@@ -272,15 +264,14 @@ func (life *lifecycle) setCut(group []int, up bool) {
 	for _, v := range group {
 		inGroup[v] = true
 	}
-	for edge, p := range life.outPort {
-		if inGroup[edge[0]] != inGroup[edge[1]] {
-			if up {
-				if life.cutOut[edge[0]][p] > 0 {
-					life.cutOut[edge[0]][p]--
-				}
-			} else {
-				life.cutOut[edge[0]][p]++
-			}
+	for e, addr := range life.net.edges {
+		if inGroup[addr.from] == inGroup[addr.to] {
+			continue
+		}
+		if !up {
+			life.cutOut[e]++
+		} else if life.cutOut[e] > 0 {
+			life.cutOut[e]--
 		}
 	}
 }
@@ -313,7 +304,7 @@ func (life *lifecycle) guard(v int, suppressed *uint64, work func()) func() {
 func (life *lifecycle) telemetry() *faults.Telemetry {
 	tel := life.tel
 	tel.CrashIntervals = append([]faults.CrashInterval(nil), life.tel.CrashIntervals...)
-	for _, l := range life.net.allLinks {
+	for _, l := range life.net.links {
 		if rep, ok := l.(channel.ImpairmentReporter); ok {
 			st := rep.ImpairmentStats()
 			tel.MessagesDropped += st.Dropped

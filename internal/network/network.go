@@ -15,6 +15,15 @@
 // ring size n. Networks can be declared anonymous, in which case reading
 // the node identity panics — the simulator enforces the paper's anonymity
 // assumption mechanically.
+//
+// Construction is flat: New lays every kind of per-node and per-edge state
+// (contexts with their streams inline, clocks, edge addresses, link streams,
+// links) in one slice each, reads in-ports off the graph instead of building
+// a lookup table, hands every link the one shared channel.Store and its edge
+// index, and sizes the kernel's queue once. Deliveries come back through
+// Sink.Deliver(edge, ·) and untraced, fault-free timers through one handler
+// per timer kind with the node as the event argument, so an idle node costs
+// no closure. TestAllocationBudget holds the line.
 package network
 
 import (
@@ -153,21 +162,35 @@ type Config struct {
 }
 
 // Network is a runnable protocol deployment. Create one with New, then Run.
+//
+// Per-node and per-edge state lives in one slice per kind, indexed by node
+// or by edge index (edges are numbered in (node, out-port) order, the order
+// Graph.Edges lists them), so building a network costs a fixed number of
+// allocations per layer plus whatever makeNode and the link factory allocate
+// themselves — rings of 10⁵–10⁶ nodes are built per run.
 type Network struct {
-	cfg      Config
-	kernel   *sim.Kernel
-	nodes    []Node
-	ctxs     []*Context
-	links    [][]channel.Link // links[u][i] = link for u's i-th out-port
-	allLinks []channel.Link
-	clocks   []clock.Clock
-	nextFree []simtime.Time // per-node completion time of the busy server
-	metrics  Metrics
-	procMean float64
-	makeNode func(i int) Node          // retained for fault-recovery restarts
-	life     *lifecycle                // nil unless cfg.Faults is set
-	adv      *adversary                // nil unless cfg.Byzantine is set
-	bcast    []*channel.LocalBroadcast // per-node radio links (LocalBroadcast mode)
+	cfg       Config
+	kernel    *sim.Kernel
+	nodes     []Node
+	ctxs      []Context      // ctxs[i] holds node i's private stream inline
+	clocks    []clock.Clock  // clocks[i] may keep a pointer into clockRNG
+	clockRNG  []rng.Source   // per-node clock streams
+	procRNG   []rng.Source   // per-node processing-time streams; nil without a processing model
+	nextFree  []simtime.Time // per-node completion time of the busy server; nil likewise
+	firstEdge []int          // firstEdge[u] = edge index of u's out-port 0; firstEdge[n] = edge count
+	edges     []edgeAddress  // edges[e] = both ends of edge e
+	links     []channel.Link // links[e] = link of edge e; under LocalBroadcast, links[u] = u's radio
+	linkRNG   []rng.Source   // linkRNG[k] = stream of links[k]
+	store     *channel.Store // in-flight messages of every point-to-point link
+	metrics   Metrics
+	procMean  float64
+	makeNode  func(i int) Node // retained for fault-recovery restarts
+	life      *lifecycle       // nil unless cfg.Faults is set
+	adv       *adversary       // nil unless cfg.Byzantine is set
+
+	// timers[kind] fires OnTimer(kind) on the node given as the event
+	// argument; built on first use (see timerHandler).
+	timers [maxTimerKinds]sim.ArgHandler
 
 	// cause is the ref of the trace event whose handler is currently
 	// running — the delivery or timer being processed — so that sends,
@@ -177,10 +200,22 @@ type Network struct {
 	cause TraceRef
 }
 
-// edgeAddress identifies the receiving side of a directed edge.
+// edgeAddress names both ends of a directed edge: the sender, the receiver
+// and the receiver's in-port.
 type edgeAddress struct {
-	from, to, inPort int
+	from, to, inPort int32
 }
+
+// edgeSink and radioSink are the two channel.Sink faces of a network: a
+// point-to-point link delivers on its edge, a radio link fans out over its
+// sender's out-edges.
+type (
+	edgeSink  struct{ net *Network }
+	radioSink struct{ net *Network }
+)
+
+func (s edgeSink) Deliver(edge int, payload any)    { s.net.deliverTo(edge, payload) }
+func (s radioSink) Deliver(sender int, payload any) { s.net.fanout(sender, payload) }
 
 // New builds a network running makeNode(i) on node i of cfg.Graph.
 func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
@@ -215,20 +250,30 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 		return nil, fmt.Errorf("network: %w", err)
 	}
 
-	n := cfg.Graph.N()
+	graph := cfg.Graph
+	n := graph.N()
+	// A pending timer and a message in flight per node is what tick-driven
+	// protocols hold from Init on; larger bursts grow the queue as before.
+	kernel.Reserve(2 * n)
 	root := rng.New(cfg.Seed)
 	net := &Network{
-		cfg:      cfg,
-		kernel:   kernel,
-		nodes:    make([]Node, n),
-		ctxs:     make([]*Context, n),
-		links:    make([][]channel.Link, n),
-		clocks:   make([]clock.Clock, n),
-		nextFree: make([]simtime.Time, n),
-		makeNode: makeNode,
+		cfg:       cfg,
+		kernel:    kernel,
+		nodes:     make([]Node, n),
+		ctxs:      make([]Context, n),
+		clocks:    make([]clock.Clock, n),
+		clockRNG:  make([]rng.Source, n),
+		firstEdge: make([]int, n+1),
+		makeNode:  makeNode,
 	}
 	if cfg.Processing != nil {
 		net.procMean = cfg.Processing.Mean()
+		net.procRNG = make([]rng.Source, n)
+		net.nextFree = make([]simtime.Time, n)
+		procStreams := root.Indexed("proc")
+		for i := range net.procRNG {
+			net.procRNG[i] = procStreams.At(i)
+		}
 	}
 	if cfg.Faults != nil {
 		life, err := newLifecycle(net, cfg.Faults, root)
@@ -251,25 +296,29 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 		net.adv = adv
 	}
 
+	clockStreams, nodeStreams := root.Indexed("clock"), root.Indexed("node")
 	for i := 0; i < n; i++ {
-		net.clocks[i] = cfg.Clocks.NewClock(root.DeriveIndexed("clock", i))
-		net.ctxs[i] = &Context{
-			net:  net,
-			id:   i,
-			r:    root.DeriveIndexed("node", i),
-			proc: root.DeriveIndexed("proc", i),
-		}
+		net.clockRNG[i] = clockStreams.At(i)
+		net.clocks[i] = cfg.Clocks.NewClock(&net.clockRNG[i])
+		net.ctxs[i] = Context{net: net, id: i, r: nodeStreams.At(i)}
 		net.nodes[i] = makeNode(i)
 		if net.nodes[i] == nil {
 			return nil, fmt.Errorf("network: makeNode(%d) returned nil", i)
 		}
+		net.firstEdge[i+1] = net.firstEdge[i] + graph.OutDegree(i)
 	}
 
-	// Precompute in-port indices: inPort[to] position of edge from->to.
-	inPort := make(map[[2]int]int, cfg.Graph.EdgeCount())
-	for v := 0; v < n; v++ {
-		for idx, u := range cfg.Graph.In(v) {
-			inPort[[2]int{u, v}] = idx
+	// Both ends of every edge, read off the graph's own adjacency: the
+	// in-port of an out-edge was recorded when the edge was added.
+	net.edges = make([]edgeAddress, net.firstEdge[n])
+	for u := 0; u < n; u++ {
+		base := net.firstEdge[u]
+		for p := range net.firstEdge[u+1] - base {
+			net.edges[base+p] = edgeAddress{
+				from:   int32(u),
+				to:     int32(graph.OutAt(u, p)),
+				inPort: int32(graph.InPort(u, p)),
+			}
 		}
 	}
 
@@ -278,50 +327,42 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 		// sender's out-edges at the shared delivery instant. The stream
 		// label is distinct from "edge", so switching media re-seeds
 		// nothing else.
-		net.bcast = make([]*channel.LocalBroadcast, n)
+		net.linkRNG = make([]rng.Source, n)
+		net.links = make([]channel.Link, n)
+		radioStreams := root.Indexed("bcast")
 		for u := 0; u < n; u++ {
-			out := cfg.Graph.Out(u)
-			addrs := make([]edgeAddress, len(out))
-			for p, v := range out {
-				addrs[p] = edgeAddress{from: u, to: v, inPort: inPort[[2]int{u, v}]}
-			}
-			lb := channel.NewLocalBroadcast(net.kernel, cfg.BroadcastDelay,
-				root.DeriveIndexed("bcast", u), net.fanoutFunc(u, addrs), len(out))
-			net.bcast[u] = lb
-			net.allLinks = append(net.allLinks, lb)
+			net.linkRNG[u] = radioStreams.At(u)
+			net.links[u] = channel.NewLocalBroadcast(kernel, cfg.BroadcastDelay,
+				&net.linkRNG[u], radioSink{net}, u, graph.OutDegree(u))
 		}
 	} else {
-		edgeIndex := 0
-		for u := 0; u < n; u++ {
-			for _, v := range cfg.Graph.Out(u) {
-				addr := edgeAddress{from: u, to: v, inPort: inPort[[2]int{u, v}]}
-				link := cfg.Links(net.kernel, root.DeriveIndexed("edge", edgeIndex), net.deliverFunc(addr))
-				if link == nil {
-					return nil, fmt.Errorf("network: link factory returned nil for edge %d->%d", u, v)
-				}
-				net.links[u] = append(net.links[u], link)
-				net.allLinks = append(net.allLinks, link)
-				edgeIndex++
+		net.store = channel.NewStore(kernel, edgeSink{net})
+		net.linkRNG = make([]rng.Source, len(net.edges))
+		net.links = make([]channel.Link, len(net.edges))
+		edgeStreams := root.Indexed("edge")
+		for e, addr := range net.edges {
+			net.linkRNG[e] = edgeStreams.At(e)
+			link := cfg.Links(net.store, e, &net.linkRNG[e])
+			if link == nil {
+				return nil, fmt.Errorf("network: link factory returned nil for edge %d->%d", addr.from, addr.to)
 			}
+			net.links[e] = link
 		}
 	}
 	if net.life != nil {
-		net.life.indexPorts()
+		net.life.sizeLinkState()
 	}
 	return net, nil
 }
 
-// deliverFunc returns the link callback delivering into the destination's
-// processing queue. Deliveries to a crashed node are suppressed (counted
-// as dead letters), deterministically: the suppression depends only on the
-// node's fault schedule.
-func (net *Network) deliverFunc(addr edgeAddress) channel.DeliverFunc {
-	return func(payload any) { net.deliverTo(addr, payload) }
-}
-
-// deliverTo delivers one payload at the receiving end of a directed edge.
-func (net *Network) deliverTo(addr edgeAddress, payload any) {
-	if net.life != nil && net.life.down[addr.to] {
+// deliverTo delivers one payload at the receiving end of edge, into the
+// destination's processing queue. Deliveries to a crashed node are
+// suppressed (counted as dead letters), deterministically: the suppression
+// depends only on the node's fault schedule.
+func (net *Network) deliverTo(edge int, payload any) {
+	addr := net.edges[edge]
+	to, inPort := int(addr.to), int(addr.inPort)
+	if net.life != nil && net.life.down[to] {
 		net.life.tel.DeadLetters++
 		return
 	}
@@ -332,11 +373,11 @@ func (net *Network) deliverTo(addr edgeAddress, payload any) {
 			// queue model is a no-op (process would run the work inline),
 			// so the handler can be invoked directly. This is the
 			// per-delivery hot path for large untraced runs.
-			net.nodes[addr.to].OnMessage(net.ctxs[addr.to], addr.inPort, payload)
+			net.nodes[to].OnMessage(&net.ctxs[to], inPort, payload)
 			return
 		}
-		net.process(addr.to, deadLetterCounter, func() {
-			net.nodes[addr.to].OnMessage(net.ctxs[addr.to], addr.inPort, payload)
+		net.process(to, deadLetterCounter, func() {
+			net.nodes[to].OnMessage(&net.ctxs[to], inPort, payload)
 		})
 		return
 	}
@@ -344,32 +385,29 @@ func (net *Network) deliverTo(addr edgeAddress, payload any) {
 	if tp, ok := payload.(tracedPayload); ok {
 		send, payload = tp.send, tp.payload
 	}
-	ref := net.cfg.Tracer.MessageDelivered(net.kernel.Now(), addr.from, addr.to, payload, send)
+	ref := net.cfg.Tracer.MessageDelivered(net.kernel.Now(), int(addr.from), to, payload, send)
 	inner := payload
-	net.process(addr.to, deadLetterCounter, func() {
+	net.process(to, deadLetterCounter, func() {
 		prev := net.cause
 		net.cause = ref
-		net.nodes[addr.to].OnMessage(net.ctxs[addr.to], addr.inPort, inner)
+		net.nodes[to].OnMessage(&net.ctxs[to], inPort, inner)
 		net.cause = prev
 	})
 }
 
-// fanoutFunc returns the radio callback for sender u in local-broadcast
-// mode: one call per transmission, fanned out to every out-edge at the
-// shared delivery instant. Scripted link outages and partitions are radio
-// obstructions here — they are checked per receiving edge at the delivery
-// instant (a receiver behind a downed edge misses the transmission, counted
-// as a link drop), so a partition cuts a broadcast exactly as it cuts
-// point-to-point traffic.
-func (net *Network) fanoutFunc(u int, addrs []edgeAddress) channel.DeliverFunc {
-	return func(payload any) {
-		for p, addr := range addrs {
-			if net.life != nil && net.life.portDown(u, p) {
-				net.life.tel.LinkDrops++
-				continue
-			}
-			net.deliverTo(addr, payload)
+// fanout delivers one radio transmission of sender u in local-broadcast
+// mode to every out-edge at the shared delivery instant. Scripted link
+// outages and partitions are radio obstructions here — they are checked per
+// receiving edge at the delivery instant (a receiver behind a downed edge
+// misses the transmission, counted as a link drop), so a partition cuts a
+// broadcast exactly as it cuts point-to-point traffic.
+func (net *Network) fanout(u int, payload any) {
+	for e := net.firstEdge[u]; e < net.firstEdge[u+1]; e++ {
+		if net.life != nil && net.life.edgeDown(e) {
+			net.life.tel.LinkDrops++
+			continue
 		}
+		net.deliverTo(e, payload)
 	}
 }
 
@@ -400,7 +438,7 @@ func (net *Network) process(v, counterKind int, work func()) {
 	if net.nextFree[v].After(start) {
 		start = net.nextFree[v]
 	}
-	completion := start.Add(simtime.Duration(net.cfg.Processing.Sample(net.ctxs[v].proc)))
+	completion := start.Add(simtime.Duration(net.cfg.Processing.Sample(&net.procRNG[v])))
 	net.nextFree[v] = completion
 	net.kernel.AtFunc(completion, work)
 }
@@ -417,7 +455,7 @@ func (net *Network) Run(horizon simtime.Time, maxEvents uint64) error {
 		if net.life != nil && net.life.down[i] {
 			continue // crashed from t = 0: Init runs at recovery, if any
 		}
-		node.Init(net.ctxs[i])
+		node.Init(&net.ctxs[i])
 	}
 	if net.life != nil {
 		net.life.install()
@@ -441,7 +479,7 @@ func (net *Network) StopCause() string { return net.kernel.StopCause() }
 func (net *Network) Metrics() Metrics {
 	m := net.metrics
 	m.Transmissions = 0
-	for _, l := range net.allLinks {
+	for _, l := range net.links {
 		m.Transmissions += l.Stats().Transmissions
 	}
 	return m
@@ -457,7 +495,7 @@ func (net *Network) NodeAt(i int) Node { return net.nodes[i] }
 // tightest δ for which this network satisfies ABE Definition 1, condition 1.
 func (net *Network) MaxLinkMeanDelay() float64 {
 	max := 0.0
-	for _, l := range net.allLinks {
+	for _, l := range net.links {
 		if m := l.MeanDelay(); m > max {
 			max = m
 		}
@@ -499,24 +537,15 @@ func (net *Network) Kernel() *sim.Kernel { return net.kernel }
 // Context is a node's window onto the network. All methods must be called
 // from protocol callbacks (Init, OnMessage, OnTimer) only.
 type Context struct {
-	net  *Network
-	id   int
-	r    *rng.Source
-	proc *rng.Source
-
-	// timerCache memoises the fire handler per timer kind. Valid only when
-	// the network has no fault plan and no tracer: a fault guard captures
-	// the node's crash epoch at *set* time and a traced firing captures the
-	// setter's causal ref, so those handlers are necessarily per-set.
-	// Without either, the handler depends only on (node, kind) and one func
-	// value serves every timer of that kind — tick loops set millions.
-	timerCache []sim.Handler
+	net *Network
+	id  int
+	r   rng.Source
 }
 
-// maxCachedTimerKinds bounds the per-node handler cache; protocols use
-// small dense kind constants, so anything larger falls back to a fresh
-// closure rather than growing the cache.
-const maxCachedTimerKinds = 64
+// maxTimerKinds sizes the network's per-kind timer handler table;
+// protocols use small dense kind constants, so anything larger falls back
+// to a closure per set timer.
+const maxTimerKinds = 64
 
 // N returns the network size. The paper's election algorithm assumes known
 // ring size n, so this is part of a node's a-priori knowledge.
@@ -531,11 +560,18 @@ func (c *Context) ID() int {
 	return c.id
 }
 
-// OutDegree returns the number of outgoing ports.
-func (c *Context) OutDegree() int { return len(c.net.links[c.id]) }
+// OutDegree returns the number of outgoing point-to-point ports: the node's
+// out-degree, or 0 on a local-broadcast network, where the radio is the
+// only way out.
+func (c *Context) OutDegree() int {
+	if c.net.cfg.LocalBroadcast {
+		return 0
+	}
+	return c.net.firstEdge[c.id+1] - c.net.firstEdge[c.id]
+}
 
 // InDegree returns the number of incoming ports.
-func (c *Context) InDegree() int { return len(c.net.cfg.Graph.In(c.id)) }
+func (c *Context) InDegree() int { return c.net.cfg.Graph.InDegree(c.id) }
 
 // Send transmits payload on the given out-port. A send on a link taken
 // down by a scripted outage or partition counts as sent but is dropped at
@@ -549,14 +585,13 @@ func (c *Context) Send(outPort int, payload any) {
 	if c.net.cfg.LocalBroadcast {
 		panic("network: point-to-point Send on a local-broadcast network (use Context.Broadcast)")
 	}
-	links := c.net.links[c.id]
-	if outPort < 0 || outPort >= len(links) {
-		panic(fmt.Sprintf("network: node has %d out-ports, sent on %d", len(links), outPort))
+	if degree := c.OutDegree(); outPort < 0 || outPort >= degree {
+		panic(fmt.Sprintf("network: node has %d out-ports, sent on %d", degree, outPort))
 	}
 	c.net.metrics.MessagesSent++
 	var ref TraceRef
 	if c.net.cfg.Tracer != nil {
-		to := c.net.cfg.Graph.Out(c.id)[outPort]
+		to := int(c.net.edges[c.net.firstEdge[c.id]+outPort].to)
 		ref = c.net.cfg.Tracer.MessageSent(c.net.kernel.Now(), c.id, to, payload, c.net.cause)
 	}
 	if adv := c.net.adv; adv != nil {
@@ -578,14 +613,15 @@ func (c *Context) Send(outPort int, payload any) {
 // traced ref of the logical send, carried across the link with the payload
 // so the delivery can name its cause; zero when tracing is off.
 func (c *Context) sendOnPort(outPort int, payload any, send TraceRef) {
-	if life := c.net.life; life != nil && life.portDown(c.id, outPort) {
+	edge := c.net.firstEdge[c.id] + outPort
+	if life := c.net.life; life != nil && life.edgeDown(edge) {
 		life.tel.LinkDrops++
 		return
 	}
 	if c.net.cfg.Tracer != nil {
 		payload = tracedPayload{payload: payload, send: send}
 	}
-	c.net.links[c.id][outPort].Send(payload)
+	c.net.links[edge].Send(payload)
 }
 
 // Broadcast sends payload to every out-neighbour — the medium-agnostic
@@ -598,7 +634,7 @@ func (c *Context) sendOnPort(outPort int, payload any, send TraceRef) {
 // one MessageSent with to = -1 for a radio transmission.
 func (c *Context) Broadcast(payload any) {
 	if !c.net.cfg.LocalBroadcast {
-		for p := range c.net.links[c.id] {
+		for p := range c.OutDegree() {
 			c.Send(p, payload)
 		}
 		return
@@ -609,7 +645,7 @@ func (c *Context) Broadcast(payload any) {
 	if traced {
 		ref = c.net.cfg.Tracer.MessageSent(c.net.kernel.Now(), c.id, -1, payload, c.net.cause)
 	}
-	link := c.net.bcast[c.id]
+	link := c.net.links[c.id]
 	if adv := c.net.adv; adv != nil {
 		out, drop, hold := adv.intercept(c.id, payload, true)
 		if drop {
@@ -643,7 +679,12 @@ func (c *Context) LocalTime() float64 { return c.net.clocks[c.id].LocalAt(c.net.
 // a node that loses interest in one guards OnTimer with a generation counter
 // of its own (see package sim).
 func (c *Context) SetLocalTimerFunc(localDelta float64, kind int) {
-	c.net.kernel.AtFunc(c.timerInstant(localDelta), c.timerFire(kind))
+	at := c.timerInstant(localDelta)
+	if fire := c.net.timerHandler(kind); fire != nil {
+		c.net.kernel.AtArg(at, fire, uint32(c.id))
+		return
+	}
+	c.net.kernel.AtFunc(at, c.timerFire(kind))
 }
 
 // timerInstant validates localDelta and converts it to the real fire
@@ -655,36 +696,37 @@ func (c *Context) timerInstant(localDelta float64) simtime.Time {
 	return c.net.clocks[c.id].RealAfterLocal(c.net.kernel.Now(), localDelta)
 }
 
-// timerFire builds the kernel handler for a local timer, including the
+// timerHandler returns the network's shared fire handler for timers of the
+// given kind — it takes the node as the event argument — or nil when this
+// network's timers need a handler per set. They do under a fault plan or a
+// tracer: a fault guard captures the node's crash epoch at *set* time and a
+// traced firing captures the setter's causal ref. Without either, firing
+// depends only on (node, kind), and tick loops set millions.
+func (net *Network) timerHandler(kind int) sim.ArgHandler {
+	if net.life != nil || net.cfg.Tracer != nil || kind < 0 || kind >= maxTimerKinds {
+		return nil
+	}
+	if net.timers[kind] == nil {
+		net.timers[kind] = func(node uint32) {
+			v := int(node)
+			net.metrics.TimersFired++
+			if net.cfg.Processing == nil {
+				net.nodes[v].OnTimer(&net.ctxs[v], kind)
+				return
+			}
+			net.process(v, timerCounter, func() {
+				net.nodes[v].OnTimer(&net.ctxs[v], kind)
+			})
+		}
+	}
+	return net.timers[kind]
+}
+
+// timerFire builds the kernel handler for one set timer, including the
 // crash-epoch guard under fault injection. The causal parent of the firing
 // is the event the node was processing when it *set* the timer, captured
 // here (SetLocalTimerFunc runs inside that event's handler).
 func (c *Context) timerFire(kind int) sim.Handler {
-	if c.net.life == nil && c.net.cfg.Tracer == nil {
-		if kind >= 0 && kind < len(c.timerCache) {
-			if fire := c.timerCache[kind]; fire != nil {
-				return fire
-			}
-		}
-		k := kind
-		fire := func() {
-			c.net.metrics.TimersFired++
-			if c.net.cfg.Processing == nil {
-				c.net.nodes[c.id].OnTimer(c, k)
-				return
-			}
-			c.net.process(c.id, timerCounter, func() {
-				c.net.nodes[c.id].OnTimer(c, k)
-			})
-		}
-		if kind >= 0 && kind < maxCachedTimerKinds {
-			for len(c.timerCache) <= kind {
-				c.timerCache = append(c.timerCache, nil)
-			}
-			c.timerCache[kind] = fire
-		}
-		return fire
-	}
 	setCause := c.net.cause
 	fire := func() {
 		c.net.metrics.TimersFired++
@@ -709,7 +751,7 @@ func (c *Context) timerFire(kind int) sim.Handler {
 }
 
 // Rand returns the node's private random stream.
-func (c *Context) Rand() *rng.Source { return c.r }
+func (c *Context) Rand() *rng.Source { return &c.r }
 
 // Now returns global simulation time. It exists for measurement and
 // tracing; protocols for asynchronous models must not branch on it (they

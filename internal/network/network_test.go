@@ -1,6 +1,7 @@
 package network
 
 import (
+	"runtime"
 	"testing"
 
 	"abenet/internal/channel"
@@ -482,5 +483,65 @@ func TestHorizonLimitsRun(t *testing.T) {
 	}
 	if net.Now() != 10 {
 		t.Fatalf("time = %v, want horizon 10", net.Now())
+	}
+}
+
+// idleNode does nothing and occupies no memory, so an allocation measured
+// around New is the network layer's own.
+type idleNode struct{}
+
+func (idleNode) Init(*Context)                {}
+func (idleNode) OnMessage(*Context, int, any) {}
+func (idleNode) OnTimer(*Context, int)        {}
+
+// TestAllocationBudget holds the flat construction: building a ring costs a
+// fixed number of allocations per layer plus one link object per edge, not
+// a few dozen objects per node. Measured at this commit: 1.0 objects and
+// 376 B per node (link 112, queue reservation 80, Context 48, clock and
+// link streams 32 each, 16 each for the node, clock and link tables, 12 for
+// the edge's two ends, 8 for its offset; about 460 B under the race
+// detector). A second object per node — a closure, a map entry, a stream
+// derived on the heap — does not fit the budget.
+func TestAllocationBudget(t *testing.T) {
+	const n = 10_000
+	graph := topology.Ring(n)
+	links := channel.RandomDelayFactory(dist.NewExponential(1))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	net, err := New(Config{Graph: graph, Links: links, Seed: 1}, func(int) Node { return idleNode{} })
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objects := float64(after.Mallocs-before.Mallocs) / n
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("network.New on Ring(%d): %.2f objects and %.0f B per node", n, objects, bytes)
+	if objects > 1.5 {
+		t.Errorf("New allocates %.2f objects per node, budget 1.5", objects)
+	}
+	if bytes > 512 {
+		t.Errorf("New allocates %.0f B per node, budget 512", bytes)
+	}
+	runtime.KeepAlive(net)
+}
+
+// TestDegreeReadsDoNotAllocate pins the non-copying accessors: protocols
+// read their degrees inside handlers, millions of times a run.
+func TestDegreeReadsDoNotAllocate(t *testing.T) {
+	net, err := New(Config{
+		Graph: topology.Complete(16),
+		Links: channel.RandomDelayFactory(dist.NewDeterministic(1)),
+	}, func(int) Node { return idleNode{} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &net.ctxs[3]
+	var in, out int
+	if avg := testing.AllocsPerRun(100, func() { in, out = ctx.InDegree(), ctx.OutDegree() }); avg != 0 {
+		t.Errorf("InDegree+OutDegree allocate %g objects per call, want 0", avg)
+	}
+	if in != 15 || out != 15 {
+		t.Fatalf("degrees = in %d out %d, want 15/15", in, out)
 	}
 }

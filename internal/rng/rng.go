@@ -98,13 +98,34 @@ func (r *Source) Derive(label string) *Source {
 // stream per node. Equivalent to Derive(label+"/"+itoa(index)) but without
 // string formatting on hot paths.
 func (r *Source) DeriveIndexed(label string, index int) *Source {
+	out := r.Indexed(label).At(index)
+	return &out
+}
+
+// Indexed is the family of streams DeriveIndexed(label, ·) draws from, with
+// the label already mixed in. Builders that derive one stream per node or
+// per edge hoist it out of their loop and store At's results by value in a
+// slice, instead of paying a label hash and two heap objects per stream.
+type Indexed struct {
+	s0, s3 uint64 // the words of Derive(label)'s state that the index jump reads
+}
+
+// Indexed returns the stream family for label. Like Derive, it does not
+// advance r.
+func (r *Source) Indexed(label string) Indexed {
 	child := r.Derive(label)
+	return Indexed{s0: child.s0, s3: child.s3}
+}
+
+// At returns the family's stream for index, by value: the same generator
+// DeriveIndexed(label, index) points to.
+func (x Indexed) At(index int) Source {
 	// Jump the child by mixing in the index via SplitMix64 reseeding.
-	state := child.s0 ^ (uint64(index)+1)*0x9e3779b97f4a7c15
-	seed := splitMix64(&state) ^ child.s3
+	state := x.s0 ^ (uint64(index)+1)*0x9e3779b97f4a7c15
+	seed := splitMix64(&state) ^ x.s3
 	var out Source
 	out.reseed(seed)
-	return &out
+	return out
 }
 
 // Float64 returns a uniformly distributed float64 in [0, 1).

@@ -90,6 +90,52 @@ func TestDeriveIndexedDistinct(t *testing.T) {
 	}
 }
 
+// TestIndexedMatchesDeriveIndexed pins the by-value derivation the network
+// layer stores in slabs to the pointer form every golden seed was recorded
+// with, for each label the simulator derives per node or per edge.
+func TestIndexedMatchesDeriveIndexed(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 1 << 63} {
+		root := New(seed)
+		for _, label := range []string{"clock", "node", "proc", "edge", "bcast"} {
+			family := root.Indexed(label)
+			for _, i := range []int{0, 1, 2, 63, 99_999, 1 << 40} {
+				got, want := family.At(i), root.DeriveIndexed(label, i)
+				if got != *want {
+					t.Fatalf("seed %d: Indexed(%q).At(%d) = %+v, DeriveIndexed gives %+v", seed, label, i, got, *want)
+				}
+				for k := 0; k < 4; k++ {
+					if a, b := got.Uint64(), want.Uint64(); a != b {
+						t.Fatalf("seed %d %s/%d: draw %d differs: %d vs %d", seed, label, i, k, a, b)
+					}
+				}
+			}
+		}
+	}
+	// First draws of New(1).DeriveIndexed(label, 5), recorded before the
+	// derivation was split into Indexed and At.
+	for _, pin := range []struct {
+		label string
+		first uint64
+	}{
+		{"clock", 0xe3231e7158d1eafd},
+		{"node", 0x1e66624c01d50bac},
+		{"proc", 0x5e17d7a8547b0076},
+		{"edge", 0x41eb12428d35ce6a},
+		{"bcast", 0xaa9c680d75eaa785},
+	} {
+		src := New(1).Indexed(pin.label).At(5)
+		if got := src.Uint64(); got != pin.first {
+			t.Errorf("New(1) %s/5 first draw = %#x, want %#x", pin.label, got, pin.first)
+		}
+	}
+	// Hoisting the label must not advance the parent either.
+	a, b := New(9), New(9)
+	a.Indexed("node").At(3)
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("Indexed/At advanced the parent stream")
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 10000; i++ {

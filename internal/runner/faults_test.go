@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"abenet/internal/channel"
+	"abenet/internal/core"
 	"abenet/internal/dist"
 	"abenet/internal/faults"
+	"abenet/internal/network"
 	"abenet/internal/simtime"
 	"abenet/internal/syncnet"
 	"abenet/internal/topology"
@@ -180,5 +182,44 @@ func TestFaultsRejectedByUnsupportingProtocols(t *testing.T) {
 				t.Fatalf("%s with a fault plan: Run = %v, want ErrFaultsUnsupported", p.Name(), err)
 			}
 		})
+	}
+}
+
+// TestElectionRestartLeavesTheSlab pins what churn does to the election's
+// node storage: the first incarnation of a node is its slab slot, a restart
+// is a fresh object — the slab slot is never reset in place, so the dead
+// incarnation keeps its final state — and the dead incarnation's counters
+// and violations are folded into the run's totals before it is replaced.
+func TestElectionRestartLeavesTheSlab(t *testing.T) {
+	ring := newElectionRing(3)
+	cfg := core.ElectionNodeConfig{RingSize: 3, A0: 0.5}
+	first, err := ring.spawn(1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != network.Node(&ring.first[1]) || ring.nodes[1] != &ring.first[1] {
+		t.Fatal("first incarnation does not live in the slab")
+	}
+	dead := ring.nodes[1]
+	dead.Activations, dead.Knockouts, dead.Violations = 4, 3, []string{"seen by the dead incarnation"}
+
+	second, err := ring.spawn(1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second == first || ring.nodes[1] == dead {
+		t.Fatal("restart reused the slab slot in place")
+	}
+	if dead.Activations != 4 || dead.Knockouts != 3 || len(dead.Violations) != 1 {
+		t.Fatalf("restart reset the dead incarnation: %+v", dead)
+	}
+	if ring.extra.Activations != 4 || ring.extra.Knockouts != 3 || len(ring.violations) != 1 {
+		t.Fatalf("dead incarnation not folded before replacement: extra %+v, violations %v", ring.extra, ring.violations)
+	}
+	if fresh := ring.nodes[1]; fresh.State() != core.Idle || fresh.D() != 1 || fresh.Activations != 0 {
+		t.Fatalf("restarted node is not fresh: %+v", fresh)
+	}
+	if _, err := ring.spawn(2, core.ElectionNodeConfig{RingSize: 1}); err == nil {
+		t.Fatal("invalid node config accepted")
 	}
 }

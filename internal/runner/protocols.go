@@ -69,30 +69,13 @@ func (p Election) Run(env Env) (Report, error) {
 		return Report{}, fmt.Errorf("runner: Election.KeepRunning requires a finite Env.Horizon (tick timers never quiesce)")
 	}
 
-	nodes := make([]*core.ElectionNode, n)
-	// Fault recovery restarts a node as a fresh instance (churn), but the
-	// dead incarnation's measurements — especially any recorded safety
-	// violations — must survive into the report, so fold them in before
-	// the slot is overwritten.
-	var extra ElectionExtra
-	var violations []string
-	fold := func(node *core.ElectionNode) {
-		extra.Activations += node.Activations
-		extra.Knockouts += node.Knockouts
-		extra.ResidualPurges += node.ResidualPurges
-		extra.Recandidacies += node.Recandidacies
-		extra.StalePurges += node.StalePurges
-		violations = append(violations, node.Violations...)
-	}
+	ring := newElectionRing(n)
 	return runNetwork(env, netProtocol{
 		ring:      true,
 		links:     channel.RandomDelayFactory,
 		anonymous: true,
 		makeNode: func(i, sendPort int) (network.Node, error) {
-			if old := nodes[i]; old != nil {
-				fold(old)
-			}
-			node, err := core.NewElectionNode(core.ElectionNodeConfig{
+			return ring.spawn(i, core.ElectionNodeConfig{
 				RingSize:           n,
 				A0:                 a0,
 				TickInterval:       p.TickInterval,
@@ -101,27 +84,66 @@ func (p Election) Run(env Env) (Report, error) {
 				SendPort:           sendPort,
 				RecandidacyTimeout: p.RecandidacyTimeout,
 			})
-			if err != nil {
-				return nil, err
-			}
-			nodes[i] = node
-			return node, nil
 		},
-		gauges: electionGauges{nodes},
+		gauges: electionGauges{ring.nodes},
 		collect: func(rep *Report) error {
-			countLeaders(rep, n, func(i int) bool { return nodes[i].State() == core.Leader })
-			for _, node := range nodes {
-				fold(node)
+			countLeaders(rep, n, func(i int) bool { return ring.nodes[i].State() == core.Leader })
+			for _, node := range ring.nodes {
+				ring.fold(node)
 			}
-			rep.Violations = violations
-			rep.Extra = extra
+			rep.Violations = ring.violations
+			rep.Extra = ring.extra
 			return nil
 		},
 	})
 }
 
+// electionRing owns the election nodes of one run. Every node's first
+// incarnation lives in one slab — a 10⁵-node ring is one allocation, not
+// 10⁵ — and nodes[i] points at node i's current incarnation.
+type electionRing struct {
+	first      []core.ElectionNode
+	nodes      []*core.ElectionNode
+	extra      ElectionExtra // counters of dead incarnations; of all nodes after collect
+	violations []string
+}
+
+func newElectionRing(n int) *electionRing {
+	return &electionRing{first: make([]core.ElectionNode, n), nodes: make([]*core.ElectionNode, n)}
+}
+
+// spawn builds node i's next incarnation. Fault recovery restarts a node as
+// a fresh instance (churn): a new object, never the slab slot reset in
+// place, so whoever still holds the dead incarnation keeps seeing its final
+// state. The dead incarnation's measurements — especially any recorded
+// safety violations — must survive into the report, so they are folded in
+// before the pointer is overwritten.
+func (r *electionRing) spawn(i int, cfg core.ElectionNodeConfig) (network.Node, error) {
+	node := &r.first[i]
+	if old := r.nodes[i]; old != nil {
+		r.fold(old)
+		node = new(core.ElectionNode)
+	}
+	var err error
+	if *node, err = core.MakeElectionNode(cfg); err != nil {
+		return nil, err
+	}
+	r.nodes[i] = node
+	return node, nil
+}
+
+// fold adds one incarnation's counters and violations to the run's totals.
+func (r *electionRing) fold(node *core.ElectionNode) {
+	r.extra.Activations += node.Activations
+	r.extra.Knockouts += node.Knockouts
+	r.extra.ResidualPurges += node.ResidualPurges
+	r.extra.Recandidacies += node.Recandidacies
+	r.extra.StalePurges += node.StalePurges
+	r.violations = append(r.violations, node.Violations...)
+}
+
 // electionGauges exposes the election's protocol-level gauges over the live
-// node slice. Churn restarts overwrite slots in place, so the gauges always
+// node slice. Churn restarts overwrite its pointers, so the gauges always
 // read the current incarnation of each node.
 type electionGauges struct{ nodes []*core.ElectionNode }
 

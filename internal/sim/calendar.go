@@ -88,6 +88,10 @@ func (c *calendarScheduler) Name() string { return SchedulerCalendar }
 
 func (c *calendarScheduler) Pending() int { return c.wheelLen + len(c.overflow) }
 
+// Reserve is a no-op: the wheel sizes itself from the pending population at
+// each rebuild, and which bucket an event lands in is not known up front.
+func (c *calendarScheduler) Reserve(int) {}
+
 // bucketIndex maps an instant within [wheelStart, wheelEnd) to its bucket.
 // Clamping keeps the result in range under floating-point rounding (and
 // files instants before wheelStart — possible after a rebuild whose

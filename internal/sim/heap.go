@@ -1,6 +1,10 @@
 package sim
 
-import "abenet/internal/simtime"
+import (
+	"slices"
+
+	"abenet/internal/simtime"
+)
 
 // heapScheduler is the default Scheduler: an intrusive 4-ary min-heap
 // ordered by (at, seq) and stored in a single value slice — the slice
@@ -15,6 +19,15 @@ func newHeapScheduler() *heapScheduler { return &heapScheduler{} }
 func (h *heapScheduler) Name() string { return SchedulerHeap }
 
 func (h *heapScheduler) Pending() int { return len(h.heap) }
+
+// Reserve sizes the backing slice once. Grown by append alone, a large heap
+// is reallocated and copied some twenty times on its way up, allocating
+// about five times its final size.
+func (h *heapScheduler) Reserve(n int) {
+	if n > cap(h.heap) {
+		h.heap = slices.Grow(h.heap, n-len(h.heap))
+	}
+}
 
 func (h *heapScheduler) Schedule(ev event) {
 	h.heap = append(h.heap, ev)

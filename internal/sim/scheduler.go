@@ -38,6 +38,9 @@ type Scheduler interface {
 	Pop() (event, bool)
 	// Pending returns the number of scheduled events in O(1).
 	Pending() int
+	// Reserve is a sizing hint: about n events will be pending at once. It
+	// never changes the pop order; an implementation may ignore it.
+	Reserve(n int)
 }
 
 // Registry names for the shipped schedulers. The empty string selects the

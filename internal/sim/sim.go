@@ -132,6 +132,13 @@ func (k *Kernel) ScheduleSeq() uint64 { return k.seq }
 // Pending returns the number of scheduled, not yet executed events in O(1).
 func (k *Kernel) Pending() int { return k.sched.Pending() }
 
+// Reserve tells the scheduler that about n events will be pending at once,
+// so it can size its storage in one step instead of growing into it. A
+// builder that knows the population (one timer per node, say) calls it
+// before the first event is scheduled. It is a hint: execution order and
+// every counter are unaffected.
+func (k *Kernel) Reserve(n int) { k.sched.Reserve(n) }
+
 // schedule validates and enqueues one event.
 func (k *Kernel) schedule(at simtime.Time, fn Handler, afn ArgHandler, arg uint32) {
 	if fn == nil && afn == nil {

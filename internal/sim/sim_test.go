@@ -397,3 +397,51 @@ func TestStepWithinPastHorizonDoesNotRewind(t *testing.T) {
 		t.Fatalf("Run rewound the clock to %v, want 10", k.Now())
 	}
 }
+
+// TestReserveSizesTheQueueOnce: after Reserve(n), scheduling n events grows
+// nothing, and the hint changes neither the pop order nor any counter —
+// on either scheduler.
+func TestReserveSizesTheQueueOnce(t *testing.T) {
+	const n = 5000
+	fn := func() {}
+	k := New()
+	k.Reserve(n)
+	if avg := testing.AllocsPerRun(1, func() {
+		for i := 0; i < n/2; i++ {
+			k.AtFunc(simtime.Time(n-i), fn)
+		}
+	}); avg != 0 {
+		t.Errorf("scheduling into a reserved heap allocated %g times, want 0", avg)
+	}
+
+	for _, name := range SchedulerNames() {
+		run := func(reserve bool) (order []int, executed uint64) {
+			k, err := NewNamed(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reserve {
+				k.Reserve(n)
+			}
+			r := rng.New(3)
+			for i := 0; i < n; i++ {
+				i := i
+				k.AtFunc(simtime.Time(r.Intn(50)), func() { order = append(order, i) })
+			}
+			if err := k.Run(simtime.Forever, 0); err != nil {
+				t.Fatal(err)
+			}
+			return order, k.Executed()
+		}
+		plain, plainN := run(false)
+		reserved, reservedN := run(true)
+		if plainN != reservedN || len(plain) != len(reserved) {
+			t.Fatalf("%s: Reserve changed the event count: %d vs %d", name, plainN, reservedN)
+		}
+		for i := range plain {
+			if plain[i] != reserved[i] {
+				t.Fatalf("%s: Reserve changed the pop order at %d: %d vs %d", name, i, plain[i], reserved[i])
+			}
+		}
+	}
+}

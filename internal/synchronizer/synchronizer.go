@@ -185,7 +185,7 @@ func (s *Synchronizer) Node(i int, proto syncnet.Node) network.Node {
 	}
 	core := newRoundCore(proto, s.graph.OutDegree(i), s.maxRounds)
 	s.cores[i] = core
-	inDegree := len(s.graph.In(i))
+	inDegree := s.graph.InDegree(i)
 	switch s.kind {
 	case KindRound:
 		return &roundNode{roundCore: core, inDegree: inDegree, received: make(map[int]int)}

@@ -100,19 +100,11 @@ func New(cfg Config, makeNode func(i int) Node) (*Runner, error) {
 		outboxes:  make([][]Message, n),
 		anonymous: cfg.Anonymous,
 	}
-	// Precompute in-port numbering, as in the asynchronous runtime.
-	inPort := make(map[[2]int]int, cfg.Graph.EdgeCount())
-	for v := 0; v < n; v++ {
-		for idx, u := range cfg.Graph.In(v) {
-			inPort[[2]int{u, v}] = idx
-		}
-	}
 	for i := 0; i < n; i++ {
 		r.ctxs[i] = &Context{
 			runner: r,
 			id:     i,
 			rand:   root.DeriveIndexed("node", i),
-			inPort: inPort,
 		}
 		r.nodes[i] = makeNode(i)
 		if r.nodes[i] == nil {
@@ -183,7 +175,6 @@ type Context struct {
 	runner *Runner
 	id     int
 	rand   *rng.Source
-	inPort map[[2]int]int
 }
 
 // N returns the network size (known-n assumption).
@@ -203,12 +194,13 @@ func (c *Context) OutDegree() int { return c.runner.graph.OutDegree(c.id) }
 // Send queues payload for delivery on the given out-port at the start of
 // the next round.
 func (c *Context) Send(outPort int, payload any) {
-	out := c.runner.graph.Out(c.id)
-	if outPort < 0 || outPort >= len(out) {
-		panic(fmt.Sprintf("syncnet: node has %d out-ports, sent on %d", len(out), outPort))
+	g := c.runner.graph
+	if degree := g.OutDegree(c.id); outPort < 0 || outPort >= degree {
+		panic(fmt.Sprintf("syncnet: node has %d out-ports, sent on %d", degree, outPort))
 	}
-	dest := out[outPort]
-	port := c.inPort[[2]int{c.id, dest}]
+	// In-port numbering as in the asynchronous runtime: the graph recorded
+	// it when the edge was added.
+	dest, port := g.OutAt(c.id, outPort), g.InPort(c.id, outPort)
 	c.runner.messages++
 	c.runner.outboxes[dest] = append(c.runner.outboxes[dest], Message{InPort: port, Payload: payload})
 }

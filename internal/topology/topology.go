@@ -6,6 +6,10 @@
 // connected graphs. Nodes are identified by dense indices 0..n-1 — these are
 // simulator-level identities only and are never visible to protocols that
 // declare themselves anonymous (the network layer enforces that anonymity).
+//
+// Runtimes read a frozen graph through the non-copying accessors (OutDegree,
+// InDegree, OutAt, InAt, InPort); Out and In return copies for callers that
+// want a slice to keep.
 package topology
 
 import (
@@ -23,10 +27,17 @@ type Edge struct {
 
 // Graph is a directed graph over nodes 0..n-1. The zero value is an empty
 // graph with no nodes; use New.
+//
+// Ports are positions in the adjacency lists: u's p-th out-edge leaves on
+// out-port p, and v's q-th in-edge arrives on in-port q. AddEdge records the
+// in-port of every out-edge as it is added, so a runtime wiring a network
+// resolves "which in-port does u's out-port p reach" by one indexed read
+// (InPort) instead of building a lookup table per run.
 type Graph struct {
-	n   int
-	out [][]int
-	in  [][]int
+	n      int
+	out    [][]int
+	in     [][]int
+	inPort [][]int // inPort[u][p]: position of u in in[out[u][p]]
 
 	// RingEmbedding cache: graphs are frozen after construction, and
 	// sweeps run thousands of seeded repetitions against one shared
@@ -44,9 +55,10 @@ func New(n int) *Graph {
 		panic(fmt.Sprintf("topology: graph needs at least one node, got %d", n))
 	}
 	return &Graph{
-		n:   n,
-		out: make([][]int, n),
-		in:  make([][]int, n),
+		n:      n,
+		out:    make([][]int, n),
+		in:     make([][]int, n),
+		inPort: make([][]int, n),
 	}
 }
 
@@ -68,6 +80,7 @@ func (g *Graph) AddEdge(u, v int) {
 		}
 	}
 	g.out[u] = append(g.out[u], v)
+	g.inPort[u] = append(g.inPort[u], len(g.in[v]))
 	g.in[v] = append(g.in[v], u)
 	g.ringMu.Lock()
 	g.ringDone = false
@@ -114,6 +127,33 @@ func (g *Graph) OutDegree(u int) int {
 	return len(g.out[u])
 }
 
+// InDegree returns the number of in-neighbours of v.
+func (g *Graph) InDegree(v int) int {
+	g.checkNode(v)
+	return len(g.in[v])
+}
+
+// OutAt returns the neighbour reached by u's out-port p, without copying
+// the adjacency. It panics if p is not a port of u.
+func (g *Graph) OutAt(u, p int) int {
+	g.checkNode(u)
+	return g.out[u][p]
+}
+
+// InAt returns the neighbour behind v's in-port p, without copying the
+// adjacency. It panics if p is not a port of v.
+func (g *Graph) InAt(v, p int) int {
+	g.checkNode(v)
+	return g.in[v][p]
+}
+
+// InPort returns the in-port on which the edge leaving u's out-port p
+// arrives at its destination: InAt(OutAt(u, p), InPort(u, p)) == u.
+func (g *Graph) InPort(u, p int) int {
+	g.checkNode(u)
+	return g.inPort[u][p]
+}
+
 // ForEachOut calls fn for each out-neighbour of u without allocating.
 func (g *Graph) ForEachOut(u int, fn func(v int)) {
 	g.checkNode(u)
@@ -155,9 +195,20 @@ func Ring(n int) *Graph {
 	if n < 2 {
 		panic(fmt.Sprintf("topology: unidirectional ring needs n >= 2, got %d", n))
 	}
+	// Every node has exactly one out-edge and one in-edge, so the adjacency
+	// tables are laid over one backing array each instead of n one-element
+	// slices — million-node rings are built per run — and every recorded
+	// in-port is the same 0. Capacities are clipped to the element, so a
+	// later AddEdge appends into a fresh array and never into a neighbour's
+	// slot.
 	g := New(n)
+	out, in, port0 := make([]int, n), make([]int, n), make([]int, 1)
 	for i := 0; i < n; i++ {
-		g.AddEdge(i, (i+1)%n)
+		out[i] = (i + 1) % n
+		in[i] = (i + n - 1) % n
+		g.out[i] = out[i : i+1 : i+1]
+		g.in[i] = in[i : i+1 : i+1]
+		g.inPort[i] = port0[0:1:1]
 	}
 	return g
 }
@@ -521,25 +572,23 @@ func (g *Graph) Diameter() int {
 // Validate checks structural invariants (consistent in/out adjacency). It
 // returns an error describing the first violation, or nil. All constructors
 // in this package maintain these invariants; Validate exists for graphs
-// assembled by hand.
+// assembled by hand. It runs in O(E): each out-edge is checked against the
+// in-port AddEdge recorded for it.
 func (g *Graph) Validate() error {
 	if g.n < 1 {
 		return fmt.Errorf("topology: graph has %d nodes", g.n)
 	}
 	counted := 0
 	for u := 0; u < g.n; u++ {
-		for _, v := range g.out[u] {
+		for p, v := range g.out[u] {
 			if v < 0 || v >= g.n {
 				return fmt.Errorf("topology: edge %d->%d leaves node range", u, v)
 			}
-			found := false
-			for _, w := range g.in[v] {
-				if w == u {
-					found = true
-					break
-				}
+			q := -1
+			if p < len(g.inPort[u]) {
+				q = g.inPort[u][p]
 			}
-			if !found {
+			if q < 0 || q >= len(g.in[v]) || g.in[v][q] != u {
 				return fmt.Errorf("topology: edge %d->%d missing from in-adjacency", u, v)
 			}
 			counted++

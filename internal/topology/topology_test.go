@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -255,11 +256,88 @@ func TestEdgesOrderStable(t *testing.T) {
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
-	g := Ring(3)
-	// Corrupt the in-adjacency directly.
-	g.in[1] = nil
-	if err := g.Validate(); err == nil {
-		t.Fatal("Validate missed corrupted in-adjacency")
+	for _, tc := range []struct {
+		name    string
+		corrupt func(g *Graph)
+		want    string
+	}{
+		{"edge out of range", func(g *Graph) { g.out[0][0] = 7 }, "leaves node range"},
+		{"out-edge missing from in-adjacency", func(g *Graph) { g.in[1] = nil }, "missing from in-adjacency"},
+		{"out-edge at another in-port", func(g *Graph) { g.in[1] = []int{2} }, "missing from in-adjacency"},
+		{"count mismatch", func(g *Graph) { g.in[1] = append(g.in[1], 2) }, "out-edges vs"},
+	} {
+		g := Ring(3)
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s: fresh ring invalid: %v", tc.name, err)
+		}
+		tc.corrupt(g)
+		err := g.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate() = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestRecordedInPortMatchesScan checks the in-port AddEdge records for each
+// out-edge against a position scan of the destination's in-adjacency.
+func TestRecordedInPortMatchesScan(t *testing.T) {
+	graphs := map[string]*Graph{
+		"ring":      Ring(7),
+		"biring":    BiRing(7),
+		"complete":  Complete(6),
+		"hypercube": Hypercube(4),
+		"star":      Star(9),
+		"random":    RandomConnected(24, 0.2, rng.New(5)),
+	}
+	for name, g := range graphs {
+		for u := 0; u < g.N(); u++ {
+			out := g.Out(u)
+			if g.OutDegree(u) != len(out) || g.InDegree(u) != len(g.In(u)) {
+				t.Fatalf("%s: degrees of %d disagree with Out/In", name, u)
+			}
+			for p, v := range out {
+				if got := g.OutAt(u, p); got != v {
+					t.Fatalf("%s: OutAt(%d, %d) = %d, want %d", name, u, p, got, v)
+				}
+				want := -1
+				for q, w := range g.In(v) {
+					if w == u {
+						want = q
+						break
+					}
+				}
+				got := g.InPort(u, p)
+				if got != want {
+					t.Fatalf("%s: InPort(%d, %d) = %d, position scan finds %d", name, u, p, got, want)
+				}
+				if back := g.InAt(v, got); back != u {
+					t.Fatalf("%s: InAt(%d, %d) = %d, want %d", name, v, got, back, u)
+				}
+			}
+		}
+	}
+}
+
+// TestRingSharedBackingSurvivesAddEdge pins the capacity clipping in Ring:
+// growing one node's adjacency must not overwrite its neighbour's slot in
+// the shared backing arrays.
+func TestRingSharedBackingSurvivesAddEdge(t *testing.T) {
+	g := Ring(5)
+	g.AddEdge(1, 4) // appends to out[1], inPort[1] and in[4]
+	g.AddEdge(3, 0)
+	for i := 0; i < 5; i++ {
+		if got := g.OutAt(i, 0); got != (i+1)%5 {
+			t.Fatalf("ring edge of %d now leads to %d", i, got)
+		}
+		if got := g.InAt(i, 0); got != (i+4)%5 {
+			t.Fatalf("ring in-edge of %d now comes from %d", i, got)
+		}
+	}
+	if g.OutAt(1, 1) != 4 || g.InPort(1, 1) != 1 || g.InAt(4, 1) != 1 {
+		t.Fatal("chord 1->4 not recorded on fresh ports")
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -37,20 +37,20 @@
 // (ItaiRodehSync, ItaiRodehAsync), the identity-based Chang–Roberts and
 // Peterson baselines (ChangRoberts, Peterson), synchronizer-backed
 // synchronous execution (Synchronized, SynchronizedElection), the
-// clock-driven ABD synchronizer workload (ClockSync), and the
-// real-concurrency goroutine runtime (LiveElection). Ring protocols run on
-// any topology embedding a directed Hamiltonian cycle (Ring, BiRing,
-// Complete, Hypercube, ...).
+// clock-driven ABD synchronizer workload (ClockSync), and Ben-Or randomized
+// consensus under Byzantine adversaries (BenOr). Ring protocols run on any
+// topology embedding a directed Hamiltonian cycle (Ring, BiRing, Complete,
+// Hypercube, ...).
 //
 // Run is the only way to execute a protocol: an environment that sets both
 // Delay and Links must declare Delta to state the governing δ
 // (Env.Validate rejects the ambiguous declaration), and an environment that
 // asks for an axis the protocol does not honour (faults, adversaries, the
 // broadcast medium, observation, tracing) is refused with a typed error.
-// Every protocol but ItaiRodehSync (the native round engine) and
-// LiveElection runs on the one event kernel — the synchronizer-backed ones
-// and ClockSync included — so they all fill Report.Events, Transmissions
-// and Params, and honour Env.Observe and Env.Trace.
+// Every protocol but ItaiRodehSync (the native round engine) runs on the
+// one event kernel — the synchronizer-backed ones and ClockSync included —
+// so they all fill Report.Events, Transmissions and Params, and honour
+// Env.Observe and Env.Trace; every run is a pure function of (Env, seed).
 //
 // The package also exposes the ABE model itself as machine-checkable
 // parameters (Params), an exhaustive bounded model checker for the
@@ -102,8 +102,6 @@ type (
 	SyncExtra = runner.SyncExtra
 	// ClockSyncExtra is ClockSync's Extra payload.
 	ClockSyncExtra = runner.ClockSyncExtra
-	// LiveExtra is LiveElection's Extra payload.
-	LiveExtra = runner.LiveExtra
 	// ConsensusExtra is BenOr's Extra payload: the agreement, validity and
 	// termination verdicts over the honest nodes plus the decision trace.
 	ConsensusExtra = runner.ConsensusExtra
@@ -133,8 +131,6 @@ type (
 	SynchronizedElection = runner.SynchronizedElection
 	// ClockSync is the clock-driven ABD synchronizer workload.
 	ClockSync = runner.ClockSync
-	// LiveElection runs the election on real goroutines and channels.
-	LiveElection = runner.LiveElection
 	// BenOr is Ben-Or randomized binary consensus provisioned for f
 	// Byzantine nodes — the one protocol honouring Env.Byzantine and
 	// Env.LocalBroadcast.

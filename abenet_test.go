@@ -2,7 +2,6 @@ package abenet_test
 
 import (
 	"testing"
-	"time"
 
 	"abenet"
 )
@@ -119,16 +118,6 @@ func TestFacadeModelChecker(t *testing.T) {
 	}
 	if !report.OK() {
 		t.Fatalf("violations: %+v", report.Violations)
-	}
-}
-
-func TestFacadeLiveElection(t *testing.T) {
-	res, err := abenet.Run(abenet.Env{N: 5, Seed: 5}, abenet.LiveElection{MeanDelay: 100 * time.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Leaders != 1 {
-		t.Fatalf("live leaders = %d", res.Leaders)
 	}
 }
 

@@ -2,7 +2,6 @@ package abenet_test
 
 import (
 	"testing"
-	"time"
 
 	"abenet"
 	"abenet/internal/channel"
@@ -170,21 +169,6 @@ func BenchmarkModelCheckRing4(b *testing.B) {
 	}
 }
 
-func BenchmarkLiveElection8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := abenet.Run(abenet.Env{N: 8, Seed: uint64(i)}, abenet.LiveElection{
-			A0:        0.05,
-			MeanDelay: 50 * time.Microsecond,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Leaders != 1 {
-			b.Fatalf("leaders = %d", res.Leaders)
-		}
-	}
-}
-
 // ---- Benchmarks through the unified Run path ----
 //
 // These drive the Env/Protocol/Report API directly: one canonical election,
@@ -257,14 +241,9 @@ func BenchmarkLinkDelivery(b *testing.B) {
 }
 
 func BenchmarkRunRegistry16(b *testing.B) {
-	// The whole registry on one default environment. live-election is
-	// excluded: it sleeps wall-clock time, which is not what this
-	// throughput benchmark tracks.
+	// The whole registry on one default environment.
 	for i := 0; i < b.N; i++ {
 		for _, name := range abenet.Protocols() {
-			if name == "live-election" {
-				continue
-			}
 			p, ok := abenet.ProtocolByName(name)
 			if !ok {
 				b.Fatalf("%s missing from registry", name)

@@ -1,15 +1,26 @@
 // Command abe-elect runs one protocol from the registry on an ABE
 // environment and reports what happened — optionally with a full message
-// trace for the paper's election.
+// trace, a sampled time series, or as a sweep over ring sizes.
 //
 // Usage:
 //
 //	abe-elect [-proto election] [-topo ring] [-n 16] [-a0 0] [-seed 1]
 //	          [-delay exp|det|uniform|pareto|arq] [-mean 1] [-drift 1]
 //	          [-gamma 0] [-loss 0] [-crash 0] [-recover 0] [-horizon 0]
+//	          [-equivocate 0] [-broadcast] [-scheduler heap|calendar]
+//	          [-observe-every K] [-observe-interval T] [-observe-csv FILE]
 //	          [-trace] [-trace-out FILE] [-trace-format chrome|jsonl|text]
-//	          [-check] [-live] [-json]
-//	abe-elect -spec scenario.json [-seed N] [-workers N] [-dry-run] [-json]
+//	          [-check] [-dry-run] [-json]
+//	abe-elect -sizes 8,16,32 [-reps 50] [-workers N] [scenario flags] [-json]
+//	abe-elect -spec scenario.json [-seed N] [-scheduler S] [-workers N] [-dry-run] [-json]
+//
+// An invocation is a spec: the scenario flags compile to the same
+// internal/spec document a -spec file holds, and both go through one
+// validate → hash → run → render routine (the one abe-serve runs too), so
+// the three doors produce byte-identical reports for the same (scenario,
+// seed) and a flag value a spec file would refuse is refused here with the
+// same error. -dry-run validates and prints the canonical document and its
+// scenario hash without running — save it, or POST it to abe-serve.
 //
 // -proto accepts any registered protocol name (see -list); -topo accepts
 // ring, biring, complete or hypercube (ring protocols run along the
@@ -17,6 +28,9 @@
 // (message loss, node churn) into fault-capable protocols; lossy runs are
 // bounded by -horizon, which defaults to 1000·δ when faults are injected
 // so a deadlocked election terminates the simulation instead of the user.
+// -sizes sweeps the scenario over ring sizes (-reps seeded runs each) and
+// renders the aggregated table; a spec file with a "sweep" block does the
+// same. A flag the chosen run does not read is rejected, not dropped.
 //
 // -trace records every kernel event (sends, deliveries, timers, the
 // decision) as a causal forest — each event carries a Lamport clock and a
@@ -27,277 +41,414 @@
 // edges; jsonl is one event per line for stream processing; text is the
 // human dump. Tracing is observational only: a traced run's report is
 // byte-identical to the untraced run's.
-//
-// -spec runs a declarative scenario file (the internal/spec JSON schema)
-// through exactly the same runner.Run path as the flags — and as
-// abe-serve — so the three doors produce byte-identical reports for the
-// same (scenario, seed). A spec with a "sweep" block renders the
-// aggregated table instead ( -workers bounds its parallelism); -dry-run
-// validates the file and prints its scenario hash without running.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
 	"strconv"
+	"strings"
 
 	"abenet"
+	"abenet/internal/harness"
 	"abenet/internal/probe"
-	"abenet/internal/simtime"
 	"abenet/internal/spec"
 	"abenet/internal/trace"
 	"abenet/internal/trace/causal"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "abe-elect:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	proto := flag.String("proto", "election", "protocol to run (see -list)")
-	list := flag.Bool("list", false, "list registered protocols and exit")
-	topo := flag.String("topo", "ring", "topology: ring, biring, complete, hypercube")
-	n := flag.Int("n", 16, "network size (hypercube rounds down to a power of two)")
-	a0 := flag.Float64("a0", 0, "election activation parameter (0 = balanced default)")
-	seed := flag.Uint64("seed", 1, "random seed")
-	scheduler := flag.String("scheduler", "", "kernel event scheduler: heap or calendar (default heap; results are byte-identical either way)")
-	delayKind := flag.String("delay", "exp", "delay model: exp, det, uniform, pareto, arq")
-	mean := flag.Float64("mean", 1, "expected link delay δ")
-	drift := flag.Float64("drift", 1, "clock speed ratio s_high/s_low (1 = perfect clocks)")
-	gamma := flag.Float64("gamma", 0, "expected processing time γ (0 = instantaneous)")
-	loss := flag.Float64("loss", 0, "per-message loss probability in [0, 1) (fault injection)")
-	crashRate := flag.Float64("crash", 0, "per-node exponential crash rate (fault injection)")
-	recoverRate := flag.Float64("recover", 0, "crashed-node recovery rate (0 with -crash = crash-stop churn off)")
-	equivocate := flag.Int("equivocate", 0, "make nodes 0..k-1 Byzantine equivocators (honoured by ben-or)")
-	broadcast := flag.Bool("broadcast", false, "atomic local-broadcast medium instead of point-to-point links (honoured by ben-or)")
-	horizon := flag.Float64("horizon", 0, "virtual-time bound (0 = unbounded, or 1000·δ when faults are on)")
-	withTrace := flag.Bool("trace", false, "print the full causal trace")
-	traceOut := flag.String("trace-out", "", "write the causal trace to FILE (implies tracing)")
-	traceFormat := flag.String("trace-format", "chrome", "trace file format: chrome, jsonl or text (with -trace-out)")
-	obsEvery := flag.Uint64("observe-every", 0, "sample a time series every K executed events (observe-capable protocols)")
-	obsInterval := flag.Float64("observe-interval", 0, "sample a time series every T virtual time units")
-	obsMax := flag.Int("observe-max", 0, "cap on stored samples (0 = 100000)")
-	obsCSV := flag.String("observe-csv", "", "write the sampled series as CSV to FILE (\"-\" = stdout)")
-	withCheck := flag.Bool("check", false, "also model-check the election exhaustively at this size (n <= 5)")
-	liveMode := flag.Bool("live", false, "run on real goroutines/channels instead of the simulator")
-	specPath := flag.String("spec", "", "run a declarative scenario file instead of building one from flags")
-	dryRun := flag.Bool("dry-run", false, "with -spec: validate the file and print its hash without running")
-	workers := flag.Int("workers", 0, "sweep parallelism for -spec sweeps (0 = GOMAXPROCS)")
-	jsonOut := flag.Bool("json", false, "print the report as JSON (machine-readable)")
-	flag.Parse()
+// cli is one invocation: the parsed flags, which of them the user set, and
+// where output goes.
+type cli struct {
+	set            map[string]bool
+	stdout, stderr io.Writer
 
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	// The scenario, as flags (what a -spec file states instead).
+	proto, topo, delay, sizes     string
+	n, reps, obsMax               int
+	equivocate                    uint
+	a0, mean, drift, gamma        float64
+	loss, crash, recover, horizon float64
+	obsEvery                      uint64
+	obsInterval                   float64
+	broadcast, check              bool
 
-	switch *traceFormat {
-	case "chrome", "jsonl", "text":
-	default:
-		return fmt.Errorf("unknown -trace-format %q (chrome, jsonl or text)", *traceFormat)
+	// What composes with either source, and how to render.
+	specPath, scheduler          string
+	seed                         uint64
+	workers                      int
+	traceOut, traceFmt, obsCSV   string
+	trace, dryRun, jsonOut, list bool
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	c := cli{set: map[string]bool{}, stdout: stdout, stderr: stderr}
+	fs := flag.NewFlagSet("abe-elect", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&c.proto, "proto", "election", "protocol to run (see -list)")
+	fs.BoolVar(&c.list, "list", false, "list registered protocols and exit")
+	fs.StringVar(&c.topo, "topo", "ring", "topology: ring, biring, complete, hypercube")
+	fs.IntVar(&c.n, "n", 16, "network size (hypercube rounds down to a power of two)")
+	fs.Float64Var(&c.a0, "a0", 0, "election activation parameter (0 = balanced default)")
+	fs.Uint64Var(&c.seed, "seed", 1, "random seed")
+	fs.StringVar(&c.scheduler, "scheduler", "", "kernel event scheduler: heap or calendar (default heap; results are byte-identical either way)")
+	fs.StringVar(&c.delay, "delay", "exp", "delay model: exp, det, uniform, pareto, arq")
+	fs.Float64Var(&c.mean, "mean", 1, "expected link delay δ")
+	fs.Float64Var(&c.drift, "drift", 1, "clock speed ratio s_high/s_low (1 = perfect clocks)")
+	fs.Float64Var(&c.gamma, "gamma", 0, "expected processing time γ (0 = instantaneous)")
+	fs.Float64Var(&c.loss, "loss", 0, "per-message loss probability in [0, 1) (fault injection)")
+	fs.Float64Var(&c.crash, "crash", 0, "per-node exponential crash rate (fault injection)")
+	fs.Float64Var(&c.recover, "recover", 0, "crashed-node recovery rate (needs -crash; 0 = crash-stop)")
+	fs.UintVar(&c.equivocate, "equivocate", 0, "make nodes 0..k-1 Byzantine equivocators (honoured by ben-or)")
+	fs.BoolVar(&c.broadcast, "broadcast", false, "atomic local-broadcast medium instead of point-to-point links (honoured by ben-or)")
+	fs.Float64Var(&c.horizon, "horizon", 0, "virtual-time bound (0 = unbounded, or 1000·δ when faults are on)")
+	fs.BoolVar(&c.trace, "trace", false, "print the full causal trace")
+	fs.StringVar(&c.traceOut, "trace-out", "", "write the causal trace to FILE (implies tracing)")
+	fs.StringVar(&c.traceFmt, "trace-format", "chrome", "trace file format: chrome, jsonl or text (with -trace-out)")
+	fs.Uint64Var(&c.obsEvery, "observe-every", 0, "sample a time series every K executed events (observe-capable protocols)")
+	fs.Float64Var(&c.obsInterval, "observe-interval", 0, "sample a time series every T virtual time units")
+	fs.IntVar(&c.obsMax, "observe-max", 0, "cap on stored samples (0 = 100000)")
+	fs.StringVar(&c.obsCSV, "observe-csv", "", "write the sampled series as CSV to FILE (\"-\" = stdout)")
+	fs.BoolVar(&c.check, "check", false, "also model-check the election exhaustively at this size (-proto election on the default ring, n <= 5)")
+	fs.StringVar(&c.sizes, "sizes", "", "sweep the scenario over these comma-separated ring sizes instead of one run")
+	fs.IntVar(&c.reps, "reps", 0, "with -sizes: seeded repetitions per size (0 = 100)")
+	fs.StringVar(&c.specPath, "spec", "", "run a declarative scenario file instead of compiling one from flags")
+	fs.BoolVar(&c.dryRun, "dry-run", false, "validate and print the canonical scenario document and its hash without running")
+	fs.IntVar(&c.workers, "workers", 0, "sweep parallelism (0 = GOMAXPROCS); results are identical for any value")
+	fs.BoolVar(&c.jsonOut, "json", false, "print the report as JSON (machine-readable)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
 	}
-	if set["trace-format"] && *traceOut == "" {
-		return fmt.Errorf("-trace-format picks the -trace-out file format; set -trace-out FILE (plain -trace always prints text)")
-	}
+	fs.Visit(func(f *flag.Flag) { c.set[f.Name] = true })
 
-	if *list {
+	if c.list {
 		for _, name := range abenet.Protocols() {
-			fmt.Println(name)
+			fmt.Fprintln(stdout, name)
 		}
 		return nil
 	}
-
-	// The live runtime has no fault injection: naming both on one command
-	// line is a contradiction, not a request to ignore the fault flags.
-	if *liveMode && (set["loss"] || set["crash"] || set["recover"] || set["equivocate"] || set["broadcast"]) {
-		return fmt.Errorf("-live cannot be combined with -loss/-crash/-recover/-equivocate/-broadcast: the live goroutine runtime has no fault injection; drop -live to run the plan on the simulator")
+	switch c.traceFmt {
+	case "chrome", "jsonl", "text":
+	default:
+		return fmt.Errorf("unknown -trace-format %q (chrome, jsonl or text)", c.traceFmt)
 	}
-	if *liveMode && (set["observe-every"] || set["observe-interval"]) {
-		return fmt.Errorf("-live cannot be combined with -observe-every/-observe-interval: the live goroutine runtime has no event kernel to sample")
-	}
-	if *liveMode && (*withTrace || *traceOut != "") {
-		return fmt.Errorf("-live cannot be combined with -trace/-trace-out: the live goroutine runtime has no event kernel to trace")
-	}
-	if *liveMode && set["scheduler"] {
-		return fmt.Errorf("-live cannot be combined with -scheduler: the live goroutine runtime has no event kernel")
+	if c.set["trace-format"] && c.traceOut == "" {
+		return fmt.Errorf("-trace-format picks the -trace-out file format; set -trace-out FILE (plain -trace always prints text)")
 	}
 
-	if *specPath != "" {
-		// A spec file states the whole scenario; flags that would fight it
-		// are rejected rather than silently losing.
-		conflicting := []string{"proto", "topo", "n", "a0", "delay", "mean", "drift", "gamma",
-			"loss", "crash", "recover", "equivocate", "broadcast", "horizon", "live", "check",
-			"observe-every", "observe-interval", "observe-max"}
+	s, err := c.compile()
+	if err != nil {
+		return err
+	}
+	hash, err := s.Hash()
+	if err != nil {
+		return err
+	}
+	switch {
+	case c.dryRun:
+		return c.describe(s, hash)
+	case s.Sweep != nil:
+		return c.runSweep(s, hash)
+	default:
+		return c.runOne(s, hash)
+	}
+}
+
+// scenarioFlags are the flags that state the scenario — exactly what a
+// -spec file states instead, so naming both is a conflict.
+var scenarioFlags = []string{"proto", "topo", "n", "a0", "delay", "mean", "drift", "gamma",
+	"loss", "crash", "recover", "equivocate", "broadcast", "horizon", "check",
+	"observe-every", "observe-interval", "observe-max", "sizes", "reps"}
+
+// compile turns the invocation into the one validated spec it means: the
+// -spec file or the scenario flags, then the overrides that compose with
+// either (seed and scheduler, which are not scenario identity; tracing;
+// sweep parallelism). The result has been through the strict decoder, so
+// what runs is exactly the document -dry-run prints.
+func (c *cli) compile() (*spec.Spec, error) {
+	var s *spec.Spec
+	var err error
+	if c.specPath != "" {
 		var clash []string
-		for _, name := range conflicting {
-			if set[name] {
+		for _, name := range scenarioFlags {
+			if c.set[name] {
 				clash = append(clash, "-"+name)
 			}
 		}
 		if len(clash) > 0 {
 			sort.Strings(clash)
-			return fmt.Errorf("-spec states the scenario; drop %v (only -seed, -scheduler, -trace, -trace-out, -trace-format, -workers, -observe-csv, -json and -dry-run combine with it)", clash)
+			return nil, fmt.Errorf("-spec states the scenario; drop %v (only -seed, -scheduler, -trace, -trace-out, -trace-format, -workers, -observe-csv, -json and -dry-run combine with it)", clash)
 		}
-		var seedOverride *uint64
-		if set["seed"] {
-			seedOverride = seed
+		if s, err = spec.DecodeFile(c.specPath); err != nil {
+			return nil, err
 		}
-		// Like the seed, the scheduler is not part of the scenario identity
-		// (runs are byte-identical across schedulers), so the flag composes
-		// with a spec file as an override.
-		var schedOverride *string
-		if set["scheduler"] {
-			schedOverride = scheduler
-		}
-		return runSpec(*specPath, seedOverride, schedOverride, *workers, *dryRun, *withTrace, *jsonOut, *obsCSV, *traceOut, *traceFormat)
+	} else if s, err = c.fromFlags(); err != nil {
+		return nil, err
 	}
-	if *dryRun {
-		return fmt.Errorf("-dry-run requires -spec")
+	if c.specPath == "" || c.set["seed"] {
+		s.Env.Seed = c.seed
 	}
-	if set["a0"] && !*liveMode && *proto != "election" {
-		return fmt.Errorf("-a0 cannot be combined with -proto %s: only the election protocol (and -live) has an activation parameter", *proto)
+	if c.set["scheduler"] {
+		s.Env.Scheduler = c.scheduler
+	}
+	if s.Sweep != nil {
+		if c.trace || c.traceOut != "" || c.obsCSV != "" {
+			return nil, errors.New("-trace, -trace-out and -observe-csv apply to single runs, not sweeps")
+		}
+		if c.set["workers"] {
+			s.Sweep.Workers = c.workers
+		}
+	} else {
+		if c.set["workers"] {
+			return nil, errors.New("-workers bounds sweep parallelism; this is a single run (add -sizes, or a spec with a sweep block)")
+		}
+		// The flags imply tracing even when a spec file carries no trace
+		// block; a spec block's cap wins when both are present.
+		if (c.trace || c.traceOut != "") && s.Env.Trace == nil {
+			s.Env.Trace = &spec.TraceSpec{}
+		}
+		if c.obsCSV != "" && s.Env.Observe == nil {
+			return nil, errors.New("-observe-csv needs a sampling cadence: set -observe-every and/or -observe-interval (or a spec observe block)")
+		}
+	}
+	doc, err := s.Canonical()
+	if err != nil {
+		return nil, err
+	}
+	return spec.DecodeBytes(doc)
+}
+
+// fromFlags states the scenario flags as a spec. Flags whose zero value
+// means "none" compile when non-zero, the others when set — never by
+// "> 0", so a negative or zero value reaches the spec validator and is
+// refused there instead of silently selecting the default.
+func (c *cli) fromFlags() (*spec.Spec, error) {
+	s := &spec.Spec{Version: spec.Version}
+	e := &s.Env
+
+	if c.sizes != "" {
+		if c.set["n"] || c.set["topo"] || c.check {
+			return nil, errors.New("-sizes sweeps the ring size; drop -n, -topo and -check")
+		}
+		sweep := &spec.SweepSpec{Repetitions: c.reps}
+		for _, f := range strings.Split(c.sizes, ",") {
+			x, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+			if err != nil {
+				return nil, fmt.Errorf("-sizes: bad size %q", f)
+			}
+			sweep.Xs = append(sweep.Xs, x)
+		}
+		s.Sweep = sweep
+	} else {
+		if c.set["reps"] {
+			return nil, errors.New("-reps counts repetitions per sweep size; set -sizes")
+		}
+		switch c.topo {
+		case "ring":
+			e.N = c.n
+		case "biring":
+			e.Topology = spec.BiRingTopology(c.n)
+		case "complete":
+			e.Topology = spec.CompleteTopology(c.n)
+		case "hypercube":
+			dim := 0
+			for 1<<(dim+1) <= c.n {
+				dim++
+			}
+			e.Topology = spec.HypercubeTopology(dim)
+		default:
+			return nil, fmt.Errorf("unknown topology %q", c.topo)
+		}
 	}
 
-	env := abenet.Env{Seed: *seed, Scheduler: *scheduler}
-	switch *topo {
-	case "ring":
-		env.N = *n
-	case "biring":
-		env.Graph = abenet.BiRing(*n)
-	case "complete":
-		env.Graph = abenet.Complete(*n)
-	case "hypercube":
-		dim := 0
-		for 1<<(dim+1) <= *n {
-			dim++
-		}
-		env.Graph = abenet.Hypercube(dim)
-	default:
-		return fmt.Errorf("unknown topology %q", *topo)
-	}
-	size := env.N
-	if env.Graph != nil {
-		size = env.Graph.N() // hypercube rounds -n down to a power of two
-	}
-
-	switch *delayKind {
+	switch c.delay {
 	case "exp":
-		env.Delay = abenet.Exponential(*mean)
+		if c.set["mean"] {
+			e.Delay = spec.Exponential(c.mean)
+		}
 	case "det":
-		env.Delay = abenet.Deterministic(*mean)
+		e.Delay = spec.Deterministic(c.mean)
 	case "uniform":
-		env.Delay = abenet.Uniform(0, 2**mean)
+		e.Delay = spec.Uniform(0, 2*c.mean)
 	case "pareto":
-		env.Delay = abenet.ParetoWithMean(*mean, 2)
+		e.Delay = spec.Pareto(c.mean, 2)
 	case "arq":
 		// p = 0.5 with slots sized so the mean comes out right; declare
 		// δ = slot/p so defaulted parameters (A0) stay balanced.
-		env.Links = abenet.ARQLinks(0.5, *mean/2)
-		env.Delta = *mean
+		e.Links = spec.ARQLinks(0.5, c.mean/2)
+		e.Delta = c.mean
 	default:
-		return fmt.Errorf("unknown delay model %q", *delayKind)
+		return nil, fmt.Errorf("unknown delay model %q", c.delay)
 	}
-	if *drift > 1 {
-		env.Clocks = abenet.WanderingClocks(1, *drift, 1)
-	} else if *drift < 1 {
-		return fmt.Errorf("drift ratio %g must be >= 1", *drift)
+	if c.drift != 1 {
+		e.Clocks = spec.WanderingClocks(1, c.drift, 1)
 	}
-	if *gamma > 0 {
-		env.Processing = abenet.Exponential(*gamma)
+	if c.gamma != 0 {
+		e.Processing = spec.Exponential(c.gamma)
 	}
-	if *loss > 0 || *crashRate > 0 {
-		env.Faults = &abenet.FaultPlan{
-			Loss:        *loss,
-			CrashRate:   *crashRate,
-			RecoverRate: *recoverRate,
+	if c.loss != 0 || c.crash != 0 || c.recover != 0 {
+		e.Faults = &spec.FaultsSpec{Loss: c.loss, CrashRate: c.crash, RecoverRate: c.recover}
+	}
+	if c.equivocate > 0 {
+		e.Byzantine = &spec.ByzantineSpec{}
+		for i := 0; i < int(c.equivocate); i++ {
+			e.Byzantine.Roles = append(e.Byzantine.Roles, spec.ByzantineRoleSpec{Node: i, Behavior: abenet.Equivocate.String()})
 		}
-	} else if *recoverRate > 0 {
-		return fmt.Errorf("-recover %g needs -crash to recover from", *recoverRate)
 	}
-	if *equivocate > 0 {
-		env.Byzantine = abenet.Equivocators(*equivocate)
-	}
-	env.LocalBroadcast = *broadcast
-	if *horizon > 0 {
-		env.Horizon = simtime.Time(*horizon)
-	} else if env.Faults != nil {
+	e.LocalBroadcast = c.broadcast
+	e.Horizon = c.horizon
+	if c.horizon == 0 && e.Faults != nil {
 		// Lossy runs can deadlock legitimately; bound them by default.
-		env.Horizon = simtime.Time(1000 * *mean)
+		e.Horizon = 1000 * c.mean
 	}
-	if *obsEvery > 0 || *obsInterval > 0 {
-		env.Observe = &probe.Config{EveryEvents: *obsEvery, Interval: *obsInterval, MaxSamples: *obsMax}
-	} else if set["observe-max"] || set["observe-csv"] {
-		return fmt.Errorf("-observe-max/-observe-csv need a sampling cadence: set -observe-every and/or -observe-interval")
+	if c.obsEvery != 0 || c.obsInterval != 0 || c.obsMax != 0 {
+		e.Observe = &spec.ObserveSpec{EveryEvents: c.obsEvery, Interval: c.obsInterval, MaxSamples: c.obsMax}
 	}
 
-	if *liveMode {
-		rep, err := abenet.Run(env, abenet.LiveElection{A0: *a0})
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			return printJSON(rep, "")
-		}
-		fmt.Printf("live run on %d goroutines (real concurrency, wall-clock delays)\n", *n)
-		fmt.Printf("leader   : node %d (of %d leaders)\n", rep.LeaderIndex, rep.Leaders)
-		fmt.Printf("messages : %d\n", rep.Messages)
-		fmt.Printf("elapsed  : %s\n", rep.Extra.(abenet.LiveExtra).Elapsed)
-		return nil
-	}
-
-	protocol, ok := abenet.ProtocolByName(*proto)
+	protocol, ok := abenet.ProtocolByName(c.proto)
 	if !ok {
-		return fmt.Errorf("unknown protocol %q (try -list)", *proto)
+		return nil, fmt.Errorf("unknown protocol %q (try -list)", c.proto)
 	}
-	if *proto == "election" {
-		protocol = abenet.Election{A0: *a0}
+	if c.proto == "election" {
+		protocol = abenet.Election{A0: c.a0}
+	} else if c.set["a0"] {
+		return nil, fmt.Errorf("-a0 cannot be combined with -proto %s: only the election protocol has an activation parameter", c.proto)
 	}
+	// -check explores the ABE election's state space on the unidirectional
+	// ring: under any other run it would verify a protocol that did not run.
+	if c.check && (c.proto != "election" || c.topo != "ring" || c.n > 5) {
+		return nil, fmt.Errorf("-check model-checks the ABE election on the default ring at n <= 5; got -proto %s -topo %s -n %d", c.proto, c.topo, c.n)
+	}
+	var err error
+	s.Protocol, err = spec.ForProtocol(protocol)
+	return s, err
+}
 
-	// -check is flag-only validation: fail before the simulation runs, not
-	// after it has already spent the work.
-	if *withCheck && *n > 5 {
-		return fmt.Errorf("-check supports n <= 5 (state space), got %d", *n)
+// source names where the scenario came from.
+func (c *cli) source() string {
+	if c.specPath != "" {
+		return c.specPath
 	}
+	return "flags"
+}
 
-	if *withTrace || *traceOut != "" {
-		env.Trace = &trace.Config{}
+// describe is -dry-run: the validated scenario's identity and canonical
+// document, nothing run.
+func (c *cli) describe(s *spec.Spec, hash string) error {
+	doc, err := s.Canonical()
+	if err != nil {
+		return err
 	}
+	kind := "run"
+	if s.Sweep != nil {
+		kind = fmt.Sprintf("sweep over %v", s.Sweep.Xs)
+	}
+	if c.jsonOut {
+		return c.encodeJSON(map[string]any{
+			"spec":      c.source(),
+			"spec_hash": hash,
+			"protocol":  s.Protocol.Name,
+			"kind":      kind,
+			"seed":      s.Env.Seed,
+			"valid":     true,
+			"document":  json.RawMessage(doc),
+		})
+	}
+	_, err = fmt.Fprintf(c.stdout, "spec      : %s\nhash      : %s\nprotocol  : %s\nkind      : %s\nseed      : %d\nstatus    : valid\ndocument  : %s\n",
+		c.source(), hash, s.Protocol.Name, kind, s.Env.Seed, doc)
+	return err
+}
 
+// runSweep runs the sweep block and renders the aggregated table — the CLI
+// face of the same (spec → harness.Sweep) path abe-serve runs, so the
+// numbers match a POST /v1/runs of the same document byte for byte.
+func (c *cli) runSweep(s *spec.Spec, hash string) error {
+	points, err := s.RunSweep(0)
+	if err != nil {
+		return err
+	}
+	if c.jsonOut {
+		return c.encodeJSON(map[string]any{
+			"spec_hash": hash,
+			"seed":      s.Env.Seed,
+			"protocol":  s.Protocol.Name,
+			"points":    spec.SweepView(points, s.Sweep.Metrics),
+		})
+	}
+	reps := s.Sweep.Repetitions
+	if reps == 0 {
+		reps = harness.DefaultRepetitions
+	}
+	// The table honours the spec's metrics filter (same view as abe-serve);
+	// the growth fit reads the unfiltered points so it works even when
+	// "messages" is not among the kept columns.
+	table := abenet.PointsTable(fmt.Sprintf("%s over %d seeds per size (spec %s)",
+		s.Protocol.Name, reps, hash[:12]), "n", spec.FilterPoints(points, s.Sweep.Metrics))
+	if err := table.Render(c.stdout); err != nil {
+		return err
+	}
+	if fit, err := abenet.GrowthExponent(points, "messages"); err == nil {
+		fmt.Fprintf(c.stdout, "\nmessage growth exponent: %.3f (R²=%.4f)\n", fit.Slope, fit.R2)
+	}
+	return nil
+}
+
+// runOne runs the single scenario and renders its report, trace and series.
+func (c *cli) runOne(s *spec.Spec, hash string) error {
+	env, protocol, err := s.Build()
+	if err != nil {
+		return err
+	}
 	rep, err := abenet.Run(env, protocol)
 	if err != nil {
 		return err
 	}
-
 	// Lift the trace off the report: the JSON document summarises it (the
 	// full export goes to -trace-out / the text dump), and the report stays
 	// the same value an untraced run produces.
 	exp := rep.Trace
 	rep.Trace = nil
-	if err := emitTrace(exp, *withTrace, *traceOut, *traceFormat, *jsonOut); err != nil {
+	if err := c.emitTrace(exp); err != nil {
 		return err
 	}
-	if err := writeSeriesCSV(rep.Series, *obsCSV, *jsonOut); err != nil {
+	if err := c.writeSeriesCSV(rep.Series); err != nil {
 		return err
 	}
-
 	// Run the model check before rendering so its outcome can live inside
 	// the JSON document: -json promises one parseable value on stdout.
 	var check *abenet.CheckReport
-	if *withCheck {
-		report, err := abenet.CheckElection(abenet.CheckOptions{N: *n})
+	if c.check {
+		report, err := abenet.CheckElection(abenet.CheckOptions{N: c.n})
 		if err != nil {
 			return err
 		}
 		check = &report
 	}
 
-	if *jsonOut {
-		out := reportJSON(rep, "")
+	if c.jsonOut {
+		// The same metric map the sweep harness and abe-serve aggregate, so
+		// outputs diff cleanly.
+		out := map[string]any{
+			"spec_hash": hash,
+			"protocol":  rep.Protocol,
+			"report":    rep,
+			"metrics":   rep.Metrics(),
+		}
 		if exp != nil {
 			out["trace"] = traceJSON(exp)
 		}
@@ -309,110 +460,7 @@ func run() error {
 				"violations":      len(check.Violations),
 			}
 		}
-		return encodeJSON(out)
-	}
-	printReport(rep, *topo, size)
-	printTraceSummary(exp, *traceOut)
-	if check != nil {
-		verdict := "SAFE (exhaustive within 2 activations/node)"
-		if !check.OK() {
-			verdict = fmt.Sprintf("%d VIOLATIONS", len(check.Violations))
-		}
-		fmt.Printf("model check         : %s — %d states, %d with a leader\n",
-			verdict, check.StatesExplored, check.LeaderStates)
-	}
-	return nil
-}
-
-// runSpec executes (or just validates) a scenario file.
-func runSpec(path string, seedOverride *uint64, schedOverride *string, workers int, dryRun, withTrace, jsonOut bool, obsCSV, traceOut, traceFormat string) error {
-	s, err := spec.DecodeFile(path)
-	if err != nil {
-		return err
-	}
-	if seedOverride != nil {
-		s.Env.Seed = *seedOverride
-	}
-	if schedOverride != nil {
-		s.Env.Scheduler = *schedOverride
-	}
-	hash, err := s.Hash()
-	if err != nil {
-		return err
-	}
-
-	if dryRun {
-		kind := "run"
-		if s.Sweep != nil {
-			kind = fmt.Sprintf("sweep over %v", s.Sweep.Xs)
-		}
-		if jsonOut {
-			return encodeJSON(map[string]any{
-				"spec":      path,
-				"spec_hash": hash,
-				"protocol":  s.Protocol.Name,
-				"kind":      kind,
-				"seed":      s.Env.Seed,
-				"valid":     true,
-			})
-		}
-		fmt.Printf("spec      : %s\n", path)
-		fmt.Printf("hash      : %s\n", hash)
-		fmt.Printf("protocol  : %s\n", s.Protocol.Name)
-		fmt.Printf("kind      : %s\n", kind)
-		fmt.Printf("seed      : %d\n", s.Env.Seed)
-		fmt.Println("status    : valid")
-		return nil
-	}
-
-	if s.Sweep != nil {
-		if withTrace || traceOut != "" {
-			return fmt.Errorf("-trace/-trace-out apply to single runs, not sweeps")
-		}
-		points, err := s.RunSweep(workers)
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			return encodeJSON(map[string]any{
-				"spec_hash": hash,
-				"seed":      s.Env.Seed,
-				"protocol":  s.Protocol.Name,
-				"points":    spec.SweepView(points, s.Sweep.Metrics),
-			})
-		}
-		table := abenet.PointsTable(fmt.Sprintf("%s (spec %s)", s.Protocol.Name, hash[:12]), "n",
-			spec.FilterPoints(points, s.Sweep.Metrics))
-		return table.Render(os.Stdout)
-	}
-
-	env, protocol, err := s.Build()
-	if err != nil {
-		return err
-	}
-	// The flags imply tracing even when the spec file carries no trace
-	// block; a spec block's cap wins when both are present.
-	if (withTrace || traceOut != "") && env.Trace == nil {
-		env.Trace = &trace.Config{}
-	}
-	rep, err := abenet.Run(env, protocol)
-	if err != nil {
-		return err
-	}
-	exp := rep.Trace
-	rep.Trace = nil
-	if err := emitTrace(exp, withTrace, traceOut, traceFormat, jsonOut); err != nil {
-		return err
-	}
-	if err := writeSeriesCSV(rep.Series, obsCSV, jsonOut); err != nil {
-		return err
-	}
-	if jsonOut {
-		out := reportJSON(rep, hash)
-		if exp != nil {
-			out["trace"] = traceJSON(exp)
-		}
-		return encodeJSON(out)
+		return c.encodeJSON(out)
 	}
 	label := "ring"
 	if s.Env.Topology != nil {
@@ -420,39 +468,47 @@ func runSpec(path string, seedOverride *uint64, schedOverride *string, workers i
 	}
 	size := env.N
 	if env.Graph != nil {
-		size = env.Graph.N()
+		size = env.Graph.N() // hypercube rounds -n down to a power of two
 	}
-	fmt.Printf("spec                : %s (hash %s)\n", path, hash[:12])
-	printReport(rep, label, size)
-	printTraceSummary(exp, traceOut)
+	fmt.Fprintf(c.stdout, "spec                : %s (hash %s)\n", c.source(), hash[:12])
+	printReport(c.stdout, rep, label, size)
+	c.printTraceSummary(exp)
+	if check != nil {
+		verdict := "SAFE (exhaustive within 2 activations/node)"
+		if !check.OK() {
+			verdict = fmt.Sprintf("%d VIOLATIONS", len(check.Violations))
+		}
+		fmt.Fprintf(c.stdout, "model check         : %s — %d states, %d with a leader\n",
+			verdict, check.StatesExplored, check.LeaderStates)
+	}
 	return nil
 }
 
 // emitTrace renders the exported trace: the text dump for -trace (to
 // stderr under -json so stdout stays one parseable value) and the chosen
 // file format for -trace-out.
-func emitTrace(exp *trace.Export, withTrace bool, traceOut, traceFormat string, jsonOut bool) error {
+func (c *cli) emitTrace(exp *trace.Export) error {
 	if exp == nil {
 		return nil
 	}
-	if withTrace {
-		dest := io.Writer(os.Stdout)
-		if jsonOut {
-			dest = os.Stderr
+	if c.trace {
+		dest := c.stdout
+		if c.jsonOut {
+			dest = c.stderr
 		}
 		if err := trace.WriteText(dest, exp); err != nil {
 			return err
 		}
 		fmt.Fprintln(dest)
 	}
-	if traceOut == "" {
+	if c.traceOut == "" {
 		return nil
 	}
-	f, err := os.Create(traceOut)
+	f, err := os.Create(c.traceOut)
 	if err != nil {
 		return err
 	}
-	switch traceFormat {
+	switch c.traceFmt {
 	case "chrome":
 		err = trace.WriteChrome(f, exp)
 	case "jsonl":
@@ -482,7 +538,7 @@ func traceJSON(exp *trace.Export) map[string]any {
 // printTraceSummary renders the causal analysis under the report: the
 // critical path — the longest happens-before chain ending at the decision —
 // split into message-delay and local time, and the deepest relay chain.
-func printTraceSummary(exp *trace.Export, traceOut string) {
+func (c *cli) printTraceSummary(exp *trace.Export) {
 	if exp == nil {
 		return
 	}
@@ -491,36 +547,33 @@ func printTraceSummary(exp *trace.Export, traceOut string) {
 	if s.Dropped > 0 {
 		line += fmt.Sprintf(" (%d more dropped past the cap)", s.Dropped)
 	}
-	fmt.Println(line)
+	fmt.Fprintln(c.stdout, line)
 	target := "deepest event"
 	if s.Decision != 0 {
 		target = "decision"
 	}
-	fmt.Printf("critical path       : %d edges (%d hops) to the %s — %.3f virtual time (%.3f message delay, %.3f local)\n",
+	fmt.Fprintf(c.stdout, "critical path       : %d edges (%d hops) to the %s — %.3f virtual time (%.3f message delay, %.3f local)\n",
 		s.PathLen, s.Hops, target, s.Time, s.MessageTime, s.LocalTime)
-	fmt.Printf("max relay depth     : %d\n", s.MaxHopDepth)
-	if traceOut != "" {
-		fmt.Printf("trace written       : %s\n", traceOut)
+	fmt.Fprintf(c.stdout, "max relay depth     : %d\n", s.MaxHopDepth)
+	if c.traceOut != "" {
+		fmt.Fprintf(c.stdout, "trace written       : %s\n", c.traceOut)
 	}
 }
 
 // writeSeriesCSV renders the sampled time series as CSV: a header of
 // time,event plus the gauge names, one row per sample. dest "-" streams to
 // stdout (text mode only — under -json stdout carries the JSON document).
-func writeSeriesCSV(s *probe.Series, dest string, jsonOut bool) error {
-	if dest == "" {
+func (c *cli) writeSeriesCSV(s *probe.Series) error {
+	if c.obsCSV == "" {
 		return nil
 	}
-	if s == nil {
-		return fmt.Errorf("-observe-csv: the run produced no series (set a cadence via -observe-every/-observe-interval or a spec observe block)")
-	}
-	if dest == "-" {
-		if jsonOut {
+	if c.obsCSV == "-" {
+		if c.jsonOut {
 			return fmt.Errorf(`-observe-csv "-" cannot combine with -json (stdout is the JSON document); write the CSV to a file`)
 		}
-		return seriesCSV(s, os.Stdout)
+		return seriesCSV(s, c.stdout)
 	}
-	f, err := os.Create(dest)
+	f, err := os.Create(c.obsCSV)
 	if err != nil {
 		return err
 	}
@@ -552,94 +605,74 @@ func seriesCSV(s *probe.Series, w io.Writer) error {
 	return nil
 }
 
-// reportJSON assembles the machine-readable report (the same metric map
-// the sweep harness and abe-serve aggregate, so outputs diff cleanly).
-func reportJSON(rep abenet.Report, specHash string) map[string]any {
-	out := map[string]any{
-		"protocol": rep.Protocol,
-		"report":   rep,
-		"metrics":  rep.Metrics(),
-	}
-	if specHash != "" {
-		out["spec_hash"] = specHash
-	}
-	return out
-}
-
-// printJSON emits the machine-readable report.
-func printJSON(rep abenet.Report, specHash string) error {
-	return encodeJSON(reportJSON(rep, specHash))
-}
-
-func encodeJSON(v any) error {
-	enc := json.NewEncoder(os.Stdout)
+func (c *cli) encodeJSON(v any) error {
+	enc := json.NewEncoder(c.stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
 }
 
-// printReport renders the human-readable report shared by the flag path
-// and the spec path.
-func printReport(rep abenet.Report, envLabel string, size int) {
-	fmt.Printf("protocol            : %s\n", rep.Protocol)
-	fmt.Printf("environment         : %s(%d)\n", envLabel, size)
+// printReport renders the human-readable report.
+func printReport(w io.Writer, rep abenet.Report, envLabel string, size int) {
+	fmt.Fprintf(w, "protocol            : %s\n", rep.Protocol)
+	fmt.Fprintf(w, "environment         : %s(%d)\n", envLabel, size)
 	if rep.Params != (abenet.Params{}) {
-		fmt.Printf("ABE parameters      : δ=%.3g  s∈[%.3g,%.3g]  γ=%.3g\n",
+		fmt.Fprintf(w, "ABE parameters      : δ=%.3g  s∈[%.3g,%.3g]  γ=%.3g\n",
 			rep.Params.Delta, rep.Params.SLow, rep.Params.SHigh, rep.Params.Gamma)
 	}
 	if rep.Elected || rep.Leaders > 0 {
-		fmt.Printf("leader              : node %d (of %d leaders)\n", rep.LeaderIndex, rep.Leaders)
+		fmt.Fprintf(w, "leader              : node %d (of %d leaders)\n", rep.LeaderIndex, rep.Leaders)
 	}
-	fmt.Printf("virtual time        : %.3f\n", rep.Time)
-	fmt.Printf("messages            : %d (%.2f per node)\n", rep.Messages, float64(rep.Messages)/float64(size))
+	fmt.Fprintf(w, "virtual time        : %.3f\n", rep.Time)
+	fmt.Fprintf(w, "messages            : %d (%.2f per node)\n", rep.Messages, float64(rep.Messages)/float64(size))
 	if rep.Transmissions > 0 {
-		fmt.Printf("transmissions       : %d\n", rep.Transmissions)
+		fmt.Fprintf(w, "transmissions       : %d\n", rep.Transmissions)
 	}
 	if rep.Rounds > 0 {
-		fmt.Printf("rounds              : %d\n", rep.Rounds)
+		fmt.Fprintf(w, "rounds              : %d\n", rep.Rounds)
 	}
 	if extra, ok := rep.Extra.(abenet.ElectionExtra); ok {
-		fmt.Printf("activations         : %d\n", extra.Activations)
-		fmt.Printf("knockouts           : %d\n", extra.Knockouts)
+		fmt.Fprintf(w, "activations         : %d\n", extra.Activations)
+		fmt.Fprintf(w, "knockouts           : %d\n", extra.Knockouts)
 	}
 	if extra, ok := rep.Extra.(abenet.ClockSyncExtra); ok {
-		fmt.Printf("round violations    : %d (rate %.4f, max lateness %d)\n",
+		fmt.Fprintf(w, "round violations    : %d (rate %.4f, max lateness %d)\n",
 			extra.RoundViolations, extra.ViolationRate, extra.MaxLateness)
 	}
 	if extra, ok := rep.Extra.(abenet.SyncExtra); ok {
-		fmt.Printf("messages per round  : %.1f\n", extra.MessagesPerRound)
+		fmt.Fprintf(w, "messages per round  : %.1f\n", extra.MessagesPerRound)
 	}
 	consensus := false
 	if extra, ok := rep.Extra.(abenet.ConsensusExtra); ok {
 		consensus = true
-		fmt.Printf("consensus           : %d/%d honest decided %d (agreement %v, validity %v, termination %v)\n",
+		fmt.Fprintf(w, "consensus           : %d/%d honest decided %d (agreement %v, validity %v, termination %v)\n",
 			extra.Decided, extra.Honest, extra.Decision, extra.Agreement, extra.Validity, extra.Termination)
-		fmt.Printf("coin flips          : %d (decision round %d)\n", extra.CoinFlips, extra.DecisionRound)
+		fmt.Fprintf(w, "coin flips          : %d (decision round %d)\n", extra.CoinFlips, extra.DecisionRound)
 	}
 	if tel := rep.Faults; tel != nil {
-		fmt.Printf("faults injected     : %d (dropped %d, duplicated %d, delayed %d, dead letters %d, crashes %d)\n",
+		fmt.Fprintf(w, "faults injected     : %d (dropped %d, duplicated %d, delayed %d, dead letters %d, crashes %d)\n",
 			tel.TotalFaults(), tel.MessagesDropped+tel.LinkDrops, tel.MessagesDuplicated,
 			tel.MessagesDelayed, tel.DeadLetters, tel.Crashes)
 		if tel.Crashes > 0 {
-			fmt.Printf("node churn          : %d crashes, %d recoveries\n", tel.Crashes, tel.Recoveries)
+			fmt.Fprintf(w, "node churn          : %d crashes, %d recoveries\n", tel.Crashes, tel.Recoveries)
 			const maxIntervals = 10
 			for i, iv := range tel.CrashIntervals {
 				if i == maxIntervals {
-					fmt.Printf("  ... %d more outages\n", len(tel.CrashIntervals)-maxIntervals)
+					fmt.Fprintf(w, "  ... %d more outages\n", len(tel.CrashIntervals)-maxIntervals)
 					break
 				}
 				end := "end of run"
 				if iv.End >= 0 {
 					end = fmt.Sprintf("%.3f", iv.End)
 				}
-				fmt.Printf("  node %-3d down %.3f .. %s\n", iv.Node, iv.Start, end)
+				fmt.Fprintf(w, "  node %-3d down %.3f .. %s\n", iv.Node, iv.Start, end)
 			}
 		}
 		if byz := tel.Byzantine; byz != nil && byz.Total() > 0 {
-			fmt.Printf("adversary actions   : %d (equivocations %d, corruptions %d, omissions %d, stalls %d)\n",
+			fmt.Fprintf(w, "adversary actions   : %d (equivocations %d, corruptions %d, omissions %d, stalls %d)\n",
 				byz.Total(), byz.Equivocations, byz.Corruptions, byz.Omissions, byz.Stalls)
 		}
 		if !rep.Elected && rep.Leaders == 0 && !consensus {
-			fmt.Printf("outcome             : no leader within the horizon (faults won this one)\n")
+			fmt.Fprintf(w, "outcome             : no leader within the horizon (faults won this one)\n")
 		}
 	}
 	if s := rep.Series; s != nil {
@@ -647,9 +680,9 @@ func printReport(rep abenet.Report, envLabel string, size int) {
 		if s.Truncated > 0 {
 			line += fmt.Sprintf(" (%d more truncated past the cap)", s.Truncated)
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 	}
 	if len(rep.Violations) > 0 {
-		fmt.Printf("VIOLATIONS          : %v\n", rep.Violations)
+		fmt.Fprintf(w, "VIOLATIONS          : %v\n", rep.Violations)
 	}
 }

@@ -37,7 +37,6 @@ import (
 	"sync"
 	"time"
 
-	"abenet/internal/runner"
 	"abenet/internal/service"
 	"abenet/internal/spec"
 	"abenet/internal/store"
@@ -173,10 +172,8 @@ func run() error {
 	return report(*label, outcomes, elapsed, before, after, promDeltas, corpus, *n, *c, *repeat)
 }
 
-// loadCorpus decodes every deterministic spec fixture in dir. Sweep specs
-// are included only on request; nondeterministic protocols are always
-// skipped (their results are never cacheable, so they measure nothing the
-// harness cares about).
+// loadCorpus decodes every spec fixture in dir. Sweep specs are included
+// only on request.
 func loadCorpus(dir string, includeSweeps bool) ([]scenario, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
@@ -188,9 +185,6 @@ func loadCorpus(dir string, includeSweeps bool) ([]scenario, error) {
 		sp, err := spec.DecodeFile(path)
 		if err != nil {
 			return nil, err
-		}
-		if info, ok := runner.ProtocolInfo(sp.Protocol.Name); !ok || !info.Deterministic {
-			continue
 		}
 		if sp.Sweep != nil && !includeSweeps {
 			continue

@@ -171,7 +171,6 @@ func TestFaultsRejectedByUnsupportingProtocols(t *testing.T) {
 		ItaiRodehSync{},
 		SynchronizedElection{},
 		ClockSync{},
-		LiveElection{},
 		Peterson{}, // reliable-FIFO step protocol: every fault axis breaks it
 		Synchronized{MakeNode: func(int) syncnet.Node { return floodNode{} }},
 	}

@@ -74,7 +74,7 @@ func TestObservedRunByteIdentical(t *testing.T) {
 		execute := func(obs *probe.Config) (Report, []trace.Event) {
 			rec := trace.NewRecorder(0)
 			env := row.env
-			env.Tracer, env.Observe = rec, obs
+			env.tracer, env.Observe = rec, obs
 			rep, err := Run(env, row.proto)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)

@@ -2,13 +2,11 @@ package runner
 
 import (
 	"fmt"
-	"time"
 
 	"abenet/internal/channel"
 	"abenet/internal/core"
 	"abenet/internal/dist"
 	"abenet/internal/election"
-	"abenet/internal/live"
 	"abenet/internal/network"
 	"abenet/internal/probe"
 	"abenet/internal/synchronizer"
@@ -566,70 +564,4 @@ func (p ClockSync) Run(env Env) (Report, error) {
 			return nil
 		},
 	})
-}
-
-// LiveElection runs the paper's election on real goroutines and channels
-// with wall-clock delays — intentionally nondeterministic. The environment
-// contributes N (a unidirectional ring; Env.Graph must be nil or a plain
-// ring) and Seed; the timing model is wall-clock and configured here.
-// Extra: LiveExtra; Report.Time is the elapsed wall-clock in seconds.
-type LiveElection struct {
-	// A0 is the base activation parameter; 0 means the balanced 1/n².
-	A0 float64
-	// MeanDelay is the expected link delay; 0 means 200µs.
-	MeanDelay time.Duration
-	// TickEvery is the local tick period; 0 means MeanDelay.
-	TickEvery time.Duration
-	// Timeout aborts the run; 0 means 30s.
-	Timeout time.Duration
-}
-
-// Name implements Protocol.
-func (LiveElection) Name() string { return "live-election" }
-
-// NondeterministicRuntime marks the live runtime's results as impure
-// functions of (Env, seed): wall clocks and the Go scheduler race for
-// real, so serving layers must never cache or de-duplicate these runs.
-func (LiveElection) NondeterministicRuntime() bool { return true }
-
-// Run implements Protocol.
-func (p LiveElection) Run(env Env) (Report, error) {
-	n, err := env.size()
-	if err != nil {
-		return Report{}, err
-	}
-	if env.Graph != nil && !isUnidirectionalRing(env.Graph) {
-		return Report{}, fmt.Errorf("runner: the live runtime only supports the unidirectional ring")
-	}
-	res, err := live.RunElection(live.ElectionConfig{
-		N:         n,
-		A0:        p.A0,
-		MeanDelay: p.MeanDelay,
-		TickEvery: p.TickEvery,
-		Timeout:   p.Timeout,
-		Seed:      env.Seed,
-	})
-	if err != nil {
-		return Report{}, err
-	}
-	return Report{
-		Elected:     res.Leaders > 0,
-		LeaderIndex: res.LeaderIndex,
-		Leaders:     res.Leaders,
-		Messages:    res.Messages,
-		Time:        res.Elapsed.Seconds(),
-		Extra:       LiveExtra{Elapsed: res.Elapsed},
-	}, nil
-}
-
-// isUnidirectionalRing reports whether g is exactly the ring i → (i+1)%n.
-func isUnidirectionalRing(g *topology.Graph) bool {
-	n := g.N()
-	for u := 0; u < n; u++ {
-		out := g.Out(u)
-		if len(out) != 1 || out[0] != (u+1)%n {
-			return false
-		}
-	}
-	return true
 }

@@ -30,7 +30,6 @@ func init() {
 	RegisterProtocol(Peterson{})
 	RegisterProtocol(SynchronizedElection{})
 	RegisterProtocol(ClockSync{})
-	RegisterProtocol(LiveElection{})
 	RegisterProtocol(BenOr{})
 	// Synchronized is deliberately unregistered: it needs a MakeNode
 	// constructor, so it has no runnable default.
@@ -52,24 +51,6 @@ func ProtocolByName(name string) (Protocol, bool) {
 	return p, ok
 }
 
-// NondeterministicRuntime is implemented by protocols whose runs are NOT
-// pure functions of (Env, seed) — the live goroutine runtime, which races
-// real scheduling and wall clocks by design. The capability lives on the
-// protocol itself, not in a side table, so registering a new live runtime
-// cannot silently leave it cacheable. Serving layers use it to decide what
-// is safe to cache and de-duplicate by (spec hash, seed).
-type NondeterministicRuntime interface {
-	// NondeterministicRuntime reports that runs race wall clocks.
-	NondeterministicRuntime() bool
-}
-
-// isDeterministic reports whether p's runs are pure functions of
-// (Env, seed).
-func isDeterministic(p Protocol) bool {
-	nd, ok := p.(NondeterministicRuntime)
-	return !ok || !nd.NondeterministicRuntime()
-}
-
 // OptionField describes one decodable knob of a protocol's option struct:
 // its Go field name (the JSON key — encoding/json matches it
 // case-insensitively) and its Go type.
@@ -79,8 +60,8 @@ type OptionField struct {
 }
 
 // Info is the registry's metadata for one protocol: what a serving layer
-// needs to list protocols, decode their options from JSON and decide
-// cacheability, without any per-protocol code.
+// needs to list protocols and decode their options from JSON without any
+// per-protocol code.
 type Info struct {
 	// Name is the registry key.
 	Name string `json:"name"`
@@ -101,8 +82,10 @@ type Info struct {
 	// SupportsTrace reports whether the protocol honours Env.Trace
 	// (causal event tracing).
 	SupportsTrace bool `json:"supports_trace"`
-	// Deterministic reports whether a run is a pure function of
-	// (Env, seed) — false only for the live goroutine runtime.
+	// Deterministic is always true: every registered protocol is a pure
+	// function of (Env, seed). The field survives only because the frozen
+	// benchmark/serve.go still reads it; it goes in the PR allowed to edit
+	// benchmark/ (ROADMAP item 1).
 	Deterministic bool `json:"deterministic"`
 }
 
@@ -135,7 +118,7 @@ func ProtocolInfo(name string) (Info, bool) {
 		SupportsBroadcast: caps.Broadcast,
 		SupportsObserve:   caps.Observe,
 		SupportsTrace:     caps.Trace,
-		Deterministic:     isDeterministic(p),
+		Deterministic:     true,
 	}, true
 }
 

@@ -86,11 +86,10 @@ func TestInfosCoverRegistry(t *testing.T) {
 	if byName["peterson"].SupportsFaults {
 		t.Fatal("peterson must not report fault support")
 	}
-	if byName["live-election"].Deterministic {
-		t.Fatal("live-election must not report determinism")
-	}
-	if !byName["election"].Deterministic {
-		t.Fatal("election must report determinism")
+	for _, info := range infos {
+		if !info.Deterministic {
+			t.Fatalf("%s must report determinism: every registered protocol is a pure function of (Env, seed)", info.Name)
+		}
 	}
 	// The option metadata must name real decodable fields.
 	found := false
@@ -109,9 +108,6 @@ func TestInfosCoverRegistry(t *testing.T) {
 // so the two can never drift apart.
 func TestFaultMetadataMatchesEngines(t *testing.T) {
 	for _, name := range Protocols() {
-		if name == "live-election" {
-			continue // wall-clock runtime; rejection is covered by metadata assertions above
-		}
 		info, _ := ProtocolInfo(name)
 		p, _ := NewInstance(name)
 		env := Env{N: 4, Seed: 1, Horizon: 500, Faults: &faultPlanProbe}

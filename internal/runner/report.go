@@ -2,7 +2,6 @@ package runner
 
 import (
 	"fmt"
-	"time"
 
 	"abenet/internal/core"
 	"abenet/internal/faults"
@@ -35,13 +34,12 @@ type Report struct {
 	Rounds int
 	// Events is the number of kernel events the run executed — the
 	// denominator of events/sec throughput measurements. A batch of
-	// same-instant deliveries counts as one event. 0 for engines without
-	// an event kernel (the native round engine and the live runtime).
+	// same-instant deliveries counts as one event. 0 for the native round
+	// engine, which has no event kernel.
 	// Deliberately excluded from Metrics(): it measures the engine, not
 	// the protocol, so it must not widen every sweep's metric key set.
 	Events uint64
-	// Time is the virtual time at which the run ended. For the live
-	// (goroutine) runtime it is the wall-clock duration in seconds.
+	// Time is the virtual time at which the run ended.
 	Time float64
 	// Violations collects invariant violations; empty in every correct run.
 	Violations []string
@@ -223,10 +221,4 @@ func boolMetric(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-// LiveExtra is the Extra payload of the live goroutine runtime.
-type LiveExtra struct {
-	// Elapsed is the wall-clock duration until the leader emerged.
-	Elapsed time.Duration
 }

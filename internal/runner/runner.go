@@ -77,12 +77,12 @@ type Env struct {
 	// million-node runs). Empty means the heap. Every scheduler implements
 	// the same (time, seq) total order, so a run is byte-identical across
 	// choices — this is a performance knob, never a semantics knob, and it
-	// is therefore excluded from spec hashes. Protocols without a kernel
-	// (the native round engine and the live runtime) ignore it.
+	// is therefore excluded from spec hashes. The native round engine
+	// (ItaiRodehSync) has no kernel and ignores it.
 	Scheduler string
 	// Horizon bounds virtual time for every kernel-backed protocol; 0
-	// means unbounded. Protocols without a kernel (the native round engine
-	// and the live runtime) ignore it.
+	// means unbounded. The native round engine (ItaiRodehSync) has no
+	// kernel and ignores it.
 	Horizon simtime.Time
 	// MaxEvents bounds the number of simulation events for every
 	// kernel-backed protocol; 0 means the shared livelock guard (50e6).
@@ -91,12 +91,6 @@ type Env struct {
 	// MaxRounds bounds round-based protocols (synchronous engines and
 	// synchronizers); 0 means each protocol's default.
 	MaxRounds int
-	// Tracer optionally observes the run's network events; nil disables
-	// tracing. Every kernel-backed protocol receives it through the shared
-	// Env → network.Config mapping; protocols without a kernel (the native
-	// round engine and the live runtime) have no event stream and ignore
-	// it.
-	Tracer network.Tracer
 	// Faults optionally injects deterministic message faults, node churn
 	// and link outages (see internal/faults). Honoured by the protocols
 	// whose Info reports supports_faults; every other protocol rejects a
@@ -140,9 +134,13 @@ type Env struct {
 	// supports_trace; every other protocol rejects a non-nil config with
 	// ErrTraceUnsupported. The exported trace lands in Report.Trace and —
 	// like Series — never changes any other Report field: a traced run is
-	// byte-identical to an untraced one. Mutually exclusive with a
-	// caller-supplied Tracer (Run installs its own recorder).
+	// byte-identical to an untraced one.
 	Trace *trace.Config
+
+	// tracer is how Run hands Trace's recorder to the substrate (the
+	// Env → network.Config mapping): the one way to ask for a trace is
+	// Trace, so this stays unexported.
+	tracer network.Tracer
 }
 
 // The structured environment-validation errors. Env.Validate wraps each
@@ -166,8 +164,7 @@ var (
 	ErrEnvBroadcast = errors.New("runner: invalid local-broadcast environment")
 	// ErrEnvObserve: the observe config fails probe.Config.Validate.
 	ErrEnvObserve = errors.New("runner: invalid observe config")
-	// ErrEnvTrace: the trace config fails trace.Config.Validate, or Trace
-	// and a caller-supplied Tracer are both set.
+	// ErrEnvTrace: the trace config fails trace.Config.Validate.
 	ErrEnvTrace = errors.New("runner: invalid trace config")
 	// ErrEnvScheduler: Env.Scheduler names no registered kernel scheduler.
 	ErrEnvScheduler = errors.New("runner: unknown scheduler")
@@ -203,9 +200,6 @@ func (e Env) Validate() error {
 	}
 	if err := e.Trace.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrEnvTrace, err)
-	}
-	if e.Trace != nil && e.Tracer != nil {
-		return fmt.Errorf("%w: Trace and a caller-supplied Tracer are exclusive (Run installs its own recorder for Trace)", ErrEnvTrace)
 	}
 	if e.LocalBroadcast {
 		if e.Links != nil {
@@ -320,7 +314,7 @@ func Run(env Env, p Protocol) (Report, error) {
 	var rec *trace.Recorder
 	if env.Trace != nil {
 		rec = trace.NewRecorder(env.Trace.MaxEvents)
-		env.Tracer = rec
+		env.tracer = rec
 	}
 	rep, err := p.Run(env)
 	if err != nil {

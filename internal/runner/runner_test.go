@@ -118,7 +118,7 @@ func TestRegistry(t *testing.T) {
 	names := Protocols()
 	want := []string{
 		"ben-or", "chang-roberts", "clock-sync", "election", "itai-rodeh-async",
-		"itai-rodeh-sync", "live-election", "peterson", "synchronized-election",
+		"itai-rodeh-sync", "peterson", "synchronized-election",
 	}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("registry = %v, want %v", names, want)

@@ -38,7 +38,7 @@ func (e Env) networkConfig(graph *topology.Graph, discipline func(dist.Dist) cha
 		Processing:     e.Processing,
 		Seed:           e.Seed,
 		Scheduler:      e.Scheduler,
-		Tracer:         e.Tracer,
+		Tracer:         e.tracer,
 		Faults:         e.Faults,
 		Byzantine:      e.Byzantine,
 		LocalBroadcast: e.LocalBroadcast,

@@ -57,7 +57,7 @@ func TestNetworkConfigMapsEveryEnvField(t *testing.T) {
 		Horizon:        10,
 		MaxEvents:      1000,
 		MaxRounds:      5,
-		Tracer:         nopTracer{},
+		tracer:         nopTracer{},
 		Faults:         &faults.Plan{CrashRate: 0.1},
 		Byzantine:      byzantine.Equivocators(1),
 		LocalBroadcast: true,

@@ -87,7 +87,7 @@ func benchTracerHook(b *testing.B, attach bool) {
 		var nt *nullTracer
 		if attach {
 			nt = &nullTracer{}
-			env.Tracer = nt
+			env.tracer = nt
 		}
 		rep, err := Run(env, Election{})
 		if err != nil {

@@ -164,10 +164,6 @@ func TestEnvValidateTrace(t *testing.T) {
 	if err := bad.Validate(); !errors.Is(err, ErrEnvTrace) {
 		t.Fatalf("negative cap: Validate = %v, want ErrEnvTrace", err)
 	}
-	both := Env{N: 4, Tracer: trace.NewRecorder(0), Trace: &trace.Config{}}
-	if err := both.Validate(); !errors.Is(err, ErrEnvTrace) {
-		t.Fatalf("Trace+Tracer: Validate = %v, want ErrEnvTrace", err)
-	}
 	if err := (Env{N: 4, Trace: &trace.Config{MaxEvents: 64}}).Validate(); err != nil {
 		t.Fatalf("valid trace env rejected: %v", err)
 	}

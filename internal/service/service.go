@@ -10,9 +10,7 @@
 // spec hash identifies the scenario (internal/spec pins the canonical
 // encoding) and the harness derives every per-repetition seed from
 // (hash, seed) in canonical order, so a cached result is byte-identical to
-// a fresh one. The one exception — the live goroutine runtime, which races
-// wall clocks by design — is declared nondeterministic by the runner
-// registry and is executed but never cached.
+// a fresh one.
 package service
 
 import (
@@ -75,7 +73,7 @@ type Options struct {
 	// SweepWorkers caps each sweep job's internal parallelism; 0 leaves
 	// the spec's own setting (or GOMAXPROCS) in charge.
 	SweepWorkers int
-	// Persist, when non-nil, is the second cache tier: finished cacheable
+	// Persist, when non-nil, is the second cache tier: finished
 	// results are written through to it and served back from it after the
 	// memory tier evicts them — or after a process restart, when it is a
 	// durable store (store.OpenDisk). The service owns it from New on and
@@ -155,7 +153,6 @@ type job struct {
 	key       string
 	hash      string
 	status    Status
-	cacheable bool
 	result    *Result
 	err       string
 	failure   string
@@ -305,7 +302,6 @@ func (s *Service) submit(sp *spec.Spec, seedOverride *uint64) (View, *job, error
 		return View{}, nil, err
 	}
 	key := fmt.Sprintf("%s@%d%s%s", hash, run.Env.Seed, observeKey(run.Env.Observe), traceKey(run.Env.Trace))
-	info, _ := runner.ProtocolInfo(run.Protocol.Name)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -327,15 +323,11 @@ func (s *Service) submit(sp *spec.Spec, seedOverride *uint64) (View, *job, error
 		s.retireLocked(j)
 		return j.view(), j, nil
 	}
-	// Dedup and caching share the same soundness argument — identical
-	// (scenario, seed) means identical results — so a nondeterministic
-	// protocol opts out of both: every live-election submission gets its
-	// own wall-clock run.
-	if info.Deterministic {
-		if running := s.inflight[key]; running != nil {
-			running.dedups++
-			return running.view(), running, nil
-		}
+	// Dedup shares the cache's soundness argument: identical (scenario,
+	// seed) means identical results.
+	if running := s.inflight[key]; running != nil {
+		running.dedups++
+		return running.view(), running, nil
 	}
 	// Only submissions that will actually simulate reach admission
 	// control: cache hits and dedup riders above cost nothing, and
@@ -356,7 +348,6 @@ func (s *Service) submit(sp *spec.Spec, seedOverride *uint64) (View, *job, error
 		return View{}, nil, err
 	}
 	j := s.newJobLocked(enq, hash, key)
-	j.cacheable = info.Deterministic
 	select {
 	case s.queue <- j:
 	default:
@@ -364,9 +355,7 @@ func (s *Service) submit(sp *spec.Spec, seedOverride *uint64) (View, *job, error
 		return View{}, nil, ErrQueueFull
 	}
 	s.jobs[j.id] = j
-	if info.Deterministic {
-		s.inflight[key] = j
-	}
+	s.inflight[key] = j
 	return j.view(), j, nil
 }
 
@@ -616,9 +605,7 @@ func (s *Service) worker() {
 		default:
 			j.status = StatusDone
 			j.result = res
-			if j.cacheable {
-				s.cache.put(j.key, res)
-			}
+			s.cache.put(j.key, res)
 			j.events.finish(StatusDone, "")
 		}
 		close(j.done)

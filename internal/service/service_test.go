@@ -355,72 +355,6 @@ func TestLivelockClassified(t *testing.T) {
 	}
 }
 
-// TestNondeterministicNeverCached: the live runtime executes but its
-// results are not content-addressable, so resubmission recomputes.
-func TestNondeterministicNeverCached(t *testing.T) {
-	svc := New(Options{Workers: 1})
-	defer svc.Close()
-
-	ps, err := spec.ForProtocol(runner.LiveElection{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := &spec.Spec{Version: spec.Version, Env: spec.EnvSpec{N: 4, Seed: 1}, Protocol: ps}
-	v, err := svc.Submit(sp, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v = await(t, svc, v.ID); v.Status != StatusDone {
-		t.Fatalf("live job ended %s (%s)", v.Status, v.Error)
-	}
-	v2, err := svc.Submit(sp, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2.CacheHits != 0 {
-		t.Fatal("nondeterministic run was served from cache")
-	}
-	await(t, svc, v2.ID)
-}
-
-// TestNondeterministicNeverDeduplicated: concurrent identical live
-// submissions must each get their own run — sharing one wall-clock-racing
-// result is exactly what the determinism carve-out forbids.
-func TestNondeterministicNeverDeduplicated(t *testing.T) {
-	entered := make(chan struct{}, 16)
-	release := make(chan struct{})
-	svc := New(Options{
-		Workers:    1,
-		QueueDepth: 8,
-		BeforeJob: func() {
-			entered <- struct{}{}
-			<-release
-		},
-	})
-	defer svc.Close()
-
-	ps, err := spec.ForProtocol(runner.LiveElection{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := &spec.Spec{Version: spec.Version, Env: spec.EnvSpec{N: 4, Seed: 1}, Protocol: ps}
-	a, err := svc.Submit(sp, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered // worker holds job a
-	b, err := svc.Submit(sp, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.ID == a.ID {
-		t.Fatal("identical live submissions were coalesced onto one run")
-	}
-	close(release)
-	await(t, svc, a.ID)
-	await(t, svc, b.ID)
-}
-
 // TestJobHistoryBound: finished jobs are retired FIFO past the history
 // bound, so the job map cannot grow without limit under sustained traffic.
 func TestJobHistoryBound(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -125,6 +126,10 @@ func TestStrictDecoding(t *testing.T) {
 		{"unknown dist", `{"version":1,"env":{"n":4,"delay":{"name":"gaussian","params":{}}},"protocol":{"name":"election"}}`, "gaussian"},
 		{"unknown topology", `{"version":1,"env":{"topology":{"name":"mesh","params":{"n":4}}},"protocol":{"name":"election"}}`, "mesh"},
 		{"unknown protocol", `{"version":1,"env":{"n":4},"protocol":{"name":"raft"}}`, "raft"},
+		// The deleted goroutine runtime gets no special case: the ordinary
+		// rejection, listing the registry.
+		{"deleted live-election", `{"version":1,"env":{"n":4},"protocol":{"name":"live-election"}}`,
+			fmt.Sprintf(`spec: unknown protocol "live-election" (have %v)`, runner.Protocols())},
 		{"unknown event kind", `{"version":1,"env":{"n":4,"horizon":100,"faults":{"events":[{"at":1,"kind":"explode","node":0}]}},"protocol":{"name":"election"}}`, "explode"},
 		{"missing version", `{"env":{"n":4},"protocol":{"name":"election"}}`, "version"},
 		{"future version", `{"version":2,"env":{"n":4},"protocol":{"name":"election"}}`, "version 2"},

@@ -66,3 +66,53 @@ func BenchmarkPending(b *testing.B) {
 		b.Fatal("pending count vanished")
 	}
 }
+
+// BenchmarkHold is the classic hold model on the three pending-set shapes
+// of the repo benchmark's simulator workloads (benchmark/workloads.go), on
+// both schedulers, reserved the way network.New reserves (two slots per
+// node): prefill, then each op pops the earliest event and pushes it back
+// one increment later. ns/op is nanoseconds per pop+push — the same
+// quantity as the benchmark's sim.hold_ns.* probes, readable without its
+// traced pass.
+func BenchmarkHold(b *testing.B) {
+	shapes := []struct {
+		name    string
+		nodes   int     // what network.New would reserve for: Reserve(2·nodes)
+		pending int     // events held
+		period  float64 // fixed increment, all starting on one instant; 0 = exponential(1)
+	}{
+		{"dense-1024-period-1", 1024, 1024, 1},
+		{"benor-4032-exponential", 64, 4032, 0},
+		{"sparse-100000-period-n", 100_000, 100_000, 100_000},
+	}
+	for _, s := range shapes {
+		for _, name := range SchedulerNames() {
+			b.Run(s.name+"/"+name, func(b *testing.B) {
+				k, err := NewNamed(name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				k.Reserve(2 * s.nodes)
+				r := rng.New(1)
+				inc := func() simtime.Duration {
+					if s.period == 0 {
+						return simtime.Duration(r.ExpFloat64())
+					}
+					return simtime.Duration(s.period)
+				}
+				var hold Handler
+				hold = func() { k.AfterFunc(inc(), hold) }
+				for i := 0; i < s.pending; i++ {
+					k.AtFunc(simtime.Time(inc()), hold)
+				}
+				for i := 0; i < 2*s.pending; i++ { // reach the steady shape
+					k.Step()
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					k.Step()
+				}
+			})
+		}
+	}
+}

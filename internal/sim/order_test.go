@@ -1,0 +1,302 @@
+package sim
+
+import (
+	"bytes"
+	"cmp"
+	"slices"
+	"testing"
+
+	"abenet/internal/rng"
+	"abenet/internal/simtime"
+)
+
+// The order oracle: a byte program of schedule and run operations executes
+// on a kernel while a reference list, kept sorted by (at, seq), predicts
+// which event must run next and how many are pending. It knows nothing of
+// heaps, runs or buckets, so it holds every scheduler to the one contract
+// the golden pins rest on. FuzzSchedulerOrder explores programs; the table
+// below is its seed corpus and runs under plain `go test`.
+
+// Program layout: byte 0 is the opening reservation (odd: Reserve(b>>1 % 24),
+// small so the heap scheduler's run fills and spills; even: none), then
+// (op, arg) byte pairs.
+const (
+	opEqual      = iota // schedule on the last scheduled instant
+	opAscend            // schedule arg%8 half-units above the last scheduled instant
+	opDescend           // schedule 1+arg%8 half-units below it (not before now)
+	opRandom            // schedule arg quarter-units from now
+	opSpawner           // schedule an event arg%16 half-units from now whose handler schedules arg>>4%4 events at Now() and one a unit later
+	opStep              // Step
+	opStepWithin        // StepWithin(now + arg%8 half-units)
+	opRun               // Run to now + arg%16 half-units: may leave events pending, later ops resume
+	opReserve           // Reserve(arg%32) mid-flight, with events pending
+	opCount
+)
+
+const maxOrderProgram = 1024 // bytes of a program that are executed
+
+// refEvent is the reference's view of a scheduled event; seq, the kernel's
+// insertion sequence, doubles as its identity.
+type refEvent struct {
+	at  simtime.Time
+	seq uint64
+}
+
+func refCompare(a, b refEvent) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// runOrderProgram executes prog on the named scheduler, failing t at the
+// first event that runs out of (at, seq) order, the first wrong Pending(),
+// and the first horizon that is overrun or undershot. It returns the events'
+// seqs in execution order.
+func runOrderProgram(t *testing.T, name string, prog []byte) []uint64 {
+	t.Helper()
+	k, err := NewNamed(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prog) > maxOrderProgram {
+		prog = prog[:maxOrderProgram]
+	}
+	var (
+		ref   []refEvent // pending events, sorted by (at, seq)
+		order []uint64
+		last  simtime.Time // last instant scheduled from the program
+	)
+	checkPending := func(when string) {
+		t.Helper()
+		if k.Pending() != len(ref) {
+			t.Fatalf("%s: %s: Pending() = %d, reference holds %d", name, when, k.Pending(), len(ref))
+		}
+	}
+	var schedule func(at simtime.Time, spawn int)
+	schedule = func(at simtime.Time, spawn int) {
+		ev := refEvent{at: at, seq: k.ScheduleSeq()}
+		i, _ := slices.BinarySearchFunc(ref, ev, refCompare)
+		ref = slices.Insert(ref, i, ev)
+		k.AtFunc(at, func() {
+			if len(ref) == 0 || ref[0] != ev {
+				t.Fatalf("%s: %+v ran after %d events, reference expects %+v", name, ev, len(order), ref)
+			}
+			if k.Now() != ev.at {
+				t.Fatalf("%s: %+v ran at %v", name, ev, k.Now())
+			}
+			ref = ref[1:]
+			order = append(order, ev.seq)
+			checkPending("inside a handler")
+			for c := 0; c < spawn; c++ {
+				schedule(k.Now(), 0)
+			}
+			if spawn > 0 {
+				schedule(k.Now().Add(1), 0)
+			}
+		})
+		checkPending("after a schedule")
+	}
+	half := func(b byte) simtime.Duration { return simtime.Duration(b) / 2 }
+	// halted checks a drive that stopped at a horizon (never in the past
+	// here): nothing at or below it is left, and the clock stands on it if
+	// anything is left at all.
+	halted := func(what string, horizon simtime.Time) {
+		t.Helper()
+		if len(ref) > 0 && (!ref[0].at.After(horizon) || k.Now() != horizon) {
+			t.Fatalf("%s: %s to %v stopped at %v with %+v pending", name, what, horizon, k.Now(), ref[0])
+		}
+		if k.Now().After(horizon) {
+			t.Fatalf("%s: %s to %v ran the clock to %v", name, what, horizon, k.Now())
+		}
+	}
+
+	if len(prog) > 0 && prog[0]&1 == 1 {
+		k.Reserve(int(prog[0]>>1) % 24)
+	}
+	for i := 1; i+1 < len(prog); i += 2 {
+		arg := prog[i+1]
+		now := k.Now()
+		if last.Before(now) {
+			last = now
+		}
+		switch prog[i] % opCount {
+		case opEqual:
+			schedule(last, 0)
+		case opAscend:
+			last = last.Add(half(arg % 8))
+			schedule(last, 0)
+		case opDescend:
+			last = last.Add(-half(1 + arg%8))
+			if last.Before(now) {
+				last = now
+			}
+			schedule(last, 0)
+		case opRandom:
+			last = now.Add(simtime.Duration(arg) / 4)
+			schedule(last, 0)
+		case opSpawner:
+			last = now.Add(half(arg % 16))
+			schedule(last, 1+int(arg>>4)%4)
+		case opStep:
+			ran, want := len(order), btoi(len(ref) > 0)
+			if btoi(k.Step()) != want || len(order)-ran != want {
+				t.Fatalf("%s: Step ran %d events, want %d", name, len(order)-ran, want)
+			}
+		case opStepWithin:
+			horizon, ran := now.Add(half(arg%8)), len(order)
+			want := btoi(len(ref) > 0 && !ref[0].at.After(horizon))
+			if btoi(k.StepWithin(horizon)) != want || len(order)-ran != want {
+				t.Fatalf("%s: StepWithin(%v) ran %d events, want %d", name, horizon, len(order)-ran, want)
+			}
+			if want == 0 {
+				halted("StepWithin", horizon)
+			}
+		case opRun:
+			horizon := now.Add(half(arg % 16))
+			if err := k.Run(horizon, 0); err != nil {
+				t.Fatal(err)
+			}
+			halted("Run", horizon)
+		case opReserve:
+			k.Reserve(int(arg) % 32)
+		}
+		checkPending("after an op")
+	}
+	if err := k.Run(simtime.Forever, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(ref) != 0 || k.Pending() != 0 {
+		t.Fatalf("%s: drained with %d in the reference and Pending() = %d", name, len(ref), k.Pending())
+	}
+	if uint64(len(order)) != k.Executed() || uint64(len(order)) != k.ScheduleSeq() {
+		t.Fatalf("%s: %d events ran, Executed() = %d, %d scheduled", name, len(order), k.Executed(), k.ScheduleSeq())
+	}
+	return order
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// checkOrderProgram runs prog on every scheduler and requires the same
+// execution order from all of them.
+func checkOrderProgram(t *testing.T, prog []byte) {
+	t.Helper()
+	var first []uint64
+	for i, name := range SchedulerNames() {
+		order := runOrderProgram(t, name, prog)
+		if i == 0 {
+			first = order
+		} else if !slices.Equal(order, first) {
+			t.Fatalf("%s and %s disagree:\n%v\n%v", SchedulerNames()[0], name, first, order)
+		}
+	}
+}
+
+// reserve is byte 0 of a program that opens with Reserve(n), n < 24.
+func reserve(n int) byte { return byte(n<<1 | 1) }
+
+// orderPrograms is the seed corpus. Reserve(2n) gives the heap scheduler a
+// run of n slots.
+var orderPrograms = []struct {
+	name string
+	prog []byte
+}{
+	{"empty", nil},
+	{"one instant, unreserved", []byte{0, opEqual, 0, opEqual, 0, opEqual, 0, opEqual, 0, opStep, 0, opEqual, 0}},
+	{"ascending then descending", []byte{0, opAscend, 1, opAscend, 2, opAscend, 0, opDescend, 0, opDescend, 3, opStep, 0, opAscend, 1}},
+	// Run slot 1: A@7 takes it, B@7 spills into the heap with the lower
+	// seq of the two that will share the instant; A pops; C@7 enters the
+	// empty run. B (heap, seq 1) must run before C (run, seq 2).
+	{"same instant, heap seq lower", []byte{reserve(2), opRandom, 28, opEqual, 0, opStep, 0, opEqual, 0}},
+	// A@5, B@9 in the run; C@7 is below the run's newest instant while the
+	// run is non-empty and takes the heap; order A, C, B.
+	{"below the tail of a non-empty run", []byte{0, opRandom, 20, opRandom, 36, opRandom, 28, opRandom, 28}},
+	{"run fills and spills", []byte{reserve(6), opAscend, 1, opAscend, 1, opAscend, 1, opAscend, 1, opAscend, 0, opEqual, 0, opStep, 0, opStep, 0, opAscend, 1, opEqual, 0}},
+	{"no run slots at all", []byte{reserve(1), opAscend, 1, opAscend, 1, opEqual, 0, opDescend, 1}},
+	{"horizon leaves events in both lanes, then resumes", []byte{reserve(8), opRandom, 8, opRandom, 40, opRandom, 24, opRandom, 60, opRandom, 12, opRun, 7, opRandom, 4, opAscend, 2, opRun, 3, opStepWithin, 1, opStepWithin, 7}},
+	{"handlers schedule at Now()", []byte{0, opSpawner, 0x32, opSpawner, 0x10, opEqual, 0, opRandom, 3, opSpawner, 0x21, opRun, 2, opSpawner, 0x30}},
+	{"reserve over a wrapped ring", []byte{reserve(8), opAscend, 1, opAscend, 1, opAscend, 1, opStep, 0, opStep, 0, opAscend, 1, opAscend, 1, opAscend, 1, opReserve, 20, opAscend, 1, opDescend, 2, opReserve, 2, opAscend, 1}},
+	// The unreserved run starts at 16 slots: two in, one out moves its head
+	// off slot 0, twenty more wrap it, fill it and double it.
+	{"unreserved run grows while wrapped", slices.Concat([]byte{0, opAscend, 1, opAscend, 1, opStep, 0}, bytes.Repeat([]byte{opAscend, 1}, 20))},
+}
+
+// randomOrderPrograms are longer pseudo-random programs, one opening with a
+// reservation and one without, for each of a few seeds.
+func randomOrderPrograms() [][]byte {
+	var out [][]byte
+	for seed := uint64(1); seed <= 4; seed++ {
+		r := rng.New(seed)
+		for _, open := range []byte{0, reserve(int(seed) * 4)} {
+			prog := []byte{open}
+			for i := 0; i < 300; i++ {
+				prog = append(prog, byte(r.Intn(opCount)), byte(r.Intn(256)))
+			}
+			out = append(out, prog)
+		}
+	}
+	return out
+}
+
+// TestSchedulerOrderCorpus runs the seed corpus deterministically.
+func TestSchedulerOrderCorpus(t *testing.T) {
+	for _, p := range orderPrograms {
+		t.Run(p.name, func(t *testing.T) { checkOrderProgram(t, p.prog) })
+	}
+	for _, prog := range randomOrderPrograms() {
+		checkOrderProgram(t, prog)
+	}
+}
+
+// TestRunAndHeapShareAnInstant pins the lane structure behind the two corpus
+// cases that matter most, so they keep testing what they say they test.
+func TestRunAndHeapShareAnInstant(t *testing.T) {
+	k := New()
+	h := k.sched.(*heapScheduler)
+	var got []int
+	at := func(at simtime.Time, id int) { k.AtFunc(at, func() { got = append(got, id) }) }
+
+	k.Reserve(2) // one run slot
+	at(7, 0)     // run
+	at(7, 1)     // run full: heap
+	k.Step()
+	at(7, 2) // run again, behind the heap's event on the same instant
+	if h.n != 1 || len(h.heap) != 1 || h.run[h.head].seq <= h.heap[0].seq || h.run[h.head].at != h.heap[0].at {
+		t.Fatalf("want one event per lane on one instant with the heap's seq lower; run %d, heap %d", h.n, len(h.heap))
+	}
+	if err := k.Run(simtime.Forever, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	k = New()
+	h = k.sched.(*heapScheduler)
+	at(15, 3)
+	at(19, 4)
+	at(17, 5) // below the run's newest instant, run non-empty: heap
+	if h.n != 2 || len(h.heap) != 1 {
+		t.Fatalf("want two events in the run and one in the heap; run %d, heap %d", h.n, len(h.heap))
+	}
+	if err := k.Run(simtime.Forever, 0); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 1, 2, 3, 5, 4}; !slices.Equal(got, want) {
+		t.Fatalf("executed %v, want %v", got, want)
+	}
+}
+
+// FuzzSchedulerOrder: any program executes in reference (at, seq) order with
+// a correct Pending() throughout, identically on every scheduler.
+func FuzzSchedulerOrder(f *testing.F) {
+	for _, p := range orderPrograms {
+		f.Add(p.prog)
+	}
+	for _, prog := range randomOrderPrograms() {
+		f.Add(prog)
+	}
+	f.Fuzz(checkOrderProgram)
+}

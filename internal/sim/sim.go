@@ -13,17 +13,26 @@
 // The pending-event set lives behind the Scheduler interface. Two
 // implementations ship with the package, selectable per run:
 //
-//   - "heap" (default) — an intrusive 4-ary min-heap ordered by
-//     (instant, insertion sequence) and stored in a single value slice; the
-//     slice doubles as the event pool, so steady-state scheduling allocates
-//     nothing.
+//   - "heap" (default) — a sorted run in front of an intrusive 4-ary
+//     min-heap. The run is a FIFO ring that takes an event whenever its
+//     instant is not below the run's newest one; insertion sequences only
+//     grow, so the ring is in (instant, sequence) order without ever moving
+//     an entry. Everything else goes to the heap, and the earliest event is
+//     the smaller of the run's oldest and the heap's root. Tick timers
+//     re-armed in order on perfect clocks — the paper's election has every
+//     node do that forever — never sift; the heap holds only what is
+//     actually out of order, typically the messages in flight. Both lanes
+//     are plain value slices that double as the event pool, so steady-state
+//     scheduling allocates nothing.
 //   - "calendar" — a calendar queue (Brown 1988, as in ns-3): a wheel of
-//     time-windowed buckets with amortized O(1) enqueue/dequeue, which wins
-//     at very large pending-event populations (million-node runs) where the
-//     heap's O(log n) reshuffle per event starts to bite.
+//     time-windowed buckets with amortized O(1) enqueue/dequeue. The repo
+//     benchmark and the E16 ladder have it ahead of the heap on no
+//     committed workload; it stays as the independent implementation the
+//     differential suite checks the heap against.
 //
 // Both pop events in exactly (instant, sequence) order, so executions are
-// byte-identical across schedulers — the differential suite pins that.
+// byte-identical across schedulers — the differential suite and the order
+// oracle (FuzzSchedulerOrder) pin that.
 //
 // # Scheduling API
 //
@@ -136,7 +145,9 @@ func (k *Kernel) Pending() int { return k.sched.Pending() }
 // so it can size its storage in one step instead of growing into it. A
 // builder that knows the population (one timer per node, say) calls it
 // before the first event is scheduled. It is a hint: execution order and
-// every counter are unaffected.
+// every counter are unaffected. The heap scheduler gives half of n to its
+// sorted run and half to its heap, so n/2 events scheduled at non-decreasing
+// instants plus n/2 in any order allocate nothing; the calendar ignores it.
 func (k *Kernel) Reserve(n int) { k.sched.Reserve(n) }
 
 // schedule validates and enqueues one event.

@@ -398,20 +398,32 @@ func TestStepWithinPastHorizonDoesNotRewind(t *testing.T) {
 	}
 }
 
-// TestReserveSizesTheQueueOnce: after Reserve(n), scheduling n events grows
-// nothing, and the hint changes neither the pop order nor any counter —
-// on either scheduler.
+// TestReserveSizesTheQueueOnce: Reserve(n) divides n slots between the sorted
+// run and the heap, so n/2 events in arbitrary order (the heap's half) plus
+// n/2 at non-decreasing instants (the run's half; what finds the run full
+// spills into the heap's spare slots) grow nothing. The hint changes neither
+// the pop order nor any counter — on either scheduler.
 func TestReserveSizesTheQueueOnce(t *testing.T) {
 	const n = 5000
 	fn := func() {}
 	k := New()
 	k.Reserve(n)
+	// AllocsPerRun(1, f) calls f twice (one warm-up): each call schedules a
+	// quarter of n out of order and a quarter in order.
+	next := simtime.Time(n)
 	if avg := testing.AllocsPerRun(1, func() {
-		for i := 0; i < n/2; i++ {
-			k.AtFunc(simtime.Time(n-i), fn)
+		for i := 0; i < n/4; i++ {
+			k.AtFunc(simtime.Time(n-i), fn) // descending: the heap's
+		}
+		for i := 0; i < n/4; i++ {
+			k.AtFunc(next, fn) // non-decreasing, in pairs on one instant: the run's
+			next += simtime.Time(i % 2)
 		}
 	}); avg != 0 {
-		t.Errorf("scheduling into a reserved heap allocated %g times, want 0", avg)
+		t.Errorf("scheduling into a reserved queue allocated %g times, want 0", avg)
+	}
+	if k.Pending() != n {
+		t.Fatalf("Pending() = %d, want %d", k.Pending(), n)
 	}
 
 	for _, name := range SchedulerNames() {

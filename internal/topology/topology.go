@@ -79,9 +79,7 @@ func (g *Graph) AddEdge(u, v int) {
 			panic(fmt.Sprintf("topology: duplicate edge %d->%d", u, v))
 		}
 	}
-	g.out[u] = append(g.out[u], v)
-	g.inPort[u] = append(g.inPort[u], len(g.in[v]))
-	g.in[v] = append(g.in[v], u)
+	g.appendEdge(u, v)
 	g.ringMu.Lock()
 	g.ringDone = false
 	g.ringMu.Unlock()
@@ -91,6 +89,23 @@ func (g *Graph) AddEdge(u, v int) {
 func (g *Graph) AddBiEdge(u, v int) {
 	g.AddEdge(u, v)
 	g.AddEdge(v, u)
+}
+
+// appendEdge records u->v with no checks. It is the generators' path: their
+// loops cannot produce a self-loop or a duplicate, AddEdge's duplicate scan
+// is O(degree) per edge — quadratic on a star's centre or a complete graph —
+// and a graph under construction has no ring cache to invalidate. Validate
+// remains the backstop.
+func (g *Graph) appendEdge(u, v int) {
+	g.out[u] = append(g.out[u], v)
+	g.inPort[u] = append(g.inPort[u], len(g.in[v]))
+	g.in[v] = append(g.in[v], u)
+}
+
+// appendBiEdge is AddBiEdge on the unchecked path.
+func (g *Graph) appendBiEdge(u, v int) {
+	g.appendEdge(u, v)
+	g.appendEdge(v, u)
 }
 
 // HasEdge reports whether the directed edge u->v exists.
@@ -219,9 +234,12 @@ func BiRing(n int) *Graph {
 		panic(fmt.Sprintf("topology: bidirectional ring needs n >= 2, got %d", n))
 	}
 	g := New(n)
-	for i := 0; i < n; i++ {
-		g.AddBiEdge(i, (i+1)%n)
+	for i := 0; i+1 < n; i++ {
+		g.appendBiEdge(i, i+1)
 	}
+	// The closing edge takes the checked path: at n = 2 it is the first
+	// edge again, which AddEdge rejects as it always has.
+	g.AddBiEdge(n-1, 0)
 	return g
 }
 
@@ -238,7 +256,7 @@ func Line(n int) *Graph {
 func Star(n int) *Graph {
 	g := New(n)
 	for i := 1; i < n; i++ {
-		g.AddBiEdge(0, i)
+		g.appendBiEdge(0, i)
 	}
 	return g
 }
@@ -248,7 +266,7 @@ func Complete(n int) *Graph {
 	g := New(n)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			g.AddBiEdge(u, v)
+			g.appendBiEdge(u, v)
 		}
 	}
 	return g
@@ -264,8 +282,8 @@ func Torus(rows, cols int) *Graph {
 	id := func(r, c int) int { return r*cols + c }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			g.AddBiEdge(id(r, c), id(r, (c+1)%cols))
-			g.AddBiEdge(id(r, c), id((r+1)%rows, c))
+			g.appendBiEdge(id(r, c), id(r, (c+1)%cols))
+			g.appendBiEdge(id(r, c), id((r+1)%rows, c))
 		}
 	}
 	return g
@@ -283,7 +301,7 @@ func Hypercube(dim int) *Graph {
 		for b := 0; b < dim; b++ {
 			v := u ^ (1 << uint(b))
 			if u < v {
-				g.AddBiEdge(u, v)
+				g.appendBiEdge(u, v)
 			}
 		}
 	}

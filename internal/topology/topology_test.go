@@ -1,9 +1,12 @@
 package topology
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"abenet/internal/rng"
 )
@@ -446,5 +449,137 @@ func TestRingEmbedding(t *testing.T) {
 	}
 	if _, err := Line(5).RingEmbedding(); err == nil {
 		t.Fatal("Line must not embed a ring")
+	}
+}
+
+// checkedBuild is a generator as it was before the unchecked path: the same
+// loop, every edge through the public AddBiEdge with its duplicate scan.
+func checkedBuild(n int, edges func(add func(u, v int))) *Graph {
+	g := New(n)
+	edges(g.AddBiEdge)
+	return g
+}
+
+// TestGeneratorsMatchCheckedConstruction: the generators append through the
+// unchecked path; the graph they produce — every Out, In and in-port, in
+// order — must be the one the checked AddBiEdge loop builds, and must pass
+// Validate.
+func TestGeneratorsMatchCheckedConstruction(t *testing.T) {
+	type pair struct {
+		name      string
+		got, want *Graph
+	}
+	var pairs []pair
+	for _, n := range []int{3, 4, 9, 32} {
+		pairs = append(pairs,
+			pair{"biring", BiRing(n), checkedBuild(n, func(add func(u, v int)) {
+				for i := 0; i < n; i++ {
+					add(i, (i+1)%n)
+				}
+			})},
+			pair{"star", Star(n), checkedBuild(n, func(add func(u, v int)) {
+				for i := 1; i < n; i++ {
+					add(0, i)
+				}
+			})},
+			pair{"complete", Complete(n), checkedBuild(n, func(add func(u, v int)) {
+				for u := 0; u < n; u++ {
+					for v := u + 1; v < n; v++ {
+						add(u, v)
+					}
+				}
+			})},
+		)
+	}
+	for _, dim := range []int{0, 1, 3, 5} {
+		pairs = append(pairs, pair{"hypercube", Hypercube(dim), checkedBuild(1<<dim, func(add func(u, v int)) {
+			for u := 0; u < 1<<dim; u++ {
+				for b := 0; b < dim; b++ {
+					if v := u ^ (1 << b); u < v {
+						add(u, v)
+					}
+				}
+			}
+		})})
+	}
+	for _, d := range [][2]int{{3, 3}, {3, 5}, {6, 4}} {
+		rows, cols := d[0], d[1]
+		pairs = append(pairs, pair{"torus", Torus(rows, cols), checkedBuild(rows*cols, func(add func(u, v int)) {
+			for r := 0; r < rows; r++ {
+				for c := 0; c < cols; c++ {
+					add(r*cols+c, r*cols+(c+1)%cols)
+					add(r*cols+c, ((r+1)%rows)*cols+c)
+				}
+			}
+		})})
+	}
+	for _, p := range pairs {
+		if err := p.got.Validate(); err != nil {
+			t.Fatalf("%s(%d nodes): %v", p.name, p.got.N(), err)
+		}
+		if p.got.N() != p.want.N() {
+			t.Fatalf("%s: %d nodes, want %d", p.name, p.got.N(), p.want.N())
+		}
+		for u := 0; u < p.got.N(); u++ {
+			if !slices.Equal(p.got.Out(u), p.want.Out(u)) || !slices.Equal(p.got.In(u), p.want.In(u)) {
+				t.Fatalf("%s(%d nodes): adjacency of %d differs: out %v in %v, want out %v in %v",
+					p.name, p.got.N(), u, p.got.Out(u), p.got.In(u), p.want.Out(u), p.want.In(u))
+			}
+			for q := 0; q < p.got.OutDegree(u); q++ {
+				if p.got.InPort(u, q) != p.want.InPort(u, q) {
+					t.Fatalf("%s(%d nodes): InPort(%d, %d) = %d, want %d",
+						p.name, p.got.N(), u, q, p.got.InPort(u, q), p.want.InPort(u, q))
+				}
+			}
+		}
+	}
+}
+
+// TestGeneratedGraphsKeepTheChecks: only the generators' own loops skip the
+// checks. Adding to a generated graph by hand still panics on a duplicate
+// and a self-loop, and BiRing(2) — whose closing edge is its first edge
+// again — is still rejected.
+func TestGeneratedGraphsKeepTheChecks(t *testing.T) {
+	for name, g := range map[string]*Graph{
+		"biring": BiRing(5), "star": Star(5), "complete": Complete(5),
+		"hypercube": Hypercube(3), "torus": Torus(3, 3),
+	} {
+		v := g.OutAt(0, 0)
+		mustPanic(t, func() { g.AddEdge(0, v) })
+		mustPanic(t, func() { g.AddEdge(v, 0) })
+		mustPanic(t, func() { g.AddEdge(0, 0) })
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	mustPanic(t, func() { BiRing(2) })
+}
+
+// TestGeneratorsAreLinearInEdges: Star(100000) has twice Ring(100000)'s
+// edges. With AddEdge's duplicate scan on the centre's adjacency it took
+// ~900 times as long to build; appended unchecked it takes a few times as
+// long. The bound is a ratio of best-of-three build times on the same box,
+// generous enough for a loaded one.
+func TestGeneratorsAreLinearInEdges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds 100000-node graphs")
+	}
+	const n = 100_000
+	best := func(build func() *Graph) time.Duration {
+		d := time.Duration(math.MaxInt64)
+		for i := 0; i < 3; i++ {
+			t0 := time.Now()
+			g := build()
+			d = min(d, time.Since(t0))
+			if g.N() != n {
+				t.Fatalf("built %d nodes, want %d", g.N(), n)
+			}
+		}
+		return d
+	}
+	ring := best(func() *Graph { return Ring(n) })
+	star := best(func() *Graph { return Star(n) })
+	if star > 100*ring {
+		t.Fatalf("Star(%d) built in %v, Ring(%d) in %v: more than 100 times as long for twice the edges", n, star, n, ring)
 	}
 }

@@ -60,7 +60,7 @@ type Store struct {
 	slots []slot
 	free  []int32
 
-	fire sim.ArgHandler // bound once to fireBatch; reused by every event
+	fire sim.HandlerID // fireBatch, registered once; every delivery event names it
 }
 
 // slot is one message in flight.
@@ -81,7 +81,7 @@ func NewStore(k *sim.Kernel, sink Sink) *Store {
 		panic("channel: nil delivery sink")
 	}
 	s := &Store{kernel: k, sink: sink}
-	s.fire = s.fireBatch
+	s.fire = k.Register(s.fireBatch)
 	return s
 }
 

@@ -378,10 +378,17 @@ func (e *Engine) Result() Result {
 	return res
 }
 
-// node is one Ben-Or protocol instance. Per-round tallies live in n-slot
-// tables (in-ports 0..n−2 for the other nodes, slot n−1 for the node's own
-// value); future-round messages buffer in the same maps and completed
-// rounds are deleted, so memory stays bounded by the in-flight round span.
+// node is one Ben-Or protocol instance. Tallies live in a sliding window of
+// per-round rows: rows[k] belongs to round round+k, so the window opens on
+// the round in progress and reaches as far ahead as traffic has arrived for.
+// A completed round's row leaves the window and its table is reused by the
+// next row to open; a message for a round already completed is dropped —
+// up to f of the n−1 values of every phase arrive that late. Honest traffic
+// therefore holds a table per round in flight and nothing else. A row is 40
+// bytes until a value arrives for its round and gets its table (2n bytes)
+// then, so a Byzantine message naming a far-away round — any round up to
+// MaxRounds is valid, a slow honest node may lag that far — costs one table
+// plus 40 bytes per round skipped, never a table per round skipped.
 type node struct {
 	id, n, f  int
 	est       int8
@@ -396,25 +403,29 @@ type node struct {
 	ignored   int
 	maxRounds int32
 
-	reports   map[int32][]int8 // phase-1 values per round
-	proposals map[int32][]int8 // phase-2 proposals per round
-	reportN   map[int32]int
-	proposalN map[int32]int
+	rows  []roundRow // rows[k] tallies round round+k
+	spare [][]int8   // tables of completed rounds, for the next rows to open
 
 	onDecide func(id int, v int8, round int32)
+}
+
+// roundRow tallies one round: the values received per phase, first value per
+// sender, and how many.
+type roundRow struct {
+	// vals[(phase−1)·n + slot] is the phase's value from slot: in-ports
+	// 0..n−2 for the other nodes, slot n−1 for the node's own. Nil until
+	// the round's first value arrives.
+	vals  []int8
+	count [2]int
 }
 
 var _ network.Node = (*node)(nil)
 
 // Init implements network.Node.
 func (nd *node) Init(ctx *network.Context) {
-	nd.reports = make(map[int32][]int8)
-	nd.proposals = make(map[int32][]int8)
-	nd.reportN = make(map[int32]int)
-	nd.proposalN = make(map[int32]int)
 	nd.round = 1
 	nd.phase = 1
-	nd.record(nd.reports, nd.reportN, 1, nd.n-1, nd.est)
+	nd.record(1, 1, nd.n-1, nd.est)
 	ctx.Broadcast(Msg{Phase: 1, Round: 1, Value: nd.est})
 	nd.advance(ctx)
 }
@@ -441,49 +452,60 @@ func (nd *node) OnMessage(ctx *network.Context, inPort int, payload any) {
 			nd.ignored++
 			return
 		}
-		nd.record(nd.reports, nd.reportN, m.Round, inPort, m.Value)
 	case 2:
 		if m.Value != 0 && m.Value != 1 && m.Value != Unknown {
 			nd.ignored++
 			return
 		}
-		nd.record(nd.proposals, nd.proposalN, m.Round, inPort, m.Value)
 	default:
 		nd.ignored++
 		return
 	}
+	nd.record(m.Phase, m.Round, inPort, m.Value)
 	nd.advance(ctx)
 }
 
 // OnTimer implements network.Node: the protocol is purely message-driven.
 func (nd *node) OnTimer(ctx *network.Context, kind int) {}
 
-// record stores the first value per (table, round, slot); duplicates (from
-// fault-plan duplication) are ignored. It reports whether the slot was new.
-func (nd *node) record(m map[int32][]int8, counts map[int32]int, round int32, slot int, v int8) bool {
-	t := m[round]
-	if t == nil {
-		t = make([]int8, nd.n)
-		for i := range t {
-			t[i] = notReceived
+// record stores the first value per (phase, round, slot); duplicates (from
+// fault-plan duplication) and values for a completed round are ignored. The
+// window grows to reach a round ahead of it, and only a round that has
+// received a value gets a table.
+func (nd *node) record(phase int8, round int32, slot int, v int8) {
+	if round < nd.round {
+		return
+	}
+	for int(round-nd.round) >= len(nd.rows) {
+		nd.rows = append(nd.rows, roundRow{})
+	}
+	row := &nd.rows[round-nd.round]
+	if row.vals == nil {
+		if k := len(nd.spare); k > 0 {
+			row.vals, nd.spare = nd.spare[k-1], nd.spare[:k-1]
+		} else {
+			row.vals = make([]int8, 2*nd.n)
 		}
-		m[round] = t
+		for i := range row.vals {
+			row.vals[i] = notReceived
+		}
 	}
-	if t[slot] != notReceived {
-		return false
+	if i := int(phase-1)*nd.n + slot; row.vals[i] == notReceived {
+		row.vals[i] = v
+		row.count[phase-1]++
 	}
-	t[slot] = v
-	counts[round]++
-	return true
 }
 
 // advance runs the state machine as far as buffered messages allow —
-// possibly several phases, when future-round traffic arrived early.
+// possibly several phases, when future-round traffic arrived early. The
+// node's own value of the phase in progress is always recorded, so rows[0]
+// exists.
 func (nd *node) advance(ctx *network.Context) {
 	for !nd.halted {
+		row := &nd.rows[0]
 		switch {
-		case nd.phase == 1 && nd.reportN[nd.round] >= nd.n-nd.f:
-			c0, c1 := tally(nd.reports[nd.round])
+		case nd.phase == 1 && row.count[0] >= nd.n-nd.f:
+			c0, c1 := tally(row.vals[:nd.n])
 			prop := Unknown
 			if 2*c0 > nd.n+nd.f {
 				prop = 0
@@ -491,11 +513,11 @@ func (nd *node) advance(ctx *network.Context) {
 				prop = 1
 			}
 			nd.phase = 2
-			nd.record(nd.proposals, nd.proposalN, nd.round, nd.n-1, prop)
+			nd.record(2, nd.round, nd.n-1, prop)
 			ctx.Broadcast(Msg{Phase: 2, Round: nd.round, Value: prop})
 
-		case nd.phase == 2 && nd.proposalN[nd.round] >= nd.n-nd.f:
-			c0, c1 := tally(nd.proposals[nd.round])
+		case nd.phase == 2 && row.count[1] >= nd.n-nd.f:
+			c0, c1 := tally(row.vals[nd.n:])
 			if 2*c0 > nd.n+nd.f {
 				nd.decide(0)
 			} else if 2*c1 > nd.n+nd.f {
@@ -511,17 +533,17 @@ func (nd *node) advance(ctx *network.Context) {
 			default:
 				nd.est = nd.coinFlip(ctx)
 			}
-			delete(nd.reports, nd.round)
-			delete(nd.proposals, nd.round)
-			delete(nd.reportN, nd.round)
-			delete(nd.proposalN, nd.round)
 			if nd.round >= nd.maxRounds {
 				nd.halted = true
 				return
 			}
+			// The window slides: the finished row leaves, its table waits
+			// for the next row to open.
+			nd.spare = append(nd.spare, row.vals)
+			nd.rows = nd.rows[:copy(nd.rows, nd.rows[1:])]
 			nd.round++
 			nd.phase = 1
-			nd.record(nd.reports, nd.reportN, nd.round, nd.n-1, nd.est)
+			nd.record(1, nd.round, nd.n-1, nd.est)
 			ctx.Broadcast(Msg{Phase: 1, Round: nd.round, Value: nd.est})
 
 		default:

@@ -5,7 +5,12 @@ import (
 	"testing"
 
 	"abenet/internal/byzantine"
+	"abenet/internal/channel"
+	"abenet/internal/dist"
+	"abenet/internal/faults"
+	"abenet/internal/network"
 	"abenet/internal/rng"
+	"abenet/internal/simtime"
 	"abenet/internal/topology"
 )
 
@@ -49,5 +54,92 @@ func TestCorruptibleMsg(t *testing.T) {
 	}
 	if m.Value != Unknown {
 		t.Fatal("Corrupt mutated the original message")
+	}
+}
+
+// TestRoundWindowStaysBounded: a node holds a row per round still in flight —
+// from its own round to the furthest round any node has sent for — and
+// nothing for a round it has completed, however late that round's last
+// values arrive (up to f per phase always do, duplicates on top here). The
+// run is 100 rounds long because nobody stops it at the decision: deciders
+// keep relaying up to MaxRounds.
+//
+// Mid-run, one node is handed a value for the last round — what a Byzantine
+// sender may do at any time, and a valid message: an honest node may lag that
+// far. The window stretches to it in 40-byte rows, and takes one table for it.
+func TestRoundWindowStaysBounded(t *testing.T) {
+	const n, rounds = 16, 100
+	graph := topology.Complete(n)
+	e, err := New(Config{F: 3, Init: InitHalf, MaxRounds: rounds}, graph, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := network.New(network.Config{
+		Graph:  graph,
+		Links:  channel.RandomDelayFactory(dist.NewExponential(1)),
+		Seed:   1,
+		Faults: &faults.Plan{Duplicate: 0.2},
+	}, e.MakeNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := func(nd *node) int {
+		held := len(nd.spare)
+		for _, row := range nd.rows {
+			if row.vals != nil {
+				held++
+			}
+		}
+		return held
+	}
+	// far is the node holding a value for the last round, once there is one:
+	// its window reaches that far, with one table more.
+	check := func(when string, far *node) (lead int32) {
+		t.Helper()
+		for _, nd := range e.nodes {
+			lead = max(lead, nd.round)
+		}
+		for _, nd := range e.nodes {
+			reach, limit := lead, 4
+			if nd == far {
+				reach, limit = rounds, 5
+			}
+			if inFlight := int(reach-nd.round) + 1; len(nd.rows) > inFlight {
+				t.Errorf("%s: node %d at round %d of %d holds %d rows, %d rounds in flight",
+					when, nd.id, nd.round, reach, len(nd.rows), inFlight)
+			}
+			// Tables are made only when the rounds with values in hand
+			// outnumber the tables recycled, so there are never more than
+			// the widest such span.
+			if held := tables(nd); held > limit {
+				t.Errorf("%s: node %d holds %d round tables", when, nd.id, held)
+			}
+		}
+		return lead
+	}
+	if err := net.Run(60, 0); err != nil {
+		t.Fatal(err)
+	}
+	if lead := check("mid-run", nil); lead < 5 || lead >= rounds-10 {
+		t.Fatalf("the mid-run check wants the run under way; lead round %d", lead)
+	}
+	victim := e.nodes[0]
+	before := tables(victim)
+	victim.OnMessage(nil, 0, Msg{Phase: 1, Round: rounds, Value: 0}) // advance has nothing to send on this
+	if got, want := len(victim.rows), int(rounds-victim.round)+1; got != want {
+		t.Errorf("a value for round %d at round %d: window of %d rows, want %d", rounds, victim.round, got, want)
+	}
+	if got := tables(victim); got > before+1 {
+		t.Errorf("a value for round %d at round %d took %d tables, want at most 1", rounds, victim.round, got-before)
+	}
+	check("far-future value in hand", victim)
+	if err := net.Kernel().Run(simtime.Forever, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("drained", victim)
+	for _, nd := range e.nodes {
+		if nd.round != rounds || !nd.halted {
+			t.Fatalf("node %d stopped at round %d (halted %v), want all %d rounds", nd.id, nd.round, nd.halted, rounds)
+		}
 	}
 }

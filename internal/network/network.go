@@ -103,10 +103,19 @@ type Tracer interface {
 // byte-identical to an untraced one. Payloads are tagged after the
 // Byzantine intercept (a corrupting adversary replaces the payload; the
 // tag must survive on whatever actually crosses the link) and stripped in
-// deliverTo before the protocol sees them.
+// deliverTraced before the protocol sees them.
 type tracedPayload struct {
 	payload any
 	send    TraceRef
+}
+
+// unwrapTraced strips the tag: the send that produced the payload (zero if
+// it crossed the link untagged) and the payload the protocol sent.
+func unwrapTraced(payload any) (TraceRef, any) {
+	if tp, ok := payload.(tracedPayload); ok {
+		return tp.send, tp.payload
+	}
+	return TraceRef{}, payload
 }
 
 // Metrics aggregates network-wide counters.
@@ -188,9 +197,10 @@ type Network struct {
 	life      *lifecycle       // nil unless cfg.Faults is set
 	adv       *adversary       // nil unless cfg.Byzantine is set
 
-	// timers[kind] fires OnTimer(kind) on the node given as the event
-	// argument; built on first use (see timerHandler).
-	timers [maxTimerKinds]sim.ArgHandler
+	// timers[kind] is the kernel handler that fires OnTimer(kind) on the
+	// node given as the event argument; registered on first use (see
+	// timerHandler), zero until then.
+	timers [maxTimerKinds]sim.HandlerID
 
 	// cause is the ref of the trace event whose handler is currently
 	// running — the delivery or timer being processed — so that sends,
@@ -361,32 +371,49 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 // depends only on the node's fault schedule.
 func (net *Network) deliverTo(edge int, payload any) {
 	addr := net.edges[edge]
-	to, inPort := int(addr.to), int(addr.inPort)
+	to := int(addr.to)
 	if net.life != nil && net.life.down[to] {
 		net.life.tel.DeadLetters++
 		return
 	}
 	net.metrics.MessagesDelivered++
-	if net.cfg.Tracer == nil {
-		if net.cfg.Processing == nil {
-			// Closure-free fast path: with instantaneous processing the
-			// queue model is a no-op (process would run the work inline),
-			// so the handler can be invoked directly. This is the
-			// per-delivery hot path for large untraced runs.
-			net.nodes[to].OnMessage(&net.ctxs[to], inPort, payload)
-			return
-		}
-		net.process(to, deadLetterCounter, func() {
-			net.nodes[to].OnMessage(&net.ctxs[to], inPort, payload)
-		})
-		return
+	switch {
+	case net.cfg.Tracer != nil:
+		net.deliverTraced(addr, payload)
+	case net.cfg.Processing != nil:
+		net.deliverQueued(to, int(addr.inPort), payload)
+	default:
+		// With instantaneous processing the queue model is a no-op (process
+		// would run the work inline), so the handler is invoked directly.
+		// This is the per-delivery hot path of large untraced runs, which
+		// is why the two tails that build a closure are methods of their
+		// own: a closure that captures payload by reference — which is what
+		// a closure does once the function also assigns to payload after
+		// it, as the traced tail's unwrapping used to — moves the parameter
+		// to the heap on every call, whichever branch runs.
+		net.nodes[to].OnMessage(&net.ctxs[to], int(addr.inPort), payload)
 	}
-	var send TraceRef
-	if tp, ok := payload.(tracedPayload); ok {
-		send, payload = tp.send, tp.payload
-	}
-	ref := net.cfg.Tracer.MessageDelivered(net.kernel.Now(), int(addr.from), to, payload, send)
-	inner := payload
+}
+
+// deliverQueued is deliverTo's tail under a processing model: the handler
+// waits its turn in the node's queue.
+func (net *Network) deliverQueued(to, inPort int, payload any) {
+	net.process(to, deadLetterCounter, func() {
+		net.nodes[to].OnMessage(&net.ctxs[to], inPort, payload)
+	})
+}
+
+// deliverTraced is deliverTo's tail under a tracer: the delivery is recorded
+// with the send that caused it, and the handler runs with the delivery as
+// the cause of whatever it does.
+func (net *Network) deliverTraced(addr edgeAddress, payload any) {
+	// send and inner are assigned exactly once and payload never, so the
+	// closure below captures by value under any capture rule: a captured
+	// variable that is also reassigned is captured by reference and costs a
+	// 16-byte malloc per delivery.
+	send, inner := unwrapTraced(payload)
+	to, inPort := int(addr.to), int(addr.inPort)
+	ref := net.cfg.Tracer.MessageDelivered(net.kernel.Now(), int(addr.from), to, inner, send)
 	net.process(to, deadLetterCounter, func() {
 		prev := net.cause
 		net.cause = ref
@@ -680,7 +707,7 @@ func (c *Context) LocalTime() float64 { return c.net.clocks[c.id].LocalAt(c.net.
 // of its own (see package sim).
 func (c *Context) SetLocalTimerFunc(localDelta float64, kind int) {
 	at := c.timerInstant(localDelta)
-	if fire := c.net.timerHandler(kind); fire != nil {
+	if fire := c.net.timerHandler(kind); fire != 0 {
 		c.net.kernel.AtArg(at, fire, uint32(c.id))
 		return
 	}
@@ -696,18 +723,19 @@ func (c *Context) timerInstant(localDelta float64) simtime.Time {
 	return c.net.clocks[c.id].RealAfterLocal(c.net.kernel.Now(), localDelta)
 }
 
-// timerHandler returns the network's shared fire handler for timers of the
-// given kind — it takes the node as the event argument — or nil when this
-// network's timers need a handler per set. They do under a fault plan or a
-// tracer: a fault guard captures the node's crash epoch at *set* time and a
-// traced firing captures the setter's causal ref. Without either, firing
-// depends only on (node, kind), and tick loops set millions.
-func (net *Network) timerHandler(kind int) sim.ArgHandler {
+// timerHandler returns the id of the kernel handler that fires this network's
+// timers of the given kind — it takes the node as the event argument and is
+// registered the first time the kind is set — or zero when the network's
+// timers need a handler per set. They do under a fault plan or a tracer: a
+// fault guard captures the node's crash epoch at *set* time and a traced
+// firing captures the setter's causal ref. Without either, firing depends
+// only on (node, kind), and tick loops set millions.
+func (net *Network) timerHandler(kind int) sim.HandlerID {
 	if net.life != nil || net.cfg.Tracer != nil || kind < 0 || kind >= maxTimerKinds {
-		return nil
+		return 0
 	}
-	if net.timers[kind] == nil {
-		net.timers[kind] = func(node uint32) {
+	if net.timers[kind] == 0 {
+		net.timers[kind] = net.kernel.Register(func(node uint32) {
 			v := int(node)
 			net.metrics.TimersFired++
 			if net.cfg.Processing == nil {
@@ -717,7 +745,7 @@ func (net *Network) timerHandler(kind int) sim.ArgHandler {
 			net.process(v, timerCounter, func() {
 				net.nodes[v].OnTimer(&net.ctxs[v], kind)
 			})
-		}
+		})
 	}
 	return net.timers[kind]
 }

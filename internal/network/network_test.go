@@ -497,9 +497,9 @@ func (idleNode) OnTimer(*Context, int)        {}
 // TestAllocationBudget holds the flat construction: building a ring costs a
 // fixed number of allocations per layer plus one link object per edge, not
 // a few dozen objects per node. Measured at this commit: 1.0 objects and
-// 376 B per node (link 112, queue reservation 80, Context 48, clock and
+// 345 B per node (link 112, queue reservation 48, Context 48, clock and
 // link streams 32 each, 16 each for the node, clock and link tables, 12 for
-// the edge's two ends, 8 for its offset; about 460 B under the race
+// the edge's two ends, 8 for its offset; about 370 B under the race
 // detector). A second object per node — a closure, a map entry, a stream
 // derived on the heap — does not fit the budget.
 func TestAllocationBudget(t *testing.T) {
@@ -524,6 +524,50 @@ func TestAllocationBudget(t *testing.T) {
 		t.Errorf("New allocates %.0f B per node, budget 512", bytes)
 	}
 	runtime.KeepAlive(net)
+}
+
+// countingNode counts deliveries and nothing else.
+type countingNode struct{ got *int }
+
+func (countingNode) Init(*Context)                   {}
+func (nd countingNode) OnMessage(*Context, int, any) { *nd.got++ }
+func (countingNode) OnTimer(*Context, int)           {}
+
+// TestDeliveryDoesNotAllocate pins the message path end to end — Send, the
+// link's delay sample, the store slot, the kernel event, the pop, the
+// store's batch walk, deliverTo, OnMessage — at zero heap objects per
+// message on a network with no tracer, no fault plan and no processing
+// model, given a payload that is already boxed (boxing one is the sender's
+// choice of type, not the path's). deliverTo is where this broke silently
+// before: a closure on another branch of it, capturing its payload parameter
+// by reference, moved the parameter to the heap on every call.
+func TestDeliveryDoesNotAllocate(t *testing.T) {
+	var got int
+	net, err := New(Config{
+		Graph: topology.Ring(8),
+		Links: channel.RandomDelayFactory(dist.NewExponential(1)),
+		Seed:  1,
+	}, func(int) Node { return countingNode{&got} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload any = uint64(1 << 40) // too large for the runtime's small-value table: boxed here, once
+	roundTrip := func() {
+		for i := range net.ctxs {
+			net.ctxs[i].Send(0, payload)
+		}
+		if err := net.kernel.Run(simtime.Forever, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip() // the store's slots and free list reach their size
+	got = 0
+	if avg := testing.AllocsPerRun(100, roundTrip); avg != 0 {
+		t.Errorf("send → run → OnMessage allocates %g objects per %d messages, want 0", avg, len(net.ctxs))
+	}
+	if want := 101 * len(net.ctxs); got != want { // AllocsPerRun warms up once
+		t.Fatalf("%d messages delivered, want %d", got, want)
+	}
 }
 
 // TestDegreeReadsDoNotAllocate pins the non-copying accessors: protocols

@@ -61,7 +61,7 @@ type calendarScheduler struct {
 
 // calBucket is one time window of the wheel. evs[head:] are the entries
 // still queued, sorted by (at, seq); evs[:head] are already-consumed slots,
-// zeroed and reused once the bucket drains.
+// reused once the bucket drains.
 type calBucket struct {
 	evs  []event
 	head int
@@ -191,7 +191,6 @@ func (c *calendarScheduler) Pop() (event, bool) {
 	c.cacheValid = false
 	bk := &c.buckets[b]
 	ev := bk.evs[bk.head]
-	bk.evs[bk.head] = event{} // release the handler's captures
 	bk.head++
 	if bk.head == len(bk.evs) {
 		bk.evs = bk.evs[:0]
@@ -233,12 +232,10 @@ func (c *calendarScheduler) rebuild() {
 	for b := range c.buckets {
 		bk := &c.buckets[b]
 		all = append(all, bk.evs[bk.head:]...)
-		clear(bk.evs) // release refs in the vacated slots
 		bk.evs = bk.evs[:0]
 		bk.head = 0
 	}
 	all = append(all, c.overflow...)
-	clear(c.overflow)
 	c.overflow = c.overflow[:0]
 	c.scratch = all[:0] // retain staging capacity for the next rebuild
 	c.cursor = 0

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"math/bits"
 	"slices"
 
 	"abenet/internal/simtime"
@@ -110,12 +112,14 @@ func (h *heapScheduler) PeekTime() (simtime.Time, bool) {
 }
 
 // Pop removes and returns the earliest event: the run's oldest or the
-// heap's root, whichever is smaller. The vacated slot is zeroed so the
-// handler's captures are released.
+// heap's root, whichever is smaller. The heap pops bottom-up: the root's
+// hole sinks to a leaf and the displaced last entry — a leaf itself, so it
+// rarely belongs higher — sifts up from there. Against sifting that entry
+// down from the root, this drops one compare per level, the one that nearly
+// always says "keep going".
 func (h *heapScheduler) Pop() (event, bool) {
 	if h.runFirst() {
 		ev := h.run[h.head]
-		h.run[h.head] = event{}
 		h.n--
 		if h.head++; h.head == len(h.run) {
 			h.head = 0
@@ -127,15 +131,66 @@ func (h *heapScheduler) Pop() (event, bool) {
 	}
 	ev := h.heap[0]
 	n := len(h.heap) - 1
-	if n > 0 {
-		h.heap[0] = h.heap[n]
-	}
-	h.heap[n] = event{}
+	last := h.heap[n]
 	h.heap = h.heap[:n]
 	if n > 0 {
-		h.siftDown(0)
+		i := h.sinkHole()
+		h.heap[i] = last
+		h.siftUp(i)
 	}
 	return ev, true
+}
+
+// key is an event's position in the (at, seq) order as a 128-bit unsigned
+// integer, the instant's bit pattern on top. Pending instants are finite and
+// non-negative and never −0 (see Kernel.enqueue), so their bit patterns order
+// as the instants do.
+func key(e *event) (hi, lo uint64) { return math.Float64bits(float64(e.at)), e.seq }
+
+// before is 1 if key a is below key b and 0 otherwise, without a branch: the
+// borrow out of the 128-bit subtraction a − b.
+func before(aHi, aLo, bHi, bLo uint64) uint64 {
+	_, borrow := bits.Sub64(aLo, bLo, 0)
+	_, borrow = bits.Sub64(aHi, bHi, borrow)
+	return borrow
+}
+
+// pick is b if take is 1 and a if it is 0.
+func pick(a, b, take uint64) uint64 { return a ^ (a^b)&-take }
+
+// sinkHole treats the root as a hole and walks it down to a leaf, moving the
+// smallest child up into it at each level, and returns the leaf's index. A
+// full group of four siblings is decided by a two-round tournament of before
+// words; which child wins is close to a coin flip, and a mispredicted branch
+// per level is what this loop exists not to pay.
+func (h *heapScheduler) sinkHole() int {
+	heap := h.heap
+	i := 0
+	for c := 1; c+4 <= len(heap); c = 4*i + 1 {
+		g := heap[c : c+4 : c+4]
+		h0, l0 := key(&g[0])
+		h1, l1 := key(&g[1])
+		h2, l2 := key(&g[2])
+		h3, l3 := key(&g[3])
+		first := before(h1, l1, h0, l0)  // winner of g[0], g[1] is g[first]
+		second := before(h3, l3, h2, l2) // winner of g[2], g[3] is g[2+second]
+		final := before(pick(h2, h3, second), pick(l2, l3, second), pick(h0, h1, first), pick(l0, l1, first))
+		m := pick(first, 2+second, final)
+		heap[i] = g[m&3]
+		i = c + int(m)
+	}
+	// A partial last group: fewer than four children, and they are leaves.
+	if c := 4*i + 1; c < len(heap) {
+		m := c
+		for j := c + 1; j < len(heap); j++ {
+			if less(&heap[j], &heap[m]) {
+				m = j
+			}
+		}
+		heap[i] = heap[m]
+		i = m
+	}
+	return i
 }
 
 // siftUp restores the heap property for the entry at index i by moving it
@@ -149,35 +204,6 @@ func (h *heapScheduler) siftUp(i int) {
 		}
 		h.heap[i] = h.heap[p]
 		i = p
-	}
-	h.heap[i] = ev
-}
-
-// siftDown restores the heap property for the entry at index i by moving it
-// towards the leaves.
-func (h *heapScheduler) siftDown(i int) {
-	n := len(h.heap)
-	ev := h.heap[i]
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if less(&h.heap[j], &h.heap[m]) {
-				m = j
-			}
-		}
-		if !less(&h.heap[m], &ev) {
-			break
-		}
-		h.heap[i] = h.heap[m]
-		i = m
 	}
 	h.heap[i] = ev
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"cmp"
+	"math"
 	"slices"
 	"testing"
 
@@ -30,6 +31,9 @@ const (
 	opStepWithin        // StepWithin(now + arg%8 half-units)
 	opRun               // Run to now + arg%16 half-units: may leave events pending, later ops resume
 	opReserve           // Reserve(arg%32) mid-flight, with events pending
+	opArg               // schedule arg quarter-units from now on the registered handler (AtArg)
+	opSelf              // schedule a closure arg%16 half-units from now that, the first time it runs, reschedules itself half a unit later and schedules 1+arg>>4%4 others at Now(), AtArg and AtFunc alternating
+	opNegZero           // schedule at −0 while the clock stands at zero (at now once it has moved)
 	opCount
 )
 
@@ -64,6 +68,7 @@ func runOrderProgram(t *testing.T, name string, prog []byte) []uint64 {
 	}
 	var (
 		ref   []refEvent // pending events, sorted by (at, seq)
+		most  int        // the most events ever pending at once
 		order []uint64
 		last  simtime.Time // last instant scheduled from the program
 	)
@@ -73,21 +78,31 @@ func runOrderProgram(t *testing.T, name string, prog []byte) []uint64 {
 			t.Fatalf("%s: %s: Pending() = %d, reference holds %d", name, when, k.Pending(), len(ref))
 		}
 	}
-	var schedule func(at simtime.Time, spawn int)
-	schedule = func(at simtime.Time, spawn int) {
+	// note files the event the next kernel call is about to schedule; ran
+	// is what every handler does first.
+	note := func(at simtime.Time) refEvent {
 		ev := refEvent{at: at, seq: k.ScheduleSeq()}
 		i, _ := slices.BinarySearchFunc(ref, ev, refCompare)
 		ref = slices.Insert(ref, i, ev)
+		most = max(most, len(ref))
+		return ev
+	}
+	ran := func(ev refEvent) {
+		if len(ref) == 0 || ref[0] != ev {
+			t.Fatalf("%s: %+v ran after %d events, reference expects %+v", name, ev, len(order), ref)
+		}
+		if k.Now() != ev.at {
+			t.Fatalf("%s: %+v ran at %v", name, ev, k.Now())
+		}
+		ref = ref[1:]
+		order = append(order, ev.seq)
+		checkPending("inside a handler")
+	}
+	var schedule func(at simtime.Time, spawn int)
+	schedule = func(at simtime.Time, spawn int) {
+		ev := note(at)
 		k.AtFunc(at, func() {
-			if len(ref) == 0 || ref[0] != ev {
-				t.Fatalf("%s: %+v ran after %d events, reference expects %+v", name, ev, len(order), ref)
-			}
-			if k.Now() != ev.at {
-				t.Fatalf("%s: %+v ran at %v", name, ev, k.Now())
-			}
-			ref = ref[1:]
-			order = append(order, ev.seq)
-			checkPending("inside a handler")
+			ran(ev)
 			for c := 0; c < spawn; c++ {
 				schedule(k.Now(), 0)
 			}
@@ -95,6 +110,35 @@ func runOrderProgram(t *testing.T, name string, prog []byte) []uint64 {
 				schedule(k.Now().Add(1), 0)
 			}
 		})
+		checkPending("after a schedule")
+	}
+	var byArg []refEvent // events on the registered handler, by their argument
+	handler := k.Register(func(arg uint32) { ran(byArg[arg]) })
+	scheduleArg := func(at simtime.Time) {
+		byArg = append(byArg, note(at))
+		k.AtArg(at, handler, uint32(len(byArg)-1))
+		checkPending("after a schedule")
+	}
+	scheduleSelf := func(at simtime.Time, others int) {
+		ev, again := note(at), true
+		var self Handler
+		self = func() {
+			ran(ev)
+			if !again {
+				return
+			}
+			again = false
+			ev = note(k.Now().Add(0.5))
+			k.AtFunc(ev.at, self) // into the slot it ran from
+			for c := 0; c < others; c++ {
+				if c%2 == 0 {
+					scheduleArg(k.Now())
+				} else {
+					schedule(k.Now(), 0)
+				}
+			}
+		}
+		k.AtFunc(at, self)
 		checkPending("after a schedule")
 	}
 	half := func(b byte) simtime.Duration { return simtime.Duration(b) / 2 }
@@ -160,6 +204,17 @@ func runOrderProgram(t *testing.T, name string, prog []byte) []uint64 {
 			halted("Run", horizon)
 		case opReserve:
 			k.Reserve(int(arg) % 32)
+		case opArg:
+			last = now.Add(simtime.Duration(arg) / 4)
+			scheduleArg(last)
+		case opSelf:
+			last = now.Add(half(arg % 16))
+			scheduleSelf(last, 1+int(arg>>4)%4)
+		case opNegZero:
+			if last = now; now == 0 {
+				last = simtime.Time(math.Copysign(0, -1))
+			}
+			schedule(last, 0)
 		}
 		checkPending("after an op")
 	}
@@ -171,6 +226,17 @@ func runOrderProgram(t *testing.T, name string, prog []byte) []uint64 {
 	}
 	if uint64(len(order)) != k.Executed() || uint64(len(order)) != k.ScheduleSeq() {
 		t.Fatalf("%s: %d events ran, Executed() = %d, %d scheduled", name, len(order), k.Executed(), k.ScheduleSeq())
+	}
+	// Every closure slot is vacant and on the free list again, and slots were
+	// reused: there are no more of them than events were ever pending at once.
+	if len(k.freeSlot) != len(k.closures) || len(k.closures) > most {
+		t.Fatalf("%s: drained with %d closure slots, %d of them free; at most %d events were pending",
+			name, len(k.closures), len(k.freeSlot), most)
+	}
+	for slot, fn := range k.closures {
+		if fn != nil {
+			t.Fatalf("%s: closure slot %d still holds its closure after the drain", name, slot)
+		}
 	}
 	return order
 }
@@ -224,6 +290,53 @@ var orderPrograms = []struct {
 	// The unreserved run starts at 16 slots: two in, one out moves its head
 	// off slot 0, twenty more wrap it, fill it and double it.
 	{"unreserved run grows while wrapped", slices.Concat([]byte{0, opAscend, 1, opAscend, 1, opStep, 0}, bytes.Repeat([]byte{opAscend, 1}, 20))},
+	// Reserve(1) leaves the run no slot, so from here on everything is in
+	// the heap. An early root over five events on one later instant; popping
+	// the root moves the fifth (highest seq) in front of its former uncles,
+	// and the next pop's sibling tournament is between four entries on one
+	// instant whose seqs are not in index order.
+	{"four siblings on one instant", slices.Concat([]byte{reserve(1), opRandom, 4, opRandom, 32}, bytes.Repeat([]byte{opEqual, 0}, 4), []byte{opStep, 0, opEqual, 0})},
+	// −0 equals +0 but has the largest bit pattern of any instant: +0 and −0
+	// alternating around a full sibling group run in schedule order only if
+	// the kernel stores one zero.
+	{"negative zero at time zero", slices.Concat([]byte{reserve(1)}, bytes.Repeat([]byte{opRandom, 0, opNegZero, 0}, 4), []byte{opStep, 0, opNegZero, 0, opRandom, 6, opNegZero, 0})},
+	{"closures reschedule themselves among handler events", slices.Concat([]byte{0}, selfRescheduling)},
+	{"closures reschedule themselves, heap only", slices.Concat([]byte{reserve(1)}, selfRescheduling)},
+}
+
+// selfRescheduling is the body of a program in which closures that reschedule
+// themselves (and one to four others) from inside their own handlers
+// interleave with events on the registered handler.
+var selfRescheduling = []byte{opSelf, 0x32, opArg, 3, opSelf, 0x01, opArg, 0, opRandom, 2, opSelf, 0x13, opRun, 3, opArg, 1, opSelf, 0x22, opStep, 0, opSelf, 0x30, opArg, 2}
+
+// heapSizePrograms fill the heap lane alone to each size that gives the pop
+// a different last sibling group — none, one to three children of the root,
+// a full group, one to four grandchildren, the first great-grandchildren —
+// half by closure and half by handler, drain half of it, push two more and
+// leave the rest to the final run, so every size below is popped from too.
+func heapSizePrograms() [][]byte {
+	var out [][]byte
+	for _, size := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 21, 22, 25} {
+		prog := []byte{reserve(1)}
+		for i := 0; i < size; i++ {
+			switch at := byte(i*7%11*4 + 4); i % 3 {
+			case 0:
+				prog = append(prog, opRandom, at)
+			case 1:
+				prog = append(prog, opArg, at)
+			default:
+				prog = append(prog, opEqual, 0)
+			}
+		}
+		prog = append(prog, bytes.Repeat([]byte{opStep, 0}, size/2)...)
+		out = append(out, append(prog, opRandom, 9, opArg, 1))
+	}
+	return out
+}
+
+// generatedOrderPrograms is the part of the seed corpus that is computed.
+func generatedOrderPrograms() [][]byte {
+	return slices.Concat(randomOrderPrograms(), heapSizePrograms())
 }
 
 // randomOrderPrograms are longer pseudo-random programs, one opening with a
@@ -248,7 +361,7 @@ func TestSchedulerOrderCorpus(t *testing.T) {
 	for _, p := range orderPrograms {
 		t.Run(p.name, func(t *testing.T) { checkOrderProgram(t, p.prog) })
 	}
-	for _, prog := range randomOrderPrograms() {
+	for _, prog := range generatedOrderPrograms() {
 		checkOrderProgram(t, prog)
 	}
 }
@@ -295,7 +408,7 @@ func FuzzSchedulerOrder(f *testing.F) {
 	for _, p := range orderPrograms {
 		f.Add(p.prog)
 	}
-	for _, prog := range randomOrderPrograms() {
+	for _, prog := range generatedOrderPrograms() {
 		f.Add(prog)
 	}
 	f.Fuzz(checkOrderProgram)

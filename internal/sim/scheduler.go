@@ -7,7 +7,7 @@ import (
 )
 
 // Scheduler is the pending-event set behind a Kernel: everything between
-// "schedule this closure at that instant" and "hand me the earliest event".
+// "schedule this event at that instant" and "hand me the earliest event".
 // Two implementations ship with the package — a sorted run in front of an
 // intrusive 4-ary heap (SchedulerHeap, the default) and a calendar queue
 // (SchedulerCalendar) — selectable per run via NewNamed or the runner's

@@ -10,6 +10,13 @@
 //
 // # Scheduling internals
 //
+// A pending event is 24 bytes and holds no pointer: its instant, its
+// insertion sequence, a HandlerID and a uint32 argument. What runs is looked
+// up when the event fires — in the kernel's table of registered handlers, or,
+// for a closure, in a slot table the argument indexes — so the queue's
+// storage is a noscan slab: no write barrier on any copy a sift makes and
+// nothing for the collector to scan, however many events are pending.
+//
 // The pending-event set lives behind the Scheduler interface. Two
 // implementations ship with the package, selectable per run:
 //
@@ -34,15 +41,35 @@
 // byte-identical across schedulers — the differential suite and the order
 // oracle (FuzzSchedulerOrder) pin that.
 //
+// The heap pops bottom-up: the hole the root leaves walks down to a leaf
+// along the smallest of each group of four siblings, never comparing against
+// the displaced last entry, and that entry then sifts up from the leaf (it
+// came from the bottom level, so it rarely rises a step). The walk picks the
+// smallest sibling without a data-dependent branch: "a before b" is the
+// borrow out of the 128-bit subtraction (a.at, a.seq) − (b.at, b.seq), the
+// instants taken as their IEEE-754 bit patterns. That is sound because a
+// scheduled instant is finite and not below the clock, which starts at zero:
+// non-negative floats order exactly as their bit patterns do as unsigned
+// integers. The one value that breaks it is −0 — equal to +0, so it passes
+// the "not in the past" check at time zero, but with the largest bit pattern
+// of all — and schedule stores it as +0.
+//
 // # Scheduling API
 //
 // AtFunc, AfterFunc and AtArg are the whole scheduling surface; none of them
-// allocates per event. The kernel schedules, it does not cancel: every
-// scheduled event runs (unless the run ends first). A protocol that loses
-// interest in a timer bumps a generation counter it owns and has the handler
-// compare the value it captured at scheduling time, returning early on a
-// mismatch — exactly how the network layer's crash epochs retire the timers
-// of a crashed node.
+// allocates per event. AtFunc and AfterFunc take a closure, which waits in a
+// kernel-owned slot (reused through a free list) until its event fires; the
+// slot is cleared and freed before the closure runs, so its captures are
+// released on time and it may schedule into the slot it just left. AtArg
+// takes the HandlerID of a long-lived handler, passed to Register once, and a
+// uint32 for it: the path for code that schedules millions of events onto
+// one function — message deliveries, tick timers.
+//
+// The kernel schedules, it does not cancel: every scheduled event runs
+// (unless the run ends first). A protocol that loses interest in a timer
+// bumps a generation counter it owns and has the handler compare the value
+// it captured at scheduling time, returning early on a mismatch — exactly
+// how the network layer's crash epochs retire the timers of a crashed node.
 package sim
 
 import (
@@ -69,18 +96,21 @@ type Handler func()
 // ArgHandler is a scheduled piece of work that receives a small argument at
 // execution time. It exists so hot paths can reuse one long-lived func value
 // (typically a method value) across many events instead of allocating a
-// fresh closure per event — see Kernel.AtArg.
+// fresh closure per event — see Kernel.Register and Kernel.AtArg.
 type ArgHandler func(arg uint32)
+
+// HandlerID names an ArgHandler registered with one kernel. The zero value
+// names nothing: events carry it to mean "arg is a closure slot".
+type HandlerID uint32
 
 // event is one entry in the pending-event set. Events are stored by value
 // inside the scheduler's slices; they are never heap-allocated
-// individually.
+// individually, and they hold no pointer (see "Scheduling internals").
 type event struct {
 	at  simtime.Time
-	seq uint64 // tie-break: events at equal instants run in schedule order
-	fn  Handler
-	afn ArgHandler // alternative to fn: runs as afn(arg); see AtArg
-	arg uint32
+	seq uint64    // tie-break: events at equal instants run in schedule order
+	h   HandlerID // registered handler to run as handlers[h](arg); 0: closure
+	arg uint32    // the handler's argument, or the closure's slot when h == 0
 }
 
 // less orders events by (at, seq). seq is unique per kernel, so the order
@@ -106,12 +136,20 @@ type Kernel struct {
 	running   bool
 	stopCause string
 	observer  func() // post-event hook; see SetObserver
+
+	handlers []ArgHandler // by HandlerID; handlers[0] is never called
+	closures []Handler    // AtFunc/AfterFunc closures awaiting their events, by slot
+	freeSlot []uint32     // vacated closure slots
 }
 
 // New returns an empty kernel at virtual time zero, backed by the default
 // 4-ary heap scheduler.
 func New() *Kernel {
-	return &Kernel{sched: newHeapScheduler()}
+	return newKernel(newHeapScheduler())
+}
+
+func newKernel(s Scheduler) *Kernel {
+	return &Kernel{sched: s, handlers: make([]ArgHandler, 1)}
 }
 
 // NewNamed returns an empty kernel backed by the named scheduler (see
@@ -121,7 +159,7 @@ func NewNamed(name string) (*Kernel, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Kernel{sched: s}, nil
+	return newKernel(s), nil
 }
 
 // Now returns the current virtual time.
@@ -148,39 +186,71 @@ func (k *Kernel) Pending() int { return k.sched.Pending() }
 // every counter are unaffected. The heap scheduler gives half of n to its
 // sorted run and half to its heap, so n/2 events scheduled at non-decreasing
 // instants plus n/2 in any order allocate nothing; the calendar ignores it.
+// The reservation is the queue's alone: the closure table behind AtFunc grows
+// with the closures actually pending.
 func (k *Kernel) Reserve(n int) { k.sched.Reserve(n) }
 
-// schedule validates and enqueues one event.
-func (k *Kernel) schedule(at simtime.Time, fn Handler, afn ArgHandler, arg uint32) {
-	if fn == nil && afn == nil {
-		panic("sim: scheduling a nil handler")
-	}
+// checkInstant panics unless at is an instant an event may be scheduled at.
+func (k *Kernel) checkInstant(at simtime.Time) {
 	if !at.IsFinite() {
 		panic(fmt.Sprintf("sim: scheduling at non-finite time %v", at))
 	}
 	if at.Before(k.now) {
 		panic(fmt.Sprintf("sim: scheduling into the past: now %v, requested %v", k.now, at))
 	}
-	k.sched.Schedule(event{at: at, seq: k.seq, fn: fn, afn: afn, arg: arg})
+}
+
+// enqueue hands one event, its instant already checked, to the scheduler.
+func (k *Kernel) enqueue(at simtime.Time, h HandlerID, arg uint32) {
+	at += 0 // −0 + 0 = +0: −0 passes checkInstant at time zero, and the heap orders instants by bit pattern
+	k.sched.Schedule(event{at: at, seq: k.seq, h: h, arg: arg})
 	k.seq++
+}
+
+// Register adds fn to the kernel's handler table and returns the id AtArg
+// schedules it by. Call it once per long-lived handler, not per event: the
+// table only grows.
+func (k *Kernel) Register(fn ArgHandler) HandlerID {
+	if fn == nil {
+		panic("sim: registering a nil handler")
+	}
+	k.handlers = append(k.handlers, fn)
+	return HandlerID(len(k.handlers) - 1)
 }
 
 // AtFunc schedules fn to run at instant at. Scheduling strictly in the past
 // is a programming error and panics; scheduling at the current instant is
 // allowed and runs after all previously scheduled events for that instant.
-// There is no per-event allocation.
+// There is no per-event allocation: fn waits in a reused slot.
 func (k *Kernel) AtFunc(at simtime.Time, fn Handler) {
-	k.schedule(at, fn, nil, 0)
+	if fn == nil {
+		panic("sim: scheduling a nil handler")
+	}
+	k.checkInstant(at) // before a slot is taken: a refused event must not leak one
+	var slot uint32
+	if n := len(k.freeSlot); n > 0 {
+		slot = k.freeSlot[n-1]
+		k.freeSlot = k.freeSlot[:n-1]
+		k.closures[slot] = fn
+	} else {
+		slot = uint32(len(k.closures))
+		k.closures = append(k.closures, fn)
+	}
+	k.enqueue(at, 0, slot)
 }
 
-// AtArg schedules fn(arg) to run at instant at. Unlike AtFunc, the handler
-// is parameterised, so one long-lived func value (typically a method value)
-// serves arbitrarily many events — no closure allocation per event even
-// when each event needs distinct state. The channel layer's pooled delivery
-// path is the intended caller: arg indexes into its struct-of-arrays payload
-// pool.
-func (k *Kernel) AtArg(at simtime.Time, fn ArgHandler, arg uint32) {
-	k.schedule(at, nil, fn, arg)
+// AtArg schedules the handler registered as id to run as fn(arg) at instant
+// at. Unlike AtFunc, the handler is parameterised, so one long-lived func
+// value (typically a method value) serves arbitrarily many events even when
+// each event needs distinct state, and the event names it without holding a
+// pointer. The channel layer's pooled delivery path is the intended caller:
+// arg indexes into its payload pool.
+func (k *Kernel) AtArg(at simtime.Time, id HandlerID, arg uint32) {
+	if id == 0 || int(id) >= len(k.handlers) {
+		panic(fmt.Sprintf("sim: AtArg with unregistered handler id %d", id))
+	}
+	k.checkInstant(at)
+	k.enqueue(at, id, arg)
 }
 
 // AfterFunc schedules fn to run d time units from now. It panics if d is
@@ -294,10 +364,15 @@ func (k *Kernel) execute() {
 	}
 	k.now = ev.at
 	k.executed++
-	if ev.afn != nil {
-		ev.afn(ev.arg)
+	if ev.h != 0 {
+		k.handlers[ev.h](ev.arg)
 	} else {
-		ev.fn()
+		// Vacate the slot first: fn's captures are dropped when it returns,
+		// and what it schedules may take the slot over.
+		fn := k.closures[ev.arg]
+		k.closures[ev.arg] = nil
+		k.freeSlot = append(k.freeSlot, ev.arg)
+		fn()
 	}
 	if k.observer != nil {
 		k.observer()

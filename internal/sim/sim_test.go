@@ -2,6 +2,10 @@ package sim
 
 import (
 	"errors"
+	"math"
+	"math/bits"
+	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -165,6 +169,47 @@ func TestPanicsOnNilHandler(t *testing.T) {
 		}
 	}()
 	New().AtFunc(1, nil)
+}
+
+// TestRefusedSchedulingLeavesNoTrace: every call the kernel refuses panics
+// before it has taken anything — no event, no sequence number, no handler id
+// and, for a closure, no slot in the closure table.
+func TestRefusedSchedulingLeavesNoTrace(t *testing.T) {
+	k := New()
+	id := k.Register(func(uint32) {})
+	fn := func() {}
+	k.AtFunc(5, fn)
+	k.Step()        // the clock stands at 5, with one vacated closure slot
+	k.AtFunc(6, fn) // which this takes again
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"AtArg with id 0", func() { k.AtArg(6, 0, 0) }},
+		{"AtArg with an unregistered id", func() { k.AtArg(6, id+1, 0) }},
+		{"Register(nil)", func() { k.Register(nil) }},
+		{"AtFunc(nil)", func() { k.AtFunc(6, nil) }},
+		{"AtFunc into the past", func() { k.AtFunc(4, fn) }},
+		{"AtArg into the past", func() { k.AtArg(4, id, 0) }},
+		{"AtFunc at NaN", func() { k.AtFunc(simtime.Time(math.NaN()), fn) }},
+		{"AtFunc at +Inf", func() { k.AtFunc(simtime.Time(math.Inf(1)), fn) }},
+		{"AtArg at Forever", func() { k.AtArg(simtime.Forever, id, 0) }},
+		{"AfterFunc with a negative duration", func() { k.AfterFunc(-1, fn) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", tc.name)
+				}
+			}()
+			tc.call()
+		}()
+		if k.Pending() != 1 || k.ScheduleSeq() != 2 || len(k.handlers) != int(id)+1 ||
+			len(k.closures) != 1 || len(k.freeSlot) != 0 {
+			t.Fatalf("%s left a trace: %d pending, seq %d, %d handlers, %d closure slots with %d free",
+				tc.name, k.Pending(), k.ScheduleSeq(), len(k.handlers), len(k.closures), len(k.freeSlot))
+		}
+	}
 }
 
 func TestPanicsOnInvalidDuration(t *testing.T) {
@@ -355,9 +400,9 @@ func TestSchedulingAllocations(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("AfterFunc+Run allocates %g objects per event, want 0", avg)
 	}
-	afn := func(uint32) {}
+	id := k.Register(func(uint32) {})
 	if avg := testing.AllocsPerRun(1000, func() {
-		k.AtArg(k.Now(), afn, 7)
+		k.AtArg(k.Now(), id, 7)
 		if err := k.Run(simtime.Forever, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -366,11 +411,21 @@ func TestSchedulingAllocations(t *testing.T) {
 	}
 }
 
-// TestEventSize pins the hot struct: both schedulers copy events by value on
-// every sift and bucket shift, so a field added here is paid per move.
-func TestEventSize(t *testing.T) {
-	if got := unsafe.Sizeof(event{}); got != 40 {
-		t.Errorf("unsafe.Sizeof(event{}) = %d, want 40", got)
+// TestEventIsPointerFree pins the hot struct: both schedulers copy events by
+// value on every sift and bucket shift, so a field added here is paid per
+// move, and a pointer in one would put a write barrier on each of those
+// copies and the whole queue slab on the collector's scan list.
+func TestEventIsPointerFree(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(event{}) = %d, want 24", got)
+	}
+	typ := reflect.TypeOf(event{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Float64, reflect.Uint64, reflect.Uint32:
+		default:
+			t.Errorf("event.%s has kind %v: only scalar fields keep the queue noscan", f.Name, f.Type.Kind())
+		}
 	}
 }
 
@@ -403,20 +458,28 @@ func TestStepWithinPastHorizonDoesNotRewind(t *testing.T) {
 // n/2 at non-decreasing instants (the run's half; what finds the run full
 // spills into the heap's spare slots) grow nothing. The hint changes neither
 // the pop order nor any counter — on either scheduler.
+//
+// The reservation is the queue's alone. An event scheduled through AtArg
+// lives in the queue and nowhere else, so it allocates nothing. One scheduled
+// through AtFunc also parks its closure in the kernel's slot table, which
+// Reserve does not size (it would add a pointer-carrying 12 bytes per slot to
+// every reservation for the few callers that schedule closures in bulk): the
+// table grows by doubling the first time that many closures are pending at
+// once — O(log n) allocations, none of them the queue's — and never again.
 func TestReserveSizesTheQueueOnce(t *testing.T) {
 	const n = 5000
-	fn := func() {}
 	k := New()
 	k.Reserve(n)
+	id := k.Register(func(uint32) {})
 	// AllocsPerRun(1, f) calls f twice (one warm-up): each call schedules a
 	// quarter of n out of order and a quarter in order.
 	next := simtime.Time(n)
 	if avg := testing.AllocsPerRun(1, func() {
 		for i := 0; i < n/4; i++ {
-			k.AtFunc(simtime.Time(n-i), fn) // descending: the heap's
+			k.AtArg(simtime.Time(n-i), id, 0) // descending: the heap's
 		}
 		for i := 0; i < n/4; i++ {
-			k.AtFunc(next, fn) // non-decreasing, in pairs on one instant: the run's
+			k.AtArg(next, id, 0) // non-decreasing, in pairs on one instant: the run's
 			next += simtime.Time(i % 2)
 		}
 	}); avg != 0 {
@@ -424,6 +487,41 @@ func TestReserveSizesTheQueueOnce(t *testing.T) {
 	}
 	if k.Pending() != n {
 		t.Fatalf("Pending() = %d, want %d", k.Pending(), n)
+	}
+
+	// The same program through AtFunc: the first fill pays for the closure
+	// table's growth and nothing else, a drained kernel refills for free.
+	fn := func() {}
+	k = New()
+	k.Reserve(n)
+	fill := func() {
+		next := simtime.Time(n) + k.Now()
+		for i := 0; i < n/2; i++ {
+			k.AtFunc(k.Now()+simtime.Time(n-i), fn)
+		}
+		for i := 0; i < n/2; i++ {
+			k.AtFunc(next, fn)
+			next += simtime.Time(i % 2)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fill()
+	runtime.ReadMemStats(&after)
+	// append doubles up to 256 entries and grows by a quarter or more after.
+	if got, limit := after.Mallocs-before.Mallocs, uint64(2*bits.Len(n)); got > limit {
+		t.Errorf("the first %d closures into a reserved queue allocated %d times, want at most %d (closure table growth only)", n, got, limit)
+	}
+	if k.Pending() != n {
+		t.Fatalf("Pending() = %d, want %d", k.Pending(), n)
+	}
+	if avg := testing.AllocsPerRun(1, func() {
+		if err := k.Run(simtime.Forever, 0); err != nil {
+			t.Fatal(err)
+		}
+		fill()
+	}); avg != 0 {
+		t.Errorf("draining and refilling a reserved queue with closures allocated %g times, want 0", avg)
 	}
 
 	for _, name := range SchedulerNames() {

@@ -12,99 +12,38 @@ import (
 	"abenet/internal/simtime"
 )
 
-// One benchmark per experiment (E1..E15, DESIGN.md §5 plus the PR 3 fault
-// suite). Each iteration
-// executes the experiment in its reduced (Quick) configuration — the full
-// configurations are run by cmd/abe-bench, which regenerates the tables
-// recorded in EXPERIMENTS.md. Headline findings are attached as custom
-// benchmark metrics so regressions in the *shape* of a result (growth
-// exponents, violation rates, overhead factors) show up in benchmark diffs.
-
-func benchExperiment(b *testing.B, run func(experiments.Options) (experiments.Result, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		// Fixed seed: each iteration measures the identical deterministic
-		// workload (seed 1 quick mode, which the test suite verifies to
-		// reproduce the claim). Varying the seed here would make timings
-		// incomparable and the quick-mode shape criteria — designed for
-		// that verified configuration — statistically fragile.
-		res, err := run(experiments.Options{Quick: true, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Pass {
-			b.Fatalf("%s failed to reproduce its claim: %v", res.ID, res.Findings)
-		}
-		if i == b.N-1 { // report the last iteration's findings
-			for name, v := range res.Findings {
-				b.ReportMetric(v, name)
+// BenchmarkExperiments runs every experiment of the suite as a
+// sub-benchmark, so the set cannot drift from experiments.All(). Each
+// iteration executes the experiment in its reduced (Quick) configuration —
+// the full configurations are run by cmd/abe-bench. Headline findings are
+// attached as custom benchmark metrics so regressions in the *shape* of a
+// result (growth exponents, violation rates, overhead factors) show up in
+// benchmark diffs.
+func BenchmarkExperiments(b *testing.B) {
+	for _, exp := range experiments.All() {
+		b.Run(exp.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				// Fixed seed: each iteration measures the identical
+				// deterministic workload (seed 1 quick mode, which the test
+				// suite verifies to reproduce the claim). Varying the seed
+				// here would make timings incomparable and the quick-mode
+				// shape criteria — designed for that verified configuration
+				// — statistically fragile.
+				res, err := exp.Run(experiments.Options{Quick: true, Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Pass {
+					b.Fatalf("%s failed to reproduce its claim: %v", res.ID, res.Findings)
+				}
+				if i == b.N-1 { // report the last iteration's findings
+					for name, v := range res.Findings {
+						b.ReportMetric(v, name)
+					}
+				}
 			}
-		}
+		})
 	}
-}
-
-func BenchmarkE1RetransmissionDelay(b *testing.B) {
-	benchExperiment(b, experiments.E1Retransmission)
-}
-
-func BenchmarkE2ElectionCorrectness(b *testing.B) {
-	benchExperiment(b, experiments.E2Correctness)
-}
-
-func BenchmarkE3MessagesVsN(b *testing.B) {
-	benchExperiment(b, experiments.E3Messages)
-}
-
-func BenchmarkE4TimeVsN(b *testing.B) {
-	benchExperiment(b, experiments.E4Time)
-}
-
-func BenchmarkE5ActivationAblation(b *testing.B) {
-	benchExperiment(b, experiments.E5Ablation)
-}
-
-func BenchmarkE6A0Sweep(b *testing.B) {
-	benchExperiment(b, experiments.E6A0Sweep)
-}
-
-func BenchmarkE7VsItaiRodeh(b *testing.B) {
-	benchExperiment(b, experiments.E7Comparison)
-}
-
-func BenchmarkE8SynchronizerOverhead(b *testing.B) {
-	benchExperiment(b, experiments.E8Synchronizer)
-}
-
-func BenchmarkE9ABDSyncOnABE(b *testing.B) {
-	benchExperiment(b, experiments.E9ABDOnABE)
-}
-
-func BenchmarkE10DelayDistributions(b *testing.B) {
-	benchExperiment(b, experiments.E10DelayShapes)
-}
-
-func BenchmarkE11ClockDrift(b *testing.B) {
-	benchExperiment(b, experiments.E11ClockDrift)
-}
-
-func BenchmarkE12ProcessingDelay(b *testing.B) {
-	benchExperiment(b, experiments.E12Processing)
-}
-
-func BenchmarkE13LossResilience(b *testing.B) {
-	benchExperiment(b, experiments.E13LossResilience)
-}
-
-func BenchmarkE14ByzantineBroadcast(b *testing.B) {
-	benchExperiment(b, experiments.E14ByzantineBroadcast)
-}
-
-func BenchmarkE15CausalDepth(b *testing.B) {
-	benchExperiment(b, experiments.E15CausalDepth)
-}
-
-func BenchmarkE16ScalingLadder(b *testing.B) {
-	benchExperiment(b, experiments.E16Scale)
 }
 
 // ---- Micro-benchmarks of the core building blocks ----

@@ -1,8 +1,7 @@
 // Command abe-bench regenerates the paper's full experiment suite
-// (E1..E16, DESIGN.md §5), printing each experiment's table and writing
-// CSVs for plotting. EXPERIMENTS.md records a full run's output. Sweeping
-// one protocol or one scenario file over network sizes is abe-elect's job
-// (-sizes/-reps, or -spec with a sweep block).
+// (E1..E16), printing each experiment's table and writing CSVs for
+// plotting. Sweeping one protocol or one scenario file over network sizes
+// is abe-elect's job (-sizes/-reps, or -spec with a sweep block).
 //
 // Usage:
 //
@@ -12,8 +11,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -35,19 +36,14 @@ func run() error {
 	workers := flag.Int("workers", 0, "sweep parallelism (0 = GOMAXPROCS); results are identical for any value")
 	flag.Parse()
 
-	selected := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			selected[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
+	suite, err := selectExperiments(*only)
+	if err != nil {
+		return err
 	}
 
 	opt := experiments.Options{Quick: *quick, Seed: *seed, Workers: *workers}
 	failures := 0
-	for _, exp := range experiments.All() {
-		if len(selected) > 0 && !selected[exp.ID] {
-			continue
-		}
+	for _, exp := range suite {
 		start := time.Now()
 		res, err := exp.Run(opt)
 		if err != nil {
@@ -61,16 +57,13 @@ func run() error {
 			}
 			fmt.Println()
 		}
-		fmt.Printf("findings:")
-		for name, v := range res.Findings {
-			fmt.Printf(" %s=%.4g", name, v)
-		}
+		fmt.Println(renderFindings(res.Findings))
 		status := "REPRODUCED"
 		if !res.Pass {
 			status = "NOT REPRODUCED"
 			failures++
 		}
-		fmt.Printf("\nstatus: %s (%.1fs)\n\n", status, time.Since(start).Seconds())
+		fmt.Printf("status: %s (%.1fs)\n\n", status, time.Since(start).Seconds())
 
 		if *csvDir != "" {
 			if err := writeCSVs(*csvDir, res); err != nil {
@@ -82,6 +75,46 @@ func run() error {
 		return fmt.Errorf("%d experiments did not reproduce their claims", failures)
 	}
 	return nil
+}
+
+// selectExperiments returns the experiments -only names, in suite order
+// (the whole suite when only is empty). An id the suite does not have is an
+// error: a value the run would not read is rejected, not dropped.
+func selectExperiments(only string) ([]experiments.Experiment, error) {
+	all := experiments.All()
+	if only == "" {
+		return all, nil
+	}
+	valid := make([]string, len(all))
+	for i, exp := range all {
+		valid[i] = exp.ID
+	}
+	selected := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		id = strings.ToUpper(strings.TrimSpace(id))
+		if !slices.Contains(valid, id) {
+			return nil, fmt.Errorf("-only names no experiment %q (valid: %s)", id, strings.Join(valid, ","))
+		}
+		selected[id] = true
+	}
+	var suite []experiments.Experiment
+	for _, exp := range all {
+		if selected[exp.ID] {
+			suite = append(suite, exp)
+		}
+	}
+	return suite, nil
+}
+
+// renderFindings is the "findings:" line: the headline numbers sorted by
+// name, so two runs of one experiment print the same bytes.
+func renderFindings(f experiments.Findings) string {
+	var b strings.Builder
+	b.WriteString("findings:")
+	for _, name := range slices.Sorted(maps.Keys(f)) {
+		fmt.Fprintf(&b, " %s=%.4g", name, f[name])
+	}
+	return b.String()
 }
 
 func writeCSVs(dir string, res experiments.Result) error {

@@ -116,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.Float64Var(&c.horizon, "horizon", 0, "virtual-time bound (0 = unbounded, or 1000·δ when faults are on)")
 	fs.BoolVar(&c.trace, "trace", false, "print the full causal trace")
 	fs.StringVar(&c.traceOut, "trace-out", "", "write the causal trace to FILE (implies tracing)")
-	fs.StringVar(&c.traceFmt, "trace-format", "chrome", "trace file format: chrome, jsonl or text (with -trace-out)")
+	fs.StringVar(&c.traceFmt, "trace-format", "chrome", "trace file format: "+trace.FormatNames+" (with -trace-out)")
 	fs.Uint64Var(&c.obsEvery, "observe-every", 0, "sample a time series every K executed events (observe-capable protocols)")
 	fs.Float64Var(&c.obsInterval, "observe-interval", 0, "sample a time series every T virtual time units")
 	fs.IntVar(&c.obsMax, "observe-max", 0, "cap on stored samples (0 = 100000)")
@@ -142,10 +142,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		return nil
 	}
-	switch c.traceFmt {
-	case "chrome", "jsonl", "text":
-	default:
-		return fmt.Errorf("unknown -trace-format %q (chrome, jsonl or text)", c.traceFmt)
+	if trace.ContentType(c.traceFmt) == "" {
+		return fmt.Errorf("unknown -trace-format %q (%s)", c.traceFmt, trace.FormatNames)
 	}
 	if c.set["trace-format"] && c.traceOut == "" {
 		return fmt.Errorf("-trace-format picks the -trace-out file format; set -trace-out FILE (plain -trace always prints text)")
@@ -220,7 +218,7 @@ func (c *cli) compile() (*spec.Spec, error) {
 		// The flags imply tracing even when a spec file carries no trace
 		// block; a spec block's cap wins when both are present.
 		if (c.trace || c.traceOut != "") && s.Env.Trace == nil {
-			s.Env.Trace = &spec.TraceSpec{}
+			s.Env.Trace = &trace.Config{}
 		}
 		if c.obsCSV != "" && s.Env.Observe == nil {
 			return nil, errors.New("-observe-csv needs a sampling cadence: set -observe-every and/or -observe-interval (or a spec observe block)")
@@ -317,7 +315,7 @@ func (c *cli) fromFlags() (*spec.Spec, error) {
 		e.Horizon = 1000 * c.mean
 	}
 	if c.obsEvery != 0 || c.obsInterval != 0 || c.obsMax != 0 {
-		e.Observe = &spec.ObserveSpec{EveryEvents: c.obsEvery, Interval: c.obsInterval, MaxSamples: c.obsMax}
+		e.Observe = &probe.Config{EveryEvents: c.obsEvery, Interval: c.obsInterval, MaxSamples: c.obsMax}
 	}
 
 	protocol, ok := abenet.ProtocolByName(c.proto)
@@ -508,15 +506,7 @@ func (c *cli) emitTrace(exp *trace.Export) error {
 	if err != nil {
 		return err
 	}
-	switch c.traceFmt {
-	case "chrome":
-		err = trace.WriteChrome(f, exp)
-	case "jsonl":
-		err = trace.WriteJSONL(f, exp)
-	case "text":
-		err = trace.WriteText(f, exp)
-	}
-	if err != nil {
+	if err := trace.Write(f, exp, c.traceFmt); err != nil {
 		f.Close()
 		return err
 	}

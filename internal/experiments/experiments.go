@@ -1,8 +1,7 @@
 // Package experiments defines the full reproduction suite E1..E16 derived
-// from every quantitative claim in the paper (see DESIGN.md §5 for the
-// claim-to-experiment mapping). Each experiment returns a rendered table —
-// the "rows the paper reports" — plus headline findings used by the
-// benchmarks and EXPERIMENTS.md.
+// from every quantitative claim in the paper (each Result states the claim
+// it tests). Each experiment returns a rendered table — the "rows the paper
+// reports" — plus headline findings used by the benchmarks and abe-bench.
 //
 // The brief announcement itself contains no numbered tables or figures;
 // the suite regenerates the numbers stated in its prose (k_avg = 1/p,

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"testing"
 
+	"abenet/internal/probe"
 	"abenet/internal/runner"
 	"abenet/internal/spec"
 	"abenet/internal/syncnet"
+	"abenet/internal/trace"
 )
 
 // idleSyncNode makes the unregistered Synchronized protocol constructible.
@@ -33,9 +35,9 @@ func TestCapabilityDoorsAgree(t *testing.T) {
 			runner.ErrByzantineUnsupported, func(i runner.Info) bool { return i.SupportsByzantine }},
 		{"local-broadcast", spec.EnvSpec{LocalBroadcast: true},
 			runner.ErrBroadcastUnsupported, func(i runner.Info) bool { return i.SupportsBroadcast }},
-		{"observe", spec.EnvSpec{Observe: &spec.ObserveSpec{EveryEvents: 1}},
+		{"observe", spec.EnvSpec{Observe: &probe.Config{EveryEvents: 1}},
 			runner.ErrObserveUnsupported, func(i runner.Info) bool { return i.SupportsObserve }},
-		{"trace", spec.EnvSpec{Trace: &spec.TraceSpec{}},
+		{"trace", spec.EnvSpec{Trace: &trace.Config{}},
 			runner.ErrTraceUnsupported, func(i runner.Info) bool { return i.SupportsTrace }},
 	}
 	for _, axis := range axes {

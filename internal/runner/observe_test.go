@@ -71,7 +71,7 @@ func identityRows(supports func(Info) bool) []identityRow {
 func TestObservedRunByteIdentical(t *testing.T) {
 	for _, row := range identityRows(func(i Info) bool { return i.SupportsObserve }) {
 		name := row.name
-		execute := func(obs *probe.Config) (Report, []trace.Event) {
+		execute := func(obs *probe.Config) (Report, *trace.Export) {
 			rec := trace.NewRecorder(0)
 			env := row.env
 			env.tracer, env.Observe = rec, obs
@@ -79,7 +79,7 @@ func TestObservedRunByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			return rep, rec.Events()
+			return rep, rec.Export()
 		}
 		plain, plainTrace := execute(nil)
 		observed, obsTrace := execute(&probe.Config{EveryEvents: 1, Interval: 0.25})
@@ -101,7 +101,7 @@ func TestObservedRunByteIdentical(t *testing.T) {
 		}
 		if !reflect.DeepEqual(plainTrace, obsTrace) {
 			t.Errorf("%s: observed trace differs from unobserved (%d vs %d events)",
-				name, len(plainTrace), len(obsTrace))
+				name, len(plainTrace.Events), len(obsTrace.Events))
 		}
 	}
 }

@@ -125,7 +125,7 @@ func TestSynchronizedRecordsTraceAndSeries(t *testing.T) {
 	}
 	sends := uint64(0)
 	for _, e := range rep.Trace.Events {
-		if trace.ParseKind(e.Kind) == trace.KindSend {
+		if e.Kind == trace.KindSend {
 			sends++
 		}
 	}

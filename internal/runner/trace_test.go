@@ -145,7 +145,7 @@ func TestTraceTruncationKeepsDecision(t *testing.T) {
 		t.Fatal("truncated trace lost the decision ID")
 	}
 	last := exp.Events[len(exp.Events)-1]
-	if trace.ParseKind(last.Kind) != trace.KindDecision || last.ID != exp.Decision {
+	if last.Kind != trace.KindDecision || last.ID != exp.Decision {
 		t.Fatalf("last stored event = %+v, want the decision #%d", last, exp.Decision)
 	}
 	if len(exp.Events) != 9 {

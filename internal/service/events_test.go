@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"abenet/internal/probe"
 	"abenet/internal/spec"
 )
 
@@ -19,7 +20,7 @@ import (
 func observedFixture(t *testing.T, name string, every uint64) *spec.Spec {
 	t.Helper()
 	s := loadFixture(t, name)
-	s.Env.Observe = &spec.ObserveSpec{EveryEvents: every}
+	s.Env.Observe = &probe.Config{EveryEvents: every}
 	return s
 }
 

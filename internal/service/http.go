@@ -254,11 +254,10 @@ func serveTrace(svc *Service, w http.ResponseWriter, r *http.Request) {
 	if format == "" {
 		format = "chrome"
 	}
-	switch format {
-	case "chrome", "jsonl", "text":
-	default:
+	contentType := trace.ContentType(format)
+	if contentType == "" {
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("unknown trace format %q (chrome, jsonl or text)", format))
+			fmt.Errorf("unknown trace format %q (%s)", format, trace.FormatNames))
 		return
 	}
 	view, err := svc.Get(r.PathValue("id"))
@@ -276,21 +275,9 @@ func serveTrace(svc *Service, w http.ResponseWriter, r *http.Request) {
 			errors.New(`run was not traced (submit with an env "trace" block)`))
 		return
 	}
-	exp := view.Result.Trace
-	switch format {
-	case "chrome":
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_ = trace.WriteChrome(w, exp)
-	case "jsonl":
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		_ = trace.WriteJSONL(w, exp)
-	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		_ = trace.WriteText(w, exp)
-	}
+	w.Header().Set("Content-Type", contentType)
+	w.WriteHeader(http.StatusOK)
+	_ = trace.Write(w, view.Result.Trace, format)
 }
 
 // statusCode maps a submission snapshot onto its HTTP code: 200 when the

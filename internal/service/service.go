@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"abenet/internal/probe"
 	"abenet/internal/runner"
 	"abenet/internal/sim"
 	"abenet/internal/spec"
@@ -380,7 +381,7 @@ func (s *Service) newJobLocked(sp *spec.Spec, hash, key string) *job {
 // deliberately excludes the observe block — observation never changes a
 // run's results — but the cached Result payload carries the sampled series,
 // so two submissions differing only in cadence must not share an entry.
-func observeKey(o *spec.ObserveSpec) string {
+func observeKey(o *probe.Config) string {
 	if o == nil {
 		return ""
 	}
@@ -392,7 +393,7 @@ func observeKey(o *spec.ObserveSpec) string {
 // changes a run's results), but the cached payload carries the exported
 // events, so a traced and an untraced submission of the same scenario must
 // not share an entry — nor two traced ones differing in cap.
-func traceKey(t *spec.TraceSpec) string {
+func traceKey(t *trace.Config) string {
 	if t == nil {
 		return ""
 	}
@@ -649,8 +650,8 @@ func execute(j *job, sweepWorkers int) (res *Result, err error) {
 		return nil, err
 	}
 	if env.Observe != nil {
-		// BuildEnv constructed this probe config fresh from the spec, so
-		// attaching the live sink mutates nothing the caller shares.
+		// BuildEnv copies the spec's probe config, so attaching the live
+		// sink mutates nothing the caller shares.
 		env.Observe.Sink = j.sampleSink()
 	}
 	rep, err := runner.Run(env, proto)

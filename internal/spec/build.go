@@ -104,19 +104,22 @@ func (s *Spec) BuildEnv() (runner.Env, error) {
 		env.Byzantine = plan
 	}
 	env.LocalBroadcast = e.LocalBroadcast
+	// Observe and Trace are copied: a caller of BuildEnv may hang a live
+	// Sink on its env (the service does), and that must never land on the
+	// spec, which is shared and hashed.
 	if e.Observe != nil {
-		cfg, err := e.Observe.Build()
-		if err != nil {
-			return runner.Env{}, err
+		if err := e.Observe.Validate(); err != nil {
+			return runner.Env{}, fmt.Errorf("spec: observe: %w", err)
 		}
-		env.Observe = cfg
+		cfg := *e.Observe
+		env.Observe = &cfg
 	}
 	if e.Trace != nil {
-		cfg, err := e.Trace.Build()
-		if err != nil {
-			return runner.Env{}, err
+		if err := e.Trace.Validate(); err != nil {
+			return runner.Env{}, fmt.Errorf("spec: trace: %w", err)
 		}
-		env.Trace = cfg
+		cfg := *e.Trace
+		env.Trace = &cfg
 	}
 	return env, nil
 }

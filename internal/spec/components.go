@@ -48,82 +48,112 @@ func (f *family[T]) names() []string {
 	return out
 }
 
-// unmarshal decodes {"name", "params"} strictly against the family table.
-func (f *family[T]) unmarshal(data []byte) (string, any, error) {
+// unknown is the error for a name the family does not have.
+func (f *family[T]) unknown(name string) error {
+	return fmt.Errorf("spec: unknown %s %q (have %v)", f.kind, name, f.names())
+}
+
+// of is the table entry of a component whose parameters decode into a P.
+func of[P, T any](build func(*P) (T, error)) entry[T] {
+	return entry[T]{
+		newParams: func() any { return new(P) },
+		build:     func(p any) (T, error) { return build(p.(*P)) },
+	}
+}
+
+// kind names a component family at the type level: it is how the one codec
+// below finds the table of the value it is decoding.
+type kind[T any] interface{ family() *family[T] }
+
+// component is a named environment ingredient of kind K that builds a T.
+type component[T any, K kind[T]] struct {
+	Name   string
+	params any
+}
+
+// family returns the component's name table (K's, reached through a zero K).
+func (component[T, K]) family() *family[T] {
+	var k K
+	return k.family()
+}
+
+// UnmarshalJSON implements json.Unmarshaler: {"name", "params"} decoded
+// strictly against the family table.
+func (c *component[T, K]) UnmarshalJSON(data []byte) error {
+	f := c.family()
 	var cj componentJSON
 	if err := strictUnmarshal(data, &cj); err != nil {
-		return "", nil, fmt.Errorf("spec: %s: %w", f.kind, err)
+		return fmt.Errorf("spec: %s: %w", f.kind, err)
 	}
 	if cj.Name == "" {
-		return "", nil, fmt.Errorf(`spec: %s needs a "name" (have %v)`, f.kind, f.names())
+		return fmt.Errorf(`spec: %s needs a "name" (have %v)`, f.kind, f.names())
 	}
 	ent, ok := f.entries[cj.Name]
 	if !ok {
-		return "", nil, fmt.Errorf("spec: unknown %s %q (have %v)", f.kind, cj.Name, f.names())
+		return f.unknown(cj.Name)
 	}
+	var params any
 	if ent.newParams == nil {
 		if len(cj.Params) > 0 {
-			return "", nil, fmt.Errorf("spec: %s %q takes no params", f.kind, cj.Name)
+			return fmt.Errorf("spec: %s %q takes no params", f.kind, cj.Name)
 		}
-		return cj.Name, nil, nil
-	}
-	params := ent.newParams()
-	if len(cj.Params) > 0 {
-		if err := strictUnmarshal(cj.Params, params); err != nil {
-			return "", nil, fmt.Errorf("spec: %s %q params: %w", f.kind, cj.Name, err)
+	} else {
+		params = ent.newParams()
+		if len(cj.Params) > 0 {
+			if err := strictUnmarshal(cj.Params, params); err != nil {
+				return fmt.Errorf("spec: %s %q params: %w", f.kind, cj.Name, err)
+			}
 		}
 	}
-	return cj.Name, params, nil
+	c.Name, c.params = cj.Name, params
+	return nil
 }
 
-// marshal encodes a component canonically: the params object is always
-// present and complete for parameterised components.
-func (f *family[T]) marshal(name string, params any) ([]byte, error) {
-	ent, ok := f.entries[name]
+// MarshalJSON implements json.Marshaler canonically: the params object is
+// always present and complete for parameterised components.
+func (c component[T, K]) MarshalJSON() ([]byte, error) {
+	f := c.family()
+	ent, ok := f.entries[c.Name]
 	if !ok {
-		return nil, fmt.Errorf("spec: unknown %s %q (have %v)", f.kind, name, f.names())
+		return nil, f.unknown(c.Name)
 	}
-	cj := componentJSON{Name: name}
+	cj := componentJSON{Name: c.Name}
 	if ent.newParams != nil {
+		params := c.params
 		if params == nil {
 			params = ent.newParams()
 		}
 		raw, err := json.Marshal(params)
 		if err != nil {
-			return nil, fmt.Errorf("spec: %s %q params: %w", f.kind, name, err)
+			return nil, fmt.Errorf("spec: %s %q params: %w", f.kind, c.Name, err)
 		}
 		cj.Params = raw
 	}
 	return json.Marshal(cj)
 }
 
-// build constructs the concrete value, converting constructor panics
-// (the library treats mis-parameterisation as a programming error) into
-// decode-side errors.
-func (f *family[T]) build(name string, params any) (T, error) {
-	var zero T
-	ent, ok := f.entries[name]
+// Build constructs the value the component names, converting constructor
+// panics (the library treats mis-parameterisation as a programming error)
+// into decode-side errors.
+func (c *component[T, K]) Build() (out T, err error) {
+	f := c.family()
+	ent, ok := f.entries[c.Name]
 	if !ok {
-		return zero, fmt.Errorf("spec: unknown %s %q (have %v)", f.kind, name, f.names())
+		return out, f.unknown(c.Name)
 	}
+	params := c.params
 	if ent.newParams != nil && params == nil {
 		params = ent.newParams()
 	}
-	out, err := capture(func() (T, error) { return ent.build(params) })
-	if err != nil {
-		return zero, fmt.Errorf("spec: %s %q: %w", f.kind, name, err)
-	}
-	return out, nil
-}
-
-// capture runs fn, converting a panic into an error.
-func capture[T any](fn func() (T, error)) (out T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("%v", r)
+			err = fmt.Errorf("spec: %s %q: %v", f.kind, c.Name, r)
 		}
 	}()
-	return fn()
+	if out, err = ent.build(params); err != nil {
+		err = fmt.Errorf("spec: %s %q: %w", f.kind, c.Name, err)
+	}
+	return out, err
 }
 
 // ---- Delay distributions ----
@@ -131,10 +161,11 @@ func capture[T any](fn func() (T, error)) (out T, err error) {
 // DistSpec names a delay distribution plus its parameters. Names:
 // deterministic, uniform, exponential, erlang, pareto, retransmission,
 // bimodal (whose fast/slow components are themselves DistSpecs).
-type DistSpec struct {
-	Name   string
-	params any
-}
+type DistSpec = component[dist.Dist, distKind]
+
+type distKind struct{}
+
+func (distKind) family() *family[dist.Dist] { return distFamily }
 
 // The distribution parameter structs (exported so specs can be built
 // programmatically and so the JSON schema is visible in one place).
@@ -177,69 +208,43 @@ type (
 )
 
 var distFamily = &family[dist.Dist]{kind: "distribution", entries: map[string]entry[dist.Dist]{
-	"deterministic": {
-		newParams: func() any { return &DeterministicParams{} },
-		build: func(p any) (dist.Dist, error) {
-			return dist.NewDeterministic(p.(*DeterministicParams).Value), nil
-		},
-	},
-	"uniform": {
-		newParams: func() any { return &UniformParams{} },
-		build: func(p any) (dist.Dist, error) {
-			pp := p.(*UniformParams)
-			return dist.NewUniform(pp.Low, pp.High), nil
-		},
-	},
-	"exponential": {
-		newParams: func() any { return &ExponentialParams{} },
-		build: func(p any) (dist.Dist, error) {
-			return dist.NewExponential(p.(*ExponentialParams).Mean), nil
-		},
-	},
-	"erlang": {
-		newParams: func() any { return &ErlangParams{} },
-		build: func(p any) (dist.Dist, error) {
-			pp := p.(*ErlangParams)
-			return dist.NewErlang(pp.K, pp.Mean), nil
-		},
-	},
-	"pareto": {
-		newParams: func() any { return &ParetoParams{} },
-		build: func(p any) (dist.Dist, error) {
-			pp := p.(*ParetoParams)
-			return dist.ParetoWithMean(pp.Mean, pp.Alpha), nil
-		},
-	},
-	"retransmission": {
-		newParams: func() any { return &RetransmissionParams{} },
-		build: func(p any) (dist.Dist, error) {
-			pp := p.(*RetransmissionParams)
-			return dist.NewRetransmission(pp.P, pp.Slot), nil
-		},
-	},
+	"deterministic": of(func(p *DeterministicParams) (dist.Dist, error) {
+		return dist.NewDeterministic(p.Value), nil
+	}),
+	"uniform": of(func(p *UniformParams) (dist.Dist, error) {
+		return dist.NewUniform(p.Low, p.High), nil
+	}),
+	"exponential": of(func(p *ExponentialParams) (dist.Dist, error) {
+		return dist.NewExponential(p.Mean), nil
+	}),
+	"erlang": of(func(p *ErlangParams) (dist.Dist, error) {
+		return dist.NewErlang(p.K, p.Mean), nil
+	}),
+	"pareto": of(func(p *ParetoParams) (dist.Dist, error) {
+		return dist.ParetoWithMean(p.Mean, p.Alpha), nil
+	}),
+	"retransmission": of(func(p *RetransmissionParams) (dist.Dist, error) {
+		return dist.NewRetransmission(p.P, p.Slot), nil
+	}),
 }}
 
 // The bimodal entry recurses through DistSpec.Build for its components, so
 // it is registered in init() to break the initialisation cycle.
 func init() {
-	distFamily.entries["bimodal"] = entry[dist.Dist]{
-		newParams: func() any { return &BimodalParams{} },
-		build: func(p any) (dist.Dist, error) {
-			pp := p.(*BimodalParams)
-			if pp.Fast == nil || pp.Slow == nil {
-				return nil, fmt.Errorf(`bimodal needs both "fast" and "slow" component distributions`)
-			}
-			fast, err := pp.Fast.Build()
-			if err != nil {
-				return nil, err
-			}
-			slow, err := pp.Slow.Build()
-			if err != nil {
-				return nil, err
-			}
-			return dist.NewBimodal(fast, slow, pp.PSlow), nil
-		},
-	}
+	distFamily.entries["bimodal"] = of(func(p *BimodalParams) (dist.Dist, error) {
+		if p.Fast == nil || p.Slow == nil {
+			return nil, fmt.Errorf(`bimodal needs both "fast" and "slow" component distributions`)
+		}
+		fast, err := p.Fast.Build()
+		if err != nil {
+			return nil, err
+		}
+		slow, err := p.Slow.Build()
+		if err != nil {
+			return nil, err
+		}
+		return dist.NewBimodal(fast, slow, p.PSlow), nil
+	})
 }
 
 // The programmatic DistSpec constructors.
@@ -279,35 +284,16 @@ func Bimodal(fast, slow *DistSpec, pSlow float64) *DistSpec {
 	return &DistSpec{Name: "bimodal", params: &BimodalParams{Fast: fast, Slow: slow, PSlow: pSlow}}
 }
 
-// UnmarshalJSON implements json.Unmarshaler (strict).
-func (d *DistSpec) UnmarshalJSON(data []byte) error {
-	name, params, err := distFamily.unmarshal(data)
-	if err != nil {
-		return err
-	}
-	d.Name, d.params = name, params
-	return nil
-}
-
-// MarshalJSON implements json.Marshaler (canonical).
-func (d DistSpec) MarshalJSON() ([]byte, error) {
-	return distFamily.marshal(d.Name, d.params)
-}
-
-// Build constructs the distribution.
-func (d *DistSpec) Build() (dist.Dist, error) {
-	return distFamily.build(d.Name, d.params)
-}
-
 // ---- Topologies ----
 
 // TopologySpec names a communication graph plus its parameters. Names:
 // ring, biring, line, star, complete (SizeParams), hypercube
 // (HypercubeParams), torus (TorusParams).
-type TopologySpec struct {
-	Name   string
-	params any
-}
+type TopologySpec = component[*topology.Graph, topologyKind]
+
+type topologyKind struct{}
+
+func (topologyKind) family() *family[*topology.Graph] { return topologyFamily }
 
 type (
 	// SizeParams: the node count of ring/biring/line/star/complete.
@@ -326,12 +312,7 @@ type (
 )
 
 func sizedTopology(build func(n int) *topology.Graph) entry[*topology.Graph] {
-	return entry[*topology.Graph]{
-		newParams: func() any { return &SizeParams{} },
-		build: func(p any) (*topology.Graph, error) {
-			return build(p.(*SizeParams).N), nil
-		},
-	}
+	return of(func(p *SizeParams) (*topology.Graph, error) { return build(p.N), nil })
 }
 
 var topologyFamily = &family[*topology.Graph]{kind: "topology", entries: map[string]entry[*topology.Graph]{
@@ -340,19 +321,12 @@ var topologyFamily = &family[*topology.Graph]{kind: "topology", entries: map[str
 	"line":     sizedTopology(topology.Line),
 	"star":     sizedTopology(topology.Star),
 	"complete": sizedTopology(topology.Complete),
-	"hypercube": {
-		newParams: func() any { return &HypercubeParams{} },
-		build: func(p any) (*topology.Graph, error) {
-			return topology.Hypercube(p.(*HypercubeParams).Dim), nil
-		},
-	},
-	"torus": {
-		newParams: func() any { return &TorusParams{} },
-		build: func(p any) (*topology.Graph, error) {
-			pp := p.(*TorusParams)
-			return topology.Torus(pp.Rows, pp.Cols), nil
-		},
-	},
+	"hypercube": of(func(p *HypercubeParams) (*topology.Graph, error) {
+		return topology.Hypercube(p.Dim), nil
+	}),
+	"torus": of(func(p *TorusParams) (*topology.Graph, error) {
+		return topology.Torus(p.Rows, p.Cols), nil
+	}),
 }}
 
 // RingTopology is the spec of topology.Ring(n).
@@ -390,34 +364,15 @@ func TorusTopology(rows, cols int) *TopologySpec {
 	return &TopologySpec{Name: "torus", params: &TorusParams{Rows: rows, Cols: cols}}
 }
 
-// UnmarshalJSON implements json.Unmarshaler (strict).
-func (t *TopologySpec) UnmarshalJSON(data []byte) error {
-	name, params, err := topologyFamily.unmarshal(data)
-	if err != nil {
-		return err
-	}
-	t.Name, t.params = name, params
-	return nil
-}
-
-// MarshalJSON implements json.Marshaler (canonical).
-func (t TopologySpec) MarshalJSON() ([]byte, error) {
-	return topologyFamily.marshal(t.Name, t.params)
-}
-
-// Build constructs the graph.
-func (t *TopologySpec) Build() (*topology.Graph, error) {
-	return topologyFamily.build(t.Name, t.params)
-}
-
 // ---- Clock models ----
 
 // ClockSpec names a clock model. Names: perfect (no params), uniform
 // (UniformClockParams), wandering (WanderingClockParams).
-type ClockSpec struct {
-	Name   string
-	params any
-}
+type ClockSpec = component[clock.Model, clockKind]
+
+type clockKind struct{}
+
+func (clockKind) family() *family[clock.Model] { return clockFamily }
 
 type (
 	// UniformClockParams: each node's constant rate drawn uniformly from
@@ -439,20 +394,12 @@ var clockFamily = &family[clock.Model]{kind: "clock model", entries: map[string]
 	"perfect": {
 		build: func(any) (clock.Model, error) { return clock.PerfectModel{}, nil },
 	},
-	"uniform": {
-		newParams: func() any { return &UniformClockParams{} },
-		build: func(p any) (clock.Model, error) {
-			pp := p.(*UniformClockParams)
-			return clock.NewUniformFixedModel(pp.Low, pp.High), nil
-		},
-	},
-	"wandering": {
-		newParams: func() any { return &WanderingClockParams{} },
-		build: func(p any) (clock.Model, error) {
-			pp := p.(*WanderingClockParams)
-			return clock.NewWanderingModel(pp.Low, pp.High, pp.SegmentMean), nil
-		},
-	},
+	"uniform": of(func(p *UniformClockParams) (clock.Model, error) {
+		return clock.NewUniformFixedModel(p.Low, p.High), nil
+	}),
+	"wandering": of(func(p *WanderingClockParams) (clock.Model, error) {
+		return clock.NewWanderingModel(p.Low, p.High, p.SegmentMean), nil
+	}),
 }}
 
 // PerfectClocks is the spec of clock.PerfectModel.
@@ -468,35 +415,16 @@ func WanderingClocks(low, high, segmentMean float64) *ClockSpec {
 	return &ClockSpec{Name: "wandering", params: &WanderingClockParams{Low: low, High: high, SegmentMean: segmentMean}}
 }
 
-// UnmarshalJSON implements json.Unmarshaler (strict).
-func (c *ClockSpec) UnmarshalJSON(data []byte) error {
-	name, params, err := clockFamily.unmarshal(data)
-	if err != nil {
-		return err
-	}
-	c.Name, c.params = name, params
-	return nil
-}
-
-// MarshalJSON implements json.Marshaler (canonical).
-func (c ClockSpec) MarshalJSON() ([]byte, error) {
-	return clockFamily.marshal(c.Name, c.params)
-}
-
-// Build constructs the clock model.
-func (c *ClockSpec) Build() (clock.Model, error) {
-	return clockFamily.build(c.Name, c.params)
-}
-
 // ---- Link factories ----
 
 // LinksSpec names a full link factory, overriding the plain delay
 // distribution. Names: arq (ARQLinkParams), fifo and random-delay
 // (DelayLinkParams, whose delay is a DistSpec).
-type LinksSpec struct {
-	Name   string
-	params any
-}
+type LinksSpec = component[channel.Factory, linksKind]
+
+type linksKind struct{}
+
+func (linksKind) family() *family[channel.Factory] { return linksFamily }
 
 type (
 	// ARQLinkParams: lossy stop-and-wait ARQ links, per-attempt success
@@ -513,34 +441,26 @@ type (
 )
 
 func delayLinks(wrap func(dist.Dist) channel.Factory) entry[channel.Factory] {
-	return entry[channel.Factory]{
-		newParams: func() any { return &DelayLinkParams{} },
-		build: func(p any) (channel.Factory, error) {
-			pp := p.(*DelayLinkParams)
-			if pp.Delay == nil {
-				return nil, fmt.Errorf(`needs a "delay" distribution`)
-			}
-			d, err := pp.Delay.Build()
-			if err != nil {
-				return nil, err
-			}
-			return wrap(d), nil
-		},
-	}
+	return of(func(p *DelayLinkParams) (channel.Factory, error) {
+		if p.Delay == nil {
+			return nil, fmt.Errorf(`needs a "delay" distribution`)
+		}
+		d, err := p.Delay.Build()
+		if err != nil {
+			return nil, err
+		}
+		return wrap(d), nil
+	})
 }
 
 var linksFamily = &family[channel.Factory]{kind: "link factory", entries: map[string]entry[channel.Factory]{
-	"arq": {
-		newParams: func() any { return &ARQLinkParams{} },
-		build: func(p any) (channel.Factory, error) {
-			pp := p.(*ARQLinkParams)
-			// The factory defers link construction into the run, so validate
-			// the parameters eagerly here (panics become decode errors):
-			// an invalid (p, slot) must fail at decode time, not mid-run.
-			dist.NewRetransmission(pp.P, pp.Slot)
-			return channel.ARQFactory(pp.P, pp.Slot), nil
-		},
-	},
+	"arq": of(func(p *ARQLinkParams) (channel.Factory, error) {
+		// The factory defers link construction into the run, so validate
+		// the parameters eagerly here (panics become decode errors):
+		// an invalid (p, slot) must fail at decode time, not mid-run.
+		dist.NewRetransmission(p.P, p.Slot)
+		return channel.ARQFactory(p.P, p.Slot), nil
+	}),
 	"fifo":         delayLinks(channel.FIFOFactory),
 	"random-delay": delayLinks(channel.RandomDelayFactory),
 }}
@@ -558,24 +478,4 @@ func FIFOLinks(delay *DistSpec) *LinksSpec {
 // RandomDelayLinks is the spec of channel.RandomDelayFactory(delay).
 func RandomDelayLinks(delay *DistSpec) *LinksSpec {
 	return &LinksSpec{Name: "random-delay", params: &DelayLinkParams{Delay: delay}}
-}
-
-// UnmarshalJSON implements json.Unmarshaler (strict).
-func (l *LinksSpec) UnmarshalJSON(data []byte) error {
-	name, params, err := linksFamily.unmarshal(data)
-	if err != nil {
-		return err
-	}
-	l.Name, l.params = name, params
-	return nil
-}
-
-// MarshalJSON implements json.Marshaler (canonical).
-func (l LinksSpec) MarshalJSON() ([]byte, error) {
-	return linksFamily.marshal(l.Name, l.params)
-}
-
-// Build constructs the link factory.
-func (l *LinksSpec) Build() (channel.Factory, error) {
-	return linksFamily.build(l.Name, l.params)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"abenet/internal/probe"
 	"abenet/internal/runner"
 )
 
@@ -16,7 +17,7 @@ func TestRoundTripObserve(t *testing.T) {
 		Env: EnvSpec{
 			N:       8,
 			Seed:    1,
-			Observe: &ObserveSpec{EveryEvents: 5, Interval: 0.5, MaxSamples: 1000},
+			Observe: &probe.Config{EveryEvents: 5, Interval: 0.5, MaxSamples: 1000},
 		},
 		Protocol: protoSpec(t, runner.Election{}),
 	}
@@ -28,6 +29,12 @@ func TestRoundTripObserve(t *testing.T) {
 	}
 	if env.Observe == nil || env.Observe.EveryEvents != 5 || env.Observe.Interval != 0.5 || env.Observe.MaxSamples != 1000 {
 		t.Fatalf("built observe config = %+v", env.Observe)
+	}
+	// The env gets a copy: the service hangs a live Sink on it, and a spec
+	// is shared (cache key, dedup) — the sink must never reach it.
+	env.Observe.Sink = func([]string, probe.Sample) {}
+	if s.Env.Observe.Sink != nil {
+		t.Fatal("a Sink set on the built env landed on the spec")
 	}
 
 	// Observation is excluded from scenario identity: an observed spec
@@ -54,7 +61,7 @@ func TestRoundTripObserve(t *testing.T) {
 func TestObserveValidation(t *testing.T) {
 	noCadence := &Spec{
 		Version:  Version,
-		Env:      EnvSpec{N: 8, Observe: &ObserveSpec{MaxSamples: 10}},
+		Env:      EnvSpec{N: 8, Observe: &probe.Config{MaxSamples: 10}},
 		Protocol: protoSpec(t, runner.Election{}),
 	}
 	if err := noCadence.Validate(); err == nil {
@@ -63,7 +70,7 @@ func TestObserveValidation(t *testing.T) {
 
 	wrongProto := &Spec{
 		Version:  Version,
-		Env:      EnvSpec{N: 8, Observe: &ObserveSpec{EveryEvents: 1}},
+		Env:      EnvSpec{N: 8, Observe: &probe.Config{EveryEvents: 1}},
 		Protocol: protoSpec(t, runner.ItaiRodehSync{}),
 	}
 	if err := wrongProto.Validate(); !errors.Is(err, runner.ErrObserveUnsupported) {
@@ -72,7 +79,7 @@ func TestObserveValidation(t *testing.T) {
 
 	withSweep := &Spec{
 		Version:  Version,
-		Env:      EnvSpec{Seed: 1, Observe: &ObserveSpec{EveryEvents: 1}},
+		Env:      EnvSpec{Seed: 1, Observe: &probe.Config{EveryEvents: 1}},
 		Protocol: protoSpec(t, runner.Election{}),
 		Sweep:    &SweepSpec{Xs: []float64{8, 16}, Repetitions: 2},
 	}
@@ -86,7 +93,7 @@ func TestObserveValidation(t *testing.T) {
 func TestObservedSpecRunCarriesSeries(t *testing.T) {
 	s := &Spec{
 		Version:  Version,
-		Env:      EnvSpec{N: 6, Seed: 3, Observe: &ObserveSpec{EveryEvents: 2}},
+		Env:      EnvSpec{N: 6, Seed: 3, Observe: &probe.Config{EveryEvents: 2}},
 		Protocol: protoSpec(t, runner.Election{}),
 	}
 	if err := s.Validate(); err != nil {

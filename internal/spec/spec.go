@@ -115,7 +115,7 @@ type EnvSpec struct {
 	// Hash(): observation never changes a run's results — the probe reads
 	// off the kernel's post-event hook, and golden pins hold an observed
 	// run byte-identical to an unobserved one.
-	Observe *ObserveSpec `json:"observe,omitempty"`
+	Observe *probe.Config `json:"observe,omitempty"`
 	// Trace records a causal event trace of the run (see internal/trace):
 	// stable event IDs, Lamport clocks and exact happens-before parent
 	// edges, exportable as Chrome trace-event JSON, JSONL or text. Nil
@@ -125,49 +125,7 @@ type EnvSpec struct {
 	// run's results — golden pins hold a traced run byte-identical to an
 	// untraced one — so the cache layer differentiates on (hash, seed,
 	// trace fingerprint) instead (see service.traceKey).
-	Trace *TraceSpec `json:"trace,omitempty"`
-}
-
-// ObserveSpec is the JSON shape of probe.Config: the sampling cadence and
-// the series cap. At least one cadence axis must be set.
-type ObserveSpec struct {
-	// EveryEvents samples after every K-th executed event.
-	EveryEvents uint64 `json:"every_events,omitempty"`
-	// Interval samples at fixed virtual-time intervals.
-	Interval float64 `json:"interval,omitempty"`
-	// MaxSamples caps the stored series; 0 means probe.DefaultMaxSamples.
-	MaxSamples int `json:"max_samples,omitempty"`
-}
-
-// Build constructs the probe configuration the spec describes.
-func (o *ObserveSpec) Build() (*probe.Config, error) {
-	cfg := &probe.Config{
-		EveryEvents: o.EveryEvents,
-		Interval:    o.Interval,
-		MaxSamples:  o.MaxSamples,
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("spec: observe: %w", err)
-	}
-	return cfg, nil
-}
-
-// TraceSpec is the JSON shape of trace.Config: the event cap of the
-// causal trace recorder.
-type TraceSpec struct {
-	// MaxEvents caps the stored events; 0 means trace.DefaultMaxEvents.
-	// Events past the cap are counted, not stored; the terminal decision
-	// event is cap-exempt.
-	MaxEvents int `json:"max_events,omitempty"`
-}
-
-// Build constructs the trace configuration the spec describes.
-func (t *TraceSpec) Build() (*trace.Config, error) {
-	cfg := &trace.Config{MaxEvents: t.MaxEvents}
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("spec: trace: %w", err)
-	}
-	return cfg, nil
+	Trace *trace.Config `json:"trace,omitempty"`
 }
 
 // SweepSpec sweeps the spec's protocol over ring sizes through

@@ -3,7 +3,7 @@
 //
 // Every traced event has at most one parent, so the trace is a forest of
 // causal trees and each event has a unique ancestor chain back to a root
-// (an Init-time send). That makes three analyses cheap and exact:
+// (an Init-time send). That makes two analyses cheap and exact:
 //
 //   - Relay chains: a delivery whose parent send was itself emitted while
 //     processing a delivery extends a hop chain. The source paper's
@@ -19,14 +19,10 @@
 //     queueing in flight) or local time (everything else: processing
 //     delay, timer waits), so the path decomposes the run's virtual time
 //     into "waiting on the network" vs "waiting on nodes".
-//
-//   - Spans: per-(node, kind) counts and time aggregates over the whole
-//     trace, a coarse per-track profile of where events happened.
 package causal
 
 import (
 	"fmt"
-	"sort"
 
 	"abenet/internal/trace"
 )
@@ -97,10 +93,10 @@ func Analyze(exp *trace.Export) *Analysis {
 		}
 		// A relay chain counts consecutive deliveries linked by
 		// deliver →(processing)→ send →(link)→ deliver edges.
-		if trace.ParseKind(e.Kind) == trace.KindDeliver {
+		if e.Kind == trace.KindDeliver {
 			a.hops[i] = 1
-			if s := a.parent[i]; s >= 0 && trace.ParseKind(exp.Events[s].Kind) == trace.KindSend {
-				if d := a.parent[s]; d >= 0 && trace.ParseKind(exp.Events[d].Kind) == trace.KindDeliver {
+			if s := a.parent[i]; s >= 0 && exp.Events[s].Kind == trace.KindSend {
+				if d := a.parent[s]; d >= 0 && exp.Events[d].Kind == trace.KindDeliver {
 					a.hops[i] = a.hops[d] + 1
 				}
 			}
@@ -108,9 +104,6 @@ func Analyze(exp *trace.Export) *Analysis {
 	}
 	return a
 }
-
-// Events returns the analysed events (the export's, shared not copied).
-func (a *Analysis) Events() []trace.ExportEvent { return a.exp.Events }
 
 // MaxHopDepth returns the longest relay chain in the trace, in message
 // hops: the maximum number of consecutive deliveries connected by
@@ -132,14 +125,14 @@ func (a *Analysis) MaxHopDepth() int {
 //   - its relay chain is at most bound hops long (bound = d+1: on the
 //     election's embedded ring of n nodes, d = n−1, so bound = n);
 //   - when the payload carries a hop counter (trace.HopCarrier preserved
-//     in ExportEvent.Hop), the chain is no longer than the counter — each
+//     in Event.Hop), the chain is no longer than the counter — each
 //     relay increments the counter by at least one from 1, so a chain of
 //     k relays must arrive with a counter ≥ k.
 func (a *Analysis) CheckHopBound(bound int) []string {
 	var violations []string
 	for i := range a.exp.Events {
 		e := &a.exp.Events[i]
-		if trace.ParseKind(e.Kind) != trace.KindDeliver {
+		if e.Kind != trace.KindDeliver {
 			continue
 		}
 		if a.hops[i] > bound {
@@ -157,7 +150,7 @@ func (a *Analysis) CheckHopBound(bound int) []string {
 // Step is one event on a critical path, with the edge that reached it.
 type Step struct {
 	// Event is the event at this step.
-	Event trace.ExportEvent
+	Event trace.Event
 	// Edge classifies the edge from the previous step (EdgeNone for the
 	// first).
 	Edge EdgeKind
@@ -220,8 +213,7 @@ func (a *Analysis) CriticalPath() *Path {
 		if s > 0 {
 			prev := p.Steps[s-1].Event
 			step.Elapsed = step.Event.At - prev.At
-			if trace.ParseKind(step.Event.Kind) == trace.KindDeliver &&
-				trace.ParseKind(prev.Kind) == trace.KindSend {
+			if step.Event.Kind == trace.KindDeliver && prev.Kind == trace.KindSend {
 				step.Edge = EdgeMessage
 				p.Hops++
 				p.MessageTime += step.Elapsed
@@ -234,64 +226,6 @@ func (a *Analysis) CriticalPath() *Path {
 		p.Steps[s] = step
 	}
 	return p
-}
-
-// Span aggregates the events of one (node, kind) pair.
-type Span struct {
-	// Node is the node the events occurred at.
-	Node int `json:"node"`
-	// Kind is the event kind.
-	Kind string `json:"kind"`
-	// Count is the number of events.
-	Count int `json:"count"`
-	// Time is the summed elapsed time of the events' causal edges (time
-	// between each event and its recorded parent).
-	Time float64 `json:"time"`
-	// MaxElapsed is the largest single edge time.
-	MaxElapsed float64 `json:"max_elapsed"`
-}
-
-// Spans aggregates the trace per (node, kind), sorted by node then kind.
-// Each event contributes the virtual time of its incoming causal edge, so
-// a node's deliver span totals the link delays of everything it received
-// on the recorded chains, and its send/timer spans total its local
-// processing and waiting time.
-func (a *Analysis) Spans() []Span {
-	type key struct {
-		node int
-		kind trace.EventKind
-	}
-	agg := make(map[key]*Span)
-	var order []key
-	for i := range a.exp.Events {
-		e := &a.exp.Events[i]
-		k := key{e.Node(), trace.ParseKind(e.Kind)}
-		s := agg[k]
-		if s == nil {
-			s = &Span{Node: k.node, Kind: e.Kind}
-			agg[k] = s
-			order = append(order, k)
-		}
-		s.Count++
-		if p := a.parent[i]; p >= 0 {
-			el := e.At - a.exp.Events[p].At
-			s.Time += el
-			if el > s.MaxElapsed {
-				s.MaxElapsed = el
-			}
-		}
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].node != order[j].node {
-			return order[i].node < order[j].node
-		}
-		return order[i].kind < order[j].kind
-	})
-	out := make([]Span, len(order))
-	for i, k := range order {
-		out[i] = *agg[k]
-	}
-	return out
 }
 
 // Summary is the compact JSON-facing digest of a path the CLIs report.

@@ -2,7 +2,6 @@ package causal
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"abenet/internal/trace"
@@ -20,12 +19,12 @@ import (
 func chainExport() *trace.Export {
 	return &trace.Export{
 		Decision: 5,
-		Events: []trace.ExportEvent{
-			{ID: 1, Lamport: 1, At: 0, Kind: "send", From: 0, To: 1, Payload: "{Hop:1}", Hop: 1},
-			{ID: 2, Parent: 1, Lamport: 2, At: 1, Kind: "deliver", From: 0, To: 1, Payload: "{Hop:1}", Hop: 1},
-			{ID: 3, Parent: 2, Lamport: 3, At: 1.5, Kind: "send", From: 1, To: 2, Payload: "{Hop:2}", Hop: 2},
-			{ID: 4, Parent: 3, Lamport: 4, At: 3, Kind: "deliver", From: 1, To: 2, Payload: "{Hop:2}", Hop: 2},
-			{ID: 5, Parent: 4, Lamport: 5, At: 3, Kind: "decision", From: 2, Payload: "leader elected"},
+		Events: []trace.Event{
+			{ID: 1, Lamport: 1, At: 0, Kind: trace.KindSend, From: 0, To: 1, Payload: "{Hop:1}", Hop: 1},
+			{ID: 2, Parent: 1, Lamport: 2, At: 1, Kind: trace.KindDeliver, From: 0, To: 1, Payload: "{Hop:1}", Hop: 1},
+			{ID: 3, Parent: 2, Lamport: 3, At: 1.5, Kind: trace.KindSend, From: 1, To: 2, Payload: "{Hop:2}", Hop: 2},
+			{ID: 4, Parent: 3, Lamport: 4, At: 3, Kind: trace.KindDeliver, From: 1, To: 2, Payload: "{Hop:2}", Hop: 2},
+			{ID: 5, Parent: 4, Lamport: 5, At: 3, Kind: trace.KindDecision, From: 2, Payload: "leader elected"},
 		},
 	}
 }
@@ -119,20 +118,6 @@ func TestDeepestEventFallback(t *testing.T) {
 	p := Analyze(exp).CriticalPath()
 	if p == nil || p.Target != 4 {
 		t.Fatalf("path = %+v, want fallback to the deepest event #4", p)
-	}
-}
-
-func TestSpans(t *testing.T) {
-	spans := Analyze(chainExport()).Spans()
-	want := []Span{
-		{Node: 0, Kind: "send", Count: 1},
-		{Node: 1, Kind: "send", Count: 1, Time: 0.5, MaxElapsed: 0.5},
-		{Node: 1, Kind: "deliver", Count: 1, Time: 1, MaxElapsed: 1},
-		{Node: 2, Kind: "deliver", Count: 1, Time: 1.5, MaxElapsed: 1.5},
-		{Node: 2, Kind: "decision", Count: 1},
-	}
-	if !reflect.DeepEqual(spans, want) {
-		t.Fatalf("spans:\n got %+v\nwant %+v", spans, want)
 	}
 }
 

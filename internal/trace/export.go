@@ -7,14 +7,14 @@ import (
 	"io"
 )
 
-// Export is the serialisable form of a recorded trace: what a Report
-// carries, the service stores, and the exporters below render. Payloads
-// are stringified (deterministically, via %+v) so an Export survives a
-// JSON round trip; the hop counter of a HopCarrier payload is preserved
-// numerically so the causal analysis keeps working on decoded traces.
+// Export is a recorded trace as a Report carries it, the service stores it
+// and the writers below render it. Payloads are strings (formatted
+// deterministically via %+v) so an Export survives a JSON round trip; the
+// hop counter of a HopCarrier payload is preserved numerically so the causal
+// analysis keeps working on decoded traces.
 type Export struct {
 	// Events are the stored events in recording order.
-	Events []ExportEvent `json:"events"`
+	Events []Event `json:"events"`
 	// Dropped counts events past the cap: recorded (they consumed IDs and
 	// advanced Lamport clocks) but not stored.
 	Dropped uint64 `json:"dropped,omitempty"`
@@ -23,62 +23,31 @@ type Export struct {
 	Decision EventID `json:"decision,omitempty"`
 }
 
-// ExportEvent is one event of an Export. See Event for field semantics.
-type ExportEvent struct {
-	ID      EventID `json:"id"`
-	Parent  EventID `json:"parent,omitempty"`
-	Lamport uint64  `json:"lamport"`
-	At      float64 `json:"at"`
-	Kind    string  `json:"kind"`
-	From    int     `json:"from"`
-	To      int     `json:"to"`
-	Payload string  `json:"payload,omitempty"`
-	// Hop is the payload's relay-hop counter when it implements
-	// HopCarrier; 0 otherwise.
-	Hop int `json:"hop,omitempty"`
-}
-
-// Node returns the node at which the event occurred (receiver for
-// deliveries, emitting/owning node otherwise).
-func (e ExportEvent) Node() int {
-	if ParseKind(e.Kind) == KindDeliver {
-		return e.To
-	}
-	return e.From
-}
-
-// Export snapshots the recorded trace in its serialisable form.
+// Export hands out the recorded trace. It formats each live payload into
+// Payload and Hop in place and returns the recorder's own event slice, so
+// call it once the run is over.
 func (r *Recorder) Export() *Export {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := &Export{Events: make([]ExportEvent, len(r.events)), Dropped: r.dropped, Decision: r.decision}
-	for i, e := range r.events {
-		ee := ExportEvent{
-			ID:      e.ID,
-			Parent:  e.Parent,
-			Lamport: e.Lamport,
-			At:      float64(e.At),
-			Kind:    e.Kind.String(),
-			From:    e.From,
-			To:      e.To,
+	for i := range r.events {
+		e := &r.events[i]
+		if e.payload == nil {
+			continue
 		}
-		if e.Payload != nil {
-			ee.Payload = fmt.Sprintf("%+v", e.Payload)
+		e.Payload = fmt.Sprintf("%+v", e.payload)
+		if h, ok := e.payload.(HopCarrier); ok {
+			e.Hop = h.HopCount()
 		}
-		if h, ok := e.Payload.(HopCarrier); ok {
-			ee.Hop = h.HopCount()
-		}
-		out.Events[i] = ee
+		e.payload = nil
 	}
-	return out
+	return &Export{Events: r.events, Dropped: r.dropped, Decision: r.decision}
 }
 
 // WriteText renders the export as human-readable text, one event per line.
 func WriteText(w io.Writer, exp *Export) error {
 	bw := bufio.NewWriter(w)
-	for _, e := range exp.Events {
+	for i := range exp.Events {
+		e := &exp.Events[i]
 		var err error
-		switch ParseKind(e.Kind) {
+		switch e.Kind {
 		case KindTimer:
 			_, err = fmt.Fprintf(bw, "#%-6d %10.4f  timer    node %-3d kind %-3d L%-5d <#%d\n",
 				e.ID, e.At, e.From, e.To, e.Lamport, e.Parent)
@@ -117,8 +86,8 @@ type jsonlTrailer struct {
 func WriteJSONL(w io.Writer, exp *Export) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, e := range exp.Events {
-		if err := enc.Encode(e); err != nil {
+	for i := range exp.Events {
+		if err := enc.Encode(&exp.Events[i]); err != nil {
 			return err
 		}
 	}
@@ -157,7 +126,7 @@ const chromeTimeScale = 1e3
 // the delivery's event ID, so duplicated deliveries (lossy-link replay,
 // radio fan-out) each get their own arrow from the shared send.
 func WriteChrome(w io.Writer, exp *Export) error {
-	byID := make(map[EventID]*ExportEvent, len(exp.Events))
+	byID := make(map[EventID]*Event, len(exp.Events))
 	nodes := make(map[int]bool)
 	for i := range exp.Events {
 		e := &exp.Events[i]
@@ -222,7 +191,7 @@ func WriteChrome(w io.Writer, exp *Export) error {
 			args["hop"] = e.Hop
 		}
 		if err := emit(chromeEvent{
-			Name: e.Kind, Ph: "i", S: "t",
+			Name: e.Kind.String(), Ph: "i", S: "t",
 			Ts: e.At * chromeTimeScale, Pid: 0, Tid: e.Node(),
 			Args: args,
 		}); err != nil {
@@ -231,8 +200,8 @@ func WriteChrome(w io.Writer, exp *Export) error {
 		// A delivery whose parent send survived the cap gets a flow arrow
 		// from the send's track to its own; deliveries of dropped sends
 		// stay arrow-less so every flow edge references existing events.
-		if ParseKind(e.Kind) == KindDeliver {
-			if s, ok := byID[e.Parent]; ok && ParseKind(s.Kind) == KindSend {
+		if e.Kind == KindDeliver {
+			if s, ok := byID[e.Parent]; ok && s.Kind == KindSend {
 				if err := emit(chromeEvent{
 					Name: "msg", Ph: "s", Ts: s.At * chromeTimeScale,
 					Pid: 0, Tid: s.Node(), ID: int64(e.ID),
@@ -252,4 +221,31 @@ func WriteChrome(w io.Writer, exp *Export) error {
 		return err
 	}
 	return bw.Flush()
+}
+
+// formats are the renderings Write knows, by the name the CLI's
+// -trace-format and the service's ?format= spell.
+var formats = map[string]struct {
+	contentType string
+	write       func(io.Writer, *Export) error
+}{
+	"chrome": {"application/json", WriteChrome},
+	"jsonl":  {"application/x-ndjson", WriteJSONL},
+	"text":   {"text/plain; charset=utf-8", WriteText},
+}
+
+// FormatNames spells the format names for usage and error texts.
+const FormatNames = "chrome, jsonl or text"
+
+// ContentType returns the media type of a format, "" for a name Write
+// does not render.
+func ContentType(format string) string { return formats[format].contentType }
+
+// Write renders the export in the named format.
+func Write(w io.Writer, exp *Export, format string) error {
+	f, ok := formats[format]
+	if !ok {
+		return fmt.Errorf("trace: unknown format %q (%s)", format, FormatNames)
+	}
+	return f.write(w, exp)
 }

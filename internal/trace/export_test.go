@@ -41,7 +41,7 @@ func TestExportRoundTripsJSON(t *testing.T) {
 	if len(back.Events) != len(exp.Events) || back.Dropped != exp.Dropped || back.Decision != exp.Decision {
 		t.Fatalf("round trip changed the export:\n %+v\n %+v", exp, &back)
 	}
-	if back.Events[0].Payload != "a" || back.Events[0].Kind != "send" {
+	if back.Events[0].Payload != "a" || back.Events[0].Kind != KindSend {
 		t.Fatalf("first event corrupted: %+v", back.Events[0])
 	}
 }
@@ -57,7 +57,7 @@ func TestWriteJSONLShape(t *testing.T) {
 		t.Fatalf("%d lines, want %d events + 1 trailer", len(lines), len(exp.Events))
 	}
 	for i, line := range lines[:len(lines)-1] {
-		var e ExportEvent
+		var e Event
 		if err := json.Unmarshal([]byte(line), &e); err != nil {
 			t.Fatalf("line %d: %v", i, err)
 		}
@@ -179,13 +179,13 @@ func TestWriteChromeStructure(t *testing.T) {
 	// The delivery whose parent send was dropped must NOT have grown a
 	// dangling flow edge.
 	for _, e := range exp.Events {
-		if ParseKind(e.Kind) != KindDeliver {
+		if e.Kind != KindDeliver {
 			continue
 		}
 		_, parentStored := flows[int64(e.ID)]
 		wantStored := false
 		for _, p := range exp.Events {
-			if p.ID == e.Parent && ParseKind(p.Kind) == KindSend {
+			if p.ID == e.Parent && p.Kind == KindSend {
 				wantStored = true
 			}
 		}

@@ -24,9 +24,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
-	"strings"
-	"sync"
 
 	"abenet/internal/network"
 	"abenet/internal/simtime"
@@ -70,92 +67,86 @@ const (
 	KindDecision
 )
 
+// kindNames are the wire names of the event kinds: what an Event's "kind"
+// marshals to and what the text and Chrome renderings print.
+var kindNames = [...]string{KindSend: "send", KindDeliver: "deliver", KindTimer: "timer", KindDecision: "decision"}
+
 // String implements fmt.Stringer.
 func (k EventKind) String() string {
-	switch k {
-	case KindSend:
-		return "send"
-	case KindDeliver:
-		return "deliver"
-	case KindTimer:
-		return "timer"
-	case KindDecision:
-		return "decision"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
+	if k >= KindSend && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// ParseKind is the inverse of EventKind.String; it returns 0 for an
-// unknown name.
-func ParseKind(s string) EventKind {
-	switch s {
-	case "send":
-		return KindSend
-	case "deliver":
-		return KindDeliver
-	case "timer":
-		return KindTimer
-	case "decision":
-		return KindDecision
-	default:
-		return 0
+// MarshalText implements encoding.TextMarshaler: a kind travels by name.
+func (k EventKind) MarshalText() ([]byte, error) {
+	if k < KindSend || int(k) >= len(kindNames) {
+		return nil, fmt.Errorf("trace: cannot encode event kind %d", int(k))
 	}
+	return []byte(kindNames[k]), nil
 }
 
-// Event is one recorded network event with its causal identity.
+// UnmarshalText implements encoding.TextUnmarshaler; an unknown name is an
+// error, so a trace this build cannot interpret never half-decodes.
+func (k *EventKind) UnmarshalText(text []byte) error {
+	for kind := KindSend; int(kind) < len(kindNames); kind++ {
+		if kindNames[kind] == string(text) {
+			*k = kind
+			return nil
+		}
+	}
+	return fmt.Errorf("trace: unknown event kind %q", text)
+}
+
+// Event is one recorded network event with its causal identity, in the
+// form it is stored, served and analysed.
 type Event struct {
 	// ID is the stable per-run identity: 1, 2, 3, … in recording order,
 	// counting events dropped past the cap, so an event keeps the same ID
 	// at any cap setting.
-	ID EventID
+	ID EventID `json:"id"`
 	// Parent is the ID of this event's happens-before cause: for a
 	// delivery, the send that produced it; for a send or timer, the
 	// delivery or timer being processed when it was emitted; for the
 	// decision, the event being processed when the protocol stopped the
 	// network. 0 marks a causal root (emitted from Node.Init).
-	Parent EventID
+	Parent EventID `json:"parent,omitempty"`
 	// Lamport is the event's Lamport clock: one counter per node,
 	// incremented at every local event and merged to max(local, sender)+1
 	// on delivery.
-	Lamport uint64
+	Lamport uint64 `json:"lamport"`
 	// At is the virtual time of the event.
-	At simtime.Time
+	At float64 `json:"at"`
 	// Kind classifies the event.
-	Kind EventKind
+	Kind EventKind `json:"kind"`
 	// From is the sending node for sends and deliveries, and the owning
 	// node for timers and decisions.
-	From int
+	From int `json:"from"`
 	// To is the receiving node for sends (-1 for a radio broadcast) and
 	// deliveries, and the timer kind for timers; 0 for decisions.
-	To int
-	// Payload is the message payload (sends, deliveries) or the stop
-	// cause string (decisions); nil for timers.
-	Payload any
+	To int `json:"to"`
+	// Payload is the message payload (sends, deliveries) or the stop cause
+	// (decisions), stringified deterministically via %+v by Export; empty
+	// for timers.
+	Payload string `json:"payload,omitempty"`
+	// Hop is the payload's relay-hop counter when it implements
+	// HopCarrier; 0 otherwise. Filled in by Export.
+	Hop int `json:"hop,omitempty"`
+
+	// payload is the live value between recording and Export: formatting
+	// it costs more than the rest of the tracer callback together, so it
+	// stays off the recording path.
+	payload any
 }
 
 // Node returns the node at which the event occurred: the receiver for
 // deliveries, the emitting/owning node otherwise.
-func (e Event) Node() int {
+func (e *Event) Node() int {
 	if e.Kind == KindDeliver {
 		return e.To
 	}
 	return e.From
-}
-
-// String implements fmt.Stringer.
-func (e Event) String() string {
-	switch e.Kind {
-	case KindTimer:
-		return fmt.Sprintf("#%-6d %10.4f  timer    node %-3d kind %-3d L%-5d <#%d",
-			e.ID, float64(e.At), e.From, e.To, e.Lamport, e.Parent)
-	case KindDecision:
-		return fmt.Sprintf("#%-6d %10.4f  decision node %-3d %v L%-5d <#%d",
-			e.ID, float64(e.At), e.From, e.Payload, e.Lamport, e.Parent)
-	default:
-		return fmt.Sprintf("#%-6d %10.4f  %-8s %3d -> %-3d %v L%-5d <#%d",
-			e.ID, float64(e.At), e.Kind, e.From, e.To, e.Payload, e.Lamport, e.Parent)
-	}
 }
 
 // HopCarrier is implemented by message payloads that carry the protocol's
@@ -168,10 +159,9 @@ type HopCarrier interface {
 }
 
 // Recorder collects events in order. It implements network.Tracer and is
-// safe for concurrent use (the service layer snapshots recorders from
-// HTTP handlers while a run may still be streaming events in).
+// single-threaded like the run it observes: one recorder belongs to one
+// run, and Export is called after the run returned.
 type Recorder struct {
-	mu       sync.Mutex
 	events   []Event
 	max      int
 	dropped  uint64
@@ -197,37 +187,20 @@ func NewRecorder(maxEvents int) *Recorder {
 	return &Recorder{max: maxEvents, events: make([]Event, 0, cap)}
 }
 
-// tick advances node's Lamport clock for a purely local event. Callers
-// hold r.mu.
-func (r *Recorder) tick(node int) uint64 {
+// add advances the Lamport clock of the node the event occurs at — past
+// incoming, the sender's clock on a delivery (max(local, sender)+1) and 0
+// for a purely local event — assigns the next ID and stores the event (or,
+// past the cap, counts it — unless it is the cap-exempt decision event).
+func (r *Recorder) add(e Event, incoming uint64) network.TraceRef {
+	node := e.Node()
 	for len(r.lamport) <= node {
 		r.lamport = append(r.lamport, 0)
 	}
-	r.lamport[node]++
-	return r.lamport[node]
-}
-
-// merge advances node's Lamport clock past an incoming clock value
-// (delivery rule: max(local, sender)+1). Callers hold r.mu.
-func (r *Recorder) merge(node int, incoming uint64) uint64 {
-	for len(r.lamport) <= node {
-		r.lamport = append(r.lamport, 0)
-	}
-	l := r.lamport[node]
-	if incoming > l {
-		l = incoming
-	}
-	l++
-	r.lamport[node] = l
-	return l
-}
-
-// add assigns the next ID and stores the event (or, past the cap, counts
-// it — unless it is the cap-exempt decision event). Callers hold r.mu.
-func (r *Recorder) add(e Event, exempt bool) network.TraceRef {
+	e.Lamport = max(r.lamport[node], incoming) + 1
+	r.lamport[node] = e.Lamport
 	r.nextID++
 	e.ID = r.nextID
-	if len(r.events) >= r.max && !exempt {
+	if len(r.events) >= r.max && e.Kind != KindDecision {
 		r.dropped++
 	} else {
 		r.events = append(r.events, e)
@@ -237,140 +210,23 @@ func (r *Recorder) add(e Event, exempt bool) network.TraceRef {
 
 // MessageSent implements network.Tracer.
 func (r *Recorder) MessageSent(at simtime.Time, from, to int, payload any, cause network.TraceRef) network.TraceRef {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	l := r.tick(from)
-	return r.add(Event{Parent: cause.ID, Lamport: l, At: at, Kind: KindSend, From: from, To: to, Payload: payload}, false)
+	return r.add(Event{Parent: cause.ID, At: float64(at), Kind: KindSend, From: from, To: to, payload: payload}, 0)
 }
 
 // MessageDelivered implements network.Tracer.
 func (r *Recorder) MessageDelivered(at simtime.Time, from, to int, payload any, send network.TraceRef) network.TraceRef {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	l := r.merge(to, send.Lamport)
-	return r.add(Event{Parent: send.ID, Lamport: l, At: at, Kind: KindDeliver, From: from, To: to, Payload: payload}, false)
+	return r.add(Event{Parent: send.ID, At: float64(at), Kind: KindDeliver, From: from, To: to, payload: payload}, send.Lamport)
 }
 
 // TimerFired implements network.Tracer.
 func (r *Recorder) TimerFired(at simtime.Time, node, kind int, cause network.TraceRef) network.TraceRef {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	l := r.tick(node)
-	return r.add(Event{Parent: cause.ID, Lamport: l, At: at, Kind: KindTimer, From: node, To: kind}, false)
+	return r.add(Event{Parent: cause.ID, At: float64(at), Kind: KindTimer, From: node, To: kind}, 0)
 }
 
 // Decision implements network.Tracer. The decision event is cap-exempt: a
 // truncated trace still records the terminus its analysis walks back from.
 func (r *Recorder) Decision(at simtime.Time, node int, reason string, cause network.TraceRef) network.TraceRef {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	l := r.tick(node)
-	ref := r.add(Event{Parent: cause.ID, Lamport: l, At: at, Kind: KindDecision, From: node, Payload: reason}, true)
+	ref := r.add(Event{Parent: cause.ID, At: float64(at), Kind: KindDecision, From: node, payload: reason}, 0)
 	r.decision = ref.ID
 	return ref
-}
-
-// Events returns a defensive copy of the recorded events, in order.
-func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, len(r.events))
-	copy(out, r.events)
-	return out
-}
-
-// Len returns the number of stored events.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
-}
-
-// Dropped returns how many events were dropped after the cap was reached.
-func (r *Recorder) Dropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// DecisionID returns the ID of the recorded decision event, or 0 if the
-// run never stopped the network (it ran to quiescence or a horizon).
-func (r *Recorder) DecisionID() EventID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.decision
-}
-
-// Filter returns the stored events of one kind, in order. One lock, one
-// pass — no intermediate copy of the full trace.
-func (r *Recorder) Filter(kind EventKind) []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []Event
-	for _, e := range r.events {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// WriteTo writes the trace as text, one event per line. It implements
-// io.WriterTo.
-func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
-	r.mu.Lock()
-	events := make([]Event, len(r.events))
-	copy(events, r.events)
-	dropped := r.dropped
-	r.mu.Unlock()
-
-	var total int64
-	for _, e := range events {
-		n, err := fmt.Fprintln(w, e.String())
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	if dropped > 0 {
-		n, err := fmt.Fprintf(w, "... %d events dropped (cap reached)\n", dropped)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// Summary returns a one-line description of the recorded trace. It takes
-// the lock once and makes one pass over the events.
-func (r *Recorder) Summary() string {
-	r.mu.Lock()
-	var sends, delivers, timers, decisions int
-	for _, e := range r.events {
-		switch e.Kind {
-		case KindSend:
-			sends++
-		case KindDeliver:
-			delivers++
-		case KindTimer:
-			timers++
-		case KindDecision:
-			decisions++
-		}
-	}
-	n := len(r.events)
-	dropped := r.dropped
-	r.mu.Unlock()
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d events (%d sends, %d deliveries, %d timers", n, sends, delivers, timers)
-	if decisions > 0 {
-		fmt.Fprintf(&b, ", %d decision", decisions)
-	}
-	b.WriteString(")")
-	if dropped > 0 {
-		fmt.Fprintf(&b, ", %d dropped", dropped)
-	}
-	return b.String()
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"strings"
 	"testing"
 
 	"abenet/internal/channel"
@@ -17,7 +16,7 @@ func TestRecorderCollectsInOrder(t *testing.T) {
 	d := r.MessageDelivered(2, 0, 1, "a", s)
 	r.TimerFired(3, 1, 7, d)
 
-	events := r.Events()
+	events := r.Export().Events
 	if len(events) != 3 {
 		t.Fatalf("got %d events, want 3", len(events))
 	}
@@ -66,17 +65,18 @@ func TestRecorderCapAndStableIDs(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.MessageSent(simtime.Time(i), 0, 1, i, network.TraceRef{})
 	}
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", r.Len())
-	}
-	if r.Dropped() != 3 {
-		t.Fatalf("Dropped = %d, want 3", r.Dropped())
-	}
 	// IDs keep counting past the cap, so a later (cap-exempt) event gets
 	// the ID it would have had uncapped.
 	dec := r.Decision(9, 0, "done", network.TraceRef{})
 	if dec.ID != 6 {
 		t.Fatalf("decision ID = %d, want 6 (IDs count dropped events)", dec.ID)
+	}
+	exp := r.Export()
+	if len(exp.Events) != 3 {
+		t.Fatalf("stored %d events, want 2 capped + the exempt decision", len(exp.Events))
+	}
+	if exp.Dropped != 3 {
+		t.Fatalf("Dropped = %d, want 3", exp.Dropped)
 	}
 }
 
@@ -87,7 +87,8 @@ func TestDecisionIsCapExempt(t *testing.T) {
 	d := r.MessageDelivered(2, 0, 1, "a", network.TraceRef{})
 	r.Decision(3, 1, "leader elected", d)
 
-	events := r.Events()
+	exp := r.Export()
+	events := exp.Events
 	if len(events) != 2 {
 		t.Fatalf("stored %d events, want 2 (1 capped + the exempt decision)", len(events))
 	}
@@ -98,66 +99,11 @@ func TestDecisionIsCapExempt(t *testing.T) {
 	if last.Parent != d.ID {
 		t.Fatalf("decision parent = #%d, want #%d", last.Parent, d.ID)
 	}
-	if r.DecisionID() != last.ID {
-		t.Fatalf("DecisionID = %d, want %d", r.DecisionID(), last.ID)
+	if exp.Decision != last.ID {
+		t.Fatalf("Decision = %d, want %d", exp.Decision, last.ID)
 	}
-	if r.Dropped() != 2 {
-		t.Fatalf("Dropped = %d, want 2 (the capped send and the delivery)", r.Dropped())
-	}
-}
-
-// TestEventsReturnsCopy is the regression pin for the single-lock snapshot
-// rework: mutating the returned slice must not corrupt the recorder.
-func TestEventsReturnsCopy(t *testing.T) {
-	r := NewRecorder(0)
-	r.MessageSent(1, 0, 1, "a", network.TraceRef{})
-	events := r.Events()
-	events[0].Payload = "tampered"
-	if got := r.Events()[0].Payload; got != "a" {
-		t.Fatalf("recorder storage mutated through Events(): payload = %v", got)
-	}
-}
-
-func TestWriteToAndSummary(t *testing.T) {
-	r := NewRecorder(2)
-	s := r.MessageSent(1, 0, 1, "a", network.TraceRef{})
-	r.MessageDelivered(2, 0, 1, "a", s)
-	r.TimerFired(3, 1, 7, network.TraceRef{}) // dropped: over cap
-
-	var b strings.Builder
-	if _, err := r.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"send", "deliver", "dropped"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("WriteTo output missing %q:\n%s", want, out)
-		}
-	}
-	sum := r.Summary()
-	for _, want := range []string{"2 events", "1 sends", "1 deliveries", "0 timers", "1 dropped"} {
-		if !strings.Contains(sum, want) {
-			t.Errorf("Summary %q missing %q", sum, want)
-		}
-	}
-}
-
-func TestFilter(t *testing.T) {
-	r := NewRecorder(0)
-	s := r.MessageSent(1, 0, 1, "a", network.TraceRef{})
-	r.MessageDelivered(2, 0, 1, "a", s)
-	r.MessageSent(3, 1, 0, "b", network.TraceRef{})
-	sends := r.Filter(KindSend)
-	if len(sends) != 2 {
-		t.Fatalf("Filter(KindSend) = %d events, want 2", len(sends))
-	}
-	for _, e := range sends {
-		if e.Kind != KindSend {
-			t.Fatalf("filtered event has kind %v", e.Kind)
-		}
-	}
-	if len(r.Filter(KindTimer)) != 0 {
-		t.Fatal("Filter(KindTimer) found phantom events")
+	if exp.Dropped != 2 {
+		t.Fatalf("Dropped = %d, want 2 (the capped send and the delivery)", exp.Dropped)
 	}
 }
 
@@ -172,12 +118,17 @@ func TestKindStrings(t *testing.T) {
 		if k.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(k), k.String(), want)
 		}
-		if ParseKind(want) != k {
-			t.Errorf("ParseKind(%q) = %v, want %v", want, ParseKind(want), k)
+		var back EventKind
+		if err := back.UnmarshalText([]byte(want)); err != nil || back != k {
+			t.Errorf("UnmarshalText(%q) = %v, %v, want %v", want, back, err, k)
 		}
 	}
-	if ParseKind("bogus") != 0 {
-		t.Error("ParseKind accepted an unknown kind")
+	var k EventKind
+	if err := k.UnmarshalText([]byte("bogus")); err == nil {
+		t.Error("UnmarshalText accepted an unknown kind")
+	}
+	if _, err := EventKind(0).MarshalText(); err == nil {
+		t.Error("MarshalText encoded the zero kind")
 	}
 }
 
@@ -230,7 +181,8 @@ func TestRecorderAsNetworkTracer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	events := rec.Events()
+	exp := rec.Export()
+	events := exp.Events
 	if len(events) != 3 {
 		t.Fatalf("got %d events, want send+deliver+decision:\n%v", len(events), events)
 	}
@@ -254,7 +206,7 @@ func TestRecorderAsNetworkTracer(t *testing.T) {
 		t.Fatalf("lamport chain = %d,%d,%d, want 1,2,3",
 			send.Lamport, deliver.Lamport, decision.Lamport)
 	}
-	if rec.DecisionID() != decision.ID {
-		t.Fatalf("DecisionID = %d, want %d", rec.DecisionID(), decision.ID)
+	if exp.Decision != decision.ID {
+		t.Fatalf("Decision = %d, want %d", exp.Decision, decision.ID)
 	}
 }

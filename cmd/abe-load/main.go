@@ -13,11 +13,10 @@
 // Usage:
 //
 //	abe-load [-n 200] [-c 8] [-repeat 0.5] [-seed 1] [-specs examples/specs]
-//	         [-sweeps] [-url http://host:8080] [-store DIR] [-label AbeLoad]
+//	         [-sweeps] [-url http://host:8080] [-store DIR]
 //	         [-workers 0] [-queue 256] [-timeout 2m]
 //
-// Stdout carries one benchmark-formatted line (the format `go test -bench`
-// prints); the human summary goes to stderr.
+// The summary goes to stderr; stdout stays empty.
 package main
 
 import (
@@ -82,7 +81,6 @@ func run() error {
 	workers := flag.Int("workers", 0, "in-process server: job executors (0 = 2)")
 	queue := flag.Int("queue", 256, "in-process server: queued-job bound")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-request timeout")
-	label := flag.String("label", "AbeLoad", "benchmark name suffix on the stdout line (Benchmark<label>)")
 	metricsURL := flag.String("metrics-url", "", `Prometheus endpoint to scrape before/after and diff ("auto" = the driven server's /metrics)`)
 	flag.Parse()
 
@@ -169,7 +167,7 @@ func run() error {
 		}
 		promDeltas = metricDeltas(promBefore, promAfter)
 	}
-	return report(*label, outcomes, elapsed, before, after, promDeltas, corpus, *n, *c, *repeat)
+	return report(outcomes, elapsed, before, after, promDeltas, corpus, *n, *c, *repeat)
 }
 
 // loadCorpus decodes every spec fixture in dir. Sweep specs are included
@@ -360,9 +358,9 @@ func fetchStats(client *http.Client, base string) (service.Stats, error) {
 	return health.Stats, nil
 }
 
-// report prints the stderr summary and the stdout benchmark line, and
-// fails if any submission failed outright.
-func report(label string, outcomes []outcome, elapsed time.Duration, before, after service.Stats, promDeltas map[string]float64, corpus []scenario, n, c int, repeatFrac float64) error {
+// report prints the stderr summary and fails if any submission failed
+// outright.
+func report(outcomes []outcome, elapsed time.Duration, before, after service.Stats, promDeltas map[string]float64, corpus []scenario, n, c int, repeatFrac float64) error {
 	lat := make([]time.Duration, 0, len(outcomes))
 	var hits, rejected, failed int
 	var total time.Duration
@@ -394,8 +392,6 @@ func report(label string, outcomes []outcome, elapsed time.Duration, before, aft
 	memHits := after.MemoryHits - before.MemoryHits
 	storeHits := after.StoreHits - before.StoreHits
 	hitRate := float64(hits) / float64(served)
-	memRate := float64(memHits) / float64(served)
-	storeRate := float64(storeHits) / float64(served)
 
 	names := make([]string, len(corpus))
 	for i, s := range corpus {
@@ -427,10 +423,6 @@ func report(label string, outcomes []outcome, elapsed time.Duration, before, aft
 			fmt.Fprintf(os.Stderr, "  metrics    %s +%g\n", k, promDeltas[k])
 		}
 	}
-
-	// One benchmark-shaped line, the only thing on stdout.
-	fmt.Printf("Benchmark%s %d %d ns/op %d p50-ns %d p99-ns %.1f req/s %.3f hit-rate %.3f mem-hit-rate %.3f store-hit-rate\n",
-		label, served, mean.Nanoseconds(), p50.Nanoseconds(), p99.Nanoseconds(), rps, hitRate, memRate, storeRate)
 
 	if failed > 0 {
 		return fmt.Errorf("%d of %d submissions failed", failed, n)

@@ -16,10 +16,10 @@ func TestLocalBroadcastAtomicDelivery(t *testing.T) {
 	k := sim.New()
 	var got []any
 	var at []simtime.Time
-	lb := NewLocalBroadcast(k, dist.NewDeterministic(2), rng.New(1), DeliverFunc(func(p any) {
+	lb := NewLocalBroadcast(NewStore(k, DeliverFunc(func(p any) {
 		got = append(got, p)
 		at = append(at, k.Now())
-	}), 0, 3)
+	})), 0, dist.NewDeterministic(2), rng.New(1), 3)
 
 	d := lb.Send("hello")
 	if d != simtime.Duration(2) {
@@ -57,5 +57,5 @@ func TestLocalBroadcastRejectsBadArgs(t *testing.T) {
 			t.Fatal("negative fanout did not panic")
 		}
 	}()
-	NewLocalBroadcast(sim.New(), dist.NewDeterministic(1), rng.New(1), DeliverFunc(func(any) {}), 0, -1)
+	NewLocalBroadcast(NewStore(sim.New(), DeliverFunc(func(any) {})), 0, dist.NewDeterministic(1), rng.New(1), -1)
 }

@@ -26,6 +26,13 @@
 // Sink as Deliver(edge, payload) — the link was told its edge index by the
 // Factory call that built it. A link built on its own (NewRandomDelay,
 // NewFIFO, NewARQ) gets a private store around a DeliverFunc.
+//
+// The local-broadcast radio (broadcast.go) is the store's fourth user, not
+// a fourth way onto the kernel: a random-delay link whose index is its
+// sender and whose one delivery per transmission the Sink fans out. So on
+// either medium "in flight" is one number, the store's, and a message event
+// reaches the kernel from port.send alone. (Impaired's hold-backs are the
+// link-level exception: kernel closures that wait outside the store.)
 package channel
 
 import (

@@ -7,9 +7,9 @@ import (
 
 // Sink is where links hand payloads at their delivery instants: the network
 // layer. edge is the index the link was built with (Factory's edge, or the
-// sender of a LocalBroadcast), so one Sink value serves every link of a
-// network and resolves the receiving side from its own tables — no link
-// carries a callback of its own.
+// sender of a LocalBroadcast, whose Sink fans out), so one Sink value serves
+// every link of a network and resolves the receiving side from its own
+// tables — no link carries a callback of its own.
 type Sink interface {
 	Deliver(edge int, payload any)
 }

@@ -5,7 +5,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -74,30 +73,6 @@ func ParamsOf(net *network.Network) Params {
 		SHigh: high,
 		Gamma: net.ProcessingMean(),
 	}
-}
-
-// VerifyNetwork checks that the built network net satisfies the declared
-// bounds p, returning a descriptive error on the first violation. This is
-// Definition 1 as an executable check.
-func VerifyNetwork(net *network.Network, p Params) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	q := ParamsOf(net)
-	var errs []error
-	if q.Delta > p.Delta {
-		errs = append(errs, fmt.Errorf("core: worst link mean delay %g exceeds declared δ = %g", q.Delta, p.Delta))
-	}
-	if q.SLow < p.SLow {
-		errs = append(errs, fmt.Errorf("core: clock model lower bound %g below declared s_low = %g", q.SLow, p.SLow))
-	}
-	if q.SHigh > p.SHigh {
-		errs = append(errs, fmt.Errorf("core: clock model upper bound %g exceeds declared s_high = %g", q.SHigh, p.SHigh))
-	}
-	if q.Gamma > p.Gamma {
-		errs = append(errs, fmt.Errorf("core: mean processing time %g exceeds declared γ = %g", q.Gamma, p.Gamma))
-	}
-	return errors.Join(errs...)
 }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

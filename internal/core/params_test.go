@@ -74,31 +74,3 @@ func TestParamsOf(t *testing.T) {
 		t.Fatalf("ParamsOf = %+v, want %+v", p, want)
 	}
 }
-
-func TestVerifyNetwork(t *testing.T) {
-	net := buildNet(t)
-	ok := Params{Delta: 2, SLow: 0.5, SHigh: 2, Gamma: 0.2}
-	if err := VerifyNetwork(net, ok); err != nil {
-		t.Fatalf("valid declaration rejected: %v", err)
-	}
-	tooTight := Params{Delta: 1, SLow: 0.5, SHigh: 2, Gamma: 0.2}
-	if err := VerifyNetwork(net, tooTight); err == nil {
-		t.Fatal("δ violation not reported")
-	}
-	badGamma := Params{Delta: 2, SLow: 0.5, SHigh: 2, Gamma: 0.01}
-	if err := VerifyNetwork(net, badGamma); err == nil {
-		t.Fatal("γ violation not reported")
-	}
-	invalid := Params{Delta: -1, SLow: 0.5, SHigh: 2}
-	if err := VerifyNetwork(net, invalid); err == nil {
-		t.Fatal("invalid declaration not reported")
-	}
-}
-
-func TestVerifyNetworkClockBounds(t *testing.T) {
-	net := buildNet(t)
-	narrowClocks := Params{Delta: 2, SLow: 0.9, SHigh: 1.1, Gamma: 0.2}
-	if err := VerifyNetwork(net, narrowClocks); err == nil {
-		t.Fatal("clock bound violations not reported")
-	}
-}

@@ -158,23 +158,6 @@ func (p *Plan) HasLinkFaults() bool {
 	return p != nil && (p.Loss > 0 || p.Duplicate > 0 || p.Reorder > 0)
 }
 
-// HasNodeFaults reports whether the plan can take nodes down (scripted or
-// stochastic).
-func (p *Plan) HasNodeFaults() bool {
-	if p == nil {
-		return false
-	}
-	if p.CrashRate > 0 {
-		return true
-	}
-	for _, ev := range p.Events {
-		if ev.Kind == KindCrash || ev.Kind == KindRecover {
-			return true
-		}
-	}
-	return false
-}
-
 // SortedEvents returns the scripted events ordered by (At, original
 // position) without mutating the plan.
 func (p *Plan) SortedEvents() []Event {

@@ -83,24 +83,18 @@ func TestSortedEventsIsStableAndNonMutating(t *testing.T) {
 }
 
 func TestCapabilityProbes(t *testing.T) {
-	if (&Plan{}).HasLinkFaults() || (&Plan{}).HasNodeFaults() {
+	if (&Plan{}).HasLinkFaults() {
 		t.Fatal("empty plan claims faults")
 	}
 	var nilPlan *Plan
-	if nilPlan.HasLinkFaults() || nilPlan.HasNodeFaults() {
+	if nilPlan.HasLinkFaults() {
 		t.Fatal("nil plan claims faults")
 	}
 	if !(&Plan{Loss: 0.1}).HasLinkFaults() {
 		t.Fatal("loss not detected")
 	}
-	if !(&Plan{CrashRate: 0.1}).HasNodeFaults() {
-		t.Fatal("crash rate not detected")
-	}
-	if !(&Plan{Events: []Event{CrashAt(1, 0)}}).HasNodeFaults() {
-		t.Fatal("scripted crash not detected")
-	}
-	if (&Plan{Events: []Event{LinkDownAt(1, 0, 1)}}).HasNodeFaults() {
-		t.Fatal("link event misreported as node fault")
+	if (&Plan{CrashRate: 0.1, Events: []Event{CrashAt(1, 0), LinkDownAt(1, 0, 1)}}).HasLinkFaults() {
+		t.Fatal("node and link-outage events misreported as per-message link faults")
 	}
 }
 

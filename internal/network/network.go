@@ -19,11 +19,18 @@
 // Construction is flat: New lays every kind of per-node and per-edge state
 // (contexts with their streams inline, clocks, edge addresses, link streams,
 // links) in one slice each, reads in-ports off the graph instead of building
-// a lookup table, hands every link the one shared channel.Store and its edge
+// a lookup table, hands every link the one shared channel.Store and its
 // index, and sizes the kernel's queue once. Deliveries come back through
 // Sink.Deliver(edge, ·) and untraced, fault-free timers through one handler
 // per timer kind with the node as the event argument, so an idle node costs
 // no closure. TestAllocationBudget holds the line.
+//
+// There is one wire. Point-to-point or radio, a payload leaves a node through
+// Context.transmit (count, trace, Byzantine intercept) and Network.put
+// (outage, trace tag, links[k].Send), waits in the store, and comes back
+// through the store's Sink — edgeSink for an edge's link, radioSink for a
+// sender's radio, which fans out over the sender's out-edges into the same
+// deliverTo. The media differ in how links is indexed and in that Sink.
 package network
 
 import (
@@ -190,7 +197,7 @@ type Network struct {
 	edges     []edgeAddress  // edges[e] = both ends of edge e
 	links     []channel.Link // links[e] = link of edge e; under LocalBroadcast, links[u] = u's radio
 	linkRNG   []rng.Source   // linkRNG[k] = stream of links[k]
-	store     *channel.Store // in-flight messages of every point-to-point link
+	store     *channel.Store // every message in flight, on either medium
 	metrics   Metrics
 	procMean  float64
 	makeNode  func(i int) Node // retained for fault-recovery restarts
@@ -337,13 +344,14 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 		// sender's out-edges at the shared delivery instant. The stream
 		// label is distinct from "edge", so switching media re-seeds
 		// nothing else.
+		net.store = channel.NewStore(kernel, radioSink{net})
 		net.linkRNG = make([]rng.Source, n)
 		net.links = make([]channel.Link, n)
 		radioStreams := root.Indexed("bcast")
 		for u := 0; u < n; u++ {
 			net.linkRNG[u] = radioStreams.At(u)
-			net.links[u] = channel.NewLocalBroadcast(kernel, cfg.BroadcastDelay,
-				&net.linkRNG[u], radioSink{net}, u, graph.OutDegree(u))
+			net.links[u] = channel.NewLocalBroadcast(net.store, u, cfg.BroadcastDelay,
+				&net.linkRNG[u], graph.OutDegree(u))
 		}
 	} else {
 		net.store = channel.NewStore(kernel, edgeSink{net})
@@ -600,14 +608,11 @@ func (c *Context) OutDegree() int {
 // InDegree returns the number of incoming ports.
 func (c *Context) InDegree() int { return c.net.cfg.Graph.InDegree(c.id) }
 
-// Send transmits payload on the given out-port. A send on a link taken
-// down by a scripted outage or partition counts as sent but is dropped at
-// the link boundary (messages already in flight still arrive). Under a
-// byzantine.Plan the sender's role intercepts the message here — a Mute
-// send still counts as sent (the protocol instance believes it sent), and
-// a Stall holds the message back before it reaches the link. On a
-// local-broadcast network Send panics: the radio medium has no addressable
-// point-to-point links; protocols use Broadcast.
+// Send transmits payload on the given out-port. It counts as sent whatever
+// happens next: a Byzantine role may drop, forge or stall it and a downed
+// link drops it (see transmit and put). On a local-broadcast network Send
+// panics: the radio medium has no addressable point-to-point links;
+// protocols use Broadcast.
 func (c *Context) Send(outPort int, payload any) {
 	if c.net.cfg.LocalBroadcast {
 		panic("network: point-to-point Send on a local-broadcast network (use Context.Broadcast)")
@@ -615,40 +620,7 @@ func (c *Context) Send(outPort int, payload any) {
 	if degree := c.OutDegree(); outPort < 0 || outPort >= degree {
 		panic(fmt.Sprintf("network: node has %d out-ports, sent on %d", degree, outPort))
 	}
-	c.net.metrics.MessagesSent++
-	var ref TraceRef
-	if c.net.cfg.Tracer != nil {
-		to := int(c.net.edges[c.net.firstEdge[c.id]+outPort].to)
-		ref = c.net.cfg.Tracer.MessageSent(c.net.kernel.Now(), c.id, to, payload, c.net.cause)
-	}
-	if adv := c.net.adv; adv != nil {
-		out, drop, hold := adv.intercept(c.id, payload, false)
-		if drop {
-			return
-		}
-		payload = out
-		if hold > 0 {
-			c.net.kernel.AfterFunc(hold, func() { c.sendOnPort(outPort, payload, ref) })
-			return
-		}
-	}
-	c.sendOnPort(outPort, payload, ref)
-}
-
-// sendOnPort puts payload on the outPort link, honouring scripted link
-// outages at the (possibly stalled) transmission instant. send is the
-// traced ref of the logical send, carried across the link with the payload
-// so the delivery can name its cause; zero when tracing is off.
-func (c *Context) sendOnPort(outPort int, payload any, send TraceRef) {
-	edge := c.net.firstEdge[c.id] + outPort
-	if life := c.net.life; life != nil && life.edgeDown(edge) {
-		life.tel.LinkDrops++
-		return
-	}
-	if c.net.cfg.Tracer != nil {
-		payload = tracedPayload{payload: payload, send: send}
-	}
-	c.net.links[edge].Send(payload)
+	c.transmit(c.net.firstEdge[c.id]+outPort, payload)
 }
 
 // Broadcast sends payload to every out-neighbour — the medium-agnostic
@@ -658,7 +630,9 @@ func (c *Context) sendOnPort(outPort int, payload any, send TraceRef) {
 // local-broadcast network it is one atomic radio transmission delivered
 // identically to every neighbour at one instant, so per-receiver
 // divergence is physically impossible (Khan & Vaidya's model). Tracers see
-// one MessageSent with to = -1 for a radio transmission.
+// one MessageSent with to = -1 for a radio transmission, and its one tag
+// rides the whole fan-out: every receiver's delivery is parented to the
+// single transmission.
 func (c *Context) Broadcast(payload any) {
 	if !c.net.cfg.LocalBroadcast {
 		for p := range c.OutDegree() {
@@ -666,34 +640,63 @@ func (c *Context) Broadcast(payload any) {
 		}
 		return
 	}
-	c.net.metrics.MessagesSent++
-	traced := c.net.cfg.Tracer != nil
-	var ref TraceRef
-	if traced {
-		ref = c.net.cfg.Tracer.MessageSent(c.net.kernel.Now(), c.id, -1, payload, c.net.cause)
+	c.transmit(c.id, payload)
+}
+
+// transmit is the one way a payload leaves a node: on links[link], which is
+// an out-edge's link or, on a local-broadcast network, the sender's radio.
+// The logical send is counted and traced here, and under a byzantine.Plan
+// the sender's role intercepts it here — a Mute send still counts as sent
+// (the protocol instance believes it sent), and a Stall holds the message
+// back before it reaches the link.
+func (c *Context) transmit(link int, payload any) {
+	net := c.net
+	radio := net.cfg.LocalBroadcast
+	net.metrics.MessagesSent++
+	var send TraceRef
+	if net.cfg.Tracer != nil {
+		to := -1
+		if !radio {
+			to = int(net.edges[link].to)
+		}
+		send = net.cfg.Tracer.MessageSent(net.kernel.Now(), c.id, to, payload, net.cause)
 	}
-	link := c.net.links[c.id]
-	if adv := c.net.adv; adv != nil {
-		out, drop, hold := adv.intercept(c.id, payload, true)
+	if adv := net.adv; adv != nil {
+		out, drop, hold := adv.intercept(c.id, payload, radio)
 		if drop {
 			return
 		}
-		payload = out
 		if hold > 0 {
-			if traced {
-				payload = tracedPayload{payload: payload, send: ref}
-			}
-			stalled := payload
-			c.net.kernel.AfterFunc(hold, func() { link.Send(stalled) })
+			net.putAfter(hold, link, out, send)
 			return
 		}
+		payload = out
 	}
-	if traced {
-		// One tag shared by the whole radio fan-out: every receiver's
-		// delivery is parented to the single atomic transmission.
-		payload = tracedPayload{payload: payload, send: ref}
+	net.put(link, payload, send)
+}
+
+// put hands payload to links[link] at the (possibly stalled) transmission
+// instant. A point-to-point link taken down by a scripted outage or
+// partition drops it at the link boundary — it still counted as sent, and
+// messages already in flight still arrive; the radio has no edge of its own
+// and meets outages per receiver, in fanout. send is the traced ref of the
+// logical send, carried across the link with the payload so the delivery
+// can name its cause; zero when tracing is off.
+func (net *Network) put(link int, payload any, send TraceRef) {
+	if life := net.life; life != nil && !net.cfg.LocalBroadcast && life.edgeDown(link) {
+		life.tel.LinkDrops++
+		return
 	}
-	link.Send(payload)
+	if net.cfg.Tracer != nil {
+		payload = tracedPayload{payload: payload, send: send}
+	}
+	net.links[link].Send(payload)
+}
+
+// putAfter is a stalled put. The closure lives in a method of its own so
+// that transmit's payload stays off the heap on the sends that do not stall.
+func (net *Network) putAfter(hold simtime.Duration, link int, payload any, send TraceRef) {
+	net.kernel.AfterFunc(hold, func() { net.put(link, payload, send) })
 }
 
 // LocalTime returns the node's local clock reading.

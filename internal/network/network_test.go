@@ -542,19 +542,39 @@ func (countingNode) OnTimer(*Context, int)           {}
 // before: a closure on another branch of it, capturing its payload parameter
 // by reference, moved the parameter to the heap on every call.
 func TestDeliveryDoesNotAllocate(t *testing.T) {
-	var got int
-	net, err := New(Config{
+	mustNotAllocate(t, Config{
 		Graph: topology.Ring(8),
 		Links: channel.RandomDelayFactory(dist.NewExponential(1)),
 		Seed:  1,
-	}, func(int) Node { return countingNode{&got} })
+	}, func(c *Context, payload any) { c.Send(0, payload) }, 1)
+}
+
+// TestRadioTransmissionDoesNotAllocate is the same pin on the other medium:
+// a radio transmission rides a store slot like any message (it used to be a
+// kernel closure of its own, one heap object per Broadcast), and its fan-out
+// to seven receivers is seven plain deliverTo calls.
+func TestRadioTransmissionDoesNotAllocate(t *testing.T) {
+	mustNotAllocate(t, Config{
+		Graph:          topology.Complete(8),
+		LocalBroadcast: true,
+		Seed:           1,
+	}, (*Context).Broadcast, 7)
+}
+
+// mustNotAllocate builds cfg over counting nodes, has every node emit once
+// per round and runs each round to quiescence: zero heap objects per round
+// once the store has warmed up, and fanout deliveries per emission.
+func mustNotAllocate(t *testing.T, cfg Config, emit func(c *Context, payload any), fanout int) {
+	t.Helper()
+	var got int
+	net, err := New(cfg, func(int) Node { return countingNode{&got} })
 	if err != nil {
 		t.Fatal(err)
 	}
 	var payload any = uint64(1 << 40) // too large for the runtime's small-value table: boxed here, once
 	roundTrip := func() {
 		for i := range net.ctxs {
-			net.ctxs[i].Send(0, payload)
+			emit(&net.ctxs[i], payload)
 		}
 		if err := net.kernel.Run(simtime.Forever, 0); err != nil {
 			t.Fatal(err)
@@ -563,9 +583,9 @@ func TestDeliveryDoesNotAllocate(t *testing.T) {
 	roundTrip() // the store's slots and free list reach their size
 	got = 0
 	if avg := testing.AllocsPerRun(100, roundTrip); avg != 0 {
-		t.Errorf("send → run → OnMessage allocates %g objects per %d messages, want 0", avg, len(net.ctxs))
+		t.Errorf("emit → run → OnMessage allocates %g objects per %d emissions, want 0", avg, len(net.ctxs))
 	}
-	if want := 101 * len(net.ctxs); got != want { // AllocsPerRun warms up once
+	if want := 101 * len(net.ctxs) * fanout; got != want { // AllocsPerRun warms up once
 		t.Fatalf("%d messages delivered, want %d", got, want)
 	}
 }

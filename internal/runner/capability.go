@@ -88,3 +88,15 @@ func CheckCapabilities(env Env, p Protocol) error {
 	}
 	return nil
 }
+
+// DefaultEdges returns how many directed edges the network has that p builds
+// on an Env stating only a size n: the n of the default ring, unless the
+// protocol declares a default graph of its own (its defaultEdges method). A
+// float, so that no n overflows it — callers compare it with a budget before
+// any graph exists.
+func DefaultEdges(p Protocol, n int) float64 {
+	if d, ok := p.(interface{ defaultEdges(n int) float64 }); ok {
+		return d.defaultEdges(n)
+	}
+	return float64(n)
+}

@@ -38,6 +38,11 @@ func (BenOr) capabilities() Capabilities {
 	return Capabilities{Faults: true, Byzantine: true, Broadcast: true, Observe: true, Trace: true}
 }
 
+func (BenOr) extra() any { return ConsensusExtra{} }
+
+// defaultEdges: the complete graph Run builds from a bare N.
+func (BenOr) defaultEdges(n int) float64 { return float64(n) * float64(n-1) }
+
 // Run implements Protocol.
 func (p BenOr) Run(env Env) (Report, error) {
 	n, err := env.size()

@@ -45,6 +45,8 @@ func (Election) capabilities() Capabilities {
 	return Capabilities{Faults: true, Observe: true, Trace: true}
 }
 
+func (Election) extra() any { return ElectionExtra{} }
+
 // Run implements Protocol.
 func (p Election) Run(env Env) (Report, error) {
 	n, err := env.size()
@@ -422,6 +424,8 @@ func (Synchronized) capabilities() Capabilities {
 	return Capabilities{Observe: true, Trace: true}
 }
 
+func (Synchronized) extra() any { return SyncExtra{} }
+
 // Run implements Protocol.
 func (p Synchronized) Run(env Env) (Report, error) {
 	if p.MakeNode == nil {
@@ -494,6 +498,8 @@ func (SynchronizedElection) Name() string { return "synchronized-election" }
 
 func (SynchronizedElection) capabilities() Capabilities { return Synchronized{}.capabilities() }
 
+func (SynchronizedElection) extra() any { return Synchronized{}.extra() }
+
 // Run implements Protocol.
 func (p SynchronizedElection) Run(env Env) (Report, error) {
 	// On non-ring topologies the election's tokens must follow the
@@ -530,6 +536,8 @@ func (ClockSync) Name() string { return "clock-sync" }
 func (ClockSync) capabilities() Capabilities {
 	return Capabilities{Observe: true, Trace: true}
 }
+
+func (ClockSync) extra() any { return ClockSyncExtra{} }
 
 // Run implements Protocol.
 func (p ClockSync) Run(env Env) (Report, error) {

@@ -1,7 +1,9 @@
 package runner
 
 import (
+	"encoding/json"
 	"fmt"
+	"reflect"
 
 	"abenet/internal/core"
 	"abenet/internal/faults"
@@ -64,8 +66,46 @@ type Report struct {
 	// report identical metrics.
 	Trace *trace.Export
 	// Extra holds the protocol-specific measurements as one of the typed
-	// *Extra structs in this package, or nil.
+	// *Extra structs in this package, or nil. Each protocol declares its
+	// type once (its extra method), which is how a decoded report gets the
+	// same type back.
 	Extra any
+}
+
+// UnmarshalJSON decodes a report so that it encodes back to the bytes it
+// came from: Extra is resolved to the typed struct the protocol named in
+// Protocol declares (its extra method), not to encoding/json's generic map,
+// which would re-encode with sorted keys — a stored result must be the first
+// response, byte for byte. A protocol this build does not know keeps the
+// generic value; a payload that does not fit its protocol's type is an error
+// (to the disk store, a corrupt entry).
+func (r *Report) UnmarshalJSON(data []byte) error {
+	type fields Report // the same fields without this method
+	aux := struct {
+		*fields
+		Extra json.RawMessage // shadows fields.Extra
+	}{fields: (*fields)(r)}
+	if err := json.Unmarshal(data, &aux); err != nil {
+		return err
+	}
+	r.Extra = nil
+	if aux.Extra == nil || string(aux.Extra) == "null" {
+		return nil
+	}
+	p, known := registry[r.Protocol]
+	if !known && r.Protocol == (Synchronized{}).Name() {
+		p = Synchronized{} // unregistered (no runnable default), but it reports
+	}
+	x, typed := p.(interface{ extra() any })
+	if !typed {
+		return json.Unmarshal(aux.Extra, &r.Extra)
+	}
+	v := reflect.New(reflect.TypeOf(x.extra()))
+	if err := json.Unmarshal(aux.Extra, v.Interface()); err != nil {
+		return fmt.Errorf("runner: %s report: Extra: %w", r.Protocol, err)
+	}
+	r.Extra = v.Elem().Interface()
+	return nil
 }
 
 // extraMetrics is implemented by Extra payloads that contribute named

@@ -1,6 +1,8 @@
 package runner
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -234,4 +236,45 @@ func TestSynchronizerProtocolsHonourEnvBounds(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestReportDecodesToWhatItEncoded: a report read back from JSON holds its
+// protocol's typed Extra (so it re-encodes to the same bytes) — also for
+// Synchronized, which reports under a name the registry does not hold. A
+// protocol name this build does not know keeps the generic value; an Extra
+// that does not fit its protocol's type fails the read.
+func TestReportDecodesToWhatItEncoded(t *testing.T) {
+	rep, err := Run(Env{N: 4, Seed: 1, Horizon: 10}, Synchronized{MakeNode: func(int) syncnet.Node { return floodNode{} }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Report
+	if err := json.Unmarshal(first, &back); err != nil {
+		t.Fatal(err)
+	}
+	if _, typed := back.Extra.(SyncExtra); !typed || !reflect.DeepEqual(back.Extra, rep.Extra) {
+		t.Fatalf("decoded Extra = %#v, want %#v", back.Extra, rep.Extra)
+	}
+	if again, _ := json.Marshal(back); !bytes.Equal(again, first) {
+		t.Fatalf("re-encoded report differs:\nfirst: %s\nagain: %s", first, again)
+	}
+
+	var unknown Report
+	if err := json.Unmarshal([]byte(`{"Protocol": "not-in-this-build", "Messages": 7, "Extra": {"B": 1, "A": 2}}`), &unknown); err != nil {
+		t.Fatalf("unknown protocol name failed the read: %v", err)
+	}
+	if m, generic := unknown.Extra.(map[string]any); !generic || len(m) != 2 || unknown.Messages != 7 {
+		t.Fatalf("unknown protocol decoded to %#v", unknown)
+	}
+	if err := json.Unmarshal([]byte(`{"Protocol": "election", "Extra": {"Activations": "many"}}`), new(Report)); err == nil {
+		t.Fatal("an Extra that does not fit ElectionExtra decoded without error")
+	}
+	var none Report
+	if err := json.Unmarshal([]byte(`{"Protocol": "election", "Extra": null}`), &none); err != nil || none.Extra != nil {
+		t.Fatalf("null Extra decoded to %#v, %v", none.Extra, err)
+	}
 }

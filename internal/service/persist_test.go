@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"abenet/internal/runner"
+	"abenet/internal/spec"
 	"abenet/internal/store"
 )
 
@@ -91,6 +93,47 @@ func TestPersistentStoreSurvivesRestart(t *testing.T) {
 	}
 	if n := executed.Load(); n != 0 {
 		t.Fatalf("promoted resubmission executed %d simulations, want 0", n)
+	}
+}
+
+// TestPersistentHitIsTheFirstResponse: for every registered protocol, the
+// result a restarted service reads off the disk tier encodes to the bytes
+// the computing service answered with. Report.Extra used to come back as a
+// generic map, whose keys re-encode sorted.
+func TestPersistentHitIsTheFirstResponse(t *testing.T) {
+	for _, name := range runner.Protocols() {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			submit := func(wantStoreHits int) []byte {
+				t.Helper()
+				svc := New(Options{Workers: 1, Persist: openDisk(t, dir)})
+				defer svc.Close()
+				doc := []byte(`{"version": 1, "env": {"n": 8, "seed": 3}, "protocol": {"name": "` + name + `"}}`)
+				sp, err := spec.DecodeBytes(doc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v, err := svc.Submit(sp, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v = await(t, svc, v.ID); v.Status != StatusDone {
+					t.Fatalf("job ended %s (%s)", v.Status, v.Error)
+				}
+				if hits := svc.Stats().StoreHits; hits != wantStoreHits {
+					t.Fatalf("store hits = %d, want %d", hits, wantStoreHits)
+				}
+				out, err := json.Marshal(v.Result)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			first, stored := submit(0), submit(1)
+			if !bytes.Equal(first, stored) {
+				t.Fatalf("disk hit is not the first response:\nfirst:  %s\nstored: %s", first, stored)
+			}
+		})
 	}
 }
 

@@ -15,15 +15,20 @@ import (
 	"abenet/internal/stats"
 )
 
-// The sweep resource ceilings. Specs arrive over the network (abe-serve),
-// so a single request must not be able to demand unbounded goroutines,
-// result slots or network sizes; Validate enforces these before anything
+// The resource ceilings. Specs arrive over the network (abe-serve), so a
+// single request must not be able to demand unbounded goroutines, result
+// slots or network sizes; Validate enforces these before anything
 // allocates.
 const (
 	// MaxSweepPositions bounds len(Sweep.Xs).
 	MaxSweepPositions = 4096
 	// MaxSweepSize bounds each swept network size.
 	MaxSweepSize = 1 << 20
+	// MaxEdges bounds the directed edges of any one network, a named
+	// topology's or the one a protocol builds from a bare size: a
+	// bidirectional ring of the largest sweepable size. (Memory goes with
+	// edges, not nodes: "complete" at n = 10⁵ is 10¹⁰ of them.)
+	MaxEdges = 2 * MaxSweepSize
 	// MaxSweepRepetitions bounds Sweep.Repetitions.
 	MaxSweepRepetitions = 1_000_000
 	// MaxSweepWorkers bounds Sweep.Workers (0 still means GOMAXPROCS).
@@ -32,6 +37,20 @@ const (
 	// harness preallocates one result slot per run).
 	MaxSweepRuns = 10_000_000
 )
+
+// ErrEdgeBudget is wrapped by the rejection of a scenario whose network
+// would hold more than MaxEdges directed edges.
+var ErrEdgeBudget = errors.New("network exceeds the edge budget")
+
+// checkEdges refuses an edge count over the budget. Counts are computed in
+// floating point from the scenario's parameters, before anything of that
+// size exists, so a parameter near the integer range cannot overflow one.
+func checkEdges(edges float64) error {
+	if edges > MaxEdges {
+		return fmt.Errorf("%w: %.0f directed edges, the limit is %d", ErrEdgeBudget, edges, MaxEdges)
+	}
+	return nil
+}
 
 // BuildEnv constructs the runner.Env the spec describes. The returned
 // environment is not yet validated against the protocol — runner.Run does
@@ -194,6 +213,9 @@ func (s *Spec) validate() error {
 			if n > MaxSweepSize {
 				return fmt.Errorf("spec: sweep size %d exceeds the limit %d", n, MaxSweepSize)
 			}
+			if err := s.checkBareSize(n); err != nil {
+				return err
+			}
 		}
 		if sw.Repetitions < 0 || sw.Repetitions > MaxSweepRepetitions {
 			return fmt.Errorf("spec: sweep repetitions %d outside [0, %d]", sw.Repetitions, MaxSweepRepetitions)
@@ -226,8 +248,20 @@ func (s *Spec) validate() error {
 		}
 		return nil
 	}
-	if err := env.Validate(); err != nil {
-		return err
+	if env.Graph == nil {
+		if err := s.checkBareSize(env.N); err != nil {
+			return err
+		}
+	}
+	return env.Validate()
+}
+
+// checkBareSize holds the network the protocol builds from a size alone —
+// the default ring, or Ben-Or's complete graph — to the edge budget. (A
+// named topology is held to it by its own table entry, on every Build.)
+func (s *Spec) checkBareSize(n int) error {
+	if err := checkEdges(runner.DefaultEdges(s.Protocol.proto, n)); err != nil {
+		return fmt.Errorf("spec: %s at n = %d: %w", s.Protocol.proto.Name(), n, err)
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ package spec
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 
 	"abenet/internal/channel"
@@ -311,22 +312,38 @@ type (
 	}
 )
 
-func sizedTopology(build func(n int) *topology.Graph) entry[*topology.Graph] {
-	return of(func(p *SizeParams) (*topology.Graph, error) { return build(p.N), nil })
+// budgeted is the table entry of a topology: edges is the number of directed
+// edges build would lay out, computed from the parameters alone (in floating
+// point, so no parameter can overflow it), and a graph over MaxEdges is
+// refused before build allocates anything.
+func budgeted[P any](edges func(*P) float64, build func(*P) *topology.Graph) entry[*topology.Graph] {
+	return of(func(p *P) (*topology.Graph, error) {
+		if err := checkEdges(edges(p)); err != nil {
+			return nil, err
+		}
+		return build(p), nil
+	})
 }
 
+func sizedTopology(edges func(n float64) float64, build func(n int) *topology.Graph) entry[*topology.Graph] {
+	return budgeted(func(p *SizeParams) float64 { return edges(float64(p.N)) },
+		func(p *SizeParams) *topology.Graph { return build(p.N) })
+}
+
+// bidirectional bounds the n-node families that lay two directed edges per
+// neighbour pair over n (biring) or n−1 (line, star) pairs.
+func bidirectional(n float64) float64 { return 2 * n }
+
 var topologyFamily = &family[*topology.Graph]{kind: "topology", entries: map[string]entry[*topology.Graph]{
-	"ring":     sizedTopology(topology.Ring),
-	"biring":   sizedTopology(topology.BiRing),
-	"line":     sizedTopology(topology.Line),
-	"star":     sizedTopology(topology.Star),
-	"complete": sizedTopology(topology.Complete),
-	"hypercube": of(func(p *HypercubeParams) (*topology.Graph, error) {
-		return topology.Hypercube(p.Dim), nil
-	}),
-	"torus": of(func(p *TorusParams) (*topology.Graph, error) {
-		return topology.Torus(p.Rows, p.Cols), nil
-	}),
+	"ring":     sizedTopology(func(n float64) float64 { return n }, topology.Ring),
+	"biring":   sizedTopology(bidirectional, topology.BiRing),
+	"line":     sizedTopology(bidirectional, topology.Line),
+	"star":     sizedTopology(bidirectional, topology.Star),
+	"complete": sizedTopology(func(n float64) float64 { return n * (n - 1) }, topology.Complete),
+	"hypercube": budgeted(func(p *HypercubeParams) float64 { return math.Ldexp(float64(p.Dim), p.Dim) },
+		func(p *HypercubeParams) *topology.Graph { return topology.Hypercube(p.Dim) }),
+	"torus": budgeted(func(p *TorusParams) float64 { return 4 * float64(p.Rows) * float64(p.Cols) },
+		func(p *TorusParams) *topology.Graph { return topology.Torus(p.Rows, p.Cols) }),
 }}
 
 // RingTopology is the spec of topology.Ring(n).

@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"abenet/internal/dist"
 	"abenet/internal/harness"
@@ -19,7 +21,7 @@ import (
 const fixtureDir = "../../examples/specs"
 
 // fixturePaths returns every committed spec fixture.
-func fixturePaths(t *testing.T) []string {
+func fixturePaths(t testing.TB) []string {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join(fixtureDir, "*.json"))
 	if err != nil {
@@ -41,34 +43,61 @@ func TestFixturesDecodeAndRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c1, err := s.Canonical()
-			if err != nil {
-				t.Fatal(err)
-			}
-			s2, err := DecodeBytes(c1)
-			if err != nil {
-				t.Fatalf("decoding own canonical encoding: %v", err)
-			}
-			c2, err := s2.Canonical()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(c1, c2) {
-				t.Fatalf("canonical encoding is not a fixed point:\n1: %s\n2: %s", c1, c2)
-			}
-			h1, err := s.Hash()
-			if err != nil {
-				t.Fatal(err)
-			}
-			h2, err := s2.Hash()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if h1 != h2 {
-				t.Fatalf("hash changed across a round trip: %s vs %s", h1, h2)
-			}
+			mustRoundTrip(t, s)
 		})
 	}
+}
+
+// mustRoundTrip holds a validated spec to the codec's contract: its
+// canonical encoding decodes, is a fixed point of encode→decode→encode, and
+// names the same scenario.
+func mustRoundTrip(t *testing.T, s *Spec) {
+	t.Helper()
+	c1, err := s.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := DecodeBytes(c1)
+	if err != nil {
+		t.Fatalf("decoding own canonical encoding %s: %v", c1, err)
+	}
+	c2, err := s2.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(c1, c2) {
+		t.Fatalf("canonical encoding is not a fixed point:\n1: %s\n2: %s", c1, c2)
+	}
+	h1, err := s.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2, err := s2.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h1 != h2 {
+		t.Fatalf("hash changed across a round trip: %s vs %s", h1, h2)
+	}
+}
+
+// FuzzDecode: no document makes DecodeBytes (and the Validate inside it)
+// panic, and one that validates round-trips like a committed fixture. The
+// fixtures are the seed corpus; the edge budget is what keeps a mutated size
+// from costing more than the refusal.
+func FuzzDecode(f *testing.F) {
+	for _, path := range fixturePaths(f) {
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(doc)
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		if s, err := DecodeBytes(doc); err == nil {
+			mustRoundTrip(t, s)
+		}
+	})
 }
 
 // TestHashIdentifiesScenario: the hash is invariant under whitespace, field
@@ -349,6 +378,57 @@ func TestSweepResourceCeilings(t *testing.T) {
 				t.Fatal("unbounded sweep passed validation")
 			}
 		})
+	}
+}
+
+// TestEdgeBudget: a document of a hundred bytes cannot make Validate (which
+// runs on abe-serve's HTTP goroutine, before admission) or a worker lay out
+// a graph of 10¹⁰ edges. The refusal is computed from the parameters — it
+// costs no time and no memory — and wraps ErrEdgeBudget; every committed
+// spec stays inside the budget.
+func TestEdgeBudget(t *testing.T) {
+	for name, doc := range map[string]string{
+		"complete":       `{"version":1,"env":{"topology":{"name":"complete","params":{"n":100000}}},"protocol":{"name":"election"}}`,
+		"hypercube":      `{"version":1,"env":{"topology":{"name":"hypercube","params":{"dim":40}}},"protocol":{"name":"election"}}`,
+		"torus":          `{"version":1,"env":{"topology":{"name":"torus","params":{"rows":100000,"cols":100000}}},"protocol":{"name":"clock-sync"}}`,
+		"torus overflow": `{"version":1,"env":{"topology":{"name":"torus","params":{"rows":4294967296,"cols":4294967296}}},"protocol":{"name":"clock-sync"}}`,
+		"ring":           `{"version":1,"env":{"n":9000000000000000000},"protocol":{"name":"election"}}`,
+		"ben-or bare n":  `{"version":1,"env":{"n":100000},"protocol":{"name":"ben-or"}}`,
+		"ben-or sweep":   `{"version":1,"env":{"seed":1},"protocol":{"name":"ben-or"},"sweep":{"xs":[8,100000],"repetitions":2}}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			var err error
+			best, alloc := time.Hour, ^uint64(0)
+			for range 5 { // the cost of the refusal, not of a loaded machine
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				start := time.Now()
+				_, err = DecodeBytes([]byte(doc))
+				best = min(best, time.Since(start))
+				runtime.ReadMemStats(&after)
+				alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
+			}
+			if !errors.Is(err, ErrEdgeBudget) || !strings.HasPrefix(err.Error(), "spec: ") {
+				t.Fatalf("err = %v, want a spec: error wrapping ErrEdgeBudget", err)
+			}
+			if best > 10*time.Millisecond || alloc > 1<<20 {
+				t.Fatalf("refusal cost %v and %d bytes, want < 10 ms and < 1 MiB", best, alloc)
+			}
+		})
+	}
+	if checkEdges(MaxEdges) != nil || checkEdges(MaxEdges+1) == nil {
+		t.Fatal("the budget is not MaxEdges inclusive")
+	}
+	// examples/specs validate in TestFixturesDecodeAndRoundTrip; the
+	// benchmark's corpus is the other committed set.
+	benchmarkSpecs, err := filepath.Glob("../../benchmark/specs/*.json")
+	if err != nil || len(benchmarkSpecs) == 0 {
+		t.Fatalf("no benchmark specs (%v)", err)
+	}
+	for _, path := range benchmarkSpecs {
+		if _, err := DecodeFile(path); err != nil {
+			t.Errorf("%s no longer validates: %v", path, err)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package stats provides the statistics used to turn seeded simulation
 // runs into the paper's expected-complexity claims: sample moments,
 // normal-approximation confidence intervals, least-squares fits (for
-// "messages grow linearly in n" style statements) and histograms.
+// "messages grow linearly in n" style statements) and quantiles.
 package stats
 
 import (
@@ -78,31 +78,6 @@ func (s *Sample) CI95() float64 { return 1.96 * s.StdErr() }
 // String formats mean ± CI95.
 func (s *Sample) String() string {
 	return fmt.Sprintf("%.4g ± %.2g (n=%d)", s.Mean(), s.CI95(), s.n)
-}
-
-// Merge combines another sample into s (parallel workers each keep a
-// Sample, merged at the end).
-func (s *Sample) Merge(o *Sample) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	total := float64(s.n + o.n)
-	delta := o.mean - s.mean
-	mean := s.mean + delta*float64(o.n)/total
-	m2 := s.m2 + o.m2 + delta*delta*float64(s.n)*float64(o.n)/total
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n += o.n
-	s.mean = mean
-	s.m2 = m2
 }
 
 // LinearFit is an ordinary-least-squares line y = Slope·x + Intercept with
@@ -193,55 +168,4 @@ func Quantile(values []float64, q float64) (float64, error) {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Histogram counts observations into equal-width bins over [Low, High).
-// Values outside the range are clamped into the edge bins so totals are
-// preserved.
-type Histogram struct {
-	Low, High float64
-	Counts    []uint64
-	total     uint64
-}
-
-// NewHistogram creates a histogram with the given range and bin count.
-func NewHistogram(low, high float64, bins int) (*Histogram, error) {
-	if bins < 1 {
-		return nil, fmt.Errorf("stats: histogram needs >= 1 bin, got %d", bins)
-	}
-	if !(high > low) {
-		return nil, fmt.Errorf("stats: histogram range [%g, %g) is empty", low, high)
-	}
-	return &Histogram{Low: low, High: high, Counts: make([]uint64, bins)}, nil
-}
-
-// Add counts one observation.
-func (h *Histogram) Add(x float64) {
-	bins := len(h.Counts)
-	idx := int(float64(bins) * (x - h.Low) / (h.High - h.Low))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= bins {
-		idx = bins - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Fraction returns the share of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.High - h.Low) / float64(len(h.Counts))
-	return h.Low + width*(float64(i)+0.5)
 }

@@ -43,49 +43,6 @@ func TestSampleSingle(t *testing.T) {
 	}
 }
 
-func TestSampleMergeMatchesSequential(t *testing.T) {
-	r := rng.New(1)
-	var whole, a, b Sample
-	for i := 0; i < 1000; i++ {
-		v := r.NormFloat64()*3 + 7
-		whole.Add(v)
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-	}
-	a.Merge(&b)
-	if a.N() != whole.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), whole.N())
-	}
-	if math.Abs(a.Mean()-whole.Mean()) > 1e-9 {
-		t.Fatalf("merged mean %v vs %v", a.Mean(), whole.Mean())
-	}
-	if math.Abs(a.Variance()-whole.Variance()) > 1e-9 {
-		t.Fatalf("merged variance %v vs %v", a.Variance(), whole.Variance())
-	}
-	if a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Fatal("merged min/max differ")
-	}
-}
-
-func TestSampleMergeEmptyCases(t *testing.T) {
-	var empty, full Sample
-	full.Add(1)
-	full.Add(2)
-	cp := full
-	cp.Merge(&empty)
-	if cp.N() != 2 || cp.Mean() != 1.5 {
-		t.Fatal("merging empty changed sample")
-	}
-	var dst Sample
-	dst.Merge(&full)
-	if dst.N() != 2 || dst.Mean() != 1.5 {
-		t.Fatal("merging into empty failed")
-	}
-}
-
 func TestCI95ShrinksWithN(t *testing.T) {
 	r := rng.New(2)
 	var small, large Sample
@@ -235,49 +192,6 @@ func TestQuantileErrors(t *testing.T) {
 	}
 	if _, err := Quantile([]float64{1}, 1.5); err == nil {
 		t.Fatal("q > 1 accepted")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{0.5, 1, 3, 5, 7, 9, 9.99} {
-		h.Add(v)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Counts[0] != 2 || h.Counts[4] != 2 {
-		t.Fatalf("counts = %v", h.Counts)
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Fatalf("bin 0 centre = %v", got)
-	}
-	if got := h.Fraction(0); math.Abs(got-2.0/7.0) > 1e-12 {
-		t.Fatalf("fraction = %v", got)
-	}
-}
-
-func TestHistogramClampsOutliers(t *testing.T) {
-	h, err := NewHistogram(0, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Add(-100)
-	h.Add(100)
-	if h.Counts[0] != 1 || h.Counts[1] != 1 {
-		t.Fatalf("clamping failed: %v", h.Counts)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Fatal("zero bins accepted")
-	}
-	if _, err := NewHistogram(1, 1, 3); err == nil {
-		t.Fatal("empty range accepted")
 	}
 }
 

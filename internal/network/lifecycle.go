@@ -276,29 +276,6 @@ func (life *lifecycle) setCut(group []int, up bool) {
 	}
 }
 
-// suppressionCounter resolves which telemetry field stale queued work
-// charges against (see the counter kinds in network.go).
-func (life *lifecycle) suppressionCounter(kind int) *uint64 {
-	if kind == timerCounter {
-		return &life.tel.TimersSuppressed
-	}
-	return &life.tel.DeadLetters
-}
-
-// guard wraps deferred work for node v (processing-queue completions) so
-// it is suppressed if the node crashed — or crashed and restarted — after
-// the work was queued.
-func (life *lifecycle) guard(v int, suppressed *uint64, work func()) func() {
-	ep := life.epoch[v]
-	return func() {
-		if life.down[v] || life.epoch[v] != ep {
-			*suppressed++
-			return
-		}
-		work()
-	}
-}
-
 // telemetry snapshots the run's fault telemetry, folding in the per-link
 // impairment counters.
 func (life *lifecycle) telemetry() *faults.Telemetry {

@@ -410,3 +410,50 @@ func TestInvalidPlanRejectedAtBuild(t *testing.T) {
 		t.Fatal("out-of-range fault event must fail the build")
 	}
 }
+
+// TestCrashWhileQueuedChargesByKind pins what happens to work that is waiting
+// in a node's processing queue when the node crashes and restarts: neither
+// handler runs, the stale timer is charged to TimersSuppressed and the stale
+// message to DeadLetters. Node 1's timer fires at t = 1 (served until 3) and
+// node 0's message arrives at 1.5 (served until 5); the outage is [2, 2.5),
+// so both completions find the node up again and only the epoch tells them
+// they belong to a dead incarnation.
+func TestCrashWhileQueuedChargesByKind(t *testing.T) {
+	var incarnations, handled int
+	net, err := New(Config{
+		Graph:      topology.Ring(2),
+		Links:      channel.RandomDelayFactory(dist.NewDeterministic(1.5)),
+		Processing: dist.NewDeterministic(2),
+		Seed:       3,
+		Faults:     &faults.Plan{Events: []faults.Event{faults.CrashAt(2, 1), faults.RecoverAt(2.5, 1)}},
+	}, func(i int) Node {
+		if i == 0 {
+			return &funcNode{init: func(ctx *Context) { ctx.Send(0, "x") }}
+		}
+		incarnations++
+		first := incarnations == 1
+		return &funcNode{
+			init: func(ctx *Context) {
+				if first {
+					ctx.SetLocalTimerFunc(1, 3)
+				}
+			},
+			onMessage: func(*Context, int, any) { handled++ },
+			onTimer:   func(*Context, int) { handled++ },
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Run(simtime.Forever, 0); err != nil {
+		t.Fatal(err)
+	}
+	tel := net.FaultTelemetry()
+	if handled != 0 || incarnations != 2 || tel.TimersSuppressed != 1 || tel.DeadLetters != 1 {
+		t.Fatalf("handled %d, incarnations %d, telemetry %+v; want 0 handled, 2 incarnations, one suppressed timer and one dead letter",
+			handled, incarnations, tel)
+	}
+	if m := net.Metrics(); m.TimersFired != 1 || m.MessagesDelivered != 1 || net.Now() != 5 {
+		t.Fatalf("metrics %+v at t = %v; want the timer fired, the message delivered and the last completion at 5", m, net.Now())
+	}
+}

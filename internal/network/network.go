@@ -25,6 +25,11 @@
 // per timer kind with the node as the event argument, so an idle node costs
 // no closure. TestAllocationBudget holds the line.
 //
+// Deferred work is data. A handler call that has to wait — a timer set under
+// a fault plan or a tracer, anything in a node's processing queue — is a work
+// record in a free-listed slab, named by its slot in the kernel event that
+// ends the wait, so no path through the network builds a closure per event.
+//
 // There is one wire. Point-to-point or radio, a payload leaves a node through
 // Context.transmit (count, trace, Byzantine intercept) and Network.put
 // (outage, trace tag, links[k].Send), waits in the store, and comes back
@@ -110,7 +115,7 @@ type Tracer interface {
 // byte-identical to an untraced one. Payloads are tagged after the
 // Byzantine intercept (a corrupting adversary replaces the payload; the
 // tag must survive on whatever actually crosses the link) and stripped in
-// deliverTraced before the protocol sees them.
+// deliverTo before the protocol sees them.
 type tracedPayload struct {
 	payload any
 	send    TraceRef
@@ -209,6 +214,15 @@ type Network struct {
 	// timerHandler), zero until then.
 	timers [maxTimerKinds]sim.HandlerID
 
+	// slab holds the deferred handler calls (see work), payloads[s] the
+	// payload of slab[s] while a message waits there, and freeWork the vacant
+	// slots; timerDue and queueDone are the two kernel handlers that take a
+	// slot as their event argument.
+	slab                []work
+	payloads            []any
+	freeWork            []uint32
+	timerDue, queueDone sim.HandlerID
+
 	// cause is the ref of the trace event whose handler is currently
 	// running — the delivery or timer being processed — so that sends,
 	// timers and decisions emitted from inside it are parented exactly.
@@ -283,6 +297,8 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 		firstEdge: make([]int, n+1),
 		makeNode:  makeNode,
 	}
+	net.timerDue = kernel.Register(net.fireTimer)
+	net.queueDone = kernel.Register(net.complete)
 	if cfg.Processing != nil {
 		net.procMean = cfg.Processing.Mean()
 		net.procRNG = make([]rng.Source, n)
@@ -387,47 +403,19 @@ func (net *Network) deliverTo(edge int, payload any) {
 	net.metrics.MessagesDelivered++
 	switch {
 	case net.cfg.Tracer != nil:
-		net.deliverTraced(addr, payload)
+		// The delivery is recorded with the send that caused it, and the
+		// handler runs with the delivery as the cause of whatever it does.
+		send, inner := unwrapTraced(payload)
+		ref := net.cfg.Tracer.MessageDelivered(net.kernel.Now(), int(addr.from), to, inner, send)
+		net.process(work{node: addr.to, port: int(addr.inPort), cause: ref}, inner)
 	case net.cfg.Processing != nil:
-		net.deliverQueued(to, int(addr.inPort), payload)
+		net.process(work{node: addr.to, port: int(addr.inPort)}, payload)
 	default:
 		// With instantaneous processing the queue model is a no-op (process
-		// would run the work inline), so the handler is invoked directly.
-		// This is the per-delivery hot path of large untraced runs, which
-		// is why the two tails that build a closure are methods of their
-		// own: a closure that captures payload by reference — which is what
-		// a closure does once the function also assigns to payload after
-		// it, as the traced tail's unwrapping used to — moves the parameter
-		// to the heap on every call, whichever branch runs.
+		// would run the work inline), so the handler is invoked directly:
+		// this is the per-delivery hot path of large untraced runs.
 		net.nodes[to].OnMessage(&net.ctxs[to], int(addr.inPort), payload)
 	}
-}
-
-// deliverQueued is deliverTo's tail under a processing model: the handler
-// waits its turn in the node's queue.
-func (net *Network) deliverQueued(to, inPort int, payload any) {
-	net.process(to, deadLetterCounter, func() {
-		net.nodes[to].OnMessage(&net.ctxs[to], inPort, payload)
-	})
-}
-
-// deliverTraced is deliverTo's tail under a tracer: the delivery is recorded
-// with the send that caused it, and the handler runs with the delivery as
-// the cause of whatever it does.
-func (net *Network) deliverTraced(addr edgeAddress, payload any) {
-	// send and inner are assigned exactly once and payload never, so the
-	// closure below captures by value under any capture rule: a captured
-	// variable that is also reassigned is captured by reference and costs a
-	// 16-byte malloc per delivery.
-	send, inner := unwrapTraced(payload)
-	to, inPort := int(addr.to), int(addr.inPort)
-	ref := net.cfg.Tracer.MessageDelivered(net.kernel.Now(), int(addr.from), to, inner, send)
-	net.process(to, deadLetterCounter, func() {
-		prev := net.cause
-		net.cause = ref
-		net.nodes[to].OnMessage(&net.ctxs[to], inPort, inner)
-		net.cause = prev
-	})
 }
 
 // fanout delivers one radio transmission of sender u in local-broadcast
@@ -446,36 +434,111 @@ func (net *Network) fanout(u int, payload any) {
 	}
 }
 
-// Suppression counters for work that dies in a node's processing queue
-// when the node crashes mid-queue: messages count as dead letters, timer
-// handlers as suppressed timers.
-const (
-	deadLetterCounter = iota
-	timerCounter
-)
+// work is one handler call that has to wait: OnTimer(port) on node if timer
+// is set, OnMessage(port, payload) otherwise. It waits in net.slab, for a set
+// timer's instant (fireTimer) or for its turn in the node's processing queue
+// (complete). epoch is the node's crash epoch when the wait began — work that
+// outlives its incarnation is suppressed — and cause the trace event the
+// call descends from: what the node was processing when it set the timer,
+// then the recorded firing or delivery itself. A message's payload waits
+// beside it in net.payloads, which keeps the record free of pointers: parking
+// one is a plain copy without a write barrier, and the collector never scans
+// the slab.
+type work struct {
+	node  int32
+	timer bool
+	port  int // the in-port of a message, the kind of a timer
+	epoch uint64
+	cause TraceRef
+}
 
-// process runs work for node v after the node's processing delay, modelling
-// each node as a single busy server: events queue and are handled in FIFO
-// completion order. With no processing model the work runs inline. Under
-// fault injection, work queued before a crash (or restart) is stale and is
-// suppressed at completion time via the node's epoch, charged to the
-// counter selected by counterKind.
-func (net *Network) process(v, counterKind int, work func()) {
-	if net.cfg.Processing == nil {
-		work()
+// deferWork parks w (and a message's payload) in a slab slot until instant
+// at, when the kernel hands the slot to handler id. It is one kernel event, as
+// the closure it replaces was, and allocates nothing once the slab has grown
+// to the run's backlog.
+func (net *Network) deferWork(at simtime.Time, id sim.HandlerID, w work, payload any) {
+	if net.life != nil {
+		w.epoch = net.life.epoch[w.node]
+	}
+	var slot uint32
+	if n := len(net.freeWork); n > 0 {
+		slot, net.freeWork = net.freeWork[n-1], net.freeWork[:n-1]
+		net.slab[slot], net.payloads[slot] = w, payload
+	} else {
+		slot = uint32(len(net.slab))
+		net.slab, net.payloads = append(net.slab, w), append(net.payloads, payload)
+	}
+	net.kernel.AtArg(at, id, slot)
+}
+
+// take vacates slot and returns what waited in it, and whether the node
+// crashed (or crashed and restarted) while it did.
+func (net *Network) take(slot uint32) (w work, payload any, stale bool) {
+	w, payload = net.slab[slot], net.payloads[slot]
+	net.payloads[slot] = nil
+	net.freeWork = append(net.freeWork, slot)
+	life := net.life
+	return w, payload, life != nil && (life.down[w.node] || life.epoch[w.node] != w.epoch)
+}
+
+// fireTimer is the kernel handler of a timer set through the slab reaching
+// its instant: the firing is counted and traced, then queued for processing.
+func (net *Network) fireTimer(slot uint32) {
+	w, _, stale := net.take(slot)
+	if stale {
+		net.life.tel.TimersSuppressed++
 		return
 	}
-	if net.life != nil {
-		work = net.life.guard(v, net.life.suppressionCounter(counterKind), work)
+	net.metrics.TimersFired++
+	if t := net.cfg.Tracer; t != nil {
+		w.cause = t.TimerFired(net.kernel.Now(), int(w.node), w.port, w.cause)
 	}
-	now := net.kernel.Now()
-	start := now
+	net.process(w, nil)
+}
+
+// process runs w after the node's processing delay, modelling each node as a
+// single busy server: events queue and are handled in FIFO completion order.
+// With no processing model the work runs inline.
+func (net *Network) process(w work, payload any) {
+	if net.cfg.Processing == nil {
+		net.handle(w, payload)
+		return
+	}
+	v := w.node
+	start := net.kernel.Now()
 	if net.nextFree[v].After(start) {
 		start = net.nextFree[v]
 	}
 	completion := start.Add(simtime.Duration(net.cfg.Processing.Sample(&net.procRNG[v])))
 	net.nextFree[v] = completion
-	net.kernel.AtFunc(completion, work)
+	net.deferWork(completion, net.queueDone, w, payload)
+}
+
+// complete is the kernel handler of a processing-queue completion. Work
+// queued before a crash (or restart) died with its incarnation: a message
+// counts as a dead letter, a timer as suppressed.
+func (net *Network) complete(slot uint32) {
+	w, payload, stale := net.take(slot)
+	switch {
+	case !stale:
+		net.handle(w, payload)
+	case w.timer:
+		net.life.tel.TimersSuppressed++
+	default:
+		net.life.tel.DeadLetters++
+	}
+}
+
+// handle makes the call, as the cause of whatever the node does inside it.
+func (net *Network) handle(w work, payload any) {
+	prev := net.cause
+	net.cause = w.cause
+	if v := int(w.node); w.timer {
+		net.nodes[v].OnTimer(&net.ctxs[v], w.port)
+	} else {
+		net.nodes[v].OnMessage(&net.ctxs[v], w.port, payload)
+	}
+	net.cause = prev
 }
 
 // Run initialises all nodes (in index order at time zero) and executes the
@@ -578,8 +641,8 @@ type Context struct {
 }
 
 // maxTimerKinds sizes the network's per-kind timer handler table;
-// protocols use small dense kind constants, so anything larger falls back
-// to a closure per set timer.
+// protocols use small dense kind constants, so anything larger waits in the
+// slab like a timer under a fault plan.
 const maxTimerKinds = 64
 
 // N returns the network size. The paper's election algorithm assumes known
@@ -709,12 +772,14 @@ func (c *Context) LocalTime() float64 { return c.net.clocks[c.id].LocalAt(c.net.
 // a node that loses interest in one guards OnTimer with a generation counter
 // of its own (see package sim).
 func (c *Context) SetLocalTimerFunc(localDelta float64, kind int) {
-	at := c.timerInstant(localDelta)
-	if fire := c.net.timerHandler(kind); fire != 0 {
-		c.net.kernel.AtArg(at, fire, uint32(c.id))
+	at, net := c.timerInstant(localDelta), c.net
+	if fire := net.timerHandler(kind); fire != 0 {
+		net.kernel.AtArg(at, fire, uint32(c.id))
 		return
 	}
-	c.net.kernel.AtFunc(at, c.timerFire(kind))
+	// The causal parent of the firing is the event the node is processing
+	// now, while it sets the timer.
+	net.deferWork(at, net.timerDue, work{node: int32(c.id), timer: true, port: kind, cause: net.cause}, nil)
 }
 
 // timerInstant validates localDelta and converts it to the real fire
@@ -728,11 +793,12 @@ func (c *Context) timerInstant(localDelta float64) simtime.Time {
 
 // timerHandler returns the id of the kernel handler that fires this network's
 // timers of the given kind — it takes the node as the event argument and is
-// registered the first time the kind is set — or zero when the network's
-// timers need a handler per set. They do under a fault plan or a tracer: a
-// fault guard captures the node's crash epoch at *set* time and a traced
-// firing captures the setter's causal ref. Without either, firing depends
-// only on (node, kind), and tick loops set millions.
+// registered the first time the kind is set — or zero when a set timer has to
+// remember something and so waits in the slab. It does under a fault plan or
+// a tracer: the firing is suppressed unless the node's crash epoch is still
+// what it was at *set* time, and a traced firing names the setter's causal
+// ref. Without either, firing depends only on (node, kind), and tick loops
+// set millions.
 func (net *Network) timerHandler(kind int) sim.HandlerID {
 	if net.life != nil || net.cfg.Tracer != nil || kind < 0 || kind >= maxTimerKinds {
 		return 0
@@ -745,40 +811,10 @@ func (net *Network) timerHandler(kind int) sim.HandlerID {
 				net.nodes[v].OnTimer(&net.ctxs[v], kind)
 				return
 			}
-			net.process(v, timerCounter, func() {
-				net.nodes[v].OnTimer(&net.ctxs[v], kind)
-			})
+			net.process(work{node: int32(v), timer: true, port: kind}, nil)
 		})
 	}
 	return net.timers[kind]
-}
-
-// timerFire builds the kernel handler for one set timer, including the
-// crash-epoch guard under fault injection. The causal parent of the firing
-// is the event the node was processing when it *set* the timer, captured
-// here (SetLocalTimerFunc runs inside that event's handler).
-func (c *Context) timerFire(kind int) sim.Handler {
-	setCause := c.net.cause
-	fire := func() {
-		c.net.metrics.TimersFired++
-		if c.net.cfg.Tracer == nil {
-			c.net.process(c.id, timerCounter, func() {
-				c.net.nodes[c.id].OnTimer(c, kind)
-			})
-			return
-		}
-		ref := c.net.cfg.Tracer.TimerFired(c.net.kernel.Now(), c.id, kind, setCause)
-		c.net.process(c.id, timerCounter, func() {
-			prev := c.net.cause
-			c.net.cause = ref
-			c.net.nodes[c.id].OnTimer(c, kind)
-			c.net.cause = prev
-		})
-	}
-	if life := c.net.life; life != nil {
-		fire = life.guard(c.id, &life.tel.TimersSuppressed, fire)
-	}
-	return fire
 }
 
 // Rand returns the node's private random stream.

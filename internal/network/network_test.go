@@ -501,7 +501,9 @@ func (idleNode) OnTimer(*Context, int)        {}
 // link streams 32 each, 16 each for the node, clock and link tables, 12 for
 // the edge's two ends, 8 for its offset; about 370 B under the race
 // detector). A second object per node — a closure, a map entry, a stream
-// derived on the heap — does not fit the budget.
+// derived on the heap — does not fit the budget. The slab of deferred handler
+// calls is not reserved here: it grows to a run's backlog on first use, and
+// registering its two handlers costs three objects per network.
 func TestAllocationBudget(t *testing.T) {
 	const n = 10_000
 	graph := topology.Ring(n)
@@ -526,12 +528,12 @@ func TestAllocationBudget(t *testing.T) {
 	runtime.KeepAlive(net)
 }
 
-// countingNode counts deliveries and nothing else.
+// countingNode counts handler calls and nothing else.
 type countingNode struct{ got *int }
 
 func (countingNode) Init(*Context)                   {}
 func (nd countingNode) OnMessage(*Context, int, any) { *nd.got++ }
-func (countingNode) OnTimer(*Context, int)           {}
+func (nd countingNode) OnTimer(*Context, int)        { *nd.got++ }
 
 // TestDeliveryDoesNotAllocate pins the message path end to end — Send, the
 // link's delay sample, the store slot, the kernel event, the pop, the
@@ -561,9 +563,38 @@ func TestRadioTransmissionDoesNotAllocate(t *testing.T) {
 	}, (*Context).Broadcast, 7)
 }
 
+// TestDeferredWorkDoesNotAllocate is the same pin off the plain path, which
+// nothing held: under a fault plan, a tracer or a processing model every set
+// timer and every queued delivery used to be one to five closures. Each is a
+// slab record now, so a set-and-fired timer and a sent, queued and handled
+// message cost zero heap objects once the slab has warmed up — also for a
+// timer kind past the per-kind handler table on an otherwise plain network.
+// The tracer row has no message leg: a traced send boxes its causal tag in
+// put, one object per message, on the send side.
+func TestDeferredWorkDoesNotAllocate(t *testing.T) {
+	setTimer := func(kind int) func(*Context, any) {
+		return func(c *Context, _ any) { c.SetLocalTimerFunc(1, kind) }
+	}
+	for _, path := range deferredPaths {
+		t.Run(path.name+"/timer", func(t *testing.T) {
+			mustNotAllocate(t, ringConfig(8, path), setTimer(0), 1)
+		})
+		if path.name == "tracer" {
+			continue
+		}
+		t.Run(path.name+"/message", func(t *testing.T) {
+			mustNotAllocate(t, ringConfig(8, path), func(c *Context, payload any) { c.Send(0, payload) }, 1)
+		})
+	}
+	t.Run("kind past the handler table/timer", func(t *testing.T) {
+		mustNotAllocate(t, ringConfig(8, plainPath), setTimer(maxTimerKinds), 1)
+	})
+}
+
 // mustNotAllocate builds cfg over counting nodes, has every node emit once
 // per round and runs each round to quiescence: zero heap objects per round
-// once the store has warmed up, and fanout deliveries per emission.
+// once the store and the slab have warmed up, and fanout handler calls per
+// emission.
 func mustNotAllocate(t *testing.T, cfg Config, emit func(c *Context, payload any), fanout int) {
 	t.Helper()
 	var got int
@@ -580,13 +611,13 @@ func mustNotAllocate(t *testing.T, cfg Config, emit func(c *Context, payload any
 			t.Fatal(err)
 		}
 	}
-	roundTrip() // the store's slots and free list reach their size
+	roundTrip() // the store's and the slab's slots and free lists reach their size
 	got = 0
 	if avg := testing.AllocsPerRun(100, roundTrip); avg != 0 {
-		t.Errorf("emit → run → OnMessage allocates %g objects per %d emissions, want 0", avg, len(net.ctxs))
+		t.Errorf("emit → run → handler allocates %g objects per %d emissions, want 0", avg, len(net.ctxs))
 	}
 	if want := 101 * len(net.ctxs) * fanout; got != want { // AllocsPerRun warms up once
-		t.Fatalf("%d messages delivered, want %d", got, want)
+		t.Fatalf("%d handler calls, want %d", got, want)
 	}
 }
 

@@ -113,6 +113,33 @@ func BenchmarkTracerDetached(b *testing.B) { benchTracerHook(b, false) }
 // nothing is recorded.
 func BenchmarkTracerAttached(b *testing.B) { benchTracerHook(b, true) }
 
+// TestTracerHookAllocations is the gated pair's signal that a loaded machine
+// still resolves: heap objects per run, which do not depend on the clock. A
+// null tracer may cost the causal tag a traced send carries across its link
+// (one object per message, a few dozen here) and nothing per event — a timer
+// or a queued delivery that allocates under a tracer shows up as thousands
+// (6 851 against 3 879 detached, when each was a chain of closures).
+func TestTracerHookAllocations(t *testing.T) {
+	run := func(attach bool) float64 {
+		seed := 0 // both legs average over the same runs
+		return testing.AllocsPerRun(20, func() {
+			env := traceBenchEnv(seed)
+			seed++
+			if attach {
+				env.tracer = &nullTracer{}
+			}
+			if _, err := Run(env, Election{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	detached, attached := run(false), run(true)
+	t.Logf("objects per run: %.0f detached, %.0f with a null tracer attached", detached, attached)
+	if attached-detached > 64 {
+		t.Errorf("a null tracer costs %.0f objects per run over %.0f detached, budget 64", attached-detached, detached)
+	}
+}
+
 func benchTracedElection(b *testing.B, traced bool) {
 	var events int
 	for i := 0; i < b.N; i++ {

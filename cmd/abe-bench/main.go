@@ -51,7 +51,7 @@ func run() error {
 		}
 		fmt.Printf("=== %s: %s\n", res.ID, exp.Name)
 		fmt.Printf("claim: %s\n\n", res.Claim)
-		for _, table := range res.Tables() {
+		for _, table := range res.Tables {
 			if err := table.Render(os.Stdout); err != nil {
 				return err
 			}
@@ -121,7 +121,7 @@ func writeCSVs(dir string, res experiments.Result) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for i, table := range res.Tables() {
+	for i, table := range res.Tables {
 		name := strings.ToLower(res.ID)
 		if i > 0 {
 			name = fmt.Sprintf("%s_part%d", name, i+1)

@@ -137,7 +137,7 @@ func partition() {
 }
 
 // outcome aggregates a small seeded sweep by hand (the experiment harness
-// does this at scale; see internal/experiments.E13LossResilience).
+// does this at scale; see claim E13 in internal/experiments/claims.go).
 type outcome struct{ elected, time float64 }
 
 func sweep(label string, env abenet.Env, plan *abenet.FaultPlan) outcome {

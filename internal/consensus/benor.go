@@ -22,6 +22,15 @@
 // point-to-point links safety needs f < n/3, under local broadcast the
 // same adversary budget tolerates strictly more equivocators because the
 // medium forces every lie to be consistent.
+//
+// E14 provisions at f = ⌊(n−1)/3⌋ — Khan & Vaidya's regime, but past this
+// algorithm's own Byzantine bound n > 5f — so its "safe at every e < n/3" is
+// an empirical reading, not a property of this package: it held at base
+// seed 1 and failed on 2 of base seeds 1–10, where two equivocators on the
+// broadcast medium made honest nodes decide both values. That is consistent
+// with the n > 5f bound; Engine.Result reports it ("agreement
+// violated"), and runner's TestBenOrLosesAgreementPastItsBound pins the two
+// runs as found.
 package consensus
 
 import (

@@ -12,7 +12,7 @@ import (
 	"abenet/internal/trace/causal"
 )
 
-// E15CausalDepth validates the paper's relay bound on the causal trace
+// causalDepth is E15. It validates the paper's relay bound on the causal trace
 // itself: Section 2's protocol forwards a token at most d+1 times (d the
 // diameter of the election ring), so in the happens-before forest no
 // deliver→send→deliver relay chain may grow deeper than d+1 — and each
@@ -24,16 +24,10 @@ import (
 // Each cell traces full runs (Env.Trace), feeds the exported forest to
 // causal.Analyze, and checks CheckHopBound(n) — the invariant as code. The
 // critical-path split (message delay vs local queueing along the longest
-// chain to the decision) rides along per cell: under heavy-tail Pareto
-// delays the message share of the path grows while the bound still holds,
-// which is exactly the ABE premise (only E[delay] is bounded, yet the
-// causal structure stays finite).
-func E15CausalDepth(opt Options) (Result, error) {
-	res := Result{
-		ID:    "E15",
-		Claim: "causal relay depth never exceeds d+1 = n on the election ring, for every topology and delay shape (incl. heavy-tail Pareto)",
-	}
-
+// chain to the decision) rides along: under heavy-tail Pareto delays the
+// message share grows while the bound still holds, which is the ABE premise
+// (only E[delay] is bounded, yet the causal structure stays finite).
+func causalDepth(opt Options) (*harness.Table, Findings, bool, error) {
 	topologies := []struct {
 		name  string
 		graph *topology.Graph
@@ -54,7 +48,6 @@ func E15CausalDepth(opt Options) (Result, error) {
 		"topology", "delay", "bound d+1", "max depth", "mean depth", "path hops", "msg-time share", "violations")
 
 	reps := opt.reps(30)
-	findings := Findings{}
 	violations := 0
 	worstSlack := 1.0 // min over cells of bound/maxDepth; >= 1 iff the bound held everywhere
 	for ti, topo := range topologies {
@@ -75,10 +68,10 @@ func E15CausalDepth(opt Options) (Result, error) {
 				}
 				r, err := runner.Run(env, runner.Election{A0: core.DefaultA0(topo.n)})
 				if err != nil {
-					return res, err
+					return nil, nil, false, err
 				}
 				if err := runner.RequireElected(r); err != nil {
-					return res, fmt.Errorf("e15 %s/%s rep %d: %w", topo.name, d.Name(), rep, err)
+					return nil, nil, false, fmt.Errorf("e15 %s/%s rep %d: %w", topo.name, d.Name(), rep, err)
 				}
 				a := causal.Analyze(r.Trace)
 				cellViolations += len(a.CheckHopBound(bound))
@@ -98,21 +91,16 @@ func E15CausalDepth(opt Options) (Result, error) {
 			if slack := float64(bound) / float64(maxDepth); slack < worstSlack {
 				worstSlack = slack
 			}
-			table.AddRow(topo.name, d.Name(),
-				fmt.Sprintf("%d", bound),
-				fmt.Sprintf("%d", maxDepth),
+			table.AddRow(topo.name, d.Name(), fmt.Sprint(bound), fmt.Sprint(maxDepth),
 				fmt.Sprintf("%.2f", float64(sumDepth)/float64(reps)),
 				fmt.Sprintf("%.1f", float64(pathHops)/float64(reps)),
 				fmt.Sprintf("%.0f%%", 100*msgShare/float64(reps)),
-				fmt.Sprintf("%d", cellViolations),
-			)
+				fmt.Sprint(cellViolations))
 		}
 	}
 
-	findings["violations"] = float64(violations)
-	findings["worst_bound_slack"] = worstSlack
-	res.Table = table
-	res.Findings = findings
-	res.Pass = violations == 0 && worstSlack >= 1
-	return res, nil
+	return table, Findings{
+		"violations":        float64(violations),
+		"worst_bound_slack": worstSlack,
+	}, violations == 0 && worstSlack >= 1, nil
 }

@@ -11,93 +11,6 @@ import (
 	"abenet/internal/topology"
 )
 
-// E7Comparison regenerates the paper's efficiency positioning: the ABE
-// election's average complexity is comparable to the best election for
-// anonymous synchronous rings (Itai–Rodeh style, linear), while the
-// classic asynchronous baselines (Itai–Rodeh async, Chang–Roberts) sit in
-// the Θ(n log n) class — consistent with the Ω(n log n) lower bound for
-// asynchronous rings the paper cites.
-func E7Comparison(opt Options) (Result, error) {
-	res := Result{
-		ID:    "E7",
-		Claim: "ABE election ≈ best synchronous anonymous election (linear); async baselines are Θ(n log n)",
-	}
-	ns := opt.sizes([]float64{8, 16, 32, 64, 128, 256})
-	reps := opt.reps(60)
-
-	abe, err := electionSweep(opt, "e7-abe", ns, reps, nil)
-	if err != nil {
-		return res, err
-	}
-
-	// The baselines run straight off the registry: sweeping a protocol by
-	// name needs no per-protocol adapter any more.
-	baseline := func(sweepName, protocol string) ([]harness.Point, error) {
-		sweep := harness.Sweep{Name: sweepName, Repetitions: reps, Workers: opt.Workers, Seed: opt.Seed}
-		return sweep.RunProtocol(protocol, runner.Env{}, ns, runner.RequireElected)
-	}
-	irSyncPts, err := baseline("e7-irsync", "itai-rodeh-sync")
-	if err != nil {
-		return res, err
-	}
-	irAsyncPts, err := baseline("e7-irasync", "itai-rodeh-async")
-	if err != nil {
-		return res, err
-	}
-	crPts, err := baseline("e7-cr", "chang-roberts")
-	if err != nil {
-		return res, err
-	}
-	petPts, err := baseline("e7-peterson", "peterson")
-	if err != nil {
-		return res, err
-	}
-
-	table := harness.NewTable(
-		"E7: mean messages by algorithm and ring size",
-		"n", "ABE election", "Itai-Rodeh sync", "Itai-Rodeh async (FIFO)", "Chang-Roberts (IDs)", "Peterson (IDs, FIFO)")
-	for i := range ns {
-		table.AddRow(fmt.Sprintf("%g", ns[i]),
-			fmt.Sprintf("%.1f", abe[i].Mean("messages")),
-			fmt.Sprintf("%.1f", irSyncPts[i].Mean("messages")),
-			fmt.Sprintf("%.1f", irAsyncPts[i].Mean("messages")),
-			fmt.Sprintf("%.1f", crPts[i].Mean("messages")),
-			fmt.Sprintf("%.1f", petPts[i].Mean("messages")))
-	}
-	fits := map[string]float64{}
-	for name, pts := range map[string][]harness.Point{
-		"abe": abe, "ir_sync": irSyncPts, "ir_async": irAsyncPts, "cr": crPts, "peterson": petPts,
-	} {
-		fit, err := harness.GrowthExponent(pts, "messages")
-		if err != nil {
-			return res, err
-		}
-		fits[name+"_exponent"] = fit.Slope
-	}
-	table.AddRow("fit exp.",
-		fmt.Sprintf("%.2f", fits["abe_exponent"]),
-		fmt.Sprintf("%.2f", fits["ir_sync_exponent"]),
-		fmt.Sprintf("%.2f", fits["ir_async_exponent"]),
-		fmt.Sprintf("%.2f", fits["cr_exponent"]),
-		fmt.Sprintf("%.2f", fits["peterson_exponent"]))
-	res.Table = table
-	res.Findings = fits
-	last := len(ns) - 1
-	fits["ir_async_over_abe_at_largest_n"] = irAsyncPts[last].Mean("messages") / abe[last].Mean("messages")
-	fits["cr_over_abe_at_largest_n"] = crPts[last].Mean("messages") / abe[last].Mean("messages")
-	// The claim has two parts. (1) ABE election is in the linear class,
-	// like the synchronous-ring optimum: growth exponents ≈ 1, clearly
-	// below quadratic. (2) The asynchronous baselines pay more on the same
-	// rings: over short n ranges an n log n exponent is hard to separate
-	// from 1.1, so the robust signal is the constant-factor gap at the
-	// largest size plus Chang-Roberts' clearly super-linear fit.
-	res.Pass = fits["abe_exponent"] < 1.25 &&
-		fits["ir_sync_exponent"] < 1.25 &&
-		fits["ir_async_over_abe_at_largest_n"] > 1.5 &&
-		fits["cr_exponent"] > 1.15
-	return res, nil
-}
-
 // heartbeatProto is the E8(a) workload: one payload per edge per round.
 type heartbeatProto struct {
 	limit int
@@ -113,19 +26,9 @@ func (p *heartbeatProto) Round(ctx syncnet.NodeContext, round int, _ []syncnet.M
 	}
 }
 
-// E8Synchronizer regenerates Theorem 1 and its consequence. Part (a)
-// measures messages per round for the round and α synchronizers across
-// topologies — all ≥ n, meeting Awerbuch's bound. Part (b) runs the
-// synchronous Itai–Rodeh election over the round synchronizer on an ABE
-// ring and compares its total message cost against the native ABE
-// election: synchronisation multiplies the cost by Θ(rounds), which is the
-// paper's "we cannot run synchronous algorithms in ABE networks without
-// losing the message complexity".
-func E8Synchronizer(opt Options) (Result, error) {
-	res := Result{
-		ID:    "E8",
-		Claim: "synchronising an ABE network costs ≥ n messages/round; synchronous algorithms lose their message complexity",
-	}
+// synchronizerCost is E8a: messages per round of a heartbeat workload, one
+// run per (topology, synchronizer) case, each held against Theorem 1's n.
+func synchronizerCost(opt Options) (*harness.Table, Findings, bool, error) {
 	table := harness.NewTable(
 		"E8a: synchronizer cost (messages per round, Theorem 1 bound is n)",
 		"topology", "n", "|E|", "synchronizer", "msgs/round", ">= n")
@@ -134,12 +37,11 @@ func E8Synchronizer(opt Options) (Result, error) {
 	if opt.Quick {
 		rounds = 15
 	}
-	type cfg struct {
+	cases := []struct {
 		name  string
 		graph *topology.Graph
 		kind  synchronizer.Kind
-	}
-	cases := []cfg{
+	}{
 		{"ring(16)", topology.Ring(16), synchronizer.KindRound},
 		{"biring(16)", topology.BiRing(16), synchronizer.KindRound},
 		{"complete(8)", topology.Complete(8), synchronizer.KindRound},
@@ -163,58 +65,15 @@ func E8Synchronizer(opt Options) (Result, error) {
 			},
 		)
 		if err != nil {
-			return res, err
+			return nil, nil, false, err
 		}
 		perRound := rep.Extra.(runner.SyncExtra).MessagesPerRound
 		ok := perRound >= float64(c.graph.N())
-		if !ok {
-			minOK = false
-		}
+		minOK = minOK && ok
 		table.AddRow(c.name, fmt.Sprint(c.graph.N()), fmt.Sprint(c.graph.EdgeCount()),
 			c.kind.String(), fmt.Sprintf("%.1f", perRound), fmt.Sprintf("%v", ok))
 	}
-
-	// Part (b): native ABE election vs synchronous IR over a synchronizer.
-	tableB := harness.NewTable(
-		"E8b: native ABE election vs Itai-Rodeh-sync over the round synchronizer (same ABE ring)",
-		"n", "native msgs", "synchronized msgs", "overhead", "sync rounds")
-	ns := opt.sizes([]float64{8, 16, 32, 64})
-	reps := opt.reps(40)
-	native, err := electionSweep(opt, "e8b-native", ns, reps, nil)
-	if err != nil {
-		return res, err
-	}
-	syncSweep := harness.Sweep{Name: "e8b-sync", Repetitions: reps, Workers: opt.Workers, Seed: opt.Seed}
-	synced, err := syncSweep.RunEnv(ns, func(x float64) (runner.Env, runner.Protocol, error) {
-		return runner.Env{N: int(x), MaxRounds: 100_000}, runner.SynchronizedElection{}, nil
-	}, runner.RequireElected)
-	if err != nil {
-		return res, err
-	}
-	overheads := make([]float64, len(ns))
-	for i := range ns {
-		nm := native[i].Mean("messages")
-		sm := synced[i].Mean("messages")
-		overheads[i] = sm / nm
-		tableB.AddRow(fmt.Sprintf("%g", ns[i]),
-			fmt.Sprintf("%.1f", nm),
-			fmt.Sprintf("%.1f", sm),
-			fmt.Sprintf("%.1fx", overheads[i]),
-			fmt.Sprintf("%.1f", synced[i].Mean("rounds")))
-	}
-
-	// Merge both tables into one rendering unit.
-	combined := harness.NewTable(table.Title, table.Headers...)
-	combined.Rows = table.Rows
-	res.Table = combined
-	res.ExtraTables = []*harness.Table{tableB}
-	res.Findings = Findings{
-		"min_messages_per_round_ok": boolTo01(minOK),
-		"overhead_at_largest_n":     overheads[len(overheads)-1],
-	}
-	// Overhead must grow with n (the synchronized cost is superlinear).
-	res.Pass = minOK && overheads[len(overheads)-1] > overheads[0]
-	return res, nil
+	return table, Findings{"min_messages_per_round_ok": boolTo01(minOK)}, minOK, nil
 }
 
 func boolTo01(b bool) float64 {
@@ -224,16 +83,12 @@ func boolTo01(b bool) float64 {
 	return 0
 }
 
-// E9ABDOnABE regenerates the Section 2 argument for why ABE networks need
+// clockSynchronizer is E9, the Section 2 argument for why ABE networks need
 // message-driven synchronizers: the zero-overhead clock-driven ABD
 // synchronizer keeps perfect rounds when delays are truly bounded, but on
 // an ABE network (same mean delay, unbounded support) every period choice
 // leaves a positive violation rate that only decays with the period.
-func E9ABDOnABE(opt Options) (Result, error) {
-	res := Result{
-		ID:    "E9",
-		Claim: "clock-driven ABD synchronizers fail on ABE networks: positive round-violation rate for every period",
-	}
+func clockSynchronizer(opt Options) (*harness.Table, Findings, bool, error) {
 	table := harness.NewTable(
 		"E9: TKZ clock synchronizer, ABD (uniform[0,1]) vs ABE (exp(0.5)) delays, mean 0.5 both",
 		"period", "ABD violations", "ABD rate", "ABE violations", "ABE rate")
@@ -244,38 +99,28 @@ func E9ABDOnABE(opt Options) (Result, error) {
 	var abeRates []float64
 	abdAlwaysZero := true
 	for _, period := range []float64{1.5, 2, 3, 4, 6} {
-		clockSyncOn := func(delay dist.Dist) (runner.ClockSyncExtra, error) {
+		cells := []string{fmt.Sprintf("%g", period)}
+		for i, delay := range []dist.Dist{dist.NewUniform(0, 1), dist.NewExponential(0.5)} {
 			rep, err := runner.Run(
 				runner.Env{N: 16, Delay: delay, Seed: opt.Seed},
 				runner.ClockSync{Period: period, Rounds: rounds},
 			)
 			if err != nil {
-				return runner.ClockSyncExtra{}, err
+				return nil, nil, false, err
 			}
-			return rep.Extra.(runner.ClockSyncExtra), nil
+			sync := rep.Extra.(runner.ClockSyncExtra)
+			cells = append(cells, fmt.Sprint(sync.RoundViolations), fmt.Sprintf("%.4f", sync.ViolationRate))
+			if i == 0 { // the bounded-delay (ABD) network
+				abdAlwaysZero = abdAlwaysZero && sync.RoundViolations == 0
+			} else {
+				abeRates = append(abeRates, sync.ViolationRate)
+			}
 		}
-		abd, err := clockSyncOn(dist.NewUniform(0, 1))
-		if err != nil {
-			return res, err
-		}
-		abe, err := clockSyncOn(dist.NewExponential(0.5))
-		if err != nil {
-			return res, err
-		}
-		if abd.RoundViolations != 0 {
-			abdAlwaysZero = false
-		}
-		abeRates = append(abeRates, abe.ViolationRate)
-		table.AddRow(fmt.Sprintf("%g", period),
-			fmt.Sprint(abd.RoundViolations), fmt.Sprintf("%.4f", abd.ViolationRate),
-			fmt.Sprint(abe.RoundViolations), fmt.Sprintf("%.4f", abe.ViolationRate))
-	}
-	res.Table = table
-	res.Findings = Findings{
-		"abd_always_zero":   boolTo01(abdAlwaysZero),
-		"abe_rate_period_2": abeRates[1],
+		table.AddRow(cells...)
 	}
 	// ABD must be perfect; ABE must violate at small periods and decay.
-	res.Pass = abdAlwaysZero && abeRates[0] > 0 && abeRates[len(abeRates)-1] < abeRates[0]
-	return res, nil
+	return table, Findings{
+		"abd_always_zero":   boolTo01(abdAlwaysZero),
+		"abe_rate_period_2": abeRates[1],
+	}, abdAlwaysZero && abeRates[0] > 0 && abeRates[len(abeRates)-1] < abeRates[0], nil
 }

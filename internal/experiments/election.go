@@ -2,49 +2,53 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
+	"abenet/internal/channel"
 	"abenet/internal/check"
-	"abenet/internal/clock"
 	"abenet/internal/core"
-	"abenet/internal/dist"
 	"abenet/internal/harness"
 	"abenet/internal/rng"
 	"abenet/internal/runner"
+	"abenet/internal/sim"
 	"abenet/internal/stats"
 )
 
-// clockModelForRatio builds the E11 clock model with rates in [1, r].
-func clockModelForRatio(r float64) clock.Model {
-	if r == 1 {
-		return clock.PerfectModel{}
+// retransmission is E1: stop-and-wait ARQ on one raw lossy link, no
+// network, so the measured k_avg is the link's alone.
+func retransmission(opt Options) (*harness.Table, Findings, bool, error) {
+	table := harness.NewTable(
+		"E1: stop-and-wait ARQ on a lossy channel (unit slot time)",
+		"p", "analytic 1/p", "measured k_avg", "measured mean delay", "rel. error")
+	messages := 200_000
+	if opt.Quick {
+		messages = 20_000
 	}
-	return clock.NewWanderingModel(1, r, 1)
-}
-
-// electionSweep runs the ABE election across ring sizes through the
-// unified Env/Protocol runner; points carry the full Report metrics
-// ("messages", "time", "activations", ...).
-func electionSweep(opt Options, name string, ns []float64, reps int, mutate func(n int, env *runner.Env, p *runner.Election)) ([]harness.Point, error) {
-	sweep := harness.Sweep{Name: name, Repetitions: reps, Workers: opt.Workers, Seed: opt.Seed}
-	return sweep.RunEnv(ns, func(x float64) (runner.Env, runner.Protocol, error) {
-		n := int(x)
-		env := runner.Env{N: n}
-		p := runner.Election{A0: core.DefaultA0(n)}
-		if mutate != nil {
-			mutate(n, &env, &p)
+	maxErr := 0.0
+	root := rng.New(opt.Seed)
+	for _, p := range []float64{0.1, 0.2, 0.3, 0.5, 0.7, 0.9} {
+		kernel := sim.New()
+		link := channel.NewARQ(kernel, p, 1, root.Derive(fmt.Sprintf("e1/p=%g", p)), func(any) {})
+		for i := 0; i < messages; i++ {
+			link.Send(i)
 		}
-		return env, p, nil
-	}, runner.RequireElected)
+		if err := kernel.Run(1<<62, 0); err != nil {
+			return nil, nil, false, err
+		}
+		st := link.Stats()
+		kAvg := float64(st.Transmissions) / float64(st.Sent)
+		relErr := math.Abs(kAvg-1/p) / (1 / p)
+		maxErr = max(maxErr, relErr)
+		table.AddRow(fmt.Sprintf("%.1f", p), fmt.Sprintf("%.3f", 1/p), fmt.Sprintf("%.3f", kAvg),
+			fmt.Sprintf("%.3f", st.MeanDelay()), fmt.Sprintf("%.2f%%", 100*relErr))
+	}
+	return table, Findings{"max_rel_error": maxErr}, maxErr < 0.02, nil
 }
 
-// E2Correctness regenerates the correctness claim: the algorithm elects
-// exactly one leader on anonymous unidirectional ABE rings — checked by
-// sampled runs at many sizes plus exhaustive model checking at small sizes.
-func E2Correctness(opt Options) (Result, error) {
-	res := Result{
-		ID:    "E2",
-		Claim: "the election algorithm elects exactly one leader on anonymous unidirectional ABE rings",
-	}
+// correctness is E2: sampled runs at many ring sizes, then exhaustive model
+// checking at small ones. It stops at the first size that fails, returning
+// the rows so far and no findings.
+func correctness(opt Options) (*harness.Table, Findings, bool, error) {
 	table := harness.NewTable(
 		"E2: election correctness (sampled runs + exhaustive model checking)",
 		"check", "n", "coverage", "leaders=1", "violations")
@@ -58,7 +62,7 @@ func E2Correctness(opt Options) (Result, error) {
 				runner.Election{A0: core.DefaultA0(n)},
 			)
 			if err != nil {
-				return res, err
+				return nil, nil, false, err
 			}
 			if r.Leaders == 1 && len(r.Violations) == 0 {
 				ok++
@@ -67,9 +71,7 @@ func E2Correctness(opt Options) (Result, error) {
 		table.AddRow("monte-carlo", fmt.Sprint(n), fmt.Sprintf("%d seeds", reps),
 			fmt.Sprintf("%d/%d", ok, reps), "0")
 		if ok != reps {
-			res.Pass = false
-			res.Table = table
-			return res, nil
+			return table, nil, false, nil
 		}
 	}
 
@@ -80,7 +82,7 @@ func E2Correctness(opt Options) (Result, error) {
 	for _, n := range checkSizes {
 		report, err := check.CheckElection(check.Options{N: n})
 		if err != nil {
-			return res, err
+			return nil, nil, false, err
 		}
 		status := "0"
 		if len(report.Violations) > 0 {
@@ -90,93 +92,15 @@ func E2Correctness(opt Options) (Result, error) {
 			fmt.Sprintf("%d states", report.StatesExplored),
 			"all schedules", status)
 		if !report.OK() {
-			res.Pass = false
-			res.Table = table
-			return res, nil
+			return table, nil, false, nil
 		}
 	}
-	res.Table = table
-	res.Findings = Findings{"all_ok": 1}
-	res.Pass = true
-	return res, nil
+	return table, Findings{"all_ok": 1}, true, nil
 }
 
-// scalingSizes is the E3/E4 ring-size range.
-var scalingSizes = []float64{8, 16, 32, 64, 128, 256}
-
-// E3Messages regenerates the headline message-complexity claim: average
-// messages grow linearly in n (growth exponent ≈ 1, against the Ω(n log n)
-// bound for asynchronous rings).
-func E3Messages(opt Options) (Result, error) {
-	res := Result{
-		ID:    "E3",
-		Claim: "average message complexity of the ABE election is linear in n",
-	}
-	points, err := electionSweep(opt, "e3", opt.sizes(scalingSizes), opt.reps(100), nil)
-	if err != nil {
-		return res, err
-	}
-	table := harness.NewTable("E3: messages vs ring size (A0 = 1/n², δ = 1)",
-		"n", "messages (mean ± ci95)", "messages / n")
-	for _, p := range points {
-		s := p.Samples["messages"]
-		table.AddRow(fmt.Sprintf("%g", p.X),
-			fmt.Sprintf("%.1f ± %.1f", s.Mean(), s.CI95()),
-			fmt.Sprintf("%.2f", s.Mean()/p.X))
-	}
-	fit, err := harness.GrowthExponent(points, "messages")
-	if err != nil {
-		return res, err
-	}
-	table.AddRow("fit", fmt.Sprintf("exponent %.3f", fit.Slope), fmt.Sprintf("R²=%.4f", fit.R2))
-	res.Table = table
-	res.Findings = Findings{"growth_exponent": fit.Slope, "r2": fit.R2}
-	res.Pass = fit.Slope < 1.25 // linear, clearly below the n log n band
-	return res, nil
-}
-
-// E4Time regenerates the time-complexity claim: average election time is
-// linear in n.
-func E4Time(opt Options) (Result, error) {
-	res := Result{
-		ID:    "E4",
-		Claim: "average time complexity of the ABE election is linear in n",
-	}
-	points, err := electionSweep(opt, "e4", opt.sizes(scalingSizes), opt.reps(100), nil)
-	if err != nil {
-		return res, err
-	}
-	table := harness.NewTable("E4: election time vs ring size (A0 = 1/n², δ = 1)",
-		"n", "time (mean ± ci95)", "time / n")
-	for _, p := range points {
-		s := p.Samples["time"]
-		table.AddRow(fmt.Sprintf("%g", p.X),
-			fmt.Sprintf("%.1f ± %.1f", s.Mean(), s.CI95()),
-			fmt.Sprintf("%.2f", s.Mean()/p.X))
-	}
-	fit, err := harness.GrowthExponent(points, "time")
-	if err != nil {
-		return res, err
-	}
-	table.AddRow("fit", fmt.Sprintf("exponent %.3f", fit.Slope), fmt.Sprintf("R²=%.4f", fit.R2))
-	res.Table = table
-
-	// Part b: the delay tail. ABE delays are unbounded, so the election
-	// time has a tail too — but a well-behaved (exponentially decaying)
-	// one, since the algorithm retries geometrically. Report quantiles.
-	tail, err := e4Tail(opt)
-	if err != nil {
-		return res, err
-	}
-	res.ExtraTables = []*harness.Table{tail}
-
-	res.Findings = Findings{"growth_exponent": fit.Slope, "r2": fit.R2}
-	res.Pass = fit.Slope < 1.25
-	return res, nil
-}
-
-// e4Tail measures the election-time distribution at n = 64.
-func e4Tail(opt Options) (*harness.Table, error) {
+// timeTail is E4b: the election-time distribution at n = 64, as quantiles
+// of a reservoir. It reports and judges nothing.
+func timeTail(opt Options) (*harness.Table, Findings, bool, error) {
 	const n = 64
 	runs := opt.reps(300)
 	reservoir := stats.NewReservoir(runs, rng.New(opt.Seed^0xE47A11))
@@ -187,7 +111,7 @@ func e4Tail(opt Options) (*harness.Table, error) {
 			runner.Election{A0: core.DefaultA0(n)},
 		)
 		if err != nil {
-			return nil, err
+			return nil, nil, false, err
 		}
 		reservoir.Add(r.Time)
 		mean.Add(r.Time)
@@ -199,221 +123,10 @@ func e4Tail(opt Options) (*harness.Table, error) {
 	for _, q := range []float64{0.5, 0.9, 0.95, 0.99} {
 		v, err := reservoir.Quantile(q)
 		if err != nil {
-			return nil, err
+			return nil, nil, false, err
 		}
 		table.AddRow(fmt.Sprintf("p%02.0f", q*100), fmt.Sprintf("%.1f", v))
 	}
 	table.AddRow("max", fmt.Sprintf("%.1f", mean.Max()))
-	return table, nil
-}
-
-// E5Ablation regenerates the claim behind the activation rule: using
-// 1−(1−A0)^d keeps the overall wake-up rate constant; replacing it with a
-// constant per-node probability stalls the endgame and the average time
-// degrades to superlinear.
-func E5Ablation(opt Options) (Result, error) {
-	res := Result{
-		ID:    "E5",
-		Claim: "the d-adaptive wake-up rule is necessary: constant activation degrades time to superlinear",
-	}
-	ns := opt.sizes([]float64{8, 16, 32, 64, 96})
-	reps := opt.reps(60)
-	adaptive, err := electionSweep(opt, "e5-adaptive", ns, reps, nil)
-	if err != nil {
-		return res, err
-	}
-	constant, err := electionSweep(opt, "e5-constant", ns, reps, func(n int, env *runner.Env, p *runner.Election) {
-		p.ConstantActivation = true
-	})
-	if err != nil {
-		return res, err
-	}
-	table := harness.NewTable("E5: adaptive 1−(1−A0)^d vs constant A0 activation (A0 = 1/n²)",
-		"n", "adaptive time", "constant time", "slowdown", "adaptive msgs", "constant msgs")
-	for i := range adaptive {
-		at := adaptive[i].Mean("time")
-		ct := constant[i].Mean("time")
-		table.AddRow(fmt.Sprintf("%g", adaptive[i].X),
-			fmt.Sprintf("%.1f", at), fmt.Sprintf("%.1f", ct),
-			fmt.Sprintf("%.1fx", ct/at),
-			fmt.Sprintf("%.1f", adaptive[i].Mean("messages")),
-			fmt.Sprintf("%.1f", constant[i].Mean("messages")))
-	}
-	fitA, err := harness.GrowthExponent(adaptive, "time")
-	if err != nil {
-		return res, err
-	}
-	fitC, err := harness.GrowthExponent(constant, "time")
-	if err != nil {
-		return res, err
-	}
-	table.AddRow("fit", fmt.Sprintf("exp %.2f", fitA.Slope), fmt.Sprintf("exp %.2f", fitC.Slope))
-	res.Table = table
-	res.Findings = Findings{
-		"adaptive_time_exponent": fitA.Slope,
-		"constant_time_exponent": fitC.Slope,
-	}
-	res.Pass = fitC.Slope > fitA.Slope+0.4 // clearly separated growth orders
-	return res, nil
-}
-
-// E6A0Sweep regenerates the parameterisation trade-off: the algorithm is
-// parameterised by A0; sweeping the aggressiveness c in A0 = c/n² trades
-// waiting time (small c) against knockout collisions (large c).
-func E6A0Sweep(opt Options) (Result, error) {
-	res := Result{
-		ID:    "E6",
-		Claim: "A0 trades time (small A0: long waits) against messages (large A0: more collisions)",
-	}
-	const n = 64
-	cs := []float64{0.25, 0.5, 1, 2, 4, 8}
-	sweep := harness.Sweep{Name: "e6", Repetitions: opt.reps(100), Workers: opt.Workers, Seed: opt.Seed}
-	points, err := sweep.RunEnv(cs, func(c float64) (runner.Env, runner.Protocol, error) {
-		return runner.Env{N: n}, runner.Election{A0: core.A0ForRing(n, 1, 1, c)}, nil
-	}, nil)
-	if err != nil {
-		return res, err
-	}
-	table := harness.NewTable("E6: aggressiveness sweep at n = 64 (A0 = c/n²)",
-		"c", "A0", "messages", "time", "activations")
-	for _, p := range points {
-		table.AddRow(fmt.Sprintf("%g", p.X),
-			fmt.Sprintf("%.2e", core.A0ForRing(n, 1, 1, p.X)),
-			fmt.Sprintf("%.1f", p.Mean("messages")),
-			fmt.Sprintf("%.1f", p.Mean("time")),
-			fmt.Sprintf("%.2f", p.Mean("activations")))
-	}
-	res.Table = table
-	first, last := points[0], points[len(points)-1]
-	res.Findings = Findings{
-		"time_ratio_smallest_over_largest_c": first.Mean("time") / last.Mean("time"),
-		"msg_ratio_largest_over_smallest_c":  last.Mean("messages") / first.Mean("messages"),
-	}
-	// The trade-off claim: time falls with c, messages rise with c.
-	res.Pass = first.Mean("time") > last.Mean("time") && last.Mean("messages") > first.Mean("messages")
-	return res, nil
-}
-
-// E10DelayShapes regenerates the model-robustness claim: only the delay's
-// expectation matters for the ABE guarantees; shape changes constants, not
-// correctness or the complexity class.
-func E10DelayShapes(opt Options) (Result, error) {
-	res := Result{
-		ID:    "E10",
-		Claim: "ABE behaviour depends on the delay's mean, not its shape (Definition 1 uses only E[delay])",
-	}
-	const n = 64
-	shapes := []dist.Dist{
-		dist.NewDeterministic(1),
-		dist.NewUniform(0, 2),
-		dist.NewExponential(1),
-		dist.ParetoWithMean(1, 1.5),
-		dist.ParetoWithMean(1, 3),
-		dist.NewRetransmission(0.5, 0.5),
-		dist.NewErlang(4, 1),
-		dist.NewBimodal(dist.NewDeterministic(0.5), dist.NewDeterministic(5.5), 0.1),
-	}
-	table := harness.NewTable("E10: delay-distribution robustness at n = 64 (all means = 1)",
-		"distribution", "messages", "time", "leaders=1")
-	reps := opt.reps(100)
-	var minMsg, maxMsg float64
-	for i, d := range shapes {
-		d := d
-		sweep := harness.Sweep{Name: "e10/" + d.Name(), Repetitions: reps, Workers: opt.Workers, Seed: opt.Seed}
-		points, err := sweep.RunEnv([]float64{float64(n)}, func(float64) (runner.Env, runner.Protocol, error) {
-			return runner.Env{N: n, Delay: d}, runner.Election{A0: core.DefaultA0(n)}, nil
-		}, runner.RequireElected)
-		if err != nil {
-			return res, err
-		}
-		m := points[0].Mean("messages")
-		if i == 0 || m < minMsg {
-			minMsg = m
-		}
-		if i == 0 || m > maxMsg {
-			maxMsg = m
-		}
-		table.AddRow(d.Name(),
-			fmt.Sprintf("%.1f", m),
-			fmt.Sprintf("%.1f", points[0].Mean("time")),
-			fmt.Sprintf("%d/%d", reps, reps))
-	}
-	res.Table = table
-	spread := maxMsg / minMsg
-	res.Findings = Findings{"message_spread_across_shapes": spread}
-	res.Pass = spread < 2.5 // constants move, the class does not
-	return res, nil
-}
-
-// E11ClockDrift regenerates Definition 1 condition 2: clock-speed bounds
-// affect constants only.
-func E11ClockDrift(opt Options) (Result, error) {
-	res := Result{
-		ID:    "E11",
-		Claim: "clock drift within [s_low, s_high] changes constants, not correctness or linearity",
-	}
-	const n = 64
-	ratios := []float64{1, 2, 4, 8}
-	table := harness.NewTable("E11: clock-speed bound ratio at n = 64 (rates in [1, r], wandering)",
-		"s_high/s_low", "messages", "time", "leaders=1")
-	reps := opt.reps(80)
-	var times []float64
-	for _, r := range ratios {
-		model := clockModelForRatio(r)
-		sweep := harness.Sweep{Name: fmt.Sprintf("e11/r=%g", r), Repetitions: reps, Workers: opt.Workers, Seed: opt.Seed}
-		points, err := sweep.RunEnv([]float64{r}, func(float64) (runner.Env, runner.Protocol, error) {
-			return runner.Env{N: n, Clocks: model}, runner.Election{A0: core.DefaultA0(n)}, nil
-		}, runner.RequireElected)
-		if err != nil {
-			return res, err
-		}
-		times = append(times, points[0].Mean("time"))
-		table.AddRow(fmt.Sprintf("%g", r),
-			fmt.Sprintf("%.1f", points[0].Mean("messages")),
-			fmt.Sprintf("%.1f", points[0].Mean("time")),
-			fmt.Sprintf("%d/%d", reps, reps))
-	}
-	res.Table = table
-	res.Findings = Findings{"time_ratio_r8_over_r1": times[len(times)-1] / times[0]}
-	// Faster clocks tick more often, so time in real units shrinks — but
-	// by a bounded constant, not a complexity change.
-	res.Pass = times[len(times)-1] > times[0]/16 && times[len(times)-1] < times[0]*16
-	return res, nil
-}
-
-// E12Processing regenerates Definition 1 condition 3: a bound γ on the
-// expected processing time shifts the constants additively.
-func E12Processing(opt Options) (Result, error) {
-	res := Result{
-		ID:    "E12",
-		Claim: "expected processing time γ adds a bounded constant factor",
-	}
-	const n = 64
-	gammas := []float64{0, 0.1, 0.5, 1}
-	table := harness.NewTable("E12: processing-time bound γ at n = 64 (exponential processing)",
-		"γ", "messages", "time", "leaders=1")
-	reps := opt.reps(80)
-	var times []float64
-	for _, g := range gammas {
-		var proc dist.Dist
-		if g > 0 {
-			proc = dist.NewExponential(g)
-		}
-		sweep := harness.Sweep{Name: fmt.Sprintf("e12/g=%g", g), Repetitions: reps, Workers: opt.Workers, Seed: opt.Seed}
-		points, err := sweep.RunEnv([]float64{g}, func(float64) (runner.Env, runner.Protocol, error) {
-			return runner.Env{N: n, Processing: proc}, runner.Election{A0: core.DefaultA0(n)}, nil
-		}, runner.RequireElected)
-		if err != nil {
-			return res, err
-		}
-		times = append(times, points[0].Mean("time"))
-		table.AddRow(fmt.Sprintf("%g", g),
-			fmt.Sprintf("%.1f", points[0].Mean("messages")),
-			fmt.Sprintf("%.1f", points[0].Mean("time")),
-			fmt.Sprintf("%d/%d", reps, reps))
-	}
-	res.Table = table
-	res.Findings = Findings{"time_ratio_g1_over_g0": times[len(times)-1] / times[0]}
-	res.Pass = times[len(times)-1] > times[0] && times[len(times)-1] < times[0]*4
-	return res, nil
+	return table, Findings{}, true, nil
 }

@@ -26,17 +26,17 @@ func TestAllExperimentsPassQuick(t *testing.T) {
 			if res.Claim == "" {
 				t.Fatal("empty claim")
 			}
-			if len(res.Tables()) == 0 {
+			if len(res.Tables) == 0 {
 				t.Fatal("no tables")
 			}
-			for _, table := range res.Tables() {
+			for _, table := range res.Tables {
 				if len(table.Rows) == 0 {
 					t.Fatalf("empty table %q", table.Title)
 				}
 			}
 			if !res.Pass {
 				var b strings.Builder
-				for _, table := range res.Tables() {
+				for _, table := range res.Tables {
 					if err := table.Render(&b); err != nil {
 						t.Fatal(err)
 					}

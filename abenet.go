@@ -301,15 +301,6 @@ type ByzantineTelemetry = byzantine.Telemetry
 // message — the canonical adversary for the local-broadcast separation.
 func Equivocators(k int) *ByzantinePlan { return byzantine.Equivocators(k) }
 
-// ImpairedLinks wraps any link factory with stochastic per-message
-// impairments — the channel-layer mechanism behind FaultPlan's loss,
-// duplication and reorder axes, composable with ARQ and FIFO factories.
-func ImpairedLinks(inner LinkFactory, drop, duplicate, delay float64, extra DelayDist) LinkFactory {
-	return channel.ImpairedFactory(inner, channel.Impairment{
-		Drop: drop, Duplicate: duplicate, Delay: delay, ExtraDelay: extra,
-	})
-}
-
 // ---- Clock models (condition 2: speeds within [s_low, s_high]) ----
 
 // ClockModel assigns local clocks to nodes.

@@ -6,9 +6,9 @@
 // assigns per-node Byzantine roles — equivocation (telling different
 // neighbours different things), silent omission, payload corruption and
 // delay-stalling — and the network layer intercepts every send of a role
-// holder at the send path (the adversary sits where channel.ImpairedFactory
-// sits for link faults, but one layer up, so it can coordinate what a node
-// tells each of its neighbours).
+// holder at the send path (the adversary sits one step before the point where
+// a fault plan's link faults are drawn, at the node rather than at the link, so
+// it can coordinate what a node tells each of its neighbours).
 //
 // Everything is sampled from the run's splittable RNG: a run remains a pure
 // function of (environment, plan, seed), and a nil *Plan disables the

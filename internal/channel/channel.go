@@ -27,12 +27,12 @@
 // Factory call that built it. A link built on its own (NewRandomDelay,
 // NewFIFO, NewARQ) gets a private store around a DeliverFunc.
 //
-// The local-broadcast radio (broadcast.go) is the store's fourth user, not
-// a fourth way onto the kernel: a random-delay link whose index is its
-// sender and whose one delivery per transmission the Sink fans out. So on
-// either medium "in flight" is one number, the store's, and a message event
-// reaches the kernel from port.send alone. (Impaired's hold-backs are the
-// link-level exception: kernel closures that wait outside the store.)
+// That is the whole package: three delay disciplines and one store, which
+// schedules nothing but deliveries. Whatever else can happen to a message —
+// loss, duplication, a reorder hold-back, an outage, an adversary, the fan-out
+// of a radio medium — is the network deciding about it before it enters a
+// link or after it leaves the store, so "in flight" is one number, the
+// store's, and a message event reaches the kernel from port.send alone.
 package channel
 
 import (

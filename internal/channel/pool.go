@@ -6,10 +6,10 @@ import (
 )
 
 // Sink is where links hand payloads at their delivery instants: the network
-// layer. edge is the index the link was built with (Factory's edge, or the
-// sender of a LocalBroadcast, whose Sink fans out), so one Sink value serves
-// every link of a network and resolves the receiving side from its own
-// tables — no link carries a callback of its own.
+// layer. edge is the index the link was built with (Factory's edge; what it
+// names — a directed edge, a sender's radio — is the network's business), so
+// one Sink value serves every link of a network and resolves the receiving
+// side from its own tables — no link carries a callback of its own.
 type Sink interface {
 	Deliver(edge int, payload any)
 }
@@ -85,9 +85,9 @@ func NewStore(k *sim.Kernel, sink Sink) *Store {
 	return s
 }
 
-// Kernel returns the kernel the store schedules deliveries on, for link
-// wrappers that schedule work of their own (Impaired's hold-backs).
-func (s *Store) Kernel() *sim.Kernel { return s.kernel }
+// InFlight returns the number of messages on the wire: handed to a link and
+// neither delivered yet nor abandoned by a Stop.
+func (s *Store) InFlight() int { return len(s.slots) - len(s.free) }
 
 // port is a link's attachment to the store: the edge it delivers on, its
 // counters, and the one piece of batching state that is per link — which

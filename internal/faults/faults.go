@@ -8,8 +8,8 @@
 // injects them during the run:
 //
 //   - stochastic link faults: per-message loss, duplication and extra-delay
-//     (reorder) probabilities, applied by an interceptor wrapped around the
-//     run's link factory (channel.ImpairedFactory);
+//     (reorder) probabilities, drawn where a message enters its link
+//     (network's put), in front of whatever discipline the link has;
 //   - stochastic node churn: exponential crash and recovery rates — with a
 //     recovery rate the model is crash-recovery (the node restarts with
 //     fresh protocol state, i.e. churn); without one it is crash-stop;
@@ -153,7 +153,7 @@ type Plan struct {
 }
 
 // HasLinkFaults reports whether the plan injects per-message link faults
-// (the part implemented by channel.ImpairedFactory).
+// (the part the network draws per message, from a stream per edge).
 func (p *Plan) HasLinkFaults() bool {
 	return p != nil && (p.Loss > 0 || p.Duplicate > 0 || p.Reorder > 0)
 }

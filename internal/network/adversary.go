@@ -8,9 +8,9 @@ import (
 )
 
 // adversary drives a byzantine.Plan against a running network: it sits on
-// the send path (Context.transmit, which both media go through) — one layer
-// above the per-edge link interceptors — so a role can coordinate what a
-// node tells each of its neighbours. A nil *adversary (Config.Byzantine == nil)
+// the send path (Context.transmit, which both media go through) — one step
+// before put draws the fault plan's per-edge link faults — so a role can
+// coordinate what a node tells each of its neighbours. A nil *adversary (Config.Byzantine == nil)
 // disables every hook, leaving the network byte-identical to an
 // adversary-free build.
 //

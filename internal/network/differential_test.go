@@ -3,10 +3,14 @@ package network_test
 import (
 	"crypto/sha256"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"math"
+	"os"
+	"strings"
 	"testing"
 
+	"abenet/internal/byzantine"
 	"abenet/internal/channel"
 	"abenet/internal/dist"
 	"abenet/internal/faults"
@@ -98,22 +102,48 @@ var differentialPlans = []struct {
 	}},
 }
 
-// differentialRow runs one cell of the table and renders everything the
-// network reports about it as one line, plus a hash of the exported trace
-// when traced.
-func differentialRow(t *testing.T, graph *topology.Graph, plan *faults.Plan, processing, traced bool, seed uint64) (line, traceHash string) {
+// differentialGraphs are the topologies both differentials run on.
+var differentialGraphs = []struct {
+	name  string
+	graph *topology.Graph
+}{{"ring8", topology.Ring(8)}, {"complete6", topology.Complete(6)}}
+
+// differentialCell is one run of a differential: chatter nodes on graph over
+// the links factory builds, under a fault plan and a Byzantine plan (nil for
+// none), with or without a processing model and a recorder.
+type differentialCell struct {
+	graph      *topology.Graph
+	links      channel.Factory
+	plan       *faults.Plan
+	byz        *byzantine.Plan
+	processing bool
+	traced     bool
+	seed       uint64
+}
+
+// randomDelayLinks are the links of the first differential's cells.
+func randomDelayLinks() channel.Factory {
+	return channel.RandomDelayFactory(dist.NewExponential(0.5))
+}
+
+// run executes the cell and renders everything the network reports about it
+// as one line, plus what the second differential adds to it (physical
+// transmissions and the adversary's telemetry) and a hash of the exported
+// trace when traced.
+func (c differentialCell) run(t *testing.T) (line, more, traceHash string) {
 	t.Helper()
 	cfg := network.Config{
-		Graph:  graph,
-		Links:  channel.RandomDelayFactory(dist.NewExponential(0.5)),
-		Seed:   seed,
-		Faults: plan,
+		Graph:     c.graph,
+		Links:     c.links,
+		Seed:      c.seed,
+		Faults:    c.plan,
+		Byzantine: c.byz,
 	}
-	if processing {
+	if c.processing {
 		cfg.Processing = dist.NewExponential(0.2)
 	}
 	var rec *trace.Recorder
-	if traced {
+	if c.traced {
 		rec = trace.NewRecorder(0)
 		cfg.Tracer = rec
 	}
@@ -121,12 +151,12 @@ func differentialRow(t *testing.T, graph *topology.Graph, plan *faults.Plan, pro
 	net, err := network.New(cfg, func(i int) network.Node {
 		// A restarted node folds into the sum of the instance it replaces,
 		// so the line covers every incarnation.
-		c := &chatter{id: i}
+		node := &chatter{id: i}
 		if old := nodes[i]; old != nil {
-			c.sum = old.sum
+			node.sum = old.sum
 		}
-		nodes[i] = c
-		return c
+		nodes[i] = node
+		return node
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,21 +168,28 @@ func differentialRow(t *testing.T, graph *topology.Graph, plan *faults.Plan, pro
 	for i := 0; i < net.N(); i++ {
 		state = (state ^ nodes[i].sum) * 1099511628211
 	}
-	if traced {
+	if c.traced {
 		raw, err := json.Marshal(rec.Export())
 		if err != nil {
 			t.Fatal(err)
 		}
 		traceHash = fmt.Sprintf("%x", sha256.Sum256(raw))[:16]
 	}
-	tel := "-"
+	tel, byz := "-", "-"
 	if ft := net.FaultTelemetry(); ft != nil {
-		tel = fmt.Sprintf("%+v", *ft)
+		if ft.Byzantine != nil {
+			byz = fmt.Sprintf("%+v", *ft.Byzantine)
+			ft.Byzantine = nil // a pointer prints as its address
+		}
+		if c.plan != nil {
+			tel = fmt.Sprintf("%+v", *ft)
+		}
 	}
 	m := net.Metrics()
 	return fmt.Sprintf("events=%d sent=%d delivered=%d timers=%d time=%v stop=%q state=%016x tel=%s",
-		net.Kernel().Executed(), m.MessagesSent, m.MessagesDelivered, m.TimersFired,
-		float64(net.Now()), net.StopCause(), state, tel), traceHash
+			net.Kernel().Executed(), m.MessagesSent, m.MessagesDelivered, m.TimersFired,
+			float64(net.Now()), net.StopCause(), state, tel),
+		fmt.Sprintf(" transmissions=%d byz=%s", m.Transmissions, byz), traceHash
 }
 
 // TestDifferentialAgainstRecordedRuns holds every combination of fault plan,
@@ -161,17 +198,15 @@ func differentialRow(t *testing.T, graph *topology.Graph, plan *faults.Plan, pro
 // timers, end time, per-node handling order, the whole fault telemetry and the
 // exported trace.
 func TestDifferentialAgainstRecordedRuns(t *testing.T) {
-	graphs := []struct {
-		name  string
-		graph *topology.Graph
-	}{{"ring8", topology.Ring(8)}, {"complete6", topology.Complete(6)}}
-	for _, g := range graphs {
+	for _, g := range differentialGraphs {
 		for _, p := range differentialPlans {
 			for _, processing := range []bool{false, true} {
 				for seed := uint64(1); seed <= 4; seed++ {
 					key := fmt.Sprintf("%s/%s/processing=%t/seed=%d", g.name, p.name, processing, seed)
-					untraced, _ := differentialRow(t, g.graph, p.plan(), processing, false, seed)
-					got, hash := differentialRow(t, g.graph, p.plan(), processing, true, seed)
+					cell := differentialCell{graph: g.graph, links: randomDelayLinks(), plan: p.plan(), processing: processing, seed: seed}
+					untraced, _, _ := cell.run(t)
+					cell.traced = true
+					got, _, hash := cell.run(t)
 					if got != untraced {
 						t.Errorf("%s: the recorder changed the run\n  traced %s\nuntraced %s", key, got, untraced)
 					}
@@ -181,5 +216,125 @@ func TestDifferentialAgainstRecordedRuns(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// updateCells rewrites testdata/differential_cells.golden from what the tree
+// prints: go test ./internal/network -run TestDifferentialHeldMessages -update
+var updateCells = flag.Bool("update", false, "rewrite testdata/differential_cells.golden")
+
+const cellsGolden = "testdata/differential_cells.golden"
+
+// heldPlans are the fault axes of the second differential: every way a plan
+// holds a message back — the hold drawn from an explicit law, from the nil
+// default and from a constant, with and without loss and duplication in front
+// of it — and one plan where held messages meet churn, a partition and a
+// scripted outage of edge 0→1, which both graphs have.
+var heldPlans = []struct {
+	name string
+	plan func() *faults.Plan
+}{
+	{"none", func() *faults.Plan { return nil }},
+	{"reorder", func() *faults.Plan {
+		return &faults.Plan{Reorder: 0.3, ReorderDelay: dist.NewUniform(0, 2)}
+	}},
+	{"loss+dup+reorder", func() *faults.Plan {
+		return &faults.Plan{Loss: 0.1, Duplicate: 0.15, Reorder: 0.25}
+	}},
+	{"dup+fixed-hold", func() *faults.Plan {
+		return &faults.Plan{Duplicate: 0.3, Reorder: 0.5, ReorderDelay: dist.NewDeterministic(0.75)}
+	}},
+	{"reorder+churn+cuts", func() *faults.Plan {
+		events := append(faults.PartitionDuring(5, 15, 0, 1, 2),
+			faults.LinkDownAt(3.5, 0, 1), faults.LinkUpAt(11.5, 0, 1),
+			faults.CrashAt(6.3, 2), faults.RecoverAt(9.1, 2))
+		return &faults.Plan{
+			Reorder: 0.2, ReorderDelay: dist.NewExponential(0.8),
+			CrashRate: 0.004, RecoverRate: 0.5,
+			Events: events,
+		}
+	}},
+}
+
+// heldAdversaries are its Byzantine axis: nobody, or two stalling nodes — one
+// that stalls four sends in ten, one with a hold law of its own — and a node
+// that mutes every other send.
+var heldAdversaries = []struct {
+	name string
+	plan func() *byzantine.Plan
+}{
+	{"honest", func() *byzantine.Plan { return nil }},
+	{"stall+mute", func() *byzantine.Plan {
+		return &byzantine.Plan{Roles: []byzantine.Role{
+			{Node: 1, Behavior: byzantine.Stall, Prob: 0.4},
+			{Node: 3, Behavior: byzantine.Stall, StallDelay: dist.NewUniform(0.5, 3)},
+			{Node: 5, Behavior: byzantine.Mute, Prob: 0.5},
+		}}
+	}},
+}
+
+// heldLinks are the disciplines underneath: a held message samples its link
+// only when it is released, whatever the link.
+var heldLinks = []struct {
+	name  string
+	links channel.Factory
+}{
+	{"random", randomDelayLinks()},
+	{"fifo", channel.FIFOFactory(dist.NewExponential(0.5))},
+	{"arq", channel.ARQFactory(0.6, 0.3)},
+}
+
+// TestDifferentialHeldMessages holds the two paths on which a message waits
+// before its link sees it — a fault plan's reorder hold-back and a Byzantine
+// stall — to what they printed while each was a kernel closure (2e717b9):
+// graph × link discipline × fault plan × adversary × processing model × seed,
+// every cell run traced and untraced, which must agree. The golden file keeps
+// one digest of the cell's line per cell; a mismatch prints the line.
+func TestDifferentialHeldMessages(t *testing.T) {
+	want := map[string]string{}
+	if !*updateCells {
+		raw, err := os.ReadFile(cellsGolden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pair := strings.Fields(string(raw)); len(pair) >= 2; pair = pair[2:] {
+			want[pair[0]] = pair[1]
+		}
+	}
+	var golden strings.Builder
+	for _, g := range differentialGraphs {
+		for _, l := range heldLinks {
+			for _, p := range heldPlans {
+				for _, a := range heldAdversaries {
+					for _, processing := range []bool{false, true} {
+						for seed := uint64(1); seed <= 3; seed++ {
+							key := fmt.Sprintf("%s/%s/%s/%s/processing=%t/seed=%d", g.name, l.name, p.name, a.name, processing, seed)
+							cell := differentialCell{graph: g.graph, links: l.links, plan: p.plan(), byz: a.plan(), processing: processing, seed: seed}
+							line, more, _ := cell.run(t)
+							untraced := line + more
+							cell.traced = true
+							line, more, hash := cell.run(t)
+							got := line + more
+							if got != untraced {
+								t.Errorf("%s: the recorder changed the run\n  traced %s\nuntraced %s", key, got, untraced)
+							}
+							got += " trace=" + hash
+							digest := fmt.Sprintf("%x", sha256.Sum256([]byte(got)))[:16]
+							fmt.Fprintf(&golden, "%s %s\n", key, digest)
+							if !*updateCells && digest != want[key] {
+								t.Errorf("%s: digest %s, recorded %q\n got %s", key, digest, want[key], got)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if *updateCells {
+		if err := os.WriteFile(cellsGolden, []byte(golden.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	} else if cells := strings.Count(golden.String(), "\n"); cells != len(want) {
+		t.Errorf("%d cells run, %d recorded in %s", cells, len(want), cellsGolden)
 	}
 }

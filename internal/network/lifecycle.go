@@ -3,7 +3,7 @@ package network
 import (
 	"fmt"
 
-	"abenet/internal/channel"
+	"abenet/internal/dist"
 	"abenet/internal/faults"
 	"abenet/internal/rng"
 	"abenet/internal/simtime"
@@ -33,6 +33,11 @@ type lifecycle struct {
 	// openInterval[i] indexes tel.CrashIntervals while node i is down,
 	// -1 otherwise.
 	openInterval []int
+
+	// impairRNG[e] is the stream edge e's per-message link faults are drawn
+	// from and reorder the hold-back law; nil unless the plan has such faults.
+	impairRNG []rng.Source
+	reorder   dist.Dist
 
 	// preInit is true while the t = 0 events run, before any node's Init:
 	// a recovery in that window must not restart-and-Init a node that has
@@ -77,22 +82,50 @@ func newLifecycle(net *Network, plan *faults.Plan, root *rng.Source) (*lifecycle
 	return life, nil
 }
 
-// impairment translates the plan's link-fault axes into the channel-layer
-// interceptor configuration.
-func impairment(plan *faults.Plan) channel.Impairment {
-	return channel.Impairment{
-		Drop:       plan.Loss,
-		Duplicate:  plan.Duplicate,
-		Delay:      plan.Reorder,
-		ExtraDelay: plan.ReorderDelay,
-	}
-}
-
-// sizeLinkState allocates the per-edge outage layers. Called once from New
-// after the edges are numbered.
+// sizeLinkState allocates the per-edge outage layers and, under a plan with
+// per-message link faults, the per-edge fault streams. Called once from New
+// after the links are built. Each fault stream is derived off its edge's
+// stream, which Derive does not advance and no link has sampled yet, so the
+// links sample exactly as they would under no plan.
 func (life *lifecycle) sizeLinkState() {
 	life.linkOut = make([]bool, len(life.net.edges))
 	life.cutOut = make([]int, len(life.net.edges))
+	if !life.plan.HasLinkFaults() {
+		return
+	}
+	life.impairRNG = make([]rng.Source, len(life.net.linkRNG))
+	for e := range life.impairRNG {
+		life.impairRNG[e] = *life.net.linkRNG[e].Derive("impair")
+	}
+	if life.reorder = life.plan.ReorderDelay; life.reorder == nil {
+		life.reorder = dist.NewExponential(1)
+	}
+}
+
+// impair draws the plan's per-message link faults for one message entering
+// edge e: how many copies the link is to carry — 0 if lost, which on an ARQ
+// link is loss the retransmission scheme cannot see; 2 if duplicated, each
+// copy sampling its own delay, so duplicates also overtake — and whether they
+// are first held back, which forces reorderings even on a FIFO link. The draw
+// order is Loss, Duplicate, Reorder, hold; rng.Bool consumes nothing for
+// p = 0, so a disabled axis leaves the stream untouched (replay stability
+// across plans).
+func (life *lifecycle) impair(e int) (copies int, held bool, hold simtime.Duration) {
+	r, plan := &life.impairRNG[e], life.plan
+	if r.Bool(plan.Loss) {
+		life.tel.MessagesDropped++
+		return 0, false, 0
+	}
+	copies = 1
+	if r.Bool(plan.Duplicate) {
+		life.tel.MessagesDuplicated++
+		copies = 2
+	}
+	if held = r.Bool(plan.Reorder); held {
+		life.tel.MessagesDelayed++
+		hold = simtime.Duration(life.reorder.Sample(r))
+	}
+	return copies, held, hold
 }
 
 // edgeDown reports whether edge e is down for any cause.
@@ -276,18 +309,9 @@ func (life *lifecycle) setCut(group []int, up bool) {
 	}
 }
 
-// telemetry snapshots the run's fault telemetry, folding in the per-link
-// impairment counters.
+// telemetry snapshots the run's fault telemetry.
 func (life *lifecycle) telemetry() *faults.Telemetry {
 	tel := life.tel
 	tel.CrashIntervals = append([]faults.CrashInterval(nil), life.tel.CrashIntervals...)
-	for _, l := range life.net.links {
-		if rep, ok := l.(channel.ImpairmentReporter); ok {
-			st := rep.ImpairmentStats()
-			tel.MessagesDropped += st.Dropped
-			tel.MessagesDuplicated += st.Duplicated
-			tel.MessagesDelayed += st.Delayed
-		}
-	}
 	return &tel
 }

@@ -373,7 +373,7 @@ func TestStochasticChurnIsDeterministic(t *testing.T) {
 
 // TestEmptyPlanMatchesNilPlan pins the Faults == nil equivalence at the
 // network layer: a zero plan must not perturb a single delivery, because
-// the interceptor is only installed for non-zero link faults and the
+// per-edge fault streams exist only under non-zero link faults and the
 // lifecycle's derived RNG never advances the root streams.
 func TestEmptyPlanMatchesNilPlan(t *testing.T) {
 	run := func(plan *faults.Plan) (Metrics, int) {

@@ -25,17 +25,20 @@
 // per timer kind with the node as the event argument, so an idle node costs
 // no closure. TestAllocationBudget holds the line.
 //
-// Deferred work is data. A handler call that has to wait — a timer set under
-// a fault plan or a tracer, anything in a node's processing queue — is a work
-// record in a free-listed slab, named by its slot in the kernel event that
-// ends the wait, so no path through the network builds a closure per event.
+// Deferred work is data. Whatever has to wait outside the store — a timer set
+// under a fault plan or a tracer, anything in a node's processing queue, a
+// message a stalling node or a plan's reorder axis holds back from its link —
+// is a work record in a free-listed slab, named by its slot in the kernel
+// event that ends the wait: no path through the network builds a closure per
+// event, and a sent message is always countable, held here or in flight there.
 //
-// There is one wire. Point-to-point or radio, a payload leaves a node through
-// Context.transmit (count, trace, Byzantine intercept) and Network.put
-// (outage, trace tag, links[k].Send), waits in the store, and comes back
-// through the store's Sink — edgeSink for an edge's link, radioSink for a
-// sender's radio, which fans out over the sender's out-edges into the same
-// deliverTo. The media differ in how links is indexed and in that Sink.
+// There is one wire, and the network decides at both ends of it. Point-to-point
+// or radio, a payload leaves a node through Context.transmit (count, trace,
+// Byzantine intercept) and Network.put (outage, the plan's link faults, trace
+// tag, links[k].Send), waits in the store — package channel only carries — and
+// comes back through the store's Sink: edgeSink for an edge's link, radioSink
+// for a sender's radio, which fans out over the sender's out-edges into the
+// same deliverTo. The media differ in how links is indexed and in that Sink.
 package network
 
 import (
@@ -214,14 +217,16 @@ type Network struct {
 	// timerHandler), zero until then.
 	timers [maxTimerKinds]sim.HandlerID
 
-	// slab holds the deferred handler calls (see work), payloads[s] the
+	// slab holds the calls that have to wait (see work), payloads[s] the
 	// payload of slab[s] while a message waits there, and freeWork the vacant
-	// slots; timerDue and queueDone are the two kernel handlers that take a
-	// slot as their event argument.
-	slab                []work
-	payloads            []any
-	freeWork            []uint32
-	timerDue, queueDone sim.HandlerID
+	// slots; timerDue, queueDone and holdOver are the kernel handlers that take
+	// a slot as their event argument. held counts the messages waiting there
+	// for a link (see hold): sent, not yet on a wire.
+	slab                          []work
+	payloads                      []any
+	freeWork                      []uint32
+	timerDue, queueDone, holdOver sim.HandlerID
+	held                          int
 
 	// cause is the ref of the trace event whose handler is currently
 	// running — the delivery or timer being processed — so that sends,
@@ -299,6 +304,7 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 	}
 	net.timerDue = kernel.Register(net.fireTimer)
 	net.queueDone = kernel.Register(net.complete)
+	net.holdOver = kernel.Register(net.release)
 	if cfg.Processing != nil {
 		net.procMean = cfg.Processing.Mean()
 		net.procRNG = make([]rng.Source, n)
@@ -314,12 +320,6 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 			return nil, fmt.Errorf("network: %w", err)
 		}
 		net.life = life
-		if cfg.Faults.HasLinkFaults() {
-			// The interceptor derives its stream off each edge stream, so
-			// the inner links sample exactly as they would unwrapped.
-			cfg.Links = channel.ImpairedFactory(cfg.Links, impairment(cfg.Faults))
-			net.cfg.Links = cfg.Links
-		}
 	}
 	if cfg.Byzantine != nil {
 		adv, err := newAdversary(net, cfg.Byzantine, root)
@@ -355,32 +355,24 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 		}
 	}
 
+	// One link per directed edge, or — on the radio — one random-delay link per
+	// sender, whose single delivery per transmission fanout spreads over the
+	// sender's out-edges at the shared instant. The radio's stream label is
+	// distinct from "edge", so switching media re-seeds nothing else.
+	factory, label, count := cfg.Links, "edge", len(net.edges)
+	var sink channel.Sink = edgeSink{net}
 	if cfg.LocalBroadcast {
-		// One radio link per sender; the delivery fan-out walks the
-		// sender's out-edges at the shared delivery instant. The stream
-		// label is distinct from "edge", so switching media re-seeds
-		// nothing else.
-		net.store = channel.NewStore(kernel, radioSink{net})
-		net.linkRNG = make([]rng.Source, n)
-		net.links = make([]channel.Link, n)
-		radioStreams := root.Indexed("bcast")
-		for u := 0; u < n; u++ {
-			net.linkRNG[u] = radioStreams.At(u)
-			net.links[u] = channel.NewLocalBroadcast(net.store, u, cfg.BroadcastDelay,
-				&net.linkRNG[u], graph.OutDegree(u))
-		}
-	} else {
-		net.store = channel.NewStore(kernel, edgeSink{net})
-		net.linkRNG = make([]rng.Source, len(net.edges))
-		net.links = make([]channel.Link, len(net.edges))
-		edgeStreams := root.Indexed("edge")
-		for e, addr := range net.edges {
-			net.linkRNG[e] = edgeStreams.At(e)
-			link := cfg.Links(net.store, e, &net.linkRNG[e])
-			if link == nil {
-				return nil, fmt.Errorf("network: link factory returned nil for edge %d->%d", addr.from, addr.to)
-			}
-			net.links[e] = link
+		factory, label, count = channel.RandomDelayFactory(cfg.BroadcastDelay), "bcast", n
+		sink = radioSink{net}
+	}
+	net.store = channel.NewStore(kernel, sink)
+	net.linkRNG = make([]rng.Source, count)
+	net.links = make([]channel.Link, count)
+	streams := root.Indexed(label)
+	for k := range net.links {
+		net.linkRNG[k] = streams.At(k)
+		if net.links[k] = factory(net.store, k, &net.linkRNG[k]); net.links[k] == nil {
+			return nil, fmt.Errorf("network: link factory returned nil for edge %d->%d", net.edges[k].from, net.edges[k].to)
 		}
 	}
 	if net.life != nil {
@@ -434,9 +426,9 @@ func (net *Network) fanout(u int, payload any) {
 	}
 }
 
-// work is one handler call that has to wait: OnTimer(port) on node if timer
-// is set, OnMessage(port, payload) otherwise. It waits in net.slab, for a set
-// timer's instant (fireTimer) or for its turn in the node's processing queue
+// work is one call that has to wait: OnTimer(port) on node if timer is set,
+// OnMessage(port, payload) otherwise. It waits in net.slab, for a set timer's
+// instant (fireTimer) or for its turn in the node's processing queue
 // (complete). epoch is the node's crash epoch when the wait began — work that
 // outlives its incarnation is suppressed — and cause the trace event the
 // call descends from: what the node was processing when it set the timer,
@@ -444,22 +436,25 @@ func (net *Network) fanout(u int, payload any) {
 // beside it in net.payloads, which keeps the record free of pointers: parking
 // one is a plain copy without a write barrier, and the collector never scans
 // the slab.
+//
+// A message held back from its link is a record too, read differently: port is
+// the link, copies how many times it is to carry the message — none yet for a
+// Byzantine stall, which re-enters put — and cause the traced ref of the send.
+// No node, no epoch: a sender's crash does not recall what it already sent.
 type work struct {
-	node  int32
-	timer bool
-	port  int // the in-port of a message, the kind of a timer
-	epoch uint64
-	cause TraceRef
+	node   int32
+	timer  bool
+	copies uint8
+	port   int // the in-port of a message, the kind of a timer, the link of a held message
+	epoch  uint64
+	cause  TraceRef
 }
 
-// deferWork parks w (and a message's payload) in a slab slot until instant
-// at, when the kernel hands the slot to handler id. It is one kernel event, as
-// the closure it replaces was, and allocates nothing once the slab has grown
-// to the run's backlog.
-func (net *Network) deferWork(at simtime.Time, id sim.HandlerID, w work, payload any) {
-	if net.life != nil {
-		w.epoch = net.life.epoch[w.node]
-	}
+// park files w (and a message's payload) in a slab slot until instant at, when
+// the kernel hands the slot to handler id. It is one kernel event, as the
+// closure it replaces was, and allocates nothing once the slab has grown to
+// the run's backlog.
+func (net *Network) park(at simtime.Time, id sim.HandlerID, w work, payload any) {
 	var slot uint32
 	if n := len(net.freeWork); n > 0 {
 		slot, net.freeWork = net.freeWork[n-1], net.freeWork[:n-1]
@@ -471,21 +466,34 @@ func (net *Network) deferWork(at simtime.Time, id sim.HandlerID, w work, payload
 	net.kernel.AtArg(at, id, slot)
 }
 
-// take vacates slot and returns what waited in it, and whether the node
-// crashed (or crashed and restarted) while it did.
-func (net *Network) take(slot uint32) (w work, payload any, stale bool) {
-	w, payload = net.slab[slot], net.payloads[slot]
+// deferWork parks a handler call under its node's present crash epoch.
+func (net *Network) deferWork(at simtime.Time, id sim.HandlerID, w work, payload any) {
+	if net.life != nil {
+		w.epoch = net.life.epoch[w.node]
+	}
+	net.park(at, id, w, payload)
+}
+
+// take vacates slot and returns what waited in it.
+func (net *Network) take(slot uint32) (work, any) {
+	w, payload := net.slab[slot], net.payloads[slot]
 	net.payloads[slot] = nil
 	net.freeWork = append(net.freeWork, slot)
+	return w, payload
+}
+
+// stale reports whether the node of handler call w crashed (or crashed and
+// restarted) while w waited.
+func (net *Network) stale(w work) bool {
 	life := net.life
-	return w, payload, life != nil && (life.down[w.node] || life.epoch[w.node] != w.epoch)
+	return life != nil && (life.down[w.node] || life.epoch[w.node] != w.epoch)
 }
 
 // fireTimer is the kernel handler of a timer set through the slab reaching
 // its instant: the firing is counted and traced, then queued for processing.
 func (net *Network) fireTimer(slot uint32) {
-	w, _, stale := net.take(slot)
-	if stale {
+	w, _ := net.take(slot)
+	if net.stale(w) {
 		net.life.tel.TimersSuppressed++
 		return
 	}
@@ -518,9 +526,9 @@ func (net *Network) process(w work, payload any) {
 // queued before a crash (or restart) died with its incarnation: a message
 // counts as a dead letter, a timer as suppressed.
 func (net *Network) complete(slot uint32) {
-	w, payload, stale := net.take(slot)
+	w, payload := net.take(slot)
 	switch {
-	case !stale:
+	case !net.stale(w):
 		net.handle(w, payload)
 	case w.timer:
 		net.life.tel.TimersSuppressed++
@@ -730,7 +738,7 @@ func (c *Context) transmit(link int, payload any) {
 			return
 		}
 		if hold > 0 {
-			net.putAfter(hold, link, out, send)
+			net.hold(hold, link, 0, out, send)
 			return
 		}
 		payload = out
@@ -738,28 +746,66 @@ func (c *Context) transmit(link int, payload any) {
 	net.put(link, payload, send)
 }
 
-// put hands payload to links[link] at the (possibly stalled) transmission
-// instant. A point-to-point link taken down by a scripted outage or
-// partition drops it at the link boundary — it still counted as sent, and
-// messages already in flight still arrive; the radio has no edge of its own
-// and meets outages per receiver, in fanout. send is the traced ref of the
-// logical send, carried across the link with the payload so the delivery
-// can name its cause; zero when tracing is off.
+// put is where the environment decides about a message entering links[link],
+// at the (possibly stalled) transmission instant. A point-to-point link taken
+// down by a scripted outage or partition drops it at the link boundary — it
+// still counted as sent, and messages already in flight still arrive — and the
+// plan's link faults are drawn next, in front of whatever discipline the link
+// has (see lifecycle.impair). The radio has no edge of its own and meets
+// outages per receiver, in fanout.
 func (net *Network) put(link int, payload any, send TraceRef) {
-	if life := net.life; life != nil && !net.cfg.LocalBroadcast && life.edgeDown(link) {
-		life.tel.LinkDrops++
-		return
+	copies := 1
+	if life := net.life; life != nil && !net.cfg.LocalBroadcast {
+		if life.edgeDown(link) {
+			life.tel.LinkDrops++
+			return
+		}
+		if life.impairRNG != nil {
+			var held bool
+			var hold simtime.Duration
+			if copies, held, hold = life.impair(link); held {
+				net.hold(hold, link, copies, payload, send)
+				return
+			}
+		}
 	}
+	net.carry(link, copies, payload, send)
+}
+
+// carry hands links[link] its copies of payload (none of a lost message), each
+// sampling its own delay now. send, the traced ref of the logical send (zero
+// when untraced), crosses the link too, so the delivery can name its cause.
+func (net *Network) carry(link, copies int, payload any, send TraceRef) {
 	if net.cfg.Tracer != nil {
 		payload = tracedPayload{payload: payload, send: send}
 	}
-	net.links[link].Send(payload)
+	for range copies {
+		net.links[link].Send(payload)
+	}
 }
 
-// putAfter is a stalled put. The closure lives in a method of its own so
-// that transmit's payload stays off the heap on the sends that do not stall.
-func (net *Network) putAfter(hold simtime.Duration, link int, payload any, send TraceRef) {
-	net.kernel.AfterFunc(hold, func() { net.put(link, payload, send) })
+// hold keeps a message off links[link] for d, as one slab record: a Byzantine
+// stall (copies 0) or a fault plan's reorder hold-back of copies messages.
+func (net *Network) hold(d simtime.Duration, link, copies int, payload any, send TraceRef) {
+	if !d.Valid() {
+		panic(fmt.Sprintf("network: message held back for invalid duration %v", d))
+	}
+	net.held += max(copies, 1)
+	net.park(net.kernel.Now().Add(d), net.holdOver, work{port: link, copies: uint8(copies), cause: send}, payload)
+}
+
+// release is the kernel handler of a hold running out. A stalled send has met
+// neither the outage check nor the plan's link faults, so it re-enters put: an
+// outage that began meanwhile still drops it. A reorder-held one is past both,
+// and its copies sample their link delays here, at the release instant.
+func (net *Network) release(slot uint32) {
+	w, payload := net.take(slot)
+	net.held -= max(int(w.copies), 1)
+	if w.copies == 0 {
+		net.put(w.port, payload, w.cause)
+		return
+	}
+	net.carry(w.port, int(w.copies), payload, w.cause)
 }
 
 // LocalTime returns the node's local clock reading.

@@ -4,9 +4,11 @@ import (
 	"runtime"
 	"testing"
 
+	"abenet/internal/byzantine"
 	"abenet/internal/channel"
 	"abenet/internal/clock"
 	"abenet/internal/dist"
+	"abenet/internal/faults"
 	"abenet/internal/simtime"
 	"abenet/internal/topology"
 )
@@ -569,12 +571,15 @@ func TestRadioTransmissionDoesNotAllocate(t *testing.T) {
 // slab record now, so a set-and-fired timer and a sent, queued and handled
 // message cost zero heap objects once the slab has warmed up — also for a
 // timer kind past the per-kind handler table on an otherwise plain network.
-// The tracer row has no message leg: a traced send boxes its causal tag in
-// put, one object per message, on the send side.
+// The tracer row has no message leg: a traced send boxes its causal tag on
+// its way into the link, one object per message, on the send side. A message
+// held back before its link — by a plan's reorder axis or a stalling node —
+// was the last closure per event (one heap object each); it is a record too.
 func TestDeferredWorkDoesNotAllocate(t *testing.T) {
 	setTimer := func(kind int) func(*Context, any) {
 		return func(c *Context, _ any) { c.SetLocalTimerFunc(1, kind) }
 	}
+	send := func(c *Context, payload any) { c.Send(0, payload) }
 	for _, path := range deferredPaths {
 		t.Run(path.name+"/timer", func(t *testing.T) {
 			mustNotAllocate(t, ringConfig(8, path), setTimer(0), 1)
@@ -583,8 +588,18 @@ func TestDeferredWorkDoesNotAllocate(t *testing.T) {
 			continue
 		}
 		t.Run(path.name+"/message", func(t *testing.T) {
-			mustNotAllocate(t, ringConfig(8, path), func(c *Context, payload any) { c.Send(0, payload) }, 1)
+			mustNotAllocate(t, ringConfig(8, path), send, 1)
 		})
+	}
+	for _, path := range []configPath{
+		{"a reorder-held send", func(c *Config) { c.Faults = &faults.Plan{Reorder: 1} }},
+		{"a stalled send", func(c *Config) {
+			c.Byzantine = &byzantine.Plan{Roles: []byzantine.Role{
+				{Node: 0, Behavior: byzantine.Stall}, {Node: 1, Behavior: byzantine.Stall},
+			}}
+		}},
+	} {
+		t.Run(path.name, func(t *testing.T) { mustNotAllocate(t, ringConfig(8, path), send, 1) })
 	}
 	t.Run("kind past the handler table/timer", func(t *testing.T) {
 		mustNotAllocate(t, ringConfig(8, plainPath), setTimer(maxTimerKinds), 1)

@@ -10,9 +10,7 @@ import (
 // as constant zero — so downstream consumers can rely on the columns.
 func (net *Network) ProbeGauges() []probe.Gauge {
 	return []probe.Gauge{
-		{Name: "in_flight", Read: func() float64 {
-			return float64(net.metrics.MessagesSent - net.metrics.MessagesDelivered)
-		}},
+		{Name: "in_flight", Read: func() float64 { return float64(net.store.InFlight() + net.held) }},
 		{Name: "sent", Read: func() float64 { return float64(net.metrics.MessagesSent) }},
 		{Name: "delivered", Read: func() float64 { return float64(net.metrics.MessagesDelivered) }},
 		{Name: "timers_fired", Read: func() float64 { return float64(net.metrics.TimersFired) }},

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"abenet/internal/faults"
 	"abenet/internal/probe"
 	"abenet/internal/synchronizer"
 	"abenet/internal/topology"
@@ -143,6 +144,55 @@ func TestObserveSeriesShape(t *testing.T) {
 	if got := byName("in_flight"); got != 0 {
 		t.Errorf("final in_flight = %g, want 0 after the run drained", got)
 	}
+}
+
+// TestInFlightReadsWhatIsInFlight: the gauge counts the messages on a wire
+// or held back on their way to one, not sent − delivered. On the radio a
+// transmission is sent once and delivered once per receiver, so that
+// difference underflowed at every sample (1.8e19); under loss it stayed
+// positive for the rest of the run — a lost message was in flight forever.
+func TestInFlightReadsWhatIsInFlight(t *testing.T) {
+	column := func(s *probe.Series, name string) int {
+		for i, n := range s.Names {
+			if n == name {
+				return i
+			}
+		}
+		t.Fatalf("no gauge %q", name)
+		return 0
+	}
+	t.Run("local broadcast", func(t *testing.T) {
+		rep, err := Run(Env{Graph: topology.Complete(6), Seed: 1, LocalBroadcast: true,
+			Observe: &probe.Config{EveryEvents: 1}}, BenOr{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := rep.Series
+		inFlight, sent := column(s, "in_flight"), column(s, "sent")
+		for _, sample := range s.Samples {
+			if v := sample.Values[inFlight]; !(v >= 0 && v <= sample.Values[sent]) {
+				t.Fatalf("t=%g: in_flight %g with %g transmissions sent", sample.Time, v, sample.Values[sent])
+			}
+		}
+	})
+	t.Run("loss", func(t *testing.T) {
+		rep, err := Run(Env{N: 8, Seed: 1, Horizon: 1000, Faults: &faults.Plan{Loss: 0.3},
+			Observe: &probe.Config{Interval: 5}}, Election{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Faults.MessagesDropped == 0 {
+			t.Fatal("the plan lost nothing: pick a seed that does")
+		}
+		s := rep.Series
+		last := s.Samples[len(s.Samples)-1].Values
+		if gap := last[column(s, "sent")] - last[column(s, "delivered")]; gap != float64(rep.Faults.MessagesDropped) {
+			t.Fatalf("sent − delivered = %g at the horizon, want the %d lost messages", gap, rep.Faults.MessagesDropped)
+		}
+		if v := last[column(s, "in_flight")]; v != 0 {
+			t.Errorf("in_flight = %g at the horizon with every wire empty, want 0", v)
+		}
+	})
 }
 
 // TestObservedSeriesDeterministic: the samples themselves are a pure

@@ -1,6 +1,10 @@
 package service
 
-import "abenet/internal/store"
+import (
+	"sync/atomic"
+
+	"abenet/internal/store"
+)
 
 // cacheEntry is one cached result plus its hit counter (how many
 // submissions it has served). The counter lives in the memory tier only:
@@ -12,59 +16,73 @@ type cacheEntry struct {
 
 // tieredCache is the two-tier read path over finished results: a bounded
 // in-memory LRU in front of an optional persistent store, both keyed on
-// (ExecutionHash, seed). Reads check memory first, then the persistent
-// tier, promoting persistent hits into memory; writes go to both. All
-// methods are called under the service mutex, which also makes the
-// per-tier hit counters consistent snapshots.
+// (ExecutionHash, seed). The memory tier and the hit counters belong to
+// the service mutex; the persistent tier is read (load) and written
+// (writeThrough) only outside it, so no submit, status read or cancel
+// waits on a disk.
 type tieredCache struct {
 	mem     *store.Memory[*cacheEntry]
 	persist store.Store[*Result] // nil = memory-only serving
 
-	memHits     int // submissions served from the memory tier
-	persistHits int // submissions served from the persistent tier
-	persistErrs int // failed persistent writes (results still served from memory)
+	memHits     int          // submissions served from the memory tier
+	persistHits int          // submissions served from the persistent tier
+	persistErrs atomic.Int64 // failed persistent writes (results still served from memory)
 }
 
 func newTieredCache(maxMem int, persist store.Store[*Result]) *tieredCache {
 	return &tieredCache{mem: store.NewMemory[*cacheEntry](maxMem), persist: persist}
 }
 
-// get returns the entry for key, or nil. A memory hit bumps the entry's
-// LRU position; a persistent hit promotes the result into the memory tier
-// (with a fresh per-entry hit counter). The caller increments ent.hits —
-// get only tracks which tier served.
+// get returns the memory-tier entry for key, or nil, bumping its LRU
+// position and counting the hit. The caller increments ent.hits — get
+// only tracks which tier served. Callers hold s.mu.
 func (c *tieredCache) get(key string) *cacheEntry {
-	if ent, ok := c.mem.Get(key); ok {
-		c.memHits++
-		return ent
-	}
-	if c.persist == nil {
-		return nil
-	}
-	res, ok := c.persist.Get(key)
+	ent, ok := c.mem.Get(key)
 	if !ok {
 		return nil
 	}
-	c.persistHits++
-	ent := &cacheEntry{result: res}
-	_ = c.mem.Put(key, ent) // promote: the next hit is a memory hit
+	c.memHits++
 	return ent
 }
 
-// put stores a finished result in both tiers. Refreshing an existing
-// memory entry keeps its hit counter. A persistent-tier write failure is
-// counted, not fatal: the result still serves from memory, and the disk
-// slot heals on the next computation of the same key.
+// promote installs a result read off the persistent tier into the memory
+// tier (with a fresh per-entry hit counter) and counts the store hit: the
+// next hit is a memory hit. Callers hold s.mu.
+func (c *tieredCache) promote(key string, res *Result) *cacheEntry {
+	c.persistHits++
+	ent := &cacheEntry{result: res}
+	_ = c.mem.Put(key, ent)
+	return ent
+}
+
+// put publishes a finished result to the memory tier. Refreshing an
+// existing entry keeps its hit counter. Callers hold s.mu.
 func (c *tieredCache) put(key string, res *Result) {
 	if ent, ok := c.mem.Get(key); ok {
 		ent.result = res
-	} else {
-		_ = c.mem.Put(key, &cacheEntry{result: res})
+		return
 	}
-	if c.persist != nil {
-		if err := c.persist.Put(key, res); err != nil {
-			c.persistErrs++
-		}
+	_ = c.mem.Put(key, &cacheEntry{result: res})
+}
+
+// load reads key from the persistent tier (a miss when there is none).
+// It runs outside s.mu.
+func (c *tieredCache) load(key string) (*Result, bool) {
+	if c.persist == nil {
+		return nil, false
+	}
+	return c.persist.Get(key)
+}
+
+// writeThrough stores a published result in the persistent tier. It runs
+// outside s.mu. A failure is counted, not fatal: the result still serves
+// from memory, and the slot heals on the next computation of the key.
+func (c *tieredCache) writeThrough(key string, res *Result) {
+	if c.persist == nil {
+		return
+	}
+	if err := c.persist.Put(key, res); err != nil {
+		c.persistErrs.Add(1)
 	}
 }
 
@@ -72,6 +90,7 @@ func (c *tieredCache) put(key string, res *Result) {
 func (c *tieredCache) len() int { return c.mem.Len() }
 
 // persistLen returns the persistent-tier entry count (0 when disabled).
+// It runs outside s.mu.
 func (c *tieredCache) persistLen() int {
 	if c.persist == nil {
 		return 0

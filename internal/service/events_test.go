@@ -31,7 +31,7 @@ func TestEventStreamLifecycle(t *testing.T) {
 	svc := New(Options{Workers: 1})
 	defer svc.Close()
 
-	v, err := svc.Submit(observedFixture(t, "election_ring.json", 1), nil)
+	v, err := svc.Submit(specJSON(t, observedFixture(t, "election_ring.json", 1)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestSweepPointStreaming(t *testing.T) {
 	defer svc.Close()
 
 	sp := loadFixture(t, "itai_rodeh_sweep.json")
-	v, err := svc.Submit(sp, nil)
+	v, err := svc.Submit(specJSON(t, sp), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestSSEReplayAndTermination(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(svc, HandlerOptions{}))
 	defer ts.Close()
 
-	v, err := svc.Submit(observedFixture(t, "election_ring.json", 2), nil)
+	v, err := svc.Submit(specJSON(t, observedFixture(t, "election_ring.json", 2)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestSSELiveFollowAndDisconnect(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(svc, HandlerOptions{}))
 	defer ts.Close()
 
-	v, err := svc.Submit(observedFixture(t, "election_ring.json", 1), nil)
+	v, err := svc.Submit(specJSON(t, observedFixture(t, "election_ring.json", 1)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,13 +311,13 @@ func TestObserveCacheKeying(t *testing.T) {
 	svc := New(Options{Workers: 1})
 	defer svc.Close()
 
-	plain, err := svc.Submit(loadFixture(t, "election_ring.json"), nil)
+	plain, err := svc.Submit(specJSON(t, loadFixture(t, "election_ring.json")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	await(t, svc, plain.ID)
 
-	observed, err := svc.Submit(observedFixture(t, "election_ring.json", 1), nil)
+	observed, err := svc.Submit(specJSON(t, observedFixture(t, "election_ring.json", 1)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestObserveCacheKeying(t *testing.T) {
 		t.Fatal("observed run lost its series")
 	}
 
-	again, err := svc.Submit(observedFixture(t, "election_ring.json", 1), nil)
+	again, err := svc.Submit(specJSON(t, observedFixture(t, "election_ring.json", 1)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestObserveCacheKeying(t *testing.T) {
 		t.Fatal("cached observed result lost its series")
 	}
 	// A different cadence is a different payload: no hit.
-	other, err := svc.Submit(observedFixture(t, "election_ring.json", 7), nil)
+	other, err := svc.Submit(specJSON(t, observedFixture(t, "election_ring.json", 7)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,12 +361,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(svc, HandlerOptions{}))
 	defer ts.Close()
 
-	v, err := svc.Submit(loadFixture(t, "election_ring.json"), nil)
+	v, err := svc.Submit(specJSON(t, loadFixture(t, "election_ring.json")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	await(t, svc, v.ID)
-	if _, err := svc.Submit(loadFixture(t, "election_ring.json"), nil); err != nil {
+	if _, err := svc.Submit(specJSON(t, loadFixture(t, "election_ring.json")), nil); err != nil {
 		t.Fatal(err) // cache hit, bumps the hit counter
 	}
 

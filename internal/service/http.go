@@ -10,7 +10,6 @@ import (
 	"strconv"
 
 	"abenet/internal/runner"
-	"abenet/internal/spec"
 	"abenet/internal/trace"
 )
 
@@ -88,19 +87,17 @@ func NewHandler(svc *Service, hopts HandlerOptions) http.Handler {
 			writeError(w, http.StatusBadRequest, errors.New(`request needs a "spec"`))
 			return
 		}
-		sp, err := spec.DecodeBytes(req.Spec)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		// The wait path submits and waits on the job handle in one service
-		// call: a by-id re-lookup could race history retirement and report
-		// a finished run as not-found.
+		// The spec goes in as bytes: Submit's one decode validates it (a bad
+		// spec is a 400 below) and builds the job's own copy. The wait path
+		// submits and waits on the job handle in one service call: a by-id
+		// re-lookup could race history retirement and report a finished run
+		// as not-found.
 		var view View
+		var err error
 		if req.Wait {
-			view, err = svc.SubmitAndWait(r.Context(), sp, req.Seed)
+			view, err = svc.SubmitAndWait(r.Context(), req.Spec, req.Seed)
 		} else {
-			view, err = svc.Submit(sp, req.Seed)
+			view, err = svc.Submit(req.Spec, req.Seed)
 		}
 		switch {
 		case errors.Is(err, ErrQueueFull):

@@ -264,7 +264,7 @@ func TestHTTPCancelSharedJobConflicts(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(svc, HandlerOptions{}))
 	defer ts.Close()
 
-	blocker, err := svc.Submit(loadFixture(t, "election_ring.json"), nil)
+	blocker, err := svc.Submit(specJSON(t, loadFixture(t, "election_ring.json")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

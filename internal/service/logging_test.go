@@ -19,7 +19,7 @@ func TestRequestLoggerLines(t *testing.T) {
 	ts := httptest.NewServer(RequestLogger(logger, NewHandler(svc, HandlerOptions{})))
 	defer ts.Close()
 
-	v, err := svc.Submit(loadFixture(t, "election_ring.json"), nil)
+	v, err := svc.Submit(specJSON(t, loadFixture(t, "election_ring.json")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestRequestLoggerPreservesSSE(t *testing.T) {
 	ts := httptest.NewServer(RequestLogger(logger, NewHandler(svc, HandlerOptions{})))
 	defer ts.Close()
 
-	v, err := svc.Submit(loadFixture(t, "election_ring.json"), nil)
+	v, err := svc.Submit(specJSON(t, loadFixture(t, "election_ring.json")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

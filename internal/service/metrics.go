@@ -59,7 +59,7 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 			{`{tier="memory"}`, float64(st.MemoryHits)},
 			{`{tier="store"}`, float64(st.StoreHits)},
 		}},
-		{"abe_store_errors_total", "Persistent-store read/write errors.", "counter",
+		{"abe_store_errors_total", "Failed persistent-tier writes.", "counter",
 			[]promSample{{"", float64(st.StoreErrors)}}},
 		{"abe_stream_events_dropped_total", "Progress events discarded past per-job stream caps.", "counter",
 			[]promSample{{"", float64(st.EventsDropped)}}},

@@ -23,6 +23,25 @@ func openDisk(t *testing.T, dir string) *store.Disk[*Result] {
 	return d
 }
 
+// awaitStoreEntries waits for the persistent tier to hold want entries. A
+// job is done once the memory tier serves it; its write-through follows
+// outside the service lock, so a test that reads the store right after
+// Wait polls for it.
+func awaitStoreEntries(t *testing.T, svc *Service, want int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		got := svc.Stats().StoreEntries
+		if got == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("store entries = %d, want %d", got, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestPersistentStoreSurvivesRestart is the PR's acceptance loop: a result
 // computed by one service process is served by a *fresh* process over the
 // same -store directory with no simulation executed — proven by the
@@ -33,7 +52,7 @@ func TestPersistentStoreSurvivesRestart(t *testing.T) {
 
 	// Process 1: compute and persist.
 	svc1 := New(Options{Workers: 1, Persist: openDisk(t, dir)})
-	v, err := svc1.Submit(sp, nil)
+	v, err := svc1.Submit(specJSON(t, sp), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +61,7 @@ func TestPersistentStoreSurvivesRestart(t *testing.T) {
 		t.Fatalf("job ended %s (%s)", v.Status, v.Error)
 	}
 	want, _ := json.Marshal(v.Result.Metrics)
-	if got := svc1.Stats().StoreEntries; got != 1 {
-		t.Fatalf("store entries after compute = %d, want 1", got)
-	}
+	awaitStoreEntries(t, svc1, 1)
 	svc1.Close()
 
 	// Process 2: same directory, fresh memory. The resubmission must be
@@ -57,7 +74,7 @@ func TestPersistentStoreSurvivesRestart(t *testing.T) {
 	})
 	defer svc2.Close()
 
-	v2, err := svc2.Submit(loadFixture(t, "election_ring.json"), nil)
+	v2, err := svc2.Submit(specJSON(t, loadFixture(t, "election_ring.json")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +97,7 @@ func TestPersistentStoreSurvivesRestart(t *testing.T) {
 	}
 
 	// The promoted entry now serves from memory.
-	v3, err := svc2.Submit(loadFixture(t, "election_ring.json"), nil)
+	v3, err := svc2.Submit(specJSON(t, loadFixture(t, "election_ring.json")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +130,7 @@ func TestPersistentHitIsTheFirstResponse(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				v, err := svc.Submit(sp, nil)
+				v, err := svc.Submit(specJSON(t, sp), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -146,31 +163,28 @@ func TestPersistentTierBackfillsMemoryEviction(t *testing.T) {
 
 	a := loadFixture(t, "election_ring.json")
 	b := loadFixture(t, "chang_roberts_pareto.json")
-	va, err := svc.Submit(a, nil)
+	va, err := svc.Submit(specJSON(t, a), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	await(t, svc, va.ID)
-	vb, err := svc.Submit(b, nil)
+	vb, err := svc.Submit(specJSON(t, b), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	await(t, svc, vb.ID) // memory tier (capacity 1) now holds only b
 
-	v, err := svc.Submit(a, nil)
+	v, err := svc.Submit(specJSON(t, a), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Status != StatusDone || v.CacheHits != 1 {
 		t.Fatalf("evicted key: status %s hits %d, want done/1 from the store tier", v.Status, v.CacheHits)
 	}
-	st := svc.Stats()
-	if st.StoreHits != 1 {
-		t.Fatalf("store hits = %d, want 1", st.StoreHits)
+	if hits := svc.Stats().StoreHits; hits != 1 {
+		t.Fatalf("store hits = %d, want 1", hits)
 	}
-	if st.StoreEntries != 2 {
-		t.Fatalf("store entries = %d, want 2", st.StoreEntries)
-	}
+	awaitStoreEntries(t, svc, 2)
 }
 
 // TestSeedsAreDistinctStoreEntries: (hash, seed) is the store key — two
@@ -181,12 +195,12 @@ func TestSeedsAreDistinctStoreEntries(t *testing.T) {
 
 	sp := loadFixture(t, "election_ring.json")
 	s1, s2 := uint64(1), uint64(2)
-	v1, err := svc.Submit(sp, &s1)
+	v1, err := svc.Submit(specJSON(t, sp), &s1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v1 = await(t, svc, v1.ID)
-	v2, err := svc.Submit(sp, &s2)
+	v2, err := svc.Submit(specJSON(t, sp), &s2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,9 +208,7 @@ func TestSeedsAreDistinctStoreEntries(t *testing.T) {
 	if v2.CacheHits != 0 {
 		t.Fatal("different seed served from the store")
 	}
-	if got := svc.Stats().StoreEntries; got != 2 {
-		t.Fatalf("store entries = %d, want 2", got)
-	}
+	awaitStoreEntries(t, svc, 2)
 	m1, _ := json.Marshal(v1.Result.Metrics)
 	m2, _ := json.Marshal(v2.Result.Metrics)
 	if bytes.Equal(m1, m2) {
@@ -222,14 +234,14 @@ func TestAdmissionControl(t *testing.T) {
 	seeds := []uint64{10, 11, 12}
 
 	// Burst of 2 admitted, third fresh submission rejected.
-	v1, err := svc.Submit(sp, &seeds[0])
+	v1, err := svc.Submit(specJSON(t, sp), &seeds[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Submit(sp, &seeds[1]); err != nil {
+	if _, err := svc.Submit(specJSON(t, sp), &seeds[1]); err != nil {
 		t.Fatal(err)
 	}
-	_, err = svc.Submit(sp, &seeds[2])
+	_, err = svc.Submit(specJSON(t, sp), &seeds[2])
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("third fresh submission: %v, want ErrOverloaded", err)
 	}
@@ -240,7 +252,7 @@ func TestAdmissionControl(t *testing.T) {
 	// A cache hit is never charged: the first job's result keeps serving
 	// even with an empty bucket.
 	await(t, svc, v1.ID)
-	hit, err := svc.Submit(sp, &seeds[0])
+	hit, err := svc.Submit(specJSON(t, sp), &seeds[0])
 	if err != nil {
 		t.Fatalf("cache hit rejected under overload: %v", err)
 	}
@@ -250,7 +262,7 @@ func TestAdmissionControl(t *testing.T) {
 
 	// Refill: one second buys one token.
 	clock = clock.Add(time.Second)
-	v3, err := svc.Submit(sp, &seeds[2])
+	v3, err := svc.Submit(specJSON(t, sp), &seeds[2])
 	if err != nil {
 		t.Fatalf("post-refill submission rejected: %v", err)
 	}
@@ -276,12 +288,12 @@ func TestAdmissionNeverChargesDedup(t *testing.T) {
 	defer svc.Close()
 
 	sp := loadFixture(t, "election_ring.json")
-	v1, err := svc.Submit(sp, nil)
+	v1, err := svc.Submit(specJSON(t, sp), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-entered // the only token is spent; the job is held running
-	dup, err := svc.Submit(sp, nil)
+	dup, err := svc.Submit(specJSON(t, sp), nil)
 	if err != nil {
 		t.Fatalf("dedup rider rejected by admission control: %v", err)
 	}

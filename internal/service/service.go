@@ -14,7 +14,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -114,6 +116,38 @@ type Result struct {
 	// once, and so GET /v1/runs/{id}/trace can render it without reparsing
 	// the report.
 	Trace *trace.Export `json:"trace,omitempty"`
+
+	// raw is the result's one encoding: made by the worker that computed
+	// it, or the bytes a persistent tier decoded it from. Every response
+	// and every write-through reuses it; nil means encode on demand.
+	raw []byte
+}
+
+// resultFields is Result without its codec methods: the reflection
+// encoding the one stored encoding is made of.
+type resultFields Result
+
+// encode is the reflection encoding of r — the only marshal of a result
+// body in the package.
+func (r *Result) encode() ([]byte, error) { return json.Marshal((*resultFields)(r)) }
+
+// MarshalJSON returns the result's one encoding, byte-equal to the
+// reflection encoding of its fields.
+func (r *Result) MarshalJSON() ([]byte, error) {
+	if r.raw != nil {
+		return r.raw, nil
+	}
+	return r.encode()
+}
+
+// UnmarshalJSON decodes a stored result and keeps the bytes it was given,
+// so a persistent hit is served as it was stored, not re-encoded.
+func (r *Result) UnmarshalJSON(data []byte) error {
+	if err := json.Unmarshal(data, (*resultFields)(r)); err != nil {
+		return err
+	}
+	r.raw = bytes.Clone(data)
+	return nil
 }
 
 // View is a JSON-ready snapshot of one job.
@@ -163,7 +197,7 @@ type job struct {
 	events    *eventLog
 }
 
-// view snapshots the job. Callers hold the service mutex.
+// view snapshots the job. Callers hold s.mu.
 func (j *job) view() View {
 	kind := "run"
 	if j.spec.Sweep != nil {
@@ -259,15 +293,16 @@ func New(opts Options) *Service {
 	return s
 }
 
-// Submit validates and enqueues a scenario. seedOverride, when non-nil,
-// replaces the spec's Env.Seed (the spec file states the scenario; the
-// caller may pick the run). The returned view is one of:
+// Submit decodes, validates and enqueues a scenario given as spec JSON (the
+// internal/spec schema, strict). seedOverride, when non-nil, replaces the
+// spec's Env.Seed (the spec file states the scenario; the caller may pick
+// the run). The returned view is one of:
 //
 //   - a done job served straight from the result cache (CacheHits > 0),
 //   - the identical in-flight job (Deduplicated > 0, same id), or
 //   - a fresh queued job.
-func (s *Service) Submit(sp *spec.Spec, seedOverride *uint64) (View, error) {
-	view, _, err := s.submit(sp, seedOverride)
+func (s *Service) Submit(raw []byte, seedOverride *uint64) (View, error) {
+	view, _, err := s.submit(raw, seedOverride)
 	return view, err
 }
 
@@ -277,8 +312,8 @@ func (s *Service) Submit(sp *spec.Spec, seedOverride *uint64) (View, error) {
 // caller waits cannot turn a finished run into not-found. When ctx ends
 // first the snapshot is still returned — alongside ctx.Err(), so callers
 // can tell "finished" from "gave up waiting on a still-running job".
-func (s *Service) SubmitAndWait(ctx context.Context, sp *spec.Spec, seedOverride *uint64) (View, error) {
-	view, j, err := s.submit(sp, seedOverride)
+func (s *Service) SubmitAndWait(ctx context.Context, raw []byte, seedOverride *uint64) (View, error) {
+	view, j, err := s.submit(raw, seedOverride)
 	if err != nil {
 		return view, err
 	}
@@ -287,22 +322,21 @@ func (s *Service) SubmitAndWait(ctx context.Context, sp *spec.Spec, seedOverride
 
 // submit is the shared submission path, returning the job handle alongside
 // the snapshot.
-func (s *Service) submit(sp *spec.Spec, seedOverride *uint64) (View, *job, error) {
-	if sp == nil {
-		return View{}, nil, errors.New("service: nil spec")
-	}
-	run := *sp
-	if seedOverride != nil {
-		run.Env.Seed = *seedOverride
-	}
-	if err := run.Validate(); err != nil {
-		return View{}, nil, err
-	}
-	hash, err := run.Hash()
+func (s *Service) submit(raw []byte, seedOverride *uint64) (View, *job, error) {
+	// The one decode: it validates the document, and the spec it builds is
+	// the job's own — nothing the caller holds, raw included, reaches it.
+	sp, err := spec.DecodeBytes(raw)
 	if err != nil {
 		return View{}, nil, err
 	}
-	key := fmt.Sprintf("%s@%d%s%s", hash, run.Env.Seed, observeKey(run.Env.Observe), traceKey(run.Env.Trace))
+	if seedOverride != nil {
+		sp.Env.Seed = *seedOverride
+	}
+	hash, err := sp.Hash()
+	if err != nil {
+		return View{}, nil, err
+	}
+	key := fmt.Sprintf("%s@%d%s%s", hash, sp.Env.Seed, observeKey(sp.Env.Observe), traceKey(sp.Env.Trace))
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -310,11 +344,27 @@ func (s *Service) submit(sp *spec.Spec, seedOverride *uint64) (View, *job, error
 		return View{}, nil, ErrClosed
 	}
 	s.submissions++
-	if ent := s.cache.get(key); ent != nil {
+	ent, running := s.cache.get(key), s.inflight[key]
+	if ent == nil && running == nil && s.cache.persist != nil {
+		// A memory miss with nothing in flight reads the persistent tier
+		// with the lock released, then looks again: meanwhile another
+		// submission may have promoted, computed or enqueued the key.
+		s.mu.Unlock()
+		res, found := s.cache.load(key)
+		s.mu.Lock()
+		if s.closed {
+			return View{}, nil, ErrClosed
+		}
+		ent, running = s.cache.get(key), s.inflight[key]
+		if ent == nil && running == nil && found {
+			ent = s.cache.promote(key, res)
+		}
+	}
+	if ent != nil {
 		// Served from cache: a done job materialises instantly, and the
 		// hit counter proves no simulation ran.
 		ent.hits++
-		j := s.newJobLocked(&run, hash, key)
+		j := s.newJobLocked(sp, hash, key)
 		j.status = StatusDone
 		j.result = ent.result
 		j.cacheHits = ent.hits
@@ -326,7 +376,7 @@ func (s *Service) submit(sp *spec.Spec, seedOverride *uint64) (View, *job, error
 	}
 	// Dedup shares the cache's soundness argument: identical (scenario,
 	// seed) means identical results.
-	if running := s.inflight[key]; running != nil {
+	if running != nil {
 		running.dedups++
 		return running.view(), running, nil
 	}
@@ -339,16 +389,7 @@ func (s *Service) submit(sp *spec.Spec, seedOverride *uint64) (View, *job, error
 			return View{}, nil, &overloadError{retryAfter: wait}
 		}
 	}
-	// Deep-copy before enqueueing: `run` shares nested pointers (sweep
-	// block, fault plan, scripted events, protocol options) with the
-	// caller's spec, and the worker must run the scenario as submitted,
-	// not as later mutated. The canonical codec round trip is the one
-	// copy that provably covers every field the hash covers.
-	enq, err := run.Clone()
-	if err != nil {
-		return View{}, nil, err
-	}
-	j := s.newJobLocked(enq, hash, key)
+	j := s.newJobLocked(sp, hash, key)
 	select {
 	case s.queue <- j:
 	default:
@@ -503,7 +544,10 @@ type Stats struct {
 	MemoryHits   int `json:"memory_hits"`
 	StoreEntries int `json:"store_entries"`
 	StoreHits    int `json:"store_hits"`
-	StoreErrors  int `json:"store_errors"`
+	// StoreErrors counts failed persistent-tier writes; each such result
+	// still serves from memory. A corrupt entry read back is a miss (the
+	// Store interface has no read error to report), not an error.
+	StoreErrors int `json:"store_errors"`
 	// Submissions counts every validated submission (including cache hits
 	// and dedup riders).
 	Submissions int `json:"submissions"`
@@ -525,6 +569,7 @@ type Stats struct {
 // Stats snapshots the service counters.
 func (s *Service) Stats() Stats {
 	dropped := atomic.LoadInt64(&s.eventsDropped)
+	storeEntries := s.cache.persistLen() // tier I/O: outside s.mu
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
@@ -533,9 +578,9 @@ func (s *Service) Stats() Stats {
 		Jobs:              len(s.jobs),
 		CacheEntries:      s.cache.len(),
 		MemoryHits:        s.cache.memHits,
-		StoreEntries:      s.cache.persistLen(),
+		StoreEntries:      storeEntries,
 		StoreHits:         s.cache.persistHits,
-		StoreErrors:       s.cache.persistErrs,
+		StoreErrors:       int(s.cache.persistErrs.Load()),
 		Submissions:       s.submissions,
 		Done:              s.finished[StatusDone],
 		Failed:            s.finished[StatusFailed],
@@ -589,11 +634,20 @@ func (s *Service) worker() {
 		j.events.append(Event{Type: EventStatus, Status: StatusRunning}, false)
 
 		res, err := execute(j, s.opts.SweepWorkers)
+		if err == nil {
+			// The one encoding, made before the lock. On failure (a value
+			// JSON cannot carry) raw stays nil and every encoder fails
+			// exactly as the reflection encoding does.
+			if data, encErr := res.encode(); encErr == nil {
+				res.raw = data
+			}
+		}
 
 		s.mu.Lock()
 		if s.inflight[j.key] == j {
 			delete(s.inflight, j.key)
 		}
+		done := false
 		switch {
 		case j.status == StatusCancelled:
 			// Result discarded; Cancel already removed the inflight entry
@@ -608,10 +662,18 @@ func (s *Service) worker() {
 			j.result = res
 			s.cache.put(j.key, res)
 			j.events.finish(StatusDone, "")
+			done = true
 		}
 		close(j.done)
 		s.retireLocked(j)
 		s.mu.Unlock()
+		// Write-through after the lock: a submit, status read or cancel
+		// never waits on the persistent tier. The memory tier already
+		// serves the result; a crash before this write costs one
+		// recomputation, never a wrong or partial entry.
+		if done {
+			s.cache.writeThrough(j.key, res)
+		}
 	}
 }
 

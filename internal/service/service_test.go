@@ -24,6 +24,16 @@ func loadFixture(t *testing.T, name string) *spec.Spec {
 	return s
 }
 
+// specJSON is the document Submit takes for sp: its canonical encoding.
+func specJSON(t *testing.T, sp *spec.Spec) []byte {
+	t.Helper()
+	b, err := sp.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // await runs Wait with a test deadline.
 func await(t *testing.T, svc *Service, id string) View {
 	t.Helper()
@@ -47,7 +57,7 @@ func TestSubmitRunAndCache(t *testing.T) {
 	defer svc.Close()
 
 	sp := loadFixture(t, "election_ring.json")
-	v, err := svc.Submit(sp, nil)
+	v, err := svc.Submit(specJSON(t, sp), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +81,7 @@ func TestSubmitRunAndCache(t *testing.T) {
 	}
 
 	// Resubmission: served from cache, no recomputation, counter visible.
-	v2, err := svc.Submit(sp, nil)
+	v2, err := svc.Submit(specJSON(t, sp), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,14 +96,14 @@ func TestSubmitRunAndCache(t *testing.T) {
 		t.Fatal("cached result differs from computed result")
 	}
 	// Third submission bumps the counter again.
-	v3, _ := svc.Submit(sp, nil)
+	v3, _ := svc.Submit(specJSON(t, sp), nil)
 	if v3.CacheHits != 2 {
 		t.Fatalf("second cached submission reports %d hits, want 2", v3.CacheHits)
 	}
 
 	// A different seed is a different run: fresh computation.
 	seed := uint64(99)
-	v4, err := svc.Submit(sp, &seed)
+	v4, err := svc.Submit(specJSON(t, sp), &seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,21 +138,21 @@ func TestSingleflightDedupCancelAndQueueFull(t *testing.T) {
 	spC := loadFixture(t, "peterson_bimodal.json")
 
 	// J1 occupies the worker (popped from the queue, held at the barrier).
-	j1, err := svc.Submit(spA, nil)
+	j1, err := svc.Submit(specJSON(t, spA), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-entered
 
 	// J2 waits in the queue; an identical submission coalesces onto it.
-	j2, err := svc.Submit(spB, nil)
+	j2, err := svc.Submit(specJSON(t, spB), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if j2.Status != StatusQueued {
 		t.Fatalf("J2 is %s, want queued", j2.Status)
 	}
-	dup, err := svc.Submit(spB, nil)
+	dup, err := svc.Submit(specJSON(t, spB), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +164,7 @@ func TestSingleflightDedupCancelAndQueueFull(t *testing.T) {
 	}
 
 	// The queue (depth 1) is full now.
-	if _, err := svc.Submit(spC, nil); !errors.Is(err, ErrQueueFull) {
+	if _, err := svc.Submit(specJSON(t, spC), nil); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("submit into a full queue: %v, want ErrQueueFull", err)
 	}
 
@@ -178,7 +188,7 @@ func TestSingleflightDedupCancelAndQueueFull(t *testing.T) {
 	}
 
 	// Resubmitting the completed scenario is a cache hit, not a rerun.
-	j5, err := svc.Submit(spB, nil)
+	j5, err := svc.Submit(specJSON(t, spB), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +222,14 @@ func TestCancelQueuedJob(t *testing.T) {
 	})
 	defer svc.Close()
 
-	j1, err := svc.Submit(loadFixture(t, "election_ring.json"), nil)
+	j1, err := svc.Submit(specJSON(t, loadFixture(t, "election_ring.json")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-entered
 
 	spB := loadFixture(t, "chang_roberts_pareto.json")
-	j2, err := svc.Submit(spB, nil)
+	j2, err := svc.Submit(specJSON(t, spB), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +250,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 
 	// The key is free: a fresh submission runs (no cache entry, new id).
-	j3, err := svc.Submit(spB, nil)
+	j3, err := svc.Submit(specJSON(t, spB), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +272,7 @@ func TestSweepJob(t *testing.T) {
 	defer svc.Close()
 
 	sp := loadFixture(t, "itai_rodeh_sweep.json")
-	v, err := svc.Submit(sp, nil)
+	v, err := svc.Submit(specJSON(t, sp), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +291,7 @@ func TestSweepJob(t *testing.T) {
 			t.Fatalf("point x=%g has %d metrics, want %d", p.X, len(p.Metrics), len(sp.Sweep.Metrics))
 		}
 	}
-	v2, err := svc.Submit(sp, nil)
+	v2, err := svc.Submit(specJSON(t, sp), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +312,7 @@ func TestFailedJobNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := &spec.Spec{Version: spec.Version, Env: spec.EnvSpec{N: 4, Seed: 1}, Protocol: ps}
-	v, err := svc.Submit(sp, nil)
+	v, err := svc.Submit(specJSON(t, sp), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +326,7 @@ func TestFailedJobNotCached(t *testing.T) {
 	if v.Result != nil {
 		t.Fatal("failed job carries a result")
 	}
-	v2, _ := svc.Submit(sp, nil)
+	v2, _ := svc.Submit(specJSON(t, sp), nil)
 	if v2.CacheHits != 0 {
 		t.Fatal("failure was served from cache")
 	}
@@ -342,7 +352,7 @@ func TestLivelockClassified(t *testing.T) {
 		Env:      spec.EnvSpec{N: 4, Seed: 1, MaxEvents: 5},
 		Protocol: ps,
 	}
-	v, err := svc.Submit(sp, nil)
+	v, err := svc.Submit(specJSON(t, sp), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +374,7 @@ func TestJobHistoryBound(t *testing.T) {
 	names := []string{"election_ring.json", "chang_roberts_pareto.json", "peterson_bimodal.json"}
 	ids := make([]string, len(names))
 	for i, name := range names {
-		v, err := svc.Submit(loadFixture(t, name), nil)
+		v, err := svc.Submit(specJSON(t, loadFixture(t, name)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,18 +412,18 @@ func TestCancelRefusedOnDeduplicatedJob(t *testing.T) {
 	defer svc.Close()
 
 	// A blocker occupies the single worker so the shared job stays queued.
-	blocker, err := svc.Submit(loadFixture(t, "election_ring.json"), nil)
+	blocker, err := svc.Submit(specJSON(t, loadFixture(t, "election_ring.json")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-entered
 
 	sp := loadFixture(t, "chang_roberts_pareto.json")
-	first, err := svc.Submit(sp, nil)
+	first, err := svc.Submit(specJSON(t, sp), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rider, err := svc.Submit(sp, nil)
+	rider, err := svc.Submit(specJSON(t, sp), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +486,7 @@ func TestWaitReturnsCtxErrOnSlowJob(t *testing.T) {
 	})
 	defer svc.Close()
 
-	slow, err := svc.Submit(loadFixture(t, "election_ring.json"), nil)
+	slow, err := svc.Submit(specJSON(t, loadFixture(t, "election_ring.json")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +508,7 @@ func TestWaitReturnsCtxErrOnSlowJob(t *testing.T) {
 	// SubmitAndWait: same contract on the submit-and-block path.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel2()
-	v2, err := svc.SubmitAndWait(ctx2, loadFixture(t, "chang_roberts_pareto.json"), nil)
+	v2, err := svc.SubmitAndWait(ctx2, specJSON(t, loadFixture(t, "chang_roberts_pareto.json")), nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("SubmitAndWait on a slow job: err = %v, want DeadlineExceeded", err)
 	}
@@ -524,9 +534,10 @@ func TestWaitReturnsCtxErrOnSlowJob(t *testing.T) {
 }
 
 // TestMutateAfterSubmit: the worker must run the scenario as submitted.
-// Mutating the caller's spec — including pointer-nested state like the
-// fault plan and its scripted events — after Submit returns must not
-// change the job's execution (regression: submit used to shallow-copy).
+// Overwriting the submitted bytes after Submit returns with the document
+// of a vandalised scenario (fault plan, scripted events, size and seed all
+// changed) must not change the job's execution: the decode inside Submit
+// is the job's own copy.
 func TestMutateAfterSubmit(t *testing.T) {
 	entered := make(chan struct{}, 16)
 	release := make(chan struct{})
@@ -540,7 +551,7 @@ func TestMutateAfterSubmit(t *testing.T) {
 	})
 	defer svc.Close()
 
-	blocker, err := svc.Submit(loadFixture(t, "election_ring.json"), nil)
+	blocker, err := svc.Submit(specJSON(t, loadFixture(t, "election_ring.json")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,21 +565,29 @@ func TestMutateAfterSubmit(t *testing.T) {
 	}
 	want, _ := json.Marshal(rep.Metrics())
 
-	// Submit, then vandalise every pointer-reachable corner of the spec
-	// while the job waits in the queue.
-	sp := loadFixture(t, "election_lossy_partition.json")
-	v, err := svc.Submit(sp, nil)
+	// Submit, then overwrite the submitted bytes while the job waits in the
+	// queue with a valid document for a vandalised scenario (padded with
+	// spaces), so a late decode would run the wrong scenario.
+	raw := specJSON(t, pristine)
+	v, err := svc.Submit(raw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sp := loadFixture(t, "election_lossy_partition.json")
 	sp.Env.Faults.Loss = 0.99
 	sp.Env.Faults.Duplicate = 0.5
-	for i := range sp.Env.Faults.Events {
-		sp.Env.Faults.Events[i].At = 1e9
-	}
 	sp.Env.Faults.Events = sp.Env.Faults.Events[:0]
 	sp.Env.N = 2
 	sp.Env.Seed = 424242
+	vandal := specJSON(t, sp)
+	if len(vandal) > len(raw) {
+		t.Fatalf("vandalised document (%d bytes) outgrows the submitted one (%d)", len(vandal), len(raw))
+	}
+	copy(raw, bytes.Repeat([]byte(" "), len(raw)))
+	copy(raw, vandal)
+	if _, err := spec.DecodeBytes(raw); err != nil {
+		t.Fatalf("vandalised document does not decode: %v", err)
+	}
 
 	close(release)
 	await(t, svc, blocker.ID)
@@ -642,7 +661,7 @@ func TestStatsCacheEntriesAfterEviction(t *testing.T) {
 
 	names := []string{"election_ring.json", "chang_roberts_pareto.json", "peterson_bimodal.json"}
 	for _, name := range names {
-		v, err := svc.Submit(loadFixture(t, name), nil)
+		v, err := svc.Submit(specJSON(t, loadFixture(t, name)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -654,7 +673,7 @@ func TestStatsCacheEntriesAfterEviction(t *testing.T) {
 		t.Fatalf("Stats.CacheEntries after eviction = %d, want 2", got)
 	}
 	// The evicted (oldest) scenario recomputes; the retained ones hit.
-	v, err := svc.Submit(loadFixture(t, names[0]), nil)
+	v, err := svc.Submit(specJSON(t, loadFixture(t, names[0])), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -662,7 +681,7 @@ func TestStatsCacheEntriesAfterEviction(t *testing.T) {
 		t.Fatal("evicted scenario served from cache")
 	}
 	await(t, svc, v.ID)
-	v2, err := svc.Submit(loadFixture(t, names[2]), nil)
+	v2, err := svc.Submit(specJSON(t, loadFixture(t, names[2])), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

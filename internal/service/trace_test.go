@@ -116,7 +116,7 @@ func TestHTTPTraceUnfinishedConflicts(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(svc, HandlerOptions{}))
 	defer ts.Close()
 
-	v, err := svc.Submit(loadFixture(t, "election_ring_traced.json"), nil)
+	v, err := svc.Submit(specJSON(t, loadFixture(t, "election_ring_traced.json")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestTraceCacheKeySeparation(t *testing.T) {
 		t.Fatalf("fixtures differ beyond the trace block: %s vs %s", h1, h2)
 	}
 
-	vp, err := svc.Submit(plain, nil)
+	vp, err := svc.Submit(specJSON(t, plain), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestTraceCacheKeySeparation(t *testing.T) {
 
 	// Same scenario, traced: must be a fresh computation, not the cached
 	// untraced payload.
-	vt, err := svc.Submit(traced, nil)
+	vt, err := svc.Submit(specJSON(t, traced), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestTraceCacheKeySeparation(t *testing.T) {
 	}
 
 	// Resubmissions hit their own entries, trace intact.
-	vt2, err := svc.Submit(traced, nil)
+	vt2, err := svc.Submit(specJSON(t, traced), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestTraceCacheKeySeparation(t *testing.T) {
 	if vt2.CacheHits != 1 || vt2.Result.Trace == nil {
 		t.Fatalf("traced resubmission: hits=%d trace=%v", vt2.CacheHits, vt2.Result.Trace != nil)
 	}
-	vp2, err := svc.Submit(plain, nil)
+	vp2, err := svc.Submit(specJSON(t, plain), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,10 +47,11 @@
 // (Env.Validate rejects the ambiguous declaration), and an environment that
 // asks for an axis the protocol does not honour (faults, adversaries, the
 // broadcast medium, observation, tracing) is refused with a typed error.
-// Every protocol but ItaiRodehSync (the native round engine) runs on the
-// one event kernel — the synchronizer-backed ones and ClockSync included —
-// so they all fill Report.Events, Transmissions and Params, and honour
-// Env.Observe and Env.Trace; every run is a pure function of (Env, seed).
+// Every protocol runs on the one event kernel — the synchronous model too:
+// ItaiRodehSync is the clock synchronizer in lock step, ClockSync the same
+// synchronizer on the environment's links — so they all fill Report.Events,
+// Transmissions and Params, and honour Env.Observe and Env.Trace; every run
+// is a pure function of (Env, seed).
 //
 // The package also exposes the ABE model itself as machine-checkable
 // parameters (Params), an exhaustive bounded model checker for the
@@ -75,7 +76,6 @@ import (
 	"abenet/internal/sim"
 	"abenet/internal/stats"
 	"abenet/internal/synchronizer"
-	"abenet/internal/syncnet"
 	"abenet/internal/topology"
 )
 
@@ -364,15 +364,14 @@ const (
 	SyncGamma = synchronizer.KindGamma
 )
 
-// SyncProtocol is a synchronous protocol runnable natively or over a
-// synchronizer.
-type SyncProtocol = syncnet.Node
+// SyncProtocol is a synchronous protocol, run over a synchronizer.
+type SyncProtocol = synchronizer.Node
 
 // SyncProtocolContext is the per-round local view a SyncProtocol receives.
-type SyncProtocolContext = syncnet.NodeContext
+type SyncProtocolContext = synchronizer.NodeContext
 
 // SyncMessage is one message delivered to a SyncProtocol at a round start.
-type SyncMessage = syncnet.Message
+type SyncMessage = synchronizer.Message
 
 // ---- Model checking ----
 

@@ -1,6 +1,7 @@
 package abenet_test
 
 import (
+	"os"
 	"testing"
 
 	"abenet"
@@ -10,6 +11,7 @@ import (
 	"abenet/internal/rng"
 	"abenet/internal/sim"
 	"abenet/internal/simtime"
+	"abenet/internal/spec"
 )
 
 // BenchmarkExperiments runs every experiment of the suite as a
@@ -80,6 +82,27 @@ func BenchmarkItaiRodehSync64(b *testing.B) {
 		}
 		if res.Leaders != 1 {
 			b.Fatalf("leaders = %d", res.Leaders)
+		}
+	}
+}
+
+// BenchmarkClockSyncTorusSpec is the clock-sync scenario of the serving
+// corpus end to end: decode examples/specs/clock_sync_torus.json and run it.
+// Its allocs/op and B/op are what the clock synchronizer's heartbeat costs a
+// served request.
+func BenchmarkClockSyncTorusSpec(b *testing.B) {
+	raw, err := os.ReadFile("examples/specs/clock_sync_torus.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := spec.DecodeBytes(raw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Run(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -20,8 +20,9 @@ func elect(t *testing.T, args ...string) (string, error) {
 }
 
 // flagSets covers every -topo, every -delay, drift, γ, each fault axis, the
-// Byzantine/broadcast pair, horizon, observe, trace, -a0, non-election
-// protocols, a scheduler override and a -sizes/-reps sweep.
+// Byzantine/broadcast pair, horizon, observe, trace (also of the lock-step
+// model), -a0, non-election protocols, a scheduler override and a
+// -sizes/-reps sweep.
 var flagSets = [][]string{
 	{"-n", "16", "-seed", "7"},
 	{"-topo", "biring", "-n", "12", "-delay", "det", "-seed", "2"},
@@ -39,6 +40,7 @@ var flagSets = [][]string{
 	{"-proto", "peterson", "-n", "16", "-seed", "8"},
 	{"-proto", "synchronized-election", "-topo", "biring", "-n", "8", "-seed", "3", "-scheduler", "calendar"},
 	{"-proto", "clock-sync", "-delay", "arq", "-seed", "2"},
+	{"-proto", "itai-rodeh-sync", "-trace", "-observe-every", "5"},
 	{"-proto", "chang-roberts", "-sizes", "8,16", "-reps", "5", "-seed", "4", "-workers", "2"},
 }
 
@@ -152,7 +154,6 @@ func TestRejectedNotDropped(t *testing.T) {
 		// Capability rejections reach the flag path through the spec.
 		{"-proto peterson -loss 0.1", "does not support fault injection"},
 		{"-proto election -equivocate 1", "does not support byzantine adversaries"},
-		{"-proto itai-rodeh-sync -trace", "does not support causal tracing"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			out, err := elect(t, strings.Fields(files.Replace(tc.args))...)

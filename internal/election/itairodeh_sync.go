@@ -1,8 +1,8 @@
 // Package election implements the node behaviours of the comparator
 // election algorithms the paper's evaluation needs. It builds no network
-// and runs nothing: internal/runner wires these nodes onto the native round
-// engine, the synchronizers or the event-driven network (ItaiRodehSync,
-// ItaiRodehAsync, ChangRoberts, Peterson there).
+// and runs nothing: internal/runner puts these nodes on the event-driven
+// network, the synchronous one under a synchronizer (ItaiRodehSync,
+// SynchronizedElection, ItaiRodehAsync, ChangRoberts, Peterson there).
 //
 //   - ItaiRodehSync: a phase-based probabilistic election for anonymous
 //     *synchronous* unidirectional rings of known size, in the style of
@@ -22,7 +22,7 @@ package election
 import (
 	"fmt"
 
-	"abenet/internal/syncnet"
+	"abenet/internal/synchronizer"
 )
 
 // irsRole is the state of a node in the synchronous phase election.
@@ -64,7 +64,7 @@ type ItaiRodehSyncNode struct {
 	Phases int
 }
 
-var _ syncnet.Node = (*ItaiRodehSyncNode)(nil)
+var _ synchronizer.Node = (*ItaiRodehSyncNode)(nil)
 
 // NewItaiRodehSyncNode returns a node for rings of size n with per-phase
 // candidacy probability q, sending on sendPort — the out-port of its ring
@@ -84,8 +84,8 @@ func NewItaiRodehSyncNode(n int, q float64, sendPort int) (*ItaiRodehSyncNode, e
 // IsLeader reports whether this node won the election.
 func (p *ItaiRodehSyncNode) IsLeader() bool { return p.role == irsLeader }
 
-// Round implements syncnet.Node.
-func (p *ItaiRodehSyncNode) Round(ctx syncnet.NodeContext, round int, inbox []syncnet.Message) {
+// Round implements synchronizer.Node.
+func (p *ItaiRodehSyncNode) Round(ctx synchronizer.NodeContext, round int, inbox []synchronizer.Message) {
 	phaseLen := p.ringSize + 1
 
 	// 1. Handle arriving tokens.

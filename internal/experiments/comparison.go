@@ -7,7 +7,6 @@ import (
 	"abenet/internal/harness"
 	"abenet/internal/runner"
 	"abenet/internal/synchronizer"
-	"abenet/internal/syncnet"
 	"abenet/internal/topology"
 )
 
@@ -16,7 +15,7 @@ type heartbeatProto struct {
 	limit int
 }
 
-func (p *heartbeatProto) Round(ctx syncnet.NodeContext, round int, _ []syncnet.Message) {
+func (p *heartbeatProto) Round(ctx synchronizer.NodeContext, round int, _ []synchronizer.Message) {
 	if round >= p.limit {
 		ctx.StopNetwork("rounds complete")
 		return
@@ -61,7 +60,7 @@ func synchronizerCost(opt Options) (*harness.Table, Findings, bool, error) {
 			runner.Env{Graph: c.graph, Seed: opt.Seed},
 			runner.Synchronized{
 				Kind:     c.kind,
-				MakeNode: func(int) syncnet.Node { return &heartbeatProto{limit: rounds} },
+				MakeNode: func(int) synchronizer.Node { return &heartbeatProto{limit: rounds} },
 			},
 		)
 		if err != nil {

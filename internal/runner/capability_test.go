@@ -4,17 +4,53 @@ import (
 	"errors"
 	"testing"
 
+	"abenet/internal/byzantine"
+	"abenet/internal/faults"
 	"abenet/internal/probe"
 	"abenet/internal/runner"
 	"abenet/internal/spec"
-	"abenet/internal/syncnet"
+	"abenet/internal/synchronizer"
 	"abenet/internal/trace"
 )
 
 // idleSyncNode makes the unregistered Synchronized protocol constructible.
 type idleSyncNode struct{}
 
-func (idleSyncNode) Round(syncnet.NodeContext, int, []syncnet.Message) {}
+func (idleSyncNode) Round(synchronizer.NodeContext, int, []synchronizer.Message) {}
+
+// bareProtocol declares no capability. No registered protocol refuses
+// observe or trace any more, but the axes still guard implementations from
+// outside the registry.
+type bareProtocol struct{ t *testing.T }
+
+func (bareProtocol) Name() string { return "bare" }
+
+func (p bareProtocol) Run(runner.Env) (runner.Report, error) {
+	p.t.Error("Run reached a protocol that declares none of the axes the env uses")
+	return runner.Report{}, nil
+}
+
+// TestUndeclaredAxesAreRefused: every optional axis is refused, with its
+// typed error, for a protocol that declares none.
+func TestUndeclaredAxesAreRefused(t *testing.T) {
+	base := runner.Env{N: 4, Seed: 1}
+	for _, tc := range []struct {
+		set  func(*runner.Env)
+		want error
+	}{
+		{func(e *runner.Env) { e.Faults = &faults.Plan{Loss: 0.1} }, runner.ErrFaultsUnsupported},
+		{func(e *runner.Env) { e.Byzantine = byzantine.Equivocators(1) }, runner.ErrByzantineUnsupported},
+		{func(e *runner.Env) { e.LocalBroadcast = true }, runner.ErrBroadcastUnsupported},
+		{func(e *runner.Env) { e.Observe = &probe.Config{EveryEvents: 1} }, runner.ErrObserveUnsupported},
+		{func(e *runner.Env) { e.Trace = &trace.Config{} }, runner.ErrTraceUnsupported},
+	} {
+		env := base
+		tc.set(&env)
+		if _, err := runner.Run(env, bareProtocol{t}); !errors.Is(err, tc.want) {
+			t.Errorf("Run = %v, want %v", err, tc.want)
+		}
+	}
+}
 
 // TestCapabilityDoorsAgree is the one table over every optional Env axis ×
 // every registered protocol (plus the unregistered Synchronized): whether
@@ -83,7 +119,7 @@ func TestCapabilityDoorsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			proto := runner.Synchronized{MakeNode: func(int) syncnet.Node { return idleSyncNode{} }}
+			proto := runner.Synchronized{MakeNode: func(int) synchronizer.Node { return idleSyncNode{} }}
 			want := axis.rejected
 			if info, _ := runner.ProtocolInfo("synchronized-election"); axis.supports(info) {
 				want = nil

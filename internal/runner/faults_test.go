@@ -12,7 +12,7 @@ import (
 	"abenet/internal/faults"
 	"abenet/internal/network"
 	"abenet/internal/simtime"
-	"abenet/internal/syncnet"
+	"abenet/internal/synchronizer"
 	"abenet/internal/topology"
 )
 
@@ -172,7 +172,7 @@ func TestFaultsRejectedByUnsupportingProtocols(t *testing.T) {
 		SynchronizedElection{},
 		ClockSync{},
 		Peterson{}, // reliable-FIFO step protocol: every fault axis breaks it
-		Synchronized{MakeNode: func(int) syncnet.Node { return floodNode{} }},
+		Synchronized{MakeNode: func(int) synchronizer.Node { return floodNode{} }},
 	}
 	for _, p := range unsupported {
 		t.Run(p.Name(), func(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"abenet/internal/network"
 	"abenet/internal/probe"
 	"abenet/internal/synchronizer"
-	"abenet/internal/syncnet"
 	"abenet/internal/topology"
 )
 
@@ -175,9 +174,14 @@ func (g electionGauges) ProbeGauges() []probe.Gauge {
 
 // ItaiRodehSync is the phase-based Itai–Rodeh style election for anonymous
 // *synchronous* rings — the "most optimal" synchronous baseline the paper
-// compares against. It runs on the native round engine: Env.Delay, Links,
-// Clocks and Processing do not apply (the synchronous model has no delays);
-// Env.MaxRounds bounds the run (0 means 1000·n).
+// compares against. It runs the synchronous model on the kernel: the clock
+// synchronizer at period 1 over Deterministic(½) links with perfect clocks
+// and instantaneous processing, so every message lands mid-round and round
+// r+1 sees exactly the messages of round r. Env.Delay, Links, Clocks and
+// Processing are overridden to state that model; Env.Horizon and MaxEvents
+// bound the run as for every kernel-backed protocol, and Env.MaxRounds
+// bounds the rounds (0 means 1000·n). A message that still missed its round
+// would be reported in Report.Violations.
 type ItaiRodehSync struct {
 	// Q is the per-phase candidacy probability; 0 means the balanced 1/n.
 	Q float64
@@ -186,14 +190,11 @@ type ItaiRodehSync struct {
 // Name implements Protocol.
 func (ItaiRodehSync) Name() string { return "itai-rodeh-sync" }
 
+func (ItaiRodehSync) capabilities() Capabilities { return Capabilities{Observe: true, Trace: true} }
+
 // Run implements Protocol.
 func (p ItaiRodehSync) Run(env Env) (Report, error) {
 	graph, nodes, err := itaiRodehSyncNodes(env, p.Q)
-	if err != nil {
-		return Report{}, err
-	}
-	engine, err := syncnet.New(syncnet.Config{Graph: graph, Seed: env.Seed, Anonymous: true},
-		func(i int) syncnet.Node { return nodes[i] })
 	if err != nil {
 		return Report{}, err
 	}
@@ -201,20 +202,30 @@ func (p ItaiRodehSync) Run(env Env) (Report, error) {
 	if maxRounds == 0 {
 		maxRounds = 1000 * len(nodes)
 	}
-	rounds, err := engine.Run(maxRounds)
+	sync, err := synchronizer.New(graph, synchronizer.Options{Kind: synchronizer.KindClock, Period: 1, MaxRounds: maxRounds})
 	if err != nil {
 		return Report{}, err
 	}
-	rep := Report{Messages: engine.Messages(), Rounds: rounds}
-	countLeaders(&rep, len(nodes), func(i int) bool { return nodes[i].IsLeader() })
-	return rep, nil
+	env.Delay, env.Links, env.Clocks, env.Processing = dist.NewDeterministic(0.5), nil, nil, nil
+	return runSynchronizer(env, graph, sync, true, func(i int) synchronizer.Node { return nodes[i] },
+		func(rep *Report, res synchronizer.Result, err error) error {
+			if err != nil {
+				return err
+			}
+			rep.Rounds = res.Rounds
+			countLeaders(rep, len(nodes), func(i int) bool { return nodes[i].IsLeader() })
+			if res.Violations > 0 {
+				rep.Violations = append(rep.Violations, fmt.Sprintf("%d messages missed their round in the lock-step model (by up to %d rounds)", res.Violations, res.MaxLateness))
+			}
+			return nil
+		})
 }
 
 // itaiRodehSyncNodes resolves the ring topology and builds one synchronous
 // Itai–Rodeh node per position with candidacy probability q (0 means the
 // balanced 1/n), each sending towards its successor on the embedded cycle.
-// Both engines that run the algorithm — the native round engine and the
-// synchronizers — start from here.
+// Both synchronous runs of the algorithm — lock-step, and over a
+// message-driven synchronizer — start from here.
 func itaiRodehSyncNodes(env Env, q float64) (*topology.Graph, []*election.ItaiRodehSyncNode, error) {
 	graph, ports, err := env.ring()
 	if err != nil {
@@ -400,6 +411,28 @@ func identities(env Env, a election.ChangRobertsArrangement) ([]int, error) {
 	return election.IdentityArrangement(n, a, env.Seed)
 }
 
+// runSynchronizer runs node i's synchronous protocol proto(i) over graph
+// under sync on the substrate — random-delay links unless the env states
+// others, the round front as the protocol-level series — and hands the
+// synchronizer's outcome to collect, with the error of a round budget that
+// ran out before the protocol stopped.
+func runSynchronizer(env Env, graph *topology.Graph, sync *synchronizer.Synchronizer, anonymous bool,
+	proto func(i int) synchronizer.Node, collect func(*Report, synchronizer.Result, error) error) (Report, error) {
+	var net *network.Network
+	return runNetwork(env, netProtocol{
+		graph:     graph,
+		links:     channel.RandomDelayFactory,
+		anonymous: anonymous,
+		makeNode:  func(i, _ int) (network.Node, error) { return sync.Node(i, proto(i)), nil },
+		gauges:    sync,
+		started:   func(built *network.Network) { net = built },
+		collect: func(rep *Report) error {
+			res, err := sync.Result(net)
+			return collect(rep, res, err)
+		},
+	})
+}
+
 // Synchronized executes an arbitrary synchronous protocol over the
 // asynchronous ABE environment via a message-driven synchronizer — the
 // machinery behind Theorem 1's n-messages-per-round cost. Extra: SyncExtra.
@@ -412,7 +445,7 @@ type Synchronized struct {
 	Anonymous bool
 	// MakeNode builds the synchronous protocol instance per node.
 	// Required.
-	MakeNode func(i int) syncnet.Node
+	MakeNode func(i int) synchronizer.Node
 }
 
 // Name implements Protocol.
@@ -447,38 +480,28 @@ func (p Synchronized) Run(env Env) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	nodes := make([]syncnet.Node, graph.N())
-	var net *network.Network
-	return runNetwork(env, netProtocol{
-		graph:     graph,
-		links:     channel.RandomDelayFactory,
-		anonymous: p.Anonymous,
-		makeNode: func(i, _ int) (network.Node, error) {
-			nodes[i] = p.MakeNode(i)
-			return sync.Node(i, nodes[i]), nil
-		},
-		gauges:  sync,
-		started: func(built *network.Network) { net = built },
-		collect: func(rep *Report) error {
-			res, err := sync.Result(net)
-			if err != nil {
-				return err
-			}
-			rep.Rounds = res.Rounds
-			rep.Extra = SyncExtra{
-				MinRounds:        res.MinRounds,
-				PayloadMessages:  res.PayloadMessages,
-				MessagesPerRound: res.MessagesPerRound,
-				Stopped:          res.Stopped,
-				StopCause:        res.StopCause,
-			}
-			// Count leaders when the synchronous protocol reports them.
-			countLeaders(rep, len(nodes), func(i int) bool {
-				lr, ok := nodes[i].(interface{ IsLeader() bool })
-				return ok && lr.IsLeader()
-			})
-			return nil
-		},
+	nodes := make([]synchronizer.Node, graph.N())
+	return runSynchronizer(env, graph, sync, p.Anonymous, func(i int) synchronizer.Node {
+		nodes[i] = p.MakeNode(i)
+		return nodes[i]
+	}, func(rep *Report, res synchronizer.Result, err error) error {
+		if err != nil {
+			return err
+		}
+		rep.Rounds = res.Rounds
+		rep.Extra = SyncExtra{
+			MinRounds:        res.MinRounds,
+			PayloadMessages:  res.PayloadMessages,
+			MessagesPerRound: res.MessagesPerRound,
+			Stopped:          res.Stopped,
+			StopCause:        res.StopCause,
+		}
+		// Count leaders when the synchronous protocol reports them.
+		countLeaders(rep, len(nodes), func(i int) bool {
+			lr, ok := nodes[i].(interface{ IsLeader() bool })
+			return ok && lr.IsLeader()
+		})
+		return nil
 	})
 }
 
@@ -514,13 +537,14 @@ func (p SynchronizedElection) Run(env Env) (Report, error) {
 	return Synchronized{
 		Kind:      p.Kind,
 		Anonymous: true,
-		MakeNode:  func(i int) syncnet.Node { return nodes[i] },
+		MakeNode:  func(i int) synchronizer.Node { return nodes[i] },
 	}.Run(env)
 }
 
 // ClockSync is the clock-driven (Tel–Korach–Zaks style) ABD synchronizer
-// workload: zero control messages, trusting a hard delay bound that ABE
-// networks do not have. Extra: ClockSyncExtra.
+// workload: the clock synchronizer driving a heartbeat — one payload-less
+// message per out-edge per round, no control messages — and trusting a hard
+// delay bound that ABE networks do not have. Extra: ClockSyncExtra.
 type ClockSync struct {
 	// Period is the local time between round starts; 0 means twice the
 	// environment's mean delay.
@@ -539,6 +563,16 @@ func (ClockSync) capabilities() Capabilities {
 
 func (ClockSync) extra() any { return ClockSyncExtra{} }
 
+// heartbeat is ClockSync's synchronous protocol: one payload-less message
+// per out-edge per round, and no stop — the round budget ends the run.
+type heartbeat struct{}
+
+func (heartbeat) Round(ctx synchronizer.NodeContext, _ int, _ []synchronizer.Message) {
+	for port := range ctx.OutDegree() {
+		ctx.Send(port, nil)
+	}
+}
+
 // Run implements Protocol.
 func (p ClockSync) Run(env Env) (Report, error) {
 	period := p.Period
@@ -552,24 +586,23 @@ func (p ClockSync) Run(env Env) (Report, error) {
 	if env.MaxRounds > 0 && rounds > env.MaxRounds {
 		rounds = env.MaxRounds
 	}
-	sync, err := synchronizer.NewClockSync(period, rounds)
+	graph, err := env.graph()
 	if err != nil {
 		return Report{}, err
 	}
-	var net *network.Network
-	return runNetwork(env, netProtocol{
-		links:    channel.RandomDelayFactory,
-		makeNode: func(int, int) (network.Node, error) { return sync.Node(), nil },
-		started:  func(built *network.Network) { net = built },
-		collect: func(rep *Report) error {
-			res := sync.Result(net)
-			rep.Rounds = res.Rounds
-			rep.Extra = ClockSyncExtra{
-				RoundViolations: res.Violations,
-				MaxLateness:     res.MaxLateness,
-				ViolationRate:   res.ViolationRate(),
+	sync, err := synchronizer.New(graph, synchronizer.Options{Kind: synchronizer.KindClock, Period: period, MaxRounds: rounds})
+	if err != nil {
+		return Report{}, err
+	}
+	return runSynchronizer(env, graph, sync, false, func(int) synchronizer.Node { return heartbeat{} },
+		func(rep *Report, res synchronizer.Result, _ error) error {
+			// The heartbeat never stops: the spent round budget is its end.
+			rep.Rounds = res.MinRounds
+			x := ClockSyncExtra{RoundViolations: res.Violations, MaxLateness: res.MaxLateness}
+			if rep.Messages > 0 {
+				x.ViolationRate = float64(res.Violations) / float64(rep.Messages)
 			}
+			rep.Extra = x
 			return nil
-		},
-	})
+		})
 }

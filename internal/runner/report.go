@@ -29,15 +29,13 @@ type Report struct {
 	// Messages counts logical message sends, including synchronizer
 	// control traffic where applicable.
 	Messages uint64
-	// Transmissions counts physical transmissions (≥ Messages under ARQ;
-	// 0 when the engine does not model retransmission).
+	// Transmissions counts physical transmissions (≥ Messages under ARQ).
 	Transmissions uint64
 	// Rounds is the number of rounds driven (round-based protocols only).
 	Rounds int
 	// Events is the number of kernel events the run executed — the
 	// denominator of events/sec throughput measurements. A batch of
-	// same-instant deliveries counts as one event. 0 for the native round
-	// engine, which has no event kernel.
+	// same-instant deliveries counts as one event.
 	// Deliberately excluded from Metrics(): it measures the engine, not
 	// the protocol, so it must not widen every sweep's metric key set.
 	Events uint64
@@ -45,9 +43,7 @@ type Report struct {
 	Time float64
 	// Violations collects invariant violations; empty in every correct run.
 	Violations []string
-	// Params are the tightest ABE parameters of the simulated network
-	// (zero for engines that do not model delays, e.g. the native
-	// synchronous round engine).
+	// Params are the tightest ABE parameters of the simulated network.
 	Params core.Params
 	// Faults is the fault-injection telemetry — what Env.Faults actually
 	// did to the run (drops, duplicates, crash intervals) next to whether

@@ -77,19 +77,17 @@ type Env struct {
 	// million-node runs). Empty means the heap. Every scheduler implements
 	// the same (time, seq) total order, so a run is byte-identical across
 	// choices — this is a performance knob, never a semantics knob, and it
-	// is therefore excluded from spec hashes. The native round engine
-	// (ItaiRodehSync) has no kernel and ignores it.
+	// is therefore excluded from spec hashes.
 	Scheduler string
-	// Horizon bounds virtual time for every kernel-backed protocol; 0
-	// means unbounded. The native round engine (ItaiRodehSync) has no
-	// kernel and ignores it.
+	// Horizon bounds virtual time for every protocol; 0 means unbounded.
 	Horizon simtime.Time
-	// MaxEvents bounds the number of simulation events for every
-	// kernel-backed protocol; 0 means the shared livelock guard (50e6).
-	// An exhausted budget surfaces as an error matching sim.ErrMaxEvents.
+	// MaxEvents bounds the number of simulation events for every protocol;
+	// 0 means the shared livelock guard (50e6). An exhausted budget surfaces
+	// as an error matching sim.ErrMaxEvents.
 	MaxEvents uint64
-	// MaxRounds bounds round-based protocols (synchronous engines and
-	// synchronizers); 0 means each protocol's default.
+	// MaxRounds bounds round-based protocols (the synchronizers, the
+	// lock-step model among them, and Ben-Or); 0 means each protocol's
+	// default.
 	MaxRounds int
 	// Faults optionally injects deterministic message faults, node churn
 	// and link outages (see internal/faults). Honoured by the protocols

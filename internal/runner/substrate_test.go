@@ -16,7 +16,7 @@ import (
 	"abenet/internal/probe"
 	"abenet/internal/sim"
 	"abenet/internal/simtime"
-	"abenet/internal/syncnet"
+	"abenet/internal/synchronizer"
 	"abenet/internal/topology"
 	"abenet/internal/trace"
 )
@@ -107,7 +107,7 @@ func TestNetworkConfigMapsEveryEnvField(t *testing.T) {
 // only a bound can stop.
 type floodNode struct{}
 
-func (floodNode) Round(ctx syncnet.NodeContext, round int, _ []syncnet.Message) {
+func (floodNode) Round(ctx synchronizer.NodeContext, round int, _ []synchronizer.Message) {
 	for port := 0; port < ctx.OutDegree(); port++ {
 		ctx.Send(port, round)
 	}
@@ -120,7 +120,7 @@ func (floodNode) Round(ctx syncnet.NodeContext, round int, _ []syncnet.Message) 
 // ran on the substrate the request was refused. Now the trace holds every
 // send and the series the round front after the network gauges.
 func TestSynchronizedRecordsTraceAndSeries(t *testing.T) {
-	proto := Synchronized{MakeNode: func(int) syncnet.Node { return floodNode{} }}
+	proto := Synchronized{MakeNode: func(int) synchronizer.Node { return floodNode{} }}
 	rep, err := Run(Env{N: 4, Seed: 1, Horizon: 10, Trace: &trace.Config{}, Observe: &probe.Config{EveryEvents: 1}}, proto)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestSynchronizerProtocolsHonourEnvBounds(t *testing.T) {
 		}
 	})
 
-	flood := Synchronized{MakeNode: func(int) syncnet.Node { return floodNode{} }}
+	flood := Synchronized{MakeNode: func(int) synchronizer.Node { return floodNode{} }}
 	protocols := []Protocol{flood, SynchronizedElection{Q: 1}, ClockSync{}}
 
 	t.Run("horizon", func(t *testing.T) {
@@ -244,7 +244,7 @@ func TestSynchronizerProtocolsHonourEnvBounds(t *testing.T) {
 // protocol name this build does not know keeps the generic value; an Extra
 // that does not fit its protocol's type fails the read.
 func TestReportDecodesToWhatItEncoded(t *testing.T) {
-	rep, err := Run(Env{N: 4, Seed: 1, Horizon: 10}, Synchronized{MakeNode: func(int) syncnet.Node { return floodNode{} }})
+	rep, err := Run(Env{N: 4, Seed: 1, Horizon: 10}, Synchronized{MakeNode: func(int) synchronizer.Node { return floodNode{} }})
 	if err != nil {
 		t.Fatal(err)
 	}

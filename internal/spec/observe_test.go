@@ -1,7 +1,6 @@
 package spec
 
 import (
-	"errors"
 	"testing"
 
 	"abenet/internal/probe"
@@ -55,9 +54,9 @@ func TestRoundTripObserve(t *testing.T) {
 	}
 }
 
-// TestObserveValidation pins the decode-time rejections: a cadence-less
-// block, an observe block on a protocol without a kernel event stream
-// (the runner's typed rejection), and observe+sweep.
+// TestObserveValidation pins the decode-time rejections — a cadence-less
+// block and observe+sweep — and that an observe block on itai-rodeh-sync
+// validates: every registered protocol runs on the kernel and samples.
 func TestObserveValidation(t *testing.T) {
 	noCadence := &Spec{
 		Version:  Version,
@@ -68,13 +67,13 @@ func TestObserveValidation(t *testing.T) {
 		t.Fatal("cadence-less observe block accepted")
 	}
 
-	wrongProto := &Spec{
+	lockStep := &Spec{
 		Version:  Version,
 		Env:      EnvSpec{N: 8, Observe: &probe.Config{EveryEvents: 1}},
 		Protocol: protoSpec(t, runner.ItaiRodehSync{}),
 	}
-	if err := wrongProto.Validate(); !errors.Is(err, runner.ErrObserveUnsupported) {
-		t.Fatalf("observe on a round-engine protocol: Validate = %v, want ErrObserveUnsupported", err)
+	if err := lockStep.Validate(); err != nil {
+		t.Fatalf("observe on itai-rodeh-sync: Validate = %v", err)
 	}
 
 	withSweep := &Spec{

@@ -279,24 +279,6 @@ func (s *Spec) Canonical() ([]byte, error) {
 	return json.Marshal(&c)
 }
 
-// Clone returns a deep copy of the spec via the canonical encode→decode
-// round trip: every nested pointer and slice (topology and dist params,
-// the sweep block, the fault plan and its scripted events, the protocol
-// option struct) is rebuilt from the canonical bytes, so mutating the
-// receiver afterwards can never reach the copy. The serving layer clones
-// before enqueueing for exactly that reason.
-func (s *Spec) Clone() (*Spec, error) {
-	b, err := s.Canonical()
-	if err != nil {
-		return nil, err
-	}
-	c, err := DecodeBytes(b)
-	if err != nil {
-		return nil, fmt.Errorf("spec: clone round-trip: %w", err)
-	}
-	return c, nil
-}
-
 // Hash returns the scenario identity: the hex sha256 of the canonical
 // encoding with Env.Seed and Sweep.Workers zeroed. Two specs with equal
 // hashes describe the same scenario; (hash, seed) identifies a run's

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"testing"
 
 	"abenet/internal/runner"
@@ -53,9 +52,9 @@ func TestRoundTripTrace(t *testing.T) {
 	}
 }
 
-// TestTraceValidation pins the decode-time rejections: a negative cap, a
-// trace block on a protocol without a kernel event stream (the runner's
-// typed rejection), and trace+sweep.
+// TestTraceValidation pins the decode-time rejections — a negative cap and
+// trace+sweep — and that a trace block on itai-rodeh-sync validates: every
+// registered protocol runs on the kernel and traces.
 func TestTraceValidation(t *testing.T) {
 	negative := &Spec{
 		Version:  Version,
@@ -66,13 +65,13 @@ func TestTraceValidation(t *testing.T) {
 		t.Fatal("negative trace cap accepted")
 	}
 
-	wrongProto := &Spec{
+	lockStep := &Spec{
 		Version:  Version,
 		Env:      EnvSpec{N: 8, Trace: &trace.Config{}},
 		Protocol: protoSpec(t, runner.ItaiRodehSync{}),
 	}
-	if err := wrongProto.Validate(); !errors.Is(err, runner.ErrTraceUnsupported) {
-		t.Fatalf("trace on a round-engine protocol: Validate = %v, want ErrTraceUnsupported", err)
+	if err := lockStep.Validate(); err != nil {
+		t.Fatalf("trace on itai-rodeh-sync: Validate = %v", err)
 	}
 
 	withSweep := &Spec{

@@ -28,7 +28,7 @@ type alphaSafe struct {
 // Θ(|E|) per round, the classic synchronizer trade-off the paper contrasts
 // with native ABE algorithms.
 type alphaNode struct {
-	*roundCore
+	envelopes
 	inDegree int
 
 	// reversePort[p] is the out-port that reaches the neighbour whose
@@ -51,7 +51,7 @@ func (n *alphaNode) Init(ctx *network.Context) {
 func (n *alphaNode) OnMessage(ctx *network.Context, inPort int, payload any) {
 	switch m := payload.(type) {
 	case envelope:
-		n.buffer(inPort, m)
+		n.unpack(inPort, m)
 		ctx.Send(n.reversePort[inPort], alphaAck{Round: m.Round})
 	case alphaAck:
 		n.ackCount[m.Round]++

@@ -6,7 +6,6 @@ import (
 
 	"abenet/internal/dist"
 	"abenet/internal/simtime"
-	"abenet/internal/syncnet"
 	"abenet/internal/topology"
 )
 
@@ -79,7 +78,7 @@ func TestBetaCostFormula(t *testing.T) {
 
 func TestBetaRejectsUnidirectionalGraphs(t *testing.T) {
 	_, err := Run(onNetwork(topology.Ring(4), 0), Options{Kind: KindBeta}, simtime.Forever, 0,
-		func(int) syncnet.Node { return &counterProto{limit: 2} })
+		func(int) Node { return &counterProto{limit: 2} })
 	if err == nil {
 		t.Fatal("beta on a unidirectional ring accepted")
 	}
@@ -91,7 +90,7 @@ func TestBetaRejectsUnidirectionalGraphs(t *testing.T) {
 
 func TestBetaWithHeavyTailedDelays(t *testing.T) {
 	protos := make([]*counterProto, 6)
-	res, err := Run(onLinks(topology.BiRing(6), 5, dist.ParetoWithMean(1, 1.5)), Options{Kind: KindBeta}, simtime.Forever, 0, func(i int) syncnet.Node {
+	res, err := Run(onLinks(topology.BiRing(6), 5, dist.ParetoWithMean(1, 1.5)), Options{Kind: KindBeta}, simtime.Forever, 0, func(i int) Node {
 		protos[i] = &counterProto{limit: 10}
 		return protos[i]
 	})
@@ -109,7 +108,7 @@ func TestBetaSparseProtocolSendsNoEmptyEnvelopes(t *testing.T) {
 	// per edge regardless.
 	g := topology.Complete(8)
 	protos := make([]*silentProto, 8)
-	res, err := Run(onNetwork(g, 6), Options{Kind: KindBeta}, simtime.Forever, 0, func(i int) syncnet.Node {
+	res, err := Run(onNetwork(g, 6), Options{Kind: KindBeta}, simtime.Forever, 0, func(i int) Node {
 		protos[i] = &silentProto{limit: 20}
 		return protos[i]
 	})
@@ -125,7 +124,7 @@ func TestBetaSparseProtocolSendsNoEmptyEnvelopes(t *testing.T) {
 // silentProto never sends; it just counts rounds.
 type silentProto struct{ limit, rounds int }
 
-func (p *silentProto) Round(ctx syncnet.NodeContext, round int, _ []syncnet.Message) {
+func (p *silentProto) Round(ctx NodeContext, round int, _ []Message) {
 	p.rounds++
 	if round >= p.limit {
 		ctx.StopNetwork("done")
@@ -154,7 +153,7 @@ func TestBetaGoldenResults(t *testing.T) {
 			Result{Rounds: 21, MinRounds: 20, Messages: 677, PayloadMessages: 240, MessagesPerRound: 33.85, Time: 301.93284832009766}},
 	}
 	for _, g := range golden {
-		got, err := Run(onLinks(g.graph, g.seed, g.delay), Options{Kind: KindBeta}, simtime.Forever, 0, func(int) syncnet.Node {
+		got, err := Run(onLinks(g.graph, g.seed, g.delay), Options{Kind: KindBeta}, simtime.Forever, 0, func(int) Node {
 			return &counterProto{limit: 20}
 		})
 		if err != nil {

@@ -45,7 +45,7 @@ type (
 // dense graphs and still ≥ n, as Theorem 1 demands. The price is latency:
 // each round takes Ω(tree depth) time.
 type gammaNode struct {
-	*roundCore
+	envelopes
 	clusterPorts
 	reversePort []int
 
@@ -196,7 +196,7 @@ func (n *gammaNode) Init(ctx *network.Context) {
 func (n *gammaNode) OnMessage(ctx *network.Context, inPort int, payload any) {
 	switch m := payload.(type) {
 	case envelope:
-		n.buffer(inPort, m)
+		n.unpack(inPort, m)
 		ctx.Send(n.reversePort[inPort], alphaAck{Round: m.Round})
 	case alphaAck:
 		n.acked[m.Round]++

@@ -6,14 +6,13 @@ import (
 
 	"abenet/internal/rng"
 	"abenet/internal/simtime"
-	"abenet/internal/syncnet"
 	"abenet/internal/topology"
 )
 
 func runGamma(t *testing.T, g *topology.Graph, radius, limit int, seed uint64) (Result, []*counterProto) {
 	t.Helper()
 	protos := make([]*counterProto, g.N())
-	res, err := Run(onNetwork(g, seed), Options{Kind: KindGamma, ClusterRadius: radius}, simtime.Forever, 0, func(i int) syncnet.Node {
+	res, err := Run(onNetwork(g, seed), Options{Kind: KindGamma, ClusterRadius: radius}, simtime.Forever, 0, func(i int) Node {
 		protos[i] = &counterProto{limit: limit}
 		return protos[i]
 	})
@@ -122,7 +121,7 @@ func TestGammaInterpolatesBetweenAlphaAndBeta(t *testing.T) {
 
 func TestGammaRejectsUnidirectionalGraphs(t *testing.T) {
 	_, err := Run(onNetwork(topology.Ring(4), 0), Options{Kind: KindGamma}, simtime.Forever, 0,
-		func(int) syncnet.Node { return &counterProto{limit: 2} })
+		func(int) Node { return &counterProto{limit: 2} })
 	if err == nil {
 		t.Fatal("gamma on a unidirectional ring accepted")
 	}
@@ -135,9 +134,9 @@ func TestGammaRejectsUnidirectionalGraphs(t *testing.T) {
 func TestGammaBFSOverIt(t *testing.T) {
 	g := topology.Hypercube(3)
 	_, want := g.BFSTree(0)
-	nodes := make([]*syncnet.BFSNode, g.N())
-	_, err := Run(onNetwork(g, 5), Options{Kind: KindGamma, MaxRounds: 32}, simtime.Forever, 0, func(i int) syncnet.Node {
-		nodes[i] = syncnet.NewBFSNode(i == 0)
+	nodes := make([]*bfsNode, g.N())
+	_, err := Run(onNetwork(g, 5), Options{Kind: KindGamma, MaxRounds: 32}, simtime.Forever, 0, func(i int) Node {
+		nodes[i] = newBFSNode(i == 0)
 		return nodes[i]
 	})
 	if err == nil {

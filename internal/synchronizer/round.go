@@ -1,16 +1,16 @@
 package synchronizer
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"abenet/internal/network"
-	"abenet/internal/syncnet"
 	"abenet/internal/topology"
 )
 
-// envelope is the synchronizers' payload carrier: everything node u has for
-// node v in round Round, possibly nothing.
+// envelope is the message-driven synchronizers' payload carrier: everything
+// node u has for node v in round Round, possibly nothing.
 type envelope struct {
 	Round    int
 	Payloads []any
@@ -19,96 +19,110 @@ type envelope struct {
 // budgetStopCause marks a round-budget abort rather than a protocol stop.
 const budgetStopCause = "synchronizer: round budget exhausted"
 
-// roundCore is what every message-driven synchronizer node shares: the
-// wrapped protocol, its round counter and budget, the per-round inbox and
-// the outbox the protocol's sends land in. The synchronizers embed it and
-// differ only in when they call execute.
+// roundCore is what every synchronizer node shares: the wrapped protocol,
+// its round counter and the payloads buffered for the rounds to come. The
+// kinds differ only in when they call run and in where the round's sends go.
 type roundCore struct {
-	proto syncnet.Node
+	proto Node
+	sync  *Synchronizer
 
 	// round is the next round to execute — equally, the number of rounds
 	// executed so far.
-	round     int
-	maxRounds int
+	round int
 
-	// inbox[r] holds the payloads round r consumes; early envelopes
-	// buffer here.
-	inbox map[int][]syncnet.Message
-	// outbox accumulates the protocol's sends during a round execution,
-	// keyed by out-port.
-	outbox [][]any
-
-	payloads uint64
+	// inbox[r] holds the payloads round r consumes; early ones wait here.
+	inbox map[int][]Message
 }
 
-// newRoundCore wraps proto for a node with the given out-degree.
-func newRoundCore(proto syncnet.Node, outDegree, maxRounds int) *roundCore {
-	return &roundCore{
-		proto:     proto,
-		maxRounds: maxRounds,
-		inbox:     make(map[int][]syncnet.Message),
-		outbox:    make([][]any, outDegree),
+// buffer keeps payload, received on inPort, for the round that consumes it.
+// A payload-less message has nothing to keep.
+func (c *roundCore) buffer(round, inPort int, payload any) {
+	if payload == nil {
+		return
 	}
+	if c.inbox == nil {
+		c.inbox = make(map[int][]Message)
+	}
+	c.inbox[round] = append(c.inbox[round], Message{InPort: inPort, Payload: payload})
 }
 
-// OnTimer implements network.Node; the synchronizers are message-driven.
-func (c *roundCore) OnTimer(*network.Context, int) {}
-
-// buffer files the payloads of a received envelope under the round that
-// consumes them.
-func (c *roundCore) buffer(inPort int, env envelope) {
-	for _, p := range env.Payloads {
-		c.inbox[env.Round+1] = append(c.inbox[env.Round+1], syncnet.Message{InPort: inPort, Payload: p})
-	}
-}
-
-// execute runs the protocol for c.round and flushes the round's envelopes:
-// one per out-port, or — sparse — only those that carry payloads. It
-// returns the number of envelopes sent and whether the round actually ran
-// (false once the round budget is exhausted).
-func (c *roundCore) execute(ctx *network.Context, sparse bool) (sent int, ran bool) {
-	if c.maxRounds > 0 && c.round >= c.maxRounds {
-		ctx.StopNetwork(budgetStopCause)
-		return 0, false
-	}
+// run executes round c.round of the protocol and advances the round. The
+// protocol's sends land in outbox, by out-port — or, under KindClock, which
+// has none, go straight onto the wire stamped with the round.
+func (c *roundCore) run(ctx *network.Context, outbox [][]any) {
 	inbox := c.inbox[c.round]
 	delete(c.inbox, c.round)
 	// A deterministic inbox order (by in-port, stable in arrival order)
 	// regardless of network arrival interleaving.
-	sort.SliceStable(inbox, func(i, j int) bool { return inbox[i].InPort < inbox[j].InPort })
+	slices.SortStableFunc(inbox, func(a, b Message) int { return cmp.Compare(a.InPort, b.InPort) })
 
-	c.proto.Round(protoContext{Context: ctx, core: c}, c.round, inbox)
+	view := &c.sync.view
+	view.Context, view.core, view.outbox = ctx, c, outbox
+	c.proto.Round(view, c.round, inbox)
+	c.round++
+}
 
-	for port, payloads := range c.outbox {
+// protoContext is the NodeContext the protocol sees during a round: the
+// asynchronous node context (size, identity, degree, randomness, stop) with
+// Send redirected into the round's outbox or stamped onto the wire.
+type protoContext struct {
+	*network.Context
+	core   *roundCore
+	outbox [][]any
+}
+
+var _ NodeContext = (*protoContext)(nil)
+
+// Send implements NodeContext.
+func (c *protoContext) Send(outPort int, payload any) {
+	if c.core.sync.kind == KindClock {
+		c.Context.Send(outPort, stamp(c.core.round, payload))
+	} else {
+		if outPort < 0 || outPort >= len(c.outbox) {
+			panic(fmt.Sprintf("synchronizer: send on out-port %d of %d", outPort, len(c.outbox)))
+		}
+		c.outbox[outPort] = append(c.outbox[outPort], payload)
+	}
+	c.core.sync.payloads++
+}
+
+// envelopes is what the message-driven kinds add to the round core: the
+// outbox a round's sends land in, flushed after the round as envelopes.
+type envelopes struct {
+	*roundCore
+	outbox [][]any
+}
+
+// OnTimer implements network.Node; the message-driven kinds set no timers.
+func (*envelopes) OnTimer(*network.Context, int) {}
+
+// unpack buffers the payloads of a received envelope for the round after
+// the one they were sent in.
+func (e *envelopes) unpack(inPort int, env envelope) {
+	for _, p := range env.Payloads {
+		e.buffer(env.Round+1, inPort, p)
+	}
+}
+
+// execute runs the next round and flushes its envelopes: one per out-port,
+// or — sparse — only those that carry payloads. It returns the number of
+// envelopes sent and whether the round actually ran (false once the round
+// budget is exhausted, which stops the network).
+func (e *envelopes) execute(ctx *network.Context, sparse bool) (sent int, ran bool) {
+	if e.round >= e.sync.maxRounds {
+		ctx.StopNetwork(budgetStopCause)
+		return 0, false
+	}
+	e.run(ctx, e.outbox)
+	for port, payloads := range e.outbox {
 		if sparse && len(payloads) == 0 {
 			continue
 		}
-		ctx.Send(port, envelope{Round: c.round, Payloads: payloads})
-		c.outbox[port] = nil
+		ctx.Send(port, envelope{Round: e.round - 1, Payloads: payloads})
+		e.outbox[port] = nil
 		sent++
 	}
-	c.round++
 	return sent, true
-}
-
-// protoContext is the syncnet.NodeContext the protocol sees during a round:
-// the asynchronous node context (size, identity, degree, randomness, stop)
-// with Send redirected into the core's outbox.
-type protoContext struct {
-	*network.Context
-	core *roundCore
-}
-
-var _ syncnet.NodeContext = protoContext{}
-
-// Send implements syncnet.NodeContext.
-func (c protoContext) Send(outPort int, payload any) {
-	outbox := c.core.outbox
-	if outPort < 0 || outPort >= len(outbox) {
-		panic(fmt.Sprintf("synchronizer: send on out-port %d of %d", outPort, len(outbox)))
-	}
-	outbox[outPort] = append(outbox[outPort], payload)
-	c.core.payloads++
 }
 
 // reversePorts maps each in-port of node i to the out-port that reaches
@@ -139,7 +153,7 @@ func reversePorts(g *topology.Graph, i int) []int {
 // graphs |E| >= n, matching Awerbuch's (and the paper's Theorem 1) lower
 // bound, so this synchronizer is message-optimal.
 type roundNode struct {
-	*roundCore
+	envelopes
 	inDegree int
 	// received[r] counts round-r envelopes.
 	received map[int]int
@@ -164,7 +178,7 @@ func (n *roundNode) OnMessage(ctx *network.Context, inPort int, payload any) {
 		// mean the synchronizer's invariant broke.
 		panic(fmt.Sprintf("synchronizer: stale envelope for round %d at round %d", env.Round, n.round))
 	}
-	n.buffer(inPort, env)
+	n.unpack(inPort, env)
 	n.received[env.Round]++
 	// Drain as many rounds as are fully assembled. (Neighbours can be at
 	// most one round ahead, but their envelopes may arrive reordered.)

@@ -1,5 +1,7 @@
 // Package synchronizer implements synchronizers: algorithms that simulate a
-// synchronous network on an asynchronous (here: ABE) one.
+// synchronous network on an asynchronous (here: ABE) one — and, under the
+// clock synchronizer on links that honour its period, the synchronous model
+// itself.
 //
 // The paper's Theorem 1 states that ABE networks of size n cannot be
 // synchronised with fewer than n messages per round — Awerbuch's lower
@@ -22,31 +24,68 @@
 //   - Beta: Awerbuch's β-synchronizer (payload acks + 2(n−1) messages on
 //     one global spanning tree per round). It is γ with a single cluster,
 //     and is run as exactly that: Gamma at a radius no BFS can exhaust.
-//   - Clock (clocksync.go): the Tel–Korach–Zaks style ABD synchronizer
-//     that uses *zero* extra messages by trusting a hard delay bound —
-//     and therefore cannot be correct on ABE networks, where no hard
-//     bound exists (experiment E9 measures its round violations).
+//   - Clock (clock.go): the Tel–Korach–Zaks style ABD synchronizer that
+//     uses *zero* extra messages by trusting a hard delay bound — and
+//     therefore cannot be correct on ABE networks, where no hard bound
+//     exists (experiment E9 measures its round violations). Where the bound
+//     does hold it is the lock-step model: at period 1 over links of delay
+//     ½ and perfect clocks, round r+1 sees exactly the messages of round r.
 //
 // The package supplies nodes; it builds no network and runs nothing. New
-// (or NewClockSync) validates and precomputes, Node wraps a protocol
-// instance into a network.Node, and Result reads the outcome back from the
-// network the run substrate (internal/runner) built and ran.
+// validates and precomputes, Node wraps a protocol instance into a
+// network.Node, and Result reads the outcome back from the network the run
+// substrate (internal/runner) built and ran.
 package synchronizer
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"abenet/internal/network"
 	"abenet/internal/probe"
-	"abenet/internal/syncnet"
+	"abenet/internal/rng"
 	"abenet/internal/topology"
 )
+
+// Message is one message delivered at a round boundary.
+type Message struct {
+	// InPort is the receiver's local port the message arrived on.
+	InPort int
+	// Payload is the protocol content.
+	Payload any
+}
+
+// NodeContext is the local view a synchronous protocol gets for one round;
+// it is valid until Round returns.
+type NodeContext interface {
+	// N returns the network size (known-n assumption).
+	N() int
+	// ID returns the node identity; panics on anonymous networks.
+	ID() int
+	// OutDegree returns the number of out-ports.
+	OutDegree() int
+	// Send queues payload for delivery on outPort at the next round. A nil
+	// payload is payload-less: it is carried and counted like any other,
+	// but it puts nothing in the receiver's inbox.
+	Send(outPort int, payload any)
+	// Rand returns the node's private random stream.
+	Rand() *rng.Source
+	// StopNetwork ends the run.
+	StopNetwork(cause string)
+}
+
+// Node is a synchronous protocol instance. Round is called once per round
+// with all messages sent to the node in the previous round, ordered by
+// in-port; the inbox is the synchronizer's and must not be kept.
+type Node interface {
+	Round(ctx NodeContext, round int, inbox []Message)
+}
 
 // Kind selects a synchronizer construction.
 type Kind int
 
-// The message-driven synchronizers.
+// The synchronizers.
 const (
 	// KindRound is the minimal round-message synchronizer (|E|/round).
 	KindRound Kind = iota + 1
@@ -63,6 +102,10 @@ const (
 	// interpolates between α (radius 0-ish) and β (radius ≥ diameter),
 	// trading messages against round latency. Bidirectional only.
 	KindGamma
+	// KindClock is the clock-driven ABD synchronizer: round r starts at
+	// local time (r+1)·Options.Period and sends no control message at all.
+	// Any graph will do.
+	KindClock
 )
 
 // String implements fmt.Stringer.
@@ -76,6 +119,8 @@ func (k Kind) String() string {
 		return "beta"
 	case KindGamma:
 		return "gamma"
+	case KindClock:
+		return "clock"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -91,8 +136,14 @@ type Options struct {
 	// ClusterRadius is the γ-synchronizer's BFS cluster radius; 0 means 2.
 	// Ignored by the other kinds.
 	ClusterRadius int
-	// MaxRounds aborts the run if the protocol has not stopped by then;
-	// 0 means 10000.
+	// Period is KindClock's round length in local time units: positive and
+	// finite. Ignored by the other kinds.
+	Period float64
+	// MaxRounds is the round budget: a message-driven synchronizer stops
+	// the network once a node would start round MaxRounds, the clock
+	// synchronizer stops ticking there and lets the messages in flight
+	// land. A protocol that has not stopped by then is an error. 0 means
+	// 10000.
 	MaxRounds int
 }
 
@@ -113,6 +164,15 @@ type Result struct {
 	// executed the final round, and dividing by the maximum would
 	// understate the sustained cost.
 	MessagesPerRound float64
+	// Violations counts, under KindClock, the messages that arrived after
+	// their receiver had started the round meant to consume them — synchrony
+	// broken. On an ABD network with Period above the hard delay bound this
+	// is 0; on an ABE network it is positive with probability approaching 1
+	// as the run grows. The message-driven kinds never violate a round.
+	Violations uint64
+	// MaxLateness is the worst observed number of rounds a violating
+	// message was late by.
+	MaxLateness int
 	// Time is the virtual completion time.
 	Time float64
 	// Stopped reports whether the protocol stopped the run (vs hitting
@@ -130,26 +190,45 @@ type Synchronizer struct {
 	graph     *topology.Graph
 	kind      Kind
 	maxRounds int
+	period    float64
 	// clusters is the per-node cluster geometry of β and γ.
 	clusters []clusterPorts
-	// cores are the round cores of the nodes supplied so far, by index.
-	cores []*roundCore
+	// cores are the nodes' round cores, by index: one slab, so KindClock —
+	// whose node is its bare core — costs no allocation per node.
+	cores []roundCore
+	// view is the NodeContext of the round being executed. The kernel runs
+	// one node's round at a time, so one view serves them all.
+	view protoContext
+
+	payloads, violations uint64
+	maxLateness          int
 }
 
 var _ probe.Observable = (*Synchronizer)(nil)
 
-// New prepares a synchronizer of the given kind over g, which must be
-// strongly connected and — for every kind but Round — bidirectional.
+// New prepares a synchronizer of the given kind over g. The message-driven
+// kinds need g strongly connected and — for every kind but Round —
+// bidirectional; KindClock takes any graph and a Period.
 func New(g *topology.Graph, opts Options) (*Synchronizer, error) {
 	if g == nil {
 		return nil, errors.New("synchronizer: needs a graph")
 	}
-	if !g.IsStronglyConnected() {
-		return nil, errors.New("synchronizer: graph must be strongly connected")
+	if opts.MaxRounds < 0 {
+		return nil, fmt.Errorf("synchronizer: round budget %d must not be negative", opts.MaxRounds)
 	}
-	s := &Synchronizer{graph: g, kind: opts.Kind, maxRounds: opts.MaxRounds, cores: make([]*roundCore, g.N())}
+	s := &Synchronizer{graph: g, kind: opts.Kind, maxRounds: opts.MaxRounds, cores: make([]roundCore, g.N())}
 	if s.maxRounds == 0 {
 		s.maxRounds = 10000
+	}
+	if opts.Kind == KindClock {
+		if !(opts.Period > 0) || math.IsInf(opts.Period, 0) {
+			return nil, fmt.Errorf("synchronizer: period %g must be positive and finite", opts.Period)
+		}
+		s.period = opts.Period
+		return s, nil
+	}
+	if !g.IsStronglyConnected() {
+		return nil, errors.New("synchronizer: graph must be strongly connected")
 	}
 	radius := 0 // of the BFS clusters; 0 for the kinds without any
 	switch opts.Kind {
@@ -179,19 +258,23 @@ func New(g *topology.Graph, opts Options) (*Synchronizer, error) {
 
 // Node wraps proto, node i's synchronous protocol instance, into the
 // network node that runs it under the synchronizer.
-func (s *Synchronizer) Node(i int, proto syncnet.Node) network.Node {
+func (s *Synchronizer) Node(i int, proto Node) network.Node {
 	if proto == nil {
 		panic(fmt.Sprintf("synchronizer: nil protocol for node %d", i))
 	}
-	core := newRoundCore(proto, s.graph.OutDegree(i), s.maxRounds)
-	s.cores[i] = core
+	core := &s.cores[i]
+	*core = roundCore{proto: proto, sync: s}
+	if s.kind == KindClock {
+		return (*clockNode)(core)
+	}
+	env := envelopes{roundCore: core, outbox: make([][]any, s.graph.OutDegree(i))}
 	inDegree := s.graph.InDegree(i)
 	switch s.kind {
 	case KindRound:
-		return &roundNode{roundCore: core, inDegree: inDegree, received: make(map[int]int)}
+		return &roundNode{envelopes: env, inDegree: inDegree, received: make(map[int]int)}
 	case KindAlpha:
 		return &alphaNode{
-			roundCore:   core,
+			envelopes:   env,
 			inDegree:    inDegree,
 			reversePort: reversePorts(s.graph, i),
 			ackCount:    make(map[int]int),
@@ -200,7 +283,7 @@ func (s *Synchronizer) Node(i int, proto syncnet.Node) network.Node {
 		}
 	default:
 		return &gammaNode{
-			roundCore:    core,
+			envelopes:    env,
 			clusterPorts: s.clusters[i],
 			reversePort:  reversePorts(s.graph, i),
 			sent:         make(map[int]int),
@@ -215,11 +298,12 @@ func (s *Synchronizer) Node(i int, proto syncnet.Node) network.Node {
 
 // rounds returns the fewest and the most rounds any node has executed.
 func (s *Synchronizer) rounds() (lo, hi int) {
-	for i, c := range s.cores {
-		if i == 0 || c.round < lo {
-			lo = c.round
+	for i := range s.cores {
+		r := s.cores[i].round
+		if i == 0 || r < lo {
+			lo = r
 		}
-		hi = max(hi, c.round)
+		hi = max(hi, r)
 	}
 	return lo, hi
 }
@@ -235,19 +319,19 @@ func (s *Synchronizer) ProbeGauges() []probe.Gauge {
 
 // Result summarises the execution net ran over this synchronizer's nodes.
 // A protocol that had not stopped when the round budget ran out is an
-// error.
+// error; the summary is filled in either way.
 func (s *Synchronizer) Result(net *network.Network) (Result, error) {
 	cause := net.StopCause()
 	res := Result{
-		Messages:  net.Metrics().MessagesSent,
-		Time:      float64(net.Now()),
-		Stopped:   cause != "" && cause != budgetStopCause,
-		StopCause: cause,
+		Messages:        net.Metrics().MessagesSent,
+		PayloadMessages: s.payloads,
+		Violations:      s.violations,
+		MaxLateness:     s.maxLateness,
+		Time:            float64(net.Now()),
+		Stopped:         cause != "" && cause != budgetStopCause,
+		StopCause:       cause,
 	}
 	res.MinRounds, res.Rounds = s.rounds()
-	for _, c := range s.cores {
-		res.PayloadMessages += c.payloads
-	}
 	if res.MinRounds > 0 {
 		res.MessagesPerRound = float64(res.Messages) / float64(res.MinRounds)
 	}

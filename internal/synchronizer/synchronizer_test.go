@@ -9,7 +9,6 @@ import (
 	"abenet/internal/dist"
 	"abenet/internal/network"
 	"abenet/internal/simtime"
-	"abenet/internal/syncnet"
 	"abenet/internal/topology"
 )
 
@@ -17,11 +16,11 @@ import (
 // network after Limit rounds.
 type counterProto struct {
 	limit   int
-	inboxes [][]syncnet.Message
+	inboxes [][]Message
 }
 
-func (p *counterProto) Round(ctx syncnet.NodeContext, round int, inbox []syncnet.Message) {
-	copied := make([]syncnet.Message, len(inbox))
+func (p *counterProto) Round(ctx NodeContext, round int, inbox []Message) {
+	copied := make([]Message, len(inbox))
 	copy(copied, inbox)
 	p.inboxes = append(p.inboxes, copied)
 	if round >= p.limit {
@@ -45,46 +44,52 @@ func onLinks(g *topology.Graph, seed uint64, delay dist.Dist) network.Config {
 	return network.Config{Graph: g, Links: channel.RandomDelayFactory(delay), Seed: seed}
 }
 
-// drive builds the network over the given nodes and runs it to the bounds,
-// as the run substrate does.
-func drive(cfg network.Config, horizon simtime.Time, maxEvents uint64, node func(i int) network.Node) (*network.Network, error) {
-	net, err := network.New(cfg, node)
-	if err != nil {
-		return nil, err
-	}
-	return net, net.Run(horizon, maxEvents)
-}
-
-// Run is New → drive → Result, for the tests of this package.
-func Run(cfg network.Config, opts Options, horizon simtime.Time, maxEvents uint64, makeNode func(i int) syncnet.Node) (Result, error) {
+// Run is New → network.New → Run → Result, as the run substrate does, for
+// the tests of this package.
+func Run(cfg network.Config, opts Options, horizon simtime.Time, maxEvents uint64, makeNode func(i int) Node) (Result, error) {
 	s, err := New(cfg.Graph, opts)
 	if err != nil {
 		return Result{}, err
 	}
-	net, err := drive(cfg, horizon, maxEvents, func(i int) network.Node { return s.Node(i, makeNode(i)) })
+	net, err := network.New(cfg, func(i int) network.Node { return s.Node(i, makeNode(i)) })
 	if err != nil {
+		return Result{}, err
+	}
+	if err := net.Run(horizon, maxEvents); err != nil {
 		return Result{}, err
 	}
 	return s.Result(net)
 }
 
-// RunClockSync is Run for the clock-driven synchronizer.
-func RunClockSync(cfg network.Config, period float64, rounds int, horizon simtime.Time, maxEvents uint64) (ClockSyncResult, error) {
-	s, err := NewClockSync(period, rounds)
-	if err != nil {
-		return ClockSyncResult{}, err
+// heartbeat sends one payload-less message per out-edge per round and never
+// stops: the clock-sync workload.
+type heartbeat struct{}
+
+func (heartbeat) Round(ctx NodeContext, _ int, _ []Message) {
+	for port := range ctx.OutDegree() {
+		ctx.Send(port, nil)
 	}
-	net, err := drive(cfg, horizon, maxEvents, func(int) network.Node { return s.Node() })
-	if err != nil {
-		return ClockSyncResult{}, err
+}
+
+// runHeartbeat runs the heartbeat under KindClock for the given number of
+// rounds; reaching that budget is how it ends, not an error.
+func runHeartbeat(cfg network.Config, period float64, rounds int) (Result, error) {
+	res, err := Run(cfg, Options{Kind: KindClock, Period: period, MaxRounds: rounds}, simtime.Forever, 0, func(int) Node { return heartbeat{} })
+	if err != nil && res.MinRounds == rounds {
+		return res, nil
 	}
-	return s.Result(net), nil
+	return res, err
+}
+
+// violationRate is the share of messages that arrived late.
+func violationRate(res Result) float64 {
+	return float64(res.Violations) / float64(res.Messages)
 }
 
 func runCounter(t *testing.T, kind Kind, g *topology.Graph, limit int, seed uint64) (Result, []*counterProto) {
 	t.Helper()
 	protos := make([]*counterProto, g.N())
-	res, err := Run(onNetwork(g, seed), Options{Kind: kind}, simtime.Forever, 0, func(i int) syncnet.Node {
+	res, err := Run(onNetwork(g, seed), Options{Kind: kind}, simtime.Forever, 0, func(i int) Node {
 		protos[i] = &counterProto{limit: limit}
 		return protos[i]
 	})
@@ -199,7 +204,7 @@ func TestAlphaCostsThreePerEdgePerRound(t *testing.T) {
 func TestSynchronizersIndifferentToDelayShape(t *testing.T) {
 	for _, d := range []dist.Dist{dist.NewDeterministic(1), dist.NewExponential(1), dist.ParetoWithMean(1, 2)} {
 		protos := make([]*counterProto, 4)
-		res, err := Run(onLinks(topology.Ring(4), 7, d), Options{Kind: KindRound}, simtime.Forever, 0, func(i int) syncnet.Node {
+		res, err := Run(onLinks(topology.Ring(4), 7, d), Options{Kind: KindRound}, simtime.Forever, 0, func(i int) Node {
 			protos[i] = &counterProto{limit: 12}
 			return protos[i]
 		})
@@ -216,7 +221,7 @@ func TestSynchronizerIndifferentToClockDrift(t *testing.T) {
 	protos := make([]*counterProto, 4)
 	drifting := onNetwork(topology.Ring(4), 8)
 	drifting.Clocks = clock.NewWanderingModel(0.25, 4, 1)
-	res, err := Run(drifting, Options{Kind: KindRound}, simtime.Forever, 0, func(i int) syncnet.Node {
+	res, err := Run(drifting, Options{Kind: KindRound}, simtime.Forever, 0, func(i int) Node {
 		protos[i] = &counterProto{limit: 12}
 		return protos[i]
 	})
@@ -230,7 +235,7 @@ func TestSynchronizerIndifferentToClockDrift(t *testing.T) {
 
 func TestRoundBudgetAborts(t *testing.T) {
 	// A protocol that never stops must trip the budget error.
-	_, err := Run(onNetwork(topology.Ring(3), 9), Options{Kind: KindRound, MaxRounds: 25}, simtime.Forever, 0, func(int) syncnet.Node {
+	_, err := Run(onNetwork(topology.Ring(3), 9), Options{Kind: KindRound, MaxRounds: 25}, simtime.Forever, 0, func(int) Node {
 		return &counterProto{limit: 1 << 30}
 	})
 	if err == nil {
@@ -239,7 +244,7 @@ func TestRoundBudgetAborts(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	mk := func(int) syncnet.Node { return &counterProto{limit: 1} }
+	mk := func(int) Node { return &counterProto{limit: 1} }
 	if _, err := Run(network.Config{}, Options{Kind: KindRound}, simtime.Forever, 0, mk); err == nil {
 		t.Fatal("missing graph accepted")
 	}
@@ -272,7 +277,7 @@ func TestRunValidation(t *testing.T) {
 func TestClockSyncPerfectOnABDNetwork(t *testing.T) {
 	// Bounded delays (uniform in [0, 1]) and Period > 1: the ABD
 	// assumption holds, so there must be zero violations.
-	res, err := RunClockSync(onLinks(topology.Ring(8), 1, dist.NewUniform(0, 1)), 1.05, 200, simtime.Forever, 0)
+	res, err := runHeartbeat(onLinks(topology.Ring(8), 1, dist.NewUniform(0, 1)), 1.05, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,14 +292,14 @@ func TestClockSyncPerfectOnABDNetwork(t *testing.T) {
 func TestClockSyncFailsOnABENetwork(t *testing.T) {
 	// Same expected delay (0.5) but exponential: P(delay > 1.05) ≈ 12%,
 	// so violations must appear — the E9/Theorem 1 demonstration.
-	res, err := RunClockSync(onLinks(topology.Ring(8), 1, dist.NewExponential(0.5)), 1.05, 200, simtime.Forever, 0)
+	res, err := runHeartbeat(onLinks(topology.Ring(8), 1, dist.NewExponential(0.5)), 1.05, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Violations == 0 {
 		t.Fatal("ABE network produced no violations — unbounded delays must break a clock synchronizer")
 	}
-	rate := res.ViolationRate()
+	rate := violationRate(res)
 	if rate < 0.01 || rate > 0.5 {
 		t.Fatalf("violation rate %v implausible for exp(0.5) vs period 1.05", rate)
 	}
@@ -302,11 +307,11 @@ func TestClockSyncFailsOnABENetwork(t *testing.T) {
 
 func TestClockSyncViolationRateDropsWithPeriod(t *testing.T) {
 	rate := func(period float64) float64 {
-		res, err := RunClockSync(onLinks(topology.Ring(8), 2, dist.NewExponential(1)), period, 300, simtime.Forever, 0)
+		res, err := runHeartbeat(onLinks(topology.Ring(8), 2, dist.NewExponential(1)), period, 300)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.ViolationRate()
+		return violationRate(res)
 	}
 	r2, r6 := rate(2), rate(6)
 	if r6 >= r2 {
@@ -324,31 +329,101 @@ func TestClockSyncExponentialTailMatchesTheory(t *testing.T) {
 	// is roughly e^{-P} (arrival after the receiver's next tick). Check
 	// the measured rate is the right order of magnitude.
 	const period = 3.0
-	res, err := RunClockSync(onLinks(topology.Ring(16), 3, dist.NewExponential(1)), period, 400, simtime.Forever, 0)
+	res, err := runHeartbeat(onLinks(topology.Ring(16), 3, dist.NewExponential(1)), period, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := math.Exp(-period)
-	got := res.ViolationRate()
+	got := violationRate(res)
 	if got < want/4 || got > want*4 {
 		t.Fatalf("violation rate %v, want within 4x of e^-P = %v", got, want)
 	}
 }
 
+// TestClockSyncLatePayloadIsConsumedNextRound: a payload that misses its
+// round is counted and handed to the receiver's next round, not dropped.
+func TestClockSyncLatePayloadIsConsumedNextRound(t *testing.T) {
+	// Delay 2.5 at period 1: a round-r payload lands while its receiver
+	// runs round r+2, two rounds after the one meant to consume it.
+	protos := make([]*counterProto, 2)
+	res, err := Run(onLinks(topology.Ring(2), 1, dist.NewDeterministic(2.5)), Options{Kind: KindClock, Period: 1},
+		simtime.Forever, 0, func(i int) Node {
+			protos[i] = &counterProto{limit: 6}
+			return protos[i]
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Violations == 0 || res.MaxLateness != 2 {
+		t.Fatalf("violations %d, max lateness %d; want late messages by 2 rounds", res.Violations, res.MaxLateness)
+	}
+	for r, inbox := range protos[1].inboxes {
+		if want := max(0, r-3); len(inbox) != min(1, r/3) || (len(inbox) == 1 && inbox[0].Payload != want) {
+			t.Fatalf("round %d inbox %v, want the payload of round %d", r, inbox, want)
+		}
+	}
+}
+
+// TestPayloadLessSendsFillNoInbox: a nil payload is carried and counted
+// under every kind, but no receiver finds it in its inbox.
+func TestPayloadLessSendsFillNoInbox(t *testing.T) {
+	for _, opts := range []Options{{Kind: KindRound}, {Kind: KindGamma}, {Kind: KindClock, Period: 1}} {
+		var inboxed int
+		res, err := Run(lockStep(topology.BiRing(4), 1), opts, simtime.Forever, 0, func(int) Node {
+			return funcNode(func(ctx NodeContext, round int, inbox []Message) {
+				inboxed += len(inbox)
+				if round == 3 {
+					ctx.StopNetwork("done")
+				}
+				for port := range ctx.OutDegree() {
+					ctx.Send(port, nil)
+				}
+			})
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", opts.Kind, err)
+		}
+		if res.PayloadMessages == 0 || inboxed != 0 {
+			t.Fatalf("%v: %d payloads sent, %d inboxed; want some sent, none inboxed", opts.Kind, res.PayloadMessages, inboxed)
+		}
+	}
+}
+
+// TestClockHeartbeatDoesNotAllocate pins what the clock-sync workload costs
+// per message: nothing. A payload-less message travels as its bare round
+// number (boxed without allocating below round 256) and fills no inbox, so
+// 150 more rounds on a ring of 8 — 1200 more messages — allocate exactly
+// what 100 rounds do.
+func TestClockHeartbeatDoesNotAllocate(t *testing.T) {
+	allocs := func(rounds int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			res, err := runHeartbeat(lockStep(topology.Ring(8), 1), 1, rounds)
+			if err != nil || res.Messages != uint64(8*rounds) {
+				t.Fatalf("%d rounds: %d messages, %v", rounds, res.Messages, err)
+			}
+		})
+	}
+	if short, long := allocs(100), allocs(250); long != short {
+		t.Fatalf("100 rounds allocate %g objects, 250 rounds %g: %g per message", short, long, (long-short)/(8*150))
+	}
+}
+
 func TestClockSyncValidation(t *testing.T) {
-	if _, err := RunClockSync(network.Config{}, 1, 1, simtime.Forever, 0); err == nil {
+	if _, err := runHeartbeat(network.Config{}, 1, 1); err == nil {
 		t.Fatal("missing graph accepted")
 	}
-	if _, err := RunClockSync(onNetwork(topology.Ring(3), 0), 0, 1, simtime.Forever, 0); err == nil {
-		t.Fatal("zero period accepted")
+	for _, period := range []float64{0, -1, math.Inf(1), math.NaN()} {
+		if _, err := runHeartbeat(onNetwork(topology.Ring(3), 0), period, 1); err == nil {
+			t.Fatalf("period %g accepted", period)
+		}
 	}
-	if _, err := RunClockSync(onNetwork(topology.Ring(3), 0), 1, 0, simtime.Forever, 0); err == nil {
-		t.Fatal("zero rounds accepted")
+	if _, err := runHeartbeat(onNetwork(topology.Ring(3), 0), 1, -1); err == nil {
+		t.Fatal("negative round budget accepted")
 	}
 }
 
 func TestKindString(t *testing.T) {
-	if KindRound.String() != "round" || KindAlpha.String() != "alpha" {
+	if KindRound.String() != "round" || KindAlpha.String() != "alpha" || KindClock.String() != "clock" {
 		t.Fatal("kind strings wrong")
 	}
 	if Kind(42).String() == "" {

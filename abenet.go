@@ -321,10 +321,10 @@ func WanderingClocks(low, high, segmentMean float64) ClockModel {
 
 // ---- Link factories ----
 
-// LinkFactory builds the link of one directed edge on the network's shared
-// in-flight store, given the edge's index and random stream. A factory value
-// holds no per-run state, so one Env can be run repeatedly and from
-// concurrent sweep workers.
+// LinkFactory is a network's link discipline: one immutable value from which
+// the network lays out a row per directed edge in its one in-flight store,
+// each row drawing from its edge's random stream. It holds no per-run state,
+// so one Env can be run repeatedly and from concurrent sweep workers.
 type LinkFactory = channel.Factory
 
 // RandomDelayLinks returns non-FIFO links with independent per-message

@@ -20,19 +20,20 @@
 //     and stop-and-wait retransmission. The delay is (number of attempts) ×
 //     slot time: unbounded support, expectation slot/p.
 //
-// A link owns its delay model, its random stream and its counters, and
-// nothing else. The messages in flight on all links of a network live in one
-// Store (pool.go), and a delivery reaches the network through the store's
-// Sink as Deliver(edge, payload) — the link was told its edge index by the
-// Factory call that built it. A link built on its own (NewRandomDelay,
-// NewFIFO, NewARQ) gets a private store around a DeliverFunc.
+// A network picks one of them, its Factory, for all of its links, and a link
+// is a row of the network's Store (pool.go): its counters, its batch state and
+// a FIFO link's last delivery instant, beside a random stream the network lays
+// out. The store applies the one discipline to every row, holds the messages in
+// flight on all of them, and hands a delivery to the network's Sink as
+// Deliver(link, payload). A link built on its own (NewRandomDelay, NewFIFO,
+// NewARQ) is a store of one row around a DeliverFunc, on the same send path.
 //
 // That is the whole package: three delay disciplines and one store, which
 // schedules nothing but deliveries. Whatever else can happen to a message —
 // loss, duplication, a reorder hold-back, an outage, an adversary, the fan-out
 // of a radio medium — is the network deciding about it before it enters a
 // link or after it leaves the store, so "in flight" is one number, the
-// store's, and a message event reaches the kernel from port.send alone.
+// store's, and a message event reaches the kernel from Store.Send alone.
 package channel
 
 import (
@@ -70,94 +71,122 @@ type Link interface {
 	MeanDelay() float64
 }
 
-// RandomDelay is a link whose per-message delays are independent samples of
-// a delay distribution. Because samples are independent, messages can
-// overtake: the link is not FIFO.
-type RandomDelay struct {
-	delay dist.Dist
-	r     *rng.Source
-	port
+// Factory is a network's link discipline: how every one of its links turns a
+// send into a delivery instant. It is one immutable value, read once by
+// NewStore, which lays out a row per link; nothing is built per link but the
+// per-link laws of a HeterogeneousFactory, so one Factory may serve any number
+// of concurrent runs. A nil Factory is unset.
+type Factory *discipline
+
+// discipline is what a Factory points to.
+type discipline struct {
+	kind  kind
+	delay dist.Dist           // every link's delay law (random-delay, FIFO)
+	arq   dist.Retransmission // every link's attempt model (ARQ)
+	pick  func(link int) dist.Dist
 }
+
+// kind names one of the three delay disciplines.
+type kind uint8
+
+const (
+	kindRandomDelay kind = iota
+	kindFIFO
+	kindARQ
+)
+
+// RandomDelayFactory returns the discipline of non-FIFO links with the given
+// delay distribution (shared shape, independent samples per link).
+func RandomDelayFactory(delay dist.Dist) Factory {
+	mustDelay(delay)
+	return &discipline{kind: kindRandomDelay, delay: delay}
+}
+
+// FIFOFactory returns the discipline of FIFO links: a message's delivery
+// instant is the maximum of its own sampled arrival and its link's previous
+// delivery instant.
+func FIFOFactory(delay dist.Dist) Factory {
+	mustDelay(delay)
+	return &discipline{kind: kindFIFO, delay: delay}
+}
+
+// ARQFactory returns the discipline of lossy stop-and-wait ARQ links with
+// success probability p and slot duration slot: each physical transmission
+// attempt takes slot time units and succeeds independently with probability
+// p, so a delay is attempts × slot — unbounded, with E[delay] = slot/p exactly
+// (k_avg = 1/p in the paper). The attempts are counted as Transmissions.
+func ARQFactory(p, slot float64) Factory {
+	return &discipline{kind: kindARQ, arq: dist.NewRetransmission(p, slot)} // validates p and slot
+}
+
+// HeterogeneousFactory returns the discipline of random-delay links whose
+// link k has delay distribution pick(k), allowing per-link delay models
+// (non-homogeneous links, as the paper's motivation for using a *bound* on
+// expected delay discusses). NewStore calls pick once per link. The
+// network-wide δ is then the maximum per-link mean.
+func HeterogeneousFactory(pick func(link int) dist.Dist) Factory {
+	if pick == nil {
+		panic("channel: nil pick function")
+	}
+	return &discipline{kind: kindRandomDelay, pick: pick}
+}
+
+// lone is a link built on its own: a store of one row, reached through the
+// same Store.Send as a network's links.
+type lone struct{ store *Store }
+
+// newLone lays out a one-row store of discipline links, delivering into
+// deliver. The row draws from a copy of r's state: r itself does not advance.
+func newLone(k *sim.Kernel, links Factory, r *rng.Source, deliver DeliverFunc) lone {
+	if r == nil {
+		panic("channel: nil random source")
+	}
+	if deliver == nil {
+		panic("channel: nil deliver callback")
+	}
+	return lone{NewStore(k, deliver, links, []rng.Source{*r})}
+}
+
+// Send implements Link.
+func (l lone) Send(payload any) simtime.Duration { return l.store.Send(0, payload) }
+
+// Stats implements Link.
+func (l lone) Stats() Stats { return l.store.Stats(0) }
+
+// MeanDelay implements Link.
+func (l lone) MeanDelay() float64 { return l.store.MeanDelay(0) }
+
+// RandomDelay is a random-delay link built on its own. Because samples are
+// independent, messages can overtake: the link is not FIFO.
+type RandomDelay struct{ lone }
 
 var _ Link = (*RandomDelay)(nil)
 
 // NewRandomDelay returns a non-FIFO random-delay link on a store of its
 // own, delivering into deliver. All arguments must be non-nil.
 func NewRandomDelay(k *sim.Kernel, delay dist.Dist, r *rng.Source, deliver DeliverFunc) *RandomDelay {
-	return newRandomDelay(newLoneStore(k, deliver), 0, delay, r)
+	return &RandomDelay{newLone(k, RandomDelayFactory(delay), r, deliver)}
 }
 
-func newRandomDelay(s *Store, edge int, delay dist.Dist, r *rng.Source) *RandomDelay {
-	mustLinkArgs(delay, r)
-	return &RandomDelay{delay: delay, r: r, port: newPort(s, edge)}
-}
-
-// Send implements Link.
-func (l *RandomDelay) Send(payload any) simtime.Duration {
-	d := simtime.Duration(l.delay.Sample(l.r))
-	l.stats.Sent++
-	l.stats.Transmissions++
-	l.send(l.store.kernel.Now().Add(d), payload, d)
-	return d
-}
-
-// MeanDelay implements Link.
-func (l *RandomDelay) MeanDelay() float64 { return l.delay.Mean() }
-
-// FIFO is a link with random per-message delays whose deliveries are
-// nevertheless forced into send order: a message's delivery time is the
-// maximum of its own sampled arrival and the previous delivery time.
-type FIFO struct {
-	delay        dist.Dist
-	r            *rng.Source
-	lastDelivery simtime.Time
-	port
-}
+// FIFO is a FIFO link built on its own. Its MeanDelay is the mean of the
+// underlying distribution; the effective FIFO delay stochastically dominates
+// it (head-of-line blocking), so it is a lower bound on the expected effective
+// delay. For the ABE bound use a distribution whose mean already accounts for
+// queueing, or use random-delay links as the paper's model does.
+type FIFO struct{ lone }
 
 var _ Link = (*FIFO)(nil)
 
 // NewFIFO returns an order-preserving random-delay link on a store of its
 // own, delivering into deliver.
 func NewFIFO(k *sim.Kernel, delay dist.Dist, r *rng.Source, deliver DeliverFunc) *FIFO {
-	return newFIFO(newLoneStore(k, deliver), 0, delay, r)
+	return &FIFO{newLone(k, FIFOFactory(delay), r, deliver)}
 }
 
-func newFIFO(s *Store, edge int, delay dist.Dist, r *rng.Source) *FIFO {
-	mustLinkArgs(delay, r)
-	return &FIFO{delay: delay, r: r, port: newPort(s, edge)}
-}
-
-// Send implements Link.
-func (l *FIFO) Send(payload any) simtime.Duration {
-	sent := l.store.kernel.Now()
-	arrival := sent.Add(simtime.Duration(l.delay.Sample(l.r)))
-	if arrival.Before(l.lastDelivery) {
-		arrival = l.lastDelivery
-	}
-	l.lastDelivery = arrival
-	effective := arrival.Sub(sent)
-	l.stats.Sent++
-	l.stats.Transmissions++
-	l.send(arrival, payload, effective)
-	return effective
-}
-
-// MeanDelay returns the mean of the underlying distribution. Note the
-// effective FIFO delay stochastically dominates it (head-of-line blocking),
-// so this is a lower bound on the expected effective delay; for the ABE
-// bound use a distribution whose mean already accounts for queueing, or use
-// RandomDelay links as the paper's model does.
-func (l *FIFO) MeanDelay() float64 { return l.delay.Mean() }
-
-// ARQ is the paper's case (iii) link: each physical transmission attempt
-// takes Slot time units and succeeds independently with probability P; the
-// sender retransmits until success. Delay = attempts × slot, so the delay
-// is unbounded but E[delay] = slot/p exactly (k_avg = 1/p in the paper).
-type ARQ struct {
-	model dist.Retransmission
-	r     *rng.Source
-	port
-}
+// ARQ is the paper's case (iii) link built on its own (see ARQFactory). Its
+// Send simulates the individual transmission attempts, so the physical
+// transmission count is observable (experiment E1).
+type ARQ struct{ lone }
 
 var _ Link = (*ARQ)(nil)
 
@@ -165,96 +194,11 @@ var _ Link = (*ARQ)(nil)
 // probability p and per-attempt duration slot, on a store of its own and
 // delivering into deliver.
 func NewARQ(k *sim.Kernel, p, slot float64, r *rng.Source, deliver DeliverFunc) *ARQ {
-	model := dist.NewRetransmission(p, slot) // validates p and slot
-	return newARQ(newLoneStore(k, deliver), 0, model, r)
+	return &ARQ{newLone(k, ARQFactory(p, slot), r, deliver)}
 }
 
-func newARQ(s *Store, edge int, model dist.Retransmission, r *rng.Source) *ARQ {
-	if r == nil {
-		panic("channel: nil random source")
-	}
-	return &ARQ{model: model, r: r, port: newPort(s, edge)}
-}
-
-// Send implements Link. It simulates the individual transmission attempts
-// so the physical transmission count is observable (experiment E1).
-func (l *ARQ) Send(payload any) simtime.Duration {
-	attempts := l.model.Attempts(l.r)
-	d := simtime.Duration(float64(attempts) * l.model.SlotTime)
-	l.stats.Sent++
-	l.stats.Transmissions += uint64(attempts)
-	l.send(l.store.kernel.Now().Add(d), payload, d)
-	return d
-}
-
-// MeanDelay implements Link: exactly slot/p.
-func (l *ARQ) MeanDelay() float64 { return l.model.Mean() }
-
-// Factory builds the link of one directed edge on the network's shared
-// store; the network layer calls it once per edge, in edge-index order,
-// while wiring a topology. edge identifies the link to the store's Sink at
-// delivery time and is the only per-edge input besides the stream, so a
-// Factory value holds no state and may be shared by concurrent runs.
-// Implementations must use only the provided per-edge random stream for
-// randomness.
-type Factory func(s *Store, edge int, edgeRNG *rng.Source) Link
-
-// RandomDelayFactory returns a Factory producing non-FIFO links with the
-// given delay distribution (shared shape, independent samples per link).
-func RandomDelayFactory(delay dist.Dist) Factory {
+func mustDelay(delay dist.Dist) {
 	if delay == nil {
 		panic("channel: nil delay distribution")
-	}
-	return func(s *Store, edge int, edgeRNG *rng.Source) Link {
-		return newRandomDelay(s, edge, delay, edgeRNG)
-	}
-}
-
-// FIFOFactory returns a Factory producing FIFO links.
-func FIFOFactory(delay dist.Dist) Factory {
-	if delay == nil {
-		panic("channel: nil delay distribution")
-	}
-	return func(s *Store, edge int, edgeRNG *rng.Source) Link {
-		return newFIFO(s, edge, delay, edgeRNG)
-	}
-}
-
-// ARQFactory returns a Factory producing lossy ARQ links with success
-// probability p and slot duration slot.
-func ARQFactory(p, slot float64) Factory {
-	model := dist.NewRetransmission(p, slot) // validate eagerly
-	return func(s *Store, edge int, edgeRNG *rng.Source) Link {
-		return newARQ(s, edge, model, edgeRNG)
-	}
-}
-
-// HeterogeneousFactory builds the link of edge e with delay distribution
-// pick(e), allowing per-edge delay models (non-homogeneous links, as the
-// paper's motivation for using a *bound* on expected delay discusses). The
-// network-wide δ is then the maximum per-link mean.
-func HeterogeneousFactory(pick func(edgeIndex int) dist.Dist) Factory {
-	if pick == nil {
-		panic("channel: nil pick function")
-	}
-	return func(s *Store, edge int, edgeRNG *rng.Source) Link {
-		return newRandomDelay(s, edge, pick(edge), edgeRNG)
-	}
-}
-
-// newLoneStore backs a link built outside a network.
-func newLoneStore(k *sim.Kernel, deliver DeliverFunc) *Store {
-	if deliver == nil {
-		panic("channel: nil deliver callback")
-	}
-	return NewStore(k, deliver)
-}
-
-func mustLinkArgs(delay dist.Dist, r *rng.Source) {
-	if delay == nil {
-		panic("channel: nil delay distribution")
-	}
-	if r == nil {
-		panic("channel: nil random source")
 	}
 }

@@ -2,6 +2,8 @@ package channel
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"abenet/internal/dist"
@@ -176,43 +178,72 @@ func TestLinkDelaysIndependentAcrossLinks(t *testing.T) {
 	}
 }
 
+// TestFactories lays out a three-row store under each discipline: every row
+// carries its message, and each row's counters and declared mean are its own.
 func TestFactories(t *testing.T) {
-	k := sim.New()
-	root := rng.New(8)
-	delivered := 0
-	store := NewStore(k, DeliverFunc(func(any) { delivered++ }))
-
-	links := []Link{
-		RandomDelayFactory(dist.NewExponential(1))(store, 0, root.Derive("a")),
-		FIFOFactory(dist.NewExponential(1))(store, 1, root.Derive("b")),
-		ARQFactory(0.5, 1)(store, 2, root.Derive("c")),
-	}
-	for _, l := range links {
-		l.Send("x")
-	}
-	if err := k.Run(simtime.Forever, 0); err != nil {
-		t.Fatal(err)
-	}
-	if delivered != len(links) {
-		t.Fatalf("delivered %d of %d", delivered, len(links))
+	for _, tc := range []struct {
+		name  string
+		links Factory
+		mean  float64
+	}{
+		{"random-delay", RandomDelayFactory(dist.NewExponential(1)), 1},
+		{"fifo", FIFOFactory(dist.NewExponential(1)), 1},
+		{"arq", ARQFactory(0.5, 1), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.New()
+			sink := &recordingSink{}
+			store := NewStore(k, sink, tc.links, streams(8, 3))
+			for row := range store.Links() {
+				store.Send(row, row)
+			}
+			if err := k.Run(simtime.Forever, 0); err != nil {
+				t.Fatal(err)
+			}
+			if len(sink.got) != store.Links() {
+				t.Fatalf("delivered %v, want one message per row", sink.got)
+			}
+			for _, d := range sink.got {
+				if d.payload != d.edge {
+					t.Fatalf("row %d delivered row %v's message", d.edge, d.payload)
+				}
+			}
+			for row := range store.Links() {
+				if st := store.Stats(row); st.Sent != 1 || st.Delivered != 1 || st.Transmissions < 1 {
+					t.Fatalf("row %d stats = %+v", row, st)
+				}
+				if got := store.MeanDelay(row); got != tc.mean {
+					t.Fatalf("row %d mean = %v, want %v", row, got, tc.mean)
+				}
+			}
+		})
 	}
 }
 
+// TestHeterogeneousFactoryPicksPerEdge: the factory holds no counter — the
+// row index alone picks the distribution, once per row, in every store laid
+// out from it.
 func TestHeterogeneousFactoryPicksPerEdge(t *testing.T) {
 	k := sim.New()
-	root := rng.New(9)
 	means := []float64{1, 2, 3}
+	picks := 0
 	f := HeterogeneousFactory(func(i int) dist.Dist {
+		picks++
 		return dist.NewDeterministic(means[i%len(means)])
 	})
-	store := NewStore(k, DeliverFunc(func(any) {}))
-	// The factory holds no counter: the edge index alone picks the
-	// distribution, in whatever order (and however often) edges are built.
-	for _, i := range []int{2, 0, 1, 0, 2} {
-		l := f(store, i, root.DeriveIndexed("e", i))
-		if got, want := l.MeanDelay(), means[i]; got != want {
-			t.Fatalf("edge %d mean = %v, want %v", i, got, want)
+	for range 2 {
+		store := NewStore(k, DeliverFunc(func(any) {}), f, streams(9, 5))
+		for i := range store.Links() {
+			if got, want := store.MeanDelay(i), means[i%len(means)]; got != want {
+				t.Fatalf("row %d mean = %v, want %v", i, got, want)
+			}
+			if got, want := store.Send(i, nil), simtime.Duration(means[i%len(means)]); got != want {
+				t.Fatalf("row %d delay = %v, want %v", i, got, want)
+			}
 		}
+	}
+	if picks != 10 {
+		t.Fatalf("pick called %d times for two stores of 5 rows, want 10", picks)
 	}
 }
 
@@ -225,12 +256,15 @@ func TestNilArgumentPanics(t *testing.T) {
 	mustPanic(t, func() { NewRandomDelay(k, nil, r, deliver) })
 	mustPanic(t, func() { NewRandomDelay(k, d, nil, deliver) })
 	mustPanic(t, func() { NewRandomDelay(k, d, r, nil) })
+	mustPanic(t, func() { NewFIFO(k, d, nil, deliver) })
 	mustPanic(t, func() { NewARQ(nil, 0.5, 1, r, deliver) })
 	mustPanic(t, func() { NewARQ(k, 0, 1, r, deliver) })
-	mustPanic(t, func() { NewStore(nil, DeliverFunc(deliver)) })
-	mustPanic(t, func() { NewStore(k, nil) })
-	mustPanic(t, func() { RandomDelayFactory(d)(nil, 0, r) })
-	mustPanic(t, func() { RandomDelayFactory(d)(NewStore(k, DeliverFunc(deliver)), 0, nil) })
+	mustPanic(t, func() { NewStore(nil, DeliverFunc(deliver), RandomDelayFactory(d), nil) })
+	mustPanic(t, func() { NewStore(k, nil, RandomDelayFactory(d), nil) })
+	mustPanic(t, func() { NewStore(k, DeliverFunc(deliver), nil, nil) })
+	mustPanic(t, func() {
+		NewStore(k, DeliverFunc(deliver), HeterogeneousFactory(func(int) dist.Dist { return nil }), streams(1, 1))
+	})
 	mustPanic(t, func() { RandomDelayFactory(nil) })
 	mustPanic(t, func() { FIFOFactory(nil) })
 	mustPanic(t, func() { ARQFactory(2, 1) })
@@ -306,6 +340,16 @@ func (s *recordingSink) Deliver(edge int, payload any) {
 // idle reports whether every slot of the store is back on the free list.
 func (s *Store) idle() bool { return len(s.free) == len(s.slots) }
 
+// streams returns rows streams derived from seed, one per row.
+func streams(seed uint64, rows int) []rng.Source {
+	family := rng.New(seed).Indexed("edge")
+	out := make([]rng.Source, rows)
+	for i := range out {
+		out[i] = family.At(i)
+	}
+	return out
+}
+
 // TestSharedStoreInterleavesLinksInSendOrder pins the batching rule across
 // links of one store: same-instant deliveries on two links arrive in the
 // order they were sent — a link's batch closes as soon as the other link
@@ -313,17 +357,15 @@ func (s *Store) idle() bool { return len(s.free) == len(s.slots) }
 func TestSharedStoreInterleavesLinksInSendOrder(t *testing.T) {
 	k := sim.New()
 	sink := &recordingSink{}
-	store := NewStore(k, sink)
-	unit := dist.NewDeterministic(1)
-	a := RandomDelayFactory(unit)(store, 0, rng.New(1))
-	b := RandomDelayFactory(unit)(store, 1, rng.New(2))
+	store := NewStore(k, sink, RandomDelayFactory(dist.NewDeterministic(1)), streams(1, 2))
+	const a, b = 0, 1
 
-	a.Send("a1")
-	a.Send("a2") // joins a1: one event
-	b.Send("b1") // closes a's batch
-	a.Send("a3") // fresh event behind b1
-	b.Send("b2") // b's batch was closed by a3's event
-	b.Send("b3") // joins b2
+	store.Send(a, "a1")
+	store.Send(a, "a2") // joins a1: one event
+	store.Send(b, "b1") // closes a's batch
+	store.Send(a, "a3") // fresh event behind b1
+	store.Send(b, "b2") // b's batch was closed by a3's event
+	store.Send(b, "b3") // joins b2
 	if got := k.Pending(); got != 4 {
 		t.Fatalf("%d kernel events pending, want 4 ({a1 a2} {b1} {a3} {b2 b3})", got)
 	}
@@ -339,7 +381,7 @@ func TestSharedStoreInterleavesLinksInSendOrder(t *testing.T) {
 			t.Fatalf("delivery %d = %v, want %v (all: %v)", i, sink.got[i], want[i], sink.got)
 		}
 	}
-	if sa, sb := a.Stats(), b.Stats(); sa.Delivered != 3 || sb.Delivered != 3 || sa.TotalDelay != 3 || sb.TotalDelay != 3 {
+	if sa, sb := store.Stats(a), store.Stats(b); sa.Delivered != 3 || sb.Delivered != 3 || sa.TotalDelay != 3 || sb.TotalDelay != 3 {
 		t.Fatalf("per-link stats mixed up: a %+v, b %+v", sa, sb)
 	}
 	if !store.idle() {
@@ -358,10 +400,9 @@ func TestStopMidBatchAbandonsAndFreesTheRest(t *testing.T) {
 			k.Stop("enough")
 		}
 	}
-	store := NewStore(k, sink)
-	l := FIFOFactory(dist.NewDeterministic(1))(store, 0, rng.New(1))
+	store := NewStore(k, sink, FIFOFactory(dist.NewDeterministic(1)), streams(1, 1))
 	for _, p := range []string{"first", "second", "third", "fourth"} {
-		l.Send(p)
+		store.Send(0, p)
 	}
 	if got := k.Pending(); got != 1 {
 		t.Fatalf("%d kernel events pending, want the one batch", got)
@@ -372,7 +413,7 @@ func TestStopMidBatchAbandonsAndFreesTheRest(t *testing.T) {
 	if len(sink.got) != 2 || sink.got[1].payload != "second" {
 		t.Fatalf("delivered %v, want first and second only", sink.got)
 	}
-	if st := l.Stats(); st.Sent != 4 || st.Delivered != 2 {
+	if st := store.Stats(0); st.Sent != 4 || st.Delivered != 2 {
 		t.Fatalf("stats = %+v, want 4 sent, 2 delivered", st)
 	}
 	if !store.idle() {
@@ -386,18 +427,15 @@ func TestStopMidBatchAbandonsAndFreesTheRest(t *testing.T) {
 func TestReentrantSameInstantSendOpensFreshEvent(t *testing.T) {
 	k := sim.New()
 	sink := &recordingSink{}
-	store := NewStore(k, sink)
-	zero := dist.NewDeterministic(0)
-	l := RandomDelayFactory(zero)(store, 0, rng.New(1))
-	other := RandomDelayFactory(zero)(store, 1, rng.New(2))
+	store := NewStore(k, sink, RandomDelayFactory(dist.NewDeterministic(0)), streams(1, 2))
 	sink.then = func(_ int, payload any) {
 		if payload == "x1" {
-			l.Send("echo")
+			store.Send(0, "echo")
 		}
 	}
-	l.Send("x1")
-	l.Send("x2")
-	other.Send("y")
+	store.Send(0, "x1")
+	store.Send(0, "x2")
+	store.Send(1, "y")
 	if err := k.Run(simtime.Forever, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -412,5 +450,38 @@ func TestReentrantSameInstantSendOpensFreshEvent(t *testing.T) {
 	}
 	if !store.idle() {
 		t.Fatal("slots still occupied after the run")
+	}
+}
+
+// TestRowIsPointerFree pins the layout that keeps a network's links off the
+// collector's scan list: a row holds no pointer at all — a link names nothing,
+// it is named by its index — and a slot's only pointer is its payload.
+func TestRowIsPointerFree(t *testing.T) {
+	if got := pointers(reflect.TypeOf(row{}), "row"); len(got) != 0 {
+		t.Errorf("row holds pointers at %v", got)
+	}
+	if got, want := pointers(reflect.TypeOf(slot{}), "slot"), []string{"slot.payload"}; !slices.Equal(got, want) {
+		t.Errorf("slot holds pointers at %v, want %v", got, want)
+	}
+}
+
+// pointers lists the paths under typ whose values the collector must scan.
+func pointers(typ reflect.Type, path string) []string {
+	switch typ.Kind() {
+	case reflect.Struct:
+		var out []string
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			out = append(out, pointers(f.Type, path+"."+f.Name)...)
+		}
+		return out
+	case reflect.Array:
+		return pointers(typ.Elem(), path+"[]")
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return nil
+	default: // pointer, interface, slice, map, channel, func, string
+		return []string{path}
 	}
 }

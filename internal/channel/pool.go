@@ -1,36 +1,40 @@
 package channel
 
 import (
+	"abenet/internal/dist"
+	"abenet/internal/rng"
 	"abenet/internal/sim"
 	"abenet/internal/simtime"
 )
 
-// Sink is where links hand payloads at their delivery instants: the network
-// layer. edge is the index the link was built with (Factory's edge; what it
-// names — a directed edge, a sender's radio — is the network's business), so
-// one Sink value serves every link of a network and resolves the receiving
-// side from its own tables — no link carries a callback of its own.
+// Sink is where a store hands payloads at their delivery instants: the
+// network layer. link is the row the payload travelled on (what it names — a
+// directed edge, a sender's radio — is the network's business), so one Sink
+// value serves every link of a network and resolves the receiving side from
+// its own tables — no link carries a callback of its own.
 type Sink interface {
-	Deliver(edge int, payload any)
+	Deliver(link int, payload any)
 }
 
 // DeliverFunc receives a payload at its delivery instant. It is the Sink of
 // a link built on its own (NewRandomDelay, NewFIFO, NewARQ), where there is
-// one link and the edge index says nothing.
+// one link and the row index says nothing.
 type DeliverFunc func(payload any)
 
 // Deliver implements Sink.
 func (f DeliverFunc) Deliver(_ int, payload any) { f(payload) }
 
-// Store holds the messages in flight on every link of one network. It
-// replaces the per-message pattern — one heap-allocated closure plus one
-// kernel event per Send — with pooled slots (a slot holds the payload, its
-// sampled delay and the link it travels on) and, where the kernel's
-// execution order provably cannot tell the difference, one kernel event for
-// a whole batch of same-instant deliveries on a link. One store per network
-// rather than one per link: an idle link then costs its own counters and
-// batch state and nothing else, and the slots a burst needed on one edge
-// are reused by the next burst on any other.
+// Store is every link of one network and every message in flight on them. A
+// link is a row — its counters, its batch state, a FIFO link's last delivery
+// instant — in one slice laid out by NewStore, next to the random stream the
+// network lays out for it, and the network's one discipline (its Factory)
+// decides each row's delays: the store holds no object per link, and nothing
+// in a row or a slot but a slot's payload is a pointer, so the collector never
+// scans the rows. A message in flight is a pooled slot (its payload, its
+// sampled delay and its row), and, where the kernel's execution order provably
+// cannot tell the difference, one kernel event carries a whole batch of
+// same-instant deliveries on a link. The slots a burst needed on one link are
+// reused by the next burst on any other.
 //
 // # Batching without changing the execution order
 //
@@ -55,6 +59,11 @@ type Store struct {
 	kernel *sim.Kernel
 	sink   Sink
 
+	discipline
+	delays  []dist.Dist  // delays[k] = row k's law under a HeterogeneousFactory; nil otherwise
+	rows    []row        // rows[k] = link k
+	streams []rng.Source // streams[k] = link k's random stream, drawn from in place
+
 	// slots is the in-flight pool; free lists vacated slots for reuse, so
 	// steady-state sends allocate nothing.
 	slots []slot
@@ -63,61 +72,116 @@ type Store struct {
 	fire sim.HandlerID // fireBatch, registered once; every delivery event names it
 }
 
+// row is one link: its counters, the one piece of batching state that is per
+// link — which batch, if any, a Send may still join — and, on a FIFO link,
+// the instant of its last delivery.
+type row struct {
+	stats        Stats
+	lastDelivery simtime.Time // FIFO only
+	openAt       simtime.Time
+	openSeq      uint64 // kernel ScheduleSeq right after the batch event: unchanged ⇔ joinable
+	tail         int32  // last entry of the open batch
+	open         bool   // an open batch exists that a Send may still join
+}
+
 // slot is one message in flight.
 type slot struct {
 	payload any
 	delay   simtime.Duration
-	from    *port // the link carrying it
+	link    int32 // the row carrying it
 	next    int32 // next entry of the same batch in send order; -1 terminates
 }
 
-// NewStore returns an empty store delivering into sink on kernel k. Both
+// NewStore lays out one row per stream under discipline links, delivering
+// into sink on kernel k: link k draws its delays from streams[k], in place, so
+// the caller may derive from a stream before its link first sends. Under a
+// HeterogeneousFactory it reads each link's law here, once. k, sink and links
 // must be non-nil.
-func NewStore(k *sim.Kernel, sink Sink) *Store {
+func NewStore(k *sim.Kernel, sink Sink, links Factory, streams []rng.Source) *Store {
 	if k == nil {
 		panic("channel: nil kernel")
 	}
 	if sink == nil {
 		panic("channel: nil delivery sink")
 	}
-	s := &Store{kernel: k, sink: sink}
+	if links == nil {
+		panic("channel: nil link factory")
+	}
+	s := &Store{kernel: k, sink: sink, discipline: *links, rows: make([]row, len(streams)), streams: streams}
+	if s.pick != nil {
+		s.delays = make([]dist.Dist, len(streams))
+		for i := range s.delays {
+			s.delays[i] = s.pick(i)
+			mustDelay(s.delays[i])
+		}
+	}
 	s.fire = k.Register(s.fireBatch)
 	return s
+}
+
+// Links returns the number of rows.
+func (s *Store) Links() int { return len(s.rows) }
+
+// Stats returns link k's counters.
+func (s *Store) Stats(k int) Stats { return s.rows[k].stats }
+
+// MeanDelay returns the exact expectation of link k's delay distribution
+// (its δ).
+func (s *Store) MeanDelay(k int) float64 {
+	if s.kind == kindARQ {
+		return s.arq.Mean()
+	}
+	return s.delayOf(k).Mean()
+}
+
+// delayOf returns link k's delay law.
+func (s *Store) delayOf(k int) dist.Dist {
+	if s.delays != nil {
+		return s.delays[k]
+	}
+	return s.delay
 }
 
 // InFlight returns the number of messages on the wire: handed to a link and
 // neither delivered yet nor abandoned by a Stop.
 func (s *Store) InFlight() int { return len(s.slots) - len(s.free) }
 
-// port is a link's attachment to the store: the edge it delivers on, its
-// counters, and the one piece of batching state that is per link — which
-// batch, if any, a Send may still join.
-type port struct {
-	store *Store
-	edge  int
-	stats Stats
-
-	open    bool // an open batch exists that a Send may still join
-	openAt  simtime.Time
-	openSeq uint64 // kernel ScheduleSeq right after the batch event: unchanged ⇔ joinable
-	tail    int32  // last entry of the open batch
-}
-
-func newPort(s *Store, edge int) port {
-	if s == nil {
-		panic("channel: nil store")
+// Send hands payload to link k: it samples the link's delay now under the
+// store's discipline, counts the send and files the payload for delivery. It
+// returns the delay the message will take.
+func (s *Store) Send(k int, payload any) simtime.Duration {
+	w, r := &s.rows[k], &s.streams[k]
+	now := s.kernel.Now()
+	var at simtime.Time
+	var d simtime.Duration
+	switch s.kind {
+	case kindARQ:
+		attempts := s.arq.Attempts(r)
+		d = simtime.Duration(float64(attempts) * s.arq.SlotTime)
+		at = now.Add(d)
+		w.stats.Transmissions += uint64(attempts)
+	case kindFIFO:
+		at = now.Add(simtime.Duration(s.delayOf(k).Sample(r)))
+		if at.Before(w.lastDelivery) {
+			at = w.lastDelivery
+		}
+		w.lastDelivery = at
+		d = at.Sub(now)
+		w.stats.Transmissions++
+	default:
+		d = simtime.Duration(s.delayOf(k).Sample(r))
+		at = now.Add(d)
+		w.stats.Transmissions++
 	}
-	return port{store: s, edge: edge}
+	w.stats.Sent++
+	s.file(w, int32(k), at, payload, d)
+	return d
 }
 
-// Stats implements Link for every link type that embeds a port.
-func (p *port) Stats() Stats { return p.stats }
-
-// send files one payload for delivery at instant at, joining the link's
-// open batch when that is provably order-preserving and scheduling a fresh
-// kernel event otherwise.
-func (p *port) send(at simtime.Time, payload any, d simtime.Duration) {
-	s := p.store
+// file puts one payload in flight on row w (link k) for delivery at instant
+// at, joining the link's open batch when that is provably order-preserving and
+// scheduling a fresh kernel event otherwise.
+func (s *Store) file(w *row, k int32, at simtime.Time, payload any, d simtime.Duration) {
 	var i int32
 	if n := len(s.free); n > 0 {
 		i = s.free[n-1]
@@ -126,25 +190,26 @@ func (p *port) send(at simtime.Time, payload any, d simtime.Duration) {
 		i = int32(len(s.slots))
 		s.slots = append(s.slots, slot{})
 	}
-	s.slots[i] = slot{payload: payload, delay: d, from: p, next: -1}
-	if p.open && at == p.openAt && s.kernel.ScheduleSeq() == p.openSeq {
-		s.slots[p.tail].next = i
-		p.tail = i
+	s.slots[i] = slot{payload: payload, delay: d, link: k, next: -1}
+	if w.open && at == w.openAt && s.kernel.ScheduleSeq() == w.openSeq {
+		s.slots[w.tail].next = i
+		w.tail = i
 		return
 	}
 	s.kernel.AtArg(at, s.fire, uint32(i))
-	p.open = true
-	p.openAt = at
-	p.openSeq = s.kernel.ScheduleSeq()
-	p.tail = i
+	w.open = true
+	w.openAt = at
+	w.openSeq = s.kernel.ScheduleSeq()
+	w.tail = i
 }
 
 // fireBatch delivers a batch chain head-to-tail. Slots are released before
 // each delivery callback so reentrant sends can reuse them; the chain link
 // is read out first, so reuse cannot corrupt the walk.
 func (s *Store) fireBatch(head uint32) {
-	p := s.slots[head].from
-	p.open = false // reentrant same-instant sends must open a fresh event
+	k := s.slots[head].link
+	w := &s.rows[k]
+	w.open = false // reentrant same-instant sends must open a fresh event
 	for i := int32(head); i >= 0; {
 		sl := s.slots[i]
 		s.slots[i] = slot{}
@@ -156,8 +221,8 @@ func (s *Store) fireBatch(head uint32) {
 			// undelivered.
 			continue
 		}
-		p.stats.Delivered++
-		p.stats.TotalDelay += sl.delay.Seconds()
-		s.sink.Deliver(p.edge, sl.payload)
+		w.stats.Delivered++
+		w.stats.TotalDelay += sl.delay.Seconds()
+		s.sink.Deliver(int(k), sl.payload)
 	}
 }

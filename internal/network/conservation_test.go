@@ -127,8 +127,8 @@ func checkConservation(t *testing.T, net *Network) {
 	t.Helper()
 	radio := net.cfg.LocalBroadcast
 	var sent, delivered, received uint64
-	for k, l := range net.links {
-		st := l.Stats()
+	for k := range net.store.Links() {
+		st := net.store.Stats(k)
 		sent += st.Sent
 		delivered += st.Delivered
 		received += st.Delivered

@@ -84,7 +84,7 @@ func newLifecycle(net *Network, plan *faults.Plan, root *rng.Source) (*lifecycle
 
 // sizeLinkState allocates the per-edge outage layers and, under a plan with
 // per-message link faults, the per-edge fault streams. Called once from New
-// after the links are built. Each fault stream is derived off its edge's
+// after the store is laid out. Each fault stream is derived off its edge's
 // stream, which Derive does not advance and no link has sampled yet, so the
 // links sample exactly as they would under no plan.
 func (life *lifecycle) sizeLinkState() {

@@ -6,6 +6,8 @@ import (
 	"abenet/internal/channel"
 	"abenet/internal/dist"
 	"abenet/internal/faults"
+	"abenet/internal/rng"
+	"abenet/internal/sim"
 	"abenet/internal/simtime"
 	"abenet/internal/topology"
 )
@@ -54,7 +56,7 @@ func TestLinkLossRate(t *testing.T) {
 		t.Fatalf("delivered %d + dropped %d != sent %d", len(heard), tel.MessagesDropped, n)
 	}
 	// The physical link never saw the dropped messages.
-	if sent := net.links[0].Stats().Sent; sent != uint64(len(heard)) {
+	if sent := net.store.Stats(0).Sent; sent != uint64(len(heard)) {
 		t.Fatalf("link Sent = %d, want %d", sent, len(heard))
 	}
 }
@@ -86,7 +88,7 @@ func TestLinkDuplicateAndHold(t *testing.T) {
 func TestLinkFaultsComposeWithARQ(t *testing.T) {
 	const n = 5000
 	net, heard := volley(t, channel.ARQFactory(0.5, 1), &faults.Plan{Loss: 0.2}, n)
-	if st := net.links[0].Stats(); st.Transmissions <= st.Sent {
+	if st := net.store.Stats(0); st.Transmissions <= st.Sent {
 		t.Fatalf("ARQ under a fault plan lost its retries: %+v", st)
 	}
 	if dropped := net.FaultTelemetry().MessagesDropped; uint64(len(heard))+dropped != n {
@@ -127,5 +129,94 @@ func TestDisabledLinkFaultsDrawNothing(t *testing.T) {
 		if late[i] != plain[i].Add(2) {
 			t.Fatalf("delivery %d at %v held back by 2, %v without a plan", i, late[i], plain[i])
 		}
+	}
+}
+
+// arrival is one delivery as TestLoneLinkIsANetworkRow records it.
+type arrival struct {
+	at      simtime.Time
+	payload any
+}
+
+// TestLoneLinkIsANetworkRow: a link built on its own is a one-row store on the
+// network's send path, so given edge 0's stream and the same sends at the same
+// instants — a volley at t = 0 and another at t = 3 — it delivers the same
+// payloads at the same instants as edge 0 of a network under the same
+// discipline, with the same Stats and the same declared mean, and the delay
+// each Send returns is the one its message takes.
+func TestLoneLinkIsANetworkRow(t *testing.T) {
+	const volleySize, seed = 100, 5
+	for _, tc := range []struct {
+		name  string
+		links channel.Factory
+		lone  func(*sim.Kernel, *rng.Source, channel.DeliverFunc) channel.Link
+	}{
+		{"random-delay", channel.RandomDelayFactory(dist.NewExponential(1)), func(k *sim.Kernel, r *rng.Source, d channel.DeliverFunc) channel.Link {
+			return channel.NewRandomDelay(k, dist.NewExponential(1), r, d)
+		}},
+		{"fifo", channel.FIFOFactory(dist.NewExponential(1)), func(k *sim.Kernel, r *rng.Source, d channel.DeliverFunc) channel.Link {
+			return channel.NewFIFO(k, dist.NewExponential(1), r, d)
+		}},
+		{"arq", channel.ARQFactory(0.4, 0.7), func(k *sim.Kernel, r *rng.Source, d channel.DeliverFunc) channel.Link {
+			return channel.NewARQ(k, 0.4, 0.7, r, d)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var row []arrival
+			sendVolley := func(ctx *Context, from int) {
+				for m := from; m < from+volleySize; m++ {
+					ctx.Send(0, m)
+				}
+			}
+			net, err := New(Config{Graph: topology.Ring(2), Links: tc.links, Seed: seed}, func(i int) Node {
+				if i == 0 {
+					return &funcNode{
+						init:    func(ctx *Context) { sendVolley(ctx, 0); ctx.SetLocalTimerFunc(3, 0) },
+						onTimer: func(ctx *Context, _ int) { sendVolley(ctx, volleySize) },
+					}
+				}
+				return &funcNode{onMessage: func(ctx *Context, _ int, p any) { row = append(row, arrival{ctx.Now(), p}) }}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := net.Run(simtime.Forever, 0); err != nil {
+				t.Fatal(err)
+			}
+
+			k := sim.New()
+			var lone []arrival
+			stream := rng.New(seed).Indexed("edge").At(0)
+			l := tc.lone(k, &stream, func(p any) { lone = append(lone, arrival{k.Now(), p}) })
+			due := make(map[any]simtime.Time)
+			loneVolley := func(from int) {
+				for m := from; m < from+volleySize; m++ {
+					due[m] = k.Now().Add(l.Send(m))
+				}
+			}
+			loneVolley(0)
+			k.AtFunc(3, func() { loneVolley(volleySize) })
+			if err := k.Run(simtime.Forever, 0); err != nil {
+				t.Fatal(err)
+			}
+
+			if len(row) != 2*volleySize || len(lone) != len(row) {
+				t.Fatalf("delivered %d on the network row, %d on the lone link, want %d", len(row), len(lone), 2*volleySize)
+			}
+			for i := range row {
+				if lone[i] != row[i] {
+					t.Fatalf("delivery %d: %+v on the lone link, %+v on the network row", i, lone[i], row[i])
+				}
+				if due[lone[i].payload] != lone[i].at {
+					t.Fatalf("message %v: Send said %v, delivered at %v", lone[i].payload, due[lone[i].payload], lone[i].at)
+				}
+			}
+			if got, want := l.Stats(), net.store.Stats(0); got != want {
+				t.Fatalf("stats: %+v on the lone link, %+v on the network row", got, want)
+			}
+			if got, want := l.MeanDelay(), net.store.MeanDelay(0); got != want {
+				t.Fatalf("declared mean: %v on the lone link, %v on the network row", got, want)
+			}
+		})
 	}
 }

@@ -17,10 +17,12 @@
 // assumption mechanically.
 //
 // Construction is flat: New lays every kind of per-node and per-edge state
-// (contexts with their streams inline, clocks, edge addresses, link streams,
-// links) in one slice each, reads in-ports off the graph instead of building
-// a lookup table, hands every link the one shared channel.Store and its
-// index, and sizes the kernel's queue once. Deliveries come back through
+// (contexts with their streams inline, edge addresses, link streams, the
+// store's link rows) in one slice each, reads in-ports off the graph instead
+// of building a lookup table, and sizes the kernel's queue once. A link is a
+// row of the one channel.Store, under the one discipline cfg.Links names, so
+// no edge gets an object of its own; a perfect clock reads real time, so a
+// network of them keeps no clock at all. Deliveries come back through
 // Sink.Deliver(edge, ·) and untraced, fault-free timers through one handler
 // per timer kind with the node as the event argument, so an idle node costs
 // no closure. TestAllocationBudget holds the line.
@@ -35,10 +37,11 @@
 // There is one wire, and the network decides at both ends of it. Point-to-point
 // or radio, a payload leaves a node through Context.transmit (count, trace,
 // Byzantine intercept) and Network.put (outage, the plan's link faults, trace
-// tag, links[k].Send), waits in the store — package channel only carries — and
-// comes back through the store's Sink: edgeSink for an edge's link, radioSink
-// for a sender's radio, which fans out over the sender's out-edges into the
-// same deliverTo. The media differ in how links is indexed and in that Sink.
+// tag, store.Send on the link's row), waits in the store — package channel
+// only carries — and comes back through the store's Sink: edgeSink for an
+// edge's link, radioSink for a sender's radio, which fans out over the
+// sender's out-edges into the same deliverTo. The media differ in what a row
+// stands for and in that Sink.
 package network
 
 import (
@@ -145,7 +148,7 @@ type Metrics struct {
 type Config struct {
 	// Graph is the communication topology. Required.
 	Graph *topology.Graph
-	// Links builds one link per directed edge. Required.
+	// Links is the link discipline of every directed edge. Required.
 	Links channel.Factory
 	// Clocks assigns local clocks. Nil means perfect unit-rate clocks.
 	Clocks clock.Model
@@ -190,22 +193,22 @@ type Config struct {
 // Per-node and per-edge state lives in one slice per kind, indexed by node
 // or by edge index (edges are numbered in (node, out-port) order, the order
 // Graph.Edges lists them), so building a network costs a fixed number of
-// allocations per layer plus whatever makeNode and the link factory allocate
-// themselves — rings of 10⁵–10⁶ nodes are built per run.
+// allocations per layer plus whatever makeNode allocates itself — rings of
+// 10⁵–10⁶ nodes are built per run. A link is row k of store: row e is edge
+// e's link, or, under LocalBroadcast, row u is node u's radio.
 type Network struct {
 	cfg       Config
 	kernel    *sim.Kernel
 	nodes     []Node
 	ctxs      []Context      // ctxs[i] holds node i's private stream inline
-	clocks    []clock.Clock  // clocks[i] may keep a pointer into clockRNG
-	clockRNG  []rng.Source   // per-node clock streams
+	clocks    []clock.Clock  // clocks[i] may keep a pointer into clockRNG; nil under perfect clocks
+	clockRNG  []rng.Source   // per-node clock streams; nil likewise
 	procRNG   []rng.Source   // per-node processing-time streams; nil without a processing model
 	nextFree  []simtime.Time // per-node completion time of the busy server; nil likewise
 	firstEdge []int          // firstEdge[u] = edge index of u's out-port 0; firstEdge[n] = edge count
 	edges     []edgeAddress  // edges[e] = both ends of edge e
-	links     []channel.Link // links[e] = link of edge e; under LocalBroadcast, links[u] = u's radio
-	linkRNG   []rng.Source   // linkRNG[k] = stream of links[k]
-	store     *channel.Store // every message in flight, on either medium
+	linkRNG   []rng.Source   // linkRNG[k] = stream of link k
+	store     *channel.Store // every link, and every message in flight on either medium
 	metrics   Metrics
 	procMean  float64
 	makeNode  func(i int) Node // retained for fault-recovery restarts
@@ -280,6 +283,7 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 	if cfg.Clocks == nil {
 		cfg.Clocks = clock.PerfectModel{}
 	}
+	_, perfect := cfg.Clocks.(clock.PerfectModel)
 
 	kernel, err := sim.NewNamed(cfg.Scheduler)
 	if err != nil {
@@ -297,8 +301,6 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 		kernel:    kernel,
 		nodes:     make([]Node, n),
 		ctxs:      make([]Context, n),
-		clocks:    make([]clock.Clock, n),
-		clockRNG:  make([]rng.Source, n),
 		firstEdge: make([]int, n+1),
 		makeNode:  makeNode,
 	}
@@ -329,10 +331,21 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 		net.adv = adv
 	}
 
+	// A perfect clock reads real time: LocalTime is now, and a timer fires
+	// localDelta after now — what a rate-1 clock computes, exactly, since 1·t
+	// and δ/1 are exact in IEEE-754. Other models get a clock and a stream per
+	// node; skipping them shifts no other stream, as deriving one advances
+	// nothing.
+	if !perfect {
+		net.clocks = make([]clock.Clock, n)
+		net.clockRNG = make([]rng.Source, n)
+	}
 	clockStreams, nodeStreams := root.Indexed("clock"), root.Indexed("node")
 	for i := 0; i < n; i++ {
-		net.clockRNG[i] = clockStreams.At(i)
-		net.clocks[i] = cfg.Clocks.NewClock(&net.clockRNG[i])
+		if net.clocks != nil {
+			net.clockRNG[i] = clockStreams.At(i)
+			net.clocks[i] = cfg.Clocks.NewClock(&net.clockRNG[i])
+		}
 		net.ctxs[i] = Context{net: net, id: i, r: nodeStreams.At(i)}
 		net.nodes[i] = makeNode(i)
 		if net.nodes[i] == nil {
@@ -357,24 +370,21 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 
 	// One link per directed edge, or — on the radio — one random-delay link per
 	// sender, whose single delivery per transmission fanout spreads over the
-	// sender's out-edges at the shared instant. The radio's stream label is
-	// distinct from "edge", so switching media re-seeds nothing else.
-	factory, label, count := cfg.Links, "edge", len(net.edges)
+	// sender's out-edges at the shared instant: a stream each, and a row each
+	// in the store. The radio's stream label is distinct from "edge", so
+	// switching media re-seeds nothing else.
+	links, label, count := cfg.Links, "edge", len(net.edges)
 	var sink channel.Sink = edgeSink{net}
 	if cfg.LocalBroadcast {
-		factory, label, count = channel.RandomDelayFactory(cfg.BroadcastDelay), "bcast", n
+		links, label, count = channel.RandomDelayFactory(cfg.BroadcastDelay), "bcast", n
 		sink = radioSink{net}
 	}
-	net.store = channel.NewStore(kernel, sink)
 	net.linkRNG = make([]rng.Source, count)
-	net.links = make([]channel.Link, count)
 	streams := root.Indexed(label)
-	for k := range net.links {
+	for k := range net.linkRNG {
 		net.linkRNG[k] = streams.At(k)
-		if net.links[k] = factory(net.store, k, &net.linkRNG[k]); net.links[k] == nil {
-			return nil, fmt.Errorf("network: link factory returned nil for edge %d->%d", net.edges[k].from, net.edges[k].to)
-		}
 	}
+	net.store = channel.NewStore(kernel, sink, links, net.linkRNG)
 	if net.life != nil {
 		net.life.sizeLinkState()
 	}
@@ -585,8 +595,8 @@ func (net *Network) StopCause() string { return net.kernel.StopCause() }
 func (net *Network) Metrics() Metrics {
 	m := net.metrics
 	m.Transmissions = 0
-	for _, l := range net.links {
-		m.Transmissions += l.Stats().Transmissions
+	for k := range net.store.Links() {
+		m.Transmissions += net.store.Stats(k).Transmissions
 	}
 	return m
 }
@@ -601,8 +611,8 @@ func (net *Network) NodeAt(i int) Node { return net.nodes[i] }
 // tightest δ for which this network satisfies ABE Definition 1, condition 1.
 func (net *Network) MaxLinkMeanDelay() float64 {
 	max := 0.0
-	for _, l := range net.links {
-		if m := l.MeanDelay(); m > max {
+	for k := range net.store.Links() {
+		if m := net.store.MeanDelay(k); m > max {
 			max = m
 		}
 	}
@@ -714,8 +724,8 @@ func (c *Context) Broadcast(payload any) {
 	c.transmit(c.id, payload)
 }
 
-// transmit is the one way a payload leaves a node: on links[link], which is
-// an out-edge's link or, on a local-broadcast network, the sender's radio.
+// transmit is the one way a payload leaves a node: on link link, which is an
+// out-edge's link or, on a local-broadcast network, the sender's radio.
 // The logical send is counted and traced here, and under a byzantine.Plan
 // the sender's role intercepts it here — a Mute send still counts as sent
 // (the protocol instance believes it sent), and a Stall holds the message
@@ -746,7 +756,7 @@ func (c *Context) transmit(link int, payload any) {
 	net.put(link, payload, send)
 }
 
-// put is where the environment decides about a message entering links[link],
+// put is where the environment decides about a message entering link link,
 // at the (possibly stalled) transmission instant. A point-to-point link taken
 // down by a scripted outage or partition drops it at the link boundary — it
 // still counted as sent, and messages already in flight still arrive — and the
@@ -772,7 +782,7 @@ func (net *Network) put(link int, payload any, send TraceRef) {
 	net.carry(link, copies, payload, send)
 }
 
-// carry hands links[link] its copies of payload (none of a lost message), each
+// carry hands link link its copies of payload (none of a lost message), each
 // sampling its own delay now. send, the traced ref of the logical send (zero
 // when untraced), crosses the link too, so the delivery can name its cause.
 func (net *Network) carry(link, copies int, payload any, send TraceRef) {
@@ -780,11 +790,11 @@ func (net *Network) carry(link, copies int, payload any, send TraceRef) {
 		payload = tracedPayload{payload: payload, send: send}
 	}
 	for range copies {
-		net.links[link].Send(payload)
+		net.store.Send(link, payload)
 	}
 }
 
-// hold keeps a message off links[link] for d, as one slab record: a Byzantine
+// hold keeps a message off link link for d, as one slab record: a Byzantine
 // stall (copies 0) or a fault plan's reorder hold-back of copies messages.
 func (net *Network) hold(d simtime.Duration, link, copies int, payload any, send TraceRef) {
 	if !d.Valid() {
@@ -809,7 +819,13 @@ func (net *Network) release(slot uint32) {
 }
 
 // LocalTime returns the node's local clock reading.
-func (c *Context) LocalTime() float64 { return c.net.clocks[c.id].LocalAt(c.net.kernel.Now()) }
+func (c *Context) LocalTime() float64 {
+	now := c.net.kernel.Now()
+	if c.net.clocks == nil {
+		return float64(now) // a perfect clock
+	}
+	return c.net.clocks[c.id].LocalAt(now)
+}
 
 // SetLocalTimerFunc schedules OnTimer(kind) to fire when the node's local
 // clock has advanced by localDelta (> 0). Timers belong to the incarnation
@@ -834,7 +850,11 @@ func (c *Context) timerInstant(localDelta float64) simtime.Time {
 	if localDelta <= 0 {
 		panic(fmt.Sprintf("network: local timer delta %g must be positive", localDelta))
 	}
-	return c.net.clocks[c.id].RealAfterLocal(c.net.kernel.Now(), localDelta)
+	now := c.net.kernel.Now()
+	if c.net.clocks == nil {
+		return now.Add(simtime.Duration(localDelta)) // a perfect clock
+	}
+	return c.net.clocks[c.id].RealAfterLocal(now, localDelta)
 }
 
 // timerHandler returns the id of the kernel handler that fires this network's

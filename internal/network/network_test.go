@@ -497,37 +497,45 @@ func (idleNode) OnMessage(*Context, int, any) {}
 func (idleNode) OnTimer(*Context, int)        {}
 
 // TestAllocationBudget holds the flat construction: building a ring costs a
-// fixed number of allocations per layer plus one link object per edge, not
-// a few dozen objects per node. Measured at this commit: 1.0 objects and
-// 345 B per node (link 112, queue reservation 48, Context 48, clock and
-// link streams 32 each, 16 each for the node, clock and link tables, 12 for
-// the edge's two ends, 8 for its offset; about 370 B under the race
-// detector). A second object per node — a closure, a map entry, a stream
-// derived on the heap — does not fit the budget. The slab of deferred handler
-// calls is not reserved here: it grows to a run's backlog on first use, and
-// registering its two handlers costs three objects per network.
+// fixed number of allocations per layer, not one per node or edge, so the same
+// number of objects at n = 10³ and 10⁴ (23 here, 24 under the race
+// detector). Measured at this commit: 232 B per node (link row 64, queue
+// reservation 48, Context 48, link stream 32, 16 for the node table, 12 for the
+// edge's two ends, 8 for its offset; 257 B under the race detector), against a
+// budget of 264 B. A link or a clock per node — an object behind an interface
+// (a link was 112 B and a 16-B table entry), a clock stream, a closure — does
+// not fit it. The slab of deferred handler calls is not reserved here: it
+// grows to a run's backlog on first use.
 func TestAllocationBudget(t *testing.T) {
-	const n = 10_000
-	graph := topology.Ring(n)
 	links := channel.RandomDelayFactory(dist.NewExponential(1))
+	build := func(n int) func() {
+		graph := topology.Ring(n)
+		return func() {
+			net, err := New(Config{Graph: graph, Links: links, Seed: 1}, func(int) Node { return idleNode{} })
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.KeepAlive(net)
+		}
+	}
+	small, objects := testing.AllocsPerRun(3, build(1_000)), testing.AllocsPerRun(3, build(10_000))
+
+	const n = 10_000
+	newRing := build(n)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	net, err := New(Config{Graph: graph, Links: links, Seed: 1}, func(int) Node { return idleNode{} })
+	newRing()
 	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	objects := float64(after.Mallocs-before.Mallocs) / n
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
-	t.Logf("network.New on Ring(%d): %.2f objects and %.0f B per node", n, objects, bytes)
-	if objects > 1.5 {
-		t.Errorf("New allocates %.2f objects per node, budget 1.5", objects)
+
+	t.Logf("network.New on Ring(n): %.0f objects at n = 10³, %.0f at n = 10⁴, %.0f B per node", small, objects, bytes)
+	if objects != small {
+		t.Errorf("New allocates %.0f objects at n = 10⁴ and %.0f at n = 10³: something is built per node or edge", objects, small)
 	}
-	if bytes > 512 {
-		t.Errorf("New allocates %.0f B per node, budget 512", bytes)
+	if bytes > 264 {
+		t.Errorf("New allocates %.0f B per node, budget 264", bytes)
 	}
-	runtime.KeepAlive(net)
 }
 
 // countingNode counts handler calls and nothing else.
@@ -545,12 +553,21 @@ func (nd countingNode) OnTimer(*Context, int)        { *nd.got++ }
 // choice of type, not the path's). deliverTo is where this broke silently
 // before: a closure on another branch of it, capturing its payload parameter
 // by reference, moved the parameter to the heap on every call.
+// Every discipline is a row of the same store, on the same path.
 func TestDeliveryDoesNotAllocate(t *testing.T) {
-	mustNotAllocate(t, Config{
-		Graph: topology.Ring(8),
-		Links: channel.RandomDelayFactory(dist.NewExponential(1)),
-		Seed:  1,
-	}, func(c *Context, payload any) { c.Send(0, payload) }, 1)
+	for _, tc := range []struct {
+		name  string
+		links channel.Factory
+	}{
+		{"random-delay", channel.RandomDelayFactory(dist.NewExponential(1))},
+		{"fifo", channel.FIFOFactory(dist.NewExponential(1))},
+		{"arq", channel.ARQFactory(0.5, 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mustNotAllocate(t, Config{Graph: topology.Ring(8), Links: tc.links, Seed: 1},
+				func(c *Context, payload any) { c.Send(0, payload) }, 1)
+		})
+	}
 }
 
 // TestRadioTransmissionDoesNotAllocate is the same pin on the other medium:

@@ -50,11 +50,18 @@ func (c *roundCore) buffer(round, inPort int, payload any) {
 // protocol's sends land in outbox, by out-port — or, under KindClock, which
 // has none, go straight onto the wire stamped with the round.
 func (c *roundCore) run(ctx *network.Context, outbox [][]any) {
-	inbox := c.inbox[c.round]
-	delete(c.inbox, c.round)
-	// A deterministic inbox order (by in-port, stable in arrival order)
-	// regardless of network arrival interleaving.
-	slices.SortStableFunc(inbox, func(a, b Message) int { return cmp.Compare(a.InPort, b.InPort) })
+	// Most rounds of a sparse protocol find nothing buffered at all: no lookup
+	// then, and no sort of fewer than two messages.
+	var inbox []Message
+	if len(c.inbox) > 0 {
+		inbox = c.inbox[c.round]
+		delete(c.inbox, c.round)
+	}
+	if len(inbox) > 1 {
+		// A deterministic inbox order (by in-port, stable in arrival order)
+		// regardless of network arrival interleaving.
+		slices.SortStableFunc(inbox, func(a, b Message) int { return cmp.Compare(a.InPort, b.InPort) })
+	}
 
 	view := &c.sync.view
 	view.Context, view.core, view.outbox = ctx, c, outbox

@@ -274,8 +274,10 @@ type Telemetry struct {
 	// LinkDrops counts sends attempted on a scripted-down link or
 	// partition cut.
 	LinkDrops uint64
-	// DeadLetters counts deliveries suppressed because the receiving node
-	// was down (or had restarted since the processing was queued).
+	// DeadLetters counts messages that left the wire but were never
+	// handled: the receiving node was down, or crashed or restarted while the
+	// message waited in its processing queue. A message is either handled
+	// (the network's delivered count) or a dead letter, never both.
 	DeadLetters uint64
 	// TimersSuppressed counts timer fires suppressed at down or restarted
 	// nodes.

@@ -45,16 +45,15 @@ func (g *gossip) OnMessage(ctx *Context, _ int, payload any) {
 //
 //	(a) up to the wire   sent + duplicated = muted + outage-dropped + lost + held + Σ link.Sent
 //	(b) on the wire      Σ link.Sent = Σ link.Delivered + store.InFlight()
-//	(c) off the wire     Σ link.Delivered = delivered + dead-lettered
+//	(c) off the wire     Σ link.Delivered = delivered + dead-lettered + queued
 //
 // held counts messages, so a duplicated reorder-held send is 2. On the radio a
 // message is a transmission up to and on the wire; outages are met per
 // receiver, after the wire, so they leave (a) and enter (c), where a
 // transmission counts once per receiver. (b) holds until the kernel is stopped
-// — a Stop abandons the rest of a same-instant batch. (c) is checked without
-// a processing model only: a message delivered into a node's queue and then
-// killed with its incarnation is counted as delivered and as a dead letter
-// both (ROADMAP item 3, lead 3.1).
+// — a Stop abandons the rest of a same-instant batch. In (c) delivered means
+// handled: a message waiting in a processing queue is queued, and one that
+// dies there with its node's incarnation is a dead letter only.
 func TestConservation(t *testing.T) {
 	adversary := func() *byzantine.Plan {
 		return &byzantine.Plan{Roles: []byzantine.Role{
@@ -97,11 +96,14 @@ func TestConservation(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					var ticks, heldTicks int
+					var ticks, heldTicks, queuedTicks int
 					net.kernel.SetObserver(func() {
 						ticks++
 						if net.held > 0 {
 							heldTicks++
+						}
+						if net.queued > 0 {
+							queuedTicks++
 						}
 						checkConservation(t, net)
 					})
@@ -112,6 +114,9 @@ func TestConservation(t *testing.T) {
 					if ticks == 0 || heldTicks == 0 || tel.Byzantine.Omissions == 0 || tel.DeadLetters == 0 || tel.LinkDrops == 0 {
 						t.Fatalf("the run exercised too little: %d ticks, %d with held messages, telemetry %+v %+v",
 							ticks, heldTicks, *tel, *tel.Byzantine)
+					}
+					if processing && queuedTicks == 0 {
+						t.Fatal("no message ever waited in a processing queue")
 					}
 					if !cfg.LocalBroadcast && (tel.MessagesDropped == 0 || tel.MessagesDuplicated == 0 || tel.MessagesDelayed == 0) {
 						t.Fatalf("the plan's link faults did not all fire: %+v", *tel)
@@ -149,13 +154,11 @@ func checkConservation(t *testing.T, net *Network) {
 	if inFlight := uint64(net.store.InFlight()); !net.kernel.Stopped() && sent != delivered+inFlight {
 		t.Fatalf("t=%g on the wire: links took %d, delivered %d, %d in flight", at, sent, delivered, inFlight)
 	}
-	if net.cfg.Processing == nil {
-		handed := net.metrics.MessagesDelivered + tel.DeadLetters
-		if radio {
-			handed += tel.LinkDrops
-		}
-		if received != handed {
-			t.Fatalf("t=%g off the wire: links delivered %d receptions, %d handled + dead-lettered + cut off", at, received, handed)
-		}
+	handed := net.metrics.MessagesDelivered + tel.DeadLetters + uint64(net.queued)
+	if radio {
+		handed += tel.LinkDrops
+	}
+	if received != handed {
+		t.Fatalf("t=%g off the wire: links delivered %d receptions, %d handled + dead-lettered + queued (%d) + cut off", at, received, handed, net.queued)
 	}
 }

@@ -414,7 +414,8 @@ func TestInvalidPlanRejectedAtBuild(t *testing.T) {
 // TestCrashWhileQueuedChargesByKind pins what happens to work that is waiting
 // in a node's processing queue when the node crashes and restarts: neither
 // handler runs, the stale timer is charged to TimersSuppressed and the stale
-// message to DeadLetters. Node 1's timer fires at t = 1 (served until 3) and
+// message to DeadLetters, and not to MessagesDelivered as well — a message is
+// delivered when it is handled. Node 1's timer fires at t = 1 (served until 3) and
 // node 0's message arrives at 1.5 (served until 5); the outage is [2, 2.5),
 // so both completions find the node up again and only the epoch tells them
 // they belong to a dead incarnation.
@@ -453,7 +454,7 @@ func TestCrashWhileQueuedChargesByKind(t *testing.T) {
 		t.Fatalf("handled %d, incarnations %d, telemetry %+v; want 0 handled, 2 incarnations, one suppressed timer and one dead letter",
 			handled, incarnations, tel)
 	}
-	if m := net.Metrics(); m.TimersFired != 1 || m.MessagesDelivered != 1 || net.Now() != 5 {
-		t.Fatalf("metrics %+v at t = %v; want the timer fired, the message delivered and the last completion at 5", m, net.Now())
+	if m := net.Metrics(); m.TimersFired != 1 || m.MessagesDelivered != 0 || net.Now() != 5 {
+		t.Fatalf("metrics %+v at t = %v; want the timer fired, the message a dead letter only (never handled) and the last completion at 5", m, net.Now())
 	}
 }

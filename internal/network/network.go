@@ -139,7 +139,7 @@ func unwrapTraced(payload any) (TraceRef, any) {
 // Metrics aggregates network-wide counters.
 type Metrics struct {
 	MessagesSent      uint64 // logical sends (each hop of a travelling token counts once)
-	MessagesDelivered uint64
+	MessagesDelivered uint64 // messages handled: handed to a live node's OnMessage
 	Transmissions     uint64 // physical transmissions including ARQ retries
 	TimersFired       uint64
 }
@@ -224,12 +224,14 @@ type Network struct {
 	// payload of slab[s] while a message waits there, and freeWork the vacant
 	// slots; timerDue, queueDone and holdOver are the kernel handlers that take
 	// a slot as their event argument. held counts the messages waiting there
-	// for a link (see hold): sent, not yet on a wire.
+	// for a link (see hold): sent, not yet on a wire; queued the messages
+	// waiting in a processing queue (see process): off the wire, not yet
+	// handled.
 	slab                          []work
 	payloads                      []any
 	freeWork                      []uint32
 	timerDue, queueDone, holdOver sim.HandlerID
-	held                          int
+	held, queued                  int
 
 	// cause is the ref of the trace event whose handler is currently
 	// running — the delivery or timer being processed — so that sends,
@@ -394,7 +396,8 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 // deliverTo delivers one payload at the receiving end of edge, into the
 // destination's processing queue. Deliveries to a crashed node are
 // suppressed (counted as dead letters), deterministically: the suppression
-// depends only on the node's fault schedule.
+// depends only on the node's fault schedule. A message counts as delivered
+// when it is handled (see handle), not when it enters the queue.
 func (net *Network) deliverTo(edge int, payload any) {
 	addr := net.edges[edge]
 	to := int(addr.to)
@@ -402,7 +405,6 @@ func (net *Network) deliverTo(edge int, payload any) {
 		net.life.tel.DeadLetters++
 		return
 	}
-	net.metrics.MessagesDelivered++
 	switch {
 	case net.cfg.Tracer != nil:
 		// The delivery is recorded with the send that caused it, and the
@@ -416,6 +418,7 @@ func (net *Network) deliverTo(edge int, payload any) {
 		// With instantaneous processing the queue model is a no-op (process
 		// would run the work inline), so the handler is invoked directly:
 		// this is the per-delivery hot path of large untraced runs.
+		net.metrics.MessagesDelivered++
 		net.nodes[to].OnMessage(&net.ctxs[to], int(addr.inPort), payload)
 	}
 }
@@ -529,6 +532,9 @@ func (net *Network) process(w work, payload any) {
 	}
 	completion := start.Add(simtime.Duration(net.cfg.Processing.Sample(&net.procRNG[v])))
 	net.nextFree[v] = completion
+	if !w.timer {
+		net.queued++
+	}
 	net.deferWork(completion, net.queueDone, w, payload)
 }
 
@@ -537,6 +543,9 @@ func (net *Network) process(w work, payload any) {
 // counts as a dead letter, a timer as suppressed.
 func (net *Network) complete(slot uint32) {
 	w, payload := net.take(slot)
+	if !w.timer {
+		net.queued--
+	}
 	switch {
 	case !net.stale(w):
 		net.handle(w, payload)
@@ -554,6 +563,7 @@ func (net *Network) handle(w work, payload any) {
 	if v := int(w.node); w.timer {
 		net.nodes[v].OnTimer(&net.ctxs[v], w.port)
 	} else {
+		net.metrics.MessagesDelivered++
 		net.nodes[v].OnMessage(&net.ctxs[v], w.port, payload)
 	}
 	net.cause = prev

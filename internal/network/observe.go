@@ -12,6 +12,8 @@ func (net *Network) ProbeGauges() []probe.Gauge {
 	return []probe.Gauge{
 		{Name: "in_flight", Read: func() float64 { return float64(net.store.InFlight() + net.held) }},
 		{Name: "sent", Read: func() float64 { return float64(net.metrics.MessagesSent) }},
+		// delivered counts messages handled; one waiting in a processing queue
+		// is not delivered yet.
 		{Name: "delivered", Read: func() float64 { return float64(net.metrics.MessagesDelivered) }},
 		{Name: "timers_fired", Read: func() float64 { return float64(net.metrics.TimersFired) }},
 		{Name: "crashed", Read: func() float64 {

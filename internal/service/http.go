@@ -87,11 +87,11 @@ func NewHandler(svc *Service, hopts HandlerOptions) http.Handler {
 			writeError(w, http.StatusBadRequest, errors.New(`request needs a "spec"`))
 			return
 		}
-		// The spec goes in as bytes: Submit's one decode validates it (a bad
-		// spec is a 400 below) and builds the job's own copy. The wait path
-		// submits and waits on the job handle in one service call: a by-id
-		// re-lookup could race history retirement and report a finished run
-		// as not-found.
+		// The spec goes in as bytes: Submit decodes and validates them once
+		// per service (a bad spec is a 400 below) and gives the job its own
+		// copy of the spec. The wait path submits and waits on the job
+		// handle in one service call: a by-id re-lookup could race history
+		// retirement and report a finished run as not-found.
 		var view View
 		var err error
 		if req.Wait {
@@ -288,12 +288,21 @@ func statusCode(v View) int {
 	}
 }
 
+// writeJSON writes v as one line of compact JSON. A View is encoded by
+// View.encode, which writes its result's stored bytes as they are.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var body []byte
+	var err error
+	if view, ok := v.(View); ok {
+		body, err = view.encode()
+	} else {
+		body, err = json.Marshal(v)
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	if err == nil {
+		_, _ = w.Write(append(body, '\n'))
+	}
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

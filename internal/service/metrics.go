@@ -42,6 +42,10 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		}},
 		{"abe_submissions_total", "Validated submissions, including cache hits and deduplicated riders.", "counter",
 			[]promSample{{"", float64(st.Submissions)}}},
+		{"abe_spec_decodes_total", "Spec documents decoded, invalid ones included.", "counter",
+			[]promSample{{"", float64(st.SpecDecodes)}}},
+		{"abe_spec_memo_hits_total", "Submissions of a document already decoded; they skip decoding and hashing.", "counter",
+			[]promSample{{"", float64(st.SpecMemoHits)}}},
 		{"abe_jobs_finished_total", "Terminal job transitions by outcome.", "counter", []promSample{
 			{`{status="done"}`, float64(st.Done)},
 			{`{status="failed"}`, float64(st.Failed)},

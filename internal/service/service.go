@@ -11,6 +11,13 @@
 // encoding) and the harness derives every per-repetition seed from
 // (hash, seed) in canonical order, so a cached result is byte-identical to
 // a fresh one.
+//
+// A submission is bytes and a result is bytes. A scenario document is decoded
+// once per service: the validated spec and its hash are kept under the exact
+// bytes submitted (bounded like the result cache), and a later submission of
+// the same bytes runs a copy of that spec with its own seed. A result is
+// encoded once, by the worker that computed it, and every response carries
+// those bytes as they are.
 package service
 
 import (
@@ -181,6 +188,31 @@ type View struct {
 	Failure string `json:"failure,omitempty"`
 }
 
+// encode is json.Marshal(v) without its second pass over the result: the
+// json package checks and compacts whatever a Marshaler returns, and a
+// result's stored bytes need neither — the worker made them with
+// json.Marshal, or a persistent tier's decoder accepted them. So the view is
+// marshalled without its result, and the stored bytes close it unchanged: a
+// done view has no error or failure, the only members after the result.
+func (v View) encode() ([]byte, error) {
+	res := v.Result
+	if res == nil || res.raw == nil || v.Error != "" || v.Failure != "" {
+		return json.Marshal(v)
+	}
+	v.Result = nil
+	head, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	const member = `,"result":`
+	// Two bytes over: the closing brace, and the newline writeJSON ends with.
+	out := make([]byte, 0, len(head)+len(member)+len(res.raw)+2)
+	out = append(out, head[:len(head)-1]...)
+	out = append(out, member...)
+	out = append(out, res.raw...)
+	return append(out, '}'), nil
+}
+
 // job is the service-internal state of one submission.
 type job struct {
 	id        string
@@ -232,6 +264,14 @@ type Service struct {
 	// service-wide (atomic — event sinks run outside s.mu).
 	eventsDropped int64
 
+	// docs keeps every document that decoded, as its spec and hash, under
+	// the exact bytes submitted (see decode). It has a lock of its own:
+	// lookups never take s.mu, and decoding never runs under it. The two
+	// counters behind Stats.SpecDecodes and Stats.SpecMemoHits are atomic
+	// for the same reason.
+	docs                      *store.Memory[*knownDoc]
+	specDecodes, specMemoHits atomic.Int64
+
 	mu       sync.Mutex
 	closed   bool
 	seq      int
@@ -282,6 +322,9 @@ func New(opts Options) *Service {
 		inflight: map[string]*job{},
 		finished: map[Status]int{},
 		cache:    newTieredCache(opts.CacheEntries, opts.Persist),
+		// A kept document is, as a rule, the source of a cached result, so
+		// it shares the result cache's bound.
+		docs: store.NewMemory[*knownDoc](opts.CacheEntries),
 	}
 	if opts.SubmitRate > 0 {
 		s.bucket = newTokenBucket(opts.SubmitRate, opts.SubmitBurst, opts.now)
@@ -294,9 +337,11 @@ func New(opts Options) *Service {
 }
 
 // Submit decodes, validates and enqueues a scenario given as spec JSON (the
-// internal/spec schema, strict). seedOverride, when non-nil, replaces the
-// spec's Env.Seed (the spec file states the scenario; the caller may pick
-// the run). The returned view is one of:
+// internal/spec schema, strict). A document this service has decoded before
+// — the same bytes — is not decoded or hashed again (see decode); raw is
+// never retained. seedOverride, when non-nil, replaces the spec's Env.Seed
+// (the spec file states the scenario; the caller may pick the run). The
+// returned view is one of:
 //
 //   - a done job served straight from the result cache (CacheHits > 0),
 //   - the identical in-flight job (Deduplicated > 0, same id), or
@@ -320,21 +365,61 @@ func (s *Service) SubmitAndWait(ctx context.Context, raw []byte, seedOverride *u
 	return s.awaitJob(ctx, j)
 }
 
+// maxKnownDocBytes is the longest document decode keeps. A longer one is
+// decoded on every submission: at the default CacheEntries the kept
+// documents then pin at most 16 MiB, where the 1 MiB body limit alone would
+// let them pin 1 GiB. Every committed spec is under 1 KiB.
+const maxKnownDocBytes = 16 << 10
+
+// knownDoc is a decoded document as decode keeps it: the validated spec,
+// which nothing modifies, and its scenario hash.
+type knownDoc struct {
+	spec *spec.Spec
+	hash string
+}
+
+// decode returns the job's own spec for document raw, and its scenario hash.
+// A document seen before is not decoded again: the kept spec is copied, and
+// its hash stands for the copy whatever seed the caller then sets, since Hash
+// excludes the seed. The copy is shallow. That is sound because a decoded spec
+// is never modified: a seed override lands on the copy's own Env, BuildEnv
+// copies the observe and trace blocks before a sink is attached, and a
+// protocol's option struct is only read. Only documents that decode are kept,
+// so an invalid one is decoded, and refused, every time.
+func (s *Service) decode(raw []byte) (*spec.Spec, string, error) {
+	keep := len(raw) <= maxKnownDocBytes
+	if keep {
+		if d, ok := s.docs.Get(string(raw)); ok {
+			s.specMemoHits.Add(1)
+			c := *d.spec
+			return &c, d.hash, nil
+		}
+	}
+	s.specDecodes.Add(1)
+	sp, err := spec.DecodeBytes(raw)
+	if err != nil {
+		return nil, "", err
+	}
+	hash, err := sp.Hash()
+	if err != nil {
+		return nil, "", err
+	}
+	if keep {
+		kept := *sp
+		_ = s.docs.Put(string(raw), &knownDoc{spec: &kept, hash: hash})
+	}
+	return sp, hash, nil
+}
+
 // submit is the shared submission path, returning the job handle alongside
 // the snapshot.
 func (s *Service) submit(raw []byte, seedOverride *uint64) (View, *job, error) {
-	// The one decode: it validates the document, and the spec it builds is
-	// the job's own — nothing the caller holds, raw included, reaches it.
-	sp, err := spec.DecodeBytes(raw)
+	sp, hash, err := s.decode(raw)
 	if err != nil {
 		return View{}, nil, err
 	}
 	if seedOverride != nil {
 		sp.Env.Seed = *seedOverride
-	}
-	hash, err := sp.Hash()
-	if err != nil {
-		return View{}, nil, err
 	}
 	key := fmt.Sprintf("%s@%d%s%s", hash, sp.Env.Seed, observeKey(sp.Env.Observe), traceKey(sp.Env.Trace))
 
@@ -551,6 +636,12 @@ type Stats struct {
 	// Submissions counts every validated submission (including cache hits
 	// and dedup riders).
 	Submissions int `json:"submissions"`
+	// SpecDecodes counts spec documents decoded, invalid ones included;
+	// SpecMemoHits counts submissions of a document already decoded, which
+	// skipped decoding and hashing. Traffic that repeats a few documents
+	// with fresh seeds reads as many decodes as distinct documents.
+	SpecDecodes  int64 `json:"spec_decodes"`
+	SpecMemoHits int64 `json:"spec_memo_hits"`
 	// Done/Failed/Cancelled count terminal job transitions since start.
 	Done      int `json:"done"`
 	Failed    int `json:"failed"`
@@ -582,6 +673,8 @@ func (s *Service) Stats() Stats {
 		StoreHits:         s.cache.persistHits,
 		StoreErrors:       int(s.cache.persistErrs.Load()),
 		Submissions:       s.submissions,
+		SpecDecodes:       s.specDecodes.Load(),
+		SpecMemoHits:      s.specMemoHits.Load(),
 		Done:              s.finished[StatusDone],
 		Failed:            s.finished[StatusFailed],
 		Cancelled:         s.finished[StatusCancelled],

@@ -599,6 +599,16 @@ func TestMutateAfterSubmit(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("post-submit mutation leaked into the run:\ngot:  %s\nwant: %s", got, want)
 	}
+
+	// The service kept the document under its own copy of the submitted
+	// bytes: the pristine document, sent again, is known, and the vandalised
+	// buffer is not.
+	if _, err := svc.Submit(specJSON(t, pristine), nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := svc.Stats(); st.SpecDecodes != 2 || st.SpecMemoHits != 1 {
+		t.Fatalf("decodes %d, memo hits %d; want 2 (blocker, pristine), 1 (pristine again)", st.SpecDecodes, st.SpecMemoHits)
+	}
 }
 
 // TestCacheEviction: the memory-tier LRU bound holds.

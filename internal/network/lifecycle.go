@@ -19,8 +19,12 @@ type lifecycle struct {
 	plan *faults.Plan
 	root *rng.Source // derived off the run root; never advanced elsewhere
 
-	down  []bool   // down[i]: node i is crashed
-	epoch []uint64 // epoch[i]: incremented on crash; stale work is suppressed
+	down    []bool // down[i]: node i is crashed
+	crashed int    // how many down[i] are true
+	// crashSeq[i] is kernel.ScheduleSeq() at node i's last crash: node work
+	// whose event has a lower sequence number was scheduled by an earlier
+	// incarnation and is suppressed (see Network.stale).
+	crashSeq []uint64
 
 	// Scripted outages are tracked per cause so a partition heal cannot
 	// clobber an individually scripted link outage (and vice versa), and
@@ -73,7 +77,7 @@ func newLifecycle(net *Network, plan *faults.Plan, root *rng.Source) (*lifecycle
 		plan:         plan,
 		root:         root.Derive("faults"),
 		down:         make([]bool, n),
-		epoch:        make([]uint64, n),
+		crashSeq:     make([]uint64, n),
 		openInterval: make([]int, n),
 	}
 	for i := range life.openInterval {
@@ -182,12 +186,13 @@ func (life *lifecycle) scheduleCrash(i int, r *rng.Source) {
 			return // crash-stop: the chain ends here
 		}
 		// The recovery belongs to this outage only: if a scripted event
-		// recovered (and possibly re-crashed) the node in the meantime,
-		// the epoch has moved on and the stale recovery must not fire.
-		ep := life.epoch[i]
+		// recovered and re-crashed the node, or took the outage over, in the
+		// meantime, the node's crash sequence number has moved on and the
+		// stale recovery must not fire.
+		seq := life.crashSeq[i]
 		outage := simtime.Duration(r.ExpFloat64() / life.plan.RecoverRate)
 		life.net.kernel.AfterFunc(outage, func() {
-			if life.down[i] && life.epoch[i] == ep {
+			if life.down[i] && life.crashSeq[i] == seq {
 				life.recover(i)
 			}
 			life.scheduleCrash(i, r)
@@ -203,10 +208,12 @@ func (life *lifecycle) apply(ev faults.Event) {
 	case faults.KindCrash:
 		if !life.crash(ev.Node) {
 			// The node is already down (a stochastic outage in progress).
-			// The scripted crash takes ownership by bumping the epoch, so
-			// the chain's pending recovery cannot cut the scripted window
-			// short — only a scripted RecoverAt ends it now.
-			life.epoch[ev.Node]++
+			// The scripted crash takes ownership by moving the crash
+			// sequence number on — the chain scheduled its recovery since
+			// the crash, so the number differs — and the chain's pending
+			// recovery cannot cut the scripted window short: only a
+			// scripted RecoverAt ends it now.
+			life.crashSeq[ev.Node] = life.net.kernel.ScheduleSeq()
 		}
 	case faults.KindRecover:
 		life.recover(ev.Node)
@@ -221,15 +228,18 @@ func (life *lifecycle) apply(ev faults.Event) {
 	}
 }
 
-// crash takes node i down: its pending timers and queued processing become
-// stale (epoch bump) and future deliveries are suppressed until recovery.
-// It reports whether the node actually transitioned (false: already down).
+// crash takes node i down: everything it has scheduled so far — pending
+// timers, queued processing — is stale from now on, because all of it has a
+// sequence number below the kernel's next one, recorded here; and deliveries
+// are suppressed until recovery. It reports whether the node actually
+// transitioned (false: already down).
 func (life *lifecycle) crash(i int) bool {
 	if life.down[i] {
 		return false
 	}
 	life.down[i] = true
-	life.epoch[i]++
+	life.crashed++
+	life.crashSeq[i] = life.net.kernel.ScheduleSeq()
 	life.tel.Crashes++
 	life.openInterval[i] = len(life.tel.CrashIntervals)
 	life.tel.CrashIntervals = append(life.tel.CrashIntervals, faults.CrashInterval{
@@ -241,13 +251,15 @@ func (life *lifecycle) crash(i int) bool {
 }
 
 // recover restarts node i as a fresh protocol instance (churn: the
-// restarted process keeps no state, and timers of the old incarnation
-// stay dead thanks to the epoch bump at crash time).
+// restarted process keeps no state, and timers of the old incarnation stay
+// dead: they were scheduled before the crash, below its recorded sequence
+// number, while everything the new incarnation schedules is above it).
 func (life *lifecycle) recover(i int) {
 	if !life.down[i] {
 		return
 	}
 	life.down[i] = false
+	life.crashed--
 	life.tel.Recoveries++
 	if idx := life.openInterval[i]; idx >= 0 {
 		life.tel.CrashIntervals[idx].End = float64(life.net.kernel.Now())
@@ -260,7 +272,7 @@ func (life *lifecycle) recover(i int) {
 		return
 	}
 	// The dead incarnation's processing backlog died with it: its queued
-	// completions are epoch-suppressed, so the busy-server clock must not
+	// completions are suppressed as stale, so the busy-server clock must not
 	// make the fresh instance wait behind phantom work.
 	if life.net.nextFree != nil {
 		life.net.nextFree[i] = life.net.kernel.Now()

@@ -7,6 +7,7 @@ import (
 	"abenet/internal/channel"
 	"abenet/internal/dist"
 	"abenet/internal/faults"
+	"abenet/internal/probe"
 	"abenet/internal/simtime"
 	"abenet/internal/topology"
 )
@@ -77,7 +78,7 @@ func TestScriptedCrashSuppressesTimersAndDeliveries(t *testing.T) {
 		t.Fatalf("healthy node sent %d beacons, want ~30", nodes[0].sent)
 	}
 	// Node 0's beacons to the crashed node become dead letters, and the
-	// crashed node's pending tick is suppressed exactly once (the epoch
+	// crashed node's pending tick is suppressed exactly once (the crash
 	// kills the tick chain at its first post-crash fire).
 	if tel.DeadLetters == 0 {
 		t.Fatal("no dead letters recorded at the crashed node")
@@ -417,8 +418,8 @@ func TestInvalidPlanRejectedAtBuild(t *testing.T) {
 // message to DeadLetters, and not to MessagesDelivered as well — a message is
 // delivered when it is handled. Node 1's timer fires at t = 1 (served until 3) and
 // node 0's message arrives at 1.5 (served until 5); the outage is [2, 2.5),
-// so both completions find the node up again and only the epoch tells them
-// they belong to a dead incarnation.
+// so both completions find the node up again and only their sequence numbers,
+// below the crash's, tell them they belong to a dead incarnation.
 func TestCrashWhileQueuedChargesByKind(t *testing.T) {
 	var incarnations, handled int
 	net, err := New(Config{
@@ -456,5 +457,184 @@ func TestCrashWhileQueuedChargesByKind(t *testing.T) {
 	}
 	if m := net.Metrics(); m.TimersFired != 1 || m.MessagesDelivered != 0 || net.Now() != 5 {
 		t.Fatalf("metrics %+v at t = %v; want the timer fired, the message a dead letter only (never handled) and the last completion at 5", m, net.Now())
+	}
+}
+
+// seqRun runs a two-node ring under plan, with node 0 built by incarnation
+// (0 for the first) and node 1 idle, untraced or traced — a traced timer
+// waits in the slab and ends in fireTimer, an untraced one in the per-kind
+// handler — and checks the timer and dead-letter counts exactly.
+func seqRun(t *testing.T, plan *faults.Plan, processing dist.Dist, node0 func(incarnation int) Node, fired, suppressed, deadLetters uint64) {
+	t.Helper()
+	for _, traced := range []bool{false, true} {
+		cfg := Config{
+			Graph:      topology.Ring(2),
+			Links:      channel.RandomDelayFactory(dist.NewDeterministic(1.5)),
+			Processing: processing,
+			Seed:       3,
+			Faults:     plan,
+		}
+		if traced {
+			cfg.Tracer = &nullTracer{}
+		}
+		incarnations := 0
+		net, err := New(cfg, func(i int) Node {
+			if i != 0 {
+				return &funcNode{}
+			}
+			incarnations++
+			return node0(incarnations - 1)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := net.Run(simtime.Forever, 0); err != nil {
+			t.Fatal(err)
+		}
+		tel := net.FaultTelemetry()
+		if m := net.Metrics(); m.TimersFired != fired || tel.TimersSuppressed != suppressed || tel.DeadLetters != deadLetters {
+			t.Errorf("traced %v: %d timers fired, %d suppressed, %d dead letters; want %d, %d, %d",
+				traced, m.TimersFired, tel.TimersSuppressed, tel.DeadLetters, fired, suppressed, deadLetters)
+		}
+	}
+}
+
+// TestTimerDueAtCrashInstant pins the sequence rule where a timer and a
+// scripted crash share an instant: the crash event is scheduled when the run
+// starts, after Init, so a timer set in Init for that instant runs first and
+// fires, while one set later for the same instant runs after the crash and
+// is suppressed.
+func TestTimerDueAtCrashInstant(t *testing.T) {
+	plan := &faults.Plan{Events: []faults.Event{faults.CrashAt(1, 0)}}
+	t.Run("set in Init", func(t *testing.T) {
+		var handled int
+		seqRun(t, plan, nil, func(int) Node {
+			return &funcNode{
+				init:    func(ctx *Context) { ctx.SetLocalTimerFunc(1, 0) },
+				onTimer: func(*Context, int) { handled++ },
+			}
+		}, 1, 0, 0)
+		if handled != 2 { // once per run, untraced and traced
+			t.Fatalf("the timer set in Init was handled %d times over two runs, want 2", handled)
+		}
+	})
+	t.Run("set at 0.5", func(t *testing.T) {
+		var handled int
+		seqRun(t, plan, nil, func(int) Node {
+			return &funcNode{
+				init: func(ctx *Context) { ctx.SetLocalTimerFunc(0.5, 1) },
+				onTimer: func(ctx *Context, kind int) {
+					if kind == 1 {
+						ctx.SetLocalTimerFunc(0.5, 2) // due at 1, scheduled after the crash
+						return
+					}
+					handled++
+				},
+			}
+		}, 1, 1, 0)
+		if handled != 0 {
+			t.Fatalf("a timer scheduled after the crash event was handled %d times", handled)
+		}
+	})
+}
+
+// TestTimerOutlivesTwoCrashes pins the sequence rule across incarnations:
+// node 0's first incarnation sets a timer due at 10 and crashes at 1; the
+// second, up from 2, ticks every 2 until it crashes at 5. The first
+// incarnation's timer is suppressed exactly once, whether it finds the node
+// still down or up again in a third incarnation (recovered at 8); the second
+// incarnation's first tick (4) fires and its next (6) dies with the crash.
+func TestTimerOutlivesTwoCrashes(t *testing.T) {
+	events := []faults.Event{faults.CrashAt(1, 0), faults.RecoverAt(2, 0), faults.CrashAt(5, 0)}
+	for _, tc := range []struct {
+		name   string
+		events []faults.Event
+	}{
+		{"down at its instant", events},
+		{"up again at its instant", append(events[:3:3], faults.RecoverAt(8, 0))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var handled []simtime.Time
+			seqRun(t, &faults.Plan{Events: tc.events}, nil, func(incarnation int) Node {
+				switch incarnation {
+				case 0:
+					return &funcNode{
+						init:    func(ctx *Context) { ctx.SetLocalTimerFunc(10, 0) },
+						onTimer: func(ctx *Context, _ int) { handled = append(handled, ctx.Now()) },
+					}
+				case 1:
+					return &funcNode{
+						init: func(ctx *Context) { ctx.SetLocalTimerFunc(2, 1) },
+						onTimer: func(ctx *Context, kind int) {
+							handled = append(handled, ctx.Now())
+							ctx.SetLocalTimerFunc(2, kind)
+						},
+					}
+				}
+				return &funcNode{}
+			}, 1, 2, 0)
+			if want := []simtime.Time{4, 4}; !reflect.DeepEqual(handled, want) { // untraced, then traced
+				t.Fatalf("timers handled at %v, want %v", handled, want)
+			}
+		})
+	}
+}
+
+// TestSameInstantCrashRecoverSuppressesQueuedTimer pins the sequence rule
+// under an outage of no length, which the down flag never shows: node 0's
+// timer fires at 1 and is served until 3, and the node crashes and recovers
+// at 2. The completion finds the node up, and only its sequence number,
+// below the crash's, retires it.
+func TestSameInstantCrashRecoverSuppressesQueuedTimer(t *testing.T) {
+	plan := &faults.Plan{Events: []faults.Event{faults.CrashAt(2, 0), faults.RecoverAt(2, 0)}}
+	var handled int
+	seqRun(t, plan, dist.NewDeterministic(2), func(incarnation int) Node {
+		if incarnation > 0 {
+			return &funcNode{}
+		}
+		return &funcNode{
+			init:    func(ctx *Context) { ctx.SetLocalTimerFunc(1, 3) },
+			onTimer: func(*Context, int) { handled++ },
+		}
+	}, 1, 1, 0)
+	if handled != 0 {
+		t.Fatalf("a timer queued before a zero-length outage was handled %d times", handled)
+	}
+}
+
+// TestCrashedGaugeCountsDownNodes samples an observed churn run after every
+// event and holds the crashed gauge, a counter kept by crash and recover, to
+// a scan of the down flags at each sample.
+func TestCrashedGaugeCountsDownNodes(t *testing.T) {
+	plan := &faults.Plan{
+		CrashRate: 0.05, RecoverRate: 0.2,
+		Events: []faults.Event{faults.CrashAt(0, 3), faults.CrashAt(20, 3), faults.RecoverAt(40, 3)},
+	}
+	net, _ := beaconRing(t, 16, plan, 5)
+	var samples, peak int
+	c, err := probe.NewCollector(probe.Config{EveryEvents: 1, Sink: func(names []string, s probe.Sample) {
+		down := 0
+		for _, d := range net.life.down {
+			if d {
+				down++
+			}
+		}
+		for k, name := range names {
+			if name == "crashed" && s.Values[k] != float64(down) {
+				t.Fatalf("crashed gauge reads %g at t = %g, %d nodes are down", s.Values[k], s.Time, down)
+			}
+		}
+		samples++
+		peak = max(peak, down)
+	}}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.InstallProbe(c)
+	if err := net.Run(simtime.Time(100), 0); err != nil {
+		t.Fatal(err)
+	}
+	if tel := net.FaultTelemetry(); samples < 1000 || peak < 2 || tel.Recoveries == 0 {
+		t.Fatalf("%d samples, at most %d nodes down, %d recoveries: the run did not churn", samples, peak, tel.Recoveries)
 	}
 }

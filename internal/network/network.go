@@ -27,12 +27,15 @@
 // per timer kind with the node as the event argument, so an idle node costs
 // no closure. TestAllocationBudget holds the line.
 //
-// Deferred work is data. Whatever has to wait outside the store — a timer set
-// under a fault plan or a tracer, anything in a node's processing queue, a
-// message a stalling node or a plan's reorder axis holds back from its link —
-// is a work record in a free-listed slab, named by its slot in the kernel
-// event that ends the wait: no path through the network builds a closure per
-// event, and a sent message is always countable, held here or in flight there.
+// Deferred work is data. Whatever has to wait outside the store and the
+// kernel's own queue — a timer set under a tracer, anything in a node's
+// processing queue, a message a stalling node or a plan's reorder axis holds
+// back from its link — is a work record in a free-listed slab, named by its
+// slot in the kernel event that ends the wait: no path through the network
+// builds a closure per event, and a sent message is always countable, held
+// here or in flight there. A crash retires a node's waiting work without
+// touching it: the kernel's sequence number at the crash is recorded, and
+// work whose event was scheduled below it is stale when the event runs.
 //
 // There is one wire, and the network decides at both ends of it. Point-to-point
 // or radio, a payload leaves a node through Context.transmit (count, trace,
@@ -440,26 +443,25 @@ func (net *Network) fanout(u int, payload any) {
 }
 
 // work is one call that has to wait: OnTimer(port) on node if timer is set,
-// OnMessage(port, payload) otherwise. It waits in net.slab, for a set timer's
-// instant (fireTimer) or for its turn in the node's processing queue
-// (complete). epoch is the node's crash epoch when the wait began — work that
-// outlives its incarnation is suppressed — and cause the trace event the
-// call descends from: what the node was processing when it set the timer,
-// then the recorded firing or delivery itself. A message's payload waits
-// beside it in net.payloads, which keeps the record free of pointers: parking
-// one is a plain copy without a write barrier, and the collector never scans
-// the slab.
+// OnMessage(port, payload) otherwise. It waits in net.slab, 32 bytes, for a
+// set timer's instant (fireTimer) or for its turn in the node's processing
+// queue (complete). cause is the trace event the call descends from: what
+// the node was processing when it set the timer, then the recorded firing or
+// delivery itself. Whether the call outlived its incarnation is not recorded
+// here but read off the kernel event that ends the wait (see stale). A
+// message's payload waits beside it in net.payloads, which keeps the record
+// free of pointers: parking one is a plain copy without a write barrier, and
+// the collector never scans the slab.
 //
 // A message held back from its link is a record too, read differently: port is
 // the link, copies how many times it is to carry the message — none yet for a
 // Byzantine stall, which re-enters put — and cause the traced ref of the send.
-// No node, no epoch: a sender's crash does not recall what it already sent.
+// No node: a sender's crash does not recall what it already sent.
 type work struct {
 	node   int32
 	timer  bool
 	copies uint8
 	port   int // the in-port of a message, the kind of a timer, the link of a held message
-	epoch  uint64
 	cause  TraceRef
 }
 
@@ -479,14 +481,6 @@ func (net *Network) park(at simtime.Time, id sim.HandlerID, w work, payload any)
 	net.kernel.AtArg(at, id, slot)
 }
 
-// deferWork parks a handler call under its node's present crash epoch.
-func (net *Network) deferWork(at simtime.Time, id sim.HandlerID, w work, payload any) {
-	if net.life != nil {
-		w.epoch = net.life.epoch[w.node]
-	}
-	net.park(at, id, w, payload)
-}
-
 // take vacates slot and returns what waited in it.
 func (net *Network) take(slot uint32) (work, any) {
 	w, payload := net.slab[slot], net.payloads[slot]
@@ -495,18 +489,21 @@ func (net *Network) take(slot uint32) (work, any) {
 	return w, payload
 }
 
-// stale reports whether the node of handler call w crashed (or crashed and
-// restarted) while w waited.
-func (net *Network) stale(w work) bool {
+// stale reports whether node v, whose work the running kernel event ends the
+// wait of, is down or crashed (and possibly restarted) while it waited: the
+// event's sequence number is below the node's last-crash sequence number, so
+// it was scheduled by an incarnation that has since died. Node work is only
+// scheduled while its node is up. Always false without a fault plan.
+func (net *Network) stale(v int32) bool {
 	life := net.life
-	return life != nil && (life.down[w.node] || life.epoch[w.node] != w.epoch)
+	return life != nil && (life.down[v] || net.kernel.EventSeq() < life.crashSeq[v])
 }
 
 // fireTimer is the kernel handler of a timer set through the slab reaching
 // its instant: the firing is counted and traced, then queued for processing.
 func (net *Network) fireTimer(slot uint32) {
 	w, _ := net.take(slot)
-	if net.stale(w) {
+	if net.stale(w.node) {
 		net.life.tel.TimersSuppressed++
 		return
 	}
@@ -535,7 +532,7 @@ func (net *Network) process(w work, payload any) {
 	if !w.timer {
 		net.queued++
 	}
-	net.deferWork(completion, net.queueDone, w, payload)
+	net.park(completion, net.queueDone, w, payload)
 }
 
 // complete is the kernel handler of a processing-queue completion. Work
@@ -547,7 +544,7 @@ func (net *Network) complete(slot uint32) {
 		net.queued--
 	}
 	switch {
-	case !net.stale(w):
+	case !net.stale(w.node):
 		net.handle(w, payload)
 	case w.timer:
 		net.life.tel.TimersSuppressed++
@@ -851,7 +848,7 @@ func (c *Context) SetLocalTimerFunc(localDelta float64, kind int) {
 	}
 	// The causal parent of the firing is the event the node is processing
 	// now, while it sets the timer.
-	net.deferWork(at, net.timerDue, work{node: int32(c.id), timer: true, port: kind, cause: net.cause}, nil)
+	net.park(at, net.timerDue, work{node: int32(c.id), timer: true, port: kind, cause: net.cause}, nil)
 }
 
 // timerInstant validates localDelta and converts it to the real fire
@@ -870,17 +867,22 @@ func (c *Context) timerInstant(localDelta float64) simtime.Time {
 // timerHandler returns the id of the kernel handler that fires this network's
 // timers of the given kind — it takes the node as the event argument and is
 // registered the first time the kind is set — or zero when a set timer has to
-// remember something and so waits in the slab. It does under a fault plan or
-// a tracer: the firing is suppressed unless the node's crash epoch is still
-// what it was at *set* time, and a traced firing names the setter's causal
-// ref. Without either, firing depends only on (node, kind), and tick loops
-// set millions.
+// remember something and so waits in the slab: under a tracer, whose firing
+// names the setter's causal ref, and for a kind past the table. A fault plan
+// needs nothing remembered: the firing is suppressed if the node is down or
+// crashed after the timer was set, which the kernel's sequence numbers tell
+// (see stale). So firing depends only on (node, kind), and tick loops set
+// millions.
 func (net *Network) timerHandler(kind int) sim.HandlerID {
-	if net.life != nil || net.cfg.Tracer != nil || kind < 0 || kind >= maxTimerKinds {
+	if net.cfg.Tracer != nil || kind < 0 || kind >= maxTimerKinds {
 		return 0
 	}
 	if net.timers[kind] == 0 {
 		net.timers[kind] = net.kernel.Register(func(node uint32) {
+			if net.stale(int32(node)) {
+				net.life.tel.TimersSuppressed++
+				return
+			}
 			v := int(node)
 			net.metrics.TimersFired++
 			if net.cfg.Processing == nil {

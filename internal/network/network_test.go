@@ -592,12 +592,15 @@ func TestRadioTransmissionDoesNotAllocate(t *testing.T) {
 // its way into the link, one object per message, on the send side. A message
 // held back before its link — by a plan's reorder axis or a stalling node —
 // was the last closure per event (one heap object each); it is a record too.
+// Under a fault plan a timer parks nowhere; the crash-plan row has a node
+// crash and recover before the measured rounds, so every timer there is
+// checked against a crash sequence number.
 func TestDeferredWorkDoesNotAllocate(t *testing.T) {
 	setTimer := func(kind int) func(*Context, any) {
 		return func(c *Context, _ any) { c.SetLocalTimerFunc(1, kind) }
 	}
 	send := func(c *Context, payload any) { c.Send(0, payload) }
-	for _, path := range deferredPaths {
+	for _, path := range append([]configPath{faultsPath}, deferredPaths...) {
 		t.Run(path.name+"/timer", func(t *testing.T) {
 			mustNotAllocate(t, ringConfig(8, path), setTimer(0), 1)
 		})
@@ -621,13 +624,22 @@ func TestDeferredWorkDoesNotAllocate(t *testing.T) {
 	t.Run("kind past the handler table/timer", func(t *testing.T) {
 		mustNotAllocate(t, ringConfig(8, plainPath), setTimer(maxTimerKinds), 1)
 	})
+	t.Run("crash plan/timer", func(t *testing.T) {
+		cfg := ringConfig(8, plainPath)
+		cfg.Faults = &faults.Plan{Events: []faults.Event{faults.CrashAt(0.5, 0), faults.RecoverAt(0.75, 0)}}
+		tel := mustNotAllocate(t, cfg, setTimer(0), 1).FaultTelemetry()
+		if tel.Crashes != 1 || tel.Recoveries != 1 || tel.TimersSuppressed != 1 {
+			t.Fatalf("telemetry %+v; want node 0's warm-up timer suppressed by one crash and recovery", tel)
+		}
+	})
 }
 
 // mustNotAllocate builds cfg over counting nodes, has every node emit once
 // per round and runs each round to quiescence: zero heap objects per round
 // once the store and the slab have warmed up, and fanout handler calls per
-// emission.
-func mustNotAllocate(t *testing.T, cfg Config, emit func(c *Context, payload any), fanout int) {
+// emission. The warm-up round goes through Network.Run, so a fault plan's
+// timeline plays out in it; the network is returned for further checks.
+func mustNotAllocate(t *testing.T, cfg Config, emit func(c *Context, payload any), fanout int) *Network {
 	t.Helper()
 	var got int
 	net, err := New(cfg, func(int) Node { return countingNode{&got} })
@@ -635,15 +647,21 @@ func mustNotAllocate(t *testing.T, cfg Config, emit func(c *Context, payload any
 		t.Fatal(err)
 	}
 	var payload any = uint64(1 << 40) // too large for the runtime's small-value table: boxed here, once
-	roundTrip := func() {
+	emitAll := func() {
 		for i := range net.ctxs {
 			emit(&net.ctxs[i], payload)
 		}
+	}
+	roundTrip := func() {
+		emitAll()
 		if err := net.kernel.Run(simtime.Forever, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	roundTrip() // the store's and the slab's slots and free lists reach their size
+	emitAll() // the store's and the slab's slots and free lists reach their size
+	if err := net.Run(simtime.Forever, 0); err != nil {
+		t.Fatal(err)
+	}
 	got = 0
 	if avg := testing.AllocsPerRun(100, roundTrip); avg != 0 {
 		t.Errorf("emit → run → handler allocates %g objects per %d emissions, want 0", avg, len(net.ctxs))
@@ -651,6 +669,7 @@ func mustNotAllocate(t *testing.T, cfg Config, emit func(c *Context, payload any
 	if want := 101 * len(net.ctxs) * fanout; got != want { // AllocsPerRun warms up once
 		t.Fatalf("%d handler calls, want %d", got, want)
 	}
+	return net
 }
 
 // TestDegreeReadsDoNotAllocate pins the non-copying accessors: protocols

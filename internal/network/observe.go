@@ -20,13 +20,7 @@ func (net *Network) ProbeGauges() []probe.Gauge {
 			if net.life == nil {
 				return 0
 			}
-			crashed := 0
-			for _, d := range net.life.down {
-				if d {
-					crashed++
-				}
-			}
-			return float64(crashed)
+			return float64(net.life.crashed)
 		}},
 		{Name: "byz_interventions", Read: func() float64 {
 			if net.adv == nil {

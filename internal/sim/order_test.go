@@ -91,8 +91,8 @@ func runOrderProgram(t *testing.T, name string, prog []byte) []uint64 {
 		if len(ref) == 0 || ref[0] != ev {
 			t.Fatalf("%s: %+v ran after %d events, reference expects %+v", name, ev, len(order), ref)
 		}
-		if k.Now() != ev.at {
-			t.Fatalf("%s: %+v ran at %v", name, ev, k.Now())
+		if k.Now() != ev.at || k.EventSeq() != ev.seq {
+			t.Fatalf("%s: %+v ran at %v as event %d", name, ev, k.Now(), k.EventSeq())
 		}
 		ref = ref[1:]
 		order = append(order, ev.seq)

@@ -68,8 +68,11 @@
 // The kernel schedules, it does not cancel: every scheduled event runs
 // (unless the run ends first). A protocol that loses interest in a timer
 // bumps a generation counter it owns and has the handler compare the value
-// it captured at scheduling time, returning early on a mismatch — exactly
-// how the network layer's crash epochs retire the timers of a crashed node.
+// it captured at scheduling time, returning early on a mismatch. Code that
+// only needs "was this scheduled before that happened" captures nothing:
+// it records ScheduleSeq when that happens and compares EventSeq against
+// it when the event runs — how the network layer retires the timers and
+// queued work of a crashed node.
 package sim
 
 import (
@@ -131,6 +134,7 @@ type Kernel struct {
 	now       simtime.Time
 	sched     Scheduler
 	seq       uint64
+	eventSeq  uint64 // insertion sequence of the event executing (or last executed)
 	executed  uint64
 	stopped   bool
 	running   bool
@@ -175,6 +179,14 @@ func (k *Kernel) Executed() uint64 { return k.executed }
 // same-instant deliveries into one batched event without perturbing the
 // (at, seq) execution order.
 func (k *Kernel) ScheduleSeq() uint64 { return k.seq }
+
+// EventSeq returns the insertion sequence number of the event being executed
+// (after Run or Step returns, of the last one executed). Sequence numbers
+// grow with every scheduling call, so an event whose EventSeq is below a
+// ScheduleSeq value recorded earlier was scheduled before that recording:
+// a handler can tell that something happened while its event waited without
+// the event carrying anything.
+func (k *Kernel) EventSeq() uint64 { return k.eventSeq }
 
 // Pending returns the number of scheduled, not yet executed events in O(1).
 func (k *Kernel) Pending() int { return k.sched.Pending() }
@@ -363,6 +375,7 @@ func (k *Kernel) execute() {
 		panic("sim: execute with an empty schedule")
 	}
 	k.now = ev.at
+	k.eventSeq = ev.seq
 	k.executed++
 	if ev.h != 0 {
 		k.handlers[ev.h](ev.arg)

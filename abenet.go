@@ -156,8 +156,9 @@ func RequireElected(r Report) error { return runner.RequireElected(r) }
 // The event-scheduler implementations selectable via Env.Scheduler. Every
 // scheduler executes events in the same (time, sequence) total order, so a
 // run is byte-identical whichever is chosen; the choice trades queue
-// performance only (the calendar queue's O(1) amortised operations pay off
-// on very large networks).
+// performance only. The calendar queue is slower than the heap on every
+// workload the repo benchmark measures (sim.calendar_over_heap > 1) and
+// stays only because that frozen benchmark measures it.
 const (
 	// SchedulerHeap is the default intrusive 4-ary min-heap.
 	SchedulerHeap = sim.SchedulerHeap

@@ -117,7 +117,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.BoolVar(&c.trace, "trace", false, "print the full causal trace")
 	fs.StringVar(&c.traceOut, "trace-out", "", "write the causal trace to FILE (implies tracing)")
 	fs.StringVar(&c.traceFmt, "trace-format", "chrome", "trace file format: "+trace.FormatNames+" (with -trace-out)")
-	fs.Uint64Var(&c.obsEvery, "observe-every", 0, "sample a time series every K executed events (observe-capable protocols)")
+	fs.Uint64Var(&c.obsEvery, "observe-every", 0, "sample a time series every K executed events")
 	fs.Float64Var(&c.obsInterval, "observe-interval", 0, "sample a time series every T virtual time units")
 	fs.IntVar(&c.obsMax, "observe-max", 0, "cap on stored samples (0 = 100000)")
 	fs.StringVar(&c.obsCSV, "observe-csv", "", "write the sampled series as CSV to FILE (\"-\" = stdout)")

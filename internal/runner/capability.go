@@ -5,9 +5,11 @@ import (
 	"fmt"
 )
 
-// Capabilities declares which optional Env axes a protocol honours. An axis
-// a protocol does not declare is rejected by CheckCapabilities before the
-// run starts, so no protocol can silently ignore it.
+// Capabilities declares which optional Env axes of the algorithm a protocol
+// honours. An axis a protocol does not declare is rejected by
+// CheckCapabilities before the run starts, so no protocol can silently
+// ignore it. Observe and Trace are not axes: they are the substrate's, and
+// Run checks afterwards that the report carries what they asked for.
 type Capabilities struct {
 	// Faults: the protocol honours Env.Faults.
 	Faults bool
@@ -15,10 +17,6 @@ type Capabilities struct {
 	Byzantine bool
 	// Broadcast: the protocol runs on the Env.LocalBroadcast medium.
 	Broadcast bool
-	// Observe: the protocol honours Env.Observe.
-	Observe bool
-	// Trace: the protocol honours Env.Trace.
-	Trace bool
 }
 
 // The structured capability-rejection errors: a protocol that cannot
@@ -32,11 +30,11 @@ var (
 	// ErrBroadcastUnsupported: the protocol runs on point-to-point links
 	// only and ignores Env.LocalBroadcast.
 	ErrBroadcastUnsupported = errors.New("runner: protocol does not support the local-broadcast medium")
-	// ErrObserveUnsupported: the protocol has no event stream to sample
-	// and ignores Env.Observe.
+	// ErrObserveUnsupported: the protocol returned no Report.Series under
+	// Env.Observe — it bypassed the substrate that samples every run.
 	ErrObserveUnsupported = errors.New("runner: protocol does not support time-series observation")
-	// ErrTraceUnsupported: the protocol has no event stream to trace and
-	// ignores Env.Trace.
+	// ErrTraceUnsupported: the protocol returned no Report.Trace under
+	// Env.Trace — it bypassed the substrate that records every run.
 	ErrTraceUnsupported = errors.New("runner: protocol does not support causal tracing")
 )
 
@@ -63,8 +61,6 @@ var capabilityAxes = []struct {
 	{"Faults", func(e Env) bool { return e.Faults != nil }, func(c Capabilities) bool { return c.Faults }, ErrFaultsUnsupported},
 	{"Byzantine", func(e Env) bool { return e.Byzantine != nil }, func(c Capabilities) bool { return c.Byzantine }, ErrByzantineUnsupported},
 	{"LocalBroadcast", func(e Env) bool { return e.LocalBroadcast }, func(c Capabilities) bool { return c.Broadcast }, ErrBroadcastUnsupported},
-	{"Observe", func(e Env) bool { return e.Observe != nil }, func(c Capabilities) bool { return c.Observe }, ErrObserveUnsupported},
-	{"Trace", func(e Env) bool { return e.Trace != nil }, func(c Capabilities) bool { return c.Trace }, ErrTraceUnsupported},
 }
 
 // CheckCapabilities returns a typed rejection (wrapping one of the

@@ -18,46 +18,56 @@ type idleSyncNode struct{}
 
 func (idleSyncNode) Round(synchronizer.NodeContext, int, []synchronizer.Message) {}
 
-// bareProtocol declares no capability. No registered protocol refuses
-// observe or trace any more, but the axes still guard implementations from
-// outside the registry.
-type bareProtocol struct{ t *testing.T }
+// bareProtocol declares no capability and bypasses the run substrate: its
+// Run returns an empty Report. No registered protocol does either, but the
+// checks still guard implementations from outside the registry.
+type bareProtocol struct{ reached *bool }
 
 func (bareProtocol) Name() string { return "bare" }
 
 func (p bareProtocol) Run(runner.Env) (runner.Report, error) {
-	p.t.Error("Run reached a protocol that declares none of the axes the env uses")
+	*p.reached = true
 	return runner.Report{}, nil
 }
 
 // TestUndeclaredAxesAreRefused: every optional axis is refused, with its
-// typed error, for a protocol that declares none.
+// typed error, for a protocol that declares none and bypasses the
+// substrate. The declared axes are refused before the protocol runs;
+// observe and trace are the substrate's, so they are refused on the empty
+// report the protocol returns.
 func TestUndeclaredAxesAreRefused(t *testing.T) {
 	base := runner.Env{N: 4, Seed: 1}
 	for _, tc := range []struct {
-		set  func(*runner.Env)
-		want error
+		set     func(*runner.Env)
+		want    error
+		reached bool
 	}{
-		{func(e *runner.Env) { e.Faults = &faults.Plan{Loss: 0.1} }, runner.ErrFaultsUnsupported},
-		{func(e *runner.Env) { e.Byzantine = byzantine.Equivocators(1) }, runner.ErrByzantineUnsupported},
-		{func(e *runner.Env) { e.LocalBroadcast = true }, runner.ErrBroadcastUnsupported},
-		{func(e *runner.Env) { e.Observe = &probe.Config{EveryEvents: 1} }, runner.ErrObserveUnsupported},
-		{func(e *runner.Env) { e.Trace = &trace.Config{} }, runner.ErrTraceUnsupported},
+		{func(e *runner.Env) { e.Faults = &faults.Plan{Loss: 0.1} }, runner.ErrFaultsUnsupported, false},
+		{func(e *runner.Env) { e.Byzantine = byzantine.Equivocators(1) }, runner.ErrByzantineUnsupported, false},
+		{func(e *runner.Env) { e.LocalBroadcast = true }, runner.ErrBroadcastUnsupported, false},
+		{func(e *runner.Env) { e.Observe = &probe.Config{EveryEvents: 1} }, runner.ErrObserveUnsupported, true},
+		{func(e *runner.Env) { e.Trace = &trace.Config{} }, runner.ErrTraceUnsupported, true},
 	} {
 		env := base
 		tc.set(&env)
-		if _, err := runner.Run(env, bareProtocol{t}); !errors.Is(err, tc.want) {
+		var reached bool
+		if _, err := runner.Run(env, bareProtocol{&reached}); !errors.Is(err, tc.want) {
 			t.Errorf("Run = %v, want %v", err, tc.want)
+		}
+		if reached != tc.reached {
+			t.Errorf("%v: protocol's Run reached = %v, want %v", tc.want, reached, tc.reached)
 		}
 	}
 }
 
-// TestCapabilityDoorsAgree is the one table over every optional Env axis ×
-// every registered protocol (plus the unregistered Synchronized): whether
-// Run accepts the axis or rejects it with the axis's typed error, what the
-// registry metadata's supports_* flag says, and what spec.Validate decides
-// at decode time must all be the same answer — they are derived from the
-// protocol's one capability declaration, and this test keeps it so.
+// TestCapabilityDoorsAgree is the one table over every declared capability
+// axis × every registered protocol (plus the unregistered Synchronized):
+// whether Run accepts the axis or rejects it with the axis's typed error,
+// what the registry metadata's supports_* flag says, and what spec.Validate
+// decides at decode time must all be the same answer — they are derived
+// from the protocol's one capability declaration, and this test keeps it
+// so. Observe and trace are no axes but the substrate's: both doors accept
+// them for every protocol.
 func TestCapabilityDoorsAgree(t *testing.T) {
 	axes := []struct {
 		name     string
@@ -72,9 +82,9 @@ func TestCapabilityDoorsAgree(t *testing.T) {
 		{"local-broadcast", spec.EnvSpec{LocalBroadcast: true},
 			runner.ErrBroadcastUnsupported, func(i runner.Info) bool { return i.SupportsBroadcast }},
 		{"observe", spec.EnvSpec{Observe: &probe.Config{EveryEvents: 1}},
-			runner.ErrObserveUnsupported, func(i runner.Info) bool { return i.SupportsObserve }},
+			runner.ErrObserveUnsupported, func(runner.Info) bool { return true }},
 		{"trace", spec.EnvSpec{Trace: &trace.Config{}},
-			runner.ErrTraceUnsupported, func(i runner.Info) bool { return i.SupportsTrace }},
+			runner.ErrTraceUnsupported, func(runner.Info) bool { return true }},
 	}
 	for _, axis := range axes {
 		envSpec := axis.env

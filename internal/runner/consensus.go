@@ -35,7 +35,7 @@ type BenOr struct {
 func (BenOr) Name() string { return "ben-or" }
 
 func (BenOr) capabilities() Capabilities {
-	return Capabilities{Faults: true, Byzantine: true, Broadcast: true, Observe: true, Trace: true}
+	return Capabilities{Faults: true, Byzantine: true, Broadcast: true}
 }
 
 func (BenOr) extra() any { return ConsensusExtra{} }

@@ -12,23 +12,15 @@ import (
 	"abenet/internal/trace"
 )
 
-// TestObserveMetadataMatchesEngines runs every registered protocol under an
-// observe config: each must either honour it (metadata says capable) or
-// reject it with the typed sentinel — never silently drop the request.
+// TestObserveMetadataMatchesEngines: observation is the substrate's, so
+// every registered protocol returns a series under an observe config.
 func TestObserveMetadataMatchesEngines(t *testing.T) {
 	for _, name := range Protocols() {
-		info, _ := ProtocolInfo(name)
 		p, _ := NewInstance(name)
 		env := Env{N: 4, Seed: 1, Horizon: 2000,
 			Observe: &probe.Config{EveryEvents: 2}}
-		rep, err := Run(env, p)
-		switch {
-		case info.SupportsObserve && err != nil:
-			t.Errorf("%s: metadata says observe supported, Run failed: %v", name, err)
-		case info.SupportsObserve && rep.Series == nil:
-			t.Errorf("%s: metadata says observe supported, report carries no series", name)
-		case !info.SupportsObserve && !errors.Is(err, ErrObserveUnsupported):
-			t.Errorf("%s: metadata says no observe support, Run = %v, want ErrObserveUnsupported", name, err)
+		if rep, err := Run(env, p); err != nil || rep.Series == nil {
+			t.Errorf("%s: Run = %v with series %v, want a series", name, err, rep.Series)
 		}
 	}
 }
@@ -42,16 +34,14 @@ type identityRow struct {
 }
 
 // identityRows lists the runs both identity tables cover: every registered
-// protocol declaring the capability, with default options on the default
-// ring, plus synchronized-election under each synchronizer kind on a
-// bidirectional ring (α, β and γ reject the unidirectional default).
-func identityRows(supports func(Info) bool) []identityRow {
+// protocol, with default options on the default ring, plus
+// synchronized-election under each synchronizer kind on a bidirectional
+// ring (α, β and γ reject the unidirectional default).
+func identityRows() []identityRow {
 	var rows []identityRow
-	for _, info := range Infos() {
-		if supports(info) {
-			p, _ := NewInstance(info.Name)
-			rows = append(rows, identityRow{info.Name, Env{N: 5, Seed: 7, Horizon: 5000}, p})
-		}
+	for _, name := range Protocols() {
+		p, _ := NewInstance(name)
+		rows = append(rows, identityRow{name, Env{N: 5, Seed: 7, Horizon: 5000}, p})
 	}
 	for _, kind := range []synchronizer.Kind{synchronizer.KindRound, synchronizer.KindAlpha, synchronizer.KindBeta, synchronizer.KindGamma} {
 		rows = append(rows, identityRow{
@@ -67,10 +57,10 @@ func identityRows(supports func(Info) bool) []identityRow {
 // the collector reads off the kernel's post-event hook and never schedules,
 // so an observed run must be byte-identical to an unobserved one at the
 // same (Env, seed) — same report, same metrics, same full message trace —
-// for every observe-capable protocol, at an aggressive cadence (a sample
-// after every single event).
+// for every protocol, at an aggressive cadence (a sample after every single
+// event).
 func TestObservedRunByteIdentical(t *testing.T) {
-	for _, row := range identityRows(func(i Info) bool { return i.SupportsObserve }) {
+	for _, row := range identityRows() {
 		name := row.name
 		execute := func(obs *probe.Config) (Report, *trace.Export) {
 			rec := trace.NewRecorder(0)

@@ -41,7 +41,7 @@ type Election struct {
 func (Election) Name() string { return "election" }
 
 func (Election) capabilities() Capabilities {
-	return Capabilities{Faults: true, Observe: true, Trace: true}
+	return Capabilities{Faults: true}
 }
 
 func (Election) extra() any { return ElectionExtra{} }
@@ -190,8 +190,6 @@ type ItaiRodehSync struct {
 // Name implements Protocol.
 func (ItaiRodehSync) Name() string { return "itai-rodeh-sync" }
 
-func (ItaiRodehSync) capabilities() Capabilities { return Capabilities{Observe: true, Trace: true} }
-
 // Run implements Protocol.
 func (p ItaiRodehSync) Run(env Env) (Report, error) {
 	graph, nodes, err := itaiRodehSyncNodes(env, p.Q)
@@ -333,7 +331,7 @@ type ItaiRodehAsync struct{}
 func (ItaiRodehAsync) Name() string { return "itai-rodeh-async" }
 
 func (ItaiRodehAsync) capabilities() Capabilities {
-	return Capabilities{Faults: true, Observe: true, Trace: true}
+	return Capabilities{Faults: true}
 }
 
 // Run implements Protocol.
@@ -358,7 +356,7 @@ type ChangRoberts struct {
 func (ChangRoberts) Name() string { return "chang-roberts" }
 
 func (ChangRoberts) capabilities() Capabilities {
-	return Capabilities{Faults: true, Observe: true, Trace: true}
+	return Capabilities{Faults: true}
 }
 
 // Run implements Protocol.
@@ -374,7 +372,10 @@ func (p ChangRoberts) Run(env Env) (Report, error) {
 
 // Peterson is Peterson's deterministic O(n log n) election for
 // asynchronous unidirectional rings with unique identities and FIFO
-// channels. Env.Links, when set, must preserve per-link FIFO order.
+// channels. Env.Links, when set, must preserve per-link FIFO order. It
+// refuses Env.Faults: its step protocol requires reliable FIFO channels and
+// panics on the gaps and overtakes every fault axis produces, so a plan
+// would report a crash as a measurement.
 type Peterson struct {
 	// Arrangement selects the identity layout; 0 means random.
 	Arrangement election.ChangRobertsArrangement
@@ -382,13 +383,6 @@ type Peterson struct {
 
 // Name implements Protocol.
 func (Peterson) Name() string { return "peterson" }
-
-// Peterson declares no fault support: its step protocol requires reliable
-// FIFO channels and panics on the gaps and overtakes every fault axis
-// produces, so a plan would report a crash as a measurement.
-func (Peterson) capabilities() Capabilities {
-	return Capabilities{Observe: true, Trace: true}
-}
 
 // Run implements Protocol.
 func (p Peterson) Run(env Env) (Report, error) {
@@ -435,7 +429,9 @@ func runSynchronizer(env Env, graph *topology.Graph, sync *synchronizer.Synchron
 
 // Synchronized executes an arbitrary synchronous protocol over the
 // asynchronous ABE environment via a message-driven synchronizer — the
-// machinery behind Theorem 1's n-messages-per-round cost. Extra: SyncExtra.
+// machinery behind Theorem 1's n-messages-per-round cost. It refuses
+// Env.Faults: the synchronizers assume reliable delivery, and a lost
+// envelope stalls every round after it. Extra: SyncExtra.
 type Synchronized struct {
 	// Kind selects the synchronizer; 0 means the round synchronizer.
 	Kind synchronizer.Kind
@@ -450,12 +446,6 @@ type Synchronized struct {
 
 // Name implements Protocol.
 func (Synchronized) Name() string { return "synchronized" }
-
-// The synchronizers declare no fault axis: they assume reliable delivery,
-// and a lost envelope stalls every round after it.
-func (Synchronized) capabilities() Capabilities {
-	return Capabilities{Observe: true, Trace: true}
-}
 
 func (Synchronized) extra() any { return SyncExtra{} }
 
@@ -519,8 +509,6 @@ type SynchronizedElection struct {
 // Name implements Protocol.
 func (SynchronizedElection) Name() string { return "synchronized-election" }
 
-func (SynchronizedElection) capabilities() Capabilities { return Synchronized{}.capabilities() }
-
 func (SynchronizedElection) extra() any { return Synchronized{}.extra() }
 
 // Run implements Protocol.
@@ -556,10 +544,6 @@ type ClockSync struct {
 
 // Name implements Protocol.
 func (ClockSync) Name() string { return "clock-sync" }
-
-func (ClockSync) capabilities() Capabilities {
-	return Capabilities{Observe: true, Trace: true}
-}
 
 func (ClockSync) extra() any { return ClockSyncExtra{} }
 

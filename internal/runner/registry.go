@@ -76,16 +76,10 @@ type Info struct {
 	// SupportsBroadcast reports whether the protocol can run on the
 	// local-broadcast medium (Env.LocalBroadcast).
 	SupportsBroadcast bool `json:"supports_broadcast"`
-	// SupportsObserve reports whether the protocol honours Env.Observe
-	// (time-series sampling).
-	SupportsObserve bool `json:"supports_observe"`
-	// SupportsTrace reports whether the protocol honours Env.Trace
-	// (causal event tracing).
-	SupportsTrace bool `json:"supports_trace"`
 	// Deterministic is always true: every registered protocol is a pure
 	// function of (Env, seed). The field survives only because the frozen
 	// benchmark/serve.go still reads it; it goes in the PR allowed to edit
-	// benchmark/ (ROADMAP item 1).
+	// benchmark/ (ROADMAP item 12(b)).
 	Deterministic bool `json:"deterministic"`
 }
 
@@ -116,8 +110,6 @@ func ProtocolInfo(name string) (Info, bool) {
 		SupportsFaults:    caps.Faults,
 		SupportsByzantine: caps.Byzantine,
 		SupportsBroadcast: caps.Broadcast,
-		SupportsObserve:   caps.Observe,
-		SupportsTrace:     caps.Trace,
 		Deterministic:     true,
 	}, true
 }

@@ -73,11 +73,13 @@ type Env struct {
 	Seed uint64
 	// Scheduler selects the kernel's event-queue implementation by name:
 	// sim.SchedulerHeap (the default 4-ary heap) or sim.SchedulerCalendar
-	// (a calendar queue with O(1) amortised operations, built for
-	// million-node runs). Empty means the heap. Every scheduler implements
-	// the same (time, seq) total order, so a run is byte-identical across
-	// choices — this is a performance knob, never a semantics knob, and it
-	// is therefore excluded from spec hashes.
+	// (a calendar queue with O(1) amortised operations). Empty means the
+	// heap. The calendar is slower than the heap on every measured
+	// workload (sim.calendar_over_heap > 1) and stays only because the
+	// frozen benchmark measures it. Every scheduler implements the same
+	// (time, seq) total order, so a run is byte-identical across choices —
+	// this is a performance knob, never a semantics knob, and it is
+	// therefore excluded from spec hashes.
 	Scheduler string
 	// Horizon bounds virtual time for every protocol; 0 means unbounded.
 	Horizon simtime.Time
@@ -119,25 +121,26 @@ type Env struct {
 	// Observe optionally samples a named time series during the run (see
 	// internal/probe): network gauges plus per-protocol gauges, collected
 	// off the kernel's post-event hook so the run stays byte-identical to
-	// an unobserved one. Honoured by the protocols whose Info reports
-	// supports_observe; every other protocol rejects a non-nil config with
-	// ErrObserveUnsupported. The collected series lands in Report.Series
-	// and never changes any other Report field.
+	// an unobserved one. The run substrate installs the collector for every
+	// protocol; Run fails with ErrObserveUnsupported if a protocol returns
+	// no series anyway. The collected series lands in Report.Series and
+	// never changes any other Report field.
 	Observe *probe.Config
 	// Trace optionally records a causal event trace of the run (see
 	// internal/trace): every send, delivery, timer and the terminal
 	// decision gets a stable ID, a Lamport clock and an exact
 	// happens-before parent, capped at Trace.MaxEvents with counted
-	// truncation. Honoured by the protocols whose Info reports
-	// supports_trace; every other protocol rejects a non-nil config with
-	// ErrTraceUnsupported. The exported trace lands in Report.Trace and —
-	// like Series — never changes any other Report field: a traced run is
+	// truncation. The run substrate installs the recorder for every
+	// protocol; Run fails with ErrTraceUnsupported if a protocol returns no
+	// trace anyway. The exported trace lands in Report.Trace and — like
+	// Series — never changes any other Report field: a traced run is
 	// byte-identical to an untraced one.
 	Trace *trace.Config
 
-	// tracer is how Run hands Trace's recorder to the substrate (the
-	// Env → network.Config mapping): the one way to ask for a trace is
-	// Trace, so this stays unexported.
+	// tracer is a test seam: a tracer the substrate attaches to the network
+	// when Trace is nil, so the tracer overhead gate can run a null tracer
+	// and the identity tests their own recorder. The one way to ask for a
+	// trace is Trace, so this stays unexported.
 	tracer network.Tracer
 }
 
@@ -298,7 +301,10 @@ type Protocol interface {
 // tool and sweep goes through. The environment is checked by Env.Validate
 // and the protocol's capabilities by CheckCapabilities here, so every
 // protocol rejects an invalid or unsupported Env identically — and none can
-// silently ignore an axis it does not honour.
+// silently ignore an axis it does not honour. Observe and trace are the
+// substrate's, so they are checked on the result instead: a protocol that
+// returns no Series or no Trace for them is refused, not silently
+// unobserved.
 func Run(env Env, p Protocol) (Report, error) {
 	if p == nil {
 		return Report{}, errors.New("runner: nil protocol")
@@ -309,18 +315,16 @@ func Run(env Env, p Protocol) (Report, error) {
 	if err := CheckCapabilities(env, p); err != nil {
 		return Report{}, err
 	}
-	var rec *trace.Recorder
-	if env.Trace != nil {
-		rec = trace.NewRecorder(env.Trace.MaxEvents)
-		env.tracer = rec
-	}
 	rep, err := p.Run(env)
 	if err != nil {
 		return Report{}, err
 	}
-	rep.Protocol = p.Name()
-	if rec != nil {
-		rep.Trace = rec.Export()
+	if env.Observe != nil && rep.Series == nil {
+		return Report{}, fmt.Errorf("%w: %q returned no series for Env.Observe", ErrObserveUnsupported, p.Name())
 	}
+	if env.Trace != nil && rep.Trace == nil {
+		return Report{}, fmt.Errorf("%w: %q returned no trace for Env.Trace", ErrTraceUnsupported, p.Name())
+	}
+	rep.Protocol = p.Name()
 	return rep, nil
 }

@@ -10,12 +10,15 @@ import (
 	"abenet/internal/probe"
 	"abenet/internal/simtime"
 	"abenet/internal/topology"
+	"abenet/internal/trace"
 )
 
 // The run substrate: the one place an Env becomes a network.Config, and the
 // one routine that builds, observes, runs and harvests a kernel-backed
 // network — every such protocol, the synchronizer-backed ones included,
 // supplies nodes to runNetwork, and CI fails on a second network.New caller.
+// Observing and tracing a run are properties of the network, not of the
+// algorithm, so runNetwork installs and harvests both for every protocol.
 // Adding an Env capability that reaches the network means adding the Env
 // field, one line in networkConfig, and the network.Config field it feeds —
 // no protocol changes.
@@ -92,8 +95,8 @@ func sendPortAt(ports []int, i int) int {
 
 // netProtocol is what an event-driven protocol contributes to a run on the
 // substrate. Everything else — topology and link defaults, bounds, network
-// construction, the probe collector, the common Report fields — is
-// runNetwork's.
+// construction, the probe collector, the trace recorder, the common Report
+// fields — is runNetwork's.
 type netProtocol struct {
 	// graph, when set, replaces the env's topology default (ben-or needs a
 	// complete graph where a bare N otherwise means a ring).
@@ -119,9 +122,9 @@ type netProtocol struct {
 }
 
 // runNetwork executes p on env: it resolves the topology, maps the
-// environment onto the network, installs the probe collector, runs to the
-// env's bounds and harvests the Report fields every kernel-backed run
-// shares before handing the report to p.collect.
+// environment onto the network, installs the probe collector and the trace
+// recorder, runs to the env's bounds and harvests the Report fields every
+// kernel-backed run shares before handing the report to p.collect.
 func runNetwork(env Env, p netProtocol) (Report, error) {
 	graph, ports := p.graph, []int(nil)
 	var err error
@@ -136,6 +139,11 @@ func runNetwork(env Env, p netProtocol) (Report, error) {
 	}
 	cfg := env.networkConfig(graph, p.links)
 	cfg.Anonymous = p.anonymous
+	var rec *trace.Recorder
+	if env.Trace != nil {
+		rec = trace.NewRecorder(env.Trace.MaxEvents)
+		cfg.Tracer = rec
+	}
 
 	var buildErr error
 	net, err := network.New(cfg, func(i int) network.Node {
@@ -182,6 +190,9 @@ func runNetwork(env Env, p netProtocol) (Report, error) {
 	}
 	if err := p.collect(&rep); err != nil {
 		return Report{}, err
+	}
+	if rec != nil {
+		rep.Trace = rec.Export()
 	}
 	return rep, nil
 }

@@ -143,6 +143,63 @@ func TestSynchronizedRecordsTraceAndSeries(t *testing.T) {
 	}
 }
 
+// pingNode sends once on every out-port at time zero and ignores what it
+// receives.
+type pingNode struct{}
+
+func (pingNode) Init(ctx *network.Context) {
+	for port := 0; port < ctx.OutDegree(); port++ {
+		ctx.Send(port, port)
+	}
+}
+func (pingNode) OnMessage(*network.Context, int, any) {}
+func (pingNode) OnTimer(*network.Context, int)        {}
+
+// substrateOnly declares no capability: its Run is a bare runNetwork over
+// pingNodes, with no gauges and nothing to collect.
+type substrateOnly struct{}
+
+func (substrateOnly) Name() string { return "substrate-only" }
+
+func (substrateOnly) Run(env Env) (Report, error) {
+	return runNetwork(env, netProtocol{
+		links:    channel.RandomDelayFactory,
+		makeNode: func(int, int) (network.Node, error) { return pingNode{}, nil },
+		collect:  func(*Report) error { return nil },
+	})
+}
+
+// TestSubstrateObservesAndTraces: observing and tracing are the
+// substrate's, so a protocol that declares nothing and only supplies nodes
+// to runNetwork is observed and traced, and its report is otherwise the
+// plain run's.
+func TestSubstrateObservesAndTraces(t *testing.T) {
+	run := func(obs *probe.Config, tc *trace.Config) Report {
+		t.Helper()
+		rep, err := Run(Env{N: 5, Seed: 3, Observe: obs, Trace: tc}, substrateOnly{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	plain := run(nil, nil)
+	observed := run(&probe.Config{EveryEvents: 1}, nil)
+	traced := run(nil, &trace.Config{})
+	if observed.Series == nil || len(observed.Series.Samples) == 0 {
+		t.Fatalf("observed run carries no series: %+v", observed.Series)
+	}
+	if traced.Trace == nil || len(traced.Trace.Events) == 0 {
+		t.Fatalf("traced run carries no trace: %+v", traced.Trace)
+	}
+	observed.Series, traced.Trace = nil, nil
+	if !reflect.DeepEqual(plain, observed) {
+		t.Errorf("observed report differs from plain:\n  %+v\n  %+v", plain, observed)
+	}
+	if !reflect.DeepEqual(plain, traced) {
+		t.Errorf("traced report differs from plain:\n  %+v\n  %+v", plain, traced)
+	}
+}
+
 // TestSynchronizerProtocolsHonourEnvBounds pins that the three protocols
 // running a synchronizer over the ABE kernel take Processing, Horizon and
 // MaxEvents from the environment like every other kernel-backed protocol:

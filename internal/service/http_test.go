@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -148,12 +149,37 @@ func TestHTTPErrorsAndMetadata(t *testing.T) {
 			} `json:"options"`
 		} `json:"protocols"`
 	}
-	if err := json.NewDecoder(resp3.Body).Decode(&meta); err != nil {
+	body, err := io.ReadAll(resp3.Body)
+	resp3.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp3.Body.Close()
+	if err := json.Unmarshal(body, &meta); err != nil {
+		t.Fatal(err)
+	}
 	if len(meta.Protocols) == 0 {
 		t.Fatal("no protocols listed")
+	}
+	// The response shape: the three capability axes a protocol can refuse,
+	// and no observe or trace flag — those are the run substrate's, honoured
+	// for every protocol. Decoded untyped, so an absent key shows.
+	var shape struct {
+		Protocols []map[string]any `json:"protocols"`
+	}
+	if err := json.Unmarshal(body, &shape); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range shape.Protocols {
+		for _, key := range []string{"supports_faults", "supports_byzantine", "supports_broadcast"} {
+			if _, ok := p[key].(bool); !ok {
+				t.Errorf("%v: %q = %v, want a boolean", p["name"], key, p[key])
+			}
+		}
+		for _, key := range []string{"supports_observe", "supports_trace"} {
+			if v, ok := p[key]; ok {
+				t.Errorf("%v: carries %q = %v, want no such key", p["name"], key, v)
+			}
+		}
 	}
 	seen := map[string]bool{}
 	for _, p := range meta.Protocols {

@@ -109,22 +109,22 @@ type EnvSpec struct {
 	// reporting supports_broadcast accept it (currently ben-or).
 	LocalBroadcast bool `json:"local_broadcast,omitempty"`
 	// Observe samples a named time series during the run (see
-	// internal/probe); nil collects nothing. Only protocols reporting
-	// supports_observe accept it, and it does not combine with a sweep
-	// block (sweeps stream per-point completions instead). Excluded from
-	// Hash(): observation never changes a run's results — the probe reads
-	// off the kernel's post-event hook, and golden pins hold an observed
-	// run byte-identical to an unobserved one.
+	// internal/probe); nil collects nothing. Every protocol accepts it —
+	// the run substrate samples every run — but it does not combine with a
+	// sweep block (sweeps stream per-point completions instead). Excluded
+	// from Hash(): observation never changes a run's results — the probe
+	// reads off the kernel's post-event hook, and golden pins hold an
+	// observed run byte-identical to an unobserved one.
 	Observe *probe.Config `json:"observe,omitempty"`
 	// Trace records a causal event trace of the run (see internal/trace):
 	// stable event IDs, Lamport clocks and exact happens-before parent
 	// edges, exportable as Chrome trace-event JSON, JSONL or text. Nil
-	// records nothing. Only protocols reporting supports_trace accept it,
-	// and like Observe it does not combine with a sweep block. Excluded
-	// from Hash() for the same reason as Observe: tracing never changes a
-	// run's results — golden pins hold a traced run byte-identical to an
-	// untraced one — so the cache layer differentiates on (hash, seed,
-	// trace fingerprint) instead (see service.traceKey).
+	// records nothing. Every protocol accepts it, and like Observe it does
+	// not combine with a sweep block. Excluded from Hash() for the same
+	// reason as Observe: tracing never changes a run's results — golden
+	// pins hold a traced run byte-identical to an untraced one — so the
+	// cache layer differentiates on (hash, seed, trace fingerprint) instead
+	// (see service.traceKey).
 	Trace *trace.Config `json:"trace,omitempty"`
 }
 

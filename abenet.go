@@ -54,8 +54,9 @@
 // is a pure function of (Env, seed).
 //
 // The package also exposes the ABE model itself as machine-checkable
-// parameters (Params), an exhaustive bounded model checker for the
-// election's safety invariants (CheckElection), and a seeded experiment
+// parameters (Params), an exhaustive model checker for the election's
+// safety invariants and almost-sure termination on small rings
+// (CheckElection), and a seeded experiment
 // harness with confidence intervals and growth-exponent fits (Sweep,
 // GrowthExponent). The delay, clock and link models live in the
 // re-exported constructors (Exponential, Retransmission, UniformClocks,
@@ -382,8 +383,10 @@ type CheckOptions = check.Options
 // CheckReport is the exploration outcome.
 type CheckReport = check.Report
 
-// CheckElection exhaustively verifies the election protocol's safety
-// invariants on a small ring.
+// CheckElection explores the election protocol's whole reachable state
+// graph on a small ring, under every schedule and message interleaving,
+// and verifies its safety invariants and that a leader is reachable from
+// every state.
 func CheckElection(opts CheckOptions) (CheckReport, error) {
 	return check.CheckElection(opts)
 }

@@ -121,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.Float64Var(&c.obsInterval, "observe-interval", 0, "sample a time series every T virtual time units")
 	fs.IntVar(&c.obsMax, "observe-max", 0, "cap on stored samples (0 = 100000)")
 	fs.StringVar(&c.obsCSV, "observe-csv", "", "write the sampled series as CSV to FILE (\"-\" = stdout)")
-	fs.BoolVar(&c.check, "check", false, "also model-check the election exhaustively at this size (-proto election on the default ring, n <= 5)")
+	fs.BoolVar(&c.check, "check", false, "also model-check the election exhaustively at this size (-proto election on the default ring, n <= 6)")
 	fs.StringVar(&c.sizes, "sizes", "", "sweep the scenario over these comma-separated ring sizes instead of one run")
 	fs.IntVar(&c.reps, "reps", 0, "with -sizes: seeded repetitions per size (0 = 100)")
 	fs.StringVar(&c.specPath, "spec", "", "run a declarative scenario file instead of compiling one from flags")
@@ -329,8 +329,8 @@ func (c *cli) fromFlags() (*spec.Spec, error) {
 	}
 	// -check explores the ABE election's state space on the unidirectional
 	// ring: under any other run it would verify a protocol that did not run.
-	if c.check && (c.proto != "election" || c.topo != "ring" || c.n > 5) {
-		return nil, fmt.Errorf("-check model-checks the ABE election on the default ring at n <= 5; got -proto %s -topo %s -n %d", c.proto, c.topo, c.n)
+	if c.check && (c.proto != "election" || c.topo != "ring" || c.n > 6) {
+		return nil, fmt.Errorf("-check model-checks the ABE election on the default ring at n <= 6; got -proto %s -topo %s -n %d", c.proto, c.topo, c.n)
 	}
 	var err error
 	s.Protocol, err = spec.ForProtocol(protocol)
@@ -472,7 +472,7 @@ func (c *cli) runOne(s *spec.Spec, hash string) error {
 	printReport(c.stdout, rep, label, size)
 	c.printTraceSummary(exp)
 	if check != nil {
-		verdict := "SAFE (exhaustive within 2 activations/node)"
+		verdict := "SAFE (every reachable state, a leader reachable from each)"
 		if !check.OK() {
 			verdict = fmt.Sprintf("%d VIOLATIONS", len(check.Violations))
 		}

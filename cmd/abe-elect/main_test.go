@@ -133,7 +133,7 @@ func TestRejectedNotDropped(t *testing.T) {
 		// Flags the chosen run does not read.
 		{"-proto peterson -n 4 -check", "-check model-checks the ABE election"},
 		{"-topo biring -n 4 -check", "-check model-checks the ABE election"},
-		{"-n 6 -check", "-check model-checks the ABE election"},
+		{"-n 7 -check", "-check model-checks the ABE election"},
 		{"-sizes 4,5 -check", "-sizes sweeps the ring size"},
 		{"-sizes 8,16 -n 8", "-sizes sweeps the ring size"},
 		{"-proto chang-roberts -a0 0.5", "-a0 cannot be combined with -proto chang-roberts"},

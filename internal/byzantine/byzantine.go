@@ -14,9 +14,9 @@
 // function of (environment, plan, seed), and a nil *Plan disables the
 // subsystem entirely — the run is byte-identical to an adversary-free build.
 //
-// The roles are chosen to probe the two papers behind ROADMAP item 3:
-// Danezis et al. ("Byzantine Consensus in the Random Asynchronous Model")
-// on how probabilistic delivery changes tolerance bounds, and Khan & Vaidya
+// The roles are chosen to probe two papers: Danezis et al. ("Byzantine
+// Consensus in the Random Asynchronous Model") on how probabilistic
+// delivery changes tolerance bounds, and Khan & Vaidya
 // ("Asynchronous Byzantine Consensus under the Local Broadcast Model"),
 // whose local-broadcast medium makes equivocation physically impossible —
 // under a local-broadcast network an Equivocate role degrades to consistent

@@ -12,11 +12,14 @@
 //	V2  every in-flight hop counter is in {1..n} and every d(A) ≤ n;
 //	V3  the nodes are never all passive (no knockout deadlock);
 //	V4  when a leader exists, every other node is passive;
-//	V5  no reachable state other than budget-cut artifacts is stuck
-//	    without a leader.
+//	V5  from every reachable sound state (one that passes V1..V4), a
+//	    leader state is reachable.
 //
-// The state space is made finite by bounding the number of activations per
-// node; within that bound the exploration is exhaustive. The transition
+// The reachable state graph is finite, and the exploration covers all of
+// it. Every enabled transition has positive
+// probability in the ABE model, so on this finite graph V5 is termination
+// with probability 1; it also rules out every dead end without a leader.
+// V5 is one backward pass over the explored graph. The transition
 // relation here is written directly from the paper's Section 3 text,
 // independently of internal/core's simulator implementation, so agreement
 // between the two is evidence against transcription bugs in either.
@@ -24,6 +27,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -40,12 +44,12 @@ const (
 type Options struct {
 	// N is the ring size (2..6 is practical).
 	N int
-	// MaxActivationsPerNode bounds how often each node may wake up;
-	// 0 means 2. Larger bounds explore deeper reactivation behaviour at
-	// exponential cost.
-	MaxActivationsPerNode int
 	// MaxStates aborts the exploration if exceeded; 0 means 5e6.
 	MaxStates int
+
+	// deliver replaces the receive rule, so tests can check the checker
+	// on mutants; nil means deliver.
+	deliver func(st *state, i, hop, n int)
 }
 
 // Violation is one invariant breach, with a human-readable witness trace.
@@ -64,18 +68,14 @@ type Report struct {
 	StatesExplored int
 	// Truncated reports whether MaxStates cut the exploration short.
 	Truncated bool
-	// LeaderStates counts states in which a leader exists.
+	// LeaderStates counts sound states in which a leader exists.
 	LeaderStates int
-	// CutStates counts stuck states that exist only because of the
-	// activation budget (all non-passive nodes idle with spent budgets,
-	// no messages) — artifacts, not protocol deadlocks.
-	CutStates int
-	// Violations lists every invariant breach found (empty = verified
-	// within the bound).
+	// Violations lists every invariant breach found (empty = verified).
 	Violations []Violation
 }
 
-// OK reports whether the exploration finished without violations.
+// OK reports whether the exploration finished without violations. A
+// truncated exploration skips V5 and is never OK.
 func (r Report) OK() bool { return len(r.Violations) == 0 && !r.Truncated }
 
 // state is one global protocol configuration.
@@ -86,7 +86,6 @@ type state struct {
 type nodeState struct {
 	st    byte
 	d     int
-	used  int   // activations consumed
 	inbox []int // multiset of in-flight hop counters addressed to this node, sorted
 }
 
@@ -95,7 +94,7 @@ func (s *state) key() string {
 	buf := make([]byte, 0, len(s.nodes)*6)
 	for i := range s.nodes {
 		ns := &s.nodes[i]
-		buf = append(buf, ns.st, byte(ns.d), byte(ns.used), byte(len(ns.inbox)))
+		buf = append(buf, ns.st, byte(ns.d), byte(len(ns.inbox)))
 		for _, h := range ns.inbox {
 			buf = append(buf, byte(h))
 		}
@@ -132,19 +131,19 @@ func (s *state) removeMsg(i, hop int) {
 }
 
 // CheckElection exhaustively explores the election protocol on a ring of
-// size opts.N and reports every invariant violation reachable within the
-// activation budget.
+// size opts.N and reports every invariant violation in its reachable state
+// graph.
 func CheckElection(opts Options) (Report, error) {
 	if opts.N < 2 {
 		return Report{}, fmt.Errorf("check: ring size %d must be at least 2", opts.N)
 	}
-	budget := opts.MaxActivationsPerNode
-	if budget == 0 {
-		budget = 2
-	}
 	maxStates := opts.MaxStates
 	if maxStates == 0 {
 		maxStates = 5_000_000
+	}
+	receive := opts.deliver
+	if receive == nil {
+		receive = deliver
 	}
 	n := opts.N
 
@@ -153,45 +152,42 @@ func CheckElection(opts Options) (Report, error) {
 		initial.nodes[i] = nodeState{st: idle, d: 1}
 	}
 
-	type entry struct {
-		s      *state
-		parent string // key of predecessor
+	// vertex is one reachable state, indexed in discovery order. Its state
+	// itself is dropped once expanded; the graph keeps only what the
+	// witness traces and the V5 pass read.
+	type vertex struct {
+		parent int // predecessor on a shortest path; -1 for the initial state
 		action string
+		preds  []int // every state with a transition into this one
+		sound  bool  // passed V1..V4 (and so was expanded)
+		leader bool  // sound, with a leader
 	}
-	visited := map[string]entry{}
-	queue := []*state{initial}
-	visited[initial.key()] = entry{s: initial}
+	index := map[string]int{initial.key(): 0}
+	graph := []vertex{{parent: -1}}
+	pending := []*state{initial} // pending[id] is graph[id]'s state until it is expanded
 
 	var report Report
 
-	traceOf := func(k string) []string {
-		var rev []string
-		for k != "" {
-			e := visited[k]
-			if e.action == "" {
-				break
-			}
-			rev = append(rev, e.action)
-			k = e.parent
+	traceOf := func(id int) []string {
+		var trace []string
+		for ; graph[id].parent >= 0; id = graph[id].parent {
+			trace = append(trace, graph[id].action)
 		}
-		trace := make([]string, 0, len(rev))
-		for i := len(rev) - 1; i >= 0; i-- {
-			trace = append(trace, rev[i])
-		}
+		slices.Reverse(trace)
 		return trace
 	}
 
-	violate := func(k, kind, detail string) {
+	violate := func(id int, kind, detail string) {
 		report.Violations = append(report.Violations, Violation{
 			Kind:   kind,
 			Detail: detail,
-			Trace:  traceOf(k),
+			Trace:  traceOf(id),
 		})
 	}
 
 	// checkInvariants validates a state; returns false on violation so the
 	// exploration can skip expanding broken states.
-	checkInvariants := func(s *state, k string) bool {
+	checkInvariants := func(s *state, id int) bool {
 		ok := true
 		leaders, passives := 0, 0
 		for i := range s.nodes {
@@ -203,79 +199,75 @@ func CheckElection(opts Options) (Report, error) {
 				passives++
 			}
 			if ns.d < 1 || ns.d > n {
-				violate(k, "V2", fmt.Sprintf("node %d has d=%d", i, ns.d))
+				violate(id, "V2", fmt.Sprintf("node %d has d=%d", i, ns.d))
 				ok = false
 			}
 			for _, h := range ns.inbox {
 				if h < 1 || h > n {
-					violate(k, "V2", fmt.Sprintf("message to node %d carries hop %d", i, h))
+					violate(id, "V2", fmt.Sprintf("message to node %d carries hop %d", i, h))
 					ok = false
 				}
 			}
 		}
 		if leaders > 1 {
-			violate(k, "V1", fmt.Sprintf("%d leaders", leaders))
+			violate(id, "V1", fmt.Sprintf("%d leaders", leaders))
 			ok = false
 		}
 		if passives == n {
-			violate(k, "V3", "all nodes passive")
+			violate(id, "V3", "all nodes passive")
 			ok = false
 		}
 		if leaders == 1 && passives != n-1 {
-			violate(k, "V4", fmt.Sprintf("leader coexists with %d non-passive nodes", n-1-passives))
+			violate(id, "V4", fmt.Sprintf("leader coexists with %d non-passive nodes", n-1-passives))
 			ok = false
 		}
 		return ok
 	}
 
-	push := func(next *state, parentKey, action string) {
+	push := func(next *state, from int, action string) {
 		k := next.key()
-		if _, seen := visited[k]; seen {
-			return
+		id, seen := index[k]
+		if !seen {
+			id = len(graph)
+			index[k] = id
+			graph = append(graph, vertex{parent: from, action: action})
+			pending = append(pending, next)
 		}
-		visited[k] = entry{s: next, parent: parentKey, action: action}
-		queue = append(queue, next)
+		graph[id].preds = append(graph[id].preds, from)
 	}
 
-	for len(queue) > 0 {
+	for id := 0; id < len(graph); id++ {
 		if report.StatesExplored >= maxStates {
 			report.Truncated = true
-			break
+			return report, nil
 		}
-		s := queue[0]
-		queue = queue[1:]
-		k := s.key()
+		s := pending[id]
+		pending[id] = nil
 		report.StatesExplored++
 
-		if !checkInvariants(s, k) {
+		if !checkInvariants(s, id) {
 			continue
 		}
-
-		hasLeader := false
+		graph[id].sound = true
 		for i := range s.nodes {
 			if s.nodes[i].st == leader {
-				hasLeader = true
+				graph[id].leader = true
 			}
 		}
-		if hasLeader {
+		if graph[id].leader {
 			report.LeaderStates++
 		}
-
-		transitions := 0
 
 		// Activation transitions: the support of the probabilistic
 		// wake-up rule is "any idle node may activate at any tick".
 		for i := range s.nodes {
-			ns := &s.nodes[i]
-			if ns.st != idle || ns.used >= budget {
+			if s.nodes[i].st != idle {
 				continue
 			}
 			next := s.clone()
 			next.nodes[i].st = active
-			next.nodes[i].used++
 			next.addMsg((i+1)%n, 1)
-			push(next, k, fmt.Sprintf("activate(%d)", i))
-			transitions++
+			push(next, id, fmt.Sprintf("activate(%d)", i))
 		}
 
 		// Delivery transitions: any in-flight message, in any order.
@@ -288,29 +280,35 @@ func CheckElection(opts Options) (Report, error) {
 				seen[h] = true
 				next := s.clone()
 				next.removeMsg(i, h)
-				deliver(next, i, h, n)
-				push(next, k, fmt.Sprintf("deliver(hop=%d -> node %d)", h, i))
-				transitions++
+				receive(next, i, h, n)
+				push(next, id, fmt.Sprintf("deliver(hop=%d -> node %d)", h, i))
 			}
 		}
+	}
 
-		if transitions == 0 && !hasLeader {
-			// Stuck without a leader: either a budget-cut artifact (all
-			// remaining non-passive nodes are idle with spent budgets and
-			// nothing is in flight) or a genuine deadlock.
-			artifact := true
-			for i := range s.nodes {
-				ns := &s.nodes[i]
-				if len(ns.inbox) > 0 || ns.st == active {
-					artifact = false
-					break
-				}
+	// V5: walk back from the leader states; a sound state the walk does
+	// not reach cannot reach a leader. A dead end without a leader is one.
+	reaches := make([]bool, len(graph))
+	var work []int
+	for id := range graph {
+		if graph[id].leader {
+			reaches[id] = true
+			work = append(work, id)
+		}
+	}
+	for len(work) > 0 {
+		id := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, p := range graph[id].preds {
+			if !reaches[p] {
+				reaches[p] = true
+				work = append(work, p)
 			}
-			if artifact {
-				report.CutStates++
-			} else {
-				violate(k, "V5", "stuck state with no leader")
-			}
+		}
+	}
+	for id := range graph {
+		if graph[id].sound && !reaches[id] {
+			violate(id, "V5", "no leader state is reachable")
 		}
 	}
 	return report, nil

@@ -1,47 +1,55 @@
 package check
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
+// requireVerified fails unless report is OK with exactly wantStates states
+// and one leader state per node (each node's win, with every other node
+// passive and the wires empty).
+func requireVerified(t *testing.T, n int, report Report, wantStates int) {
+	t.Helper()
+	if report.Truncated {
+		t.Fatalf("n=%d: exploration truncated at %d states", n, report.StatesExplored)
+	}
+	for _, v := range report.Violations {
+		t.Errorf("n=%d: %s (%s)\n  trace: %s", n, v.Kind, v.Detail, strings.Join(v.Trace, " ; "))
+	}
+	if report.StatesExplored != wantStates {
+		t.Errorf("n=%d: %d states explored, want %d", n, report.StatesExplored, wantStates)
+	}
+	if report.LeaderStates != n {
+		t.Errorf("n=%d: %d leader states, want %d", n, report.LeaderStates, n)
+	}
+}
+
 func TestElectionSafeOnSmallRings(t *testing.T) {
-	// Exhaustive verification of V1..V5 for n = 2, 3, 4 with two
-	// activations per node. This is the strongest correctness evidence in
-	// the repository: every schedule and every message interleaving within
-	// the bound is covered.
-	for _, n := range []int{2, 3, 4} {
+	// Exhaustive verification of V1..V5 for n = 2, 3, 4 over the whole
+	// reachable state graph. This is the strongest correctness evidence in
+	// the repository: every schedule and every message interleaving is
+	// covered, and from every state a leader is reachable.
+	for n, want := range map[int]int{2: 12, 3: 122, 4: 1_084} {
 		report, err := CheckElection(Options{N: n})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if report.Truncated {
-			t.Fatalf("n=%d: exploration truncated at %d states", n, report.StatesExplored)
-		}
-		for _, v := range report.Violations {
-			t.Errorf("n=%d: %s (%s)\n  trace: %s", n, v.Kind, v.Detail, strings.Join(v.Trace, " ; "))
-		}
-		if report.StatesExplored == 0 {
-			t.Fatalf("n=%d: no states explored", n)
-		}
-		if report.LeaderStates == 0 {
-			t.Fatalf("n=%d: no leader state reachable — protocol cannot elect", n)
-		}
-		t.Logf("n=%d: %d states, %d with a leader, %d budget cuts",
-			n, report.StatesExplored, report.LeaderStates, report.CutStates)
+		requireVerified(t, n, report, want)
 	}
 }
 
 func TestElectionSafeWithDeeperBudget(t *testing.T) {
+	// The larger rings: n = 5 and 6, still the whole state graph.
 	if testing.Short() {
-		t.Skip("deep exploration is slow")
+		t.Skip("n = 5 and 6 explorations are slow")
 	}
-	report, err := CheckElection(Options{N: 3, MaxActivationsPerNode: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !report.OK() {
-		t.Fatalf("n=3 budget=4: %+v", report.Violations)
+	for n, want := range map[int]int{5: 9_352, 6: 80_893} {
+		report, err := CheckElection(Options{N: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireVerified(t, n, report, want)
 	}
 }
 
@@ -49,7 +57,7 @@ func TestRingOfFive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=5 exploration is slow")
 	}
-	report, err := CheckElection(Options{N: 5, MaxActivationsPerNode: 2})
+	report, err := CheckElection(Options{N: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +69,14 @@ func TestRingOfFive(t *testing.T) {
 }
 
 func TestLeaderReachableWithSingleActivation(t *testing.T) {
-	// Even with a budget of one activation per node, the schedule where
-	// one node wakes alone must elect it.
-	report, err := CheckElection(Options{N: 3, MaxActivationsPerNode: 1})
+	// The schedule where one node wakes alone elects it, whichever node
+	// that is: n = 3 has exactly one leader state per node.
+	report, err := CheckElection(Options{N: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.LeaderStates == 0 {
-		t.Fatal("no leader reachable with budget 1")
+	if report.LeaderStates != 3 {
+		t.Fatalf("%d leader states, want 3", report.LeaderStates)
 	}
 	if !report.OK() {
 		t.Fatalf("violations: %+v", report.Violations)
@@ -121,6 +129,62 @@ func TestBrokenVariantIsCaught(t *testing.T) {
 	}
 	if s.nodes[0].st != passive {
 		t.Fatal("idle node did not turn passive")
+	}
+	// Two real mutants of the active node's rule, run through the whole
+	// exploration.
+	winAt := func(win func(hop, n int) bool) func(*state, int, int, int) {
+		return func(st *state, i, hop, n int) {
+			ns := &st.nodes[i]
+			if ns.st != active {
+				deliver(st, i, hop, n)
+				return
+			}
+			ns.d = max(ns.d, hop)
+			ns.st = idle
+			if win(hop, n) {
+				ns.st = leader
+			}
+		}
+	}
+	// With the paper's rule the wrapper is deliver itself: same graph.
+	report, err := CheckElection(Options{N: 4, deliver: winAt(func(hop, n int) bool { return hop == n })})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireVerified(t, 4, report, 1_084)
+	// A node that never wins: no leader is reachable from any state, so
+	// V5 fires on every one of them and nothing else does.
+	neverWin := winAt(func(hop, n int) bool { return hop == n+1 })
+	for n := 2; n <= 4; n++ {
+		report, err := CheckElection(Options{N: n, deliver: neverWin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.OK() || report.LeaderStates != 0 {
+			t.Fatalf("n=%d: never-win mutant passed (%d leader states)", n, report.LeaderStates)
+		}
+		if len(report.Violations) != report.StatesExplored {
+			t.Errorf("n=%d: %d violations over %d states, want V5 on every state",
+				n, len(report.Violations), report.StatesExplored)
+		}
+		for _, v := range report.Violations {
+			if v.Kind != "V5" {
+				t.Fatalf("n=%d: never-win mutant tripped %s (%s), want only V5", n, v.Kind, v.Detail)
+			}
+		}
+	}
+	// A node that wins one hop early, before its token has made the whole
+	// round: a leader beside a non-passive node. Every sound state then
+	// fails V5 too, since no sound leader state exists.
+	earlyWin := winAt(func(hop, n int) bool { return hop == n-1 })
+	for n := 2; n <= 4; n++ {
+		report, err := CheckElection(Options{N: n, deliver: earlyWin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.ContainsFunc(report.Violations, func(v Violation) bool { return v.Kind == "V4" }) {
+			t.Fatalf("n=%d: early-win mutant not caught by V4 (%d violations)", n, len(report.Violations))
+		}
 	}
 }
 

@@ -75,9 +75,9 @@ func correctness(opt Options) (*harness.Table, Findings, bool, error) {
 		}
 	}
 
-	checkSizes := []int{2, 3, 4}
+	checkSizes := []int{2, 3, 4, 5, 6}
 	if opt.Quick {
-		checkSizes = []int{2, 3}
+		checkSizes = []int{2, 3, 4}
 	}
 	for _, n := range checkSizes {
 		report, err := check.CheckElection(check.Options{N: n})

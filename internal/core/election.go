@@ -8,7 +8,7 @@ import (
 )
 
 // State is the election state of a node (Section 3 of the paper).
-type State int
+type State uint8
 
 // The four node states. Idle nodes may wake up and contend; active nodes
 // have a message of their own in flight; passive nodes only relay; the
@@ -106,18 +106,17 @@ func DefaultA0(n int) float64 { return A0ForRing(n, 1, 1, 1) }
 // predecessors are known passive, so a node that speaks for d ring
 // positions raises its wake-up rate to keep the *overall* activation rate
 // constant over time, yielding linear average time and message complexity.
+//
+// A node is its state: the ring-wide constants live in one ElectionParams
+// that every node of the ring points at, and d, the epoch and the send port
+// are 32-bit (a ring's size and ports are bounded by the 32-bit numbering of
+// topology.Graph).
 type ElectionNode struct {
-	ringSize     int
-	a0           float64
-	tickInterval float64
-	stopOnLeader bool
-	constantAct  bool
-	sendPort     int
-	recandidacy  float64 // passive→idle timeout in local clock units; 0 disables
-
-	state State
-	d     int
-	epoch int // re-candidacy wave this node's knowledge belongs to; 0 forever in the paper's algorithm
+	params   *ElectionParams
+	sendPort int32
+	d        int32
+	epoch    int32 // re-candidacy wave this node's knowledge belongs to; 0 forever in the paper's algorithm
+	state    State
 
 	// lastActivity is the local-clock instant of the node's last protocol
 	// activity (message seen or state transition), tracked only when
@@ -172,48 +171,85 @@ type ElectionNodeConfig struct {
 	RecandidacyTimeout float64
 }
 
-// NewElectionNode validates the configuration and returns a node in the
-// initial state (idle, d = 1).
-func NewElectionNode(cfg ElectionNodeConfig) (*ElectionNode, error) {
-	node, err := MakeElectionNode(cfg)
+// ElectionParams are the constants of one ring's election, shared by all of
+// its nodes and by every churn incarnation of them.
+type ElectionParams struct {
+	ringSize     int
+	a0           float64
+	tickInterval float64
+	recandidacy  float64 // passive→idle timeout in local clock units; 0 disables
+	stopOnLeader bool
+	constantAct  bool
+}
+
+// NewElectionParams validates the ring-wide fields of cfg — all but
+// SendPort — once for a whole ring.
+func NewElectionParams(cfg ElectionNodeConfig) (*ElectionParams, error) {
+	params, err := cfg.params()
 	if err != nil {
 		return nil, err
 	}
-	return &node, nil
+	return &params, nil
 }
 
-// MakeElectionNode is NewElectionNode by value, for callers that keep a
-// whole ring's nodes in one slice instead of one heap object per node.
-func MakeElectionNode(cfg ElectionNodeConfig) (ElectionNode, error) {
+func (cfg ElectionNodeConfig) params() (ElectionParams, error) {
 	if cfg.RingSize < 2 {
-		return ElectionNode{}, fmt.Errorf("core: ring size %d must be at least 2", cfg.RingSize)
+		return ElectionParams{}, fmt.Errorf("core: ring size %d must be at least 2", cfg.RingSize)
+	}
+	if cfg.RingSize > math.MaxInt32 {
+		return ElectionParams{}, fmt.Errorf("core: ring size %d exceeds the 32-bit node numbering", cfg.RingSize)
 	}
 	if !(cfg.A0 > 0 && cfg.A0 < 1) {
-		return ElectionNode{}, fmt.Errorf("core: A0 = %g must be in (0, 1)", cfg.A0)
+		return ElectionParams{}, fmt.Errorf("core: A0 = %g must be in (0, 1)", cfg.A0)
 	}
 	if cfg.TickInterval < 0 || math.IsNaN(cfg.TickInterval) || math.IsInf(cfg.TickInterval, 0) {
-		return ElectionNode{}, fmt.Errorf("core: tick interval %g must be non-negative and finite", cfg.TickInterval)
+		return ElectionParams{}, fmt.Errorf("core: tick interval %g must be non-negative and finite", cfg.TickInterval)
 	}
 	if cfg.TickInterval == 0 {
 		cfg.TickInterval = 1
 	}
-	if cfg.SendPort < 0 {
-		return ElectionNode{}, fmt.Errorf("core: send port %d must be non-negative", cfg.SendPort)
-	}
 	if cfg.RecandidacyTimeout < 0 || math.IsNaN(cfg.RecandidacyTimeout) || math.IsInf(cfg.RecandidacyTimeout, 0) {
-		return ElectionNode{}, fmt.Errorf("core: re-candidacy timeout %g must be non-negative and finite", cfg.RecandidacyTimeout)
+		return ElectionParams{}, fmt.Errorf("core: re-candidacy timeout %g must be non-negative and finite", cfg.RecandidacyTimeout)
 	}
-	return ElectionNode{
+	return ElectionParams{
 		ringSize:     cfg.RingSize,
 		a0:           cfg.A0,
 		tickInterval: cfg.TickInterval,
+		recandidacy:  cfg.RecandidacyTimeout,
 		stopOnLeader: cfg.StopOnLeader,
 		constantAct:  cfg.ConstantActivation,
-		sendPort:     cfg.SendPort,
-		recandidacy:  cfg.RecandidacyTimeout,
-		state:        Idle,
-		d:            1,
 	}, nil
+}
+
+// Node returns a node of p's ring in the initial state (idle, d = 1) that
+// sends on sendPort, by value, for callers that keep a whole ring's nodes in
+// one slice instead of one heap object per node.
+func (p *ElectionParams) Node(sendPort int) (ElectionNode, error) {
+	if sendPort < 0 {
+		return ElectionNode{}, fmt.Errorf("core: send port %d must be non-negative", sendPort)
+	}
+	if sendPort > math.MaxInt32 {
+		return ElectionNode{}, fmt.Errorf("core: send port %d exceeds the 32-bit port numbering", sendPort)
+	}
+	return ElectionNode{params: p, sendPort: int32(sendPort), state: Idle, d: 1}, nil
+}
+
+// NewElectionNode validates the configuration and returns a node in the
+// initial state (idle, d = 1). The node and its own ElectionParams are one
+// object: one allocation per node.
+func NewElectionNode(cfg ElectionNodeConfig) (*ElectionNode, error) {
+	params, err := cfg.params()
+	if err != nil {
+		return nil, err
+	}
+	obj := &struct {
+		node   ElectionNode
+		params ElectionParams
+	}{params: params}
+	if obj.node, err = obj.params.Node(cfg.SendPort); err != nil {
+		return nil, err
+	}
+	return &obj.node, nil
 }
 
 // State returns the node's current election state.
@@ -221,21 +257,21 @@ func (e *ElectionNode) State() State { return e.state }
 
 // D returns the node's current knowledge counter d (d−1 predecessors are
 // known passive).
-func (e *ElectionNode) D() int { return e.d }
+func (e *ElectionNode) D() int { return int(e.d) }
 
 // ActivationProbability returns the per-tick wake-up probability at the
 // node's current knowledge: 1−(1−A0)^d, or the constant A0 under the
 // ablation.
 func (e *ElectionNode) ActivationProbability() float64 {
-	if e.constantAct {
-		return e.a0
+	if e.params.constantAct {
+		return e.params.a0
 	}
-	return 1 - math.Pow(1-e.a0, float64(e.d))
+	return 1 - math.Pow(1-e.params.a0, float64(e.d))
 }
 
 // Init implements network.Node: start the local tick loop.
 func (e *ElectionNode) Init(ctx *network.Context) {
-	ctx.SetLocalTimerFunc(e.tickInterval, tickTimer)
+	ctx.SetLocalTimerFunc(e.params.tickInterval, tickTimer)
 }
 
 // OnTimer implements network.Node: the idle wake-up rule, plus the opt-in
@@ -246,9 +282,10 @@ func (e *ElectionNode) OnTimer(ctx *network.Context, kind int) {
 		return
 	}
 	// The tick loop runs for the node's lifetime; only idle ticks can act.
-	ctx.SetLocalTimerFunc(e.tickInterval, tickTimer)
-	if e.recandidacy > 0 && (e.state == Passive || e.state == Active) &&
-		ctx.LocalTime()-e.lastActivity >= e.recandidacy {
+	p := e.params
+	ctx.SetLocalTimerFunc(p.tickInterval, tickTimer)
+	if p.recandidacy > 0 && (e.state == Passive || e.state == Active) &&
+		ctx.LocalTime()-e.lastActivity >= p.recandidacy {
 		// Nothing has flowed past this node for the whole timeout: assume
 		// the election wedged (e.g. every token died at a partition cut —
 		// including this node's own, if it is still waiting as an active
@@ -272,12 +309,12 @@ func (e *ElectionNode) OnTimer(ctx *network.Context, kind int) {
 	if ctx.Rand().Bool(e.ActivationProbability()) {
 		e.state = Active
 		e.Activations++
-		if e.recandidacy > 0 {
+		if p.recandidacy > 0 {
 			// The candidacy is this node's own activity: give the token a
 			// full timeout's worth of patience to come back around.
 			e.lastActivity = ctx.LocalTime()
 		}
-		ctx.Send(e.sendPort, HopMessage{Hop: 1, Epoch: e.epoch})
+		ctx.Send(int(e.sendPort), HopMessage{Hop: 1, Epoch: int(e.epoch)})
 	}
 }
 
@@ -288,22 +325,23 @@ func (e *ElectionNode) OnMessage(ctx *network.Context, _ int, payload any) {
 		e.violate("foreign payload %T", payload)
 		return
 	}
-	if e.recandidacy > 0 && e.state != Leader {
+	p := e.params
+	if p.recandidacy > 0 && e.state != Leader {
 		switch {
-		case msg.Epoch < e.epoch:
+		case msg.Epoch < int(e.epoch):
 			// A token from before a re-candidacy wave: its passivity
 			// certificate counts nodes that have since reset, so it must
 			// not knock anyone out, win, or feed anyone's d. Purge it.
 			e.StalePurges++
 			return
-		case msg.Epoch > e.epoch:
+		case msg.Epoch > int(e.epoch):
 			// A newer wave reached this node: all pre-wave knowledge is
 			// void. Adopt the epoch with fresh d; an own candidacy from
 			// the old epoch is void too (its token, if alive, will be
 			// purged — and counted — as stale wherever it lands, so this
 			// demotion bumps no counter: the node goes on to handle the
 			// incoming token normally, typically relaying it.
-			e.epoch = msg.Epoch
+			e.epoch = int32(msg.Epoch)
 			e.d = 1
 			if e.state == Active {
 				e.state = Idle
@@ -314,28 +352,28 @@ func (e *ElectionNode) OnMessage(ctx *network.Context, _ int, payload any) {
 		// runs never touch the local clock here and stay byte-identical.
 		e.lastActivity = ctx.LocalTime()
 	}
-	if msg.Hop < 1 || msg.Hop > e.ringSize {
+	if msg.Hop < 1 || msg.Hop > p.ringSize {
 		// The algorithm guarantees hop ∈ {1..n}; seeing anything else
 		// means the protocol (or this implementation) is broken.
-		e.violate("hop %d outside [1, %d]", msg.Hop, e.ringSize)
+		e.violate("hop %d outside [1, %d]", msg.Hop, p.ringSize)
 		return
 	}
-	if msg.Hop > e.d {
-		e.d = msg.Hop
+	if msg.Hop > int(e.d) {
+		e.d = int32(msg.Hop)
 	}
 
 	switch e.state {
 	case Idle:
 		e.state = Passive
 		e.Relays++
-		ctx.Send(e.sendPort, HopMessage{Hop: e.d + 1, Epoch: e.epoch})
+		e.relay(ctx)
 	case Passive:
 		e.Relays++
-		ctx.Send(e.sendPort, HopMessage{Hop: e.d + 1, Epoch: e.epoch})
+		e.relay(ctx)
 	case Active:
-		if msg.Hop == e.ringSize {
+		if msg.Hop == p.ringSize {
 			e.state = Leader
-			if e.stopOnLeader {
+			if p.stopOnLeader {
 				ctx.StopNetwork("leader elected")
 			}
 		} else {
@@ -353,6 +391,11 @@ func (e *ElectionNode) OnMessage(ctx *network.Context, _ int, payload any) {
 	default:
 		e.violate("impossible state %v", e.state)
 	}
+}
+
+// relay forwards ⟨d+1⟩ to the successor.
+func (e *ElectionNode) relay(ctx *network.Context) {
+	ctx.Send(int(e.sendPort), HopMessage{Hop: int(e.d) + 1, Epoch: int(e.epoch)})
 }
 
 func (e *ElectionNode) violate(format string, args ...any) {

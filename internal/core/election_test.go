@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"testing"
+	"unsafe"
 )
 
 func TestA0ForRing(t *testing.T) {
@@ -81,6 +82,8 @@ func TestInitialNodeState(t *testing.T) {
 }
 
 func TestNewElectionNodeValidation(t *testing.T) {
+	huge := math.MaxInt32
+	huge++ // past the 32-bit node numbering
 	cases := []ElectionNodeConfig{
 		{RingSize: 1, A0: 0.5},
 		{RingSize: 4, A0: 0},
@@ -88,11 +91,34 @@ func TestNewElectionNodeValidation(t *testing.T) {
 		{RingSize: 4, A0: -0.5},
 		{RingSize: 4, A0: 0.5, TickInterval: -1},
 		{RingSize: 4, A0: 0.5, TickInterval: math.Inf(1)},
+		{RingSize: 4, A0: 0.5, SendPort: -1},
+		{RingSize: huge, A0: 0.5},
 	}
 	for _, cfg := range cases {
 		if _, err := NewElectionNode(cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
 		}
+	}
+}
+
+// TestElectionNodeLayout pins what an election node costs: at most 104 B —
+// a pointer to its ring's shared ElectionParams, a 32-bit send port, d and
+// epoch, a one-byte state, the local instant of its last activity and its
+// counters — and NewElectionNode one heap object, the node and its own
+// params together.
+func TestElectionNodeLayout(t *testing.T) {
+	if size := unsafe.Sizeof(ElectionNode{}); size > 104 {
+		t.Errorf("ElectionNode is %d B, budget 104", size)
+	}
+	var node *ElectionNode
+	allocs := testing.AllocsPerRun(100, func() {
+		node, _ = NewElectionNode(ElectionNodeConfig{RingSize: 8, A0: 0.3, SendPort: 2})
+	})
+	if allocs != 1 {
+		t.Errorf("NewElectionNode allocates %g objects, want 1", allocs)
+	}
+	if node.State() != Idle || node.D() != 1 || node.sendPort != 2 || node.params.ringSize != 8 {
+		t.Fatalf("NewElectionNode built %+v with params %+v", *node, *node.params)
 	}
 }
 

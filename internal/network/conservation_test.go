@@ -138,7 +138,7 @@ func checkConservation(t *testing.T, net *Network) {
 		delivered += st.Delivered
 		received += st.Delivered
 		if radio {
-			received += st.Delivered * uint64(net.firstEdge[k+1]-net.firstEdge[k]-1)
+			received += st.Delivered * uint64(net.adj.OutStart[k+1]-net.adj.OutStart[k]-1)
 		}
 	}
 	tel, adv := net.life.tel, net.adv.tel

@@ -92,8 +92,8 @@ func newLifecycle(net *Network, plan *faults.Plan, root *rng.Source) (*lifecycle
 // stream, which Derive does not advance and no link has sampled yet, so the
 // links sample exactly as they would under no plan.
 func (life *lifecycle) sizeLinkState() {
-	life.linkOut = make([]bool, len(life.net.edges))
-	life.cutOut = make([]int, len(life.net.edges))
+	life.linkOut = make([]bool, len(life.net.adj.Head))
+	life.cutOut = make([]int, len(life.net.adj.Head))
 	if !life.plan.HasLinkFaults() {
 		return
 	}
@@ -289,9 +289,9 @@ func (life *lifecycle) recover(i int) {
 // absent from the topology is ignored; newLifecycle has already rejected
 // plans that script one.
 func (life *lifecycle) setLink(from, to int, up bool) {
-	net := life.net
-	for e := net.firstEdge[from]; e < net.firstEdge[from+1]; e++ {
-		if int(net.edges[e].to) == to {
+	adj := life.net.adj
+	for e := adj.OutStart[from]; e < adj.OutStart[from+1]; e++ {
+		if int(adj.Head[e]) == to {
 			life.linkOut[e] = !up
 			return
 		}
@@ -309,8 +309,9 @@ func (life *lifecycle) setCut(group []int, up bool) {
 	for _, v := range group {
 		inGroup[v] = true
 	}
-	for e, addr := range life.net.edges {
-		if inGroup[addr.from] == inGroup[addr.to] {
+	adj := life.net.adj
+	for e, to := range adj.Head {
+		if inGroup[adj.Tail(e)] == inGroup[to] {
 			continue
 		}
 		if !up {

@@ -17,9 +17,9 @@
 // assumption mechanically.
 //
 // Construction is flat: New lays every kind of per-node and per-edge state
-// (contexts with their streams inline, edge addresses, link streams, the
-// store's link rows) in one slice each, reads in-ports off the graph instead
-// of building a lookup table, and sizes the kernel's queue once. A link is a
+// (contexts with their streams inline, link streams, the store's link rows)
+// in one slice each, reads both ends of every edge and its in-port straight
+// off the graph's arrays, and sizes the kernel's queue once. A link is a
 // row of the one channel.Store, under the one discipline cfg.Links names, so
 // no edge gets an object of its own; a perfect clock reads real time, so a
 // network of them keeps no clock at all. Deliveries come back through
@@ -197,26 +197,27 @@ type Config struct {
 // or by edge index (edges are numbered in (node, out-port) order, the order
 // Graph.Edges lists them), so building a network costs a fixed number of
 // allocations per layer plus whatever makeNode allocates itself — rings of
-// 10⁵–10⁶ nodes are built per run. A link is row k of store: row e is edge
-// e's link, or, under LocalBroadcast, row u is node u's radio.
+// 10⁵–10⁶ nodes are built per run. The wiring is the graph's own CSR arrays,
+// never copied: edge e leaves on out-port e−OutStart[u] of its tail u and
+// reaches Head[e] on in-port InPort[e]. A link is row k of store: row e is
+// edge e's link, or, under LocalBroadcast, row u is node u's radio.
 type Network struct {
-	cfg       Config
-	kernel    *sim.Kernel
-	nodes     []Node
-	ctxs      []Context      // ctxs[i] holds node i's private stream inline
-	clocks    []clock.Clock  // clocks[i] may keep a pointer into clockRNG; nil under perfect clocks
-	clockRNG  []rng.Source   // per-node clock streams; nil likewise
-	procRNG   []rng.Source   // per-node processing-time streams; nil without a processing model
-	nextFree  []simtime.Time // per-node completion time of the busy server; nil likewise
-	firstEdge []int          // firstEdge[u] = edge index of u's out-port 0; firstEdge[n] = edge count
-	edges     []edgeAddress  // edges[e] = both ends of edge e
-	linkRNG   []rng.Source   // linkRNG[k] = stream of link k
-	store     *channel.Store // every link, and every message in flight on either medium
-	metrics   Metrics
-	procMean  float64
-	makeNode  func(i int) Node // retained for fault-recovery restarts
-	life      *lifecycle       // nil unless cfg.Faults is set
-	adv       *adversary       // nil unless cfg.Byzantine is set
+	cfg      Config
+	kernel   *sim.Kernel
+	nodes    []Node
+	ctxs     []Context      // ctxs[i] holds node i's private stream inline
+	clocks   []clock.Clock  // clocks[i] may keep a pointer into clockRNG; nil under perfect clocks
+	clockRNG []rng.Source   // per-node clock streams; nil likewise
+	procRNG  []rng.Source   // per-node processing-time streams; nil without a processing model
+	nextFree []simtime.Time // per-node completion time of the busy server; nil likewise
+	adj      topology.CSR   // the graph's arrays when New ran; later AddEdge calls leave them as they are
+	linkRNG  []rng.Source   // linkRNG[k] = stream of link k
+	store    *channel.Store // every link, and every message in flight on either medium
+	metrics  Metrics
+	procMean float64
+	makeNode func(i int) Node // retained for fault-recovery restarts
+	life     *lifecycle       // nil unless cfg.Faults is set
+	adv      *adversary       // nil unless cfg.Byzantine is set
 
 	// timers[kind] is the kernel handler that fires OnTimer(kind) on the
 	// node given as the event argument; registered on first use (see
@@ -242,12 +243,6 @@ type Network struct {
 	// The kernel is single-threaded, so a plain field with save/restore
 	// around each handler is enough. Always zero when cfg.Tracer is nil.
 	cause TraceRef
-}
-
-// edgeAddress names both ends of a directed edge: the sender, the receiver
-// and the receiver's in-port.
-type edgeAddress struct {
-	from, to, inPort int32
 }
 
 // edgeSink and radioSink are the two channel.Sink faces of a network: a
@@ -302,12 +297,12 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 	kernel.Reserve(2 * n)
 	root := rng.New(cfg.Seed)
 	net := &Network{
-		cfg:       cfg,
-		kernel:    kernel,
-		nodes:     make([]Node, n),
-		ctxs:      make([]Context, n),
-		firstEdge: make([]int, n+1),
-		makeNode:  makeNode,
+		cfg:      cfg,
+		kernel:   kernel,
+		nodes:    make([]Node, n),
+		ctxs:     make([]Context, n),
+		adj:      graph.CSR(),
+		makeNode: makeNode,
 	}
 	net.timerDue = kernel.Register(net.fireTimer)
 	net.queueDone = kernel.Register(net.complete)
@@ -356,21 +351,6 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 		if net.nodes[i] == nil {
 			return nil, fmt.Errorf("network: makeNode(%d) returned nil", i)
 		}
-		net.firstEdge[i+1] = net.firstEdge[i] + graph.OutDegree(i)
-	}
-
-	// Both ends of every edge, read off the graph's own adjacency: the
-	// in-port of an out-edge was recorded when the edge was added.
-	net.edges = make([]edgeAddress, net.firstEdge[n])
-	for u := 0; u < n; u++ {
-		base := net.firstEdge[u]
-		for p := range net.firstEdge[u+1] - base {
-			net.edges[base+p] = edgeAddress{
-				from:   int32(u),
-				to:     int32(graph.OutAt(u, p)),
-				inPort: int32(graph.InPort(u, p)),
-			}
-		}
 	}
 
 	// One link per directed edge, or — on the radio — one random-delay link per
@@ -378,7 +358,7 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 	// sender's out-edges at the shared instant: a stream each, and a row each
 	// in the store. The radio's stream label is distinct from "edge", so
 	// switching media re-seeds nothing else.
-	links, label, count := cfg.Links, "edge", len(net.edges)
+	links, label, count := cfg.Links, "edge", len(net.adj.Head)
 	var sink channel.Sink = edgeSink{net}
 	if cfg.LocalBroadcast {
 		links, label, count = channel.RandomDelayFactory(cfg.BroadcastDelay), "bcast", n
@@ -402,8 +382,7 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 // depends only on the node's fault schedule. A message counts as delivered
 // when it is handled (see handle), not when it enters the queue.
 func (net *Network) deliverTo(edge int, payload any) {
-	addr := net.edges[edge]
-	to := int(addr.to)
+	to, inPort := int(net.adj.Head[edge]), int(net.adj.InPort[edge])
 	if net.life != nil && net.life.down[to] {
 		net.life.tel.DeadLetters++
 		return
@@ -413,16 +392,16 @@ func (net *Network) deliverTo(edge int, payload any) {
 		// The delivery is recorded with the send that caused it, and the
 		// handler runs with the delivery as the cause of whatever it does.
 		send, inner := unwrapTraced(payload)
-		ref := net.cfg.Tracer.MessageDelivered(net.kernel.Now(), int(addr.from), to, inner, send)
-		net.process(work{node: addr.to, port: int(addr.inPort), cause: ref}, inner)
+		ref := net.cfg.Tracer.MessageDelivered(net.kernel.Now(), net.adj.Tail(edge), to, inner, send)
+		net.process(work{node: int32(to), port: inPort, cause: ref}, inner)
 	case net.cfg.Processing != nil:
-		net.process(work{node: addr.to, port: int(addr.inPort)}, payload)
+		net.process(work{node: int32(to), port: inPort}, payload)
 	default:
 		// With instantaneous processing the queue model is a no-op (process
 		// would run the work inline), so the handler is invoked directly:
 		// this is the per-delivery hot path of large untraced runs.
 		net.metrics.MessagesDelivered++
-		net.nodes[to].OnMessage(&net.ctxs[to], int(addr.inPort), payload)
+		net.nodes[to].OnMessage(&net.ctxs[to], inPort, payload)
 	}
 }
 
@@ -433,7 +412,7 @@ func (net *Network) deliverTo(edge int, payload any) {
 // misses the transmission, counted as a link drop), so a partition cuts a
 // broadcast exactly as it cuts point-to-point traffic.
 func (net *Network) fanout(u int, payload any) {
-	for e := net.firstEdge[u]; e < net.firstEdge[u+1]; e++ {
+	for e := int(net.adj.OutStart[u]); e < int(net.adj.OutStart[u+1]); e++ {
 		if net.life != nil && net.life.edgeDown(e) {
 			net.life.tel.LinkDrops++
 			continue
@@ -690,11 +669,11 @@ func (c *Context) OutDegree() int {
 	if c.net.cfg.LocalBroadcast {
 		return 0
 	}
-	return c.net.firstEdge[c.id+1] - c.net.firstEdge[c.id]
+	return int(c.net.adj.OutStart[c.id+1] - c.net.adj.OutStart[c.id])
 }
 
 // InDegree returns the number of incoming ports.
-func (c *Context) InDegree() int { return c.net.cfg.Graph.InDegree(c.id) }
+func (c *Context) InDegree() int { return int(c.net.adj.InStart[c.id+1] - c.net.adj.InStart[c.id]) }
 
 // Send transmits payload on the given out-port. It counts as sent whatever
 // happens next: a Byzantine role may drop, forge or stall it and a downed
@@ -708,7 +687,7 @@ func (c *Context) Send(outPort int, payload any) {
 	if degree := c.OutDegree(); outPort < 0 || outPort >= degree {
 		panic(fmt.Sprintf("network: node has %d out-ports, sent on %d", degree, outPort))
 	}
-	c.transmit(c.net.firstEdge[c.id]+outPort, payload)
+	c.transmit(int(c.net.adj.OutStart[c.id])+outPort, payload)
 }
 
 // Broadcast sends payload to every out-neighbour — the medium-agnostic
@@ -745,7 +724,7 @@ func (c *Context) transmit(link int, payload any) {
 	if net.cfg.Tracer != nil {
 		to := -1
 		if !radio {
-			to = int(net.edges[link].to)
+			to = int(net.adj.Head[link])
 		}
 		send = net.cfg.Tracer.MessageSent(net.kernel.Now(), c.id, to, payload, net.cause)
 	}

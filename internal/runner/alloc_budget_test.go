@@ -1,0 +1,38 @@
+package runner
+
+import (
+	"testing"
+
+	"abenet/internal/allocbudget"
+)
+
+// TestElectionAllocationBudget holds a whole election run to a byte budget
+// per node, in the shape of the repo benchmark's ring-sparse-100k at n = 10⁴:
+// A0 = 1/n and a tick every n time units, so a run is a few events per node
+// and its cost is what it builds per node. Measured at this commit: 372 B
+// per node (the graph 16, the network 212, the node slab 104 and its
+// pointer table 8, 32 for the boxed tokens and the rest; 397 B under the
+// race detector) against a budget of 390 B (416 B under the race detector).
+func TestElectionAllocationBudget(t *testing.T) {
+	build := func(n int) func() {
+		p := Election{A0: 1 / float64(n), TickInterval: float64(n)}
+		return func() {
+			rep, err := Run(Env{N: n, Seed: 1}, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Leaders != 1 {
+				t.Fatalf("%d leaders, want 1", rep.Leaders)
+			}
+		}
+	}
+	bytes := allocbudget.BytesPerNode(10_000, build)
+	budget := 390.0
+	if allocbudget.Race {
+		budget = 416
+	}
+	t.Logf("runner.Run(Election) on a ring of 10⁴: %.0f B per node", bytes)
+	if bytes > budget {
+		t.Errorf("an election run allocates %.0f B per node, budget %.0f", bytes, budget)
+	}
+}

@@ -187,12 +187,15 @@ func TestFaultsRejectedByUnsupportingProtocols(t *testing.T) {
 // TestElectionRestartLeavesTheSlab pins what churn does to the election's
 // node storage: the first incarnation of a node is its slab slot, a restart
 // is a fresh object — the slab slot is never reset in place, so the dead
-// incarnation keeps its final state — and the dead incarnation's counters
-// and violations are folded into the run's totals before it is replaced.
+// incarnation keeps its final state — and the dead incarnation's counters and violations are folded into the run's
+// totals before it is replaced. An invalid config is refused once, when the
+// ring is made, and a negative send port when a node is spawned.
 func TestElectionRestartLeavesTheSlab(t *testing.T) {
-	ring := newElectionRing(3)
-	cfg := core.ElectionNodeConfig{RingSize: 3, A0: 0.5}
-	first, err := ring.spawn(1, cfg)
+	ring, err := newElectionRing(3, core.ElectionNodeConfig{RingSize: 3, A0: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := ring.spawn(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +205,7 @@ func TestElectionRestartLeavesTheSlab(t *testing.T) {
 	dead := ring.nodes[1]
 	dead.Activations, dead.Knockouts, dead.Violations = 4, 3, []string{"seen by the dead incarnation"}
 
-	second, err := ring.spawn(1, cfg)
+	second, err := ring.spawn(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +221,11 @@ func TestElectionRestartLeavesTheSlab(t *testing.T) {
 	if fresh := ring.nodes[1]; fresh.State() != core.Idle || fresh.D() != 1 || fresh.Activations != 0 {
 		t.Fatalf("restarted node is not fresh: %+v", fresh)
 	}
-	if _, err := ring.spawn(2, core.ElectionNodeConfig{RingSize: 1}); err == nil {
-		t.Fatal("invalid node config accepted")
+	if _, err := newElectionRing(3, core.ElectionNodeConfig{RingSize: 1, A0: 0.5}); err == nil ||
+		err.Error() != "core: ring size 1 must be at least 2" {
+		t.Fatalf("invalid node config: newElectionRing = %v, want the ring-size error", err)
+	}
+	if _, err := ring.spawn(2, -1); err == nil || err.Error() != "core: send port -1 must be non-negative" {
+		t.Fatalf("negative send port: spawn = %v, want the send-port error", err)
 	}
 }

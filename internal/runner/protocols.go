@@ -68,23 +68,23 @@ func (p Election) Run(env Env) (Report, error) {
 		return Report{}, fmt.Errorf("runner: Election.KeepRunning requires a finite Env.Horizon (tick timers never quiesce)")
 	}
 
-	ring := newElectionRing(n)
+	ring, err := newElectionRing(n, core.ElectionNodeConfig{
+		RingSize:           n,
+		A0:                 a0,
+		TickInterval:       p.TickInterval,
+		StopOnLeader:       !p.KeepRunning,
+		ConstantActivation: p.ConstantActivation,
+		RecandidacyTimeout: p.RecandidacyTimeout,
+	})
+	if err != nil {
+		return Report{}, err
+	}
 	return runNetwork(env, netProtocol{
 		ring:      true,
 		links:     channel.RandomDelayFactory,
 		anonymous: true,
-		makeNode: func(i, sendPort int) (network.Node, error) {
-			return ring.spawn(i, core.ElectionNodeConfig{
-				RingSize:           n,
-				A0:                 a0,
-				TickInterval:       p.TickInterval,
-				StopOnLeader:       !p.KeepRunning,
-				ConstantActivation: p.ConstantActivation,
-				SendPort:           sendPort,
-				RecandidacyTimeout: p.RecandidacyTimeout,
-			})
-		},
-		gauges: electionGauges{ring.nodes},
+		makeNode:  ring.spawn,
+		gauges:    electionGauges{ring.nodes},
 		collect: func(rep *Report) error {
 			countLeaders(rep, n, func(i int) bool { return ring.nodes[i].State() == core.Leader })
 			for _, node := range ring.nodes {
@@ -99,34 +99,43 @@ func (p Election) Run(env Env) (Report, error) {
 
 // electionRing owns the election nodes of one run. Every node's first
 // incarnation lives in one slab — a 10⁵-node ring is one allocation, not
-// 10⁵ — and nodes[i] points at node i's current incarnation.
+// 10⁵ — and nodes[i] points at node i's current incarnation. All of them
+// share the ring's params, validated once.
 type electionRing struct {
+	params     *core.ElectionParams
 	first      []core.ElectionNode
 	nodes      []*core.ElectionNode
 	extra      ElectionExtra // counters of dead incarnations; of all nodes after collect
 	violations []string
 }
 
-func newElectionRing(n int) *electionRing {
-	return &electionRing{first: make([]core.ElectionNode, n), nodes: make([]*core.ElectionNode, n)}
+// newElectionRing validates cfg's ring-wide fields (its SendPort is not
+// read) for a ring of n nodes.
+func newElectionRing(n int, cfg core.ElectionNodeConfig) (*electionRing, error) {
+	params, err := core.NewElectionParams(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &electionRing{params: params, first: make([]core.ElectionNode, n), nodes: make([]*core.ElectionNode, n)}, nil
 }
 
-// spawn builds node i's next incarnation. Fault recovery restarts a node as
-// a fresh instance (churn): a new object, never the slab slot reset in
-// place, so whoever still holds the dead incarnation keeps seeing its final
-// state. The dead incarnation's measurements — especially any recorded
-// safety violations — must survive into the report, so they are folded in
-// before the pointer is overwritten.
-func (r *electionRing) spawn(i int, cfg core.ElectionNodeConfig) (network.Node, error) {
+// spawn builds node i's next incarnation, sending on sendPort. Fault
+// recovery restarts a node as a fresh instance (churn): a new object, never
+// the slab slot reset in place, so whoever still holds the dead incarnation
+// keeps seeing its final state. The dead incarnation's measurements —
+// especially any recorded safety violations — must survive into the report,
+// so they are folded in before the pointer is overwritten.
+func (r *electionRing) spawn(i, sendPort int) (network.Node, error) {
+	fresh, err := r.params.Node(sendPort)
+	if err != nil {
+		return nil, err
+	}
 	node := &r.first[i]
 	if old := r.nodes[i]; old != nil {
 		r.fold(old)
 		node = new(core.ElectionNode)
 	}
-	var err error
-	if *node, err = core.MakeElectionNode(cfg); err != nil {
-		return nil, err
-	}
+	*node = fresh
 	r.nodes[i] = node
 	return node, nil
 }

@@ -7,13 +7,16 @@
 // simulator-level identities only and are never visible to protocols that
 // declare themselves anonymous (the network layer enforces that anonymity).
 //
-// Runtimes read a frozen graph through the non-copying accessors (OutDegree,
-// InDegree, OutAt, InAt, InPort); Out and In return copies for callers that
-// want a slice to keep.
+// A graph is stored as one CSR of int32 arrays. Runtimes read it through the
+// non-copying accessors (OutDegree, InDegree, OutAt, InAt, InPort) or take
+// the arrays themselves (CSR); Out and In return copies for callers that want
+// a slice to keep.
 package topology
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -25,19 +28,39 @@ type Edge struct {
 	From, To int
 }
 
+// CSR is a graph's adjacency in compressed sparse row form. Edges are
+// numbered in (node, out-port) order — the order Edges lists them — so u's
+// out-port p is edge OutStart[u]+p, and v's in-port q is slot InStart[v]+q
+// of InFrom. Ports are numbered in insertion order.
+//
+// A graph never writes its arrays once they are built: AddEdge replaces
+// them. So a CSR taken from a graph is a snapshot that later edges leave
+// unchanged, and its holders must not write to it either.
+type CSR struct {
+	OutStart []int32 // len n+1; u's out-edges are OutStart[u] .. OutStart[u+1]-1
+	Head     []int32 // Head[e]: the node edge e reaches
+	InPort   []int32 // InPort[e]: the in-port on which edge e arrives at Head[e]
+	InStart  []int32 // len n+1; v's in-ports fill InStart[v] .. InStart[v+1]-1 of InFrom
+	InFrom   []int32 // InFrom[InStart[v]+q]: the node behind v's in-port q
+}
+
+// Tail returns the node edge e leaves, read back through the edge's
+// in-port: InFrom[InStart[Head[e]]+InPort[e]].
+func (a CSR) Tail(e int) int {
+	return int(a.InFrom[a.InStart[a.Head[e]]+a.InPort[e]])
+}
+
 // Graph is a directed graph over nodes 0..n-1. The zero value is an empty
 // graph with no nodes; use New.
 //
 // Ports are positions in the adjacency lists: u's p-th out-edge leaves on
-// out-port p, and v's q-th in-edge arrives on in-port q. AddEdge records the
-// in-port of every out-edge as it is added, so a runtime wiring a network
-// resolves "which in-port does u's out-port p reach" by one indexed read
-// (InPort) instead of building a lookup table per run.
+// out-port p, and v's q-th in-edge arrives on in-port q. The in-port of
+// every out-edge is stored with it, so a runtime wiring a network resolves
+// "which in-port does u's out-port p reach" by one indexed read (InPort)
+// instead of building a lookup table per run.
 type Graph struct {
-	n      int
-	out    [][]int
-	in     [][]int
-	inPort [][]int // inPort[u][p]: position of u in in[out[u][p]]
+	n   int
+	adj CSR
 
 	// RingEmbedding cache: graphs are frozen after construction, and
 	// sweeps run thousands of seeded repetitions against one shared
@@ -49,40 +72,126 @@ type Graph struct {
 	ringErr   error
 }
 
-// New returns a graph with n nodes and no edges. It panics if n < 1.
+// New returns a graph with n nodes and no edges. It panics if n < 1, or if
+// n does not fit the adjacency's 32-bit node numbers.
 func New(n int) *Graph {
+	checkSize(n)
+	start := make([]int32, n+1)
+	return &Graph{n: n, adj: CSR{OutStart: start, InStart: start}}
+}
+
+func checkSize(n int) {
 	if n < 1 {
 		panic(fmt.Sprintf("topology: graph needs at least one node, got %d", n))
 	}
-	return &Graph{
-		n:      n,
-		out:    make([][]int, n),
-		in:     make([][]int, n),
-		inPort: make([][]int, n),
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("topology: %d nodes exceed the 32-bit node numbering", n))
 	}
+}
+
+// build lays out the graph whose edges, in insertion order, are
+// from[i]->to[i]: a counting sort by tail for the out-edges and by head for
+// the in-edges, stable, so ports keep insertion order. It performs no
+// checks; the generators' loops produce neither self-loops nor duplicates,
+// and Validate remains the backstop. Where every node's in-degree equals its
+// out-degree — every bidirectional family — the two offset arrays are one.
+func build(n int, from, to []int32) *Graph {
+	checkSize(n)
+	m := len(from)
+	if m > math.MaxInt32 {
+		panic(fmt.Sprintf("topology: %d edges exceed the 32-bit edge numbering", m))
+	}
+	outStart, inStart := make([]int32, n+1), make([]int32, n+1)
+	for i := range m {
+		outStart[from[i]+1]++
+		inStart[to[i]+1]++
+	}
+	for u := range n {
+		outStart[u+1] += outStart[u]
+		inStart[u+1] += inStart[u]
+	}
+	head, inPort, inFrom := make([]int32, m), make([]int32, m), make([]int32, m)
+	outNext, inNext := make([]int32, n), make([]int32, n)
+	for i := range m {
+		u, v := from[i], to[i]
+		e, q := outStart[u]+outNext[u], inNext[v]
+		outNext[u]++
+		inNext[v]++
+		head[e], inPort[e] = v, q
+		inFrom[inStart[v]+q] = u
+	}
+	if slices.Equal(outStart, inStart) {
+		inStart = outStart
+	}
+	return &Graph{n: n, adj: CSR{OutStart: outStart, Head: head, InPort: inPort, InStart: inStart, InFrom: inFrom}}
+}
+
+// edgeList collects a generator's edges in insertion order for build.
+type edgeList struct{ from, to []int32 }
+
+func newEdgeList(edges int) *edgeList {
+	return &edgeList{from: make([]int32, 0, edges), to: make([]int32, 0, edges)}
+}
+
+// addBi appends u->v and v->u.
+func (l *edgeList) addBi(u, v int) {
+	l.from = append(l.from, int32(u), int32(v))
+	l.to = append(l.to, int32(v), int32(u))
 }
 
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
 
-// AddEdge adds the directed edge u->v. Self-loops and duplicate edges are
-// rejected with a panic: neither occurs in any topology the experiments use,
-// and both usually indicate a construction bug.
+// CSR returns the graph's adjacency arrays, which later AddEdge calls leave
+// unchanged (see CSR).
+func (g *Graph) CSR() CSR { return g.adj }
+
+// AddEdge adds the directed edge u->v on the next out-port of u and the next
+// in-port of v. Self-loops and duplicate edges are rejected with a panic:
+// neither occurs in any topology the experiments use, and both usually
+// indicate a construction bug. The adjacency arrays are replaced, not
+// written, so each call costs O(n + edges): AddEdge is for graphs assembled
+// by hand, the generators build theirs in one pass.
 func (g *Graph) AddEdge(u, v int) {
 	g.checkNode(u)
 	g.checkNode(v)
 	if u == v {
 		panic(fmt.Sprintf("topology: self-loop at node %d", u))
 	}
-	for _, w := range g.out[u] {
-		if w == v {
-			panic(fmt.Sprintf("topology: duplicate edge %d->%d", u, v))
-		}
+	if g.HasEdge(u, v) {
+		panic(fmt.Sprintf("topology: duplicate edge %d->%d", u, v))
 	}
-	g.appendEdge(u, v)
+	a := g.adj
+	e, slot := a.OutStart[u+1], a.InStart[v+1]
+	g.adj = CSR{
+		OutStart: bumpedAfter(a.OutStart, u),
+		Head:     insertedAt(a.Head, e, int32(v)),
+		InPort:   insertedAt(a.InPort, e, slot-a.InStart[v]),
+		InStart:  bumpedAfter(a.InStart, v),
+		InFrom:   insertedAt(a.InFrom, slot, int32(u)),
+	}
 	g.ringMu.Lock()
 	g.ringDone = false
 	g.ringMu.Unlock()
+}
+
+// insertedAt returns a fresh copy of s with x inserted at index i.
+func insertedAt(s []int32, i, x int32) []int32 {
+	out := make([]int32, len(s)+1)
+	copy(out, s[:i])
+	out[i] = x
+	copy(out[i+1:], s[i:])
+	return out
+}
+
+// bumpedAfter returns a fresh copy of the offsets start with one more edge
+// in node u's range.
+func bumpedAfter(start []int32, u int) []int32 {
+	out := slices.Clone(start)
+	for w := u + 1; w < len(out); w++ {
+		out[w]++
+	}
+	return out
 }
 
 // AddBiEdge adds both u->v and v->u.
@@ -91,89 +200,77 @@ func (g *Graph) AddBiEdge(u, v int) {
 	g.AddEdge(v, u)
 }
 
-// appendEdge records u->v with no checks. It is the generators' path: their
-// loops cannot produce a self-loop or a duplicate, AddEdge's duplicate scan
-// is O(degree) per edge — quadratic on a star's centre or a complete graph —
-// and a graph under construction has no ring cache to invalidate. Validate
-// remains the backstop.
-func (g *Graph) appendEdge(u, v int) {
-	g.out[u] = append(g.out[u], v)
-	g.inPort[u] = append(g.inPort[u], len(g.in[v]))
-	g.in[v] = append(g.in[v], u)
-}
+// out returns u's out-neighbours as a view of the adjacency.
+func (g *Graph) out(u int) []int32 { return g.adj.Head[g.adj.OutStart[u]:g.adj.OutStart[u+1]] }
 
-// appendBiEdge is AddBiEdge on the unchecked path.
-func (g *Graph) appendBiEdge(u, v int) {
-	g.appendEdge(u, v)
-	g.appendEdge(v, u)
-}
+// in returns v's in-neighbours as a view of the adjacency.
+func (g *Graph) in(v int) []int32 { return g.adj.InFrom[g.adj.InStart[v]:g.adj.InStart[v+1]] }
 
 // HasEdge reports whether the directed edge u->v exists.
 func (g *Graph) HasEdge(u, v int) bool {
 	g.checkNode(u)
 	g.checkNode(v)
-	for _, w := range g.out[u] {
-		if w == v {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(g.out(u), int32(v))
 }
 
 // Out returns a copy of u's out-neighbours, in insertion order.
 func (g *Graph) Out(u int) []int {
 	g.checkNode(u)
-	out := make([]int, len(g.out[u]))
-	copy(out, g.out[u])
-	return out
+	return widened(g.out(u))
 }
 
 // In returns a copy of u's in-neighbours, in insertion order.
 func (g *Graph) In(u int) []int {
 	g.checkNode(u)
-	in := make([]int, len(g.in[u]))
-	copy(in, g.in[u])
-	return in
+	return widened(g.in(u))
+}
+
+func widened(s []int32) []int {
+	out := make([]int, len(s))
+	for i, v := range s {
+		out[i] = int(v)
+	}
+	return out
 }
 
 // OutDegree returns the number of out-neighbours of u.
 func (g *Graph) OutDegree(u int) int {
 	g.checkNode(u)
-	return len(g.out[u])
+	return int(g.adj.OutStart[u+1] - g.adj.OutStart[u])
 }
 
 // InDegree returns the number of in-neighbours of v.
 func (g *Graph) InDegree(v int) int {
 	g.checkNode(v)
-	return len(g.in[v])
+	return int(g.adj.InStart[v+1] - g.adj.InStart[v])
 }
 
 // OutAt returns the neighbour reached by u's out-port p, without copying
 // the adjacency. It panics if p is not a port of u.
 func (g *Graph) OutAt(u, p int) int {
 	g.checkNode(u)
-	return g.out[u][p]
+	return int(g.out(u)[p])
 }
 
 // InAt returns the neighbour behind v's in-port p, without copying the
 // adjacency. It panics if p is not a port of v.
 func (g *Graph) InAt(v, p int) int {
 	g.checkNode(v)
-	return g.in[v][p]
+	return int(g.in(v)[p])
 }
 
 // InPort returns the in-port on which the edge leaving u's out-port p
 // arrives at its destination: InAt(OutAt(u, p), InPort(u, p)) == u.
 func (g *Graph) InPort(u, p int) int {
 	g.checkNode(u)
-	return g.inPort[u][p]
+	return int(g.adj.InPort[g.adj.OutStart[u]:g.adj.OutStart[u+1]][p])
 }
 
 // ForEachOut calls fn for each out-neighbour of u without allocating.
 func (g *Graph) ForEachOut(u int, fn func(v int)) {
 	g.checkNode(u)
-	for _, v := range g.out[u] {
-		fn(v)
+	for _, v := range g.out(u) {
+		fn(int(v))
 	}
 }
 
@@ -181,21 +278,15 @@ func (g *Graph) ForEachOut(u int, fn func(v int)) {
 func (g *Graph) Edges() []Edge {
 	var edges []Edge
 	for u := 0; u < g.n; u++ {
-		for _, v := range g.out[u] {
-			edges = append(edges, Edge{From: u, To: v})
+		for _, v := range g.out(u) {
+			edges = append(edges, Edge{From: u, To: int(v)})
 		}
 	}
 	return edges
 }
 
 // EdgeCount returns the number of directed edges.
-func (g *Graph) EdgeCount() int {
-	total := 0
-	for u := 0; u < g.n; u++ {
-		total += len(g.out[u])
-	}
-	return total
-}
+func (g *Graph) EdgeCount() int { return len(g.adj.Head) }
 
 func (g *Graph) checkNode(u int) {
 	if u < 0 || u >= g.n {
@@ -210,66 +301,60 @@ func Ring(n int) *Graph {
 	if n < 2 {
 		panic(fmt.Sprintf("topology: unidirectional ring needs n >= 2, got %d", n))
 	}
-	// Every node has exactly one out-edge and one in-edge, so the adjacency
-	// tables are laid over one backing array each instead of n one-element
-	// slices — million-node rings are built per run — and every recorded
-	// in-port is the same 0. Capacities are clipped to the element, so a
-	// later AddEdge appends into a fresh array and never into a neighbour's
-	// slot.
+	// Million-node rings are built per run, so the ring is laid out in
+	// closed form: node i's one out-edge is edge i and its one in-port is
+	// 0, and the out- and in-offsets are the same array 0, 1, …, n.
 	g := New(n)
-	out, in, port0 := make([]int, n), make([]int, n), make([]int, 1)
-	for i := 0; i < n; i++ {
-		out[i] = (i + 1) % n
-		in[i] = (i + n - 1) % n
-		g.out[i] = out[i : i+1 : i+1]
-		g.in[i] = in[i : i+1 : i+1]
-		g.inPort[i] = port0[0:1:1]
+	start, head, inPort, inFrom := g.adj.OutStart, make([]int32, n), make([]int32, n), make([]int32, n)
+	for i := range n {
+		start[i+1] = int32(i + 1)
+		head[i] = int32((i + 1) % n)
+		inFrom[i] = int32((i + n - 1) % n)
 	}
+	g.adj = CSR{OutStart: start, Head: head, InPort: inPort, InStart: start, InFrom: inFrom}
 	return g
 }
 
-// BiRing returns the bidirectional ring on n >= 2 nodes.
+// BiRing returns the bidirectional ring on n >= 3 nodes (at n = 2 the
+// closing edge would be the first edge again).
 func BiRing(n int) *Graph {
-	if n < 2 {
-		panic(fmt.Sprintf("topology: bidirectional ring needs n >= 2, got %d", n))
+	if n < 3 {
+		panic(fmt.Sprintf("topology: bidirectional ring needs n >= 3, got %d", n))
 	}
-	g := New(n)
-	for i := 0; i+1 < n; i++ {
-		g.appendBiEdge(i, i+1)
+	l := newEdgeList(2 * n)
+	for i := 0; i < n; i++ {
+		l.addBi(i, (i+1)%n)
 	}
-	// The closing edge takes the checked path: at n = 2 it is the first
-	// edge again, which AddEdge rejects as it always has.
-	g.AddBiEdge(n-1, 0)
-	return g
+	return build(n, l.from, l.to)
 }
 
 // Line returns the bidirectional path 0-1-...-(n-1).
 func Line(n int) *Graph {
-	g := New(n)
+	l := newEdgeList(2 * max(n-1, 0))
 	for i := 0; i+1 < n; i++ {
-		g.AddBiEdge(i, i+1)
+		l.addBi(i, i+1)
 	}
-	return g
+	return build(n, l.from, l.to)
 }
 
 // Star returns the bidirectional star with centre 0 and n-1 leaves.
 func Star(n int) *Graph {
-	g := New(n)
+	l := newEdgeList(2 * max(n-1, 0))
 	for i := 1; i < n; i++ {
-		g.appendBiEdge(0, i)
+		l.addBi(0, i)
 	}
-	return g
+	return build(n, l.from, l.to)
 }
 
 // Complete returns the complete bidirectional graph on n nodes.
 func Complete(n int) *Graph {
-	g := New(n)
+	l := newEdgeList(max(n*(n-1), 0))
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			g.appendBiEdge(u, v)
+			l.addBi(u, v)
 		}
 	}
-	return g
+	return build(n, l.from, l.to)
 }
 
 // Torus returns the rows x cols bidirectional torus grid. Both dimensions
@@ -278,15 +363,16 @@ func Torus(rows, cols int) *Graph {
 	if rows < 3 || cols < 3 {
 		panic(fmt.Sprintf("topology: torus needs both dimensions >= 3, got %dx%d", rows, cols))
 	}
-	g := New(rows * cols)
+	n := rows * cols
+	l := newEdgeList(4 * n)
 	id := func(r, c int) int { return r*cols + c }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			g.appendBiEdge(id(r, c), id(r, (c+1)%cols))
-			g.appendBiEdge(id(r, c), id((r+1)%rows, c))
+			l.addBi(id(r, c), id(r, (c+1)%cols))
+			l.addBi(id(r, c), id((r+1)%rows, c))
 		}
 	}
-	return g
+	return build(n, l.from, l.to)
 }
 
 // Hypercube returns the bidirectional hypercube of the given dimension
@@ -296,16 +382,16 @@ func Hypercube(dim int) *Graph {
 		panic(fmt.Sprintf("topology: hypercube dimension %d outside [0, 20]", dim))
 	}
 	n := 1 << uint(dim)
-	g := New(n)
+	l := newEdgeList(n * dim)
 	for u := 0; u < n; u++ {
 		for b := 0; b < dim; b++ {
 			v := u ^ (1 << uint(b))
 			if u < v {
-				g.appendBiEdge(u, v)
+				l.addBi(u, v)
 			}
 		}
 	}
-	return g
+	return build(n, l.from, l.to)
 }
 
 // HamiltonianCycle returns an ordering of all n nodes, starting at node 0,
@@ -356,7 +442,7 @@ func (g *Graph) HamiltonianCycle() ([]int, bool) {
 	visited := make([]bool, n)
 	onward := func(v int) int {
 		count := 0
-		for _, w := range g.out[v] {
+		for _, w := range g.out(v) {
 			if !visited[w] {
 				count++
 			}
@@ -376,10 +462,10 @@ func (g *Graph) HamiltonianCycle() ([]int, bool) {
 			}
 		} else {
 			type cand struct{ v, onward int }
-			cands := make([]cand, 0, len(g.out[u]))
-			for _, v := range g.out[u] {
+			cands := make([]cand, 0, g.OutDegree(u))
+			for _, v := range g.out(u) {
 				if !visited[v] {
-					cands = append(cands, cand{v, onward(v)})
+					cands = append(cands, cand{int(v), onward(int(v))})
 				}
 			}
 			sort.Slice(cands, func(i, j int) bool {
@@ -423,12 +509,12 @@ func (g *Graph) grayCodeCycle() ([]int, bool) {
 		dim++
 	}
 	for u := 0; u < n; u++ {
-		out := g.out[u]
+		out := g.out(u)
 		if len(out) != dim {
 			return nil, false
 		}
 		for _, v := range out {
-			x := u ^ v
+			x := u ^ int(v)
 			if x == 0 || x&(x-1) != 0 {
 				return nil, false // not a single bit flip
 			}
@@ -470,8 +556,8 @@ func (g *Graph) ringEmbedding() ([]int, error) {
 	for i, u := range order {
 		v := order[(i+1)%g.n]
 		port := -1
-		for p, w := range g.out[u] {
-			if w == v {
+		for p, w := range g.out(u) {
+			if int(w) == v {
 				port = p
 				break
 			}
@@ -495,22 +581,29 @@ func RandomConnected(n int, extraEdgeProb float64, r *rng.Source) *Graph {
 	if extraEdgeProb < 0 || extraEdgeProb > 1 {
 		panic(fmt.Sprintf("topology: extra edge probability %g outside [0,1]", extraEdgeProb))
 	}
-	g := New(n)
-	// Random attachment tree guarantees connectivity.
+	// Random attachment tree guarantees connectivity. Each node but order[0]
+	// attaches once, to its tree parent; a pair is joined by a tree edge
+	// exactly when one is the other's parent, and by nothing else while the
+	// pairs are visited below, each once.
+	checkSize(n)
+	l := newEdgeList(2 * (n - 1))
+	parent := make([]int, n)
 	order := r.Perm(n)
+	parent[order[0]] = -1
 	for i := 1; i < n; i++ {
 		u := order[i]
 		v := order[r.Intn(i)]
-		g.AddBiEdge(u, v)
+		parent[u] = v
+		l.addBi(u, v)
 	}
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			if !g.HasEdge(u, v) && r.Bool(extraEdgeProb) {
-				g.AddBiEdge(u, v)
+			if parent[u] != v && parent[v] != u && r.Bool(extraEdgeProb) {
+				l.addBi(u, v)
 			}
 		}
 	}
-	return g
+	return build(n, l.from, l.to)
 }
 
 // BFSTree computes a breadth-first spanning tree of the graph from root,
@@ -529,11 +622,11 @@ func (g *Graph) BFSTree(root int) (parent, depth []int) {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, v := range g.out[u] {
+		for _, v := range g.out(u) {
 			if depth[v] == -1 {
 				depth[v] = depth[u] + 1
 				parent[v] = u
-				queue = append(queue, v)
+				queue = append(queue, int(v))
 			}
 		}
 	}
@@ -549,7 +642,7 @@ func (g *Graph) IsStronglyConnected() bool {
 	return g.allReachableFrom(0, g.in)
 }
 
-func (g *Graph) allReachableFrom(root int, adj [][]int) bool {
+func (g *Graph) allReachableFrom(root int, adj func(int) []int32) bool {
 	seen := make([]bool, g.n)
 	seen[root] = true
 	stack := []int{root}
@@ -557,11 +650,11 @@ func (g *Graph) allReachableFrom(root int, adj [][]int) bool {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, v := range adj[u] {
+		for _, v := range adj(u) {
 			if !seen[v] {
 				seen[v] = true
 				count++
-				stack = append(stack, v)
+				stack = append(stack, int(v))
 			}
 		}
 	}
@@ -587,37 +680,52 @@ func (g *Graph) Diameter() int {
 	return max
 }
 
-// Validate checks structural invariants (consistent in/out adjacency). It
-// returns an error describing the first violation, or nil. All constructors
-// in this package maintain these invariants; Validate exists for graphs
-// assembled by hand. It runs in O(E): each out-edge is checked against the
-// in-port AddEdge recorded for it.
+// Validate checks structural invariants (offsets that delimit the arrays,
+// consistent in/out adjacency). It returns an error describing the first
+// violation, or nil. All constructors in this package maintain these
+// invariants; Validate is the backstop every network build runs. It runs in
+// O(n + E): each out-edge is checked against the in-port stored with it.
 func (g *Graph) Validate() error {
 	if g.n < 1 {
 		return fmt.Errorf("topology: graph has %d nodes", g.n)
 	}
-	counted := 0
+	a := g.adj
+	if err := checkOffsets("out", a.OutStart, g.n, len(a.Head)); err != nil {
+		return err
+	}
+	if err := checkOffsets("in", a.InStart, g.n, len(a.InFrom)); err != nil {
+		return err
+	}
+	if len(a.InPort) != len(a.Head) {
+		return fmt.Errorf("topology: %d in-ports for %d out-edges", len(a.InPort), len(a.Head))
+	}
 	for u := 0; u < g.n; u++ {
-		for p, v := range g.out[u] {
-			if v < 0 || v >= g.n {
+		for e := a.OutStart[u]; e < a.OutStart[u+1]; e++ {
+			v := a.Head[e]
+			if v < 0 || int(v) >= g.n {
 				return fmt.Errorf("topology: edge %d->%d leaves node range", u, v)
 			}
-			q := -1
-			if p < len(g.inPort[u]) {
-				q = g.inPort[u][p]
-			}
-			if q < 0 || q >= len(g.in[v]) || g.in[v][q] != u {
+			if q := a.InPort[e]; q < 0 || q >= a.InStart[v+1]-a.InStart[v] || int(a.InFrom[a.InStart[v]+q]) != u {
 				return fmt.Errorf("topology: edge %d->%d missing from in-adjacency", u, v)
 			}
-			counted++
 		}
 	}
-	inCount := 0
-	for v := 0; v < g.n; v++ {
-		inCount += len(g.in[v])
+	if len(a.Head) != len(a.InFrom) {
+		return fmt.Errorf("topology: %d out-edges vs %d in-edges", len(a.Head), len(a.InFrom))
 	}
-	if counted != inCount {
-		return fmt.Errorf("topology: %d out-edges vs %d in-edges", counted, inCount)
+	return nil
+}
+
+// checkOffsets checks that start delimits n consecutive ranges covering
+// exactly size entries.
+func checkOffsets(side string, start []int32, n, size int) error {
+	if len(start) != n+1 || start[0] != 0 || int(start[n]) != size {
+		return fmt.Errorf("topology: %s-offsets do not delimit %d nodes over %d entries", side, n, size)
+	}
+	for u := range n {
+		if start[u+1] < start[u] {
+			return fmt.Errorf("topology: %s-offsets decrease at node %d", side, u)
+		}
 	}
 	return nil
 }

@@ -1,13 +1,17 @@
 package topology
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"abenet/internal/allocbudget"
 	"abenet/internal/rng"
 )
 
@@ -264,10 +268,15 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		corrupt func(g *Graph)
 		want    string
 	}{
-		{"edge out of range", func(g *Graph) { g.out[0][0] = 7 }, "leaves node range"},
-		{"out-edge missing from in-adjacency", func(g *Graph) { g.in[1] = nil }, "missing from in-adjacency"},
-		{"out-edge at another in-port", func(g *Graph) { g.in[1] = []int{2} }, "missing from in-adjacency"},
-		{"count mismatch", func(g *Graph) { g.in[1] = append(g.in[1], 2) }, "out-edges vs"},
+		{"edge out of range", func(g *Graph) { g.adj.Head[0] = 7 }, "leaves node range"},
+		{"out-edge missing from in-adjacency", func(g *Graph) { g.adj.InFrom[1] = 2 }, "missing from in-adjacency"},
+		{"out-edge at another in-port", func(g *Graph) { g.adj.InPort[0] = 1 }, "missing from in-adjacency"},
+		{"offsets cut short", func(g *Graph) { g.adj.OutStart = g.adj.OutStart[:2] }, "do not delimit"},
+		{"count mismatch", func(g *Graph) {
+			g.adj.InStart = slices.Clone(g.adj.InStart)
+			g.adj.InStart[3]++
+			g.adj.InFrom = append(g.adj.InFrom, 2)
+		}, "out-edges vs"},
 	} {
 		g := Ring(3)
 		if err := g.Validate(); err != nil {
@@ -281,8 +290,8 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-// TestRecordedInPortMatchesScan checks the in-port AddEdge records for each
-// out-edge against a position scan of the destination's in-adjacency.
+// TestRecordedInPortMatchesScan checks the in-port stored for each out-edge
+// against a position scan of the destination's in-adjacency.
 func TestRecordedInPortMatchesScan(t *testing.T) {
 	graphs := map[string]*Graph{
 		"ring":      Ring(7),
@@ -321,12 +330,12 @@ func TestRecordedInPortMatchesScan(t *testing.T) {
 	}
 }
 
-// TestRingSharedBackingSurvivesAddEdge pins the capacity clipping in Ring:
-// growing one node's adjacency must not overwrite its neighbour's slot in
-// the shared backing arrays.
+// TestRingSharedBackingSurvivesAddEdge pins AddEdge on a ring, whose out-
+// and in-offsets are one array: growing one node's adjacency must not move
+// any other node's edges or ports.
 func TestRingSharedBackingSurvivesAddEdge(t *testing.T) {
 	g := Ring(5)
-	g.AddEdge(1, 4) // appends to out[1], inPort[1] and in[4]
+	g.AddEdge(1, 4) // out-port 1 of node 1, in-port 1 of node 4
 	g.AddEdge(3, 0)
 	for i := 0; i < 5; i++ {
 		if got := g.OutAt(i, 0); got != (i+1)%5 {
@@ -452,16 +461,16 @@ func TestRingEmbedding(t *testing.T) {
 	}
 }
 
-// checkedBuild is a generator as it was before the unchecked path: the same
-// loop, every edge through the public AddBiEdge with its duplicate scan.
+// checkedBuild is a generator's loop with every edge through the public
+// AddBiEdge, its duplicate scan and its in-place CSR insertion.
 func checkedBuild(n int, edges func(add func(u, v int))) *Graph {
 	g := New(n)
 	edges(g.AddBiEdge)
 	return g
 }
 
-// TestGeneratorsMatchCheckedConstruction: the generators append through the
-// unchecked path; the graph they produce — every Out, In and in-port, in
+// TestGeneratorsMatchCheckedConstruction: the generators lay out their CSR
+// in one unchecked pass (build); the graph they produce — every Out, In and in-port, in
 // order — must be the one the checked AddBiEdge loop builds, and must pass
 // Validate.
 func TestGeneratorsMatchCheckedConstruction(t *testing.T) {
@@ -535,10 +544,251 @@ func TestGeneratorsMatchCheckedConstruction(t *testing.T) {
 	}
 }
 
+// refGraph is the reference the CSR layout is checked against: the
+// adjacency-list graph, one growing list per node and side, where a port is
+// the position an edge was appended at.
+type refGraph struct {
+	out, in, inPort [][]int // inPort[u][p]: position of u in in[out[u][p]]
+}
+
+func newRef(n int) *refGraph {
+	return &refGraph{out: make([][]int, n), in: make([][]int, n), inPort: make([][]int, n)}
+}
+
+func (r *refGraph) add(u, v int) {
+	r.out[u] = append(r.out[u], v)
+	r.inPort[u] = append(r.inPort[u], len(r.in[v]))
+	r.in[v] = append(r.in[v], u)
+}
+
+func (r *refGraph) addBi(u, v int) { r.add(u, v); r.add(v, u) }
+
+func (r *refGraph) has(u, v int) bool { return slices.Contains(r.out[u], v) }
+
+// refRandomConnected is RandomConnected's draw sequence on the reference.
+func refRandomConnected(n int, p float64, r *rng.Source) *refGraph {
+	ref := newRef(n)
+	order := r.Perm(n)
+	for i := 1; i < n; i++ {
+		ref.addBi(order[i], order[r.Intn(i)])
+	}
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if !ref.has(u, v) && r.Bool(p) {
+				ref.addBi(u, v)
+			}
+		}
+	}
+	return ref
+}
+
+// samePorts fails t unless g reads exactly as ref through every accessor.
+func samePorts(t *testing.T, name string, g *Graph, ref *refGraph) {
+	t.Helper()
+	if err := g.Validate(); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if g.N() != len(ref.out) {
+		t.Fatalf("%s: %d nodes, want %d", name, g.N(), len(ref.out))
+	}
+	var edges []Edge
+	for u := range g.N() {
+		if g.OutDegree(u) != len(ref.out[u]) || g.InDegree(u) != len(ref.in[u]) {
+			t.Fatalf("%s: node %d has degrees out %d in %d, want %d %d",
+				name, u, g.OutDegree(u), g.InDegree(u), len(ref.out[u]), len(ref.in[u]))
+		}
+		if !slices.Equal(g.Out(u), ref.out[u]) || !slices.Equal(g.In(u), ref.in[u]) {
+			t.Fatalf("%s: node %d reads Out %v In %v, want %v %v", name, u, g.Out(u), g.In(u), ref.out[u], ref.in[u])
+		}
+		for p, v := range ref.out[u] {
+			if g.OutAt(u, p) != v || g.InPort(u, p) != ref.inPort[u][p] {
+				t.Fatalf("%s: out-port %d of %d reads (%d, in-port %d), want (%d, %d)",
+					name, p, u, g.OutAt(u, p), g.InPort(u, p), v, ref.inPort[u][p])
+			}
+			edges = append(edges, Edge{From: u, To: v})
+		}
+		for q, w := range ref.in[u] {
+			if g.InAt(u, q) != w {
+				t.Fatalf("%s: in-port %d of %d reads %d, want %d", name, q, u, g.InAt(u, q), w)
+			}
+		}
+	}
+	if got := g.Edges(); !slices.Equal(got, edges) {
+		t.Fatalf("%s: Edges() = %v, want %v", name, got, edges)
+	}
+	adj := g.CSR()
+	for e, edge := range edges {
+		if adj.Tail(e) != edge.From {
+			t.Fatalf("%s: CSR.Tail(%d) = %d, want %d", name, e, adj.Tail(e), edge.From)
+		}
+	}
+}
+
+// TestPortsMatchReferenceAdjacency holds every generator, and graphs grown
+// by AddEdge, to the adjacency-list reference: the same neighbours on the
+// same ports, in insertion order, through every accessor — each out-edge's
+// stored in-port included, which is its position in the reference's
+// in-list of its head.
+func TestPortsMatchReferenceAdjacency(t *testing.T) {
+	type tc struct {
+		name string
+		got  *Graph
+		want func(*refGraph)
+		n    int
+	}
+	var cases []tc
+	for _, n := range []int{2, 3, 4, 9, 32} {
+		cases = append(cases, tc{"ring", Ring(n), func(r *refGraph) {
+			for i := range n {
+				r.add(i, (i+1)%n)
+			}
+		}, n})
+		if n >= 3 {
+			cases = append(cases, tc{"biring", BiRing(n), func(r *refGraph) {
+				for i := range n {
+					r.addBi(i, (i+1)%n)
+				}
+			}, n})
+		}
+		cases = append(cases,
+			tc{"line", Line(n), func(r *refGraph) {
+				for i := 0; i+1 < n; i++ {
+					r.addBi(i, i+1)
+				}
+			}, n},
+			tc{"star", Star(n), func(r *refGraph) {
+				for i := 1; i < n; i++ {
+					r.addBi(0, i)
+				}
+			}, n},
+			tc{"complete", Complete(n), func(r *refGraph) {
+				for u := range n {
+					for v := u + 1; v < n; v++ {
+						r.addBi(u, v)
+					}
+				}
+			}, n})
+	}
+	cases = append(cases, tc{"line", Line(1), func(*refGraph) {}, 1})
+	for _, dim := range []int{0, 1, 3, 5} {
+		cases = append(cases, tc{"hypercube", Hypercube(dim), func(r *refGraph) {
+			for u := range 1 << dim {
+				for b := range dim {
+					if v := u ^ (1 << b); u < v {
+						r.addBi(u, v)
+					}
+				}
+			}
+		}, 1 << dim})
+	}
+	for _, d := range [][2]int{{3, 3}, {3, 5}, {6, 4}} {
+		rows, cols := d[0], d[1]
+		cases = append(cases, tc{"torus", Torus(rows, cols), func(r *refGraph) {
+			for row := range rows {
+				for c := range cols {
+					r.addBi(row*cols+c, row*cols+(c+1)%cols)
+					r.addBi(row*cols+c, ((row+1)%rows)*cols+c)
+				}
+			}
+		}, rows * cols})
+	}
+	for _, c := range cases {
+		ref := newRef(c.n)
+		c.want(ref)
+		samePorts(t, fmt.Sprintf("%s(%d nodes)", c.name, c.n), c.got, ref)
+	}
+	for _, seed := range []uint64{1, 5, 99} {
+		g := RandomConnected(24, 0.2, rng.New(seed))
+		samePorts(t, fmt.Sprintf("random(seed %d)", seed), g, refRandomConnected(24, 0.2, rng.New(seed)))
+	}
+
+	// By hand: random edges onto an empty graph and onto generated ones,
+	// each checked after every addition.
+	r := rng.New(7)
+	for _, start := range []struct {
+		name string
+		g    *Graph
+		ref  func() *refGraph
+	}{
+		{"empty", New(9), func() *refGraph { return newRef(9) }},
+		{"ring", Ring(9), func() *refGraph {
+			ref := newRef(9)
+			for i := range 9 {
+				ref.add(i, (i+1)%9)
+			}
+			return ref
+		}},
+		{"star", Star(9), func() *refGraph {
+			ref := newRef(9)
+			for i := 1; i < 9; i++ {
+				ref.addBi(0, i)
+			}
+			return ref
+		}},
+	} {
+		g, ref := start.g, start.ref()
+		for added := 0; added < 20; {
+			u, v := r.Intn(9), r.Intn(9)
+			if u == v || ref.has(u, v) {
+				continue
+			}
+			g.AddEdge(u, v)
+			ref.add(u, v)
+			added++
+			samePorts(t, fmt.Sprintf("%s + %d edges", start.name, added), g, ref)
+		}
+	}
+}
+
+// TestCSRSnapshotSurvivesAddEdge: a CSR taken from a graph is a snapshot.
+// AddEdge replaces the graph's arrays and leaves the taken ones as they were.
+func TestCSRSnapshotSurvivesAddEdge(t *testing.T) {
+	for _, g := range []*Graph{Ring(6), Complete(4), New(3)} {
+		before := g.CSR()
+		kept := CSR{
+			OutStart: slices.Clone(before.OutStart), Head: slices.Clone(before.Head),
+			InPort: slices.Clone(before.InPort), InStart: slices.Clone(before.InStart),
+			InFrom: slices.Clone(before.InFrom),
+		}
+		switch {
+		case g.N() == 3:
+			g.AddEdge(2, 0)
+		case !g.HasEdge(0, 2):
+			g.AddEdge(0, 2)
+		default:
+			continue
+		}
+		if !reflect.DeepEqual(before, kept) {
+			t.Fatalf("AddEdge wrote into a taken CSR: %+v, was %+v", before, kept)
+		}
+		if g.EdgeCount() != len(before.Head)+1 {
+			t.Fatalf("AddEdge left the graph at %d edges", g.EdgeCount())
+		}
+	}
+}
+
+// TestRingAllocationBudget holds Ring's layout: a fixed number of objects
+// whatever n — nothing per node or edge — and at most 24 B per node. It
+// measures 16 B: out-edge 4, in-port 4 and in-neighbour 4, plus the one
+// offsets array the out- and in-sides share.
+func TestRingAllocationBudget(t *testing.T) {
+	build := func(n int) func() { return func() { runtime.KeepAlive(Ring(n)) } }
+	small, objects := allocbudget.Objects(build)
+	bytes := allocbudget.BytesPerNode(10_000, build)
+
+	t.Logf("Ring(n): %.0f objects at n = 10³, %.0f at n = 10⁴, %.1f B per node", small, objects, bytes)
+	if objects != small {
+		t.Errorf("Ring allocates %.0f objects at n = 10⁴ and %.0f at n = 10³: something is built per node", objects, small)
+	}
+	if bytes > 24 {
+		t.Errorf("Ring allocates %.1f B per node, budget 24", bytes)
+	}
+}
+
 // TestGeneratedGraphsKeepTheChecks: only the generators' own loops skip the
 // checks. Adding to a generated graph by hand still panics on a duplicate
-// and a self-loop, and BiRing(2) — whose closing edge is its first edge
-// again — is still rejected.
+// and a self-loop, and BiRing(2) — whose closing edge would be its first
+// edge again — is rejected.
 func TestGeneratedGraphsKeepTheChecks(t *testing.T) {
 	for name, g := range map[string]*Graph{
 		"biring": BiRing(5), "star": Star(5), "complete": Complete(5),
@@ -556,10 +806,11 @@ func TestGeneratedGraphsKeepTheChecks(t *testing.T) {
 }
 
 // TestGeneratorsAreLinearInEdges: Star(100000) has twice Ring(100000)'s
-// edges. With AddEdge's duplicate scan on the centre's adjacency it took
-// ~900 times as long to build; appended unchecked it takes a few times as
-// long. The bound is a ratio of best-of-three build times on the same box,
-// generous enough for a loaded one.
+// edges, all at its centre. Built edge by edge through AddEdge — a duplicate
+// scan of the centre's adjacency and fresh arrays per edge — it would be
+// quadratic; the generators' one pass takes a few times as long as Ring. The
+// bound is a ratio of best-of-three build times on the same box, generous
+// enough for a loaded one.
 func TestGeneratorsAreLinearInEdges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 100000-node graphs")

@@ -21,11 +21,12 @@
 //     slot time: unbounded support, expectation slot/p.
 //
 // A network picks one of them, its Factory, for all of its links, and a link
-// is a row of the network's Store (pool.go): its counters, its batch state and
-// a FIFO link's last delivery instant, beside a random stream the network lays
-// out. The store applies the one discipline to every row, holds the messages in
-// flight on all of them, and hands a delivery to the network's Sink as
-// Deliver(link, payload). A link built on its own (NewRandomDelay, NewFIFO,
+// is a row of the network's Store (pool.go): its counters, beside a random
+// stream the network lays out and, on a FIFO store, its last delivery instant
+// in a column of their own. The store applies the one discipline to every
+// row, keeps the one batch of same-instant deliveries a send may still join,
+// holds the messages in flight on all of them, and hands a delivery to the
+// network's Sink as Deliver(link, payload). A link built on its own (NewRandomDelay, NewFIFO,
 // NewARQ) is a store of one row around a DeliverFunc, on the same send path.
 //
 // That is the whole package: three delay disciplines and one store, which

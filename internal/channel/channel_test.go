@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"abenet/internal/dist"
 	"abenet/internal/rng"
@@ -455,13 +456,33 @@ func TestReentrantSameInstantSendOpensFreshEvent(t *testing.T) {
 
 // TestRowIsPointerFree pins the layout that keeps a network's links off the
 // collector's scan list: a row holds no pointer at all — a link names nothing,
-// it is named by its index — and a slot's only pointer is its payload.
+// it is named by its index — and a slot's only pointer is its payload. A row
+// is its counters, 32 B: batch state is the store's one record, and a FIFO
+// link's last delivery instant is a column only a FIFO store has.
 func TestRowIsPointerFree(t *testing.T) {
 	if got := pointers(reflect.TypeOf(row{}), "row"); len(got) != 0 {
 		t.Errorf("row holds pointers at %v", got)
 	}
 	if got, want := pointers(reflect.TypeOf(slot{}), "slot"), []string{"slot.payload"}; !slices.Equal(got, want) {
 		t.Errorf("slot holds pointers at %v, want %v", got, want)
+	}
+	if got := unsafe.Sizeof(row{}); got != 32 {
+		t.Errorf("a row is %d B, want 32 (its Stats)", got)
+	}
+	for _, tc := range []struct {
+		name  string
+		links Factory
+		fifo  bool
+	}{
+		{"random-delay", RandomDelayFactory(dist.NewExponential(1)), false},
+		{"fifo", FIFOFactory(dist.NewExponential(1)), true},
+		{"arq", ARQFactory(0.5, 1), false},
+		{"heterogeneous", HeterogeneousFactory(func(int) dist.Dist { return dist.NewExponential(1) }), false},
+	} {
+		store := NewStore(sim.New(), &recordingSink{}, tc.links, streams(1, 5))
+		if has := store.last != nil; has != tc.fifo || (has && len(store.last) != 5) {
+			t.Errorf("%s store: FIFO column of %d entries, want one per row only on a FIFO store", tc.name, len(store.last))
+		}
 	}
 }
 

@@ -25,16 +25,17 @@ type DeliverFunc func(payload any)
 func (f DeliverFunc) Deliver(_ int, payload any) { f(payload) }
 
 // Store is every link of one network and every message in flight on them. A
-// link is a row — its counters, its batch state, a FIFO link's last delivery
-// instant — in one slice laid out by NewStore, next to the random stream the
-// network lays out for it, and the network's one discipline (its Factory)
-// decides each row's delays: the store holds no object per link, and nothing
-// in a row or a slot but a slot's payload is a pointer, so the collector never
-// scans the rows. A message in flight is a pooled slot (its payload, its
-// sampled delay and its row), and, where the kernel's execution order provably
-// cannot tell the difference, one kernel event carries a whole batch of
-// same-instant deliveries on a link. The slots a burst needed on one link are
-// reused by the next burst on any other.
+// link is a row — its counters — in one slice laid out by NewStore, next to
+// the random stream the network lays out for it, and the network's one
+// discipline (its Factory) decides each row's delays; a FIFO store keeps a
+// column of last delivery instants beside the rows, and the store as a whole
+// keeps the one batch a Send may still join. The store holds no object per
+// link, and nothing in a row or a slot but a slot's payload is a pointer, so
+// the collector never scans the rows. A message in flight is a pooled slot
+// (its payload, its sampled delay and its row), and, where the kernel's
+// execution order provably cannot tell the difference, one kernel event
+// carries a whole batch of same-instant deliveries on a link. The slots a
+// burst needed on one link are reused by the next burst on any other.
 //
 // # Batching without changing the execution order
 //
@@ -47,22 +48,34 @@ func (f DeliverFunc) Deliver(_ int, payload any) { f(payload) }
 // byte-identical, only Kernel.Executed() and the per-event observer
 // cadence see fewer events. Two links never share a batch: the second
 // link's event moves ScheduleSeq, which closes the first link's batch, so
-// same-instant deliveries on different links interleave in send order. The
-// batch also closes the moment one of its link's batches starts firing: a
-// delivery handler that sends again at the same instant gets a fresh kernel
-// event, which is precisely where the unbatched ordering would have put it
-// (after everything already in flight). And because one event per delivery
-// let Kernel.Stop cut off the remaining same-instant deliveries, the batch
-// walk re-checks Stopped before each entry and abandons the rest —
+// same-instant deliveries on different links interleave in send order.
+//
+// That makes the open batch one record per store, not one per row: a batch's
+// sequence mark is ScheduleSeq read right after its own event is scheduled,
+// and any later schedule moves ScheduleSeq, so no two batches ever hold the
+// same mark and at most one of them — the newest — can pass (b). The record
+// names that batch's row, its instant, its mark and its last entry.
+//
+// The batch also closes the moment it starts firing: a delivery handler that
+// sends again at the same instant on the same link gets a fresh kernel event,
+// which is precisely where the unbatched ordering would have put it (after
+// everything already in flight). Firing another link's batch leaves the
+// record alone — nothing was scheduled, so a send from that handler at the
+// open batch's instant on its link still joins it. And because one event per
+// delivery let Kernel.Stop cut off the remaining same-instant deliveries, the
+// batch walk re-checks Stopped before each entry and abandons the rest —
 // identical semantics, closure for closure.
 type Store struct {
 	kernel *sim.Kernel
 	sink   Sink
 
 	discipline
-	delays  []dist.Dist  // delays[k] = row k's law under a HeterogeneousFactory; nil otherwise
-	rows    []row        // rows[k] = link k
-	streams []rng.Source // streams[k] = link k's random stream, drawn from in place
+	delays  []dist.Dist    // delays[k] = row k's law under a HeterogeneousFactory; nil otherwise
+	rows    []row          // rows[k] = link k
+	streams []rng.Source   // streams[k] = link k's random stream, drawn from in place
+	last    []simtime.Time // last[k] = link k's last delivery instant; a FIFO store's alone
+
+	open batch // the one batch a Send may still join, if any
 
 	// slots is the in-flight pool; free lists vacated slots for reuse, so
 	// steady-state sends allocate nothing.
@@ -72,17 +85,24 @@ type Store struct {
 	fire sim.HandlerID // fireBatch, registered once; every delivery event names it
 }
 
-// row is one link: its counters, the one piece of batching state that is per
-// link — which batch, if any, a Send may still join — and, on a FIFO link,
-// the instant of its last delivery.
+// row is one link: its counters and nothing else.
 type row struct {
-	stats        Stats
-	lastDelivery simtime.Time // FIFO only
-	openAt       simtime.Time
-	openSeq      uint64 // kernel ScheduleSeq right after the batch event: unchanged ⇔ joinable
-	tail         int32  // last entry of the open batch
-	open         bool   // an open batch exists that a Send may still join
+	Stats
 }
+
+// batch is the store's open batch: the row it carries, its last entry, its
+// delivery instant and the kernel's ScheduleSeq right after its event was
+// scheduled — joinable while ScheduleSeq still reads seq. Row −1 means there
+// is none: a zero record would name row 0 and be joinable at time 0, since
+// ScheduleSeq starts at 0.
+type batch struct {
+	row, tail int32
+	at        simtime.Time
+	seq       uint64
+}
+
+// closed is the batch record that names no batch.
+var closed = batch{row: -1}
 
 // slot is one message in flight.
 type slot struct {
@@ -107,7 +127,10 @@ func NewStore(k *sim.Kernel, sink Sink, links Factory, streams []rng.Source) *St
 	if links == nil {
 		panic("channel: nil link factory")
 	}
-	s := &Store{kernel: k, sink: sink, discipline: *links, rows: make([]row, len(streams)), streams: streams}
+	s := &Store{kernel: k, sink: sink, discipline: *links, rows: make([]row, len(streams)), streams: streams, open: closed}
+	if s.kind == kindFIFO {
+		s.last = make([]simtime.Time, len(streams))
+	}
 	if s.pick != nil {
 		s.delays = make([]dist.Dist, len(streams))
 		for i := range s.delays {
@@ -123,7 +146,7 @@ func NewStore(k *sim.Kernel, sink Sink, links Factory, streams []rng.Source) *St
 func (s *Store) Links() int { return len(s.rows) }
 
 // Stats returns link k's counters.
-func (s *Store) Stats(k int) Stats { return s.rows[k].stats }
+func (s *Store) Stats(k int) Stats { return s.rows[k].Stats }
 
 // MeanDelay returns the exact expectation of link k's delay distribution
 // (its δ).
@@ -159,29 +182,29 @@ func (s *Store) Send(k int, payload any) simtime.Duration {
 		attempts := s.arq.Attempts(r)
 		d = simtime.Duration(float64(attempts) * s.arq.SlotTime)
 		at = now.Add(d)
-		w.stats.Transmissions += uint64(attempts)
+		w.Transmissions += uint64(attempts)
 	case kindFIFO:
 		at = now.Add(simtime.Duration(s.delayOf(k).Sample(r)))
-		if at.Before(w.lastDelivery) {
-			at = w.lastDelivery
+		if at.Before(s.last[k]) {
+			at = s.last[k]
 		}
-		w.lastDelivery = at
+		s.last[k] = at
 		d = at.Sub(now)
-		w.stats.Transmissions++
+		w.Transmissions++
 	default:
 		d = simtime.Duration(s.delayOf(k).Sample(r))
 		at = now.Add(d)
-		w.stats.Transmissions++
+		w.Transmissions++
 	}
-	w.stats.Sent++
-	s.file(w, int32(k), at, payload, d)
+	w.Sent++
+	s.file(int32(k), at, payload, d)
 	return d
 }
 
-// file puts one payload in flight on row w (link k) for delivery at instant
-// at, joining the link's open batch when that is provably order-preserving and
+// file puts one payload in flight on link k for delivery at instant at,
+// joining the link's open batch when that is provably order-preserving and
 // scheduling a fresh kernel event otherwise.
-func (s *Store) file(w *row, k int32, at simtime.Time, payload any, d simtime.Duration) {
+func (s *Store) file(k int32, at simtime.Time, payload any, d simtime.Duration) {
 	var i int32
 	if n := len(s.free); n > 0 {
 		i = s.free[n-1]
@@ -191,16 +214,13 @@ func (s *Store) file(w *row, k int32, at simtime.Time, payload any, d simtime.Du
 		s.slots = append(s.slots, slot{})
 	}
 	s.slots[i] = slot{payload: payload, delay: d, link: k, next: -1}
-	if w.open && at == w.openAt && s.kernel.ScheduleSeq() == w.openSeq {
-		s.slots[w.tail].next = i
-		w.tail = i
+	if o := &s.open; o.row == k && o.at == at && o.seq == s.kernel.ScheduleSeq() {
+		s.slots[o.tail].next = i
+		o.tail = i
 		return
 	}
 	s.kernel.AtArg(at, s.fire, uint32(i))
-	w.open = true
-	w.openAt = at
-	w.openSeq = s.kernel.ScheduleSeq()
-	w.tail = i
+	s.open = batch{row: k, tail: i, at: at, seq: s.kernel.ScheduleSeq()}
 }
 
 // fireBatch delivers a batch chain head-to-tail. Slots are released before
@@ -208,8 +228,10 @@ func (s *Store) file(w *row, k int32, at simtime.Time, payload any, d simtime.Du
 // is read out first, so reuse cannot corrupt the walk.
 func (s *Store) fireBatch(head uint32) {
 	k := s.slots[head].link
+	if s.open.row == k {
+		s.open = closed // reentrant same-instant sends on k must open a fresh event
+	}
 	w := &s.rows[k]
-	w.open = false // reentrant same-instant sends must open a fresh event
 	for i := int32(head); i >= 0; {
 		sl := s.slots[i]
 		s.slots[i] = slot{}
@@ -221,8 +243,8 @@ func (s *Store) fireBatch(head uint32) {
 			// undelivered.
 			continue
 		}
-		w.stats.Delivered++
-		w.stats.TotalDelay += sl.delay.Seconds()
+		w.Delivered++
+		w.TotalDelay += sl.delay.Seconds()
 		s.sink.Deliver(int(k), sl.payload)
 	}
 }

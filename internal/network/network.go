@@ -19,13 +19,14 @@
 // Construction is flat: New lays every kind of per-node and per-edge state
 // (contexts with their streams inline, link streams, the store's link rows)
 // in one slice each, reads both ends of every edge and its in-port straight
-// off the graph's arrays, and sizes the kernel's queue once. A link is a
-// row of the one channel.Store, under the one discipline cfg.Links names, so
-// no edge gets an object of its own; a perfect clock reads real time, so a
-// network of them keeps no clock at all. Deliveries come back through
-// Sink.Deliver(edge, ·) and untraced, fault-free timers through one handler
-// per timer kind with the node as the event argument, so an idle node costs
-// no closure. TestAllocationBudget holds the line.
+// off the graph's arrays, and reserves the kernel's run lane for one timer
+// per node. A link is a row of the one channel.Store, under the one
+// discipline cfg.Links names, so no edge gets an object of its own; a perfect
+// clock reads real time, so a network of them keeps no clock at all.
+// Deliveries come back through Sink.Deliver(edge, ·) and untraced, fault-free
+// timers through one handler per timer kind with the node as the event
+// argument, so an idle node costs no closure. TestAllocationBudget holds the
+// line.
 //
 // Deferred work is data. Whatever has to wait outside the store and the
 // kernel's own queue — a timer set under a tracer, anything in a node's
@@ -292,9 +293,9 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 
 	graph := cfg.Graph
 	n := graph.N()
-	// A pending timer and a message in flight per node is what tick-driven
-	// protocols hold from Init on; larger bursts grow the queue as before.
-	kernel.Reserve(2 * n)
+	// A pending timer per node is what tick-driven protocols hold from Init
+	// on, at non-decreasing instants; messages in flight grow the heap lane.
+	kernel.Reserve(n)
 	root := rng.New(cfg.Seed)
 	net := &Network{
 		cfg:      cfg,

@@ -11,6 +11,7 @@ import (
 	"abenet/internal/dist"
 	"abenet/internal/faults"
 	"abenet/internal/network"
+	"abenet/internal/sim"
 	"abenet/internal/simtime"
 	"abenet/internal/synchronizer"
 	"abenet/internal/topology"
@@ -187,9 +188,12 @@ func TestFaultsRejectedByUnsupportingProtocols(t *testing.T) {
 // TestElectionRestartLeavesTheSlab pins what churn does to the election's
 // node storage: the first incarnation of a node is its slab slot, a restart
 // is a fresh object — the slab slot is never reset in place, so the dead
-// incarnation keeps its final state — and the dead incarnation's counters and violations are folded into the run's
-// totals before it is replaced. An invalid config is refused once, when the
-// ring is made, and a negative send port when a node is spawned.
+// incarnation keeps its final state — and the dead incarnation's counters and
+// violations are folded into the run's totals before it is replaced. The
+// table of restarted incarnations exists from the first restart on, and
+// node(i) — what the gauges, countLeaders and fold read — is the current
+// incarnation throughout. An invalid config is refused once, when the ring is
+// made, and a negative send port when a node is spawned.
 func TestElectionRestartLeavesTheSlab(t *testing.T) {
 	ring, err := newElectionRing(3, core.ElectionNodeConfig{RingSize: 3, A0: 0.5})
 	if err != nil {
@@ -199,17 +203,20 @@ func TestElectionRestartLeavesTheSlab(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first != network.Node(&ring.first[1]) || ring.nodes[1] != &ring.first[1] {
+	if first != network.Node(&ring.first[1]) || ring.node(1) != &ring.first[1] {
 		t.Fatal("first incarnation does not live in the slab")
 	}
-	dead := ring.nodes[1]
+	if ring.restarted != nil {
+		t.Fatal("a first incarnation made the table of restarted incarnations")
+	}
+	dead := ring.node(1)
 	dead.Activations, dead.Knockouts, dead.Violations = 4, 3, []string{"seen by the dead incarnation"}
 
 	second, err := ring.spawn(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second == first || ring.nodes[1] == dead {
+	if second == first || ring.node(1) == dead || second != network.Node(ring.node(1)) {
 		t.Fatal("restart reused the slab slot in place")
 	}
 	if dead.Activations != 4 || dead.Knockouts != 3 || len(dead.Violations) != 1 {
@@ -218,7 +225,7 @@ func TestElectionRestartLeavesTheSlab(t *testing.T) {
 	if ring.extra.Activations != 4 || ring.extra.Knockouts != 3 || len(ring.violations) != 1 {
 		t.Fatalf("dead incarnation not folded before replacement: extra %+v, violations %v", ring.extra, ring.violations)
 	}
-	if fresh := ring.nodes[1]; fresh.State() != core.Idle || fresh.D() != 1 || fresh.Activations != 0 {
+	if fresh := ring.node(1); fresh.State() != core.Idle || fresh.D() != 1 || fresh.Activations != 0 {
 		t.Fatalf("restarted node is not fresh: %+v", fresh)
 	}
 	if _, err := newElectionRing(3, core.ElectionNodeConfig{RingSize: 1, A0: 0.5}); err == nil ||
@@ -227,5 +234,59 @@ func TestElectionRestartLeavesTheSlab(t *testing.T) {
 	}
 	if _, err := ring.spawn(2, -1); err == nil || err.Error() != "core: send port -1 must be non-negative" {
 		t.Fatalf("negative send port: spawn = %v, want the send-port error", err)
+	}
+
+	// The gauges read the current incarnation: elect a leader on a live ring,
+	// then restart it — the dead leader keeps its state in the slab, and
+	// "elected" reads 0 once the fresh, idle incarnation has replaced it.
+	live, err := newElectionRing(3, core.ElectionNodeConfig{RingSize: 3, A0: 0.5, StopOnLeader: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := network.New(network.Config{Graph: topology.Ring(3), Links: channel.RandomDelayFactory(dist.NewExponential(1)), Seed: 1},
+		func(i int) network.Node {
+			node, err := live.spawn(i, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return node
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Run(simtime.Forever, 0); err != nil && !errors.Is(err, sim.ErrStopped) {
+		t.Fatal(err)
+	}
+	gauges := map[string]func() float64{}
+	for _, g := range (electionGauges{live}).ProbeGauges() {
+		gauges[g.Name] = g.Read
+	}
+	leader := -1
+	for i := range 3 {
+		if live.node(i).State() == core.Leader {
+			leader = i
+		}
+	}
+	if leader < 0 || gauges["elected"]() != 1 {
+		t.Fatalf("no leader on the live ring (elected gauge %g)", gauges["elected"]())
+	}
+	idle := func() (n int) {
+		for i := range 3 {
+			if live.node(i).State() == core.Idle {
+				n++
+			}
+		}
+		return n
+	}
+	before, passive := idle(), gauges["passive"]()
+	if _, err := live.spawn(leader, 0); err != nil {
+		t.Fatal(err)
+	}
+	if live.first[leader].State() != core.Leader {
+		t.Fatalf("restart changed the dead leader's state to %v", live.first[leader].State())
+	}
+	if gauges["elected"]() != 0 || gauges["passive"]() != passive || idle() != before+1 {
+		t.Fatalf("gauges after the leader's restart: elected %g, passive %g (was %g), idle %d (was %d); want the fresh incarnation",
+			gauges["elected"](), gauges["passive"](), passive, idle(), before)
 	}
 }

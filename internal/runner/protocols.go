@@ -84,11 +84,11 @@ func (p Election) Run(env Env) (Report, error) {
 		links:     channel.RandomDelayFactory,
 		anonymous: true,
 		makeNode:  ring.spawn,
-		gauges:    electionGauges{ring.nodes},
+		gauges:    electionGauges{ring},
 		collect: func(rep *Report) error {
-			countLeaders(rep, n, func(i int) bool { return ring.nodes[i].State() == core.Leader })
-			for _, node := range ring.nodes {
-				ring.fold(node)
+			countLeaders(rep, n, func(i int) bool { return ring.node(i).State() == core.Leader })
+			for i := range n {
+				ring.fold(ring.node(i))
 			}
 			rep.Violations = ring.violations
 			rep.Extra = ring.extra
@@ -99,13 +99,15 @@ func (p Election) Run(env Env) (Report, error) {
 
 // electionRing owns the election nodes of one run. Every node's first
 // incarnation lives in one slab — a 10⁵-node ring is one allocation, not
-// 10⁵ — and nodes[i] points at node i's current incarnation. All of them
-// share the ring's params, validated once.
+// 10⁵ — and node(i) is node i's current incarnation: its slab slot until it
+// first restarts, and from then on restarted[i]. The table of restarted
+// incarnations is made on the first restart, so a run without churn keeps no
+// pointer per node. All of them share the ring's params, validated once.
 type electionRing struct {
 	params     *core.ElectionParams
 	first      []core.ElectionNode
-	nodes      []*core.ElectionNode
-	extra      ElectionExtra // counters of dead incarnations; of all nodes after collect
+	restarted  []*core.ElectionNode // nil until a node first restarts; then restarted[i] is nil until node i does
+	extra      ElectionExtra        // counters of dead incarnations; of all nodes after collect
 	violations []string
 }
 
@@ -116,7 +118,16 @@ func newElectionRing(n int, cfg core.ElectionNodeConfig) (*electionRing, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &electionRing{params: params, first: make([]core.ElectionNode, n), nodes: make([]*core.ElectionNode, n)}, nil
+	return &electionRing{params: params, first: make([]core.ElectionNode, n)}, nil
+}
+
+// node returns node i's current incarnation. Before node i is first spawned
+// it is its zero slab slot, whose State is none of the four.
+func (r *electionRing) node(i int) *core.ElectionNode {
+	if r.restarted != nil && r.restarted[i] != nil {
+		return r.restarted[i]
+	}
+	return &r.first[i]
 }
 
 // spawn builds node i's next incarnation, sending on sendPort. Fault
@@ -124,19 +135,23 @@ func newElectionRing(n int, cfg core.ElectionNodeConfig) (*electionRing, error) 
 // the slab slot reset in place, so whoever still holds the dead incarnation
 // keeps seeing its final state. The dead incarnation's measurements —
 // especially any recorded safety violations — must survive into the report,
-// so they are folded in before the pointer is overwritten.
+// so they are folded in before it is replaced. A slab slot still at zero has
+// never been spawned: a node's State is never zero.
 func (r *electionRing) spawn(i, sendPort int) (network.Node, error) {
 	fresh, err := r.params.Node(sendPort)
 	if err != nil {
 		return nil, err
 	}
 	node := &r.first[i]
-	if old := r.nodes[i]; old != nil {
+	if old := r.node(i); old.State() != 0 {
 		r.fold(old)
+		if r.restarted == nil {
+			r.restarted = make([]*core.ElectionNode, len(r.first))
+		}
 		node = new(core.ElectionNode)
+		r.restarted[i] = node
 	}
 	*node = fresh
-	r.nodes[i] = node
 	return node, nil
 }
 
@@ -150,18 +165,18 @@ func (r *electionRing) fold(node *core.ElectionNode) {
 	r.violations = append(r.violations, node.Violations...)
 }
 
-// electionGauges exposes the election's protocol-level gauges over the live
-// node slice. Churn restarts overwrite its pointers, so the gauges always
-// read the current incarnation of each node.
-type electionGauges struct{ nodes []*core.ElectionNode }
+// electionGauges exposes the election's protocol-level gauges over the
+// ring's nodes. They read each node through electionRing.node, so they always
+// see its current incarnation.
+type electionGauges struct{ ring *electionRing }
 
 // ProbeGauges implements probe.Observable.
 func (g electionGauges) ProbeGauges() []probe.Gauge {
 	count := func(s core.State) func() float64 {
 		return func() float64 {
 			n := 0
-			for _, node := range g.nodes {
-				if node != nil && node.State() == s {
+			for i := range g.ring.first {
+				if g.ring.node(i).State() == s {
 					n++
 				}
 			}

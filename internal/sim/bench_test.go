@@ -69,8 +69,8 @@ func BenchmarkPending(b *testing.B) {
 
 // BenchmarkHold is the classic hold model on the three pending-set shapes
 // of the repo benchmark's simulator workloads (benchmark/workloads.go), on
-// both schedulers, reserved the way network.New reserves (two slots per
-// node): prefill, then each op pops the earliest event and pushes it back
+// both schedulers, reserved the way network.New reserves (one run slot per
+// node, the heap left to grow): prefill, then each op pops the earliest event and pushes it back
 // one increment later. ns/op is nanoseconds per pop+push — the same
 // quantity as the benchmark's sim.hold_ns.* probes, readable without its
 // traced pass. Those probes schedule closures (AtFunc); a delivered message
@@ -79,7 +79,7 @@ func BenchmarkPending(b *testing.B) {
 func BenchmarkHold(b *testing.B) {
 	shapes := []struct {
 		name    string
-		nodes   int     // what network.New would reserve for: Reserve(2·nodes)
+		nodes   int     // what network.New would reserve for: Reserve(nodes)
 		pending int     // events held
 		period  float64 // fixed increment, all starting on one instant; 0 = exponential(1)
 		atArg   bool    // schedule by handler id instead of by closure
@@ -96,7 +96,7 @@ func BenchmarkHold(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				k.Reserve(2 * s.nodes)
+				k.Reserve(s.nodes)
 				r := rng.New(1)
 				inc := func() simtime.Duration {
 					if s.period == 0 {

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"math/bits"
-	"slices"
 
 	"abenet/internal/simtime"
 )
@@ -31,10 +30,10 @@ import (
 // path and the run costs one compare per operation.
 //
 // Sizing: the run of an unreserved scheduler grows by doubling, like the
-// heap's slice. Reserve(n) divides n between the two — half the slots each —
-// and from then on a full run spills into the heap instead of growing, so a
-// reservation is a memory bound for the run and the heap alone grows past
-// it.
+// heap's slice. Reserve(n) gives the run n slots, and from then on a full run
+// spills into the heap instead of growing, so a reservation is a memory bound
+// for the run. The heap is never reserved: it grows by append, to what is
+// actually out of order.
 type heapScheduler struct {
 	heap []event // 4-ary min-heap by (at, seq)
 
@@ -51,19 +50,15 @@ func (h *heapScheduler) Name() string { return SchedulerHeap }
 
 func (h *heapScheduler) Pending() int { return h.n + len(h.heap) }
 
-// Reserve sizes both lanes once, n/2 slots for the run and the rest for the
-// heap, and stops the run from growing afterwards: "a timer and a message
-// per node" is n timers in the run and n messages in the heap, in the memory
-// the heap alone used to take. Grown by append alone, a large queue is
-// reallocated and copied some twenty times on its way up, allocating about
-// five times its final size.
+// Reserve sizes the run once, to n slots, and stops it from growing
+// afterwards: "a timer per node" is n timers scheduled at non-decreasing
+// instants, and they take the run. The heap is left to grow by append: on the
+// paper's workloads it holds the messages in flight, far fewer than one per
+// node on a ring, and a slot reserved per node there would mostly stay empty.
 func (h *heapScheduler) Reserve(n int) {
 	h.reserved = true
-	if n/2 > len(h.run) {
-		h.resizeRun(n / 2)
-	}
-	if rest := n - n/2; rest > cap(h.heap) {
-		h.heap = slices.Grow(h.heap, rest-len(h.heap))
+	if n > len(h.run) {
+		h.resizeRun(n)
 	}
 }
 

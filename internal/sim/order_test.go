@@ -19,8 +19,8 @@ import (
 // below is its seed corpus and runs under plain `go test`.
 
 // Program layout: byte 0 is the opening reservation (odd: Reserve(b>>1 % 24),
-// small so the heap scheduler's run fills and spills; even: none), then
-// (op, arg) byte pairs.
+// the heap scheduler's run slots, small so the run fills and spills; even:
+// none), then (op, arg) byte pairs.
 const (
 	opEqual      = iota // schedule on the last scheduled instant
 	opAscend            // schedule arg%8 half-units above the last scheduled instant
@@ -266,8 +266,9 @@ func checkOrderProgram(t *testing.T, prog []byte) {
 // reserve is byte 0 of a program that opens with Reserve(n), n < 24.
 func reserve(n int) byte { return byte(n<<1 | 1) }
 
-// orderPrograms is the seed corpus. Reserve(2n) gives the heap scheduler a
-// run of n slots.
+// orderPrograms is the seed corpus. Reserve(n) gives the heap scheduler a run
+// of n slots and leaves its heap to grow by append; Reserve(0) sends every
+// event to the heap.
 var orderPrograms = []struct {
 	name string
 	prog []byte
@@ -278,30 +279,30 @@ var orderPrograms = []struct {
 	// Run slot 1: A@7 takes it, B@7 spills into the heap with the lower
 	// seq of the two that will share the instant; A pops; C@7 enters the
 	// empty run. B (heap, seq 1) must run before C (run, seq 2).
-	{"same instant, heap seq lower", []byte{reserve(2), opRandom, 28, opEqual, 0, opStep, 0, opEqual, 0}},
+	{"same instant, heap seq lower", []byte{reserve(1), opRandom, 28, opEqual, 0, opStep, 0, opEqual, 0}},
 	// A@5, B@9 in the run; C@7 is below the run's newest instant while the
 	// run is non-empty and takes the heap; order A, C, B.
 	{"below the tail of a non-empty run", []byte{0, opRandom, 20, opRandom, 36, opRandom, 28, opRandom, 28}},
-	{"run fills and spills", []byte{reserve(6), opAscend, 1, opAscend, 1, opAscend, 1, opAscend, 1, opAscend, 0, opEqual, 0, opStep, 0, opStep, 0, opAscend, 1, opEqual, 0}},
-	{"no run slots at all", []byte{reserve(1), opAscend, 1, opAscend, 1, opEqual, 0, opDescend, 1}},
-	{"horizon leaves events in both lanes, then resumes", []byte{reserve(8), opRandom, 8, opRandom, 40, opRandom, 24, opRandom, 60, opRandom, 12, opRun, 7, opRandom, 4, opAscend, 2, opRun, 3, opStepWithin, 1, opStepWithin, 7}},
+	{"run fills and spills", []byte{reserve(3), opAscend, 1, opAscend, 1, opAscend, 1, opAscend, 1, opAscend, 0, opEqual, 0, opStep, 0, opStep, 0, opAscend, 1, opEqual, 0}},
+	{"no run slots at all", []byte{reserve(0), opAscend, 1, opAscend, 1, opEqual, 0, opDescend, 1}},
+	{"horizon leaves events in both lanes, then resumes", []byte{reserve(4), opRandom, 8, opRandom, 40, opRandom, 24, opRandom, 60, opRandom, 12, opRun, 7, opRandom, 4, opAscend, 2, opRun, 3, opStepWithin, 1, opStepWithin, 7}},
 	{"handlers schedule at Now()", []byte{0, opSpawner, 0x32, opSpawner, 0x10, opEqual, 0, opRandom, 3, opSpawner, 0x21, opRun, 2, opSpawner, 0x30}},
-	{"reserve over a wrapped ring", []byte{reserve(8), opAscend, 1, opAscend, 1, opAscend, 1, opStep, 0, opStep, 0, opAscend, 1, opAscend, 1, opAscend, 1, opReserve, 20, opAscend, 1, opDescend, 2, opReserve, 2, opAscend, 1}},
+	{"reserve over a wrapped ring", []byte{reserve(4), opAscend, 1, opAscend, 1, opAscend, 1, opStep, 0, opStep, 0, opAscend, 1, opAscend, 1, opAscend, 1, opReserve, 10, opAscend, 1, opDescend, 2, opReserve, 1, opAscend, 1}},
 	// The unreserved run starts at 16 slots: two in, one out moves its head
 	// off slot 0, twenty more wrap it, fill it and double it.
 	{"unreserved run grows while wrapped", slices.Concat([]byte{0, opAscend, 1, opAscend, 1, opStep, 0}, bytes.Repeat([]byte{opAscend, 1}, 20))},
-	// Reserve(1) leaves the run no slot, so from here on everything is in
+	// Reserve(0) leaves the run no slot, so from here on everything is in
 	// the heap. An early root over five events on one later instant; popping
 	// the root moves the fifth (highest seq) in front of its former uncles,
 	// and the next pop's sibling tournament is between four entries on one
 	// instant whose seqs are not in index order.
-	{"four siblings on one instant", slices.Concat([]byte{reserve(1), opRandom, 4, opRandom, 32}, bytes.Repeat([]byte{opEqual, 0}, 4), []byte{opStep, 0, opEqual, 0})},
+	{"four siblings on one instant", slices.Concat([]byte{reserve(0), opRandom, 4, opRandom, 32}, bytes.Repeat([]byte{opEqual, 0}, 4), []byte{opStep, 0, opEqual, 0})},
 	// −0 equals +0 but has the largest bit pattern of any instant: +0 and −0
 	// alternating around a full sibling group run in schedule order only if
 	// the kernel stores one zero.
-	{"negative zero at time zero", slices.Concat([]byte{reserve(1)}, bytes.Repeat([]byte{opRandom, 0, opNegZero, 0}, 4), []byte{opStep, 0, opNegZero, 0, opRandom, 6, opNegZero, 0})},
+	{"negative zero at time zero", slices.Concat([]byte{reserve(0)}, bytes.Repeat([]byte{opRandom, 0, opNegZero, 0}, 4), []byte{opStep, 0, opNegZero, 0, opRandom, 6, opNegZero, 0})},
 	{"closures reschedule themselves among handler events", slices.Concat([]byte{0}, selfRescheduling)},
-	{"closures reschedule themselves, heap only", slices.Concat([]byte{reserve(1)}, selfRescheduling)},
+	{"closures reschedule themselves, heap only", slices.Concat([]byte{reserve(0)}, selfRescheduling)},
 }
 
 // selfRescheduling is the body of a program in which closures that reschedule
@@ -317,7 +318,7 @@ var selfRescheduling = []byte{opSelf, 0x32, opArg, 3, opSelf, 0x01, opArg, 0, op
 func heapSizePrograms() [][]byte {
 	var out [][]byte
 	for _, size := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 21, 22, 25} {
-		prog := []byte{reserve(1)}
+		prog := []byte{reserve(0)}
 		for i := 0; i < size; i++ {
 			switch at := byte(i*7%11*4 + 4); i % 3 {
 			case 0:
@@ -345,7 +346,7 @@ func randomOrderPrograms() [][]byte {
 	var out [][]byte
 	for seed := uint64(1); seed <= 4; seed++ {
 		r := rng.New(seed)
-		for _, open := range []byte{0, reserve(int(seed) * 4)} {
+		for _, open := range []byte{0, reserve(int(seed) * 2)} {
 			prog := []byte{open}
 			for i := 0; i < 300; i++ {
 				prog = append(prog, byte(r.Intn(opCount)), byte(r.Intn(256)))
@@ -374,7 +375,7 @@ func TestRunAndHeapShareAnInstant(t *testing.T) {
 	var got []int
 	at := func(at simtime.Time, id int) { k.AtFunc(at, func() { got = append(got, id) }) }
 
-	k.Reserve(2) // one run slot
+	k.Reserve(1) // one run slot
 	at(7, 0)     // run
 	at(7, 1)     // run full: heap
 	k.Step()

@@ -39,8 +39,9 @@ type Scheduler interface {
 	Pop() (event, bool)
 	// Pending returns the number of scheduled events in O(1).
 	Pending() int
-	// Reserve is a sizing hint: about n events will be pending at once. It
-	// never changes the pop order; an implementation may ignore it.
+	// Reserve is a sizing hint: about n events will be pending at once at
+	// non-decreasing instants (a timer per node). It never changes the pop
+	// order; an implementation may ignore it.
 	Reserve(n int)
 }
 

@@ -30,7 +30,8 @@
 //     node do that forever — never sift; the heap holds only what is
 //     actually out of order, typically the messages in flight. Both lanes
 //     are plain value slices that double as the event pool, so steady-state
-//     scheduling allocates nothing.
+//     scheduling allocates nothing. Reserve sizes the run alone — a timer
+//     per node — and the heap grows by append to what is out of order.
 //   - "calendar" — a calendar queue (Brown 1988, as in ns-3): a wheel of
 //     time-windowed buckets with amortized O(1) enqueue/dequeue. The repo
 //     benchmark and the E16 ladder have it ahead of the heap on no
@@ -191,15 +192,16 @@ func (k *Kernel) EventSeq() uint64 { return k.eventSeq }
 // Pending returns the number of scheduled, not yet executed events in O(1).
 func (k *Kernel) Pending() int { return k.sched.Pending() }
 
-// Reserve tells the scheduler that about n events will be pending at once,
-// so it can size its storage in one step instead of growing into it. A
-// builder that knows the population (one timer per node, say) calls it
-// before the first event is scheduled. It is a hint: execution order and
-// every counter are unaffected. The heap scheduler gives half of n to its
-// sorted run and half to its heap, so n/2 events scheduled at non-decreasing
-// instants plus n/2 in any order allocate nothing; the calendar ignores it.
-// The reservation is the queue's alone: the closure table behind AtFunc grows
-// with the closures actually pending.
+// Reserve tells the scheduler that about n events will be pending at once at
+// non-decreasing instants — one timer per node, say — so it can size its
+// storage for them in one step instead of growing into it. A builder that
+// knows the population calls it before the first event is scheduled. It is a
+// hint: execution order and every counter are unaffected. The heap scheduler
+// gives all n slots to its sorted run, so n events scheduled at non-decreasing
+// instants allocate nothing; its heap, which takes what arrives out of order,
+// grows by append like any slice. The calendar ignores the hint. The
+// reservation is the queue's alone: the closure table behind AtFunc grows with
+// the closures actually pending.
 func (k *Kernel) Reserve(n int) { k.sched.Reserve(n) }
 
 // checkInstant panics unless at is an instant an event may be scheduled at.

@@ -453,75 +453,81 @@ func TestStepWithinPastHorizonDoesNotRewind(t *testing.T) {
 	}
 }
 
-// TestReserveSizesTheQueueOnce: Reserve(n) divides n slots between the sorted
-// run and the heap, so n/2 events in arbitrary order (the heap's half) plus
-// n/2 at non-decreasing instants (the run's half; what finds the run full
-// spills into the heap's spare slots) grow nothing. The hint changes neither
-// the pop order nor any counter — on either scheduler.
+// TestReserveSizesTheQueueOnce: Reserve(n) sizes the sorted run for n events
+// at non-decreasing instants — a timer per node — so scheduling them grows
+// nothing. The heap lane is not reserved: n events out of order grow it by
+// append, in O(log n) allocations, and a drained heap keeps what it grew to.
+// The hint changes neither the pop order nor any counter — on either
+// scheduler.
 //
 // The reservation is the queue's alone. An event scheduled through AtArg
-// lives in the queue and nowhere else, so it allocates nothing. One scheduled
-// through AtFunc also parks its closure in the kernel's slot table, which
-// Reserve does not size (it would add a pointer-carrying 12 bytes per slot to
-// every reservation for the few callers that schedule closures in bulk): the
-// table grows by doubling the first time that many closures are pending at
-// once — O(log n) allocations, none of them the queue's — and never again.
+// lives in the queue and nowhere else. One scheduled through AtFunc also
+// parks its closure in the kernel's slot table, which Reserve does not size
+// (it would add a pointer-carrying 12 bytes per slot to every reservation for
+// the few callers that schedule closures in bulk): the table grows by
+// doubling the first time that many closures are pending at once — O(log n)
+// allocations, none of them the queue's — and never again.
 func TestReserveSizesTheQueueOnce(t *testing.T) {
 	const n = 5000
-	k := New()
-	k.Reserve(n)
-	id := k.Register(func(uint32) {})
-	// AllocsPerRun(1, f) calls f twice (one warm-up): each call schedules a
-	// quarter of n out of order and a quarter in order.
-	next := simtime.Time(n)
-	if avg := testing.AllocsPerRun(1, func() {
-		for i := 0; i < n/4; i++ {
-			k.AtArg(simtime.Time(n-i), id, 0) // descending: the heap's
-		}
-		for i := 0; i < n/4; i++ {
-			k.AtArg(next, id, 0) // non-decreasing, in pairs on one instant: the run's
-			next += simtime.Time(i % 2)
-		}
-	}); avg != 0 {
-		t.Errorf("scheduling into a reserved queue allocated %g times, want 0", avg)
-	}
-	if k.Pending() != n {
-		t.Fatalf("Pending() = %d, want %d", k.Pending(), n)
-	}
-
-	// The same program through AtFunc: the first fill pays for the closure
-	// table's growth and nothing else, a drained kernel refills for free.
-	fn := func() {}
-	k = New()
-	k.Reserve(n)
-	fill := func() {
-		next := simtime.Time(n) + k.Now()
-		for i := 0; i < n/2; i++ {
-			k.AtFunc(k.Now()+simtime.Time(n-i), fn)
-		}
-		for i := 0; i < n/2; i++ {
-			k.AtFunc(next, fn)
-			next += simtime.Time(i % 2)
-		}
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fill()
-	runtime.ReadMemStats(&after)
 	// append doubles up to 256 entries and grows by a quarter or more after.
-	if got, limit := after.Mallocs-before.Mallocs, uint64(2*bits.Len(n)); got > limit {
-		t.Errorf("the first %d closures into a reserved queue allocated %d times, want at most %d (closure table growth only)", n, got, limit)
+	growth := uint64(2 * bits.Len(n))
+	inOrder := func(k *Kernel, schedule func(at simtime.Time)) {
+		next := k.Now() + simtime.Time(n)
+		for i := 0; i < n; i++ {
+			schedule(next) // non-decreasing, in pairs on one instant: the run's
+			next += simtime.Time(i % 2)
+		}
 	}
-	if k.Pending() != n {
-		t.Fatalf("Pending() = %d, want %d", k.Pending(), n)
+	outOfOrder := func(k *Kernel, schedule func(at simtime.Time)) {
+		for i := 0; i < n; i++ {
+			schedule(k.Now() + simtime.Time(n-i)) // descending: all but the first are the heap's
+		}
 	}
-	if avg := testing.AllocsPerRun(1, func() {
+	drain := func(k *Kernel) {
 		if err := k.Run(simtime.Forever, 0); err != nil {
 			t.Fatal(err)
 		}
-		fill()
-	}); avg != 0 {
-		t.Errorf("draining and refilling a reserved queue with closures allocated %g times, want 0", avg)
+	}
+
+	k := New()
+	k.Reserve(n)
+	h := k.sched.(*heapScheduler)
+	arg := k.Register(func(uint32) {})
+	atArg := func(at simtime.Time) { k.AtArg(at, arg, 0) }
+	if got := mallocs(func() { inOrder(k, atArg) }); got != 0 {
+		t.Errorf("%d events in order into Reserve(%d) allocated %d times, want 0", n, n, got)
+	}
+	if k.Pending() != n || h.n != n || len(h.heap) != 0 {
+		t.Fatalf("Pending() = %d (run %d, heap %d), want all %d in the run", k.Pending(), h.n, len(h.heap), n)
+	}
+	drain(k)
+	if got := mallocs(func() { outOfOrder(k, atArg) }); got == 0 || got > growth {
+		t.Errorf("%d events out of order into Reserve(%d) allocated %d times, want the heap's growth: 1 to %d", n, n, got, growth)
+	}
+	if h.n != 1 || len(h.heap) != n-1 {
+		t.Fatalf("run %d, heap %d: want the descending events in the heap", h.n, len(h.heap))
+	}
+	drain(k)
+	if got := mallocs(func() { outOfOrder(k, atArg) }); got != 0 {
+		t.Errorf("refilling a drained heap allocated %d times, want 0", got)
+	}
+
+	// The in-order program through AtFunc: the first fill pays for the
+	// closure table's growth and nothing else, a drained kernel refills for
+	// free.
+	fn := func() {}
+	k = New()
+	k.Reserve(n)
+	atFunc := func(at simtime.Time) { k.AtFunc(at, fn) }
+	if got := mallocs(func() { inOrder(k, atFunc) }); got > growth {
+		t.Errorf("the first %d closures into a reserved queue allocated %d times, want at most %d (closure table growth only)", n, got, growth)
+	}
+	if k.Pending() != n {
+		t.Fatalf("Pending() = %d, want %d", k.Pending(), n)
+	}
+	drain(k)
+	if got := mallocs(func() { inOrder(k, atFunc) }); got != 0 {
+		t.Errorf("draining and refilling a reserved queue with closures allocated %d times, want 0", got)
 	}
 
 	for _, name := range SchedulerNames() {
@@ -554,4 +560,13 @@ func TestReserveSizesTheQueueOnce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mallocs returns the heap objects f allocates.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

@@ -26,11 +26,12 @@
 //	)
 //
 // Protocols are also registered by name (Protocols, ProtocolByName), so
-// tools and sweeps can drive any (protocol × environment) pair generically:
+// tools can drive any (protocol × environment) pair generically. A sweep
+// runs one pair per position; SweepSizes builds the pair at network size x:
 //
 //	sweep := abenet.Sweep{Name: "demo", Repetitions: 50}
-//	points, err := sweep.RunProtocol("chang-roberts", abenet.Env{},
-//	    []float64{8, 16, 32, 64}, abenet.RequireElected)
+//	points, err := sweep.Run([]float64{8, 16, 32, 64},
+//	    abenet.SweepSizes(abenet.Env{}, abenet.ChangRoberts{}), abenet.RequireElected)
 //
 // The available protocols: the paper's election for anonymous ABE rings
 // (Election), the synchronous and asynchronous Itai–Rodeh baselines
@@ -410,13 +411,16 @@ func Hypercube(dim int) *Graph { return topology.Hypercube(dim) }
 
 // ---- Experiment harness ----
 
-// Sweep runs seeded repetitions over a parameter range in parallel. Run
-// takes a bare func(x, seed) adapter; RunEnv and RunProtocol route through
-// the unified Run entry point instead.
+// Sweep runs seeded repetitions over a parameter range in parallel. Its Run
+// takes a func(x) (Env, Protocol, error) builder and executes every
+// repetition through the unified Run entry point.
 type Sweep = harness.Sweep
 
-// SweepMetrics is one run's named measurements.
-type SweepMetrics = harness.Metrics
+// SweepSizes is the Sweep.Run builder that runs p on base with N = x. It
+// refuses an x that is not a whole number and a base that sets N or Graph.
+func SweepSizes(base Env, p Protocol) func(x float64) (Env, Protocol, error) {
+	return harness.Sizes(base, p)
+}
 
 // SweepPoint aggregates repetitions at one parameter value.
 type SweepPoint = harness.Point

@@ -123,13 +123,9 @@ func TestFacadeModelChecker(t *testing.T) {
 
 func TestFacadeSweep(t *testing.T) {
 	sweep := abenet.Sweep{Name: "facade", Repetitions: 20, Seed: 6}
-	points, err := sweep.Run([]float64{8, 16, 32}, func(x float64, seed uint64) (abenet.SweepMetrics, error) {
-		res, err := abenet.Run(abenet.Env{N: int(x), Seed: seed}, abenet.Election{A0: abenet.DefaultA0(int(x))})
-		if err != nil {
-			return nil, err
-		}
-		return abenet.SweepMetrics{"messages": float64(res.Messages), "time": res.Time}, nil
-	})
+	points, err := sweep.Run([]float64{8, 16, 32}, func(x float64) (abenet.Env, abenet.Protocol, error) {
+		return abenet.Env{N: int(x)}, abenet.Election{A0: abenet.DefaultA0(int(x))}, nil
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,8 +250,11 @@ func TestFacadeElectionOnNonRingTopology(t *testing.T) {
 
 func TestFacadeSweepRunProtocol(t *testing.T) {
 	sweep := abenet.Sweep{Name: "facade-by-name", Repetitions: 10, Seed: 8}
-	points, err := sweep.RunProtocol("itai-rodeh-async", abenet.Env{},
-		[]float64{6, 10}, abenet.RequireElected)
+	proto, ok := abenet.ProtocolByName("itai-rodeh-async")
+	if !ok {
+		t.Fatal("itai-rodeh-async is not registered")
+	}
+	points, err := sweep.Run([]float64{6, 10}, abenet.SweepSizes(abenet.Env{}, proto), abenet.RequireElected)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func BenchmarkModelCheckRing4(b *testing.B) {
 //
 // These drive the Env/Protocol/Report API directly: one canonical election,
 // one non-ring environment, and a registry pass that runs the protocols by
-// name — exactly the code path Sweep.RunProtocol and the CLIs use.
+// name, as the spec codec and the CLIs resolve them.
 
 func BenchmarkRunElection64(b *testing.B) {
 	for i := 0; i < b.N; i++ {

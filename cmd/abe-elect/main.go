@@ -376,7 +376,7 @@ func (c *cli) describe(s *spec.Spec, hash string) error {
 // face of the same (spec → harness.Sweep) path abe-serve runs, so the
 // numbers match a POST /v1/runs of the same document byte for byte.
 func (c *cli) runSweep(s *spec.Spec, hash string) error {
-	points, err := s.RunSweep(0)
+	points, err := s.RunSweep(0, nil)
 	if err != nil {
 		return err
 	}

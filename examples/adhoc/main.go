@@ -86,7 +86,7 @@ func main() {
 	// Average behaviour over many deployments: the sweep reuses the same
 	// (env, protocol) pair and injects per-repetition seeds.
 	sweep := abenet.Sweep{Name: "adhoc", Repetitions: 60, Seed: 99}
-	points, err := sweep.RunEnv([]float64{n}, func(float64) (abenet.Env, abenet.Protocol, error) {
+	points, err := sweep.Run([]float64{n}, func(float64) (abenet.Env, abenet.Protocol, error) {
 		return env, proto, nil
 	}, abenet.RequireElected)
 	if err != nil {

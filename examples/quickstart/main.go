@@ -55,11 +55,10 @@ func main() {
 	fmt.Printf("\nsame protocol on a hypercube(5): node %d won with %d messages\n",
 		cube.LeaderIndex, cube.Messages)
 
-	// Averages need repetition. Protocols are registered by name, so a
-	// sweep needs no adapter code: x is the ring size, seeds are derived
-	// deterministically per repetition.
+	// Averages need repetition. A sweep needs no adapter code: x is the
+	// ring size, seeds are derived deterministically per repetition.
 	sweep := abenet.Sweep{Name: "quickstart", Repetitions: 100, Seed: 7}
-	points, err := sweep.RunProtocol("election", abenet.Env{}, []float64{n}, abenet.RequireElected)
+	points, err := sweep.Run([]float64{n}, abenet.SweepSizes(abenet.Env{}, abenet.Election{}), abenet.RequireElected)
 	if err != nil {
 		log.Fatal(err)
 	}

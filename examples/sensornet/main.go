@@ -56,7 +56,7 @@ func main() {
 		quality := quality
 		d := slot / quality
 		sweep := abenet.Sweep{Name: fmt.Sprintf("sensornet-p%.1f", quality), Repetitions: 40, Seed: 5}
-		points, err := sweep.RunEnv([]float64{quality}, func(float64) (abenet.Env, abenet.Protocol, error) {
+		points, err := sweep.Run([]float64{quality}, func(float64) (abenet.Env, abenet.Protocol, error) {
 			return abenet.Env{N: n, Links: abenet.ARQLinks(quality, slot)},
 				abenet.Election{A0: abenet.A0ForRing(n, d, 1, 1)}, nil
 		}, abenet.RequireElected)

@@ -11,6 +11,7 @@ import (
 	"abenet/internal/core"
 	"abenet/internal/dist"
 	"abenet/internal/faults"
+	"abenet/internal/harness"
 	"abenet/internal/runner"
 	"abenet/internal/simtime"
 	"abenet/internal/topology"
@@ -401,11 +402,7 @@ func each[T any](values []T, blockOf func(T) block) []block {
 // The zero Election is the ABE election at the paper's balanced default,
 // A0 = 1/n² on unit delays and ticks.
 func sizeArm(name string, base runner.Env, p runner.Protocol, sizes []float64) arm {
-	return arm{name, sizes, func(x float64) (runner.Env, runner.Protocol, error) {
-		env := base
-		env.N = int(x)
-		return env, p, nil
-	}, runner.RequireElected}
+	return arm{name, sizes, harness.Sizes(base, p), runner.RequireElected}
 }
 
 // scaling is the E3/E4 shape: one metric of the election against the ring

@@ -184,7 +184,7 @@ func (p part) measure(id string, opt Options) (*harness.Table, Findings, bool, e
 	for b, blk := range p.blocks {
 		for _, a := range blk.arms {
 			sweep := harness.Sweep{Name: a.name, Repetitions: s.reps, Workers: opt.Workers, Seed: opt.Seed}
-			points, err := sweep.RunEnv(a.xs, a.build, a.check)
+			points, err := sweep.Run(a.xs, a.build, a.check)
 			if err != nil {
 				return nil, nil, false, err
 			}

@@ -52,7 +52,7 @@ func testPart() part {
 // after the arm, at the part's repetitions, on the options' seed.
 func measured(t *testing.T, a arm, seed uint64) []harness.Point {
 	t.Helper()
-	points, err := harness.Sweep{Name: a.name, Repetitions: 3, Seed: seed}.RunEnv(a.xs, a.build, a.check)
+	points, err := harness.Sweep{Name: a.name, Repetitions: 3, Seed: seed}.Run(a.xs, a.build, a.check)
 	if err != nil {
 		t.Fatal(err)
 	}

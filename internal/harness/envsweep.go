@@ -12,20 +12,22 @@ import (
 // returned Env, so builders leave Env.Seed at zero.
 type EnvBuildFunc func(x float64) (runner.Env, runner.Protocol, error)
 
-// RunEnv sweeps a (protocol × environment) family through the unified
-// runner.Run entry point: at every position in xs it asks build for the
-// pair, runs it Repetitions times with deterministically derived seeds,
-// and aggregates runner.Report.Metrics() into one Point per position.
+// Run sweeps a (protocol × environment) family through runner.Run: at
+// every position in xs it asks build for the pair, runs it Repetitions
+// times with deterministically derived seeds, and aggregates
+// runner.Report.Metrics() into one Point per position (in xs order).
 //
 // check, when non-nil, validates every repetition's report (use
 // runner.RequireElected for election workloads); its error aborts the
-// sweep. This replaces the hand-written func(x, seed) adapters the
-// experiments used to roll per protocol.
-func (s Sweep) RunEnv(xs []float64, build EnvBuildFunc, check func(runner.Report) error) ([]Point, error) {
+// sweep. Sizes builds the common case, a sweep over network sizes:
+//
+//	points, err := harness.Sweep{Name: "demo"}.Run([]float64{8, 16, 32},
+//	    harness.Sizes(runner.Env{}, runner.ChangRoberts{}), nil)
+func (s Sweep) Run(xs []float64, build EnvBuildFunc, check func(runner.Report) error) ([]Point, error) {
 	if build == nil {
 		return nil, errors.New("harness: nil env build function")
 	}
-	return s.Run(xs, func(x float64, seed uint64) (Metrics, error) {
+	return s.run(xs, func(x float64, seed uint64) (map[string]float64, error) {
 		env, proto, err := build(x)
 		if err != nil {
 			return nil, err
@@ -40,31 +42,23 @@ func (s Sweep) RunEnv(xs []float64, build EnvBuildFunc, check func(runner.Report
 				return nil, err
 			}
 		}
-		return Metrics(rep.Metrics()), nil
+		return rep.Metrics(), nil
 	})
 }
 
-// RunProtocol sweeps a registry protocol by name over network sizes: x is
-// interpreted as the size N of base (whose N and Graph must be unset).
-// This is the zero-adapter path — any (registered protocol × environment)
-// pair runs with one call:
-//
-//	points, err := harness.Sweep{Name: "demo"}.RunProtocol(
-//	    "chang-roberts", runner.Env{}, []float64{8, 16, 32}, nil)
-func (s Sweep) RunProtocol(name string, base runner.Env, xs []float64, check func(runner.Report) error) ([]Point, error) {
-	proto, ok := runner.ProtocolByName(name)
-	if !ok {
-		return nil, fmt.Errorf("harness: unknown protocol %q (have %v)", name, runner.Protocols())
-	}
-	if base.Graph != nil || base.N != 0 {
-		return nil, errors.New("harness: RunProtocol sweeps the network size; leave base.N and base.Graph unset")
-	}
-	return s.RunEnv(xs, func(x float64) (runner.Env, runner.Protocol, error) {
+// Sizes is the builder of a sweep over network sizes: at position x it runs
+// p on base with N = x. It refuses an x that is not a whole number, and a
+// base that already fixes the network (N or Graph set).
+func Sizes(base runner.Env, p runner.Protocol) EnvBuildFunc {
+	return func(x float64) (runner.Env, runner.Protocol, error) {
+		if base.N != 0 || base.Graph != nil {
+			return runner.Env{}, nil, errors.New("harness: a size sweep sets the network size; leave base.N and base.Graph unset")
+		}
 		env := base
 		env.N = int(x)
 		if float64(env.N) != x {
 			return runner.Env{}, nil, fmt.Errorf("harness: sweep position %g is not a network size", x)
 		}
-		return env, proto, nil
-	}, check)
+		return env, p, nil
+	}
 }

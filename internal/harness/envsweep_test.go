@@ -2,35 +2,38 @@ package harness
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"abenet/internal/channel"
 	"abenet/internal/core"
 	"abenet/internal/dist"
+	"abenet/internal/faults"
 	"abenet/internal/runner"
+	"abenet/internal/simtime"
+	"abenet/internal/topology"
 )
 
-// TestRunEnvMatchesHandRolledAdapter proves the Env-aware runner is a
-// drop-in for the historical func(x, seed) adapters: identical sweep
-// names derive identical seeds, so the aggregated means must agree
-// exactly.
-func TestRunEnvMatchesHandRolledAdapter(t *testing.T) {
+// TestRunMatchesHandRolledAdapter proves Run is a drop-in for a hand-rolled
+// func(x, seed) adapter on the aggregation core: identical sweep names
+// derive identical seeds, so the aggregated means must agree exactly.
+func TestRunMatchesHandRolledAdapter(t *testing.T) {
 	xs := []float64{6, 10}
 	sweep := Sweep{Name: "envsweep", Repetitions: 10, Seed: 21}
 
-	byHand, err := sweep.Run(xs, func(x float64, seed uint64) (Metrics, error) {
+	byHand, err := sweep.run(xs, func(x float64, seed uint64) (map[string]float64, error) {
 		n := int(x)
 		res, err := runner.Run(runner.Env{N: n, Seed: seed}, runner.Election{A0: core.DefaultA0(n)})
 		if err != nil {
 			return nil, err
 		}
-		return Metrics{"messages": float64(res.Messages), "time": res.Time}, nil
+		return map[string]float64{"messages": float64(res.Messages), "time": res.Time}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	byEnv, err := sweep.RunEnv(xs, func(x float64) (runner.Env, runner.Protocol, error) {
+	byEnv, err := sweep.Run(xs, func(x float64) (runner.Env, runner.Protocol, error) {
 		return runner.Env{N: int(x)}, runner.Election{A0: core.DefaultA0(int(x))}, nil
 	}, runner.RequireElected)
 	if err != nil {
@@ -46,11 +49,15 @@ func TestRunEnvMatchesHandRolledAdapter(t *testing.T) {
 	}
 }
 
-// TestRunProtocolByName is the acceptance check for the registry path:
-// a protocol runs by name with no adapter at all.
+// TestRunProtocolByName: a registered protocol sweeps over sizes by name,
+// with no adapter beyond Sizes.
 func TestRunProtocolByName(t *testing.T) {
+	proto, ok := runner.ProtocolByName("chang-roberts")
+	if !ok {
+		t.Fatal("chang-roberts is not registered")
+	}
 	sweep := Sweep{Name: "byname", Repetitions: 5, Seed: 3}
-	points, err := sweep.RunProtocol("chang-roberts", runner.Env{}, []float64{6, 8}, runner.RequireElected)
+	points, err := sweep.Run([]float64{6, 8}, Sizes(runner.Env{}, proto), runner.RequireElected)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +72,54 @@ func TestRunProtocolByName(t *testing.T) {
 			t.Fatalf("x=%g: leaders mean %v", p.X, p.Mean("leaders"))
 		}
 	}
+}
 
-	if _, err := sweep.RunProtocol("no-such", runner.Env{}, []float64{6}, nil); err == nil {
-		t.Fatal("unknown protocol must error")
+// TestSizesRefusesWhatIsNotASize: a fractional position is no network size,
+// and a base that already fixes the network leaves nothing to sweep.
+func TestSizesRefusesWhatIsNotASize(t *testing.T) {
+	sweep := Sweep{Name: "sizes", Repetitions: 2, Seed: 1}
+	if _, err := sweep.Run([]float64{6.5}, Sizes(runner.Env{}, runner.Election{}), nil); err == nil ||
+		!strings.Contains(err.Error(), "not a network size") {
+		t.Fatalf("x = 6.5 accepted: %v", err)
 	}
-	if _, err := sweep.RunProtocol("election", runner.Env{N: 9}, []float64{6}, nil); err == nil {
-		t.Fatal("base env with N set must error")
+	for _, base := range []runner.Env{{N: 9}, {Graph: topology.Ring(6)}} {
+		if _, err := sweep.Run([]float64{6}, Sizes(base, runner.Election{}), nil); err == nil ||
+			!strings.Contains(err.Error(), "leave base.N and base.Graph unset") {
+			t.Fatalf("base %+v accepted: %v", base, err)
+		}
+	}
+}
+
+// TestRunFaultsLossAxis sweeps the election across a loss axis, the plan
+// built per position, and checks the aggregated points carry both outcome
+// and fault-telemetry metrics.
+func TestRunFaultsLossAxis(t *testing.T) {
+	sweep := Sweep{Name: "faultsweep", Repetitions: 20, Seed: 9}
+	points, err := sweep.Run([]float64{0, 0.1}, func(x float64) (runner.Env, runner.Protocol, error) {
+		env := runner.Env{N: 8, Horizon: simtime.Time(3000), Faults: &faults.Plan{Loss: x}}
+		return env, runner.Election{}, nil
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != 2 {
+		t.Fatalf("points = %d, want 2", len(points))
+	}
+	if rate := points[0].Mean("elected"); rate != 1 {
+		t.Fatalf("loss-free termination rate = %g, want 1", rate)
+	}
+	if points[0].Mean("fault_dropped") != 0 {
+		t.Fatal("loss-free position dropped messages")
+	}
+	if points[1].Mean("fault_dropped") == 0 {
+		t.Fatal("lossy position dropped nothing")
+	}
+	// The telemetry keys exist at both positions (constant key set per
+	// sweep), because both positions carried a plan.
+	for _, p := range points {
+		if _, ok := p.Samples["fault_crashes"]; !ok {
+			t.Fatalf("x=%g missing fault telemetry keys: %v", p.X, MetricNames(points))
+		}
 	}
 }
 
@@ -106,7 +155,7 @@ func TestHeterogeneousLinksAreReusableAcrossRuns(t *testing.T) {
 	}
 
 	sweep := func(workers int) []Point {
-		points, err := Sweep{Name: "hetero", Repetitions: 24, Seed: 99, Workers: workers}.RunEnv(
+		points, err := Sweep{Name: "hetero", Repetitions: 24, Seed: 99, Workers: workers}.Run(
 			[]float64{n},
 			func(float64) (runner.Env, runner.Protocol, error) { return env, proto, nil },
 			runner.RequireElected)

@@ -15,12 +15,6 @@ import (
 	"abenet/internal/stats"
 )
 
-// Metrics is one run's named measurements.
-type Metrics map[string]float64
-
-// RunFunc executes one simulation at sweep position x with the given seed.
-type RunFunc func(x float64, seed uint64) (Metrics, error)
-
 // Point aggregates all repetitions at one sweep position.
 type Point struct {
 	// X is the sweep variable's value (e.g. the ring size).
@@ -67,15 +61,18 @@ type Sweep struct {
 	OnPoint func(xIdx int, p Point)
 }
 
-// Run executes fn at every position in xs, Repetitions times each, in
+// run executes fn at every position in xs, Repetitions times each, in
 // parallel, and returns one aggregated Point per position (in xs order).
 // The first error aborts the sweep.
-func (s Sweep) Run(xs []float64, fn RunFunc) ([]Point, error) {
+func (s Sweep) run(xs []float64, fn func(x float64, seed uint64) (map[string]float64, error)) ([]Point, error) {
 	if len(xs) == 0 {
 		return nil, errors.New("harness: empty sweep")
 	}
 	if fn == nil {
 		return nil, errors.New("harness: nil run function")
+	}
+	if s.Repetitions < 0 {
+		return nil, fmt.Errorf("harness: %s has %d repetitions", s.Name, s.Repetitions)
 	}
 	reps := s.Repetitions
 	if reps == 0 {
@@ -103,10 +100,10 @@ func (s Sweep) Run(xs []float64, fn RunFunc) ([]Point, error) {
 	// happens afterwards in canonical (xIdx, rep) order, so the floating-
 	// point folds — and therefore the results — are bit-identical for any
 	// worker count.
-	results := make([][]Metrics, len(xs))
+	results := make([][]map[string]float64, len(xs))
 	errs := make([][]error, len(xs))
 	for i := range xs {
-		results[i] = make([]Metrics, reps)
+		results[i] = make([]map[string]float64, reps)
 		errs[i] = make([]error, reps)
 	}
 
@@ -165,7 +162,7 @@ func (s Sweep) Run(xs []float64, fn RunFunc) ([]Point, error) {
 // repetition order, into an aggregated Point. The fold order is fixed, so
 // the floating-point results are bit-identical for any worker count — and
 // identical between the streaming OnPoint hook and the final pass.
-func aggregatePoint(x float64, results []Metrics, errs []error) (Point, error) {
+func aggregatePoint(x float64, results []map[string]float64, errs []error) (Point, error) {
 	p := Point{X: x, Samples: make(map[string]*stats.Sample)}
 	for rep := range results {
 		if err := errs[rep]; err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"abenet/internal/rng"
+	"abenet/internal/runner"
 	"abenet/internal/sim"
 	"abenet/internal/simtime"
 )
@@ -18,7 +19,7 @@ import (
 // when it surfaced deep inside a parallel sweep.
 func TestSweepPreservesLivelockIdentity(t *testing.T) {
 	s := Sweep{Name: "livelock", Repetitions: 3, Seed: 1}
-	_, err := s.Run([]float64{1}, func(x float64, seed uint64) (Metrics, error) {
+	_, err := s.run([]float64{1}, func(x float64, seed uint64) (map[string]float64, error) {
 		k := sim.New()
 		var spin func()
 		spin = func() { k.AfterFunc(1, spin) }
@@ -32,9 +33,9 @@ func TestSweepPreservesLivelockIdentity(t *testing.T) {
 
 func TestSweepAggregates(t *testing.T) {
 	s := Sweep{Name: "test", Repetitions: 50, Seed: 1}
-	points, err := s.Run([]float64{1, 2, 3}, func(x float64, seed uint64) (Metrics, error) {
+	points, err := s.run([]float64{1, 2, 3}, func(x float64, seed uint64) (map[string]float64, error) {
 		r := rng.New(seed)
-		return Metrics{"y": 2*x + r.Float64()*0.01}, nil
+		return map[string]float64{"y": 2*x + r.Float64()*0.01}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,9 +57,9 @@ func TestSweepAggregates(t *testing.T) {
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) []Point {
 		s := Sweep{Name: "det", Repetitions: 40, Workers: workers, Seed: 7}
-		points, err := s.Run([]float64{1, 2}, func(x float64, seed uint64) (Metrics, error) {
+		points, err := s.run([]float64{1, 2}, func(x float64, seed uint64) (map[string]float64, error) {
 			r := rng.New(seed)
-			return Metrics{"v": r.Float64() * x}, nil
+			return map[string]float64{"v": r.Float64() * x}, nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -77,11 +78,11 @@ func TestSweepSeedsDistinct(t *testing.T) {
 	var mu sync.Mutex
 	seeds := map[uint64]bool{}
 	s := Sweep{Name: "seeds", Repetitions: 30, Seed: 3}
-	_, err := s.Run([]float64{1, 2}, func(x float64, seed uint64) (Metrics, error) {
+	_, err := s.run([]float64{1, 2}, func(x float64, seed uint64) (map[string]float64, error) {
 		mu.Lock()
 		seeds[seed] = true
 		mu.Unlock()
-		return Metrics{"k": 1}, nil
+		return map[string]float64{"k": 1}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +95,7 @@ func TestSweepSeedsDistinct(t *testing.T) {
 func TestSweepPropagatesErrors(t *testing.T) {
 	s := Sweep{Name: "err", Repetitions: 5, Seed: 1}
 	wantErr := errors.New("boom")
-	_, err := s.Run([]float64{1}, func(float64, uint64) (Metrics, error) {
+	_, err := s.run([]float64{1}, func(float64, uint64) (map[string]float64, error) {
 		return nil, wantErr
 	})
 	if err == nil || !errors.Is(err, wantErr) {
@@ -104,18 +105,25 @@ func TestSweepPropagatesErrors(t *testing.T) {
 
 func TestSweepValidation(t *testing.T) {
 	s := Sweep{Name: "v"}
-	if _, err := s.Run(nil, func(float64, uint64) (Metrics, error) { return nil, nil }); err == nil {
+	if _, err := s.run(nil, func(float64, uint64) (map[string]float64, error) { return nil, nil }); err == nil {
 		t.Fatal("empty sweep accepted")
 	}
-	if _, err := s.Run([]float64{1}, nil); err == nil {
+	if _, err := s.run([]float64{1}, nil); err == nil {
 		t.Fatal("nil fn accepted")
+	}
+	if _, err := s.Run([]float64{1}, nil, nil); err == nil {
+		t.Fatal("nil build accepted")
+	}
+	negative := Sweep{Name: "v", Repetitions: -1}
+	if _, err := negative.Run([]float64{1}, Sizes(runner.Env{}, runner.Election{}), nil); err == nil {
+		t.Fatal("negative repetitions accepted")
 	}
 }
 
 func TestGrowthExponentOnPoints(t *testing.T) {
 	s := Sweep{Name: "growth", Repetitions: 10, Seed: 2}
-	points, err := s.Run([]float64{8, 16, 32, 64}, func(x float64, seed uint64) (Metrics, error) {
-		return Metrics{"messages": 3 * x}, nil
+	points, err := s.run([]float64{8, 16, 32, 64}, func(x float64, seed uint64) (map[string]float64, error) {
+		return map[string]float64{"messages": 3 * x}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,8 +139,8 @@ func TestGrowthExponentOnPoints(t *testing.T) {
 
 func TestMetricNamesSorted(t *testing.T) {
 	s := Sweep{Name: "names", Repetitions: 2, Seed: 1}
-	pts, err := s.Run([]float64{1}, func(float64, uint64) (Metrics, error) {
-		return Metrics{"zeta": 1, "alpha": 2}, nil
+	pts, err := s.run([]float64{1}, func(float64, uint64) (map[string]float64, error) {
+		return map[string]float64{"zeta": 1, "alpha": 2}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,8 +194,8 @@ func TestTableShortRowsPadded(t *testing.T) {
 
 func TestPointsTable(t *testing.T) {
 	s := Sweep{Name: "pt", Repetitions: 20, Seed: 5}
-	pts, err := s.Run([]float64{4, 8}, func(x float64, seed uint64) (Metrics, error) {
-		return Metrics{"m": x * 10}, nil
+	pts, err := s.run([]float64{4, 8}, func(x float64, seed uint64) (map[string]float64, error) {
+		return map[string]float64{"m": x * 10}, nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -27,9 +27,9 @@ func TestOnPointStreamsEveryPosition(t *testing.T) {
 		},
 	}
 	xs := []float64{1, 2, 3, 4}
-	points, err := s.Run(xs, func(x float64, seed uint64) (Metrics, error) {
+	points, err := s.run(xs, func(x float64, seed uint64) (map[string]float64, error) {
 		r := rng.New(seed)
-		return Metrics{"v": r.Float64() * x, "w": x}, nil
+		return map[string]float64{"v": r.Float64() * x, "w": x}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,11 +74,11 @@ func TestOnPointSkipsFailedPositions(t *testing.T) {
 		},
 	}
 	boom := errors.New("boom")
-	_, err := s.Run([]float64{1, 2}, func(x float64, seed uint64) (Metrics, error) {
+	_, err := s.run([]float64{1, 2}, func(x float64, seed uint64) (map[string]float64, error) {
 		if x == 2 {
 			return nil, boom
 		}
-		return Metrics{"v": x}, nil
+		return map[string]float64{"v": x}, nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("Run error = %v, want the repetition failure", err)

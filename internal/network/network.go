@@ -211,7 +211,7 @@ type Network struct {
 	clockRNG []rng.Source   // per-node clock streams; nil likewise
 	procRNG  []rng.Source   // per-node processing-time streams; nil without a processing model
 	nextFree []simtime.Time // per-node completion time of the busy server; nil likewise
-	adj      topology.CSR   // the graph's arrays when New ran; later AddEdge calls leave them as they are
+	adj      topology.CSR   // the graph's arrays
 	linkRNG  []rng.Source   // linkRNG[k] = stream of link k
 	store    *channel.Store // every link, and every message in flight on either medium
 	metrics  Metrics

@@ -73,43 +73,6 @@ func TestTokenCirculatesRing(t *testing.T) {
 	}
 }
 
-// TestAddEdgeLeavesBuiltNetworks: a network is wired by the arrays its graph
-// had when New ran, and AddEdge replaces a graph's arrays rather than writing
-// into them. Chords added to the ring afterwards change none of the built
-// network's degrees, ports or edge numbers, so it runs as a network on a
-// fresh ring does.
-func TestAddEdgeLeavesBuiltNetworks(t *testing.T) {
-	build := func(graph *topology.Graph) *Network {
-		net, err := New(Config{
-			Graph: graph,
-			Links: channel.RandomDelayFactory(dist.NewExponential(1)),
-			Seed:  9,
-		}, func(i int) Node { return &relay{budget: 200, starter: i == 0} })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return net
-	}
-	graph := topology.Ring(6)
-	net, fresh := build(graph), build(topology.Ring(6))
-	graph.AddBiEdge(0, 3)
-	graph.AddEdge(1, 4)
-	for i := range 6 {
-		if out, in := net.ctxs[i].OutDegree(), net.ctxs[i].InDegree(); out != 1 || in != 1 {
-			t.Fatalf("node %d reads degrees out %d in %d after AddEdge on its graph, want 1 and 1", i, out, in)
-		}
-	}
-	for _, n := range []*Network{net, fresh} {
-		if err := n.Run(simtime.Forever, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if net.Metrics() != fresh.Metrics() || net.Now() != fresh.Now() {
-		t.Fatalf("run after AddEdge on the graph: %+v at %v, on a fresh ring %+v at %v",
-			net.Metrics(), net.Now(), fresh.Metrics(), fresh.Now())
-	}
-}
-
 func TestDeterministicReplay(t *testing.T) {
 	run := func() (Metrics, simtime.Time) {
 		net := ringOfRelays(t, 7, 42)

@@ -1,9 +1,10 @@
 // Per-job progress streams: every job owns an append-only event log that
 // records its lifecycle transitions and, while it runs, its streamed
-// progress — sweep positions as they complete (spec.RunSweepStream) and
-// probe samples as they are taken (probe.Config.Sink). Subscribers replay
-// the log from any sequence number and then follow the live tail via a
-// pulse channel, so a late subscriber sees exactly what an early one did.
+// progress — sweep positions as they complete (spec.RunSweep's onPoint
+// hook) and probe samples as they are taken (probe.Config.Sink).
+// Subscribers replay the log from any sequence number and then follow the
+// live tail via a pulse channel, so a late subscriber sees exactly what an
+// early one did.
 package service
 
 import (
@@ -172,7 +173,7 @@ func (s *Service) EventsSince(id string, seq int) ([]Event, <-chan struct{}, boo
 	return evs, pulse, done, nil
 }
 
-// pointSink returns the RunSweepStream hook feeding a job's event log.
+// pointSink returns the RunSweep hook feeding a job's event log.
 func (j *job) pointSink() func(xIdx int, pv spec.PointView) {
 	return func(xIdx int, pv spec.PointView) {
 		j.events.append(Event{Type: EventPoint, XIdx: xIdx, Point: &pv}, true)

@@ -794,7 +794,7 @@ func execute(j *job, sweepWorkers int) (res *Result, err error) {
 	}()
 	sp := j.spec
 	if sp.Sweep != nil {
-		points, err := sp.RunSweepStream(sweepWorkers, j.pointSink())
+		points, err := sp.RunSweep(sweepWorkers, j.pointSink())
 		if err != nil {
 			return nil, err
 		}

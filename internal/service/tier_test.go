@@ -156,7 +156,7 @@ func directResult(t *testing.T, raw []byte, seed *uint64) []byte {
 	}
 	var res *Result
 	if sp.Sweep != nil {
-		points, err := sp.RunSweep(1)
+		points, err := sp.RunSweep(1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -284,17 +284,14 @@ func (s *Spec) Run() (runner.Report, error) {
 // of (simulated scenario, seed), independent of worker count and of the
 // view-only metrics filter. workersOverride, when positive, replaces
 // Sweep.Workers (a resource hint, not part of the scenario identity).
-func (s *Spec) RunSweep(workersOverride int) ([]harness.Point, error) {
-	return s.RunSweepStream(workersOverride, nil)
-}
-
-// RunSweepStream is RunSweep with a per-position streaming hook: onPoint
-// (when non-nil) receives each position's aggregated, metrics-filtered
-// view as soon as its last repetition completes — the values are identical
-// to the final result's, only the arrival order across positions depends
-// on scheduling. Calls are serialized but come from sweep workers, so the
-// callback must be quick and must not block on the sweep itself.
-func (s *Spec) RunSweepStream(workersOverride int, onPoint func(xIdx int, pv PointView)) ([]harness.Point, error) {
+//
+// onPoint, when non-nil, receives each position's aggregated,
+// metrics-filtered view as soon as its last repetition completes — the
+// values are identical to the final result's, only the arrival order across
+// positions depends on scheduling. Calls are serialized but come from sweep
+// workers, so the callback must be quick and must not block on the sweep
+// itself.
+func (s *Spec) RunSweep(workersOverride int, onPoint func(xIdx int, pv PointView)) ([]harness.Point, error) {
 	if s.Sweep == nil {
 		return nil, errors.New("spec: no sweep block; use Run")
 	}
@@ -315,8 +312,6 @@ func (s *Spec) RunSweepStream(workersOverride int, onPoint func(xIdx int, pv Poi
 	if workersOverride > 0 {
 		workers = workersOverride
 	}
-	base := env
-	base.Seed = 0 // the harness injects per-repetition seeds
 	sweep := harness.Sweep{
 		Name:        hash,
 		Repetitions: s.Sweep.Repetitions,
@@ -330,19 +325,11 @@ func (s *Spec) RunSweepStream(workersOverride int, onPoint func(xIdx int, pv Poi
 			onPoint(xIdx, views[0])
 		}
 	}
-	// Run the spec's own decoded protocol instance — NOT the registry's
-	// zero-value default that RunProtocol(name) would resolve: the options
-	// are part of the scenario identity (they are in the hash), so they
-	// must be part of the execution.
-	proto := s.Protocol.proto
-	return sweep.RunEnv(s.Sweep.Xs, func(x float64) (runner.Env, runner.Protocol, error) {
-		env := base
-		env.N = int(x)
-		if float64(env.N) != x {
-			return runner.Env{}, nil, fmt.Errorf("spec: sweep position %g is not a network size", x)
-		}
-		return env, proto, nil
-	}, nil)
+	// Run the spec's own decoded protocol instance, not the registry's
+	// zero-value default: the options are part of the scenario identity
+	// (they are in the hash), so they must be part of the execution.
+	env.Seed = 0 // the harness injects per-repetition seeds
+	return sweep.Run(s.Sweep.Xs, harness.Sizes(env, s.Protocol.proto), nil)
 }
 
 // MetricView is one aggregated metric of one sweep point, JSON-ready.

@@ -129,9 +129,9 @@ type EnvSpec struct {
 }
 
 // SweepSpec sweeps the spec's protocol over ring sizes through
-// harness.Sweep.RunProtocol: x positions are network sizes, repetitions are
-// seeded deterministically from (spec hash, Env.Seed), and results are
-// bit-identical for any worker count.
+// harness.Sweep.Run with harness.Sizes: x positions are network sizes,
+// repetitions are seeded deterministically from (spec hash, Env.Seed), and
+// results are bit-identical for any worker count.
 type SweepSpec struct {
 	// Xs are the network sizes to sweep (each an integer ≥ 2).
 	Xs []float64 `json:"xs"`

@@ -250,11 +250,11 @@ func TestSweepWorkerIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := s.RunSweep(1)
+	one, err := s.RunSweep(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := s.RunSweep(4)
+	four, err := s.RunSweep(4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,11 +290,11 @@ func TestRunSweepHonoursProtocolOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := withOpts.RunSweep(1)
+	got, err := withOpts.RunSweep(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := defaults.RunSweep(1)
+	plain, err := defaults.RunSweep(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestRunSweepHonoursProtocolOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := harness.Sweep{Name: hash, Repetitions: 3, Workers: 1, Seed: 1}.RunEnv(
+	want, err := harness.Sweep{Name: hash, Repetitions: 3, Workers: 1, Seed: 1}.Run(
 		[]float64{8},
 		func(x float64) (runner.Env, runner.Protocol, error) {
 			return runner.Env{N: int(x)}, &runner.Election{A0: 0.9}, nil
@@ -351,11 +351,11 @@ func TestMetricsFilterNeverChangesRuns(t *testing.T) {
 	if e1 != e2 {
 		t.Fatalf("execution hash depends on the view filter: %s vs %s", e1, e2)
 	}
-	p1, err := all.RunSweep(1)
+	p1, err := all.RunSweep(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := filtered.RunSweep(1)
+	p2, err := filtered.RunSweep(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +458,7 @@ func TestFixturesRunnable(t *testing.T) {
 				t.Fatal(err)
 			}
 			if s.Sweep != nil {
-				if _, err := s.RunSweep(0); err != nil {
+				if _, err := s.RunSweep(0, nil); err != nil {
 					t.Fatal(err)
 				}
 				return

@@ -98,14 +98,16 @@ func TestGammaInterpolatesBetweenAlphaAndBeta(t *testing.T) {
 	// two 8-cliques joined by a bridge: radius-1 clustering yields two
 	// clusters, and γ must land between β (single global tree) and α
 	// (3 messages per edge).
-	g := topology.New(16)
+	var edges []topology.Edge
+	bi := func(u, v int) { edges = append(edges, topology.Edge{From: u, To: v}, topology.Edge{From: v, To: u}) }
 	for a := 0; a < 8; a++ {
 		for b := a + 1; b < 8; b++ {
-			g.AddBiEdge(a, b)
-			g.AddBiEdge(a+8, b+8)
+			bi(a, b)
+			bi(a+8, b+8)
 		}
 	}
-	g.AddBiEdge(0, 8)
+	bi(0, 8)
+	g := topology.FromEdges(16, edges)
 	alphaRes, _ := runCounter(t, KindAlpha, g, 12, 4)
 	betaRes, _ := runCounter(t, KindBeta, g, 12, 4)
 	gammaRes, _ := runGamma(t, g, 1, 12, 4)

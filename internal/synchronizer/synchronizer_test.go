@@ -267,9 +267,7 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(onNetwork(topology.Ring(3), 0), Options{Kind: KindAlpha}, simtime.Forever, 0, mk); err == nil {
 		t.Fatal("alpha on unidirectional ring accepted")
 	}
-	disconnected := topology.New(3)
-	disconnected.AddEdge(0, 1)
-	disconnected.AddEdge(1, 0)
+	disconnected := topology.FromEdges(3, []topology.Edge{{From: 0, To: 1}, {From: 1, To: 0}})
 	if _, err := Run(onNetwork(disconnected, 0), Options{Kind: KindRound}, simtime.Forever, 0, mk); err == nil {
 		t.Fatal("non-strongly-connected graph accepted")
 	}

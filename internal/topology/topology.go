@@ -7,10 +7,10 @@
 // simulator-level identities only and are never visible to protocols that
 // declare themselves anonymous (the network layer enforces that anonymity).
 //
-// A graph is stored as one CSR of int32 arrays. Runtimes read it through the
-// non-copying accessors (OutDegree, InDegree, OutAt, InAt, InPort) or take
-// the arrays themselves (CSR); Out and In return copies for callers that want
-// a slice to keep.
+// A graph is built once — by a generator, or by hand through FromEdges — and
+// never changes. It is stored as one CSR of int32 arrays, which runtimes take
+// as they are (CSR); Out and In return copies for callers that want a slice
+// to keep.
 package topology
 
 import (
@@ -31,11 +31,8 @@ type Edge struct {
 // CSR is a graph's adjacency in compressed sparse row form. Edges are
 // numbered in (node, out-port) order — the order Edges lists them — so u's
 // out-port p is edge OutStart[u]+p, and v's in-port q is slot InStart[v]+q
-// of InFrom. Ports are numbered in insertion order.
-//
-// A graph never writes its arrays once they are built: AddEdge replaces
-// them. So a CSR taken from a graph is a snapshot that later edges leave
-// unchanged, and its holders must not write to it either.
+// of InFrom. Ports are numbered in insertion order. The arrays are the
+// graph's own, so their holders must not write to them.
 type CSR struct {
 	OutStart []int32 // len n+1; u's out-edges are OutStart[u] .. OutStart[u+1]-1
 	Head     []int32 // Head[e]: the node edge e reaches
@@ -50,34 +47,24 @@ func (a CSR) Tail(e int) int {
 	return int(a.InFrom[a.InStart[a.Head[e]]+a.InPort[e]])
 }
 
-// Graph is a directed graph over nodes 0..n-1. The zero value is an empty
-// graph with no nodes; use New.
+// Graph is a directed graph over nodes 0..n-1, built by a generator or by
+// FromEdges.
 //
 // Ports are positions in the adjacency lists: u's p-th out-edge leaves on
 // out-port p, and v's q-th in-edge arrives on in-port q. The in-port of
 // every out-edge is stored with it, so a runtime wiring a network resolves
-// "which in-port does u's out-port p reach" by one indexed read (InPort)
-// instead of building a lookup table per run.
+// "which in-port does u's out-port p reach" by one indexed read
+// (CSR.InPort) instead of building a lookup table per run.
 type Graph struct {
 	n   int
 	adj CSR
 
-	// RingEmbedding cache: graphs are frozen after construction, and
-	// sweeps run thousands of seeded repetitions against one shared
-	// Graph, so the (possibly backtracking) cycle search must not be
-	// redone per run. Guarded by ringMu; invalidated by AddEdge.
-	ringMu    sync.Mutex
-	ringDone  bool
+	// RingEmbedding's result: sweeps run thousands of seeded repetitions
+	// against one shared Graph, so the (possibly backtracking) cycle
+	// search runs once per graph.
+	ring      sync.Once
 	ringPorts []int
 	ringErr   error
-}
-
-// New returns a graph with n nodes and no edges. It panics if n < 1, or if
-// n does not fit the adjacency's 32-bit node numbers.
-func New(n int) *Graph {
-	checkSize(n)
-	start := make([]int32, n+1)
-	return &Graph{n: n, adj: CSR{OutStart: start, InStart: start}}
 }
 
 func checkSize(n int) {
@@ -92,9 +79,10 @@ func checkSize(n int) {
 // build lays out the graph whose edges, in insertion order, are
 // from[i]->to[i]: a counting sort by tail for the out-edges and by head for
 // the in-edges, stable, so ports keep insertion order. It performs no
-// checks; the generators' loops produce neither self-loops nor duplicates,
-// and Validate remains the backstop. Where every node's in-degree equals its
-// out-degree — every bidirectional family — the two offset arrays are one.
+// checks: the generators' loops produce neither self-loops nor duplicates,
+// FromEdges checks its list first, and Validate remains the backstop. Where
+// every node's in-degree equals its out-degree — every bidirectional family
+// — the two offset arrays are one.
 func build(n int, from, to []int32) *Graph {
 	checkSize(n)
 	m := len(from)
@@ -142,62 +130,32 @@ func (l *edgeList) addBi(u, v int) {
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
 
-// CSR returns the graph's adjacency arrays, which later AddEdge calls leave
-// unchanged (see CSR).
+// CSR returns the graph's adjacency arrays (see CSR).
 func (g *Graph) CSR() CSR { return g.adj }
 
-// AddEdge adds the directed edge u->v on the next out-port of u and the next
-// in-port of v. Self-loops and duplicate edges are rejected with a panic:
-// neither occurs in any topology the experiments use, and both usually
-// indicate a construction bug. The adjacency arrays are replaced, not
-// written, so each call costs O(n + edges): AddEdge is for graphs assembled
-// by hand, the generators build theirs in one pass.
-func (g *Graph) AddEdge(u, v int) {
-	g.checkNode(u)
-	g.checkNode(v)
-	if u == v {
-		panic(fmt.Sprintf("topology: self-loop at node %d", u))
+// FromEdges returns the graph on n nodes with the given directed edges: an
+// edge leaves on the next out-port of its tail and arrives on the next
+// in-port of its head, in list order. It is the one way to assemble a graph
+// by hand. It panics if n < 1, on a node outside [0, n), on a self-loop and
+// on a duplicate edge: none occurs in any topology the experiments use, and
+// each usually indicates a construction bug.
+func FromEdges(n int, edges []Edge) *Graph {
+	checkSize(n)
+	from, to := make([]int32, len(edges)), make([]int32, len(edges))
+	seen := make(map[Edge]bool, len(edges))
+	for i, e := range edges {
+		checkNode(e.From, n)
+		checkNode(e.To, n)
+		if e.From == e.To {
+			panic(fmt.Sprintf("topology: self-loop at node %d", e.From))
+		}
+		if seen[e] {
+			panic(fmt.Sprintf("topology: duplicate edge %d->%d", e.From, e.To))
+		}
+		seen[e] = true
+		from[i], to[i] = int32(e.From), int32(e.To)
 	}
-	if g.HasEdge(u, v) {
-		panic(fmt.Sprintf("topology: duplicate edge %d->%d", u, v))
-	}
-	a := g.adj
-	e, slot := a.OutStart[u+1], a.InStart[v+1]
-	g.adj = CSR{
-		OutStart: bumpedAfter(a.OutStart, u),
-		Head:     insertedAt(a.Head, e, int32(v)),
-		InPort:   insertedAt(a.InPort, e, slot-a.InStart[v]),
-		InStart:  bumpedAfter(a.InStart, v),
-		InFrom:   insertedAt(a.InFrom, slot, int32(u)),
-	}
-	g.ringMu.Lock()
-	g.ringDone = false
-	g.ringMu.Unlock()
-}
-
-// insertedAt returns a fresh copy of s with x inserted at index i.
-func insertedAt(s []int32, i, x int32) []int32 {
-	out := make([]int32, len(s)+1)
-	copy(out, s[:i])
-	out[i] = x
-	copy(out[i+1:], s[i:])
-	return out
-}
-
-// bumpedAfter returns a fresh copy of the offsets start with one more edge
-// in node u's range.
-func bumpedAfter(start []int32, u int) []int32 {
-	out := slices.Clone(start)
-	for w := u + 1; w < len(out); w++ {
-		out[w]++
-	}
-	return out
-}
-
-// AddBiEdge adds both u->v and v->u.
-func (g *Graph) AddBiEdge(u, v int) {
-	g.AddEdge(u, v)
-	g.AddEdge(v, u)
+	return build(n, from, to)
 }
 
 // out returns u's out-neighbours as a view of the adjacency.
@@ -245,27 +203,6 @@ func (g *Graph) InDegree(v int) int {
 	return int(g.adj.InStart[v+1] - g.adj.InStart[v])
 }
 
-// OutAt returns the neighbour reached by u's out-port p, without copying
-// the adjacency. It panics if p is not a port of u.
-func (g *Graph) OutAt(u, p int) int {
-	g.checkNode(u)
-	return int(g.out(u)[p])
-}
-
-// InAt returns the neighbour behind v's in-port p, without copying the
-// adjacency. It panics if p is not a port of v.
-func (g *Graph) InAt(v, p int) int {
-	g.checkNode(v)
-	return int(g.in(v)[p])
-}
-
-// InPort returns the in-port on which the edge leaving u's out-port p
-// arrives at its destination: InAt(OutAt(u, p), InPort(u, p)) == u.
-func (g *Graph) InPort(u, p int) int {
-	g.checkNode(u)
-	return int(g.adj.InPort[g.adj.OutStart[u]:g.adj.OutStart[u+1]][p])
-}
-
 // ForEachOut calls fn for each out-neighbour of u without allocating.
 func (g *Graph) ForEachOut(u int, fn func(v int)) {
 	g.checkNode(u)
@@ -288,9 +225,11 @@ func (g *Graph) Edges() []Edge {
 // EdgeCount returns the number of directed edges.
 func (g *Graph) EdgeCount() int { return len(g.adj.Head) }
 
-func (g *Graph) checkNode(u int) {
-	if u < 0 || u >= g.n {
-		panic(fmt.Sprintf("topology: node %d outside [0, %d)", u, g.n))
+func (g *Graph) checkNode(u int) { checkNode(u, g.n) }
+
+func checkNode(u, n int) {
+	if u < 0 || u >= n {
+		panic(fmt.Sprintf("topology: node %d outside [0, %d)", u, n))
 	}
 }
 
@@ -304,15 +243,14 @@ func Ring(n int) *Graph {
 	// Million-node rings are built per run, so the ring is laid out in
 	// closed form: node i's one out-edge is edge i and its one in-port is
 	// 0, and the out- and in-offsets are the same array 0, 1, …, n.
-	g := New(n)
-	start, head, inPort, inFrom := g.adj.OutStart, make([]int32, n), make([]int32, n), make([]int32, n)
+	checkSize(n)
+	start, head, inPort, inFrom := make([]int32, n+1), make([]int32, n), make([]int32, n), make([]int32, n)
 	for i := range n {
 		start[i+1] = int32(i + 1)
 		head[i] = int32((i + 1) % n)
 		inFrom[i] = int32((i + n - 1) % n)
 	}
-	g.adj = CSR{OutStart: start, Head: head, InPort: inPort, InStart: start, InFrom: inFrom}
-	return g
+	return &Graph{n: n, adj: CSR{OutStart: start, Head: head, InPort: inPort, InStart: start, InFrom: inFrom}}
 }
 
 // BiRing returns the bidirectional ring on n >= 3 nodes (at n = 2 the
@@ -536,13 +474,7 @@ func (g *Graph) grayCodeCycle() ([]int, bool) {
 // (callers must not mutate the returned slice); the cache is safe for the
 // concurrent seeded repetitions of a sweep.
 func (g *Graph) RingEmbedding() ([]int, error) {
-	g.ringMu.Lock()
-	defer g.ringMu.Unlock()
-	if g.ringDone {
-		return g.ringPorts, g.ringErr
-	}
-	g.ringPorts, g.ringErr = g.ringEmbedding()
-	g.ringDone = true
+	g.ring.Do(func() { g.ringPorts, g.ringErr = g.ringEmbedding() })
 	return g.ringPorts, g.ringErr
 }
 

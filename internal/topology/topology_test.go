@@ -3,7 +3,6 @@ package topology
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -193,8 +192,7 @@ func TestBFSTree(t *testing.T) {
 }
 
 func TestBFSTreeUnreachable(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1) // 2 is unreachable
+	g := FromEdges(3, []Edge{{0, 1}}) // 2 is unreachable
 	_, depth := g.BFSTree(0)
 	if depth[2] != -1 {
 		t.Fatalf("unreachable node depth = %d", depth[2])
@@ -217,13 +215,15 @@ func TestUnidirectionalRingNotSymmetric(t *testing.T) {
 	}
 }
 
-func TestAddEdgeRejections(t *testing.T) {
-	g := New(3)
-	mustPanic(t, func() { g.AddEdge(0, 0) }) // self-loop
-	g.AddEdge(0, 1)
-	mustPanic(t, func() { g.AddEdge(0, 1) }) // duplicate
-	mustPanic(t, func() { g.AddEdge(0, 3) }) // out of range
-	mustPanic(t, func() { g.AddEdge(-1, 0) })
+func TestFromEdgesRejections(t *testing.T) {
+	mustPanic(t, func() { FromEdges(3, []Edge{{0, 0}}) })         // self-loop
+	mustPanic(t, func() { FromEdges(3, []Edge{{0, 1}, {0, 1}}) }) // duplicate
+	mustPanic(t, func() { FromEdges(3, []Edge{{0, 3}}) })         // out of range
+	mustPanic(t, func() { FromEdges(3, []Edge{{-1, 0}}) })
+	mustPanic(t, func() { FromEdges(0, nil) })
+	if g := FromEdges(3, []Edge{{0, 1}, {1, 0}}); g.EdgeCount() != 2 {
+		t.Fatalf("FromEdges kept %d of 2 edges", g.EdgeCount())
+	}
 }
 
 func TestOutReturnsCopy(t *testing.T) {
@@ -290,8 +290,8 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-// TestRecordedInPortMatchesScan checks the in-port stored for each out-edge
-// against a position scan of the destination's in-adjacency.
+// TestRecordedInPortMatchesScan checks the in-port the CSR stores for each
+// out-edge against a position scan of the destination's in-adjacency.
 func TestRecordedInPortMatchesScan(t *testing.T) {
 	graphs := map[string]*Graph{
 		"ring":      Ring(7),
@@ -302,14 +302,16 @@ func TestRecordedInPortMatchesScan(t *testing.T) {
 		"random":    RandomConnected(24, 0.2, rng.New(5)),
 	}
 	for name, g := range graphs {
+		adj := g.CSR()
 		for u := 0; u < g.N(); u++ {
 			out := g.Out(u)
 			if g.OutDegree(u) != len(out) || g.InDegree(u) != len(g.In(u)) {
 				t.Fatalf("%s: degrees of %d disagree with Out/In", name, u)
 			}
 			for p, v := range out {
-				if got := g.OutAt(u, p); got != v {
-					t.Fatalf("%s: OutAt(%d, %d) = %d, want %d", name, u, p, got, v)
+				e := int(adj.OutStart[u]) + p
+				if got := int(adj.Head[e]); got != v {
+					t.Fatalf("%s: Head of %d's out-port %d = %d, want %d", name, u, p, got, v)
 				}
 				want := -1
 				for q, w := range g.In(v) {
@@ -318,38 +320,14 @@ func TestRecordedInPortMatchesScan(t *testing.T) {
 						break
 					}
 				}
-				got := g.InPort(u, p)
-				if got != want {
-					t.Fatalf("%s: InPort(%d, %d) = %d, position scan finds %d", name, u, p, got, want)
+				if got := int(adj.InPort[e]); got != want {
+					t.Fatalf("%s: InPort of %d's out-port %d = %d, position scan finds %d", name, u, p, got, want)
 				}
-				if back := g.InAt(v, got); back != u {
-					t.Fatalf("%s: InAt(%d, %d) = %d, want %d", name, v, got, back, u)
+				if back := adj.Tail(e); back != u {
+					t.Fatalf("%s: Tail(%d) = %d, want %d", name, e, back, u)
 				}
 			}
 		}
-	}
-}
-
-// TestRingSharedBackingSurvivesAddEdge pins AddEdge on a ring, whose out-
-// and in-offsets are one array: growing one node's adjacency must not move
-// any other node's edges or ports.
-func TestRingSharedBackingSurvivesAddEdge(t *testing.T) {
-	g := Ring(5)
-	g.AddEdge(1, 4) // out-port 1 of node 1, in-port 1 of node 4
-	g.AddEdge(3, 0)
-	for i := 0; i < 5; i++ {
-		if got := g.OutAt(i, 0); got != (i+1)%5 {
-			t.Fatalf("ring edge of %d now leads to %d", i, got)
-		}
-		if got := g.InAt(i, 0); got != (i+4)%5 {
-			t.Fatalf("ring in-edge of %d now comes from %d", i, got)
-		}
-	}
-	if g.OutAt(1, 1) != 4 || g.InPort(1, 1) != 1 || g.InAt(4, 1) != 1 {
-		t.Fatal("chord 1->4 not recorded on fresh ports")
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -461,18 +439,18 @@ func TestRingEmbedding(t *testing.T) {
 	}
 }
 
-// checkedBuild is a generator's loop with every edge through the public
-// AddBiEdge, its duplicate scan and its in-place CSR insertion.
+// checkedBuild is a generator's loop with every edge pair listed for
+// FromEdges and its self-loop, duplicate and range checks.
 func checkedBuild(n int, edges func(add func(u, v int))) *Graph {
-	g := New(n)
-	edges(g.AddBiEdge)
-	return g
+	var list []Edge
+	edges(func(u, v int) { list = append(list, Edge{u, v}, Edge{v, u}) })
+	return FromEdges(n, list)
 }
 
 // TestGeneratorsMatchCheckedConstruction: the generators lay out their CSR
-// in one unchecked pass (build); the graph they produce — every Out, In and in-port, in
-// order — must be the one the checked AddBiEdge loop builds, and must pass
-// Validate.
+// in one unchecked pass (build); the graph they produce — every Out, In and
+// in-port, in order — must be the one the checked FromEdges list builds, and
+// must pass Validate.
 func TestGeneratorsMatchCheckedConstruction(t *testing.T) {
 	type pair struct {
 		name      string
@@ -534,10 +512,10 @@ func TestGeneratorsMatchCheckedConstruction(t *testing.T) {
 				t.Fatalf("%s(%d nodes): adjacency of %d differs: out %v in %v, want out %v in %v",
 					p.name, p.got.N(), u, p.got.Out(u), p.got.In(u), p.want.Out(u), p.want.In(u))
 			}
+			got, want := p.got.CSR(), p.want.CSR()
 			for q := 0; q < p.got.OutDegree(u); q++ {
-				if p.got.InPort(u, q) != p.want.InPort(u, q) {
-					t.Fatalf("%s(%d nodes): InPort(%d, %d) = %d, want %d",
-						p.name, p.got.N(), u, q, p.got.InPort(u, q), p.want.InPort(u, q))
+				if g, w := got.InPort[int(got.OutStart[u])+q], want.InPort[int(want.OutStart[u])+q]; g != w {
+					t.Fatalf("%s(%d nodes): in-port of %d's out-port %d = %d, want %d", p.name, p.got.N(), u, q, g, w)
 				}
 			}
 		}
@@ -582,7 +560,8 @@ func refRandomConnected(n int, p float64, r *rng.Source) *refGraph {
 	return ref
 }
 
-// samePorts fails t unless g reads exactly as ref through every accessor.
+// samePorts fails t unless g reads exactly as ref through every accessor and
+// through its CSR.
 func samePorts(t *testing.T, name string, g *Graph, ref *refGraph) {
 	t.Helper()
 	if err := g.Validate(); err != nil {
@@ -591,6 +570,7 @@ func samePorts(t *testing.T, name string, g *Graph, ref *refGraph) {
 	if g.N() != len(ref.out) {
 		t.Fatalf("%s: %d nodes, want %d", name, g.N(), len(ref.out))
 	}
+	adj := g.CSR()
 	var edges []Edge
 	for u := range g.N() {
 		if g.OutDegree(u) != len(ref.out[u]) || g.InDegree(u) != len(ref.in[u]) {
@@ -601,22 +581,22 @@ func samePorts(t *testing.T, name string, g *Graph, ref *refGraph) {
 			t.Fatalf("%s: node %d reads Out %v In %v, want %v %v", name, u, g.Out(u), g.In(u), ref.out[u], ref.in[u])
 		}
 		for p, v := range ref.out[u] {
-			if g.OutAt(u, p) != v || g.InPort(u, p) != ref.inPort[u][p] {
+			e := int(adj.OutStart[u]) + p
+			if int(adj.Head[e]) != v || int(adj.InPort[e]) != ref.inPort[u][p] {
 				t.Fatalf("%s: out-port %d of %d reads (%d, in-port %d), want (%d, %d)",
-					name, p, u, g.OutAt(u, p), g.InPort(u, p), v, ref.inPort[u][p])
+					name, p, u, adj.Head[e], adj.InPort[e], v, ref.inPort[u][p])
 			}
 			edges = append(edges, Edge{From: u, To: v})
 		}
 		for q, w := range ref.in[u] {
-			if g.InAt(u, q) != w {
-				t.Fatalf("%s: in-port %d of %d reads %d, want %d", name, q, u, g.InAt(u, q), w)
+			if got := int(adj.InFrom[int(adj.InStart[u])+q]); got != w {
+				t.Fatalf("%s: in-port %d of %d reads %d, want %d", name, q, u, got, w)
 			}
 		}
 	}
 	if got := g.Edges(); !slices.Equal(got, edges) {
 		t.Fatalf("%s: Edges() = %v, want %v", name, got, edges)
 	}
-	adj := g.CSR()
 	for e, edge := range edges {
 		if adj.Tail(e) != edge.From {
 			t.Fatalf("%s: CSR.Tail(%d) = %d, want %d", name, e, adj.Tail(e), edge.From)
@@ -624,8 +604,8 @@ func samePorts(t *testing.T, name string, g *Graph, ref *refGraph) {
 	}
 }
 
-// TestPortsMatchReferenceAdjacency holds every generator, and graphs grown
-// by AddEdge, to the adjacency-list reference: the same neighbours on the
+// TestPortsMatchReferenceAdjacency holds every generator, and graphs built
+// by FromEdges, to the adjacency-list reference: the same neighbours on the
 // same ports, in insertion order, through every accessor — each out-edge's
 // stored in-port included, which is its position in the reference's
 // in-list of its head.
@@ -702,15 +682,15 @@ func TestPortsMatchReferenceAdjacency(t *testing.T) {
 		samePorts(t, fmt.Sprintf("random(seed %d)", seed), g, refRandomConnected(24, 0.2, rng.New(seed)))
 	}
 
-	// By hand: random edges onto an empty graph and onto generated ones,
-	// each checked after every addition.
+	// By hand: random edges after no edges and after generated ones, the
+	// graph rebuilt by FromEdges and checked after every addition.
 	r := rng.New(7)
 	for _, start := range []struct {
 		name string
 		g    *Graph
 		ref  func() *refGraph
 	}{
-		{"empty", New(9), func() *refGraph { return newRef(9) }},
+		{"empty", FromEdges(9, nil), func() *refGraph { return newRef(9) }},
 		{"ring", Ring(9), func() *refGraph {
 			ref := newRef(9)
 			for i := range 9 {
@@ -726,43 +706,17 @@ func TestPortsMatchReferenceAdjacency(t *testing.T) {
 			return ref
 		}},
 	} {
-		g, ref := start.g, start.ref()
+		edges, ref := start.g.Edges(), start.ref()
 		for added := 0; added < 20; {
 			u, v := r.Intn(9), r.Intn(9)
 			if u == v || ref.has(u, v) {
 				continue
 			}
-			g.AddEdge(u, v)
+			edges = append(edges, Edge{u, v})
+			g := FromEdges(9, edges)
 			ref.add(u, v)
 			added++
 			samePorts(t, fmt.Sprintf("%s + %d edges", start.name, added), g, ref)
-		}
-	}
-}
-
-// TestCSRSnapshotSurvivesAddEdge: a CSR taken from a graph is a snapshot.
-// AddEdge replaces the graph's arrays and leaves the taken ones as they were.
-func TestCSRSnapshotSurvivesAddEdge(t *testing.T) {
-	for _, g := range []*Graph{Ring(6), Complete(4), New(3)} {
-		before := g.CSR()
-		kept := CSR{
-			OutStart: slices.Clone(before.OutStart), Head: slices.Clone(before.Head),
-			InPort: slices.Clone(before.InPort), InStart: slices.Clone(before.InStart),
-			InFrom: slices.Clone(before.InFrom),
-		}
-		switch {
-		case g.N() == 3:
-			g.AddEdge(2, 0)
-		case !g.HasEdge(0, 2):
-			g.AddEdge(0, 2)
-		default:
-			continue
-		}
-		if !reflect.DeepEqual(before, kept) {
-			t.Fatalf("AddEdge wrote into a taken CSR: %+v, was %+v", before, kept)
-		}
-		if g.EdgeCount() != len(before.Head)+1 {
-			t.Fatalf("AddEdge left the graph at %d edges", g.EdgeCount())
 		}
 	}
 }
@@ -786,18 +740,18 @@ func TestRingAllocationBudget(t *testing.T) {
 }
 
 // TestGeneratedGraphsKeepTheChecks: only the generators' own loops skip the
-// checks. Adding to a generated graph by hand still panics on a duplicate
-// and a self-loop, and BiRing(2) — whose closing edge would be its first
-// edge again — is rejected.
+// checks. A generated graph's edges passed through FromEdges with a
+// duplicate or a self-loop added still panic, and BiRing(2) — whose closing
+// edge would be its first edge again — is rejected.
 func TestGeneratedGraphsKeepTheChecks(t *testing.T) {
 	for name, g := range map[string]*Graph{
 		"biring": BiRing(5), "star": Star(5), "complete": Complete(5),
 		"hypercube": Hypercube(3), "torus": Torus(3, 3),
 	} {
-		v := g.OutAt(0, 0)
-		mustPanic(t, func() { g.AddEdge(0, v) })
-		mustPanic(t, func() { g.AddEdge(v, 0) })
-		mustPanic(t, func() { g.AddEdge(0, 0) })
+		edges, v := g.Edges(), g.Out(0)[0]
+		for _, extra := range []Edge{{0, v}, {v, 0}, {0, 0}} {
+			mustPanic(t, func() { FromEdges(g.N(), append(slices.Clone(edges), extra)) })
+		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -806,9 +760,9 @@ func TestGeneratedGraphsKeepTheChecks(t *testing.T) {
 }
 
 // TestGeneratorsAreLinearInEdges: Star(100000) has twice Ring(100000)'s
-// edges, all at its centre. Built edge by edge through AddEdge — a duplicate
-// scan of the centre's adjacency and fresh arrays per edge — it would be
-// quadratic; the generators' one pass takes a few times as long as Ring. The
+// edges, all at its centre. Built edge by edge — a duplicate scan of the
+// centre's adjacency and fresh arrays per edge — it would be quadratic; the
+// generators' one pass takes a few times as long as Ring. The
 // bound is a ratio of best-of-three build times on the same box, generous
 // enough for a loaded one.
 func TestGeneratorsAreLinearInEdges(t *testing.T) {

@@ -2,11 +2,10 @@ package abenet_test
 
 import (
 	"fmt"
-	"reflect"
-	"sync"
 	"testing"
 
 	"abenet"
+	"abenet/internal/golden"
 )
 
 // goldenByzantineEnv is the pinned (Env, Plan, seed) triple for the
@@ -33,10 +32,10 @@ func goldenByzantineEnv() (abenet.Env, abenet.Protocol) {
 
 // TestGoldenByzantineRun pins the exact trajectory of the golden adversarial
 // consensus run: an adversarial run is a pure function of (Env, Plan, seed),
-// so these literals only change when the kernel, the RNG derivation tree,
-// the broadcast medium or the adversary semantics change — which must be
-// deliberate and explained in the same commit (the Byzantine analogue of
-// TestGoldenFaultRun).
+// so its counters and end time in testdata/golden_byzantine_run.golden only
+// change when the kernel, the RNG derivation tree, the broadcast medium or
+// the adversary semantics change — which must be deliberate and explained in
+// the same commit (the Byzantine analogue of TestGoldenFaultRun).
 func TestGoldenByzantineRun(t *testing.T) {
 	env, proto := goldenByzantineEnv()
 	rep, err := abenet.Run(env, proto)
@@ -51,41 +50,26 @@ func TestGoldenByzantineRun(t *testing.T) {
 		t.Fatalf("Extra is %T, want ConsensusExtra", rep.Extra)
 	}
 	byz := rep.Faults.Byzantine
-	got := map[string]int{
-		"messages":       int(rep.Messages),
-		"transmissions":  int(rep.Transmissions),
-		"rounds":         rep.Rounds,
-		"violations":     len(rep.Violations),
-		"equivocations":  int(byz.Equivocations),
-		"corruptions":    int(byz.Corruptions),
-		"omissions":      int(byz.Omissions),
-		"stalls":         int(byz.Stalls),
-		"honest":         extra.Honest,
-		"decided":        extra.Decided,
-		"decision":       extra.Decision,
-		"decision_round": extra.DecisionRound,
-		"coin_flips":     extra.CoinFlips,
-		"ignored":        extra.Ignored,
-	}
-	want := map[string]int{
-		"messages":       165,
-		"transmissions":  163,
-		"rounds":         8,
-		"violations":     0,
-		"equivocations":  0,
-		"corruptions":    26,
-		"omissions":      0,
-		"stalls":         15,
-		"honest":         8,
-		"decided":        8,
-		"decision":       0,
-		"decision_round": 7,
-		"coin_flips":     40,
-		"ignored":        0,
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("golden byzantine run drifted:\n got:  %v\n want: %v", got, want)
-	}
+	// The virtual-time trajectory, bit-exact, is the strongest indicator
+	// that the broadcast and stall RNG derivation trees are unchanged.
+	golden.Check(t, "golden_byzantine_run.golden", fmt.Sprintf(`messages %d
+transmissions %d
+rounds %d
+violations %d
+equivocations %d
+corruptions %d
+omissions %d
+stalls %d
+honest %d
+decided %d
+decision %d
+decision_round %d
+coin_flips %d
+ignored %d
+time %.9g
+`, rep.Messages, rep.Transmissions, rep.Rounds, len(rep.Violations), byz.Equivocations,
+		byz.Corruptions, byz.Omissions, byz.Stalls, extra.Honest, extra.Decided, extra.Decision,
+		extra.DecisionRound, extra.CoinFlips, extra.Ignored, rep.Time))
 	if !extra.Agreement || !extra.Validity || !extra.Termination {
 		t.Fatalf("safety/liveness verdicts = %v/%v/%v, want all true",
 			extra.Agreement, extra.Validity, extra.Termination)
@@ -94,64 +78,5 @@ func TestGoldenByzantineRun(t *testing.T) {
 	// consistent, so they land in Corruptions and Equivocations stays zero.
 	if byz.Equivocations != 0 {
 		t.Errorf("equivocations = %d on the broadcast medium, want 0", byz.Equivocations)
-	}
-	// The virtual-time trajectory, bit-exact: the strongest indicator that
-	// the broadcast and stall RNG derivation trees are unchanged.
-	if ts := fmt.Sprintf("%.9g", rep.Time); ts != "18.3049633" {
-		t.Errorf("time = %s, want 18.3049633", ts)
-	}
-}
-
-// TestByzantineRunByteIdentical asserts byte-identical Reports (adversary
-// telemetry included) for the fixed triple across two sequential runs and a
-// concurrent pair — the latter exercising the determinism contract under the
-// race detector, where sweep workers share graphs and plans.
-func TestByzantineRunByteIdentical(t *testing.T) {
-	env, proto := goldenByzantineEnv()
-	runOnce := func() abenet.Report {
-		rep, err := abenet.Run(env, proto)
-		if err != nil {
-			t.Error(err)
-		}
-		return rep
-	}
-
-	// render flattens a report to bytes with both telemetry levels
-	// dereferenced (pointer fields would otherwise render as addresses), so
-	// "byte-identical" means every field including float bit patterns.
-	render := func(rep abenet.Report) string {
-		flat := rep
-		flat.Faults = nil
-		tel := *rep.Faults
-		byz := *tel.Byzantine
-		tel.Byzantine = nil
-		return fmt.Sprintf("%#v|%#v|%#v", flat, tel, byz)
-	}
-
-	first, second := runOnce(), runOnce()
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("sequential runs diverged:\n a: %+v\n b: %+v", first, second)
-	}
-	if a, b := render(first), render(second); a != b {
-		t.Fatalf("rendered reports diverged:\n a: %s\n b: %s", a, b)
-	}
-
-	// Concurrent runs sharing the same Env and *Plan (as sweep workers do)
-	// must neither race nor diverge.
-	const workers = 4
-	reports := make([]abenet.Report, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			reports[i] = runOnce()
-		}(i)
-	}
-	wg.Wait()
-	for i, rep := range reports {
-		if !reflect.DeepEqual(rep, first) {
-			t.Fatalf("concurrent run %d diverged:\n got:  %+v\n want: %+v", i, rep, first)
-		}
 	}
 }

@@ -2,11 +2,10 @@ package abenet_test
 
 import (
 	"fmt"
-	"reflect"
-	"sync"
 	"testing"
 
 	"abenet"
+	"abenet/internal/golden"
 	"abenet/internal/simtime"
 )
 
@@ -32,10 +31,11 @@ func goldenFaultEnv() (abenet.Env, abenet.Protocol) {
 }
 
 // TestGoldenFaultRun pins the exact trajectory of the golden fault run:
-// a fault-injected run is a pure function of (Env, Plan, seed), so these
-// literals only change when the kernel, RNG derivation tree or fault
-// semantics change — which must be deliberate and explained in the same
-// commit (the fault analogue of core's TestGoldenSeeds).
+// a fault-injected run is a pure function of (Env, Plan, seed), so its
+// counters, its end time and its first crash interval in
+// testdata/golden_fault_run.golden only change when the kernel, RNG
+// derivation tree or fault semantics change — which must be deliberate and
+// explained in the same commit (the fault analogue of core's TestGoldenSeeds).
 func TestGoldenFaultRun(t *testing.T) {
 	env, proto := goldenFaultEnv()
 	rep, err := abenet.Run(env, proto)
@@ -46,45 +46,26 @@ func TestGoldenFaultRun(t *testing.T) {
 		t.Fatal("no fault telemetry")
 	}
 	tel := rep.Faults
-	got := map[string]int{
-		"messages":          int(rep.Messages),
-		"leaders":           rep.Leaders,
-		"violations":        len(rep.Violations),
-		"dropped":           int(tel.MessagesDropped),
-		"duplicated":        int(tel.MessagesDuplicated),
-		"delayed":           int(tel.MessagesDelayed),
-		"link_drops":        int(tel.LinkDrops),
-		"dead_letters":      int(tel.DeadLetters),
-		"timers_suppressed": int(tel.TimersSuppressed),
-		"crashes":           tel.Crashes,
-		"recoveries":        tel.Recoveries,
-		"intervals":         len(tel.CrashIntervals),
-	}
-	want := map[string]int{
-		"messages":          31,
-		"leaders":           0,
-		"violations":        0,
-		"dropped":           3,
-		"duplicated":        2,
-		"delayed":           3,
-		"link_drops":        1,
-		"dead_letters":      1,
-		"timers_suppressed": 23,
-		"crashes":           23,
-		"recoveries":        19,
-		"intervals":         23,
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("golden fault run drifted:\n got:  %v\n want: %v", got, want)
-	}
-	if ts := fmt.Sprintf("%.9g", rep.Time); ts != "300" {
-		t.Errorf("time = %s, want the full horizon 300", ts)
-	}
 	// The first (stochastic) interval's exact bit pattern is the strongest
 	// indicator that the fault RNG derivation tree is unchanged.
-	if s := fmt.Sprintf("%.9g..%.9g", tel.CrashIntervals[0].Start, tel.CrashIntervals[0].End); s != "11.3214437..16.5883277" {
-		t.Errorf("first crash interval = %s, want 11.3214437..16.5883277", s)
-	}
+	golden.Check(t, "golden_fault_run.golden", fmt.Sprintf(`messages %d
+leaders %d
+violations %d
+dropped %d
+duplicated %d
+delayed %d
+link_drops %d
+dead_letters %d
+timers_suppressed %d
+crashes %d
+recoveries %d
+intervals %d
+time %.9g
+first_crash_interval %.9g..%.9g
+`, rep.Messages, rep.Leaders, len(rep.Violations), tel.MessagesDropped, tel.MessagesDuplicated,
+		tel.MessagesDelayed, tel.LinkDrops, tel.DeadLetters, tel.TimersSuppressed, tel.Crashes,
+		tel.Recoveries, len(tel.CrashIntervals), rep.Time,
+		tel.CrashIntervals[0].Start, tel.CrashIntervals[0].End))
 	// The scripted crash of node 5 at t=25 keeps its full window to the
 	// scripted recovery at t=55: stochastic churn only recovers outages it
 	// caused, never a scripted one.
@@ -109,56 +90,5 @@ func TestGoldenFaultRun(t *testing.T) {
 	}
 	if open != tel.Crashes-tel.Recoveries {
 		t.Errorf("%d open intervals for %d unrecovered crashes", open, tel.Crashes-tel.Recoveries)
-	}
-}
-
-// TestFaultRunByteIdentical asserts byte-identical Reports (fault
-// telemetry included) for the fixed triple across two sequential runs and
-// a concurrent pair — the latter exercising the determinism contract under
-// the race detector, where sweep workers share graphs and plans.
-func TestFaultRunByteIdentical(t *testing.T) {
-	env, proto := goldenFaultEnv()
-	runOnce := func() abenet.Report {
-		rep, err := abenet.Run(env, proto)
-		if err != nil {
-			t.Error(err)
-		}
-		return rep
-	}
-
-	// render flattens a report to bytes with the telemetry dereferenced
-	// (a *Telemetry field would otherwise render as a pointer address),
-	// so "byte-identical" means every field including float bit patterns.
-	render := func(rep abenet.Report) string {
-		flat := rep
-		flat.Faults = nil
-		return fmt.Sprintf("%#v|%#v", flat, *rep.Faults)
-	}
-
-	first, second := runOnce(), runOnce()
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("sequential runs diverged:\n a: %+v\n b: %+v", first, second)
-	}
-	if a, b := render(first), render(second); a != b {
-		t.Fatalf("rendered reports diverged:\n a: %s\n b: %s", a, b)
-	}
-
-	// Concurrent runs sharing the same Env and *Plan (as sweep workers
-	// do) must neither race nor diverge.
-	const workers = 4
-	reports := make([]abenet.Report, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			reports[i] = runOnce()
-		}(i)
-	}
-	wg.Wait()
-	for i, rep := range reports {
-		if !reflect.DeepEqual(rep, first) {
-			t.Fatalf("concurrent run %d diverged:\n got:  %+v\n want: %+v", i, rep, first)
-		}
 	}
 }

@@ -1,11 +1,12 @@
 package consensus_test
 
 import (
-	"reflect"
+	"encoding/json"
 	"testing"
 
 	"abenet/internal/byzantine"
 	"abenet/internal/faults"
+	"abenet/internal/golden"
 	"abenet/internal/runner"
 	"abenet/internal/topology"
 )
@@ -59,15 +60,18 @@ func TestHonestConsensus(t *testing.T) {
 }
 
 // TestConsensusDeterminism: identical (Env, seed) must reproduce the whole
-// Report.
+// Report, in sequence and concurrently.
 func TestConsensusDeterminism(t *testing.T) {
 	env := base(8)
 	env.Byzantine = byzantine.Equivocators(2)
-	a, _ := run(t, env, runner.BenOr{Init: "half"})
-	b, _ := run(t, env, runner.BenOr{Init: "half"})
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
-	}
+	golden.Replay(t, func() (string, error) {
+		rep, err := runner.Run(env, runner.BenOr{Init: "half"})
+		if err != nil {
+			return "", err
+		}
+		raw, err := json.Marshal(rep) // every field, through the telemetry pointers
+		return string(raw), err
+	})
 }
 
 // TestConsensusToleratesEquivocatorsWithinBound: inside the classical

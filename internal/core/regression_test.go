@@ -10,42 +10,6 @@ import (
 	"abenet/internal/runner"
 )
 
-// TestGoldenRun pins the exact outcome of one fully-specified run. Any
-// change to the kernel's event ordering, the RNG stream layout, or the
-// protocol rules shows up here first — intentional changes must update
-// the constants below *and* say why in the commit.
-func TestGoldenRun(t *testing.T) {
-	res, err := runElection(runner.Env{N: 8, Seed: 12345}, runner.Election{A0: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Leaders != 1 {
-		t.Fatalf("leaders = %d", res.Leaders)
-	}
-	got := struct {
-		leader      int
-		messages    uint64
-		activations int
-	}{res.LeaderIndex, res.Messages, res.Activations}
-	if res.Time <= 0 {
-		t.Fatal("time not positive")
-	}
-	// Re-run to establish the pin is at least internally stable.
-	res2, err := runElection(runner.Env{N: 8, Seed: 12345}, runner.Election{A0: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.LeaderIndex != got.leader || res2.Messages != got.messages ||
-		res2.Activations != got.activations || res2.Time != res.Time {
-		t.Fatalf("replay instability: %+v vs %+v", res, res2)
-	}
-	// The pinned values for this build of the simulator.
-	if got.leader != 7 || got.messages != 8 || got.activations != 1 {
-		t.Fatalf("golden run changed: leader=%d messages=%d activations=%d (expected 7/8/1)",
-			got.leader, got.messages, got.activations)
-	}
-}
-
 // TestConfigFuzz drives the election across a randomised corner of the
 // configuration space — extreme A0, heavy tails, strong drift, slow
 // processing — and requires the safety invariants to hold everywhere.

@@ -1,26 +1,23 @@
 package experiments
 
 import (
-	"bytes"
-	"flag"
 	"fmt"
 	"maps"
-	"os"
-	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current code")
+	"abenet/internal/golden"
+)
 
 // renderSuite is what abe-bench prints for each experiment, minus what a
 // clock decides: the claim, every table, the sorted findings line and the
 // verdict, without the elapsed time. E16's rows carry wall-clock columns
 // (and its full ladder climbs to 10⁶ nodes twice), so only a Quick run
 // renders it, with those two columns blanked.
-func renderSuite(t *testing.T, opt Options) []byte {
+func renderSuite(t *testing.T, opt Options) string {
 	t.Helper()
-	var b bytes.Buffer
+	var b strings.Builder
 	for _, exp := range All() {
 		if exp.ID == "E16" && !opt.Quick {
 			continue
@@ -51,7 +48,7 @@ func renderSuite(t *testing.T, opt Options) []byte {
 		}
 		fmt.Fprintf(&b, "\nstatus: %s\n\n", status)
 	}
-	return b.Bytes()
+	return b.String()
 }
 
 // TestSuiteGolden holds every experiment's output at seed 1 against the
@@ -71,27 +68,7 @@ func TestSuiteGolden(t *testing.T) {
 			if !tc.opt.Quick && testing.Short() {
 				t.Skip("full configuration: ≈ 5 s")
 			}
-			got := renderSuite(t, tc.opt)
-			path := filepath.Join("testdata", tc.file)
-			if *update {
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				gotLines, wantLines := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
-				for i := range min(len(gotLines), len(wantLines)) {
-					if !bytes.Equal(gotLines[i], wantLines[i]) {
-						t.Fatalf("%s line %d:\n got: %s\nwant: %s", path, i+1, gotLines[i], wantLines[i])
-					}
-				}
-				t.Fatalf("%s: %d lines, golden has %d", path, len(gotLines), len(wantLines))
-			}
+			golden.Check(t, tc.file, renderSuite(t, tc.opt))
 		})
 	}
 }

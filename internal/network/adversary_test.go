@@ -2,13 +2,13 @@ package network
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"abenet/internal/byzantine"
 	"abenet/internal/channel"
 	"abenet/internal/dist"
 	"abenet/internal/faults"
+	"abenet/internal/golden"
 	"abenet/internal/rng"
 	"abenet/internal/simtime"
 	"abenet/internal/topology"
@@ -345,28 +345,23 @@ func TestBroadcastConfigValidation(t *testing.T) {
 // TestAdversaryDeterminism: same seed, same plan — identical intervention
 // telemetry and traffic, including under concurrent replay.
 func TestAdversaryDeterminism(t *testing.T) {
-	run := func() string {
+	golden.Replay(t, func() (string, error) {
 		plan := &byzantine.Plan{Roles: []byzantine.Role{
 			{Node: 0, Behavior: byzantine.Equivocate, Prob: 0.6},
 			{Node: 1, Behavior: byzantine.Stall, Prob: 0.4},
 		}}
-		net := buildAnnouncers(t, 6, Config{Seed: 99, Byzantine: plan}, word{Tag: 3})
+		net, err := New(Config{
+			Graph:     topology.Complete(6),
+			Links:     channel.RandomDelayFactory(dist.NewExponential(1)),
+			Seed:      99,
+			Byzantine: plan,
+		}, func(i int) Node { return &announcer{id: i, sender: i == 0, payload: word{Tag: 3}} })
+		if err != nil {
+			return "", err
+		}
 		if err := net.Run(simtime.Forever, 0); err != nil {
-			t.Fatal(err)
+			return "", err
 		}
-		return fmt.Sprint(receivedWords(net), *net.FaultTelemetry().Byzantine, net.Metrics(), net.Now())
-	}
-	first := run()
-	results := make(chan string, 4)
-	for i := 0; i < 4; i++ {
-		go func() { results <- run() }()
-	}
-	for i := 0; i < 4; i++ {
-		if got := <-results; got != first {
-			t.Fatalf("adversarial run diverged:\n%s\n%s", first, got)
-		}
-	}
-	if !reflect.DeepEqual(first, run()) {
-		t.Fatal("sequential replay diverged")
-	}
+		return fmt.Sprint(receivedWords(net), *net.FaultTelemetry().Byzantine, net.Metrics(), net.Now()), nil
+	})
 }

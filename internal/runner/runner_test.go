@@ -11,65 +11,6 @@ import (
 	"abenet/internal/topology"
 )
 
-// TestGoldenEquivalence pins runner.Run to the golden seeds of
-// core.TestGoldenSeeds: the table is deliberately duplicated, so that a
-// change to either copy has to be made — and justified — in both. If this
-// table ever needs to change, core/golden_test.go must change in the same
-// commit and for the same stated reason.
-func TestGoldenEquivalence(t *testing.T) {
-	delays := map[string]dist.Dist{
-		"exp":     nil, // default: Exponential(1)
-		"det":     dist.NewDeterministic(1),
-		"uniform": dist.NewUniform(0, 2),
-		"pareto":  dist.ParetoWithMean(1, 1.5),
-		"retx":    dist.NewRetransmission(0.5, 0.5),
-		"erlang":  dist.NewErlang(4, 1),
-	}
-	golden := []struct {
-		delay                                       string
-		n, leader, messages, activations, knockouts int
-		time                                        string
-	}{
-		{"exp", 4, 1, 8, 3, 2, "9.19898652"},
-		{"exp", 8, 7, 8, 1, 0, "19.8543429"},
-		{"exp", 16, 6, 16, 1, 0, "55.7411288"},
-		{"det", 8, 7, 8, 1, 0, "18"},
-		{"uniform", 8, 7, 8, 1, 0, "21.0081605"},
-		{"pareto", 8, 7, 8, 1, 0, "16.2780861"},
-		{"retx", 8, 7, 8, 1, 0, "19"},
-		{"erlang", 8, 7, 8, 1, 0, "17.4052757"},
-	}
-	for _, g := range golden {
-		g := g
-		t.Run(fmt.Sprintf("%s/n=%d", g.delay, g.n), func(t *testing.T) {
-			rep, err := Run(
-				Env{N: g.n, Delay: delays[g.delay], Seed: 42},
-				Election{A0: core.DefaultA0(g.n)},
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := RequireElected(rep); err != nil {
-				t.Fatal(err)
-			}
-			ex, ok := rep.Extra.(ElectionExtra)
-			if !ok {
-				t.Fatalf("Extra is %T, want ElectionExtra", rep.Extra)
-			}
-			got := []int{rep.LeaderIndex, int(rep.Messages), ex.Activations, ex.Knockouts}
-			want := []int{g.leader, g.messages, g.activations, g.knockouts}
-			for i, name := range []string{"leader", "messages", "activations", "knockouts"} {
-				if got[i] != want[i] {
-					t.Errorf("%s = %d, want %d", name, got[i], want[i])
-				}
-			}
-			if ts := fmt.Sprintf("%.9g", rep.Time); ts != g.time {
-				t.Errorf("time = %s, want %s", ts, g.time)
-			}
-		})
-	}
-}
-
 // TestElectionsOnNonRingTopologies smoke-tests the ring protocols on every
 // topology family that embeds a Hamiltonian cycle — the environments the
 // old config structs could not even express.

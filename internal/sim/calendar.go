@@ -87,9 +87,8 @@ func newCalendarScheduler() *calendarScheduler {
 	}
 }
 
-func (c *calendarScheduler) Name() string { return SchedulerCalendar }
-
-func (c *calendarScheduler) Pending() int { return c.wheelLen + len(c.overflow) }
+// pending counts the queued events; the resize logic sizes the wheel by it.
+func (c *calendarScheduler) pending() int { return c.wheelLen + len(c.overflow) }
 
 // Reserve is a no-op: the wheel sizes itself from the pending population at
 // each rebuild, and which bucket an event lands in is not known up front.
@@ -172,7 +171,7 @@ func (c *calendarScheduler) findMin() int {
 }
 
 func (c *calendarScheduler) PeekTime() (simtime.Time, bool) {
-	if c.Pending() == 0 {
+	if c.pending() == 0 {
 		return 0, false
 	}
 	if !c.cacheValid {
@@ -184,7 +183,7 @@ func (c *calendarScheduler) PeekTime() (simtime.Time, bool) {
 }
 
 func (c *calendarScheduler) Pop() (event, bool) {
-	if c.Pending() == 0 {
+	if c.pending() == 0 {
 		return event{}, false
 	}
 	b := c.cacheBucket
@@ -201,7 +200,7 @@ func (c *calendarScheduler) Pop() (event, bool) {
 	}
 	c.cursor = b
 	c.wheelLen--
-	if len(c.buckets) > calMinBuckets && c.Pending() < len(c.buckets)/8 {
+	if len(c.buckets) > calMinBuckets && c.pending() < len(c.buckets)/8 {
 		c.rebuild()
 	}
 	return ev, true

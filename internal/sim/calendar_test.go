@@ -30,18 +30,27 @@ func TestSchedulerRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewNamed(%q): %v", name, err)
 		}
-		if got := k.sched.Name(); got != name {
-			t.Errorf("NewNamed(%q) is backed by %q", name, got)
+		var ok bool
+		switch name {
+		case SchedulerHeap:
+			_, ok = k.sched.(*heapScheduler)
+		case SchedulerCalendar:
+			_, ok = k.sched.(*calendarScheduler)
+		}
+		if !ok {
+			t.Errorf("NewNamed(%q) is backed by %T", name, k.sched)
 		}
 	}
 	if !ValidScheduler("") {
 		t.Error("ValidScheduler(\"\") = false, want true (default)")
 	}
-	if got := New().sched.Name(); got != SchedulerHeap {
-		t.Errorf("New() scheduler = %q, want the heap default", got)
+	if _, ok := New().sched.(*heapScheduler); !ok {
+		t.Errorf("New() scheduler is a %T, want the heap default", New().sched)
 	}
-	if k, err := NewNamed(""); err != nil || k.sched.Name() != SchedulerHeap {
-		t.Errorf("NewNamed(\"\") = (%v, %v), want the heap default", k, err)
+	if k, err := NewNamed(""); err != nil {
+		t.Errorf("NewNamed(\"\"): %v", err)
+	} else if _, ok := k.sched.(*heapScheduler); !ok {
+		t.Errorf("NewNamed(\"\") scheduler is a %T, want the heap default", k.sched)
 	}
 	if ValidScheduler("ladder") {
 		t.Error("ValidScheduler(\"ladder\") = true for an unknown name")

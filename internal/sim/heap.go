@@ -46,10 +46,6 @@ type heapScheduler struct {
 
 func newHeapScheduler() *heapScheduler { return &heapScheduler{} }
 
-func (h *heapScheduler) Name() string { return SchedulerHeap }
-
-func (h *heapScheduler) Pending() int { return h.n + len(h.heap) }
-
 // Reserve sizes the run once, to n slots, and stops it from growing
 // afterwards: "a timer per node" is n timers scheduled at non-decreasing
 // instants, and they take the run. The heap is left to grow by append: on the

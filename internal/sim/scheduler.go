@@ -12,7 +12,8 @@ import (
 // intrusive 4-ary heap (SchedulerHeap, the default) and a calendar queue
 // (SchedulerCalendar) — selectable per run via NewNamed or the runner's
 // Env.Scheduler field.
-// Nothing is ever withdrawn: an entry leaves the set only through Pop.
+// Nothing is ever withdrawn: an entry leaves the set only through Pop. A
+// scheduler only orders; the Kernel counts what is pending itself.
 //
 // Every implementation MUST pop events in exactly (at, seq) order: at is the
 // virtual instant, seq the kernel-assigned insertion sequence, and the pair
@@ -27,8 +28,6 @@ import (
 // package's differential tests, which can only cover schedulers they know
 // about.
 type Scheduler interface {
-	// Name returns the registry name ("heap", "calendar").
-	Name() string
 	// Schedule inserts ev.
 	Schedule(ev event)
 	// PeekTime returns the instant of the earliest event, or ok=false when
@@ -37,8 +36,6 @@ type Scheduler interface {
 	// Pop removes and returns the earliest event, or ok=false when the set
 	// is empty.
 	Pop() (event, bool)
-	// Pending returns the number of scheduled events in O(1).
-	Pending() int
 	// Reserve is a sizing hint: about n events will be pending at once at
 	// non-decreasing instants (a timer per node). It never changes the pop
 	// order; an implementation may ignore it.

@@ -190,7 +190,9 @@ func (k *Kernel) ScheduleSeq() uint64 { return k.seq }
 func (k *Kernel) EventSeq() uint64 { return k.eventSeq }
 
 // Pending returns the number of scheduled, not yet executed events in O(1).
-func (k *Kernel) Pending() int { return k.sched.Pending() }
+// The kernel never withdraws an event, so every one it has scheduled has
+// either executed or is still pending.
+func (k *Kernel) Pending() int { return int(k.seq - k.executed) }
 
 // Reserve tells the scheduler that about n events will be pending at once at
 // non-decreasing instants — one timer per node, say — so it can size its

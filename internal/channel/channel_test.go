@@ -217,6 +217,12 @@ func TestFactories(t *testing.T) {
 					t.Fatalf("row %d mean = %v, want %v", row, got, tc.mean)
 				}
 			}
+			if got := store.MaxMeanDelay(); got != tc.mean {
+				t.Fatalf("store δ = %v, want %v", got, tc.mean)
+			}
+			if got := NewStore(k, sink, tc.links, nil).MaxMeanDelay(); got != 0 {
+				t.Fatalf("δ of a store without rows = %v, want 0", got)
+			}
 		})
 	}
 }
@@ -241,6 +247,9 @@ func TestHeterogeneousFactoryPicksPerEdge(t *testing.T) {
 			if got, want := store.Send(i, nil), simtime.Duration(means[i%len(means)]); got != want {
 				t.Fatalf("row %d delay = %v, want %v", i, got, want)
 			}
+		}
+		if got := store.MaxMeanDelay(); got != 3 {
+			t.Fatalf("store δ = %v, want 3 (the worst row)", got)
 		}
 	}
 	if picks != 10 {

@@ -71,6 +71,7 @@ type Store struct {
 
 	discipline
 	delays  []dist.Dist    // delays[k] = row k's law under a HeterogeneousFactory; nil otherwise
+	maxMean float64        // the largest row mean: the store's δ; 0 without rows
 	rows    []row          // rows[k] = link k
 	streams []rng.Source   // streams[k] = link k's random stream, drawn from in place
 	last    []simtime.Time // last[k] = link k's last delivery instant; a FIFO store's alone
@@ -116,7 +117,7 @@ type slot struct {
 // into sink on kernel k: link k draws its delays from streams[k], in place, so
 // the caller may derive from a stream before its link first sends. Under a
 // HeterogeneousFactory it reads each link's law here, once. k, sink and links
-// must be non-nil.
+// must be non-nil. It computes the store's δ (MaxMeanDelay) here too, once.
 func NewStore(k *sim.Kernel, sink Sink, links Factory, streams []rng.Source) *Store {
 	if k == nil {
 		panic("channel: nil kernel")
@@ -136,7 +137,12 @@ func NewStore(k *sim.Kernel, sink Sink, links Factory, streams []rng.Source) *St
 		for i := range s.delays {
 			s.delays[i] = s.pick(i)
 			mustDelay(s.delays[i])
+			if m := s.delays[i].Mean(); m > s.maxMean {
+				s.maxMean = m
+			}
 		}
+	} else if len(streams) > 0 {
+		s.maxMean = max(s.MeanDelay(0), 0) // every row has the one law
 	}
 	s.fire = k.Register(s.fireBatch)
 	return s
@@ -156,6 +162,10 @@ func (s *Store) MeanDelay(k int) float64 {
 	}
 	return s.delayOf(k).Mean()
 }
+
+// MaxMeanDelay returns the largest of the rows' MeanDelay, or 0 when there
+// are no rows: the tightest δ the store's links satisfy.
+func (s *Store) MaxMeanDelay() float64 { return s.maxMean }
 
 // delayOf returns link k's delay law.
 func (s *Store) delayOf(k int) dist.Dist {

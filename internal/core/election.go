@@ -45,15 +45,18 @@ func (s State) String() string {
 // to: a passivity certificate is only valid within the epoch whose resets
 // produced it, so nodes purge tokens from older epochs and reset their
 // knowledge when a newer epoch reaches them.
+//
+// Both fields are 32-bit, as a ring's size and a node's epoch are, so a
+// relayed token boxes 8 bytes.
 type HopMessage struct {
-	Hop   int
-	Epoch int
+	Hop   int32
+	Epoch int32
 }
 
 // HopCount exposes the relay counter to the causal tracer (trace.HopCarrier):
 // a token relayed over k consecutive hops carries Hop ≥ k, which the
 // trace/causal analysis checks against the measured chain length.
-func (m HopMessage) HopCount() int { return m.Hop }
+func (m HopMessage) HopCount() int { return int(m.Hop) }
 
 // tickTimer is the kind of the per-node wake-up timer.
 const tickTimer = 1
@@ -107,30 +110,41 @@ func DefaultA0(n int) float64 { return A0ForRing(n, 1, 1, 1) }
 // positions raises its wake-up rate to keep the *overall* activation rate
 // constant over time, yielding linear average time and message complexity.
 //
-// A node is its state: the ring-wide constants live in one ElectionParams
-// that every node of the ring points at, and d, the epoch and the send port
-// are 32-bit (a ring's size and ports are bounded by the 32-bit numbering of
-// topology.Graph).
+// A node is its state, in one 64-byte cache line: a pointer to the
+// ElectionParams its whole ring shares, a 32-bit send port and d (a ring's
+// size and ports are bounded by the 32-bit numbering of topology.Graph), the
+// state, the four counters every run keeps, and one pointer to a NodeExtra —
+// the violation log and the re-candidacy state — that stays nil in a
+// paper-default run.
 type ElectionNode struct {
 	params   *ElectionParams
+	extra    *NodeExtra // nil until a violation, unless re-candidacy is on
 	sendPort int32
 	d        int32
-	epoch    int32 // re-candidacy wave this node's knowledge belongs to; 0 forever in the paper's algorithm
 	state    State
 
+	// Counters for experiments and invariant checks.
+	Activations    int // idle→active transitions
+	Knockouts      int // messages purged while active (hop < n)
+	Relays         int // messages forwarded (as idle or passive)
+	ResidualPurges int // messages purged after becoming leader
+}
+
+// NodeExtra is what an election node keeps beyond the paper's algorithm: the
+// state of the opt-in re-candidacy rule and the log of invariant violations.
+// A paper-default node has none until it records a violation; a re-candidacy
+// node has one from the start, which a ring of them can lay out in one slab
+// (see ElectionParams.Node).
+type NodeExtra struct {
+	epoch int32 // re-candidacy wave this node's knowledge belongs to
+
 	// lastActivity is the local-clock instant of the node's last protocol
-	// activity (message seen or state transition), tracked only when
-	// re-candidacy is enabled so disabled runs stay byte-identical.
+	// activity (message seen or state transition).
 	lastActivity float64
 
-	// Counters for experiments and invariant checks.
-	Activations    int      // idle→active transitions
-	Knockouts      int      // messages purged while active (hop < n)
-	Relays         int      // messages forwarded (as idle or passive)
-	ResidualPurges int      // messages purged after becoming leader
-	Recandidacies  int      // timeout-driven returns to the idle state (re-candidacy mode only)
-	StalePurges    int      // tokens purged for carrying an outdated epoch (re-candidacy mode only)
-	Violations     []string // invariant violations observed (always empty if the algorithm is correct)
+	recandidacies int      // timeout-driven returns to the idle state
+	stalePurges   int      // tokens purged for carrying an outdated epoch
+	violations    []string // invariant violations observed (always empty if the algorithm is correct)
 }
 
 var _ network.Node = (*ElectionNode)(nil)
@@ -199,6 +213,9 @@ func (cfg ElectionNodeConfig) params() (ElectionParams, error) {
 	if cfg.RingSize > math.MaxInt32 {
 		return ElectionParams{}, fmt.Errorf("core: ring size %d exceeds the 32-bit node numbering", cfg.RingSize)
 	}
+	if cfg.RingSize == math.MaxInt32 {
+		return ElectionParams{}, fmt.Errorf("core: ring size %d leaves no room for the 32-bit hop n+1", cfg.RingSize)
+	}
 	if !(cfg.A0 > 0 && cfg.A0 < 1) {
 		return ElectionParams{}, fmt.Errorf("core: A0 = %g must be in (0, 1)", cfg.A0)
 	}
@@ -223,20 +240,32 @@ func (cfg ElectionNodeConfig) params() (ElectionParams, error) {
 
 // Node returns a node of p's ring in the initial state (idle, d = 1) that
 // sends on sendPort, by value, for callers that keep a whole ring's nodes in
-// one slice instead of one heap object per node.
-func (p *ElectionParams) Node(sendPort int) (ElectionNode, error) {
+// one slice instead of one heap object per node. When p enables re-candidacy
+// the node keeps its state in extra, reset here — an entry of a slab the ring
+// lays out once — or, when extra is nil, in a NodeExtra of its own. Otherwise
+// extra is not used.
+func (p *ElectionParams) Node(sendPort int, extra *NodeExtra) (ElectionNode, error) {
 	if sendPort < 0 {
 		return ElectionNode{}, fmt.Errorf("core: send port %d must be non-negative", sendPort)
 	}
 	if sendPort > math.MaxInt32 {
 		return ElectionNode{}, fmt.Errorf("core: send port %d exceeds the 32-bit port numbering", sendPort)
 	}
-	return ElectionNode{params: p, sendPort: int32(sendPort), state: Idle, d: 1}, nil
+	node := ElectionNode{params: p, sendPort: int32(sendPort), state: Idle, d: 1}
+	if p.recandidacy > 0 {
+		if extra == nil {
+			extra = new(NodeExtra)
+		}
+		*extra = NodeExtra{}
+		node.extra = extra
+	}
+	return node, nil
 }
 
 // NewElectionNode validates the configuration and returns a node in the
 // initial state (idle, d = 1). The node and its own ElectionParams are one
-// object: one allocation per node.
+// object: one allocation per node, and a second for its NodeExtra when
+// re-candidacy is on.
 func NewElectionNode(cfg ElectionNodeConfig) (*ElectionNode, error) {
 	params, err := cfg.params()
 	if err != nil {
@@ -246,7 +275,7 @@ func NewElectionNode(cfg ElectionNodeConfig) (*ElectionNode, error) {
 		node   ElectionNode
 		params ElectionParams
 	}{params: params}
-	if obj.node, err = obj.params.Node(cfg.SendPort); err != nil {
+	if obj.node, err = obj.params.Node(cfg.SendPort, nil); err != nil {
 		return nil, err
 	}
 	return &obj.node, nil
@@ -258,6 +287,42 @@ func (e *ElectionNode) State() State { return e.state }
 // D returns the node's current knowledge counter d (d−1 predecessors are
 // known passive).
 func (e *ElectionNode) D() int { return int(e.d) }
+
+// Recandidacies returns the node's timeout-driven returns to the idle state
+// (re-candidacy mode only).
+func (e *ElectionNode) Recandidacies() int {
+	if e.extra == nil {
+		return 0
+	}
+	return e.extra.recandidacies
+}
+
+// StalePurges returns the tokens the node purged for carrying an outdated
+// epoch (re-candidacy mode only).
+func (e *ElectionNode) StalePurges() int {
+	if e.extra == nil {
+		return 0
+	}
+	return e.extra.stalePurges
+}
+
+// Violations returns the invariant violations the node observed, in order:
+// always none if the algorithm is correct.
+func (e *ElectionNode) Violations() []string {
+	if e.extra == nil {
+		return nil
+	}
+	return e.extra.violations
+}
+
+// epoch returns the re-candidacy wave of the node's knowledge: 0 forever in
+// the paper's algorithm.
+func (e *ElectionNode) epoch() int32 {
+	if e.extra == nil {
+		return 0
+	}
+	return e.extra.epoch
+}
 
 // ActivationProbability returns the per-tick wake-up probability at the
 // node's current knowledge: 1−(1−A0)^d, or the constant A0 under the
@@ -284,8 +349,8 @@ func (e *ElectionNode) OnTimer(ctx *network.Context, kind int) {
 	// The tick loop runs for the node's lifetime; only idle ticks can act.
 	p := e.params
 	ctx.SetLocalTimerFunc(p.tickInterval, tickTimer)
-	if p.recandidacy > 0 && (e.state == Passive || e.state == Active) &&
-		ctx.LocalTime()-e.lastActivity >= p.recandidacy {
+	if x := e.extra; p.recandidacy > 0 && (e.state == Passive || e.state == Active) &&
+		ctx.LocalTime()-x.lastActivity >= p.recandidacy {
 		// Nothing has flowed past this node for the whole timeout: assume
 		// the election wedged (e.g. every token died at a partition cut —
 		// including this node's own, if it is still waiting as an active
@@ -297,11 +362,16 @@ func (e *ElectionNode) OnTimer(ctx *network.Context, kind int) {
 		// must never mix with knowledge after it. Tokens carry the epoch;
 		// older-epoch tokens are purged, newer-epoch tokens reset d as
 		// they pass, and within one epoch the fault-free invariants hold.
+		if x.epoch == math.MaxInt32 {
+			// Every epoch is a re-candidacy somewhere on the ring, one timer
+			// event each, and the kernel's event budget is unbounded.
+			panic("core: re-candidacy epoch overflows its 32 bits")
+		}
 		e.state = Idle
 		e.d = 1
-		e.epoch++
-		e.Recandidacies++
-		e.lastActivity = ctx.LocalTime()
+		x.epoch++
+		x.recandidacies++
+		x.lastActivity = ctx.LocalTime()
 	}
 	if e.state != Idle {
 		return
@@ -312,9 +382,9 @@ func (e *ElectionNode) OnTimer(ctx *network.Context, kind int) {
 		if p.recandidacy > 0 {
 			// The candidacy is this node's own activity: give the token a
 			// full timeout's worth of patience to come back around.
-			e.lastActivity = ctx.LocalTime()
+			e.extra.lastActivity = ctx.LocalTime()
 		}
-		ctx.Send(int(e.sendPort), HopMessage{Hop: 1, Epoch: int(e.epoch)})
+		ctx.Send(int(e.sendPort), HopMessage{Hop: 1, Epoch: e.epoch()})
 	}
 }
 
@@ -326,22 +396,22 @@ func (e *ElectionNode) OnMessage(ctx *network.Context, _ int, payload any) {
 		return
 	}
 	p := e.params
-	if p.recandidacy > 0 && e.state != Leader {
+	if x := e.extra; p.recandidacy > 0 && e.state != Leader {
 		switch {
-		case msg.Epoch < int(e.epoch):
+		case msg.Epoch < x.epoch:
 			// A token from before a re-candidacy wave: its passivity
 			// certificate counts nodes that have since reset, so it must
 			// not knock anyone out, win, or feed anyone's d. Purge it.
-			e.StalePurges++
+			x.stalePurges++
 			return
-		case msg.Epoch > int(e.epoch):
+		case msg.Epoch > x.epoch:
 			// A newer wave reached this node: all pre-wave knowledge is
 			// void. Adopt the epoch with fresh d; an own candidacy from
 			// the old epoch is void too (its token, if alive, will be
 			// purged — and counted — as stale wherever it lands, so this
 			// demotion bumps no counter: the node goes on to handle the
 			// incoming token normally, typically relaying it.
-			e.epoch = int32(msg.Epoch)
+			x.epoch = msg.Epoch
 			e.d = 1
 			if e.state == Active {
 				e.state = Idle
@@ -350,16 +420,16 @@ func (e *ElectionNode) OnMessage(ctx *network.Context, _ int, payload any) {
 		// Current-epoch traffic proves the election is flowing; push the
 		// re-candidacy deadline out. All of this is guarded so disabled
 		// runs never touch the local clock here and stay byte-identical.
-		e.lastActivity = ctx.LocalTime()
+		x.lastActivity = ctx.LocalTime()
 	}
-	if msg.Hop < 1 || msg.Hop > p.ringSize {
+	if msg.Hop < 1 || int(msg.Hop) > p.ringSize {
 		// The algorithm guarantees hop ∈ {1..n}; seeing anything else
 		// means the protocol (or this implementation) is broken.
 		e.violate("hop %d outside [1, %d]", msg.Hop, p.ringSize)
 		return
 	}
-	if msg.Hop > int(e.d) {
-		e.d = int32(msg.Hop)
+	if msg.Hop > e.d {
+		e.d = msg.Hop
 	}
 
 	switch e.state {
@@ -371,7 +441,7 @@ func (e *ElectionNode) OnMessage(ctx *network.Context, _ int, payload any) {
 		e.Relays++
 		e.relay(ctx)
 	case Active:
-		if msg.Hop == p.ringSize {
+		if int(msg.Hop) == p.ringSize {
 			e.state = Leader
 			if p.stopOnLeader {
 				ctx.StopNetwork("leader elected")
@@ -393,11 +463,16 @@ func (e *ElectionNode) OnMessage(ctx *network.Context, _ int, payload any) {
 	}
 }
 
-// relay forwards ⟨d+1⟩ to the successor.
+// relay forwards ⟨d+1⟩ to the successor. d ≤ n < MaxInt32, so d+1 fits.
 func (e *ElectionNode) relay(ctx *network.Context) {
-	ctx.Send(int(e.sendPort), HopMessage{Hop: int(e.d) + 1, Epoch: int(e.epoch)})
+	ctx.Send(int(e.sendPort), HopMessage{Hop: e.d + 1, Epoch: e.epoch()})
 }
 
+// violate records an invariant violation, making the node's NodeExtra if it
+// has none yet: only a broken run pays for the log.
 func (e *ElectionNode) violate(format string, args ...any) {
-	e.Violations = append(e.Violations, fmt.Sprintf(format, args...))
+	if e.extra == nil {
+		e.extra = new(NodeExtra)
+	}
+	e.extra.violations = append(e.extra.violations, fmt.Sprintf(format, args...))
 }

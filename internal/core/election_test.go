@@ -101,14 +101,16 @@ func TestNewElectionNodeValidation(t *testing.T) {
 	}
 }
 
-// TestElectionNodeLayout pins what an election node costs: at most 104 B —
-// a pointer to its ring's shared ElectionParams, a 32-bit send port, d and
-// epoch, a one-byte state, the local instant of its last activity and its
-// counters — and NewElectionNode one heap object, the node and its own
-// params together.
+// TestElectionNodeLayout pins what an election node costs: at most 64 B, one
+// cache line — a pointer to its ring's shared ElectionParams, a 32-bit send
+// port and d, a one-byte state, its four counters and a pointer to its
+// NodeExtra — and NewElectionNode one heap object, the node and its own params
+// together. A paper-default node has no NodeExtra until it records a
+// violation; a re-candidacy node has one from the start, the slab entry its
+// ring hands Node, reset there.
 func TestElectionNodeLayout(t *testing.T) {
-	if size := unsafe.Sizeof(ElectionNode{}); size > 104 {
-		t.Errorf("ElectionNode is %d B, budget 104", size)
+	if size := unsafe.Sizeof(ElectionNode{}); size > 64 {
+		t.Errorf("ElectionNode is %d B, budget 64", size)
 	}
 	var node *ElectionNode
 	allocs := testing.AllocsPerRun(100, func() {
@@ -117,8 +119,28 @@ func TestElectionNodeLayout(t *testing.T) {
 	if allocs != 1 {
 		t.Errorf("NewElectionNode allocates %g objects, want 1", allocs)
 	}
-	if node.State() != Idle || node.D() != 1 || node.sendPort != 2 || node.params.ringSize != 8 {
+	if node.State() != Idle || node.D() != 1 || node.sendPort != 2 || node.params.ringSize != 8 || node.extra != nil {
 		t.Fatalf("NewElectionNode built %+v with params %+v", *node, *node.params)
+	}
+	node.OnMessage(nil, 0, HopMessage{Hop: 9})
+	if node.extra == nil || len(node.Violations()) != 1 {
+		t.Fatalf("a violation left NodeExtra %+v", node.extra)
+	}
+
+	params, err := NewElectionParams(ElectionNodeConfig{RingSize: 8, A0: 0.3, RecandidacyTimeout: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slab := []NodeExtra{{epoch: 3, recandidacies: 2, violations: []string{"stale"}}}
+	slot, err := params.Node(1, &slab[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slot.extra != &slab[0] || slab[0].epoch != 0 || slot.Recandidacies() != 0 || slot.Violations() != nil {
+		t.Fatalf("Node kept the slab entry %+v as %p, want a reset &slab[0]", slab[0], slot.extra)
+	}
+	if own, _ := params.Node(1, nil); own.extra == nil || own.extra == &slab[0] {
+		t.Fatalf("a re-candidacy node without a slab entry has NodeExtra %p", own.extra)
 	}
 }
 

@@ -282,7 +282,9 @@ func (life *lifecycle) recover(i int) {
 		panic(fmt.Sprintf("network: makeNode(%d) returned nil on fault recovery", i))
 	}
 	life.net.nodes[i] = node
-	node.Init(&life.net.ctxs[i])
+	ctx, prev := life.net.enter(i)
+	node.Init(ctx)
+	life.net.ctx.id = prev
 }
 
 // setLink flips the scripted state of the directed edge from→to. An edge

@@ -17,10 +17,11 @@
 // assumption mechanically.
 //
 // Construction is flat: New lays every kind of per-node and per-edge state
-// (contexts with their streams inline, link streams, the store's link rows)
-// in one slice each, reads both ends of every edge and its in-port straight
-// off the graph's arrays, and reserves the kernel's run lane for one timer
-// per node. A link is a row of the one channel.Store, under the one
+// (node streams, link streams, the store's link rows) in one slice each,
+// reads both ends of every edge and its in-port straight off the graph's
+// arrays, and reserves the kernel's run lane for one timer per node. The
+// network has one Context, pointed at whichever node it is dispatching, so a
+// node is its stream. A link is a row of the one channel.Store, under the one
 // discipline cfg.Links names, so no edge gets an object of its own; a perfect
 // clock reads real time, so a network of them keeps no clock at all.
 // Deliveries come back through Sink.Deliver(edge, ·) and untraced, fault-free
@@ -206,7 +207,8 @@ type Network struct {
 	cfg      Config
 	kernel   *sim.Kernel
 	nodes    []Node
-	ctxs     []Context      // ctxs[i] holds node i's private stream inline
+	ctx      Context        // the one Context: it names the node being dispatched
+	nodeRNG  []rng.Source   // nodeRNG[i] = node i's private stream
 	clocks   []clock.Clock  // clocks[i] may keep a pointer into clockRNG; nil under perfect clocks
 	clockRNG []rng.Source   // per-node clock streams; nil likewise
 	procRNG  []rng.Source   // per-node processing-time streams; nil without a processing model
@@ -301,10 +303,11 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 		cfg:      cfg,
 		kernel:   kernel,
 		nodes:    make([]Node, n),
-		ctxs:     make([]Context, n),
+		nodeRNG:  make([]rng.Source, n),
 		adj:      graph.CSR(),
 		makeNode: makeNode,
 	}
+	net.ctx.net = net
 	net.timerDue = kernel.Register(net.fireTimer)
 	net.queueDone = kernel.Register(net.complete)
 	net.holdOver = kernel.Register(net.release)
@@ -347,7 +350,7 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 			net.clockRNG[i] = clockStreams.At(i)
 			net.clocks[i] = cfg.Clocks.NewClock(&net.clockRNG[i])
 		}
-		net.ctxs[i] = Context{net: net, id: i, r: nodeStreams.At(i)}
+		net.nodeRNG[i] = nodeStreams.At(i)
 		net.nodes[i] = makeNode(i)
 		if net.nodes[i] == nil {
 			return nil, fmt.Errorf("network: makeNode(%d) returned nil", i)
@@ -402,7 +405,9 @@ func (net *Network) deliverTo(edge int, payload any) {
 		// would run the work inline), so the handler is invoked directly:
 		// this is the per-delivery hot path of large untraced runs.
 		net.metrics.MessagesDelivered++
-		net.nodes[to].OnMessage(&net.ctxs[to], inPort, payload)
+		ctx, prev := net.enter(to)
+		net.nodes[to].OnMessage(ctx, inPort, payload)
+		net.ctx.id = prev
 	}
 }
 
@@ -535,15 +540,26 @@ func (net *Network) complete(slot uint32) {
 
 // handle makes the call, as the cause of whatever the node does inside it.
 func (net *Network) handle(w work, payload any) {
-	prev := net.cause
+	v, cause := int(w.node), net.cause
 	net.cause = w.cause
-	if v := int(w.node); w.timer {
-		net.nodes[v].OnTimer(&net.ctxs[v], w.port)
+	ctx, prev := net.enter(v)
+	if w.timer {
+		net.nodes[v].OnTimer(ctx, w.port)
 	} else {
 		net.metrics.MessagesDelivered++
-		net.nodes[v].OnMessage(&net.ctxs[v], w.port, payload)
+		net.nodes[v].OnMessage(ctx, w.port, payload)
 	}
-	net.cause = prev
+	net.ctx.id, net.cause = prev, cause
+}
+
+// enter points the network's one Context at node v for a callback of v's. It
+// returns the Context and the node it named before, which the caller puts back
+// once the callback returns, as handle does with the cause. The callers make
+// the call themselves: a helper that also made it would be too large to
+// inline, one more frame on every delivery and timer.
+func (net *Network) enter(v int) (ctx *Context, prev int) {
+	prev, net.ctx.id = net.ctx.id, v
+	return &net.ctx, prev
 }
 
 // Run initialises all nodes (in index order at time zero) and executes the
@@ -554,11 +570,13 @@ func (net *Network) Run(horizon simtime.Time, maxEvents uint64) error {
 	if net.life != nil {
 		net.life.applyAtTimeZero()
 	}
-	for i, node := range net.nodes {
+	for i := range net.nodes {
 		if net.life != nil && net.life.down[i] {
 			continue // crashed from t = 0: Init runs at recovery, if any
 		}
-		node.Init(&net.ctxs[i])
+		ctx, prev := net.enter(i)
+		net.nodes[i].Init(ctx)
+		net.ctx.id = prev
 	}
 	if net.life != nil {
 		net.life.install()
@@ -596,15 +614,8 @@ func (net *Network) NodeAt(i int) Node { return net.nodes[i] }
 
 // MaxLinkMeanDelay returns the maximum per-link expected delay — the
 // tightest δ for which this network satisfies ABE Definition 1, condition 1.
-func (net *Network) MaxLinkMeanDelay() float64 {
-	max := 0.0
-	for k := range net.store.Links() {
-		if m := net.store.MeanDelay(k); m > max {
-			max = m
-		}
-	}
-	return max
-}
+// The store computed it once, when it laid out the links.
+func (net *Network) MaxLinkMeanDelay() float64 { return net.store.MaxMeanDelay() }
 
 // ClockBounds returns the clock model's (s_low, s_high).
 func (net *Network) ClockBounds() (low, high float64) { return net.cfg.Clocks.Bounds() }
@@ -638,11 +649,13 @@ func (net *Network) ProcessingMean() float64 { return net.procMean }
 func (net *Network) Kernel() *sim.Kernel { return net.kernel }
 
 // Context is a node's window onto the network. All methods must be called
-// from protocol callbacks (Init, OnMessage, OnTimer) only.
+// from protocol callbacks (Init, OnMessage, OnTimer) only: a network has one
+// Context, which it points at each node for the length of the node's
+// callback, so what a node keeps of it reads as itself in every later
+// callback. A node's private stream lives in the network's slab of them.
 type Context struct {
 	net *Network
-	id  int
-	r   rng.Source
+	id  int // the node whose callback is running
 }
 
 // maxTimerKinds sizes the network's per-kind timer handler table;
@@ -866,7 +879,9 @@ func (net *Network) timerHandler(kind int) sim.HandlerID {
 			v := int(node)
 			net.metrics.TimersFired++
 			if net.cfg.Processing == nil {
-				net.nodes[v].OnTimer(&net.ctxs[v], kind)
+				ctx, prev := net.enter(v)
+				net.nodes[v].OnTimer(ctx, kind)
+				net.ctx.id = prev
 				return
 			}
 			net.process(work{node: int32(v), timer: true, port: kind}, nil)
@@ -876,7 +891,7 @@ func (net *Network) timerHandler(kind int) sim.HandlerID {
 }
 
 // Rand returns the node's private random stream.
-func (c *Context) Rand() *rng.Source { return &c.r }
+func (c *Context) Rand() *rng.Source { return &c.net.nodeRNG[c.id] }
 
 // Now returns global simulation time. It exists for measurement and
 // tracing; protocols for asynchronous models must not branch on it (they

@@ -3,6 +3,7 @@ package runner
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -185,13 +186,54 @@ func TestFaultsRejectedByUnsupportingProtocols(t *testing.T) {
 	}
 }
 
+// TestElectionViolationText pins the report's violation lines for tokens no
+// correct run carries — a hop outside [1, n], at either end and at the 32-bit
+// extremes, and a foreign payload — in node order, then arrival order: the
+// lines a run recorded when a hop was a machine int and every node carried
+// its own log.
+func TestElectionViolationText(t *testing.T) {
+	ring, err := newElectionRing(3, core.ElectionNodeConfig{RingSize: 3, A0: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 3 {
+		if _, err := ring.spawn(i, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// With re-candidacy off, a rejected token never reaches the Context.
+	ring.node(2).OnMessage(nil, 0, core.HopMessage{Hop: 4})
+	ring.node(2).OnMessage(nil, 0, "token")
+	ring.node(0).OnMessage(nil, 0, core.HopMessage{Hop: 0})
+	ring.node(0).OnMessage(nil, 0, core.HopMessage{Hop: math.MinInt32, Epoch: 7})
+	ring.node(1).OnMessage(nil, 0, core.HopMessage{Hop: math.MaxInt32})
+	var rep Report
+	ring.collect(&rep)
+	want := []string{
+		"hop 0 outside [1, 3]",
+		"hop -2147483648 outside [1, 3]",
+		"hop 2147483647 outside [1, 3]",
+		"hop 4 outside [1, 3]",
+		"foreign payload string",
+	}
+	if !reflect.DeepEqual(rep.Violations, want) {
+		t.Fatalf("violations %q, want %q", rep.Violations, want)
+	}
+	if rep.Leaders != 0 || rep.LeaderIndex != -1 || rep.Elected {
+		t.Fatalf("leaders %d at %d (elected %v), want none", rep.Leaders, rep.LeaderIndex, rep.Elected)
+	}
+	if x := rep.Extra.(ElectionExtra); x != (ElectionExtra{}) {
+		t.Fatalf("rejected tokens moved the counters: %+v", x)
+	}
+}
+
 // TestElectionRestartLeavesTheSlab pins what churn does to the election's
 // node storage: the first incarnation of a node is its slab slot, a restart
 // is a fresh object — the slab slot is never reset in place, so the dead
 // incarnation keeps its final state — and the dead incarnation's counters and
 // violations are folded into the run's totals before it is replaced. The
 // table of restarted incarnations exists from the first restart on, and
-// node(i) — what the gauges, countLeaders and fold read — is the current
+// node(i) — what the gauges and collect read — is the current
 // incarnation throughout. An invalid config is refused once, when the ring is
 // made, and a negative send port when a node is spawned.
 func TestElectionRestartLeavesTheSlab(t *testing.T) {
@@ -210,7 +252,8 @@ func TestElectionRestartLeavesTheSlab(t *testing.T) {
 		t.Fatal("a first incarnation made the table of restarted incarnations")
 	}
 	dead := ring.node(1)
-	dead.Activations, dead.Knockouts, dead.Violations = 4, 3, []string{"seen by the dead incarnation"}
+	dead.Activations, dead.Knockouts = 4, 3
+	dead.OnMessage(nil, 0, "seen by the dead incarnation") // a foreign payload is a violation
 
 	second, err := ring.spawn(1, 0)
 	if err != nil {
@@ -219,7 +262,7 @@ func TestElectionRestartLeavesTheSlab(t *testing.T) {
 	if second == first || ring.node(1) == dead || second != network.Node(ring.node(1)) {
 		t.Fatal("restart reused the slab slot in place")
 	}
-	if dead.Activations != 4 || dead.Knockouts != 3 || len(dead.Violations) != 1 {
+	if dead.Activations != 4 || dead.Knockouts != 3 || len(dead.Violations()) != 1 {
 		t.Fatalf("restart reset the dead incarnation: %+v", dead)
 	}
 	if ring.extra.Activations != 4 || ring.extra.Knockouts != 3 || len(ring.violations) != 1 {

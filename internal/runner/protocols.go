@@ -86,12 +86,7 @@ func (p Election) Run(env Env) (Report, error) {
 		makeNode:  ring.spawn,
 		gauges:    electionGauges{ring},
 		collect: func(rep *Report) error {
-			countLeaders(rep, n, func(i int) bool { return ring.node(i).State() == core.Leader })
-			for i := range n {
-				ring.fold(ring.node(i))
-			}
-			rep.Violations = ring.violations
-			rep.Extra = ring.extra
+			ring.collect(rep)
 			return nil
 		},
 	})
@@ -102,10 +97,12 @@ func (p Election) Run(env Env) (Report, error) {
 // 10⁵ — and node(i) is node i's current incarnation: its slab slot until it
 // first restarts, and from then on restarted[i]. The table of restarted
 // incarnations is made on the first restart, so a run without churn keeps no
-// pointer per node. All of them share the ring's params, validated once.
+// pointer per node. All of them share the ring's params, validated once. A
+// re-candidacy run keeps its first incarnations' NodeExtras in one slab too.
 type electionRing struct {
 	params     *core.ElectionParams
 	first      []core.ElectionNode
+	extras     []core.NodeExtra     // extras[i] = first[i]'s NodeExtra; nil unless re-candidacy is on
 	restarted  []*core.ElectionNode // nil until a node first restarts; then restarted[i] is nil until node i does
 	extra      ElectionExtra        // counters of dead incarnations; of all nodes after collect
 	violations []string
@@ -118,7 +115,11 @@ func newElectionRing(n int, cfg core.ElectionNodeConfig) (*electionRing, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &electionRing{params: params, first: make([]core.ElectionNode, n)}, nil
+	ring := &electionRing{params: params, first: make([]core.ElectionNode, n)}
+	if cfg.RecandidacyTimeout > 0 {
+		ring.extras = make([]core.NodeExtra, n)
+	}
+	return ring, nil
 }
 
 // node returns node i's current incarnation. Before node i is first spawned
@@ -138,13 +139,19 @@ func (r *electionRing) node(i int) *core.ElectionNode {
 // so they are folded in before it is replaced. A slab slot still at zero has
 // never been spawned: a node's State is never zero.
 func (r *electionRing) spawn(i, sendPort int) (network.Node, error) {
-	fresh, err := r.params.Node(sendPort)
+	// A restarted incarnation's NodeExtra, if any, is its own, like the node.
+	restart := r.node(i).State() != 0
+	var extra *core.NodeExtra
+	if !restart && r.extras != nil {
+		extra = &r.extras[i]
+	}
+	fresh, err := r.params.Node(sendPort, extra)
 	if err != nil {
 		return nil, err
 	}
 	node := &r.first[i]
-	if old := r.node(i); old.State() != 0 {
-		r.fold(old)
+	if restart {
+		r.fold(r.node(i))
 		if r.restarted == nil {
 			r.restarted = make([]*core.ElectionNode, len(r.first))
 		}
@@ -155,14 +162,32 @@ func (r *electionRing) spawn(i, sendPort int) (network.Node, error) {
 	return node, nil
 }
 
+// collect reads the outcome off every node's current incarnation in one pass
+// in index order: the leaders, and each node's counters and violations
+// folded into the run's totals.
+func (r *electionRing) collect(rep *Report) {
+	rep.LeaderIndex = -1
+	for i := range r.first {
+		node := r.node(i)
+		if node.State() == core.Leader {
+			rep.Leaders++
+			rep.LeaderIndex = i
+		}
+		r.fold(node)
+	}
+	rep.Elected = rep.Leaders > 0
+	rep.Violations = r.violations
+	rep.Extra = r.extra
+}
+
 // fold adds one incarnation's counters and violations to the run's totals.
 func (r *electionRing) fold(node *core.ElectionNode) {
 	r.extra.Activations += node.Activations
 	r.extra.Knockouts += node.Knockouts
 	r.extra.ResidualPurges += node.ResidualPurges
-	r.extra.Recandidacies += node.Recandidacies
-	r.extra.StalePurges += node.StalePurges
-	r.violations = append(r.violations, node.Violations...)
+	r.extra.Recandidacies += node.Recandidacies()
+	r.extra.StalePurges += node.StalePurges()
+	r.violations = append(r.violations, node.Violations()...)
 }
 
 // electionGauges exposes the election's protocol-level gauges over the

@@ -75,15 +75,18 @@ func (c *tieredCache) load(key string) (*Result, bool) {
 }
 
 // writeThrough stores a published result in the persistent tier. It runs
-// outside s.mu. A failure is counted, not fatal: the result still serves
-// from memory, and the slot heals on the next computation of the key.
-func (c *tieredCache) writeThrough(key string, res *Result) {
+// outside s.mu. A failure is counted and returned, not fatal: the result
+// still serves from memory, and the slot heals on the next computation of
+// the key.
+func (c *tieredCache) writeThrough(key string, res *Result) error {
 	if c.persist == nil {
-		return
+		return nil
 	}
-	if err := c.persist.Put(key, res); err != nil {
+	err := c.persist.Put(key, res)
+	if err != nil {
 		c.persistErrs.Add(1)
 	}
+	return err
 }
 
 // len returns the memory-tier entry count.
@@ -96,6 +99,16 @@ func (c *tieredCache) persistLen() int {
 		return 0
 	}
 	return c.persist.Len()
+}
+
+// persistReadErrors returns the corrupt entries the persistent tier has read
+// back, for a tier that counts them (store.Disk); 0 otherwise. The count is
+// not part of store.Store, so that any Get/Put/Len/Close store stays a tier.
+func (c *tieredCache) persistReadErrors() int {
+	if counter, ok := c.persist.(interface{ ReadErrors() int }); ok {
+		return counter.ReadErrors()
+	}
+	return 0
 }
 
 // close releases both tiers.

@@ -65,6 +65,8 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		}},
 		{"abe_store_errors_total", "Failed persistent-tier writes.", "counter",
 			[]promSample{{"", float64(st.StoreErrors)}}},
+		{"abe_store_read_errors_total", "Corrupt persistent-tier entries read back and removed.", "counter",
+			[]promSample{{"", float64(st.StoreReadErrors)}}},
 		{"abe_stream_events_dropped_total", "Progress events discarded past per-job stream caps.", "counter",
 			[]promSample{{"", float64(st.EventsDropped)}}},
 	}

@@ -177,6 +177,10 @@ type View struct {
 	CacheHits int `json:"cache_hits"`
 	// Deduplicated counts submissions coalesced onto this in-flight job.
 	Deduplicated int `json:"deduplicated"`
+	// StoreError reports a failed write of the job's result to the
+	// persistent tier, once the write has returned; nil otherwise. It is
+	// not a failure: the job is done and its result serves from memory.
+	StoreError *StoreError `json:"store_error,omitempty"`
 	// Result is the payload once Status is done.
 	Result *Result `json:"result,omitempty"`
 	// Error is the failure message once Status is failed.
@@ -186,6 +190,14 @@ type View struct {
 	// sim.ErrMaxEvents — raise env.max_events or fix the scenario), "error"
 	// for everything else. Empty unless Status is failed.
 	Failure string `json:"failure,omitempty"`
+}
+
+// StoreError is why a done job's result is not in the persistent tier: the
+// result still serves from memory, and the next computation of its key writes
+// it again.
+type StoreError struct {
+	// Error is the persistent tier's error message.
+	Error string `json:"error"`
 }
 
 // encode is json.Marshal(v) without its second pass over the result: the
@@ -223,6 +235,7 @@ type job struct {
 	result    *Result
 	err       string
 	failure   string
+	storeErr  *StoreError // set once a failed write-through has returned
 	cacheHits int
 	dedups    int
 	done      chan struct{}
@@ -244,6 +257,7 @@ func (j *job) view() View {
 		Seed:         j.spec.Env.Seed,
 		CacheHits:    j.cacheHits,
 		Deduplicated: j.dedups,
+		StoreError:   j.storeErr,
 		Error:        j.err,
 		Failure:      j.failure,
 	}
@@ -630,9 +644,12 @@ type Stats struct {
 	StoreEntries int `json:"store_entries"`
 	StoreHits    int `json:"store_hits"`
 	// StoreErrors counts failed persistent-tier writes; each such result
-	// still serves from memory. A corrupt entry read back is a miss (the
-	// Store interface has no read error to report), not an error.
+	// still serves from memory, and its job's view carries the StoreError.
 	StoreErrors int `json:"store_errors"`
+	// StoreReadErrors counts corrupt entries the persistent tier read back,
+	// served as misses and removed; 0 for a tier that does not count them
+	// (see store.Disk.ReadErrors).
+	StoreReadErrors int `json:"store_read_errors"`
 	// Submissions counts every validated submission (including cache hits
 	// and dedup riders).
 	Submissions int `json:"submissions"`
@@ -661,6 +678,7 @@ type Stats struct {
 func (s *Service) Stats() Stats {
 	dropped := atomic.LoadInt64(&s.eventsDropped)
 	storeEntries := s.cache.persistLen() // tier I/O: outside s.mu
+	readErrors := s.cache.persistReadErrors()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
@@ -672,6 +690,7 @@ func (s *Service) Stats() Stats {
 		StoreEntries:      storeEntries,
 		StoreHits:         s.cache.persistHits,
 		StoreErrors:       int(s.cache.persistErrs.Load()),
+		StoreReadErrors:   readErrors,
 		Submissions:       s.submissions,
 		SpecDecodes:       s.specDecodes.Load(),
 		SpecMemoHits:      s.specMemoHits.Load(),
@@ -765,7 +784,11 @@ func (s *Service) worker() {
 		// serves the result; a crash before this write costs one
 		// recomputation, never a wrong or partial entry.
 		if done {
-			s.cache.writeThrough(j.key, res)
+			if err := s.cache.writeThrough(j.key, res); err != nil {
+				s.mu.Lock()
+				j.storeErr = &StoreError{Error: err.Error()}
+				s.mu.Unlock()
+			}
 		}
 	}
 }

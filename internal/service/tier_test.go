@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -338,6 +339,10 @@ func TestStoreFaults(t *testing.T) {
 		if st := svc.Stats(); st.StoreErrors != 1 || st.StoreEntries != 0 {
 			t.Fatalf("after the failed write: store_errors %d entries %d, want 1 / 0", st.StoreErrors, st.StoreEntries)
 		}
+		// The job's own view names the failed write, and stays done.
+		if v := awaitStoreError(t, ts.URL, body); v.Status != StatusDone || !strings.Contains(v.StoreError.Error, syscall.ENOSPC.Error()) {
+			t.Fatalf("view after the failed write: status %s, store_error %+v", v.Status, v.StoreError)
+		}
 		// Still served, from memory.
 		if code, body := postSpec(t, ts.URL, ring, nil); code != http.StatusOK || !bytes.Equal(resultOf(t, body), want) {
 			t.Fatalf("memory hit after the failed write = %d: %s", code, body)
@@ -442,14 +447,44 @@ func TestStoreFaults(t *testing.T) {
 				t.Fatalf("neighbour = %d: %s", code, body)
 			}
 			awaitStoreEntries(t, svc, 2)
-			if st := svc.Stats(); st.StoreHits != 1 || st.StoreErrors != 0 {
-				t.Fatalf("store hits %d errors %d, want 1 / 0", st.StoreHits, st.StoreErrors)
+			if st := svc.Stats(); st.StoreHits != 1 || st.StoreErrors != 0 || st.StoreReadErrors != 1 {
+				t.Fatalf("store hits %d errors %d read errors %d, want 1 / 0 / 1", st.StoreHits, st.StoreErrors, st.StoreReadErrors)
 			}
 			// The recomputation rewrote the slot with the served bytes.
 			if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, want) {
 				t.Fatalf("healed entry = %q (%v), want the served result", data, err)
 			}
 		})
+	}
+}
+
+// awaitStoreError GETs the job a submission's response body names until its
+// view carries a StoreError: the worker records it once the write-through
+// has returned, just after the tier counts the Put as done.
+func awaitStoreError(t *testing.T, url string, submitted []byte) View {
+	t.Helper()
+	var v View
+	if err := json.Unmarshal(submitted, &v); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(url + "/v1/runs/" + v.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&v)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.StoreError != nil {
+			return v
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s: no store_error on its view", v.ID)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

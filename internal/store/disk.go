@@ -20,9 +20,10 @@ import (
 // treated as absent and removed: a corrupt entry must degrade to a cache
 // miss, never to a serving failure.
 type Disk[V any] struct {
-	mu  sync.Mutex
-	dir string
-	n   int
+	mu         sync.Mutex
+	dir        string
+	n          int
+	readErrors int // corrupt entries Get has found
 }
 
 // OpenDisk opens (creating if needed) the sharded store rooted at dir and
@@ -82,7 +83,8 @@ func checkKey(key string) error {
 }
 
 // Get returns the value stored under key. A missing file is a miss; a
-// file that fails to parse is removed and reported as a miss.
+// file that fails to parse is removed, counted (ReadErrors) and reported as a
+// miss.
 func (d *Disk[V]) Get(key string) (V, bool) {
 	var zero V
 	if checkKey(key) != nil {
@@ -98,6 +100,7 @@ func (d *Disk[V]) Get(key string) (V, bool) {
 	var v V
 	if err := json.Unmarshal(data, &v); err != nil {
 		// Corrupt entry: drop it so the slot heals on the next Put.
+		d.readErrors++
 		if os.Remove(path) == nil {
 			d.n--
 		}
@@ -159,6 +162,14 @@ func (d *Disk[V]) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.n
+}
+
+// ReadErrors returns how many corrupt entries Get has found, removed and
+// served as misses since the store was opened.
+func (d *Disk[V]) ReadErrors() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.readErrors
 }
 
 // Close releases the store. Every completed Put is already durable on

@@ -134,7 +134,8 @@ func TestDiskRoundTripAndRestart(t *testing.T) {
 }
 
 // TestDiskCorruptEntryIsAMiss: a torn or hand-mangled entry degrades to a
-// cache miss and is removed, so the slot heals on the next Put.
+// cache miss, counted once as a read error, and is removed, so the slot heals
+// on the next Put.
 func TestDiskCorruptEntryIsAMiss(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDisk[*payload](dir)
@@ -156,6 +157,9 @@ func TestDiskCorruptEntryIsAMiss(t *testing.T) {
 	}
 	if got := d.Len(); got != 0 {
 		t.Fatalf("Len after corrupt removal = %d, want 0", got)
+	}
+	if _, ok := d.Get("aa@1"); ok || d.ReadErrors() != 1 {
+		t.Fatalf("a missing entry after the corrupt one: hit %v, read errors %d, want a miss and 1", ok, d.ReadErrors())
 	}
 	// The slot heals.
 	if err := d.Put("aa@1", &payload{Name: "fresh"}); err != nil {

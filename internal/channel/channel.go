@@ -23,7 +23,7 @@
 // A network picks one of them, its Factory, for all of its links, and a link
 // is a row of the network's Store (pool.go): its counters, beside a random
 // stream the network lays out and, on a FIFO store, its last delivery instant
-// in a column of their own. The store applies the one discipline to every
+// (on an ARQ store, its transmission attempts) in a column of their own. The store applies the one discipline to every
 // row, keeps the one batch of same-instant deliveries a send may still join,
 // holds the messages in flight on all of them, and hands a delivery to the
 // network's Sink as Deliver(link, payload). A link built on its own (NewRandomDelay, NewFIFO,
@@ -48,7 +48,7 @@ import (
 type Stats struct {
 	Sent          uint64  // messages handed to the link
 	Delivered     uint64  // messages delivered so far
-	Transmissions uint64  // physical transmission attempts (= Sent except for ARQ links)
+	Transmissions uint64  // physical transmission attempts: an ARQ link's own count, Sent on any other
 	TotalDelay    float64 // sum of per-message delays (send to delivery)
 }
 

@@ -466,8 +466,9 @@ func TestReentrantSameInstantSendOpensFreshEvent(t *testing.T) {
 // TestRowIsPointerFree pins the layout that keeps a network's links off the
 // collector's scan list: a row holds no pointer at all — a link names nothing,
 // it is named by its index — and a slot's only pointer is its payload. A row
-// is its counters, 32 B: batch state is the store's one record, and a FIFO
-// link's last delivery instant is a column only a FIFO store has.
+// is its three counters, 24 B: batch state is the store's one record, a FIFO
+// link's last delivery instant is a column only a FIFO store has, and an ARQ
+// link's transmission attempts a column only an ARQ store has.
 func TestRowIsPointerFree(t *testing.T) {
 	if got := pointers(reflect.TypeOf(row{}), "row"); len(got) != 0 {
 		t.Errorf("row holds pointers at %v", got)
@@ -475,22 +476,25 @@ func TestRowIsPointerFree(t *testing.T) {
 	if got, want := pointers(reflect.TypeOf(slot{}), "slot"), []string{"slot.payload"}; !slices.Equal(got, want) {
 		t.Errorf("slot holds pointers at %v, want %v", got, want)
 	}
-	if got := unsafe.Sizeof(row{}); got != 32 {
-		t.Errorf("a row is %d B, want 32 (its Stats)", got)
+	if got := unsafe.Sizeof(row{}); got != 24 {
+		t.Errorf("a row is %d B, want 24 (sent, delivered, total delay)", got)
 	}
 	for _, tc := range []struct {
-		name  string
-		links Factory
-		fifo  bool
+		name      string
+		links     Factory
+		fifo, arq bool
 	}{
-		{"random-delay", RandomDelayFactory(dist.NewExponential(1)), false},
-		{"fifo", FIFOFactory(dist.NewExponential(1)), true},
-		{"arq", ARQFactory(0.5, 1), false},
-		{"heterogeneous", HeterogeneousFactory(func(int) dist.Dist { return dist.NewExponential(1) }), false},
+		{"random-delay", RandomDelayFactory(dist.NewExponential(1)), false, false},
+		{"fifo", FIFOFactory(dist.NewExponential(1)), true, false},
+		{"arq", ARQFactory(0.5, 1), false, true},
+		{"heterogeneous", HeterogeneousFactory(func(int) dist.Dist { return dist.NewExponential(1) }), false, false},
 	} {
 		store := NewStore(sim.New(), &recordingSink{}, tc.links, streams(1, 5))
 		if has := store.last != nil; has != tc.fifo || (has && len(store.last) != 5) {
 			t.Errorf("%s store: FIFO column of %d entries, want one per row only on a FIFO store", tc.name, len(store.last))
+		}
+		if has := store.tx != nil; has != tc.arq || (has && len(store.tx) != 5) {
+			t.Errorf("%s store: transmissions column of %d entries, want one per row only on an ARQ store", tc.name, len(store.tx))
 		}
 	}
 }

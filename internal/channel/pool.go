@@ -28,14 +28,15 @@ func (f DeliverFunc) Deliver(_ int, payload any) { f(payload) }
 // link is a row — its counters — in one slice laid out by NewStore, next to
 // the random stream the network lays out for it, and the network's one
 // discipline (its Factory) decides each row's delays; a FIFO store keeps a
-// column of last delivery instants beside the rows, and the store as a whole
-// keeps the one batch a Send may still join. The store holds no object per
-// link, and nothing in a row or a slot but a slot's payload is a pointer, so
-// the collector never scans the rows. A message in flight is a pooled slot
-// (its payload, its sampled delay and its row), and, where the kernel's
-// execution order provably cannot tell the difference, one kernel event
-// carries a whole batch of same-instant deliveries on a link. The slots a
-// burst needed on one link are reused by the next burst on any other.
+// column of last delivery instants beside the rows, an ARQ store a column of
+// transmission attempts, and the store as a whole keeps the one batch a Send
+// may still join. The store holds no object per link, and nothing in a row or
+// a slot but a slot's payload is a pointer, so the collector never scans the
+// rows. A message in flight is a pooled slot (its payload, its sampled delay
+// and its row), and, where the kernel's execution order provably cannot tell
+// the difference, one kernel event carries a whole batch of same-instant
+// deliveries on a link. The slots a burst needed on one link are reused by
+// the next burst on any other.
 //
 // # Batching without changing the execution order
 //
@@ -75,6 +76,7 @@ type Store struct {
 	rows    []row          // rows[k] = link k
 	streams []rng.Source   // streams[k] = link k's random stream, drawn from in place
 	last    []simtime.Time // last[k] = link k's last delivery instant; a FIFO store's alone
+	tx      []uint64       // tx[k] = link k's transmission attempts; an ARQ store's alone
 
 	open batch // the one batch a Send may still join, if any
 
@@ -86,9 +88,13 @@ type Store struct {
 	fire sim.HandlerID // fireBatch, registered once; every delivery event names it
 }
 
-// row is one link: its counters and nothing else.
+// row is one link: its counters and nothing else, 24 B. A link that is not
+// ARQ transmits each message once, so only an ARQ store counts transmissions,
+// in its own column.
 type row struct {
-	Stats
+	Sent       uint64
+	Delivered  uint64
+	TotalDelay float64
 }
 
 // batch is the store's open batch: the row it carries, its last entry, its
@@ -129,8 +135,11 @@ func NewStore(k *sim.Kernel, sink Sink, links Factory, streams []rng.Source) *St
 		panic("channel: nil link factory")
 	}
 	s := &Store{kernel: k, sink: sink, discipline: *links, rows: make([]row, len(streams)), streams: streams, open: closed}
-	if s.kind == kindFIFO {
+	switch s.kind {
+	case kindFIFO:
 		s.last = make([]simtime.Time, len(streams))
+	case kindARQ:
+		s.tx = make([]uint64, len(streams))
 	}
 	if s.pick != nil {
 		s.delays = make([]dist.Dist, len(streams))
@@ -151,8 +160,16 @@ func NewStore(k *sim.Kernel, sink Sink, links Factory, streams []rng.Source) *St
 // Links returns the number of rows.
 func (s *Store) Links() int { return len(s.rows) }
 
-// Stats returns link k's counters.
-func (s *Store) Stats(k int) Stats { return s.rows[k].Stats }
+// Stats returns link k's counters. Its Transmissions are an ARQ link's
+// attempts and Sent on any other.
+func (s *Store) Stats(k int) Stats {
+	w := &s.rows[k]
+	st := Stats{Sent: w.Sent, Delivered: w.Delivered, Transmissions: w.Sent, TotalDelay: w.TotalDelay}
+	if s.tx != nil {
+		st.Transmissions = s.tx[k]
+	}
+	return st
+}
 
 // MeanDelay returns the exact expectation of link k's delay distribution
 // (its δ).
@@ -192,7 +209,7 @@ func (s *Store) Send(k int, payload any) simtime.Duration {
 		attempts := s.arq.Attempts(r)
 		d = simtime.Duration(float64(attempts) * s.arq.SlotTime)
 		at = now.Add(d)
-		w.Transmissions += uint64(attempts)
+		s.tx[k] += uint64(attempts)
 	case kindFIFO:
 		at = now.Add(simtime.Duration(s.delayOf(k).Sample(r)))
 		if at.Before(s.last[k]) {
@@ -200,11 +217,9 @@ func (s *Store) Send(k int, payload any) simtime.Duration {
 		}
 		s.last[k] = at
 		d = at.Sub(now)
-		w.Transmissions++
 	default:
 		d = simtime.Duration(s.delayOf(k).Sample(r))
 		at = now.Add(d)
-		w.Transmissions++
 	}
 	w.Sent++
 	s.file(int32(k), at, payload, d)

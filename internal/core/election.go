@@ -110,23 +110,25 @@ func DefaultA0(n int) float64 { return A0ForRing(n, 1, 1, 1) }
 // positions raises its wake-up rate to keep the *overall* activation rate
 // constant over time, yielding linear average time and message complexity.
 //
-// A node is its state, in one 64-byte cache line: a pointer to the
-// ElectionParams its whole ring shares, a 32-bit send port and d (a ring's
-// size and ports are bounded by the 32-bit numbering of topology.Graph), the
-// state, the four counters every run keeps, and one pointer to a NodeExtra —
-// the violation log and the re-candidacy state — that stays nil in a
-// paper-default run.
+// A node is its state, in 32 bytes: a pointer to the ElectionParams its
+// whole ring shares — which also keep the ring's Tally, so a node counts
+// nothing of its own — one pointer to a NodeExtra (the violation log and the
+// re-candidacy state) that stays nil in a paper-default run, a 32-bit send
+// port and d (a ring's size and ports are bounded by the 32-bit numbering of
+// topology.Graph), and the state.
 type ElectionNode struct {
 	params   *ElectionParams
 	extra    *NodeExtra // nil until a violation, unless re-candidacy is on
 	sendPort int32
 	d        int32
 	state    State
+}
 
-	// Counters for experiments and invariant checks.
+// Tally is what a ring's election counted over all of its nodes and every
+// churn incarnation of them.
+type Tally struct {
 	Activations    int // idle→active transitions
 	Knockouts      int // messages purged while active (hop < n)
-	Relays         int // messages forwarded (as idle or passive)
 	ResidualPurges int // messages purged after becoming leader
 }
 
@@ -186,18 +188,22 @@ type ElectionNodeConfig struct {
 }
 
 // ElectionParams are the constants of one ring's election, shared by all of
-// its nodes and by every churn incarnation of them.
+// its nodes and by every churn incarnation of them, and the ring's Tally,
+// which those nodes count into. A tally belongs to one ring: make one
+// ElectionParams per run.
 type ElectionParams struct {
 	ringSize     int
 	a0           float64
+	p1           float64 // 1−(1−a0)^1: the activation probability at d = 1, computed once
 	tickInterval float64
 	recandidacy  float64 // passive→idle timeout in local clock units; 0 disables
 	stopOnLeader bool
 	constantAct  bool
+	tally        Tally
 }
 
 // NewElectionParams validates the ring-wide fields of cfg — all but
-// SendPort — once for a whole ring.
+// SendPort — once for a whole ring, with a zero Tally.
 func NewElectionParams(cfg ElectionNodeConfig) (*ElectionParams, error) {
 	params, err := cfg.params()
 	if err != nil {
@@ -231,12 +237,16 @@ func (cfg ElectionNodeConfig) params() (ElectionParams, error) {
 	return ElectionParams{
 		ringSize:     cfg.RingSize,
 		a0:           cfg.A0,
+		p1:           1 - (1 - cfg.A0), // math.Pow(x, 1) is x
 		tickInterval: cfg.TickInterval,
 		recandidacy:  cfg.RecandidacyTimeout,
 		stopOnLeader: cfg.StopOnLeader,
 		constantAct:  cfg.ConstantActivation,
 	}, nil
 }
+
+// Tally returns what p's ring has counted so far.
+func (p *ElectionParams) Tally() Tally { return p.tally }
 
 // Node returns a node of p's ring in the initial state (idle, d = 1) that
 // sends on sendPort, by value, for callers that keep a whole ring's nodes in
@@ -263,9 +273,9 @@ func (p *ElectionParams) Node(sendPort int, extra *NodeExtra) (ElectionNode, err
 }
 
 // NewElectionNode validates the configuration and returns a node in the
-// initial state (idle, d = 1). The node and its own ElectionParams are one
-// object: one allocation per node, and a second for its NodeExtra when
-// re-candidacy is on.
+// initial state (idle, d = 1). The node and its own ElectionParams — a ring
+// of one as far as the Tally goes — are one object: one allocation per node,
+// and a second for its NodeExtra when re-candidacy is on.
 func NewElectionNode(cfg ElectionNodeConfig) (*ElectionNode, error) {
 	params, err := cfg.params()
 	if err != nil {
@@ -326,12 +336,17 @@ func (e *ElectionNode) epoch() int32 {
 
 // ActivationProbability returns the per-tick wake-up probability at the
 // node's current knowledge: 1−(1−A0)^d, or the constant A0 under the
-// ablation.
+// ablation. An idle node almost always has d = 1, whose value the params
+// hold.
 func (e *ElectionNode) ActivationProbability() float64 {
-	if e.params.constantAct {
-		return e.params.a0
+	p := e.params
+	switch {
+	case p.constantAct:
+		return p.a0
+	case e.d == 1:
+		return p.p1
 	}
-	return 1 - math.Pow(1-e.params.a0, float64(e.d))
+	return 1 - math.Pow(1-p.a0, float64(e.d))
 }
 
 // Init implements network.Node: start the local tick loop.
@@ -378,7 +393,7 @@ func (e *ElectionNode) OnTimer(ctx *network.Context, kind int) {
 	}
 	if ctx.Rand().Bool(e.ActivationProbability()) {
 		e.state = Active
-		e.Activations++
+		p.tally.Activations++
 		if p.recandidacy > 0 {
 			// The candidacy is this node's own activity: give the token a
 			// full timeout's worth of patience to come back around.
@@ -435,10 +450,8 @@ func (e *ElectionNode) OnMessage(ctx *network.Context, _ int, payload any) {
 	switch e.state {
 	case Idle:
 		e.state = Passive
-		e.Relays++
 		e.relay(ctx)
 	case Passive:
-		e.Relays++
 		e.relay(ctx)
 	case Active:
 		if int(msg.Hop) == p.ringSize {
@@ -447,7 +460,7 @@ func (e *ElectionNode) OnMessage(ctx *network.Context, _ int, payload any) {
 				ctx.StopNetwork("leader elected")
 			}
 		} else {
-			e.Knockouts++
+			p.tally.Knockouts++
 			e.state = Idle
 		}
 		// The message is purged in both cases: no forward.
@@ -457,7 +470,7 @@ func (e *ElectionNode) OnMessage(ctx *network.Context, _ int, payload any) {
 		// elected every other node is passive, so such messages circulate
 		// straight back to the leader. Purge them silently — they are
 		// part of correct executions (observable with StopOnLeader off).
-		e.ResidualPurges++
+		p.tally.ResidualPurges++
 	default:
 		e.violate("impossible state %v", e.state)
 	}

@@ -39,12 +39,20 @@ func mustPanicCore(t *testing.T, f func()) {
 }
 
 func TestActivationProbabilityFormula(t *testing.T) {
+	// At d = 1 the params hold the probability: the very bits 1−(1−A0)^1
+	// computes, for any A0.
+	for _, a0 := range []float64{0.3, 0.1, 1e-10, DefaultA0(7), DefaultA0(100_000), 0.5, math.Nextafter(1, 0), math.SmallestNonzeroFloat64} {
+		node, err := NewElectionNode(ElectionNodeConfig{RingSize: 8, A0: a0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := node.ActivationProbability(), 1-math.Pow(1-a0, 1); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("A0 = %g, d = 1: p = %v, want %v", a0, got, want)
+		}
+	}
 	node, err := NewElectionNode(ElectionNodeConfig{RingSize: 8, A0: 0.3})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got, want := node.ActivationProbability(), 0.3; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("d=1: p = %v, want %v", got, want)
 	}
 	node.d = 3
 	want := 1 - math.Pow(0.7, 3)
@@ -101,16 +109,19 @@ func TestNewElectionNodeValidation(t *testing.T) {
 	}
 }
 
-// TestElectionNodeLayout pins what an election node costs: at most 64 B, one
-// cache line — a pointer to its ring's shared ElectionParams, a 32-bit send
-// port and d, a one-byte state, its four counters and a pointer to its
-// NodeExtra — and NewElectionNode one heap object, the node and its own params
-// together. A paper-default node has no NodeExtra until it records a
-// violation; a re-candidacy node has one from the start, the slab entry its
-// ring hands Node, reset there.
+// TestElectionNodeLayout pins what an election node costs: at most 32 B — a
+// pointer to its ring's shared ElectionParams, a pointer to its NodeExtra, a
+// 32-bit send port and d and a one-byte state, no counter of its own, since
+// the ring's Tally is in the params — and NewElectionNode one heap object, the
+// node and its own params together, in the 112-B size class. A paper-default
+// node has no NodeExtra until it records a violation; a re-candidacy node has
+// one from the start, the slab entry its ring hands Node, reset there.
 func TestElectionNodeLayout(t *testing.T) {
-	if size := unsafe.Sizeof(ElectionNode{}); size > 64 {
-		t.Errorf("ElectionNode is %d B, budget 64", size)
+	if size := unsafe.Sizeof(ElectionNode{}); size > 32 {
+		t.Errorf("ElectionNode is %d B, budget 32", size)
+	}
+	if size := unsafe.Sizeof(ElectionNode{}) + unsafe.Sizeof(ElectionParams{}); size > 112 {
+		t.Errorf("a node and its params are %d B, past the 112-B size class", size)
 	}
 	var node *ElectionNode
 	allocs := testing.AllocsPerRun(100, func() {

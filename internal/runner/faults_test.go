@@ -16,6 +16,7 @@ import (
 	"abenet/internal/simtime"
 	"abenet/internal/synchronizer"
 	"abenet/internal/topology"
+	"abenet/internal/trace"
 )
 
 // TestEnvValidateErrorPaths covers each structured validation error.
@@ -230,8 +231,8 @@ func TestElectionViolationText(t *testing.T) {
 // TestElectionRestartLeavesTheSlab pins what churn does to the election's
 // node storage: the first incarnation of a node is its slab slot, a restart
 // is a fresh object — the slab slot is never reset in place, so the dead
-// incarnation keeps its final state — and the dead incarnation's counters and
-// violations are folded into the run's totals before it is replaced. The
+// incarnation keeps its final state — and the dead incarnation's violations
+// are folded into the run's totals before it is replaced. The
 // table of restarted incarnations exists from the first restart on, and
 // node(i) — what the gauges and collect read — is the current
 // incarnation throughout. An invalid config is refused once, when the ring is
@@ -252,7 +253,6 @@ func TestElectionRestartLeavesTheSlab(t *testing.T) {
 		t.Fatal("a first incarnation made the table of restarted incarnations")
 	}
 	dead := ring.node(1)
-	dead.Activations, dead.Knockouts = 4, 3
 	dead.OnMessage(nil, 0, "seen by the dead incarnation") // a foreign payload is a violation
 
 	second, err := ring.spawn(1, 0)
@@ -262,13 +262,13 @@ func TestElectionRestartLeavesTheSlab(t *testing.T) {
 	if second == first || ring.node(1) == dead || second != network.Node(ring.node(1)) {
 		t.Fatal("restart reused the slab slot in place")
 	}
-	if dead.Activations != 4 || dead.Knockouts != 3 || len(dead.Violations()) != 1 {
+	if len(dead.Violations()) != 1 {
 		t.Fatalf("restart reset the dead incarnation: %+v", dead)
 	}
-	if ring.extra.Activations != 4 || ring.extra.Knockouts != 3 || len(ring.violations) != 1 {
-		t.Fatalf("dead incarnation not folded before replacement: extra %+v, violations %v", ring.extra, ring.violations)
+	if len(ring.violations) != 1 {
+		t.Fatalf("dead incarnation not folded before replacement: violations %v", ring.violations)
 	}
-	if fresh := ring.node(1); fresh.State() != core.Idle || fresh.D() != 1 || fresh.Activations != 0 {
+	if fresh := ring.node(1); fresh.State() != core.Idle || fresh.D() != 1 || len(fresh.Violations()) != 0 {
 		t.Fatalf("restarted node is not fresh: %+v", fresh)
 	}
 	if _, err := newElectionRing(3, core.ElectionNodeConfig{RingSize: 1, A0: 0.5}); err == nil ||
@@ -331,5 +331,41 @@ func TestElectionRestartLeavesTheSlab(t *testing.T) {
 	if gauges["elected"]() != 0 || gauges["passive"]() != passive || idle() != before+1 {
 		t.Fatalf("gauges after the leader's restart: elected %g, passive %g (was %g), idle %d (was %d); want the fresh incarnation",
 			gauges["elected"](), gauges["passive"](), passive, idle(), before)
+	}
+}
+
+// TestElectionChurnCountsEachActivationOnce runs rings whose nodes crash and
+// restart and checks the reported activations against the trace: every
+// activation is one send of hop 1 (a relay sends d+1 ≥ 2), so the tally of
+// the ring's nodes and all their incarnations must equal that count — an
+// incarnation's activations neither lost at its restart nor counted twice.
+func TestElectionChurnCountsEachActivationOnce(t *testing.T) {
+	restarts := 0
+	for seed := uint64(1); seed <= 8; seed++ {
+		rep, err := Run(Env{
+			N: 8, Seed: seed, Horizon: 300,
+			Faults: &faults.Plan{CrashRate: 0.02, RecoverRate: 0.2},
+			Trace:  &trace.Config{},
+		}, Election{KeepRunning: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Trace.Dropped != 0 {
+			t.Fatalf("seed %d: the trace dropped %d events", seed, rep.Trace.Dropped)
+		}
+		hop1 := 0
+		for _, e := range rep.Trace.Events {
+			if e.Kind == trace.KindSend && e.Hop == 1 {
+				hop1++
+			}
+		}
+		if got := rep.Extra.(ElectionExtra).Activations; got != hop1 {
+			t.Errorf("seed %d: %d activations reported over %d restarts, %d in the trace",
+				seed, got, rep.Faults.Recoveries, hop1)
+		}
+		restarts += rep.Faults.Recoveries
+	}
+	if restarts == 0 {
+		t.Fatal("no node restarted: the test exercised no churn")
 	}
 }

@@ -97,14 +97,15 @@ func (p Election) Run(env Env) (Report, error) {
 // 10⁵ — and node(i) is node i's current incarnation: its slab slot until it
 // first restarts, and from then on restarted[i]. The table of restarted
 // incarnations is made on the first restart, so a run without churn keeps no
-// pointer per node. All of them share the ring's params, validated once. A
-// re-candidacy run keeps its first incarnations' NodeExtras in one slab too.
+// pointer per node. All of them share the ring's params, validated once, and
+// count into the params' one Tally. A re-candidacy run keeps its first
+// incarnations' NodeExtras in one slab too.
 type electionRing struct {
 	params     *core.ElectionParams
 	first      []core.ElectionNode
 	extras     []core.NodeExtra     // extras[i] = first[i]'s NodeExtra; nil unless re-candidacy is on
 	restarted  []*core.ElectionNode // nil until a node first restarts; then restarted[i] is nil until node i does
-	extra      ElectionExtra        // counters of dead incarnations; of all nodes after collect
+	extra      ElectionExtra        // NodeExtra counters of dead incarnations; the run's totals after collect
 	violations []string
 }
 
@@ -134,10 +135,11 @@ func (r *electionRing) node(i int) *core.ElectionNode {
 // spawn builds node i's next incarnation, sending on sendPort. Fault
 // recovery restarts a node as a fresh instance (churn): a new object, never
 // the slab slot reset in place, so whoever still holds the dead incarnation
-// keeps seeing its final state. The dead incarnation's measurements —
-// especially any recorded safety violations — must survive into the report,
-// so they are folded in before it is replaced. A slab slot still at zero has
-// never been spawned: a node's State is never zero.
+// keeps seeing its final state. What the dead incarnation kept in its
+// NodeExtra — especially any recorded safety violations — must survive into
+// the report, so it is folded in before the node is replaced; what it
+// counted is already in the ring's Tally. A slab slot still at zero has never
+// been spawned: a node's State is never zero.
 func (r *electionRing) spawn(i, sendPort int) (network.Node, error) {
 	// A restarted incarnation's NodeExtra, if any, is its own, like the node.
 	restart := r.node(i).State() != 0
@@ -162,10 +164,14 @@ func (r *electionRing) spawn(i, sendPort int) (network.Node, error) {
 	return node, nil
 }
 
-// collect reads the outcome off every node's current incarnation in one pass
-// in index order: the leaders, and each node's counters and violations
-// folded into the run's totals.
+// collect reads the outcome: the ring's Tally once, then every node's
+// current incarnation in one pass in index order — the leaders, and each
+// node's NodeExtra folded into the run's totals.
 func (r *electionRing) collect(rep *Report) {
+	tally := r.params.Tally()
+	r.extra.Activations = tally.Activations
+	r.extra.Knockouts = tally.Knockouts
+	r.extra.ResidualPurges = tally.ResidualPurges
 	rep.LeaderIndex = -1
 	for i := range r.first {
 		node := r.node(i)
@@ -180,11 +186,8 @@ func (r *electionRing) collect(rep *Report) {
 	rep.Extra = r.extra
 }
 
-// fold adds one incarnation's counters and violations to the run's totals.
+// fold adds what one incarnation kept in its NodeExtra to the run's totals.
 func (r *electionRing) fold(node *core.ElectionNode) {
-	r.extra.Activations += node.Activations
-	r.extra.Knockouts += node.Knockouts
-	r.extra.ResidualPurges += node.ResidualPurges
 	r.extra.Recandidacies += node.Recandidacies()
 	r.extra.StalePurges += node.StalePurges()
 	r.violations = append(r.violations, node.Violations()...)

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"strings"
 	"testing"
@@ -225,5 +227,81 @@ func TestTraceBytesPinned(t *testing.T) {
 		if err == nil {
 			t.Fatal(`an event of kind "sent" decoded`)
 		}
+	})
+}
+
+// traceCorpus is the fuzzers' seed corpus: the JSON of every export behind
+// testdata/trace_bytes.golden, plus one timer event at node 2³⁴.
+func traceCorpus(f *testing.F) [][]byte {
+	docs := [][]byte{[]byte(`{"events":[{"id":1,"lamport":1,"at":0.5,"kind":"timer","from":17179869184,"to":1}]}`)}
+	for _, pin := range tracePins {
+		s, err := DecodeBytes([]byte(pin.doc))
+		if err != nil {
+			f.Fatal(err)
+		}
+		rep, err := s.Run()
+		if err != nil {
+			f.Fatal(err)
+		}
+		raw, err := json.Marshal(rep.Trace)
+		if err != nil {
+			f.Fatal(err)
+		}
+		docs = append(docs, raw)
+	}
+	return docs
+}
+
+// fuzzTraceWriter feeds write every input that decodes as a trace.Export. A
+// writer may refuse an export with an error (an event kind it cannot encode,
+// a timestamp past float64's range), but it must not panic, and what it
+// writes without an error must pass valid.
+func fuzzTraceWriter(f *testing.F, write func(io.Writer, *trace.Export) error, valid func(out []byte) error) {
+	for _, doc := range traceCorpus(f) {
+		f.Add(doc)
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		var exp trace.Export
+		if json.Unmarshal(doc, &exp) != nil {
+			t.Skip("not an export")
+		}
+		var b bytes.Buffer
+		if write(&b, &exp) != nil {
+			return
+		}
+		if err := valid(b.Bytes()); err != nil {
+			t.Fatalf("%v:\n%s", err, b.Bytes())
+		}
+	})
+}
+
+// FuzzWriteText: no export makes the text writer panic.
+func FuzzWriteText(f *testing.F) {
+	fuzzTraceWriter(f, trace.WriteText, func([]byte) error { return nil })
+}
+
+// FuzzWriteJSONL: every line the JSONL writer writes is one JSON value.
+func FuzzWriteJSONL(f *testing.F) {
+	fuzzTraceWriter(f, trace.WriteJSONL, func(out []byte) error {
+		lines := strings.Split(string(out), "\n")
+		if last := lines[len(lines)-1]; last != "" {
+			return fmt.Errorf("output ends in %q, not a newline", last)
+		}
+		for i, line := range lines[:len(lines)-1] {
+			if !json.Valid([]byte(line)) {
+				return fmt.Errorf("line %d is not JSON: %q", i+1, line)
+			}
+		}
+		return nil
+	})
+}
+
+// FuzzWriteChrome: the Chrome writer writes one JSON document.
+func FuzzWriteChrome(f *testing.F) {
+	fuzzTraceWriter(f, trace.WriteChrome, func(out []byte) error {
+		if !json.Valid(out) {
+			return errors.New("not one JSON document")
+		}
+		return nil
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Export is a recorded trace as a Report carries it, the service stores it
@@ -127,18 +128,17 @@ const chromeTimeScale = 1e3
 // radio fan-out) each get their own arrow from the shared send.
 func WriteChrome(w io.Writer, exp *Export) error {
 	byID := make(map[EventID]*Event, len(exp.Events))
-	nodes := make(map[int]bool)
+	seen := make(map[int]bool)
+	var nodes []int // the distinct nodes events occurred at
 	for i := range exp.Events {
 		e := &exp.Events[i]
 		byID[e.ID] = e
-		nodes[e.Node()] = true
-	}
-	maxNode := 0
-	for n := range nodes {
-		if n > maxNode {
-			maxNode = n
+		if n := e.Node(); !seen[n] {
+			seen[n] = true
+			nodes = append(nodes, n)
 		}
 	}
+	slices.Sort(nodes)
 
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
@@ -164,11 +164,9 @@ func WriteChrome(w io.Writer, exp *Export) error {
 		return err
 	}
 	// Deterministic metadata order: ascending node index (radio track -1
-	// first when present).
-	for n := -1; n <= maxNode; n++ {
-		if !nodes[n] {
-			continue
-		}
+	// first when present). The walk is over the nodes present, never over
+	// every index up to the largest: one event may name any node.
+	for _, n := range nodes {
 		name := fmt.Sprintf("node %d", n)
 		if n == -1 {
 			name = "radio"

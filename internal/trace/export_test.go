@@ -3,8 +3,11 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"abenet/internal/network"
 )
@@ -192,6 +195,44 @@ func TestWriteChromeStructure(t *testing.T) {
 		if parentStored != wantStored {
 			t.Fatalf("delivery #%d: flow edge present=%v, want %v", e.ID, parentStored, wantStored)
 		}
+	}
+}
+
+// wideNodeExport is one timer event at node 2³⁴: what a crafted or corrupt
+// stored trace may hold.
+const wideNodeExport = `{"events":[{"id":1,"lamport":1,"at":0.5,"kind":"timer","from":17179869184,"to":1}]}`
+
+// TestWriteChromeWideNode renders an export whose one event names node 2³⁴.
+// The track metadata walks the nodes present, so it is two tracks' work, not
+// 2³⁴ iterations: a served trace cannot pin a handler by naming a huge node.
+func TestWriteChromeWideNode(t *testing.T) {
+	var exp Export
+	if err := json.Unmarshal([]byte(wideNodeExport), &exp); err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	done := make(chan error, 1)
+	go func() { done <- WriteChrome(&b, &exp) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("WriteChrome still rendering a one-event export after 1 s")
+	}
+	var f chromeFile
+	if err := json.Unmarshal(b.Bytes(), &f); err != nil {
+		t.Fatalf("chrome export is not well-formed JSON: %v\n%s", err, b.String())
+	}
+	var tracks []string
+	for _, ev := range f.TraceEvents {
+		if ev.Ph == "M" {
+			tracks = append(tracks, fmt.Sprint(ev.Name, " ", ev.Tid, " ", ev.Args["name"]))
+		}
+	}
+	if want := []string{"process_name 0 abenet run", "thread_name 17179869184 node 17179869184"}; !slices.Equal(tracks, want) {
+		t.Fatalf("metadata %q, want %q", tracks, want)
 	}
 }
 

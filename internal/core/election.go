@@ -194,7 +194,6 @@ type ElectionNodeConfig struct {
 type ElectionParams struct {
 	ringSize     int
 	a0           float64
-	p1           float64 // 1−(1−a0)^1: the activation probability at d = 1, computed once
 	tickInterval float64
 	recandidacy  float64 // passive→idle timeout in local clock units; 0 disables
 	stopOnLeader bool
@@ -237,7 +236,6 @@ func (cfg ElectionNodeConfig) params() (ElectionParams, error) {
 	return ElectionParams{
 		ringSize:     cfg.RingSize,
 		a0:           cfg.A0,
-		p1:           1 - (1 - cfg.A0), // math.Pow(x, 1) is x
 		tickInterval: cfg.TickInterval,
 		recandidacy:  cfg.RecandidacyTimeout,
 		stopOnLeader: cfg.StopOnLeader,
@@ -273,9 +271,12 @@ func (p *ElectionParams) Node(sendPort int, extra *NodeExtra) (ElectionNode, err
 }
 
 // NewElectionNode validates the configuration and returns a node in the
-// initial state (idle, d = 1). The node and its own ElectionParams — a ring
-// of one as far as the Tally goes — are one object: one allocation per node,
-// and a second for its NodeExtra when re-candidacy is on.
+// initial state (idle, d = 1). The node and its own ElectionParams are one
+// object: one allocation per node, and a second for its NodeExtra when
+// re-candidacy is on. Such a node still counts its activations, knockouts and
+// residual purges into its params' Tally, but nothing can read that tally: a
+// ring's counts are kept only by the ElectionParams from NewElectionParams
+// that its nodes share.
 func NewElectionNode(cfg ElectionNodeConfig) (*ElectionNode, error) {
 	params, err := cfg.params()
 	if err != nil {
@@ -336,15 +337,16 @@ func (e *ElectionNode) epoch() int32 {
 
 // ActivationProbability returns the per-tick wake-up probability at the
 // node's current knowledge: 1−(1−A0)^d, or the constant A0 under the
-// ablation. An idle node almost always has d = 1, whose value the params
-// hold.
+// ablation. At d = 1 it skips math.Pow, whose Pow(x, 1) is x, so the bits
+// are the same. Only a knocked-out node ticks idle at d > 1, so nearly every
+// call is at d = 1.
 func (e *ElectionNode) ActivationProbability() float64 {
 	p := e.params
 	switch {
 	case p.constantAct:
 		return p.a0
 	case e.d == 1:
-		return p.p1
+		return 1 - (1 - p.a0)
 	}
 	return 1 - math.Pow(1-p.a0, float64(e.d))
 }

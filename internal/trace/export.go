@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 )
 
@@ -128,17 +129,12 @@ const chromeTimeScale = 1e3
 // radio fan-out) each get their own arrow from the shared send.
 func WriteChrome(w io.Writer, exp *Export) error {
 	byID := make(map[EventID]*Event, len(exp.Events))
-	seen := make(map[int]bool)
-	var nodes []int // the distinct nodes events occurred at
+	nodes := make(map[int]bool)
 	for i := range exp.Events {
 		e := &exp.Events[i]
 		byID[e.ID] = e
-		if n := e.Node(); !seen[n] {
-			seen[n] = true
-			nodes = append(nodes, n)
-		}
+		nodes[e.Node()] = true
 	}
-	slices.Sort(nodes)
 
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
@@ -166,7 +162,7 @@ func WriteChrome(w io.Writer, exp *Export) error {
 	// Deterministic metadata order: ascending node index (radio track -1
 	// first when present). The walk is over the nodes present, never over
 	// every index up to the largest: one event may name any node.
-	for _, n := range nodes {
+	for _, n := range slices.Sorted(maps.Keys(nodes)) {
 		name := fmt.Sprintf("node %d", n)
 		if n == -1 {
 			name = "radio"

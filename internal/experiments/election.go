@@ -99,11 +99,11 @@ func correctness(opt Options) (*harness.Table, Findings, bool, error) {
 }
 
 // timeTail is E4b: the election-time distribution at n = 64, as quantiles
-// of a reservoir. It reports and judges nothing.
+// of every run's time. It reports and judges nothing.
 func timeTail(opt Options) (*harness.Table, Findings, bool, error) {
 	const n = 64
 	runs := opt.reps(300)
-	reservoir := stats.NewReservoir(runs, rng.New(opt.Seed^0xE47A11))
+	times := make([]float64, 0, runs)
 	var mean stats.Sample
 	for seed := 0; seed < runs; seed++ {
 		r, err := runner.Run(
@@ -113,7 +113,7 @@ func timeTail(opt Options) (*harness.Table, Findings, bool, error) {
 		if err != nil {
 			return nil, nil, false, err
 		}
-		reservoir.Add(r.Time)
+		times = append(times, r.Time)
 		mean.Add(r.Time)
 	}
 	table := harness.NewTable(
@@ -121,7 +121,7 @@ func timeTail(opt Options) (*harness.Table, Findings, bool, error) {
 		"statistic", "time")
 	table.AddRow("mean", fmt.Sprintf("%.1f ± %.1f", mean.Mean(), mean.CI95()))
 	for _, q := range []float64{0.5, 0.9, 0.95, 0.99} {
-		v, err := reservoir.Quantile(q)
+		v, err := stats.Quantile(times, q)
 		if err != nil {
 			return nil, nil, false, err
 		}

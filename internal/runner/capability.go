@@ -3,6 +3,8 @@ package runner
 import (
 	"errors"
 	"fmt"
+
+	"abenet/internal/topology"
 )
 
 // Capabilities declares which optional Env axes of the algorithm a protocol
@@ -85,14 +87,13 @@ func CheckCapabilities(env Env, p Protocol) error {
 	return nil
 }
 
-// DefaultEdges returns how many directed edges the network has that p builds
-// on an Env stating only a size n: the n of the default ring, unless the
-// protocol declares a default graph of its own (its defaultEdges method). A
-// float, so that no n overflows it — callers compare it with a budget before
-// any graph exists.
-func DefaultEdges(p Protocol, n int) float64 {
-	if d, ok := p.(interface{ defaultEdges(n int) float64 }); ok {
-		return d.defaultEdges(n)
+// BareGraph returns the graph family a bare Env.N names to p: the
+// unidirectional ring, unless p declares a family of its own (its bareGraph
+// method — Ben-Or's all-hear-all counting needs the complete graph). Run
+// builds the N-node member; spec holds its edge count to a budget first.
+func BareGraph(p Protocol) topology.Family {
+	if d, ok := p.(interface{ bareGraph() topology.Family }); ok {
+		return d.bareGraph()
 	}
-	return float64(n)
+	return topology.RingFamily
 }

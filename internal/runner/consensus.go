@@ -14,8 +14,9 @@ import (
 // honouring Env.Byzantine and Env.LocalBroadcast: an adversary plan makes
 // the role holders lie on the wire, and the local-broadcast medium forces
 // every lie to be consistent — the Khan & Vaidya separation experiment E14
-// sweeps. Env.Graph must be complete (nil builds topology.Complete over
-// Env.N); Env.MaxRounds caps the asynchronous round number (0 means 200).
+// sweeps. Env.Graph must be complete, and a bare Env.N names the complete
+// graph (bareGraph); Env.MaxRounds caps the asynchronous round number (0
+// means 200).
 // Extra: ConsensusExtra.
 type BenOr struct {
 	// F is the provisioned adversary budget: nodes wait for n−F values per
@@ -40,44 +41,44 @@ func (BenOr) capabilities() Capabilities {
 
 func (BenOr) extra() any { return ConsensusExtra{} }
 
-// defaultEdges: the complete graph Run builds from a bare N.
-func (BenOr) defaultEdges(n int) float64 { return float64(n) * float64(n-1) }
+// bareGraph: the ring cannot carry Ben-Or's all-hear-all counting rules, so
+// a bare N means the complete graph.
+func (BenOr) bareGraph() topology.Family { return topology.CompleteFamily }
 
-// Run implements Protocol.
-func (p BenOr) Run(env Env) (Report, error) {
-	n, err := env.size()
-	if err != nil {
-		return Report{}, err
-	}
-	graph := env.Graph
-	if graph == nil {
-		// The runner's ring default cannot carry Ben-Or's all-hear-all
-		// counting rules; a bare N means the complete graph here.
-		graph = topology.Complete(n)
-	}
+func (p BenOr) check(s *scenario) error {
+	_, err := p.config(s.env, s.n)
+	return err
+}
+
+// config returns the consensus configuration p's options give on env's n
+// nodes.
+func (p BenOr) config(env Env, n int) (consensus.Config, error) {
 	f := p.F
 	if f == 0 {
 		f = (n - 1) / 3
 	}
 	init, err := parseInit(p.Init)
 	if err != nil {
-		return Report{}, err
+		return consensus.Config{}, err
 	}
 	coin, err := parseCoin(p.Coin)
 	if err != nil {
+		return consensus.Config{}, err
+	}
+	return consensus.Config{F: f, Init: init, Coin: coin, MaxRounds: env.MaxRounds}, nil
+}
+
+// Run implements Protocol.
+func (p BenOr) Run(env Env) (Report, error) {
+	cfg, err := p.config(env, env.Graph.N())
+	if err != nil {
 		return Report{}, err
 	}
-	engine, err := consensus.New(consensus.Config{
-		F:         f,
-		Init:      init,
-		Coin:      coin,
-		MaxRounds: env.MaxRounds,
-	}, graph, env.Seed, env.Byzantine)
+	engine, err := consensus.New(cfg, env.Graph, env.Seed, env.Byzantine)
 	if err != nil {
 		return Report{}, err
 	}
 	return runNetwork(env, netProtocol{
-		graph:    graph,
 		links:    channel.RandomDelayFactory,
 		makeNode: func(i, _ int) (network.Node, error) { return engine.MakeNode(i), nil },
 		gauges:   engine,

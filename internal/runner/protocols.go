@@ -10,7 +10,6 @@ import (
 	"abenet/internal/network"
 	"abenet/internal/probe"
 	"abenet/internal/synchronizer"
-	"abenet/internal/topology"
 )
 
 // Election is the paper's probabilistic leader election for anonymous
@@ -46,11 +45,18 @@ func (Election) capabilities() Capabilities {
 
 func (Election) extra() any { return ElectionExtra{} }
 
-// Run implements Protocol.
-func (p Election) Run(env Env) (Report, error) {
-	n, err := env.size()
-	if err != nil {
-		return Report{}, err
+func (p Election) check(s *scenario) error {
+	if _, err := p.config(s.env, s.n); err != nil {
+		return err
+	}
+	return s.ring()
+}
+
+// config returns the node configuration p's options give on env's n-node
+// ring.
+func (p Election) config(env Env, n int) (core.ElectionNodeConfig, error) {
+	if p.KeepRunning && env.Horizon == 0 {
+		return core.ElectionNodeConfig{}, fmt.Errorf("runner: Election.KeepRunning requires a finite Env.Horizon (tick timers never quiesce)")
 	}
 	a0 := p.A0
 	if a0 == 0 {
@@ -60,22 +66,28 @@ func (p Election) Run(env Env) (Report, error) {
 		}
 		delta := env.meanDelay()
 		if !(delta > 0) {
-			return Report{}, fmt.Errorf("runner: cannot derive a default A0 for mean delay %g; set Election.A0 explicitly", delta)
+			return core.ElectionNodeConfig{}, fmt.Errorf("runner: cannot derive a default A0 for mean delay %g; set Election.A0 explicitly", delta)
 		}
 		a0 = core.A0ForRing(n, delta, tick, 1)
 	}
-	if p.KeepRunning && env.Horizon == 0 {
-		return Report{}, fmt.Errorf("runner: Election.KeepRunning requires a finite Env.Horizon (tick timers never quiesce)")
-	}
-
-	ring, err := newElectionRing(n, core.ElectionNodeConfig{
+	return core.ElectionNodeConfig{
 		RingSize:           n,
 		A0:                 a0,
 		TickInterval:       p.TickInterval,
 		StopOnLeader:       !p.KeepRunning,
 		ConstantActivation: p.ConstantActivation,
 		RecandidacyTimeout: p.RecandidacyTimeout,
-	})
+	}, nil
+}
+
+// Run implements Protocol.
+func (p Election) Run(env Env) (Report, error) {
+	n := env.Graph.N()
+	cfg, err := p.config(env, n)
+	if err != nil {
+		return Report{}, err
+	}
+	ring, err := newElectionRing(n, cfg)
 	if err != nil {
 		return Report{}, err
 	}
@@ -242,9 +254,11 @@ type ItaiRodehSync struct {
 // Name implements Protocol.
 func (ItaiRodehSync) Name() string { return "itai-rodeh-sync" }
 
+func (ItaiRodehSync) check(s *scenario) error { return s.ring() }
+
 // Run implements Protocol.
 func (p ItaiRodehSync) Run(env Env) (Report, error) {
-	graph, nodes, err := itaiRodehSyncNodes(env, p.Q)
+	nodes, err := itaiRodehSyncNodes(env, p.Q)
 	if err != nil {
 		return Report{}, err
 	}
@@ -252,12 +266,12 @@ func (p ItaiRodehSync) Run(env Env) (Report, error) {
 	if maxRounds == 0 {
 		maxRounds = 1000 * len(nodes)
 	}
-	sync, err := synchronizer.New(graph, synchronizer.Options{Kind: synchronizer.KindClock, Period: 1, MaxRounds: maxRounds})
+	sync, err := synchronizer.New(env.Graph, synchronizer.Options{Kind: synchronizer.KindClock, Period: 1, MaxRounds: maxRounds})
 	if err != nil {
 		return Report{}, err
 	}
 	env.Delay, env.Links, env.Clocks, env.Processing = dist.NewDeterministic(0.5), nil, nil, nil
-	return runSynchronizer(env, graph, sync, true, func(i int) synchronizer.Node { return nodes[i] },
+	return runSynchronizer(env, sync, true, func(i int) synchronizer.Node { return nodes[i] },
 		func(rep *Report, res synchronizer.Result, err error) error {
 			if err != nil {
 				return err
@@ -271,27 +285,27 @@ func (p ItaiRodehSync) Run(env Env) (Report, error) {
 		})
 }
 
-// itaiRodehSyncNodes resolves the ring topology and builds one synchronous
-// Itai–Rodeh node per position with candidacy probability q (0 means the
-// balanced 1/n), each sending towards its successor on the embedded cycle.
-// Both synchronous runs of the algorithm — lock-step, and over a
-// message-driven synchronizer — start from here.
-func itaiRodehSyncNodes(env Env, q float64) (*topology.Graph, []*election.ItaiRodehSyncNode, error) {
-	graph, ports, err := env.ring()
+// itaiRodehSyncNodes builds one synchronous Itai–Rodeh node per position of
+// env's ring with candidacy probability q (0 means the balanced 1/n), each
+// sending towards its successor on the embedded cycle. Both synchronous
+// runs of the algorithm — lock-step, and over a message-driven
+// synchronizer — start from here.
+func itaiRodehSyncNodes(env Env, q float64) ([]*election.ItaiRodehSyncNode, error) {
+	ports, err := successorPorts(env.Graph)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	n := graph.N()
+	n := env.Graph.N()
 	if q == 0 {
 		q = 1 / float64(n)
 	}
 	nodes := make([]*election.ItaiRodehSyncNode, n)
 	for i := range nodes {
 		if nodes[i], err = election.NewItaiRodehSyncNode(n, q, sendPortAt(ports, i)); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return graph, nodes, nil
+	return nodes, nil
 }
 
 // countLeaders fills the election outcome fields from a per-node leader
@@ -348,10 +362,7 @@ func (g ringGauges) ProbeGauges() []probe.Gauge {
 // the substrate: they differ only in link discipline, anonymity and node
 // constructor.
 func runRingBaseline(env Env, links func(dist.Dist) channel.Factory, anonymous bool, newNode func(i, sendPort int) (ringCandidate, error)) (Report, error) {
-	n, err := env.size()
-	if err != nil {
-		return Report{}, err
-	}
+	n := env.Graph.N()
 	nodes := make([]ringCandidate, n)
 	return runNetwork(env, netProtocol{
 		ring:      true,
@@ -386,12 +397,11 @@ func (ItaiRodehAsync) capabilities() Capabilities {
 	return Capabilities{Faults: true}
 }
 
+func (ItaiRodehAsync) check(s *scenario) error { return s.ring() }
+
 // Run implements Protocol.
 func (ItaiRodehAsync) Run(env Env) (Report, error) {
-	n, err := env.size()
-	if err != nil {
-		return Report{}, err
-	}
+	n := env.Graph.N()
 	return runRingBaseline(env, channel.FIFOFactory, true, func(_, sendPort int) (ringCandidate, error) {
 		return election.NewItaiRodehAsyncNode(n, sendPort)
 	})
@@ -410,6 +420,8 @@ func (ChangRoberts) Name() string { return "chang-roberts" }
 func (ChangRoberts) capabilities() Capabilities {
 	return Capabilities{Faults: true}
 }
+
+func (ChangRoberts) check(s *scenario) error { return s.ring() }
 
 // Run implements Protocol.
 func (p ChangRoberts) Run(env Env) (Report, error) {
@@ -436,6 +448,8 @@ type Peterson struct {
 // Name implements Protocol.
 func (Peterson) Name() string { return "peterson" }
 
+func (Peterson) check(s *scenario) error { return s.ring() }
+
 // Run implements Protocol.
 func (p Peterson) Run(env Env) (Report, error) {
 	ids, err := identities(env, p.Arrangement)
@@ -450,23 +464,18 @@ func (p Peterson) Run(env Env) (Report, error) {
 // identities lays out the unique identities of the identity-based
 // baselines over the env's ring.
 func identities(env Env, a election.ChangRobertsArrangement) ([]int, error) {
-	n, err := env.size()
-	if err != nil {
-		return nil, err
-	}
-	return election.IdentityArrangement(n, a, env.Seed)
+	return election.IdentityArrangement(env.Graph.N(), a, env.Seed)
 }
 
-// runSynchronizer runs node i's synchronous protocol proto(i) over graph
-// under sync on the substrate — random-delay links unless the env states
+// runSynchronizer runs node i's synchronous protocol proto(i) over env's
+// graph under sync on the substrate — random-delay links unless the env states
 // others, the round front as the protocol-level series — and hands the
 // synchronizer's outcome to collect, with the error of a round budget that
 // ran out before the protocol stopped.
-func runSynchronizer(env Env, graph *topology.Graph, sync *synchronizer.Synchronizer, anonymous bool,
+func runSynchronizer(env Env, sync *synchronizer.Synchronizer, anonymous bool,
 	proto func(i int) synchronizer.Node, collect func(*Report, synchronizer.Result, error) error) (Report, error) {
 	var net *network.Network
 	return runNetwork(env, netProtocol{
-		graph:     graph,
 		links:     channel.RandomDelayFactory,
 		anonymous: anonymous,
 		makeNode:  func(i, _ int) (network.Node, error) { return sync.Node(i, proto(i)), nil },
@@ -501,20 +510,20 @@ func (Synchronized) Name() string { return "synchronized" }
 
 func (Synchronized) extra() any { return SyncExtra{} }
 
+func (p Synchronized) check(*scenario) error {
+	if p.MakeNode == nil {
+		return fmt.Errorf("runner: synchronized protocol needs a MakeNode constructor")
+	}
+	return nil
+}
+
 // Run implements Protocol.
 func (p Synchronized) Run(env Env) (Report, error) {
-	if p.MakeNode == nil {
-		return Report{}, fmt.Errorf("runner: synchronized protocol needs a MakeNode constructor")
-	}
 	kind := p.Kind
 	if kind == 0 {
 		kind = synchronizer.KindRound
 	}
-	graph, err := env.graph()
-	if err != nil {
-		return Report{}, err
-	}
-	sync, err := synchronizer.New(graph, synchronizer.Options{
+	sync, err := synchronizer.New(env.Graph, synchronizer.Options{
 		Kind:          kind,
 		ClusterRadius: p.ClusterRadius,
 		MaxRounds:     env.MaxRounds,
@@ -522,8 +531,8 @@ func (p Synchronized) Run(env Env) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	nodes := make([]synchronizer.Node, graph.N())
-	return runSynchronizer(env, graph, sync, p.Anonymous, func(i int) synchronizer.Node {
+	nodes := make([]synchronizer.Node, env.Graph.N())
+	return runSynchronizer(env, sync, p.Anonymous, func(i int) synchronizer.Node {
 		nodes[i] = p.MakeNode(i)
 		return nodes[i]
 	}, func(rep *Report, res synchronizer.Result, err error) error {
@@ -563,11 +572,13 @@ func (SynchronizedElection) Name() string { return "synchronized-election" }
 
 func (SynchronizedElection) extra() any { return Synchronized{}.extra() }
 
+// On non-ring topologies the election's tokens must follow the embedded
+// Hamiltonian cycle, exactly as the native ring protocols do.
+func (SynchronizedElection) check(s *scenario) error { return s.ring() }
+
 // Run implements Protocol.
 func (p SynchronizedElection) Run(env Env) (Report, error) {
-	// On non-ring topologies the election's tokens must follow the
-	// embedded Hamiltonian cycle, exactly as the native ring protocols do.
-	_, nodes, err := itaiRodehSyncNodes(env, p.Q)
+	nodes, err := itaiRodehSyncNodes(env, p.Q)
 	if err != nil {
 		return Report{}, err
 	}
@@ -622,15 +633,11 @@ func (p ClockSync) Run(env Env) (Report, error) {
 	if env.MaxRounds > 0 && rounds > env.MaxRounds {
 		rounds = env.MaxRounds
 	}
-	graph, err := env.graph()
+	sync, err := synchronizer.New(env.Graph, synchronizer.Options{Kind: synchronizer.KindClock, Period: period, MaxRounds: rounds})
 	if err != nil {
 		return Report{}, err
 	}
-	sync, err := synchronizer.New(graph, synchronizer.Options{Kind: synchronizer.KindClock, Period: period, MaxRounds: rounds})
-	if err != nil {
-		return Report{}, err
-	}
-	return runSynchronizer(env, graph, sync, false, func(int) synchronizer.Node { return heartbeat{} },
+	return runSynchronizer(env, sync, false, func(int) synchronizer.Node { return heartbeat{} },
 		func(rep *Report, res synchronizer.Result, _ error) error {
 			// The heartbeat never stops: the spent round budget is its end.
 			rep.Rounds = res.MinRounds

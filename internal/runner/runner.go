@@ -171,67 +171,69 @@ var (
 	ErrEnvScheduler = errors.New("runner: unknown scheduler")
 )
 
-// Validate checks the environment's internal consistency and returns a
-// structured error (wrapping one of the ErrEnv* sentinels) describing the
-// first violation, or nil. Run calls it, so every protocol rejects an
-// invalid Env identically instead of each engine re-checking a slice of
-// the rules.
+// Validate checks the environment's internal consistency, a bare N naming
+// the default ring, and returns a structured error (wrapping one of the
+// ErrEnv* sentinels) describing the first violation, or nil. Check applies
+// the same rules on the graph a bare N names to the protocol, so every
+// protocol rejects an invalid Env identically instead of each engine
+// re-checking a slice of the rules.
 func (e Env) Validate() error {
+	_, err := e.check(topology.RingFamily)
+	return err
+}
+
+// check applies Validate's rules, a bare N naming the member of bare, and
+// returns the scenario they checked.
+func (e Env) check(bare topology.Family) (*scenario, error) {
 	n, err := e.size()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if e.Delta < 0 || math.IsNaN(e.Delta) || math.IsInf(e.Delta, 0) {
-		return fmt.Errorf("%w: Delta = %g must be a non-negative finite bound on the expected delay", ErrEnvDelta, e.Delta)
+		return nil, fmt.Errorf("%w: Delta = %g must be a non-negative finite bound on the expected delay", ErrEnvDelta, e.Delta)
 	}
 	if e.Links != nil && e.Delay != nil && e.Delta == 0 {
-		return fmt.Errorf("%w: both Links and Delay are set; declare Delta to state which mean parameterises the protocol defaults (Links wins at run time)", ErrEnvAmbiguousDelay)
+		return nil, fmt.Errorf("%w: both Links and Delay are set; declare Delta to state which mean parameterises the protocol defaults (Links wins at run time)", ErrEnvAmbiguousDelay)
 	}
 	if !sim.ValidScheduler(e.Scheduler) {
-		return fmt.Errorf("%w: %q (valid: %v, or empty for the default)", ErrEnvScheduler, e.Scheduler, sim.SchedulerNames())
+		return nil, fmt.Errorf("%w: %q (valid: %v, or empty for the default)", ErrEnvScheduler, e.Scheduler, sim.SchedulerNames())
 	}
 	if err := e.Faults.Validate(n); err != nil {
-		return fmt.Errorf("%w: %v", ErrEnvFaults, err)
+		return nil, fmt.Errorf("%w: %v", ErrEnvFaults, err)
 	}
 	if err := e.Byzantine.Validate(n); err != nil {
-		return fmt.Errorf("%w: %v", ErrEnvByzantine, err)
+		return nil, fmt.Errorf("%w: %v", ErrEnvByzantine, err)
 	}
 	if err := e.Observe.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrEnvObserve, err)
+		return nil, fmt.Errorf("%w: %v", ErrEnvObserve, err)
 	}
 	if err := e.Trace.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrEnvTrace, err)
+		return nil, fmt.Errorf("%w: %v", ErrEnvTrace, err)
 	}
 	if e.LocalBroadcast {
 		if e.Links != nil {
-			return fmt.Errorf("%w: Links and LocalBroadcast are exclusive (the radio medium replaces per-edge links; shape it with Delay)", ErrEnvBroadcast)
+			return nil, fmt.Errorf("%w: Links and LocalBroadcast are exclusive (the radio medium replaces per-edge links; shape it with Delay)", ErrEnvBroadcast)
 		}
 		if e.Faults.HasLinkFaults() {
-			return fmt.Errorf("%w: per-message link faults (Loss/Duplicate/Reorder) do not compose with the local-broadcast medium", ErrEnvBroadcast)
+			return nil, fmt.Errorf("%w: per-message link faults (Loss/Duplicate/Reorder) do not compose with the local-broadcast medium", ErrEnvBroadcast)
 		}
 	}
 	// Per-edge fault events must name edges of the concrete topology — a
 	// direction typo would otherwise surface later, unwrapped and
 	// protocol-dependent, instead of as a uniform ErrEnvFaults here.
+	s := &scenario{env: e, n: n, bare: bare, given: e.Graph != nil}
 	if e.Faults != nil {
-		var g *topology.Graph
 		for i, ev := range e.Faults.Events {
 			if ev.Kind != faults.KindLinkDown && ev.Kind != faults.KindLinkUp {
 				continue
 			}
-			if g == nil {
-				var err error
-				if g, err = e.graph(); err != nil {
-					return err
-				}
-			}
-			if !g.HasEdge(ev.From, ev.To) {
-				return fmt.Errorf("%w: event %d (%s at t=%g): edge %d->%d is not in the topology",
+			if !s.graph().HasEdge(ev.From, ev.To) {
+				return nil, fmt.Errorf("%w: event %d (%s at t=%g): edge %d->%d is not in the topology",
 					ErrEnvFaults, i, ev.Kind, ev.At, ev.From, ev.To)
 			}
 		}
 	}
-	return nil
+	return s, nil
 }
 
 // size returns the network size the environment describes.
@@ -249,16 +251,37 @@ func (e Env) size() (int, error) {
 	return e.N, nil
 }
 
-// graph returns the concrete topology (building the default ring).
-func (e Env) graph() (*topology.Graph, error) {
-	if e.Graph != nil {
-		return e.Graph, nil
+// scenario is an environment being checked for one protocol: its size, and
+// its graph — the env's own, or the N-node member of the protocol's bare
+// family, built the first time a rule reads it and then kept for the run.
+type scenario struct {
+	env   Env
+	n     int
+	bare  topology.Family
+	given bool // env.Graph is the caller's, not bare's member
+}
+
+// graph returns the scenario's graph, building bare's member on first use:
+// the one place where a bare size becomes a graph.
+func (s *scenario) graph() *topology.Graph {
+	if s.env.Graph == nil {
+		s.env.Graph = s.bare.Build(s.n)
 	}
-	n, err := e.size()
-	if err != nil {
-		return nil, err
+	return s.env.Graph
+}
+
+// ring checks that the graph a ring protocol runs along embeds a directed
+// Hamiltonian cycle. A bare size names the ring itself, so only a given
+// graph is searched; the graph caches what the search found, and the run
+// reads it from there (successorPorts).
+func (s *scenario) ring() error {
+	if !s.given {
+		return nil
 	}
-	return topology.Ring(n), nil
+	if _, err := s.env.Graph.RingEmbedding(); err != nil {
+		return fmt.Errorf("runner: %w", err)
+	}
+	return nil
 }
 
 // delay returns the delay distribution (defaulting to Exponential(1)).
@@ -291,30 +314,57 @@ type Protocol interface {
 	// Name is the registry key (stable, kebab-case).
 	Name() string
 	// Run executes the protocol on an env the package-level Run has
-	// already validated and capability-checked — callers go through that
-	// function, not this method. Implementations fill every Report field
-	// they can and put protocol-specific measurements in Extra.
+	// checked, its Graph resolved — callers go through that function, not
+	// this method. Implementations fill every Report field they can and put
+	// protocol-specific measurements in Extra.
 	Run(env Env) (Report, error)
 }
 
-// Run executes protocol p on environment env: the single entry point every
-// tool and sweep goes through. The environment is checked by Env.Validate
-// and the protocol's capabilities by CheckCapabilities here, so every
-// protocol rejects an invalid or unsupported Env identically — and none can
-// silently ignore an axis it does not honour. Observe and trace are the
-// substrate's, so they are checked on the result instead: a protocol that
-// returns no Series or no Trace for them is refused, not silently
-// unobserved.
-func Run(env Env, p Protocol) (Report, error) {
+// Check is the one check of a scenario: Run makes it before every run and
+// spec.Validate at decode time, so both doors refuse a scenario that can
+// never run, with the same error. It covers the environment (Validate's
+// rules, on the graph a bare N names to p — see BareGraph), the optional
+// axes p honours (CheckCapabilities), and p's own option rules, among them
+// that a ring protocol's given graph embeds a Hamiltonian cycle. It builds
+// a bare graph only when a rule reads it.
+func Check(env Env, p Protocol) error {
+	_, err := check(env, p)
+	return err
+}
+
+// check is Check returning the scenario it checked, for Run to run on.
+func check(env Env, p Protocol) (*scenario, error) {
 	if p == nil {
-		return Report{}, errors.New("runner: nil protocol")
+		return nil, errors.New("runner: nil protocol")
 	}
-	if err := env.Validate(); err != nil {
-		return Report{}, err
+	s, err := env.check(BareGraph(p))
+	if err != nil {
+		return nil, err
 	}
 	if err := CheckCapabilities(env, p); err != nil {
+		return nil, err
+	}
+	if r, ok := p.(interface{ check(*scenario) error }); ok {
+		if err := r.check(s); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// Run executes protocol p on environment env: the single entry point every
+// tool and sweep goes through. Check refuses an invalid or unsupported
+// scenario here, so every protocol rejects it identically — and none can
+// silently ignore an axis it does not honour — and p runs on the graph the
+// check resolved. Observe and trace are the substrate's, so they are checked
+// on the result instead: a protocol that returns no Series or no Trace for
+// them is refused, not silently unobserved.
+func Run(env Env, p Protocol) (Report, error) {
+	s, err := check(env, p)
+	if err != nil {
 		return Report{}, err
 	}
+	env.Graph = s.graph()
 	rep, err := p.Run(env)
 	if err != nil {
 		return Report{}, err

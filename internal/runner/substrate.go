@@ -70,22 +70,22 @@ func (e Env) bounds() (horizon simtime.Time, maxEvents uint64) {
 	return horizon, maxEvents
 }
 
-// ring resolves the topology of a ring protocol: the default
-// unidirectional ring, or the env's graph together with each node's
-// out-port towards its successor on the embedded Hamiltonian cycle (nil on
-// the default ring, where every node's only port is 0).
-func (e Env) ring() (*topology.Graph, []int, error) {
-	if e.Graph == nil {
-		return topology.Ring(e.N), nil, nil
+// successorPorts returns each node's out-port towards its successor on the
+// Hamiltonian cycle the check found embedded in g (scenario.ring), which g
+// caches: nil — port 0 everywhere — where every node has one out-edge, as on
+// the default ring, which is therefore never searched.
+func successorPorts(g *topology.Graph) ([]int, error) {
+	if g.EdgeCount() == g.N() {
+		return nil, nil
 	}
-	ports, err := e.Graph.RingEmbedding()
+	ports, err := g.RingEmbedding()
 	if err != nil {
-		return nil, nil, fmt.Errorf("runner: %w", err)
+		return nil, fmt.Errorf("runner: %w", err)
 	}
-	return e.Graph, ports, nil
+	return ports, nil
 }
 
-// sendPortAt returns node i's successor port (0 on the default ring).
+// sendPortAt returns node i's successor port (0 where ports is nil).
 func sendPortAt(ports []int, i int) int {
 	if ports == nil {
 		return 0
@@ -94,13 +94,10 @@ func sendPortAt(ports []int, i int) int {
 }
 
 // netProtocol is what an event-driven protocol contributes to a run on the
-// substrate. Everything else — topology and link defaults, bounds, network
-// construction, the probe collector, the trace recorder, the common Report
-// fields — is runNetwork's.
+// substrate. Everything else — link defaults, bounds, network construction,
+// the probe collector, the trace recorder, the common Report fields — is
+// runNetwork's.
 type netProtocol struct {
-	// graph, when set, replaces the env's topology default (ben-or needs a
-	// complete graph where a bare N otherwise means a ring).
-	graph *topology.Graph
 	// ring routes the protocol along the embedded Hamiltonian cycle:
 	// makeNode then receives each node's successor out-port.
 	ring bool
@@ -121,23 +118,19 @@ type netProtocol struct {
 	collect func(rep *Report) error
 }
 
-// runNetwork executes p on env: it resolves the topology, maps the
-// environment onto the network, installs the probe collector and the trace
-// recorder, runs to the env's bounds and harvests the Report fields every
+// runNetwork executes p on env's resolved graph: it maps the environment
+// onto the network, installs the probe collector and the trace recorder,
+// runs to the env's bounds and harvests the Report fields every
 // kernel-backed run shares before handing the report to p.collect.
 func runNetwork(env Env, p netProtocol) (Report, error) {
-	graph, ports := p.graph, []int(nil)
+	var ports []int
 	var err error
-	switch {
-	case p.ring:
-		graph, ports, err = env.ring()
-	case graph == nil:
-		graph, err = env.graph()
+	if p.ring {
+		if ports, err = successorPorts(env.Graph); err != nil {
+			return Report{}, err
+		}
 	}
-	if err != nil {
-		return Report{}, err
-	}
-	cfg := env.networkConfig(graph, p.links)
+	cfg := env.networkConfig(env.Graph, p.links)
 	cfg.Anonymous = p.anonymous
 	var rec *trace.Recorder
 	if env.Trace != nil {

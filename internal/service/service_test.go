@@ -305,13 +305,14 @@ func TestFailedJobNotCached(t *testing.T) {
 	svc := New(Options{Workers: 1})
 	defer svc.Close()
 
-	// KeepRunning without a horizon validates as an environment but fails
-	// in the protocol engine.
-	ps, err := spec.ForProtocol(runner.Election{KeepRunning: true})
+	// A decoded spec is runnable, so what fails is a budget: one round is
+	// too few for the synchronous election, and the synchronizer says so
+	// once the run has spent it.
+	ps, err := spec.ForProtocol(runner.ItaiRodehSync{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := &spec.Spec{Version: spec.Version, Env: spec.EnvSpec{N: 4, Seed: 1}, Protocol: ps}
+	sp := &spec.Spec{Version: spec.Version, Env: spec.EnvSpec{N: 4, Seed: 1, MaxRounds: 1}, Protocol: ps}
 	v, err := svc.Submit(specJSON(t, sp), nil)
 	if err != nil {
 		t.Fatal(err)

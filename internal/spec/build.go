@@ -157,10 +157,13 @@ func (s *Spec) Build() (runner.Env, runner.Protocol, error) {
 	return env, s.Protocol.proto, nil
 }
 
-// Validate checks the whole spec semantically: components build, the
-// environment passes runner.Env.Validate, and the sweep block (if any) is
-// consistent. DecodeBytes calls it, so a decoded spec is always runnable;
-// success is latched, so later Run/RunSweep/Submit calls do not re-pay it.
+// Validate checks the whole spec semantically: components build, the sweep
+// block (if any) is consistent, and the scenario — at every sweep size —
+// passes runner.Check, the check runner.Run makes before it runs, after the
+// network a bare size names to the protocol is held to the edge budget. So
+// a decoded spec is always runnable: runner.Run refuses nothing that
+// Validate admits. DecodeBytes calls it; success is latched, so later
+// Run/RunSweep/Submit calls do not re-pay it.
 func (s *Spec) Validate() error {
 	if s.validated {
 		return nil
@@ -180,88 +183,75 @@ func (s *Spec) validate() error {
 	if err != nil {
 		return err
 	}
-	// An axis the protocol does not honour is a scenario that can never
-	// run; the runner knows, so say so at decode time — with the same typed
-	// error Run would return — instead of handing abe-serve a job
-	// guaranteed to fail.
-	if err := runner.CheckCapabilities(env, s.Protocol.proto); err != nil {
-		return fmt.Errorf("spec: %w", err)
+	sw := s.Sweep
+	if sw == nil {
+		return s.check(env)
 	}
-	if s.Sweep != nil {
-		if s.Env.Observe != nil {
-			return errors.New(`spec: "observe" applies to a single run; a sweep streams per-point completions instead — drop one of the two blocks`)
-		}
-		if s.Env.Trace != nil {
-			return errors.New(`spec: "trace" applies to a single run; tracing every run of a sweep would multiply its memory by the event cap — drop one of the two blocks`)
-		}
+	if s.Env.Observe != nil {
+		return errors.New(`spec: "observe" applies to a single run; a sweep streams per-point completions instead — drop one of the two blocks`)
 	}
-	if sw := s.Sweep; sw != nil {
-		if len(sw.Xs) == 0 {
-			return errors.New(`spec: sweep needs at least one size in "xs"`)
-		}
-		if len(sw.Xs) > MaxSweepPositions {
-			return fmt.Errorf("spec: sweep has %d positions; the limit is %d", len(sw.Xs), MaxSweepPositions)
-		}
-		if env.Graph != nil || env.N != 0 {
-			return errors.New(`spec: a sweep varies the ring size over "xs"; leave env "topology" and "n" unset`)
-		}
-		for _, x := range sw.Xs {
-			n := int(x)
-			if float64(n) != x || n < 2 {
-				return fmt.Errorf("spec: sweep size %g is not a network size (integer >= 2)", x)
-			}
-			if n > MaxSweepSize {
-				return fmt.Errorf("spec: sweep size %d exceeds the limit %d", n, MaxSweepSize)
-			}
-			if err := s.checkBareSize(n); err != nil {
-				return err
-			}
-		}
-		if sw.Repetitions < 0 || sw.Repetitions > MaxSweepRepetitions {
-			return fmt.Errorf("spec: sweep repetitions %d outside [0, %d]", sw.Repetitions, MaxSweepRepetitions)
-		}
-		reps := sw.Repetitions
-		if reps == 0 {
-			reps = harness.DefaultRepetitions
-		}
-		if total := len(sw.Xs) * reps; total > MaxSweepRuns {
-			return fmt.Errorf("spec: sweep demands %d runs (%d sizes × %d repetitions); the limit is %d",
-				total, len(sw.Xs), reps, MaxSweepRuns)
-		}
-		if sw.Workers < 0 || sw.Workers > MaxSweepWorkers {
-			return fmt.Errorf("spec: sweep workers %d outside [0, %d]", sw.Workers, MaxSweepWorkers)
-		}
-		for _, m := range sw.Metrics {
-			if m == "" {
-				return errors.New("spec: empty metric name in sweep metrics")
-			}
-		}
-		// Validate the env at every sweep size, not just the first: a
-		// fault event targeting node 12 is fine at n=16 and invalid at
-		// n=8, and "a decoded spec is always runnable" has to mean the
-		// whole sweep, whatever order the sizes come in.
-		for _, x := range sw.Xs {
-			env.N = int(x)
-			if err := env.Validate(); err != nil {
-				return fmt.Errorf("spec: at sweep size %d: %w", env.N, err)
-			}
-		}
-		return nil
+	if s.Env.Trace != nil {
+		return errors.New(`spec: "trace" applies to a single run; tracing every run of a sweep would multiply its memory by the event cap — drop one of the two blocks`)
 	}
-	if env.Graph == nil {
-		if err := s.checkBareSize(env.N); err != nil {
-			return err
+	if len(sw.Xs) == 0 {
+		return errors.New(`spec: sweep needs at least one size in "xs"`)
+	}
+	if len(sw.Xs) > MaxSweepPositions {
+		return fmt.Errorf("spec: sweep has %d positions; the limit is %d", len(sw.Xs), MaxSweepPositions)
+	}
+	if env.Graph != nil || env.N != 0 {
+		return errors.New(`spec: a sweep varies the ring size over "xs"; leave env "topology" and "n" unset`)
+	}
+	if sw.Repetitions < 0 || sw.Repetitions > MaxSweepRepetitions {
+		return fmt.Errorf("spec: sweep repetitions %d outside [0, %d]", sw.Repetitions, MaxSweepRepetitions)
+	}
+	reps := sw.Repetitions
+	if reps == 0 {
+		reps = harness.DefaultRepetitions
+	}
+	if total := len(sw.Xs) * reps; total > MaxSweepRuns {
+		return fmt.Errorf("spec: sweep demands %d runs (%d sizes × %d repetitions); the limit is %d",
+			total, len(sw.Xs), reps, MaxSweepRuns)
+	}
+	if sw.Workers < 0 || sw.Workers > MaxSweepWorkers {
+		return fmt.Errorf("spec: sweep workers %d outside [0, %d]", sw.Workers, MaxSweepWorkers)
+	}
+	for _, m := range sw.Metrics {
+		if m == "" {
+			return errors.New("spec: empty metric name in sweep metrics")
 		}
 	}
-	return env.Validate()
+	// Check the scenario at every sweep size, not just the first: a fault
+	// event targeting node 12 is fine at n=16 and invalid at n=8, and "a
+	// decoded spec is always runnable" has to mean the whole sweep.
+	for _, x := range sw.Xs {
+		n := int(x)
+		if float64(n) != x || n < 2 {
+			return fmt.Errorf("spec: sweep size %g is not a network size (integer >= 2)", x)
+		}
+		if n > MaxSweepSize {
+			return fmt.Errorf("spec: sweep size %d exceeds the limit %d", n, MaxSweepSize)
+		}
+		env.N = n
+		if err := s.check(env); err != nil {
+			return fmt.Errorf("spec: at sweep size %d: %w", n, err)
+		}
+	}
+	return nil
 }
 
-// checkBareSize holds the network the protocol builds from a size alone —
-// the default ring, or Ben-Or's complete graph — to the edge budget. (A
-// named topology is held to it by its own table entry, on every Build.)
-func (s *Spec) checkBareSize(n int) error {
-	if err := checkEdges(runner.DefaultEdges(s.Protocol.proto, n)); err != nil {
-		return fmt.Errorf("spec: %s at n = %d: %w", s.Protocol.proto.Name(), n, err)
+// check holds the network a bare size names to the protocol to the edge
+// budget (a named topology is held to it by its own table entry, on every
+// Build), then makes runner.Check.
+func (s *Spec) check(env runner.Env) error {
+	p := s.Protocol.proto
+	if env.Graph == nil {
+		if err := checkEdges(runner.BareGraph(p).Edges(float64(env.N))); err != nil {
+			return fmt.Errorf("spec: %s at n = %d: %w", p.Name(), env.N, err)
+		}
+	}
+	if err := runner.Check(env, p); err != nil {
+		return fmt.Errorf("spec: %w", err)
 	}
 	return nil
 }

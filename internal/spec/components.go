@@ -325,9 +325,9 @@ func budgeted[P any](edges func(*P) float64, build func(*P) *topology.Graph) ent
 	})
 }
 
-func sizedTopology(edges func(n float64) float64, build func(n int) *topology.Graph) entry[*topology.Graph] {
-	return budgeted(func(p *SizeParams) float64 { return edges(float64(p.N)) },
-		func(p *SizeParams) *topology.Graph { return build(p.N) })
+func sizedTopology(f topology.Family) entry[*topology.Graph] {
+	return budgeted(func(p *SizeParams) float64 { return f.Edges(float64(p.N)) },
+		func(p *SizeParams) *topology.Graph { return f.Build(p.N) })
 }
 
 // bidirectional bounds the n-node families that lay two directed edges per
@@ -335,11 +335,11 @@ func sizedTopology(edges func(n float64) float64, build func(n int) *topology.Gr
 func bidirectional(n float64) float64 { return 2 * n }
 
 var topologyFamily = &family[*topology.Graph]{kind: "topology", entries: map[string]entry[*topology.Graph]{
-	"ring":     sizedTopology(func(n float64) float64 { return n }, topology.Ring),
-	"biring":   sizedTopology(bidirectional, topology.BiRing),
-	"line":     sizedTopology(bidirectional, topology.Line),
-	"star":     sizedTopology(bidirectional, topology.Star),
-	"complete": sizedTopology(func(n float64) float64 { return n * (n - 1) }, topology.Complete),
+	"ring":     sizedTopology(topology.RingFamily),
+	"biring":   sizedTopology(topology.Family{Edges: bidirectional, Build: topology.BiRing}),
+	"line":     sizedTopology(topology.Family{Edges: bidirectional, Build: topology.Line}),
+	"star":     sizedTopology(topology.Family{Edges: bidirectional, Build: topology.Star}),
+	"complete": sizedTopology(topology.CompleteFamily),
 	"hypercube": budgeted(func(p *HypercubeParams) float64 { return math.Ldexp(float64(p.Dim), p.Dim) },
 		func(p *HypercubeParams) *topology.Graph { return topology.Hypercube(p.Dim) }),
 	"torus": budgeted(func(p *TorusParams) float64 { return 4 * float64(p.Rows) * float64(p.Cols) },

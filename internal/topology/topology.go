@@ -253,6 +253,22 @@ func Ring(n int) *Graph {
 	return &Graph{n: n, adj: CSR{OutStart: start, Head: head, InPort: inPort, InStart: start, InFrom: inFrom}}
 }
 
+// Family is a graph family named by its node count: Edges is how many
+// directed edges the n-node member has, counted in floating point from n
+// alone — so no n overflows it, and a budget can refuse a member before it
+// exists — and Build builds that member.
+type Family struct {
+	Edges func(n float64) float64
+	Build func(n int) *Graph
+}
+
+// The families a bare size names: the unidirectional ring, and the complete
+// graph.
+var (
+	RingFamily     = Family{Edges: func(n float64) float64 { return n }, Build: Ring}
+	CompleteFamily = Family{Edges: func(n float64) float64 { return n * (n - 1) }, Build: Complete}
+)
+
 // BiRing returns the bidirectional ring on n >= 3 nodes (at n = 2 the
 // closing edge would be the first edge again).
 func BiRing(n int) *Graph {

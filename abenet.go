@@ -45,7 +45,7 @@
 //
 // Run is the only way to execute a protocol: an environment that sets both
 // Delay and Links must declare Delta to state the governing δ
-// (Env.Validate rejects the ambiguous declaration), and an environment that
+// (Run refuses the ambiguous declaration), and an environment that
 // asks for an axis the protocol does not honour (faults, adversaries, the
 // broadcast medium, observation, tracing) is refused with a typed error.
 // Every protocol runs on the one event kernel — the synchronous model too:

@@ -128,7 +128,7 @@ func TestRejectedNotDropped(t *testing.T) {
 		{"-crash -1", "faults: CrashRate -1"},
 		{"-horizon -5", "horizon -5"},
 		{"-drift 0.5", `clock model "wandering"`},
-		{"-observe-max 5", "observe: probe: config needs every_events and/or interval"},
+		{"-observe-max 5", "invalid observe config: probe: config needs every_events and/or interval"},
 		{"-recover 0.1", "faults: RecoverRate 0.1 without CrashRate"},
 		// Flags the chosen run does not read.
 		{"-proto peterson -n 4 -check", "-check model-checks the ABE election"},

@@ -105,19 +105,19 @@ func TestEnvValidateByzantine(t *testing.T) {
 	bad := Env{N: 4, Byzantine: &byzantine.Plan{
 		Roles: []byzantine.Role{{Node: 9, Behavior: byzantine.Mute}},
 	}}
-	if err := bad.Validate(); !errors.Is(err, ErrEnvByzantine) {
-		t.Fatalf("out-of-range role: Validate = %v, want ErrEnvByzantine", err)
+	if err := Check(bad, BenOr{}); !errors.Is(err, ErrEnvByzantine) {
+		t.Fatalf("out-of-range role: Check = %v, want ErrEnvByzantine", err)
 	}
 	conflict := Env{N: 4, LocalBroadcast: true,
 		Links: channel.RandomDelayFactory(dist.NewExponential(1))}
-	if err := conflict.Validate(); !errors.Is(err, ErrEnvBroadcast) {
-		t.Fatalf("LocalBroadcast+Links: Validate = %v, want ErrEnvBroadcast", err)
+	if err := Check(conflict, BenOr{}); !errors.Is(err, ErrEnvBroadcast) {
+		t.Fatalf("LocalBroadcast+Links: Check = %v, want ErrEnvBroadcast", err)
 	}
 	lossy := Env{N: 4, LocalBroadcast: true, Faults: &faults.Plan{Loss: 0.1}}
-	if err := lossy.Validate(); !errors.Is(err, ErrEnvBroadcast) {
-		t.Fatalf("LocalBroadcast+link faults: Validate = %v, want ErrEnvBroadcast", err)
+	if err := Check(lossy, BenOr{}); !errors.Is(err, ErrEnvBroadcast) {
+		t.Fatalf("LocalBroadcast+link faults: Check = %v, want ErrEnvBroadcast", err)
 	}
-	if err := (Env{N: 4, Byzantine: byzantine.Equivocators(1), LocalBroadcast: true}).Validate(); err != nil {
+	if err := Check(Env{N: 4, Byzantine: byzantine.Equivocators(1), LocalBroadcast: true}, BenOr{}); err != nil {
 		t.Fatalf("valid adversarial env rejected: %v", err)
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // Capabilities declares which optional Env axes of the algorithm a protocol
-// honours. An axis a protocol does not declare is rejected by
-// CheckCapabilities before the run starts, so no protocol can silently
+// honours. An axis a protocol does not declare is rejected by Check
+// before the run starts, so no protocol can silently
 // ignore it. Observe and Trace are not axes: they are the substrate's, and
 // Run checks afterwards that the report carries what they asked for.
 type Capabilities struct {
@@ -65,12 +65,10 @@ var capabilityAxes = []struct {
 	{"LocalBroadcast", func(e Env) bool { return e.LocalBroadcast }, func(c Capabilities) bool { return c.Broadcast }, ErrBroadcastUnsupported},
 }
 
-// CheckCapabilities returns a typed rejection (wrapping one of the
+// checkCapabilities returns a typed rejection (wrapping one of the
 // Err*Unsupported sentinels) for the first optional axis env uses that p
-// does not honour, or nil. Run calls it before every run and spec.Validate
-// at decode time, so a scenario that can never run is refused identically
-// at both doors.
-func CheckCapabilities(env Env, p Protocol) error {
+// does not honour, or nil.
+func checkCapabilities(env Env, p Protocol) error {
 	caps := capabilitiesOf(p)
 	for _, axis := range capabilityAxes {
 		if !axis.used(env) || axis.has(caps) {
@@ -88,9 +86,7 @@ func CheckCapabilities(env Env, p Protocol) error {
 }
 
 // BareGraph returns the graph family a bare Env.N names to p: the
-// unidirectional ring, unless p declares a family of its own (its bareGraph
-// method — Ben-Or's all-hear-all counting needs the complete graph). Run
-// builds the N-node member; spec holds its edge count to a budget first.
+// unidirectional ring, unless p declares its own (a bareGraph method).
 func BareGraph(p Protocol) topology.Family {
 	if d, ok := p.(interface{ bareGraph() topology.Family }); ok {
 		return d.bareGraph()

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"cmp"
 	"fmt"
 
 	"abenet/internal/channel"
@@ -53,10 +54,6 @@ func (p BenOr) check(s *scenario) error {
 // config returns the consensus configuration p's options give on env's n
 // nodes.
 func (p BenOr) config(env Env, n int) (consensus.Config, error) {
-	f := p.F
-	if f == 0 {
-		f = (n - 1) / 3
-	}
 	init, err := parseInit(p.Init)
 	if err != nil {
 		return consensus.Config{}, err
@@ -65,7 +62,7 @@ func (p BenOr) config(env Env, n int) (consensus.Config, error) {
 	if err != nil {
 		return consensus.Config{}, err
 	}
-	return consensus.Config{F: f, Init: init, Coin: coin, MaxRounds: env.MaxRounds}, nil
+	return consensus.Config{F: cmp.Or(p.F, (n-1)/3), Init: init, Coin: coin, MaxRounds: env.MaxRounds}, nil
 }
 
 // Run implements Protocol.

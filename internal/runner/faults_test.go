@@ -51,9 +51,9 @@ func TestEnvValidateErrorPaths(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := c.env.Validate()
+			err := Check(c.env, Election{})
 			if err == nil {
-				t.Fatalf("Validate accepted %+v", c.env)
+				t.Fatalf("Check accepted %+v", c.env)
 			}
 			if !errors.Is(err, c.want) {
 				t.Fatalf("error %q is not %q", err, c.want)
@@ -75,7 +75,7 @@ func TestEnvValidateAcceptsResolvedAmbiguity(t *testing.T) {
 		Links: channel.ARQFactory(0.5, 1),
 		Delta: 2,
 	}
-	if err := env.Validate(); err != nil {
+	if err := Check(env, Election{}); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := Run(env, Election{})

@@ -206,10 +206,10 @@ func TestObservedSeriesDeterministic(t *testing.T) {
 // TestEnvValidateObserve pins the environment-level typed error.
 func TestEnvValidateObserve(t *testing.T) {
 	bad := Env{N: 4, Observe: &probe.Config{}}
-	if err := bad.Validate(); !errors.Is(err, ErrEnvObserve) {
-		t.Fatalf("cadence-less observe: Validate = %v, want ErrEnvObserve", err)
+	if err := Check(bad, Election{}); !errors.Is(err, ErrEnvObserve) {
+		t.Fatalf("cadence-less observe: Check = %v, want ErrEnvObserve", err)
 	}
-	if err := (Env{N: 4, Observe: &probe.Config{Interval: 0.5}}).Validate(); err != nil {
+	if err := Check(Env{N: 4, Observe: &probe.Config{Interval: 0.5}}, Election{}); err != nil {
 		t.Fatalf("valid observe env rejected: %v", err)
 	}
 }

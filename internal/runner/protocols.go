@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"cmp"
 	"fmt"
 
 	"abenet/internal/channel"
@@ -60,10 +61,7 @@ func (p Election) config(env Env, n int) (core.ElectionNodeConfig, error) {
 	}
 	a0 := p.A0
 	if a0 == 0 {
-		tick := p.TickInterval
-		if tick == 0 {
-			tick = 1
-		}
+		tick := cmp.Or(p.TickInterval, 1)
 		delta := env.meanDelay()
 		if !(delta > 0) {
 			return core.ElectionNodeConfig{}, fmt.Errorf("runner: cannot derive a default A0 for mean delay %g; set Election.A0 explicitly", delta)
@@ -291,16 +289,11 @@ func (p ItaiRodehSync) Run(env Env) (Report, error) {
 // runs of the algorithm — lock-step, and over a message-driven
 // synchronizer — start from here.
 func itaiRodehSyncNodes(env Env, q float64) ([]*election.ItaiRodehSyncNode, error) {
-	ports, err := successorPorts(env.Graph)
-	if err != nil {
-		return nil, err
-	}
-	n := env.Graph.N()
-	if q == 0 {
-		q = 1 / float64(n)
-	}
+	ports, n := successorPorts(env.Graph), env.Graph.N()
+	q = cmp.Or(q, 1/float64(n))
 	nodes := make([]*election.ItaiRodehSyncNode, n)
 	for i := range nodes {
+		var err error
 		if nodes[i], err = election.NewItaiRodehSyncNode(n, q, sendPortAt(ports, i)); err != nil {
 			return nil, err
 		}
@@ -519,12 +512,8 @@ func (p Synchronized) check(*scenario) error {
 
 // Run implements Protocol.
 func (p Synchronized) Run(env Env) (Report, error) {
-	kind := p.Kind
-	if kind == 0 {
-		kind = synchronizer.KindRound
-	}
 	sync, err := synchronizer.New(env.Graph, synchronizer.Options{
-		Kind:          kind,
+		Kind:          cmp.Or(p.Kind, synchronizer.KindRound),
 		ClusterRadius: p.ClusterRadius,
 		MaxRounds:     env.MaxRounds,
 	})

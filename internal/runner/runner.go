@@ -12,10 +12,11 @@
 //
 //	rep, err := runner.Run(env, proto)
 //
-// is the single door. Behind it, substrate.go holds the one Env →
+// is the single door. It makes Check, the one check of a scenario, which
+// spec.Validate makes too; behind it, substrate.go holds the one Env →
 // network.Config mapping and the one build/observe/run/harvest routine the
-// kernel-backed protocols share, and capability.go the one check of which
-// optional Env axes a protocol honours.
+// kernel-backed protocols share, and capability.go what a protocol
+// declares: the optional Env axes it honours, and the graph a bare N names.
 package runner
 
 import (
@@ -38,10 +39,12 @@ import (
 
 // Env states the ABE environment (Definition 1) plus the run bounds, once,
 // for every protocol. The zero value of every field selects the canonical
-// experimental setting: a unidirectional ring, exponential delays with
-// δ = 1, perfect clocks, instantaneous processing.
+// experimental setting: the protocol's bare graph (a unidirectional ring
+// but for Ben-Or), exponential delays with δ = 1, perfect clocks,
+// instantaneous processing.
 type Env struct {
-	// Graph is the communication topology. Nil means topology.Ring(N).
+	// Graph is the communication topology. Nil means the protocol's
+	// BareGraph over N: a unidirectional ring, or Ben-Or's complete graph.
 	// Ring-based protocols accept any graph embedding a directed
 	// Hamiltonian cycle (BiRing, Complete, Hypercube, ...): messages
 	// travel along the embedded cycle and the other edges stay silent.
@@ -144,8 +147,8 @@ type Env struct {
 	tracer network.Tracer
 }
 
-// The structured environment-validation errors. Env.Validate wraps each
-// in context, so callers can classify failures with errors.Is.
+// The structured environment-validation errors. Check wraps each in
+// context, so callers can classify failures with errors.Is.
 var (
 	// ErrEnvSize: the environment describes no valid network size (N < 2
 	// without a Graph, or N disagreeing with the Graph's size).
@@ -171,23 +174,28 @@ var (
 	ErrEnvScheduler = errors.New("runner: unknown scheduler")
 )
 
-// Validate checks the environment's internal consistency, a bare N naming
-// the default ring, and returns a structured error (wrapping one of the
-// ErrEnv* sentinels) describing the first violation, or nil. Check applies
-// the same rules on the graph a bare N names to the protocol, so every
-// protocol rejects an invalid Env identically instead of each engine
-// re-checking a slice of the rules.
-func (e Env) Validate() error {
-	_, err := e.check(topology.RingFamily)
+// Check is the one check of a scenario, made by Run and by spec.Validate,
+// so both doors refuse what can never run with the same error: the
+// environment on the graph a bare N names to p (BareGraph), the optional
+// axes p honours, and p's own option rules. It builds a bare graph only when
+// a rule reads it.
+func Check(env Env, p Protocol) error {
+	_, err := check(env, p)
 	return err
 }
 
-// check applies Validate's rules, a bare N naming the member of bare, and
-// returns the scenario they checked.
-func (e Env) check(bare topology.Family) (*scenario, error) {
-	n, err := e.size()
-	if err != nil {
-		return nil, err
+// check is Check returning the scenario it checked, for Run to run on.
+func check(e Env, p Protocol) (*scenario, error) {
+	if p == nil {
+		return nil, errors.New("runner: nil protocol")
+	}
+	n := e.N
+	if e.Graph != nil {
+		if n = e.Graph.N(); e.N != 0 && e.N != n {
+			return nil, fmt.Errorf("%w: env.N = %d disagrees with graph size %d", ErrEnvSize, e.N, n)
+		}
+	} else if n < 2 {
+		return nil, fmt.Errorf("%w: env needs N >= 2 (or a Graph), got N = %d", ErrEnvSize, e.N)
 	}
 	if e.Delta < 0 || math.IsNaN(e.Delta) || math.IsInf(e.Delta, 0) {
 		return nil, fmt.Errorf("%w: Delta = %g must be a non-negative finite bound on the expected delay", ErrEnvDelta, e.Delta)
@@ -221,7 +229,7 @@ func (e Env) check(bare topology.Family) (*scenario, error) {
 	// Per-edge fault events must name edges of the concrete topology — a
 	// direction typo would otherwise surface later, unwrapped and
 	// protocol-dependent, instead of as a uniform ErrEnvFaults here.
-	s := &scenario{env: e, n: n, bare: bare, given: e.Graph != nil}
+	s := &scenario{env: e, n: n, bare: BareGraph(p), given: e.Graph != nil}
 	if e.Faults != nil {
 		for i, ev := range e.Faults.Events {
 			if ev.Kind != faults.KindLinkDown && ev.Kind != faults.KindLinkUp {
@@ -233,36 +241,28 @@ func (e Env) check(bare topology.Family) (*scenario, error) {
 			}
 		}
 	}
+	if err := checkCapabilities(e, p); err != nil {
+		return nil, err
+	}
+	if r, ok := p.(interface{ check(*scenario) error }); ok {
+		if err := r.check(s); err != nil {
+			return nil, err
+		}
+	}
 	return s, nil
 }
 
-// size returns the network size the environment describes.
-func (e Env) size() (int, error) {
-	if e.Graph != nil {
-		n := e.Graph.N()
-		if e.N != 0 && e.N != n {
-			return 0, fmt.Errorf("%w: env.N = %d disagrees with graph size %d", ErrEnvSize, e.N, n)
-		}
-		return n, nil
-	}
-	if e.N < 2 {
-		return 0, fmt.Errorf("%w: env needs N >= 2 (or a Graph), got N = %d", ErrEnvSize, e.N)
-	}
-	return e.N, nil
-}
-
 // scenario is an environment being checked for one protocol: its size, and
-// its graph — the env's own, or the N-node member of the protocol's bare
-// family, built the first time a rule reads it and then kept for the run.
+// its graph — the env's own (given), or the member of the protocol's bare
+// family, built the first time a rule reads it and kept for the run.
 type scenario struct {
 	env   Env
 	n     int
 	bare  topology.Family
-	given bool // env.Graph is the caller's, not bare's member
+	given bool
 }
 
-// graph returns the scenario's graph, building bare's member on first use:
-// the one place where a bare size becomes a graph.
+// graph returns the scenario's graph: the one place a bare size becomes one.
 func (s *scenario) graph() *topology.Graph {
 	if s.env.Graph == nil {
 		s.env.Graph = s.bare.Build(s.n)
@@ -270,10 +270,9 @@ func (s *scenario) graph() *topology.Graph {
 	return s.env.Graph
 }
 
-// ring checks that the graph a ring protocol runs along embeds a directed
-// Hamiltonian cycle. A bare size names the ring itself, so only a given
-// graph is searched; the graph caches what the search found, and the run
-// reads it from there (successorPorts).
+// ring checks that a ring protocol's given graph embeds a directed
+// Hamiltonian cycle (a bare size names the ring itself); the graph caches
+// the embedding for the run (successorPorts).
 func (s *scenario) ring() error {
 	if !s.given {
 		return nil
@@ -318,38 +317,6 @@ type Protocol interface {
 	// this method. Implementations fill every Report field they can and put
 	// protocol-specific measurements in Extra.
 	Run(env Env) (Report, error)
-}
-
-// Check is the one check of a scenario: Run makes it before every run and
-// spec.Validate at decode time, so both doors refuse a scenario that can
-// never run, with the same error. It covers the environment (Validate's
-// rules, on the graph a bare N names to p — see BareGraph), the optional
-// axes p honours (CheckCapabilities), and p's own option rules, among them
-// that a ring protocol's given graph embeds a Hamiltonian cycle. It builds
-// a bare graph only when a rule reads it.
-func Check(env Env, p Protocol) error {
-	_, err := check(env, p)
-	return err
-}
-
-// check is Check returning the scenario it checked, for Run to run on.
-func check(env Env, p Protocol) (*scenario, error) {
-	if p == nil {
-		return nil, errors.New("runner: nil protocol")
-	}
-	s, err := env.check(BareGraph(p))
-	if err != nil {
-		return nil, err
-	}
-	if err := CheckCapabilities(env, p); err != nil {
-		return nil, err
-	}
-	if r, ok := p.(interface{ check(*scenario) error }); ok {
-		if err := r.check(s); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
 }
 
 // Run executes protocol p on environment env: the single entry point every

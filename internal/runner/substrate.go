@@ -74,15 +74,12 @@ func (e Env) bounds() (horizon simtime.Time, maxEvents uint64) {
 // Hamiltonian cycle the check found embedded in g (scenario.ring), which g
 // caches: nil — port 0 everywhere — where every node has one out-edge, as on
 // the default ring, which is therefore never searched.
-func successorPorts(g *topology.Graph) ([]int, error) {
+func successorPorts(g *topology.Graph) []int {
 	if g.EdgeCount() == g.N() {
-		return nil, nil
+		return nil
 	}
-	ports, err := g.RingEmbedding()
-	if err != nil {
-		return nil, fmt.Errorf("runner: %w", err)
-	}
-	return ports, nil
+	ports, _ := g.RingEmbedding()
+	return ports
 }
 
 // sendPortAt returns node i's successor port (0 where ports is nil).
@@ -124,11 +121,8 @@ type netProtocol struct {
 // kernel-backed run shares before handing the report to p.collect.
 func runNetwork(env Env, p netProtocol) (Report, error) {
 	var ports []int
-	var err error
 	if p.ring {
-		if ports, err = successorPorts(env.Graph); err != nil {
-			return Report{}, err
-		}
+		ports = successorPorts(env.Graph)
 	}
 	cfg := env.networkConfig(env.Graph, p.links)
 	cfg.Anonymous = p.anonymous

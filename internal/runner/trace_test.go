@@ -154,10 +154,10 @@ func TestTraceTruncationKeepsDecision(t *testing.T) {
 // TestEnvValidateTrace pins the environment-level typed errors.
 func TestEnvValidateTrace(t *testing.T) {
 	bad := Env{N: 4, Trace: &trace.Config{MaxEvents: -1}}
-	if err := bad.Validate(); !errors.Is(err, ErrEnvTrace) {
-		t.Fatalf("negative cap: Validate = %v, want ErrEnvTrace", err)
+	if err := Check(bad, Election{}); !errors.Is(err, ErrEnvTrace) {
+		t.Fatalf("negative cap: Check = %v, want ErrEnvTrace", err)
 	}
-	if err := (Env{N: 4, Trace: &trace.Config{MaxEvents: 64}}).Validate(); err != nil {
+	if err := Check(Env{N: 4, Trace: &trace.Config{MaxEvents: 64}}, Election{}); err != nil {
 		t.Fatalf("valid trace env rejected: %v", err)
 	}
 }

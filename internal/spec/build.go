@@ -53,7 +53,7 @@ func checkEdges(edges float64) error {
 }
 
 // BuildEnv constructs the runner.Env the spec describes. The returned
-// environment is not yet validated against the protocol — runner.Run does
+// environment is not yet checked against the protocol — runner.Check does
 // that — but every component is constructed, so component-level errors
 // (unknown names, invalid parameters) surface here.
 func (s *Spec) BuildEnv() (runner.Env, error) {
@@ -127,16 +127,10 @@ func (s *Spec) BuildEnv() (runner.Env, error) {
 	// Sink on its env (the service does), and that must never land on the
 	// spec, which is shared and hashed.
 	if e.Observe != nil {
-		if err := e.Observe.Validate(); err != nil {
-			return runner.Env{}, fmt.Errorf("spec: observe: %w", err)
-		}
 		cfg := *e.Observe
 		env.Observe = &cfg
 	}
 	if e.Trace != nil {
-		if err := e.Trace.Validate(); err != nil {
-			return runner.Env{}, fmt.Errorf("spec: trace: %w", err)
-		}
 		cfg := *e.Trace
 		env.Trace = &cfg
 	}
@@ -185,7 +179,10 @@ func (s *Spec) validate() error {
 	}
 	sw := s.Sweep
 	if sw == nil {
-		return s.check(env)
+		if err := s.check(env); err != nil {
+			return fmt.Errorf("spec: %w", err)
+		}
+		return nil
 	}
 	if s.Env.Observe != nil {
 		return errors.New(`spec: "observe" applies to a single run; a sweep streams per-point completions instead — drop one of the two blocks`)
@@ -247,13 +244,10 @@ func (s *Spec) check(env runner.Env) error {
 	p := s.Protocol.proto
 	if env.Graph == nil {
 		if err := checkEdges(runner.BareGraph(p).Edges(float64(env.N))); err != nil {
-			return fmt.Errorf("spec: %s at n = %d: %w", p.Name(), env.N, err)
+			return fmt.Errorf("%s at n = %d: %w", p.Name(), env.N, err)
 		}
 	}
-	if err := runner.Check(env, p); err != nil {
-		return fmt.Errorf("spec: %w", err)
-	}
-	return nil
+	return runner.Check(env, p)
 }
 
 // Run executes a single-scenario spec through runner.Run.

@@ -50,9 +50,8 @@ func behaviorNames() []string {
 }
 
 // Build converts the adversary spec into a byzantine.Plan (semantic
-// validation — node ranges, probability bounds — happens in
-// runner.Env.Validate, which calls byzantine.Plan.Validate against the
-// concrete network size).
+// validation — node ranges, probability bounds — happens in runner.Check,
+// which calls byzantine.Plan.Validate against the concrete network size).
 func (b *ByzantineSpec) Build() (*byzantine.Plan, error) {
 	if b == nil {
 		return nil, nil

@@ -82,8 +82,8 @@ func (e EventSpec) Build() (faults.Event, error) {
 }
 
 // Build converts the fault spec into a faults.Plan (semantic validation —
-// probability ranges, event targets — happens in runner.Env.Validate, which
-// calls faults.Plan.Validate against the concrete network size).
+// probability ranges, event targets — happens in runner.Check, which calls
+// faults.Plan.Validate against the concrete network size).
 func (f *FaultsSpec) Build() (*faults.Plan, error) {
 	if f == nil {
 		return nil, nil

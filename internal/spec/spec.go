@@ -66,10 +66,11 @@ type Spec struct {
 // canonical defaults as runner.Env's zero values (exponential(1) delays,
 // perfect clocks, instantaneous processing, no faults).
 type EnvSpec struct {
-	// Topology names the communication graph; nil means a unidirectional
-	// ring of N nodes. Exactly one of Topology and N describes the size.
+	// Topology names the communication graph; nil means the protocol's
+	// bare graph over N (runner.BareGraph: a unidirectional ring, or
+	// Ben-Or's complete graph). Exactly one of Topology and N is the size.
 	Topology *TopologySpec `json:"topology,omitempty"`
-	// N is the ring size when Topology is nil.
+	// N is the network size when Topology is nil.
 	N int `json:"n,omitempty"`
 	// Delay names the per-link delay distribution; nil means exponential(1).
 	Delay *DistSpec `json:"delay,omitempty"`
@@ -240,9 +241,9 @@ func Decode(r io.Reader) (*Spec, error) {
 	return DecodeBytes(data)
 }
 
-// DecodeBytes parses one spec from JSON, strictly, and validates it (both
-// the structure and the semantic checks of Validate, runner.Env.Validate
-// included): a decoded spec is always runnable.
+// DecodeBytes parses one spec from JSON, strictly, and validates it (the
+// structure, then Validate, which makes the check runner.Run makes): a
+// decoded spec is always runnable.
 func DecodeBytes(data []byte) (*Spec, error) {
 	var s Spec
 	if err := strictUnmarshal(data, &s); err != nil {

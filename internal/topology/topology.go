@@ -253,20 +253,18 @@ func Ring(n int) *Graph {
 	return &Graph{n: n, adj: CSR{OutStart: start, Head: head, InPort: inPort, InStart: start, InFrom: inFrom}}
 }
 
-// Family is a graph family named by its node count: Edges is how many
-// directed edges the n-node member has, counted in floating point from n
-// alone — so no n overflows it, and a budget can refuse a member before it
-// exists — and Build builds that member.
+// Family is a graph family named by its node count: Edges counts the n-node
+// member's directed edges in floating point, so that no n overflows it and a
+// budget can refuse the member before Build builds it.
 type Family struct {
 	Edges func(n float64) float64
 	Build func(n int) *Graph
 }
 
-// The families a bare size names: the unidirectional ring, and the complete
-// graph.
+// RingFamily and CompleteFamily are the families a bare size names.
 var (
-	RingFamily     = Family{Edges: func(n float64) float64 { return n }, Build: Ring}
-	CompleteFamily = Family{Edges: func(n float64) float64 { return n * (n - 1) }, Build: Complete}
+	RingFamily     = Family{func(n float64) float64 { return n }, Ring}
+	CompleteFamily = Family{func(n float64) float64 { return n * (n - 1) }, Complete}
 )
 
 // BiRing returns the bidirectional ring on n >= 3 nodes (at n = 2 the

@@ -57,6 +57,7 @@ import (
 	"abenet"
 	"abenet/internal/harness"
 	"abenet/internal/probe"
+	"abenet/internal/runner"
 	"abenet/internal/spec"
 	"abenet/internal/trace"
 	"abenet/internal/trace/causal"
@@ -460,7 +461,7 @@ func (c *cli) runOne(s *spec.Spec, hash string) error {
 		}
 		return c.encodeJSON(out)
 	}
-	label := "ring"
+	label := runner.BareGraph(protocol).Name
 	if s.Env.Topology != nil {
 		label = s.Env.Topology.Name
 	}

@@ -175,6 +175,29 @@ type Engine struct {
 	nodes []*node
 }
 
+// RequireComplete returns New's error for a graph that is not complete.
+func RequireComplete(graph *topology.Graph) error {
+	n := graph.N()
+	for u := 0; u < n; u++ {
+		if graph.OutDegree(u) != n-1 || graph.InDegree(u) != n-1 {
+			return fmt.Errorf("consensus: ben-or requires a complete topology; node %d has degree %d/%d, want %d/%d",
+				u, graph.OutDegree(u), graph.InDegree(u), n-1, n-1)
+		}
+	}
+	return nil
+}
+
+// Validate returns New's error for cfg on a complete graph of n nodes.
+func (cfg Config) Validate(n int) error {
+	if cfg.F < 0 || 3*cfg.F >= n {
+		return fmt.Errorf("consensus: f = %d must satisfy 0 <= 3f < n (n = %d): beyond it the phase-1 super-majority is unreachable", cfg.F, n)
+	}
+	if cfg.MaxRounds < 0 {
+		return fmt.Errorf("consensus: MaxRounds = %d must be positive", cfg.MaxRounds)
+	}
+	return nil
+}
+
 // New validates cfg against the (complete) topology and prepares one
 // consensus instance for seed, with the nodes adversaries names judged as
 // Byzantine. Initial values and the common coin come from dedicated
@@ -185,21 +208,15 @@ func New(cfg Config, graph *topology.Graph, seed uint64, adversaries *byzantine.
 		return nil, errors.New("consensus: config needs a graph")
 	}
 	n := graph.N()
-	for u := 0; u < n; u++ {
-		if graph.OutDegree(u) != n-1 || graph.InDegree(u) != n-1 {
-			return nil, fmt.Errorf("consensus: ben-or requires a complete topology; node %d has degree %d/%d, want %d/%d",
-				u, graph.OutDegree(u), graph.InDegree(u), n-1, n-1)
-		}
+	if err := RequireComplete(graph); err != nil {
+		return nil, err
 	}
-	if cfg.F < 0 || 3*cfg.F >= n {
-		return nil, fmt.Errorf("consensus: f = %d must satisfy 0 <= 3f < n (n = %d): beyond it the phase-1 super-majority is unreachable", cfg.F, n)
+	if err := cfg.Validate(n); err != nil {
+		return nil, err
 	}
 	maxRounds := cfg.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = 200
-	}
-	if maxRounds < 1 {
-		return nil, fmt.Errorf("consensus: MaxRounds = %d must be positive", cfg.MaxRounds)
 	}
 	setup := rng.New(seed)
 	e := &Engine{

@@ -221,11 +221,11 @@ func (cfg ElectionNodeConfig) params() (ElectionParams, error) {
 	if cfg.RingSize == math.MaxInt32 {
 		return ElectionParams{}, fmt.Errorf("core: ring size %d leaves no room for the 32-bit hop n+1", cfg.RingSize)
 	}
-	if !(cfg.A0 > 0 && cfg.A0 < 1) {
-		return ElectionParams{}, fmt.Errorf("core: A0 = %g must be in (0, 1)", cfg.A0)
-	}
 	if cfg.TickInterval < 0 || math.IsNaN(cfg.TickInterval) || math.IsInf(cfg.TickInterval, 0) {
 		return ElectionParams{}, fmt.Errorf("core: tick interval %g must be non-negative and finite", cfg.TickInterval)
+	}
+	if !(cfg.A0 > 0 && cfg.A0 < 1) {
+		return ElectionParams{}, fmt.Errorf("core: A0 = %g must be in (0, 1)", cfg.A0)
 	}
 	if cfg.TickInterval == 0 {
 		cfg.TickInterval = 1

@@ -91,13 +91,11 @@ const (
 // function of seed, drawn from a dedicated stream so it never perturbs the
 // run's own randomness.
 func IdentityArrangement(n int, a ChangRobertsArrangement, seed uint64) ([]int, error) {
+	if err := a.Validate(); err != nil {
+		return nil, err
+	}
 	ids := make([]int, n)
 	switch a {
-	case ArrangementRandom, 0:
-		perm := rng.New(seed).Derive("cr-ids").Perm(n)
-		for i, p := range perm {
-			ids[i] = p + 1
-		}
 	case ArrangementAscending:
 		for i := range ids {
 			ids[i] = i + 1
@@ -107,7 +105,19 @@ func IdentityArrangement(n int, a ChangRobertsArrangement, seed uint64) ([]int, 
 			ids[i] = n - i
 		}
 	default:
-		return nil, fmt.Errorf("election: unknown arrangement %d", a)
+		perm := rng.New(seed).Derive("cr-ids").Perm(n)
+		for i, p := range perm {
+			ids[i] = p + 1
+		}
 	}
 	return ids, nil
+}
+
+// Validate returns IdentityArrangement's error for an unknown arrangement;
+// 0 means random.
+func (a ChangRobertsArrangement) Validate() error {
+	if a < 0 || a > ArrangementDescending {
+		return fmt.Errorf("election: unknown arrangement %d", a)
+	}
+	return nil
 }

@@ -47,8 +47,16 @@ func (BenOr) extra() any { return ConsensusExtra{} }
 func (BenOr) bareGraph() topology.Family { return topology.CompleteFamily }
 
 func (p BenOr) check(s *scenario) error {
-	_, err := p.config(s.env, s.n)
-	return err
+	cfg, err := p.config(s.env, s.n)
+	if err != nil {
+		return err
+	}
+	if s.given {
+		if err := consensus.RequireComplete(s.env.Graph); err != nil {
+			return err
+		}
+	}
+	return cfg.Validate(s.n)
 }
 
 // config returns the consensus configuration p's options give on env's n

@@ -47,7 +47,11 @@ func (Election) capabilities() Capabilities {
 func (Election) extra() any { return ElectionExtra{} }
 
 func (p Election) check(s *scenario) error {
-	if _, err := p.config(s.env, s.n); err != nil {
+	cfg, err := p.config(s.env, s.n)
+	if err != nil {
+		return err
+	}
+	if _, err := core.NewElectionParams(cfg); err != nil {
 		return err
 	}
 	return s.ring()
@@ -66,7 +70,9 @@ func (p Election) config(env Env, n int) (core.ElectionNodeConfig, error) {
 		if !(delta > 0) {
 			return core.ElectionNodeConfig{}, fmt.Errorf("runner: cannot derive a default A0 for mean delay %g; set Election.A0 explicitly", delta)
 		}
-		a0 = core.A0ForRing(n, delta, tick, 1)
+		if tick > 0 { // core.NewElectionParams refuses any other tick
+			a0 = core.A0ForRing(n, delta, tick, 1)
+		}
 	}
 	return core.ElectionNodeConfig{
 		RingSize:           n,
@@ -252,7 +258,18 @@ type ItaiRodehSync struct {
 // Name implements Protocol.
 func (ItaiRodehSync) Name() string { return "itai-rodeh-sync" }
 
-func (ItaiRodehSync) check(s *scenario) error { return s.ring() }
+func (p ItaiRodehSync) check(s *scenario) error {
+	if err := checkSyncRing(s, p.Q); err != nil {
+		return err
+	}
+	return p.options(s.env, s.n).Validate(nil)
+}
+
+// options returns the lock-step model's synchronizer options on env's n
+// nodes.
+func (ItaiRodehSync) options(env Env, n int) synchronizer.Options {
+	return synchronizer.Options{Kind: synchronizer.KindClock, Period: 1, MaxRounds: cmp.Or(env.MaxRounds, 1000*n)}
+}
 
 // Run implements Protocol.
 func (p ItaiRodehSync) Run(env Env) (Report, error) {
@@ -260,11 +277,7 @@ func (p ItaiRodehSync) Run(env Env) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	maxRounds := env.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 1000 * len(nodes)
-	}
-	sync, err := synchronizer.New(env.Graph, synchronizer.Options{Kind: synchronizer.KindClock, Period: 1, MaxRounds: maxRounds})
+	sync, err := synchronizer.New(env.Graph, p.options(env, len(nodes)))
 	if err != nil {
 		return Report{}, err
 	}
@@ -290,7 +303,7 @@ func (p ItaiRodehSync) Run(env Env) (Report, error) {
 // synchronizer — start from here.
 func itaiRodehSyncNodes(env Env, q float64) ([]*election.ItaiRodehSyncNode, error) {
 	ports, n := successorPorts(env.Graph), env.Graph.N()
-	q = cmp.Or(q, 1/float64(n))
+	q = candidacy(q, n)
 	nodes := make([]*election.ItaiRodehSyncNode, n)
 	for i := range nodes {
 		var err error
@@ -299,6 +312,20 @@ func itaiRodehSyncNodes(env Env, q float64) ([]*election.ItaiRodehSyncNode, erro
 		}
 	}
 	return nodes, nil
+}
+
+// candidacy is the synchronous Itai–Rodeh candidacy probability on n nodes:
+// q, or the balanced 1/n.
+func candidacy(q float64, n int) float64 { return cmp.Or(q, 1/float64(n)) }
+
+// checkSyncRing checks what itaiRodehSyncNodes needs: a ring to run along,
+// and a candidacy probability election.NewItaiRodehSyncNode admits.
+func checkSyncRing(s *scenario, q float64) error {
+	if err := s.ring(); err != nil {
+		return err
+	}
+	_, err := election.NewItaiRodehSyncNode(s.n, candidacy(q, s.n), 0)
+	return err
 }
 
 // countLeaders fills the election outcome fields from a per-node leader
@@ -414,7 +441,12 @@ func (ChangRoberts) capabilities() Capabilities {
 	return Capabilities{Faults: true}
 }
 
-func (ChangRoberts) check(s *scenario) error { return s.ring() }
+func (p ChangRoberts) check(s *scenario) error {
+	if err := p.Arrangement.Validate(); err != nil {
+		return err
+	}
+	return s.ring()
+}
 
 // Run implements Protocol.
 func (p ChangRoberts) Run(env Env) (Report, error) {
@@ -441,7 +473,12 @@ type Peterson struct {
 // Name implements Protocol.
 func (Peterson) Name() string { return "peterson" }
 
-func (Peterson) check(s *scenario) error { return s.ring() }
+func (p Peterson) check(s *scenario) error {
+	if err := p.Arrangement.Validate(); err != nil {
+		return err
+	}
+	return s.ring()
+}
 
 // Run implements Protocol.
 func (p Peterson) Run(env Env) (Report, error) {
@@ -503,20 +540,21 @@ func (Synchronized) Name() string { return "synchronized" }
 
 func (Synchronized) extra() any { return SyncExtra{} }
 
-func (p Synchronized) check(*scenario) error {
+func (p Synchronized) check(s *scenario) error {
 	if p.MakeNode == nil {
 		return fmt.Errorf("runner: synchronized protocol needs a MakeNode constructor")
 	}
-	return nil
+	return p.options(s.env.MaxRounds).Validate(s.graph())
+}
+
+// options returns p's synchronizer options under a budget of maxRounds.
+func (p Synchronized) options(maxRounds int) synchronizer.Options {
+	return synchronizer.Options{Kind: cmp.Or(p.Kind, synchronizer.KindRound), ClusterRadius: p.ClusterRadius, MaxRounds: maxRounds}
 }
 
 // Run implements Protocol.
 func (p Synchronized) Run(env Env) (Report, error) {
-	sync, err := synchronizer.New(env.Graph, synchronizer.Options{
-		Kind:          cmp.Or(p.Kind, synchronizer.KindRound),
-		ClusterRadius: p.ClusterRadius,
-		MaxRounds:     env.MaxRounds,
-	})
+	sync, err := synchronizer.New(env.Graph, p.options(env.MaxRounds))
 	if err != nil {
 		return Report{}, err
 	}
@@ -561,9 +599,18 @@ func (SynchronizedElection) Name() string { return "synchronized-election" }
 
 func (SynchronizedElection) extra() any { return Synchronized{}.extra() }
 
+// syncElectionRounds is SynchronizedElection's round budget when
+// Env.MaxRounds is 0.
+const syncElectionRounds = 100_000
+
 // On non-ring topologies the election's tokens must follow the embedded
 // Hamiltonian cycle, exactly as the native ring protocols do.
-func (SynchronizedElection) check(s *scenario) error { return s.ring() }
+func (p SynchronizedElection) check(s *scenario) error {
+	if err := checkSyncRing(s, p.Q); err != nil {
+		return err
+	}
+	return Synchronized{Kind: p.Kind}.options(cmp.Or(s.env.MaxRounds, syncElectionRounds)).Validate(s.graph())
+}
 
 // Run implements Protocol.
 func (p SynchronizedElection) Run(env Env) (Report, error) {
@@ -571,9 +618,7 @@ func (p SynchronizedElection) Run(env Env) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	if env.MaxRounds == 0 {
-		env.MaxRounds = 100_000
-	}
+	env.MaxRounds = cmp.Or(env.MaxRounds, syncElectionRounds)
 	return Synchronized{
 		Kind:      p.Kind,
 		Anonymous: true,
@@ -609,20 +654,20 @@ func (heartbeat) Round(ctx synchronizer.NodeContext, _ int, _ []synchronizer.Mes
 	}
 }
 
-// Run implements Protocol.
-func (p ClockSync) Run(env Env) (Report, error) {
-	period := p.Period
-	if period == 0 {
-		period = 2 * env.meanDelay()
-	}
-	rounds := p.Rounds
-	if rounds == 0 {
-		rounds = 100
-	}
+func (p ClockSync) check(s *scenario) error { return p.options(s.env).Validate(nil) }
+
+// options returns the clock synchronizer's options for p under env.
+func (p ClockSync) options(env Env) synchronizer.Options {
+	rounds := cmp.Or(p.Rounds, 100)
 	if env.MaxRounds > 0 && rounds > env.MaxRounds {
 		rounds = env.MaxRounds
 	}
-	sync, err := synchronizer.New(env.Graph, synchronizer.Options{Kind: synchronizer.KindClock, Period: period, MaxRounds: rounds})
+	return synchronizer.Options{Kind: synchronizer.KindClock, Period: cmp.Or(p.Period, 2*env.meanDelay()), MaxRounds: rounds}
+}
+
+// Run implements Protocol.
+func (p ClockSync) Run(env Env) (Report, error) {
+	sync, err := synchronizer.New(env.Graph, p.options(env))
 	if err != nil {
 		return Report{}, err
 	}

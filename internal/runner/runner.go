@@ -150,8 +150,8 @@ type Env struct {
 // The structured environment-validation errors. Check wraps each in
 // context, so callers can classify failures with errors.Is.
 var (
-	// ErrEnvSize: the environment describes no valid network size (N < 2
-	// without a Graph, or N disagreeing with the Graph's size).
+	// ErrEnvSize: the environment describes no valid network size (fewer
+	// than 2 nodes, or N disagreeing with the Graph's size).
 	ErrEnvSize = errors.New("runner: invalid network size")
 	// ErrEnvDelta: the declared δ is negative or not finite.
 	ErrEnvDelta = errors.New("runner: invalid Delta")
@@ -194,8 +194,9 @@ func check(e Env, p Protocol) (*scenario, error) {
 		if n = e.Graph.N(); e.N != 0 && e.N != n {
 			return nil, fmt.Errorf("%w: env.N = %d disagrees with graph size %d", ErrEnvSize, e.N, n)
 		}
-	} else if n < 2 {
-		return nil, fmt.Errorf("%w: env needs N >= 2 (or a Graph), got N = %d", ErrEnvSize, e.N)
+	}
+	if n < 2 {
+		return nil, fmt.Errorf("%w: a network needs N >= 2 nodes, got %d", ErrEnvSize, n)
 	}
 	if e.Delta < 0 || math.IsNaN(e.Delta) || math.IsInf(e.Delta, 0) {
 		return nil, fmt.Errorf("%w: Delta = %g must be a non-negative finite bound on the expected delay", ErrEnvDelta, e.Delta)

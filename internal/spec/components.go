@@ -336,9 +336,9 @@ func bidirectional(n float64) float64 { return 2 * n }
 
 var topologyFamily = &family[*topology.Graph]{kind: "topology", entries: map[string]entry[*topology.Graph]{
 	"ring":     sizedTopology(topology.RingFamily),
-	"biring":   sizedTopology(topology.Family{Edges: bidirectional, Build: topology.BiRing}),
-	"line":     sizedTopology(topology.Family{Edges: bidirectional, Build: topology.Line}),
-	"star":     sizedTopology(topology.Family{Edges: bidirectional, Build: topology.Star}),
+	"biring":   sizedTopology(topology.Family{Name: "biring", Edges: bidirectional, Build: topology.BiRing}),
+	"line":     sizedTopology(topology.Family{Name: "line", Edges: bidirectional, Build: topology.Line}),
+	"star":     sizedTopology(topology.Family{Name: "star", Edges: bidirectional, Build: topology.Star}),
 	"complete": sizedTopology(topology.CompleteFamily),
 	"hypercube": budgeted(func(p *HypercubeParams) float64 { return math.Ldexp(float64(p.Dim), p.Dim) },
 		func(p *HypercubeParams) *topology.Graph { return topology.Hypercube(p.Dim) }),

@@ -82,9 +82,10 @@ func mustRoundTrip(t *testing.T, s *Spec) {
 }
 
 // FuzzDecode: no document makes DecodeBytes (and the Validate inside it)
-// panic, and one that validates round-trips like a committed fixture. The
-// fixtures are the seed corpus; the edge budget is what keeps a mutated size
-// from costing more than the refusal.
+// panic, and one that validates round-trips like a committed fixture and —
+// a single run of at most 64 nodes — runs (mustRun). The fixtures and the
+// documents of refusedDocs are the seed corpus; the edge budget is what
+// keeps a mutated size from costing more than the refusal.
 func FuzzDecode(f *testing.F) {
 	for _, path := range fixturePaths(f) {
 		doc, err := os.ReadFile(path)
@@ -93,9 +94,13 @@ func FuzzDecode(f *testing.F) {
 		}
 		f.Add(doc)
 	}
+	for _, tc := range refusedDocs {
+		f.Add([]byte(tc.doc))
+	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		if s, err := DecodeBytes(doc); err == nil {
 			mustRoundTrip(t, s)
+			mustRun(t, s)
 		}
 	})
 }

@@ -206,54 +206,67 @@ type Synchronizer struct {
 
 var _ probe.Observable = (*Synchronizer)(nil)
 
-// New prepares a synchronizer of the given kind over g. The message-driven
-// kinds need g strongly connected and — for every kind but Round —
-// bidirectional; KindClock takes any graph and a Period.
+// ErrRoundBudget is wrapped by Result's error when the round budget ran out
+// before the protocol stopped.
+var ErrRoundBudget = errors.New("synchronizer: protocol did not stop")
+
+// New prepares a synchronizer of the given kind over g, refusing what
+// opts.Validate refuses.
 func New(g *topology.Graph, opts Options) (*Synchronizer, error) {
 	if g == nil {
 		return nil, errors.New("synchronizer: needs a graph")
 	}
-	if opts.MaxRounds < 0 {
-		return nil, fmt.Errorf("synchronizer: round budget %d must not be negative", opts.MaxRounds)
+	if err := opts.Validate(g); err != nil {
+		return nil, err
 	}
-	s := &Synchronizer{graph: g, kind: opts.Kind, maxRounds: opts.MaxRounds, cores: make([]roundCore, g.N())}
+	s := &Synchronizer{graph: g, kind: opts.Kind, maxRounds: opts.MaxRounds, period: opts.Period, cores: make([]roundCore, g.N())}
 	if s.maxRounds == 0 {
 		s.maxRounds = 10000
 	}
-	if opts.Kind == KindClock {
-		if !(opts.Period > 0) || math.IsInf(opts.Period, 0) {
-			return nil, fmt.Errorf("synchronizer: period %g must be positive and finite", opts.Period)
-		}
-		s.period = opts.Period
-		return s, nil
-	}
-	if !g.IsStronglyConnected() {
-		return nil, errors.New("synchronizer: graph must be strongly connected")
-	}
-	radius := 0 // of the BFS clusters; 0 for the kinds without any
 	switch opts.Kind {
-	case KindRound:
-		return s, nil
-	case KindAlpha:
 	case KindBeta:
 		// β is γ with a single cluster: a radius no BFS can exhaust.
-		radius = g.N()
+		s.clusters = clusterGeometry(g, g.N())
 	case KindGamma:
-		if radius = opts.ClusterRadius; radius < 1 {
+		radius := opts.ClusterRadius
+		if radius < 1 {
 			radius = 2
 		}
-	default:
-		return nil, fmt.Errorf("synchronizer: unknown kind %v", opts.Kind)
-	}
-	for _, e := range g.Edges() {
-		if !g.HasEdge(e.To, e.From) {
-			return nil, fmt.Errorf("synchronizer: %v needs a bidirectional graph, missing %d->%d", opts.Kind, e.To, e.From)
-		}
-	}
-	if radius > 0 {
 		s.clusters = clusterGeometry(g, radius)
 	}
 	return s, nil
+}
+
+// Validate returns New's error for o over g. The message-driven kinds need
+// g strongly connected and — for every kind but Round — bidirectional;
+// KindClock takes any graph and a Period, and reads nothing of g, which may
+// then be nil.
+func (o Options) Validate(g *topology.Graph) error {
+	if o.MaxRounds < 0 {
+		return fmt.Errorf("synchronizer: round budget %d must not be negative", o.MaxRounds)
+	}
+	switch o.Kind {
+	case KindClock:
+		if !(o.Period > 0) || math.IsInf(o.Period, 0) {
+			return fmt.Errorf("synchronizer: period %g must be positive and finite", o.Period)
+		}
+		return nil
+	case KindRound, KindAlpha, KindBeta, KindGamma:
+	default:
+		return fmt.Errorf("synchronizer: unknown kind %v", o.Kind)
+	}
+	if !g.IsStronglyConnected() {
+		return errors.New("synchronizer: graph must be strongly connected")
+	}
+	if o.Kind == KindRound {
+		return nil
+	}
+	for _, e := range g.Edges() {
+		if !g.HasEdge(e.To, e.From) {
+			return fmt.Errorf("synchronizer: %v needs a bidirectional graph, missing %d->%d", o.Kind, e.To, e.From)
+		}
+	}
+	return nil
 }
 
 // Node wraps proto, node i's synchronous protocol instance, into the
@@ -336,7 +349,7 @@ func (s *Synchronizer) Result(net *network.Network) (Result, error) {
 		res.MessagesPerRound = float64(res.Messages) / float64(res.MinRounds)
 	}
 	if !res.Stopped && res.Rounds >= s.maxRounds {
-		return res, fmt.Errorf("synchronizer: protocol did not stop within %d rounds", s.maxRounds)
+		return res, fmt.Errorf("%w within %d rounds", ErrRoundBudget, s.maxRounds)
 	}
 	return res, nil
 }

@@ -257,14 +257,15 @@ func Ring(n int) *Graph {
 // member's directed edges in floating point, so that no n overflows it and a
 // budget can refuse the member before Build builds it.
 type Family struct {
+	Name  string
 	Edges func(n float64) float64
 	Build func(n int) *Graph
 }
 
 // RingFamily and CompleteFamily are the families a bare size names.
 var (
-	RingFamily     = Family{func(n float64) float64 { return n }, Ring}
-	CompleteFamily = Family{func(n float64) float64 { return n * (n - 1) }, Complete}
+	RingFamily     = Family{"ring", func(n float64) float64 { return n }, Ring}
+	CompleteFamily = Family{"complete", func(n float64) float64 { return n * (n - 1) }, Complete}
 )
 
 // BiRing returns the bidirectional ring on n >= 3 nodes (at n = 2 the

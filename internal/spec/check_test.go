@@ -12,9 +12,9 @@ import (
 )
 
 // refusedDocs are single-field mutations of runnable scenarios that no run
-// admits. Each decoded as valid while the decode door made checks of its
-// own, and then failed once it ran (TickInterval -1 panicked); want is the
-// error the run gives.
+// admits, each with the error the run gives (want). The protocol's option
+// rules, or the ring embedding, refuse them — not the environment's rules,
+// so only a decode door that makes the run's own check catches them.
 var refusedDocs = []struct{ name, doc, want string }{
 	{"ben-or/F", `{"version":1,"env":{"n":8},"protocol":{"name":"ben-or","options":{"F":5}}}`,
 		"consensus: f = 5 must satisfy 0 <= 3f < n (n = 8)"},

@@ -261,9 +261,10 @@ func (o Options) Validate(g *topology.Graph) error {
 	if o.Kind == KindRound {
 		return nil
 	}
-	for _, e := range g.Edges() {
-		if !g.HasEdge(e.To, e.From) {
-			return fmt.Errorf("synchronizer: %v needs a bidirectional graph, missing %d->%d", o.Kind, e.To, e.From)
+	adj := g.CSR()
+	for e, v := range adj.Head {
+		if u := adj.Tail(e); !g.HasEdge(int(v), u) {
+			return fmt.Errorf("synchronizer: %v needs a bidirectional graph, missing %d->%d", o.Kind, v, u)
 		}
 	}
 	return nil

@@ -227,10 +227,10 @@ func check(e Env, p Protocol) (*scenario, error) {
 			return nil, fmt.Errorf("%w: per-message link faults (Loss/Duplicate/Reorder) do not compose with the local-broadcast medium", ErrEnvBroadcast)
 		}
 	}
+	s := &scenario{env: e, n: n, bare: BareGraph(p), given: e.Graph != nil}
 	// Per-edge fault events must name edges of the concrete topology — a
 	// direction typo would otherwise surface later, unwrapped and
 	// protocol-dependent, instead of as a uniform ErrEnvFaults here.
-	s := &scenario{env: e, n: n, bare: BareGraph(p), given: e.Graph != nil}
 	if e.Faults != nil {
 		for i, ev := range e.Faults.Events {
 			if ev.Kind != faults.KindLinkDown && ev.Kind != faults.KindLinkUp {

@@ -78,7 +78,7 @@ func successorPorts(g *topology.Graph) []int {
 	if g.EdgeCount() == g.N() {
 		return nil
 	}
-	ports, _ := g.RingEmbedding()
+	ports, _ := g.RingEmbedding() // scenario.ring refused the graph if this fails
 	return ports
 }
 

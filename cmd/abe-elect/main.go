@@ -259,7 +259,13 @@ func (c *cli) fromFlags() (*spec.Spec, error) {
 		}
 		switch c.topo {
 		case "ring":
-			e.N = c.n
+			// A bare size is the protocol's own graph (Ben-Or's is
+			// complete); a -topo ring that is set names the ring.
+			if c.set["topo"] {
+				e.Topology = spec.RingTopology(c.n)
+			} else {
+				e.N = c.n
+			}
 		case "biring":
 			e.Topology = spec.BiRingTopology(c.n)
 		case "complete":

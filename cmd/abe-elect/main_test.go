@@ -154,6 +154,8 @@ func TestRejectedNotDropped(t *testing.T) {
 		// Capability rejections reach the flag path through the spec.
 		{"-proto peterson -loss 0.1", "does not support fault injection"},
 		{"-proto election -equivocate 1", "does not support byzantine adversaries"},
+		// A -topo ring that is set names the ring, not the protocol's bare graph.
+		{"-proto ben-or -topo ring -n 8", "consensus: ben-or requires a complete topology"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			out, err := elect(t, strings.Fields(files.Replace(tc.args))...)
@@ -205,18 +207,41 @@ func TestSweepRendersGrowthExponent(t *testing.T) {
 }
 
 // TestCheckRidesTheElection: -check is accepted exactly where it verifies
-// what ran, and its verdict lands inside the one JSON value.
+// what ran, on a bare size or an explicit -topo ring, and its verdict lands
+// inside the one JSON value.
 func TestCheckRidesTheElection(t *testing.T) {
-	out, err := elect(t, "-n", "4", "-check", "-json")
-	if err != nil {
-		t.Fatal(err)
+	for _, args := range [][]string{{"-n", "4", "-check", "-json"}, {"-topo", "ring", "-n", "4", "-check", "-json"}} {
+		out, err := elect(t, args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Check struct {
+				Safe bool `json:"safe"`
+			} `json:"model_check"`
+		}
+		if err := json.Unmarshal([]byte(out), &doc); err != nil || !doc.Check.Safe {
+			t.Fatalf("%v: model_check missing or unsafe (%v):\n%s", args, err, out)
+		}
 	}
-	var doc struct {
-		Check struct {
-			Safe bool `json:"safe"`
-		} `json:"model_check"`
-	}
-	if err := json.Unmarshal([]byte(out), &doc); err != nil || !doc.Check.Safe {
-		t.Fatalf("model_check missing or unsafe (%v):\n%s", err, out)
+}
+
+// TestExplicitRingNamesTheRing: an unset -topo is the protocol's bare graph
+// (Ben-Or's complete graph); a -topo ring that is set is the ring.
+func TestExplicitRingNamesTheRing(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-proto", "ben-or", "-n", "8"}, "environment         : complete(8)"},
+		{[]string{"-topo", "ring", "-n", "8"}, "environment         : ring(8)"},
+	} {
+		out, err := elect(t, tc.args...)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if !strings.Contains(out, tc.want) {
+			t.Errorf("%v: output lacks %q:\n%s", tc.args, tc.want, out)
+		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package allocbudget measures what a constructor allocates as the network
 // grows, for the tests that hold construction flat: the same number of heap
 // objects at n = 10³ and 10⁴ — nothing built per node or edge — and a budget
-// of bytes per node.
+// of bytes per node; and what one whole run allocates, for the tests that
+// hold a message path to a budget.
 package allocbudget
 
 import (
@@ -22,11 +23,16 @@ func Objects(build func(n int) func()) (small, large float64) {
 // BytesPerNode returns the bytes one call of build(n)() allocates, divided
 // by n.
 func BytesPerNode(n int, build func(n int) func()) float64 {
-	run := build(n)
+	bytes, _ := Run(build(n))
+	return float64(bytes) / float64(n)
+}
+
+// Run returns the bytes and the heap objects one call of run allocates.
+func Run(run func()) (bytes, objects uint64) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	run()
 	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 }

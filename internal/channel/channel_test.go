@@ -347,8 +347,65 @@ func (s *recordingSink) Deliver(edge int, payload any) {
 	}
 }
 
-// idle reports whether every slot of the store is back on the free list.
-func (s *Store) idle() bool { return len(s.free) == len(s.slots) }
+// idle reports whether every slot of the store is back on the free list:
+// nothing is in flight, and the list holds each slot the pool has handed
+// out — a prefix of the indices, since the pool grows one slot at a time —
+// exactly once.
+func (s *Store) idle() bool {
+	var listed []bool
+	for i := s.free; i >= 0; i = s.at(i).next {
+		for int(i) >= len(listed) {
+			listed = append(listed, false)
+		}
+		if listed[i] {
+			return false // the list runs in a cycle
+		}
+		listed[i] = true
+	}
+	return s.inFlight == 0 && !slices.Contains(listed, false)
+}
+
+// TestPoolGrowsByPagesWithoutCopying: a store that reaches P messages in
+// flight holds P slots rounded up to a page and has copied none past the
+// first page: every later slot stays where it was filed until it is
+// delivered. The vacated slots then form one free list the next burst
+// takes from before the pool grows again.
+func TestPoolGrowsByPagesWithoutCopying(t *testing.T) {
+	const inFlight = 1000
+	k := sim.New()
+	sink := &recordingSink{}
+	store := NewStore(k, sink, RandomDelayFactory(dist.NewExponential(1)), streams(1, 3))
+	filed := make([]*slot, inFlight)
+	for i := range inFlight {
+		store.Send(i%3, i)
+		filed[i] = store.at(int32(i))
+	}
+	if got := store.InFlight(); got != inFlight {
+		t.Fatalf("InFlight = %d, want %d", got, inFlight)
+	}
+	pages := (inFlight+pageSlots-1)/pageSlots - 1 // past the first
+	if len(store.first) != pageSlots || len(store.pages) != pages {
+		t.Fatalf("a first page of %d slots and %d more pages for %d messages in flight, want %d and %d",
+			len(store.first), len(store.pages), inFlight, pageSlots, pages)
+	}
+	for i := pageSlots; i < inFlight; i++ {
+		if sl := store.at(int32(i)); sl != filed[i] || sl.payload != i {
+			t.Fatalf("slot %d moved or changed after it was filed (payload %v)", i, sl.payload)
+		}
+	}
+	if err := k.Run(simtime.Forever, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.got) != inFlight || !store.idle() {
+		t.Fatalf("delivered %d of %d, idle %v", len(sink.got), inFlight, store.idle())
+	}
+	for i := range inFlight {
+		store.Send(0, i)
+	}
+	if len(store.pages) != pages {
+		t.Fatalf("a second burst of %d grew the pool to %d pages, want the %d it has", inFlight, len(store.pages), pages)
+	}
+}
 
 // streams returns rows streams derived from seed, one per row.
 func streams(seed uint64, rows int) []rng.Source {

@@ -38,6 +38,15 @@ func (f DeliverFunc) Deliver(_ int, payload any) { f(payload) }
 // deliveries on a link. The slots a burst needed on one link are reused by
 // the next burst on any other.
 //
+// The pool is pages of pageSlots slots. The first page grows by append, as a
+// slice would, so a store that never has more than pageSlots messages in
+// flight allocates what a slice of them costs; every later page is allocated
+// whole, once, and never copied, so a store that reaches P messages in flight
+// holds P slots rounded up to a page and has copied none past the first
+// page. A vacated slot joins the free list through its own next field, so
+// the list costs nothing beside the pool, and the store counts the slots in
+// use instead of measuring them.
+//
 // # Batching without changing the execution order
 //
 // A Send may join its link's open batch only if (a) its delivery instant
@@ -80,10 +89,15 @@ type Store struct {
 
 	open batch // the one batch a Send may still join, if any
 
-	// slots is the in-flight pool; free lists vacated slots for reuse, so
-	// steady-state sends allocate nothing.
-	slots []slot
-	free  []int32
+	// first and pages are the in-flight pool: slot i is first[i] on the
+	// first page and pages[i/pageSlots−1][i%pageSlots] past it. free heads
+	// the list of vacated slots, linked through their next fields (−1 ends
+	// it), so steady-state sends allocate nothing; every slot is in flight
+	// or on it.
+	first    []slot
+	pages    []*[pageSlots]slot
+	free     int32
+	inFlight int32
 
 	fire sim.HandlerID // fireBatch, registered once; every delivery event names it
 }
@@ -111,12 +125,29 @@ type batch struct {
 // closed is the batch record that names no batch.
 var closed = batch{row: -1}
 
-// slot is one message in flight.
+// slot is one message in flight, 32 B, or a vacated slot on the free list.
 type slot struct {
 	payload any
 	delay   simtime.Duration
 	link    int32 // the row carrying it
-	next    int32 // next entry of the same batch in send order; -1 terminates
+	// next is the next entry of the same batch in send order or, on a
+	// vacated slot, the next one on the free list; -1 terminates either.
+	next int32
+}
+
+// The pool's page: 64 slots, 2 KiB.
+const (
+	pageShift = 6
+	pageSlots = 1 << pageShift
+)
+
+// at returns slot i. The pointer is good until the pool next grows: the
+// first page moves when it does.
+func (s *Store) at(i int32) *slot {
+	if i < pageSlots {
+		return &s.first[i]
+	}
+	return &s.pages[i>>pageShift-1][i&(pageSlots-1)]
 }
 
 // NewStore lays out one row per stream under discipline links, delivering
@@ -134,7 +165,7 @@ func NewStore(k *sim.Kernel, sink Sink, links Factory, streams []rng.Source) *St
 	if links == nil {
 		panic("channel: nil link factory")
 	}
-	s := &Store{kernel: k, sink: sink, discipline: *links, rows: make([]row, len(streams)), streams: streams, open: closed}
+	s := &Store{kernel: k, sink: sink, discipline: *links, rows: make([]row, len(streams)), streams: streams, open: closed, free: -1}
 	switch s.kind {
 	case kindFIFO:
 		s.last = make([]simtime.Time, len(streams))
@@ -194,7 +225,7 @@ func (s *Store) delayOf(k int) dist.Dist {
 
 // InFlight returns the number of messages on the wire: handed to a link and
 // neither delivered yet nor abandoned by a Stop.
-func (s *Store) InFlight() int { return len(s.slots) - len(s.free) }
+func (s *Store) InFlight() int { return int(s.inFlight) }
 
 // Send hands payload to link k: it samples the link's delay now under the
 // store's discipline, counts the send and files the payload for delivery. It
@@ -230,17 +261,17 @@ func (s *Store) Send(k int, payload any) simtime.Duration {
 // joining the link's open batch when that is provably order-preserving and
 // scheduling a fresh kernel event otherwise.
 func (s *Store) file(k int32, at simtime.Time, payload any, d simtime.Duration) {
-	var i int32
-	if n := len(s.free); n > 0 {
-		i = s.free[n-1]
-		s.free = s.free[:n-1]
+	i := s.free
+	if i >= 0 {
+		s.free = s.at(i).next
 	} else {
-		i = int32(len(s.slots))
-		s.slots = append(s.slots, slot{})
+		i = s.inFlight // every slot is in flight: the pool grows by one
+		s.grow(i)
 	}
-	s.slots[i] = slot{payload: payload, delay: d, link: k, next: -1}
+	s.inFlight++
+	*s.at(i) = slot{payload: payload, delay: d, link: k, next: -1}
 	if o := &s.open; o.row == k && o.at == at && o.seq == s.kernel.ScheduleSeq() {
-		s.slots[o.tail].next = i
+		s.at(o.tail).next = i
 		o.tail = i
 		return
 	}
@@ -248,19 +279,32 @@ func (s *Store) file(k int32, at simtime.Time, payload any, d simtime.Duration) 
 	s.open = batch{row: k, tail: i, at: at, seq: s.kernel.ScheduleSeq()}
 }
 
+// grow adds slot i, the first past the pool's end: the first page grows by
+// append, and a later page is allocated whole when its first slot is needed.
+func (s *Store) grow(i int32) {
+	switch {
+	case i < pageSlots:
+		s.first = append(s.first, slot{})
+	case i&(pageSlots-1) == 0:
+		s.pages = append(s.pages, new([pageSlots]slot))
+	}
+}
+
 // fireBatch delivers a batch chain head-to-tail. Slots are released before
 // each delivery callback so reentrant sends can reuse them; the chain link
 // is read out first, so reuse cannot corrupt the walk.
 func (s *Store) fireBatch(head uint32) {
-	k := s.slots[head].link
+	k := s.at(int32(head)).link
 	if s.open.row == k {
 		s.open = closed // reentrant same-instant sends on k must open a fresh event
 	}
 	w := &s.rows[k]
 	for i := int32(head); i >= 0; {
-		sl := s.slots[i]
-		s.slots[i] = slot{}
-		s.free = append(s.free, i)
+		p := s.at(i)
+		sl := *p
+		*p = slot{next: s.free}
+		s.free = i
+		s.inFlight--
 		i = sl.next
 		if s.kernel.Stopped() {
 			// Mirror the unbatched kernel: a Stop between two same-instant

@@ -152,10 +152,16 @@ type Result struct {
 }
 
 // Engine is the engine-level state of one consensus instance: the initial
-// assignment, the honest set and the decision record. Decisions are
-// recorded here rather than on the nodes so they survive churn restarts
-// and network teardown. The run substrate builds the network from
-// MakeNode, samples ProbeGauges, and reads Result once the run ends.
+// assignment, the honest set, the decision record and the boxed votes.
+// Decisions are recorded here rather than on the nodes so they survive churn
+// restarts and network teardown. A vote — one (round, phase, value) — is
+// boxed as a payload once, the first time any node broadcasts it, and every
+// later broadcast of it by any node or incarnation sends that box: a payload
+// is an immutable value (Corrupt forges a fresh one), so sharing it changes
+// nothing a receiver, a trace or a digest sees, and a run allocates a box per
+// distinct vote instead of one per broadcast. The run substrate builds the
+// network from MakeNode, samples ProbeGauges, and reads Result once the run
+// ends.
 type Engine struct {
 	cfg       Config
 	n         int
@@ -171,6 +177,10 @@ type Engine struct {
 	decidedHonest  int
 	// allDecided fires once, when the last honest node decides.
 	allDecided func(cause string)
+
+	// votes holds the boxed Msg of each vote, nil until first sent, in pages
+	// of voteRounds rounds allocated as rounds open and never copied.
+	votes []*votePage
 
 	nodes []*node
 }
@@ -254,7 +264,7 @@ func (e *Engine) MakeNode(i int) network.Node {
 		coin:      e.cfg.Coin,
 		coinSeed:  e.coinSeed,
 		maxRounds: e.maxRounds,
-		onDecide:  e.onDecide,
+		eng:       e,
 	}
 	return e.nodes[i]
 }
@@ -271,6 +281,27 @@ func (e *Engine) onDecide(id int, v int8, round int32) {
 			e.allDecided("consensus: every honest node decided")
 		}
 	}
+}
+
+// voteRounds is how many rounds' votes a votePage holds.
+const voteRounds = 8
+
+// votePage is the boxed votes of voteRounds consecutive rounds, indexed by
+// round offset, phase−1 and value+1 (value −1 being Unknown).
+type votePage [voteRounds][2][3]any
+
+// vote returns the boxed Msg{phase, round, value}, boxing it the first time
+// it is asked for.
+func (e *Engine) vote(phase int8, round int32, value int8) any {
+	page, r := int(round-1)/voteRounds, int(round-1)%voteRounds
+	for page >= len(e.votes) {
+		e.votes = append(e.votes, new(votePage))
+	}
+	box := &e.votes[page][r][phase-1][value+1]
+	if *box == nil {
+		*box = Msg{Phase: phase, Round: round, Value: value}
+	}
+	return *box
 }
 
 // ProbeGauges implements probe.Observable: round and phase progress across
@@ -432,7 +463,7 @@ type node struct {
 	rows  []roundRow // rows[k] tallies round round+k
 	spare [][]int8   // tables of completed rounds, for the next rows to open
 
-	onDecide func(id int, v int8, round int32)
+	eng *Engine // records decisions and boxes the votes broadcast
 }
 
 // roundRow tallies one round: the values received per phase, first value per
@@ -452,7 +483,7 @@ func (nd *node) Init(ctx *network.Context) {
 	nd.round = 1
 	nd.phase = 1
 	nd.record(1, 1, nd.n-1, nd.est)
-	ctx.Broadcast(Msg{Phase: 1, Round: 1, Value: nd.est})
+	ctx.Broadcast(nd.eng.vote(1, 1, nd.est))
 	nd.advance(ctx)
 }
 
@@ -540,7 +571,7 @@ func (nd *node) advance(ctx *network.Context) {
 			}
 			nd.phase = 2
 			nd.record(2, nd.round, nd.n-1, prop)
-			ctx.Broadcast(Msg{Phase: 2, Round: nd.round, Value: prop})
+			ctx.Broadcast(nd.eng.vote(2, nd.round, prop))
 
 		case nd.phase == 2 && row.count[1] >= nd.n-nd.f:
 			c0, c1 := tally(row.vals[nd.n:])
@@ -570,7 +601,7 @@ func (nd *node) advance(ctx *network.Context) {
 			nd.round++
 			nd.phase = 1
 			nd.record(1, nd.round, nd.n-1, nd.est)
-			ctx.Broadcast(Msg{Phase: 1, Round: nd.round, Value: nd.est})
+			ctx.Broadcast(nd.eng.vote(1, nd.round, nd.est))
 
 		default:
 			return
@@ -585,7 +616,7 @@ func (nd *node) decide(v int8) {
 	}
 	nd.decided = true
 	nd.decision = v
-	nd.onDecide(nd.id, v, nd.round)
+	nd.eng.onDecide(nd.id, v, nd.round)
 }
 
 // coinFlip returns the round's fallback bit. The common coin is a pure

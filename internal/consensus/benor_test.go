@@ -143,3 +143,30 @@ func TestRoundWindowStaysBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestVotesAreBoxedOnce: every (round, phase, value) a node may broadcast is
+// boxed as the Msg it names the first time it is asked for, and asking again
+// allocates nothing; the boxes live in pages of voteRounds rounds.
+func TestVotesAreBoxedOnce(t *testing.T) {
+	e, err := New(Config{}, topology.Complete(4), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 2*voteRounds + 1
+	all := func() {
+		for round := int32(1); round <= rounds; round++ {
+			for _, v := range []Msg{{1, round, 0}, {1, round, 1}, {2, round, Unknown}, {2, round, 0}, {2, round, 1}} {
+				if got := e.vote(v.Phase, v.Round, v.Value); got != any(v) {
+					t.Fatalf("vote(%d, %d, %d) = %v", v.Phase, v.Round, v.Value, got)
+				}
+			}
+		}
+	}
+	all()
+	if len(e.votes) != 3 {
+		t.Fatalf("%d vote pages for %d rounds, want 3", len(e.votes), rounds)
+	}
+	if allocs := testing.AllocsPerRun(10, all); allocs != 0 {
+		t.Fatalf("asking for boxed votes again allocates %g objects", allocs)
+	}
+}

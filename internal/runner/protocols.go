@@ -544,7 +544,7 @@ func (p Synchronized) check(s *scenario) error {
 	if p.MakeNode == nil {
 		return fmt.Errorf("runner: synchronized protocol needs a MakeNode constructor")
 	}
-	return p.options(s.env.MaxRounds).Validate(s.graph())
+	return p.options(s.env.MaxRounds).Validate(s.shape())
 }
 
 // options returns p's synchronizer options under a budget of maxRounds.
@@ -609,7 +609,7 @@ func (p SynchronizedElection) check(s *scenario) error {
 	if err := checkSyncRing(s, p.Q); err != nil {
 		return err
 	}
-	return Synchronized{Kind: p.Kind}.options(cmp.Or(s.env.MaxRounds, syncElectionRounds)).Validate(s.graph())
+	return Synchronized{Kind: p.Kind}.options(cmp.Or(s.env.MaxRounds, syncElectionRounds)).Validate(s.shape())
 }
 
 // Run implements Protocol.

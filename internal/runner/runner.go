@@ -92,7 +92,7 @@ type Env struct {
 	MaxEvents uint64
 	// MaxRounds bounds round-based protocols (the synchronizers, the
 	// lock-step model among them, and Ben-Or); 0 means each protocol's
-	// default.
+	// default. Every protocol refuses a negative value (ErrEnvMaxRounds).
 	MaxRounds int
 	// Faults optionally injects deterministic message faults, node churn
 	// and link outages (see internal/faults). Honoured by the protocols
@@ -172,13 +172,16 @@ var (
 	ErrEnvTrace = errors.New("runner: invalid trace config")
 	// ErrEnvScheduler: Env.Scheduler names no registered kernel scheduler.
 	ErrEnvScheduler = errors.New("runner: unknown scheduler")
+	// ErrEnvMaxRounds: Env.MaxRounds is negative.
+	ErrEnvMaxRounds = errors.New("runner: invalid MaxRounds")
 )
 
 // Check is the one check of a scenario, made by Run and by spec.Validate,
 // so both doors refuse what can never run with the same error: the
 // environment on the graph a bare N names to p (BareGraph), the optional
-// axes p honours, and p's own option rules. It builds a bare graph only when
-// a rule reads it.
+// axes p honours, and p's own option rules. It builds no bare graph: a rule
+// that reads one asks the protocol's bare family (topology.Family.Shape), so
+// checking a size costs the same at 2 nodes and at 2²⁰.
 func Check(env Env, p Protocol) error {
 	_, err := check(env, p)
 	return err
@@ -203,6 +206,9 @@ func check(e Env, p Protocol) (*scenario, error) {
 	}
 	if e.Links != nil && e.Delay != nil && e.Delta == 0 {
 		return nil, fmt.Errorf("%w: both Links and Delay are set; declare Delta to state which mean parameterises the protocol defaults (Links wins at run time)", ErrEnvAmbiguousDelay)
+	}
+	if e.MaxRounds < 0 {
+		return nil, fmt.Errorf("%w: %d must not be negative (0 selects the protocol's default)", ErrEnvMaxRounds, e.MaxRounds)
 	}
 	if !sim.ValidScheduler(e.Scheduler) {
 		return nil, fmt.Errorf("%w: %q (valid: %v, or empty for the default)", ErrEnvScheduler, e.Scheduler, sim.SchedulerNames())
@@ -236,7 +242,7 @@ func check(e Env, p Protocol) (*scenario, error) {
 			if ev.Kind != faults.KindLinkDown && ev.Kind != faults.KindLinkUp {
 				continue
 			}
-			if !s.graph().HasEdge(ev.From, ev.To) {
+			if !s.shape().HasEdge(ev.From, ev.To) {
 				return nil, fmt.Errorf("%w: event %d (%s at t=%g): edge %d->%d is not in the topology",
 					ErrEnvFaults, i, ev.Kind, ev.At, ev.From, ev.To)
 			}
@@ -255,7 +261,8 @@ func check(e Env, p Protocol) (*scenario, error) {
 
 // scenario is an environment being checked for one protocol: its size, and
 // its graph — the env's own (given), or the member of the protocol's bare
-// family, built the first time a rule reads it and kept for the run.
+// family, which the rules read through the family's Shape and only Run
+// builds.
 type scenario struct {
 	env   Env
 	n     int
@@ -267,6 +274,15 @@ type scenario struct {
 func (s *scenario) graph() *topology.Graph {
 	if s.env.Graph == nil {
 		s.env.Graph = s.bare.Build(s.n)
+	}
+	return s.env.Graph
+}
+
+// shape returns what a structural rule reads of the scenario's graph: the
+// graph, or the bare family's answer for the size, which builds nothing.
+func (s *scenario) shape() topology.Shape {
+	if s.env.Graph == nil {
+		return s.bare.Shape(s.n)
 	}
 	return s.env.Graph
 }

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -190,5 +191,16 @@ func TestClockSyncHonoursMaxRounds(t *testing.T) {
 	}
 	if rep.Rounds != 7 {
 		t.Fatalf("rounds = %d, want the MaxRounds cap 7", rep.Rounds)
+	}
+}
+
+// TestNegativeMaxRoundsIsRefused: a negative round budget is refused with
+// ErrEnvMaxRounds by every registered protocol, the ones that read no round
+// budget included.
+func TestNegativeMaxRoundsIsRefused(t *testing.T) {
+	for _, name := range Protocols() {
+		if err := Check(Env{N: 8, MaxRounds: -1}, registry[name]); !errors.Is(err, ErrEnvMaxRounds) {
+			t.Errorf("%s: Check = %v, want ErrEnvMaxRounds", name, err)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"abenet/internal/runner"
 	"abenet/internal/sim"
@@ -23,9 +24,15 @@ var refusedDocs = []struct{ name, doc, want string }{
 	{"ben-or/Coin", `{"version":1,"env":{"n":8},"protocol":{"name":"ben-or","options":{"Coin":"bogus"}}}`,
 		`runner: unknown ben-or Coin "bogus"`},
 	{"ben-or/max_rounds", `{"version":1,"env":{"n":8,"max_rounds":-1},"protocol":{"name":"ben-or"}}`,
-		"consensus: MaxRounds = -1 must be positive"},
+		"runner: invalid MaxRounds: -1 must not be negative"},
 	{"synchronized-election/max_rounds", `{"version":1,"env":{"n":8,"max_rounds":-1},"protocol":{"name":"synchronized-election"}}`,
-		"synchronizer: round budget -1 must not be negative"},
+		"runner: invalid MaxRounds: -1 must not be negative"},
+	{"clock-sync/max_rounds", `{"version":1,"env":{"n":8,"max_rounds":-1},"protocol":{"name":"clock-sync"}}`,
+		"runner: invalid MaxRounds: -1 must not be negative"},
+	{"election/max_rounds", `{"version":1,"env":{"n":8,"max_rounds":-1},"protocol":{"name":"election"}}`,
+		"runner: invalid MaxRounds: -1 must not be negative"},
+	{"chang-roberts/max_rounds", `{"version":1,"env":{"n":8,"max_rounds":-1},"protocol":{"name":"chang-roberts"}}`,
+		"runner: invalid MaxRounds: -1 must not be negative"},
 	{"synchronized-election/Kind-alpha-one-way", `{"version":1,"env":{"n":6},"protocol":{"name":"synchronized-election","options":{"Kind":2}}}`,
 		"synchronizer: alpha needs a bidirectional graph"},
 	{"synchronized-election/Kind", `{"version":1,"env":{"n":8},"protocol":{"name":"synchronized-election","options":{"Kind":9}}}`,
@@ -128,5 +135,45 @@ func mustRun(t *testing.T, s *Spec) {
 	}
 	if _, err := runner.Run(env, p); err != nil && !errors.Is(err, sim.ErrMaxEvents) && !errors.Is(err, synchronizer.ErrRoundBudget) {
 		t.Fatalf("a decoded spec fails to run: %v", err)
+	}
+}
+
+// TestSweepDecodeIsBounded decodes sweeps of 256 sizes near MaxSweepSize
+// whose rules read the graph: the synchronizer's strongly-connected and
+// bidirectional rules, and a link event. The rules ask the bare family, not
+// a built graph, so a decode is 256 constant-time checks, not 256 graphs of
+// a million nodes: a served sweep cannot hold a submit for minutes.
+func TestSweepDecodeIsBounded(t *testing.T) {
+	xs := make([]string, 256)
+	for i := range xs {
+		xs[i] = fmt.Sprint(MaxSweepSize - i)
+	}
+	sweep := `"sweep":{"xs":[` + strings.Join(xs, ",") + `]}`
+	for _, tc := range []struct{ name, doc, want string }{
+		{"synchronized-election", `{"version":1,"protocol":{"name":"synchronized-election"},` + sweep + `}`, ""},
+		{"synchronized-election/alpha", `{"version":1,"protocol":{"name":"synchronized-election","options":{"Kind":2}},` + sweep + `}`,
+			"synchronizer: alpha needs a bidirectional graph, missing 1->0"},
+		{"election/link-down", `{"version":1,"env":{"faults":{"events":[{"kind":"link-down","at":1,"from":0,"to":1}]}},"protocol":{"name":"election"},` + sweep + `}`, ""},
+		{"election/link-down-reversed", `{"version":1,"env":{"faults":{"events":[{"kind":"link-down","at":1,"from":1,"to":0}]}},"protocol":{"name":"election"},` + sweep + `}`,
+			"edge 1->0 is not in the topology"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			done := make(chan error, 1)
+			go func() {
+				_, err := DecodeBytes([]byte(tc.doc))
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if tc.want == "" && err != nil {
+					t.Fatal(err)
+				}
+				if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+					t.Fatalf("DecodeBytes = %v, want an error containing %q", err, tc.want)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("DecodeBytes still checking a 256-size sweep after 1 s")
+			}
+		})
 	}
 }

@@ -241,7 +241,7 @@ func New(g *topology.Graph, opts Options) (*Synchronizer, error) {
 // g strongly connected and — for every kind but Round — bidirectional;
 // KindClock takes any graph and a Period, and reads nothing of g, which may
 // then be nil.
-func (o Options) Validate(g *topology.Graph) error {
+func (o Options) Validate(g topology.Shape) error {
 	if o.MaxRounds < 0 {
 		return fmt.Errorf("synchronizer: round budget %d must not be negative", o.MaxRounds)
 	}
@@ -261,11 +261,8 @@ func (o Options) Validate(g *topology.Graph) error {
 	if o.Kind == KindRound {
 		return nil
 	}
-	adj := g.CSR()
-	for e, v := range adj.Head {
-		if u := adj.Tail(e); !g.HasEdge(int(v), u) {
-			return fmt.Errorf("synchronizer: %v needs a bidirectional graph, missing %d->%d", o.Kind, v, u)
-		}
+	if u, v, ok := g.OneWayEdge(); ok {
+		return fmt.Errorf("synchronizer: %v needs a bidirectional graph, missing %d->%d", o.Kind, v, u)
 	}
 	return nil
 }

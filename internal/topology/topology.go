@@ -255,18 +255,58 @@ func Ring(n int) *Graph {
 
 // Family is a graph family named by its node count: Edges counts the n-node
 // member's directed edges in floating point, so that no n overflows it and a
-// budget can refuse the member before Build builds it.
+// budget can refuse the member before Build builds it. Shape answers a
+// structural rule about the n-node member in constant time, without building
+// it; the families a bare size names (RingFamily, CompleteFamily) have one.
 type Family struct {
 	Name  string
 	Edges func(n float64) float64
 	Build func(n int) *Graph
+	Shape func(n int) Shape
 }
 
 // RingFamily and CompleteFamily are the families a bare size names.
 var (
-	RingFamily     = Family{"ring", func(n float64) float64 { return n }, Ring}
-	CompleteFamily = Family{"complete", func(n float64) float64 { return n * (n - 1) }, Complete}
+	RingFamily     = Family{"ring", func(n float64) float64 { return n }, Ring, func(n int) Shape { return ringShape(n) }}
+	CompleteFamily = Family{"complete", func(n float64) float64 { return n * (n - 1) }, Complete, func(n int) Shape { return completeShape(n) }}
 )
+
+// Shape is what a structural rule reads of a graph. A *Graph answers from
+// its arrays; a family's Shape answers for a member from the family's form.
+type Shape interface {
+	HasEdge(u, v int) bool
+	IsStronglyConnected() bool
+	// OneWayEdge returns the first edge u->v, in CSR order, whose reverse
+	// v->u is not an edge, or ok false when every edge has its reverse.
+	OneWayEdge() (u, v int, ok bool)
+}
+
+// ringShape is Ring(n): node i's one edge goes to i+1 mod n, so at n = 2 the
+// two edges are each other's reverse and above it edge 0->1 has none.
+type ringShape int
+
+func (r ringShape) HasEdge(u, v int) bool {
+	checkNode(u, int(r))
+	checkNode(v, int(r))
+	return v == (u+1)%int(r)
+}
+
+func (ringShape) IsStronglyConnected() bool { return true }
+
+func (r ringShape) OneWayEdge() (u, v int, ok bool) { return 0, 1, r > 2 }
+
+// completeShape is Complete(n): every ordered pair of distinct nodes.
+type completeShape int
+
+func (c completeShape) HasEdge(u, v int) bool {
+	checkNode(u, int(c))
+	checkNode(v, int(c))
+	return u != v
+}
+
+func (completeShape) IsStronglyConnected() bool { return true }
+
+func (completeShape) OneWayEdge() (u, v int, ok bool) { return 0, 0, false }
 
 // BiRing returns the bidirectional ring on n >= 3 nodes (at n = 2 the
 // closing edge would be the first edge again).
@@ -578,6 +618,16 @@ func (g *Graph) BFSTree(root int) (parent, depth []int) {
 		}
 	}
 	return parent, depth
+}
+
+// OneWayEdge implements Shape.
+func (g *Graph) OneWayEdge() (u, v int, ok bool) {
+	for e, w := range g.adj.Head {
+		if t := g.adj.Tail(e); !g.HasEdge(int(w), t) {
+			return t, int(w), true
+		}
+	}
+	return 0, 0, false
 }
 
 // IsStronglyConnected reports whether every node can reach every other node

@@ -788,3 +788,28 @@ func TestGeneratorsAreLinearInEdges(t *testing.T) {
 		t.Fatalf("Star(%d) built in %v, Ring(%d) in %v: more than 100 times as long for twice the edges", n, star, n, ring)
 	}
 }
+
+// TestFamilyShapeMatchesBuild: a family's Shape answers every structural
+// question about a member as the built member does.
+func TestFamilyShapeMatchesBuild(t *testing.T) {
+	for _, f := range []Family{RingFamily, CompleteFamily} {
+		for n := 2; n <= 9; n++ {
+			shape, g := f.Shape(n), f.Build(n)
+			if shape.IsStronglyConnected() != g.IsStronglyConnected() {
+				t.Fatalf("%s(%d): strongly connected %v, graph says %v", f.Name, n, shape.IsStronglyConnected(), g.IsStronglyConnected())
+			}
+			for u := range n {
+				for v := range n {
+					if shape.HasEdge(u, v) != g.HasEdge(u, v) {
+						t.Fatalf("%s(%d): HasEdge(%d, %d) = %v, graph says %v", f.Name, n, u, v, shape.HasEdge(u, v), g.HasEdge(u, v))
+					}
+				}
+			}
+			su, sv, sok := shape.OneWayEdge()
+			gu, gv, gok := g.OneWayEdge()
+			if sok != gok || sok && (su != gu || sv != gv) {
+				t.Fatalf("%s(%d): OneWayEdge = %d->%d %v, graph says %d->%d %v", f.Name, n, su, sv, sok, gu, gv, gok)
+			}
+		}
+	}
+}

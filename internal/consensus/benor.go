@@ -152,7 +152,8 @@ type Result struct {
 }
 
 // Engine is the engine-level state of one consensus instance: the initial
-// assignment, the honest set, the decision record and the boxed votes.
+// assignment, the honest set, the decision record, the common coin's bits and
+// the boxed votes.
 // Decisions are recorded here rather than on the nodes so they survive churn
 // restarts and network teardown. A vote — one (round, phase, value) — is
 // boxed as a payload once, the first time any node broadcasts it, and every
@@ -167,7 +168,11 @@ type Engine struct {
 	n         int
 	maxRounds int32
 	initial   []int8
-	coinSeed  uint64
+	// coinRounds is the common coin's stream family, one stream per round;
+	// coins[r-1] is round r's bit, notReceived until a node first flips in
+	// r, in a table grown as rounds open.
+	coinRounds rng.Indexed
+	coins      []int8
 
 	honest      []bool
 	honestCount int
@@ -234,7 +239,7 @@ func New(cfg Config, graph *topology.Graph, seed uint64, adversaries *byzantine.
 		n:              n,
 		maxRounds:      int32(maxRounds),
 		initial:        initialValues(cfg.Init, n, setup.Derive("consensus/init")),
-		coinSeed:       setup.Derive("consensus/coin").Uint64(),
+		coinRounds:     rng.New(setup.Derive("consensus/coin").Uint64()).Indexed("round"),
 		honest:         make([]bool, n),
 		decisions:      make([]int8, n),
 		decisionRounds: make([]int32, n),
@@ -262,7 +267,6 @@ func (e *Engine) MakeNode(i int) network.Node {
 		id: i, n: e.n, f: e.cfg.F,
 		est:       e.initial[i],
 		coin:      e.cfg.Coin,
-		coinSeed:  e.coinSeed,
 		maxRounds: e.maxRounds,
 		eng:       e,
 	}
@@ -455,7 +459,6 @@ type node struct {
 	decision  int8
 	halted    bool
 	coin      Coin
-	coinSeed  uint64
 	coinFlips int
 	ignored   int
 	maxRounds int32
@@ -625,9 +628,23 @@ func (nd *node) decide(v int8) {
 func (nd *node) coinFlip(ctx *network.Context) int8 {
 	nd.coinFlips++
 	if nd.coin == CoinCommon {
-		return int8(rng.New(nd.coinSeed).DeriveIndexed("round", int(nd.round)).Uint64() & 1)
+		return nd.eng.commonCoin(nd.round)
 	}
 	return int8(ctx.Rand().Intn(2))
+}
+
+// commonCoin returns round r's common-coin bit, derived from the round's
+// stream the first time any node flips in r.
+func (e *Engine) commonCoin(r int32) int8 {
+	for int(r) > len(e.coins) {
+		e.coins = append(e.coins, notReceived)
+	}
+	c := &e.coins[r-1]
+	if *c == notReceived {
+		s := e.coinRounds.At(int(r))
+		*c = int8(s.Uint64() & 1)
+	}
+	return *c
 }
 
 // tally counts the 0s and 1s in a round table (Unknown and empty slots

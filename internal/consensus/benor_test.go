@@ -170,3 +170,40 @@ func TestVotesAreBoxedOnce(t *testing.T) {
 		t.Fatalf("asking for boxed votes again allocates %g objects", allocs)
 	}
 }
+
+// TestCommonCoinIsDerivedOnce: round r's common-coin bit is the coin
+// stream's derivation for r, the same at every node, and a flip once the
+// round's bit is known allocates nothing — the engine derives it once per
+// round for every node and incarnation, not once per flip.
+func TestCommonCoinIsDerivedOnce(t *testing.T) {
+	const seed, n, rounds = 11, 4, 40
+	e, err := New(Config{Coin: CoinCommon, MaxRounds: rounds}, topology.Complete(n), seed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := make([]*node, n)
+	for i := range nodes {
+		nodes[i] = e.MakeNode(i).(*node)
+	}
+	coins := rng.New(rng.New(seed).Derive("consensus/coin").Uint64())
+	for r := int32(1); r <= rounds; r++ {
+		want := int8(coins.DeriveIndexed("round", int(r)).Uint64() & 1)
+		for _, nd := range nodes {
+			nd.round = r
+			if got := nd.coinFlip(nil); got != want {
+				t.Fatalf("node %d's coin in round %d = %d, want %d", nd.id, r, got, want)
+			}
+		}
+	}
+	flips := testing.AllocsPerRun(5, func() {
+		for r := int32(1); r <= rounds; r++ {
+			for _, nd := range nodes {
+				nd.round = r
+				nd.coinFlip(nil)
+			}
+		}
+	})
+	if flips != 0 {
+		t.Errorf("%d flips over %d rounds allocate %.0f objects, want none", n*rounds, rounds, flips)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"weak"
 
 	"abenet/internal/harness"
 	"abenet/internal/runner"
@@ -55,7 +56,11 @@ func checkEdges(edges float64) error {
 // BuildEnv constructs the runner.Env the spec describes. The returned
 // environment is not yet checked against the protocol — runner.Check does
 // that — but every component is constructed, so component-level errors
-// (unknown names, invalid parameters) surface here.
+// (unknown names, invalid parameters) surface here. The graph is the one
+// Validate built for the same Env.Topology while anything still holds it:
+// a graph is a pure function of its parameters and nothing changes it, so
+// a decoded spec's run reuses the graph its check was made on, and its
+// cached RingEmbedding. Otherwise it is built again.
 func (s *Spec) BuildEnv() (runner.Env, error) {
 	var env runner.Env
 	e := s.Env
@@ -63,11 +68,16 @@ func (s *Spec) BuildEnv() (runner.Env, error) {
 		if e.N != 0 {
 			return runner.Env{}, errors.New(`spec: env sets both "topology" and "n"; the size lives in the topology params`)
 		}
-		g, err := e.Topology.Build()
-		if err != nil {
-			return runner.Env{}, err
+		if s.topology == e.Topology {
+			env.Graph = s.graph.Value()
 		}
-		env.Graph = g
+		if env.Graph == nil {
+			g, err := e.Topology.Build()
+			if err != nil {
+				return runner.Env{}, err
+			}
+			env.Graph = g
+		}
 	} else {
 		env.N = e.N
 	}
@@ -157,7 +167,9 @@ func (s *Spec) Build() (runner.Env, runner.Protocol, error) {
 // network a bare size names to the protocol is held to the edge budget. So
 // a decoded spec is always runnable: runner.Run refuses nothing that
 // Validate admits. DecodeBytes calls it; success is latched, so later
-// Run/RunSweep/Submit calls do not re-pay it.
+// Run/RunSweep/Submit calls do not re-pay it, and the graph it built is
+// kept weakly for BuildEnv (see there), so decoding and building a spec
+// builds its graph once.
 func (s *Spec) Validate() error {
 	if s.validated {
 		return nil
@@ -176,6 +188,9 @@ func (s *Spec) validate() error {
 	env, err := s.BuildEnv()
 	if err != nil {
 		return err
+	}
+	if env.Graph != nil {
+		s.graph, s.topology = weak.Make(env.Graph), s.Env.Topology
 	}
 	sw := s.Sweep
 	if sw == nil {

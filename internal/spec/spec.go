@@ -29,9 +29,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"weak"
 
 	"abenet/internal/probe"
 	"abenet/internal/runner"
+	"abenet/internal/topology"
 	"abenet/internal/trace"
 )
 
@@ -60,6 +62,13 @@ type Spec struct {
 	// the seed does not affect validity); hand-built specs validate on
 	// first use.
 	validated bool
+	// graph is the graph Validate's BuildEnv built for topology, the
+	// Env.Topology it validated, held weakly so that BuildEnv hands the run
+	// the graph the check was made on while anything still holds it, and a
+	// spec kept in a cache keeps no graph alive. Only validation writes
+	// them; copies of the spec share them.
+	graph    weak.Pointer[topology.Graph]
+	topology *TopologySpec
 }
 
 // EnvSpec is the JSON shape of runner.Env. Omitted fields select the same

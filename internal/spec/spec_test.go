@@ -9,13 +9,17 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"abenet/internal/allocbudget"
 	"abenet/internal/dist"
 	"abenet/internal/harness"
 	"abenet/internal/runner"
+	"abenet/internal/topology"
 )
 
 const fixtureDir = "../../examples/specs"
@@ -486,5 +490,89 @@ func TestDecodeFileMissing(t *testing.T) {
 	}
 	if _, err := os.Stat(fixtureDir); err != nil {
 		t.Fatalf("fixture dir missing: %v", err)
+	}
+}
+
+// TestDecodedSpecBuildsItsGraphOnce: DecodeBytes builds the graph to check
+// the scenario, and Build hands the run that graph instead of building it
+// again, while anything holds it; the spec itself keeps no graph alive.
+func TestDecodedSpecBuildsItsGraphOnce(t *testing.T) {
+	doc := []byte(`{"version":1,"env":{"topology":{"name":"complete","params":{"n":64}},"max_rounds":5},"protocol":{"name":"ben-or"}}`)
+	decodeAndBuild := func() {
+		sp, err := DecodeBytes(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, _, err := sp.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(env)
+	}
+	decodeAndBuild() // warm the codec's caches
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	graph, _ := allocbudget.Run(func() { runtime.KeepAlive(topology.Complete(64)) })
+	both, _ := allocbudget.Run(decodeAndBuild)
+	t.Logf("DecodeBytes + Build: %d B; one Complete(64): %d B", both, graph)
+	if both >= 2*graph {
+		t.Errorf("DecodeBytes + Build allocates %d B, two graphs of %d B or more", both, graph)
+	}
+	debug.SetGCPercent(100)
+
+	sp, err := DecodeBytes(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, _, err := sp.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, _, err := sp.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := *sp
+	cp.Env.Seed = 9
+	copied, _, err := cp.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Graph != held.Graph || copied.Graph != held.Graph {
+		t.Fatalf("Build returned graphs %p, %p and %p (copy), want one", held.Graph, again.Graph, copied.Graph)
+	}
+	var wg sync.WaitGroup
+	for i := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := *sp
+			c.Env.Seed = uint64(i)
+			env, _, err := c.Build()
+			if err != nil {
+				t.Error(err)
+			} else if env.Graph != held.Graph {
+				t.Errorf("a concurrent Build of a copy built its own graph")
+			}
+		}()
+	}
+	wg.Wait()
+
+	// A topology set after validation is built, not answered with the
+	// graph validated for the one it replaced.
+	other := *sp
+	other.Env.Topology = CompleteTopology(8)
+	if env, _, err := other.Build(); err != nil || env.Graph.N() != 8 {
+		t.Fatalf("Build after a new topology: %v, %v", env.Graph, err)
+	}
+
+	runtime.KeepAlive(held)
+	held, again, copied = runner.Env{}, runner.Env{}, runner.Env{}
+	runtime.GC()
+	if g := sp.graph.Value(); g != nil {
+		t.Fatalf("the spec keeps its %d-node graph alive once no env holds it", g.N())
+	}
+	env, _, err := sp.Build()
+	if err != nil || env.Graph.N() != 64 {
+		t.Fatalf("Build once the graph is collected: %v, %v", env.Graph, err)
 	}
 }

@@ -76,56 +76,54 @@ func checkSize(n int) {
 	}
 }
 
-// build lays out the graph whose edges, in insertion order, are
-// from[i]->to[i]: a counting sort by tail for the out-edges and by head for
-// the in-edges, stable, so ports keep insertion order. It performs no
-// checks: the generators' loops produce neither self-loops nor duplicates,
-// FromEdges checks its list first, and Validate remains the backstop. Where
-// every node's in-degree equals its out-degree — every bidirectional family
-// — the two offset arrays are one.
-func build(n int, from, to []int32) *Graph {
+// build lays out the n-node graph whose edges, in insertion order, are the
+// ones edges adds, straight into its CSR: it runs edges twice, to count each
+// node's degrees and to file every edge at its nodes' cursors (a stable
+// counting sort, so ports keep insertion order), and holds no edge list. It
+// performs no checks: the generators' loops produce neither self-loops nor
+// duplicates, FromEdges checks its list first, and Validate remains the
+// backstop. Where every node's in-degree equals its out-degree — every
+// bidirectional family — the two offset arrays are one.
+func build(n int, edges func(*layout)) *Graph {
 	checkSize(n)
-	m := len(from)
-	if m > math.MaxInt32 {
-		panic(fmt.Sprintf("topology: %d edges exceed the 32-bit edge numbering", m))
+	g := &Graph{n: n, adj: CSR{OutStart: make([]int32, n+1), InStart: make([]int32, n+1)}}
+	a := &g.adj
+	edges((*layout)(a))
+	m, in := 0, int32(0)
+	for u := range n { // slot u+1 turns from u's degree to u's first entry
+		out, deg := a.OutStart[u+1], a.InStart[u+1]
+		a.OutStart[u+1], a.InStart[u+1] = int32(m), in
+		if m, in = m+int(out), in+deg; m > math.MaxInt32 {
+			panic(fmt.Sprintf("topology: %d edges exceed the 32-bit edge numbering", m))
+		}
 	}
-	outStart, inStart := make([]int32, n+1), make([]int32, n+1)
-	for i := range m {
-		outStart[from[i]+1]++
-		inStart[to[i]+1]++
+	a.Head, a.InPort, a.InFrom = make([]int32, m), make([]int32, m), make([]int32, m)
+	edges((*layout)(a))
+	for e, v := range a.Head {
+		a.InPort[e] -= a.InStart[v] // the fill stored the in-slot
 	}
-	for u := range n {
-		outStart[u+1] += outStart[u]
-		inStart[u+1] += inStart[u]
+	if slices.Equal(a.OutStart, a.InStart) {
+		a.InStart = a.OutStart
 	}
-	head, inPort, inFrom := make([]int32, m), make([]int32, m), make([]int32, m)
-	outNext, inNext := make([]int32, n), make([]int32, n)
-	for i := range m {
-		u, v := from[i], to[i]
-		e, q := outStart[u]+outNext[u], inNext[v]
-		outNext[u]++
-		inNext[v]++
-		head[e], inPort[e] = v, q
-		inFrom[inStart[v]+q] = u
-	}
-	if slices.Equal(outStart, inStart) {
-		inStart = outStart
-	}
-	return &Graph{n: n, adj: CSR{OutStart: outStart, Head: head, InPort: inPort, InStart: inStart, InFrom: inFrom}}
+	return g
 }
 
-// edgeList collects a generator's edges in insertion order for build.
-type edgeList struct{ from, to []int32 }
+// layout is the CSR a generator adds its edges to. Slot u+1 of each offset
+// array is u's cursor: in build's first pass it counts u's edges, in the
+// second it walks from u's first entry to u+1's, filing them.
+type layout CSR
 
-func newEdgeList(edges int) *edgeList {
-	return &edgeList{from: make([]int32, 0, edges), to: make([]int32, 0, edges)}
+// add adds the edge u->v.
+func (l *layout) add(u, v int) {
+	e, s := l.OutStart[u+1], l.InStart[v+1]
+	l.OutStart[u+1], l.InStart[v+1] = e+1, s+1
+	if l.Head != nil {
+		l.Head[e], l.InPort[e], l.InFrom[s] = int32(v), s, int32(u)
+	}
 }
 
-// addBi appends u->v and v->u.
-func (l *edgeList) addBi(u, v int) {
-	l.from = append(l.from, int32(u), int32(v))
-	l.to = append(l.to, int32(v), int32(u))
-}
+// bi adds u->v and v->u.
+func (l *layout) bi(u, v int) { l.add(u, v); l.add(v, u) }
 
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
@@ -141,9 +139,8 @@ func (g *Graph) CSR() CSR { return g.adj }
 // each usually indicates a construction bug.
 func FromEdges(n int, edges []Edge) *Graph {
 	checkSize(n)
-	from, to := make([]int32, len(edges)), make([]int32, len(edges))
 	seen := make(map[Edge]bool, len(edges))
-	for i, e := range edges {
+	for _, e := range edges {
 		checkNode(e.From, n)
 		checkNode(e.To, n)
 		if e.From == e.To {
@@ -153,9 +150,12 @@ func FromEdges(n int, edges []Edge) *Graph {
 			panic(fmt.Sprintf("topology: duplicate edge %d->%d", e.From, e.To))
 		}
 		seen[e] = true
-		from[i], to[i] = int32(e.From), int32(e.To)
 	}
-	return build(n, from, to)
+	return build(n, func(l *layout) {
+		for _, e := range edges {
+			l.add(e.From, e.To)
+		}
+	})
 }
 
 // out returns u's out-neighbours as a view of the adjacency.
@@ -314,40 +314,40 @@ func BiRing(n int) *Graph {
 	if n < 3 {
 		panic(fmt.Sprintf("topology: bidirectional ring needs n >= 3, got %d", n))
 	}
-	l := newEdgeList(2 * n)
-	for i := 0; i < n; i++ {
-		l.addBi(i, (i+1)%n)
-	}
-	return build(n, l.from, l.to)
+	return build(n, func(l *layout) {
+		for i := 0; i < n; i++ {
+			l.bi(i, (i+1)%n)
+		}
+	})
 }
 
 // Line returns the bidirectional path 0-1-...-(n-1).
 func Line(n int) *Graph {
-	l := newEdgeList(2 * max(n-1, 0))
-	for i := 0; i+1 < n; i++ {
-		l.addBi(i, i+1)
-	}
-	return build(n, l.from, l.to)
+	return build(n, func(l *layout) {
+		for i := 0; i+1 < n; i++ {
+			l.bi(i, i+1)
+		}
+	})
 }
 
 // Star returns the bidirectional star with centre 0 and n-1 leaves.
 func Star(n int) *Graph {
-	l := newEdgeList(2 * max(n-1, 0))
-	for i := 1; i < n; i++ {
-		l.addBi(0, i)
-	}
-	return build(n, l.from, l.to)
+	return build(n, func(l *layout) {
+		for i := 1; i < n; i++ {
+			l.bi(0, i)
+		}
+	})
 }
 
 // Complete returns the complete bidirectional graph on n nodes.
 func Complete(n int) *Graph {
-	l := newEdgeList(max(n*(n-1), 0))
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			l.addBi(u, v)
+	return build(n, func(l *layout) {
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				l.bi(u, v)
+			}
 		}
-	}
-	return build(n, l.from, l.to)
+	})
 }
 
 // Torus returns the rows x cols bidirectional torus grid. Both dimensions
@@ -356,16 +356,15 @@ func Torus(rows, cols int) *Graph {
 	if rows < 3 || cols < 3 {
 		panic(fmt.Sprintf("topology: torus needs both dimensions >= 3, got %dx%d", rows, cols))
 	}
-	n := rows * cols
-	l := newEdgeList(4 * n)
-	id := func(r, c int) int { return r*cols + c }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			l.addBi(id(r, c), id(r, (c+1)%cols))
-			l.addBi(id(r, c), id((r+1)%rows, c))
+	return build(rows*cols, func(l *layout) {
+		for r := 0; r < rows; r++ {
+			for c := 0; c < cols; c++ {
+				u := r*cols + c
+				l.bi(u, r*cols+(c+1)%cols)
+				l.bi(u, ((r+1)%rows)*cols+c)
+			}
 		}
-	}
-	return build(n, l.from, l.to)
+	})
 }
 
 // Hypercube returns the bidirectional hypercube of the given dimension
@@ -375,16 +374,15 @@ func Hypercube(dim int) *Graph {
 		panic(fmt.Sprintf("topology: hypercube dimension %d outside [0, 20]", dim))
 	}
 	n := 1 << uint(dim)
-	l := newEdgeList(n * dim)
-	for u := 0; u < n; u++ {
-		for b := 0; b < dim; b++ {
-			v := u ^ (1 << uint(b))
-			if u < v {
-				l.addBi(u, v)
+	return build(n, func(l *layout) {
+		for u := 0; u < n; u++ {
+			for b := 0; b < dim; b++ {
+				if v := u ^ (1 << uint(b)); u < v {
+					l.bi(u, v)
+				}
 			}
 		}
-	}
-	return build(n, l.from, l.to)
+	})
 }
 
 // HamiltonianCycle returns an ordering of all n nodes, starting at node 0,
@@ -573,24 +571,26 @@ func RandomConnected(n int, extraEdgeProb float64, r *rng.Source) *Graph {
 	// exactly when one is the other's parent, and by nothing else while the
 	// pairs are visited below, each once.
 	checkSize(n)
-	l := newEdgeList(2 * (n - 1))
+	start := *r // both of build's passes draw from here; r ends as one leaves it
 	parent := make([]int, n)
-	order := r.Perm(n)
-	parent[order[0]] = -1
-	for i := 1; i < n; i++ {
-		u := order[i]
-		v := order[r.Intn(i)]
-		parent[u] = v
-		l.addBi(u, v)
-	}
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if parent[u] != v && parent[v] != u && r.Bool(extraEdgeProb) {
-				l.addBi(u, v)
+	return build(n, func(l *layout) {
+		*r = start
+		order := r.Perm(n)
+		parent[order[0]] = -1
+		for i := 1; i < n; i++ {
+			u := order[i]
+			v := order[r.Intn(i)]
+			parent[u] = v
+			l.bi(u, v)
+		}
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if parent[u] != v && parent[v] != u && r.Bool(extraEdgeProb) {
+					l.bi(u, v)
+				}
 			}
 		}
-	}
-	return build(n, l.from, l.to)
+	})
 }
 
 // BFSTree computes a breadth-first spanning tree of the graph from root,

@@ -4,13 +4,16 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"abenet/internal/allocbudget"
+	"abenet/internal/golden"
 	"abenet/internal/rng"
 )
 
@@ -810,6 +813,79 @@ func TestFamilyShapeMatchesBuild(t *testing.T) {
 			if sok != gok || sok && (su != gu || sv != gv) {
 				t.Fatalf("%s(%d): OneWayEdge = %d->%d %v, graph says %d->%d %v", f.Name, n, su, sv, sok, gu, gv, gok)
 			}
+		}
+	}
+}
+
+// TestCSRGolden pins every generator's arrays at a few sizes, FromEdges on a
+// hand list, and RandomConnected at two seeds together with where it leaves
+// the caller's stream (the stream's next Uint64 after the call), so a change
+// to how a graph is laid out must reproduce every port as it was recorded.
+func TestCSRGolden(t *testing.T) {
+	var b strings.Builder
+	pin := func(name string, g *Graph) {
+		a := g.CSR()
+		fmt.Fprintf(&b, "%s n=%d\n", name, g.N())
+		for _, row := range []struct {
+			name string
+			s    []int32
+		}{{"OutStart", a.OutStart}, {"Head", a.Head}, {"InPort", a.InPort}, {"InStart", a.InStart}, {"InFrom", a.InFrom}} {
+			fmt.Fprintf(&b, "  %-8s %v\n", row.name, row.s)
+		}
+	}
+	for _, n := range []int{3, 5, 8} {
+		pin(fmt.Sprintf("BiRing(%d)", n), BiRing(n))
+	}
+	for _, n := range []int{1, 2, 6} {
+		pin(fmt.Sprintf("Line(%d)", n), Line(n))
+	}
+	for _, n := range []int{2, 5, 7} {
+		pin(fmt.Sprintf("Star(%d)", n), Star(n))
+	}
+	for _, n := range []int{2, 4, 7} {
+		pin(fmt.Sprintf("Complete(%d)", n), Complete(n))
+	}
+	for _, d := range [][2]int{{3, 3}, {3, 4}, {4, 5}} {
+		pin(fmt.Sprintf("Torus(%d, %d)", d[0], d[1]), Torus(d[0], d[1]))
+	}
+	for _, dim := range []int{0, 2, 3} {
+		pin(fmt.Sprintf("Hypercube(%d)", dim), Hypercube(dim))
+	}
+	pin("FromEdges(5, hand list)", FromEdges(5, []Edge{{3, 1}, {0, 4}, {1, 3}, {4, 2}, {0, 1}, {2, 0}, {1, 4}, {3, 0}}))
+	pin("FromEdges(3, none)", FromEdges(3, nil))
+	for _, seed := range []uint64{1, 7} {
+		r := rng.New(seed)
+		pin(fmt.Sprintf("RandomConnected(12, 0.3, seed %d)", seed), RandomConnected(12, 0.3, r))
+		fmt.Fprintf(&b, "  stream then reads %d\n", r.Uint64())
+	}
+	golden.Check(t, "topology_csr.golden", b.String())
+}
+
+// TestGeneratorAllocationBudget: a generator lays its edges straight into
+// the CSR, so building Complete(64) or Torus(8, 8) allocates the graph and
+// its five arrays — two offset arrays of n+1 and three edge arrays of m
+// int32s — and nothing else: no edge list, no per-node cursors.
+func TestGeneratorAllocationBudget(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, c := range []struct {
+		name  string
+		build func() *Graph
+	}{
+		{"Complete(64)", func() *Graph { return Complete(64) }},
+		{"Torus(8, 8)", func() *Graph { return Torus(8, 8) }},
+	} {
+		g := c.build()
+		n, m := g.N(), g.EdgeCount()
+		run := func() { runtime.KeepAlive(c.build()) }
+		bytes, _ := allocbudget.Run(run)
+		objects := testing.AllocsPerRun(20, run) // averaged: a stray runtime object does not count
+		arrays := uint64(4 * (2*(n+1) + 3*m))
+		// Each of the six objects rounds up to its size class, at most an
+		// eighth of its size above 1 kB and 32 B below it.
+		budget := uint64(unsafe.Sizeof(Graph{})) + arrays + arrays/8 + 6*32
+		t.Logf("%s: %d B in %.0f objects; graph %d B, arrays %d B", c.name, bytes, objects, unsafe.Sizeof(Graph{}), arrays)
+		if objects != 6 || bytes > budget {
+			t.Errorf("%s allocates %d B in %.0f objects, want 6 objects and at most %d B (the graph and its arrays)", c.name, bytes, objects, budget)
 		}
 	}
 }

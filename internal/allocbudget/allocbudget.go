@@ -27,10 +27,13 @@ func BytesPerNode(n int, build func(n int) func()) float64 {
 	return float64(bytes) / float64(n)
 }
 
-// Run returns the bytes and the heap objects one call of run allocates.
+// Run returns the bytes and the heap objects one call of run allocates. The
+// collector is off for the call, as in Objects: a collection during it would
+// add what it allocates on the runtime's behalf to the figures.
 func Run(run func()) (bytes, objects uint64) {
 	var before, after runtime.MemStats
 	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runtime.ReadMemStats(&before)
 	run()
 	runtime.ReadMemStats(&after)

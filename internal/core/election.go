@@ -125,11 +125,28 @@ type ElectionNode struct {
 }
 
 // Tally is what a ring's election counted over all of its nodes and every
-// churn incarnation of them.
+// churn incarnation of them, and how many of the ring's current incarnations
+// are in each state but idle: every state change keeps those counts, and
+// ElectionParams.Retire takes a replaced incarnation out of them, so reading
+// how many nodes are active costs O(1), not a pass over the ring.
 type Tally struct {
 	Activations    int // idle→active transitions
 	Knockouts      int // messages purged while active (hop < n)
 	ResidualPurges int // messages purged after becoming leader
+
+	Active, Passive, Leaders int // current incarnations in each state
+}
+
+// add adds d to the count of state s, if the tally keeps one.
+func (t *Tally) add(s State, d int) {
+	switch s {
+	case Active:
+		t.Active += d
+	case Passive:
+		t.Passive += d
+	case Leader:
+		t.Leaders += d
+	}
 }
 
 // NodeExtra is what an election node keeps beyond the paper's algorithm: the
@@ -192,10 +209,10 @@ type ElectionNodeConfig struct {
 // which those nodes count into. A tally belongs to one ring: make one
 // ElectionParams per run.
 type ElectionParams struct {
-	ringSize     int
 	a0           float64
 	tickInterval float64
 	recandidacy  float64 // passive→idle timeout in local clock units; 0 disables
+	ringSize     int32   // below math.MaxInt32, so the hop n+1 fits too
 	stopOnLeader bool
 	constantAct  bool
 	tally        Tally
@@ -234,7 +251,7 @@ func (cfg ElectionNodeConfig) params() (ElectionParams, error) {
 		return ElectionParams{}, fmt.Errorf("core: re-candidacy timeout %g must be non-negative and finite", cfg.RecandidacyTimeout)
 	}
 	return ElectionParams{
-		ringSize:     cfg.RingSize,
+		ringSize:     int32(cfg.RingSize),
 		a0:           cfg.A0,
 		tickInterval: cfg.TickInterval,
 		recandidacy:  cfg.RecandidacyTimeout,
@@ -245,6 +262,11 @@ func (cfg ElectionNodeConfig) params() (ElectionParams, error) {
 
 // Tally returns what p's ring has counted so far.
 func (p *ElectionParams) Tally() Tally { return p.tally }
+
+// Retire takes e, an incarnation of one of p's nodes that a churn restart has
+// replaced, out of the tally's state counts. e keeps its state, for whoever
+// still reads it; it must not run again.
+func (p *ElectionParams) Retire(e *ElectionNode) { p.tally.add(e.state, -1) }
 
 // Node returns a node of p's ring in the initial state (idle, d = 1) that
 // sends on sendPort, by value, for callers that keep a whole ring's nodes in
@@ -384,7 +406,7 @@ func (e *ElectionNode) OnTimer(ctx *network.Context, kind int) {
 			// event each, and the kernel's event budget is unbounded.
 			panic("core: re-candidacy epoch overflows its 32 bits")
 		}
-		e.state = Idle
+		e.become(Idle)
 		e.d = 1
 		x.epoch++
 		x.recandidacies++
@@ -394,7 +416,7 @@ func (e *ElectionNode) OnTimer(ctx *network.Context, kind int) {
 		return
 	}
 	if ctx.Rand().Bool(e.ActivationProbability()) {
-		e.state = Active
+		e.become(Active)
 		p.tally.Activations++
 		if p.recandidacy > 0 {
 			// The candidacy is this node's own activity: give the token a
@@ -431,7 +453,7 @@ func (e *ElectionNode) OnMessage(ctx *network.Context, _ int, payload any) {
 			x.epoch = msg.Epoch
 			e.d = 1
 			if e.state == Active {
-				e.state = Idle
+				e.become(Idle)
 			}
 		}
 		// Current-epoch traffic proves the election is flowing; push the
@@ -439,7 +461,7 @@ func (e *ElectionNode) OnMessage(ctx *network.Context, _ int, payload any) {
 		// runs never touch the local clock here and stay byte-identical.
 		x.lastActivity = ctx.LocalTime()
 	}
-	if msg.Hop < 1 || int(msg.Hop) > p.ringSize {
+	if msg.Hop < 1 || msg.Hop > p.ringSize {
 		// The algorithm guarantees hop ∈ {1..n}; seeing anything else
 		// means the protocol (or this implementation) is broken.
 		e.violate("hop %d outside [1, %d]", msg.Hop, p.ringSize)
@@ -451,19 +473,19 @@ func (e *ElectionNode) OnMessage(ctx *network.Context, _ int, payload any) {
 
 	switch e.state {
 	case Idle:
-		e.state = Passive
+		e.become(Passive)
 		e.relay(ctx)
 	case Passive:
 		e.relay(ctx)
 	case Active:
-		if int(msg.Hop) == p.ringSize {
-			e.state = Leader
+		if msg.Hop == p.ringSize {
+			e.become(Leader)
 			if p.stopOnLeader {
 				ctx.StopNetwork("leader elected")
 			}
 		} else {
 			p.tally.Knockouts++
-			e.state = Idle
+			e.become(Idle)
 		}
 		// The message is purged in both cases: no forward.
 	case Leader:
@@ -476,6 +498,14 @@ func (e *ElectionNode) OnMessage(ctx *network.Context, _ int, payload any) {
 	default:
 		e.violate("impossible state %v", e.state)
 	}
+}
+
+// become moves e to state s and its ring's Tally with it.
+func (e *ElectionNode) become(s State) {
+	t := &e.params.tally
+	t.add(e.state, -1)
+	t.add(s, 1)
+	e.state = s
 }
 
 // relay forwards ⟨d+1⟩ to the successor. d ≤ n < MaxInt32, so d+1 fits.

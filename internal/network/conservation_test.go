@@ -2,12 +2,14 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"abenet/internal/byzantine"
 	"abenet/internal/channel"
 	"abenet/internal/dist"
 	"abenet/internal/faults"
+	"abenet/internal/probe"
 	"abenet/internal/topology"
 )
 
@@ -96,8 +98,10 @@ func TestConservation(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					// A probe sampling after every event checks the
+					// identities there, between two events.
 					var ticks, heldTicks, queuedTicks int
-					net.kernel.SetObserver(func() {
+					c, err := probe.NewCollector(probe.Config{EveryEvents: 1, MaxSamples: math.MaxInt, Sink: func([]string, probe.Sample) {
 						ticks++
 						if net.held > 0 {
 							heldTicks++
@@ -106,9 +110,16 @@ func TestConservation(t *testing.T) {
 							queuedTicks++
 						}
 						checkConservation(t, net)
-					})
+					}}, net)
+					if err != nil {
+						t.Fatal(err)
+					}
+					net.InstallProbe(c)
 					if err := net.Run(60, 0); err != nil {
 						t.Fatal(err)
+					}
+					if ticks == 0 || uint64(ticks) != net.kernel.Executed() {
+						t.Fatalf("checked after %d of %d events", ticks, net.kernel.Executed())
 					}
 					tel := net.FaultTelemetry()
 					if ticks == 0 || heldTicks == 0 || tel.Byzantine.Omissions == 0 || tel.DeadLetters == 0 || tel.LinkDrops == 0 {

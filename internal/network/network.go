@@ -58,6 +58,7 @@ import (
 	"abenet/internal/clock"
 	"abenet/internal/dist"
 	"abenet/internal/faults"
+	"abenet/internal/probe"
 	"abenet/internal/rng"
 	"abenet/internal/sim"
 	"abenet/internal/simtime"
@@ -217,10 +218,10 @@ type Network struct {
 	linkRNG  []rng.Source   // linkRNG[k] = stream of link k
 	store    *channel.Store // every link, and every message in flight on either medium
 	metrics  Metrics
-	procMean float64
 	makeNode func(i int) Node // retained for fault-recovery restarts
 	life     *lifecycle       // nil unless cfg.Faults is set
 	adv      *adversary       // nil unless cfg.Byzantine is set
+	probe    *probe.Collector // nil unless InstallProbe attached one
 
 	// timers[kind] is the kernel handler that fires OnTimer(kind) on the
 	// node given as the event argument; registered on first use (see
@@ -312,7 +313,6 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 	net.queueDone = kernel.Register(net.complete)
 	net.holdOver = kernel.Register(net.release)
 	if cfg.Processing != nil {
-		net.procMean = cfg.Processing.Mean()
 		net.procRNG = make([]rng.Source, n)
 		net.nextFree = make([]simtime.Time, n)
 		procStreams := root.Indexed("proc")
@@ -581,11 +581,38 @@ func (net *Network) Run(horizon simtime.Time, maxEvents uint64) error {
 	if net.life != nil {
 		net.life.install()
 	}
-	err := net.kernel.Run(horizon, maxEvents)
+	err := net.run(horizon, maxEvents)
 	if errors.Is(err, sim.ErrStopped) {
 		return nil
 	}
 	return err
+}
+
+// run drives the kernel to the end of the run: one kernel call without a
+// probe; with one, segments that each pause right after the event at which
+// the collector's next sample falls due, where it samples. Observe records
+// nothing after any other event, so the series is the one a collector called
+// after every event would record. maxEvents counts across the segments.
+func (net *Network) run(horizon simtime.Time, maxEvents uint64) error {
+	k, c := net.kernel, net.probe
+	if c == nil {
+		return k.Run(horizon, maxEvents)
+	}
+	from := k.Executed()
+	for {
+		before := k.Executed()
+		events, at := c.Due()
+		paused, err := k.RunSegment(horizon, maxEvents, from, sim.Pause{Events: max(events, before+1), At: at})
+		// A segment ends right after a due event when it pauses, or when
+		// that event's handler stops the run. Any other end leaves the last
+		// event undue, and the clock perhaps moved on to the horizon.
+		if k.Executed() > before && (paused || errors.Is(err, sim.ErrStopped)) {
+			c.Observe(k.Now(), k.Executed())
+		}
+		if !paused {
+			return err
+		}
+	}
 }
 
 // Now returns the current virtual time.
@@ -643,7 +670,12 @@ func (net *Network) NodeDown(i int) bool { return net.life != nil && net.life.do
 
 // ProcessingMean returns the mean event-processing time — the tightest γ
 // for Definition 1, condition 3 (0 if processing is instantaneous).
-func (net *Network) ProcessingMean() float64 { return net.procMean }
+func (net *Network) ProcessingMean() float64 {
+	if net.cfg.Processing == nil {
+		return 0
+	}
+	return net.cfg.Processing.Mean()
+}
 
 // Kernel exposes the underlying kernel for tests and advanced drivers.
 func (net *Network) Kernel() *sim.Kernel { return net.kernel }
@@ -848,13 +880,21 @@ func (c *Context) SetLocalTimerFunc(localDelta float64, kind int) {
 // instant on the node's local clock.
 func (c *Context) timerInstant(localDelta float64) simtime.Time {
 	if localDelta <= 0 {
-		panic(fmt.Sprintf("network: local timer delta %g must be positive", localDelta))
+		badTimerDelta(localDelta)
 	}
 	now := c.net.kernel.Now()
 	if c.net.clocks == nil {
 		return now.Add(simtime.Duration(localDelta)) // a perfect clock
 	}
 	return c.net.clocks[c.id].RealAfterLocal(now, localDelta)
+}
+
+// badTimerDelta panics about a local timer delta that is not positive. The
+// message is built out of line, where it costs a timer nothing.
+//
+//go:noinline
+func badTimerDelta(localDelta float64) {
+	panic(fmt.Sprintf("network: local timer delta %g must be positive", localDelta))
 }
 
 // timerHandler returns the id of the kernel handler that fires this network's

@@ -31,17 +31,11 @@ func (net *Network) ProbeGauges() []probe.Gauge {
 	}
 }
 
-// InstallProbe attaches a collector to the kernel's post-event hook so it
-// samples after every executed event. The collector only reads state, so
-// the observed run's event schedule — and therefore its metrics, trace
-// and report — stays byte-identical to an unobserved run (the runner's
-// golden pins enforce this). Call before Run; pass nil to detach.
-func (net *Network) InstallProbe(c *probe.Collector) {
-	if c == nil {
-		net.kernel.SetObserver(nil)
-		return
-	}
-	net.kernel.SetObserver(func() {
-		c.Observe(net.kernel.Now(), net.kernel.Executed())
-	})
-}
+// InstallProbe has Run sample c on its cadence: Run goes in segments, each
+// paused right after the event at which c's next sample falls due (see
+// probe.Collector.Due), and c samples between two events, where nothing runs.
+// The collector only reads state, so the observed run's event schedule — and
+// therefore its metrics, trace and report — stays byte-identical to an
+// unobserved run (the runner's golden pins enforce this), and an unobserved
+// run is one kernel call. Call before Run; pass nil to detach.
+func (net *Network) InstallProbe(c *probe.Collector) { net.probe = c }

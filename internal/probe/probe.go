@@ -4,11 +4,14 @@
 // A Collector samples a fixed set of named gauges — instantaneous float64
 // readings such as in-flight messages, cumulative sends, or a protocol's
 // candidate count — on a configurable cadence: every K executed events,
-// at fixed virtual-time intervals, or both. It is driven from the sim
-// kernel's post-event observer hook, which runs after each event's handler
-// and before the next pop, so sampling can never perturb the schedule: an
-// observed run is byte-identical to an unobserved one at the same
-// (Env, Plan, seed). The golden pins in the runner tests enforce that.
+// at fixed virtual-time intervals, or both. It says when its next sample
+// is due (Due), and the engine runs the kernel in segments that pause right
+// after that event (sim.Kernel.RunSegment) and calls Observe there, between
+// two events, so sampling can never perturb the schedule: an observed run
+// is byte-identical to an unobserved one at the same (Env, Plan, seed). The
+// golden pins in the runner tests enforce that. An event between two
+// samples pays nothing for the collector: observation costs per sample,
+// not per event.
 //
 // Gauges are pull-based: protocols and networks expose their state through
 // the Observable interface and the Collector reads it when a sample is
@@ -21,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"abenet/internal/simtime"
 )
@@ -30,8 +34,11 @@ import (
 // stored; the closing sample taken by Final is exempt from the cap.
 const DefaultMaxSamples = 100_000
 
-// Gauge is one named instantaneous reading. Read must be cheap, must not
-// mutate any simulation state, and must not schedule events — it runs inside the kernel's observer hook.
+// Gauge is one named instantaneous reading. Read must not mutate any
+// simulation state and must not schedule events: it runs between two
+// events of a paused run, which resumes as if nothing had happened. Every
+// sample reads every gauge, so a gauge's cost is paid once per sample; one
+// that walks every node makes each sample O(n).
 type Gauge struct {
 	Name string
 	Read func() float64
@@ -110,8 +117,8 @@ type Series struct {
 }
 
 // Collector samples gauges on the configured cadence. Create one with
-// NewCollector, drive it via Observe from the kernel's observer hook, and
-// close it with Final; Series returns the result. A Collector is not safe
+// NewCollector, call Observe after each event at which Due says a sample is
+// due, and close it with Final; Series returns the result. A Collector is not safe
 // for concurrent use — it lives on the single-threaded simulation path.
 type Collector struct {
 	cfg    Config
@@ -170,11 +177,30 @@ func NewCollector(cfg Config, observables ...Observable) (*Collector, error) {
 // must not mutate it.
 func (c *Collector) Names() []string { return c.names }
 
-// Observe is the kernel post-event hook: called after every executed
-// event with the kernel's current virtual time and executed-event count.
-// It records a sample when either cadence is due. Observe only reads
-// simulation state — it never schedules or mutates — so the
-// event schedule of an observed run is identical to an unobserved one.
+// Due returns where the next cadence sample falls: after the event that
+// brings the executed count to events, or after the first event executed at
+// or after the instant at, whichever comes first. A cadence that is not
+// configured is never due: events is math.MaxUint64, at simtime.Forever.
+// Observe records nothing after any other event, so an engine needs to call
+// it only there (network.Network.Run pauses the kernel there).
+func (c *Collector) Due() (events uint64, at simtime.Time) {
+	events, at = math.MaxUint64, simtime.Forever
+	if c.cfg.EveryEvents > 0 {
+		events = c.nextEvent
+	}
+	if c.cfg.Interval > 0 {
+		at = c.nextTime
+	}
+	return events, at
+}
+
+// Observe takes a sample if one is due after the event that just ran: it is
+// called with the kernel's virtual time and executed-event count right after
+// an event's handler returns, before the next event runs. It records a
+// sample when either cadence is due and changes nothing otherwise, so it may
+// be called after every event or only after those Due names. Observe only
+// reads simulation state — it never schedules or mutates — so the event
+// schedule of an observed run is identical to an unobserved one.
 func (c *Collector) Observe(now simtime.Time, executed uint64) {
 	due := false
 	if c.cfg.EveryEvents > 0 && executed >= c.nextEvent {
@@ -226,6 +252,14 @@ func (c *Collector) record(now simtime.Time, executed uint64, closing bool) {
 	if len(c.samples) >= c.max && !closing {
 		c.truncated++
 		return
+	}
+	// Both slices double: append grows a large slice by a quarter, which
+	// copies each value about four times over a long series.
+	if len(c.backing)+len(c.gauges) > cap(c.backing) {
+		c.backing = slices.Grow(c.backing, max(len(c.backing), len(c.gauges)))
+	}
+	if len(c.samples) == cap(c.samples) {
+		c.samples = slices.Grow(c.samples, max(len(c.samples), 1))
 	}
 	start := len(c.backing)
 	for _, read := range c.gauges {

@@ -42,8 +42,9 @@ func TestElectionAllocationBudget(t *testing.T) {
 
 // TestBenOrAllocationBudget holds a message path to a budget: one Ben-Or run
 // on Complete(64) for 100 rounds, the repo benchmark's benor-complete-64
-// unit, where each of 806 400 events is a message. Measured at this commit:
-// 953 808 B in 921 objects (953 824 B in 921 under the race detector), of
+// unit, where each of 806 400 events is a message. Measured at this commit,
+// with the collector off: 953 792 B in 921 objects (953 808 B in 921 under
+// the race detector), of
 // which the kernel's out-of-order lane is 420 kB, the store's slot pool
 // 177 kB in pages never copied, the graph's CSR 50 kB laid out with no edge
 // list beside it, and the votes 16 kB, each distinct vote boxed once. An

@@ -301,7 +301,7 @@ func TestElectionRestartLeavesTheSlab(t *testing.T) {
 		t.Fatal(err)
 	}
 	gauges := map[string]func() float64{}
-	for _, g := range (electionGauges{live}).ProbeGauges() {
+	for _, g := range (electionGauges{live.params}).ProbeGauges() {
 		gauges[g.Name] = g.Read
 	}
 	leader := -1

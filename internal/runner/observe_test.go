@@ -2,9 +2,11 @@ package runner
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
+	"abenet/internal/core"
 	"abenet/internal/faults"
 	"abenet/internal/probe"
 	"abenet/internal/synchronizer"
@@ -54,7 +56,7 @@ func identityRows() []identityRow {
 }
 
 // TestObservedRunByteIdentical is the golden pin behind the probe design:
-// the collector reads off the kernel's post-event hook and never schedules,
+// the collector samples between two events and never schedules,
 // so an observed run must be byte-identical to an unobserved one at the
 // same (Env, seed) — same report, same metrics, same full message trace —
 // for every protocol, at an aggressive cadence (a sample after every single
@@ -211,5 +213,70 @@ func TestEnvValidateObserve(t *testing.T) {
 	}
 	if err := Check(Env{N: 4, Observe: &probe.Config{Interval: 0.5}}, Election{}); err != nil {
 		t.Fatalf("valid observe env rejected: %v", err)
+	}
+}
+
+// TestElectionGaugesCountTheRing: the election's gauges read the counts its
+// ring's Tally keeps at every state change and churn restart, and after
+// every event they equal a count over every node's current incarnation —
+// through crashes and restarts, and through re-candidacy waves under loss.
+func TestElectionGaugesCountTheRing(t *testing.T) {
+	cases := []struct {
+		name string
+		env  Env
+		p    Election
+	}{
+		{"churn", Env{N: 12, Seed: 3, Horizon: 600, Faults: &faults.Plan{CrashRate: 0.02, RecoverRate: 0.2}}, Election{KeepRunning: true}},
+		{"re-candidacy under loss", Env{N: 10, Seed: 5, Horizon: 3000, Faults: &faults.Plan{Loss: 0.3}}, Election{KeepRunning: true, RecandidacyTimeout: 60}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := check(tc.env, tc.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env := tc.env
+			env.Graph = s.graph()
+			cfg, err := tc.p.config(env, env.Graph.N())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ring, err := newElectionRing(env.Graph.N(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var samples, moves int
+			var prev [3]float64
+			env.Observe = &probe.Config{EveryEvents: 1, MaxSamples: math.MaxInt, Sink: func(names []string, s probe.Sample) {
+				var want [3]float64 // candidates, passive, elected
+				for i := range ring.first {
+					switch ring.node(i).State() {
+					case core.Active:
+						want[0]++
+					case core.Passive:
+						want[1]++
+					case core.Leader:
+						want[2] = 1
+					}
+				}
+				got := [3]float64{s.Values[len(names)-3], s.Values[len(names)-2], s.Values[len(names)-1]}
+				if got != want {
+					t.Fatalf("event %d: gauges read %v, the ring holds %v", s.Event, got, want)
+				}
+				if samples++; got != prev {
+					moves++
+				}
+				prev = got
+			}}
+			rep, err := runNetwork(env, ring.protocol())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex := rep.Extra.(ElectionExtra)
+			if samples == 0 || moves < 10 || (tc.env.Faults.CrashRate > 0 && ring.restarted == nil) ||
+				(tc.p.RecandidacyTimeout > 0 && ex.Recandidacies == 0) {
+				t.Fatalf("the run exercised too little: %d samples, %d gauge moves, restarts %t, %+v", samples, moves, ring.restarted != nil, ex)
+			}
+		})
 	}
 }

@@ -95,17 +95,7 @@ func (p Election) Run(env Env) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	return runNetwork(env, netProtocol{
-		ring:      true,
-		links:     channel.RandomDelayFactory,
-		anonymous: true,
-		makeNode:  ring.spawn,
-		gauges:    electionGauges{ring},
-		collect: func(rep *Report) error {
-			ring.collect(rep)
-			return nil
-		},
-	})
+	return runNetwork(env, ring.protocol())
 }
 
 // electionRing owns the election nodes of one run. Every node's first
@@ -139,6 +129,21 @@ func newElectionRing(n int, cfg core.ElectionNodeConfig) (*electionRing, error) 
 	return ring, nil
 }
 
+// protocol is what the run substrate needs to run r's election.
+func (r *electionRing) protocol() netProtocol {
+	return netProtocol{
+		ring:      true,
+		links:     channel.RandomDelayFactory,
+		anonymous: true,
+		makeNode:  r.spawn,
+		gauges:    electionGauges{r.params},
+		collect: func(rep *Report) error {
+			r.collect(rep)
+			return nil
+		},
+	}
+}
+
 // node returns node i's current incarnation. Before node i is first spawned
 // it is its zero slab slot, whose State is none of the four.
 func (r *electionRing) node(i int) *core.ElectionNode {
@@ -169,6 +174,7 @@ func (r *electionRing) spawn(i, sendPort int) (network.Node, error) {
 	}
 	node := &r.first[i]
 	if restart {
+		r.params.Retire(r.node(i))
 		r.fold(r.node(i))
 		if r.restarted == nil {
 			r.restarted = make([]*core.ElectionNode, len(r.first))
@@ -209,30 +215,20 @@ func (r *electionRing) fold(node *core.ElectionNode) {
 	r.violations = append(r.violations, node.Violations()...)
 }
 
-// electionGauges exposes the election's protocol-level gauges over the
-// ring's nodes. They read each node through electionRing.node, so they always
-// see its current incarnation.
-type electionGauges struct{ ring *electionRing }
+// electionGauges exposes the election's protocol-level gauges: how many of
+// the ring's current incarnations are active, passive or leader, as the
+// ring's core.Tally keeps them at every state change and churn restart. Each
+// reads in O(1).
+type electionGauges struct{ params *core.ElectionParams }
 
 // ProbeGauges implements probe.Observable.
 func (g electionGauges) ProbeGauges() []probe.Gauge {
-	count := func(s core.State) func() float64 {
-		return func() float64 {
-			n := 0
-			for i := range g.ring.first {
-				if g.ring.node(i).State() == s {
-					n++
-				}
-			}
-			return float64(n)
-		}
-	}
-	leaders := count(core.Leader)
+	p := g.params
 	return []probe.Gauge{
-		{Name: "candidates", Read: count(core.Active)},
-		{Name: "passive", Read: count(core.Passive)},
+		{Name: "candidates", Read: func() float64 { return float64(p.Tally().Active) }},
+		{Name: "passive", Read: func() float64 { return float64(p.Tally().Passive) }},
 		{Name: "elected", Read: func() float64 {
-			if leaders() > 0 {
+			if p.Tally().Leaders > 0 {
 				return 1
 			}
 			return 0
@@ -352,7 +348,9 @@ type ringCandidate interface {
 
 // ringGauges exposes the protocol-level gauges shared by the ring election
 // baselines: the number of active candidates and the elected flag. They
-// read the live node slice, so churn restarts are reflected.
+// read the live node slice, so churn restarts are reflected, and each costs
+// a pass over it: a sample of a baseline is O(n), where the election's own
+// gauges read counts.
 type ringGauges struct{ nodes []ringCandidate }
 
 // ProbeGauges implements probe.Observable.

@@ -122,12 +122,12 @@ type Env struct {
 	// per-message link faults (Loss/Duplicate/Reorder).
 	LocalBroadcast bool
 	// Observe optionally samples a named time series during the run (see
-	// internal/probe): network gauges plus per-protocol gauges, collected
-	// off the kernel's post-event hook so the run stays byte-identical to
-	// an unobserved one. The run substrate installs the collector for every
-	// protocol; Run fails with ErrObserveUnsupported if a protocol returns
-	// no series anyway. The collected series lands in Report.Series and
-	// never changes any other Report field.
+	// internal/probe): network gauges plus per-protocol gauges, sampled
+	// between two events of a run paused where a sample is due, so the run
+	// stays byte-identical to an unobserved one. The run substrate installs
+	// the collector for every protocol; Run fails with ErrObserveUnsupported
+	// if a protocol returns no series anyway. The collected series lands in
+	// Report.Series and never changes any other Report field.
 	Observe *probe.Config
 	// Trace optionally records a causal event trace of the run (see
 	// internal/trace): every send, delivery, timer and the terminal

@@ -49,24 +49,6 @@ func BenchmarkScheduleBurstDrain(b *testing.B) {
 	}
 }
 
-// BenchmarkPending measures the O(1) pending counter against a large
-// schedule.
-func BenchmarkPending(b *testing.B) {
-	k := New()
-	fn := func() {}
-	for j := 0; j < 10000; j++ {
-		k.AtFunc(simtime.Time(1+j), fn)
-	}
-	b.ResetTimer()
-	n := 0
-	for i := 0; i < b.N; i++ {
-		n += k.Pending()
-	}
-	if n == 0 {
-		b.Fatal("pending count vanished")
-	}
-}
-
 // BenchmarkHold is the classic hold model on the three pending-set shapes
 // of the repo benchmark's simulator workloads (benchmark/workloads.go), on
 // both schedulers, reserved the way network.New reserves (one run slot per

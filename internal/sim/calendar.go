@@ -58,7 +58,7 @@ type calendarScheduler struct {
 	overflow []event // unsorted; every entry has at >= wheelEnd
 	scratch  []event // rebuild staging buffer, retained across rebuilds
 
-	cacheValid  bool // PeekTime caches its bucket search for the next Pop
+	cacheValid  bool // PeekTime caches its bucket search for the next pop
 	cacheBucket int
 }
 
@@ -182,14 +182,17 @@ func (c *calendarScheduler) PeekTime() (simtime.Time, bool) {
 	return bk.evs[bk.head].at, true
 }
 
-func (c *calendarScheduler) Pop() (event, bool) {
-	if c.pending() == 0 {
+// Next is PeekTime, which finds and caches the earliest bucket, then pop.
+func (c *calendarScheduler) Next(horizon simtime.Time) (event, bool) {
+	if at, ok := c.PeekTime(); !ok || at > horizon {
 		return event{}, false
 	}
+	return c.pop(), true
+}
+
+// pop removes and returns the earliest event, which PeekTime has just found.
+func (c *calendarScheduler) pop() event {
 	b := c.cacheBucket
-	if !c.cacheValid {
-		b = c.findMin()
-	}
 	c.cacheValid = false
 	bk := &c.buckets[b]
 	ev := bk.evs[bk.head]
@@ -203,7 +206,7 @@ func (c *calendarScheduler) Pop() (event, bool) {
 	if len(c.buckets) > calMinBuckets && c.pending() < len(c.buckets)/8 {
 		c.rebuild()
 	}
-	return ev, true
+	return ev
 }
 
 // setHorizon derives wheelEnd from the current geometry. At extreme

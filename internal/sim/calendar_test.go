@@ -240,16 +240,17 @@ func TestCalendarSameInstantFIFO(t *testing.T) {
 }
 
 // TestCalendarPendingQueueLenInvariants walks a mixed workload — wheel and
-// overflow placements, rebuilds — and checks after every operation that
-// Pending counts the scheduled events exactly.
+// overflow placements, rebuilds — and checks after every operation that the
+// wheel and the overflow together hold exactly the events still pending.
 func TestCalendarPendingQueueLenInvariants(t *testing.T) {
 	k := newCalendarKernel(t)
 	r := rng.New(7)
+	c := k.sched.(*calendarScheduler)
 	want := 0
 	check := func(ctx string) {
 		t.Helper()
-		if got := k.Pending(); got != want {
-			t.Fatalf("%s: Pending = %d, want %d", ctx, got, want)
+		if got := c.pending(); got != want || pending(k) != want {
+			t.Fatalf("%s: the calendar holds %d, the kernel counts %d pending, want %d", ctx, got, pending(k), want)
 		}
 	}
 	for i := 0; i < 3000; i++ {

@@ -17,7 +17,7 @@ import (
 // instant is not below its newest one; the kernel hands out seq in schedule
 // order, so the ring is in (at, seq) order by construction and nothing in it
 // ever moves. Everything else — an event below the run's newest instant, or
-// one that finds the run full — goes to the heap, which takes any event. Pop
+// one that finds the run full — goes to the heap, which takes any event. Next
 // returns the smaller of the run's oldest event and the heap's root, so the
 // pop order is exactly the heap-only one.
 //
@@ -28,12 +28,6 @@ import (
 // order (messages with random delays). When instants arrive in no order
 // (drifting clocks, all-message protocols) nearly everything takes the heap
 // path and the run costs one compare per operation.
-//
-// Sizing: the run of an unreserved scheduler grows by doubling, like the
-// heap's slice. Reserve(n) gives the run n slots, and from then on a full run
-// spills into the heap instead of growing, so a reservation is a memory bound
-// for the run. The heap is never reserved: it grows by append, to what is
-// actually out of order.
 type heapScheduler struct {
 	heap []event // 4-ary min-heap by (at, seq)
 
@@ -47,8 +41,10 @@ type heapScheduler struct {
 func newHeapScheduler() *heapScheduler { return &heapScheduler{} }
 
 // Reserve sizes the run once, to n slots, and stops it from growing
-// afterwards: "a timer per node" is n timers scheduled at non-decreasing
-// instants, and they take the run. The heap is left to grow by append: on the
+// afterwards — until then it grows by doubling, and from then on a full run
+// spills into the heap, so a reservation is a memory bound for the run: "a
+// timer per node" is n timers scheduled at non-decreasing instants, and they
+// take the run. The heap is left to grow by append: on the
 // paper's workloads it holds the messages in flight, far fewer than one per
 // node on a ring, and a slot reserved per node there would mostly stay empty.
 func (h *heapScheduler) Reserve(n int) {
@@ -102,22 +98,25 @@ func (h *heapScheduler) PeekTime() (simtime.Time, bool) {
 	return h.heap[0].at, true
 }
 
-// Pop removes and returns the earliest event: the run's oldest or the
-// heap's root, whichever is smaller. The heap pops bottom-up: the root's
-// hole sinks to a leaf and the displaced last entry — a leaf itself, so it
-// rarely belongs higher — sifts up from there. Against sifting that entry
-// down from the root, this drops one compare per level, the one that nearly
-// always says "keep going".
-func (h *heapScheduler) Pop() (event, bool) {
+// Next removes and returns the earliest event — the run's oldest or the
+// heap's root, whichever is smaller — if it is not after horizon. It decides
+// the lane once. The heap pops bottom-up: the root's hole sinks to a leaf and
+// the displaced last entry — a leaf itself, so it rarely belongs higher —
+// sifts up from there. Against sifting that entry down from the root, this
+// drops one compare per level, the one that nearly always says "keep going".
+func (h *heapScheduler) Next(horizon simtime.Time) (event, bool) {
 	if h.runFirst() {
 		ev := h.run[h.head]
+		if ev.at > horizon {
+			return event{}, false
+		}
 		h.n--
 		if h.head++; h.head == len(h.run) {
 			h.head = 0
 		}
 		return ev, true
 	}
-	if len(h.heap) == 0 {
+	if len(h.heap) == 0 || h.heap[0].at > horizon {
 		return event{}, false
 	}
 	ev := h.heap[0]

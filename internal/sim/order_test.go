@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"cmp"
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -34,6 +35,7 @@ const (
 	opArg               // schedule arg quarter-units from now on the registered handler (AtArg)
 	opSelf              // schedule a closure arg%16 half-units from now that, the first time it runs, reschedules itself half a unit later and schedules 1+arg>>4%4 others at Now(), AtArg and AtFunc alternating
 	opNegZero           // schedule at −0 while the clock stands at zero (at now once it has moved)
+	opSegment           // RunSegment to now + arg%16 half-units with a budget of arg>>6 events (0: none), pausing after 1+arg>>4%4 events or after the first event at or after now + arg>>2%8 half-units
 	opCount
 )
 
@@ -54,7 +56,7 @@ func refCompare(a, b refEvent) int {
 }
 
 // runOrderProgram executes prog on the named scheduler, failing t at the
-// first event that runs out of (at, seq) order, the first wrong Pending(),
+// first event that runs out of (at, seq) order, the first wrong pending count,
 // and the first horizon that is overrun or undershot. It returns the events'
 // seqs in execution order.
 func runOrderProgram(t *testing.T, name string, prog []byte) []uint64 {
@@ -70,12 +72,13 @@ func runOrderProgram(t *testing.T, name string, prog []byte) []uint64 {
 		ref   []refEvent // pending events, sorted by (at, seq)
 		most  int        // the most events ever pending at once
 		order []uint64
-		last  simtime.Time // last instant scheduled from the program
+		times []simtime.Time // the instants of order's events
+		last  simtime.Time   // last instant scheduled from the program
 	)
 	checkPending := func(when string) {
 		t.Helper()
-		if k.Pending() != len(ref) {
-			t.Fatalf("%s: %s: Pending() = %d, reference holds %d", name, when, k.Pending(), len(ref))
+		if pending(k) != len(ref) {
+			t.Fatalf("%s: %s: pending = %d, reference holds %d", name, when, pending(k), len(ref))
 		}
 	}
 	// note files the event the next kernel call is about to schedule; ran
@@ -96,6 +99,7 @@ func runOrderProgram(t *testing.T, name string, prog []byte) []uint64 {
 		}
 		ref = ref[1:]
 		order = append(order, ev.seq)
+		times = append(times, ev.at)
 		checkPending("inside a handler")
 	}
 	var schedule func(at simtime.Time, spawn int)
@@ -202,6 +206,38 @@ func runOrderProgram(t *testing.T, name string, prog []byte) []uint64 {
 				t.Fatal(err)
 			}
 			halted("Run", horizon)
+		case opSegment:
+			horizon, budget, from := now.Add(half(arg%16)), uint64(arg>>6), k.Executed()
+			pause := Pause{Events: from + 1 + uint64(arg>>4%4), At: now.Add(half(arg >> 2 % 8))}
+			start := len(order)
+			paused, err := k.RunSegment(horizon, budget, from, pause)
+			// due says whether the i-th event of the program reached the pause.
+			due := func(i int) bool { return from+uint64(i-start)+1 == pause.Events || !times[i].Before(pause.At) }
+			for i := start; i+1 < len(order); i++ {
+				if due(i) {
+					t.Fatalf("%s: RunSegment(%v, %d, %+v) went on past event %d at %v", name, horizon, budget, pause, i-start+1, times[i])
+				}
+			}
+			ran := len(order) - start
+			switch {
+			case paused:
+				if err != nil || ran == 0 || !due(len(order)-1) {
+					t.Fatalf("%s: RunSegment(%v, %d, %+v) paused after %d events with %v", name, horizon, budget, pause, ran, err)
+				}
+			case ran > 0 && due(len(order)-1):
+				t.Fatalf("%s: RunSegment(%v, %d, %+v) ran into its pause and did not pause", name, horizon, budget, pause)
+			case errors.Is(err, ErrMaxEvents):
+				if uint64(ran) != budget || len(ref) == 0 || ref[0].at.After(horizon) {
+					t.Fatalf("%s: RunSegment(%v, %d, %+v) ran %d events and failed: %v", name, horizon, budget, pause, ran, err)
+				}
+			case err != nil:
+				t.Fatal(err)
+			default:
+				if budget > 0 && uint64(ran) > budget {
+					t.Fatalf("%s: RunSegment(%v, %d, %+v) ran %d events", name, horizon, budget, pause, ran)
+				}
+				halted("RunSegment", horizon)
+			}
 		case opReserve:
 			k.Reserve(int(arg) % 32)
 		case opArg:
@@ -221,8 +257,8 @@ func runOrderProgram(t *testing.T, name string, prog []byte) []uint64 {
 	if err := k.Run(simtime.Forever, 0); err != nil {
 		t.Fatal(err)
 	}
-	if len(ref) != 0 || k.Pending() != 0 {
-		t.Fatalf("%s: drained with %d in the reference and Pending() = %d", name, len(ref), k.Pending())
+	if len(ref) != 0 || pending(k) != 0 {
+		t.Fatalf("%s: drained with %d in the reference and %d pending", name, len(ref), pending(k))
 	}
 	if uint64(len(order)) != k.Executed() || uint64(len(order)) != k.ScheduleSeq() {
 		t.Fatalf("%s: %d events ran, Executed() = %d, %d scheduled", name, len(order), k.Executed(), k.ScheduleSeq())
@@ -303,6 +339,12 @@ var orderPrograms = []struct {
 	{"negative zero at time zero", slices.Concat([]byte{reserve(0)}, bytes.Repeat([]byte{opRandom, 0, opNegZero, 0}, 4), []byte{opStep, 0, opNegZero, 0, opRandom, 6, opNegZero, 0})},
 	{"closures reschedule themselves among handler events", slices.Concat([]byte{0}, selfRescheduling)},
 	{"closures reschedule themselves, heap only", slices.Concat([]byte{reserve(0)}, selfRescheduling)},
+	// Events at 1, 2, …, 8, run in segments: paused by the instant (after
+	// two events, the first at or after 1.5), stopped by a spent budget with
+	// the next event due, halted at a horizon before the pause, paused by
+	// the event count; then handlers schedule into a segment.
+	{"run in segments", slices.Concat([]byte{0}, bytes.Repeat([]byte{opAscend, 2}, 8),
+		[]byte{opSegment, 0x2f, opSegment, 0x7f, opSegment, 0x33, opSegment, 0x0f, opSpawner, 0x31, opSegment, 0x3f})},
 }
 
 // selfRescheduling is the body of a program in which closures that reschedule
@@ -404,7 +446,7 @@ func TestRunAndHeapShareAnInstant(t *testing.T) {
 }
 
 // FuzzSchedulerOrder: any program executes in reference (at, seq) order with
-// a correct Pending() throughout, identically on every scheduler.
+// a correct pending count throughout, identically on every scheduler.
 func FuzzSchedulerOrder(f *testing.F) {
 	for _, p := range orderPrograms {
 		f.Add(p.prog)

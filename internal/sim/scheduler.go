@@ -8,12 +8,9 @@ import (
 
 // Scheduler is the pending-event set behind a Kernel: everything between
 // "schedule this event at that instant" and "hand me the earliest event".
-// Two implementations ship with the package — a sorted run in front of an
-// intrusive 4-ary heap (SchedulerHeap, the default) and a calendar queue
-// (SchedulerCalendar) — selectable per run via NewNamed or the runner's
-// Env.Scheduler field.
-// Nothing is ever withdrawn: an entry leaves the set only through Pop. A
-// scheduler only orders; the Kernel counts what is pending itself.
+// SchedulerHeap (the default) and SchedulerCalendar are selectable per run
+// via NewNamed or the runner's Env.Scheduler field. Nothing is ever
+// withdrawn: an entry leaves the set only through Next.
 //
 // Every implementation MUST pop events in exactly (at, seq) order: at is the
 // virtual instant, seq the kernel-assigned insertion sequence, and the pair
@@ -33,9 +30,10 @@ type Scheduler interface {
 	// PeekTime returns the instant of the earliest event, or ok=false when
 	// the set is empty.
 	PeekTime() (simtime.Time, bool)
-	// Pop removes and returns the earliest event, or ok=false when the set
-	// is empty.
-	Pop() (event, bool)
+	// Next removes and returns the earliest event if it is not after
+	// horizon, or ok=false when the set is empty or its earliest event lies
+	// past horizon. The kernel makes one Next call per event it executes.
+	Next(horizon simtime.Time) (event, bool)
 	// Reserve is a sizing hint: about n events will be pending at once at
 	// non-decreasing instants (a timer per node). It never changes the pop
 	// order; an implementation may ignore it.

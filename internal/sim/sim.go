@@ -17,43 +17,26 @@
 // storage is a noscan slab: no write barrier on any copy a sift makes and
 // nothing for the collector to scan, however many events are pending.
 //
-// The pending-event set lives behind the Scheduler interface. Two
-// implementations ship with the package, selectable per run:
+// The pending-event set lives behind the Scheduler interface, with two
+// implementations selectable per run: "heap", the default (see
+// heapScheduler) — a sorted run that takes events arriving in order, such as
+// the tick timers every node of the paper's election re-arms forever, in
+// front of a 4-ary heap for the rest, popped bottom-up without a
+// data-dependent branch — and "calendar", a calendar queue (Brown 1988, as
+// in ns-3), ahead of the heap on no committed workload and kept as the
+// independent implementation the differential suite checks the heap
+// against. Both pop events in exactly (instant, sequence) order, so
+// executions are byte-identical across schedulers — the differential suite
+// and the order oracle (FuzzSchedulerOrder) pin that.
 //
-//   - "heap" (default) — a sorted run in front of an intrusive 4-ary
-//     min-heap. The run is a FIFO ring that takes an event whenever its
-//     instant is not below the run's newest one; insertion sequences only
-//     grow, so the ring is in (instant, sequence) order without ever moving
-//     an entry. Everything else goes to the heap, and the earliest event is
-//     the smaller of the run's oldest and the heap's root. Tick timers
-//     re-armed in order on perfect clocks — the paper's election has every
-//     node do that forever — never sift; the heap holds only what is
-//     actually out of order, typically the messages in flight. Both lanes
-//     are plain value slices that double as the event pool, so steady-state
-//     scheduling allocates nothing. Reserve sizes the run alone — a timer
-//     per node — and the heap grows by append to what is out of order.
-//   - "calendar" — a calendar queue (Brown 1988, as in ns-3): a wheel of
-//     time-windowed buckets with amortized O(1) enqueue/dequeue. The repo
-//     benchmark and the E16 ladder have it ahead of the heap on no
-//     committed workload; it stays as the independent implementation the
-//     differential suite checks the heap against.
+// # The run loop
 //
-// Both pop events in exactly (instant, sequence) order, so executions are
-// byte-identical across schedulers — the differential suite and the order
-// oracle (FuzzSchedulerOrder) pin that.
-//
-// The heap pops bottom-up: the hole the root leaves walks down to a leaf
-// along the smallest of each group of four siblings, never comparing against
-// the displaced last entry, and that entry then sifts up from the leaf (it
-// came from the bottom level, so it rarely rises a step). The walk picks the
-// smallest sibling without a data-dependent branch: "a before b" is the
-// borrow out of the 128-bit subtraction (a.at, a.seq) − (b.at, b.seq), the
-// instants taken as their IEEE-754 bit patterns. That is sound because a
-// scheduled instant is finite and not below the clock, which starts at zero:
-// non-negative floats order exactly as their bit patterns do as unsigned
-// integers. The one value that breaks it is −0 — equal to +0, so it passes
-// the "not in the past" check at time zero, but with the largest bit pattern
-// of all — and schedule stores it as +0.
+// The loop asks its scheduler for one thing per event, Next(horizon): the
+// earliest event, if it is not past the horizon. Nothing else runs between
+// two events; the kernel has no per-event hook. A caller that looks at a run
+// as it goes runs it in segments: RunSegment returns right after the event
+// that reaches its Pause, and the next call resumes the run (the probe
+// collector samples this way; see network.Network.Run).
 //
 // # Scheduling API
 //
@@ -79,6 +62,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"abenet/internal/simtime"
 )
@@ -140,7 +124,6 @@ type Kernel struct {
 	stopped   bool
 	running   bool
 	stopCause string
-	observer  func() // post-event hook; see SetObserver
 
 	handlers []ArgHandler // by HandlerID; handlers[0] is never called
 	closures []Handler    // AtFunc/AfterFunc closures awaiting their events, by slot
@@ -149,13 +132,9 @@ type Kernel struct {
 
 // New returns an empty kernel at virtual time zero, backed by the default
 // 4-ary heap scheduler.
-func New() *Kernel {
-	return newKernel(newHeapScheduler())
-}
+func New() *Kernel { return newKernel(newHeapScheduler()) }
 
-func newKernel(s Scheduler) *Kernel {
-	return &Kernel{sched: s, handlers: make([]ArgHandler, 1)}
-}
+func newKernel(s Scheduler) *Kernel { return &Kernel{sched: s, handlers: make([]ArgHandler, 1)} }
 
 // NewNamed returns an empty kernel backed by the named scheduler (see
 // NewScheduler). The empty name selects the default heap.
@@ -189,31 +168,29 @@ func (k *Kernel) ScheduleSeq() uint64 { return k.seq }
 // the event carrying anything.
 func (k *Kernel) EventSeq() uint64 { return k.eventSeq }
 
-// Pending returns the number of scheduled, not yet executed events in O(1).
-// The kernel never withdraws an event, so every one it has scheduled has
-// either executed or is still pending.
-func (k *Kernel) Pending() int { return int(k.seq - k.executed) }
-
 // Reserve tells the scheduler that about n events will be pending at once at
 // non-decreasing instants — one timer per node, say — so it can size its
-// storage for them in one step instead of growing into it. A builder that
-// knows the population calls it before the first event is scheduled. It is a
-// hint: execution order and every counter are unaffected. The heap scheduler
-// gives all n slots to its sorted run, so n events scheduled at non-decreasing
-// instants allocate nothing; its heap, which takes what arrives out of order,
-// grows by append like any slice. The calendar ignores the hint. The
-// reservation is the queue's alone: the closure table behind AtFunc grows with
-// the closures actually pending.
+// storage for them in one step instead of growing into it (see
+// Scheduler.Reserve). Whoever knows the population, such as network.New,
+// calls it before the first event is scheduled. It is a hint: execution order and every counter
+// are unaffected, and the closure table behind AtFunc is not reserved.
 func (k *Kernel) Reserve(n int) { k.sched.Reserve(n) }
 
-// checkInstant panics unless at is an instant an event may be scheduled at.
+// checkInstant panics unless at is an instant an event may be scheduled at:
+// finite and not before now. One two-sided compare, which NaN fails too; the
+// message is built out of line, so the check inlines.
 func (k *Kernel) checkInstant(at simtime.Time) {
+	if !(at >= k.now && at < simtime.Forever) {
+		k.badInstant(at)
+	}
+}
+
+// badInstant panics with what is wrong with at.
+func (k *Kernel) badInstant(at simtime.Time) {
 	if !at.IsFinite() {
 		panic(fmt.Sprintf("sim: scheduling at non-finite time %v", at))
 	}
-	if at.Before(k.now) {
-		panic(fmt.Sprintf("sim: scheduling into the past: now %v, requested %v", k.now, at))
-	}
+	panic(fmt.Sprintf("sim: scheduling into the past: now %v, requested %v", k.now, at))
 }
 
 // enqueue hands one event, its instant already checked, to the scheduler.
@@ -286,98 +263,121 @@ func (k *Kernel) Stop(cause string) {
 	k.stopCause = cause
 }
 
-// SetObserver installs fn to run immediately after every executed event's
-// handler returns, with the kernel's time and counters already advanced.
-// Observers exist for measurement (time-series probes): they must only
-// read state — scheduling or stopping from an observer would make an
-// observed run diverge from an unobserved one, defeating the byte-identity
-// guarantee the probes depend on. A nil fn removes the hook.
-func (k *Kernel) SetObserver(fn func()) { k.observer = fn }
-
 // StopCause returns the cause passed to the most recent Stop, or "".
 func (k *Kernel) StopCause() string { return k.stopCause }
 
 // Stopped reports whether Stop has been called.
 func (k *Kernel) Stopped() bool { return k.stopped }
 
-// Run executes events in virtual-time order until one of:
+// Run executes events in virtual-time order until one of, checked in this
+// order before each event:
+//   - Stop is called (returns ErrStopped),
 //   - the schedule drains (returns nil),
 //   - virtual time would exceed horizon (returns nil; the event at a time
 //     past the horizon remains scheduled and time stops at the horizon),
-//   - Stop is called (returns ErrStopped),
 //   - more than maxEvents events execute, if maxEvents > 0 (returns an
 //     error matching ErrMaxEvents; this guards against non-terminating
 //     protocols in tests).
 func (k *Kernel) Run(horizon simtime.Time, maxEvents uint64) error {
+	_, err := k.RunSegment(horizon, maxEvents, k.executed, noPause)
+	return err
+}
+
+// Pause is where RunSegment returns early: right after the event that brings
+// Executed to Events, or after the first event executed at or after At,
+// whichever comes first.
+type Pause struct {
+	Events uint64
+	At     simtime.Time
+}
+
+// noPause never comes: no event is at or after Forever.
+var noPause = Pause{Events: math.MaxUint64, At: simtime.Forever}
+
+// RunSegment is Run's loop with a pause: right after the event that reaches
+// pause (which must lie past Executed), it returns paused = true, the clock
+// on that event, and the next call resumes the run. maxEvents counts from
+// the Executed value from, so a run in segments keeps one budget. Stop ends a
+// segment first; a pause comes before the drain, horizon or budget that
+// would end the run at the same event, which the next call then reports.
+func (k *Kernel) RunSegment(horizon simtime.Time, maxEvents, from uint64, pause Pause) (paused bool, err error) {
 	if k.running {
-		return errors.New("sim: Run called reentrantly")
+		return false, errors.New("sim: Run called reentrantly")
 	}
 	k.running = true
 	defer func() { k.running = false }()
 
-	start := k.executed
+	budget := uint64(math.MaxUint64) // the Executed value at which the budget is spent
+	if maxEvents > 0 && maxEvents <= math.MaxUint64-from {
+		budget = from + maxEvents
+	}
+	// Up to pause.At the loop pops only what lies strictly before it; the
+	// first event at or after it is the segment's last.
+	bound := horizon
+	if pause.At <= horizon {
+		bound = simtime.Time(math.Nextafter(float64(pause.At), math.Inf(-1)))
+	}
+	limit := min(budget, pause.Events)
 	for {
 		if k.stopped {
-			return ErrStopped
+			return false, ErrStopped
 		}
-		at, ok := k.sched.PeekTime()
-		if !ok {
-			return nil // drained
-		}
-		if at.After(horizon) {
-			// Leave the event scheduled and halt at the horizon. The clock
-			// only ever moves forward: a horizon already in the past (a
-			// resumed kernel driven with a smaller bound) must not rewind.
-			if horizon.After(k.now) {
-				k.now = horizon
+		if k.executed >= limit {
+			if k.executed >= pause.Events {
+				return true, nil
 			}
-			return nil
+			if at, ok := k.sched.PeekTime(); ok && at <= horizon {
+				return false, fmt.Errorf("%w: exceeded %d events at %v", ErrMaxEvents, maxEvents, k.now)
+			}
+			k.halt(horizon) // drained, or nothing left by the horizon: the budget was enough
+			return false, nil
 		}
-		if maxEvents > 0 && k.executed-start >= maxEvents {
-			return fmt.Errorf("%w: exceeded %d events at %v", ErrMaxEvents, maxEvents, k.now)
+		ev, ok := k.sched.Next(bound)
+		if !ok {
+			if bound < horizon { // nothing is left before pause.At
+				bound = horizon
+				pause.Events = min(pause.Events, k.executed+1)
+				limit = min(budget, pause.Events)
+				continue
+			}
+			k.halt(horizon)
+			return false, nil
 		}
-		k.execute()
+		k.execute(ev)
 	}
 }
 
-// Step executes exactly one pending event (the earliest) and returns true,
-// or returns false if the schedule is empty or the kernel has been stopped
-// — Step honours Stop exactly like Run does (a stopped kernel makes no
-// progress until the stop is observed by the driver). Step ignores any
-// horizon; use StepWithin to bound it. Useful for fine-grained tests and
-// bounded model-checking drivers.
-func (k *Kernel) Step() bool {
-	return k.StepWithin(simtime.Forever)
+// halt ends a run with nothing left by horizon: the clock moves forward to
+// the horizon if anything is pending past it, and never backward.
+func (k *Kernel) halt(horizon simtime.Time) {
+	if _, ok := k.sched.PeekTime(); ok && horizon.After(k.now) {
+		k.now = horizon
+	}
 }
 
-// StepWithin is Step with a horizon guard, mirroring Run: if the earliest
-// pending event lies strictly beyond horizon, no event runs, virtual time
-// advances to the horizon, and StepWithin returns false with the event
-// still scheduled.
+// Step executes the earliest pending event and returns true, or returns false
+// if the schedule is empty or the kernel has been stopped: Step honours Stop
+// exactly like Run does. It ignores any horizon; StepWithin bounds it.
+func (k *Kernel) Step() bool { return k.StepWithin(simtime.Forever) }
+
+// StepWithin is Step bounded like Run: if the earliest pending event lies
+// past horizon, it runs nothing, moves the clock forward to the horizon and
+// returns false.
 func (k *Kernel) StepWithin(horizon simtime.Time) bool {
 	if k.stopped {
 		return false
 	}
-	at, ok := k.sched.PeekTime()
+	ev, ok := k.sched.Next(horizon)
 	if !ok {
+		k.halt(horizon)
 		return false
 	}
-	if at.After(horizon) {
-		if horizon.After(k.now) {
-			k.now = horizon
-		}
-		return false
-	}
-	k.execute()
+	k.execute(ev)
 	return true
 }
 
-// execute pops the earliest event (which must exist) and runs it.
-func (k *Kernel) execute() {
-	ev, ok := k.sched.Pop()
-	if !ok {
-		panic("sim: execute with an empty schedule")
-	}
+// execute runs ev, which Next has just popped.
+func (k *Kernel) execute(ev event) {
 	k.now = ev.at
 	k.eventSeq = ev.seq
 	k.executed++
@@ -390,8 +390,5 @@ func (k *Kernel) execute() {
 		k.closures[ev.arg] = nil
 		k.freeSlot = append(k.freeSlot, ev.arg)
 		fn()
-	}
-	if k.observer != nil {
-		k.observer()
 	}
 }

@@ -101,8 +101,8 @@ func TestHorizonStopsTime(t *testing.T) {
 	if k.Now() != 5 {
 		t.Fatalf("time = %v, want horizon 5", k.Now())
 	}
-	if k.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", k.Pending())
+	if pending(k) != 1 {
+		t.Fatalf("pending = %d, want 1", pending(k))
 	}
 	// A later Run can pick the event up.
 	if err := k.Run(simtime.Forever, 0); err != nil {
@@ -204,10 +204,10 @@ func TestRefusedSchedulingLeavesNoTrace(t *testing.T) {
 			}()
 			tc.call()
 		}()
-		if k.Pending() != 1 || k.ScheduleSeq() != 2 || len(k.handlers) != int(id)+1 ||
+		if pending(k) != 1 || k.ScheduleSeq() != 2 || len(k.handlers) != int(id)+1 ||
 			len(k.closures) != 1 || len(k.freeSlot) != 0 {
 			t.Fatalf("%s left a trace: %d pending, seq %d, %d handlers, %d closure slots with %d free",
-				tc.name, k.Pending(), k.ScheduleSeq(), len(k.handlers), len(k.closures), len(k.freeSlot))
+				tc.name, pending(k), k.ScheduleSeq(), len(k.handlers), len(k.closures), len(k.freeSlot))
 		}
 	}
 }
@@ -337,8 +337,8 @@ func TestStepRespectsStop(t *testing.T) {
 	if ran {
 		t.Fatal("Step executed an event on a stopped kernel")
 	}
-	if k.Pending() != 1 {
-		t.Fatalf("pending = %d, want the event still scheduled", k.Pending())
+	if pending(k) != 1 {
+		t.Fatalf("pending = %d, want the event still scheduled", pending(k))
 	}
 }
 
@@ -359,8 +359,8 @@ func TestStepWithinHorizon(t *testing.T) {
 	if k.Now() != 5 {
 		t.Fatalf("time = %v, want the horizon 5 (mirroring Run)", k.Now())
 	}
-	if k.Pending() != 1 {
-		t.Fatalf("pending = %d, want the t=10 event still scheduled", k.Pending())
+	if pending(k) != 1 {
+		t.Fatalf("pending = %d, want the t=10 event still scheduled", pending(k))
 	}
 	// A later step with a wider horizon picks the event up.
 	if !k.StepWithin(simtime.Forever) {
@@ -497,8 +497,8 @@ func TestReserveSizesTheQueueOnce(t *testing.T) {
 	if got := mallocs(func() { inOrder(k, atArg) }); got != 0 {
 		t.Errorf("%d events in order into Reserve(%d) allocated %d times, want 0", n, n, got)
 	}
-	if k.Pending() != n || h.n != n || len(h.heap) != 0 {
-		t.Fatalf("Pending() = %d (run %d, heap %d), want all %d in the run", k.Pending(), h.n, len(h.heap), n)
+	if pending(k) != n || h.n != n || len(h.heap) != 0 {
+		t.Fatalf("Pending() = %d (run %d, heap %d), want all %d in the run", pending(k), h.n, len(h.heap), n)
 	}
 	drain(k)
 	if got := mallocs(func() { outOfOrder(k, atArg) }); got == 0 || got > growth {
@@ -522,8 +522,8 @@ func TestReserveSizesTheQueueOnce(t *testing.T) {
 	if got := mallocs(func() { inOrder(k, atFunc) }); got > growth {
 		t.Errorf("the first %d closures into a reserved queue allocated %d times, want at most %d (closure table growth only)", n, got, growth)
 	}
-	if k.Pending() != n {
-		t.Fatalf("Pending() = %d, want %d", k.Pending(), n)
+	if pending(k) != n {
+		t.Fatalf("Pending() = %d, want %d", pending(k), n)
 	}
 	drain(k)
 	if got := mallocs(func() { inOrder(k, atFunc) }); got != 0 {
@@ -569,4 +569,108 @@ func mallocs(f func()) uint64 {
 	f()
 	runtime.ReadMemStats(&after)
 	return after.Mallocs - before.Mallocs
+}
+
+// pending is the number of scheduled, not yet executed events: the kernel
+// never withdraws one, so every event it has scheduled has either run or is
+// still pending.
+func pending(k *Kernel) int { return int(k.ScheduleSeq() - k.Executed()) }
+
+// TestRunLoopPrecedence pins what ends a run, on every scheduler: Stop, then
+// a drained schedule, then the horizon (the clock moves forward to it only
+// while something is still pending), then the event budget — which, spent
+// when nothing is left to run by the horizon, is no error. StepWithin ends
+// the same way, without a budget.
+func TestRunLoopPrecedence(t *testing.T) {
+	type outcome struct {
+		err      error // nil, ErrStopped or ErrMaxEvents
+		stepped  bool  // StepWithin's result
+		executed uint64
+		now      simtime.Time
+		pending  int
+	}
+	cases := []struct {
+		name string
+		// at are the instants scheduled up front; stopAt, if positive, is
+		// the one whose handler calls Stop.
+		at     []simtime.Time
+		stopAt simtime.Time
+		// run drives the kernel: a Run, or a StepWithin when step is set.
+		horizon   simtime.Time
+		maxEvents uint64
+		step      bool
+		// before runs first: a stop outside the run, or an earlier run.
+		before func(k *Kernel)
+		want   outcome
+	}{
+		{name: "stopped before the run", at: []simtime.Time{1, 2}, horizon: 5,
+			before: func(k *Kernel) { k.Stop("early") },
+			want:   outcome{err: ErrStopped, now: 0, pending: 2}},
+		{name: "stop beats a spent budget and the horizon", at: []simtime.Time{1, 10}, stopAt: 1, horizon: 5, maxEvents: 1,
+			want: outcome{err: ErrStopped, executed: 1, now: 1, pending: 1}},
+		{name: "drained: the clock stays on the last event", at: []simtime.Time{1, 2}, horizon: 5,
+			want: outcome{executed: 2, now: 2}},
+		{name: "horizon: the clock moves to it", at: []simtime.Time{1, 10}, horizon: 5,
+			want: outcome{executed: 1, now: 5, pending: 1}},
+		{name: "horizon on an event runs it", at: []simtime.Time{1, 5, 5}, horizon: 5,
+			want: outcome{executed: 3, now: 5}},
+		{name: "a horizon in the past does not rewind", at: []simtime.Time{1, 10}, horizon: 3,
+			before: func(k *Kernel) { k.Run(6, 0) },
+			want:   outcome{executed: 1, now: 6, pending: 1}},
+		{name: "budget spent at drain", at: []simtime.Time{1, 2}, horizon: simtime.Forever, maxEvents: 2,
+			want: outcome{executed: 2, now: 2}},
+		{name: "budget spent, the rest past the horizon", at: []simtime.Time{1, 10}, horizon: 5, maxEvents: 1,
+			want: outcome{executed: 1, now: 5, pending: 1}},
+		{name: "budget spent with an eligible event", at: []simtime.Time{1, 2, 3}, horizon: 5, maxEvents: 1,
+			want: outcome{err: ErrMaxEvents, executed: 1, now: 1, pending: 2}},
+		{name: "budget counts from the call", at: []simtime.Time{1, 2, 3, 4}, horizon: 5, maxEvents: 2,
+			before: func(k *Kernel) { k.Run(1, 0) },
+			want:   outcome{err: ErrMaxEvents, executed: 3, now: 3, pending: 1}},
+		{name: "budget larger than what is left", at: []simtime.Time{1, 2}, horizon: 5, maxEvents: 3,
+			want: outcome{executed: 2, now: 2}},
+		{name: "StepWithin runs the earliest", at: []simtime.Time{1, 2}, horizon: 1, step: true,
+			want: outcome{stepped: true, executed: 1, now: 1, pending: 1}},
+		{name: "StepWithin on an empty schedule", horizon: 5, step: true,
+			want: outcome{now: 0}},
+		{name: "StepWithin past the horizon moves the clock", at: []simtime.Time{10}, horizon: 5, step: true,
+			want: outcome{now: 5, pending: 1}},
+		{name: "StepWithin honours Stop", at: []simtime.Time{1}, horizon: 5, step: true,
+			before: func(k *Kernel) { k.Stop("early") },
+			want:   outcome{now: 0, pending: 1}},
+	}
+	for _, name := range SchedulerNames() {
+		for _, tc := range cases {
+			t.Run(name+"/"+tc.name, func(t *testing.T) {
+				k, err := NewNamed(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, at := range tc.at {
+					if at == tc.stopAt {
+						k.AtFunc(at, func() { k.Stop("in a handler") })
+					} else {
+						k.AtFunc(at, func() {})
+					}
+				}
+				if tc.before != nil {
+					tc.before(k)
+				}
+				var got outcome
+				start := k.Executed()
+				if tc.step {
+					got.stepped = k.StepWithin(tc.horizon)
+				} else {
+					got.err = k.Run(tc.horizon, tc.maxEvents)
+				}
+				got.executed, got.now, got.pending = k.Executed(), k.Now(), pending(k)
+				if !errors.Is(got.err, tc.want.err) || (got.err == nil) != (tc.want.err == nil) {
+					t.Fatalf("err = %v, want %v", got.err, tc.want.err)
+				}
+				got.err = tc.want.err
+				if got != tc.want {
+					t.Fatalf("got %+v (from %d executed), want %+v", got, start, tc.want)
+				}
+			})
+		}
+	}
 }

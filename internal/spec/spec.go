@@ -123,8 +123,8 @@ type EnvSpec struct {
 	// the run substrate samples every run — but it does not combine with a
 	// sweep block (sweeps stream per-point completions instead). Excluded
 	// from Hash(): observation never changes a run's results — the probe
-	// reads off the kernel's post-event hook, and golden pins hold an
-	// observed run byte-identical to an unobserved one.
+	// samples between two events of a run paused where a sample is due, and
+	// golden pins hold an observed run byte-identical to an unobserved one.
 	Observe *probe.Config `json:"observe,omitempty"`
 	// Trace records a causal event trace of the run (see internal/trace):
 	// stable event IDs, Lamport clocks and exact happens-before parent

@@ -13,13 +13,13 @@
 //
 // Usage, with one -count 1 run per leg per round:
 //
-//	go test -c -o sim.test ./internal/sim
+//	go test -c -o runner.test ./internal/runner
 //	for round in $(seq 10); do
 //	    for leg in Detached Attached; do
-//	        ./sim.test -test.run '^$' -test.bench "^BenchmarkObserver$leg\$" -test.benchtime 10000x -test.count 1
+//	        ./runner.test -test.run '^$' -test.bench "^BenchmarkProbe$leg\$" -test.benchtime 10x -test.count 1
 //	    done
 //	done | go run ./internal/tools/obscompare \
-//	    -baseline BenchmarkObserverDetached -observed BenchmarkObserverAttached -max-overhead 0.05
+//	    -baseline BenchmarkProbeDetached -observed BenchmarkProbeAttached -max-overhead 0.05
 package main
 
 import (
@@ -33,8 +33,8 @@ import (
 )
 
 func main() {
-	baseline := flag.String("baseline", "BenchmarkObserverDetached", "baseline benchmark name")
-	observed := flag.String("observed", "BenchmarkObserverAttached", "observed benchmark name")
+	baseline := flag.String("baseline", "BenchmarkProbeDetached", "baseline benchmark name")
+	observed := flag.String("observed", "BenchmarkProbeAttached", "observed benchmark name")
 	maxOverhead := flag.Float64("max-overhead", 0.05, "maximum tolerated median observed/baseline ratio, minus 1")
 	flag.Parse()
 

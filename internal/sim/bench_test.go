@@ -57,7 +57,8 @@ func BenchmarkScheduleBurstDrain(b *testing.B) {
 // quantity as the benchmark's sim.hold_ns.* probes, readable without its
 // traced pass. Those probes schedule closures (AtFunc); a delivered message
 // is an AtArg event on a registered handler and never touches the closure
-// table, so the all-message shape is also run through that door.
+// table, and so is a network's tick timer, so the all-message and the
+// dense-timer shapes are also run through that door.
 func BenchmarkHold(b *testing.B) {
 	shapes := []struct {
 		name    string
@@ -67,6 +68,7 @@ func BenchmarkHold(b *testing.B) {
 		atArg   bool    // schedule by handler id instead of by closure
 	}{
 		{"dense-1024-period-1", 1024, 1024, 1, false},
+		{"dense-1024-period-1-atarg", 1024, 1024, 1, true},
 		{"benor-4032-exponential", 64, 4032, 0, false},
 		{"benor-4032-exponential-atarg", 64, 4032, 0, true},
 		{"sparse-100000-period-n", 100_000, 100_000, 100_000, false},

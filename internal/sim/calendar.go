@@ -11,7 +11,7 @@ import (
 // contiguous time window of width `width`, plus an unsorted overflow area
 // for events beyond the wheel's horizon. Enqueue and dequeue are amortized
 // O(1) in theory, but it is slower than the heap on every workload the repo
-// benchmark measures: sim.calendar_over_heap reads 2.0 / 1.6 / 1.3 on the
+// benchmark measures: sim.calendar_over_heap reads 2.7 / 2.0 / 1.2 on the
 // dense-timer / sparse-timer / all-message workloads, the heap's sorted run
 // taking in-order timers with no sift. It stays only because that frozen
 // benchmark measures it.
@@ -89,10 +89,6 @@ func newCalendarScheduler() *calendarScheduler {
 
 // pending counts the queued events; the resize logic sizes the wheel by it.
 func (c *calendarScheduler) pending() int { return c.wheelLen + len(c.overflow) }
-
-// Reserve is a no-op: the wheel sizes itself from the pending population at
-// each rebuild, and which bucket an event lands in is not known up front.
-func (c *calendarScheduler) Reserve(int) {}
 
 // bucketIndex maps an instant within [wheelStart, wheelEnd) to its bucket.
 // Clamping keeps the result in range under floating-point rounding (and

@@ -19,8 +19,9 @@ func newCalendarKernel(t *testing.T) *Kernel {
 }
 
 // TestSchedulerRegistry pins the registry surface: the shipped names
-// resolve, the empty name means the default heap, and unknown names fail
-// loudly enough to catch a typo in a spec file.
+// resolve, the empty name means the default heap — the kernel's own lanes,
+// with no calendar — the calendar name sets the calendar pointer, and
+// unknown names fail loudly enough to catch a typo in a spec file.
 func TestSchedulerRegistry(t *testing.T) {
 	for _, name := range SchedulerNames() {
 		if !ValidScheduler(name) {
@@ -30,27 +31,20 @@ func TestSchedulerRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewNamed(%q): %v", name, err)
 		}
-		var ok bool
-		switch name {
-		case SchedulerHeap:
-			_, ok = k.sched.(*heapScheduler)
-		case SchedulerCalendar:
-			_, ok = k.sched.(*calendarScheduler)
-		}
-		if !ok {
-			t.Errorf("NewNamed(%q) is backed by %T", name, k.sched)
+		if calendar := k.cal != nil; calendar != (name == SchedulerCalendar) {
+			t.Errorf("NewNamed(%q): calendar selected = %v", name, calendar)
 		}
 	}
 	if !ValidScheduler("") {
 		t.Error("ValidScheduler(\"\") = false, want true (default)")
 	}
-	if _, ok := New().sched.(*heapScheduler); !ok {
-		t.Errorf("New() scheduler is a %T, want the heap default", New().sched)
+	if New().cal != nil {
+		t.Error("New() selects the calendar, want the heap default")
 	}
 	if k, err := NewNamed(""); err != nil {
 		t.Errorf("NewNamed(\"\"): %v", err)
-	} else if _, ok := k.sched.(*heapScheduler); !ok {
-		t.Errorf("NewNamed(\"\") scheduler is a %T, want the heap default", k.sched)
+	} else if k.cal != nil {
+		t.Error("NewNamed(\"\") selects the calendar, want the heap default")
 	}
 	if ValidScheduler("ladder") {
 		t.Error("ValidScheduler(\"ladder\") = true for an unknown name")
@@ -239,13 +233,52 @@ func TestCalendarSameInstantFIFO(t *testing.T) {
 	}
 }
 
+// TestCalendarLeavesTheLanesEmpty: with the calendar selected, Reserve and
+// every event go to the calendar, and the kernel's heap lanes never take
+// one — not a reservation, not an in-order tick, not an out-of-order event —
+// so what a calendar run measures is the calendar.
+func TestCalendarLeavesTheLanesEmpty(t *testing.T) {
+	const nodes = 64
+	k := newCalendarKernel(t)
+	r := rng.New(3)
+	k.Reserve(nodes)
+	var tick HandlerID
+	tick = k.Register(func(node uint32) { k.AtArg(k.Now().Add(1), tick, node) })
+	for i := 0; i < nodes; i++ {
+		k.AtArg(1, tick, uint32(i)) // a timer per node, in order
+	}
+	untouched := func(ctx string) {
+		t.Helper()
+		if q := &k.lanes; q.run != nil || q.heap != nil || q.n != 0 || q.reserved {
+			t.Fatalf("%s: the heap lanes took something under the calendar: run %d/%d, heap %d, reserved %v", ctx, q.n, len(q.run), len(q.heap), q.reserved)
+		}
+	}
+	untouched("reserve and fill")
+	for i := 0; i < 5000; i++ {
+		if r.Bool(0.3) { // a message: an instant below the newest tick
+			k.AtFunc(k.Now().Add(simtime.Duration(r.Float64())), func() {})
+		}
+		if !k.Step() {
+			t.Fatal("the ticks ran out")
+		}
+		untouched("step")
+	}
+	if err := k.Run(k.Now().Add(10), 0); err != nil {
+		t.Fatal(err)
+	}
+	untouched("run")
+	if got := k.cal.pending(); got != pending(k) || got < nodes {
+		t.Fatalf("the calendar holds %d, the kernel counts %d pending, want the %d ticks among them", got, pending(k), nodes)
+	}
+}
+
 // TestCalendarPendingQueueLenInvariants walks a mixed workload — wheel and
 // overflow placements, rebuilds — and checks after every operation that the
 // wheel and the overflow together hold exactly the events still pending.
 func TestCalendarPendingQueueLenInvariants(t *testing.T) {
 	k := newCalendarKernel(t)
 	r := rng.New(7)
-	c := k.sched.(*calendarScheduler)
+	c := k.cal
 	want := 0
 	check := func(ctx string) {
 		t.Helper()

@@ -7,18 +7,18 @@ import (
 	"abenet/internal/simtime"
 )
 
-// heapScheduler is the default Scheduler: a sorted run in front of an
+// heapScheduler is the default scheduler: a sorted run in front of an
 // intrusive 4-ary min-heap, both ordered by (at, seq) and both stored in
 // plain value slices that double as the event pool, so steady-state
-// scheduling allocates nothing. There is no container/heap and no interface
-// boxing on the hot path.
+// scheduling allocates nothing. The Kernel holds it by value and works its
+// fields itself: a push or a run pop is no call, a heap pop one (next).
 //
 // The run is a FIFO ring. It takes an event when it is empty or the event's
 // instant is not below its newest one; the kernel hands out seq in schedule
 // order, so the ring is in (at, seq) order by construction and nothing in it
 // ever moves. Everything else — an event below the run's newest instant, or
-// one that finds the run full — goes to the heap, which takes any event. Next
-// returns the smaller of the run's oldest event and the heap's root, so the
+// one that finds the run full — goes to the heap, which takes any event. The
+// loop pops the smaller of the run's oldest event and the heap's root, so the
 // pop order is exactly the heap-only one.
 //
 // The shape this serves is the paper's own: every node re-arms a tick timer
@@ -37,8 +37,6 @@ type heapScheduler struct {
 	tail     simtime.Time // instant of the run's newest event; valid while n > 0
 	reserved bool         // Reserve fixed the run's size: a full run spills
 }
-
-func newHeapScheduler() *heapScheduler { return &heapScheduler{} }
 
 // Reserve sizes the run once, to n slots, and stops it from growing
 // afterwards — until then it grows by doubling, and from then on a full run
@@ -62,73 +60,10 @@ func (h *heapScheduler) resizeRun(size int) {
 	h.run, h.head = run, 0
 }
 
-func (h *heapScheduler) Schedule(ev event) {
-	if h.n == 0 || ev.at >= h.tail {
-		if h.n == len(h.run) && !h.reserved {
-			h.resizeRun(max(2*len(h.run), 16))
-		}
-		if h.n < len(h.run) {
-			i := h.head + h.n
-			if i >= len(h.run) {
-				i -= len(h.run)
-			}
-			h.run[i] = ev
-			h.n++
-			h.tail = ev.at
-			return
-		}
-	}
-	h.heap = append(h.heap, ev)
-	h.siftUp(len(h.heap) - 1)
-}
-
 // runFirst reports whether the earliest pending event is the run's oldest
 // rather than the heap's root. At least one of the two must exist.
 func (h *heapScheduler) runFirst() bool {
 	return h.n > 0 && (len(h.heap) == 0 || less(&h.run[h.head], &h.heap[0]))
-}
-
-func (h *heapScheduler) PeekTime() (simtime.Time, bool) {
-	if h.runFirst() {
-		return h.run[h.head].at, true
-	}
-	if len(h.heap) == 0 {
-		return 0, false
-	}
-	return h.heap[0].at, true
-}
-
-// Next removes and returns the earliest event — the run's oldest or the
-// heap's root, whichever is smaller — if it is not after horizon. It decides
-// the lane once. The heap pops bottom-up: the root's hole sinks to a leaf and
-// the displaced last entry — a leaf itself, so it rarely belongs higher —
-// sifts up from there. Against sifting that entry down from the root, this
-// drops one compare per level, the one that nearly always says "keep going".
-func (h *heapScheduler) Next(horizon simtime.Time) (event, bool) {
-	if h.runFirst() {
-		ev := h.run[h.head]
-		if ev.at > horizon {
-			return event{}, false
-		}
-		h.n--
-		if h.head++; h.head == len(h.run) {
-			h.head = 0
-		}
-		return ev, true
-	}
-	if len(h.heap) == 0 || h.heap[0].at > horizon {
-		return event{}, false
-	}
-	ev := h.heap[0]
-	n := len(h.heap) - 1
-	last := h.heap[n]
-	h.heap = h.heap[:n]
-	if n > 0 {
-		i := h.sinkHole()
-		h.heap[i] = last
-		h.siftUp(i)
-	}
-	return ev, true
 }
 
 // key is an event's position in the (at, seq) order as a 128-bit unsigned

@@ -413,7 +413,7 @@ func TestSchedulerOrderCorpus(t *testing.T) {
 // cases that matter most, so they keep testing what they say they test.
 func TestRunAndHeapShareAnInstant(t *testing.T) {
 	k := New()
-	h := k.sched.(*heapScheduler)
+	h := &k.lanes
 	var got []int
 	at := func(at simtime.Time, id int) { k.AtFunc(at, func() { got = append(got, id) }) }
 
@@ -430,7 +430,7 @@ func TestRunAndHeapShareAnInstant(t *testing.T) {
 	}
 
 	k = New()
-	h = k.sched.(*heapScheduler)
+	h = &k.lanes
 	at(15, 3)
 	at(19, 4)
 	at(17, 5) // below the run's newest instant, run non-empty: heap

@@ -17,26 +17,27 @@
 // storage is a noscan slab: no write barrier on any copy a sift makes and
 // nothing for the collector to scan, however many events are pending.
 //
-// The pending-event set lives behind the Scheduler interface, with two
-// implementations selectable per run: "heap", the default (see
-// heapScheduler) — a sorted run that takes events arriving in order, such as
-// the tick timers every node of the paper's election re-arms forever, in
-// front of a 4-ary heap for the rest, popped bottom-up without a
-// data-dependent branch — and "calendar", a calendar queue (Brown 1988, as
-// in ns-3), ahead of the heap on no committed workload and kept as the
-// independent implementation the differential suite checks the heap
-// against. Both pop events in exactly (instant, sequence) order, so
-// executions are byte-identical across schedulers — the differential suite
-// and the order oracle (FuzzSchedulerOrder) pin that.
+// Two schedulers hold the pending events, selectable per run: "heap", the
+// default (see heapScheduler) — a sorted run that takes events arriving in
+// order, such as the tick timers every node of the paper's election re-arms
+// forever, in front of a 4-ary heap for the rest — and "calendar", a
+// calendar queue (Brown 1988, as in ns-3), kept as the independent
+// implementation the differential suite checks the heap against. The Kernel
+// holds the heap's lanes by value and the calendar behind a pointer, nil
+// unless selected; a selected calendar takes every event. Both pop in exactly
+// (instant, sequence) order, so executions are byte-identical across
+// schedulers — the differential suite and FuzzSchedulerOrder pin that.
 //
 // # The run loop
 //
-// The loop asks its scheduler for one thing per event, Next(horizon): the
-// earliest event, if it is not past the horizon. Nothing else runs between
-// two events; the kernel has no per-event hook. A caller that looks at a run
-// as it goes runs it in segments: RunSegment returns right after the event
-// that reaches its Pause, and the next call resumes the run (the probe
-// collector samples this way; see network.Network.Run).
+// On the heap an event costs one call inside this package or none: the loop
+// pops the run's oldest event and calls a registered handler itself, and
+// AtArg inlines into its caller, which calls enqueue, where both pushes are
+// written out. Nothing else runs between two events; there is no per-event
+// hook. A caller that looks at a run as it goes runs it in segments:
+// RunSegment returns right after the event that reaches its Pause, and the
+// next call resumes the run (the probe collector samples this way; see
+// network.Network.Run).
 //
 // # Scheduling API
 //
@@ -117,7 +118,8 @@ func less(a, b *event) bool {
 // achieved by running independent Kernels on separate goroutines.
 type Kernel struct {
 	now       simtime.Time
-	sched     Scheduler
+	lanes     heapScheduler      // the default scheduler, worked inline by the loop and enqueue
+	cal       *calendarScheduler // nil unless the calendar is selected; then it takes every event
 	seq       uint64
 	eventSeq  uint64 // insertion sequence of the event executing (or last executed)
 	executed  uint64
@@ -131,19 +133,21 @@ type Kernel struct {
 }
 
 // New returns an empty kernel at virtual time zero, backed by the default
-// 4-ary heap scheduler.
-func New() *Kernel { return newKernel(newHeapScheduler()) }
-
-func newKernel(s Scheduler) *Kernel { return &Kernel{sched: s, handlers: make([]ArgHandler, 1)} }
+// heap scheduler.
+func New() *Kernel { return &Kernel{handlers: make([]ArgHandler, 1)} }
 
 // NewNamed returns an empty kernel backed by the named scheduler (see
-// NewScheduler). The empty name selects the default heap.
+// SchedulerNames). The empty name selects the default heap.
 func NewNamed(name string) (*Kernel, error) {
-	s, err := NewScheduler(name)
-	if err != nil {
-		return nil, err
+	switch name {
+	case "", SchedulerHeap:
+		return New(), nil
+	case SchedulerCalendar:
+		k := New()
+		k.cal = newCalendarScheduler()
+		return k, nil
 	}
-	return newKernel(s), nil
+	return nil, fmt.Errorf("sim: unknown scheduler %q (valid: %v)", name, SchedulerNames())
 }
 
 // Now returns the current virtual time.
@@ -169,35 +173,76 @@ func (k *Kernel) ScheduleSeq() uint64 { return k.seq }
 func (k *Kernel) EventSeq() uint64 { return k.eventSeq }
 
 // Reserve tells the scheduler that about n events will be pending at once at
-// non-decreasing instants — one timer per node, say — so it can size its
-// storage for them in one step instead of growing into it (see
-// Scheduler.Reserve). Whoever knows the population, such as network.New,
-// calls it before the first event is scheduled. It is a hint: execution order and every counter
-// are unaffected, and the closure table behind AtFunc is not reserved.
-func (k *Kernel) Reserve(n int) { k.sched.Reserve(n) }
-
-// checkInstant panics unless at is an instant an event may be scheduled at:
-// finite and not before now. One two-sided compare, which NaN fails too; the
-// message is built out of line, so the check inlines.
-func (k *Kernel) checkInstant(at simtime.Time) {
-	if !(at >= k.now && at < simtime.Forever) {
-		k.badInstant(at)
+// non-decreasing instants — one timer per node, say — so the heap's run takes
+// them without growing (see heapScheduler.Reserve; the calendar sizes
+// itself). Whoever knows the population, such as network.New, calls it before
+// the first event. It is a hint: execution order and every counter are
+// unaffected, and the closure table behind AtFunc is not reserved.
+func (k *Kernel) Reserve(n int) {
+	if k.cal == nil {
+		k.lanes.Reserve(n)
 	}
 }
 
-// badInstant panics with what is wrong with at.
-func (k *Kernel) badInstant(at simtime.Time) {
-	if !at.IsFinite() {
-		panic(fmt.Sprintf("sim: scheduling at non-finite time %v", at))
+// refusal says what is wrong with an event at at for handler h: an instant
+// must be finite and not before now, a handler registered.
+func (k *Kernel) refusal(at simtime.Time, h HandlerID) string {
+	switch {
+	case int(h) >= len(k.handlers):
+		return fmt.Sprintf("sim: AtArg with unregistered handler id %d", h)
+	case !at.IsFinite():
+		return fmt.Sprintf("sim: scheduling at non-finite time %v", at)
 	}
-	panic(fmt.Sprintf("sim: scheduling into the past: now %v, requested %v", k.now, at))
+	return fmt.Sprintf("sim: scheduling into the past: now %v, requested %v", k.now, at)
 }
 
-// enqueue hands one event, its instant already checked, to the scheduler.
+// enqueue checks one event (one two-sided compare, which NaN fails too) and
+// files it: onto the run if the run takes it (see heapScheduler), else with
+// the calendar when it is selected, else into the heap. The run has no slot
+// under the calendar, so its push comes first, with no value spilled for the
+// calls below; the event is built where it is stored, not in a stack local.
 func (k *Kernel) enqueue(at simtime.Time, h HandlerID, arg uint32) {
-	at += 0 // −0 + 0 = +0: −0 passes checkInstant at time zero, and the heap orders instants by bit pattern
-	k.sched.Schedule(event{at: at, seq: k.seq, h: h, arg: arg})
+	if !(at >= k.now && at < simtime.Forever) || int(h) >= len(k.handlers) {
+		panic(k.refusal(at, h))
+	}
+	at += 0 // −0 + 0 = +0: −0 passes the check at time zero, and the heap orders instants by bit pattern
+	seq := k.seq
 	k.seq++
+	q := &k.lanes
+	inOrder := q.n == 0 || at >= q.tail
+	if inOrder && q.n < len(q.run) {
+		i := q.head + q.n
+		if i >= len(q.run) {
+			i -= len(q.run)
+		}
+		q.run[i] = event{at: at, seq: seq, h: h, arg: arg}
+		q.n++
+		q.tail = at
+		return
+	}
+	switch {
+	case k.cal != nil:
+		k.cal.Schedule(event{at: at, seq: seq, h: h, arg: arg})
+	case inOrder && !q.reserved: // a full run that may double
+		q.resizeRun(max(2*len(q.run), 16))
+		q.run[q.n] = event{at: at, seq: seq, h: h, arg: arg}
+		q.n++
+		q.tail = at
+	default:
+		// Sift up from a new leaf. seq is above every pending event's, so an
+		// entry at the same instant stays above it: the instant decides.
+		i := len(q.heap)
+		q.heap = append(q.heap, event{})
+		for i > 0 {
+			p := (i - 1) / 4
+			if at >= q.heap[p].at {
+				break
+			}
+			q.heap[i] = q.heap[p]
+			i = p
+		}
+		q.heap[i] = event{at: at, seq: seq, h: h, arg: arg}
+	}
 }
 
 // Register adds fn to the kernel's handler table and returns the id AtArg
@@ -219,7 +264,9 @@ func (k *Kernel) AtFunc(at simtime.Time, fn Handler) {
 	if fn == nil {
 		panic("sim: scheduling a nil handler")
 	}
-	k.checkInstant(at) // before a slot is taken: a refused event must not leak one
+	if !(at >= k.now && at < simtime.Forever) { // before a slot is taken: a refused event must not leak one
+		panic(k.refusal(at, 0))
+	}
 	var slot uint32
 	if n := len(k.freeSlot); n > 0 {
 		slot = k.freeSlot[n-1]
@@ -237,12 +284,11 @@ func (k *Kernel) AtFunc(at simtime.Time, fn Handler) {
 // value (typically a method value) serves arbitrarily many events even when
 // each event needs distinct state, and the event names it without holding a
 // pointer. The channel layer's pooled delivery path is the intended caller:
-// arg indexes into its payload pool.
+// arg indexes into its payload pool. It inlines; enqueue checks the rest.
 func (k *Kernel) AtArg(at simtime.Time, id HandlerID, arg uint32) {
-	if id == 0 || int(id) >= len(k.handlers) {
-		panic(fmt.Sprintf("sim: AtArg with unregistered handler id %d", id))
+	if id == 0 {
+		panic("sim: AtArg with handler id 0, which names no handler")
 	}
-	k.checkInstant(at)
 	k.enqueue(at, id, arg)
 }
 
@@ -318,6 +364,7 @@ func (k *Kernel) RunSegment(horizon simtime.Time, maxEvents, from uint64, pause 
 		bound = simtime.Time(math.Nextafter(float64(pause.At), math.Inf(-1)))
 	}
 	limit := min(budget, pause.Events)
+	q := &k.lanes
 	for {
 		if k.stopped {
 			return false, ErrStopped
@@ -326,13 +373,25 @@ func (k *Kernel) RunSegment(horizon simtime.Time, maxEvents, from uint64, pause 
 			if k.executed >= pause.Events {
 				return true, nil
 			}
-			if at, ok := k.sched.PeekTime(); ok && at <= horizon {
+			if at, ok := k.peekTime(); ok && at <= horizon {
 				return false, fmt.Errorf("%w: exceeded %d events at %v", ErrMaxEvents, maxEvents, k.now)
 			}
 			k.halt(horizon) // drained, or nothing left by the horizon: the budget was enough
 			return false, nil
 		}
-		ev, ok := k.sched.Next(bound)
+		// Pop the earliest event if it is not past bound: the run's oldest
+		// here, anything else by one call.
+		var ev event
+		ok := q.runFirst() && q.run[q.head].at <= bound
+		if ok {
+			ev = q.run[q.head]
+			q.n--
+			if q.head++; q.head == len(q.run) {
+				q.head = 0
+			}
+		} else {
+			ev, ok = k.next(bound)
+		}
 		if !ok {
 			if bound < horizon { // nothing is left before pause.At
 				bound = horizon
@@ -343,14 +402,70 @@ func (k *Kernel) RunSegment(horizon simtime.Time, maxEvents, from uint64, pause 
 			k.halt(horizon)
 			return false, nil
 		}
-		k.execute(ev)
+		k.now = ev.at
+		k.eventSeq = ev.seq
+		k.executed++
+		if ev.h != 0 {
+			k.handlers[ev.h](ev.arg)
+		} else {
+			k.takeClosure(ev.arg)()
+		}
 	}
+}
+
+// next removes and returns the earliest pending event if it is not past
+// bound. The heap pops bottom-up: the root's hole sinks to a leaf and the
+// displaced last entry, a leaf itself that rarely belongs higher, sifts up
+// from there — one compare per level fewer than sifting it down from the
+// root, the one that nearly always says "keep going".
+func (k *Kernel) next(bound simtime.Time) (ev event, ok bool) {
+	switch q := &k.lanes; {
+	case q.runFirst():
+		if ev = q.run[q.head]; ev.at > bound {
+			return event{}, false
+		}
+		q.n--
+		if q.head++; q.head == len(q.run) {
+			q.head = 0
+		}
+		return ev, true
+	case len(q.heap) > 0:
+		if ev = q.heap[0]; ev.at > bound {
+			return event{}, false
+		}
+		n := len(q.heap) - 1
+		last := q.heap[n]
+		q.heap = q.heap[:n]
+		if n > 0 {
+			i := q.sinkHole()
+			q.heap[i] = last
+			q.siftUp(i)
+		}
+		return ev, true
+	case k.cal != nil:
+		return k.cal.Next(bound)
+	}
+	return event{}, false
+}
+
+// peekTime returns the instant of the earliest pending event, or ok=false
+// when nothing is pending.
+func (k *Kernel) peekTime() (simtime.Time, bool) {
+	switch q := &k.lanes; {
+	case k.cal != nil:
+		return k.cal.PeekTime()
+	case q.runFirst():
+		return q.run[q.head].at, true
+	case len(q.heap) > 0:
+		return q.heap[0].at, true
+	}
+	return 0, false
 }
 
 // halt ends a run with nothing left by horizon: the clock moves forward to
 // the horizon if anything is pending past it, and never backward.
 func (k *Kernel) halt(horizon simtime.Time) {
-	if _, ok := k.sched.PeekTime(); ok && horizon.After(k.now) {
+	if _, ok := k.peekTime(); ok && horizon.After(k.now) {
 		k.now = horizon
 	}
 }
@@ -362,33 +477,33 @@ func (k *Kernel) Step() bool { return k.StepWithin(simtime.Forever) }
 
 // StepWithin is Step bounded like Run: if the earliest pending event lies
 // past horizon, it runs nothing, moves the clock forward to the horizon and
-// returns false.
+// returns false. It pops and dispatches as RunSegment does, without a run's
+// set-up, which cost a BenchmarkHold step 33 ns against 21 ns.
 func (k *Kernel) StepWithin(horizon simtime.Time) bool {
 	if k.stopped {
 		return false
 	}
-	ev, ok := k.sched.Next(horizon)
+	ev, ok := k.next(horizon)
 	if !ok {
 		k.halt(horizon)
 		return false
 	}
-	k.execute(ev)
-	return true
-}
-
-// execute runs ev, which Next has just popped.
-func (k *Kernel) execute(ev event) {
 	k.now = ev.at
 	k.eventSeq = ev.seq
 	k.executed++
 	if ev.h != 0 {
 		k.handlers[ev.h](ev.arg)
 	} else {
-		// Vacate the slot first: fn's captures are dropped when it returns,
-		// and what it schedules may take the slot over.
-		fn := k.closures[ev.arg]
-		k.closures[ev.arg] = nil
-		k.freeSlot = append(k.freeSlot, ev.arg)
-		fn()
+		k.takeClosure(ev.arg)()
 	}
+	return true
+}
+
+// takeClosure vacates a closure's slot and returns it to run: its captures
+// are dropped when it returns, and what it schedules may take the slot over.
+func (k *Kernel) takeClosure(slot uint32) Handler {
+	fn := k.closures[slot]
+	k.closures[slot] = nil
+	k.freeSlot = append(k.freeSlot, slot)
+	return fn
 }

@@ -429,6 +429,25 @@ func TestEventIsPointerFree(t *testing.T) {
 	}
 }
 
+// TestKernelHoldsItsLanes pins how the run loop reaches its events: the heap
+// scheduler's lanes are a field of the Kernel, held by value, so the loop
+// pops them and enqueue pushes onto them inline; and no field is an
+// interface, whose every use per event would be a dynamic call.
+func TestKernelHoldsItsLanes(t *testing.T) {
+	typ := reflect.TypeOf(Kernel{})
+	held := false
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		held = held || f.Type == reflect.TypeOf(heapScheduler{})
+		if f.Type.Kind() == reflect.Interface {
+			t.Errorf("Kernel.%s is an interface (%v): the loop would make a dynamic call per event", f.Name, f.Type)
+		}
+	}
+	if !held {
+		t.Error("Kernel holds no heapScheduler by value")
+	}
+}
+
 func TestStepWithinPastHorizonDoesNotRewind(t *testing.T) {
 	// Regression (review finding): a horizon earlier than the current
 	// virtual time must not move the clock backwards.
@@ -491,7 +510,7 @@ func TestReserveSizesTheQueueOnce(t *testing.T) {
 
 	k := New()
 	k.Reserve(n)
-	h := k.sched.(*heapScheduler)
+	h := &k.lanes
 	arg := k.Register(func(uint32) {})
 	atArg := func(at simtime.Time) { k.AtArg(at, arg, 0) }
 	if got := mallocs(func() { inOrder(k, atArg) }); got != 0 {

@@ -9,13 +9,17 @@
 // of its ratio instead of landing between the legs. Best-of-N over blocks of
 // repetitions read +8…+22 % on unchanged code on a loaded 2-core host; the
 // median of alternating ratios does not depend on which block the host
-// slowed down in.
+// slowed down in. The leg that runs second in a round reads about 3 % faster
+// on such a host, so the rounds alternate which leg runs first, and the i-th
+// baseline still pairs with the i-th observed run.
 //
 // Usage, with one -count 1 run per leg per round:
 //
 //	go test -c -o runner.test ./internal/runner
 //	for round in $(seq 10); do
-//	    for leg in Detached Attached; do
+//	    legs="Detached Attached"
+//	    if [ $((round % 2)) -eq 0 ]; then legs="Attached Detached"; fi
+//	    for leg in $legs; do
 //	        ./runner.test -test.run '^$' -test.bench "^BenchmarkProbe$leg\$" -test.benchtime 10x -test.count 1
 //	    done
 //	done | go run ./internal/tools/obscompare \

@@ -51,7 +51,8 @@ func TestElectionAllocationBudget(t *testing.T) {
 // edge list filled before the CSR read 988 048 B in 924 objects; a slot
 // pool that copied itself as it grew read 581 kB there, beside a 70 kB free
 // list, and a box per broadcast 204 kB in 12 864 objects: 1 661 520 B in
-// 13 410 objects in all.
+// 13 410 objects in all. The budget is 975 000 B in 960 objects (980 000 B
+// in 965 under the race detector).
 func TestBenOrAllocationBudget(t *testing.T) {
 	bytes, objects := allocbudget.Run(func() {
 		rep, err := Run(Env{N: 64, MaxRounds: 100, Seed: 1}, BenOr{})

@@ -30,6 +30,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strconv"
@@ -42,12 +43,23 @@ func main() {
 	maxOverhead := flag.Float64("max-overhead", 0.05, "maximum tolerated median observed/baseline ratio, minus 1")
 	flag.Parse()
 
+	if err := compare(os.Stdin, os.Stdout, *baseline, *observed, *maxOverhead); err != nil {
+		fmt.Fprintf(os.Stderr, "obscompare: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// compare reads `go test -bench` output from r and copies it to w. It pairs
+// the i-th baseline ns/op with the i-th observed one, writes each round's
+// ratio and their median to w, and returns an error if the runs do not pair
+// or the median overhead exceeds maxOverhead.
+func compare(r io.Reader, w io.Writer, baseline, observed string, maxOverhead float64) error {
 	runs := map[string][]float64{} // ns/op per benchmark, in the order they ran
-	scanner := bufio.NewScanner(os.Stdin)
+	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	for scanner.Scan() {
 		line := scanner.Text()
-		fmt.Println(line) // pass the raw output through for the CI log
+		fmt.Fprintln(w, line) // pass the raw output through for the CI log
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
@@ -57,7 +69,9 @@ func main() {
 		}
 		name := fields[0]
 		if i := strings.LastIndex(name, "-"); i > 0 {
-			name = name[:i]
+			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+				name = name[:i] // the -GOMAXPROCS suffix
+			}
 		}
 		for i := 2; i+1 < len(fields); i += 2 {
 			if fields[i+1] != "ns/op" {
@@ -69,29 +83,30 @@ func main() {
 		}
 	}
 	if err := scanner.Err(); err != nil {
-		fail("%v", err)
+		return err
 	}
 
-	base, obs := runs[*baseline], runs[*observed]
+	base, obs := runs[baseline], runs[observed]
 	if len(base) == 0 || len(base) != len(obs) {
-		fail("%d runs of %s and %d of %s: want the same positive number, one of each per round",
-			len(base), *baseline, len(obs), *observed)
+		return fmt.Errorf("%d runs of %s and %d of %s: want the same positive number, one of each per round",
+			len(base), baseline, len(obs), observed)
 	}
 	ratios := make([]float64, len(base))
 	for i := range base {
 		if base[i] <= 0 {
-			fail("round %d: %s read %g ns/op", i+1, *baseline, base[i])
+			return fmt.Errorf("round %d: %s read %g ns/op", i+1, baseline, base[i])
 		}
 		ratios[i] = obs[i] / base[i]
-		fmt.Printf("obscompare: round %d: %s %.0f ns/op, %s %.0f ns/op, ratio %.3f\n",
-			i+1, *baseline, base[i], *observed, obs[i], ratios[i])
+		fmt.Fprintf(w, "obscompare: round %d: %s %.0f ns/op, %s %.0f ns/op, ratio %.3f\n",
+			i+1, baseline, base[i], observed, obs[i], ratios[i])
 	}
 	overhead := median(ratios) - 1
-	fmt.Printf("obscompare: median of %d per-round ratios %.3f, overhead %+.2f%% (limit %.0f%%)\n",
-		len(ratios), overhead+1, overhead*100, *maxOverhead*100)
-	if overhead > *maxOverhead {
-		fail("overhead %.2f%% exceeds the %.0f%% budget", overhead*100, *maxOverhead*100)
+	fmt.Fprintf(w, "obscompare: median of %d per-round ratios %.3f, overhead %+.2f%% (limit %.0f%%)\n",
+		len(ratios), overhead+1, overhead*100, maxOverhead*100)
+	if overhead > maxOverhead {
+		return fmt.Errorf("overhead %.2f%% exceeds the %.0f%% budget", overhead*100, maxOverhead*100)
 	}
+	return nil
 }
 
 // median returns the median of xs, which must be non-empty.
@@ -103,9 +118,4 @@ func median(xs []float64) float64 {
 		return s[n/2]
 	}
 	return (s[n/2-1] + s[n/2]) / 2
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "obscompare: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -217,6 +217,11 @@ var designRules = []designRule{
 		inside: &funcDecl{doc: `hold\s+s\.mu`},
 		msg:    "persistent-tier I/O in a function that runs under s.mu — load before locking, write through after unlocking",
 		bad:    input{"internal/service/locked.go", "package service\n\n// touch reads through. Callers hold s.mu.\nfunc (c *tieredCache) touch(k string) { c.persist.Get(k) }"}},
+	{step: "A document is decoded once per service", scope: dirs("internal/service"),
+		match: lockedIO{lock: "s.mu", io: call{x: "persist", name: "Put|Get"}},
+		msg:   "persistent-tier I/O while s.mu is held, in the locked span or in a function it calls — load before locking, write through after unlocking",
+		bad: input{"internal/service/locked.go", "package service\n\nfunc (c *tieredCache) read(k string) { c.persist.Get(k) }\n\n" +
+			"func (s *Service) lookup(k string) {\n\ts.mu.Lock()\n\tdefer s.mu.Unlock()\n\ts.cache.read(k)\n}"}},
 
 	{step: "No per-event hook in the kernel", scope: dirs("internal/sim"),
 		match: field{strct: "Kernel", line: `func[\s(]|Handler`, except: `handlers \[\]ArgHandler|closures \[\]Handler`},
@@ -277,6 +282,13 @@ func (r designRule) check(files []*srcFile) []string {
 		return []string{"its scope holds no file"}
 	}
 	var problems []string
+	match := r.match
+	if m, ok := match.(scoped); ok {
+		var problem string
+		if match, problem = m.within(in); problem != "" {
+			problems = append(problems, problem)
+		}
+	}
 	for _, p := range r.scope.paths {
 		if strings.HasSuffix(p, ".go") && !slices.ContainsFunc(in, func(f *srcFile) bool { return f.path == p }) {
 			problems = append(problems, p+" is gone")
@@ -290,7 +302,7 @@ func (r designRule) check(files []*srcFile) []string {
 	}
 	var sites []string
 	for _, f := range in {
-		for _, s := range r.match.sites(f) {
+		for _, s := range match.sites(f) {
 			if r.inside != nil && (s.fn == nil || !r.inside.is(f, s.fn)) || r.outside != nil && s.fn != nil && r.outside.is(f, s.fn) {
 				continue
 			}
@@ -309,10 +321,12 @@ func (r designRule) check(files []*srcFile) []string {
 }
 
 // hasSubject reports whether r needs something besides a file in scope:
-// a struct, a named file, an enclosing function or a site.
+// a struct, a named file, an enclosing function, a site, or what a scoped
+// matcher reads the scope for.
 func (r designRule) hasSubject() bool {
 	_, isField := r.match.(field)
-	return isField || r.inside != nil || r.min > 0 || slices.ContainsFunc(r.scope.paths, func(p string) bool { return strings.HasSuffix(p, ".go") })
+	_, isScoped := r.match.(scoped)
+	return isField || isScoped || r.inside != nil || r.min > 0 || slices.ContainsFunc(r.scope.paths, func(p string) bool { return strings.HasSuffix(p, ".go") })
 }
 
 // scope names the files a rule reads, by module-relative path: a package
@@ -434,22 +448,226 @@ type call struct {
 
 func (m call) sites(f *srcFile) (s []site) {
 	f.inspect(func(n ast.Node, fn *ast.FuncDecl) {
-		c, ok := n.(*ast.CallExpr)
-		if !ok || m.noArgs && len(c.Args) > 0 || m.arg0 != "" && (len(c.Args) == 0 || !contains(m.arg0, f.text(c.Args[0]))) {
-			return
-		}
-		x, name := "", ""
-		switch fun := c.Fun.(type) {
-		case *ast.Ident:
-			name = fun.Name
-		case *ast.SelectorExpr:
-			x, name = lastName(fun.X), fun.Sel.Name
-		}
-		if named(m.x, x) && named(m.name, name) {
+		if c, ok := n.(*ast.CallExpr); ok && m.is(f, c) {
 			s = append(s, site{c.Pos(), fn})
 		}
 	})
 	return s
+}
+
+func (m call) is(f *srcFile, c *ast.CallExpr) bool {
+	if m.noArgs && len(c.Args) > 0 || m.arg0 != "" && (len(c.Args) == 0 || !contains(m.arg0, f.text(c.Args[0]))) {
+		return false
+	}
+	x, name := callee(c)
+	return named(m.x, x) && named(m.name, name)
+}
+
+// callee returns the name a call's function ends in and the last name of
+// its operand: ("", "f") for f(…), ("Topology", "Build") for
+// s.Topology.Build(…).
+func callee(c *ast.CallExpr) (x, name string) {
+	switch fun := c.Fun.(type) {
+	case *ast.Ident:
+		return "", fun.Name
+	case *ast.SelectorExpr:
+		return lastName(fun.X), fun.Sel.Name
+	}
+	return "", ""
+}
+
+// A scoped matcher reads the whole scope before it reads a file: within
+// returns the matcher to run on each file, and a problem if the scope lacks
+// what the matcher is about.
+type scoped interface {
+	within(in []*srcFile) (matcher, string)
+}
+
+// lockedIO flags a call made while a mutex is held — after lock.Lock() and
+// before its lock.Unlock(), or to the end of the function after a deferred
+// Unlock — that is io, or that calls by name a function of the scope whose
+// body holds io: one hop, the callee's own calls are not followed. The lock
+// is followed through each function's statements in order: an Unlock in a
+// branch that returns releases it for that branch alone, and after a branch
+// it is held if any branch that goes on leaves it held. A function literal
+// is a function of its own, starting unlocked, and a go statement runs
+// unlocked. The rule fails if the scope never takes the lock.
+type lockedIO struct {
+	lock string // the mutex, as written: "s.mu"
+	io   call
+	does map[string]bool // the names of the scope's functions whose bodies hold io; set by within
+}
+
+func (m lockedIO) within(in []*srcFile) (matcher, string) {
+	m.does = map[string]bool{}
+	locks := false
+	for _, f := range in {
+		for _, s := range m.io.sites(f) {
+			if s.fn != nil {
+				m.does[s.fn.Name.Name] = true
+			}
+		}
+		f.inspect(func(n ast.Node, _ *ast.FuncDecl) {
+			c, ok := n.(*ast.CallExpr)
+			locks = locks || ok && f.text(c.Fun) == m.lock+".Lock"
+		})
+	}
+	if !locks {
+		return m, "no " + m.lock + ".Lock() in scope"
+	}
+	return m, ""
+}
+
+func (m lockedIO) sites(f *srcFile) (s []site) {
+	f.inspect(func(n ast.Node, fn *ast.FuncDecl) {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if n.Body != nil {
+				m.walk(f, fn, n.Body.List, false, &s)
+			}
+		case *ast.FuncLit:
+			m.walk(f, fn, n.Body.List, false, &s)
+		}
+	})
+	return s
+}
+
+// walk follows the lock through list, from held, and flags what list calls
+// while it is held. It returns whether the lock is held after list and
+// whether list ends in a jump (return, break, continue, goto, panic), after
+// which the statements that follow it do not run.
+func (m lockedIO) walk(f *srcFile, fn *ast.FuncDecl, list []ast.Stmt, held bool, s *[]site) (after, jumps bool) {
+	for _, st := range list {
+		switch st := st.(type) {
+		case *ast.ExprStmt:
+			if c, ok := st.X.(*ast.CallExpr); ok {
+				switch f.text(c.Fun) {
+				case m.lock + ".Lock":
+					held = true
+					continue
+				case m.lock + ".Unlock":
+					held = false
+					continue
+				case "panic":
+					m.flag(f, fn, st, held, s)
+					return held, true
+				}
+			}
+			m.flag(f, fn, st, held, s)
+		case *ast.DeferStmt:
+			if f.text(st.Call.Fun) != m.lock+".Unlock" { // a deferred Unlock leaves the lock held to the end
+				m.flag(f, fn, st, held, s)
+			}
+		case *ast.GoStmt:
+		case *ast.ReturnStmt, *ast.BranchStmt:
+			m.flag(f, fn, st, held, s)
+			return held, true
+		case *ast.BlockStmt:
+			if held, jumps = m.walk(f, fn, st.List, held, s); jumps {
+				return held, true
+			}
+		case *ast.LabeledStmt:
+			if held, jumps = m.walk(f, fn, []ast.Stmt{st.Stmt}, held, s); jumps {
+				return held, true
+			}
+		case *ast.IfStmt:
+			held, _ = m.walk(f, fn, stmts(st.Init), held, s)
+			m.flag(f, fn, st.Cond, held, s)
+			body, bodyJumps := m.walk(f, fn, st.Body.List, held, s)
+			other, otherJumps := held, false
+			if st.Else != nil {
+				other, otherJumps = m.walk(f, fn, []ast.Stmt{st.Else}, held, s)
+			}
+			switch {
+			case bodyJumps && otherJumps:
+				return held, true
+			case bodyJumps:
+				held = other
+			case otherJumps:
+				held = body
+			default:
+				held = body || other
+			}
+		case *ast.ForStmt:
+			held, _ = m.walk(f, fn, stmts(st.Init), held, s)
+			m.flag(f, fn, st.Cond, held, s)
+			body, _ := m.walk(f, fn, slices.Concat(st.Body.List, stmts(st.Post)), held, s)
+			held = held || body
+		case *ast.RangeStmt:
+			m.flag(f, fn, st.X, held, s)
+			body, _ := m.walk(f, fn, st.Body.List, held, s)
+			held = held || body
+		case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+			held = m.branches(f, fn, st, held, s)
+		default:
+			m.flag(f, fn, st, held, s)
+		}
+	}
+	return held, false
+}
+
+// branches walks a switch or select from held and returns whether the lock
+// is held after it: if any clause that does not jump leaves it held, or if
+// no clause may run and it was held.
+func (m lockedIO) branches(f *srcFile, fn *ast.FuncDecl, st ast.Stmt, held bool, s *[]site) bool {
+	var body *ast.BlockStmt
+	switch st := st.(type) {
+	case *ast.SwitchStmt:
+		held, _ = m.walk(f, fn, stmts(st.Init), held, s)
+		m.flag(f, fn, st.Tag, held, s)
+		body = st.Body
+	case *ast.TypeSwitchStmt:
+		held, _ = m.walk(f, fn, append(stmts(st.Init), st.Assign), held, s)
+		body = st.Body
+	case *ast.SelectStmt:
+		body = st.Body
+	}
+	after, always := false, false
+	for _, c := range body.List {
+		var list []ast.Stmt
+		switch c := c.(type) {
+		case *ast.CaseClause:
+			for _, e := range c.List {
+				m.flag(f, fn, e, held, s)
+			}
+			always = always || c.List == nil
+			list = c.Body
+		case *ast.CommClause:
+			always = true // a select waits for one of its clauses
+			list = append(stmts(c.Comm), c.Body...)
+		}
+		if h, jumps := m.walk(f, fn, list, held, s); !jumps {
+			after = after || h
+		}
+	}
+	return after || held && !always
+}
+
+// flag adds the calls in n that are io, or that call a function of the scope
+// whose body holds io, when held; a function literal in n is not entered.
+func (m lockedIO) flag(f *srcFile, fn *ast.FuncDecl, n ast.Node, held bool, s *[]site) {
+	if !held || n == nil {
+		return
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.CallExpr:
+			if _, name := callee(n); m.io.is(f, n) || m.does[name] {
+				*s = append(*s, site{n.Pos(), fn})
+			}
+		}
+		return true
+	})
+}
+
+// stmts is a list of s alone, or none when s is nil.
+func stmts(s ast.Stmt) []ast.Stmt {
+	if s == nil {
+		return nil
+	}
+	return []ast.Stmt{s}
 }
 
 // field flags a field of the struct type strct whose line, "name type", matches

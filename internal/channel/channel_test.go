@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"abenet/internal/allocbudget"
 	"abenet/internal/dist"
 	"abenet/internal/rng"
 	"abenet/internal/sim"
@@ -404,6 +405,24 @@ func TestPoolGrowsByPagesWithoutCopying(t *testing.T) {
 	}
 	if len(store.pages) != pages {
 		t.Fatalf("a second burst of %d grew the pool to %d pages, want the %d it has", inFlight, len(store.pages), pages)
+	}
+}
+
+// page keeps TestPoolPageFillsItsSizeClass's page on the heap.
+var page *[pageSlots]slot
+
+// TestPoolPageFillsItsSizeClass: a page past the first is allocated whole,
+// and the size class it is served from has no room for another slot beside
+// it and the 8-B header the allocator puts before an object that holds
+// pointers and exceeds 512 B. A page of 64 slots, 2,048 B, left 248 B of its
+// 2,304-B class unused.
+func TestPoolPageFillsItsSizeClass(t *testing.T) {
+	const mallocHeader = 8
+	bytes, objects := allocbudget.Run(func() { page = new([pageSlots]slot) })
+	size, slotSize := uint64(unsafe.Sizeof(*page)), uint64(unsafe.Sizeof(slot{}))
+	if objects != 1 || bytes < size+mallocHeader || bytes-size-mallocHeader >= slotSize {
+		t.Errorf("a page of %d slots, %d B, takes %d B in %d objects: %d B unused, room for another %d-B slot",
+			pageSlots, size, bytes, objects, bytes-min(bytes, size+mallocHeader), slotSize)
 	}
 }
 

@@ -47,6 +47,17 @@ import (
 // pending set; the triggers depend only on counters, so the rebuild
 // schedule — like everything else here — is a deterministic function of the
 // workload.
+//
+// # Storage
+//
+// The wheel does not wrap: between two rebuilds the cursor passes each
+// bucket once, so a bucket's storage serves one window. A bucket that drains
+// gives its storage to a spare list, a bucket that fills from empty takes
+// its storage from there, and a rebuild moves every bucket's storage there
+// before it places the pending set, so the wheel's storage is reused across
+// windows, passes and resizes. A bucket that kept its drained storage left
+// it behind the cursor while every bucket ahead grew its own from nil: an
+// election on a ring of 64 allocated 496 kB that way, 50 kB with the spares.
 type calendarScheduler struct {
 	buckets    []calBucket
 	width      float64 // time width of one bucket window
@@ -55,16 +66,18 @@ type calendarScheduler struct {
 	cursor     int     // no wheel entries in buckets before this one
 	wheelLen   int     // entries in the wheel (the overflow counts itself)
 
-	overflow []event // unsorted; every entry has at >= wheelEnd
-	scratch  []event // rebuild staging buffer, retained across rebuilds
+	overflow []event   // unsorted; every entry has at >= wheelEnd
+	scratch  []event   // rebuild staging buffer, retained across rebuilds
+	spare    [][]event // storage of drained buckets, empty, for the next bucket that fills from empty
 
 	cacheValid  bool // PeekTime caches its bucket search for the next pop
 	cacheBucket int
 }
 
 // calBucket is one time window of the wheel. evs[head:] are the entries
-// still queued, sorted by (at, seq); evs[:head] are already-consumed slots,
-// reused once the bucket drains.
+// still queued, sorted by (at, seq); evs[:head] are already-consumed slots.
+// A bucket that drains gives its storage to the spare list, and one that
+// fills from empty takes its storage from there.
 type calBucket struct {
 	evs  []event
 	head int
@@ -133,6 +146,10 @@ func (c *calendarScheduler) place(ev event, at float64) {
 func (c *calendarScheduler) insert(b int, ev event) {
 	bk := &c.buckets[b]
 	if n := len(bk.evs); n == bk.head || !less(&ev, &bk.evs[n-1]) {
+		if bk.evs == nil && len(c.spare) > 0 {
+			bk.evs = c.spare[len(c.spare)-1]
+			c.spare = c.spare[:len(c.spare)-1]
+		}
 		bk.evs = append(bk.evs, ev)
 		return
 	}
@@ -194,8 +211,7 @@ func (c *calendarScheduler) pop() event {
 	ev := bk.evs[bk.head]
 	bk.head++
 	if bk.head == len(bk.evs) {
-		bk.evs = bk.evs[:0]
-		bk.head = 0
+		c.retire(bk)
 	}
 	c.cursor = b
 	c.wheelLen--
@@ -203,6 +219,14 @@ func (c *calendarScheduler) pop() event {
 		c.rebuild()
 	}
 	return ev
+}
+
+// retire empties bk and moves its storage, if any, to the spare list.
+func (c *calendarScheduler) retire(bk *calBucket) {
+	if bk.evs != nil {
+		c.spare = append(c.spare, bk.evs[:0])
+	}
+	*bk = calBucket{}
 }
 
 // setHorizon derives wheelEnd from the current geometry. At extreme
@@ -233,8 +257,7 @@ func (c *calendarScheduler) rebuild() {
 	for b := range c.buckets {
 		bk := &c.buckets[b]
 		all = append(all, bk.evs[bk.head:]...)
-		bk.evs = bk.evs[:0]
-		bk.head = 0
+		c.retire(bk) // the wheel is laid out anew, or replaced, and refilled from the spares
 	}
 	all = append(all, c.overflow...)
 	c.overflow = c.overflow[:0]

@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"abenet/internal/rng"
 	"abenet/internal/simtime"
@@ -377,9 +378,38 @@ func heapSizePrograms() [][]byte {
 	return out
 }
 
+// burstPrograms schedule a burst for the heap before anything runs, of sizes
+// on both sides of stageSlots, where staging leaves the heap's slice for its
+// first page, and the largest burst a program holds; with ties, by closure
+// and by handler, then pop it by each call that can pop first. One opens
+// with no reservation, so the run takes what arrives in order.
+func burstPrograms() [][]byte {
+	var out [][]byte
+	pops := []byte{opStep, opStepWithin, opRun, opSegment}
+	largest := maxOrderProgram/2 - 2 // events, leaving room for the pop
+	for i, burst := range []struct {
+		open byte
+		size int
+	}{{reserve(0), stageSlots - 1}, {reserve(0), stageSlots}, {reserve(0), stageSlots + 1}, {reserve(0), largest}, {0, largest}} {
+		prog := []byte{burst.open}
+		for e := 0; e < burst.size; e++ {
+			switch at := byte(e * 37 % 64); e % 3 {
+			case 0:
+				prog = append(prog, opRandom, at)
+			case 1:
+				prog = append(prog, opArg, at)
+			default:
+				prog = append(prog, opEqual, 0)
+			}
+		}
+		out = append(out, append(prog, pops[i%len(pops)], 0xff))
+	}
+	return out
+}
+
 // generatedOrderPrograms is the part of the seed corpus that is computed.
 func generatedOrderPrograms() [][]byte {
-	return slices.Concat(randomOrderPrograms(), heapSizePrograms())
+	return slices.Concat(randomOrderPrograms(), heapSizePrograms(), burstPrograms())
 }
 
 // randomOrderPrograms are longer pseudo-random programs, one opening with a
@@ -433,9 +463,9 @@ func TestRunAndHeapShareAnInstant(t *testing.T) {
 	h = &k.lanes
 	at(15, 3)
 	at(19, 4)
-	at(17, 5) // below the run's newest instant, run non-empty: heap
-	if h.n != 2 || len(h.heap) != 1 {
-		t.Fatalf("want two events in the run and one in the heap; run %d, heap %d", h.n, len(h.heap))
+	at(17, 5) // below the run's newest instant, run non-empty: heap (staged, as nothing has run)
+	if h.n != 2 || heapBound(h) != 1 {
+		t.Fatalf("want two events in the run and one bound for the heap; run %d, heap %d", h.n, heapBound(h))
 	}
 	if err := k.Run(simtime.Forever, 0); err != nil {
 		t.Fatal(err)
@@ -443,6 +473,117 @@ func TestRunAndHeapShareAnInstant(t *testing.T) {
 	if want := []int{0, 1, 2, 3, 5, 4}; !slices.Equal(got, want) {
 		t.Fatalf("executed %v, want %v", got, want)
 	}
+}
+
+// heapBound counts the events in h's heap lane: those in the heap and, before
+// the first pop, those staged in its spill.
+func heapBound(h *heapScheduler) int {
+	n := len(h.heap)
+	if h.spill != nil {
+		for _, p := range *h.spill {
+			n += len(p)
+		}
+	}
+	return n
+}
+
+// TestPreRunBurstLoadsOnce: a burst the heap takes before anything has run is
+// staged, and whichever call pops first — Run, RunSegment, Step, StepWithin
+// — loads it: in place up to stageSlots events, beyond that into one slice of
+// the staged count plus a quarter. Either way the burst runs in (at, seq)
+// order, ties included, by handler and by closure; and a load that pops
+// nothing (a horizon before every event) leaves the kernel staging the next
+// burst, which the next pop loads beside the first.
+func TestPreRunBurstLoadsOnce(t *testing.T) {
+	type kernel struct {
+		*Kernel
+		want []refEvent // every event scheduled, in scheduling order
+		got  []uint64   // the seqs that ran, in execution order
+	}
+	burst := func(k *kernel, size int, r *rng.Source) {
+		t.Helper()
+		id := k.Register(func(uint32) { k.got = append(k.got, k.EventSeq()) })
+		for i := range size {
+			at := k.Now() + 1 + simtime.Time(r.Intn(size/8+1)) // about eight events an instant
+			k.want = append(k.want, refEvent{at: at, seq: k.ScheduleSeq()})
+			if i%2 == 0 {
+				k.AtArg(at, id, 0)
+			} else {
+				k.AtFunc(at, func() { k.got = append(k.got, k.EventSeq()) })
+			}
+		}
+	}
+	// loaded checks the heap right after the first pop of a staged burst of
+	// staged events: one contiguous slice, in place or of the staged count
+	// plus its headroom.
+	loaded := func(k *kernel, staged int, inPlace *event) {
+		t.Helper()
+		h := &k.lanes
+		switch {
+		case h.staged || h.spill != nil:
+			t.Fatalf("%d staged: still staged after the first pop", staged)
+		case staged <= stageSlots && unsafe.SliceData(h.heap) != inPlace:
+			t.Fatalf("%d staged: the heap was not loaded in place", staged)
+		case staged > stageSlots && cap(h.heap) != staged+staged/4:
+			t.Fatalf("%d staged: the heap has room for %d, want the staged count plus a quarter, %d", staged, cap(h.heap), staged+staged/4)
+		}
+	}
+	inOrder := func(k *kernel) {
+		t.Helper()
+		want := slices.SortedFunc(slices.Values(k.want), refCompare)
+		if len(k.got) != len(want) {
+			t.Fatalf("%d of %d events ran", len(k.got), len(want))
+		}
+		for i, ev := range want {
+			if k.got[i] != ev.seq {
+				t.Fatalf("event %d: seq %d ran, want %+v", i, k.got[i], ev)
+			}
+		}
+	}
+	pops := map[string]func(k *Kernel){
+		"Run":        func(k *Kernel) { _ = k.Run(simtime.Forever, 0) },
+		"RunSegment": func(k *Kernel) { _, _ = k.RunSegment(simtime.Forever, 0, 0, Pause{Events: 1, At: simtime.Forever}) },
+		"Step":       func(k *Kernel) { k.Step() },
+		"StepWithin": func(k *Kernel) { k.StepWithin(simtime.Forever) },
+	}
+	for _, size := range []int{100, stageSlots, stageSlots + 1, 3*stageSlots + 1, 700} {
+		for name, pop := range pops {
+			k := &kernel{Kernel: New()}
+			k.Reserve(0) // no run slot: the heap takes every event
+			burst(k, size, rng.New(uint64(size)))
+			if got := heapBound(&k.lanes); got != size || !k.lanes.staged {
+				t.Fatalf("%s, %d events: %d bound for the heap, staged %v", name, size, got, k.lanes.staged)
+			}
+			first := unsafe.SliceData(k.lanes.heap)
+			pop(k.Kernel)
+			loaded(k, size, first)
+			if err := k.Run(simtime.Forever, 0); err != nil {
+				t.Fatal(err)
+			}
+			inOrder(k)
+		}
+	}
+
+	// A horizon before every event loads the burst and pops nothing; the
+	// next burst, scheduled before anything has run, is staged again and
+	// loaded beside it.
+	k := &kernel{Kernel: New()}
+	k.Reserve(0)
+	r := rng.New(9)
+	burst(k, 300, r)
+	if err := k.Run(0, 0); err != nil || k.Executed() != 0 || k.lanes.staged {
+		t.Fatalf("Run(0): %v, %d executed, staged %v", err, k.Executed(), k.lanes.staged)
+	}
+	burst(k, 600, r)
+	if !k.lanes.staged || heapBound(&k.lanes) != 900 {
+		t.Fatalf("a second burst before the first event: staged %v, %d bound for the heap", k.lanes.staged, heapBound(&k.lanes))
+	}
+	k.Step()
+	loaded(k, 900, nil)
+	if err := k.Run(simtime.Forever, 0); err != nil {
+		t.Fatal(err)
+	}
+	inOrder(k)
 }
 
 // FuzzSchedulerOrder: any program executes in reference (at, seq) order with

@@ -28,6 +28,14 @@
 // (instant, sequence) order, so executions are byte-identical across
 // schedulers — the differential suite and FuzzSchedulerOrder pin that.
 //
+// The heap is sized by the burst it starts from. Until the kernel executes
+// its first event, what the heap would take is staged in schedule order —
+// every node's opening broadcast, say — and the first pop, whichever call
+// makes it, loads the staged events into one slice of their count plus a
+// quarter and heapifies it bottom-up; a burst of up to 256 events is
+// heapified where it was staged. From then on the heap is one contiguous
+// array that pushes sift into and grows by append.
+//
 // # The run loop
 //
 // On the heap an event costs one call inside this package or none: the loop
@@ -177,7 +185,8 @@ func (k *Kernel) EventSeq() uint64 { return k.eventSeq }
 // them without growing (see heapScheduler.Reserve; the calendar sizes
 // itself). Whoever knows the population, such as network.New, calls it before
 // the first event. It is a hint: execution order and every counter are
-// unaffected, and the closure table behind AtFunc is not reserved.
+// unaffected, and the closure table behind AtFunc is not reserved. Nothing
+// reserves the heap: the burst scheduled before the first event sizes it.
 func (k *Kernel) Reserve(n int) {
 	if k.cal == nil {
 		k.lanes.Reserve(n)
@@ -198,9 +207,11 @@ func (k *Kernel) refusal(at simtime.Time, h HandlerID) string {
 
 // enqueue checks one event (one two-sided compare, which NaN fails too) and
 // files it: onto the run if the run takes it (see heapScheduler), else with
-// the calendar when it is selected, else into the heap. The run has no slot
-// under the calendar, so its push comes first, with no value spilled for the
-// calls below; the event is built where it is stored, not in a stack local.
+// the calendar when it is selected, else into the heap — staged while the
+// kernel has executed nothing, which a handler never sees, since the loop
+// counts an event before it runs it. The run has no slot under the calendar,
+// so its push comes first, with no value spilled for the calls below; the
+// event is built where it is stored, not in a stack local.
 func (k *Kernel) enqueue(at simtime.Time, h HandlerID, arg uint32) {
 	if !(at >= k.now && at < simtime.Forever) || int(h) >= len(k.handlers) {
 		panic(k.refusal(at, h))
@@ -228,6 +239,8 @@ func (k *Kernel) enqueue(at simtime.Time, h HandlerID, arg uint32) {
 		q.run[q.n] = event{at: at, seq: seq, h: h, arg: arg}
 		q.n++
 		q.tail = at
+	case k.executed == 0: // before the first pop: staged, and loaded by it
+		q.stage(event{at: at, seq: seq, h: h, arg: arg})
 	default:
 		// Sift up from a new leaf. seq is above every pending event's, so an
 		// entry at the same instant stays above it: the instant decides.
@@ -365,6 +378,9 @@ func (k *Kernel) RunSegment(horizon simtime.Time, maxEvents, from uint64, pause 
 	}
 	limit := min(budget, pause.Events)
 	q := &k.lanes
+	if q.staged {
+		q.load()
+	}
 	for {
 		if k.stopped {
 			return false, ErrStopped
@@ -414,10 +430,11 @@ func (k *Kernel) RunSegment(horizon simtime.Time, maxEvents, from uint64, pause 
 }
 
 // next removes and returns the earliest pending event if it is not past
-// bound. The heap pops bottom-up: the root's hole sinks to a leaf and the
-// displaced last entry, a leaf itself that rarely belongs higher, sifts up
-// from there — one compare per level fewer than sifting it down from the
-// root, the one that nearly always says "keep going".
+// bound; its callers load a staged burst first. The heap pops bottom-up:
+// the root's hole sinks to a leaf and the displaced last entry, a leaf
+// itself that rarely belongs higher, sifts up from there — one compare per
+// level fewer than sifting it down from the root, the one that nearly
+// always says "keep going".
 func (k *Kernel) next(bound simtime.Time) (ev event, ok bool) {
 	switch q := &k.lanes; {
 	case q.runFirst():
@@ -451,6 +468,9 @@ func (k *Kernel) next(bound simtime.Time) (ev event, ok bool) {
 // peekTime returns the instant of the earliest pending event, or ok=false
 // when nothing is pending.
 func (k *Kernel) peekTime() (simtime.Time, bool) {
+	if k.lanes.staged {
+		k.lanes.load()
+	}
 	switch q := &k.lanes; {
 	case k.cal != nil:
 		return k.cal.PeekTime()
@@ -482,6 +502,9 @@ func (k *Kernel) Step() bool { return k.StepWithin(simtime.Forever) }
 func (k *Kernel) StepWithin(horizon simtime.Time) bool {
 	if k.stopped {
 		return false
+	}
+	if k.lanes.staged {
+		k.lanes.load()
 	}
 	ev, ok := k.next(horizon)
 	if !ok {

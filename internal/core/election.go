@@ -47,11 +47,19 @@ func (s State) String() string {
 // knowledge when a newer epoch reaches them.
 //
 // Both fields are 32-bit, as a ring's size and a node's epoch are, so a
-// relayed token boxes 8 bytes.
+// token is 8 bytes. A token goes on the wire as a *HopMessage: a ring's
+// epoch-0 tokens are the n entries of one table its ElectionParams lay out
+// once, so relaying one allocates nothing; any other token is allocated per
+// send. Nothing writes through a token once it is sent.
 type HopMessage struct {
 	Hop   int32
 	Epoch int32
 }
+
+// String prints the token as %+v prints the value, {Hop:3 Epoch:0}, so a
+// traced payload reads the same whether it went on the wire as a value or
+// as a pointer.
+func (m HopMessage) String() string { return fmt.Sprintf("{Hop:%d Epoch:%d}", m.Hop, m.Epoch) }
 
 // HopCount exposes the relay counter to the causal tracer (trace.HopCarrier):
 // a token relayed over k consecutive hops carries Hop ≥ k, which the
@@ -137,15 +145,24 @@ type Tally struct {
 	Active, Passive, Leaders int // current incarnations in each state
 }
 
+// tally is a Tally as ElectionParams keep it. A state count is at most the
+// ring's 32-bit size, so the three take 12 bytes, and the params keep their
+// token table and still fit the 80-B size class — and NewElectionNode's one
+// object, a node with its own params, the 112-B class.
+type tally struct {
+	activations, knockouts, residualPurges int
+	active, passive, leaders               int32
+}
+
 // add adds d to the count of state s, if the tally keeps one.
-func (t *Tally) add(s State, d int) {
+func (t *tally) add(s State, d int32) {
 	switch s {
 	case Active:
-		t.Active += d
+		t.active += d
 	case Passive:
-		t.Passive += d
+		t.passive += d
 	case Leader:
-		t.Leaders += d
+		t.leaders += d
 	}
 }
 
@@ -205,21 +222,25 @@ type ElectionNodeConfig struct {
 }
 
 // ElectionParams are the constants of one ring's election, shared by all of
-// its nodes and by every churn incarnation of them, and the ring's Tally,
-// which those nodes count into. A tally belongs to one ring: make one
-// ElectionParams per run.
+// its nodes and by every churn incarnation of them, the ring's Tally, which
+// those nodes count into, and the ring's table of epoch-0 tokens. A tally
+// and a table belong to one ring: make one ElectionParams per run.
 type ElectionParams struct {
 	a0           float64
 	tickInterval float64
-	recandidacy  float64 // passive→idle timeout in local clock units; 0 disables
-	ringSize     int32   // below math.MaxInt32, so the hop n+1 fits too
+	recandidacy  float64       // passive→idle timeout in local clock units; 0 disables
+	tokens       *[]HopMessage // the ring's epoch-0 tokens, nil until it first sends
+	tally        tally
+	ringSize     int32 // below math.MaxInt32, so the hop n+1 fits too
 	stopOnLeader bool
 	constantAct  bool
-	tally        Tally
+	standalone   bool // a NewElectionNode's own params: no token table
 }
 
 // NewElectionParams validates the ring-wide fields of cfg — all but
-// SendPort — once for a whole ring, with a zero Tally.
+// SendPort — once for a whole ring, with a zero Tally. The ring's first send
+// lays out its n epoch-0 tokens, n·8 bytes in one object, which every send
+// of one of them points into.
 func NewElectionParams(cfg ElectionNodeConfig) (*ElectionParams, error) {
 	params, err := cfg.params()
 	if err != nil {
@@ -261,12 +282,42 @@ func (cfg ElectionNodeConfig) params() (ElectionParams, error) {
 }
 
 // Tally returns what p's ring has counted so far.
-func (p *ElectionParams) Tally() Tally { return p.tally }
+func (p *ElectionParams) Tally() Tally {
+	t := &p.tally
+	return Tally{
+		Activations:    t.activations,
+		Knockouts:      t.knockouts,
+		ResidualPurges: t.residualPurges,
+		Active:         int(t.active),
+		Passive:        int(t.passive),
+		Leaders:        int(t.leaders),
+	}
+}
 
 // Retire takes e, an incarnation of one of p's nodes that a churn restart has
 // replaced, out of the tally's state counts. e keeps its state, for whoever
 // still reads it; it must not run again.
 func (p *ElectionParams) Retire(e *ElectionNode) { p.tally.add(e.state, -1) }
+
+// token returns the token ⟨hop⟩ of epoch for the wire. A ring's epoch-0
+// tokens are entries of its table, laid out at the ring's first send, and a
+// pointer to one becomes an any without allocating. Any other token — every
+// token of a standalone node, whose own params have no table, a token of a
+// re-candidacy epoch, or the hop n+1 only a broken run sends — is allocated.
+// hop is at least 1: a node sends ⟨1⟩ or ⟨d+1⟩.
+func (p *ElectionParams) token(hop, epoch int32) *HopMessage {
+	if p.standalone || epoch != 0 || hop > p.ringSize {
+		return &HopMessage{Hop: hop, Epoch: epoch}
+	}
+	if p.tokens == nil {
+		t := make([]HopMessage, p.ringSize)
+		for i := range t {
+			t[i].Hop = int32(i) + 1
+		}
+		p.tokens = &t
+	}
+	return &(*p.tokens)[hop-1]
+}
 
 // Node returns a node of p's ring in the initial state (idle, d = 1) that
 // sends on sendPort, by value, for callers that keep a whole ring's nodes in
@@ -298,12 +349,14 @@ func (p *ElectionParams) Node(sendPort int, extra *NodeExtra) (ElectionNode, err
 // re-candidacy is on. Such a node still counts its activations, knockouts and
 // residual purges into its params' Tally, but nothing can read that tally: a
 // ring's counts are kept only by the ElectionParams from NewElectionParams
-// that its nodes share.
+// that its nodes share. Its params have no token table either, which would
+// be n·8 bytes per node: it allocates each token it sends.
 func NewElectionNode(cfg ElectionNodeConfig) (*ElectionNode, error) {
 	params, err := cfg.params()
 	if err != nil {
 		return nil, err
 	}
+	params.standalone = true
 	obj := &struct {
 		node   ElectionNode
 		params ElectionParams
@@ -417,23 +470,24 @@ func (e *ElectionNode) OnTimer(ctx *network.Context, kind int) {
 	}
 	if ctx.Rand().Bool(e.ActivationProbability()) {
 		e.become(Active)
-		p.tally.Activations++
+		p.tally.activations++
 		if p.recandidacy > 0 {
 			// The candidacy is this node's own activity: give the token a
 			// full timeout's worth of patience to come back around.
 			e.extra.lastActivity = ctx.LocalTime()
 		}
-		ctx.Send(int(e.sendPort), HopMessage{Hop: 1, Epoch: e.epoch()})
+		ctx.Send(int(e.sendPort), p.token(1, e.epoch()))
 	}
 }
 
 // OnMessage implements network.Node: the forwarding/knockout rule.
 func (e *ElectionNode) OnMessage(ctx *network.Context, _ int, payload any) {
-	msg, ok := payload.(HopMessage)
+	tok, ok := payload.(*HopMessage)
 	if !ok {
 		e.violate("foreign payload %T", payload)
 		return
 	}
+	msg := *tok
 	p := e.params
 	if x := e.extra; p.recandidacy > 0 && e.state != Leader {
 		switch {
@@ -484,7 +538,7 @@ func (e *ElectionNode) OnMessage(ctx *network.Context, _ int, payload any) {
 				ctx.StopNetwork("leader elected")
 			}
 		} else {
-			p.tally.Knockouts++
+			p.tally.knockouts++
 			e.become(Idle)
 		}
 		// The message is purged in both cases: no forward.
@@ -494,7 +548,7 @@ func (e *ElectionNode) OnMessage(ctx *network.Context, _ int, payload any) {
 		// elected every other node is passive, so such messages circulate
 		// straight back to the leader. Purge them silently — they are
 		// part of correct executions (observable with StopOnLeader off).
-		p.tally.ResidualPurges++
+		p.tally.residualPurges++
 	default:
 		e.violate("impossible state %v", e.state)
 	}
@@ -510,7 +564,7 @@ func (e *ElectionNode) become(s State) {
 
 // relay forwards ⟨d+1⟩ to the successor. d ≤ n < MaxInt32, so d+1 fits.
 func (e *ElectionNode) relay(ctx *network.Context) {
-	ctx.Send(int(e.sendPort), HopMessage{Hop: e.d + 1, Epoch: e.epoch()})
+	ctx.Send(int(e.sendPort), e.params.token(e.d+1, e.epoch()))
 }
 
 // violate records an invariant violation, making the node's NodeExtra if it

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"unsafe"
@@ -113,12 +114,17 @@ func TestNewElectionNodeValidation(t *testing.T) {
 // pointer to its ring's shared ElectionParams, a pointer to its NodeExtra, a
 // 32-bit send port and d and a one-byte state, no counter of its own, since
 // the ring's Tally is in the params — and NewElectionNode one heap object, the
-// node and its own params together. A paper-default node has no NodeExtra
-// until it records a violation; a re-candidacy node has one from the start,
-// the slab entry its ring hands Node, reset there.
+// node and its own params together: the params, with their pointer to a
+// ring's token table, stay within 80 B, so that object stays 112 B. A
+// paper-default node has no NodeExtra until it records a violation; a
+// re-candidacy node has one from the start, the slab entry its ring hands
+// Node, reset there.
 func TestElectionNodeLayout(t *testing.T) {
 	if size := unsafe.Sizeof(ElectionNode{}); size > 32 {
 		t.Errorf("ElectionNode is %d B, budget 32", size)
+	}
+	if size := unsafe.Sizeof(ElectionParams{}); size > 80 {
+		t.Errorf("ElectionParams is %d B, budget 80", size)
 	}
 	var node *ElectionNode
 	allocs := testing.AllocsPerRun(100, func() {
@@ -130,7 +136,7 @@ func TestElectionNodeLayout(t *testing.T) {
 	if node.State() != Idle || node.D() != 1 || node.sendPort != 2 || node.params.ringSize != 8 || node.extra != nil {
 		t.Fatalf("NewElectionNode built %+v with params %+v", *node, *node.params)
 	}
-	node.OnMessage(nil, 0, HopMessage{Hop: 9})
+	node.OnMessage(nil, 0, &HopMessage{Hop: 9})
 	if node.extra == nil || len(node.Violations()) != 1 {
 		t.Fatalf("a violation left NodeExtra %+v", node.extra)
 	}
@@ -149,6 +155,49 @@ func TestElectionNodeLayout(t *testing.T) {
 	}
 	if own, _ := params.Node(1, nil); own.extra == nil || own.extra == &slab[0] {
 		t.Fatalf("a re-candidacy node without a slab entry has NodeExtra %p", own.extra)
+	}
+}
+
+// TestTokenPrintsAsItsValue: a trace records a payload as %+v prints it, and
+// a token prints the same as a value, as an entry of a ring's table and as an
+// allocated token of a later epoch. Only a ring's params hand out table
+// entries — the same pointer each time, n of them, one per hop — while a
+// standalone node's own params and a hop past n allocate.
+func TestTokenPrintsAsItsValue(t *testing.T) {
+	ring, err := NewElectionParams(ElectionNodeConfig{RingSize: 8, A0: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		payload any
+		want    string
+	}{
+		{HopMessage{Hop: 3}, "{Hop:3 Epoch:0}"},
+		{ring.token(3, 0), "{Hop:3 Epoch:0}"},
+		{ring.token(3, 1), "{Hop:3 Epoch:1}"},
+	} {
+		if got := fmt.Sprintf("%+v", c.payload); got != c.want {
+			t.Errorf("%%+v of a %T token = %q, want %q", c.payload, got, c.want)
+		}
+	}
+
+	if ring.token(3, 0) != ring.token(3, 0) || ring.token(3, 1) == ring.token(3, 1) || ring.token(9, 0) == ring.token(9, 0) {
+		t.Error("a ring's epoch-0 token is not one table entry, or another token is")
+	}
+	if len(*ring.tokens) != 8 {
+		t.Fatalf("a ring of 8 laid out %d tokens", len(*ring.tokens))
+	}
+	for i, tok := range *ring.tokens {
+		if tok != (HopMessage{Hop: int32(i) + 1}) || ring.token(int32(i)+1, 0) != &(*ring.tokens)[i] {
+			t.Fatalf("table entry %d reads %+v", i, tok)
+		}
+	}
+	node, err := NewElectionNode(ElectionNodeConfig{RingSize: 8, A0: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if node.params.token(3, 0) == node.params.token(3, 0) || node.params.tokens != nil {
+		t.Error("a standalone node's params keep a token table")
 	}
 }
 

@@ -58,12 +58,14 @@ func (p *ChangRobertsNode) OnMessage(ctx *network.Context, _ int, payload any) {
 	if !ok {
 		panic(fmt.Sprintf("election: foreign payload %T on Chang-Roberts ring", payload))
 	}
+	// A forward sends the payload as handed over: sending m would box it
+	// again once IDs pass the runtime's cache of small boxed integers.
 	switch {
 	case !p.active:
-		ctx.Send(p.sendPort, m)
+		ctx.Send(p.sendPort, payload)
 	case m.ID > p.id:
 		p.active = false
-		ctx.Send(p.sendPort, m)
+		ctx.Send(p.sendPort, payload)
 	case m.ID == p.id:
 		p.leader = true
 		ctx.StopNetwork("leader elected")

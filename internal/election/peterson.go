@@ -72,7 +72,8 @@ func (p *PetersonNode) OnMessage(ctx *network.Context, _ int, payload any) {
 		panic(fmt.Sprintf("election: foreign payload %T on Peterson ring", payload))
 	}
 	if !p.active {
-		ctx.Send(p.sendPort, m)
+		// Forward the payload as handed over: sending m would box it again.
+		ctx.Send(p.sendPort, payload)
 		return
 	}
 	switch m.Step {

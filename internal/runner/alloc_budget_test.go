@@ -2,25 +2,53 @@ package runner
 
 import (
 	"testing"
+	"unsafe"
 
 	"abenet/internal/allocbudget"
+	"abenet/internal/channel"
+	"abenet/internal/core"
+	"abenet/internal/dist"
+	"abenet/internal/network"
+	"abenet/internal/simtime"
+	"abenet/internal/topology"
 )
 
 // TestElectionAllocationBudget holds a whole election run to a byte budget
 // per node, in the shape of the repo benchmark's ring-sparse-100k at n = 10⁴:
 // A0 = 1/n and a tick every n time units, so a run is a few events per node
-// and its cost is what it builds per node. Measured at this commit: 197 B per
+// and its cost is what it builds per node. Measured at this commit: 189 B per
 // node (the graph 16, the network 132, the node slab 32 — no counter on a
 // node, the ring's tally is in its shared params, and no pointer table: a
-// node's current incarnation is its slab slot until it restarts —, 16 for the
-// boxed 8-B tokens and the rest; 213 B under the race detector, which pads
-// each token to 16 B) against a budget of 212 B (229 B under the race
-// detector).
+// node's current incarnation is its slab slot until it restarts —, 8 for the
+// ring's table of n 8-B tokens, laid out once, and the rest; 189 B under the
+// race detector too) against a budget of 204 B (205 B under the race
+// detector). A token boxed per send read 197 B (213 B under the race
+// detector, which pads each box to 16 B).
 func TestElectionAllocationBudget(t *testing.T) {
-	build := func(n int) func() {
-		p := Election{A0: 1 / float64(n), TickInterval: float64(n)}
+	bytes := allocbudget.BytesPerNode(10_000, sparseRun(t))
+	budget := 204.0
+	if allocbudget.Race {
+		budget = 205
+	}
+	t.Logf("runner.Run(Election) on a ring of 10⁴: %.0f B per node", bytes)
+	if bytes > budget {
+		t.Errorf("an election run allocates %.0f B per node, budget %.0f", bytes, budget)
+	}
+}
+
+// sparseElection is the repo benchmark's ring-sparse-100k election at n
+// nodes: A0 = 1/n and a tick every n time units, so a run is a few events
+// and about two messages per node.
+func sparseElection(n int) Election {
+	return Election{A0: 1 / float64(n), TickInterval: float64(n)}
+}
+
+// sparseRun builds, for allocbudget, a whole sparseElection run at n nodes
+// that must elect one leader.
+func sparseRun(t *testing.T) func(n int) func() {
+	return func(n int) func() {
 		return func() {
-			rep, err := Run(Env{N: n, Seed: 1}, p)
+			rep, err := Run(Env{N: n, Seed: 1}, sparseElection(n))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -29,14 +57,140 @@ func TestElectionAllocationBudget(t *testing.T) {
 			}
 		}
 	}
-	bytes := allocbudget.BytesPerNode(10_000, build)
-	budget := 212.0
-	if allocbudget.Race {
-		budget = 229
+}
+
+// TestElectionAllocatesNoObjectPerMessage holds a whole election run in the
+// ring-sparse shape to the same heap objects at n = 10³ and 10⁴: every token
+// a correct run sends is an entry of the one table of n epoch-0 tokens the
+// ring lays out at its first send: 45 objects at both sizes, where a token
+// boxed per send read 2 043 and 20 043. A twin run at n = 10³ whose nodes log
+// each token delivered to them sees every token point into that table, at
+// the entry of its hop, and every entry still reads {Hop: i+1, Epoch: 0}
+// after the run: nothing writes through a token.
+func TestElectionAllocatesNoObjectPerMessage(t *testing.T) {
+	small, large := allocbudget.Objects(sparseRun(t))
+	t.Logf("runner.Run(Election) in the ring-sparse shape: %.0f objects at n = 10³, %.0f at 10⁴", small, large)
+	if small != large {
+		t.Errorf("an election run allocates %.0f objects at n = 10³ and %.0f at 10⁴: something per message or node", small, large)
 	}
-	t.Logf("runner.Run(Election) on a ring of 10⁴: %.0f B per node", bytes)
+
+	const n = 1_000
+	env := Env{N: n, Seed: 1}
+	s, err := check(env, sparseElection(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Graph = s.graph()
+	cfg, err := sparseElection(n).config(env, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := newElectionRing(n, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &tokenLog{first: make([]*core.HopMessage, n+1)}
+	proto := ring.protocol()
+	spawn := proto.makeNode
+	proto.makeNode = func(i, sendPort int) (network.Node, error) {
+		node, err := spawn(i, sendPort)
+		return tokenSpy{node, log}, err
+	}
+	rep, err := runNetwork(env, proto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Leaders != 1 || log.first[1] == nil || log.split != 0 {
+		t.Fatalf("%d leaders, first token %v, %d deliveries of a hop as a second token", rep.Leaders, log.first[1], log.split)
+	}
+	table := unsafe.Slice(log.first[1], n) // a run sends ⟨1⟩ first, the table's first entry
+	for h, tok := range log.first[1:] {
+		if tok != nil && tok != &table[h] {
+			t.Errorf("the token of hop %d is not the table's entry %d", h+1, h)
+		}
+	}
+	for i, tok := range table {
+		if tok != (core.HopMessage{Hop: int32(i) + 1}) {
+			t.Fatalf("after the run, table entry %d reads %+v", i, tok)
+		}
+	}
+}
+
+// tokenLog is what a ring's tokenSpies saw delivered.
+type tokenLog struct {
+	first []*core.HopMessage // first[h]: the first token of hop h delivered
+	split int                // deliveries of a hop as another token than its first
+}
+
+// tokenSpy hands each delivery on to its election node, after logging which
+// token it carries.
+type tokenSpy struct {
+	network.Node
+	log *tokenLog
+}
+
+func (s tokenSpy) OnMessage(ctx *network.Context, port int, payload any) {
+	tok := payload.(*core.HopMessage)
+	if first := s.log.first[tok.Hop]; first == nil {
+		s.log.first[tok.Hop] = tok
+	} else if first != tok {
+		s.log.split++
+	}
+	s.Node.OnMessage(ctx, port, payload)
+}
+
+// TestStandaloneElectionAllocationBudget holds a network of 10⁴ standalone
+// core.NewElectionNode nodes, built and run as the repo benchmark's replica
+// builds its ring-sparse unit, to the bytes it allocated when every node's
+// tokens were boxed per send. A ring's params lay out a table of n tokens; a
+// standalone node's own params must not, or this network would hold n
+// tables, n²·8 bytes. Measured: 2 838 792 B (2 998 808 B under the race
+// detector), at this change as before it, and that is the budget.
+func TestStandaloneElectionAllocationBudget(t *testing.T) {
+	const n = 10_000
+	bytes, _ := allocbudget.Run(func() {
+		nodes := make([]*core.ElectionNode, n)
+		net, err := network.New(network.Config{
+			Graph:     topology.Ring(n),
+			Links:     channel.RandomDelayFactory(dist.NewExponential(1)),
+			Seed:      1,
+			Anonymous: true,
+		}, func(i int) network.Node {
+			node, err := core.NewElectionNode(core.ElectionNodeConfig{
+				RingSize:     n,
+				A0:           1 / float64(n),
+				TickInterval: n,
+				StopOnLeader: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes[i] = node
+			return node
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := net.Run(simtime.Forever, 50_000_000); err != nil {
+			t.Fatal(err)
+		}
+		leaders := 0
+		for _, node := range nodes {
+			if node.State() == core.Leader {
+				leaders++
+			}
+		}
+		if leaders != 1 {
+			t.Fatalf("%d leaders, want 1", leaders)
+		}
+	})
+	budget := uint64(2_838_792)
+	if allocbudget.Race {
+		budget = 2_998_808
+	}
+	t.Logf("a network of %d standalone election nodes allocates %d B over construction and a run", n, bytes)
 	if bytes > budget {
-		t.Errorf("an election run allocates %.0f B per node, budget %.0f", bytes, budget)
+		t.Errorf("a network of %d standalone election nodes allocates %d B, budget %d", n, bytes, budget)
 	}
 }
 
@@ -79,8 +233,8 @@ func TestBenOrAllocationBudget(t *testing.T) {
 
 // TestCalendarAllocationBudget holds the calendar queue to its storage: an
 // election on a ring of 64 under the calendar scheduler. Measured at this
-// commit, with the collector off: 50 280 B in 149 objects (50 840 B in 149
-// under the race detector). The wheel does not wrap: between two rebuilds the
+// commit, with the collector off: 50 304 B in 87 objects (50 352 B in 87
+// under the race detector), the ring's tokens one table of 64. The wheel does not wrap: between two rebuilds the
 // cursor passes each bucket once, so a bucket's storage is used for one
 // window and then, drained, goes to a spare list that the next bucket to
 // fill from empty takes from. Storage left in the drained buckets behind the

@@ -203,11 +203,11 @@ func TestElectionViolationText(t *testing.T) {
 		}
 	}
 	// With re-candidacy off, a rejected token never reaches the Context.
-	ring.node(2).OnMessage(nil, 0, core.HopMessage{Hop: 4})
+	ring.node(2).OnMessage(nil, 0, &core.HopMessage{Hop: 4})
 	ring.node(2).OnMessage(nil, 0, "token")
-	ring.node(0).OnMessage(nil, 0, core.HopMessage{Hop: 0})
-	ring.node(0).OnMessage(nil, 0, core.HopMessage{Hop: math.MinInt32, Epoch: 7})
-	ring.node(1).OnMessage(nil, 0, core.HopMessage{Hop: math.MaxInt32})
+	ring.node(0).OnMessage(nil, 0, &core.HopMessage{Hop: 0})
+	ring.node(0).OnMessage(nil, 0, &core.HopMessage{Hop: math.MinInt32, Epoch: 7})
+	ring.node(1).OnMessage(nil, 0, &core.HopMessage{Hop: math.MaxInt32})
 	var rep Report
 	ring.collect(&rep)
 	want := []string{

@@ -233,6 +233,13 @@ var designRules = []designRule{
 	{step: "No per-event hook in the kernel", scope: dirs("internal/sim"), match: funcDecl{recv: `\*Kernel`, name: "(Set|Add|On)[A-Z].*", params: "func"},
 		msg: "sim.Kernel takes a func to call back — a per-event hook",
 		bad: input{"internal/sim/observe.go", "package sim; func (k *Kernel) OnEvent(f func()) {}"}},
+
+	{step: "A run hands on its arrays once", scope: dirs("...").but("internal/runner/substrate.go"), match: call{name: "Release", noArgs: true},
+		msg: "Release called outside internal/runner/substrate.go — a network's arrays go to the next run only from runNetwork, after a run that returned normally",
+		bad: input{"internal/runner/engine.go", "package runner; func done(net *network.Network) { net.Release() }"}},
+	{step: "A run hands on its arrays once", scope: dirs("internal/runner/substrate.go"), match: call{name: "Release", noArgs: true}, min: 1, max: 1,
+		msg: "Release calls in internal/runner/substrate.go, want exactly one: runNetwork's, after the harvest",
+		bad: input{"internal/runner/substrate.go", "package runner; func runNetwork(net *network.Network) {\n\tnet.Release()\n\tnet.Release()\n}"}},
 }
 
 func TestDesignRules(t *testing.T) {

@@ -29,6 +29,13 @@
 // network's Sink as Deliver(link, payload). A link built on its own (NewRandomDelay, NewFIFO,
 // NewARQ) is a store of one row around a DeliverFunc, on the same send path.
 //
+// A store owns its rows, its column and its slot pages from NewStore until
+// Recycle, which hands them to the next store in the process (package
+// reuse): NewStore takes rows and columns from the arrays earlier stores
+// recycled, zeroed, and the pool takes a recycled page before it allocates
+// one. The streams are the caller's throughout: the network lays them out
+// and releases them.
+//
 // That is the whole package: three delay disciplines and one store, which
 // schedules nothing but deliveries. Whatever else can happen to a message —
 // loss, duplication, a reorder hold-back, an outage, an adversary, the fan-out

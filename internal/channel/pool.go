@@ -2,6 +2,7 @@ package channel
 
 import (
 	"abenet/internal/dist"
+	"abenet/internal/reuse"
 	"abenet/internal/rng"
 	"abenet/internal/sim"
 	"abenet/internal/simtime"
@@ -170,12 +171,12 @@ func NewStore(k *sim.Kernel, sink Sink, links Factory, streams []rng.Source) *St
 	if links == nil {
 		panic("channel: nil link factory")
 	}
-	s := &Store{kernel: k, sink: sink, discipline: *links, rows: make([]row, len(streams)), streams: streams, open: closed, free: -1}
+	s := &Store{kernel: k, sink: sink, discipline: *links, rows: rowArrays.GetZeroed(len(streams)), streams: streams, open: closed, free: -1}
 	switch s.kind {
 	case kindFIFO:
-		s.last = make([]simtime.Time, len(streams))
+		s.last = lastArrays.GetZeroed(len(streams))
 	case kindARQ:
-		s.tx = make([]uint64, len(streams))
+		s.tx = txArrays.GetZeroed(len(streams))
 	}
 	if s.pick != nil {
 		s.delays = make([]dist.Dist, len(streams))
@@ -285,14 +286,42 @@ func (s *Store) file(k int32, at simtime.Time, payload any, d simtime.Duration) 
 }
 
 // grow adds slot i, the first past the pool's end: the first page grows by
-// append, and a later page is allocated whole when its first slot is needed.
+// append unless an earlier store's page is there to take whole, and a later
+// page is taken whole when its first slot is needed.
 func (s *Store) grow(i int32) {
 	switch {
+	case i == 0 && s.first == nil:
+		s.first = slotArrays.Reuse(pageSlots)[:0]
+		fallthrough
 	case i < pageSlots:
 		s.first = append(s.first, slot{})
 	case i%pageSlots == 0:
-		s.pages = append(s.pages, new([pageSlots]slot))
+		s.pages = append(s.pages, (*[pageSlots]slot)(slotArrays.Get(pageSlots)))
 	}
+}
+
+// The pools behind a store's arrays (see Recycle). Rows and columns are
+// counted into, so they are taken zeroed; a slot is written whole before it
+// is read, and slots hold payloads, so the pool clears a page it keeps.
+var (
+	rowArrays  = reuse.New[row](false)
+	lastArrays = reuse.New[simtime.Time](false)
+	txArrays   = reuse.New[uint64](false)
+	slotArrays = reuse.New[slot](true)
+)
+
+// Recycle hands the store's rows, columns and slot pages to the next store
+// built in this process, and nils them: a store used after it is recycled
+// panics. The streams are the caller's, and stay with it.
+func (s *Store) Recycle() {
+	rowArrays.Put(s.rows)
+	lastArrays.Put(s.last)
+	txArrays.Put(s.tx)
+	slotArrays.Put(s.first)
+	for _, p := range s.pages {
+		slotArrays.Put(p[:])
+	}
+	s.rows, s.last, s.tx, s.first, s.pages = nil, nil, nil, nil, nil
 }
 
 // fireBatch delivers a batch chain head-to-tail. Slots are released before

@@ -63,7 +63,8 @@ type Sweep struct {
 
 // run executes fn at every position in xs, Repetitions times each, in
 // parallel, and returns one aggregated Point per position (in xs order).
-// The first error aborts the sweep.
+// The first error aborts the sweep; a run that panics fails it with an
+// *ErrRunPanicked.
 func (s Sweep) run(xs []float64, fn func(x float64, seed uint64) (map[string]float64, error)) ([]Point, error) {
 	if len(xs) == 0 {
 		return nil, errors.New("harness: empty sweep")
@@ -123,7 +124,7 @@ func (s Sweep) run(xs []float64, fn func(x float64, seed uint64) (map[string]flo
 		go func() {
 			defer wg.Done()
 			for t := range tasks {
-				m, err := fn(xs[t.xIdx], seedOf(t.xIdx, t.rep))
+				m, err := runOne(fn, xs[t.xIdx], seedOf(t.xIdx, t.rep))
 				results[t.xIdx][t.rep] = m
 				errs[t.xIdx][t.rep] = err
 				if remaining != nil && atomic.AddInt64(&remaining[t.xIdx], -1) == 0 {
@@ -156,6 +157,29 @@ func (s Sweep) run(xs []float64, fn func(x float64, seed uint64) (map[string]flo
 		points[xIdx] = p
 	}
 	return points, nil
+}
+
+// ErrRunPanicked is the error of a sweep run that panicked. The worker that
+// ran it recovers, so one panicking point fails its sweep with this error —
+// never the process, and never a run on another worker — and the seed says
+// which run to replay.
+type ErrRunPanicked struct {
+	Value any    // what the run panicked with
+	Seed  uint64 // the run's seed
+}
+
+func (e *ErrRunPanicked) Error() string {
+	return fmt.Sprintf("harness: the run with seed %d panicked: %v", e.Seed, e.Value)
+}
+
+// runOne calls fn for one run, turning a panic into an *ErrRunPanicked.
+func runOne(fn func(x float64, seed uint64) (map[string]float64, error), x float64, seed uint64) (m map[string]float64, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			m, err = nil, &ErrRunPanicked{Value: v, Seed: seed}
+		}
+	}()
+	return fn(x, seed)
 }
 
 // aggregatePoint folds one position's repetition slots, in canonical

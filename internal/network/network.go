@@ -29,6 +29,16 @@
 // argument, so an idle node costs no closure. TestAllocationBudget holds the
 // line.
 //
+// A network owns its arrays from New to Release, and no longer. New takes
+// its node table, its streams and its busy servers' completion times from
+// the arrays earlier networks in the process released (package reuse), or
+// lays them out afresh; the store and the kernel take theirs the same way.
+// The run substrate calls Release once, after a run that returned normally
+// and after everything it reports has been read off the network: then every
+// one of those arrays goes on to the next network, and the network's slices
+// are nil. A network whose run failed or panicked is never released, so what
+// it may have left half-written goes to the collector, not to another run.
+//
 // Deferred work is data. Whatever has to wait outside the store and the
 // kernel's own queue — a timer set under a tracer, anything in a node's
 // processing queue, a message a stalling node or a plan's reorder axis holds
@@ -59,6 +69,7 @@ import (
 	"abenet/internal/dist"
 	"abenet/internal/faults"
 	"abenet/internal/probe"
+	"abenet/internal/reuse"
 	"abenet/internal/rng"
 	"abenet/internal/sim"
 	"abenet/internal/simtime"
@@ -303,8 +314,8 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 	net := &Network{
 		cfg:      cfg,
 		kernel:   kernel,
-		nodes:    make([]Node, n),
-		nodeRNG:  make([]rng.Source, n),
+		nodes:    nodeArrays.Get(n),
+		nodeRNG:  streamArrays.Get(n),
 		adj:      graph.CSR(),
 		makeNode: makeNode,
 	}
@@ -313,8 +324,8 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 	net.queueDone = kernel.Register(net.complete)
 	net.holdOver = kernel.Register(net.release)
 	if cfg.Processing != nil {
-		net.procRNG = make([]rng.Source, n)
-		net.nextFree = make([]simtime.Time, n)
+		net.procRNG = streamArrays.Get(n)
+		net.nextFree = timeArrays.GetZeroed(n)
 		procStreams := root.Indexed("proc")
 		for i := range net.procRNG {
 			net.procRNG[i] = procStreams.At(i)
@@ -341,8 +352,8 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 	// node; skipping them shifts no other stream, as deriving one advances
 	// nothing.
 	if !perfect {
-		net.clocks = make([]clock.Clock, n)
-		net.clockRNG = make([]rng.Source, n)
+		net.clocks = clockArrays.Get(n)
+		net.clockRNG = streamArrays.Get(n)
 	}
 	clockStreams, nodeStreams := root.Indexed("clock"), root.Indexed("node")
 	for i := 0; i < n; i++ {
@@ -368,7 +379,7 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 		links, label, count = channel.RandomDelayFactory(cfg.BroadcastDelay), "bcast", n
 		sink = radioSink{net}
 	}
-	net.linkRNG = make([]rng.Source, count)
+	net.linkRNG = streamArrays.Get(count)
 	streams := root.Indexed(label)
 	for k := range net.linkRNG {
 		net.linkRNG[k] = streams.At(k)
@@ -378,6 +389,38 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 		net.life.sizeLinkState()
 	}
 	return net, nil
+}
+
+// The pools behind a network's per-node and per-link arrays (see Release).
+// Streams and the node and clock tables are written whole by New before
+// anything reads them; a busy server's completion times are read first, so
+// they are taken zeroed.
+var (
+	nodeArrays   = reuse.New[Node](true)
+	clockArrays  = reuse.New[clock.Clock](true)
+	streamArrays = reuse.New[rng.Source](false)
+	timeArrays   = reuse.New[simtime.Time](false)
+)
+
+// Release hands the network's arrays to the next network built in this
+// process: its node table, its node, link, clock and processing streams and
+// completion times, the store's rows, columns and slot pages, and the
+// kernel's run lane and heap. Call it once, after everything the run reports
+// has been read off the network; the run that built it must have returned
+// normally, so that no array goes back half-written by a failure. Release
+// nils the slices it hands on, so a network used after its release panics
+// instead of reading another run's state.
+func (net *Network) Release() {
+	nodeArrays.Put(net.nodes)
+	clockArrays.Put(net.clocks)
+	for _, s := range [...][]rng.Source{net.nodeRNG, net.clockRNG, net.procRNG, net.linkRNG} {
+		streamArrays.Put(s)
+	}
+	timeArrays.Put(net.nextFree)
+	net.store.Recycle()
+	net.kernel.Recycle()
+	net.nodes, net.clocks, net.nextFree = nil, nil, nil
+	net.nodeRNG, net.clockRNG, net.procRNG, net.linkRNG = nil, nil, nil, nil
 }
 
 // deliverTo delivers one payload at the receiving end of edge, into the

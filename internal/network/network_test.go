@@ -705,7 +705,7 @@ func TestAllocationBudget(t *testing.T) {
 			runtime.KeepAlive(net)
 		}
 	}
-	small, objects := allocbudget.Objects(build)
+	small, objects := allocbudget.ObjectsCold(build)
 	bytes := allocbudget.BytesPerNode(10_000, build)
 	budget := 140.0
 	if allocbudget.Race {

@@ -16,7 +16,9 @@ import (
 // TestElectionAllocationBudget holds a whole election run to a byte budget
 // per node, in the shape of the repo benchmark's ring-sparse-100k at n = 10⁴:
 // A0 = 1/n and a tick every n time units, so a run is a few events per node
-// and its cost is what it builds per node. Measured at this commit: 189 B per
+// and its cost is what it builds per node. It reads the cold path, a
+// process's first run of the shape, which finds no array to reuse (see
+// TestWarmElectionAllocationBudget for the runs after it). Measured: 189 B per
 // node (the graph 16, the network 132, the node slab 32 — no counter on a
 // node, the ring's tally is in its shared params, and no pointer table: a
 // node's current incarnation is its slab slot until it restarts —, 8 for the
@@ -60,18 +62,25 @@ func sparseRun(t *testing.T) func(n int) func() {
 }
 
 // TestElectionAllocatesNoObjectPerMessage holds a whole election run in the
-// ring-sparse shape to the same heap objects at n = 10³ and 10⁴: every token
-// a correct run sends is an entry of the one table of n epoch-0 tokens the
-// ring lays out at its first send: 45 objects at both sizes, where a token
-// boxed per send read 2 043 and 20 043. A twin run at n = 10³ whose nodes log
+// ring-sparse shape to the same heap objects at n = 10³ and 10⁴, on the cold
+// path and on the warm one: every token a correct run sends is an entry of
+// the one table of n epoch-0 tokens the ring lays out at its first send: 45
+// objects at both sizes on the cold path, 38 once the run's arrays come from
+// the runs before it, where a token boxed per send read 2 043 and 20 043
+// (cold). A twin run at n = 10³ whose nodes log
 // each token delivered to them sees every token point into that table, at
 // the entry of its hop, and every entry still reads {Hop: i+1, Epoch: 0}
 // after the run: nothing writes through a token.
 func TestElectionAllocatesNoObjectPerMessage(t *testing.T) {
-	small, large := allocbudget.Objects(sparseRun(t))
-	t.Logf("runner.Run(Election) in the ring-sparse shape: %.0f objects at n = 10³, %.0f at 10⁴", small, large)
-	if small != large {
-		t.Errorf("an election run allocates %.0f objects at n = 10³ and %.0f at 10⁴: something per message or node", small, large)
+	for _, path := range []struct {
+		name    string
+		objects func(build func(n int) func()) (small, large float64)
+	}{{"cold", allocbudget.ObjectsCold}, {"warm", allocbudget.Objects}} {
+		small, large := path.objects(sparseRun(t))
+		t.Logf("runner.Run(Election) in the ring-sparse shape, %s: %.0f objects at n = 10³, %.0f at 10⁴", path.name, small, large)
+		if small != large {
+			t.Errorf("an election run allocates %.0f objects at n = 10³ and %.0f at 10⁴ on the %s path: something per message or node", small, large, path.name)
+		}
 	}
 
 	const n = 1_000
@@ -142,13 +151,14 @@ func (s tokenSpy) OnMessage(ctx *network.Context, port int, payload any) {
 // TestStandaloneElectionAllocationBudget holds a network of 10⁴ standalone
 // core.NewElectionNode nodes, built and run as the repo benchmark's replica
 // builds its ring-sparse unit, to the bytes it allocated when every node's
-// tokens were boxed per send. A ring's params lay out a table of n tokens; a
+// tokens were boxed per send, on the cold path (the replica never releases
+// its network, so it takes from the pools only what runs before it left). A ring's params lay out a table of n tokens; a
 // standalone node's own params must not, or this network would hold n
 // tables, n²·8 bytes. Measured: 2 838 792 B (2 998 808 B under the race
 // detector), at this change as before it, and that is the budget.
 func TestStandaloneElectionAllocationBudget(t *testing.T) {
 	const n = 10_000
-	bytes, _ := allocbudget.Run(func() {
+	bytes, _ := allocbudget.RunCold(func() {
 		nodes := make([]*core.ElectionNode, n)
 		net, err := network.New(network.Config{
 			Graph:     topology.Ring(n),
@@ -196,8 +206,8 @@ func TestStandaloneElectionAllocationBudget(t *testing.T) {
 
 // TestBenOrAllocationBudget holds a message path to a budget: one Ben-Or run
 // on Complete(64) for 100 rounds, the repo benchmark's benor-complete-64
-// unit, where each of 806 400 events is a message. Measured at this commit,
-// with the collector off: 732 824 B in 912 objects (732 840 B in 912 under
+// unit, where each of 806 400 events is a message, on the cold path.
+// Measured with the collector off: 732 824 B in 912 objects (732 840 B in 912 under
 // the race detector). In kB of 1 024 B, as pprof counts: the kernel's
 // out-of-order lane is 222 kB of it — the 4 022 opening broadcasts the run
 // lane does not take, staged before the first pop (102 kB), and the one heap
@@ -212,7 +222,7 @@ func TestStandaloneElectionAllocationBudget(t *testing.T) {
 // in 12 864 objects: 1 661 520 B in 13 410 objects in all. The budget is
 // 750 000 B in 950 objects (755 000 B in 955 under the race detector).
 func TestBenOrAllocationBudget(t *testing.T) {
-	bytes, objects := allocbudget.Run(func() {
+	bytes, objects := allocbudget.RunCold(func() {
 		rep, err := Run(Env{N: 64, MaxRounds: 100, Seed: 1}, BenOr{})
 		if err != nil {
 			t.Fatal(err)
@@ -232,8 +242,8 @@ func TestBenOrAllocationBudget(t *testing.T) {
 }
 
 // TestCalendarAllocationBudget holds the calendar queue to its storage: an
-// election on a ring of 64 under the calendar scheduler. Measured at this
-// commit, with the collector off: 50 304 B in 87 objects (50 352 B in 87
+// election on a ring of 64 under the calendar scheduler, on the cold path.
+// Measured with the collector off: 50 304 B in 87 objects (50 352 B in 87
 // under the race detector), the ring's tokens one table of 64. The wheel does not wrap: between two rebuilds the
 // cursor passes each bucket once, so a bucket's storage is used for one
 // window and then, drained, goes to a spare list that the next bucket to
@@ -242,7 +252,7 @@ func TestBenOrAllocationBudget(t *testing.T) {
 // 2 rebuilds — read 496 024 B in 959 objects. The budget is 52 000 B in 160
 // objects (52 500 B in 160 under the race detector).
 func TestCalendarAllocationBudget(t *testing.T) {
-	bytes, objects := allocbudget.Run(func() {
+	bytes, objects := allocbudget.RunCold(func() {
 		rep, err := Run(Env{N: 64, Scheduler: "calendar", Seed: 1}, Election{})
 		if err != nil {
 			t.Fatal(err)
@@ -258,5 +268,42 @@ func TestCalendarAllocationBudget(t *testing.T) {
 	t.Logf("runner.Run(Election) on a ring of 64 under the calendar: %d B in %d objects", bytes, objects)
 	if bytes > byteBudget || objects > objectBudget {
 		t.Errorf("a calendar election allocates %d B in %d objects, budget %d B in %d", bytes, objects, byteBudget, objectBudget)
+	}
+}
+
+// TestWarmElectionAllocationBudget holds a repeated election in the
+// ring-sparse shape at n = 10⁴ to what a run costs once the runs before it
+// have handed on their arrays: the node and link streams, the link rows, the
+// node table, the run lane and the node slab come from those runs, and what
+// is left is the ring the run builds from Env.N (16 B per node), its table
+// of tokens (8 B per node) and a few hundred bytes. Measured: 248 880 B in
+// 38 objects, 24.9 B per node (248 896 B under the race detector), against
+// 1 887 328 B on the cold path. The budget is 26 B per node.
+func TestWarmElectionAllocationBudget(t *testing.T) {
+	bytes, objects := allocbudget.Run(sparseRun(t)(10_000))
+	perNode := float64(bytes) / 10_000
+	t.Logf("a repeated runner.Run(Election) on a ring of 10⁴: %d B in %d objects, %.1f B per node", bytes, objects, perNode)
+	if perNode > 26 {
+		t.Errorf("a repeated election run allocates %.1f B per node, budget 26", perNode)
+	}
+}
+
+// TestWarmBenOrAllocationBudget holds a repeated Ben-Or run on Complete(64),
+// the benor-complete-64 unit, to what it costs once the runs before it have
+// handed on their arrays: the kernel's loaded heap, the store's rows and slot
+// pages and the network's streams come from those runs. Left are the staging
+// of the opening burst (102 kB: what the first pop copies out is garbage
+// once it has), the graph's CSR (50 kB) and the votes (16 kB). Measured:
+// 214 712 B in 831 objects (214 728 B under the race detector), against
+// 732 824 B in 912 on the cold path. The budget is 220 000 B in 850 objects.
+func TestWarmBenOrAllocationBudget(t *testing.T) {
+	bytes, objects := allocbudget.Run(func() {
+		if _, err := Run(Env{N: 64, MaxRounds: 100, Seed: 1}, BenOr{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("a repeated runner.Run(BenOr) on Complete(64), 100 rounds: %d B in %d objects", bytes, objects)
+	if bytes > 220_000 || objects > 850 {
+		t.Errorf("a repeated ben-or run allocates %d B in %d objects, budget 220 000 B in 850", bytes, objects)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"abenet/internal/election"
 	"abenet/internal/network"
 	"abenet/internal/probe"
+	"abenet/internal/reuse"
 	"abenet/internal/synchronizer"
 )
 
@@ -122,7 +123,7 @@ func newElectionRing(n int, cfg core.ElectionNodeConfig) (*electionRing, error) 
 	if err != nil {
 		return nil, err
 	}
-	ring := &electionRing{params: params, first: make([]core.ElectionNode, n)}
+	ring := &electionRing{params: params, first: electionSlabs.GetZeroed(n)}
 	if cfg.RecandidacyTimeout > 0 {
 		ring.extras = make([]core.NodeExtra, n)
 	}
@@ -141,7 +142,19 @@ func (r *electionRing) protocol() netProtocol {
 			r.collect(rep)
 			return nil
 		},
+		own: r,
 	}
+}
+
+// electionSlabs pools the node slabs of finished rings. A slab slot at zero
+// is a node never spawned, so a slab is taken zeroed; its nodes point at
+// their ring's params, so the pool clears a slab it keeps.
+var electionSlabs = reuse.New[core.ElectionNode](true)
+
+// recycle hands r's node slab to the next ring, once nothing reads r's nodes.
+func (r *electionRing) recycle() {
+	electionSlabs.Put(r.first)
+	r.first = nil
 }
 
 // node returns node i's current incarnation. Before node i is first spawned

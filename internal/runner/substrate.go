@@ -98,10 +98,10 @@ type netProtocol struct {
 	// ring routes the protocol along the embedded Hamiltonian cycle:
 	// makeNode then receives each node's successor out-port.
 	ring bool
-	// links is the default link discipline (random-delay or FIFO).
-	links func(dist.Dist) channel.Factory
 	// anonymous forbids identity reads (network.Config.Anonymous).
 	anonymous bool
+	// links is the default link discipline (random-delay or FIFO).
+	links func(dist.Dist) channel.Factory
 	// makeNode builds node i's protocol instance; fault recovery calls it
 	// again for a restarted node. sendPort is 0 unless ring is set.
 	makeNode func(i, sendPort int) (network.Node, error)
@@ -113,12 +113,22 @@ type netProtocol struct {
 	// collect fills the protocol-specific Report fields after the run; an
 	// error (a synchronizer's exhausted round budget) fails the run.
 	collect func(rep *Report) error
+	// own, when set, holds arrays of the protocol's own, which runNetwork
+	// hands on to the next run once the network has released its arrays.
+	own recycler
 }
+
+// recycler is a protocol's owner of arrays it can hand on to the next run.
+// An interface, not a func field: a method value would cost a run one more
+// object.
+type recycler interface{ recycle() }
 
 // runNetwork executes p on env's resolved graph: it maps the environment
 // onto the network, installs the probe collector and the trace recorder,
 // runs to the env's bounds and harvests the Report fields every
-// kernel-backed run shares before handing the report to p.collect.
+// kernel-backed run shares before handing the report to p.collect. A run
+// that returns normally then releases the network (Network.Release) and
+// p's own arrays: this is the one place either happens.
 func runNetwork(env Env, p netProtocol) (Report, error) {
 	var ports []int
 	if p.ring {
@@ -180,6 +190,13 @@ func runNetwork(env Env, p netProtocol) (Report, error) {
 	}
 	if rec != nil {
 		rep.Trace = rec.Export()
+	}
+	// Everything the report holds has been read off the network and the
+	// protocol's nodes: their arrays go to the next run in this process. A
+	// run that failed or panicked returned above, and hands nothing on.
+	net.Release()
+	if p.own != nil {
+		p.own.recycle()
 	}
 	return rep, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 
+	"abenet/internal/reuse"
 	"abenet/internal/simtime"
 )
 
@@ -78,12 +79,17 @@ func (h *heapScheduler) Reserve(n int) {
 }
 
 // stage files ev, scheduled before the first pop, without ordering it: onto
-// the heap's slice while that is below stageSlots, else onto the newest page
-// of the spill, starting a page twice the size of the last when it is full.
+// the heap's slice while that is below stageSlots — a recycled slice of
+// stageSlots if there is one, else one that grows by append — else onto the
+// newest page of the spill, starting a page twice the size of the last when
+// it is full.
 func (h *heapScheduler) stage(ev event) {
 	h.staged = true
 	if h.spill == nil {
 		if len(h.heap) < stageSlots {
+			if h.heap == nil {
+				h.heap = eventArrays.Reuse(stageSlots)[:0] // nil, to grow by append, when none is pooled
+			}
 			h.heap = append(h.heap, ev)
 			return
 		}
@@ -100,15 +106,16 @@ func (h *heapScheduler) stage(ev event) {
 
 // load makes one heap of everything pending in it, staged or not: the
 // heap's slice itself when nothing spilled, else one slice of the count plus
-// a quarter's headroom, allocated once, that the slice and the pages are
-// copied into. Either is heapified bottom-up in the full (at, seq) order.
+// a quarter's headroom, a recycled one or else allocated once, that the
+// slice and the pages are copied into. Either is heapified bottom-up in the
+// full (at, seq) order.
 func (h *heapScheduler) load() {
 	if h.spill != nil {
 		n := len(h.heap)
 		for _, p := range *h.spill {
 			n += len(p)
 		}
-		heap := append(make([]event, 0, n+n/4), h.heap...)
+		heap := append(eventArrays.Get(n + n/4)[:0], h.heap...)
 		for _, p := range *h.spill {
 			heap = append(heap, p...)
 		}
@@ -122,10 +129,33 @@ func (h *heapScheduler) load() {
 
 // resizeRun moves the run into a ring of size slots, oldest event first.
 func (h *heapScheduler) resizeRun(size int) {
-	run := make([]event, size)
+	run := eventArrays.Get(size)
 	k := copy(run, h.run[h.head:])
 	copy(run[k:], h.run[:h.head])
 	h.run, h.head = run, 0
+}
+
+// eventArrays pools the run lanes and heaps of finished runs (see
+// Kernel.Recycle). A lane or a heap slot is written before it is read, so
+// neither is cleared.
+var eventArrays = reuse.New[event](false)
+
+// recycle hands the run lane and the heap to the next kernel, and empties
+// both lanes.
+func (h *heapScheduler) recycle() {
+	eventArrays.Put(h.run)
+	eventArrays.Put(h.heap)
+	*h = heapScheduler{}
+}
+
+// grow makes room for one more event in the heap: in a pooled array of
+// twice the heap's length when one is there, else by append.
+func (h *heapScheduler) grow() {
+	if s := eventArrays.Reuse(2 * len(h.heap)); s != nil {
+		h.heap = append(s[:0], h.heap...)
+		return
+	}
+	h.heap = append(h.heap, event{})[:len(h.heap)]
 }
 
 // runFirst reports whether the earliest pending event is the run's oldest

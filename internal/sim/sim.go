@@ -36,6 +36,15 @@
 // heapified where it was staged. From then on the heap is one contiguous
 // array that pushes sift into and grows by append.
 //
+// A kernel owns its run lane and its heap until Recycle hands both to the
+// next kernel in the process (package reuse). Reserve takes the run lane,
+// and the load and the heap's growth take the heap's array, from what
+// earlier kernels recycled when one is long enough, and allocate as above
+// when none is; an event is written before it is read, so neither is
+// cleared. The network layer recycles a kernel with the rest of a network,
+// after a run that returned normally; the staging pages are garbage once
+// loaded, and are never pooled.
+//
 // # The run loop
 //
 // On the heap an event costs one call inside this package or none: the loop
@@ -193,6 +202,12 @@ func (k *Kernel) Reserve(n int) {
 	}
 }
 
+// Recycle hands the heap's run lane and heap to the next kernel built in this
+// process (see package reuse) and empties both: what was pending is dropped.
+// Call it only once the kernel's last run is over and nothing will schedule
+// on it again. A selected calendar keeps its own storage.
+func (k *Kernel) Recycle() { k.lanes.recycle() }
+
 // refusal says what is wrong with an event at at for handler h: an instant
 // must be finite and not before now, a handler registered.
 func (k *Kernel) refusal(at simtime.Time, h HandlerID) string {
@@ -245,7 +260,10 @@ func (k *Kernel) enqueue(at simtime.Time, h HandlerID, arg uint32) {
 		// Sift up from a new leaf. seq is above every pending event's, so an
 		// entry at the same instant stays above it: the instant decides.
 		i := len(q.heap)
-		q.heap = append(q.heap, event{})
+		if i == cap(q.heap) {
+			q.grow()
+		}
+		q.heap = q.heap[:i+1]
 		for i > 0 {
 			p := (i - 1) / 4
 			if at >= q.heap[p].at {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"reflect"
 	"slices"
 )
 
@@ -34,13 +35,28 @@ func (r *Recorder) Export() *Export {
 		if e.payload == nil {
 			continue
 		}
-		e.Payload = fmt.Sprintf("%+v", e.payload)
+		e.Payload = payloadText(e.payload)
 		if h, ok := e.payload.(HopCarrier); ok {
 			e.Hop = h.HopCount()
 		}
 		e.payload = nil
 	}
 	return &Export{Events: r.events, Dropped: r.dropped, Decision: r.decision}
+}
+
+// payloadText is what %+v prints for payload: its String straight, for a
+// fmt.Stringer that %+v would print that way, without the copy Sprintf makes
+// of it. An error or a fmt.Formatter prints as %+v decides, and so does a
+// nil pointer, which %+v prints as <nil> instead of calling String on it.
+func payloadText(payload any) string {
+	switch payload.(type) {
+	case error, fmt.Formatter:
+	case fmt.Stringer:
+		if v := reflect.ValueOf(payload); v.Kind() != reflect.Pointer || !v.IsNil() {
+			return payload.(fmt.Stringer).String()
+		}
+	}
+	return fmt.Sprintf("%+v", payload)
 }
 
 // WriteText renders the export as human-readable text, one event per line.

@@ -240,6 +240,14 @@ var designRules = []designRule{
 	{step: "A run hands on its arrays once", scope: dirs("internal/runner/substrate.go"), match: call{name: "Release", noArgs: true}, min: 1, max: 1,
 		msg: "Release calls in internal/runner/substrate.go, want exactly one: runNetwork's, after the harvest",
 		bad: input{"internal/runner/substrate.go", "package runner; func runNetwork(net *network.Network) {\n\tnet.Release()\n\tnet.Release()\n}"}},
+	{step: "A run hands on its arrays once", scope: dirs("..."), match: call{name: "HandOn", noArgs: true}, min: 1, max: 1,
+		msg: "HandOn calls, want exactly one: runner.Run's, after p.Run returned normally — only the run that built a bare graph hands its arrays on",
+		bad: input{"internal/harness/again.go", "package harness; func done(g *topology.Graph) { g.HandOn() }"}},
+
+	{step: "A job fails alone", scope: dirs("internal/harness", "internal/spec", "internal/service"),
+		match: unguardedGo{run: call{name: "Run|RunSweep|fn"}}, // fn is harness.Sweep.run's run function
+		msg:   "a go statement whose goroutine runs a simulation outside a deferred recover — run it through a function that recovers (harness.runOne, service.execute), so a panicking run fails its job and not the process",
+		bad:   input{"internal/harness/async.go", "package harness; func async(env runner.Env, p runner.Protocol) { go func() { runner.Run(env, p) }() }"}},
 }
 
 func TestDesignRules(t *testing.T) {
@@ -675,6 +683,82 @@ func stmts(s ast.Stmt) []ast.Stmt {
 		return nil
 	}
 	return []ast.Stmt{s}
+}
+
+// unguardedGo flags a go statement whose goroutine reaches a call of run
+// without passing through a function that defers a call of recover: in the
+// function the statement starts — a literal, or the scope's functions of the
+// name it calls — or in a literal inside it, or in any function of the scope
+// those call by name, and so on. The rule fails if its scope starts no
+// goroutine.
+type unguardedGo struct {
+	run   call
+	funcs map[string][]*ast.FuncDecl // the scope's functions by name; set by within
+	files map[*ast.FuncDecl]*srcFile
+}
+
+func (m unguardedGo) within(in []*srcFile) (matcher, string) {
+	m.funcs, m.files = map[string][]*ast.FuncDecl{}, map[*ast.FuncDecl]*srcFile{}
+	starts := false
+	for _, f := range in {
+		for _, d := range f.ast.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				m.funcs[fd.Name.Name] = append(m.funcs[fd.Name.Name], fd)
+				m.files[fd] = f
+			}
+		}
+		f.inspect(func(n ast.Node, _ *ast.FuncDecl) {
+			_, ok := n.(*ast.GoStmt)
+			starts = starts || ok
+		})
+	}
+	if !starts {
+		return m, "no go statement in scope"
+	}
+	return m, ""
+}
+
+func (m unguardedGo) sites(f *srcFile) (s []site) {
+	f.inspect(func(n ast.Node, fn *ast.FuncDecl) {
+		if g, ok := n.(*ast.GoStmt); ok && m.reaches(f, g.Call, map[*ast.FuncDecl]bool{}) {
+			s = append(s, site{g.Pos(), fn})
+		}
+	})
+	return s
+}
+
+// reaches reports whether running n reaches a call of m.run outside a
+// deferred recover: in n itself, in a function literal in n, or in a function
+// of the scope n calls by name; seen holds the functions already followed.
+func (m unguardedGo) reaches(f *srcFile, n ast.Node, seen map[*ast.FuncDecl]bool) bool {
+	found := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			found = found || !recovers(f, n.Body) && m.reaches(f, n.Body, seen)
+			return false
+		case *ast.CallExpr:
+			found = found || m.run.is(f, n)
+			_, name := callee(n)
+			for _, fd := range m.funcs[name] {
+				if !found && !seen[fd] {
+					seen[fd] = true
+					found = !recovers(m.files[fd], fd.Body) && m.reaches(m.files[fd], fd.Body, seen)
+				}
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// recovers reports whether body defers, at its top level, a call whose text
+// calls recover.
+func recovers(f *srcFile, body *ast.BlockStmt) bool {
+	return slices.ContainsFunc(body.List, func(st ast.Stmt) bool {
+		d, ok := st.(*ast.DeferStmt)
+		return ok && strings.Contains(f.text(d), "recover()")
+	})
 }
 
 // field flags a field of the struct type strct whose line, "name type", matches

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"abenet/internal/network"
+	"abenet/internal/reuse"
 )
 
 // State is the election state of a node (Section 3 of the paper).
@@ -49,8 +50,9 @@ func (s State) String() string {
 // Both fields are 32-bit, as a ring's size and a node's epoch are, so a
 // token is 8 bytes. A token goes on the wire as a *HopMessage: a ring's
 // epoch-0 tokens are the n entries of one table its ElectionParams lay out
-// once, so relaying one allocates nothing; any other token is allocated per
-// send. Nothing writes through a token once it is sent.
+// once, or take from a ring before them, so relaying one allocates nothing;
+// any other token is allocated per send. Nothing writes through a token once
+// it is sent.
 type HopMessage struct {
 	Hop   int32
 	Epoch int32
@@ -300,23 +302,44 @@ func (p *ElectionParams) Tally() Tally {
 func (p *ElectionParams) Retire(e *ElectionNode) { p.tally.add(e.state, -1) }
 
 // token returns the token ⟨hop⟩ of epoch for the wire. A ring's epoch-0
-// tokens are entries of its table, laid out at the ring's first send, and a
-// pointer to one becomes an any without allocating. Any other token — every
-// token of a standalone node, whose own params have no table, a token of a
-// re-candidacy epoch, or the hop n+1 only a broken run sends — is allocated.
-// hop is at least 1: a node sends ⟨1⟩ or ⟨d+1⟩.
+// tokens are entries of its table, laid out at the ring's first send or
+// taken from a ring before it, and a pointer to one becomes an any without
+// allocating. Any other token — every token of a standalone node, whose own
+// params have no table, a token of a re-candidacy epoch, or the hop n+1 only
+// a broken run sends — is allocated. hop is at least 1: a node sends ⟨1⟩ or
+// ⟨d+1⟩.
 func (p *ElectionParams) token(hop, epoch int32) *HopMessage {
 	if p.standalone || epoch != 0 || hop > p.ringSize {
 		return &HopMessage{Hop: hop, Epoch: epoch}
 	}
 	if p.tokens == nil {
-		t := make([]HopMessage, p.ringSize)
-		for i := range t {
-			t[i].Hop = int32(i) + 1
+		t := tokenTables.Reuse(int(p.ringSize))
+		if t == nil {
+			t = make([]HopMessage, p.ringSize)
+			for i := range t {
+				t[i].Hop = int32(i) + 1
+			}
 		}
 		p.tokens = &t
 	}
 	return &(*p.tokens)[hop-1]
+}
+
+// tokenTables pools the token tables of rings whose runs are over (see
+// Recycle). Entry i of every table is ⟨i+1⟩ from the moment the table is
+// made, over its whole length, and nothing writes to a table after that: a
+// table is taken as it is, and a token a finished run's caller still holds
+// keeps its value while another ring sends it.
+var tokenTables = reuse.New[HopMessage](false)
+
+// Recycle hands the ring's token table, if it has laid one out, to the next
+// ring in this process (package reuse). Call it once, after the ring's run
+// returned normally; no node of the ring may send afterwards.
+func (p *ElectionParams) Recycle() {
+	if p.tokens != nil {
+		tokenTables.Put(*p.tokens)
+		p.tokens = nil
+	}
 }
 
 // Node returns a node of p's ring in the initial state (idle, d = 1) that

@@ -8,9 +8,25 @@
 // Ownership is the whole contract. An array belongs to whoever took it until
 // that owner puts it back, and after that to the pool: the owner keeps no
 // reference, so a put array is never read or written again through it. Only
-// a run that ended normally puts anything back (network.Network.Release); a
-// run that failed or panicked drops its arrays for the collector, so nothing
-// it may have left half-written reaches a later run.
+// a run that ended normally puts anything back; a run that failed or
+// panicked drops its arrays for the collector, so nothing it may have left
+// half-written reaches a later run. The owners, and until when they own:
+//
+//   - a network its node table, streams and completion times, its store the
+//     rows, columns and slot pages, and its kernel the run lane, the heap
+//     and the slice and pages its opening burst was staged in — from
+//     construction until network.Network.Release, which runNetwork calls
+//     once the report is harvested (the staging arrays stay with the kernel
+//     after the first pop has copied them out, since the run is not over);
+//   - an election ring its node slab and its token table, until runNetwork
+//     recycles the ring, after the network's release;
+//   - a graph its CSR arrays, until topology.Graph.HandOn, which only
+//     runner.Run calls: for the graph it built from Env.N, once the run on
+//     it has returned. A graph the caller built is never handed on.
+//
+// A token table is the one array handed on that something may still point
+// into — a finished run's caller can hold a token — and no entry of one is
+// written after the table is made, so such a pointer keeps its value.
 //
 // A pool holds what it is given for one collection at most: an array put
 // back before a collection and still unused when the next one completes is

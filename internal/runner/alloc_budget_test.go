@@ -65,7 +65,7 @@ func sparseRun(t *testing.T) func(n int) func() {
 // ring-sparse shape to the same heap objects at n = 10³ and 10⁴, on the cold
 // path and on the warm one: every token a correct run sends is an entry of
 // the one table of n epoch-0 tokens the ring lays out at its first send: 45
-// objects at both sizes on the cold path, 38 once the run's arrays come from
+// objects at both sizes on the cold path, 33 once the run's arrays come from
 // the runs before it, where a token boxed per send read 2 043 and 20 043
 // (cold). A twin run at n = 10³ whose nodes log
 // each token delivered to them sees every token point into that table, at
@@ -274,28 +274,48 @@ func TestCalendarAllocationBudget(t *testing.T) {
 // TestWarmElectionAllocationBudget holds a repeated election in the
 // ring-sparse shape at n = 10⁴ to what a run costs once the runs before it
 // have handed on their arrays: the node and link streams, the link rows, the
-// node table, the run lane and the node slab come from those runs, and what
-// is left is the ring the run builds from Env.N (16 B per node), its table
-// of tokens (8 B per node) and a few hundred bytes. Measured: 248 880 B in
-// 38 objects, 24.9 B per node (248 896 B under the race detector), against
-// 1 887 328 B on the cold path. The budget is 26 B per node.
+// node table, the run lane, the node slab, the ring the run builds from
+// Env.N and its table of tokens all come from those runs, and what is left
+// is a few thousand bytes of objects whose size does not depend on n.
+// Measured: 3 120 B in 33 objects, 0.31 B per node (3 136 B under the
+// race detector), against 1 887 328 B on the cold path; with the ring and
+// the token table laid out per run, 248 880 B, 24.9 B per node. The budget
+// is 0.325 B per node.
 func TestWarmElectionAllocationBudget(t *testing.T) {
 	bytes, objects := allocbudget.Run(sparseRun(t)(10_000))
 	perNode := float64(bytes) / 10_000
-	t.Logf("a repeated runner.Run(Election) on a ring of 10⁴: %d B in %d objects, %.1f B per node", bytes, objects, perNode)
-	if perNode > 26 {
-		t.Errorf("a repeated election run allocates %.1f B per node, budget 26", perNode)
+	t.Logf("a repeated runner.Run(Election) on a ring of 10⁴: %d B in %d objects, %.3f B per node", bytes, objects, perNode)
+	if perNode > 0.325 {
+		t.Errorf("a repeated election run allocates %.3f B per node, budget 0.325", perNode)
+	}
+}
+
+// TestWarmElectionAllocatesNothingPerNode holds a repeated election in the
+// ring-sparse shape to the same bytes at n = 10³ and 10⁴, not only the same
+// objects: once the runs before it have handed on their arrays — the ring's
+// CSR and its token table among them — a run lays out nothing whose size
+// grows with the network. Measured: 3 120 B at both sizes; with the ring and
+// the token table laid out per run, 27 696 and 248 880 B.
+func TestWarmElectionAllocatesNothingPerNode(t *testing.T) {
+	small, _ := allocbudget.Run(sparseRun(t)(1_000))
+	large, _ := allocbudget.Run(sparseRun(t)(10_000))
+	t.Logf("a repeated runner.Run(Election) in the ring-sparse shape: %d B at n = 10³, %d B at 10⁴", small, large)
+	if small != large {
+		t.Errorf("a repeated election run allocates %d B at n = 10³ and %d B at 10⁴: something laid out per node", small, large)
 	}
 }
 
 // TestWarmBenOrAllocationBudget holds a repeated Ben-Or run on Complete(64),
 // the benor-complete-64 unit, to what it costs once the runs before it have
-// handed on their arrays: the kernel's loaded heap, the store's rows and slot
-// pages and the network's streams come from those runs. Left are the staging
-// of the opening burst (102 kB: what the first pop copies out is garbage
-// once it has), the graph's CSR (50 kB) and the votes (16 kB). Measured:
-// 214 712 B in 831 objects (214 728 B under the race detector), against
-// 732 824 B in 912 on the cold path. The budget is 220 000 B in 850 objects.
+// handed on their arrays: the kernel's loaded heap and the slice and pages
+// its opening burst was staged in, the store's rows and slot pages, the
+// network's streams and the graph's CSR come from those runs. Left is
+// Ben-Or's own state — the nodes' round records (24 kB), the boxed votes
+// (16 kB), the nodes (8 kB) — and a few kB of objects the network and the
+// kernel lay out per run. Measured: 60 848 B in 814 objects (60 864 B
+// under the race detector), against 732 824 B in 912 on the cold path;
+// with the staging arrays (102 kB) and the CSR (50 kB) laid out per run,
+// 214 712 B in 831. The budget is 62 500 B in 835 objects.
 func TestWarmBenOrAllocationBudget(t *testing.T) {
 	bytes, objects := allocbudget.Run(func() {
 		if _, err := Run(Env{N: 64, MaxRounds: 100, Seed: 1}, BenOr{}); err != nil {
@@ -303,7 +323,7 @@ func TestWarmBenOrAllocationBudget(t *testing.T) {
 		}
 	})
 	t.Logf("a repeated runner.Run(BenOr) on Complete(64), 100 rounds: %d B in %d objects", bytes, objects)
-	if bytes > 220_000 || objects > 850 {
-		t.Errorf("a repeated ben-or run allocates %d B in %d objects, budget 220 000 B in 850", bytes, objects)
+	if bytes > 62_500 || objects > 835 {
+		t.Errorf("a repeated ben-or run allocates %d B in %d objects, budget 62 500 B in 835", bytes, objects)
 	}
 }

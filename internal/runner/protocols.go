@@ -151,10 +151,12 @@ func (r *electionRing) protocol() netProtocol {
 // their ring's params, so the pool clears a slab it keeps.
 var electionSlabs = reuse.New[core.ElectionNode](true)
 
-// recycle hands r's node slab to the next ring, once nothing reads r's nodes.
+// recycle hands r's node slab and its token table to the next ring, once
+// nothing reads r's nodes.
 func (r *electionRing) recycle() {
 	electionSlabs.Put(r.first)
 	r.first = nil
+	r.params.Recycle()
 }
 
 // node returns node i's current incarnation. Before node i is first spawned

@@ -342,7 +342,11 @@ type Protocol interface {
 // silently ignore an axis it does not honour — and p runs on the graph the
 // check resolved. Observe and trace are the substrate's, so they are checked
 // on the result instead: a protocol that returns no Series or no Trace for
-// them is refused, not silently unobserved.
+// them is refused, not silently unobserved. A graph Run built from Env.N is
+// its own: once p.Run has returned normally, nothing reads it, and its
+// arrays go to the next graph built in the process (topology.Graph.HandOn).
+// A graph the caller gave, which a sweep shares across its repetitions, is
+// never handed on.
 func Run(env Env, p Protocol) (Report, error) {
 	s, err := check(env, p)
 	if err != nil {
@@ -352,6 +356,9 @@ func Run(env Env, p Protocol) (Report, error) {
 	rep, err := p.Run(env)
 	if err != nil {
 		return Report{}, err
+	}
+	if !s.given {
+		env.Graph.HandOn()
 	}
 	if env.Observe != nil && rep.Series == nil {
 		return Report{}, fmt.Errorf("%w: %q returned no series for Env.Observe", ErrObserveUnsupported, p.Name())

@@ -45,8 +45,11 @@ type heapScheduler struct {
 
 	// spill holds the staged events that did not fit in heap once it reached
 	// stageSlots, in pages that double from stageSlots and are never copied
-	// until the load; nil unless a burst spilled. A pointer, so that a kernel
-	// without one is no larger.
+	// until the load; nil unless a burst spilled. After the load, with staged
+	// false, it names the arrays the load copied out — the pages, and the
+	// slice they followed — which recycle hands on with the lanes; a burst
+	// staged after a load drops them. A pointer, so that a kernel without
+	// one is no larger.
 	spill *[][]event
 
 	run      []event      // ring of len(run) slots, in (at, seq) order from head
@@ -82,9 +85,12 @@ func (h *heapScheduler) Reserve(n int) {
 // the heap's slice while that is below stageSlots — a recycled slice of
 // stageSlots if there is one, else one that grows by append — else onto the
 // newest page of the spill, starting a page twice the size of the last when
-// it is full.
+// it is full, a recycled one if there is one. The first event staged after a
+// load drops the arrays that load retired.
 func (h *heapScheduler) stage(ev event) {
-	h.staged = true
+	if !h.staged {
+		h.spill, h.staged = nil, true
+	}
 	if h.spill == nil {
 		if len(h.heap) < stageSlots {
 			if h.heap == nil {
@@ -98,7 +104,7 @@ func (h *heapScheduler) stage(ev event) {
 	}
 	pages := *h.spill
 	if n := len(pages); n == 0 || len(pages[n-1]) == cap(pages[n-1]) {
-		pages = append(pages, make([]event, 0, stageSlots<<n))
+		pages = append(pages, eventArrays.Get(stageSlots << n)[:0])
 		*h.spill = pages
 	}
 	pages[len(pages)-1] = append(pages[len(pages)-1], ev)
@@ -108,18 +114,25 @@ func (h *heapScheduler) stage(ev event) {
 // heap's slice itself when nothing spilled, else one slice of the count plus
 // a quarter's headroom, a recycled one or else allocated once, that the
 // slice and the pages are copied into. Either is heapified bottom-up in the
-// full (at, seq) order.
+// full (at, seq) order. The slice and the pages a spilled burst was copied
+// out of stay on the spill, retired, until recycle hands them on: the run
+// that staged them has not returned yet. The slice joins the pages only
+// where the page list has room for it, so that retiring grows nothing.
 func (h *heapScheduler) load() {
 	if h.spill != nil {
+		pages := *h.spill
 		n := len(h.heap)
-		for _, p := range *h.spill {
+		for _, p := range pages {
 			n += len(p)
 		}
 		heap := append(eventArrays.Get(n + n/4)[:0], h.heap...)
-		for _, p := range *h.spill {
+		for _, p := range pages {
 			heap = append(heap, p...)
 		}
-		h.heap, h.spill = heap, nil
+		if len(pages) < cap(pages) {
+			*h.spill = append(pages, h.heap)
+		}
+		h.heap = heap
 	}
 	for i := (len(h.heap) - 2) / 4; i >= 0; i-- { // staged, so the heap holds an event
 		h.siftDown(i)
@@ -135,16 +148,21 @@ func (h *heapScheduler) resizeRun(size int) {
 	h.run, h.head = run, 0
 }
 
-// eventArrays pools the run lanes and heaps of finished runs (see
-// Kernel.Recycle). A lane or a heap slot is written before it is read, so
-// neither is cleared.
+// eventArrays pools the run lanes, heaps and staging arrays of finished runs
+// (see Kernel.Recycle). A slot of any of them is written before it is read,
+// so none is cleared.
 var eventArrays = reuse.New[event](false)
 
-// recycle hands the run lane and the heap to the next kernel, and empties
-// both lanes.
+// recycle hands the run lane, the heap and the spill's arrays to the next
+// kernel, and empties both lanes.
 func (h *heapScheduler) recycle() {
 	eventArrays.Put(h.run)
 	eventArrays.Put(h.heap)
+	if h.spill != nil {
+		for _, p := range *h.spill {
+			eventArrays.Put(p)
+		}
+	}
 	*h = heapScheduler{}
 }
 

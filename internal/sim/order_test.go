@@ -515,17 +515,38 @@ func TestPreRunBurstLoadsOnce(t *testing.T) {
 	}
 	// loaded checks the heap right after the first pop of a staged burst of
 	// staged events: one contiguous slice, in place or of the staged count
-	// plus its headroom.
+	// plus its headroom. A spilled burst's slice and pages stay on the spill,
+	// retired for Recycle: the staged events exactly, the slice last, none of
+	// them the heap.
 	loaded := func(k *kernel, staged int, inPlace *event) {
 		t.Helper()
 		h := &k.lanes
 		switch {
-		case h.staged || h.spill != nil:
+		case h.staged:
 			t.Fatalf("%d staged: still staged after the first pop", staged)
-		case staged <= stageSlots && unsafe.SliceData(h.heap) != inPlace:
+		case staged <= stageSlots && (unsafe.SliceData(h.heap) != inPlace || h.spill != nil):
 			t.Fatalf("%d staged: the heap was not loaded in place", staged)
 		case staged > stageSlots && cap(h.heap) != staged+staged/4:
 			t.Fatalf("%d staged: the heap has room for %d, want the staged count plus a quarter, %d", staged, cap(h.heap), staged+staged/4)
+		case staged > stageSlots && h.spill == nil:
+			t.Fatalf("%d staged: the load kept none of the arrays it copied out", staged)
+		}
+		if h.spill == nil {
+			return
+		}
+		retired := *h.spill
+		if last := retired[len(retired)-1]; inPlace != nil && unsafe.SliceData(last) != inPlace {
+			t.Fatalf("%d staged: the slice the burst began in is not retired last", staged)
+		}
+		n := 0
+		for _, a := range retired {
+			n += len(a)
+			if unsafe.SliceData(a) == unsafe.SliceData(h.heap) {
+				t.Fatalf("%d staged: the heap is retired too", staged)
+			}
+		}
+		if n != staged {
+			t.Fatalf("%d staged: the retired arrays held %d", staged, n)
 		}
 	}
 	inOrder := func(k *kernel) {

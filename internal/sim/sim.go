@@ -36,14 +36,15 @@
 // heapified where it was staged. From then on the heap is one contiguous
 // array that pushes sift into and grows by append.
 //
-// A kernel owns its run lane and its heap until Recycle hands both to the
-// next kernel in the process (package reuse). Reserve takes the run lane,
-// and the load and the heap's growth take the heap's array, from what
-// earlier kernels recycled when one is long enough, and allocate as above
-// when none is; an event is written before it is read, so neither is
-// cleared. The network layer recycles a kernel with the rest of a network,
-// after a run that returned normally; the staging pages are garbage once
-// loaded, and are never pooled.
+// A kernel owns its run lane, its heap and its staging arrays until Recycle
+// hands them to the next kernel in the process (package reuse). Reserve
+// takes the run lane, staging its slice and pages, and the load and the
+// heap's growth the heap's array, from what earlier kernels recycled when
+// one is long enough, and allocate as above when none is; an event is
+// written before it is read, so none is cleared. The arrays a load copies
+// out stay with the kernel, retired, until Recycle — not at the load, when
+// the run that staged them may still fail. The network layer recycles a
+// kernel with the rest of a network, after a run that returned normally.
 //
 // # The run loop
 //

@@ -10,7 +10,8 @@
 // A graph is built once — by a generator, or by hand through FromEdges — and
 // never changes. It is stored as one CSR of int32 arrays, which runtimes take
 // as they are (CSR); Out and In return copies for callers that want a slice
-// to keep.
+// to keep. The arrays come from the graphs handed on before it in the
+// process (see Graph.HandOn), or are laid out afresh.
 package topology
 
 import (
@@ -20,6 +21,7 @@ import (
 	"sort"
 	"sync"
 
+	"abenet/internal/reuse"
 	"abenet/internal/rng"
 )
 
@@ -32,7 +34,12 @@ type Edge struct {
 // numbered in (node, out-port) order — the order Edges lists them — so u's
 // out-port p is edge OutStart[u]+p, and v's in-port q is slot InStart[v]+q
 // of InFrom. Ports are numbered in insertion order. The arrays are the
-// graph's own, so their holders must not write to them.
+// graph's own, so their holders must not write to them, and they are the
+// graph's until HandOn: a holder reads them only while the graph is its
+// owner's. A network holds them from its construction to its release, and
+// a bare graph — the one runner.Run builds from Env.N — is handed on only
+// after the run on it has returned, so no run reads arrays another has
+// taken.
 type CSR struct {
 	OutStart []int32 // len n+1; u's out-edges are OutStart[u] .. OutStart[u+1]-1
 	Head     []int32 // Head[e]: the node edge e reaches
@@ -86,7 +93,7 @@ func checkSize(n int) {
 // bidirectional family — the two offset arrays are one.
 func build(n int, edges func(*layout)) *Graph {
 	checkSize(n)
-	g := &Graph{n: n, adj: CSR{OutStart: make([]int32, n+1), InStart: make([]int32, n+1)}}
+	g := &Graph{n: n, adj: CSR{OutStart: csrArrays.GetZeroed(n + 1), InStart: csrArrays.GetZeroed(n + 1)}}
 	a := &g.adj
 	edges((*layout)(a))
 	m, in := 0, int32(0)
@@ -97,7 +104,7 @@ func build(n int, edges func(*layout)) *Graph {
 			panic(fmt.Sprintf("topology: %d edges exceed the 32-bit edge numbering", m))
 		}
 	}
-	a.Head, a.InPort, a.InFrom = make([]int32, m), make([]int32, m), make([]int32, m)
+	a.Head, a.InPort, a.InFrom = csrArrays.Get(m), csrArrays.Get(m), csrArrays.Get(m) // the fill writes every entry
 	edges((*layout)(a))
 	for e, v := range a.Head {
 		a.InPort[e] -= a.InStart[v] // the fill stored the in-slot
@@ -106,6 +113,27 @@ func build(n int, edges func(*layout)) *Graph {
 		a.InStart = a.OutStart
 	}
 	return g
+}
+
+// csrArrays pools the CSR arrays of graphs handed on (see HandOn). Every
+// entry but the degree counts build zeroes is written before it is read, so
+// the pool does not clear.
+var csrArrays = reuse.New[int32](false)
+
+// HandOn gives g's arrays to the next graph built in this process (package
+// reuse) and leaves g without them, so a graph read after it panics instead
+// of reading another graph's arrays. Only the owner of a graph that nothing
+// else reads any more may call it: runner.Run, for the graph it built from
+// Env.N, once the run on it has returned normally.
+func (g *Graph) HandOn() {
+	a := g.adj
+	if &a.InStart[0] != &a.OutStart[0] {
+		csrArrays.Put(a.InStart)
+	}
+	for _, s := range [...][]int32{a.OutStart, a.Head, a.InPort, a.InFrom} {
+		csrArrays.Put(s)
+	}
+	g.adj = CSR{}
 }
 
 // layout is the CSR a generator adds its edges to. Slot u+1 of each offset
@@ -242,14 +270,17 @@ func Ring(n int) *Graph {
 	}
 	// Million-node rings are built per run, so the ring is laid out in
 	// closed form: node i's one out-edge is edge i and its one in-port is
-	// 0, and the out- and in-offsets are the same array 0, 1, …, n.
+	// 0, and the out- and in-offsets are the same array 0, 1, …, n. Each
+	// node's neighbours are i+1 and i−1, but for the two that wrap.
 	checkSize(n)
-	start, head, inPort, inFrom := make([]int32, n+1), make([]int32, n), make([]int32, n), make([]int32, n)
+	start, head, inPort, inFrom := csrArrays.Get(n+1), csrArrays.Get(n), csrArrays.GetZeroed(n), csrArrays.Get(n)
+	start[0] = 0
 	for i := range n {
 		start[i+1] = int32(i + 1)
-		head[i] = int32((i + 1) % n)
-		inFrom[i] = int32((i + n - 1) % n)
+		head[i] = int32(i + 1)
+		inFrom[i] = int32(i - 1)
 	}
+	head[n-1], inFrom[0] = 0, int32(n-1)
 	return &Graph{n: n, adj: CSR{OutStart: start, Head: head, InPort: inPort, InStart: start, InFrom: inFrom}}
 }
 

@@ -28,9 +28,11 @@ type reuseScenario struct {
 
 // reuseScenarios are the runs whose arrays pass from one to the next: the
 // serve-mixed corpus, the observed and traced fixtures, the core golden
-// seeds, the golden fault and Byzantine runs, and elections in the
-// ring-sparse shape at 10⁴, 16 and 10³ nodes, so that arrays of every size
-// class meet runs of every other.
+// seeds, the golden fault and Byzantine runs, elections in the ring-sparse
+// shape at 10⁴, 16 and 10³ nodes, and Ben-Or on Complete(64), whose opening
+// burst of 4 022 broadcasts spills into staging pages, so that arrays of
+// every size class meet runs of every other. The ring-sparse and Ben-Or runs
+// name a bare size, so each builds its graph and hands it on.
 func reuseScenarios(t *testing.T) []reuseScenario {
 	t.Helper()
 	var docs []string
@@ -46,7 +48,7 @@ func reuseScenarios(t *testing.T) []reuseScenario {
 		return reuseScenario{fmt.Sprintf("ring-sparse/n=%d", n), runner.Env{N: n, Seed: 1}, runner.Election{A0: 1 / float64(n), TickInterval: float64(n)}}
 	}
 	for _, n := range []int{10_000, 16, 1_000, 10_000} {
-		out = append(out, sparse(n))
+		out = append(out, sparse(n), reuseScenario{"benor-complete-64", runner.Env{N: 64, MaxRounds: 5, MaxEvents: 100_000, Seed: 1}, runner.BenOr{}})
 		for _, path := range docs {
 			doc, err := os.ReadFile(path)
 			if err != nil {
@@ -101,8 +103,9 @@ func reportBytes(t *testing.T, rep abenet.Report) []byte {
 // since no report keeps a reference into an array a later run takes. Then a
 // harness.Sweep with four workers runs every scenario at once, as sweep
 // points share a process, and must report what a one-worker sweep in
-// drained pools does; under -race this is where a pooled array shared by two
-// runs would show.
+// drained pools does; so must a four-worker sweep over two bare sizes, whose
+// repetitions build their rings from N and hand them on to each other.
+// Under -race this is where a pooled array shared by two runs would show.
 func TestReuseIsInvisible(t *testing.T) {
 	scenarios := reuseScenarios(t)
 	fresh := make([][]byte, len(scenarios))
@@ -137,16 +140,23 @@ func TestReuseIsInvisible(t *testing.T) {
 	for i := range xs {
 		xs[i] = float64(i)
 	}
+	sameSweeps(t, "every scenario", xs, 2, func(x float64) (runner.Env, runner.Protocol, error) {
+		s := scenarios[int(x)]
+		return s.env, s.proto, nil
+	})
+	sameSweeps(t, "bare sizes", []float64{1_000, 10_000}, 6, func(x float64) (runner.Env, runner.Protocol, error) {
+		return runner.Env{N: int(x)}, runner.Election{A0: 1 / x, TickInterval: x}, nil
+	})
+}
+
+// sameSweeps runs a harness.Sweep of reps repetitions at each of xs with
+// four workers sharing the pools, and fails unless it gives the same
+// multiset of reports as one worker that drains the pools before each run.
+func sameSweeps(t *testing.T, name string, xs []float64, reps int, build harness.EnvBuildFunc) {
+	t.Helper()
 	sweep := func(workers int, drain bool) [][]byte {
 		var mu sync.Mutex
 		var out [][]byte
-		build := func(x float64) (runner.Env, runner.Protocol, error) {
-			if drain {
-				reuse.Drain()
-			}
-			s := scenarios[int(x)]
-			return s.env, s.proto, nil
-		}
 		record := func(rep runner.Report) error {
 			b := reportBytes(t, rep)
 			mu.Lock()
@@ -154,19 +164,26 @@ func TestReuseIsInvisible(t *testing.T) {
 			mu.Unlock()
 			return nil
 		}
-		if _, err := (harness.Sweep{Name: "reuse", Repetitions: 2, Workers: workers, Seed: 7}).Run(xs, build, record); err != nil {
-			t.Fatal(err)
+		run := build
+		if drain {
+			run = func(x float64) (runner.Env, runner.Protocol, error) {
+				reuse.Drain()
+				return build(x)
+			}
+		}
+		if _, err := (harness.Sweep{Name: "reuse", Repetitions: reps, Workers: workers, Seed: 7}).Run(xs, run, record); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		slices.SortFunc(out, bytes.Compare)
 		return out
 	}
 	want, got := sweep(1, true), sweep(4, false)
 	if len(got) != len(want) {
-		t.Fatalf("%d reports from four workers, %d from one", len(got), len(want))
+		t.Fatalf("%s: %d reports from four workers, %d from one", name, len(got), len(want))
 	}
 	for i := range want {
 		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("four workers sharing the pools report\n%s\nwhere one worker in drained pools reports\n%s", got[i], want[i])
+			t.Fatalf("%s: four workers sharing the pools report\n%s\nwhere one worker in drained pools reports\n%s", name, got[i], want[i])
 		}
 	}
 }

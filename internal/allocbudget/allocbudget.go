@@ -1,89 +1,73 @@
-// Package allocbudget measures what a constructor allocates as the network
-// grows, for the tests that hold construction flat: the same number of heap
-// objects at n = 10³ and 10⁴ — nothing built per node or edge — and a budget
-// of bytes per node; and what one whole run allocates, for the tests that
-// hold a message path to a budget.
+// Package allocbudget measures what one call of a function allocates, for
+// the table that pins every measured path's figures (alloc_test.go and
+// testdata/alloc.golden at the module root) and for the tests that hold a
+// path to a shape.
 //
 // A run hands its big arrays on to the next run in the process (package
-// reuse), so every figure has two readings. The warm one (Run, Objects) is
-// a run that follows runs of its own shape, as in a sweep, a benchmark unit
-// or a service worker: what it takes from the pools costs nothing. The cold
-// one (RunCold, ObjectsCold) empties the pools before each call (reuse.Drain,
-// what two collections do) and reads a run that finds nothing to reuse: a
-// process's first run of its shape.
+// reuse), so a figure has two readings, and Measure, the one reader, takes
+// both. The cold one is a process's first run of its shape, which finds
+// nothing to reuse. The warm one is a run that follows runs of its own shape,
+// as in a sweep, a benchmark unit or a service worker: what it takes from the
+// pools costs nothing.
 package allocbudget
 
 import (
 	"math"
 	"runtime"
 	"runtime/debug"
-	"testing"
+	"time"
 
 	"abenet/internal/reuse"
 )
 
-// Objects returns the heap objects one call of build(n)() allocates at
-// n = 10³ and at n = 10⁴, on the warm path: testing.AllocsPerRun makes one
-// call before the three it averages. The collector is off while they are
-// counted: a collection allocates on the runtime's behalf, and at 10⁴ one is
-// likely enough during the runs to read as an object built per node.
-func Objects(build func(n int) func()) (small, large float64) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	return testing.AllocsPerRun(3, build(1_000)), testing.AllocsPerRun(3, build(10_000))
-}
+// Reading is what one call allocated: bytes and heap objects.
+type Reading struct{ Bytes, Objects uint64 }
 
-// ObjectsCold is Objects on the cold path: the least objects of three calls
-// at each size, each after the pools are emptied.
-func ObjectsCold(build func(n int) func()) (small, large float64) {
-	_, s := RunCold(build(1_000))
-	_, l := RunCold(build(10_000))
-	return float64(s), float64(l)
-}
-
-// BytesPerNode returns the bytes one call of build(n)() allocates on the
-// cold path, divided by n: what it takes to lay out n nodes, not what a
-// repeated run of them costs.
-func BytesPerNode(n int, build func(n int) func()) float64 {
-	bytes, _ := RunCold(build(n))
-	return float64(bytes) / float64(n)
-}
-
-// Run returns the bytes and the heap objects one call of run allocates on
-// the warm path: one call fills the pools, and the figure is the least of
-// the three calls after it. The collector is off for them, as in Objects: a
-// collection during a call would add what it allocates on the runtime's
-// behalf to the figures, and would empty the pools. run is deterministic, so
-// each call allocates the same; another goroutine allocating meanwhile — a
-// test's timer, the scheduler under load — can only add to a call's reading,
-// and the least of three is the call's own figure.
-func Run(run func()) (bytes, objects uint64) {
+// Measure returns the cold and the warm reading of one call of run. Both
+// start from drained pools (reuse.Drain, what two collections do), so
+// neither depends on what ran before: cold is the least of three calls, each
+// after a drain; warm is the least of three calls after one uncounted call
+// has filled the pools. The collector is off for them: a collection
+// allocates on the runtime's behalf and empties the pools. run is
+// deterministic, so each call allocates the same; another goroutine
+// allocating meanwhile (a test's timer, the scheduler under load) can only
+// add to a call's reading, and the least of three is the call's own figure.
+//
+// Before them, run is called for settle, uncounted and with the collector
+// on. The runtime fills the cache of a type switch or of an assertion to an
+// interface on about one miss in 1024, allocating the new cache, so until
+// each such site run passes has seen its types a few thousand times, a call
+// allocates an object more or not at random. That is process state, not a
+// run's cost.
+func Measure(run func()) (cold, warm Reading) {
+	for start := time.Now(); time.Since(start) < settle; {
+		run()
+	}
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cold = least(run, reuse.Drain)
+	reuse.Drain()
 	run()
-	return least(run, func() {})
+	return cold, least(run, func() {})
 }
 
-// RunCold is Run on the cold path: every pool is emptied before each of the
-// three calls, so each allocates what a process's first run of its shape
-// does.
-func RunCold(run func()) (bytes, objects uint64) {
-	runtime.GC()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	return least(run, reuse.Drain)
-}
+// settle is how long Measure calls run before it reads it: a path that
+// passes a cached site a hundred times a call has passed it several thousand
+// times by then.
+const settle = 50 * time.Millisecond
 
 // least returns the least bytes and objects of three calls of run, each
 // after a call of before, which is not counted.
-func least(run, before func()) (bytes, objects uint64) {
-	bytes, objects = math.MaxUint64, math.MaxUint64
+func least(run, before func()) Reading {
+	r := Reading{math.MaxUint64, math.MaxUint64}
 	for range 3 {
 		before()
 		var start, end runtime.MemStats
 		runtime.ReadMemStats(&start)
 		run()
 		runtime.ReadMemStats(&end)
-		bytes = min(bytes, end.TotalAlloc-start.TotalAlloc)
-		objects = min(objects, end.Mallocs-start.Mallocs)
+		r.Bytes = min(r.Bytes, end.TotalAlloc-start.TotalAlloc)
+		r.Objects = min(r.Objects, end.Mallocs-start.Mallocs)
 	}
-	return bytes, objects
+	return r
 }

@@ -2,6 +2,7 @@
 
 package allocbudget
 
-// Race reports a -race build, whose instrumentation adds to what
-// construction allocates: a budget states its figure for both builds.
+// Race reports a -race build, whose instrumentation pads what a path
+// allocates: the golden pins the plain build's figures, and a -race build
+// holds a path to a budget of its own.
 const Race = true

@@ -418,7 +418,8 @@ var page *[pageSlots]slot
 // 2,304-B class unused.
 func TestPoolPageFillsItsSizeClass(t *testing.T) {
 	const mallocHeader = 8
-	bytes, objects := allocbudget.Run(func() { page = new([pageSlots]slot) })
+	_, warm := allocbudget.Measure(func() { page = new([pageSlots]slot) })
+	bytes, objects := warm.Bytes, warm.Objects
 	size, slotSize := uint64(unsafe.Sizeof(*page)), uint64(unsafe.Sizeof(slot{}))
 	if objects != 1 || bytes < size+mallocHeader || bytes-size-mallocHeader >= slotSize {
 		t.Errorf("a page of %d slots, %d B, takes %d B in %d objects: %d B unused, room for another %d-B slot",

@@ -2,11 +2,9 @@ package network
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
-	"abenet/internal/allocbudget"
 	"abenet/internal/byzantine"
 	"abenet/internal/channel"
 	"abenet/internal/clock"
@@ -677,49 +675,6 @@ type idleNode struct{}
 func (idleNode) Init(*Context)                {}
 func (idleNode) OnMessage(*Context, int, any) {}
 func (idleNode) OnTimer(*Context, int)        {}
-
-// TestAllocationBudget holds the flat construction: building a ring costs a
-// fixed number of allocations per layer, not one per node or edge, so the same
-// number of objects at n = 10³ and 10⁴ (20, with and without the race
-// detector). Measured at this commit: 132 B per node (the node stream 32 — the
-// network's one Context names the node being dispatched, so no node has a
-// Context of its own —, link row 24 — sent, delivered and total delay; only an
-// ARQ store counts transmissions, in a column of its own —, link stream 32, the
-// run lane's reservation 24 — one timer per node; the heap lane is not
-// reserved —, 16 for the node table; 131 B under the race detector), against a
-// budget of 140 B (139 B under the race detector). The graph's edges
-// are not copied: New reads their heads and in-ports off the graph's arrays. A
-// link or a clock per node — an object behind an interface (a link was 112 B
-// and a 16-B table entry), a clock stream, a closure — does not fit it, nor a
-// Context per node (48 B). The slab of deferred handler calls is not reserved
-// here: it grows to a run's backlog on first use.
-func TestAllocationBudget(t *testing.T) {
-	links := channel.RandomDelayFactory(dist.NewExponential(1))
-	build := func(n int) func() {
-		graph := topology.Ring(n)
-		return func() {
-			net, err := New(Config{Graph: graph, Links: links, Seed: 1}, func(int) Node { return idleNode{} })
-			if err != nil {
-				t.Fatal(err)
-			}
-			runtime.KeepAlive(net)
-		}
-	}
-	small, objects := allocbudget.ObjectsCold(build)
-	bytes := allocbudget.BytesPerNode(10_000, build)
-	budget := 140.0
-	if allocbudget.Race {
-		budget = 139
-	}
-
-	t.Logf("network.New on Ring(n): %.0f objects at n = 10³, %.0f at n = 10⁴, %.0f B per node", small, objects, bytes)
-	if objects != small {
-		t.Errorf("New allocates %.0f objects at n = 10⁴ and %.0f at n = 10³: something is built per node or edge", objects, small)
-	}
-	if bytes > budget {
-		t.Errorf("New allocates %.0f B per node, budget %.0f", bytes, budget)
-	}
-}
 
 // countingNode counts handler calls and nothing else.
 type countingNode struct{ got *int }

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -509,15 +508,12 @@ func TestDecodedSpecBuildsItsGraphOnce(t *testing.T) {
 		}
 		runtime.KeepAlive(env)
 	}
-	decodeAndBuild() // warm the codec's caches
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	graph, _ := allocbudget.Run(func() { runtime.KeepAlive(topology.Complete(64)) })
-	both, _ := allocbudget.Run(decodeAndBuild)
-	t.Logf("DecodeBytes + Build: %d B; one Complete(64): %d B", both, graph)
-	if both >= 2*graph {
-		t.Errorf("DecodeBytes + Build allocates %d B, two graphs of %d B or more", both, graph)
+	_, graph := allocbudget.Measure(func() { runtime.KeepAlive(topology.Complete(64)) })
+	_, both := allocbudget.Measure(decodeAndBuild) // warm: the codec's caches filled
+	t.Logf("DecodeBytes + Build: %d B; one Complete(64): %d B", both.Bytes, graph.Bytes)
+	if both.Bytes >= 2*graph.Bytes {
+		t.Errorf("DecodeBytes + Build allocates %d B, two graphs of %d B or more", both.Bytes, graph.Bytes)
 	}
-	debug.SetGCPercent(100)
 
 	sp, err := DecodeBytes(doc)
 	if err != nil {

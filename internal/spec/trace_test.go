@@ -7,13 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
-	"abenet/internal/allocbudget"
 	"abenet/internal/golden"
 	"abenet/internal/runner"
 	"abenet/internal/trace"
@@ -307,45 +304,4 @@ func FuzzWriteChrome(f *testing.F) {
 		}
 		return nil
 	})
-}
-
-// TestTracedTokenIsFormattedOnce holds a traced election, the
-// election_ring_traced.json fixture, to the objects runner.Run made before a
-// token went on the wire as a pointer: an exported token payload is its
-// String, made once, not String copied again by fmt. On the cold path (the
-// process's first run of the shape) it reads 158 objects (194–202 under the
-// race detector, 293 there before the fix); formatting every payload through
-// Sprintf("%+v") read 222, and a token boxed per send, as a value that
-// Sprintf formats itself, 188. The budget is 188 (220 under the race
-// detector).
-func TestTracedTokenIsFormattedOnce(t *testing.T) {
-	doc, err := os.ReadFile(filepath.Join(fixtureDir, "election_ring_traced.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := DecodeBytes(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, proto, err := sp.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, objects := allocbudget.RunCold(func() {
-		rep, err := runner.Run(env, proto)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Trace == nil || rep.Leaders != 1 {
-			t.Fatalf("trace %v, %d leaders", rep.Trace != nil, rep.Leaders)
-		}
-	})
-	budget := uint64(188)
-	if allocbudget.Race {
-		budget = 220
-	}
-	t.Logf("election_ring_traced.json: %d objects", objects)
-	if objects > budget {
-		t.Errorf("a traced election allocates %d objects, budget %d", objects, budget)
-	}
 }

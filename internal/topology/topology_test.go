@@ -3,16 +3,12 @@ package topology
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
-	"unsafe"
 
-	"abenet/internal/allocbudget"
 	"abenet/internal/golden"
 	"abenet/internal/rng"
 )
@@ -724,24 +720,6 @@ func TestPortsMatchReferenceAdjacency(t *testing.T) {
 	}
 }
 
-// TestRingAllocationBudget holds Ring's layout: a fixed number of objects
-// whatever n — nothing per node or edge — and at most 24 B per node. It
-// measures 16 B: out-edge 4, in-port 4 and in-neighbour 4, plus the one
-// offsets array the out- and in-sides share.
-func TestRingAllocationBudget(t *testing.T) {
-	build := func(n int) func() { return func() { runtime.KeepAlive(Ring(n)) } }
-	small, objects := allocbudget.Objects(build)
-	bytes := allocbudget.BytesPerNode(10_000, build)
-
-	t.Logf("Ring(n): %.0f objects at n = 10³, %.0f at n = 10⁴, %.1f B per node", small, objects, bytes)
-	if objects != small {
-		t.Errorf("Ring allocates %.0f objects at n = 10⁴ and %.0f at n = 10³: something is built per node", objects, small)
-	}
-	if bytes > 24 {
-		t.Errorf("Ring allocates %.1f B per node, budget 24", bytes)
-	}
-}
-
 // TestGeneratedGraphsKeepTheChecks: only the generators' own loops skip the
 // checks. A generated graph's edges passed through FromEdges with a
 // duplicate or a self-loop added still panic, and BiRing(2) — whose closing
@@ -859,33 +837,4 @@ func TestCSRGolden(t *testing.T) {
 		fmt.Fprintf(&b, "  stream then reads %d\n", r.Uint64())
 	}
 	golden.Check(t, "topology_csr.golden", b.String())
-}
-
-// TestGeneratorAllocationBudget: a generator lays its edges straight into
-// the CSR, so building Complete(64) or Torus(8, 8) allocates the graph and
-// its five arrays — two offset arrays of n+1 and three edge arrays of m
-// int32s — and nothing else: no edge list, no per-node cursors.
-func TestGeneratorAllocationBudget(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for _, c := range []struct {
-		name  string
-		build func() *Graph
-	}{
-		{"Complete(64)", func() *Graph { return Complete(64) }},
-		{"Torus(8, 8)", func() *Graph { return Torus(8, 8) }},
-	} {
-		g := c.build()
-		n, m := g.N(), g.EdgeCount()
-		run := func() { runtime.KeepAlive(c.build()) }
-		bytes, _ := allocbudget.Run(run)
-		objects := testing.AllocsPerRun(20, run) // averaged: a stray runtime object does not count
-		arrays := uint64(4 * (2*(n+1) + 3*m))
-		// Each of the six objects rounds up to its size class, at most an
-		// eighth of its size above 1 kB and 32 B below it.
-		budget := uint64(unsafe.Sizeof(Graph{})) + arrays + arrays/8 + 6*32
-		t.Logf("%s: %d B in %.0f objects; graph %d B, arrays %d B", c.name, bytes, objects, unsafe.Sizeof(Graph{}), arrays)
-		if objects != 6 || bytes > budget {
-			t.Errorf("%s allocates %d B in %.0f objects, want 6 objects and at most %d B (the graph and its arrays)", c.name, bytes, objects, budget)
-		}
-	}
 }

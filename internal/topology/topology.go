@@ -110,6 +110,7 @@ func build(n int, edges func(*layout)) *Graph {
 		a.InPort[e] -= a.InStart[v] // the fill stored the in-slot
 	}
 	if slices.Equal(a.OutStart, a.InStart) {
+		csrArrays.Put(a.InStart)
 		a.InStart = a.OutStart
 	}
 	return g

@@ -92,11 +92,11 @@ func allocPaths(t *testing.T) []allocPath {
 	t.Helper()
 	paths := []allocPath{
 		{name: "topology.Ring(1000)", setup: keep(func() any { return topology.Ring(1_000) })},
-		{name: "topology.Ring(10000)", setup: keep(func() any { return topology.Ring(10_000) }), race: perNode(24, 10_000)},
+		{name: "topology.Ring(10000)", setup: keep(func() any { return topology.Ring(10_000) }), race: [2]allocbudget.Reading{{Bytes: 24 * 10_000}}},
 		{name: "topology.Complete(64)", setup: keep(func() any { return topology.Complete(64) }), race: graphBound(64, 64*63)},
 		{name: "topology.Torus(8, 8)", setup: keep(func() any { return topology.Torus(8, 8) }), race: graphBound(64, 4*64)},
 		{name: "network.New on Ring(1000)", setup: newNetwork(1_000)},
-		{name: "network.New on Ring(10000)", setup: newNetwork(10_000), race: perNode(139, 10_000)},
+		{name: "network.New on Ring(10000)", setup: newNetwork(10_000), race: [2]allocbudget.Reading{{Bytes: 139 * 10_000}}},
 		{name: "election ring-sparse n=1000", setup: sparseElection(1_000)},
 		{name: "election ring-sparse n=10000", setup: sparseElection(10_000),
 			race: [2]allocbudget.Reading{{Bytes: 205 * 10_000}, {Bytes: 0.325 * 10_000}}},
@@ -140,11 +140,6 @@ func allocPaths(t *testing.T) []allocPath {
 		paths = append(paths, allocPath{name: "benchmark unit " + unit.name, setup: specRun([]byte(unit.doc))})
 	}
 	return paths
-}
-
-// perNode bounds the cold bytes of a path over n nodes to perNode per node.
-func perNode(perNode, n uint64) [2]allocbudget.Reading {
-	return [2]allocbudget.Reading{{Bytes: perNode * n}}
 }
 
 // graphBound bounds a generator's cold reading to the graph and its five

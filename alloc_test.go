@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"abenet/internal/allocbudget"
 	"abenet/internal/channel"
@@ -27,10 +26,6 @@ import (
 type allocPath struct {
 	name  string
 	setup func(t *testing.T) func()
-	// race bounds the cold and the warm reading under -race, whose
-	// instrumentation pads small objects, so the golden is skipped there; a
-	// zero field bounds nothing.
-	race [2]allocbudget.Reading
 }
 
 // TestAllocationGolden measures every path whose allocation is a tracked
@@ -40,49 +35,25 @@ type allocPath struct {
 // paths are the graph and network constructors, whole runs of the paper's
 // election and of Ben-Or, every single-run document in examples/specs (the
 // run its spec builds), and the first timed unit of each of the repo
-// benchmark's sim workloads. Beside the pins it holds three shapes, in both
-// builds: building a ring or a network on one, and a whole election in the
-// ring-sparse shape, allocate the same objects at n = 10³ and 10⁴ — nothing
-// per node, edge or message — and a warm election the same bytes at both.
+// benchmark's sim workloads. The golden pins the plain build: a -race build
+// pads what a path allocates, and holds the paths to the budgets and shapes
+// of the packages' own tests (TestRingAllocationBudget,
+// TestAllocationBudget in network, the runner's TestElectionAllocationBudget
+// and its siblings, TestTracedTokenIsFormattedOnce), which hold in both
+// builds.
 func TestAllocationGolden(t *testing.T) {
-	paths := allocPaths(t)
-	readings := make(map[string][2]allocbudget.Reading, len(paths))
+	if allocbudget.Race {
+		t.Log("-race: the golden pins the plain build's figures")
+		return
+	}
 	var b strings.Builder
 	toolchain := strings.Join(strings.SplitN(runtime.Version(), ".", 3)[:2], ".") // go1.24.0 is go1.24
 	fmt.Fprintf(&b, "# bytes and heap objects one call allocates, %s %s/%s\n", toolchain, runtime.GOOS, runtime.GOARCH)
 	fmt.Fprintf(&b, "# cold: every pool drained first; warm: after a call of the same shape\n")
 	fmt.Fprintf(&b, "%-44s %10s %6s %10s %6s\n", "path", "cold B", "objs", "warm B", "objs")
-	for _, p := range paths {
+	for _, p := range allocPaths(t) {
 		cold, warm := allocbudget.Measure(p.setup(t))
-		got := [2]allocbudget.Reading{cold, warm}
-		readings[p.name] = got
 		fmt.Fprintf(&b, "%-44s %10d %6d %10d %6d\n", p.name, cold.Bytes, cold.Objects, warm.Bytes, warm.Objects)
-		for i, bound := range p.race {
-			if allocbudget.Race && (bound.Bytes > 0 && got[i].Bytes > bound.Bytes || bound.Objects > 0 && got[i].Objects > bound.Objects) {
-				t.Errorf("%s, %s: %d B in %d objects, budget %d B in %d under -race", p.name, [2]string{"cold", "warm"}[i], got[i].Bytes, got[i].Objects, bound.Bytes, bound.Objects)
-			}
-		}
-	}
-	for _, flat := range [...]struct {
-		small, large string
-		bytes        bool // the warm bytes too
-	}{
-		{"topology.Ring(1000)", "topology.Ring(10000)", false},
-		{"network.New on Ring(1000)", "network.New on Ring(10000)", false},
-		{"election ring-sparse n=1000", "election ring-sparse n=10000", true},
-	} {
-		small, large := readings[flat.small], readings[flat.large]
-		if small[0].Objects != large[0].Objects || small[1].Objects != large[1].Objects {
-			t.Errorf("%s and %s allocate %d and %d objects cold, %d and %d warm: something per node, edge or message",
-				flat.small, flat.large, small[0].Objects, large[0].Objects, small[1].Objects, large[1].Objects)
-		}
-		if flat.bytes && small[1].Bytes != large[1].Bytes {
-			t.Errorf("%s and %s allocate %d and %d B warm: something laid out per node", flat.small, flat.large, small[1].Bytes, large[1].Bytes)
-		}
-	}
-	if allocbudget.Race {
-		t.Log("-race: the golden pins the plain build; each path was held to its -race budget")
-		return
 	}
 	golden.Check(t, "alloc.golden", b.String())
 }
@@ -92,20 +63,16 @@ func allocPaths(t *testing.T) []allocPath {
 	t.Helper()
 	paths := []allocPath{
 		{name: "topology.Ring(1000)", setup: keep(func() any { return topology.Ring(1_000) })},
-		{name: "topology.Ring(10000)", setup: keep(func() any { return topology.Ring(10_000) }), race: [2]allocbudget.Reading{{Bytes: 24 * 10_000}}},
-		{name: "topology.Complete(64)", setup: keep(func() any { return topology.Complete(64) }), race: graphBound(64, 64*63)},
-		{name: "topology.Torus(8, 8)", setup: keep(func() any { return topology.Torus(8, 8) }), race: graphBound(64, 4*64)},
+		{name: "topology.Ring(10000)", setup: keep(func() any { return topology.Ring(10_000) })},
+		{name: "topology.Complete(64)", setup: keep(func() any { return topology.Complete(64) })},
+		{name: "topology.Torus(8, 8)", setup: keep(func() any { return topology.Torus(8, 8) })},
 		{name: "network.New on Ring(1000)", setup: newNetwork(1_000)},
-		{name: "network.New on Ring(10000)", setup: newNetwork(10_000), race: [2]allocbudget.Reading{{Bytes: 139 * 10_000}}},
+		{name: "network.New on Ring(10000)", setup: newNetwork(10_000)},
 		{name: "election ring-sparse n=1000", setup: sparseElection(1_000)},
-		{name: "election ring-sparse n=10000", setup: sparseElection(10_000),
-			race: [2]allocbudget.Reading{{Bytes: 205 * 10_000}, {Bytes: 0.325 * 10_000}}},
-		{name: "standalone election nodes n=10000", setup: standaloneElection(10_000),
-			race: [2]allocbudget.Reading{{Bytes: 2_998_808}}},
-		{name: "ben-or Complete(64) 100 rounds", setup: run(runner.Env{N: 64, MaxRounds: 100, Seed: 1}, runner.BenOr{}),
-			race: [2]allocbudget.Reading{{Bytes: 755_000, Objects: 955}, {Bytes: 62_500, Objects: 835}}},
-		{name: "election ring 64, calendar", setup: run(runner.Env{N: 64, Scheduler: "calendar", Seed: 1}, runner.Election{}),
-			race: [2]allocbudget.Reading{{Bytes: 52_500, Objects: 160}}},
+		{name: "election ring-sparse n=10000", setup: sparseElection(10_000)},
+		{name: "standalone election nodes n=10000", setup: standaloneElection(10_000)},
+		{name: "ben-or Complete(64) 100 rounds", setup: run(runner.Env{N: 64, MaxRounds: 100, Seed: 1}, runner.BenOr{})},
+		{name: "election ring 64, calendar", setup: run(runner.Env{N: 64, Scheduler: "calendar", Seed: 1}, runner.Election{})},
 	}
 	files, err := filepath.Glob("examples/specs/*.json")
 	if err != nil || len(files) == 0 {
@@ -119,16 +86,7 @@ func allocPaths(t *testing.T) []allocPath {
 		if sp, err := spec.DecodeBytes(doc); err == nil && sp.Sweep != nil {
 			continue // a sweep is many runs, not one path
 		}
-		p := allocPath{name: filepath.Base(path), setup: specRun(doc)}
-		if p.name == "election_ring_traced.json" {
-			p.race[0].Objects = 220
-		} else if allocbudget.Race {
-			continue // only the golden reads it
-		}
-		paths = append(paths, p)
-	}
-	if allocbudget.Race {
-		return paths // only the golden reads the units
+		paths = append(paths, allocPath{name: filepath.Base(path), setup: specRun(doc)})
 	}
 	// The first timed unit of each sim workload of the repo benchmark
 	// (benchmark/workloads.go): workload seed 1, unit 1, run seed 1 000 004.
@@ -140,15 +98,6 @@ func allocPaths(t *testing.T) []allocPath {
 		paths = append(paths, allocPath{name: "benchmark unit " + unit.name, setup: specRun([]byte(unit.doc))})
 	}
 	return paths
-}
-
-// graphBound bounds a generator's cold reading to the graph and its five
-// arrays (two offset arrays of n+1 int32s, three edge arrays of m), each
-// rounded up to its size class: at most an eighth of its size above 1 kB
-// and 32 B below it.
-func graphBound(n, m int) [2]allocbudget.Reading {
-	arrays := uint64(4 * (2*(n+1) + 3*m))
-	return [2]allocbudget.Reading{{Bytes: uint64(unsafe.Sizeof(topology.Graph{})) + arrays + arrays/8 + 6*32, Objects: 6}}
 }
 
 // keep measures build, keeping what it returns alive.

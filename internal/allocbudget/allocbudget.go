@@ -1,7 +1,7 @@
 // Package allocbudget measures what one call of a function allocates, for
 // the table that pins every measured path's figures (alloc_test.go and
 // testdata/alloc.golden at the module root) and for the tests that hold a
-// path to a shape.
+// path to a shape or to a budget.
 //
 // A run hands its big arrays on to the next run in the process (package
 // reuse), so a figure has two readings, and Measure, the one reader, takes

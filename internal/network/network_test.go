@@ -2,9 +2,11 @@ package network
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
+	"abenet/internal/allocbudget"
 	"abenet/internal/byzantine"
 	"abenet/internal/channel"
 	"abenet/internal/clock"
@@ -583,8 +585,6 @@ func TestHorizonLimitsRun(t *testing.T) {
 	}
 }
 
-// idleNode does nothing and occupies no memory, so an allocation measured
-// around New is the network layer's own.
 // keeper keeps the *Context its Init got and, in every later callback, reads
 // itself through it: its identity, and a draw from its stream, which must be
 // the next draw of node id's stream wherever that is kept (want).
@@ -670,11 +670,42 @@ func TestContextNamesTheDispatchedNode(t *testing.T) {
 	}
 }
 
+// idleNode does nothing and occupies no memory, so an allocation measured
+// around New is the network layer's own.
 type idleNode struct{}
 
 func (idleNode) Init(*Context)                {}
 func (idleNode) OnMessage(*Context, int, any) {}
 func (idleNode) OnTimer(*Context, int)        {}
+
+// TestAllocationBudget holds the flat construction: building a network on a
+// ring allocates the same objects at n = 10³ and 10⁴, cold and warm — a
+// fixed number per layer, none per node or edge — and at most 139 B per node
+// (the -race build's budget; the plain build's figures are lines of
+// testdata/alloc.golden at the module root).
+func TestAllocationBudget(t *testing.T) {
+	links := channel.RandomDelayFactory(dist.NewExponential(1))
+	build := func(n int) func() {
+		graph := topology.Ring(n)
+		return func() {
+			net, err := New(Config{Graph: graph, Links: links, Seed: 1}, func(int) Node { return idleNode{} })
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.KeepAlive(net)
+		}
+	}
+	smallCold, smallWarm := allocbudget.Measure(build(1_000))
+	cold, warm := allocbudget.Measure(build(10_000))
+	t.Logf("network.New on Ring(n): %d and %d objects cold at n = 10³ and 10⁴, %d B at 10⁴", smallCold.Objects, cold.Objects, cold.Bytes)
+	if smallCold.Objects != cold.Objects || smallWarm.Objects != warm.Objects {
+		t.Errorf("New allocates %d and %d objects cold, %d and %d warm, at n = 10³ and 10⁴: something is built per node or edge",
+			smallCold.Objects, cold.Objects, smallWarm.Objects, warm.Objects)
+	}
+	if cold.Bytes > 139*10_000 {
+		t.Errorf("New allocates %d B at n = 10⁴, budget 139 B per node", cold.Bytes)
+	}
+}
 
 // countingNode counts handler calls and nothing else.
 type countingNode struct{ got *int }

@@ -7,10 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
+	"abenet/internal/allocbudget"
 	"abenet/internal/golden"
 	"abenet/internal/runner"
 	"abenet/internal/trace"
@@ -304,4 +307,37 @@ func FuzzWriteChrome(f *testing.F) {
 		}
 		return nil
 	})
+}
+
+// TestTracedTokenIsFormattedOnce holds a cold traced election, the
+// election_ring_traced.json fixture, to 220 objects: an exported token
+// payload is its String, made once, not copied again by fmt; formatting
+// every payload through Sprintf("%+v") read 222. The exact figure is a line
+// of testdata/alloc.golden at the module root.
+func TestTracedTokenIsFormattedOnce(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join(fixtureDir, "election_ring_traced.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := DecodeBytes(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, proto, err := sp.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, _ := allocbudget.Measure(func() {
+		rep, err := runner.Run(env, proto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Trace == nil || rep.Leaders != 1 {
+			t.Fatalf("trace %v, %d leaders", rep.Trace != nil, rep.Leaders)
+		}
+	})
+	t.Logf("election_ring_traced.json: %d objects cold", cold.Objects)
+	if cold.Objects > 220 {
+		t.Errorf("a traced election allocates %d objects, budget 220", cold.Objects)
+	}
 }

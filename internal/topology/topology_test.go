@@ -3,12 +3,15 @@ package topology
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
+	"abenet/internal/allocbudget"
 	"abenet/internal/golden"
 	"abenet/internal/rng"
 )
@@ -720,6 +723,25 @@ func TestPortsMatchReferenceAdjacency(t *testing.T) {
 	}
 }
 
+// TestRingAllocationBudget holds Ring's layout: the same objects at n = 10³
+// and 10⁴, cold and warm — nothing per node or edge — and at most 24 B per
+// node (out-edge, in-port and in-neighbour, 4 B each, and the one offsets
+// array the out- and in-sides share). The exact figures are lines of
+// testdata/alloc.golden at the module root.
+func TestRingAllocationBudget(t *testing.T) {
+	build := func(n int) func() { return func() { runtime.KeepAlive(Ring(n)) } }
+	smallCold, smallWarm := allocbudget.Measure(build(1_000))
+	cold, warm := allocbudget.Measure(build(10_000))
+	t.Logf("Ring(n): %d and %d objects cold at n = 10³ and 10⁴, %d B at 10⁴", smallCold.Objects, cold.Objects, cold.Bytes)
+	if smallCold.Objects != cold.Objects || smallWarm.Objects != warm.Objects {
+		t.Errorf("Ring allocates %d and %d objects cold, %d and %d warm, at n = 10³ and 10⁴: something is built per node",
+			smallCold.Objects, cold.Objects, smallWarm.Objects, warm.Objects)
+	}
+	if cold.Bytes > 24*10_000 {
+		t.Errorf("Ring allocates %d B at n = 10⁴, budget 24 B per node", cold.Bytes)
+	}
+}
+
 // TestGeneratedGraphsKeepTheChecks: only the generators' own loops skip the
 // checks. A generated graph's edges passed through FromEdges with a
 // duplicate or a self-loop added still panic, and BiRing(2) — whose closing
@@ -837,4 +859,30 @@ func TestCSRGolden(t *testing.T) {
 		fmt.Fprintf(&b, "  stream then reads %d\n", r.Uint64())
 	}
 	golden.Check(t, "topology_csr.golden", b.String())
+}
+
+// TestGeneratorAllocationBudget: a generator lays its edges straight into
+// the CSR, so building Complete(64) or Torus(8, 8) cold allocates the graph
+// and its five arrays — two offset arrays of n+1 and three edge arrays of m
+// int32s — and nothing else: no edge list, no per-node cursors.
+func TestGeneratorAllocationBudget(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build func() *Graph
+	}{
+		{"Complete(64)", func() *Graph { return Complete(64) }},
+		{"Torus(8, 8)", func() *Graph { return Torus(8, 8) }},
+	} {
+		g := c.build()
+		n, m := g.N(), g.EdgeCount()
+		cold, _ := allocbudget.Measure(func() { runtime.KeepAlive(c.build()) })
+		arrays := uint64(4 * (2*(n+1) + 3*m))
+		// Each of the six objects rounds up to its size class, at most an
+		// eighth of its size above 1 kB and 32 B below it.
+		budget := uint64(unsafe.Sizeof(Graph{})) + arrays + arrays/8 + 6*32
+		t.Logf("%s: %d B in %d objects; graph %d B, arrays %d B", c.name, cold.Bytes, cold.Objects, unsafe.Sizeof(Graph{}), arrays)
+		if cold.Objects > 6 || cold.Bytes > budget {
+			t.Errorf("%s allocates %d B in %d objects, want at most 6 objects and %d B (the graph and its arrays)", c.name, cold.Bytes, cold.Objects, budget)
+		}
+	}
 }

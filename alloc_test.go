@@ -35,12 +35,12 @@ type allocPath struct {
 // paths are the graph and network constructors, whole runs of the paper's
 // election and of Ben-Or, every single-run document in examples/specs (the
 // run its spec builds), and the first timed unit of each of the repo
-// benchmark's sim workloads. The golden pins the plain build: a -race build
-// pads what a path allocates, and holds the paths to the budgets and shapes
-// of the packages' own tests (TestRingAllocationBudget,
+// benchmark's sim workloads. The golden pins the plain build. The shapes
+// and budgets are the packages' own tests (TestRingAllocationBudget,
 // TestAllocationBudget in network, the runner's TestElectionAllocationBudget
-// and its siblings, TestTracedTokenIsFormattedOnce), which hold in both
-// builds.
+// and its siblings, TestTracedTokenIsFormattedOnce), which read a path's
+// line through allocbudget.Figures; a -race build pads what a path
+// allocates, so there those tests measure their paths and this one stops.
 func TestAllocationGolden(t *testing.T) {
 	if allocbudget.Race {
 		t.Log("-race: the golden pins the plain build's figures")

@@ -1,7 +1,7 @@
 // Package allocbudget measures what one call of a function allocates, for
 // the table that pins every measured path's figures (alloc_test.go and
-// testdata/alloc.golden at the module root) and for the tests that hold a
-// path to a shape or to a budget.
+// testdata/alloc.golden at the module root), and hands a path's figures to
+// the tests that hold it to a shape or to a budget (Figures).
 //
 // A run hands its big arrays on to the next run in the process (package
 // reuse), so a figure has two readings, and Measure, the one reader, takes
@@ -13,8 +13,14 @@ package allocbudget
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
 	"time"
 
 	"abenet/internal/reuse"
@@ -70,4 +76,72 @@ func least(run, before func()) Reading {
 		r.Objects = min(r.Objects, end.Mallocs-start.Mallocs)
 	}
 	return r
+}
+
+var (
+	figuresMu sync.Mutex
+	figures   map[string][2]Reading // by path name, cold and warm
+)
+
+// Figures returns the cold and the warm reading of the path that
+// testdata/alloc.golden, at the module root, names name, for a test that
+// holds it to a shape or a budget. In the plain build they are the golden's
+// row, which TestAllocationGolden measures and pins exactly, so the path is
+// not measured again. A -race build pads what a path allocates and skips
+// the golden: there Figures reads Measure(run), once per test binary for
+// each name, so tests that share a path share its measurement. run must be
+// the call the golden's path measures.
+func Figures(t testing.TB, name string, run func()) (cold, warm Reading) {
+	t.Helper()
+	figuresMu.Lock()
+	defer figuresMu.Unlock()
+	if figures == nil {
+		figures = map[string][2]Reading{}
+		if !Race {
+			readGolden(t)
+		}
+	}
+	r, ok := figures[name]
+	if !ok && Race {
+		r[0], r[1] = Measure(run)
+		figures[name], ok = r, true
+	}
+	if !ok {
+		t.Fatalf("testdata/alloc.golden has no line %q", name)
+	}
+	return r[0], r[1]
+}
+
+// readGolden puts each line of testdata/alloc.golden into figures: a path's
+// name, its cold bytes and objects, then its warm bytes and objects. The
+// golden is found beside go.mod, above the test's package directory.
+func readGolden(t testing.TB) {
+	t.Helper()
+	dir, _ := os.Getwd()
+	for dir != filepath.Dir(dir) {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			break
+		}
+		dir = filepath.Dir(dir)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "testdata", "alloc.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 5 || strings.HasPrefix(line, "#") {
+			continue
+		}
+		var v [4]uint64
+		var err error
+		for i, s := range f[len(f)-4:] {
+			if v[i], err = strconv.ParseUint(s, 10, 64); err != nil {
+				break
+			}
+		}
+		if err == nil {
+			figures[strings.Join(f[:len(f)-4], " ")] = [2]Reading{{v[0], v[1]}, {v[2], v[3]}}
+		}
+	}
 }

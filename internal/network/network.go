@@ -26,7 +26,7 @@
 // clock reads real time, so a network of them keeps no clock at all.
 // Deliveries come back through Sink.Deliver(edge, ·) and untraced, fault-free
 // timers through one handler per timer kind with the node as the event
-// argument, so an idle node costs no closure. testdata/alloc.golden holds the
+// argument, so an idle node costs no closure. TestAllocationBudget holds the
 // line.
 //
 // A network owns its arrays from New to Release, and no longer. New takes

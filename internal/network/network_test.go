@@ -678,11 +678,11 @@ func (idleNode) Init(*Context)                {}
 func (idleNode) OnMessage(*Context, int, any) {}
 func (idleNode) OnTimer(*Context, int)        {}
 
-// TestAllocationBudget holds the flat construction: building a network on a
-// ring allocates the same objects at n = 10³ and 10⁴, cold and warm — a
-// fixed number per layer, none per node or edge — and at most 139 B per node
-// (the -race build's budget; the plain build's figures are lines of
-// testdata/alloc.golden at the module root).
+// TestAllocationBudget holds the flat construction (allocbudget.Figures: in
+// the plain build lines of testdata/alloc.golden at the module root, under
+// -race a measurement): building a network on a ring allocates the same
+// objects at n = 10³ and 10⁴, cold and warm — a fixed number per layer,
+// none per node or edge — and at most 139 B per node.
 func TestAllocationBudget(t *testing.T) {
 	links := channel.RandomDelayFactory(dist.NewExponential(1))
 	build := func(n int) func() {
@@ -695,9 +695,8 @@ func TestAllocationBudget(t *testing.T) {
 			runtime.KeepAlive(net)
 		}
 	}
-	smallCold, smallWarm := allocbudget.Measure(build(1_000))
-	cold, warm := allocbudget.Measure(build(10_000))
-	t.Logf("network.New on Ring(n): %d and %d objects cold at n = 10³ and 10⁴, %d B at 10⁴", smallCold.Objects, cold.Objects, cold.Bytes)
+	smallCold, smallWarm := allocbudget.Figures(t, "network.New on Ring(1000)", build(1_000))
+	cold, warm := allocbudget.Figures(t, "network.New on Ring(10000)", build(10_000))
 	if smallCold.Objects != cold.Objects || smallWarm.Objects != warm.Objects {
 		t.Errorf("New allocates %d and %d objects cold, %d and %d warm, at n = 10³ and 10⁴: something is built per node or edge",
 			smallCold.Objects, cold.Objects, smallWarm.Objects, warm.Objects)

@@ -310,10 +310,11 @@ func FuzzWriteChrome(f *testing.F) {
 }
 
 // TestTracedTokenIsFormattedOnce holds a cold traced election, the
-// election_ring_traced.json fixture, to 220 objects: an exported token
-// payload is its String, made once, not copied again by fmt; formatting
-// every payload through Sprintf("%+v") read 222. The exact figure is a line
-// of testdata/alloc.golden at the module root.
+// election_ring_traced.json fixture (allocbudget.Figures: in the plain
+// build its line of testdata/alloc.golden at the module root, under -race a
+// measurement), to 220 objects: an exported token payload is its String,
+// made once, not copied again by fmt; formatting every payload through
+// Sprintf("%+v") read 222.
 func TestTracedTokenIsFormattedOnce(t *testing.T) {
 	doc, err := os.ReadFile(filepath.Join(fixtureDir, "election_ring_traced.json"))
 	if err != nil {
@@ -327,7 +328,7 @@ func TestTracedTokenIsFormattedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, _ := allocbudget.Measure(func() {
+	cold, _ := allocbudget.Figures(t, "election_ring_traced.json", func() {
 		rep, err := runner.Run(env, proto)
 		if err != nil {
 			t.Fatal(err)
@@ -336,7 +337,6 @@ func TestTracedTokenIsFormattedOnce(t *testing.T) {
 			t.Fatalf("trace %v, %d leaders", rep.Trace != nil, rep.Leaders)
 		}
 	})
-	t.Logf("election_ring_traced.json: %d objects cold", cold.Objects)
 	if cold.Objects > 220 {
 		t.Errorf("a traced election allocates %d objects, budget 220", cold.Objects)
 	}

@@ -723,16 +723,16 @@ func TestPortsMatchReferenceAdjacency(t *testing.T) {
 	}
 }
 
-// TestRingAllocationBudget holds Ring's layout: the same objects at n = 10³
-// and 10⁴, cold and warm — nothing per node or edge — and at most 24 B per
-// node (out-edge, in-port and in-neighbour, 4 B each, and the one offsets
-// array the out- and in-sides share). The exact figures are lines of
-// testdata/alloc.golden at the module root.
+// TestRingAllocationBudget holds Ring's layout (allocbudget.Figures: in the
+// plain build lines of testdata/alloc.golden at the module root, under
+// -race a measurement): the same objects at n = 10³ and 10⁴, cold and warm
+// — nothing per node or edge — and at most 24 B per node (out-edge,
+// in-port and in-neighbour, 4 B each, and the one offsets array the out-
+// and in-sides share).
 func TestRingAllocationBudget(t *testing.T) {
 	build := func(n int) func() { return func() { runtime.KeepAlive(Ring(n)) } }
-	smallCold, smallWarm := allocbudget.Measure(build(1_000))
-	cold, warm := allocbudget.Measure(build(10_000))
-	t.Logf("Ring(n): %d and %d objects cold at n = 10³ and 10⁴, %d B at 10⁴", smallCold.Objects, cold.Objects, cold.Bytes)
+	smallCold, smallWarm := allocbudget.Figures(t, "topology.Ring(1000)", build(1_000))
+	cold, warm := allocbudget.Figures(t, "topology.Ring(10000)", build(10_000))
 	if smallCold.Objects != cold.Objects || smallWarm.Objects != warm.Objects {
 		t.Errorf("Ring allocates %d and %d objects cold, %d and %d warm, at n = 10³ and 10⁴: something is built per node",
 			smallCold.Objects, cold.Objects, smallWarm.Objects, warm.Objects)
@@ -864,25 +864,31 @@ func TestCSRGolden(t *testing.T) {
 // TestGeneratorAllocationBudget: a generator lays its edges straight into
 // the CSR, so building Complete(64) or Torus(8, 8) cold allocates the graph
 // and its five arrays — two offset arrays of n+1 and three edge arrays of m
-// int32s — and nothing else: no edge list, no per-node cursors.
+// int32s — and nothing else: no edge list, no per-node cursors. When the
+// out- and in-offsets are one, the graph keeps one array and hands the
+// other back, so a warm build takes it from the pool and allocates the
+// graph and four arrays.
 func TestGeneratorAllocationBudget(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		build func() *Graph
 	}{
-		{"Complete(64)", func() *Graph { return Complete(64) }},
-		{"Torus(8, 8)", func() *Graph { return Torus(8, 8) }},
+		{"topology.Complete(64)", func() *Graph { return Complete(64) }},
+		{"topology.Torus(8, 8)", func() *Graph { return Torus(8, 8) }},
 	} {
 		g := c.build()
-		n, m := g.N(), g.EdgeCount()
-		cold, _ := allocbudget.Measure(func() { runtime.KeepAlive(c.build()) })
-		arrays := uint64(4 * (2*(n+1) + 3*m))
-		// Each of the six objects rounds up to its size class, at most an
-		// eighth of its size above 1 kB and 32 B below it.
-		budget := uint64(unsafe.Sizeof(Graph{})) + arrays + arrays/8 + 6*32
-		t.Logf("%s: %d B in %d objects; graph %d B, arrays %d B", c.name, cold.Bytes, cold.Objects, unsafe.Sizeof(Graph{}), arrays)
-		if cold.Objects > 6 || cold.Bytes > budget {
-			t.Errorf("%s allocates %d B in %d objects, want at most 6 objects and %d B (the graph and its arrays)", c.name, cold.Bytes, cold.Objects, budget)
+		n, m := uint64(g.N()), uint64(g.EdgeCount())
+		// Each object rounds up to its size class, at most an eighth of its
+		// size above 1 kB and 32 B below it.
+		budget := func(objects, arrays uint64) uint64 {
+			return uint64(unsafe.Sizeof(Graph{})) + arrays + arrays/8 + objects*32
+		}
+		cold, warm := allocbudget.Figures(t, c.name, func() { runtime.KeepAlive(c.build()) })
+		if arrays := 4 * (2*(n+1) + 3*m); cold.Objects != 6 || cold.Bytes > budget(6, arrays) {
+			t.Errorf("%s allocates %d B in %d objects cold, want 6 objects and at most %d B (the graph and its five arrays)", c.name, cold.Bytes, cold.Objects, budget(6, arrays))
+		}
+		if arrays := 4 * (n + 1 + 3*m); warm.Objects != 5 || warm.Bytes > budget(5, arrays) {
+			t.Errorf("%s allocates %d B in %d objects warm, want 5 objects and at most %d B (the graph and four arrays)", c.name, warm.Bytes, warm.Objects, budget(5, arrays))
 		}
 	}
 }
